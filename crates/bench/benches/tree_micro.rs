@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use cij_bench::runner::fresh_pool;
 use cij_geom::{MovingRect, Rect};
+use cij_join::{probe_batch, JoinCounters, JoinScratch};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 use cij_workload::{generate_set, Params, SetTag};
 
@@ -76,6 +77,28 @@ fn bench_probes(c: &mut Criterion) {
                         .expect("query")
                         .len(),
                 )
+            })
+        });
+        // The batched maintenance kernel on a batch of one: must not cost
+        // more than the per-object probe above it.
+        let mut scratch = JoinScratch::new();
+        let mut hits = Vec::new();
+        group.bench_function(format!("probe_batch_one_5k_tm{suffix}"), |b| {
+            b.iter(|| {
+                hits.clear();
+                let mut counters = JoinCounters::new();
+                let one = std::slice::from_ref(&probe);
+                probe_batch(
+                    &tree,
+                    one,
+                    0.0,
+                    60.0,
+                    &mut scratch,
+                    &mut counters,
+                    &mut hits,
+                )
+                .expect("query");
+                black_box(hits.len())
             })
         });
         group.bench_function(format!("intersect_window_5k_unbounded{suffix}"), |b| {

@@ -16,12 +16,12 @@
 //! whether answer updates are triggered by result changes (ETP) or only
 //! by object updates (all others).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{
-    parallel_improved_join, parallel_improved_multi_join, parallel_naive_join, tp_join,
-    tp_object_probe, JoinCounters, JoinJob, Techniques,
+    parallel_improved_join, parallel_improved_multi_join, parallel_naive_join, probe_batch,
+    tp_join, tp_object_probe, JoinCounters, JoinJob, JoinScratch, ProbeHit, Techniques,
 };
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
@@ -183,11 +183,14 @@ pub trait ContinuousJoinEngine {
     /// in the index and refreshes the answer (phase 2 of §II-A).
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()>;
 
-    /// Applies one tick's updates in order. The default simply loops
-    /// [`apply_update`](Self::apply_update); composite engines (the
-    /// shard coordinator) override it to group the batch per inner
-    /// engine and fan the groups out in parallel while preserving each
-    /// engine's op order — results are identical either way.
+    /// Applies one tick's updates, all stamped `now`; the answer
+    /// afterwards is the one the updates applied one by one, in order,
+    /// would leave. The default is that loop. The TC and MTB engines run
+    /// the tick in two phases instead — every index mutation first, then
+    /// one synchronized probe of the whole batch per tree of the other
+    /// side (`TickProbes`) — and the shard coordinator and the dist
+    /// worker hand each inner engine its consecutive updates as one batch
+    /// ([`apply_op_runs`]), so every stack shares the traversals.
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
         for u in updates {
             self.apply_update(u, now)?;
@@ -332,6 +335,38 @@ pub trait ContinuousJoinEngine {
     fn publish_metrics(&self) {}
 }
 
+/// Applies one engine's op list of a tick in order, handing every maximal
+/// run of consecutive trajectory updates to
+/// [`apply_batch`](ContinuousJoinEngine::apply_batch) as one batch, so an
+/// engine behind a router (shard coordinator, dist worker) shares probe
+/// traversals exactly like a directly driven one. `as_update` picks the
+/// updates out of the caller's op type; every other op goes through
+/// `apply_other`, between the runs it separates.
+pub fn apply_op_runs<T>(
+    engine: &mut dyn ContinuousJoinEngine,
+    ops: &[T],
+    now: Time,
+    as_update: impl Fn(&T) -> Option<&ObjectUpdate>,
+    mut apply_other: impl FnMut(&mut dyn ContinuousJoinEngine, &T) -> TprResult<()>,
+) -> TprResult<()> {
+    let mut run: Vec<ObjectUpdate> = Vec::new();
+    for op in ops {
+        if let Some(u) = as_update(op) {
+            run.push(*u);
+            continue;
+        }
+        if !run.is_empty() {
+            engine.apply_batch(&run, now)?;
+            run.clear();
+        }
+        apply_other(engine, op)?;
+    }
+    if !run.is_empty() {
+        engine.apply_batch(&run, now)?;
+    }
+    Ok(())
+}
+
 /// Mirrors an engine's [`JoinCounters`] and merged node-cache totals into
 /// `registry` (the shared body of every `publish_metrics` impl; public so
 /// engine wrappers — e.g. the shard coordinator — can reuse it for their
@@ -414,6 +449,123 @@ fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) -> PairKey 
     match update_side {
         SetTag::A => (updated, partner),
         SetTag::B => (partner, updated),
+    }
+}
+
+/// Index of a side in the per-side arrays of [`TickProbes`].
+fn side(set: SetTag) -> usize {
+    match set {
+        SetTag::A => 0,
+        SetTag::B => 1,
+    }
+}
+
+/// The two-phase maintenance tick shared by the TC and MTB engines.
+///
+/// Phase 1 ([`mutate_and_load`](Self::mutate_and_load)) applies every
+/// index delete/insert **in batch order** — so the trees end up as the
+/// very pages the per-update loop would have written — drops the updated
+/// objects' pairs, and keeps one probe per updated id. Phase 2
+/// ([`join_side`](Self::join_side), once per side) runs those probes
+/// through the batched kernel and adds the hits to the result buffer.
+///
+/// Three rules make the buffer equal to the loop's, bit for bit:
+/// mutation order is kept (above); an id updated twice probes only with
+/// its **last** trajectory (the loop's earlier pairs were dropped again
+/// by the later update); and a pair whose two endpoints both updated is
+/// taken from the probe of the endpoint **later** in the batch (the loop
+/// dropped the earlier endpoint's finding when the later one updated).
+/// Pairs the loop found and dropped again within the tick never enter
+/// the buffer here, so the change list is a subset of the loop's — it is
+/// a dirty list that consumers recheck against engine state.
+#[derive(Default)]
+struct TickProbes {
+    /// Per side: trajectory, id and batch position of each kept probe.
+    mbrs: [Vec<MovingRect>; 2],
+    ids: [Vec<ObjectId>; 2],
+    pos: [Vec<u32>; 2],
+    /// Per side: id → index into the three vectors above.
+    slot: [HashMap<ObjectId, usize>; 2],
+    scratch: JoinScratch,
+    hits: Vec<ProbeHit>,
+}
+
+impl TickProbes {
+    /// Replaces the loaded probes with `probes` (in batch order); a
+    /// repeated id keeps its last trajectory and position.
+    fn load(&mut self, probes: impl Iterator<Item = (SetTag, ObjectId, MovingRect)>) {
+        for s in 0..2 {
+            self.mbrs[s].clear();
+            self.ids[s].clear();
+            self.pos[s].clear();
+            self.slot[s].clear();
+        }
+        for (k, (set, id, mbr)) in probes.enumerate() {
+            let s = side(set);
+            let fresh = self.ids[s].len();
+            let i = *self.slot[s].entry(id).or_insert(fresh);
+            if i == fresh {
+                self.ids[s].push(id);
+                self.mbrs[s].push(mbr);
+                self.pos[s].push(k as u32);
+            } else {
+                self.mbrs[s][i] = mbr;
+                self.pos[s][i] = k as u32;
+            }
+        }
+    }
+
+    /// Phase 1: `mutate` (the index delete + insert) per update in batch
+    /// order, dropping each updated object's pairs. Stops at the first
+    /// failure and returns it; the updates before it are loaded as
+    /// probes, so running phase 2 leaves them fully applied — the state
+    /// the per-update loop stops in.
+    fn mutate_and_load(
+        &mut self,
+        updates: &[ObjectUpdate],
+        buffer: &mut ResultBuffer,
+        mut mutate: impl FnMut(&ObjectUpdate) -> TprResult<()>,
+    ) -> TprResult<()> {
+        let mut outcome = Ok(());
+        let mut applied = 0;
+        for u in updates {
+            outcome = mutate(u);
+            if outcome.is_err() {
+                break;
+            }
+            buffer.remove_object(u.id);
+            applied += 1;
+        }
+        self.load(updates[..applied].iter().map(|u| (u.set, u.id, u.new_mbr)));
+        outcome
+    }
+
+    /// Phase 2 for the probes of side `set`: `probe` joins them against
+    /// the other side's index, and every hit not superseded by the
+    /// later-endpoint rule goes into `buffer`.
+    fn join_side(
+        &mut self,
+        set: SetTag,
+        buffer: &mut ResultBuffer,
+        probe: impl FnOnce(&[MovingRect], &mut JoinScratch, &mut Vec<ProbeHit>) -> TprResult<()>,
+    ) -> TprResult<()> {
+        let (s, o) = (side(set), 1 - side(set));
+        if self.mbrs[s].is_empty() {
+            return Ok(());
+        }
+        self.hits.clear();
+        probe(&self.mbrs[s], &mut self.scratch, &mut self.hits)?;
+        for &(p, partner, iv) in &self.hits {
+            let p = p as usize;
+            let partner_is_later = self.slot[o]
+                .get(&partner)
+                .is_some_and(|&q| self.pos[o][q] > self.pos[s][p]);
+            if !partner_is_later {
+                let (a, b) = orient(set, self.ids[s][p], partner);
+                buffer.add(a, b, iv);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -598,6 +750,7 @@ pub struct TcEngine {
     tree_b: TprTree,
     buffer: ResultBuffer,
     counters: JoinCounters,
+    probes: TickProbes,
     obs: MetricsRegistry,
 }
 
@@ -621,8 +774,25 @@ impl TcEngine {
             tree_b,
             buffer: ResultBuffer::new(),
             counters: JoinCounters::new(),
+            probes: TickProbes::default(),
             obs,
         })
+    }
+
+    /// Phase 2 of a tick: the loaded probes of each side against the
+    /// other side's tree over Theorem 1's window `[now, now + T_M]` (the
+    /// result for an object only needs to be valid until its own next
+    /// update, at most `T_M` away).
+    fn join_probes(&mut self, now: Time) -> TprResult<()> {
+        let t_e = now + self.config.t_m;
+        for (set, other) in [(SetTag::A, &self.tree_b), (SetTag::B, &self.tree_a)] {
+            let counters = &mut self.counters;
+            self.probes
+                .join_side(set, &mut self.buffer, |mbrs, scratch, hits| {
+                    probe_batch(other, mbrs, now, t_e, scratch, counters, hits)
+                })?;
+        }
+        Ok(())
     }
 }
 
@@ -651,19 +821,19 @@ impl ContinuousJoinEngine for TcEngine {
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let (own, other) = match update.set {
-            SetTag::A => (&mut self.tree_a, &self.tree_b),
-            SetTag::B => (&mut self.tree_b, &self.tree_a),
-        };
-        own.update(update.id, &update.old_mbr, update.new_mbr, now)?;
-        self.buffer.remove_object(update.id);
-        // Theorem 1: the result for this object only needs to be valid
-        // until its own next update, at most T_M away.
-        for (partner, iv) in other.intersect_window(&update.new_mbr, now, now + self.config.t_m)? {
-            let (a, b) = orient(update.set, update.id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
+        self.apply_batch(std::slice::from_ref(update), now)
+    }
+
+    fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
+        let (tree_a, tree_b) = (&mut self.tree_a, &mut self.tree_b);
+        let outcome = self
+            .probes
+            .mutate_and_load(updates, &mut self.buffer, |u| match u.set {
+                SetTag::A => tree_a.update(u.id, &u.old_mbr, u.new_mbr, now),
+                SetTag::B => tree_b.update(u.id, &u.old_mbr, u.new_mbr, now),
+            });
+        self.join_probes(now)?;
+        outcome
     }
 
     fn insert_object(
@@ -673,17 +843,13 @@ impl ContinuousJoinEngine for TcEngine {
         mbr: MovingRect,
         now: Time,
     ) -> TprResult<()> {
-        let (own, other) = match set {
-            SetTag::A => (&mut self.tree_a, &self.tree_b),
-            SetTag::B => (&mut self.tree_b, &self.tree_a),
+        let own = match set {
+            SetTag::A => &mut self.tree_a,
+            SetTag::B => &mut self.tree_b,
         };
         own.insert(id, mbr, now)?;
-        // Theorem 1 window, exactly as in `apply_update`.
-        for (partner, iv) in other.intersect_window(&mbr, now, now + self.config.t_m)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
+        self.probes.load(std::iter::once((set, id, mbr)));
+        self.join_probes(now)
     }
 
     fn remove_object(
@@ -911,6 +1077,7 @@ pub struct MtbEngine {
     mtb_b: MtbTree,
     buffer: ResultBuffer,
     counters: JoinCounters,
+    probes: TickProbes,
     obs: MetricsRegistry,
 }
 
@@ -950,8 +1117,27 @@ impl MtbEngine {
             mtb_b,
             buffer: ResultBuffer::new(),
             counters: JoinCounters::new(),
+            probes: TickProbes::default(),
             obs,
         })
+    }
+
+    /// Phase 2 of a tick: the loaded probes of each side against every
+    /// bucket of the other side, per-bucket windows
+    /// `[now, min(t_eb, now) + T_M]` (§IV-C plus the `lut ≤ now` clamp,
+    /// which tightens the current bucket from the paper's `t_eb + T_M`
+    /// to Theorem 1's `now + T_M`).
+    fn join_probes(&mut self, now: Time) -> TprResult<()> {
+        let t_m = self.config.t_m;
+        for (set, other) in [(SetTag::A, &self.mtb_b), (SetTag::B, &self.mtb_a)] {
+            let counters = &mut self.counters;
+            self.probes
+                .join_side(set, &mut self.buffer, |mbrs, scratch, hits| {
+                    let window = |t_eb: Time| t_eb.min(now) + t_m;
+                    other.probe_batch(mbrs, now, window, scratch, counters, hits)
+                })?;
+        }
+        Ok(())
     }
 
     /// Access to the A-side MTB-tree (diagnostics).
@@ -1015,23 +1201,23 @@ impl ContinuousJoinEngine for MtbEngine {
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match update.set {
-            SetTag::A => (&mut self.mtb_a, &self.mtb_b),
-            SetTag::B => (&mut self.mtb_b, &self.mtb_a),
-        };
-        // Bucket migration: out of the old-update bucket, into `now`'s.
-        own.remove(update.id, &update.old_mbr, update.last_update, now)?;
-        own.insert(update.id, update.new_mbr, now, now)?;
-        self.buffer.remove_object(update.id);
-        // Per-bucket windows [now, min(t_eb, now) + T_M] (§IV-C plus
-        // the lut ≤ now clamp, which tightens the current bucket from
-        // the paper's t_eb + T_M to Theorem 1's now + T_M).
-        for (partner, iv) in other.join_object(&update.new_mbr, now, |t_eb| t_eb.min(now) + t_m)? {
-            let (a, b) = orient(update.set, update.id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
+        self.apply_batch(std::slice::from_ref(update), now)
+    }
+
+    fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
+        let (mtb_a, mtb_b) = (&mut self.mtb_a, &mut self.mtb_b);
+        let outcome = self.probes.mutate_and_load(updates, &mut self.buffer, |u| {
+            let own = match u.set {
+                SetTag::A => &mut *mtb_a,
+                SetTag::B => &mut *mtb_b,
+            };
+            // Bucket migration: out of the old-update bucket, into
+            // `now`'s.
+            own.remove(u.id, &u.old_mbr, u.last_update, now)?;
+            own.insert(u.id, u.new_mbr, now, now)
+        });
+        self.join_probes(now)?;
+        outcome
     }
 
     fn insert_object(
@@ -1041,20 +1227,10 @@ impl ContinuousJoinEngine for MtbEngine {
         mbr: MovingRect,
         now: Time,
     ) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match set {
-            SetTag::A => (&mut self.mtb_a, &self.mtb_b),
-            SetTag::B => (&mut self.mtb_b, &self.mtb_a),
-        };
         // A routed insert registers in `now`'s bucket — the same bucket
-        // an `apply_update` migration lands in, so the per-bucket windows
-        // below match the unsharded engine's exactly.
-        own.insert(id, mbr, now, now)?;
-        for (partner, iv) in other.join_object(&mbr, now, |t_eb| t_eb.min(now) + t_m)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
+        // an update's migration lands in, so the per-bucket windows of
+        // the probe match the unsharded engine's exactly.
+        self.restore_object(set, id, mbr, now, now)
     }
 
     fn restore_object(
@@ -1065,10 +1241,9 @@ impl ContinuousJoinEngine for MtbEngine {
         registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match set {
-            SetTag::A => (&mut self.mtb_a, &self.mtb_b),
-            SetTag::B => (&mut self.mtb_b, &self.mtb_a),
+        let own = match set {
+            SetTag::A => &mut self.mtb_a,
+            SetTag::B => &mut self.mtb_b,
         };
         // Bucket by the object's *original* update time: MTB buckets
         // live on a global grid, so the restored object lands in the
@@ -1077,11 +1252,8 @@ impl ContinuousJoinEngine for MtbEngine {
         // removes it from exactly that bucket, and every Theorem-2
         // per-bucket window it participates in keeps the oracle's t_eb.
         own.insert(id, mbr, registered_at, now)?;
-        for (partner, iv) in other.join_object(&mbr, now, |t_eb| t_eb.min(now) + t_m)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
+        self.probes.load(std::iter::once((set, id, mbr)));
+        self.join_probes(now)
     }
 
     fn remove_object(

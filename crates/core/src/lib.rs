@@ -35,8 +35,8 @@ pub mod sim;
 pub mod window;
 
 pub use engine::{
-    publish_engine_totals, BxEngine, ContinuousJoinEngine, EngineConfig, EngineConfigBuilder,
-    EtpEngine, MtbEngine, NaiveEngine, TcEngine,
+    apply_op_runs, publish_engine_totals, BxEngine, ContinuousJoinEngine, EngineConfig,
+    EngineConfigBuilder, EtpEngine, MtbEngine, NaiveEngine, TcEngine,
 };
 pub use mtb::MtbTree;
 pub use result::{PairKey, PairStatus, ResultBuffer};

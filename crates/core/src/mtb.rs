@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use cij_geom::{MovingRect, Time, TimeInterval};
+use cij_join::{probe_batch, JoinCounters, JoinScratch, ProbeHit};
 use cij_storage::BufferPool;
 use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 
@@ -185,27 +186,52 @@ impl MtbTree {
         Ok(())
     }
 
-    /// The MTB maintenance join (§IV-C): `target`'s intersection pairs
-    /// against every bucket tree, each with its own window
-    /// `[now, min(t_eb + T_M stand-in: window_end(bucket))]`.
+    /// The MTB maintenance join (§IV-C) for a whole tick: every probe's
+    /// intersection pairs against every bucket tree, one synchronized
+    /// descent per bucket ([`cij_join::probe_batch`]), each bucket with its
+    /// own window `[now, window_for(t_eb)]`. Theorem 2's bound depends on
+    /// the *bucket*, not on the probing object, which is why all probes
+    /// of a tick share it.
     ///
     /// `window_for(t_eb)` maps a bucket end to the window end (callers
     /// pass `t_eb + T_M`; kept as a closure so tests can probe variants).
+    /// Hits are appended to `out`, indexed into `probes`.
+    pub fn probe_batch(
+        &self,
+        probes: &[MovingRect],
+        now: Time,
+        window_for: impl Fn(Time) -> Time,
+        scratch: &mut JoinScratch,
+        counters: &mut JoinCounters,
+        out: &mut Vec<ProbeHit>,
+    ) -> TprResult<()> {
+        for (idx, tree) in &self.buckets {
+            let t_end = window_for(self.bucket_end(*idx));
+            if t_end <= now {
+                continue;
+            }
+            probe_batch(tree, probes, now, t_end, scratch, counters, out)?;
+        }
+        Ok(())
+    }
+
+    /// [`probe_batch`](Self::probe_batch) for a single `target`.
     pub fn join_object(
         &self,
         target: &MovingRect,
         now: Time,
         window_for: impl Fn(Time) -> Time,
     ) -> TprResult<Vec<(ObjectId, TimeInterval)>> {
-        let mut out = Vec::new();
-        for (idx, tree) in &self.buckets {
-            let t_end = window_for(self.bucket_end(*idx));
-            if t_end <= now {
-                continue;
-            }
-            out.extend(tree.intersect_window(target, now, t_end)?);
-        }
-        Ok(out)
+        let mut hits = Vec::new();
+        self.probe_batch(
+            std::slice::from_ref(target),
+            now,
+            window_for,
+            &mut JoinScratch::new(),
+            &mut JoinCounters::new(),
+            &mut hits,
+        )?;
+        Ok(hits.into_iter().map(|(_, oid, iv)| (oid, iv)).collect())
     }
 
     /// Validates every bucket tree and the aggregate count.

@@ -144,6 +144,37 @@ fn snapshot_totals_match_legacy_stats_bit_exactly() {
     }
 }
 
+/// Maintenance is traversal work too: the TC and MTB engines' batched
+/// probes feed the same `JoinCounters` as the initial join, so the
+/// totals keep moving after it and reach the published `join.*` series.
+#[test]
+fn maintenance_probes_feed_the_join_counters() {
+    let p = params(74);
+    for kind in ["tc", "mtb"] {
+        let config = EngineConfig::builder().metrics(true).build();
+        // `drive` starts with the initial join: zero ticks is that alone.
+        let mut idle = build(kind, config, &p);
+        drive(&mut idle, &p, 0);
+        let initial = idle.counters();
+        let mut engine = build(kind, config, &p);
+        drive(&mut engine, &p, 20);
+        let total = engine.counters();
+        assert!(total.node_pairs > initial.node_pairs, "{kind}: node_pairs");
+        assert!(
+            total.entry_comparisons > initial.entry_comparisons,
+            "{kind}: entry_comparisons"
+        );
+        assert!(total.ic_pruned > initial.ic_pruned, "{kind}: ic_pruned");
+        assert!(
+            total.pairs_emitted > initial.pairs_emitted,
+            "{kind}: pairs_emitted"
+        );
+        engine.publish_metrics();
+        let snap = engine.metrics_registry().snapshot();
+        assert_eq!(snap.counter("join.node_pairs"), Some(total.node_pairs));
+    }
+}
+
 #[test]
 fn snapshot_names_are_sorted_and_stable_across_runs() {
     let p = params(72);

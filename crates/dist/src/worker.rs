@@ -16,7 +16,9 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
+use cij_core::{
+    apply_op_runs, ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine,
+};
 use cij_geom::Time;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
 use cij_tpr::TprResult;
@@ -276,9 +278,16 @@ impl ShardWorker {
         ops: &[ShardOp],
     ) -> TprResult<Option<Vec<cij_core::PairKey>>> {
         engine.advance_time(now)?;
-        for op in ops {
-            Self::apply_op(engine, op, now)?;
-        }
+        apply_op_runs(
+            engine,
+            ops,
+            now,
+            |op| match op {
+                ShardOp::Apply(u) => Some(u),
+                _ => None,
+            },
+            |engine, op| Self::apply_op(engine, op, now),
+        )?;
         engine.gc(now);
         Ok(engine.take_result_changes())
     }

@@ -14,13 +14,15 @@ use std::sync::Arc;
 use cij_core::{EngineConfig, MtbEngine};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
-use cij_geom::Time;
+use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{
     HashPolicy, PartitionPolicy, ShardCoordinator, SpatialGridPolicy, VelocityBandPolicy,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriberId, SubscriptionFilter};
-use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
+use cij_workload::{
+    generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
+};
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -179,33 +181,42 @@ impl Rig {
     fn run_ticks(&mut self, from: u32, to: u32, poll_every: u32, label: &str) -> u64 {
         let mut gaps = 0u64;
         for tick in from..=to {
-            let now = Time::from(tick);
-            for u in self.workload.tick(now) {
-                self.oracle.submit(u, now);
-                self.dist.submit(u, now);
-            }
-            let d_oracle = self.oracle.advance_to(now).expect("oracle advance");
-            let d_dist = self.dist.advance_to(now).expect("dist advance");
-            assert_eq!(
-                d_dist, d_oracle,
-                "{label}: advance deltas diverged at t={now}"
-            );
-
-            if tick % poll_every == 0 {
-                let o_items = self.oracle.poll(self.sub_oracle).unwrap_or_default();
-                let d_items = self.dist.poll(self.sub_dist).unwrap_or_default();
-                assert_eq!(d_items, o_items, "{label}: outboxes diverged at t={now}");
-                gaps += o_items
-                    .iter()
-                    .filter(|i| matches!(i, cij_stream::OutboxItem::Gap { .. }))
-                    .count() as u64;
-            }
-            assert_eq!(
-                self.dist.result_at(now),
-                self.oracle.result_at(now),
-                "{label}: result snapshots diverged at t={now}"
-            );
+            let updates = self.workload.tick(Time::from(tick));
+            gaps += self.step(&updates, tick, tick % poll_every == 0, label);
         }
+        gaps
+    }
+
+    /// One tick of `updates` through both services with the three
+    /// bit-identity assertions; returns the gap markers polled.
+    fn step(&mut self, updates: &[ObjectUpdate], tick: u32, poll: bool, label: &str) -> u64 {
+        let now = Time::from(tick);
+        for u in updates {
+            self.oracle.submit(*u, now);
+            self.dist.submit(*u, now);
+        }
+        let d_oracle = self.oracle.advance_to(now).expect("oracle advance");
+        let d_dist = self.dist.advance_to(now).expect("dist advance");
+        assert_eq!(
+            d_dist, d_oracle,
+            "{label}: advance deltas diverged at t={now}"
+        );
+
+        let mut gaps = 0;
+        if poll {
+            let o_items = self.oracle.poll(self.sub_oracle).unwrap_or_default();
+            let d_items = self.dist.poll(self.sub_dist).unwrap_or_default();
+            assert_eq!(d_items, o_items, "{label}: outboxes diverged at t={now}");
+            gaps = o_items
+                .iter()
+                .filter(|i| matches!(i, cij_stream::OutboxItem::Gap { .. }))
+                .count() as u64;
+        }
+        assert_eq!(
+            self.dist.result_at(now),
+            self.oracle.result_at(now),
+            "{label}: result snapshots diverged at t={now}"
+        );
         gaps
     }
 }
@@ -273,6 +284,79 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
             "{label}: a WAL-intact restart must not need a history resync"
         );
     }
+}
+
+/// Worker-side run grouping: a tick in which two objects trade speed
+/// bands between two same-band updates puts `Apply, Remove, Insert,
+/// Apply` into one worker's `Step`. The worker batches the `Apply` runs
+/// on either side of the migration halves; a third, unsharded service
+/// checks that neither coordinator drifts from the plain engine.
+#[test]
+fn interleaved_apply_remove_insert_apply_stays_bit_identical() {
+    let params = skew_params(92);
+    let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
+    let (a, b) = generate_pair(&params, 0.0);
+    let mut rig = Rig::new(policy.clone(), &params, "interleave", 1024);
+    let plain_config = StreamConfig::builder()
+        .engine(engine_config(&params))
+        .build();
+    let mut plain = StreamService::new(plain_config, &a, &b, 0.0, &|cfg, a, b, now| {
+        Ok(Box::new(MtbEngine::new(pool(), *cfg, a, b, now)?))
+    })
+    .expect("plain service");
+
+    let residents: Vec<MovingObject> = a[2..]
+        .iter()
+        .filter(|o| policy.shard_of(o.id, &o.mbr) == 0)
+        .take(2)
+        .copied()
+        .collect();
+    assert_eq!(residents.len(), 2, "need two band-0 residents");
+    let mut tracked: Vec<(MovingObject, Time)> = [a[0], a[1], residents[0], residents[1]]
+        .into_iter()
+        .map(|o| (o, 0.0))
+        .collect();
+    let (slow, fast) = (0.05 * params.max_speed, 0.95 * params.max_speed);
+    for tick in 1..=6u32 {
+        let now = Time::from(tick);
+        let mut step = |slot: usize, speed: Option<f64>| {
+            let (object, last_update) = tracked[slot];
+            let here = object.mbr.at(now);
+            let velocity = speed.map_or(object.mbr.vlo, |s| [s, 0.0]);
+            let new_mbr = MovingRect::rigid(Rect::new(here.lo, here.hi), velocity, now);
+            let id = object.id;
+            tracked[slot] = (MovingObject { id, mbr: new_mbr }, now);
+            ObjectUpdate {
+                id,
+                set: SetTag::A,
+                old_mbr: object.mbr,
+                last_update,
+                new_mbr,
+            }
+        };
+        let (first, second) = if tick % 2 == 1 {
+            (fast, slow)
+        } else {
+            (slow, fast)
+        };
+        let batch = [
+            step(2, None),
+            step(0, Some(first)),
+            step(1, Some(second)),
+            step(3, None),
+        ];
+        rig.step(&batch, tick, true, "interleave");
+        for u in &batch {
+            plain.submit(*u, now);
+        }
+        plain.advance_to(now).expect("plain advance");
+        assert_eq!(rig.dist.result_at(now), plain.result_at(now), "t={now}");
+    }
+    let snap = rig.dist.metrics_snapshot();
+    assert!(
+        snap.counter("dist.migrations").unwrap_or(0) >= 11,
+        "the movers must trade bands every tick"
+    );
 }
 
 #[test]

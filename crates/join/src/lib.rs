@@ -15,6 +15,9 @@
 //! * [`tp_join`] — §III: Tao & Papadias' time-parameterized join
 //!   returning `(current pairs, expiry time, events)`; the building block
 //!   of the `ETP-Join` competitor (assembled in `cij-core`).
+//! * [`probe_batch`] — the maintenance join of §II-A phase 2 for a whole
+//!   tick: a set of updated objects against one tree in a single descent
+//!   that reads every node at most once.
 //! * [`brute`] — the `O(|A|·|B|)` oracle every algorithm is tested
 //!   against.
 //! * [`parallel_naive_join`] / [`parallel_tc_join`] /
@@ -44,6 +47,7 @@ mod naive;
 mod pair;
 mod parallel;
 mod partition;
+mod probe;
 mod scratch;
 mod sweep;
 mod tp;
@@ -57,6 +61,7 @@ pub use parallel::{
     parallel_tc_join, JoinJob,
 };
 pub use partition::{partition_join, partition_join_auto, swept_region};
+pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
 pub use sweep::{ps_intersection, ps_intersection_soa, SweepItem, SweepSoa};
 pub use tp::{tp_join, tp_join_best_first, tp_object_probe, TpAnswer, TpProbe};

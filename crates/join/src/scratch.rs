@@ -9,7 +9,7 @@
 //! [`std::mem::take`], so a warm traversal allocates nothing.
 
 use crate::sweep::SweepSoa;
-use cij_geom::TimeInterval;
+use cij_geom::{Rect, TimeInterval};
 use cij_tpr::EntryLanes;
 
 /// One recursion depth's worth of buffers. All vectors are cleared, not
@@ -31,6 +31,8 @@ pub(crate) struct Frame {
     pub lanes_a: EntryLanes,
     /// Leaf lanes for side `b`.
     pub lanes_b: EntryLanes,
+    /// Swept regions of the probes live at a node (batched probe).
+    pub boxes: Vec<Rect>,
 }
 
 /// Depth-indexed pool of buffer frames threaded through a join

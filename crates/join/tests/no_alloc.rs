@@ -10,26 +10,41 @@
 //! per-node `SweepItem` array builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect};
 use cij_join::{
-    improved_join, improved_join_into, ps_intersection, techniques, JoinCounters, JoinScratch,
-    SweepItem,
+    improved_join, improved_join_into, probe_batch, ps_intersection, techniques, JoinCounters,
+    JoinScratch, SweepItem,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 
-/// Counts every allocation (alloc / realloc / alloc_zeroed). Deallocs
-/// are not counted — freeing retained buffers is not a regression.
+/// Counts every allocation (alloc / realloc / alloc_zeroed) of the
+/// calling thread. Deallocs are not counted — freeing retained buffers
+/// is not a regression. Per thread, because the harness runs the tests
+/// of this file on parallel threads: a process-wide counter charges one
+/// test with another's set-up.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init: no lazy registration, so reading it inside the
+    // allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -38,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
@@ -95,11 +110,11 @@ fn warm_improved_join_performs_zero_allocations() {
     let warm_pairs = out.clone();
 
     for round in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let counters =
             improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
                 .expect("steady-state join");
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -124,9 +139,9 @@ fn every_technique_combination_is_allocation_free_when_warm() {
         let mut scratch = JoinScratch::new();
         let mut out = Vec::new();
         improved_join_into(&ta, &tb, 0.0, 60.0, tech, &mut scratch, &mut out).expect("warm-up");
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         improved_join_into(&ta, &tb, 0.0, 60.0, tech, &mut scratch, &mut out).expect("steady");
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert_eq!(after - before, 0, "technique set {tech:?} allocated");
     }
 }
@@ -153,15 +168,69 @@ fn aos_sweep_sort_does_not_allocate() {
     let mut sb = make_side(2_000_000.0);
     let mut counters = JoinCounters::new();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let pairs = ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert!(pairs.is_empty(), "workload must stay pair-free");
     assert_eq!(after - before, 0, "ps_intersection sort allocated");
     // The sides interleave in lb order, so the sweep really ran.
     assert!(sa.windows(2).all(|w| w[0].lb <= w[1].lb), "sa not sorted");
     assert!(sb.windows(2).all(|w| w[0].lb <= w[1].lb), "sb not sorted");
+}
+
+/// The batched maintenance probe reads every node zero-copy into the
+/// scratch frames: once those have grown, a probe over an *uncached*
+/// tree — every node visit a real page read — allocates nothing, however
+/// many nodes it visits.
+#[test]
+fn warm_batched_probe_over_uncached_tree_allocates_nothing() {
+    let pool = BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::default());
+    let mut tree = TprTree::new(pool, TreeConfig::default());
+    let mut probes = Vec::new();
+    for i in 0..2_000u64 {
+        let x = (i as f64 * 13.0) % 700.0;
+        let y = (i as f64 * 29.0) % 700.0;
+        let m = MovingRect::rigid(Rect::new([x, y], [x + 2.0, y + 2.0]), [1.0, -0.5], 0.0);
+        tree.insert(ObjectId(i), m, 0.0).expect("insert");
+        if i % 40 == 0 {
+            let shifted = Rect::new([x + 3.0, y], [x + 5.0, y + 2.0]);
+            probes.push(MovingRect::rigid(shifted, [-1.0, 0.5], 0.0));
+        }
+    }
+    assert!(!tree.has_node_cache());
+    let mut scratch = JoinScratch::new();
+    let mut hits = Vec::new();
+    let mut warm = JoinCounters::new();
+    probe_batch(
+        &tree,
+        &probes,
+        0.0,
+        60.0,
+        &mut scratch,
+        &mut warm,
+        &mut hits,
+    )
+    .expect("warm-up");
+    assert!(warm.node_pairs > 50, "probe must visit many nodes");
+    assert!(!hits.is_empty(), "workload must produce hits");
+
+    hits.clear();
+    let mut counters = JoinCounters::new();
+    let before = allocations();
+    probe_batch(
+        &tree,
+        &probes,
+        0.0,
+        60.0,
+        &mut scratch,
+        &mut counters,
+        &mut hits,
+    )
+    .expect("steady");
+    let after = allocations();
+    assert_eq!(after - before, 0, "warm probe_batch allocated");
+    assert_eq!(counters, warm, "counters changed between identical runs");
 }
 
 #[test]
@@ -175,4 +244,43 @@ fn scratch_entry_point_matches_plain_entry_point() {
             .expect("into");
     assert_eq!(pairs, out);
     assert_eq!(counters, counters_into);
+}
+
+/// Pins `TprTree::find_leaf`: a delete whose search backtracks through
+/// overlapping subtrees decodes each visited page once (one allocation
+/// per logical read) and never copies a node again per candidate child.
+/// The seed cloned the internal node for every child it tried — 2 986
+/// allocations on this workload against 1 668 now, for 1 418 reads.
+#[test]
+fn delete_in_overlapping_region_allocates_once_per_page_read() {
+    let pool = BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::default());
+    let mut tree = TprTree::new(pool.clone(), TreeConfig::default());
+    // 1 500 static 20×20 squares on a 40×40 patch: every subtree
+    // overlaps every other, so the search tries many children.
+    let objs: Vec<(ObjectId, MovingRect)> = (0..1_500u64)
+        .map(|i| {
+            let (x, y) = ((i as f64 * 7.0) % 40.0, (i as f64 * 3.0) % 40.0);
+            let rect = Rect::new([x, y], [x + 20.0, y + 20.0]);
+            (ObjectId(i), MovingRect::stationary(rect, 0.0))
+        })
+        .collect();
+    for &(id, m) in &objs {
+        tree.insert(id, m, 0.0).expect("insert");
+    }
+    let io_before = pool.stats().snapshot();
+    let before = allocations();
+    for (id, m) in objs.iter().step_by(30) {
+        tree.delete(*id, m, 0.0).expect("delete");
+    }
+    let allocs = allocations() - before;
+    let io = pool.stats().snapshot();
+    let reads = io.logical_reads - io_before.logical_reads;
+    let writes = io.logical_writes - io_before.logical_writes;
+    assert!(reads > 20 * 50, "search must backtrack ({reads} reads)");
+    // One decoded node per read; the write-back side (page images, path
+    // and orphan vectors) stays within two allocations per page write.
+    assert!(
+        allocs <= reads + 2 * writes,
+        "{allocs} allocations for {reads} reads and {writes} writes"
+    );
 }

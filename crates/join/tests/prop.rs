@@ -4,7 +4,10 @@
 use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect};
-use cij_join::{brute, improved_join, tc_join, techniques, tp_join, JoinPair};
+use cij_join::{
+    brute, improved_join, probe_batch, tc_join, techniques, tp_join, JoinCounters, JoinPair,
+    JoinScratch,
+};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 use proptest::prelude::*;
@@ -182,5 +185,61 @@ proptest! {
         } else {
             prop_assert_eq!(ans.expiry, cij_geom::INFINITE_TIME);
         }
+    }
+
+    /// The batched probe equals the union of per-probe
+    /// `intersect_window` calls — ids and interval bits — for arbitrary
+    /// probe sets (duplicates, probes far outside the data, an empty
+    /// set), tree shapes, windows, and with or without a node cache.
+    #[test]
+    fn probe_batch_equals_per_probe_windows(
+        objs in proptest::collection::vec(arb_object(0), 0..200),
+        near in proptest::collection::vec(arb_object(0), 0..40),
+        far in proptest::collection::vec((5_000.0..9_000.0f64, -3.0..3.0f64), 0..4),
+        capacity in prop_oneof![Just(4usize), Just(10), Just(30)],
+        cache in prop_oneof![Just(0usize), Just(64)],
+        t_s in 0.0..30.0f64,
+        len in 0.1..90.0f64,
+    ) {
+        let objs = dedup_ids(objs);
+        let t_e = t_s + len;
+        let pool =
+            BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::with_capacity(256));
+        let mut tree = TprTree::new(
+            pool,
+            TreeConfig { capacity, ..TreeConfig::default() }.with_node_cache(cache),
+        );
+        for &(oid, mbr) in &objs {
+            tree.insert(oid, mbr, 0.0).unwrap();
+        }
+        // Probes: some near the data, one repeated, some that match nothing.
+        let mut probes: Vec<MovingRect> = near.iter().map(|&(_, m)| m).collect();
+        probes.extend(near.first().map(|&(_, m)| m));
+        probes.extend(far.iter().map(|&(x, v)| {
+            MovingRect::rigid(Rect::new([x, x], [x + 1.0, x + 1.0]), [v, v], 0.0)
+        }));
+
+        let mut scratch = JoinScratch::new();
+        let mut counters = JoinCounters::new();
+        let mut hits = Vec::new();
+        // Two calls on one scratch: the second must not see the first.
+        for _ in 0..2 {
+            hits.clear();
+            probe_batch(&tree, &probes, t_s, t_e, &mut scratch, &mut counters, &mut hits).unwrap();
+        }
+        let key = |h: &(u32, ObjectId, cij_geom::TimeInterval)| {
+            (h.0, h.1, h.2.start.to_bits(), h.2.end.to_bits())
+        };
+        let mut got: Vec<_> = hits.iter().map(key).collect();
+        got.sort_unstable();
+        let mut expect = Vec::new();
+        for (p, probe) in probes.iter().enumerate() {
+            for (oid, iv) in tree.intersect_window(probe, t_s, t_e).unwrap() {
+                expect.push(key(&(p as u32, oid, iv)));
+            }
+        }
+        expect.sort_unstable();
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(counters.pairs_emitted, 2 * hits.len() as u64);
     }
 }

@@ -8,20 +8,33 @@
 //! the hot path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cij_obs::MetricsRegistry;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the harness runs this file's tests in parallel, and a
+    // process-wide counter charges each with the other's allocations.
+    // `const` init, so reading it inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // Counting the system allocator's calls requires implementing the
 // (unsafe) GlobalAlloc trait; the implementation only forwards.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,7 +56,7 @@ fn disabled_registry_record_path_never_allocates() {
     // Handle creation from a disabled registry is also allocation-free
     // (no cells, no map entries), so it is inside the measured window.
     let registry = MetricsRegistry::disabled();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
 
     let counter = registry.counter("hot.path.counter");
     let gauge = registry.gauge("hot.path.gauge");
@@ -60,7 +73,7 @@ fn disabled_registry_record_path_never_allocates() {
     let snapshot = registry.snapshot();
     assert!(snapshot.is_empty());
 
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -75,12 +88,12 @@ fn enabled_registry_record_path_does_not_allocate_after_registration() {
     let counter = registry.counter("hot.counter");
     let histogram = registry.histogram("hot.histogram");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         counter.inc();
         histogram.record(i);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -80,7 +80,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use cij_core::{publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
+use cij_core::{
+    apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus,
+};
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters};
 use cij_obs::MetricsRegistry;
@@ -657,19 +659,25 @@ impl ShardCoordinator {
                 return Ok(());
             }
             let mut engine = self.slots[i].engine.lock();
-            for op in slot_ops {
-                match *op {
-                    Op::Apply(ref u) => engine.apply_update(u, now)?,
-                    Op::Insert { set, id, mbr } => engine.insert_object(set, id, mbr, now)?,
+            apply_op_runs(
+                &mut **engine,
+                slot_ops,
+                now,
+                |op| match op {
+                    Op::Apply(u) => Some(u),
+                    _ => None,
+                },
+                |engine, op| match *op {
+                    Op::Apply(ref u) => engine.apply_update(u, now),
+                    Op::Insert { set, id, mbr } => engine.insert_object(set, id, mbr, now),
                     Op::Remove {
                         set,
                         id,
                         ref old_mbr,
                         last_update,
-                    } => engine.remove_object(set, id, old_mbr, last_update, now)?,
-                }
-            }
-            Ok(())
+                    } => engine.remove_object(set, id, old_mbr, last_update, now),
+                },
+            )
         });
         results.into_iter().collect()
     }

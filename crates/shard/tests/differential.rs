@@ -472,6 +472,109 @@ fn forced_migration_preserves_results_and_placement() {
     assert_eq!(coord.migrations() - migrations_before, 6);
 }
 
+/// The ping-pong above, doubled and batched: two objects swap between
+/// the extreme bands in one tick, bracketed by two same-band updates, so
+/// the engines of band 0's row receive `Apply, Remove, Insert, Apply` in
+/// one op list. The coordinator hands each run of consecutive `Apply`s
+/// to the engine as one batch; the split around the migration halves
+/// must leave answers, placement and change lists exactly the oracle's.
+#[test]
+fn interleaved_apply_remove_insert_apply_matches_oracle() {
+    let params = skew_params(48);
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = engine_config(&params);
+    let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
+    let factory = make_factory(Kind::Mtb, &params);
+    let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
+    let mut coord =
+        ShardCoordinator::with_factory(pool(), config, policy.clone(), &a, &b, 0.0, factory)
+            .expect("coordinator");
+    oracle.enable_delta_tracking();
+    coord.enable_delta_tracking();
+    oracle.run_initial_join(0.0).expect("oracle initial");
+    coord.run_initial_join(0.0).expect("sharded initial");
+
+    // Two movers that trade places between band 0 and band 3 each tick,
+    // and two band-0 residents that re-register without changing speed.
+    let residents: Vec<_> = a[2..]
+        .iter()
+        .filter(|o| coord.shard_of(o.id) == Some(0))
+        .take(2)
+        .collect();
+    assert_eq!(residents.len(), 2, "need two band-0 residents");
+    let mut tracked: Vec<(cij_workload::MovingObject, Time)> =
+        [a[0], a[1], *residents[0], *residents[1]]
+            .into_iter()
+            .map(|o| (o, 0.0))
+            .collect();
+    let (slow, fast) = (0.05 * params.max_speed, 0.95 * params.max_speed);
+    let mut expected_migrations = 0;
+    let migrations_before = coord.migrations();
+    for tick in 1..=6u32 {
+        let now = Time::from(tick);
+        let mut step = |slot: usize, speed: Option<f64>| {
+            let (object, last_update) = tracked[slot];
+            let here = object.mbr.at(now);
+            let velocity = speed.map_or(object.mbr.vlo, |s| [s, 0.0]);
+            let new_mbr = MovingRect::rigid(Rect::new(here.lo, here.hi), velocity, now);
+            tracked[slot] = (
+                cij_workload::MovingObject {
+                    id: object.id,
+                    mbr: new_mbr,
+                },
+                now,
+            );
+            ObjectUpdate {
+                id: object.id,
+                set: SetTag::A,
+                old_mbr: object.mbr,
+                last_update,
+                new_mbr,
+            }
+        };
+        let (first, second) = if tick % 2 == 1 {
+            (fast, slow)
+        } else {
+            (slow, fast)
+        };
+        let batch = [
+            step(2, None),
+            step(0, Some(first)),
+            step(1, Some(second)),
+            step(3, None),
+        ];
+        for (mover, speed) in [(a[0].id, first), (a[1].id, second)] {
+            let target = if speed == fast { 3 } else { 0 };
+            expected_migrations += u64::from(coord.shard_of(mover) != Some(target));
+        }
+        oracle.advance_time(now).expect("advance");
+        coord.advance_time(now).expect("advance");
+        for update in &batch {
+            oracle.apply_update(update, now).expect("oracle update");
+        }
+        coord.apply_batch(&batch, now).expect("sharded batch");
+        let (first_band, second_band) = if tick % 2 == 1 { (3, 0) } else { (0, 3) };
+        assert_eq!(coord.shard_of(a[0].id), Some(first_band));
+        assert_eq!(coord.shard_of(a[1].id), Some(second_band));
+        assert_eq!(coord.shard_of(residents[0].id), Some(0));
+        assert_eq!(coord.shard_of(residents[1].id), Some(0));
+        assert_eq!(coord.result_at(now), oracle.result_at(now), "t={now}");
+        // Both change lists are dirty lists over the same final state:
+        // every pair either names must resolve identically.
+        let mut dirty = oracle.take_result_changes().expect("tracking on");
+        dirty.extend(coord.take_result_changes().expect("tracking on"));
+        for pair in dirty {
+            assert_eq!(
+                coord.pair_status_at(pair, now),
+                oracle.pair_status_at(pair, now),
+                "t={now}: {pair:?}"
+            );
+        }
+    }
+    assert!(expected_migrations >= 11, "movers must swap every tick");
+    assert_eq!(coord.migrations() - migrations_before, expected_migrations);
+}
+
 /// End-to-end through `cij-stream`: a service running the sharded
 /// coordinator must emit the same (tick, pair, add/remove) event set as
 /// one running the plain engine, and replaying either stream must

@@ -191,8 +191,15 @@ impl TprTree {
     /// materialising a [`Node`]. On a v2 page this is a zero-copy lane
     /// copy (no per-entry decode, no `Vec<Entry>` allocation); legacy v1
     /// pages fall back to a full decode. Counts one logical read exactly
-    /// like [`read_node`](Self::read_node) with the cache disabled.
+    /// like [`read_node`](Self::read_node) with the cache disabled; with
+    /// the decoded-node cache enabled the read goes through it (so its
+    /// hit/miss accounting sees every node visit) and the lanes are
+    /// filled from the cached node.
     pub fn read_node_lanes(&self, page: PageId, lanes: &mut EntryLanes) -> TprResult<()> {
+        if self.cache.is_some() {
+            lanes.fill_from_node(&*self.read_node_arc(page)?);
+            return Ok(());
+        }
         self.pool
             .read(page, |p| -> StorageResult<()> {
                 match NodeView::parse(p)? {
@@ -739,7 +746,6 @@ impl TprTree {
         path: &mut Vec<PathStep>,
     ) -> TprResult<bool> {
         let node = self.read_node(page)?;
-        let target = mbr.at(now);
         if node.is_leaf() {
             let found = node
                 .entries
@@ -754,20 +760,26 @@ impl TprTree {
             }
             return Ok(found);
         }
-        for (i, e) in node.entries.iter().enumerate() {
+        // One step per internal node, pushed once: trying the next
+        // candidate child only moves `child_idx`.
+        let target = mbr.at(now);
+        let depth = path.len();
+        path.push(PathStep {
+            page,
+            node,
+            child_idx: usize::MAX,
+        });
+        for i in 0..path[depth].node.entries.len() {
+            let e = &path[depth].node.entries[i];
             if e.mbr.at(now).intersects(&target) {
                 let child = e.child.page();
-                path.push(PathStep {
-                    page,
-                    node: node.clone(),
-                    child_idx: i,
-                });
+                path[depth].child_idx = i;
                 if self.find_leaf(child, oid, mbr, now, path)? {
                     return Ok(true);
                 }
-                path.pop();
             }
         }
+        path.pop();
         Ok(false)
     }
 

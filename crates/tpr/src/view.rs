@@ -379,6 +379,15 @@ impl EntryLanes {
         ObjectId(self.child[i])
     }
 
+    /// Child page of entry `i` (internal-node lanes only; the word was
+    /// range-checked when the page was parsed).
+    #[inline]
+    #[must_use]
+    pub fn page(&self, i: usize) -> PageId {
+        debug_assert_ne!(self.level, 0);
+        PageId(self.child[i] as u32)
+    }
+
     /// Moving rectangle of entry `i`, materialized from the lanes.
     #[inline]
     #[must_use]

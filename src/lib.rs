@@ -46,9 +46,9 @@
 //! let mut stream = UpdateStream::new(&params, &set_a, &set_b, 0.0);
 //! for tick in 1..=10 {
 //!     let now = f64::from(tick);
-//!     for update in stream.tick(now) {
-//!         engine.apply_update(&update, now).unwrap();
-//!     }
+//!     // One call per tick: the engine probes the whole batch in one
+//!     // traversal per index instead of one walk per update.
+//!     engine.apply_batch(&stream.tick(now), now).unwrap();
 //!     let _pairs = engine.result_at(now);
 //! }
 //! ```
