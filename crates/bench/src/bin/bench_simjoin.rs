@@ -123,7 +123,7 @@ fn run_cell(
 ) -> (Cell, String) {
     let pool = BufferPool::new(
         Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(256, 8),
+        BufferPoolConfig::with_capacity(256),
     );
     let config = ProximityConfig::new(engine_cfg, epsilon);
     let mut engine =

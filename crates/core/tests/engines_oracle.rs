@@ -193,15 +193,6 @@ fn all_engines_agree_with_each_other() {
 // workload distribution.
 // ----------------------------------------------------------------------
 
-/// A pool for the parallel engines: lock-striped, so the differential
-/// runs exercise the sharded buffer pool under real thread interleaving.
-fn sharded_pool(shards: usize) -> BufferPool {
-    BufferPool::new(
-        Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(128, shards),
-    )
-}
-
 /// Runs one engine per thread count `{1, 2, 4, 8}` in lockstep over the
 /// same update stream — initial join plus `ticks` maintenance ticks —
 /// asserting after every step that each parallel engine reports exactly
@@ -279,7 +270,7 @@ fn differential_for_distribution(distribution: Distribution, seed: u64) {
             threads,
             ..Default::default()
         };
-        Box::new(MtbEngine::new(sharded_pool(8), config, &a, &b, 0.0).unwrap())
+        Box::new(MtbEngine::new(pool(), config, &a, &b, 0.0).unwrap())
     });
 }
 
@@ -307,7 +298,7 @@ fn tc_parallel_threads_match_sequential() {
             threads,
             ..Default::default()
         };
-        Box::new(TcEngine::new(sharded_pool(8), config, &a, &b, 0.0).unwrap())
+        Box::new(TcEngine::new(pool(), config, &a, &b, 0.0).unwrap())
     });
 }
 
@@ -320,7 +311,7 @@ fn naive_parallel_threads_match_sequential() {
             threads,
             ..Default::default()
         };
-        Box::new(NaiveEngine::new(sharded_pool(8), config, &a, &b, 0.0).unwrap())
+        Box::new(NaiveEngine::new(pool(), config, &a, &b, 0.0).unwrap())
     });
 }
 

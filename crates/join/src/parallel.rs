@@ -418,11 +418,15 @@ fn run_jobs(jobs: &[JobSpec<'_>], threads: usize) -> TprResult<Vec<(Vec<JoinPair
     Ok(results)
 }
 
-/// Fans `count` independent tasks out over at most `threads` scoped
-/// workers sharing one atomic-cursor worklist (the same work-stealing
-/// discipline as the join frontier above), and returns the results in
-/// task order — so callers observe output identical to the sequential
+/// Fans `count` independent tasks out over at most `threads` workers
+/// sharing one atomic-cursor worklist (the same work-stealing discipline
+/// as the join frontier above), and returns the results in task order —
+/// so callers observe output identical to the sequential
 /// `(0..count).map(run).collect()` no matter how the work interleaved.
+///
+/// The calling thread is one of the workers: only `threads - 1` helpers
+/// are spawned, and a fan-out of cheap tasks is usually drained by the
+/// caller before a helper has even started.
 ///
 /// `threads <= 1` (or a single task) runs the exact sequential path.
 /// This is the fan-out primitive the shard coordinator uses to drive
@@ -436,30 +440,27 @@ where
         return (0..count).map(run).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let workers = threads.min(count);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            local.push((i, run(i)));
+        }
+        local
+    };
     let mut slots: Vec<Option<R>> = Vec::with_capacity(count);
     slots.resize_with(count, || None);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let run = &run;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    local.push((i, run(i)));
-                }
-                local
-            }));
+        let helpers: Vec<_> = (1..threads.min(count)).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("fan-out worker panicked"));
         }
-        for handle in handles {
-            for (i, r) in handle.join().expect("fan-out worker panicked") {
-                slots[i] = Some(r);
-            }
+        for (i, r) in done {
+            slots[i] = Some(r);
         }
     });
     slots
@@ -630,5 +631,17 @@ mod tests {
         }
         assert_eq!(fan_out_tasks(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(fan_out_tasks(1, 4, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn fan_out_runs_on_the_calling_thread_too() {
+        // Three tasks that can only finish together need three workers:
+        // with `threads = 3` that is the caller plus two helpers.
+        let together = std::sync::Barrier::new(3);
+        let ran_on = fan_out_tasks(3, 3, |_| {
+            together.wait();
+            std::thread::current().id()
+        });
+        assert!(ran_on.contains(&std::thread::current().id()));
     }
 }

@@ -125,7 +125,7 @@ proptest! {
         let t_e = t_s + len;
         let pool = BufferPool::new(
             Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::sharded(256, 8),
+            BufferPoolConfig::with_capacity(256),
         );
         let ta = build(&a, capacity, &pool);
         let tb = build(&b, capacity, &pool);

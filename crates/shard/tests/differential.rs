@@ -239,6 +239,64 @@ fn spatial_grid_matches_oracle_across_k_and_threads() {
 }
 
 #[test]
+fn thrashing_pool_with_two_threads_matches_brute_force() {
+    // Every other case here runs a pool that holds the whole index. This
+    // one gives 16 shard-pair engines on two threads 8 frames to share,
+    // so each engine's pages are evicted from under it by its neighbour.
+    const FRAMES: usize = 8;
+    let params = skew_params(47);
+    let (a, b) = generate_pair(&params, 0.0);
+    let pool = BufferPool::new(
+        Arc::new(InMemoryStore::new()),
+        BufferPoolConfig::with_capacity(FRAMES),
+    );
+    let config = EngineConfig {
+        threads: 2,
+        ..engine_config(&params)
+    };
+    let mut coord = ShardCoordinator::with_factory(
+        pool.clone(),
+        config,
+        Arc::new(VelocityBandPolicy::new(4, params.max_speed)),
+        &a,
+        &b,
+        0.0,
+        make_factory(Kind::Mtb, &params),
+    )
+    .expect("coordinator");
+    assert_eq!(coord.engine_count(), 16);
+
+    let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+    coord.run_initial_join(0.0).expect("initial join");
+    for tick in 0..=40u32 {
+        let now = Time::from(tick);
+        if tick > 0 {
+            let updates = stream.tick(now);
+            coord.advance_time(now).expect("advance");
+            coord.apply_batch(&updates, now).expect("batch");
+            coord.gc(now);
+        }
+        let expect = cij_join::brute::brute_pairs_at(
+            &stream.snapshot(SetTag::A),
+            &stream.snapshot(SetTag::B),
+            now,
+        );
+        assert_eq!(coord.result_at(now), expect, "diverged at t={now}");
+    }
+    assert!(
+        coord.migrations() > 0,
+        "no cross-shard migrations exercised"
+    );
+
+    let io = pool.stats().snapshot();
+    assert_eq!(pool.resident(), FRAMES);
+    assert!(
+        io.physical_reads > 20 * FRAMES as u64 && io.physical_writes > 20 * FRAMES as u64,
+        "the pool was meant to thrash: {io:?}"
+    );
+}
+
+#[test]
 fn tc_engine_sharded_matches_oracle() {
     let params = skew_params(44);
     let coord = run_lockstep(

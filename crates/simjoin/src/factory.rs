@@ -11,11 +11,9 @@ use cij_workload::MovingObject;
 
 use crate::{ProximityConfig, ProximityJoinEngine};
 
-/// Buffer-pool shape used by the stream factory (matches the stream
-/// suite's sharded in-memory pools; recovery rebuilds an identical pool,
-/// so the factory stays deterministic).
+/// Buffer-pool size used by the stream factory (recovery rebuilds an
+/// identical pool, so the factory stays deterministic).
 const STREAM_POOL_PAGES: usize = 128;
-const STREAM_POOL_SHARDS: usize = 8;
 
 /// A `StreamService` engine factory for the proximity join.
 ///
@@ -42,7 +40,7 @@ pub fn proximity_stream_factory(
     move |config, set_a, set_b, now| {
         let pool = BufferPool::new(
             Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::sharded(STREAM_POOL_PAGES, STREAM_POOL_SHARDS),
+            BufferPoolConfig::with_capacity(STREAM_POOL_PAGES),
         );
         let engine = ProximityJoinEngine::new(
             pool,

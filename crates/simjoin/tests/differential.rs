@@ -40,7 +40,7 @@ fn small_params(seed: u64) -> Params {
 fn pool() -> BufferPool {
     BufferPool::new(
         Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(128, 8),
+        BufferPoolConfig::with_capacity(128),
     )
 }
 

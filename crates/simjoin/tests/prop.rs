@@ -20,7 +20,7 @@ use proptest::prelude::*;
 fn pool() -> BufferPool {
     BufferPool::new(
         Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(64, 4),
+        BufferPoolConfig::with_capacity(64),
     )
 }
 

@@ -8,9 +8,8 @@
 //!
 //! # Sharding
 //!
-//! Shards mirror the buffer pool's striping (`page_id % shards`), so
-//! concurrent traversals that already avoid pool-shard contention avoid
-//! cache-shard contention for free.
+//! Pages map to shards by `page_id % shards`, each shard its own lock
+//! and LRU; one shard is one exact LRU.
 //!
 //! # Consistency: generation-stamped invalidation
 //!
@@ -143,8 +142,7 @@ impl<T> std::fmt::Debug for DecodedCache<T> {
 
 impl<T> DecodedCache<T> {
     /// Creates a cache holding at most `capacity` decoded values, striped
-    /// over `shards` segments (pass the buffer pool's shard count so the
-    /// stripings align). The shard count is clamped to `capacity` so every
+    /// over `shards` segments. The shard count is clamped to `capacity` so every
     /// shard holds at least one entry.
     ///
     /// # Panics

@@ -33,7 +33,6 @@ impl Default for LruLink {
 pub struct LruList {
     head: usize,
     tail: usize,
-    len: usize,
 }
 
 impl Default for LruList {
@@ -49,20 +48,7 @@ impl LruList {
         Self {
             head: NIL,
             tail: NIL,
-            len: 0,
         }
-    }
-
-    /// Number of linked entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the list is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The least-recently-used index, if any.
@@ -84,7 +70,6 @@ impl LruList {
             self.tail = idx;
         }
         self.head = idx;
-        self.len += 1;
     }
 
     /// Unlinks `idx` from wherever it is.
@@ -105,7 +90,6 @@ impl LruList {
             self.tail = prev;
         }
         links[idx] = LruLink::default();
-        self.len -= 1;
     }
 
     /// Moves an already-linked `idx` to the front.
@@ -145,7 +129,6 @@ mod tests {
         assert_eq!(l.pop_lru(&mut links), Some(2));
         assert_eq!(l.pop_lru(&mut links), Some(3));
         assert_eq!(l.pop_lru(&mut links), None);
-        assert!(l.is_empty());
     }
 
     #[test]
@@ -166,7 +149,6 @@ mod tests {
         l.push_front(0, &mut links);
         l.push_front(1, &mut links);
         l.touch(1, &mut links);
-        assert_eq!(l.len(), 2);
         assert_eq!(l.pop_lru(&mut links), Some(0));
     }
 
@@ -177,7 +159,6 @@ mod tests {
             l.push_front(i, &mut links);
         }
         l.unlink(1, &mut links);
-        assert_eq!(l.len(), 2);
         assert_eq!(l.pop_lru(&mut links), Some(0));
         assert_eq!(l.pop_lru(&mut links), Some(2));
     }
@@ -187,7 +168,6 @@ mod tests {
         let (mut l, mut links) = setup(1);
         l.push_front(0, &mut links);
         l.unlink(0, &mut links);
-        assert!(l.is_empty());
         assert_eq!(l.lru(), None);
         // Re-link after unlink works.
         l.push_front(0, &mut links);
@@ -229,7 +209,6 @@ mod tests {
                 }
                 _ => {}
             }
-            assert_eq!(l.len(), reference.len());
             assert_eq!(l.lru(), reference.back().copied());
         }
     }

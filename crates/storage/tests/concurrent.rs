@@ -1,44 +1,90 @@
-//! Concurrency stress for the sharded buffer pool: 8 threads × 10 000
-//! mixed read/write (pin) operations over an overlapping page set, with
-//! three invariants checked:
+//! Concurrency stress for the buffer pool: 8 threads × 10 000 mixed
+//! read/write operations over 64 pages, twice. Behind an **8-frame**
+//! pool nearly every access evicts a page some other thread is about to
+//! use — readers, writers and evictors overlap on the same frames all the
+//! time. Behind a **40-frame** pool most accesses are lock-free hits that
+//! race the evictions in between, so frames are retargeted under readers
+//! that have already looked them up.
 //!
-//! 1. **No lost writes** — every page carries one write-count slot per
-//!    thread plus a grand total; writers do a read-modify-write under a
-//!    test-level page latch (the pool itself, like a real buffer
-//!    manager, serializes only frame access). At the end each slot must
-//!    equal the thread's own write tally and the total must equal the
-//!    slot sum — any write dropped by an eviction/reload race breaks
-//!    the count.
-//! 2. **Torn-page freedom** — the total slot always equals the sum of
-//!    the per-thread slots in *every* read snapshot, latched or not: a
-//!    page observed mid-flight must still be some complete previously
-//!    written image.
-//! 3. **Accounting exactness** — per-shard residency never exceeds the
-//!    shard's frame budget, and the pool's logical I/O counters equal
-//!    the sum of the operations the threads actually issued.
+//! Every page image carries a version (its total write count), one
+//! write-count slot per thread, and a body filled from the version, so a
+//! copy torn anywhere in the 4 KiB is visible. Checked:
+//!
+//! 1. **Torn-page freedom** — every image a reader sees, latched or not,
+//!    is some complete previously written image: slots sum to the version
+//!    and the whole body matches it.
+//! 2. **No lost writes** — writers do a read-modify-write under a
+//!    test-level page latch (the pool, like a real buffer manager,
+//!    serialises only frame access). At the end each slot equals the
+//!    thread's own tally — any write dropped by an eviction/reload race
+//!    breaks the count — and after `flush` the *store* holds those same
+//!    images.
+//! 3. **Accounting exactness** — residency never exceeds the frame
+//!    budget; every read is exactly one hit or one miss as the threads
+//!    themselves observed them (`logical = hits + misses`, `misses` =
+//!    physical reads), and logical writes equal the writes issued.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PAGE_SIZE};
+use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore, PAGE_SIZE};
 use parking_lot::Mutex;
+
+mod common;
+use common::SpyStore;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 10_000;
 const PAGES: usize = 64;
-const POOL_CAPACITY: usize = 32;
-const POOL_SHARDS: usize = 4;
 
-/// Slot layout on each page: `u64` write count per thread, then the
-/// grand total.
-fn slot(buf: &[u8; PAGE_SIZE], i: usize) -> u64 {
+/// Word layout of a page image: `THREADS` per-thread write counts, the
+/// version, then the body.
+const VERSION: usize = THREADS;
+const BODY: usize = THREADS + 1;
+const WORDS: usize = PAGE_SIZE / 8;
+
+fn word(buf: &[u8; PAGE_SIZE], i: usize) -> u64 {
     let o = i * 8;
-    u64::from_le_bytes(buf[o..o + 8].try_into().expect("slot within page"))
+    u64::from_le_bytes(buf[o..o + 8].try_into().expect("word within page"))
 }
 
-fn set_slot(buf: &mut [u8; PAGE_SIZE], i: usize, v: u64) {
+fn set_word(buf: &mut [u8; PAGE_SIZE], i: usize, v: u64) {
     let o = i * 8;
     buf[o..o + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn body_word(version: u64, i: usize) -> u64 {
+    version.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64
+}
+
+/// Stamps `version` and the body derived from it onto an image whose
+/// per-thread slots are already set.
+fn seal(buf: &mut [u8; PAGE_SIZE], version: u64) {
+    set_word(buf, VERSION, version);
+    for i in BODY..WORDS {
+        set_word(buf, i, body_word(version, i));
+    }
+}
+
+/// Panics unless `buf` is a complete image some writer sealed.
+fn assert_untorn(buf: &[u8; PAGE_SIZE], who: &str) {
+    let version = word(buf, VERSION);
+    let sum: u64 = (0..THREADS).map(|t| word(buf, t)).sum();
+    assert_eq!(version, sum, "torn header seen by {who}");
+    for i in BODY..WORDS {
+        assert_eq!(
+            word(buf, i),
+            body_word(version, i),
+            "torn body seen by {who}"
+        );
+    }
+}
+
+thread_local! {
+    /// Set when the store is read on this thread, i.e. the pool read in
+    /// progress is a miss.
+    static FAULTED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Deterministic per-thread operation stream (xorshift64*; the pool's
@@ -56,73 +102,100 @@ impl OpRng {
     }
 }
 
-/// The per-shard frame budget the pool documents: `capacity / shards`,
-/// first `capacity % shards` shards get one extra.
-fn shard_budget(shard: usize) -> usize {
-    let extra = POOL_CAPACITY % POOL_SHARDS;
-    POOL_CAPACITY / POOL_SHARDS + usize::from(shard < extra)
+/// What one thread did and saw.
+struct Tally {
+    hits: u64,
+    misses: u64,
+    writes: u64,
+    /// Own writes per page.
+    own: Vec<u64>,
 }
 
 #[test]
-fn stress_sharded_pool_keeps_writes_counters_and_budgets_exact() {
-    let pool = BufferPool::new(
-        Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(POOL_CAPACITY, POOL_SHARDS),
+fn thrashing_pool_keeps_pages_whole_writes_durable_and_counters_exact() {
+    let (hits, misses) = stress(8);
+    assert!(misses > 4 * hits, "the pool was meant to thrash");
+}
+
+#[test]
+fn hits_racing_evictions_keep_pages_whole_writes_durable_and_counters_exact() {
+    let (hits, misses) = stress(40);
+    assert!(
+        hits > misses && misses > (THREADS * OPS_PER_THREAD / 8) as u64,
+        "meant to mix hits and evictions ({hits} hits, {misses} misses)"
     );
+}
+
+/// Runs the workload behind `capacity` frames; returns `(hits, misses)`.
+fn stress(capacity: usize) -> (u64, u64) {
+    let store = Arc::new(SpyStore {
+        inner: InMemoryStore::new(),
+        spy: |is_write: bool, _: PageId| {
+            if !is_write {
+                FAULTED.with(|f| f.set(true));
+            }
+        },
+    });
+    let pool = BufferPool::new(store.clone(), BufferPoolConfig::with_capacity(capacity));
     let pages: Vec<PageId> = (0..PAGES).map(|_| pool.allocate()).collect();
+    let mut blank = [0u8; PAGE_SIZE];
+    seal(&mut blank, 0);
     for &id in &pages {
-        pool.write(id, &[0u8; PAGE_SIZE]).expect("init page");
+        pool.write(id, &blank).expect("init page");
     }
     let latches: Vec<Mutex<()>> = (0..PAGES).map(|_| Mutex::new(())).collect();
     let before = pool.stats().snapshot();
+    // All threads start together, so they contend from the first op.
+    let start = Barrier::new(THREADS);
 
-    // (reads issued, writes issued, per-page own-write tallies).
-    let per_thread: Vec<(u64, u64, Vec<u64>)> = thread::scope(|s| {
+    let tallies: Vec<Tally> = thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let pool = &pool;
-                let pages = &pages;
-                let latches = &latches;
+                let (pool, pages, latches, start) = (&pool, &pages, &latches, &start);
                 s.spawn(move || {
+                    let who = format!("thread {t}");
                     let mut rng = OpRng(0x9E37_79B9 + t as u64);
-                    let mut reads = 0u64;
-                    let mut writes = 0u64;
-                    let mut own = vec![0u64; PAGES];
+                    let mut tally = Tally {
+                        hits: 0,
+                        misses: 0,
+                        writes: 0,
+                        own: vec![0; PAGES],
+                    };
+                    // One pool read, classified by what this thread saw.
+                    let read = |p: usize, tally: &mut Tally| {
+                        FAULTED.with(|f| f.set(false));
+                        let image = pool.read(pages[p], |data| *data).expect("read");
+                        if FAULTED.with(Cell::get) {
+                            tally.misses += 1;
+                        } else {
+                            tally.hits += 1;
+                        }
+                        assert_untorn(&image, &who);
+                        image
+                    };
+                    start.wait();
                     for op in 0..OPS_PER_THREAD {
                         let p = (rng.next() % PAGES as u64) as usize;
                         if rng.next().is_multiple_of(4) {
                             // Write op: latched read-modify-write.
                             let _latch = latches[p].lock();
-                            let mut buf = pool.read(pages[p], |data| *data).expect("read for rmw");
-                            let mine = slot(&buf, t) + 1;
-                            let total = slot(&buf, THREADS) + 1;
-                            set_slot(&mut buf, t, mine);
-                            set_slot(&mut buf, THREADS, total);
-                            pool.write(pages[p], &buf).expect("write back");
-                            own[p] += 1;
-                            reads += 1;
-                            writes += 1;
+                            let mut image = read(p, &mut tally);
+                            let mine = word(&image, t) + 1;
+                            set_word(&mut image, t, mine);
+                            let version = word(&image, VERSION) + 1;
+                            seal(&mut image, version);
+                            pool.write(pages[p], &image).expect("write back");
+                            tally.own[p] += 1;
+                            tally.writes += 1;
                         } else {
-                            // Read op: unlatched snapshot; must be torn-free.
-                            let (total, sum) = pool
-                                .read(pages[p], |data| {
-                                    let sum: u64 = (0..THREADS).map(|i| slot(data, i)).sum();
-                                    (slot(data, THREADS), sum)
-                                })
-                                .expect("read");
-                            assert_eq!(total, sum, "torn page observed by thread {t}");
-                            reads += 1;
+                            // Read op: unlatched snapshot; must be whole.
+                            read(p, &mut tally);
                         }
                         if op % 1_000 == 0 {
-                            for (shard, &resident) in pool.shard_residents().iter().enumerate() {
-                                assert!(
-                                    resident <= shard_budget(shard),
-                                    "shard {shard} holds {resident} frames mid-run"
-                                );
-                            }
+                            assert!(pool.resident() <= capacity, "over budget mid-run");
                         }
                     }
-                    (reads, writes, own)
+                    tally
                 })
             })
             .collect();
@@ -132,41 +205,38 @@ fn stress_sharded_pool_keeps_writes_counters_and_budgets_exact() {
             .collect()
     });
 
-    // No lost writes: each page's slots equal the threads' own tallies.
-    for (p, &id) in pages.iter().enumerate() {
-        let _latch = latches[p].lock();
-        pool.read(id, |data| {
-            let mut sum = 0u64;
-            for (t, stats) in per_thread.iter().enumerate() {
-                assert_eq!(slot(data, t), stats.2[p], "lost write: page {p} slot {t}");
-                sum += stats.2[p];
-            }
-            assert_eq!(slot(data, THREADS), sum, "page {p} total drifted");
-        })
-        .expect("final read");
-    }
-
-    // Per-shard residency bound still holds after the dust settles.
-    let residents = pool.shard_residents();
-    assert_eq!(residents.len(), POOL_SHARDS);
-    for (shard, &resident) in residents.iter().enumerate() {
-        assert!(resident <= shard_budget(shard), "shard {shard} over budget");
-    }
-    assert_eq!(pool.resident(), residents.iter().sum::<usize>());
-
-    // Logical I/O totals equal the sum of issued operations (the final
-    // verification pass reads each page once more, latched).
+    // Accounting: every read was one hit or one miss, every miss one
+    // physical read; writes as issued.
     let delta = pool.stats().snapshot().delta_since(&before);
-    let issued_reads: u64 = per_thread.iter().map(|s| s.0).sum::<u64>() + PAGES as u64;
-    let issued_writes: u64 = per_thread.iter().map(|s| s.1).sum();
-    assert_eq!(delta.logical_reads, issued_reads, "logical read accounting");
+    let hits: u64 = tallies.iter().map(|t| t.hits).sum();
+    let misses: u64 = tallies.iter().map(|t| t.misses).sum();
+    let writes: u64 = tallies.iter().map(|t| t.writes).sum();
     assert_eq!(
-        delta.logical_writes, issued_writes,
-        "logical write accounting"
+        delta.logical_reads,
+        hits + misses,
+        "logical = hits + misses"
     );
-    let total_writes: u64 = per_thread.iter().map(|s| s.2.iter().sum::<u64>()).sum();
-    assert_eq!(
-        issued_writes, total_writes,
-        "every write op incremented a slot"
-    );
+    assert_eq!(delta.physical_reads, misses, "one physical read per miss");
+    assert_eq!(delta.logical_writes, writes, "logical write accounting");
+    assert!(pool.resident() <= capacity, "over budget at rest");
+
+    // No lost writes: after a flush the store itself holds, for every
+    // page, exactly the threads' own tallies — and so does the pool.
+    pool.flush().expect("flush");
+    for (p, &id) in pages.iter().enumerate() {
+        let mut on_disk = [0u8; PAGE_SIZE];
+        store.read(id, &mut on_disk).expect("raw read");
+        let buffered = pool.read(id, |data| *data).expect("final read");
+        for (image, who) in [(&on_disk, "the store"), (&buffered, "the pool")] {
+            assert_untorn(image, who);
+            for (t, tally) in tallies.iter().enumerate() {
+                assert_eq!(
+                    word(image, t),
+                    tally.own[p],
+                    "lost write: page {p} slot {t} in {who}"
+                );
+            }
+        }
+    }
+    (hits, misses)
 }

@@ -3,11 +3,14 @@
 //! round-trip arbitrary field sequences.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cij_storage::codec::{PageReader, PageWriter};
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore};
+use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore, StorageError};
 use proptest::prelude::*;
+
+mod common;
+use common::SpyStore;
 
 /// A serializable field for codec round-trip tests.
 #[derive(Debug, Clone)]
@@ -74,98 +77,219 @@ proptest! {
     }
 }
 
-/// Reference model of the pool: page contents plus an ideal LRU queue.
+/// What the pool asked of the disk: `(is_write, page)`.
+type DiskOp = (bool, u32);
+
+/// A resident page in the reference model.
+struct ModelFrame {
+    page: u32,
+    marker: u8,
+    dirty: bool,
+}
+
+/// Reference model of the pool: the disk's contents plus a textbook LRU
+/// queue, predicting every disk operation the pool may issue.
 struct Model {
     capacity: usize,
-    contents: HashMap<u32, u8>, // page → marker byte ("disk truth")
-    lru: VecDeque<u32>,         // front = MRU
+    disk: HashMap<u32, u8>,    // live page → marker byte on the disk
+    lru: VecDeque<ModelFrame>, // front = MRU
+    expected: Vec<DiskOp>,     // disk operations of the current step
+    physical_reads: u64,
+    physical_writes: u64,
 }
 
 impl Model {
-    fn touch(&mut self, id: u32) {
-        self.lru.retain(|&x| x != id);
-        self.lru.push_front(id);
-        while self.lru.len() > self.capacity {
-            self.lru.pop_back();
+    fn position(&self, page: u32) -> Option<usize> {
+        self.lru.iter().position(|f| f.page == page)
+    }
+
+    fn write_back(&mut self, page: u32, marker: u8) {
+        self.expected.push((true, page));
+        self.physical_writes += 1;
+        self.disk.insert(page, marker);
+    }
+
+    /// A frame is needed for a non-resident page: a full pool gives up
+    /// its least recently used page, written back first if dirty.
+    fn make_room(&mut self) {
+        if self.lru.len() == self.capacity {
+            let victim = self.lru.pop_back().expect("capacity > 0");
+            if victim.dirty {
+                self.write_back(victim.page, victim.marker);
+            }
         }
     }
-    fn resident(&self, id: u32) -> bool {
-        self.lru.contains(&id)
+
+    /// The marker a read returns, or `None` when the page is not on the
+    /// disk (the pool has already taken a frame by then).
+    fn read(&mut self, page: u32) -> Option<u8> {
+        if let Some(at) = self.position(page) {
+            let frame = self.lru.remove(at).expect("position is in range");
+            let marker = frame.marker;
+            self.lru.push_front(frame);
+            return Some(marker);
+        }
+        self.make_room();
+        self.expected.push((false, page));
+        let marker = *self.disk.get(&page)?;
+        self.physical_reads += 1;
+        self.lru.push_front(ModelFrame {
+            page,
+            marker,
+            dirty: false,
+        });
+        Some(marker)
+    }
+
+    fn write(&mut self, page: u32, marker: u8) {
+        match self.position(page) {
+            Some(at) => drop(self.lru.remove(at)),
+            None => self.make_room(),
+        }
+        self.lru.push_front(ModelFrame {
+            page,
+            marker,
+            dirty: true,
+        });
+    }
+
+    fn flush(&mut self) {
+        for at in 0..self.lru.len() {
+            if self.lru[at].dirty {
+                self.lru[at].dirty = false;
+                let (page, marker) = (self.lru[at].page, self.lru[at].marker);
+                self.write_back(page, marker);
+            }
+        }
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write(u8, u8), // (page index, marker)
-    Read(u8),
+    Write(u16, u8), // (page index, marker)
+    Read(u16),
+    Free(u16),
+    Allocate,
     Flush,
     Clear,
 }
 
-fn arb_op(pages: u8) -> impl Strategy<Value = Op> {
+fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..pages, any::<u8>()).prop_map(|(p, m)| Op::Write(p, m)),
-        (0..pages).prop_map(Op::Read),
-        Just(Op::Flush),
-        Just(Op::Clear),
+        8 => (any::<u16>(), any::<u8>()).prop_map(|(p, m)| Op::Write(p, m)),
+        12 => any::<u16>().prop_map(Op::Read),
+        2 => any::<u16>().prop_map(Op::Free),
+        2 => Just(Op::Allocate),
+        1 => Just(Op::Flush),
+        1 => Just(Op::Clear),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Pool contents and *physical read* behaviour match the model under
-    /// arbitrary operation sequences.
+    /// Single-threaded, the pool is an exact LRU: under arbitrary
+    /// operation sequences it returns the model's contents and issues the
+    /// model's disk operations — same victims, in the same order, hence
+    /// the same physical read and write counts. Reading a page that is
+    /// not on the disk fails with a typed error and loses no frame.
     #[test]
     fn pool_matches_lru_model(
-        capacity in 1usize..6,
-        ops in proptest::collection::vec(arb_op(8), 1..120),
+        capacity in prop_oneof![Just(1usize), Just(2), 3usize..6, Just(50)],
+        ops in proptest::collection::vec(arb_op(), 1..600),
     ) {
-        let store = Arc::new(InMemoryStore::new());
+        // Every disk operation the pool issues, in order — its victim
+        // choice made visible.
+        let log: Arc<Mutex<Vec<DiskOp>>> = Arc::default();
+        let store = Arc::new(SpyStore {
+            inner: InMemoryStore::new(),
+            spy: {
+                let log = log.clone();
+                move |is_write, id: PageId| log.lock().unwrap().push((is_write, id.0))
+            },
+        });
         let pool = BufferPool::new(store.clone(), BufferPoolConfig::with_capacity(capacity));
-        let ids: Vec<PageId> = (0..8).map(|_| store.allocate()).collect();
-        let mut model = Model { capacity, contents: HashMap::new(), lru: VecDeque::new() };
+        // Enough pages that most accesses miss; ids are 0..pages.
+        let pages = (2 * capacity).max(8) as u32;
+        let mut model = Model {
+            capacity,
+            disk: (0..pages).map(|_| (pool.allocate().0, 0)).collect(),
+            lru: VecDeque::new(),
+            expected: Vec::new(),
+            physical_reads: 0,
+            physical_writes: 0,
+        };
 
         for op in &ops {
-            match op {
+            let mut any_order = false;
+            match *op {
                 Op::Write(p, marker) => {
-                    let mut page = cij_storage::zeroed_page();
-                    page[0] = *marker;
-                    pool.write(ids[*p as usize], &page).unwrap();
-                    model.contents.insert(u32::from(*p), *marker);
-                    model.touch(u32::from(*p));
+                    let page = u32::from(p) % pages;
+                    // Writing a page the disk does not have is a caller
+                    // bug the pool cannot see until eviction; not modelled.
+                    if model.disk.contains_key(&page) {
+                        let mut data = cij_storage::zeroed_page();
+                        data[0] = marker;
+                        pool.write(PageId(page), &data).unwrap();
+                        model.write(page, marker);
+                    }
                 }
                 Op::Read(p) => {
-                    let expected = model.contents.get(&u32::from(*p)).copied().unwrap_or(0);
-                    let before = pool.stats().snapshot();
-                    let byte = pool.read(ids[*p as usize], |data| data[0]).unwrap();
-                    let delta = pool.stats().snapshot() - before;
-                    prop_assert_eq!(byte, expected, "page {} content", p);
-                    // Physical read iff the model says non-resident.
-                    let miss = delta.physical_reads == 1;
-                    prop_assert_eq!(
-                        miss,
-                        !model.resident(u32::from(*p)),
-                        "page {} residency (cap {})", p, capacity
-                    );
-                    model.touch(u32::from(*p));
+                    let page = u32::from(p) % pages;
+                    let got = pool.read(PageId(page), |data| data[0]);
+                    match model.read(page) {
+                        Some(marker) => prop_assert_eq!(got, Ok(marker), "page {}", page),
+                        None => prop_assert_eq!(got, Err(StorageError::PageNotFound(PageId(page)))),
+                    }
+                }
+                Op::Free(p) => {
+                    let page = u32::from(p) % pages;
+                    let was_live = model.disk.remove(&page).is_some();
+                    prop_assert_eq!(pool.free(PageId(page)).is_ok(), was_live);
+                    if let Some(at) = model.position(page) {
+                        model.lru.remove(at);
+                    }
+                }
+                Op::Allocate => {
+                    if (model.disk.len() as u32) < pages {
+                        // The store recycles a freed id, zeroed.
+                        model.disk.insert(pool.allocate().0, 0);
+                    }
                 }
                 Op::Flush => {
                     pool.flush().unwrap();
+                    model.flush();
+                    any_order = true;
                 }
                 Op::Clear => {
                     pool.clear().unwrap();
+                    model.flush();
                     model.lru.clear();
+                    any_order = true;
                 }
             }
-            prop_assert!(pool.resident() <= capacity);
+            let mut got = std::mem::take(&mut *log.lock().unwrap());
+            let mut expected = std::mem::take(&mut model.expected);
+            if any_order {
+                // A flush promises which pages are written, not the order.
+                got.sort_unstable();
+                expected.sort_unstable();
+            }
+            prop_assert_eq!(got, expected, "disk operations of {:?} (cap {})", op, capacity);
+            prop_assert_eq!(pool.resident(), model.lru.len());
         }
+
+        let io = pool.stats().snapshot();
+        prop_assert_eq!(io.physical_reads, model.physical_reads);
+        prop_assert_eq!(io.physical_writes, model.physical_writes);
 
         // Final disk truth: clear the pool and read everything raw.
         pool.clear().unwrap();
-        for (p, marker) in &model.contents {
-            let byte = pool.read(ids[*p as usize], |data| data[0]).unwrap();
-            prop_assert_eq!(byte, *marker, "final content of page {}", p);
+        model.flush();
+        for (&page, &marker) in &model.disk {
+            let mut raw = cij_storage::zeroed_page();
+            store.inner.read(PageId(page), &mut raw).unwrap();
+            prop_assert_eq!(raw[0], marker, "final content of page {}", page);
         }
     }
 }

@@ -21,7 +21,7 @@ pub fn mtb_factory() -> impl Fn(
     |config, a, b, start| {
         let pool = BufferPool::new(
             Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::sharded(256, 8),
+            BufferPoolConfig::with_capacity(256),
         );
         Ok(Box::new(MtbEngine::new(pool, *config, a, b, start)?))
     }

@@ -101,10 +101,9 @@ impl TprTree {
     #[must_use]
     pub fn new(pool: BufferPool, config: TreeConfig) -> Self {
         config.assert_valid();
-        // Stripe the cache like the pool so parallel traversals that
-        // already avoid pool-shard contention avoid cache contention too.
+        // One stripe, one exact LRU — like the pool underneath.
         let cache = (config.node_cache_capacity > 0)
-            .then(|| DecodedCache::new(config.node_cache_capacity, pool.shard_count()));
+            .then(|| DecodedCache::new(config.node_cache_capacity, 1));
         Self {
             pool,
             config,

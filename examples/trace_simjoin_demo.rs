@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ProximityConfig::new(engine_cfg, EPSILON);
     let pool = BufferPool::new(
         Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::sharded(128, 8),
+        BufferPoolConfig::with_capacity(128),
     );
     let mut engine = ProximityJoinEngine::new(pool, config, &set_a, &set_b, 0.0)?;
     engine.enable_delta_tracking();
