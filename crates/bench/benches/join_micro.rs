@@ -7,11 +7,11 @@ use std::hint::black_box;
 
 use std::sync::Arc;
 
-use cij_bench::runner::{build_pair_trees, build_pair_trees_with, fresh_pool, tree_config};
+use cij_bench::runner::{build_pair_trees, fresh_pool};
 use cij_geom::{MovingRect, Rect};
 use cij_join::{
-    improved_join, improved_join_into, naive_join, ps_intersection, ps_intersection_soa,
-    techniques, JoinCounters, JoinScratch, SweepItem, SweepSoa,
+    improved_join, improved_join_into, naive_join, ps_intersection_soa, techniques, JoinCounters,
+    JoinScratch, SweepSoa,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_workload::Params;
@@ -88,23 +88,7 @@ fn bench_plane_sweep(c: &mut Criterion) {
             black_box(out)
         })
     });
-    group.bench_function("plane_sweep_30x30", |b| {
-        b.iter(|| {
-            let mut sa: Vec<SweepItem> = ra
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, 0.0, 60.0))
-                .collect();
-            let mut sb: Vec<SweepItem> = rb
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, 0.0, 60.0))
-                .collect();
-            let mut counters = JoinCounters::new();
-            black_box(ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters))
-        })
-    });
-    // The allocation-free SoA twin: buffers persist across iterations.
+    // Buffers persist across iterations: the sweep allocates nothing.
     group.bench_function("plane_sweep_soa_30x30", |b| {
         let mut sa = SweepSoa::new();
         let mut sb = SweepSoa::new();
@@ -126,44 +110,40 @@ fn bench_plane_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR's headline comparison: warm `improved_join` over a pool large
-/// enough that every read is a pool hit, with the decoded-node cache off
-/// (every read re-decodes the page) vs on (every read is an `Arc`
-/// clone). The delta is pure decode + allocation cost.
-fn bench_node_cache(c: &mut Criterion) {
+/// A pool large enough that every read is a hit: what is timed is the
+/// join itself, not disk simulation.
+fn big_pool() -> BufferPool {
+    BufferPool::new(
+        Arc::new(InMemoryStore::new()),
+        BufferPoolConfig::with_capacity(8192),
+    )
+}
+
+/// Warm `improved_join_into` with every read a pool hit: scratch frames
+/// and output grown, so each iteration is parse + sweep only.
+fn bench_warm_join(c: &mut Criterion) {
     let params = Params {
         dataset_size: 2_000,
         ..Params::default()
     };
-    let big_pool = || {
-        BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(8192),
-        )
-    };
+    let (ta, tb, _, _) = build_pair_trees(&params, &big_pool()).expect("trees");
+    let mut scratch = JoinScratch::new();
+    let mut out = Vec::new();
+    improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
+        .expect("warm-up");
     let mut group = c.benchmark_group("improved_join_2k_pool_hit");
     group.sample_size(20);
-    for (name, cache) in [("cache_off", 0usize), ("cache_on_4k", 4096)] {
-        let pool = big_pool();
-        let config = tree_config(&params).with_node_cache(cache);
-        let (ta, tb, _, _) = build_pair_trees_with(&params, &pool, config).expect("trees");
-        let mut scratch = JoinScratch::new();
-        let mut out = Vec::new();
-        // Warm the pool (and cache) so the measured loop is steady-state.
-        improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
-            .expect("warm-up");
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
-                    .expect("join");
-                black_box(out.len())
-            })
-        });
-    }
+    group.bench_function("warm", |b| {
+        b.iter(|| {
+            improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
+                .expect("join");
+            black_box(out.len())
+        })
+    });
     group.finish();
 }
 
-/// The observability acceptance probe: the warm cached join wrapped in
+/// The observability acceptance probe: the warm join above wrapped in
 /// exactly the instrumentation the engines apply per maintenance tick —
 /// a named span plus a handful of counter publishes — against a
 /// disabled registry vs an enabled one. The acceptance bar is enabled ≤
@@ -174,12 +154,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         dataset_size: 2_000,
         ..Params::default()
     };
-    let pool = BufferPool::new(
-        Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::with_capacity(8192),
-    );
-    let config = tree_config(&params).with_node_cache(4096);
-    let (ta, tb, _, _) = build_pair_trees_with(&params, &pool, config).expect("trees");
+    let (ta, tb, _, _) = build_pair_trees(&params, &big_pool()).expect("trees");
     let mut group = c.benchmark_group("metrics_overhead_2k");
     group.sample_size(20);
     for (name, registry) in [
@@ -261,7 +236,7 @@ criterion_group!(
     benches,
     bench_intersect_interval,
     bench_plane_sweep,
-    bench_node_cache,
+    bench_warm_join,
     bench_metrics_overhead,
     bench_technique_combos,
     bench_naive_vs_tc

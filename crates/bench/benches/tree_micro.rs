@@ -60,57 +60,53 @@ fn bench_probes(c: &mut Criterion) {
     let probe = MovingRect::rigid(Rect::new([500.0, 500.0], [505.0, 505.0]), [2.0, -1.0], 0.0);
     let window = Rect::new([480.0, 480.0], [540.0, 540.0]);
     let mut group = c.benchmark_group("tree");
-    // Cache-off (the paper's I/O-faithful mode) vs cache-on: the delta on
-    // a warm pool is the per-read page-decode cost the cache removes.
-    for (suffix, cache) in [("", 0usize), ("_cached", 1024)] {
-        let mut tree = TprTree::new(fresh_pool(), TreeConfig::default().with_node_cache(cache));
-        for o in &objs {
-            tree.insert(o.id, o.mbr, 0.0).expect("insert");
-        }
-        group.bench_function(format!("range_at_5k{suffix}"), |b| {
-            b.iter(|| black_box(tree.range_at(&window, 30.0).expect("query").len()))
-        });
-        group.bench_function(format!("intersect_window_5k_tm{suffix}"), |b| {
-            b.iter(|| {
-                black_box(
-                    tree.intersect_window(&probe, 0.0, 60.0)
-                        .expect("query")
-                        .len(),
-                )
-            })
-        });
-        // The batched maintenance kernel on a batch of one: must not cost
-        // more than the per-object probe above it.
-        let mut scratch = JoinScratch::new();
-        let mut hits = Vec::new();
-        group.bench_function(format!("probe_batch_one_5k_tm{suffix}"), |b| {
-            b.iter(|| {
-                hits.clear();
-                let mut counters = JoinCounters::new();
-                let one = std::slice::from_ref(&probe);
-                probe_batch(
-                    &tree,
-                    one,
-                    0.0,
-                    60.0,
-                    &mut scratch,
-                    &mut counters,
-                    &mut hits,
-                )
-                .expect("query");
-                black_box(hits.len())
-            })
-        });
-        group.bench_function(format!("intersect_window_5k_unbounded{suffix}"), |b| {
-            b.iter(|| {
-                black_box(
-                    tree.intersect_window(&probe, 0.0, cij_geom::INFINITE_TIME)
-                        .expect("query")
-                        .len(),
-                )
-            })
-        });
+    let mut tree = TprTree::new(fresh_pool(), TreeConfig::default());
+    for o in &objs {
+        tree.insert(o.id, o.mbr, 0.0).expect("insert");
     }
+    group.bench_function("range_at_5k", |b| {
+        b.iter(|| black_box(tree.range_at(&window, 30.0).expect("query").len()))
+    });
+    group.bench_function("intersect_window_5k_tm", |b| {
+        b.iter(|| {
+            black_box(
+                tree.intersect_window(&probe, 0.0, 60.0)
+                    .expect("query")
+                    .len(),
+            )
+        })
+    });
+    // The batched maintenance kernel on a batch of one: must not cost
+    // more than the per-object probe above it.
+    let mut scratch = JoinScratch::new();
+    let mut hits = Vec::new();
+    group.bench_function("probe_batch_one_5k_tm", |b| {
+        b.iter(|| {
+            hits.clear();
+            let mut counters = JoinCounters::new();
+            let one = std::slice::from_ref(&probe);
+            probe_batch(
+                &tree,
+                one,
+                0.0,
+                60.0,
+                &mut scratch,
+                &mut counters,
+                &mut hits,
+            )
+            .expect("query");
+            black_box(hits.len())
+        })
+    });
+    group.bench_function("intersect_window_5k_unbounded", |b| {
+        b.iter(|| {
+            black_box(
+                tree.intersect_window(&probe, 0.0, cij_geom::INFINITE_TIME)
+                    .expect("query")
+                    .len(),
+            )
+        })
+    });
     group.finish();
     let _ = ObjectId(0);
 }

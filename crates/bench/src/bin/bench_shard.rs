@@ -174,15 +174,6 @@ fn policy_json(r: &PolicyResult) -> String {
         .metrics
         .as_ref()
         .map_or_else(|| "null".to_string(), cij_obs::MetricsSnapshot::to_json);
-    let cache = r.report.total_cache().map_or_else(
-        || "null".to_string(),
-        |c| {
-            format!(
-                "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-                c.hits, c.misses, c.evictions
-            )
-        },
-    );
     format!(
         "{{\"name\": \"{}\", \"k\": {}, \"engines\": {}, \"migrations\": {}, \
          \"rebalances\": {}, \"rebalance_moved\": {}, \
@@ -190,7 +181,7 @@ fn policy_json(r: &PolicyResult) -> String {
          \"node_pairs\": {}, \"entry_comparisons\": {}, \"pairs_emitted\": {}, \
          \"build_logical_reads\": {}, \"maintenance_logical_reads\": {}, \
          \"logical_reads\": {}, \"physical_io\": {}, \"pool_hit_ratio\": {}, \
-         \"cache\": {}, \"metrics\": {}}}",
+         \"metrics\": {}}}",
         r.name,
         r.report.k,
         r.report.engine_count(),
@@ -210,7 +201,6 @@ fn policy_json(r: &PolicyResult) -> String {
             .io
             .hit_ratio()
             .map_or_else(|| "null".to_string(), |h| format!("{h:.4}")),
-        cache,
         metrics,
     )
 }

@@ -109,16 +109,7 @@ pub fn build_pair_trees(
     params: &Params,
     pool: &BufferPool,
 ) -> TprResult<(TprTree, TprTree, Vec<MovingObject>, Vec<MovingObject>)> {
-    build_pair_trees_with(params, pool, tree_config(params))
-}
-
-/// [`build_pair_trees`] with an explicit tree configuration (e.g. a
-/// decoded-node cache enabled for the cache-on benchmark variants).
-pub fn build_pair_trees_with(
-    params: &Params,
-    pool: &BufferPool,
-    config: TreeConfig,
-) -> TprResult<(TprTree, TprTree, Vec<MovingObject>, Vec<MovingObject>)> {
+    let config = tree_config(params);
     let (a, b) = generate_pair(params, 0.0);
     let mut ta = TprTree::new(pool.clone(), config);
     for o in &a {
@@ -182,7 +173,7 @@ impl EngineKind {
     }
 
     /// [`EngineKind::build`] with an explicit engine configuration (e.g.
-    /// threads or the decoded-node cache set by the caller).
+    /// threads set by the caller).
     pub fn build_with_config(
         self,
         params: &Params,

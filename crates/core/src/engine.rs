@@ -147,16 +147,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Capacity of the decoded-node cache above the buffer pool, in
-    /// nodes per tree (default 0 = disabled, the paper-faithful mode —
-    /// see [`TreeConfig::node_cache_capacity`]). Shorthand for setting
-    /// the same field on the embedded tree configuration.
-    #[must_use]
-    pub fn node_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.tree.node_cache_capacity = capacity;
-        self
-    }
-
     /// Finishes the configuration.
     #[must_use]
     pub fn build(self) -> EngineConfig {
@@ -302,19 +292,9 @@ pub trait ContinuousJoinEngine {
         PairStatus::default()
     }
 
-    /// Aggregate decoded-node-cache counters across the engine's indexes
-    /// (both trees; for MTB, every live bucket). `None` when the engine
-    /// runs without a node cache — the default, and always the case for
-    /// engines whose indexes have none (Bˣ).
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        None
-    }
-
-    /// Aggregate page-format counters (zero-copy SoA reads vs legacy
-    /// decode fallbacks) across the engine's TPR-trees. Unlike
-    /// [`node_cache_snapshot`](Self::node_cache_snapshot) these are
-    /// tracked whether or not a node cache runs; `None` for engines whose
-    /// indexes are not TPR-trees (Bˣ).
+    /// Aggregate page-format counters (node pages read through the
+    /// zero-copy view) across the engine's TPR-trees; `None` for engines
+    /// whose indexes are not TPR-trees (Bˣ).
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         None
     }
@@ -328,7 +308,7 @@ pub trait ContinuousJoinEngine {
     }
 
     /// Mirrors accumulated totals that live outside registered cells
-    /// (traversal [`JoinCounters`], merged node-cache totals) into the
+    /// (traversal [`JoinCounters`], page-format totals) into the
     /// registry so a snapshot sees them. Pool I/O counters are live
     /// registered views and need no publishing. No-op when metrics are
     /// disabled; called by the harness before reading a snapshot.
@@ -367,14 +347,13 @@ pub fn apply_op_runs<T>(
     Ok(())
 }
 
-/// Mirrors an engine's [`JoinCounters`] and merged node-cache totals into
+/// Mirrors an engine's [`JoinCounters`] and page-format totals into
 /// `registry` (the shared body of every `publish_metrics` impl; public so
 /// engine wrappers — e.g. the shard coordinator — can reuse it for their
 /// aggregated totals).
 pub fn publish_engine_totals(
     registry: &MetricsRegistry,
     counters: JoinCounters,
-    cache: Option<CacheSnapshot>,
     page_format: Option<CacheSnapshot>,
 ) {
     if !registry.is_enabled() {
@@ -390,39 +369,10 @@ pub fn publish_engine_totals(
     registry
         .counter("join.pairs_emitted")
         .store(counters.pairs_emitted);
-    if let Some(c) = cache {
-        registry.counter("engine.node_cache.hits").store(c.hits);
-        registry.counter("engine.node_cache.misses").store(c.misses);
-        registry
-            .counter("engine.node_cache.insertions")
-            .store(c.insertions);
-        registry
-            .counter("engine.node_cache.evictions")
-            .store(c.evictions);
-        registry
-            .counter("engine.node_cache.invalidations")
-            .store(c.invalidations);
-        registry
-            .counter("engine.node_cache.stale_rejections")
-            .store(c.stale_rejections);
-    }
     if let Some(p) = page_format {
         registry
             .counter("storage.page.zero_copy_reads")
             .store(p.zero_copy_reads);
-        registry
-            .counter("storage.page.decode_fallbacks")
-            .store(p.decode_fallbacks);
-    }
-}
-
-/// Merges two optional cache snapshots (per-tree stats into a per-engine
-/// total).
-fn merge_cache_stats(a: Option<CacheSnapshot>, b: Option<CacheSnapshot>) -> Option<CacheSnapshot> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.merged(&y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -708,13 +658,6 @@ impl ContinuousJoinEngine for NaiveEngine {
         self.counters
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        merge_cache_stats(
-            self.tree_a.node_cache_stats(),
-            self.tree_b.node_cache_stats(),
-        )
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         Some(
             self.tree_a
@@ -728,12 +671,7 @@ impl ContinuousJoinEngine for NaiveEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(
-            &self.obs,
-            self.counters,
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
     }
 }
 
@@ -885,13 +823,6 @@ impl ContinuousJoinEngine for TcEngine {
         self.counters
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        merge_cache_stats(
-            self.tree_a.node_cache_stats(),
-            self.tree_b.node_cache_stats(),
-        )
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         Some(
             self.tree_a
@@ -905,12 +836,7 @@ impl ContinuousJoinEngine for TcEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(
-            &self.obs,
-            self.counters,
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
     }
 }
 
@@ -1032,13 +958,6 @@ impl ContinuousJoinEngine for EtpEngine {
         self.counters
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        merge_cache_stats(
-            self.tree_a.node_cache_stats(),
-            self.tree_b.node_cache_stats(),
-        )
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         Some(
             self.tree_a
@@ -1052,12 +971,7 @@ impl ContinuousJoinEngine for EtpEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(
-            &self.obs,
-            self.counters,
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
         if self.obs.is_enabled() {
             self.obs.counter("engine.etp.reruns").store(self.reruns);
         }
@@ -1289,10 +1203,6 @@ impl ContinuousJoinEngine for MtbEngine {
         self.counters
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        merge_cache_stats(self.mtb_a.node_cache_stats(), self.mtb_b.node_cache_stats())
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         Some(
             self.mtb_a
@@ -1306,12 +1216,7 @@ impl ContinuousJoinEngine for MtbEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(
-            &self.obs,
-            self.counters,
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
     }
 }
 
@@ -1518,7 +1423,7 @@ impl ContinuousJoinEngine for BxEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, None, None);
+        publish_engine_totals(&self.obs, self.counters, None);
     }
 }
 
@@ -1542,7 +1447,6 @@ mod config_tests {
             .techniques(cij_join::techniques::NONE)
             .buckets_per_tm(4)
             .threads(8)
-            .node_cache_capacity(256)
             .metrics(true)
             .build();
         assert_eq!(config.t_m, 120.0);
@@ -1550,7 +1454,6 @@ mod config_tests {
         assert_eq!(config.techniques, cij_join::techniques::NONE);
         assert_eq!(config.buckets_per_tm, 4);
         assert_eq!(config.threads, 8);
-        assert_eq!(config.tree.node_cache_capacity, 256);
         assert!(config.metrics);
         assert_eq!(config.to_builder().build(), config);
     }

@@ -121,19 +121,8 @@ impl MtbTree {
             .map(|(idx, tree)| (self.bucket_end(*idx), tree))
     }
 
-    /// Decoded-node-cache counters summed over every live bucket tree;
-    /// `None` when the cache is disabled (the default configuration).
-    #[must_use]
-    pub fn node_cache_stats(&self) -> Option<cij_storage::CacheSnapshot> {
-        self.buckets
-            .values()
-            .filter_map(|tree| tree.node_cache_stats())
-            .reduce(|acc, s| acc.merged(&s))
-    }
-
-    /// Page-format counters (zero-copy SoA reads / legacy decode
-    /// fallbacks) summed over every live bucket tree; tracked regardless
-    /// of cache configuration.
+    /// Page-format counters (zero-copy node reads) summed over every
+    /// live bucket tree.
     #[must_use]
     pub fn page_format_stats(&self) -> cij_storage::CacheSnapshot {
         self.buckets

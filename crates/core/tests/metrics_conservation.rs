@@ -1,7 +1,7 @@
 //! Counter conservation: the unified [`MetricsSnapshot`] must agree
 //! **bit-exactly** with the legacy per-subsystem stats the engines have
-//! always reported — `counters()` (traversal work), `node_cache_snapshot()`
-//! (decoded-node cache), and `pool().stats()` (buffer-pool I/O). The
+//! always reported — `counters()` (traversal work), `page_format_snapshot()`
+//! (zero-copy node reads), and `pool().stats()` (buffer-pool I/O). The
 //! metrics layer is a second window onto the same atomics, never a
 //! second bookkeeping path that can drift.
 //!
@@ -85,7 +85,6 @@ fn snapshot_totals_match_legacy_stats_bit_exactly() {
             let config = EngineConfig::builder()
                 .threads(threads)
                 .metrics(true)
-                .node_cache_capacity(64)
                 .build();
             let mut engine = build(kind, config, &p);
             drive(&mut engine, &p, 40);
@@ -105,19 +104,16 @@ fn snapshot_totals_match_legacy_stats_bit_exactly() {
                 assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
             }
 
-            // Decoded-node cache totals (bx has no TPR trees, no cache).
-            if let Some(cache) = engine.node_cache_snapshot() {
-                for (name, legacy) in [
-                    ("engine.node_cache.hits", cache.hits),
-                    ("engine.node_cache.misses", cache.misses),
-                    ("engine.node_cache.insertions", cache.insertions),
-                    ("engine.node_cache.evictions", cache.evictions),
-                    ("engine.node_cache.invalidations", cache.invalidations),
-                    ("engine.node_cache.stale_rejections", cache.stale_rejections),
-                ] {
-                    assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
-                }
-                assert!(cache.hits > 0, "{tag}: cache saw no traffic");
+            // Page-format totals (bx has no TPR trees): every node read
+            // went through the zero-copy view.
+            if let Some(page) = engine.page_format_snapshot() {
+                assert_eq!(
+                    snap.counter("storage.page.zero_copy_reads"),
+                    Some(page.zero_copy_reads),
+                    "{tag}: storage.page.zero_copy_reads drifted"
+                );
+                assert!(page.zero_copy_reads > 0, "{tag}: no node was read");
+                assert_eq!(page.decode_fallbacks, 0, "{tag}");
             }
 
             // Buffer-pool I/O: registered live views over the same atomics.
@@ -132,8 +128,6 @@ fn snapshot_totals_match_legacy_stats_bit_exactly() {
             ] {
                 assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
             }
-            // Writes always reach the pool (the decoded cache is
-            // write-through, so reads can be fully absorbed by it).
             assert!(io.logical_writes > 0, "{tag}: pool saw no writes");
 
             // The exposition of the same snapshot parses cleanly.
@@ -179,10 +173,7 @@ fn maintenance_probes_feed_the_join_counters() {
 fn snapshot_names_are_sorted_and_stable_across_runs() {
     let p = params(72);
     let build_names = || {
-        let config = EngineConfig::builder()
-            .metrics(true)
-            .node_cache_capacity(64)
-            .build();
+        let config = EngineConfig::builder().metrics(true).build();
         let mut engine = build("mtb", config, &p);
         drive(&mut engine, &p, 20);
         engine.publish_metrics();
@@ -200,8 +191,7 @@ fn snapshot_names_are_sorted_and_stable_across_runs() {
 fn disabled_engines_expose_an_empty_registry() {
     let p = params(73);
     for kind in ENGINES {
-        let config = EngineConfig::builder().node_cache_capacity(64).build();
-        let mut engine = build(kind, config, &p);
+        let mut engine = build(kind, EngineConfig::default(), &p);
         drive(&mut engine, &p, 10);
         engine.publish_metrics();
         let registry = engine.metrics_registry();

@@ -749,7 +749,7 @@ impl ContinuousJoinEngine for DistCoordinator {
         if !self.obs.is_enabled() {
             return;
         }
-        publish_engine_totals(&self.obs, self.counters(), None, None);
+        publish_engine_totals(&self.obs, self.counters(), None);
         self.obs
             .counter("dist.migrations")
             .store(self.router.migrations());

@@ -3,7 +3,7 @@
 //! toggleable so the Fig. 8 ablation can be reproduced:
 //!
 //! * **PS — plane sweep** (§IV-D1): entries of a node pair are compared
-//!   in sweep order instead of all-pairs ([`crate::ps_intersection`]).
+//!   in sweep order instead of all-pairs ([`crate::ps_intersection_soa`]).
 //! * **DS — dimension selection** (§IV-D2): the sweep dimension is the
 //!   one with the smallest total speed mass, minimizing spurious sweep
 //!   overlaps caused by movement.
@@ -13,12 +13,10 @@
 //!   tighter) window for the level below — so the time constraint
 //!   tightens as the traversal descends.
 //!
-//! The kernel is allocation-free in steady state: nodes arrive as
-//! [`Arc<Node>`] (shared with the decoded-node cache, so a hot traversal
-//! never clones a node), and all per-visit buffers come from a
-//! [`JoinScratch`] pool threaded through the recursion.
-
-use std::sync::Arc;
+//! All per-visit buffers come from a [`JoinScratch`] pool threaded
+//! through the recursion, and leaves are read straight into its lanes;
+//! what a warm traversal still allocates is one `Vec<Entry>` per
+//! internal node read (pinned by the `no_alloc` test).
 
 use cij_geom::{Time, TimeInterval};
 use cij_tpr::{EntryLanes, Node, TprResult, TprTree};
@@ -130,9 +128,9 @@ pub fn improved_join(
 /// and refilled, and all traversal temporaries come from `scratch`.
 ///
 /// This is the steady-state entry point for repeated joins (maintenance
-/// ticks, benchmarks): after a warm-up call, subsequent calls over trees
-/// with a decoded-node cache perform **zero heap allocations** —
-/// pinned by the `no_alloc` regression test.
+/// ticks, benchmarks): after a warm-up call, the only heap allocation
+/// left is the entry vector of each internal node read — pinned by the
+/// `no_alloc` regression test.
 pub fn improved_join_into(
     tree_a: &TprTree,
     tree_b: &TprTree,
@@ -151,8 +149,8 @@ pub fn improved_join_into(
     let (Some(root_a), Some(root_b)) = (tree_a.root_page(), tree_b.root_page()) else {
         return Ok(counters);
     };
-    let na = tree_a.read_node_arc(root_a)?;
-    let nb = tree_b.read_node_arc(root_b)?;
+    let na = tree_a.read_node(root_a)?;
+    let nb = tree_b.read_node(root_b)?;
     // `Vec::new()` does not allocate; with an unlimited budget nothing is
     // ever pushed, so this stays allocation-free.
     let mut spill = SpillSink::new();
@@ -183,9 +181,9 @@ pub fn improved_join_into(
 #[allow(clippy::too_many_arguments)] // recursive kernel, all state is hot
 pub(crate) fn join_nodes(
     tree_a: &TprTree,
-    na: &Arc<Node>,
+    na: &Node,
     tree_b: &TprTree,
-    nb: &Arc<Node>,
+    nb: &Node,
     t_s: Time,
     t_e: Time,
     tech: Techniques,
@@ -207,14 +205,14 @@ pub(crate) fn join_nodes(
         for ea in &na.entries {
             counters.entry_comparisons += 1;
             if let Some(iv) = ea.mbr.intersect_interval(&nb_mbr, t_s, t_e) {
-                let child = tree_a.read_node_arc(ea.child.page())?;
+                let child = tree_a.read_node(ea.child.page())?;
                 let (ws, we) = if tech.intersection_check {
                     (iv.start, iv.end)
                 } else {
                     (t_s, t_e)
                 };
                 if budget == 0 {
-                    spill.push((child, Arc::clone(nb), ws, we));
+                    spill.push((child, nb.clone(), ws, we));
                 } else {
                     join_nodes(
                         tree_a,
@@ -240,14 +238,14 @@ pub(crate) fn join_nodes(
         for eb in &nb.entries {
             counters.entry_comparisons += 1;
             if let Some(iv) = eb.mbr.intersect_interval(&na_mbr, t_s, t_e) {
-                let child = tree_b.read_node_arc(eb.child.page())?;
+                let child = tree_b.read_node(eb.child.page())?;
                 let (ws, we) = if tech.intersection_check {
                     (iv.start, iv.end)
                 } else {
                     (t_s, t_e)
                 };
                 if budget == 0 {
-                    spill.push((Arc::clone(na), child, ws, we));
+                    spill.push((na.clone(), child, ws, we));
                 } else {
                     join_nodes(
                         tree_a,
@@ -288,10 +286,10 @@ pub(crate) fn join_nodes(
 #[allow(clippy::too_many_arguments)] // recursive kernel, all state is hot
 fn join_aligned(
     tree_a: &TprTree,
-    na: &Arc<Node>,
+    na: &Node,
     na_mbr: cij_geom::MovingRect,
     tree_b: &TprTree,
-    nb: &Arc<Node>,
+    nb: &Node,
     nb_mbr: cij_geom::MovingRect,
     t_s: Time,
     t_e: Time,
@@ -426,17 +424,14 @@ fn join_aligned(
         return Ok(());
     }
 
-    // Leaf zero-copy fast path: when the children are leaves and neither
-    // tree runs a decoded-node cache (which must observe every read for
-    // its hit/miss accounting to stay differential-identical), read each
+    // Leaf zero-copy fast path: when the children are leaves, read each
     // leaf's entries straight into SoA lanes — one logical read per
-    // child, exactly like `read_node_arc`, but no `Node` materialization
-    // and no per-entry `Entry` decode. The leaf-pair join then runs over
-    // the lanes with op-for-op identical math, so pairs, counters, and
-    // I/O match the `Arc<Node>` path bit-for-bit (pinned by the
-    // `cache_differential` suite). Spilling (`budget == 0`) hands out
-    // `Arc<Node>` tasks, so it keeps the general path below.
-    if na.level == 1 && budget > 0 && !tree_a.has_node_cache() && !tree_b.has_node_cache() {
+    // child, exactly like `read_node`, but no `Node` materialization and
+    // no per-entry `Entry` decode. The leaf-pair join then runs over the
+    // lanes with op-for-op the math of the general path below, so pairs,
+    // counters, and I/O match it bit-for-bit. Spilling (`budget == 0`)
+    // hands out `Node` tasks, so it keeps the general path.
+    if na.level == 1 && budget > 0 {
         let mut leaf = scratch.take_frame(depth + 1);
         let mut result = Ok(());
         for &(i, j, iv) in &frame.cands {
@@ -460,8 +455,8 @@ fn join_aligned(
     }
 
     for &(i, j, iv) in &frame.cands {
-        let ca = tree_a.read_node_arc(na.entries[frame.sa[i as usize] as usize].child.page())?;
-        let cb = tree_b.read_node_arc(nb.entries[frame.sb[j as usize] as usize].child.page())?;
+        let ca = tree_a.read_node(na.entries[frame.sa[i as usize] as usize].child.page())?;
+        let cb = tree_b.read_node(nb.entries[frame.sb[j as usize] as usize].child.page())?;
         // Fig. 6 passes the pair's own interval down — with IC the window
         // tightens monotonically as the traversal descends.
         let (ws, we) = if tech.intersection_check {
@@ -495,8 +490,9 @@ fn join_aligned(
 /// One leaf-pair visit over the zero-copy lanes in `f.lanes_a` /
 /// `f.lanes_b`: the [`join_nodes`] + [`join_aligned`] body specialized to
 /// two leaves, with every counter increment and every floating-point
-/// operation in the same order as the `Arc<Node>` path — the two must
-/// stay bit-identical (cache differential suite).
+/// operation in the same order as the `Node` path — the two must stay
+/// bit-identical (the parallel ≡ sequential suites compare them: a
+/// budget-0 expansion of a level-1 pair takes the `Node` path).
 fn join_leaf_lanes(
     t_s: Time,
     t_e: Time,

@@ -28,12 +28,14 @@
 //!   counter totals) are bit-identical to the sequential runs.
 //!
 //! All algorithms read nodes strictly through the trees' buffer pools, so
-//! their I/O is accounted exactly like the paper's. The hot traversals
-//! are allocation-free in steady state: nodes are `Arc`-shared with the
-//! optional decoded-node cache (`cij_storage::DecodedCache`), and the
-//! per-visit buffers live in a reusable [`JoinScratch`] pool
-//! ([`improved_join_into`] is the buffer-reusing entry point; the
-//! `no_alloc` integration test pins the zero-allocation property).
+//! their I/O is accounted exactly like the paper's. There is one node
+//! read path (page → `NodeView` → lanes or `Node`) and one sweep
+//! ([`ps_intersection_soa`] over [`SweepSoa`] buffers). The per-visit
+//! buffers live in a reusable [`JoinScratch`] pool
+//! ([`improved_join_into`] is the buffer-reusing entry point): a warm
+//! [`probe_batch`] allocates nothing and a warm `improved_join_into` only
+//! the entry vector of each internal node it reads (pinned by the
+//! `no_alloc` integration test).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -41,8 +43,6 @@
 pub mod brute;
 mod counters;
 mod improved;
-#[cfg(feature = "simd")]
-mod kernel;
 mod naive;
 mod pair;
 mod parallel;
@@ -60,8 +60,8 @@ pub use parallel::{
     fan_out_tasks, parallel_improved_join, parallel_improved_multi_join, parallel_naive_join,
     parallel_tc_join, JoinJob,
 };
-pub use partition::{partition_join, partition_join_auto, swept_region};
+pub use partition::{partition_join, partition_join_auto};
 pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
-pub use sweep::{ps_intersection, ps_intersection_soa, SweepItem, SweepSoa};
+pub use sweep::{ps_intersection_soa, swept_region, SweepSoa};
 pub use tp::{tp_join, tp_join_best_first, tp_object_probe, TpAnswer, TpProbe};

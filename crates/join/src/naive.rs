@@ -10,8 +10,6 @@
 //! `t_u + T_M` (Theorem 1), obtained by literally "changing
 //! `intersect(e_A, e_B, t_c, ∞)` to `intersect(e_A, e_B, t_c, t_u + T_M)`".
 
-use std::sync::Arc;
-
 use cij_geom::{Time, INFINITE_TIME};
 use cij_tpr::{Node, TprResult, TprTree};
 
@@ -83,8 +81,8 @@ fn join_window(
     let (Some(root_a), Some(root_b)) = (tree_a.root_page(), tree_b.root_page()) else {
         return Ok((out, counters));
     };
-    let na = tree_a.read_node_arc(root_a)?;
-    let nb = tree_b.read_node_arc(root_b)?;
+    let na = tree_a.read_node(root_a)?;
+    let nb = tree_b.read_node(root_b)?;
     // `Vec::new()` does not allocate; with an unlimited budget nothing is
     // ever pushed, so no spill buffer is materialized.
     let mut spill = SpillSink::new();
@@ -115,9 +113,9 @@ fn join_window(
 #[allow(clippy::too_many_arguments)] // recursive kernel, all state is hot
 pub(crate) fn join_nodes(
     tree_a: &TprTree,
-    na: &Arc<Node>,
+    na: &Node,
     tree_b: &TprTree,
-    nb: &Arc<Node>,
+    nb: &Node,
     t_s: Time,
     t_e: Time,
     out: &mut Vec<JoinPair>,
@@ -136,9 +134,9 @@ pub(crate) fn join_nodes(
         for ea in &na.entries {
             counters.entry_comparisons += 1;
             if ea.mbr.intersect_interval(&nb_mbr, t_s, t_e).is_some() {
-                let child = tree_a.read_node_arc(ea.child.page())?;
+                let child = tree_a.read_node(ea.child.page())?;
                 if budget == 0 {
-                    spill.push((child, Arc::clone(nb), t_s, t_e));
+                    spill.push((child, nb.clone(), t_s, t_e));
                 } else {
                     join_nodes(
                         tree_a,
@@ -165,9 +163,9 @@ pub(crate) fn join_nodes(
         for eb in &nb.entries {
             counters.entry_comparisons += 1;
             if eb.mbr.intersect_interval(&na_mbr, t_s, t_e).is_some() {
-                let child = tree_b.read_node_arc(eb.child.page())?;
+                let child = tree_b.read_node(eb.child.page())?;
                 if budget == 0 {
-                    spill.push((Arc::clone(na), child, t_s, t_e));
+                    spill.push((na.clone(), child, t_s, t_e));
                 } else {
                     join_nodes(
                         tree_a,
@@ -204,8 +202,8 @@ pub(crate) fn join_nodes(
         for eb in &nb.entries {
             counters.entry_comparisons += 1;
             if ea.mbr.intersect_interval(&eb.mbr, t_s, t_e).is_some() {
-                let ca = tree_a.read_node_arc(ea.child.page())?;
-                let cb = tree_b.read_node_arc(eb.child.page())?;
+                let ca = tree_a.read_node(ea.child.page())?;
+                let cb = tree_b.read_node(eb.child.page())?;
                 // Faithful to Fig. 2: the recursion keeps the original
                 // window (the clipped-interval refinement is part of the
                 // §IV-D intersection check, not of NaiveJoin).

@@ -24,7 +24,6 @@
 //! `threads <= 1` falls back to the plain sequential entry points.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use cij_geom::{Time, INFINITE_TIME};
 use cij_tpr::{Node, TprResult, TprTree};
@@ -36,10 +35,10 @@ use crate::pair::JoinPair;
 use crate::scratch::JoinScratch;
 
 /// A deferred recursive call captured by a kernel running with budget 0:
-/// `(node_a, node_b, window_start, window_end)`. Nodes are `Arc`-shared
-/// with the decoded-node cache, so capturing a task never deep-clones a
-/// node.
-pub(crate) type SpillSink = Vec<(Arc<Node>, Arc<Node>, Time, Time)>;
+/// `(node_a, node_b, window_start, window_end)`. The kernel moves the
+/// nodes it just read into the task; only a height-alignment step, which
+/// pairs one fresh child with the node it was handed, clones that node.
+pub(crate) type SpillSink = Vec<(Node, Node, Time, Time)>;
 
 /// Recursion budget that is never exhausted: tree heights are bounded by
 /// `u8::MAX`, so sequential entry points can pass this and never spill.
@@ -69,8 +68,8 @@ struct JobSpec<'t> {
 /// pool), the window to process it under, and the job it belongs to.
 struct Task {
     job: usize,
-    na: Arc<Node>,
-    nb: Arc<Node>,
+    na: Node,
+    nb: Node,
     ws: Time,
     we: Time,
 }
@@ -338,8 +337,8 @@ fn run_jobs(jobs: &[JobSpec<'_>], threads: usize) -> TprResult<Vec<(Vec<JoinPair
         else {
             continue;
         };
-        let na = spec.tree_a.read_node_arc(root_a)?;
-        let nb = spec.tree_b.read_node_arc(root_b)?;
+        let na = spec.tree_a.read_node(root_a)?;
+        let nb = spec.tree_b.read_node(root_b)?;
         tasks.push(Task {
             job,
             na,

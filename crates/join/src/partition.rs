@@ -26,17 +26,7 @@ use cij_tpr::ObjectId;
 
 use crate::counters::JoinCounters;
 use crate::pair::JoinPair;
-use crate::sweep::{ps_intersection, SweepItem};
-
-/// The static rectangle swept by a moving rectangle over `[t_s, t_e]`.
-#[must_use]
-pub fn swept_region(mbr: &MovingRect, t_s: Time, t_e: Time) -> Rect {
-    let (r0, r1) = (mbr.at(t_s), mbr.at(t_e));
-    Rect::new(
-        [r0.lo[0].min(r1.lo[0]), r0.lo[1].min(r1.lo[1])],
-        [r0.hi[0].max(r1.hi[0]), r0.hi[1].max(r1.hi[1])],
-    )
-}
+use crate::sweep::{ps_intersection_soa, swept_region, SweepSoa};
 
 /// Uniform grid over the joint bounding box of all swept regions.
 struct Grid {
@@ -116,6 +106,10 @@ pub fn partition_join(
 ) -> (Vec<JoinPair>, JoinCounters) {
     assert!(t_e.is_finite(), "PBSM requires a time-constrained window");
     assert!(cells_per_axis > 0, "grid needs at least one cell");
+    assert!(
+        u32::try_from(a.len().max(b.len())).is_ok(),
+        "sweep indices are u32"
+    );
     let mut counters = JoinCounters::new();
     let mut out = Vec::new();
     if a.is_empty() || b.is_empty() {
@@ -153,6 +147,8 @@ pub fn partition_join(
     }
 
     // Per-cell moving plane sweep, reference-point de-duplication.
+    let (mut side_a, mut side_b) = (SweepSoa::new(), SweepSoa::new());
+    let mut cands = Vec::new();
     for cy in 0..cells_per_axis {
         for cx in 0..cells_per_axis {
             let cell_id = grid.id(cx, cy);
@@ -160,15 +156,25 @@ pub fn partition_join(
             if ia.is_empty() || ib.is_empty() {
                 continue;
             }
-            let mut items_a: Vec<SweepItem> = ia
-                .iter()
-                .map(|&i| SweepItem::new(a[i].1, i, 0, t_s, t_e))
-                .collect();
-            let mut items_b: Vec<SweepItem> = ib
-                .iter()
-                .map(|&i| SweepItem::new(b[i].1, i, 0, t_s, t_e))
-                .collect();
-            for (i, j, iv) in ps_intersection(&mut items_a, &mut items_b, t_s, t_e, &mut counters) {
+            // Sweep index = object index (ascending within a cell).
+            side_a.clear();
+            for &i in ia {
+                side_a.push(a[i].1, i as u32, 0, t_s, t_e);
+            }
+            side_b.clear();
+            for &i in ib {
+                side_b.push(b[i].1, i as u32, 0, t_s, t_e);
+            }
+            ps_intersection_soa(
+                &mut side_a,
+                &mut side_b,
+                t_s,
+                t_e,
+                &mut counters,
+                &mut cands,
+            );
+            for &(i, j, iv) in &cands {
+                let (i, j) = (i as usize, j as usize);
                 // Reference point: lower-left corner of the overlap of
                 // the two swept regions — it lies in exactly one cell.
                 let o = sweep_a[i]
@@ -221,16 +227,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn swept_region_covers_motion() {
-        let m = MovingRect::rigid(Rect::new([0.0, 0.0], [1.0, 1.0]), [2.0, -1.0], 0.0);
-        let s = swept_region(&m, 0.0, 10.0);
-        assert_eq!(s, Rect::new([0.0, -10.0], [21.0, 1.0]));
-        for t in [0.0, 3.7, 10.0] {
-            assert!(s.contains_rect(&m.at(t)));
-        }
     }
 
     #[test]

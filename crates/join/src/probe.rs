@@ -21,8 +21,8 @@ use cij_storage::PageId;
 use cij_tpr::{ObjectId, TprResult, TprTree};
 
 use crate::counters::JoinCounters;
-use crate::partition::swept_region;
 use crate::scratch::{Frame, JoinScratch};
+use crate::sweep::swept_region;
 
 /// One probe result: `(index into the probe slice, indexed object,
 /// intersection interval within the window)`.

@@ -14,131 +14,38 @@
 //! `ub` — which is precisely why plane sweep *requires* time-constrained
 //! processing.
 
-use cij_geom::{MovingRect, Time, TimeInterval};
+use cij_geom::{MovingRect, Rect, Time, TimeInterval};
 use cij_tpr::EntryLanes;
 
 use crate::counters::JoinCounters;
-#[cfg(feature = "simd")]
-use crate::kernel;
 
-/// A sweep participant: the moving rectangle plus its precomputed sweep
-/// bounds and the caller's index for identifying it in the output.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepItem {
-    /// The moving rectangle being swept.
-    pub mbr: MovingRect,
-    /// Sweep lower bound in the sort dimension over the window.
-    pub lb: f64,
-    /// Sweep upper bound in the sort dimension over the window.
-    pub ub: f64,
-    /// Caller-side index (position in the node's entry list).
-    pub idx: usize,
-}
-
-impl SweepItem {
-    /// Builds an item for the window `[t_s, t_e]`, sweeping dimension
-    /// `dim`.
-    #[must_use]
-    pub fn new(mbr: MovingRect, idx: usize, dim: usize, t_s: Time, t_e: Time) -> Self {
-        let lb = mbr.lo_at(dim, t_s).min(mbr.lo_at(dim, t_e));
-        let ub = mbr.hi_at(dim, t_s).max(mbr.hi_at(dim, t_e));
-        Self { mbr, lb, ub, idx }
-    }
-}
-
-/// The paper's `PSIntersection`: all pairs from `sa × sb` whose moving
-/// rectangles intersect within `[t_s, t_e]`, found in plane-sweep order.
-///
-/// Sorts both sequences in place by `lb`, then advances the sweep over
-/// the merged order; each emitted triple is `(idx_a, idx_b, interval)`.
-/// `t_e` must be finite (see module docs).
-///
-/// ```
-/// use cij_geom::{MovingRect, Rect};
-/// use cij_join::{ps_intersection, JoinCounters, SweepItem};
-///
-/// let make = |x: f64, vx: f64, idx: usize| {
-///     let m = MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [vx, 0.0], 0.0);
-///     SweepItem::new(m, idx, 0, 0.0, 60.0)
-/// };
-/// let mut sa = vec![make(0.0, 1.0, 0), make(500.0, 0.0, 1)];
-/// let mut sb = vec![make(10.0, 0.0, 0), make(900.0, 0.0, 1)];
-/// let mut counters = JoinCounters::new();
-/// let pairs = ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters);
-/// // Only (a0, b0) meet within the window (contact at t = 9); the sweep
-/// // never even compared the far-apart pairs.
-/// assert_eq!(pairs.len(), 1);
-/// assert_eq!((pairs[0].0, pairs[0].1), (0, 0));
-/// assert!(counters.entry_comparisons < 4);
-/// ```
-pub fn ps_intersection(
-    sa: &mut [SweepItem],
-    sb: &mut [SweepItem],
-    t_s: Time,
-    t_e: Time,
-    counters: &mut JoinCounters,
-) -> Vec<(usize, usize, TimeInterval)> {
-    debug_assert!(t_e.is_finite(), "plane sweep requires a bounded window");
-    // Unstable sort with an explicit `(lb, idx)` key: when callers assign
-    // `idx` in push order (every call site in this codebase does, via
-    // `enumerate` or ascending index lists), ties resolve to insertion
-    // order — the same permutation a stable sort by `lb` alone produces —
-    // without merge sort's `n/2` scratch allocation. Pinned by the
-    // `aos_sweep_sort_does_not_allocate` regression test.
-    let by_lb = |x: &SweepItem, y: &SweepItem| {
-        x.lb.partial_cmp(&y.lb)
-            .expect("finite bounds")
-            .then(x.idx.cmp(&y.idx))
-    };
-    sa.sort_unstable_by(by_lb);
-    sb.sort_unstable_by(by_lb);
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < sa.len() && j < sb.len() {
-        if sa[i].lb <= sb[j].lb {
-            let c = sa[i];
-            let mut k = j;
-            while k < sb.len() && sb[k].lb <= c.ub {
-                counters.entry_comparisons += 1;
-                if let Some(iv) = c.mbr.intersect_interval(&sb[k].mbr, t_s, t_e) {
-                    out.push((c.idx, sb[k].idx, iv));
-                }
-                k += 1;
-            }
-            i += 1;
-        } else {
-            let c = sb[j];
-            let mut k = i;
-            while k < sa.len() && sa[k].lb <= c.ub {
-                counters.entry_comparisons += 1;
-                if let Some(iv) = c.mbr.intersect_interval(&sa[k].mbr, t_s, t_e) {
-                    out.push((sa[k].idx, c.idx, iv));
-                }
-                k += 1;
-            }
-            j += 1;
-        }
-    }
-    out
+/// The static rectangle swept by a moving rectangle over `[t_s, t_e]`:
+/// the sweep bounds `lb`/`ub` above, taken in both dimensions at once.
+/// Two rectangles whose swept regions are disjoint never meet inside the
+/// window — the reject box of [`probe_batch`](crate::probe_batch) and the
+/// replication key of [`partition_join`](crate::partition_join).
+#[must_use]
+pub fn swept_region(mbr: &MovingRect, t_s: Time, t_e: Time) -> Rect {
+    let (r0, r1) = (mbr.at(t_s), mbr.at(t_e));
+    Rect::new(
+        [r0.lo[0].min(r1.lo[0]), r0.lo[1].min(r1.lo[1])],
+        [r0.hi[0].max(r1.hi[0]), r0.hi[1].max(r1.hi[1])],
+    )
 }
 
 /// Structure-of-arrays sweep state with retained capacity.
 ///
-/// The hot-loop twin of [`SweepItem`]: the sort keys (`lb`/`ub`), the
-/// rectangles, and the caller indices live in parallel vectors that are
-/// `clear()`ed and refilled, so steady-state sweeps allocate nothing.
-/// The rectangles stay contiguous as structs — the refinement kernel
-/// (`crate::kernel`, simd builds) walks each candidate run as one `&[MovingRect]`
-/// stream (the `simd` flavour extracts its 4-wide chunks from that same
-/// slice), which keeps every run element on adjacent cache lines instead
-/// of scattering it across nine component arrays. Sorting is done
-/// through a permutation array with reusable gather buffers.
-///
-/// Emission order of [`ps_intersection_soa`] is identical to
-/// [`ps_intersection`] on the same input: the permutation sort breaks
-/// `lb` ties by insertion position, matching the `(lb, idx)` key used
-/// there.
+/// One side of a sweep: for each participant its sweep bounds in the
+/// sort dimension over the window (`lb`/`ub`, see the module docs), its
+/// rectangle, and the caller's index for identifying it in the output,
+/// in parallel vectors that are `clear()`ed and refilled, so
+/// steady-state sweeps allocate nothing. The rectangles stay contiguous
+/// as structs — the refinement loop walks each candidate run as one
+/// `&[MovingRect]` stream, which keeps every run element on adjacent
+/// cache lines instead of scattering it across nine component arrays.
+/// Sorting is done through a permutation array with reusable gather
+/// buffers; it breaks `lb` ties by insertion position, like a stable
+/// sort, which fixes the emission order of [`ps_intersection_soa`].
 #[derive(Debug, Default)]
 pub struct SweepSoa {
     pub(crate) lb: Vec<f64>,
@@ -179,8 +86,7 @@ impl SweepSoa {
     }
 
     /// Appends one item, computing its sweep bounds for the window
-    /// `[t_s, t_e]` in dimension `dim` (same formulas as
-    /// [`SweepItem::new`]).
+    /// `[t_s, t_e]` in dimension `dim`.
     pub fn push(&mut self, mbr: MovingRect, idx: u32, dim: usize, t_s: Time, t_e: Time) {
         self.lb.push(mbr.lo_at(dim, t_s).min(mbr.lo_at(dim, t_e)));
         self.ub.push(mbr.hi_at(dim, t_s).max(mbr.hi_at(dim, t_e)));
@@ -233,22 +139,6 @@ impl SweepSoa {
         self.idxs.extend(0..n as u32);
     }
 
-    /// Rectangle of item `i`.
-    #[cfg(feature = "simd")]
-    #[inline]
-    #[must_use]
-    pub(crate) fn mbr(&self, i: usize) -> &MovingRect {
-        &self.mbrs[i]
-    }
-
-    /// Caller index of item `i`.
-    #[cfg(feature = "simd")]
-    #[inline]
-    #[must_use]
-    pub(crate) fn idx(&self, i: usize) -> u32 {
-        self.idxs[i]
-    }
-
     /// Sorts every array by `lb` (ties: insertion order, matching a
     /// stable sort) via a permutation + gather; no allocation once the
     /// buffers have grown to size. The `back_f64` scratch buffer serves
@@ -286,18 +176,38 @@ fn gather_f64(perm: &[u32], lane: &mut Vec<f64>, back: &mut Vec<f64>) {
     std::mem::swap(lane, back);
 }
 
-/// [`ps_intersection`] over [`SweepSoa`] buffers, appending into a
-/// caller-owned (capacity-retained) output vector instead of returning a
-/// fresh one. Identical pairs in identical order; zero allocation in
-/// steady state.
+/// The paper's `PSIntersection`: all pairs from `sa × sb` whose moving
+/// rectangles intersect within `[t_s, t_e]`, found in plane-sweep order.
 ///
-/// By default each sweep step refines candidates in one fused scan (the
-/// reference semantics, fully inline). Under the `simd` cargo feature
-/// the step first measures the contiguous candidate run (`lb` is sorted,
-/// so `lb[k] <= c_ub` holds on exactly a prefix — the run length equals
-/// the per-iteration comparison count of the fused formulation, keeping
-/// `entry_comparisons` bit-identical) and hands the run to the chunked
-/// 4-lane kernel in `crate::kernel` (simd builds).
+/// Sorts both sides in place by `lb`, then advances the sweep over the
+/// merged order, refining each candidate run in one fused scan; `out` is
+/// cleared and refilled with `(idx_a, idx_b, interval)` triples (caller
+/// owned, capacity retained: zero allocation in steady state). `t_e`
+/// must be finite (see module docs).
+///
+/// ```
+/// use cij_geom::{MovingRect, Rect};
+/// use cij_join::{ps_intersection_soa, JoinCounters, SweepSoa};
+///
+/// let side = |xs: [(f64, f64); 2]| {
+///     let mut s = SweepSoa::new();
+///     for (idx, (x, vx)) in xs.into_iter().enumerate() {
+///         let m = MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [vx, 0.0], 0.0);
+///         s.push(m, idx as u32, 0, 0.0, 60.0);
+///     }
+///     s
+/// };
+/// let mut sa = side([(0.0, 1.0), (500.0, 0.0)]);
+/// let mut sb = side([(10.0, 0.0), (900.0, 0.0)]);
+/// let mut counters = JoinCounters::new();
+/// let mut pairs = Vec::new();
+/// ps_intersection_soa(&mut sa, &mut sb, 0.0, 60.0, &mut counters, &mut pairs);
+/// // Only (a0, b0) meet within the window (contact at t = 9); the sweep
+/// // never even compared the far-apart pairs.
+/// assert_eq!(pairs.len(), 1);
+/// assert_eq!((pairs[0].0, pairs[0].1), (0, 0));
+/// assert!(counters.entry_comparisons < 4);
+/// ```
 pub fn ps_intersection_soa(
     sa: &mut SweepSoa,
     sb: &mut SweepSoa,
@@ -311,7 +221,6 @@ pub fn ps_intersection_soa(
     sa.sort_by_lb();
     sb.sort_by_lb();
     let (mut i, mut j) = (0usize, 0usize);
-    #[cfg(not(feature = "simd"))]
     while i < sa.lb.len() && j < sb.lb.len() {
         if sa.lb[i] <= sb.lb[j] {
             let (c_ub, c_idx) = (sa.ub[i], sa.idxs[i]);
@@ -339,50 +248,101 @@ pub fn ps_intersection_soa(
             j += 1;
         }
     }
-    #[cfg(feature = "simd")]
-    while i < sa.lb.len() && j < sb.lb.len() {
-        if sa.lb[i] <= sb.lb[j] {
-            let c_ub = sa.ub[i];
-            let mut end = j;
-            while end < sb.lb.len() && sb.lb[end] <= c_ub {
-                end += 1;
-            }
-            counters.entry_comparisons += (end - j) as u64;
-            kernel::refine_run(sa.mbr(i), sa.idxs[i], sb, j, end, t_s, t_e, false, out);
-            i += 1;
-        } else {
-            let c_ub = sb.ub[j];
-            let mut end = i;
-            while end < sa.lb.len() && sa.lb[end] <= c_ub {
-                end += 1;
-            }
-            counters.entry_comparisons += (end - i) as u64;
-            kernel::refine_run(sb.mbr(j), sb.idxs[j], sa, i, end, t_s, t_e, true, out);
-            j += 1;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cij_geom::Rect;
 
-    fn item(idx: usize, x: f64, vx: f64, dim: usize, t0: f64, t1: f64) -> SweepItem {
-        let mbr = MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [vx, 0.0], 0.0);
-        SweepItem::new(mbr, idx, dim, t0, t1)
+    type Triple = (u32, u32, TimeInterval);
+
+    fn rect(x: f64, vx: f64) -> MovingRect {
+        MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [vx, 0.0], 0.0)
+    }
+
+    /// A sweep side holding `mbrs` in order, indexed by position.
+    fn side(mbrs: &[MovingRect], t0: f64, t1: f64) -> SweepSoa {
+        let mut s = SweepSoa::new();
+        for (i, m) in mbrs.iter().enumerate() {
+            s.push(*m, i as u32, 0, t0, t1);
+        }
+        s
+    }
+
+    fn sweep(a: &[MovingRect], b: &[MovingRect], t0: f64, t1: f64) -> (Vec<Triple>, JoinCounters) {
+        let mut counters = JoinCounters::new();
+        let mut out = Vec::new();
+        let (mut sa, mut sb) = (side(a, t0, t1), side(b, t0, t1));
+        ps_intersection_soa(&mut sa, &mut sb, t0, t1, &mut counters, &mut out);
+        (out, counters)
+    }
+
+    /// The array-of-structs sweep the SoA kernel replaced, kept as the
+    /// reference for its emission order and comparison count: items
+    /// `(lb, ub, mbr, idx)` sorted by `(lb, idx)` — what a stable sort
+    /// by `lb` alone gives when `idx` ascends in push order.
+    fn aos_reference(a: &[MovingRect], b: &[MovingRect], t0: f64, t1: f64) -> (Vec<Triple>, u64) {
+        let items = |ms: &[MovingRect]| {
+            let mut v: Vec<(f64, f64, MovingRect, u32)> = ms
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    let lb = m.lo_at(0, t0).min(m.lo_at(0, t1));
+                    let ub = m.hi_at(0, t0).max(m.hi_at(0, t1));
+                    (lb, ub, *m, i as u32)
+                })
+                .collect();
+            v.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap().then(x.3.cmp(&y.3)));
+            v
+        };
+        let (sa, sb) = (items(a), items(b));
+        let (mut out, mut comparisons) = (Vec::new(), 0u64);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < sa.len() && j < sb.len() {
+            if sa[i].0 <= sb[j].0 {
+                let c = sa[i];
+                let mut k = j;
+                while k < sb.len() && sb[k].0 <= c.1 {
+                    comparisons += 1;
+                    if let Some(iv) = c.2.intersect_interval(&sb[k].2, t0, t1) {
+                        out.push((c.3, sb[k].3, iv));
+                    }
+                    k += 1;
+                }
+                i += 1;
+            } else {
+                let c = sb[j];
+                let mut k = i;
+                while k < sa.len() && sa[k].0 <= c.1 {
+                    comparisons += 1;
+                    if let Some(iv) = c.2.intersect_interval(&sa[k].2, t0, t1) {
+                        out.push((sa[k].3, c.3, iv));
+                    }
+                    k += 1;
+                }
+                j += 1;
+            }
+        }
+        (out, comparisons)
     }
 
     #[test]
     fn sweep_bounds_cover_motion() {
         // Moving right at speed 2 over [0, 10]: lb = x(0).lo, ub = x(10).hi.
-        let it = item(0, 5.0, 2.0, 0, 0.0, 10.0);
-        assert_eq!(it.lb, 5.0);
-        assert_eq!(it.ub, 5.0 + 1.0 + 20.0);
+        let s = side(&[rect(5.0, 2.0), rect(5.0, -2.0)], 0.0, 10.0);
+        assert_eq!((s.lb[0], s.ub[0]), (5.0, 5.0 + 1.0 + 20.0));
         // Moving left: lb comes from the window end.
-        let it = item(0, 5.0, -2.0, 0, 0.0, 10.0);
-        assert_eq!(it.lb, 5.0 - 20.0);
-        assert_eq!(it.ub, 6.0);
+        assert_eq!((s.lb[1], s.ub[1]), (5.0 - 20.0, 6.0));
+    }
+
+    #[test]
+    fn swept_region_covers_motion() {
+        let m = MovingRect::rigid(Rect::new([0.0, 0.0], [1.0, 1.0]), [2.0, -1.0], 0.0);
+        let s = swept_region(&m, 0.0, 10.0);
+        assert_eq!(s, Rect::new([0.0, -10.0], [21.0, 1.0]));
+        for t in [0.0, 3.7, 10.0] {
+            assert!(s.contains_rect(&m.at(t)));
+        }
     }
 
     #[test]
@@ -393,30 +353,28 @@ mod tests {
         for round in 0..50 {
             let (t0, t1) = (0.0, 20.0);
             let n = 1 + round % 17;
-            let make = |rng: &mut StdRng, idx: usize| {
+            let make = |rng: &mut StdRng| {
                 let x = rng.gen_range(-50.0..50.0);
                 let y = rng.gen_range(-50.0..50.0);
                 let s = rng.gen_range(0.1..5.0);
-                let mbr = MovingRect::rigid(
+                MovingRect::rigid(
                     Rect::new([x, y], [x + s, y + s]),
                     [rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)],
                     0.0,
-                );
-                SweepItem::new(mbr, idx, 0, t0, t1)
+                )
             };
-            let mut sa: Vec<_> = (0..n).map(|i| make(&mut rng, i)).collect();
-            let mut sb: Vec<_> = (0..n + 3).map(|i| make(&mut rng, i)).collect();
+            let a: Vec<_> = (0..n).map(|_| make(&mut rng)).collect();
+            let b: Vec<_> = (0..n + 3).map(|_| make(&mut rng)).collect();
 
             let mut expect = Vec::new();
-            for a in &sa {
-                for b in &sb {
-                    if let Some(iv) = a.mbr.intersect_interval(&b.mbr, t0, t1) {
-                        expect.push((a.idx, b.idx, iv));
+            for (i, ma) in a.iter().enumerate() {
+                for (j, mb) in b.iter().enumerate() {
+                    if let Some(iv) = ma.intersect_interval(mb, t0, t1) {
+                        expect.push((i as u32, j as u32, iv));
                     }
                 }
             }
-            let mut counters = JoinCounters::new();
-            let mut got = ps_intersection(&mut sa, &mut sb, t0, t1, &mut counters);
+            let (mut got, _) = sweep(&a, &b, t0, t1);
             got.sort_by_key(|&(a, b, _)| (a, b));
             expect.sort_by_key(|&(a, b, _)| (a, b));
             assert_eq!(got.len(), expect.len(), "round {round}");
@@ -431,15 +389,11 @@ mod tests {
     fn sweep_prunes_comparisons_on_sparse_input() {
         // Widely separated static items: nested loop would do n·m = 100
         // comparisons, the sweep a handful.
-        let (t0, t1) = (0.0, 1.0);
-        let mut sa: Vec<_> = (0..10)
-            .map(|i| item(i, i as f64 * 100.0, 0.0, 0, t0, t1))
+        let a: Vec<_> = (0..10).map(|i| rect(i as f64 * 100.0, 0.0)).collect();
+        let b: Vec<_> = (0..10)
+            .map(|i| rect(i as f64 * 100.0 + 50.0, 0.0))
             .collect();
-        let mut sb: Vec<_> = (0..10)
-            .map(|i| item(i, i as f64 * 100.0 + 50.0, 0.0, 0, t0, t1))
-            .collect();
-        let mut counters = JoinCounters::new();
-        let got = ps_intersection(&mut sa, &mut sb, t0, t1, &mut counters);
+        let (got, counters) = sweep(&a, &b, 0.0, 1.0);
         assert!(got.is_empty());
         assert!(
             counters.entry_comparisons < 100,
@@ -450,20 +404,20 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let mut counters = JoinCounters::new();
-        let mut sa = vec![item(0, 0.0, 0.0, 0, 0.0, 1.0)];
-        assert!(ps_intersection(&mut sa, &mut [], 0.0, 1.0, &mut counters).is_empty());
-        assert!(ps_intersection(&mut [], &mut sa, 0.0, 1.0, &mut counters).is_empty());
+        let a = [rect(0.0, 0.0)];
+        assert!(sweep(&a, &[], 0.0, 1.0).0.is_empty());
+        assert!(sweep(&[], &a, 0.0, 1.0).0.is_empty());
     }
 
     #[test]
     fn identical_bounds_do_not_miss() {
         // Items with equal lb must still be paired.
-        let (t0, t1) = (0.0, 5.0);
-        let mut sa = vec![item(0, 1.0, 0.0, 0, t0, t1), item(1, 1.0, 0.0, 0, t0, t1)];
-        let mut sb = vec![item(0, 1.0, 0.0, 0, t0, t1)];
-        let mut counters = JoinCounters::new();
-        let got = ps_intersection(&mut sa, &mut sb, t0, t1, &mut counters);
+        let (got, _) = sweep(
+            &[rect(1.0, 0.0), rect(1.0, 0.0)],
+            &[rect(1.0, 0.0)],
+            0.0,
+            5.0,
+        );
         assert_eq!(got.len(), 2);
     }
 
@@ -488,48 +442,17 @@ mod tests {
                     let x = (rnd() % 40) as f64; // coarse grid => lb ties
                     let y = (rnd() % 40) as f64;
                     let vx = ((rnd() % 5) as f64 - 2.0) * 0.5;
-                    MovingRect::rigid(
-                        cij_geom::Rect::new([x, y], [x + 3.0, y + 3.0]),
-                        [vx, 0.0],
-                        0.0,
-                    )
+                    MovingRect::rigid(Rect::new([x, y], [x + 3.0, y + 3.0]), [vx, 0.0], 0.0)
                 })
                 .collect()
         };
         for (na, nb) in [(25usize, 25usize), (1, 40), (40, 1), (0, 10)] {
             let ra = mk(na);
             let rb = mk(nb);
-            let mut sa: Vec<SweepItem> = ra
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, t0, t1))
-                .collect();
-            let mut sb: Vec<SweepItem> = rb
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, t0, t1))
-                .collect();
-            let mut c_aos = JoinCounters::new();
-            let want = ps_intersection(&mut sa, &mut sb, t0, t1, &mut c_aos);
-
-            let mut soa_a = SweepSoa::new();
-            let mut soa_b = SweepSoa::new();
-            for (i, m) in ra.iter().enumerate() {
-                soa_a.push(*m, i as u32, 0, t0, t1);
-            }
-            for (i, m) in rb.iter().enumerate() {
-                soa_b.push(*m, i as u32, 0, t0, t1);
-            }
-            let mut c_soa = JoinCounters::new();
-            let mut got = Vec::new();
-            ps_intersection_soa(&mut soa_a, &mut soa_b, t0, t1, &mut c_soa, &mut got);
-
-            let got_usize: Vec<(usize, usize, TimeInterval)> = got
-                .iter()
-                .map(|&(i, j, iv)| (i as usize, j as usize, iv))
-                .collect();
-            assert_eq!(want, got_usize, "pairs/order differ at ({na},{nb})");
-            assert_eq!(c_aos.entry_comparisons, c_soa.entry_comparisons);
+            let (want, want_comparisons) = aos_reference(&ra, &rb, t0, t1);
+            let (got, counters) = sweep(&ra, &rb, t0, t1);
+            assert_eq!(want, got, "pairs/order differ at ({na},{nb})");
+            assert_eq!(want_comparisons, counters.entry_comparisons);
         }
     }
 

@@ -73,8 +73,8 @@ pub fn tp_join(tree_a: &TprTree, tree_b: &TprTree, t_c: Time) -> TprResult<TpAns
         counters: JoinCounters::new(),
     };
     if let (Some(ra), Some(rb)) = (tree_a.root_page(), tree_b.root_page()) {
-        let na = tree_a.read_node_arc(ra)?;
-        let nb = tree_b.read_node_arc(rb)?;
+        let na = tree_a.read_node(ra)?;
+        let nb = tree_b.read_node(rb)?;
         visit(tree_a, &na, tree_b, &nb, t_c, &mut state)?;
     }
     Ok(TpAnswer {
@@ -137,7 +137,7 @@ fn visit(
             let descend = ea.mbr.intersects_at(&nb_mbr, t_c)
                 || first_contact(&ea.mbr, &nb_mbr, t_c) <= state.expiry + EVENT_TIE_EPS;
             if descend {
-                let child = tree_a.read_node_arc(ea.child.page())?;
+                let child = tree_a.read_node(ea.child.page())?;
                 visit(tree_a, &child, tree_b, nb, t_c, state)?;
             }
         }
@@ -152,7 +152,7 @@ fn visit(
             let descend = eb.mbr.intersects_at(&na_mbr, t_c)
                 || first_contact(&eb.mbr, &na_mbr, t_c) <= state.expiry + EVENT_TIE_EPS;
             if descend {
-                let child = tree_b.read_node_arc(eb.child.page())?;
+                let child = tree_b.read_node(eb.child.page())?;
                 visit(tree_a, na, tree_b, &child, t_c, state)?;
             }
         }
@@ -186,8 +186,8 @@ fn visit(
             let descend = ea.mbr.intersects_at(&eb.mbr, t_c)
                 || first_contact(&ea.mbr, &eb.mbr, t_c) <= state.expiry + EVENT_TIE_EPS;
             if descend {
-                let ca = tree_a.read_node_arc(ea.child.page())?;
-                let cb = tree_b.read_node_arc(eb.child.page())?;
+                let ca = tree_a.read_node(ea.child.page())?;
+                let cb = tree_b.read_node(eb.child.page())?;
                 visit(tree_a, &ca, tree_b, &cb, t_c, state)?;
             }
         }
@@ -250,8 +250,8 @@ pub fn tp_join_best_first(tree_a: &TprTree, tree_b: &TprTree, t_c: Time) -> TprR
         if bound > state.expiry + EVENT_TIE_EPS && bound > t_c {
             continue;
         }
-        let na = tree_a.read_node_arc(pa)?;
-        let nb = tree_b.read_node_arc(pb)?;
+        let na = tree_a.read_node(pa)?;
+        let nb = tree_b.read_node(pb)?;
         state.counters.node_pairs += 1;
 
         // Height alignment: push the deeper side's children.
@@ -355,7 +355,7 @@ fn probe_visit(
     t_c: Time,
     probe: &mut TpProbe,
 ) -> TprResult<()> {
-    let node = tree.read_node_arc(page)?;
+    let node = tree.read_node(page)?;
     probe.counters.node_pairs += 1;
     for e in &node.entries {
         probe.counters.entry_comparisons += 1;

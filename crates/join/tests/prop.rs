@@ -190,14 +190,13 @@ proptest! {
     /// The batched probe equals the union of per-probe
     /// `intersect_window` calls — ids and interval bits — for arbitrary
     /// probe sets (duplicates, probes far outside the data, an empty
-    /// set), tree shapes, windows, and with or without a node cache.
+    /// set), tree shapes and windows.
     #[test]
     fn probe_batch_equals_per_probe_windows(
         objs in proptest::collection::vec(arb_object(0), 0..200),
         near in proptest::collection::vec(arb_object(0), 0..40),
         far in proptest::collection::vec((5_000.0..9_000.0f64, -3.0..3.0f64), 0..4),
         capacity in prop_oneof![Just(4usize), Just(10), Just(30)],
-        cache in prop_oneof![Just(0usize), Just(64)],
         t_s in 0.0..30.0f64,
         len in 0.1..90.0f64,
     ) {
@@ -205,10 +204,7 @@ proptest! {
         let t_e = t_s + len;
         let pool =
             BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::with_capacity(256));
-        let mut tree = TprTree::new(
-            pool,
-            TreeConfig { capacity, ..TreeConfig::default() }.with_node_cache(cache),
-        );
+        let mut tree = TprTree::new(pool, TreeConfig { capacity, ..TreeConfig::default() });
         for &(oid, mbr) in &objs {
             tree.insert(oid, mbr, 0.0).unwrap();
         }
@@ -243,3 +239,36 @@ proptest! {
         prop_assert_eq!(counters.pairs_emitted, 2 * hits.len() as u64);
     }
 }
+
+/// `partition_join`'s per-cell sweep does exactly the entry comparisons
+/// it did through the array-of-structs sweep it used before (counts
+/// recorded at that commit), on one fixed input at three grid sizes.
+#[test]
+fn partition_join_comparison_counts_are_pinned() {
+    // A fixed scatter with enough `lb` ties (coarse x grid) that the
+    // sort's tie-break matters for which runs get scanned.
+    let set = |base: u64, phase: u64| -> Vec<(ObjectId, MovingRect)> {
+        (0..600u64)
+            .map(|i| {
+                let k = i * 2_654_435_761 + phase;
+                let x = (k % 97) as f64 * 10.0;
+                let y = ((k / 97) % 101) as f64 * 9.5;
+                let v = [((k % 7) as f64 - 3.0) * 0.8, ((k % 5) as f64 - 2.0) * 0.8];
+                let m = MovingRect::rigid(Rect::new([x, y], [x + 6.0, y + 6.0]), v, 0.0);
+                (ObjectId(base + i), m)
+            })
+            .collect()
+    };
+    let (a, b) = (set(0, 1), set(1 << 32, 40_503));
+    let got: Vec<(u64, u64)> = [1, 4, 12]
+        .iter()
+        .map(|&cells| {
+            let (pairs, c) = cij_join::partition_join(&a, &b, 0.0, 60.0, cells);
+            assert_eq!(c.pairs_emitted, pairs.len() as u64);
+            (c.entry_comparisons, c.pairs_emitted)
+        })
+        .collect();
+    assert_eq!(got, PARTITION_COUNTS);
+}
+
+const PARTITION_COUNTS: [(u64, u64); 3] = [(61_057, 1_129), (25_769, 1_129), (22_147, 1_129)];

@@ -561,9 +561,9 @@ impl ShardCoordinator {
         Ok(())
     }
 
-    /// Aggregated diagnostics: per-pair counters and cache activity,
-    /// shard populations, migrations and rebalances, and the shared
-    /// pool's I/O. When metrics are enabled the report also carries a
+    /// Aggregated diagnostics: per-pair counters, shard populations,
+    /// migrations and rebalances, and the shared pool's I/O. When
+    /// metrics are enabled the report also carries a
     /// published [`MetricsSnapshot`](cij_obs::MetricsSnapshot) of the
     /// coordinator's registry.
     #[must_use]
@@ -590,7 +590,6 @@ impl ShardCoordinator {
                         shard_a: s.shard_a,
                         shard_b: s.shard_b,
                         counters: engine.counters(),
-                        cache: engine.node_cache_snapshot(),
                     }
                 })
                 .collect(),
@@ -836,16 +835,6 @@ impl ContinuousJoinEngine for ShardCoordinator {
         }
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        self.slots.iter().fold(None, |acc, s| {
-            match (acc, s.engine.lock().node_cache_snapshot()) {
-                (Some(x), Some(y)) => Some(x.merged(&y)),
-                (x, None) => x,
-                (None, y) => y,
-            }
-        })
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         self.slots.iter().fold(None, |acc, s| {
             match (acc, s.engine.lock().page_format_snapshot()) {
@@ -864,12 +853,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
         if !self.obs.is_enabled() {
             return;
         }
-        publish_engine_totals(
-            &self.obs,
-            self.counters(),
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters(), self.page_format_snapshot());
         self.obs
             .counter("shard.migrations")
             .store(self.router.migrations());

@@ -1,11 +1,11 @@
 //! Aggregated diagnostics for a sharded run: per-pair traversal
-//! counters and cache activity, merged totals, shard populations, and
-//! the shared pool's I/O snapshot — one report in the shape the bench
-//! harness and the `shard_demo` example print.
+//! counters, merged totals, shard populations, and the shared pool's I/O
+//! snapshot — one report in the shape the bench harness and the
+//! `shard_demo` example print.
 
 use cij_join::JoinCounters;
 use cij_obs::MetricsSnapshot;
-use cij_storage::{CacheSnapshot, IoSnapshot};
+use cij_storage::IoSnapshot;
 
 /// Diagnostics of one shard-pair engine.
 #[derive(Debug, Clone, Copy)]
@@ -16,9 +16,6 @@ pub struct PairReport {
     pub shard_b: usize,
     /// The engine's accumulated traversal counters.
     pub counters: JoinCounters,
-    /// The engine's decoded-node-cache totals (`None` when it runs
-    /// without a cache).
-    pub cache: Option<CacheSnapshot>,
 }
 
 /// Aggregated state of a [`ShardCoordinator`](crate::ShardCoordinator).
@@ -65,16 +62,6 @@ impl ShardReport {
             .iter()
             .fold(JoinCounters::new(), |acc, p| acc.merged(p.counters))
     }
-
-    /// Decoded-node-cache totals merged over every engine that has one.
-    #[must_use]
-    pub fn total_cache(&self) -> Option<CacheSnapshot> {
-        self.pairs.iter().fold(None, |acc, p| match (acc, p.cache) {
-            (Some(x), Some(y)) => Some(x.merged(&y)),
-            (x, None) => x,
-            (None, y) => y,
-        })
-    }
 }
 
 impl std::fmt::Display for ShardReport {
@@ -96,15 +83,11 @@ impl std::fmt::Display for ShardReport {
             self.population_a, self.population_b
         )?;
         for p in &self.pairs {
-            write!(
+            writeln!(
                 f,
                 "  pair ({}, {}): node_pairs={} emitted={}",
                 p.shard_a, p.shard_b, p.counters.node_pairs, p.counters.pairs_emitted
             )?;
-            match p.cache {
-                Some(c) => writeln!(f, " cache_hits={} cache_misses={}", c.hits, c.misses)?,
-                None => writeln!(f)?,
-            }
         }
         let totals = self.total_counters();
         writeln!(

@@ -1,9 +1,9 @@
 //! Shard-axis counter conservation: the coordinator's unified
 //! [`MetricsSnapshot`] (carried on [`ShardReport::metrics`]) must agree
 //! bit-exactly with the legacy report fields — aggregated traversal
-//! counters, merged cache totals, shared-pool I/O, migrations, and the
-//! per-pair / per-shard breakdowns — at K = 1, 2 and 4. The per-engine ×
-//! thread axis of the same guarantee lives in
+//! counters, merged page-format totals, shared-pool I/O, migrations, and
+//! the per-pair / per-shard breakdowns — at K = 1, 2 and 4. The
+//! per-engine × thread axis of the same guarantee lives in
 //! `crates/core/tests/metrics_conservation.rs`.
 
 use std::sync::Arc;
@@ -38,10 +38,7 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             t_m: p.maximum_update_interval,
             metrics: true,
             ..EngineConfig::default()
-        }
-        .to_builder()
-        .node_cache_capacity(128)
-        .build();
+        };
         let (a, b) = generate_pair(&p, 0.0);
         let mut coord = ShardCoordinator::new(
             pool,
@@ -81,20 +78,16 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
         }
 
-        // Merged decoded-node cache totals.
-        let cache = report
-            .total_cache()
-            .unwrap_or_else(|| panic!("{tag}: cache-on coordinator must report cache totals"));
-        for (name, legacy) in [
-            ("engine.node_cache.hits", cache.hits),
-            ("engine.node_cache.misses", cache.misses),
-            ("engine.node_cache.insertions", cache.insertions),
-            ("engine.node_cache.evictions", cache.evictions),
-            ("engine.node_cache.invalidations", cache.invalidations),
-            ("engine.node_cache.stale_rejections", cache.stale_rejections),
-        ] {
-            assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
-        }
+        // Page-format totals merged over every shard-pair engine.
+        let page = coord
+            .page_format_snapshot()
+            .unwrap_or_else(|| panic!("{tag}: TPR engines must report page-format totals"));
+        assert_eq!(
+            snap.counter("storage.page.zero_copy_reads"),
+            Some(page.zero_copy_reads),
+            "{tag}: storage.page.zero_copy_reads drifted"
+        );
+        assert!(page.zero_copy_reads > 0, "{tag}: no node was read");
 
         // Shared-pool I/O (live registered views).
         for (name, legacy) in [

@@ -211,14 +211,6 @@ fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) -> PairKey 
     }
 }
 
-fn merge_cache_stats(a: Option<CacheSnapshot>, b: Option<CacheSnapshot>) -> Option<CacheSnapshot> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.merged(&y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
 impl ContinuousJoinEngine for ProximityJoinEngine {
     fn name(&self) -> &'static str {
         "Proximity-Join"
@@ -357,13 +349,6 @@ impl ContinuousJoinEngine for ProximityJoinEngine {
         self.buffer.status_at(pair.0, pair.1, t)
     }
 
-    fn node_cache_snapshot(&self) -> Option<CacheSnapshot> {
-        merge_cache_stats(
-            self.tree_a.node_cache_stats(),
-            self.tree_b.node_cache_stats(),
-        )
-    }
-
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         Some(
             self.tree_a
@@ -377,12 +362,7 @@ impl ContinuousJoinEngine for ProximityJoinEngine {
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(
-            &self.obs,
-            self.counters,
-            self.node_cache_snapshot(),
-            self.page_format_snapshot(),
-        );
+        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
         if self.obs.is_enabled() {
             self.obs
                 .counter("simjoin.candidates")

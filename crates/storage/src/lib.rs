@@ -15,10 +15,8 @@
 //!   dirty evictions cost a physical write).
 //! * [`IoStats`] — counters with snapshot/delta arithmetic for per-phase
 //!   accounting (initial join vs. maintenance).
-//! * [`DecodedCache`] — an optional sharded LRU of *decoded* page
-//!   payloads above the pool (generation-stamped invalidation,
-//!   [`CacheStats`] counters); `cij-tpr` uses it to skip node re-parsing
-//!   on hot traversals.
+//! * [`CacheStats`] — the page-format counter a tree keeps beside the
+//!   pool's I/O counters (node pages read through the zero-copy view).
 //! * [`codec`] — bounds-checked little-endian cursors used to serialize
 //!   tree nodes into pages and variable-length journal records.
 //! * [`wal`] — a length+CRC framed write-ahead log with torn-tail
@@ -28,16 +26,13 @@
 #![deny(unsafe_code)]
 
 pub mod codec;
-mod decoded;
 mod error;
 mod file_store;
-mod lru;
 mod pool;
 mod stats;
 mod store;
 pub mod wal;
 
-pub use decoded::DecodedCache;
 pub use error::{StorageError, StorageResult};
 pub use file_store::FileStore;
 pub use pool::{BufferPool, BufferPoolConfig};

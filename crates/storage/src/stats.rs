@@ -8,10 +8,10 @@
 //!
 //! Since the observability layer landed, both [`IoStats`] and
 //! [`CacheStats`] are built on `cij-obs` [`CounterCell`]s. Calling
-//! [`IoStats::register_in`] (or [`CacheStats::register_in`]) shares the
-//! *same* atomics into a [`MetricsRegistry`], so the registry's snapshot
-//! is a bit-exact live view of the legacy counters — not a copy that can
-//! drift. The record/snapshot/reset API is unchanged.
+//! [`IoStats::register_in`] shares the *same* atomics into a
+//! [`MetricsRegistry`], so the registry's snapshot is a bit-exact live
+//! view of the legacy counters — not a copy that can drift. The
+//! record/snapshot/reset API is unchanged.
 
 use std::sync::Arc;
 
@@ -171,23 +171,15 @@ impl std::ops::Sub for IoSnapshot {
     }
 }
 
-/// Shared, thread-safe counters of a [`DecodedCache`](crate::DecodedCache).
+/// Shared, thread-safe page-format counters of one tree: how many node
+/// pages were read through the zero-copy SoA view.
 ///
-/// Mirrors the [`IoStats`] pattern: record methods on atomics, a
-/// [`snapshot`](Self::snapshot) for per-phase deltas. Kept separate from
-/// `IoStats` because the decoded cache sits *above* the buffer pool — its
-/// hits never reach the pool and must not perturb the paper's logical /
-/// physical I/O accounting.
+/// Kept separate from [`IoStats`] because it counts node reads a tree
+/// served, not pool traffic; engines sum the snapshots of their trees
+/// and publish the total (`storage.page.zero_copy_reads`).
 #[derive(Debug, Default)]
 pub struct CacheStats {
-    hits: Arc<CounterCell>,
-    misses: Arc<CounterCell>,
-    insertions: Arc<CounterCell>,
-    evictions: Arc<CounterCell>,
-    invalidations: Arc<CounterCell>,
-    stale_rejections: Arc<CounterCell>,
-    zero_copy_reads: Arc<CounterCell>,
-    decode_fallbacks: Arc<CounterCell>,
+    zero_copy_reads: CounterCell,
 }
 
 impl CacheStats {
@@ -197,179 +189,43 @@ impl CacheStats {
         Self::default()
     }
 
-    /// Records a lookup that returned a cached value.
-    #[inline]
-    pub fn record_hit(&self) {
-        self.hits.inc();
-    }
-
-    /// Records a lookup that found nothing.
-    #[inline]
-    pub fn record_miss(&self) {
-        self.misses.inc();
-    }
-
-    /// Records a value installed (miss-fill or write-through).
-    #[inline]
-    pub fn record_insertion(&self) {
-        self.insertions.inc();
-    }
-
-    /// Records an LRU victim dropped to make room.
-    #[inline]
-    pub fn record_eviction(&self) {
-        self.evictions.inc();
-    }
-
-    /// Records a cached value dropped or replaced because its page
-    /// changed or was freed.
-    #[inline]
-    pub fn record_invalidation(&self) {
-        self.invalidations.inc();
-    }
-
-    /// Records a miss-fill rejected by the generation stamp.
-    #[inline]
-    pub fn record_stale_rejection(&self) {
-        self.stale_rejections.inc();
-    }
-
-    /// Records a page served through the zero-copy SoA view (no decoded
-    /// `Node` was materialized).
+    /// Records a page served through the zero-copy SoA view.
     #[inline]
     pub fn record_zero_copy_read(&self) {
         self.zero_copy_reads.inc();
-    }
-
-    /// Records a page that had to go through the legacy (v1, AoS)
-    /// field-by-field decode because it predates the SoA layout.
-    #[inline]
-    pub fn record_decode_fallback(&self) {
-        self.decode_fallbacks.inc();
     }
 
     /// Captures the current counter values.
     #[must_use]
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            insertions: self.insertions.get(),
-            evictions: self.evictions.get(),
-            invalidations: self.invalidations.get(),
-            stale_rejections: self.stale_rejections.get(),
             zero_copy_reads: self.zero_copy_reads.get(),
-            decode_fallbacks: self.decode_fallbacks.get(),
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.hits.store(0);
-        self.misses.store(0);
-        self.insertions.store(0);
-        self.evictions.store(0);
-        self.invalidations.store(0);
-        self.stale_rejections.store(0);
-        self.zero_copy_reads.store(0);
-        self.decode_fallbacks.store(0);
-    }
-
-    /// Registers every counter in `registry` under `prefix` (e.g.
-    /// `storage.cache` → `storage.cache.hits`, …), sharing this struct's
-    /// atomics so the registry view is live and bit-exact. No-op when the
-    /// registry is disabled.
-    pub fn register_in(&self, registry: &MetricsRegistry, prefix: &str) {
-        for (name, cell) in [
-            ("hits", &self.hits),
-            ("misses", &self.misses),
-            ("insertions", &self.insertions),
-            ("evictions", &self.evictions),
-            ("invalidations", &self.invalidations),
-            ("stale_rejections", &self.stale_rejections),
-            ("zero_copy_reads", &self.zero_copy_reads),
-            ("decode_fallbacks", &self.decode_fallbacks),
-        ] {
-            registry.register_counter_cell(&format!("{prefix}.{name}"), Arc::clone(cell));
+            decode_fallbacks: 0,
         }
     }
 }
 
-/// A point-in-time copy of [`CacheStats`], supporting subtraction to
-/// obtain per-phase deltas.
+/// A point-in-time copy of [`CacheStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Values installed (miss-fills + write-throughs).
-    pub insertions: u64,
-    /// LRU victims dropped for capacity.
-    pub evictions: u64,
-    /// Values dropped or replaced by writers.
-    pub invalidations: u64,
-    /// Miss-fills rejected by the generation stamp.
-    pub stale_rejections: u64,
-    /// Pages served through the zero-copy SoA view (no `Node` decode).
+    /// Pages served through the zero-copy SoA view.
     pub zero_copy_reads: u64,
-    /// Legacy (v1, AoS) pages decoded through the compat path.
+    /// Always 0: the v2 SoA layout is the only one, so no read falls
+    /// back to another decoder. The field is kept only because the
+    /// performance ledger (`benchmark/`) reads it next to
+    /// `zero_copy_reads` to form `storage.zero_copy_share`.
     pub decode_fallbacks: u64,
 }
 
 impl CacheSnapshot {
-    /// Fraction of lookups served from the cache; `None` when no lookups
-    /// happened.
-    #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / total as f64)
-        }
-    }
-
-    /// Component-wise difference `self − earlier` (saturating).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CacheSnapshot) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            insertions: self.insertions.saturating_sub(earlier.insertions),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-            stale_rejections: self
-                .stale_rejections
-                .saturating_sub(earlier.stale_rejections),
-            zero_copy_reads: self.zero_copy_reads.saturating_sub(earlier.zero_copy_reads),
-            decode_fallbacks: self
-                .decode_fallbacks
-                .saturating_sub(earlier.decode_fallbacks),
-        }
-    }
-
-    /// Component-wise sum — for aggregating over several caches (e.g.
+    /// Component-wise sum — for aggregating over several trees (e.g.
     /// MTB-Join's per-bucket trees).
     #[must_use]
     pub fn merged(&self, other: &CacheSnapshot) -> CacheSnapshot {
         CacheSnapshot {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            insertions: self.insertions + other.insertions,
-            evictions: self.evictions + other.evictions,
-            invalidations: self.invalidations + other.invalidations,
-            stale_rejections: self.stale_rejections + other.stale_rejections,
             zero_copy_reads: self.zero_copy_reads + other.zero_copy_reads,
-            decode_fallbacks: self.decode_fallbacks + other.decode_fallbacks,
+            decode_fallbacks: 0,
         }
-    }
-}
-
-impl std::ops::Sub for CacheSnapshot {
-    type Output = CacheSnapshot;
-    fn sub(self, rhs: Self) -> Self {
-        self.delta_since(&rhs)
     }
 }
 
@@ -424,30 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_accumulate_and_delta() {
-        let s = CacheStats::new();
-        s.record_hit();
-        s.record_hit();
-        s.record_miss();
-        s.record_insertion();
-        let before = s.snapshot();
-        assert_eq!(before.hits, 2);
-        assert_eq!(before.hit_rate(), Some(2.0 / 3.0));
-        s.record_hit();
-        s.record_eviction();
-        s.record_invalidation();
-        s.record_stale_rejection();
-        let delta = s.snapshot() - before;
-        assert_eq!(delta.hits, 1);
-        assert_eq!(delta.evictions, 1);
-        assert_eq!(delta.invalidations, 1);
-        assert_eq!(delta.stale_rejections, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), CacheSnapshot::default());
-        assert_eq!(CacheSnapshot::default().hit_rate(), None);
-    }
-
-    #[test]
     fn register_in_exposes_live_bit_exact_views() {
         let registry = MetricsRegistry::new();
         let io = IoStats::new();
@@ -463,14 +295,6 @@ mod tests {
             Some(io.snapshot().physical_reads)
         );
 
-        let cache = CacheStats::new();
-        cache.register_in(&registry, "storage.cache");
-        cache.record_hit();
-        cache.record_miss();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("storage.cache.hits"), Some(1));
-        assert_eq!(snap.counter("storage.cache.misses"), Some(1));
-
         // Disabled registries accept the call and record nothing.
         let disabled = MetricsRegistry::disabled();
         io.register_in(&disabled, "storage.pool");
@@ -478,45 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_snapshot_merged_sums() {
-        let a = CacheSnapshot {
-            hits: 1,
-            misses: 2,
-            insertions: 3,
-            evictions: 4,
-            invalidations: 5,
-            stale_rejections: 6,
-            zero_copy_reads: 7,
-            decode_fallbacks: 8,
-        };
-        let b = a.merged(&a);
-        assert_eq!(b.hits, 2);
-        assert_eq!(b.stale_rejections, 12);
-        assert_eq!(b.zero_copy_reads, 14);
-        assert_eq!(b.decode_fallbacks, 16);
-    }
-
-    #[test]
-    fn page_format_counters_record_delta_and_register() {
+    fn page_format_counter_records_and_merges() {
         let s = CacheStats::new();
         s.record_zero_copy_read();
         s.record_zero_copy_read();
-        s.record_decode_fallback();
-        let before = s.snapshot();
-        assert_eq!(before.zero_copy_reads, 2);
-        assert_eq!(before.decode_fallbacks, 1);
-        s.record_zero_copy_read();
-        let delta = s.snapshot() - before;
-        assert_eq!(delta.zero_copy_reads, 1);
-        assert_eq!(delta.decode_fallbacks, 0);
-
-        let registry = MetricsRegistry::new();
-        s.register_in(&registry, "storage.page");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("storage.page.zero_copy_reads"), Some(3));
-        assert_eq!(snap.counter("storage.page.decode_fallbacks"), Some(1));
-
-        s.reset();
-        assert_eq!(s.snapshot(), CacheSnapshot::default());
+        let snap = s.snapshot();
+        assert_eq!(snap.zero_copy_reads, 2);
+        assert_eq!(snap.decode_fallbacks, 0);
+        assert_eq!(snap.merged(&snap).zero_copy_reads, 4);
     }
 }

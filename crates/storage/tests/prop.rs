@@ -293,117 +293,3 @@ proptest! {
         }
     }
 }
-
-/// One step of a random miss-fill / writer interleaving on the decoded
-/// cache (see `decoded_cache_stale_fill_never_beats_invalidation`).
-#[derive(Debug, Clone, Copy)]
-enum CacheOp {
-    /// Start a miss-fill for the id: record the generation stamp.
-    Begin(u32),
-    /// Complete some pending fill (picked by index) with `try_insert`.
-    Finish(u8),
-    /// Writer install (bumps the generation, replaces the value).
-    Install(u32),
-    /// Writer invalidate (bumps the generation, drops the value).
-    Invalidate(u32),
-    /// Read the id and check it against the model.
-    Get(u32),
-}
-
-fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
-    let id = || 0..6u32;
-    prop_oneof![
-        id().prop_map(CacheOp::Begin),
-        any::<u8>().prop_map(CacheOp::Finish),
-        id().prop_map(CacheOp::Install),
-        id().prop_map(CacheOp::Invalidate),
-        id().prop_map(CacheOp::Get),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The generation protocol of `DecodedCache`: interleaving
-    /// `begin_insert`/`try_insert` miss-fills with writer
-    /// `install`/`invalidate` calls, a fill stamped before a writer's
-    /// generation bump must be rejected — a stale decode can never
-    /// overwrite a newer invalidation, and a hit only ever returns the
-    /// newest accepted value for its id.
-    #[test]
-    fn decoded_cache_stale_fill_never_beats_invalidation(
-        ops in proptest::collection::vec(arb_cache_op(), 1..80)
-    ) {
-        use cij_storage::DecodedCache;
-
-        // Capacity 4 over 2 shards so evictions and shared-generation
-        // collisions (ids 0,2,4 vs 1,3,5) both occur.
-        let cache: DecodedCache<u64> = DecodedCache::new(4, 2);
-        let shard_of = |id: u32| (id as usize) % cache.shard_count();
-
-        // The model: per-shard writer generation, newest authoritative
-        // value per id (None = invalidated or never written), pending
-        // fills, and expected counter totals.
-        let mut model_gen = vec![0u64; cache.shard_count()];
-        let mut latest: HashMap<u32, Option<u64>> = HashMap::new();
-        let mut pending: Vec<(u32, u64, u64)> = Vec::new(); // (id, stamp, value)
-        let mut next_value = 0u64;
-        let (mut accepted, mut rejected) = (0u64, 0u64);
-
-        for op in ops {
-            match op {
-                CacheOp::Begin(id) => {
-                    let stamp = cache.begin_insert(PageId(id));
-                    next_value += 1;
-                    pending.push((id, stamp, next_value));
-                    // The stamp must be the shard's current generation —
-                    // that is the whole protocol.
-                    prop_assert_eq!(stamp, model_gen[shard_of(id)]);
-                }
-                CacheOp::Finish(pick) => {
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    let (id, stamp, value) =
-                        pending.swap_remove(usize::from(pick) % pending.len());
-                    let installed = cache.try_insert(PageId(id), Arc::new(value), stamp);
-                    // Accepted iff no writer bumped the shard since the
-                    // begin_insert: a stale fill NEVER lands.
-                    prop_assert_eq!(installed, stamp == model_gen[shard_of(id)]);
-                    if installed {
-                        latest.insert(id, Some(value));
-                        accepted += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                }
-                CacheOp::Install(id) => {
-                    next_value += 1;
-                    cache.install(PageId(id), Arc::new(next_value));
-                    model_gen[shard_of(id)] += 1;
-                    latest.insert(id, Some(next_value));
-                }
-                CacheOp::Invalidate(id) => {
-                    cache.invalidate(PageId(id));
-                    model_gen[shard_of(id)] += 1;
-                    latest.insert(id, None);
-                    // The invalidation is immediately visible.
-                    prop_assert!(cache.get(PageId(id)).is_none());
-                }
-                CacheOp::Get(id) => {
-                    if let Some(v) = cache.get(PageId(id)) {
-                        // A hit may be evicted away (None is always
-                        // legal) but can never resurrect a value older
-                        // than the last writer action on the id.
-                        prop_assert_eq!(Some(*v), latest.get(&id).copied().flatten());
-                    }
-                }
-            }
-        }
-
-        // Every fill raced by a writer was counted as a stale rejection.
-        let s = cache.snapshot();
-        prop_assert_eq!(s.stale_rejections, rejected);
-        prop_assert!(s.insertions >= accepted);
-    }
-}

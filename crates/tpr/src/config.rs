@@ -31,19 +31,6 @@ pub struct TreeConfig {
     /// instantaneous values at the operation time (plain R*-tree
     /// behaviour, which ignores motion). Ablation knob.
     pub integral_metrics: bool,
-    /// Capacity (in nodes) of the decoded-node cache above the buffer
-    /// pool; `0` disables it (the default, and the paper-faithful mode:
-    /// with the cache on, hits bypass the pool entirely, so logical /
-    /// physical I/O counts no longer follow the paper's methodology —
-    /// mirrors the `threads: 1` precedent in `EngineConfig`).
-    pub node_cache_capacity: usize,
-    /// Write nodes in the legacy v1 (AoS) page encoding instead of the
-    /// v2 SoA layout. Reads always accept both (the decoder dispatches
-    /// on the page magic), so this knob exists for migration testing and
-    /// for benchmarking the decode fallback — mixed-format trees are
-    /// fully supported, and any rewrite of a node under the default
-    /// setting upgrades its page to v2 in place.
-    pub legacy_pages: bool,
 }
 
 impl Default for TreeConfig {
@@ -55,8 +42,6 @@ impl Default for TreeConfig {
             horizon: 60.0,
             forced_reinsert: true,
             integral_metrics: true,
-            node_cache_capacity: 0,
-            legacy_pages: false,
         }
     }
 }
@@ -77,26 +62,6 @@ impl TreeConfig {
         Self {
             horizon,
             ..Self::default()
-        }
-    }
-
-    /// The same configuration with the decoded-node cache sized to
-    /// `capacity` nodes (`0` disables it).
-    #[must_use]
-    pub fn with_node_cache(self, capacity: usize) -> Self {
-        Self {
-            node_cache_capacity: capacity,
-            ..self
-        }
-    }
-
-    /// The same configuration writing legacy v1 pages (see
-    /// [`TreeConfig::legacy_pages`]).
-    #[must_use]
-    pub fn with_legacy_pages(self, legacy: bool) -> Self {
-        Self {
-            legacy_pages: legacy,
-            ..self
         }
     }
 
@@ -147,15 +112,6 @@ mod tests {
         let c = TreeConfig::default();
         assert_eq!(c.capacity, 30);
         assert_eq!(c.horizon, 60.0);
-        assert_eq!(c.node_cache_capacity, 0, "paper mode: cache off");
-        c.assert_valid();
-    }
-
-    #[test]
-    fn with_node_cache_sets_only_the_cache() {
-        let c = TreeConfig::with_capacity(12).with_node_cache(256);
-        assert_eq!(c.capacity, 12);
-        assert_eq!(c.node_cache_capacity, 256);
         c.assert_valid();
     }
 

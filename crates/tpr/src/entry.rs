@@ -79,9 +79,6 @@ impl Entry {
             child: ChildRef::Page(page),
         }
     }
-
-    /// Serialized size in bytes: 1 tag + 8 ref + 9 × 8 rect fields.
-    pub const SERIALIZED_BYTES: usize = 1 + 8 + 9 * 8;
 }
 
 #[cfg(test)]
@@ -106,12 +103,5 @@ mod tests {
     fn wrong_accessor_panics() {
         let e = Entry::object(ObjectId(7), mbr());
         let _ = e.child.page();
-    }
-
-    #[test]
-    fn serialized_size_fits_capacity_30_in_a_page() {
-        // Table I uses capacity 30; 30 entries + header must fit 4 KB.
-        let payload = 30 * Entry::SERIALIZED_BYTES + crate::node::NODE_HEADER_BYTES;
-        assert!(payload <= cij_storage::PAGE_SIZE, "{payload} > page");
     }
 }

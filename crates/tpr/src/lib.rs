@@ -41,6 +41,6 @@ pub use config::TreeConfig;
 pub use entry::{ChildRef, Entry, ObjectId};
 pub use error::{TprError, TprResult};
 pub use nn_interval::NnSlice;
-pub use node::{Node, NODE_HEADER_BYTES};
+pub use node::Node;
 pub use tree::{TprTree, TreeStats};
 pub use view::{EntryLanes, NodeView, SOA_HEADER_BYTES, SOA_MAGIC, SOA_SLOTS, SOA_VERSION};

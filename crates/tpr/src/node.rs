@@ -4,28 +4,16 @@
 //! leaf level (entries point at objects); higher levels point at child
 //! pages. Nodes serialize into one 4 KB page each.
 //!
-//! Two on-page layouts exist: the current v2 structure-of-arrays layout
-//! (see [`crate::view`]) that [`Node::to_page`] writes and
-//! [`NodeView`](crate::NodeView) reads without decoding, and the legacy
-//! v1 array-of-structs layout kept as a read-only migration path
-//! ([`Node::from_page`] auto-detects it by magic; [`Node::to_page_legacy`]
-//! still writes it for tests and round-trip proofs).
+//! There is one on-page layout, the v2 structure-of-arrays layout of
+//! [`crate::view`]: [`Node::to_page`] writes it, and every read goes
+//! through [`NodeView`](crate::NodeView) — [`Node::from_page`] is
+//! `NodeView::parse` + `to_node`.
 
 use cij_geom::{MovingRect, Time};
-use cij_storage::codec::{PageReader, PageWriter};
-use cij_storage::{PageBuf, PageId, StorageError, StorageResult, PAGE_SIZE};
+use cij_storage::{PageBuf, StorageError, StorageResult, PAGE_SIZE};
 
-use crate::entry::{ChildRef, Entry, ObjectId};
-use crate::view::{NodeView, SOA_HEADER_BYTES, SOA_LANE_BYTES, SOA_MAGIC, SOA_VERSION};
-
-/// Bytes of fixed legacy (v1) node header: magic (2) + level (1) +
-/// pad (1) + count (2).
-pub const NODE_HEADER_BYTES: usize = 6;
-
-pub(crate) const NODE_MAGIC: u16 = 0x5452; // "TR" (legacy v1 layout)
-
-const TAG_OBJECT: u8 = 0;
-const TAG_PAGE: u8 = 1;
+use crate::entry::{ChildRef, Entry};
+use crate::view::{NodeView, SOA_HEADER_BYTES, SOA_LANE_BYTES, SOA_MAGIC, SOA_SLOTS, SOA_VERSION};
 
 /// A deserialized tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,14 +41,13 @@ impl Node {
         self.level == 0
     }
 
-    /// Maximum entry count that physically fits in one page.
-    ///
-    /// Both layouts must accept every node the tree can produce, so this
-    /// is the v1 bound (50); the v2 lanes hold one slot more (51) and the
-    /// difference is slack.
+    /// Maximum entry count of one page: 50, one less than the 51 slots
+    /// a lane holds. Every page the tree has ever written obeys this
+    /// bound, so [`TreeConfig`](crate::TreeConfig) validation and the
+    /// decoder both keep enforcing it; the last slot is slack.
     #[must_use]
     pub fn max_capacity() -> usize {
-        (PAGE_SIZE - NODE_HEADER_BYTES) / Entry::SERIALIZED_BYTES
+        SOA_SLOTS - 1
     }
 
     /// The tightest moving rectangle bounding every entry from
@@ -121,115 +108,19 @@ impl Node {
         Ok(page)
     }
 
-    /// Serializes into a fresh page buffer in the legacy v1 (AoS) layout.
-    ///
-    /// Kept so the migration path stays exercised: round-trip tests prove
-    /// v1 and v2 encodings decode bit-identically, and old files written
-    /// by previous versions remain readable through [`Node::from_page`].
-    pub fn to_page_legacy(&self) -> StorageResult<PageBuf> {
-        let mut page = cij_storage::zeroed_page();
-        let mut w = PageWriter::new(&mut page);
-        w.put_u16(NODE_MAGIC)?;
-        w.put_u8(self.level)?;
-        w.put_u8(0)?; // pad
-        let count = u16::try_from(self.entries.len())
-            .map_err(|_| StorageError::Corrupt("entry count > u16".into()))?;
-        w.put_u16(count)?;
-        for e in &self.entries {
-            match e.child {
-                ChildRef::Object(oid) => {
-                    w.put_u8(TAG_OBJECT)?;
-                    w.put_u64(oid.0)?;
-                }
-                ChildRef::Page(pid) => {
-                    w.put_u8(TAG_PAGE)?;
-                    w.put_u64(u64::from(pid.0))?;
-                }
-            }
-            let m = &e.mbr;
-            for v in [
-                m.lo[0], m.lo[1], m.hi[0], m.hi[1], m.vlo[0], m.vlo[1], m.vhi[0], m.vhi[1], m.t_ref,
-            ] {
-                w.put_f64(v)?;
-            }
-        }
-        Ok(page)
-    }
-
-    /// Deserializes from a page buffer, auto-detecting the layout by
-    /// magic: v2 (SoA) pages bulk-decode through [`NodeView`], legacy v1
-    /// pages fall back to the sequential field-by-field decode.
+    /// Deserializes from a page buffer (see [`NodeView::parse`] for what
+    /// is validated).
     pub fn from_page(page: &[u8; PAGE_SIZE]) -> StorageResult<Self> {
-        match NodeView::parse(page)? {
-            Some(view) => Ok(view.to_node()),
-            None => Self::from_page_legacy(page),
-        }
-    }
-
-    /// Deserializes a legacy v1 (AoS) page.
-    pub fn from_page_legacy(page: &[u8; PAGE_SIZE]) -> StorageResult<Self> {
-        let mut r = PageReader::new(page);
-        let magic = r.get_u16()?;
-        if magic != NODE_MAGIC {
-            return Err(StorageError::Corrupt(format!(
-                "bad node magic {magic:#06x} (expected {NODE_MAGIC:#06x})"
-            )));
-        }
-        let level = r.get_u8()?;
-        let _pad = r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        if count > Self::max_capacity() {
-            return Err(StorageError::Corrupt(format!(
-                "entry count {count} exceeds physical capacity {}",
-                Self::max_capacity()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tag = r.get_u8()?;
-            let raw = r.get_u64()?;
-            let child = match tag {
-                TAG_OBJECT => ChildRef::Object(ObjectId(raw)),
-                TAG_PAGE => {
-                    let pid = u32::try_from(raw)
-                        .map_err(|_| StorageError::Corrupt("page id > u32".into()))?;
-                    ChildRef::Page(PageId(pid))
-                }
-                other => {
-                    return Err(StorageError::Corrupt(format!("bad entry tag {other}")));
-                }
-            };
-            let mut f = [0.0f64; 9];
-            for v in &mut f {
-                *v = r.get_f64()?;
-            }
-            if !(f[0] <= f[2] && f[1] <= f[3]) {
-                return Err(StorageError::Corrupt(format!(
-                    "inverted entry rect lo=({}, {}) hi=({}, {})",
-                    f[0], f[1], f[2], f[3]
-                )));
-            }
-            let mbr = MovingRect::new([f[0], f[1]], [f[2], f[3]], [f[4], f[5]], [f[6], f[7]], f[8]);
-            entries.push(Entry { mbr, child });
-        }
-        // Levels must agree with entry kinds.
-        let ok = entries.iter().all(|e| match e.child {
-            ChildRef::Object(_) => level == 0,
-            ChildRef::Page(_) => level > 0,
-        });
-        if !ok {
-            return Err(StorageError::Corrupt(format!(
-                "entry kinds inconsistent with level {level}"
-            )));
-        }
-        Ok(Self { level, entries })
+        Ok(NodeView::parse(page)?.to_node())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::ObjectId;
     use cij_geom::Rect;
+    use cij_storage::PageId;
 
     fn sample_node(level: u8, n: usize) -> Node {
         let mut node = Node::new(level);
@@ -276,7 +167,7 @@ mod tests {
 
     #[test]
     fn physical_capacity_exceeds_table_i() {
-        assert!(Node::max_capacity() >= 30, "got {}", Node::max_capacity());
+        assert_eq!(Node::max_capacity(), 50);
     }
 
     #[test]
@@ -284,20 +175,6 @@ mod tests {
         let mut page = cij_storage::zeroed_page();
         page[0] = 0xFF;
         page[1] = 0xFF;
-        assert!(matches!(
-            Node::from_page(&page),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn legacy_level_entry_kind_mismatch_rejected() {
-        // Serialize a v1 leaf then flip its level byte to 1: the per-entry
-        // tags no longer agree with the level. (The v2 layout has no tags
-        // to disagree — entry kind is *derived* from the level.)
-        let node = sample_node(0, 2);
-        let mut page = node.to_page_legacy().unwrap();
-        page[2] = 1;
         assert!(matches!(
             Node::from_page(&page),
             Err(StorageError::Corrupt(_))
@@ -315,32 +192,6 @@ mod tests {
             Node::from_page(&page),
             Err(StorageError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn legacy_inverted_rect_rejected() {
-        let node = sample_node(0, 1);
-        let mut page = node.to_page_legacy().unwrap();
-        // lo.x is the first f64 of the first entry: header 6 + tag 1 + ref 8.
-        let off = 15;
-        page[off..off + 8].copy_from_slice(&1e9f64.to_le_bytes());
-        assert!(matches!(
-            Node::from_page(&page),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn legacy_page_decodes_identically() {
-        // The one-time migration shim: a page written in the v1 layout
-        // decodes to the same node a v2 round trip produces.
-        for (level, n) in [(0u8, 17usize), (3, 30), (0, 0)] {
-            let node = sample_node(level, n);
-            let legacy = Node::from_page(&node.to_page_legacy().unwrap()).unwrap();
-            let soa = Node::from_page(&node.to_page().unwrap()).unwrap();
-            assert_eq!(legacy, node);
-            assert_eq!(soa, node);
-        }
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //!   entry's bound from the child's current entries, rebased to `now`.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
-use cij_storage::{
-    BufferPool, CacheSnapshot, CacheStats, DecodedCache, PageId, StorageResult, PAGE_SIZE,
-};
+use cij_storage::{BufferPool, CacheSnapshot, CacheStats, PageId, StorageResult};
 
 use crate::config::TreeConfig;
 use crate::entry::{ChildRef, Entry, ObjectId};
@@ -58,17 +55,12 @@ use crate::view::{EntryLanes, NodeView};
 pub struct TprTree {
     pool: BufferPool,
     config: TreeConfig,
-    /// Decoded-node cache above the pool; `None` when
-    /// `config.node_cache_capacity == 0` (the paper-faithful default).
-    cache: Option<DecodedCache<Node>>,
     root: Option<PageId>,
     /// Number of levels (0 when empty; root level = height − 1).
     height: u32,
     /// Number of data objects.
     len: usize,
-    /// Page-format counters: zero-copy SoA reads vs legacy decode
-    /// fallbacks. Only the two `storage.page.*` fields are ever non-zero
-    /// here; merged into [`Self::node_cache_stats`] when a cache exists.
+    /// Node pages read through the zero-copy view (`storage.page.*`).
     format_stats: CacheStats,
 }
 
@@ -101,13 +93,9 @@ impl TprTree {
     #[must_use]
     pub fn new(pool: BufferPool, config: TreeConfig) -> Self {
         config.assert_valid();
-        // One stripe, one exact LRU — like the pool underneath.
-        let cache = (config.node_cache_capacity > 0)
-            .then(|| DecodedCache::new(config.node_cache_capacity, 1));
         Self {
             pool,
             config,
-            cache,
             root: None,
             height: 0,
             len: 0,
@@ -152,162 +140,42 @@ impl TprTree {
     }
 
     /// Reads and decodes a node through the buffer pool (counts I/O).
-    ///
-    /// With the decoded-node cache enabled, a cache hit skips the pool —
-    /// and its I/O accounting — entirely; the returned owned `Node` is a
-    /// flat memcpy of the cached one (no page parsing). Traversals that
-    /// only need shared access should prefer
-    /// [`read_node_arc`](Self::read_node_arc), which is allocation-free
-    /// on hits.
     pub fn read_node(&self, page: PageId) -> TprResult<Node> {
-        if self.cache.is_some() {
-            return Ok((*self.read_node_arc(page)?).clone());
-        }
-        let node = self
-            .pool
-            .read(page, |p| self.decode_page(p))
-            .map_err(TprError::from)??;
-        Ok(node)
-    }
-
-    /// Decodes a page, counting whether the zero-copy SoA view or the
-    /// legacy v1 decoder served it. Behaviourally identical to
-    /// [`Node::from_page`].
-    fn decode_page(&self, page: &[u8; PAGE_SIZE]) -> StorageResult<Node> {
-        match NodeView::parse(page)? {
-            Some(view) => {
-                self.format_stats.record_zero_copy_read();
-                Ok(view.to_node())
-            }
-            None => {
-                self.format_stats.record_decode_fallback();
-                Node::from_page_legacy(page)
-            }
-        }
+        self.read_view(page, |view| view.to_node())
     }
 
     /// Reads a node's entries straight into SoA `lanes` without
-    /// materialising a [`Node`]. On a v2 page this is a zero-copy lane
-    /// copy (no per-entry decode, no `Vec<Entry>` allocation); legacy v1
-    /// pages fall back to a full decode. Counts one logical read exactly
-    /// like [`read_node`](Self::read_node) with the cache disabled; with
-    /// the decoded-node cache enabled the read goes through it (so its
-    /// hit/miss accounting sees every node visit) and the lanes are
-    /// filled from the cached node.
+    /// materialising a [`Node`]: a lane-to-lane copy out of the page (no
+    /// per-entry decode, no `Vec<Entry>` allocation). Counts one logical
+    /// read exactly like [`read_node`](Self::read_node).
     pub fn read_node_lanes(&self, page: PageId, lanes: &mut EntryLanes) -> TprResult<()> {
-        if self.cache.is_some() {
-            lanes.fill_from_node(&*self.read_node_arc(page)?);
-            return Ok(());
-        }
-        self.pool
-            .read(page, |p| -> StorageResult<()> {
-                match NodeView::parse(p)? {
-                    Some(view) => {
-                        self.format_stats.record_zero_copy_read();
-                        lanes.fill_from_view(&view);
-                    }
-                    None => {
-                        self.format_stats.record_decode_fallback();
-                        lanes.fill_from_node(&Node::from_page_legacy(p)?);
-                    }
-                }
-                Ok(())
-            })
-            .map_err(TprError::from)??;
-        Ok(())
+        self.read_view(page, |view| lanes.fill_from_view(view))
     }
 
-    /// Reads a node as a shared immutable [`Arc`]. On a decoded-cache hit
-    /// this returns a clone of the cached `Arc` — zero parsing, zero
-    /// allocation. On a miss (or with the cache disabled) the node is
-    /// decoded through the pool exactly like [`read_node`](Self::read_node);
-    /// miss-fills are generation-stamped so a concurrent writer can never
-    /// leave a stale node behind.
-    pub fn read_node_arc(&self, page: PageId) -> TprResult<Arc<Node>> {
-        let Some(cache) = &self.cache else {
-            let node = self
-                .pool
-                .read(page, |p| self.decode_page(p))
-                .map_err(TprError::from)??;
-            return Ok(Arc::new(node));
-        };
-        if let Some(node) = cache.get(page) {
-            return Ok(node);
-        }
-        let gen = cache.begin_insert(page);
-        let node = Arc::new(
-            self.pool
-                .read(page, |p| self.decode_page(p))
-                .map_err(TprError::from)??,
-        );
-        cache.try_insert(page, Arc::clone(&node), gen);
-        Ok(node)
+    /// The one node read path: `page` through the pool, parsed as a
+    /// [`NodeView`], handed to `f` while the frame is latched.
+    fn read_view<R>(&self, page: PageId, f: impl FnOnce(&NodeView<'_>) -> R) -> TprResult<R> {
+        let out = self
+            .pool
+            .read(page, |p| -> StorageResult<R> {
+                let view = NodeView::parse(p)?;
+                self.format_stats.record_zero_copy_read();
+                Ok(f(&view))
+            })
+            .map_err(TprError::from)??;
+        Ok(out)
     }
 
     fn write_node(&self, page: PageId, node: &Node) -> TprResult<()> {
-        let buf = if self.config.legacy_pages {
-            node.to_page_legacy()?
-        } else {
-            node.to_page()?
-        };
-        // Consistency rule: the cache learns of the new contents *before*
-        // the page write lands, so no reader can decode the old bytes and
-        // install them afterwards (the install bumps the generation,
-        // rejecting any in-flight stale fill).
-        if let Some(cache) = &self.cache {
-            cache.install(page, Arc::new(node.clone()));
-        }
+        let buf = node.to_page()?;
         self.pool.write(page, &buf)?;
         Ok(())
     }
 
-    /// Frees `page`, dropping any cached decoded copy first (writer
-    /// invalidates before unpin).
-    fn free_page(&self, page: PageId) -> TprResult<()> {
-        if let Some(cache) = &self.cache {
-            cache.invalidate(page);
-        }
-        self.pool.free(page).map_err(TprError::from)
-    }
-
-    /// Counters of the decoded-node cache, with this tree's page-format
-    /// counters (zero-copy reads / decode fallbacks) folded in; `None`
-    /// when the cache is disabled (`node_cache_capacity == 0`).
-    #[must_use]
-    pub fn node_cache_stats(&self) -> Option<CacheSnapshot> {
-        self.cache
-            .as_ref()
-            .map(|c| c.snapshot().merged(&self.format_stats.snapshot()))
-    }
-
-    /// Whether this tree runs with a decoded-node cache.
-    #[must_use]
-    pub fn has_node_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Page-format counters alone (zero-copy SoA reads vs legacy decode
-    /// fallbacks), available regardless of cache configuration.
+    /// Page-format counters: node pages read through the zero-copy view.
     #[must_use]
     pub fn page_format_stats(&self) -> CacheSnapshot {
         self.format_stats.snapshot()
-    }
-
-    /// Switches the page encoding used for subsequent node writes (see
-    /// [`TreeConfig::legacy_pages`]). Flipping a legacy tree to `false`
-    /// is the migration path: reads accept both formats, and every node
-    /// rewrite upgrades its page to v2 in place.
-    pub fn set_legacy_pages(&mut self, legacy: bool) {
-        self.config.legacy_pages = legacy;
-    }
-
-    /// Drops every cached decoded node (counters are kept). No-op when
-    /// the cache is disabled. Pairs with `pool().clear()` in cold-cache
-    /// measurements.
-    pub fn clear_node_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
     }
 
     /// Installs a bulk-loaded subtree as the tree's root (bulk loader
@@ -684,7 +552,7 @@ impl TprTree {
                 // parent.
                 let level = step.node.level;
                 orphans.extend(step.node.entries.into_iter().map(|e| (e, level)));
-                self.free_page(step.page)?;
+                self.pool.free(step.page)?;
                 let parent = path.last_mut().expect("non-root has a parent");
                 parent.node.entries.remove(parent.child_idx);
                 // Removing shifts sibling indices; the parent's own
@@ -787,10 +655,10 @@ impl TprTree {
     fn shrink_root(&mut self) -> TprResult<()> {
         loop {
             let Some(root) = self.root else { return Ok(()) };
-            let node = self.read_node_arc(root)?;
+            let node = self.read_node(root)?;
             if node.is_leaf() {
                 if node.entries.is_empty() {
-                    self.free_page(root)?;
+                    self.pool.free(root)?;
                     self.root = None;
                     self.height = 0;
                 }
@@ -798,7 +666,7 @@ impl TprTree {
             }
             if node.entries.len() == 1 {
                 let child = node.entries[0].child.page();
-                self.free_page(root)?;
+                self.pool.free(root)?;
                 self.root = Some(child);
                 self.height -= 1;
                 continue;
@@ -820,7 +688,7 @@ impl TprTree {
         };
         let mut stack = vec![root];
         while let Some(page) = stack.pop() {
-            let node = self.read_node_arc(page)?;
+            let node = self.read_node(page)?;
             for e in &node.entries {
                 if e.mbr.at(t).intersects(window) {
                     match e.child {
@@ -847,7 +715,7 @@ impl TprTree {
         };
         let mut stack = vec![root];
         while let Some(page) = stack.pop() {
-            let node = self.read_node_arc(page)?;
+            let node = self.read_node(page)?;
             for e in &node.entries {
                 if e.mbr.at(t).intersects(window) {
                     match e.child {
@@ -877,7 +745,7 @@ impl TprTree {
         };
         let mut stack = vec![root];
         while let Some(page) = stack.pop() {
-            let node = self.read_node_arc(page)?;
+            let node = self.read_node(page)?;
             for e in &node.entries {
                 if let Some(iv) = e.mbr.intersect_interval(target, t_s, t_e) {
                     match e.child {
@@ -930,7 +798,7 @@ impl TprTree {
             if out.len() == k && bound >= out[k - 1].1 {
                 break; // no unexplored node can beat the k-th distance
             }
-            let node = self.read_node_arc(page)?;
+            let node = self.read_node(page)?;
             for e in &node.entries {
                 let dist = e.mbr.at(t).min_dist_sq(q);
                 match e.child {
@@ -963,7 +831,7 @@ impl TprTree {
         };
         let mut stack = vec![root];
         while let Some(page) = stack.pop() {
-            let node = self.read_node_arc(page)?;
+            let node = self.read_node(page)?;
             for e in &node.entries {
                 match e.child {
                     ChildRef::Object(oid) => out.push((oid, e.mbr)),
@@ -1030,7 +898,7 @@ impl TprTree {
             }
             return Ok(stats);
         };
-        let root_node = self.read_node_arc(root)?;
+        let root_node = self.read_node(root)?;
         if u32::from(root_node.level) + 1 != self.height {
             return Err(TprError::CorruptNode {
                 detail: format!(
@@ -1080,7 +948,7 @@ impl TprTree {
         if !node.is_leaf() {
             for e in &node.entries {
                 let child_page = e.child.page();
-                let child = self.read_node_arc(child_page)?;
+                let child = self.read_node(child_page)?;
                 if child.level + 1 != node.level {
                     return Err(TprError::CorruptNode {
                         detail: format!(

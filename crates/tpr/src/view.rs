@@ -35,15 +35,12 @@
 //! Every lane offset is a multiple of 8, so lane element `i` of lane `k`
 //! lives at `8 + k·408 + i·8` — naturally aligned for 8-byte loads
 //! whenever the page buffer itself is 8-aligned. Entry *kind* is implied
-//! by the level (leaves hold objects, internal nodes hold pages), which
-//! is what lets the per-entry tag byte of the v1 layout disappear.
+//! by the level (leaves hold objects, internal nodes hold pages), so
+//! there is no per-entry tag byte.
 //!
-//! Pages written before this layout (magic `0x5452`) are still readable:
-//! [`NodeView::parse`] reports them as `None` and callers fall back to
-//! the legacy field-by-field decode (`Node::from_page_legacy`), counted
-//! by the `storage.page.decode_fallbacks` metric. Any rewrite of the
-//! node persists it in the v2 layout, migrating old files one page at a
-//! time as they are touched.
+//! This is the only layout. A page carrying the magic of the retired v1
+//! array-of-structs layout (`0x5452`) is rejected by
+//! [`NodeView::parse`] with a `Corrupt` error that names v1.
 
 use cij_geom::MovingRect;
 use cij_storage::{PageId, StorageError, StorageResult, PAGE_SIZE};
@@ -53,6 +50,9 @@ use crate::node::Node;
 
 /// Magic of the v2 structure-of-arrays page layout.
 pub const SOA_MAGIC: u16 = 0x5453; // "TS"
+
+/// Magic of the retired v1 (AoS) layout; only named in the error.
+const V1_MAGIC: u16 = 0x5452; // "TR"
 
 /// Layout version byte stored at offset 2.
 pub const SOA_VERSION: u8 = 2;
@@ -118,21 +118,22 @@ pub struct NodeView<'a> {
 }
 
 impl<'a> NodeView<'a> {
-    /// Parses a page as a v2 SoA node.
+    /// Parses a page as a v2 SoA node; `Err` for anything else.
     ///
-    /// Returns `Ok(Some(view))` for a valid v2 page, `Ok(None)` for a
-    /// legacy v1 page (caller falls back to the sequential decode), and
-    /// `Err` for anything corrupt. Validation mirrors the legacy decode:
-    /// entry count against capacity, `lo <= hi` per dimension, and child
-    /// page ids within `u32` range on internal nodes.
-    pub fn parse(page: &'a [u8; PAGE_SIZE]) -> StorageResult<Option<Self>> {
+    /// Validated: magic and version, entry count against capacity,
+    /// `lo <= hi` per dimension (which also rejects NaN bounds), and
+    /// child page ids within `u32` range on internal nodes. Every
+    /// accessor of the returned view is then in bounds.
+    pub fn parse(page: &'a [u8; PAGE_SIZE]) -> StorageResult<Self> {
         let magic = u16::from_le_bytes([page[0], page[1]]);
-        if magic == crate::node::NODE_MAGIC {
-            return Ok(None);
+        if magic == V1_MAGIC {
+            return Err(StorageError::Corrupt(format!(
+                "node magic {magic:#06x} is the v1 (AoS) page layout, which is no longer read"
+            )));
         }
         if magic != SOA_MAGIC {
             return Err(StorageError::Corrupt(format!(
-                "bad node magic {magic:#06x} (expected {SOA_MAGIC:#06x} or legacy)"
+                "bad node magic {magic:#06x} (expected {SOA_MAGIC:#06x})"
             )));
         }
         let version = page[2];
@@ -164,7 +165,7 @@ impl<'a> NodeView<'a> {
                 return Err(StorageError::Corrupt("page id > u32".into()));
             }
         }
-        Ok(Some(view))
+        Ok(view)
     }
 
     /// Node level (0 = leaf).
@@ -424,26 +425,6 @@ impl EntryLanes {
         self.t_ref.extend((0..n).map(|i| view.t_ref(i)));
         self.child.extend((0..n).map(|i| view.child_raw(i)));
     }
-
-    /// Refills from a decoded node (the legacy-page fallback path).
-    pub fn fill_from_node(&mut self, node: &Node) {
-        self.clear();
-        self.level = node.level;
-        for e in &node.entries {
-            let m = &e.mbr;
-            for d in 0..2 {
-                self.lo[d].push(m.lo[d]);
-                self.hi[d].push(m.hi[d]);
-                self.vlo[d].push(m.vlo[d]);
-                self.vhi[d].push(m.vhi[d]);
-            }
-            self.t_ref.push(m.t_ref);
-            self.child.push(match e.child {
-                ChildRef::Object(oid) => oid.0,
-                ChildRef::Page(pid) => u64::from(pid.0),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -487,7 +468,7 @@ mod tests {
         for (level, n) in [(0u8, 17usize), (2, 30), (0, 0)] {
             let node = sample_node(level, n);
             let page = node.to_page().unwrap();
-            let view = NodeView::parse(&page).unwrap().expect("v2 page");
+            let view = NodeView::parse(&page).unwrap();
             assert_eq!(view.level(), node.level);
             assert_eq!(view.len(), node.entries.len());
             assert_eq!(view.is_leaf(), node.is_leaf());
@@ -499,13 +480,6 @@ mod tests {
             assert_eq!(view.to_node(), node);
             assert_eq!(view.bounding_mbr(), node.bounding_mbr());
         }
-    }
-
-    #[test]
-    fn legacy_page_parses_as_none() {
-        let node = sample_node(0, 3);
-        let page = node.to_page_legacy().unwrap();
-        assert!(NodeView::parse(&page).unwrap().is_none());
     }
 
     #[test]
@@ -544,33 +518,28 @@ mod tests {
         let leaf = sample_node(0, 1);
         let mut page = leaf.to_page().unwrap();
         page[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let view = NodeView::parse(&page).unwrap().expect("leaf ok");
+        let view = NodeView::parse(&page).unwrap();
         assert_eq!(view.child(0), ChildRef::Object(ObjectId(u64::MAX)));
     }
 
     #[test]
-    fn entry_lanes_roundtrip_both_sources() {
+    fn entry_lanes_roundtrip() {
         let node = sample_node(0, 9);
         let page = node.to_page().unwrap();
-        let view = NodeView::parse(&page).unwrap().unwrap();
+        let mut lanes = EntryLanes::new();
+        lanes.fill_from_view(&NodeView::parse(&page).unwrap());
 
-        let mut from_view = EntryLanes::new();
-        from_view.fill_from_view(&view);
-        let mut from_node = EntryLanes::new();
-        from_node.fill_from_node(&node);
-
-        assert_eq!(from_view.len(), node.entries.len());
-        assert_eq!(from_view.level(), 0);
+        assert_eq!(lanes.len(), node.entries.len());
+        assert_eq!(lanes.level(), 0);
         for i in 0..node.entries.len() {
-            assert_eq!(from_view.mbr(i), node.entries[i].mbr);
-            assert_eq!(from_node.mbr(i), node.entries[i].mbr);
-            assert_eq!(from_view.object(i), node.entries[i].child.object());
-            assert_eq!(from_node.object(i), node.entries[i].child.object());
+            assert_eq!(lanes.mbr(i), node.entries[i].mbr);
+            assert_eq!(lanes.object(i), node.entries[i].child.object());
         }
-        assert_eq!(from_view.bounding_mbr(), node.bounding_mbr());
+        assert_eq!(lanes.bounding_mbr(), node.bounding_mbr());
 
         // Refilling reuses capacity and replaces contents.
-        from_view.fill_from_node(&sample_node(0, 2));
-        assert_eq!(from_view.len(), 2);
+        let page = sample_node(0, 2).to_page().unwrap();
+        lanes.fill_from_view(&NodeView::parse(&page).unwrap());
+        assert_eq!(lanes.len(), 2);
     }
 }

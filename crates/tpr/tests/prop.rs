@@ -5,8 +5,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect};
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId};
-use cij_tpr::{ChildRef, Entry, Node, NodeView, ObjectId, TprTree, TreeConfig};
+use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, StorageError, PAGE_SIZE};
+use cij_tpr::{
+    ChildRef, Entry, EntryLanes, Node, NodeView, ObjectId, TprTree, TreeConfig, SOA_MAGIC,
+    SOA_VERSION,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -169,10 +172,11 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Page-format properties: the v2 SoA layout, the legacy v1 layout, and
-// the zero-copy view must all describe the same node — bit for bit, even
-// through NaN and infinite velocities (compared via `to_bits`, since
-// `NaN != NaN` under `PartialEq`).
+// Page-format properties: the v2 SoA layout and the zero-copy view must
+// describe the same node — bit for bit, even through NaN and infinite
+// velocities (compared via `to_bits`, since `NaN != NaN` under
+// `PartialEq`) — and the decoder must answer hostile bytes with a typed
+// error, never a panic.
 // ----------------------------------------------------------------------
 
 /// A velocity component: usually finite, sometimes `NaN` or `±∞`.
@@ -254,17 +258,12 @@ fn assert_entries_bit_equal(a: &Node, b: &Node) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any node decodes bit-identically from its v2 (SoA) and legacy v1
-    /// (AoS) encodings — including NaN / infinite velocities.
+    /// Any node decodes bit-identically from its page — including NaN /
+    /// infinite velocities.
     #[test]
-    fn page_roundtrip_v2_and_legacy_bit_identical(node in arb_node()) {
-        let v2 = node.to_page().unwrap();
-        let v1 = node.to_page_legacy().unwrap();
-        let from_v2 = Node::from_page(&v2).unwrap();
-        let from_v1 = Node::from_page(&v1).unwrap();
-        assert_entries_bit_equal(&node, &from_v2);
-        assert_entries_bit_equal(&node, &from_v1);
-        assert_entries_bit_equal(&from_v2, &from_v1);
+    fn page_roundtrip_bit_identical(node in arb_node()) {
+        let page = node.to_page().unwrap();
+        assert_entries_bit_equal(&node, &Node::from_page(&page).unwrap());
     }
 
     /// Every `NodeView` accessor agrees bit-for-bit with the decoded
@@ -273,7 +272,7 @@ proptest! {
     #[test]
     fn view_accessors_agree_with_decoded_node(node in arb_node()) {
         let page = node.to_page().unwrap();
-        let view = NodeView::parse(&page).unwrap().expect("v2 page");
+        let view = NodeView::parse(&page).unwrap();
         let decoded = Node::from_page(&page).unwrap();
 
         prop_assert_eq!(view.level(), decoded.level);
@@ -295,5 +294,75 @@ proptest! {
             }
         }
         assert_entries_bit_equal(&view.to_node(), &decoded);
+    }
+
+    /// Arbitrary 4 KiB buffers: a typed `Corrupt` error or a view that
+    /// can be read end to end.
+    #[test]
+    fn parse_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+        // Half the cases get a valid magic + version so the per-entry
+        // checks are reached, not just the magic test.
+        plausible_header in any::<bool>(),
+        level in 0u8..3,
+        len in 0u16..64,
+    ) {
+        let mut page = cij_storage::zeroed_page();
+        page.copy_from_slice(&bytes);
+        if plausible_header {
+            page[0..2].copy_from_slice(&SOA_MAGIC.to_le_bytes());
+            page[2] = SOA_VERSION;
+            page[3] = level;
+            page[4..6].copy_from_slice(&len.to_le_bytes());
+        }
+        exercise_parse(&page);
+    }
+
+    /// Valid v2 pages with 1–8 random byte flips: same contract.
+    #[test]
+    fn parse_survives_byte_flips(
+        node in arb_node(),
+        flips in proptest::collection::vec((0..PAGE_SIZE, 1u8..=255), 1..9),
+    ) {
+        let mut page = node.to_page().unwrap();
+        for (at, xor) in flips {
+            page[at] ^= xor;
+        }
+        exercise_parse(&page);
+    }
+}
+
+/// `NodeView::parse` on hostile bytes: `Err(Corrupt)` or a view on which
+/// every accessor, `to_node` and `EntryLanes::fill_from_view` run
+/// without panicking and agree on the entry count.
+fn exercise_parse(page: &[u8; PAGE_SIZE]) {
+    match NodeView::parse(page) {
+        Err(StorageError::Corrupt(_)) => {}
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(view) => {
+            let _ = view.level();
+            for i in 0..view.len() {
+                for d in 0..2 {
+                    let _ = (view.lo(d, i), view.hi(d, i));
+                }
+                let _ = view.child_raw(i);
+            }
+            let node = view.to_node();
+            let mut lanes = EntryLanes::new();
+            lanes.fill_from_view(&view);
+            prop_assert_eq!(node.entries.len(), view.len());
+            prop_assert_eq!(lanes.len(), view.len());
+        }
+    }
+}
+
+/// A page carrying the retired v1 magic is a typed error naming v1.
+#[test]
+fn v1_magic_yields_typed_error_naming_v1() {
+    let mut page = cij_storage::zeroed_page();
+    page[0..2].copy_from_slice(&0x5452u16.to_le_bytes());
+    match NodeView::parse(&page) {
+        Err(StorageError::Corrupt(msg)) => assert!(msg.contains("v1"), "{msg}"),
+        other => panic!("expected Corrupt naming v1, got {other:?}"),
     }
 }

@@ -547,197 +547,3 @@ fn heuristic_toggles_never_affect_correctness() {
         assert_eq!(ans, &answers[0], "a heuristic combo changed query answers");
     }
 }
-
-/// Decoded-node cache differential: twin trees — cache on vs. off — fed
-/// the identical workload of inserts (forcing splits), updates, and
-/// deletes (forcing dissolves and page frees) must agree on every query
-/// at every step. Any stale cached node would corrupt an answer or a
-/// structure invariant.
-#[test]
-fn node_cache_never_serves_stale_nodes() {
-    let mut rng = StdRng::seed_from_u64(0xCACE);
-    let make = |cache: usize| {
-        let pool = BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(256),
-        );
-        TprTree::new(
-            pool,
-            TreeConfig {
-                capacity: 8, // small fanout → frequent splits/dissolves
-                node_cache_capacity: cache,
-                ..TreeConfig::default()
-            },
-        )
-    };
-    let mut plain = make(0);
-    let mut cached = make(64); // smaller than the tree → evictions too
-    assert!(plain.node_cache_stats().is_none());
-
-    let mut shadow: HashMap<ObjectId, MovingRect> = HashMap::new();
-    let mut next_id = 0u64;
-    for step in 0..600 {
-        let now = (step / 10) as Time;
-        let op = rng.gen_range(0..10);
-        if op < 5 || shadow.is_empty() {
-            let oid = ObjectId(next_id);
-            next_id += 1;
-            let mbr = random_object(&mut rng, now);
-            plain.insert(oid, mbr, now).unwrap();
-            cached.insert(oid, mbr, now).unwrap();
-            shadow.insert(oid, mbr);
-        } else {
-            let &oid = shadow.keys().nth(rng.gen_range(0..shadow.len())).unwrap();
-            let old = shadow[&oid];
-            if op < 8 {
-                let new = random_object(&mut rng, now);
-                plain.update(oid, &old, new, now).unwrap();
-                cached.update(oid, &old, new, now).unwrap();
-                shadow.insert(oid, new);
-            } else {
-                plain.delete(oid, &old, now).unwrap();
-                cached.delete(oid, &old, now).unwrap();
-                shadow.remove(&oid);
-            }
-        }
-
-        // Every step: a query through (potentially) cached interior nodes.
-        let w = Rect::new([200.0, 200.0], [800.0, 800.0]);
-        let q_t = now + rng.gen_range(0.0..30.0);
-        let mut a = plain.range_at(&w, q_t).unwrap();
-        let mut b = cached.range_at(&w, q_t).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "cached tree diverged at step {step}");
-
-        if step % 97 == 0 {
-            plain.validate(now).unwrap();
-            cached.validate(now).unwrap();
-            let mut oa = plain.iter_objects().unwrap();
-            let mut ob = cached.iter_objects().unwrap();
-            oa.sort_by_key(|&(oid, _)| oid);
-            ob.sort_by_key(|&(oid, _)| oid);
-            assert_eq!(oa.len(), shadow.len());
-            assert_eq!(oa, ob, "object sets diverged at step {step}");
-        }
-    }
-
-    // The workload must actually have exercised the cache paths.
-    let stats = cached.node_cache_stats().unwrap();
-    assert!(stats.hits > 0, "workload never hit the cache");
-    assert!(
-        stats.invalidations > 0,
-        "splits/deletes never invalidated a cached node"
-    );
-    assert!(stats.insertions > 0);
-}
-
-/// A cache hit must return exactly what a fresh decode returns, and
-/// clearing the cache must not change any answer.
-#[test]
-fn node_cache_hit_equals_fresh_decode() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let pool = BufferPool::new(
-        Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::with_capacity(256),
-    );
-    let mut tree = TprTree::new(
-        pool,
-        TreeConfig {
-            capacity: 8,
-            node_cache_capacity: 512,
-            ..TreeConfig::default()
-        },
-    );
-    let shadow = fill(&mut tree, &mut rng, 400, 0.0);
-
-    let root = tree.root_page().unwrap();
-    let warm = tree.read_node_arc(root).unwrap();
-    let again = tree.read_node_arc(root).unwrap();
-    assert!(Arc::ptr_eq(&warm, &again), "second read must be a hit");
-
-    let w = Rect::new([100.0, 100.0], [900.0, 900.0]);
-    let mut hot = tree.range_at(&w, 10.0).unwrap();
-    tree.clear_node_cache();
-    let mut cold = tree.range_at(&w, 10.0).unwrap();
-    hot.sort();
-    cold.sort();
-    assert_eq!(hot, cold);
-    assert_eq!(tree.iter_objects().unwrap().len(), shadow.len());
-}
-
-/// Migration differential: a tree written entirely in the legacy v1 page
-/// encoding answers every query identically to a v2 tree built from the
-/// same operations, with every read served by the legacy decode fallback
-/// — and rewriting nodes under the default config upgrades pages to v2
-/// in place (mixed-format trees stay correct throughout).
-#[test]
-fn legacy_pages_tree_matches_v2_tree_and_upgrades_in_place() {
-    let build = |legacy: bool| {
-        let pool = BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(256),
-        );
-        let mut tree = TprTree::new(
-            pool,
-            TreeConfig {
-                capacity: 8,
-                ..TreeConfig::default()
-            }
-            .with_legacy_pages(legacy),
-        );
-        let mut rng = StdRng::seed_from_u64(99);
-        let shadow = fill(&mut tree, &mut rng, 300, 0.0);
-        (tree, shadow)
-    };
-    let (v1_tree, shadow_v1) = build(true);
-    let (v2_tree, shadow_v2) = build(false);
-    assert_eq!(shadow_v1, shadow_v2);
-
-    let w = Rect::new([100.0, 100.0], [900.0, 900.0]);
-    let mut got_v1 = v1_tree.range_at(&w, 15.0).unwrap();
-    let mut got_v2 = v2_tree.range_at(&w, 15.0).unwrap();
-    got_v1.sort();
-    got_v2.sort();
-    assert_eq!(got_v1, got_v2, "page encoding changed query answers");
-
-    let s1 = v1_tree.page_format_stats();
-    assert_eq!(s1.zero_copy_reads, 0, "legacy tree produced v2 pages");
-    assert!(
-        s1.decode_fallbacks > 0,
-        "legacy tree never hit the fallback"
-    );
-    let s2 = v2_tree.page_format_stats();
-    assert_eq!(s2.decode_fallbacks, 0, "v2 tree fell back to legacy decode");
-    assert!(s2.zero_copy_reads > 0, "v2 tree never took the view path");
-
-    // Migration: flip the legacy tree to v2 writes and churn it — every
-    // rewritten node upgrades to v2 in place, reads stay correct on the
-    // mixed tree throughout.
-    let mut migrated = v1_tree;
-    migrated.set_legacy_pages(false);
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut shadow = shadow_v1;
-    for oid in (0..300u64).step_by(3).map(ObjectId) {
-        let old = shadow[&oid];
-        let new = random_object(&mut rng, 1.0);
-        migrated.update(oid, &old, new, 1.0).unwrap();
-        shadow.insert(oid, new);
-    }
-    migrated.validate(1.0).unwrap();
-    let base = migrated.page_format_stats();
-    let mut got = migrated.range_at(&w, 15.0).unwrap();
-    let mut expect: Vec<ObjectId> = shadow
-        .iter()
-        .filter(|(_, m)| m.at(15.0).intersects(&w))
-        .map(|(o, _)| *o)
-        .collect();
-    got.sort();
-    expect.sort();
-    assert_eq!(got, expect, "mixed-format tree answered wrong");
-    let after = migrated.page_format_stats();
-    assert!(
-        after.zero_copy_reads > base.zero_copy_reads,
-        "churned nodes were not upgraded to v2"
-    );
-}

@@ -1,6 +1,6 @@
 //! Tour of the `cij-shard` coordinator: four velocity-band shards, one
 //! MTB-Join engine per shard pair, cross-shard migration routing, a
-//! merged result-delta changelog, and the aggregated cache/I-O report.
+//! merged result-delta changelog, and the aggregated counter/I-O report.
 //!
 //! Run with `cargo run --release --example shard_demo`.
 
@@ -34,10 +34,7 @@ fn main() -> TprResult<()> {
         threads: 4,
         metrics: true, // so the report carries a registry snapshot
         ..EngineConfig::default()
-    }
-    .to_builder()
-    .node_cache_capacity(1024) // so the report's cache section has data
-    .build();
+    };
 
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
     let mut coordinator = ShardCoordinator::new(
@@ -94,7 +91,7 @@ fn main() -> TprResult<()> {
     println!("changelog over 30 ticks: +{added} -{removed} merged deltas");
 
     // The aggregated diagnostics: per-pair counters, shard populations,
-    // merged decoded-node-cache totals, and the shared pool's I/O.
+    // and the shared pool's I/O.
     let report = coordinator.report();
     println!("\n{report}");
 
