@@ -25,10 +25,13 @@
 //!   away, shrinking K to the workload's true cluster count.
 //!
 //! The headline number is maintenance-phase node accesses (pool logical
-//! reads after the initial trees are built and swept): velocity banding
-//! must beat the hash baseline on this workload, and adaptive banding
-//! must beat the fixed equal-width bands it starts from — both asserted
-//! by the binary. Build-phase reads are reported separately — every K=4
+//! reads after the initial trees are built and swept). Whether velocity
+//! banding beats the hash baseline, and adaptive banding the fixed
+//! equal-width bands it starts from, is reported (`band_beats_hash`,
+//! `adaptive_beats_band_reads`, `adaptive_beats_band_wall`), not
+//! asserted: a performance expectation is a number in the artifact, and
+//! only answer equality and "the controller re-partitioned" can fail the
+//! run. Build-phase reads are reported separately — every K=4
 //! policy pays the same replicated-construction cost, so folding it in
 //! would only dilute the per-update comparison the paper cares about.
 //! The adaptive run's registry snapshot (including the
@@ -263,8 +266,7 @@ fn main() {
         .collect();
 
     // All policies are decompositions of one join, so they must agree on
-    // the final answer — and velocity banding must earn its keep on the
-    // skewed workload by touching fewer tree nodes than blind hashing.
+    // the final answer.
     let single = &results[0];
     for r in &results[1..] {
         assert_eq!(
@@ -277,36 +279,10 @@ fn main() {
     let band = &results[2];
     let adaptive = &results[3];
     assert!(
-        band.maint_reads < hash.maint_reads,
-        "velocity banding should reduce maintenance node accesses vs hash on the \
-         skewed workload ({} vs {})",
-        band.maint_reads,
-        hash.maint_reads
-    );
-    assert!(
         adaptive.report.rebalances >= 1,
         "the adaptive controller never re-partitioned — the skewed equal-width \
          start must trip the imbalance trigger"
     );
-    // Re-partitioning pays a one-time evict/restore bill that only
-    // amortizes over a real run — the 15-tick smoke window is too short
-    // by design, so the wins are asserted on the full benchmark only.
-    if !opts.smoke {
-        assert!(
-            adaptive.maint_reads < band.maint_reads,
-            "adaptive banding should reduce maintenance node accesses vs the fixed \
-             equal-width bands it started from ({} vs {})",
-            adaptive.maint_reads,
-            band.maint_reads
-        );
-        assert!(
-            adaptive.wall_ms < band.wall_ms,
-            "adaptive banding should also win wall-clock vs the fixed bands ({:.1} ms \
-             vs {:.1} ms) — merging the empty bands shrinks every update's engine fan",
-            adaptive.wall_ms,
-            band.wall_ms
-        );
-    }
 
     // Export the adaptive run's registry (it carries the rebalance
     // counters) as the bench's Prometheus exposition.
@@ -341,6 +317,19 @@ fn main() {
         let _ = writeln!(json, "    {}{comma}", policy_json(r));
     }
     let _ = writeln!(json, "  ],");
+    // Re-partitioning pays a one-time evict/restore bill that only
+    // amortizes over a real run, so the two adaptive rows are expected to
+    // read `false` in the 15-tick smoke window.
+    for (key, wins) in [
+        ("band_beats_hash", band.maint_reads < hash.maint_reads),
+        (
+            "adaptive_beats_band_reads",
+            adaptive.maint_reads < band.maint_reads,
+        ),
+        ("adaptive_beats_band_wall", adaptive.wall_ms < band.wall_ms),
+    ] {
+        let _ = writeln!(json, "  \"{key}\": {wins},");
+    }
     let _ = writeln!(
         json,
         "  \"metrics\": {{\"prometheus_samples\": {samples}, \"validated\": true}}"

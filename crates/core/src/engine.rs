@@ -1,6 +1,6 @@
-//! The four continuous-join engines.
+//! The engine protocol, its configuration, and the ETP competitor.
 //!
-//! Each engine owns the indexes of both object sets (reading through one
+//! Every engine owns the indexes of both object sets (reading through one
 //! shared buffer pool, like the paper's single-disk testbed), a result
 //! store, and implements the same three-call protocol:
 //!
@@ -11,25 +11,22 @@
 //! 3. [`result_at`](ContinuousJoinEngine::result_at) whenever the answer
 //!    is read.
 //!
-//! The engines differ exactly where the paper says they differ: the time
-//! window each join run computes (∞ / `t_u + T_M` / per-bucket), and
-//! whether answer updates are triggered by result changes (ETP) or only
-//! by object updates (all others).
+//! The engines differ exactly where the paper says they differ: whether
+//! answer updates are triggered by result changes ([`EtpEngine`], here)
+//! or only by object updates (everything else — one
+//! [`BufferedEngine`](crate::BufferedEngine) whose index pair picks the
+//! time window each join run computes: ∞ / `t_u + T_M` / per-bucket).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
-use cij_join::{
-    parallel_improved_join, parallel_improved_multi_join, parallel_naive_join, probe_batch,
-    tp_join, tp_object_probe, JoinCounters, JoinJob, JoinScratch, ProbeHit, Techniques,
-};
+use cij_join::{tp_join, tp_object_probe, JoinCounters, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprResult, TprTree, TreeConfig};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
-use crate::mtb::MtbTree;
-use crate::result::{PairKey, PairStatus, ResultBuffer};
+use crate::result::{PairKey, PairStatus};
 
 /// Shared engine configuration.
 ///
@@ -175,10 +172,10 @@ pub trait ContinuousJoinEngine {
 
     /// Applies one tick's updates, all stamped `now`; the answer
     /// afterwards is the one the updates applied one by one, in order,
-    /// would leave. The default is that loop. The TC and MTB engines run
-    /// the tick in two phases instead — every index mutation first, then
-    /// one synchronized probe of the whole batch per tree of the other
-    /// side (`TickProbes`) — and the shard coordinator and the dist
+    /// would leave. The default is that loop.
+    /// [`BufferedEngine`](crate::BufferedEngine) runs the tick in two
+    /// phases instead — every index mutation first, then one probe of the
+    /// whole batch per side — and the shard coordinator and the dist
     /// worker hand each inner engine its consecutive updates as one batch
     /// ([`apply_op_runs`]), so every stack shares the traversals.
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
@@ -242,7 +239,7 @@ pub trait ContinuousJoinEngine {
     /// differential suite pins).
     ///
     /// The default delegates to `insert_object`, which is correct for
-    /// engines that locate objects purely by trajectory (Naive, TC).
+    /// engines that locate objects purely by trajectory.
     fn restore_object(
         &mut self,
         set: SetTag,
@@ -376,146 +373,11 @@ pub fn publish_engine_totals(
     }
 }
 
-/// The delta-tracking trait methods shared by every engine that keeps
-/// its answer in a [`ResultBuffer`].
-macro_rules! buffer_delta_methods {
-    () => {
-        fn enable_delta_tracking(&mut self) {
-            self.buffer.enable_change_tracking();
-        }
-
-        fn take_result_changes(&mut self) -> Option<Vec<PairKey>> {
-            self.buffer.take_changes()
-        }
-
-        fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-            self.buffer.status_at(pair.0, pair.1, t)
-        }
-    };
-}
-
 /// Orients an (updated object, partner) pair as (A-object, B-object).
-fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) -> PairKey {
+pub(crate) fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) -> PairKey {
     match update_side {
         SetTag::A => (updated, partner),
         SetTag::B => (partner, updated),
-    }
-}
-
-/// Index of a side in the per-side arrays of [`TickProbes`].
-fn side(set: SetTag) -> usize {
-    match set {
-        SetTag::A => 0,
-        SetTag::B => 1,
-    }
-}
-
-/// The two-phase maintenance tick shared by the TC and MTB engines.
-///
-/// Phase 1 ([`mutate_and_load`](Self::mutate_and_load)) applies every
-/// index delete/insert **in batch order** — so the trees end up as the
-/// very pages the per-update loop would have written — drops the updated
-/// objects' pairs, and keeps one probe per updated id. Phase 2
-/// ([`join_side`](Self::join_side), once per side) runs those probes
-/// through the batched kernel and adds the hits to the result buffer.
-///
-/// Three rules make the buffer equal to the loop's, bit for bit:
-/// mutation order is kept (above); an id updated twice probes only with
-/// its **last** trajectory (the loop's earlier pairs were dropped again
-/// by the later update); and a pair whose two endpoints both updated is
-/// taken from the probe of the endpoint **later** in the batch (the loop
-/// dropped the earlier endpoint's finding when the later one updated).
-/// Pairs the loop found and dropped again within the tick never enter
-/// the buffer here, so the change list is a subset of the loop's — it is
-/// a dirty list that consumers recheck against engine state.
-#[derive(Default)]
-struct TickProbes {
-    /// Per side: trajectory, id and batch position of each kept probe.
-    mbrs: [Vec<MovingRect>; 2],
-    ids: [Vec<ObjectId>; 2],
-    pos: [Vec<u32>; 2],
-    /// Per side: id → index into the three vectors above.
-    slot: [HashMap<ObjectId, usize>; 2],
-    scratch: JoinScratch,
-    hits: Vec<ProbeHit>,
-}
-
-impl TickProbes {
-    /// Replaces the loaded probes with `probes` (in batch order); a
-    /// repeated id keeps its last trajectory and position.
-    fn load(&mut self, probes: impl Iterator<Item = (SetTag, ObjectId, MovingRect)>) {
-        for s in 0..2 {
-            self.mbrs[s].clear();
-            self.ids[s].clear();
-            self.pos[s].clear();
-            self.slot[s].clear();
-        }
-        for (k, (set, id, mbr)) in probes.enumerate() {
-            let s = side(set);
-            let fresh = self.ids[s].len();
-            let i = *self.slot[s].entry(id).or_insert(fresh);
-            if i == fresh {
-                self.ids[s].push(id);
-                self.mbrs[s].push(mbr);
-                self.pos[s].push(k as u32);
-            } else {
-                self.mbrs[s][i] = mbr;
-                self.pos[s][i] = k as u32;
-            }
-        }
-    }
-
-    /// Phase 1: `mutate` (the index delete + insert) per update in batch
-    /// order, dropping each updated object's pairs. Stops at the first
-    /// failure and returns it; the updates before it are loaded as
-    /// probes, so running phase 2 leaves them fully applied — the state
-    /// the per-update loop stops in.
-    fn mutate_and_load(
-        &mut self,
-        updates: &[ObjectUpdate],
-        buffer: &mut ResultBuffer,
-        mut mutate: impl FnMut(&ObjectUpdate) -> TprResult<()>,
-    ) -> TprResult<()> {
-        let mut outcome = Ok(());
-        let mut applied = 0;
-        for u in updates {
-            outcome = mutate(u);
-            if outcome.is_err() {
-                break;
-            }
-            buffer.remove_object(u.id);
-            applied += 1;
-        }
-        self.load(updates[..applied].iter().map(|u| (u.set, u.id, u.new_mbr)));
-        outcome
-    }
-
-    /// Phase 2 for the probes of side `set`: `probe` joins them against
-    /// the other side's index, and every hit not superseded by the
-    /// later-endpoint rule goes into `buffer`.
-    fn join_side(
-        &mut self,
-        set: SetTag,
-        buffer: &mut ResultBuffer,
-        probe: impl FnOnce(&[MovingRect], &mut JoinScratch, &mut Vec<ProbeHit>) -> TprResult<()>,
-    ) -> TprResult<()> {
-        let (s, o) = (side(set), 1 - side(set));
-        if self.mbrs[s].is_empty() {
-            return Ok(());
-        }
-        self.hits.clear();
-        probe(&self.mbrs[s], &mut self.scratch, &mut self.hits)?;
-        for &(p, partner, iv) in &self.hits {
-            let p = p as usize;
-            let partner_is_later = self.slot[o]
-                .get(&partner)
-                .is_some_and(|&q| self.pos[o][q] > self.pos[s][p]);
-            if !partner_is_later {
-                let (a, b) = orient(set, self.ids[s][p], partner);
-                buffer.add(a, b, iv);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -530,314 +392,6 @@ fn build_tree(
         tree.insert(o.id, o.mbr, now)?;
     }
     Ok(tree)
-}
-
-// ----------------------------------------------------------------------
-// NaiveJoin engine (§II-C)
-// ----------------------------------------------------------------------
-
-/// The paper's naive baseline: every join run computes pairs to the
-/// infinite timestamp; answer updates happen only on object updates.
-pub struct NaiveEngine {
-    pool: BufferPool,
-    tree_a: TprTree,
-    tree_b: TprTree,
-    buffer: ResultBuffer,
-    counters: JoinCounters,
-    threads: usize,
-    obs: MetricsRegistry,
-}
-
-impl NaiveEngine {
-    /// Builds the engine and its two TPR-trees.
-    pub fn new(
-        pool: BufferPool,
-        config: EngineConfig,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-    ) -> TprResult<Self> {
-        let obs = MetricsRegistry::enabled_if(config.metrics);
-        pool.stats().register_in(&obs, "storage.pool");
-        let tree_a = build_tree(&pool, config.tree, set_a, now)?;
-        let tree_b = build_tree(&pool, config.tree, set_b, now)?;
-        Ok(Self {
-            pool,
-            tree_a,
-            tree_b,
-            buffer: ResultBuffer::new(),
-            counters: JoinCounters::new(),
-            threads: config.threads,
-            obs,
-        })
-    }
-}
-
-impl ContinuousJoinEngine for NaiveEngine {
-    fn name(&self) -> &'static str {
-        "NaiveJoin"
-    }
-
-    buffer_delta_methods!();
-
-    fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let (pairs, counters) = parallel_naive_join(&self.tree_a, &self.tree_b, now, self.threads)?;
-        self.counters = self.counters.merged(counters);
-        for p in pairs {
-            self.buffer.add(p.a, p.b, p.interval);
-        }
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let (own, other) = match update.set {
-            SetTag::A => (&mut self.tree_a, &self.tree_b),
-            SetTag::B => (&mut self.tree_b, &self.tree_a),
-        };
-        own.update(update.id, &update.old_mbr, update.new_mbr, now)?;
-        self.buffer.remove_object(update.id);
-        // "Join the object with the other dataset (still using the naive
-        // algorithm) from the current timestamp to the infinite
-        // timestamp."
-        for (partner, iv) in other.intersect_window(&update.new_mbr, now, INFINITE_TIME)? {
-            let (a, b) = orient(update.set, update.id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
-    }
-
-    fn insert_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        let (own, other) = match set {
-            SetTag::A => (&mut self.tree_a, &self.tree_b),
-            SetTag::B => (&mut self.tree_b, &self.tree_a),
-        };
-        own.insert(id, mbr, now)?;
-        for (partner, iv) in other.intersect_window(&mbr, now, INFINITE_TIME)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
-    }
-
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        _last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.tree_a,
-            SetTag::B => &mut self.tree_b,
-        };
-        own.delete(id, old_mbr, now)?;
-        self.buffer.remove_object(id);
-        Ok(())
-    }
-
-    fn gc(&mut self, now: Time) {
-        self.buffer.prune_before(now);
-    }
-
-    fn result_at(&self, t: Time) -> Vec<PairKey> {
-        self.buffer.active_at(t)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn counters(&self) -> JoinCounters {
-        self.counters
-    }
-
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(
-            self.tree_a
-                .page_format_stats()
-                .merged(&self.tree_b.page_format_stats()),
-        )
-    }
-
-    fn metrics_registry(&self) -> MetricsRegistry {
-        self.obs.clone()
-    }
-
-    fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
-    }
-}
-
-// ----------------------------------------------------------------------
-// TC-Join engine (§IV-B, Theorem 1)
-// ----------------------------------------------------------------------
-
-/// Time-constrained processing on single TPR-trees: every join run is
-/// capped at `t_u + T_M`.
-pub struct TcEngine {
-    config: EngineConfig,
-    pool: BufferPool,
-    tree_a: TprTree,
-    tree_b: TprTree,
-    buffer: ResultBuffer,
-    counters: JoinCounters,
-    probes: TickProbes,
-    obs: MetricsRegistry,
-}
-
-impl TcEngine {
-    /// Builds the engine and its two TPR-trees.
-    pub fn new(
-        pool: BufferPool,
-        config: EngineConfig,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-    ) -> TprResult<Self> {
-        let obs = MetricsRegistry::enabled_if(config.metrics);
-        pool.stats().register_in(&obs, "storage.pool");
-        let tree_a = build_tree(&pool, config.tree, set_a, now)?;
-        let tree_b = build_tree(&pool, config.tree, set_b, now)?;
-        Ok(Self {
-            config,
-            pool,
-            tree_a,
-            tree_b,
-            buffer: ResultBuffer::new(),
-            counters: JoinCounters::new(),
-            probes: TickProbes::default(),
-            obs,
-        })
-    }
-
-    /// Phase 2 of a tick: the loaded probes of each side against the
-    /// other side's tree over Theorem 1's window `[now, now + T_M]` (the
-    /// result for an object only needs to be valid until its own next
-    /// update, at most `T_M` away).
-    fn join_probes(&mut self, now: Time) -> TprResult<()> {
-        let t_e = now + self.config.t_m;
-        for (set, other) in [(SetTag::A, &self.tree_b), (SetTag::B, &self.tree_a)] {
-            let counters = &mut self.counters;
-            self.probes
-                .join_side(set, &mut self.buffer, |mbrs, scratch, hits| {
-                    probe_batch(other, mbrs, now, t_e, scratch, counters, hits)
-                })?;
-        }
-        Ok(())
-    }
-}
-
-impl ContinuousJoinEngine for TcEngine {
-    fn name(&self) -> &'static str {
-        "TC-Join"
-    }
-
-    buffer_delta_methods!();
-
-    fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let window_end = now + self.config.t_m;
-        let (pairs, counters) = parallel_improved_join(
-            &self.tree_a,
-            &self.tree_b,
-            now,
-            window_end,
-            self.config.techniques,
-            self.config.threads,
-        )?;
-        self.counters = self.counters.merged(counters);
-        for p in pairs {
-            self.buffer.add(p.a, p.b, p.interval);
-        }
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        self.apply_batch(std::slice::from_ref(update), now)
-    }
-
-    fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
-        let (tree_a, tree_b) = (&mut self.tree_a, &mut self.tree_b);
-        let outcome = self
-            .probes
-            .mutate_and_load(updates, &mut self.buffer, |u| match u.set {
-                SetTag::A => tree_a.update(u.id, &u.old_mbr, u.new_mbr, now),
-                SetTag::B => tree_b.update(u.id, &u.old_mbr, u.new_mbr, now),
-            });
-        self.join_probes(now)?;
-        outcome
-    }
-
-    fn insert_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.tree_a,
-            SetTag::B => &mut self.tree_b,
-        };
-        own.insert(id, mbr, now)?;
-        self.probes.load(std::iter::once((set, id, mbr)));
-        self.join_probes(now)
-    }
-
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        _last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.tree_a,
-            SetTag::B => &mut self.tree_b,
-        };
-        own.delete(id, old_mbr, now)?;
-        self.buffer.remove_object(id);
-        Ok(())
-    }
-
-    fn gc(&mut self, now: Time) {
-        self.buffer.prune_before(now);
-    }
-
-    fn result_at(&self, t: Time) -> Vec<PairKey> {
-        self.buffer.active_at(t)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn counters(&self) -> JoinCounters {
-        self.counters
-    }
-
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(
-            self.tree_a
-                .page_format_stats()
-                .merged(&self.tree_b.page_format_stats()),
-        )
-    }
-
-    fn metrics_registry(&self) -> MetricsRegistry {
-        self.obs.clone()
-    }
-
-    fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -975,455 +529,6 @@ impl ContinuousJoinEngine for EtpEngine {
         if self.obs.is_enabled() {
             self.obs.counter("engine.etp.reruns").store(self.reruns);
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// MTB-Join engine (§IV-C + §IV-D)
-// ----------------------------------------------------------------------
-
-/// The paper's full proposal: MTB-trees on both sets, per-bucket time
-/// constraints (Theorem 2), improvement techniques on tree-vs-tree joins.
-pub struct MtbEngine {
-    config: EngineConfig,
-    pool: BufferPool,
-    mtb_a: MtbTree,
-    mtb_b: MtbTree,
-    buffer: ResultBuffer,
-    counters: JoinCounters,
-    probes: TickProbes,
-    obs: MetricsRegistry,
-}
-
-impl MtbEngine {
-    /// Builds the engine; all objects land in the bucket of `now`.
-    pub fn new(
-        pool: BufferPool,
-        config: EngineConfig,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-    ) -> TprResult<Self> {
-        let obs = MetricsRegistry::enabled_if(config.metrics);
-        pool.stats().register_in(&obs, "storage.pool");
-        let mut mtb_a = MtbTree::with_buckets_per_tm(
-            pool.clone(),
-            config.tree,
-            config.t_m,
-            config.buckets_per_tm,
-        );
-        let mut mtb_b = MtbTree::with_buckets_per_tm(
-            pool.clone(),
-            config.tree,
-            config.t_m,
-            config.buckets_per_tm,
-        );
-        for o in set_a {
-            mtb_a.insert(o.id, o.mbr, now, now)?;
-        }
-        for o in set_b {
-            mtb_b.insert(o.id, o.mbr, now, now)?;
-        }
-        Ok(Self {
-            config,
-            pool,
-            mtb_a,
-            mtb_b,
-            buffer: ResultBuffer::new(),
-            counters: JoinCounters::new(),
-            probes: TickProbes::default(),
-            obs,
-        })
-    }
-
-    /// Phase 2 of a tick: the loaded probes of each side against every
-    /// bucket of the other side, per-bucket windows
-    /// `[now, min(t_eb, now) + T_M]` (§IV-C plus the `lut ≤ now` clamp,
-    /// which tightens the current bucket from the paper's `t_eb + T_M`
-    /// to Theorem 1's `now + T_M`).
-    fn join_probes(&mut self, now: Time) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        for (set, other) in [(SetTag::A, &self.mtb_b), (SetTag::B, &self.mtb_a)] {
-            let counters = &mut self.counters;
-            self.probes
-                .join_side(set, &mut self.buffer, |mbrs, scratch, hits| {
-                    let window = |t_eb: Time| t_eb.min(now) + t_m;
-                    other.probe_batch(mbrs, now, window, scratch, counters, hits)
-                })?;
-        }
-        Ok(())
-    }
-
-    /// Access to the A-side MTB-tree (diagnostics).
-    #[must_use]
-    pub fn mtb_a(&self) -> &MtbTree {
-        &self.mtb_a
-    }
-
-    /// Access to the B-side MTB-tree (diagnostics).
-    #[must_use]
-    pub fn mtb_b(&self) -> &MtbTree {
-        &self.mtb_b
-    }
-}
-
-impl ContinuousJoinEngine for MtbEngine {
-    fn name(&self) -> &'static str {
-        "MTB-Join"
-    }
-
-    buffer_delta_methods!();
-
-    fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        // Tree-vs-tree improved joins between every bucket pair, each
-        // with the window min(t_eb_a, t_eb_b, now) + T_M — Theorem 2
-        // applied to both sides, with the extra observation that a
-        // bucket's latest update can never lie in the future (`lut ≤
-        // now`), which tightens the current bucket's bound to the
-        // paper's own initial-join window `[now, now + T_M]`. Right
-        // after construction both MTBs hold a single bucket — exactly
-        // the paper's "initial join on two single TPR-trees".
-        let t_m = self.config.t_m;
-        let mut jobs = Vec::new();
-        for (eb_a, tree_a) in self.mtb_a.buckets() {
-            for (eb_b, tree_b) in self.mtb_b.buckets() {
-                let window_end = eb_a.min(eb_b).min(now) + t_m;
-                if window_end <= now {
-                    continue;
-                }
-                jobs.push(JoinJob {
-                    tree_a,
-                    tree_b,
-                    t_s: now,
-                    t_e: window_end,
-                });
-            }
-        }
-        // All bucket pairs share one traversal worklist, so even a single
-        // large pair (the initial-join case: one bucket per side) fans
-        // out across every worker. `threads == 1` runs the jobs
-        // sequentially in order — the exact pre-parallel code path.
-        let results =
-            parallel_improved_multi_join(&jobs, self.config.techniques, self.config.threads)?;
-        for (pairs, counters) in results {
-            self.counters = self.counters.merged(counters);
-            for p in pairs {
-                self.buffer.add(p.a, p.b, p.interval);
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        self.apply_batch(std::slice::from_ref(update), now)
-    }
-
-    fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
-        let (mtb_a, mtb_b) = (&mut self.mtb_a, &mut self.mtb_b);
-        let outcome = self.probes.mutate_and_load(updates, &mut self.buffer, |u| {
-            let own = match u.set {
-                SetTag::A => &mut *mtb_a,
-                SetTag::B => &mut *mtb_b,
-            };
-            // Bucket migration: out of the old-update bucket, into
-            // `now`'s.
-            own.remove(u.id, &u.old_mbr, u.last_update, now)?;
-            own.insert(u.id, u.new_mbr, now, now)
-        });
-        self.join_probes(now)?;
-        outcome
-    }
-
-    fn insert_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        // A routed insert registers in `now`'s bucket — the same bucket
-        // an update's migration lands in, so the per-bucket windows of
-        // the probe match the unsharded engine's exactly.
-        self.restore_object(set, id, mbr, now, now)
-    }
-
-    fn restore_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.mtb_a,
-            SetTag::B => &mut self.mtb_b,
-        };
-        // Bucket by the object's *original* update time: MTB buckets
-        // live on a global grid, so the restored object lands in the
-        // same bucket the unsharded engine holds it in — its next
-        // producer update (still stamped with the old `last_update`)
-        // removes it from exactly that bucket, and every Theorem-2
-        // per-bucket window it participates in keeps the oracle's t_eb.
-        own.insert(id, mbr, registered_at, now)?;
-        self.probes.load(std::iter::once((set, id, mbr)));
-        self.join_probes(now)
-    }
-
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.mtb_a,
-            SetTag::B => &mut self.mtb_b,
-        };
-        own.remove(id, old_mbr, last_update, now)?;
-        self.buffer.remove_object(id);
-        Ok(())
-    }
-
-    fn gc(&mut self, now: Time) {
-        self.buffer.prune_before(now);
-    }
-
-    fn result_at(&self, t: Time) -> Vec<PairKey> {
-        self.buffer.active_at(t)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn counters(&self) -> JoinCounters {
-        self.counters
-    }
-
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(
-            self.mtb_a
-                .page_format_stats()
-                .merged(&self.mtb_b.page_format_stats()),
-        )
-    }
-
-    fn metrics_registry(&self) -> MetricsRegistry {
-        self.obs.clone()
-    }
-
-    fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
-    }
-}
-
-// ----------------------------------------------------------------------
-// Bx-substrate TC engine (extension: TC processing is index-agnostic)
-// ----------------------------------------------------------------------
-
-/// TC processing on the Bˣ-tree substrate (extension experiment).
-///
-/// Theorems 1 and 2 say nothing about *which* index answers the bounded
-/// probes — this engine runs the identical TC maintenance protocol on
-/// [`cij_bx::BxTree`]s instead of TPR-trees: per update, re-register in
-/// the Bˣ index (cheap B⁺-tree ops), then probe the other side over
-/// `[t_u, t_u + T_M]` (velocity-enlarged Z-range scans). The initial
-/// join is one probe per left-side object — the Bˣ-tree has no
-/// hierarchical tree-to-tree join, which is exactly the trade-off worth
-/// measuring against [`MtbEngine`].
-pub struct BxEngine {
-    config: EngineConfig,
-    pool: BufferPool,
-    bx_a: cij_bx::BxTree,
-    bx_b: cij_bx::BxTree,
-    /// Current registrations of A-side objects (initial join probes B
-    /// once per A object; maintenance keeps this map fresh).
-    reg_a: std::collections::HashMap<ObjectId, cij_geom::MovingRect>,
-    buffer: ResultBuffer,
-    counters: JoinCounters,
-    obs: MetricsRegistry,
-}
-
-impl BxEngine {
-    /// Builds the engine and both Bˣ-trees. `space`, `max_speed` and
-    /// `max_extent` parameterize the Bˣ query enlargement and must bound
-    /// the workload (they do for `cij-workload` streams).
-    pub fn new(
-        pool: BufferPool,
-        config: EngineConfig,
-        bx_config: cij_bx::BxConfig,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-    ) -> TprResult<Self> {
-        let obs = MetricsRegistry::enabled_if(config.metrics);
-        pool.stats().register_in(&obs, "storage.pool");
-        let mut bx_a = cij_bx::BxTree::new(pool.clone(), bx_config);
-        let mut bx_b = cij_bx::BxTree::new(pool.clone(), bx_config);
-        let mut reg_a = std::collections::HashMap::with_capacity(set_a.len());
-        for o in set_a {
-            bx_a.insert(o.id, o.mbr, now)?;
-            reg_a.insert(o.id, o.mbr);
-        }
-        for o in set_b {
-            bx_b.insert(o.id, o.mbr, now)?;
-        }
-        Ok(Self {
-            config,
-            pool,
-            bx_a,
-            bx_b,
-            reg_a,
-            buffer: ResultBuffer::new(),
-            counters: JoinCounters::new(),
-            obs,
-        })
-    }
-
-    /// The A-side index (diagnostics).
-    #[must_use]
-    pub fn bx_a(&self) -> &cij_bx::BxTree {
-        &self.bx_a
-    }
-}
-
-impl ContinuousJoinEngine for BxEngine {
-    fn name(&self) -> &'static str {
-        "Bx-TC-Join"
-    }
-
-    buffer_delta_methods!();
-
-    fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        for (&oid, mbr) in &self.reg_a {
-            for (partner, iv) in self.bx_b.intersect_window(mbr, now, now + t_m)? {
-                self.counters.pairs_emitted += 1;
-                self.buffer.add(oid, partner, iv);
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match update.set {
-            SetTag::A => (&mut self.bx_a, &self.bx_b),
-            SetTag::B => (&mut self.bx_b, &self.bx_a),
-        };
-        own.update(
-            update.id,
-            &update.old_mbr,
-            update.last_update,
-            update.new_mbr,
-            now,
-        )?;
-        if update.set == SetTag::A {
-            self.reg_a.insert(update.id, update.new_mbr);
-        }
-        self.buffer.remove_object(update.id);
-        for (partner, iv) in other.intersect_window(&update.new_mbr, now, now + t_m)? {
-            let (a, b) = orient(update.set, update.id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
-    }
-
-    fn insert_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match set {
-            SetTag::A => (&mut self.bx_a, &self.bx_b),
-            SetTag::B => (&mut self.bx_b, &self.bx_a),
-        };
-        own.insert(id, mbr, now)?;
-        if set == SetTag::A {
-            self.reg_a.insert(id, mbr);
-        }
-        for (partner, iv) in other.intersect_window(&mbr, now, now + t_m)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
-    }
-
-    fn restore_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let t_m = self.config.t_m;
-        let (own, other) = match set {
-            SetTag::A => (&mut self.bx_a, &self.bx_b),
-            SetTag::B => (&mut self.bx_b, &self.bx_a),
-        };
-        // File under the original update time: Bˣ partitions are keyed
-        // by registration timestamp, and the next producer update still
-        // carries the old `last_update`.
-        own.insert(id, mbr, registered_at)?;
-        if set == SetTag::A {
-            self.reg_a.insert(id, mbr);
-        }
-        for (partner, iv) in other.intersect_window(&mbr, now, now + t_m)? {
-            let (a, b) = orient(set, id, partner);
-            self.buffer.add(a, b, iv);
-        }
-        Ok(())
-    }
-
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        _now: Time,
-    ) -> TprResult<()> {
-        let own = match set {
-            SetTag::A => &mut self.bx_a,
-            SetTag::B => &mut self.bx_b,
-        };
-        own.remove(id, old_mbr, last_update)?;
-        if set == SetTag::A {
-            self.reg_a.remove(&id);
-        }
-        self.buffer.remove_object(id);
-        Ok(())
-    }
-
-    fn gc(&mut self, now: Time) {
-        self.buffer.prune_before(now);
-    }
-
-    fn result_at(&self, t: Time) -> Vec<PairKey> {
-        self.buffer.active_at(t)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn counters(&self) -> JoinCounters {
-        self.counters
-    }
-
-    fn metrics_registry(&self) -> MetricsRegistry {
-        self.obs.clone()
-    }
-
-    fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, None);
     }
 }
 

@@ -5,20 +5,26 @@
 //! buffer pool), continuously report every intersecting pair as objects
 //! send updates.
 //!
-//! Four interchangeable engines implement the
-//! [`ContinuousJoinEngine`] trait:
+//! Two engines implement the [`ContinuousJoinEngine`] trait.
+//! [`BufferedEngine`] is the update-driven one: the maintenance protocol
+//! (re-register, drop the object's pairs, probe the other side over a
+//! window, buffer the hits) written once over an [`IndexPair`], which
+//! picks the index and the window:
 //!
 //! * [`NaiveEngine`] — §II-C: unconstrained joins to the infinite
 //!   timestamp; answer updates only on object updates, but each one
 //!   touches nearly the whole opposing tree.
 //! * [`TcEngine`] — §IV-B Theorem 1: identical structure, every join
 //!   window capped at `t_u + T_M`.
-//! * [`EtpEngine`] — §III: the extended time-parameterized join
-//!   competitor; cheap per run but re-runs at every result change.
 //! * [`MtbEngine`] — §IV-C Theorem 2 + §IV-D: objects grouped into
 //!   time-bucket TPR-trees ([`MtbTree`]), per-bucket windows
 //!   `[t_c, t_eb + T_M]`, improvement techniques on the initial join —
 //!   the paper's full proposal.
+//! * [`BxEngine`] — extension: TC processing on Bˣ-trees.
+//!
+//! [`EtpEngine`] — §III — is the extended time-parameterized join
+//! competitor: no interval buffer, cheap per run, but re-run at every
+//! result change.
 //!
 //! [`ResultBuffer`] holds the continuously-maintained answer (the paper
 //! assumes it fits in main memory, §II-A), and [`window`] carries the
@@ -27,6 +33,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod buffered;
 mod engine;
 pub mod knn;
 mod mtb;
@@ -34,9 +41,13 @@ mod result;
 pub mod sim;
 pub mod window;
 
+pub use buffered::{
+    BufferedEngine, BxEngine, BxPair, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair,
+    TcEngine, TcPair, TprPair,
+};
 pub use engine::{
-    apply_op_runs, publish_engine_totals, BxEngine, ContinuousJoinEngine, EngineConfig,
-    EngineConfigBuilder, EtpEngine, MtbEngine, NaiveEngine, TcEngine,
+    apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineConfigBuilder,
+    EtpEngine,
 };
 pub use mtb::MtbTree;
 pub use result::{PairKey, PairStatus, ResultBuffer};

@@ -1,12 +1,13 @@
-//! The two-phase maintenance tick (`apply_batch` on the TC and MTB
-//! engines: every index mutation first, then one batched probe per tree
-//! of the other side) against the per-update loop it replaced.
+//! The two-phase maintenance tick (`BufferedEngine::apply_batch`: every
+//! index mutation first, then one probe of the whole batch per side)
+//! against the per-update loop it replaced, for every index pair in
+//! `cij-core`: MTB, TC, Naive (window `∞`) and Bˣ.
 //!
 //! The loop lives on here as the reference, built from public parts that
-//! do not touch the batched kernel: per update, delete + insert in the own
-//! index, `ResultBuffer::remove_object`, then one
-//! `TprTree::intersect_window` per tree of the other side. After every
-//! tick the engine under test must agree with it on
+//! do not touch the engine or the batched kernel: per update, delete +
+//! insert in the own index, `ResultBuffer::remove_object`, then one
+//! `intersect_window` per tree of the other side. After every tick the
+//! engine under test must agree with it on
 //!
 //! * `result_at(now)`,
 //! * `pair_status_at` — interval bits included — for every pair either
@@ -18,15 +19,19 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
+use cij_bx::{BxConfig, BxTree};
 use cij_core::{
-    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, PairKey, PairStatus, ResultBuffer,
-    TcEngine,
+    BxEngine, ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, NaiveEngine, PairKey,
+    PairStatus, ResultBuffer, TcEngine,
 };
-use cij_geom::{MovingRect, Rect, Time};
-use cij_join::{improved_join, techniques};
+use cij_geom::{MovingRect, Rect, Time, TimeInterval, INFINITE_TIME};
+use cij_join::{improved_join, naive_join, techniques, JoinPair};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 use cij_workload::{generate_pair, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream};
+
+/// Every index pair of `cij-core`, by the name the harness builds it under.
+const KINDS: [&str; 4] = ["mtb", "tc", "naive", "bx"];
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -38,8 +43,10 @@ fn pool() -> BufferPool {
 /// The two indexes of the reference loop.
 #[allow(clippy::large_enum_variant)] // one value per test run
 enum Indexes {
-    Tc(TprTree, TprTree),
+    /// `"tc"` (probe window `now + T_M`) and `"naive"` (`∞`).
+    Tpr(TprTree, TprTree),
     Mtb(MtbTree, MtbTree),
+    Bx(BxTree, BxTree),
 }
 
 /// The pre-batching maintenance protocol, one update at a time.
@@ -47,13 +54,21 @@ struct LoopReference {
     indexes: Indexes,
     buffer: ResultBuffer,
     t_m: Time,
+    /// Length of a TPR / Bˣ probe window: `T_M`, or `∞` for `"naive"`.
+    window: Time,
 }
 
 impl LoopReference {
-    fn new(kind: &str, config: &EngineConfig, a: &[MovingObject], b: &[MovingObject]) -> Self {
+    fn new(
+        kind: &str,
+        config: &EngineConfig,
+        bx: BxConfig,
+        a: &[MovingObject],
+        b: &[MovingObject],
+    ) -> Self {
         let pool = pool();
         let indexes = match kind {
-            "tc" => {
+            "tc" | "naive" => {
                 let mut ta = TprTree::new(pool.clone(), config.tree);
                 let mut tb = TprTree::new(pool, config.tree);
                 for o in a {
@@ -62,7 +77,18 @@ impl LoopReference {
                 for o in b {
                     tb.insert(o.id, o.mbr, 0.0).unwrap();
                 }
-                Indexes::Tc(ta, tb)
+                Indexes::Tpr(ta, tb)
+            }
+            "bx" => {
+                let mut xa = BxTree::new(pool.clone(), bx);
+                let mut xb = BxTree::new(pool, bx);
+                for o in a {
+                    xa.insert(o.id, o.mbr, 0.0).unwrap();
+                }
+                for o in b {
+                    xb.insert(o.id, o.mbr, 0.0).unwrap();
+                }
+                Indexes::Bx(xa, xb)
             }
             "mtb" => {
                 let m = config.buckets_per_tm;
@@ -80,20 +106,36 @@ impl LoopReference {
         };
         let mut buffer = ResultBuffer::new();
         buffer.enable_change_tracking();
-        let mut this = Self {
-            indexes,
-            buffer,
-            t_m: config.t_m,
+        let t_m = config.t_m;
+        let window = if kind == "naive" { INFINITE_TIME } else { t_m };
+        // Initial join on `[0, window]`: both sides hold one tree at t = 0.
+        let tree_join = |ta: &TprTree, tb: &TprTree| {
+            if kind == "naive" {
+                naive_join(ta, tb, 0.0).unwrap().0
+            } else {
+                improved_join(ta, tb, 0.0, t_m, techniques::ALL).unwrap().0
+            }
         };
-        // Initial join on `[0, T_M]`: both sides hold one tree at t = 0.
-        let (ta, tb) = match &this.indexes {
-            Indexes::Tc(ta, tb) => (ta, tb),
-            Indexes::Mtb(ma, mb) => (
+        let pairs: Vec<JoinPair> = match &indexes {
+            Indexes::Tpr(ta, tb) => tree_join(ta, tb),
+            Indexes::Mtb(ma, mb) => tree_join(
                 ma.buckets().next().expect("one bucket").1,
                 mb.buckets().next().expect("one bucket").1,
             ),
+            Indexes::Bx(_, xb) => a
+                .iter()
+                .flat_map(|o| {
+                    let found = xb.intersect_window(&o.mbr, 0.0, t_m).unwrap();
+                    found.into_iter().map(|(b, iv)| JoinPair::new(o.id, b, iv))
+                })
+                .collect(),
         };
-        let (pairs, _) = improved_join(ta, tb, 0.0, this.t_m, techniques::ALL).unwrap();
+        let mut this = Self {
+            indexes,
+            buffer,
+            t_m,
+            window,
+        };
         for p in pairs {
             this.buffer.add(p.a, p.b, p.interval);
         }
@@ -102,16 +144,28 @@ impl LoopReference {
     }
 
     fn apply_update(&mut self, u: &ObjectUpdate, now: Time) {
-        let t_m = self.t_m;
-        // `(tree, window end)` of every tree the probe must visit.
-        let others: Vec<(&TprTree, Time)> = match &mut self.indexes {
-            Indexes::Tc(ta, tb) => {
+        let (t_m, window) = (self.t_m, self.window);
+        let found: Vec<(ObjectId, TimeInterval)> = match &mut self.indexes {
+            Indexes::Tpr(ta, tb) => {
                 let (own, other) = match u.set {
                     SetTag::A => (ta, &*tb),
                     SetTag::B => (tb, &*ta),
                 };
                 own.update(u.id, &u.old_mbr, u.new_mbr, now).unwrap();
-                vec![(other, now + t_m)]
+                other
+                    .intersect_window(&u.new_mbr, now, now + window)
+                    .unwrap()
+            }
+            Indexes::Bx(xa, xb) => {
+                let (own, other) = match u.set {
+                    SetTag::A => (xa, &*xb),
+                    SetTag::B => (xb, &*xa),
+                };
+                own.update(u.id, &u.old_mbr, u.last_update, u.new_mbr, now)
+                    .unwrap();
+                other
+                    .intersect_window(&u.new_mbr, now, now + window)
+                    .unwrap()
             }
             Indexes::Mtb(ma, mb) => {
                 let (own, other) = match u.set {
@@ -124,16 +178,17 @@ impl LoopReference {
                     .buckets()
                     .map(|(t_eb, tree)| (tree, t_eb.min(now) + t_m))
                     .filter(|&(_, t_end)| t_end > now)
+                    .flat_map(|(tree, t_end)| {
+                        tree.intersect_window(&u.new_mbr, now, t_end).unwrap()
+                    })
                     .collect()
             }
         };
         self.buffer.remove_object(u.id);
-        for (tree, t_end) in others {
-            for (partner, iv) in tree.intersect_window(&u.new_mbr, now, t_end).unwrap() {
-                match u.set {
-                    SetTag::A => self.buffer.add(u.id, partner, iv),
-                    SetTag::B => self.buffer.add(partner, u.id, iv),
-                }
+        for (partner, iv) in found {
+            match u.set {
+                SetTag::A => self.buffer.add(u.id, partner, iv),
+                SetTag::B => self.buffer.add(partner, u.id, iv),
             }
         }
     }
@@ -146,12 +201,15 @@ impl LoopReference {
 fn build_engine(
     kind: &str,
     config: EngineConfig,
+    bx: BxConfig,
     a: &[MovingObject],
     b: &[MovingObject],
 ) -> Box<dyn ContinuousJoinEngine> {
     let mut engine: Box<dyn ContinuousJoinEngine> = match kind {
         "tc" => Box::new(TcEngine::new(pool(), config, a, b, 0.0).unwrap()),
         "mtb" => Box::new(MtbEngine::new(pool(), config, a, b, 0.0).unwrap()),
+        "naive" => Box::new(NaiveEngine::new(pool(), config, a, b, 0.0).unwrap()),
+        "bx" => Box::new(BxEngine::new(pool(), (config, bx), a, b, 0.0).unwrap()),
         other => panic!("unknown engine kind {other}"),
     };
     engine.enable_delta_tracking();
@@ -179,11 +237,19 @@ struct Twins {
 }
 
 impl Twins {
-    fn new(kind: &str, config: EngineConfig, a: &[MovingObject], b: &[MovingObject]) -> Self {
+    /// `bx` must bound the workload's speeds and extents; only the
+    /// `"bx"` kind reads it.
+    fn new(
+        kind: &str,
+        config: EngineConfig,
+        bx: BxConfig,
+        a: &[MovingObject],
+        b: &[MovingObject],
+    ) -> Self {
         let mut twins = Self {
             tag: format!("{kind} threads={}", config.threads),
-            batch: build_engine(kind, config, a, b),
-            reference: LoopReference::new(kind, &config, a, b),
+            batch: build_engine(kind, config, bx, a, b),
+            reference: LoopReference::new(kind, &config, bx, a, b),
             seen: BTreeSet::new(),
             t_m: config.t_m,
         };
@@ -232,7 +298,7 @@ impl Twins {
         assert_eq!(got, self.reference.buffer.active_at(now), "{tag}: answer");
         self.seen.extend(got);
         for &p in &self.seen {
-            for t in [now, now + self.t_m / 2.0] {
+            for t in [now, now + self.t_m / 2.0, now + 2.0 * self.t_m] {
                 assert_eq!(
                     status_bits(self.batch.pair_status_at(p, t)),
                     status_bits(self.reference.status(p, t)),
@@ -245,7 +311,7 @@ impl Twins {
 
 #[test]
 fn random_streams_match_the_loop_every_tick() {
-    for kind in ["mtb", "tc"] {
+    for kind in KINDS {
         for threads in [1usize, 4] {
             for seed in [3u64, 17, 4242] {
                 let params = Params {
@@ -262,9 +328,16 @@ fn random_streams_match_the_loop_every_tick() {
                     .t_m(params.maximum_update_interval)
                     .threads(threads)
                     .build();
+                let bx = BxConfig {
+                    t_m: params.maximum_update_interval,
+                    space: params.space,
+                    max_speed: params.max_speed,
+                    max_extent: params.object_side(),
+                    ..BxConfig::default()
+                };
                 let (a, b) = generate_pair(&params, 0.0);
                 let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
-                let mut twins = Twins::new(kind, config, &a, &b);
+                let mut twins = Twins::new(kind, config, bx, &a, &b);
                 let mut batched_pairs = 0;
                 for tick in 1..=35u32 {
                     let now = Time::from(tick);
@@ -335,9 +408,9 @@ impl World {
     }
 }
 
-/// Runs `script` (tick time → that tick's batch) on MTB and TC twins.
+/// Runs `script` (tick time → that tick's batch) on twins of every kind.
 fn run_script(script: impl Fn(&mut World) -> Vec<(Time, Vec<ObjectUpdate>)>) {
-    for kind in ["mtb", "tc"] {
+    for kind in KINDS {
         for threads in [1usize, 4] {
             let (mut world, a, b) = World::new();
             let config = EngineConfig::builder()
@@ -345,7 +418,15 @@ fn run_script(script: impl Fn(&mut World) -> Vec<(Time, Vec<ObjectUpdate>)>) {
                 .threads(threads)
                 .tree(TreeConfig::with_capacity(4))
                 .build();
-            let mut twins = Twins::new(kind, config, &a, &b);
+            // The scripts keep every square inside [0, 200) at speeds ≤ 0.5.
+            let bx = BxConfig {
+                t_m: 60.0,
+                space: 200.0,
+                max_speed: 1.0,
+                max_extent: SIDE,
+                ..BxConfig::default()
+            };
+            let mut twins = Twins::new(kind, config, bx, &a, &b);
             assert_eq!(twins.batch.result_at(0.0).len(), 10, "A_i–B_i live at 0");
             for (now, updates) in script(&mut world) {
                 twins.tick(&updates, now);

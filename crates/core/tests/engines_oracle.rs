@@ -343,9 +343,41 @@ fn bx_engine_matches_oracle() {
         ..Default::default()
     };
     let mut e =
-        cij_core::BxEngine::new(pool(), EngineConfig::default(), bx_config, &a, &b, 0.0).unwrap();
+        cij_core::BxEngine::new(pool(), (EngineConfig::default(), bx_config), &a, &b, 0.0).unwrap();
     run_with_oracle(&mut e, &params, 130).unwrap();
     e.bx_a().validate().unwrap();
+}
+
+#[test]
+fn bx_initial_join_io_is_reproducible() {
+    // The Bˣ initial join is one probe of B per A object; behind a pool
+    // smaller than the index, the order of those probes decides which
+    // pages are still resident. It must not depend on a hash seed.
+    let params = Params {
+        dataset_size: 2_500,
+        ..Params::default()
+    };
+    let (a, b) = generate_pair(&params, 0.0);
+    let bx_config = cij_bx::BxConfig {
+        t_m: params.maximum_update_interval,
+        space: params.space,
+        max_speed: params.max_speed,
+        max_extent: params.object_side(),
+        ..Default::default()
+    };
+    let initial_join_io = || {
+        let pool = BufferPool::new(
+            Arc::new(InMemoryStore::new()),
+            BufferPoolConfig::with_capacity(50),
+        );
+        let config = (EngineConfig::default(), bx_config);
+        let mut e = cij_core::BxEngine::new(pool, config, &a, &b, 0.0).unwrap();
+        e.run_initial_join(0.0).unwrap();
+        e.pool().stats().snapshot()
+    };
+    let first = initial_join_io();
+    assert!(first.physical_reads > 50, "the pool must thrash: {first:?}");
+    assert_eq!(first, initial_join_io());
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn build(kind: &str, config: EngineConfig, p: &Params) -> Box<dyn ContinuousJoin
                 max_extent: p.object_side(),
                 ..Default::default()
             };
-            Box::new(BxEngine::new(pool, config, bx, &a, &b, 0.0).expect("bx"))
+            Box::new(BxEngine::new(pool, (config, bx), &a, &b, 0.0).expect("bx"))
         }
         other => panic!("unknown engine kind {other}"),
     }

@@ -72,7 +72,7 @@ fn make_factory(kind: Kind, params: &Params) -> SharedShardEngineFactory {
                 as Box<dyn ContinuousJoinEngine + Send>,
             Kind::Tc => Box::new(TcEngine::new(pool, *cfg, a, b, now)?),
             Kind::Mtb => Box::new(MtbEngine::new(pool, *cfg, a, b, now)?),
-            Kind::Bx => Box::new(BxEngine::new(pool, *cfg, bx, a, b, now)?),
+            Kind::Bx => Box::new(BxEngine::new(pool, (*cfg, bx), a, b, now)?),
         })
     })
 }

@@ -1,18 +1,16 @@
-//! The proximity join engine: TC-processed intersection candidates via
-//! Minkowski inflation, exact distance-interval refine.
+//! The proximity join: TC-processed intersection candidates via
+//! Minkowski inflation, exact distance-interval refine — an
+//! [`IndexPair`] under `cij-core`'s one buffered engine.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use cij_core::{
-    publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus, ResultBuffer,
-};
-use cij_geom::{MovingRect, Time, DIMS};
-use cij_join::{parallel_improved_join, JoinCounters};
-use cij_obs::MetricsRegistry;
+use cij_core::{BufferedEngine, EngineConfig, IndexPair, TcPair};
+use cij_geom::{MovingRect, Time, TimeInterval, DIMS};
+use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
+use cij_obs::{Histogram, MetricsRegistry};
 use cij_storage::{BufferPool, CacheSnapshot};
-use cij_tpr::{ObjectId, TprResult, TprTree};
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_tpr::{ObjectId, TprResult};
+use cij_workload::SetTag;
 
 /// Configuration of a [`ProximityJoinEngine`]: the shared TC-engine knobs
 /// plus the distance threshold.
@@ -50,94 +48,53 @@ impl ProximityConfig {
 /// the Theorem-1 valid window `[t_u, t_u + T_M]` is ≤ ε, with the exact
 /// time sub-interval during which `dist(a, b) ≤ ε` holds.
 ///
+/// Results land in the standard `ResultBuffer` of [`BufferedEngine`], so
+/// the two-phase tick, delta extraction, stream subscriptions, WAL
+/// recovery and sharding compose unchanged; everything specific to the
+/// query class is in [`ProximityPair`], which the engine dereferences to
+/// (`engine.candidates()`, `engine.refine_rejects()`, `engine.epsilon()`).
+pub type ProximityJoinEngine = BufferedEngine<ProximityPair>;
+
+/// The filter ∘ refine index pair of the proximity join.
+///
 /// # How it reuses the intersection join
 ///
 /// The B-side index stores rectangles **inflated by ε per axis** (the
 /// Minkowski sum with the L∞ ball of radius ε). `dist_L2 ≤ ε` implies
 /// every per-axis gap is ≤ ε, which is exactly `a ∩ inflate(b, ε) ≠ ∅` —
-/// so the stock TPR-tree intersection join over `(A, inflate(B, ε))`
-/// returns a complete candidate superset, time-constrained precisely as
-/// the TC engine's runs are. A refine pass then evaluates the exact
-/// distance condition with
+/// so the stock TPR-tree intersection join over `(A, inflate(B, ε))` —
+/// a [`TcPair`], used as it is — returns a complete candidate superset,
+/// time-constrained precisely as the TC engine's runs are. The refine
+/// pass then evaluates the exact distance condition with
 /// [`MovingRect::within_dist_sq_interval`](cij_geom::MovingRect::within_dist_sq_interval)
-/// over the **full** maintenance window (not the candidate's overlap
-/// interval — so the refined answer is a pure function of the pair and
-/// the window, which is what makes the engine bit-identical to the
-/// brute-force oracle).
-///
-/// Results land in the standard [`ResultBuffer`], so delta extraction,
-/// stream subscriptions, WAL recovery and sharding compose unchanged.
-pub struct ProximityJoinEngine {
-    config: EngineConfig,
+/// over the **full** maintenance window `[now, now + T_M]` (not the
+/// candidate's overlap interval — so the refined answer is a pure
+/// function of the pair and the window, which is what makes the engine
+/// bit-identical to the brute-force oracle).
+pub struct ProximityPair {
+    /// The candidate filter: TC-Join over the original A trajectories
+    /// and the ε-inflated B trajectories.
+    filter: TcPair,
+    t_m: Time,
     eps: f64,
     eps_sq: f64,
-    pool: BufferPool,
-    /// A-side index over the original trajectories.
-    tree_a: TprTree,
-    /// B-side index over ε-inflated trajectories.
-    tree_b: TprTree,
     /// Original (uninflated) registrations, the refine inputs.
     reg_a: HashMap<ObjectId, MovingRect>,
     reg_b: HashMap<ObjectId, MovingRect>,
-    buffer: ResultBuffer,
-    counters: JoinCounters,
     candidates: u64,
     refine_rejects: u64,
-    obs: MetricsRegistry,
+    /// Wall time of each refine pass (`simjoin.refine_ns`).
+    refine_ns: Histogram,
 }
 
-impl ProximityJoinEngine {
-    /// Builds the engine and its two TPR-trees (B-side inflated).
-    pub fn new(
-        pool: BufferPool,
-        config: ProximityConfig,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-    ) -> TprResult<Self> {
-        let eps = config.epsilon;
-        assert!(
-            eps.is_finite() && eps >= 0.0,
-            "epsilon must be finite and non-negative, got {eps}"
-        );
-        let obs = MetricsRegistry::enabled_if(config.engine.metrics);
-        pool.stats().register_in(&obs, "storage.pool");
-        let mut tree_a = TprTree::new(pool.clone(), config.engine.tree);
-        let mut tree_b = TprTree::new(pool.clone(), config.engine.tree);
-        let mut reg_a = HashMap::with_capacity(set_a.len());
-        let mut reg_b = HashMap::with_capacity(set_b.len());
-        for o in set_a {
-            tree_a.insert(o.id, o.mbr, now)?;
-            reg_a.insert(o.id, o.mbr);
-        }
-        for o in set_b {
-            tree_b.insert(o.id, inflate_padded(&o.mbr, eps), now)?;
-            reg_b.insert(o.id, o.mbr);
-        }
-        Ok(Self {
-            config: config.engine,
-            eps,
-            eps_sq: eps * eps,
-            pool,
-            tree_a,
-            tree_b,
-            reg_a,
-            reg_b,
-            buffer: ResultBuffer::new(),
-            counters: JoinCounters::new(),
-            candidates: 0,
-            refine_rejects: 0,
-            obs,
-        })
-    }
-
+impl ProximityPair {
     /// The configured threshold ε.
     #[must_use]
     pub fn epsilon(&self) -> f64 {
         self.eps
     }
 
-    /// Candidate pairs produced by the inflated intersection join so far.
+    /// Candidate pairs the refine pass has seen so far.
     #[must_use]
     pub fn candidates(&self) -> u64 {
         self.candidates
@@ -149,35 +106,32 @@ impl ProximityJoinEngine {
         self.refine_rejects
     }
 
-    /// Refines candidate `(a, b)` over the full window `[now, now + T_M]`
-    /// and records the surviving sub-interval. The window — not the
-    /// candidate's overlap interval — is deliberate: it makes the stored
-    /// interval a pure function of `(a, b, now)`, identical to what the
-    /// brute-force oracle computes.
-    fn refine(&mut self, a: ObjectId, b: ObjectId, now: Time) {
-        self.candidates += 1;
-        let iv = {
-            let ra = self.reg_a.get(&a).expect("unregistered A-side candidate");
-            let rb = self.reg_b.get(&b).expect("unregistered B-side candidate");
-            ra.within_dist_sq_interval(rb, self.eps_sq, now, now + self.config.t_m)
-        };
-        match iv {
-            Some(iv) => self.buffer.add(a, b, iv),
-            None => self.refine_rejects += 1,
+    /// The exact answer for `(ra, rb)` over `[now, now + T_M]`.
+    fn exact(&self, ra: &MovingRect, rb: &MovingRect, now: Time) -> Option<TimeInterval> {
+        ra.within_dist_sq_interval(rb, self.eps_sq, now, now + self.t_m)
+    }
+
+    /// The trajectory the filter stores and probes with for `mbr`.
+    /// Deterministic, so the delete path reproduces the inserted
+    /// rectangle bit-for-bit.
+    fn filtered(&self, set: SetTag, mbr: &MovingRect) -> MovingRect {
+        match set {
+            SetTag::A => *mbr,
+            SetTag::B => inflate_padded(mbr, self.eps),
         }
     }
 
-    /// Runs `refine` over a candidate batch, recording the batch's wall
-    /// time into the `simjoin.refine_ns` histogram when metrics are on.
-    fn refine_batch(&mut self, cands: impl IntoIterator<Item = PairKey>, now: Time) {
-        let timer = self.obs.is_enabled().then(Instant::now);
-        for (a, b) in cands {
-            self.refine(a, b, now);
+    fn registrations(&mut self, set: SetTag) -> &mut HashMap<ObjectId, MovingRect> {
+        match set {
+            SetTag::A => &mut self.reg_a,
+            SetTag::B => &mut self.reg_b,
         }
-        if let Some(t0) = timer {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.obs.histogram("simjoin.refine_ns").record(ns);
-        }
+    }
+
+    /// Books one refine pass that kept `kept` of `seen` candidates.
+    fn count(&mut self, seen: usize, kept: usize) {
+        self.candidates += seen as u64;
+        self.refine_rejects += (seen - kept) as u64;
     }
 }
 
@@ -203,173 +157,121 @@ fn inflate_padded(r: &MovingRect, eps: f64) -> MovingRect {
     out
 }
 
-/// Orients an (updated object, partner) pair as (A-object, B-object).
-fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) -> PairKey {
-    match update_side {
-        SetTag::A => (updated, partner),
-        SetTag::B => (partner, updated),
-    }
-}
+impl IndexPair for ProximityPair {
+    type Config = ProximityConfig;
+    const NAME: &'static str = "Proximity-Join";
 
-impl ContinuousJoinEngine for ProximityJoinEngine {
-    fn name(&self) -> &'static str {
-        "Proximity-Join"
+    fn engine_config(config: &ProximityConfig) -> &EngineConfig {
+        &config.engine
     }
 
-    fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        // Candidate phase: the stock time-constrained intersection join,
-        // Theorem-1 window, over (A, inflate(B, ε)).
-        let window_end = now + self.config.t_m;
-        let (pairs, counters) = parallel_improved_join(
-            &self.tree_a,
-            &self.tree_b,
-            now,
-            window_end,
-            self.config.techniques,
-            self.config.threads,
-        )?;
-        self.counters = self.counters.merged(counters);
-        self.refine_batch(pairs.into_iter().map(|p| (p.a, p.b)), now);
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let window_end = now + self.config.t_m;
-        // Re-register in the index (B-side rectangles are stored
-        // inflated, and re-inflating the old registration reproduces the
-        // stored rectangle bit-for-bit — same float op, same inputs).
-        let cands = match update.set {
-            SetTag::A => {
-                self.tree_a
-                    .update(update.id, &update.old_mbr, update.new_mbr, now)?;
-                self.reg_a.insert(update.id, update.new_mbr);
-                self.tree_b
-                    .intersect_window(&update.new_mbr, now, window_end)?
-            }
-            SetTag::B => {
-                let old_inflated = inflate_padded(&update.old_mbr, self.eps);
-                let new_inflated = inflate_padded(&update.new_mbr, self.eps);
-                self.tree_b
-                    .update(update.id, &old_inflated, new_inflated, now)?;
-                self.reg_b.insert(update.id, update.new_mbr);
-                self.tree_a
-                    .intersect_window(&new_inflated, now, window_end)?
-            }
-        };
-        self.buffer.remove_object(update.id);
-        let set = update.set;
-        let id = update.id;
-        self.refine_batch(
-            cands
-                .into_iter()
-                .map(|(partner, _)| orient(set, id, partner)),
-            now,
+    fn empty(pool: &BufferPool, config: &ProximityConfig, obs: &MetricsRegistry) -> Self {
+        let eps = config.epsilon;
+        assert!(
+            eps.is_finite() && eps >= 0.0,
+            "epsilon must be finite and non-negative, got {eps}"
         );
-        Ok(())
+        Self {
+            filter: TcPair::empty(pool, &config.engine, obs),
+            t_m: config.engine.t_m,
+            eps,
+            eps_sq: eps * eps,
+            reg_a: HashMap::new(),
+            reg_b: HashMap::new(),
+            candidates: 0,
+            refine_rejects: 0,
+            refine_ns: obs.histogram("simjoin.refine_ns"),
+        }
     }
 
-    fn insert_object(
+    fn insert(
         &mut self,
         set: SetTag,
         id: ObjectId,
         mbr: MovingRect,
+        registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
-        let window_end = now + self.config.t_m;
-        let cands = match set {
-            SetTag::A => {
-                self.tree_a.insert(id, mbr, now)?;
-                self.reg_a.insert(id, mbr);
-                self.tree_b.intersect_window(&mbr, now, window_end)?
-            }
-            SetTag::B => {
-                let inflated = inflate_padded(&mbr, self.eps);
-                self.tree_b.insert(id, inflated, now)?;
-                self.reg_b.insert(id, mbr);
-                self.tree_a.intersect_window(&inflated, now, window_end)?
-            }
-        };
-        self.refine_batch(
-            cands
-                .into_iter()
-                .map(|(partner, _)| orient(set, id, partner)),
-            now,
-        );
+        let stored = self.filtered(set, &mbr);
+        self.filter.insert(set, id, stored, registered_at, now)?;
+        self.registrations(set).insert(id, mbr);
         Ok(())
     }
 
-    fn remove_object(
+    fn remove(
         &mut self,
         set: SetTag,
         id: ObjectId,
         old_mbr: &MovingRect,
-        _last_update: Time,
+        last_update: Time,
         now: Time,
     ) -> TprResult<()> {
-        match set {
-            SetTag::A => {
-                self.tree_a.delete(id, old_mbr, now)?;
-                self.reg_a.remove(&id);
-            }
-            SetTag::B => {
-                self.tree_b
-                    .delete(id, &inflate_padded(old_mbr, self.eps), now)?;
-                self.reg_b.remove(&id);
-            }
-        }
-        self.buffer.remove_object(id);
+        let stored = self.filtered(set, old_mbr);
+        self.filter.remove(set, id, &stored, last_update, now)?;
+        self.registrations(set).remove(&id);
         Ok(())
     }
 
-    fn gc(&mut self, now: Time) {
-        self.buffer.prune_before(now);
+    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+        let (mut pairs, counters) = self.filter.initial_join(now)?;
+        let _span = self.refine_ns.start_span();
+        let seen = pairs.len();
+        pairs.retain_mut(|p| {
+            let exact = self.exact(&self.reg_a[&p.a], &self.reg_b[&p.b], now);
+            exact.map(|iv| p.interval = iv).is_some()
+        });
+        self.count(seen, pairs.len());
+        Ok((pairs, counters))
     }
 
-    fn result_at(&self, t: Time) -> Vec<PairKey> {
-        self.buffer.active_at(t)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn counters(&self) -> JoinCounters {
-        self.counters
-    }
-
-    fn enable_delta_tracking(&mut self) {
-        self.buffer.enable_change_tracking();
-    }
-
-    fn take_result_changes(&mut self) -> Option<Vec<PairKey>> {
-        self.buffer.take_changes()
-    }
-
-    fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.buffer.status_at(pair.0, pair.1, t)
-    }
-
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(
-            self.tree_a
-                .page_format_stats()
-                .merged(&self.tree_b.page_format_stats()),
-        )
-    }
-
-    fn metrics_registry(&self) -> MetricsRegistry {
-        self.obs.clone()
-    }
-
-    fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
-        if self.obs.is_enabled() {
-            self.obs
-                .counter("simjoin.candidates")
-                .store(self.candidates);
-            self.obs
-                .counter("simjoin.refine_rejects")
-                .store(self.refine_rejects);
+    fn probe(
+        &self,
+        side: SetTag,
+        probes: &[MovingRect],
+        now: Time,
+        scratch: &mut JoinScratch,
+        counters: &mut JoinCounters,
+        hits: &mut Vec<ProbeHit>,
+    ) -> TprResult<()> {
+        match side {
+            SetTag::A => self
+                .filter
+                .probe(side, probes, now, scratch, counters, hits),
+            SetTag::B => {
+                let inflated: Vec<MovingRect> =
+                    probes.iter().map(|mbr| self.filtered(side, mbr)).collect();
+                self.filter
+                    .probe(side, &inflated, now, scratch, counters, hits)
+            }
         }
+    }
+
+    /// The exact pass: a probe is its object's fresh registration, the
+    /// partner's comes from the registration map of the other side.
+    fn refine(&mut self, side: SetTag, probes: &[MovingRect], now: Time, hits: &mut Vec<ProbeHit>) {
+        let _span = self.refine_ns.start_span();
+        let seen = hits.len();
+        hits.retain_mut(|(p, partner, iv)| {
+            let probe = &probes[*p as usize];
+            let exact = match side {
+                SetTag::A => self.exact(probe, &self.reg_b[partner], now),
+                SetTag::B => self.exact(&self.reg_a[partner], probe, now),
+            };
+            exact.map(|refined| *iv = refined).is_some()
+        });
+        self.count(seen, hits.len());
+    }
+
+    fn page_format_stats(&self) -> Option<CacheSnapshot> {
+        self.filter.page_format_stats()
+    }
+
+    fn publish_extra(&self, registry: &MetricsRegistry) {
+        registry
+            .counter("simjoin.candidates")
+            .store(self.candidates);
+        registry
+            .counter("simjoin.refine_rejects")
+            .store(self.refine_rejects);
     }
 }

@@ -37,5 +37,5 @@ mod engine;
 mod factory;
 
 pub use brute::BruteProximityEngine;
-pub use engine::{ProximityConfig, ProximityJoinEngine};
+pub use engine::{ProximityConfig, ProximityJoinEngine, ProximityPair};
 pub use factory::{proximity_shard_factory, proximity_stream_factory};

@@ -9,6 +9,11 @@
 //! parallel candidate sweep additionally reproduces the sequential
 //! engine's answer *and traversal counters* bit-for-bit.
 //!
+//! The same holds when the engine takes each tick as one `apply_batch`
+//! (the two-phase tick: every index mutation, then one filter probe and
+//! one refine pass per side) while the oracle keeps applying update by
+//! update.
+//!
 //! A final test routes the same workload through the shard coordinator
 //! (proximity engines behind `proximity_shard_factory`) and pins it to
 //! the unsharded engine.
@@ -16,13 +21,15 @@
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
-use cij_geom::Time;
+use cij_geom::{MovingRect, Time};
 use cij_shard::{HashPolicy, PartitionPolicy, ShardCoordinator};
 use cij_simjoin::{
     proximity_shard_factory, BruteProximityEngine, ProximityConfig, ProximityJoinEngine,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-use cij_workload::{generate_pair, Distribution, MovingObject, ObjectUpdate, Params, UpdateStream};
+use cij_workload::{
+    generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
+};
 
 const TICKS: u32 = 40;
 
@@ -69,6 +76,16 @@ fn drive(
     engine: &mut dyn ContinuousJoinEngine,
     schedule: &[(Time, Vec<ObjectUpdate>)],
 ) -> Vec<Snapshot> {
+    drive_ticks(engine, schedule, false)
+}
+
+/// [`drive`], with each tick's updates applied one by one or — `batched`
+/// — as one `apply_batch`.
+fn drive_ticks(
+    engine: &mut dyn ContinuousJoinEngine,
+    schedule: &[(Time, Vec<ObjectUpdate>)],
+    batched: bool,
+) -> Vec<Snapshot> {
     engine.run_initial_join(0.0).unwrap();
     let mut out = Vec::with_capacity(schedule.len() + 1);
     let observe = |engine: &dyn ContinuousJoinEngine, t: Time| {
@@ -84,8 +101,12 @@ fn drive(
     out.push(observe(engine, 0.0));
     for (now, updates) in schedule {
         engine.advance_time(*now).unwrap();
-        for u in updates {
-            engine.apply_update(u, *now).unwrap();
+        if batched {
+            engine.apply_batch(updates, *now).unwrap();
+        } else {
+            for u in updates {
+                engine.apply_update(u, *now).unwrap();
+            }
         }
         engine.gc(*now);
         out.push(observe(engine, *now));
@@ -177,6 +198,85 @@ fn refine_pass_actually_rejects_candidates() {
         engine.refine_rejects() > 0,
         "refine never rejected — inflation is not over-approximating"
     );
+}
+
+#[test]
+fn batched_ticks_match_oracle() {
+    for (eps, seed) in [(0.0, 511u64), (2.5, 512), (30.0, 513)] {
+        // Short T_M: a tenth of each set updates per tick, so both
+        // endpoints of a pair often share a batch.
+        let params = Params {
+            maximum_update_interval: 10.0,
+            ..small_params(seed)
+        };
+        let engine_config = EngineConfig::builder()
+            .t_m(params.maximum_update_interval)
+            .build();
+        let config = ProximityConfig::new(engine_config, eps);
+        let (a, b) = generate_pair(&params, 0.0);
+        let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+        let mut schedule: Vec<(Time, Vec<ObjectUpdate>)> = (1..=TICKS)
+            .map(|tick| (Time::from(tick), stream.tick(Time::from(tick))))
+            .collect();
+        let mixed = schedule
+            .iter()
+            .filter(|(_, us)| us.iter().any(|u| u.set != us[0].set))
+            .count();
+        assert!(mixed > 20, "eps={eps}: batches must mix both sides");
+
+        // One hand-made tick on top: both endpoints of a pair that is
+        // reported now and still will be then re-register in one batch,
+        // and its A endpoint a second time (stopping where it is).
+        let now = Time::from(TICKS + 1);
+        let mut oracle = BruteProximityEngine::new(config, &a, &b);
+        let (_, live) = drive(&mut oracle, &schedule).pop().expect("snapshots");
+        let (pa, pb) = live
+            .iter()
+            .find(|(_, status)| status.active.is_some_and(|iv| iv.end > now))
+            .map(|(pair, _)| *pair)
+            .expect("a pair live across the next tick");
+        let current = |set: SetTag, id| -> MovingRect {
+            let registered = stream.snapshot(set);
+            registered
+                .iter()
+                .find(|(o, _)| *o == id)
+                .expect("live id")
+                .1
+        };
+        let reregister = |set, id, old_mbr: MovingRect, new_mbr| ObjectUpdate {
+            id,
+            set,
+            old_mbr,
+            last_update: old_mbr.t_ref,
+            new_mbr,
+        };
+        let (ma, mb) = (current(SetTag::A, pa), current(SetTag::B, pb));
+        let first = reregister(SetTag::A, pa, ma, ma.rebase(now));
+        schedule.push((
+            now,
+            vec![
+                first,
+                reregister(SetTag::B, pb, mb, mb.rebase(now)),
+                reregister(
+                    SetTag::A,
+                    pa,
+                    first.new_mbr,
+                    MovingRect::stationary(ma.at(now), now),
+                ),
+            ],
+        ));
+
+        let mut oracle = BruteProximityEngine::new(config, &a, &b);
+        let expect = drive(&mut oracle, &schedule);
+        let mut engine = ProximityJoinEngine::new(pool(), config, &a, &b, 0.0).unwrap();
+        let got = drive_ticks(&mut engine, &schedule, true);
+        assert_snapshots_match(&got, &expect, &format!("batched eps={eps}"));
+        let (_, last) = got.last().expect("snapshots");
+        assert!(
+            last.iter().any(|(pair, _)| *pair == (pa, pb)),
+            "eps={eps}: the pair re-registered in place must stay reported"
+        );
+    }
 }
 
 #[test]

@@ -66,8 +66,15 @@ fn arb_updates(n_per_side: usize) -> impl Strategy<Value = Vec<(Time, RawUpdate)
     )
 }
 
-/// Snapshot both engines after every event and require bit-identical
-/// pair sets and `PairStatus` floats.
+/// Runs the workload three ways — the oracle and one engine update by
+/// update, a second engine with each tick's updates as one `apply_batch`
+/// — and requires bit-identical pair sets and `PairStatus` floats: after
+/// every event for the first two, after every tick for all three.
+///
+/// The batched engine refines a subset of the per-update engine's
+/// candidates (a pair found and dropped again inside a tick is never
+/// refined), so its tallies can only be lower — and are equal when no
+/// tick carries more than one update.
 fn check_differential(
     eps: f64,
     set_a: &[MovingObject],
@@ -76,8 +83,10 @@ fn check_differential(
 ) {
     let config = ProximityConfig::new(EngineConfig::default(), eps);
     let mut engine = ProximityJoinEngine::new(pool(), config, set_a, set_b, 0.0).unwrap();
+    let mut batched = ProximityJoinEngine::new(pool(), config, set_a, set_b, 0.0).unwrap();
     let mut oracle = BruteProximityEngine::new(config, set_a, set_b);
     engine.run_initial_join(0.0).unwrap();
+    batched.run_initial_join(0.0).unwrap();
     oracle.run_initial_join(0.0).unwrap();
 
     // Track each object's current registration so updates carry the
@@ -86,6 +95,30 @@ fn check_differential(
     let mut reg: Vec<(MovingRect, Time)> =
         set_a.iter().chain(set_b).map(|o| (o.mbr, 0.0)).collect();
     let n = set_a.len();
+    let mut ticks: Vec<(Time, Vec<ObjectUpdate>)> = Vec::new();
+    for (now, (is_a, idx, new_mbr)) in updates {
+        let (slot, set, id) = if *is_a {
+            (*idx, SetTag::A, set_a[*idx].id)
+        } else {
+            (n + *idx, SetTag::B, set_b[*idx].id)
+        };
+        let (old_mbr, last_update) = reg[slot];
+        // Re-anchor the fresh trajectory at the update instant.
+        let mut mbr = *new_mbr;
+        mbr.t_ref = *now;
+        reg[slot] = (mbr, *now);
+        let u = ObjectUpdate {
+            id,
+            set,
+            old_mbr,
+            last_update,
+            new_mbr: mbr,
+        };
+        match ticks.last_mut() {
+            Some((t, batch)) if t == now => batch.push(u),
+            _ => ticks.push((*now, vec![u])),
+        }
+    }
 
     let compare = |engine: &ProximityJoinEngine, oracle: &BruteProximityEngine, t: Time| {
         let got = engine.result_at(t);
@@ -98,30 +131,27 @@ fn check_differential(
         }
     };
     compare(&engine, &oracle, 0.0);
+    compare(&batched, &oracle, 0.0);
 
-    for (now, (is_a, idx, new_mbr)) in updates {
-        let (slot, set, id) = if *is_a {
-            (*idx, SetTag::A, set_a[*idx].id)
-        } else {
-            (n + *idx, SetTag::B, set_b[*idx].id)
-        };
-        let (old_mbr, last_update) = reg[slot];
-        // Re-anchor the fresh trajectory at the update instant.
-        let mut mbr = *new_mbr;
-        mbr.t_ref = *now;
-        let u = ObjectUpdate {
-            id,
-            set,
-            old_mbr,
-            last_update,
-            new_mbr: mbr,
-        };
-        engine.apply_update(&u, *now).unwrap();
-        oracle.apply_update(&u, *now).unwrap();
-        engine.gc(*now);
-        oracle.gc(*now);
-        reg[slot] = (mbr, *now);
-        compare(&engine, &oracle, *now);
+    for (now, batch) in &ticks {
+        for u in batch {
+            engine.apply_update(u, *now).unwrap();
+            oracle.apply_update(u, *now).unwrap();
+            engine.gc(*now);
+            oracle.gc(*now);
+            compare(&engine, &oracle, *now);
+        }
+        batched.apply_batch(batch, *now).unwrap();
+        batched.gc(*now);
+        compare(&batched, &oracle, *now);
+    }
+
+    let accepted = |e: &ProximityJoinEngine| e.candidates() - e.refine_rejects();
+    assert!(batched.candidates() <= engine.candidates());
+    assert!(accepted(&batched) <= accepted(&engine));
+    if ticks.iter().all(|(_, batch)| batch.len() == 1) {
+        assert_eq!(batched.candidates(), engine.candidates());
+        assert_eq!(accepted(&batched), accepted(&engine));
     }
 }
 
@@ -143,13 +173,18 @@ proptest! {
 
     /// Forced boundary ties: a static A/B pair whose gap *is* ε
     /// bit-for-bit, plus random bystanders. The tied pair must be
-    /// reported (closed predicate), identically by engine and oracle.
+    /// reported (closed predicate), identically by engine and oracle —
+    /// also while either endpoint re-registers in place (the tie then
+    /// goes through the maintenance probe of that side: the plain probe
+    /// against inflated B, or the inflated probe against A), several
+    /// times and both in one tick.
     #[test]
     fn boundary_tie_at_exactly_eps_is_reported(
         eps in 0.25f64..8.0,
         x in 0.0f64..100.0,
         y in 0.0f64..100.0,
         mbrs_b in proptest::collection::vec(arb_mbr(), 2..6),
+        touches in proptest::collection::vec((1u32..6, 0usize..3, arb_mbr()), 0..10),
     ) {
         // A at [x, x+1]×[y, y+1]; B starts ~eps to the right of A's hi
         // edge, same y band. `x + 1.0 + eps` rounds, so the *threshold*
@@ -167,7 +202,20 @@ proptest! {
         bs.extend(mbrs_b);
         let set_b = side(1001, bs);
 
-        check_differential(eps_tie, &set_a, &set_b, &[]);
+        let mut updates: Vec<(Time, RawUpdate)> = touches
+            .into_iter()
+            .map(|(tick, which, mbr)| {
+                let update = match which {
+                    0 => (true, 0, a_rect),
+                    1 => (false, 0, b_rect),
+                    _ => (false, 1, mbr), // a bystander moves
+                };
+                (Time::from(tick), update)
+            })
+            .collect();
+        // Stable: the generated order inside a tick is the batch order.
+        updates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        check_differential(eps_tie, &set_a, &set_b, &updates);
 
         // And explicitly: the tie is in the answer for the whole window.
         let config = ProximityConfig::new(EngineConfig::default(), eps_tie);

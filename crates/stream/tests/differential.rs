@@ -82,8 +82,7 @@ fn build_engine(
             };
             Box::new(BxEngine::new(
                 pool(),
-                *config,
-                bx_config,
+                (*config, bx_config),
                 set_a,
                 set_b,
                 start,
