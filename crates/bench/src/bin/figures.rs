@@ -7,7 +7,8 @@
 //!
 //! Subcommands: `table1`, `validate`, `fig7` … `fig22`, `all`.
 //! (`fig16`–`fig22` are this repo's own extension experiments; `fig22`
-//! is the parallel initial-join scaling driver.)
+//! is the parallel initial-join scaling driver; there is no `fig18` —
+//! the PBSM partition join it measured was removed.)
 //!
 //! `--scale small` (default) runs the sweep at one tenth of the paper's
 //! dataset sizes so the whole suite finishes in minutes; `--scale paper`
@@ -66,7 +67,6 @@ fn main() {
         "fig15" => fig15(scale),
         "fig16" => fig16(scale),
         "fig17" => fig17(scale),
-        "fig18" => fig18(scale),
         "fig19" => fig19(scale),
         "fig20" => fig20(scale),
         "fig21" => fig21(scale),
@@ -84,7 +84,6 @@ fn main() {
             fig15,
             fig16,
             fig17,
-            fig18,
             fig19,
             fig20,
             fig21,
@@ -658,53 +657,6 @@ fn fig17(scale: Scale) -> TprResult<()> {
                 io_now.to_string(),
                 io_later.to_string(),
                 fmt_duration(time_later),
-            ],
-        ));
-    }
-    t.print();
-    Ok(())
-}
-
-/// Fig. 18 (ours) — index join vs partition join for the one-shot
-/// initial join: ImprovedJoin over TPR-trees vs PBSM over raw object
-/// arrays (§VII contrast). PBSM avoids all index I/O but cannot be
-/// maintained incrementally — the engines exist because of maintenance.
-fn fig18(scale: Scale) -> TprResult<()> {
-    use cij_join::partition_join_auto;
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "Fig. 18 — initial join: TPR-tree ImprovedJoin vs PBSM partition join",
-        "size",
-        &["tree I/O", "tree time", "PBSM time", "pairs"],
-    );
-    for size in scale.size_sweep() {
-        let params = scale.adjust(Params {
-            dataset_size: size,
-            ..Params::default()
-        });
-        let t_m = params.maximum_update_interval;
-        let pool = fresh_pool();
-        let (ta, tb, a, b) = build_pair_trees(&params, &pool)?;
-        let ((tree_pairs, _), io, tree_time) =
-            measure(&pool, || improved_join(&ta, &tb, 0.0, t_m, techniques::ALL))?;
-
-        let to_pairs = |set: &[cij_workload::MovingObject]| {
-            set.iter().map(|o| (o.id, o.mbr)).collect::<Vec<_>>()
-        };
-        let (pa, pb) = (to_pairs(&a), to_pairs(&b));
-        let t0 = Instant::now();
-        let (pbsm_pairs, _) = partition_join_auto(&pa, &pb, 0.0, t_m);
-        let pbsm_time = t0.elapsed();
-        assert_eq!(tree_pairs.len(), pbsm_pairs.len(), "algorithms disagree!");
-
-        t.push(Row::new(
-            Scale::size_label(size),
-            vec![
-                io.to_string(),
-                fmt_duration(tree_time),
-                fmt_duration(pbsm_time),
-                tree_pairs.len().to_string(),
             ],
         ));
     }

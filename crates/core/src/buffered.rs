@@ -21,8 +21,8 @@ use std::ops::Deref;
 use cij_bx::{BxConfig, BxTree};
 use cij_geom::{MovingRect, Time, TimeInterval, INFINITE_TIME};
 use cij_join::{
-    parallel_improved_join, parallel_improved_multi_join, parallel_naive_join, probe_batch,
-    JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit,
+    parallel_improved_join, parallel_improved_multi_join, probe_batch, techniques, JoinCounters,
+    JoinJob, JoinPair, JoinScratch, ProbeHit,
 };
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
@@ -479,12 +479,12 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
 
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
         let ([a, b], config) = (&self.trees, &self.config);
-        if TIME_CONSTRAINED {
-            let t_e = now + config.t_m;
-            parallel_improved_join(a, b, now, t_e, config.techniques, config.threads)
+        let (t_e, tech) = if TIME_CONSTRAINED {
+            (now + config.t_m, config.techniques)
         } else {
-            parallel_naive_join(a, b, now, config.threads)
-        }
+            (INFINITE_TIME, techniques::NONE)
+        };
+        parallel_improved_join(a, b, now, t_e, tech, config.threads)
     }
 
     fn probe(

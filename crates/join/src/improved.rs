@@ -1,6 +1,15 @@
-//! `ImprovedJoin` (paper §IV-D, Fig. 6): the time-constrained traversal
-//! with the three TC-enabled improvement techniques, each independently
-//! toggleable so the Fig. 8 ablation can be reproduced:
+//! The synchronous traversal of two TPR-trees — the one tree-vs-tree
+//! algorithm of the paper, under its three names:
+//!
+//! | paper name | window | techniques |
+//! |---|---|---|
+//! | `NaiveJoin` (§II-C, Fig. 2) | `[t_c, ∞)` | none |
+//! | `TC-Join` (§IV-B) | `[t_c, t_u + T_M]` | none |
+//! | `ImprovedJoin` (§IV-D, Fig. 6) | finite | any of PS, DS, IC |
+//!
+//! A node pair is descended iff the entries' moving MBRs intersect within
+//! the processing window. The three TC-enabled improvement techniques are
+//! independently toggleable so the Fig. 8 ablation can be reproduced:
 //!
 //! * **PS — plane sweep** (§IV-D1): entries of a node pair are compared
 //!   in sweep order instead of all-pairs ([`crate::ps_intersection_soa`]).
@@ -13,17 +22,17 @@
 //!   tighter) window for the level below — so the time constraint
 //!   tightens as the traversal descends.
 //!
-//! All per-visit buffers come from a [`JoinScratch`] pool threaded
-//! through the recursion, and leaves are read straight into its lanes;
-//! what a warm traversal still allocates is one `Vec<Entry>` per
-//! internal node read (pinned by the `no_alloc` test).
+//! Every node, internal or leaf, is read straight into the SoA lanes of a
+//! [`JoinScratch`] frame ([`TprTree::read_node_lanes`]), and all per-visit
+//! buffers come from the same frames, so a warm traversal allocates
+//! nothing (pinned by the `no_alloc` test).
 
 use cij_geom::{Time, TimeInterval};
-use cij_tpr::{EntryLanes, Node, TprResult, TprTree};
+use cij_tpr::{EntryLanes, TprResult, TprTree};
 
 use crate::counters::JoinCounters;
 use crate::pair::JoinPair;
-use crate::parallel::{SpillSink, NO_SPILL_BUDGET};
+use crate::parallel::SpillSink;
 use crate::scratch::{Frame, JoinScratch};
 use crate::sweep::ps_intersection_soa;
 
@@ -83,8 +92,10 @@ pub mod techniques {
 }
 
 /// `ImprovedJoin`: all join pairs within `[t_s, t_e]`, computed with the
-/// selected techniques. `t_e` must be finite — the improvement techniques
-/// exist *because* TC processing bounds the window.
+/// selected techniques. `t_e` must be finite unless `tech` is
+/// [`techniques::NONE`] — the improvement techniques exist *because* TC
+/// processing bounds the window (a sweep has no upper bound to sort by,
+/// an intersection check no window to clip, over `[t_c, ∞)`).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -128,9 +139,8 @@ pub fn improved_join(
 /// and refilled, and all traversal temporaries come from `scratch`.
 ///
 /// This is the steady-state entry point for repeated joins (maintenance
-/// ticks, benchmarks): after a warm-up call, the only heap allocation
-/// left is the entry vector of each internal node read — pinned by the
-/// `no_alloc` regression test.
+/// ticks, benchmarks): after a warm-up call it allocates nothing —
+/// pinned by the `no_alloc` regression test.
 pub fn improved_join_into(
     tree_a: &TprTree,
     tree_b: &TprTree,
@@ -140,486 +150,306 @@ pub fn improved_join_into(
     scratch: &mut JoinScratch,
     out: &mut Vec<JoinPair>,
 ) -> TprResult<JoinCounters> {
-    assert!(
-        t_e.is_finite(),
-        "ImprovedJoin requires a time-constrained window"
-    );
+    assert_window(tech, t_e);
     out.clear();
     let mut counters = JoinCounters::new();
     let (Some(root_a), Some(root_b)) = (tree_a.root_page(), tree_b.root_page()) else {
         return Ok(counters);
     };
-    let na = tree_a.read_node(root_a)?;
-    let nb = tree_b.read_node(root_b)?;
-    // `Vec::new()` does not allocate; with an unlimited budget nothing is
-    // ever pushed, so this stays allocation-free.
-    let mut spill = SpillSink::new();
-    join_nodes(
-        tree_a,
-        &na,
-        tree_b,
-        &nb,
-        t_s,
-        t_e,
-        tech,
-        out,
-        &mut counters,
-        NO_SPILL_BUDGET,
-        &mut spill,
-        0,
-        scratch,
-    )?;
-    debug_assert!(spill.is_empty(), "unlimited budget never spills");
-    Ok(counters)
+    // Frame 0 only lends its lanes to the roots; the traversal proper
+    // starts at depth 1.
+    let mut roots = scratch.take_frame(0);
+    let result = tree_a
+        .read_node_lanes(root_a, &mut roots.lanes_a)
+        .and_then(|()| tree_b.read_node_lanes(root_b, &mut roots.lanes_b))
+        .and_then(|()| {
+            Traversal {
+                tree_a,
+                tree_b,
+                tech,
+                scratch,
+                out,
+                counters: &mut counters,
+                spill: None,
+            }
+            .run(
+                &roots.lanes_a,
+                &roots.lanes_b,
+                TimeInterval {
+                    start: t_s,
+                    end: t_e,
+                },
+                1,
+            )
+        });
+    scratch.put_frame(0, roots);
+    result.map(|()| counters)
 }
 
-/// Recursive Fig. 6 traversal. `budget` / `spill` serve the parallel
-/// layer exactly as in [`crate::naive`]: once the budget is exhausted,
-/// the would-be recursive call (nodes already read, window already
-/// tightened) is pushed onto `spill` instead of executed. `depth` /
-/// `scratch` select the reusable buffer frame for this recursion level.
-#[allow(clippy::too_many_arguments)] // recursive kernel, all state is hot
-pub(crate) fn join_nodes(
-    tree_a: &TprTree,
-    na: &Node,
-    tree_b: &TprTree,
-    nb: &Node,
-    t_s: Time,
-    t_e: Time,
-    tech: Techniques,
-    out: &mut Vec<JoinPair>,
-    counters: &mut JoinCounters,
-    budget: usize,
-    spill: &mut SpillSink,
-    depth: usize,
-    scratch: &mut JoinScratch,
-) -> TprResult<()> {
-    counters.node_pairs += 1;
-
-    let (Some(na_mbr), Some(nb_mbr)) = (na.bounding_mbr(), nb.bounding_mbr()) else {
-        return Ok(());
-    };
-
-    // Height alignment: descend the deeper side alone.
-    if na.level > nb.level {
-        for ea in &na.entries {
-            counters.entry_comparisons += 1;
-            if let Some(iv) = ea.mbr.intersect_interval(&nb_mbr, t_s, t_e) {
-                let child = tree_a.read_node(ea.child.page())?;
-                let (ws, we) = if tech.intersection_check {
-                    (iv.start, iv.end)
-                } else {
-                    (t_s, t_e)
-                };
-                if budget == 0 {
-                    spill.push((child, nb.clone(), ws, we));
-                } else {
-                    join_nodes(
-                        tree_a,
-                        &child,
-                        tree_b,
-                        nb,
-                        ws,
-                        we,
-                        tech,
-                        out,
-                        counters,
-                        budget - 1,
-                        spill,
-                        depth + 1,
-                        scratch,
-                    )?;
-                }
-            }
-        }
-        return Ok(());
-    }
-    if nb.level > na.level {
-        for eb in &nb.entries {
-            counters.entry_comparisons += 1;
-            if let Some(iv) = eb.mbr.intersect_interval(&na_mbr, t_s, t_e) {
-                let child = tree_b.read_node(eb.child.page())?;
-                let (ws, we) = if tech.intersection_check {
-                    (iv.start, iv.end)
-                } else {
-                    (t_s, t_e)
-                };
-                if budget == 0 {
-                    spill.push((na.clone(), child, ws, we));
-                } else {
-                    join_nodes(
-                        tree_a,
-                        na,
-                        tree_b,
-                        &child,
-                        ws,
-                        we,
-                        tech,
-                        out,
-                        counters,
-                        budget - 1,
-                        spill,
-                        depth + 1,
-                        scratch,
-                    )?;
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    // Same level: take this depth's scratch frame for the duration of the
-    // visit (moved out so the recursion below can re-borrow `scratch`).
-    let mut frame = scratch.take_frame(depth);
-    let result = join_aligned(
-        tree_a, na, na_mbr, tree_b, nb, nb_mbr, t_s, t_e, tech, out, counters, budget, spill,
-        depth, scratch, &mut frame,
+/// Only the plain traversal runs unbounded (that is `NaiveJoin`): plane
+/// sweep sorts by bounds that exist only over a finite window, and the
+/// intersection check clips to one.
+pub(crate) fn assert_window(tech: Techniques, t_e: Time) {
+    assert!(
+        tech == techniques::NONE || t_e.is_finite(),
+        "ImprovedJoin requires a time-constrained window"
     );
-    scratch.put_frame(depth, frame);
-    result
 }
 
-/// The equal-level body of [`join_nodes`]: IC filter, candidate
-/// generation (plane sweep or nested loop), then emit (leaf) or descend.
-/// All temporaries live in `frame`; the only vector that grows without
-/// bound is `out`.
-#[allow(clippy::too_many_arguments)] // recursive kernel, all state is hot
-fn join_aligned(
-    tree_a: &TprTree,
-    na: &Node,
-    na_mbr: cij_geom::MovingRect,
-    tree_b: &TprTree,
-    nb: &Node,
-    nb_mbr: cij_geom::MovingRect,
-    t_s: Time,
-    t_e: Time,
-    tech: Techniques,
-    out: &mut Vec<JoinPair>,
-    counters: &mut JoinCounters,
-    budget: usize,
-    spill: &mut SpillSink,
-    depth: usize,
-    scratch: &mut JoinScratch,
-    frame: &mut Frame,
-) -> TprResult<()> {
-    // Intersection check: clip the window to when the two node regions
-    // intersect, and drop entries that never touch the other region.
-    // `frame.sa` / `frame.sb` hold the surviving entry *positions*.
-    frame.sa.clear();
-    frame.sb.clear();
-    let win = if tech.intersection_check {
-        let Some(win) = na_mbr.intersect_interval(&nb_mbr, t_s, t_e) else {
-            counters.ic_pruned += (na.entries.len() + nb.entries.len()) as u64;
-            return Ok(());
-        };
-        // Safety of the filter: an entry pair can only intersect at an
-        // instant when both node regions do (children are contained in
-        // their node), and each member must touch the *other* node's
-        // region at that instant.
-        for (i, e) in na.entries.iter().enumerate() {
-            if e.mbr
-                .intersect_interval(&nb_mbr, win.start, win.end)
-                .is_some()
-            {
-                frame.sa.push(i as u32);
-            }
-        }
-        for (j, e) in nb.entries.iter().enumerate() {
-            if e.mbr
-                .intersect_interval(&na_mbr, win.start, win.end)
-                .is_some()
-            {
-                frame.sb.push(j as u32);
-            }
-        }
-        counters.ic_pruned +=
-            (na.entries.len() - frame.sa.len() + nb.entries.len() - frame.sb.len()) as u64;
-        win
-    } else {
-        frame.sa.extend(0..na.entries.len() as u32);
-        frame.sb.extend(0..nb.entries.len() as u32);
-        TimeInterval::new_unchecked(t_s, t_e)
-    };
-    if frame.sa.is_empty() || frame.sb.is_empty() {
-        return Ok(());
+/// One synchronous traversal: its constants and the places its results
+/// go. The node pairs themselves are passed down by reference — each
+/// lives in the lanes of the frame one depth above its visit (or in a
+/// parallel task).
+pub(crate) struct Traversal<'t> {
+    pub tree_a: &'t TprTree,
+    pub tree_b: &'t TprTree,
+    pub tech: Techniques,
+    pub scratch: &'t mut JoinScratch,
+    pub out: &'t mut Vec<JoinPair>,
+    pub counters: &'t mut JoinCounters,
+    /// The parallel layer's hook. `Some`: visit one node pair only — every
+    /// child pair the traversal would descend into (nodes already read,
+    /// window already tightened) is captured here instead, in descent
+    /// order. `None`: descend.
+    pub spill: Option<&'t mut SpillSink>,
+}
+
+impl Traversal<'_> {
+    /// Visits the pair `(na, nb)` under `win` with the buffers of frame
+    /// `depth`, and everything below it with the deeper frames.
+    pub(crate) fn run(
+        &mut self,
+        na: &EntryLanes,
+        nb: &EntryLanes,
+        win: TimeInterval,
+        depth: usize,
+    ) -> TprResult<()> {
+        let mut frame = self.scratch.take_frame(depth);
+        let result = self.join_nodes(na, nb, win, depth, &mut frame);
+        self.scratch.put_frame(depth, frame);
+        result
     }
 
-    // Candidate entry pairs with their intersection intervals, staged in
-    // `frame.cands` as positions into `frame.sa` / `frame.sb`.
-    if tech.plane_sweep {
-        // Dimension selection: smallest total speed mass (§IV-D2).
-        let dim = if tech.dim_selection {
-            let mass = |d: usize| -> f64 {
-                frame
-                    .sa
-                    .iter()
-                    .map(|&i| na.entries[i as usize].mbr.speed_sum(d))
-                    .sum::<f64>()
-                    + frame
-                        .sb
-                        .iter()
-                        .map(|&j| nb.entries[j as usize].mbr.speed_sum(d))
-                        .sum::<f64>()
-            };
-            if mass(0) <= mass(1) {
-                0
+    /// The recursive Fig. 2 / Fig. 6 visit of one node pair. `f` is this
+    /// depth's frame, taken out of the scratch pool by the caller (so a
+    /// node's children share one take): its index lists, sweep arrays and
+    /// candidate vector serve this visit, its lanes receive the children
+    /// read here, one pair at a time. The only vector that grows without
+    /// bound is `out`.
+    fn join_nodes(
+        &mut self,
+        na: &EntryLanes,
+        nb: &EntryLanes,
+        win: TimeInterval,
+        depth: usize,
+        f: &mut Frame,
+    ) -> TprResult<()> {
+        self.counters.node_pairs += 1;
+        let tech = self.tech;
+
+        // Height alignment: descend the deeper side alone, each qualifying
+        // child against the other node whole.
+        if na.level() != nb.level() {
+            let a_deeper = na.level() > nb.level();
+            let (deep, tree, other) = if a_deeper {
+                (na, self.tree_a, nb)
             } else {
-                1
+                (nb, self.tree_b, na)
+            };
+            let Some(other_mbr) = other.bounding_mbr() else {
+                return Ok(());
+            };
+            let mut below = self.scratch.take_frame(depth + 1);
+            let mut result = Ok(());
+            for i in 0..deep.len() {
+                self.counters.entry_comparisons += 1;
+                let Some(iv) = deep
+                    .mbr(i)
+                    .intersect_interval(&other_mbr, win.start, win.end)
+                else {
+                    continue;
+                };
+                result = tree.read_node_lanes(deep.page(i), &mut f.lanes_a);
+                if result.is_ok() {
+                    let (ca, cb) = if a_deeper {
+                        (&f.lanes_a, nb)
+                    } else {
+                        (na, &f.lanes_a)
+                    };
+                    result = self.descend(ca, cb, iv, win, depth, &mut below);
+                }
+                if result.is_err() {
+                    break;
+                }
             }
-        } else {
-            0
-        };
-        frame.sweep_a.clear();
-        for (pos, &ei) in frame.sa.iter().enumerate() {
-            frame.sweep_a.push(
-                na.entries[ei as usize].mbr,
-                pos as u32,
-                dim,
-                win.start,
-                win.end,
-            );
+            self.scratch.put_frame(depth + 1, below);
+            return result;
         }
-        frame.sweep_b.clear();
-        for (pos, &ej) in frame.sb.iter().enumerate() {
-            frame.sweep_b.push(
-                nb.entries[ej as usize].mbr,
-                pos as u32,
-                dim,
-                win.start,
-                win.end,
-            );
-        }
-        ps_intersection_soa(
-            &mut frame.sweep_a,
-            &mut frame.sweep_b,
-            win.start,
-            win.end,
-            counters,
-            &mut frame.cands,
-        );
-    } else {
-        frame.cands.clear();
-        for (i, &ea) in frame.sa.iter().enumerate() {
-            let ma = na.entries[ea as usize].mbr;
-            for (j, &eb) in frame.sb.iter().enumerate() {
-                counters.entry_comparisons += 1;
-                if let Some(iv) =
-                    ma.intersect_interval(&nb.entries[eb as usize].mbr, win.start, win.end)
+
+        // Intersection check: clip the window to when the two node regions
+        // intersect, and drop entries that never touch the other region.
+        // `f.sa` / `f.sb` hold the surviving entry *positions*.
+        f.sa.clear();
+        f.sb.clear();
+        let win = if tech.intersection_check {
+            let (Some(na_mbr), Some(nb_mbr)) = (na.bounding_mbr(), nb.bounding_mbr()) else {
+                return Ok(());
+            };
+            let Some(win) = na_mbr.intersect_interval(&nb_mbr, win.start, win.end) else {
+                self.counters.ic_pruned += (na.len() + nb.len()) as u64;
+                return Ok(());
+            };
+            // Safety of the filter: an entry pair can only intersect at an
+            // instant when both node regions do (children are contained in
+            // their node), and each member must touch the *other* node's
+            // region at that instant.
+            for i in 0..na.len() {
+                if na
+                    .mbr(i)
+                    .intersect_interval(&nb_mbr, win.start, win.end)
+                    .is_some()
                 {
-                    frame.cands.push((i as u32, j as u32, iv));
+                    f.sa.push(i as u32);
+                }
+            }
+            for j in 0..nb.len() {
+                if nb
+                    .mbr(j)
+                    .intersect_interval(&na_mbr, win.start, win.end)
+                    .is_some()
+                {
+                    f.sb.push(j as u32);
+                }
+            }
+            self.counters.ic_pruned += (na.len() - f.sa.len() + nb.len() - f.sb.len()) as u64;
+            win
+        } else {
+            f.sa.extend(0..na.len() as u32);
+            f.sb.extend(0..nb.len() as u32);
+            win
+        };
+        if f.sa.is_empty() || f.sb.is_empty() {
+            return Ok(());
+        }
+
+        // Candidate entry pairs with their intersection intervals, staged
+        // in `f.cands` as positions into `f.sa` / `f.sb`.
+        if tech.plane_sweep {
+            // Dimension selection: smallest total speed mass (§IV-D2).
+            let dim = if tech.dim_selection {
+                let mass = |lanes: &EntryLanes, sel: &[u32], d: usize| -> f64 {
+                    sel.iter()
+                        .map(|&i| lanes.mbr(i as usize).speed_sum(d))
+                        .sum::<f64>()
+                };
+                let m0 = mass(na, &f.sa, 0) + mass(nb, &f.sb, 0);
+                let m1 = mass(na, &f.sa, 1) + mass(nb, &f.sb, 1);
+                if m0 <= m1 {
+                    0
+                } else {
+                    1
+                }
+            } else {
+                0
+            };
+            if tech.intersection_check {
+                f.sweep_a.clear();
+                for (pos, &ei) in f.sa.iter().enumerate() {
+                    f.sweep_a
+                        .push_from_lanes(na, ei as usize, pos as u32, dim, win.start, win.end);
+                }
+                f.sweep_b.clear();
+                for (pos, &ej) in f.sb.iter().enumerate() {
+                    f.sweep_b
+                        .push_from_lanes(nb, ej as usize, pos as u32, dim, win.start, win.end);
+                }
+            } else {
+                // Identity selection: refill whole lanes in bulk, no
+                // per-entry gather at all.
+                f.sweep_a.fill_all_from_lanes(na, dim, win.start, win.end);
+                f.sweep_b.fill_all_from_lanes(nb, dim, win.start, win.end);
+            }
+            ps_intersection_soa(
+                &mut f.sweep_a,
+                &mut f.sweep_b,
+                win.start,
+                win.end,
+                self.counters,
+                &mut f.cands,
+            );
+        } else {
+            // The paper's Fig. 2 double loop. Side `b` is gathered out of
+            // its lanes once, not once per pair: the inner loop then walks
+            // contiguous rectangles.
+            f.rects.clear();
+            f.rects.extend(f.sb.iter().map(|&eb| nb.mbr(eb as usize)));
+            f.cands.clear();
+            for (i, &ea) in f.sa.iter().enumerate() {
+                let ma = na.mbr(ea as usize);
+                for (j, mb) in f.rects.iter().enumerate() {
+                    self.counters.entry_comparisons += 1;
+                    if let Some(iv) = ma.intersect_interval(mb, win.start, win.end) {
+                        f.cands.push((i as u32, j as u32, iv));
+                    }
                 }
             }
         }
-    }
 
-    if na.is_leaf() {
-        for &(i, j, iv) in &frame.cands {
-            counters.pairs_emitted += 1;
-            out.push(JoinPair::new(
-                na.entries[frame.sa[i as usize] as usize].child.object(),
-                nb.entries[frame.sb[j as usize] as usize].child.object(),
-                iv,
-            ));
+        if na.level() == 0 {
+            self.counters.pairs_emitted += f.cands.len() as u64;
+            self.out.extend(f.cands.iter().map(|&(i, j, iv)| {
+                JoinPair::new(
+                    na.object(f.sa[i as usize] as usize),
+                    nb.object(f.sb[j as usize] as usize),
+                    iv,
+                )
+            }));
+            return Ok(());
         }
-        return Ok(());
-    }
 
-    // Leaf zero-copy fast path: when the children are leaves, read each
-    // leaf's entries straight into SoA lanes — one logical read per
-    // child, exactly like `read_node`, but no `Node` materialization and
-    // no per-entry `Entry` decode. The leaf-pair join then runs over the
-    // lanes with op-for-op the math of the general path below, so pairs,
-    // counters, and I/O match it bit-for-bit. Spilling (`budget == 0`)
-    // hands out `Node` tasks, so it keeps the general path.
-    if na.level == 1 && budget > 0 {
-        let mut leaf = scratch.take_frame(depth + 1);
+        let mut below = self.scratch.take_frame(depth + 1);
         let mut result = Ok(());
-        for &(i, j, iv) in &frame.cands {
-            let pa = na.entries[frame.sa[i as usize] as usize].child.page();
-            let pb = nb.entries[frame.sb[j as usize] as usize].child.page();
-            result = tree_a
-                .read_node_lanes(pa, &mut leaf.lanes_a)
-                .and_then(|()| tree_b.read_node_lanes(pb, &mut leaf.lanes_b));
+        for &(i, j, iv) in &f.cands {
+            let pa = na.page(f.sa[i as usize] as usize);
+            let pb = nb.page(f.sb[j as usize] as usize);
+            result = self
+                .tree_a
+                .read_node_lanes(pa, &mut f.lanes_a)
+                .and_then(|()| self.tree_b.read_node_lanes(pb, &mut f.lanes_b))
+                .and_then(|()| self.descend(&f.lanes_a, &f.lanes_b, iv, win, depth, &mut below));
             if result.is_err() {
                 break;
             }
-            let (ws, we) = if tech.intersection_check {
-                (iv.start, iv.end)
-            } else {
-                (t_s, t_e)
-            };
-            join_leaf_lanes(ws, we, tech, out, counters, &mut leaf);
         }
-        scratch.put_frame(depth + 1, leaf);
-        return result;
+        self.scratch.put_frame(depth + 1, below);
+        result
     }
 
-    for &(i, j, iv) in &frame.cands {
-        let ca = tree_a.read_node(na.entries[frame.sa[i as usize] as usize].child.page())?;
-        let cb = tree_b.read_node(nb.entries[frame.sb[j as usize] as usize].child.page())?;
-        // Fig. 6 passes the pair's own interval down — with IC the window
-        // tightens monotonically as the traversal descends.
-        let (ws, we) = if tech.intersection_check {
-            (iv.start, iv.end)
+    /// The recursive call on a child pair just read at `depth`, whose
+    /// parent entries intersect during `iv`. Fig. 6 passes that interval
+    /// down — with IC the window tightens monotonically as the traversal
+    /// descends; without it the recursion keeps the original window,
+    /// faithful to Fig. 2.
+    fn descend(
+        &mut self,
+        ca: &EntryLanes,
+        cb: &EntryLanes,
+        iv: TimeInterval,
+        win: TimeInterval,
+        depth: usize,
+        below: &mut Frame,
+    ) -> TprResult<()> {
+        let win = if self.tech.intersection_check {
+            iv
         } else {
-            (t_s, t_e)
+            win
         };
-        if budget == 0 {
-            spill.push((ca, cb, ws, we));
-        } else {
-            join_nodes(
-                tree_a,
-                &ca,
-                tree_b,
-                &cb,
-                ws,
-                we,
-                tech,
-                out,
-                counters,
-                budget - 1,
-                spill,
-                depth + 1,
-                scratch,
-            )?;
+        match &mut self.spill {
+            Some(spill) => {
+                spill.push((ca.clone(), cb.clone(), win));
+                Ok(())
+            }
+            None => self.join_nodes(ca, cb, win, depth + 1, below),
         }
-    }
-    Ok(())
-}
-
-/// One leaf-pair visit over the zero-copy lanes in `f.lanes_a` /
-/// `f.lanes_b`: the [`join_nodes`] + [`join_aligned`] body specialized to
-/// two leaves, with every counter increment and every floating-point
-/// operation in the same order as the `Node` path — the two must stay
-/// bit-identical (the parallel ≡ sequential suites compare them: a
-/// budget-0 expansion of a level-1 pair takes the `Node` path).
-fn join_leaf_lanes(
-    t_s: Time,
-    t_e: Time,
-    tech: Techniques,
-    out: &mut Vec<JoinPair>,
-    counters: &mut JoinCounters,
-    f: &mut Frame,
-) {
-    counters.node_pairs += 1;
-    let (Some(a_mbr), Some(b_mbr)) = (f.lanes_a.bounding_mbr(), f.lanes_b.bounding_mbr()) else {
-        return;
-    };
-
-    f.sa.clear();
-    f.sb.clear();
-    let win = if tech.intersection_check {
-        let Some(win) = a_mbr.intersect_interval(&b_mbr, t_s, t_e) else {
-            counters.ic_pruned += (f.lanes_a.len() + f.lanes_b.len()) as u64;
-            return;
-        };
-        for i in 0..f.lanes_a.len() {
-            if f.lanes_a
-                .mbr(i)
-                .intersect_interval(&b_mbr, win.start, win.end)
-                .is_some()
-            {
-                f.sa.push(i as u32);
-            }
-        }
-        for j in 0..f.lanes_b.len() {
-            if f.lanes_b
-                .mbr(j)
-                .intersect_interval(&a_mbr, win.start, win.end)
-                .is_some()
-            {
-                f.sb.push(j as u32);
-            }
-        }
-        counters.ic_pruned += (f.lanes_a.len() - f.sa.len() + f.lanes_b.len() - f.sb.len()) as u64;
-        win
-    } else {
-        f.sa.extend(0..f.lanes_a.len() as u32);
-        f.sb.extend(0..f.lanes_b.len() as u32);
-        TimeInterval::new_unchecked(t_s, t_e)
-    };
-    if f.sa.is_empty() || f.sb.is_empty() {
-        return;
-    }
-
-    if tech.plane_sweep {
-        let dim = if tech.dim_selection {
-            let mass = |lanes: &EntryLanes, sel: &[u32], d: usize| -> f64 {
-                sel.iter()
-                    .map(|&i| lanes.mbr(i as usize).speed_sum(d))
-                    .sum::<f64>()
-            };
-            // Summation order matches `join_aligned`: side `a` first.
-            let m0 = mass(&f.lanes_a, &f.sa, 0) + mass(&f.lanes_b, &f.sb, 0);
-            let m1 = mass(&f.lanes_a, &f.sa, 1) + mass(&f.lanes_b, &f.sb, 1);
-            if m0 <= m1 {
-                0
-            } else {
-                1
-            }
-        } else {
-            0
-        };
-        if tech.intersection_check {
-            f.sweep_a.clear();
-            for (pos, &ei) in f.sa.iter().enumerate() {
-                f.sweep_a.push_from_lanes(
-                    &f.lanes_a,
-                    ei as usize,
-                    pos as u32,
-                    dim,
-                    win.start,
-                    win.end,
-                );
-            }
-            f.sweep_b.clear();
-            for (pos, &ej) in f.sb.iter().enumerate() {
-                f.sweep_b.push_from_lanes(
-                    &f.lanes_b,
-                    ej as usize,
-                    pos as u32,
-                    dim,
-                    win.start,
-                    win.end,
-                );
-            }
-        } else {
-            // Identity selection: refill whole lanes in bulk, no
-            // per-entry gather at all.
-            f.sweep_a
-                .fill_all_from_lanes(&f.lanes_a, dim, win.start, win.end);
-            f.sweep_b
-                .fill_all_from_lanes(&f.lanes_b, dim, win.start, win.end);
-        }
-        ps_intersection_soa(
-            &mut f.sweep_a,
-            &mut f.sweep_b,
-            win.start,
-            win.end,
-            counters,
-            &mut f.cands,
-        );
-    } else {
-        f.cands.clear();
-        for (i, &ea) in f.sa.iter().enumerate() {
-            let ma = f.lanes_a.mbr(ea as usize);
-            for (j, &eb) in f.sb.iter().enumerate() {
-                counters.entry_comparisons += 1;
-                if let Some(iv) =
-                    ma.intersect_interval(&f.lanes_b.mbr(eb as usize), win.start, win.end)
-                {
-                    f.cands.push((i as u32, j as u32, iv));
-                }
-            }
-        }
-    }
-
-    for &(i, j, iv) in &f.cands {
-        counters.pairs_emitted += 1;
-        out.push(JoinPair::new(
-            f.lanes_a.object(f.sa[i as usize] as usize),
-            f.lanes_b.object(f.sb[j as usize] as usize),
-            iv,
-        ));
     }
 }

@@ -2,16 +2,15 @@
 //!
 //! Every join algorithm the paper describes or compares against:
 //!
-//! * [`naive_join`] — §II-C `NaiveJoin`: synchronous traversal of two
-//!   TPR-trees computing all join pairs over a window (the unconstrained
-//!   `[t_c, ∞)` for the paper's naive baseline; a finite window turns it
-//!   into `TC-Join`, §IV-B).
-//! * [`tc_join`] — §IV-B: the explicit time-constrained entry point.
-//! * [`improved_join`] — §IV-D Fig. 6: NaiveJoin plus the three
-//!   TC-enabled improvement techniques, individually toggleable for the
-//!   Fig. 8 ablation: plane sweep ([`techniques::PS`]),
-//!   dimension selection ([`techniques::DS_PS`]) and intersection
-//!   check ([`techniques::IC`]).
+//! * [`improved_join`] — the synchronous traversal of two TPR-trees
+//!   (Fig. 2 / Fig. 6), written once. The paper's three names for it are
+//!   a window and a toggle set: [`naive_join`] (§II-C `NaiveJoin`) is the
+//!   traversal over `[t_c, ∞)` with no technique, [`tc_join`] (§IV-B) the
+//!   same with the window capped at `t_u + T_M`, and `ImprovedJoin`
+//!   (§IV-D) adds the three TC-enabled improvement techniques,
+//!   individually toggleable for the Fig. 8 ablation: plane sweep
+//!   ([`techniques::PS`]), dimension selection ([`techniques::DS_PS`])
+//!   and intersection check ([`techniques::IC`]).
 //! * [`tp_join`] — §III: Tao & Papadias' time-parameterized join
 //!   returning `(current pairs, expiry time, events)`; the building block
 //!   of the `ETP-Join` competitor (assembled in `cij-core`).
@@ -20,22 +19,22 @@
 //!   that reads every node at most once.
 //! * [`brute`] — the `O(|A|·|B|)` oracle every algorithm is tested
 //!   against.
-//! * [`parallel_naive_join`] / [`parallel_tc_join`] /
-//!   [`parallel_improved_join`] / [`parallel_improved_multi_join`] —
-//!   multi-threaded drivers for the above traversals: the worklist is
-//!   split at a top node-pair frontier and fanned out over scoped
-//!   threads, with outputs merged in traversal order so results (and
-//!   counter totals) are bit-identical to the sequential runs.
+//! * [`parallel_improved_join`] / [`parallel_improved_multi_join`] —
+//!   the multi-threaded driver for that traversal (any window, any
+//!   technique set): the worklist is split at a top node-pair frontier
+//!   and fanned out over [`fan_out_tasks`]' scoped threads, with outputs
+//!   merged in traversal order so results (and counter totals) are
+//!   bit-identical to the sequential runs.
 //!
 //! All algorithms read nodes strictly through the trees' buffer pools, so
 //! their I/O is accounted exactly like the paper's. There is one node
-//! read path (page → `NodeView` → lanes or `Node`) and one sweep
-//! ([`ps_intersection_soa`] over [`SweepSoa`] buffers). The per-visit
-//! buffers live in a reusable [`JoinScratch`] pool
-//! ([`improved_join_into`] is the buffer-reusing entry point): a warm
-//! [`probe_batch`] allocates nothing and a warm `improved_join_into` only
-//! the entry vector of each internal node it reads (pinned by the
-//! `no_alloc` integration test).
+//! read path (page → `NodeView` → lanes; only [`tp_join`]'s walks still
+//! decode an owned `Node`), one synchronous traversal and one
+//! sweep ([`ps_intersection_soa`] over [`SweepSoa`] buffers). The
+//! per-visit buffers, node lanes included, live in a reusable
+//! [`JoinScratch`] pool ([`improved_join_into`] is the buffer-reusing
+//! entry point): a warm [`probe_batch`] and a warm `improved_join_into`
+//! allocate nothing (pinned by the `no_alloc` integration test).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -46,7 +45,6 @@ mod improved;
 mod naive;
 mod pair;
 mod parallel;
-mod partition;
 mod probe;
 mod scratch;
 mod sweep;
@@ -56,11 +54,7 @@ pub use counters::JoinCounters;
 pub use improved::{improved_join, improved_join_into, techniques, Techniques};
 pub use naive::{naive_join, tc_join};
 pub use pair::{assert_pairs_equal, JoinPair};
-pub use parallel::{
-    fan_out_tasks, parallel_improved_join, parallel_improved_multi_join, parallel_naive_join,
-    parallel_tc_join, JoinJob,
-};
-pub use partition::{partition_join, partition_join_auto};
+pub use parallel::{fan_out_tasks, parallel_improved_join, parallel_improved_multi_join, JoinJob};
 pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
 pub use sweep::{ps_intersection_soa, swept_region, SweepSoa};

@@ -1,15 +1,15 @@
-//! Parallel execution of the synchronous-traversal joins.
+//! Parallel execution of the synchronous traversal.
 //!
-//! The sequential kernels in [`crate::naive`] and [`crate::improved`] are
-//! depth-first traversals over node *pairs*. This module splits such a
-//! traversal at a top frontier of node pairs and fans the frontier out
-//! over `std::thread::scope` workers, then merges the per-task outputs in
+//! The sequential kernel in [`crate::improved`] is a depth-first
+//! traversal over node *pairs*. This module splits such a traversal at a
+//! top frontier of node pairs and fans the frontier out over
+//! [`fan_out_tasks`]' workers, then merges the per-task outputs in
 //! frontier order. Because
 //!
-//! 1. the frontier is built by running the sequential kernel itself with a
-//!    recursion budget of zero (each would-be recursive call is captured as
-//!    a task instead of executed, nodes already read and window already
-//!    tightened), and
+//! 1. the frontier is built by running the sequential kernel itself, one
+//!    node pair at a time, in its spill mode (each would-be recursive call
+//!    is captured as a task instead of executed, nodes already read and
+//!    window already tightened), and
 //! 2. each task is executed by the unmodified sequential kernel, and
 //! 3. task outputs are concatenated in task order — which is exactly the
 //!    depth-first visit order of the sequential traversal,
@@ -21,70 +21,47 @@
 //! passes already-read nodes down. Only physical I/O (buffer-pool
 //! hit/miss patterns) may differ under concurrency.
 //!
-//! `threads <= 1` falls back to the plain sequential entry points.
+//! `threads <= 1` falls back to the plain sequential entry point.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cij_geom::{Time, INFINITE_TIME};
-use cij_tpr::{Node, TprResult, TprTree};
+use cij_geom::{Time, TimeInterval};
+use cij_tpr::{EntryLanes, TprResult, TprTree};
 
 use crate::counters::JoinCounters;
-use crate::improved::{improved_join, Techniques};
-use crate::naive::{naive_join, tc_join};
+use crate::improved::{assert_window, improved_join, Techniques, Traversal};
 use crate::pair::JoinPair;
 use crate::scratch::JoinScratch;
 
-/// A deferred recursive call captured by a kernel running with budget 0:
-/// `(node_a, node_b, window_start, window_end)`. The kernel moves the
-/// nodes it just read into the task; only a height-alignment step, which
-/// pairs one fresh child with the node it was handed, clones that node.
-pub(crate) type SpillSink = Vec<(Node, Node, Time, Time)>;
-
-/// Recursion budget that is never exhausted: tree heights are bounded by
-/// `u8::MAX`, so sequential entry points can pass this and never spill.
-pub(crate) const NO_SPILL_BUDGET: usize = usize::MAX;
+/// Deferred recursive calls captured by a kernel in spill mode:
+/// `(node_a, node_b, window)`, the nodes as owned copies of the lanes the
+/// kernel read them into (its frames are reused for the next child).
+pub(crate) type SpillSink = Vec<(EntryLanes, EntryLanes, TimeInterval)>;
 
 /// Frontier tasks per worker thread: enough over-subscription that the
 /// atomic-cursor work stealing evens out skewed subtree sizes.
 const TASKS_PER_THREAD: usize = 8;
 
-/// Which sequential kernel a job runs.
-#[derive(Clone, Copy)]
-enum Kernel {
-    Naive,
-    Improved(Techniques),
-}
-
-/// One tree pair plus processing window, resolved against a kernel.
-struct JobSpec<'t> {
-    tree_a: &'t TprTree,
-    tree_b: &'t TprTree,
-    t_s: Time,
-    t_e: Time,
-    kernel: Kernel,
-}
-
 /// A unit of deferred traversal work: a node pair (already read from the
 /// pool), the window to process it under, and the job it belongs to.
 struct Task {
     job: usize,
-    na: Node,
-    nb: Node,
-    ws: Time,
-    we: Time,
+    na: EntryLanes,
+    nb: EntryLanes,
+    win: TimeInterval,
 }
 
 impl Task {
     /// A task can be expanded into sub-tasks unless it is an equal-level
     /// leaf pair — the only shape whose processing emits pairs directly.
     fn expandable(&self) -> bool {
-        !(self.na.level == self.nb.level && self.na.is_leaf())
+        self.level_sum() > 0
     }
 
     /// Expansion priority: shallower (higher-level) pairs first, so the
     /// frontier widens breadth-first and subtree sizes stay comparable.
     fn level_sum(&self) -> u16 {
-        self.na.level as u16 + self.nb.level as u16
+        self.na.level() as u16 + self.nb.level() as u16
     }
 }
 
@@ -97,51 +74,9 @@ pub struct JoinJob<'t> {
     pub tree_b: &'t TprTree,
     /// Processing-window start.
     pub t_s: Time,
-    /// Processing-window end; must be finite (ImprovedJoin semantics).
+    /// Processing-window end; must be finite unless the techniques are
+    /// [`techniques::NONE`](crate::techniques::NONE).
     pub t_e: Time,
-}
-
-/// Parallel [`naive_join`]: identical output, counters, and logical I/O,
-/// computed by `threads` workers. `threads <= 1` is exactly `naive_join`.
-pub fn parallel_naive_join(
-    tree_a: &TprTree,
-    tree_b: &TprTree,
-    t_c: Time,
-    threads: usize,
-) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    if threads <= 1 {
-        return naive_join(tree_a, tree_b, t_c);
-    }
-    let jobs = [JobSpec {
-        tree_a,
-        tree_b,
-        t_s: t_c,
-        t_e: INFINITE_TIME,
-        kernel: Kernel::Naive,
-    }];
-    run_jobs(&jobs, threads).map(into_single)
-}
-
-/// Parallel [`tc_join`]: identical output, counters, and logical I/O,
-/// computed by `threads` workers. `threads <= 1` is exactly `tc_join`.
-pub fn parallel_tc_join(
-    tree_a: &TprTree,
-    tree_b: &TprTree,
-    t_s: Time,
-    t_e: Time,
-    threads: usize,
-) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    if threads <= 1 {
-        return tc_join(tree_a, tree_b, t_s, t_e);
-    }
-    let jobs = [JobSpec {
-        tree_a,
-        tree_b,
-        t_s,
-        t_e,
-        kernel: Kernel::Naive,
-    }];
-    run_jobs(&jobs, threads).map(into_single)
 }
 
 /// Parallel [`improved_join`]: identical output, counters, and logical
@@ -179,21 +114,14 @@ pub fn parallel_improved_join(
     tech: Techniques,
     threads: usize,
 ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    if threads <= 1 {
-        return improved_join(tree_a, tree_b, t_s, t_e, tech);
-    }
-    assert!(
-        t_e.is_finite(),
-        "ImprovedJoin requires a time-constrained window"
-    );
-    let jobs = [JobSpec {
+    let job = JoinJob {
         tree_a,
         tree_b,
         t_s,
         t_e,
-        kernel: Kernel::Improved(tech),
-    }];
-    run_jobs(&jobs, threads).map(into_single)
+    };
+    let mut results = parallel_improved_multi_join(&[job], tech, threads)?;
+    Ok(results.pop().expect("one job, one result"))
 }
 
 /// Runs several [`improved_join`] jobs (e.g. MTB-Join's bucket pairs)
@@ -213,122 +141,13 @@ pub fn parallel_improved_multi_join(
             .collect();
     }
     for j in jobs {
-        assert!(
-            j.t_e.is_finite(),
-            "ImprovedJoin requires a time-constrained window"
-        );
+        assert_window(tech, j.t_e);
     }
-    let specs: Vec<JobSpec<'_>> = jobs
-        .iter()
-        .map(|j| JobSpec {
-            tree_a: j.tree_a,
-            tree_b: j.tree_b,
-            t_s: j.t_s,
-            t_e: j.t_e,
-            kernel: Kernel::Improved(tech),
-        })
-        .collect();
-    run_jobs(&specs, threads)
-}
 
-fn into_single(mut results: Vec<(Vec<JoinPair>, JoinCounters)>) -> (Vec<JoinPair>, JoinCounters) {
-    results.pop().expect("single-job run returns one result")
-}
-
-/// Runs one kernel invocation for `task`, sequentially, to completion.
-/// `scratch` is the calling worker's buffer pool, reused across tasks.
-fn run_task(
-    jobs: &[JobSpec<'_>],
-    task: &Task,
-    scratch: &mut JoinScratch,
-) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    let job = &jobs[task.job];
-    let mut out = Vec::new();
-    let mut counters = JoinCounters::new();
-    let mut spill = Vec::new();
-    match job.kernel {
-        Kernel::Naive => crate::naive::join_nodes(
-            job.tree_a,
-            &task.na,
-            job.tree_b,
-            &task.nb,
-            task.ws,
-            task.we,
-            &mut out,
-            &mut counters,
-            NO_SPILL_BUDGET,
-            &mut spill,
-        )?,
-        Kernel::Improved(tech) => crate::improved::join_nodes(
-            job.tree_a,
-            &task.na,
-            job.tree_b,
-            &task.nb,
-            task.ws,
-            task.we,
-            tech,
-            &mut out,
-            &mut counters,
-            NO_SPILL_BUDGET,
-            &mut spill,
-            0,
-            scratch,
-        )?,
-    }
-    debug_assert!(spill.is_empty(), "unbounded budget must never spill");
-    Ok((out, counters))
-}
-
-/// Expands `task` one level: the kernel processes the node pair with a
-/// recursion budget of zero, so every qualifying child pair lands in the
-/// returned sub-task list instead of being traversed. Counter increments
-/// and node reads performed here are exactly the ones the sequential
-/// traversal performs at this pair.
-fn expand_task(
-    jobs: &[JobSpec<'_>],
-    task: &Task,
-    counters: &mut JoinCounters,
-    scratch: &mut JoinScratch,
-) -> TprResult<Vec<Task>> {
-    let job = &jobs[task.job];
-    let mut out = Vec::new();
-    let mut spill = Vec::new();
-    match job.kernel {
-        Kernel::Naive => crate::naive::join_nodes(
-            job.tree_a, &task.na, job.tree_b, &task.nb, task.ws, task.we, &mut out, counters, 0,
-            &mut spill,
-        )?,
-        Kernel::Improved(tech) => crate::improved::join_nodes(
-            job.tree_a, &task.na, job.tree_b, &task.nb, task.ws, task.we, tech, &mut out, counters,
-            0, &mut spill, 0, scratch,
-        )?,
-    }
-    debug_assert!(
-        out.is_empty(),
-        "only equal-level leaf pairs emit, and those never expand"
-    );
-    Ok(spill
-        .into_iter()
-        .map(|(na, nb, ws, we)| Task {
-            job: task.job,
-            na,
-            nb,
-            ws,
-            we,
-        })
-        .collect())
-}
-
-/// The parallel driver: seed root tasks, widen the frontier, execute it
-/// with scoped workers, and merge in task order.
-fn run_jobs(jobs: &[JobSpec<'_>], threads: usize) -> TprResult<Vec<(Vec<JoinPair>, JoinCounters)>> {
     let mut results: Vec<(Vec<JoinPair>, JoinCounters)> = jobs
         .iter()
         .map(|_| (Vec::new(), JoinCounters::new()))
         .collect();
-    // Per-job counters accumulated while building the frontier (that work
-    // runs on this thread and is part of the sequential traversal).
-    let mut base: Vec<JoinCounters> = vec![JoinCounters::new(); jobs.len()];
 
     // Seed: one root-pair task per non-empty job, in job order.
     let mut tasks: Vec<Task> = Vec::new();
@@ -337,22 +156,46 @@ fn run_jobs(jobs: &[JobSpec<'_>], threads: usize) -> TprResult<Vec<(Vec<JoinPair
         else {
             continue;
         };
-        let na = spec.tree_a.read_node(root_a)?;
-        let nb = spec.tree_b.read_node(root_b)?;
+        let (mut na, mut nb) = (EntryLanes::new(), EntryLanes::new());
+        spec.tree_a.read_node_lanes(root_a, &mut na)?;
+        spec.tree_b.read_node_lanes(root_b, &mut nb)?;
         tasks.push(Task {
             job,
             na,
             nb,
-            ws: spec.t_s,
-            we: spec.t_e,
+            win: TimeInterval {
+                start: spec.t_s,
+                end: spec.t_e,
+            },
         });
     }
 
+    // The kernel on one task: to completion into `out`, or — with a spill
+    // sink — that node pair alone, its child pairs captured.
+    let traverse = |task: &Task,
+                    scratch: &mut JoinScratch,
+                    out: &mut Vec<JoinPair>,
+                    counters: &mut JoinCounters,
+                    spill: Option<&mut SpillSink>| {
+        Traversal {
+            tree_a: jobs[task.job].tree_a,
+            tree_b: jobs[task.job].tree_b,
+            tech,
+            scratch,
+            out,
+            counters,
+            spill,
+        }
+        .run(&task.na, &task.nb, task.win, 0)
+    };
+
     // Widen: repeatedly expand the shallowest expandable task in place,
     // keeping depth-first order, until the frontier is wide enough for
-    // the worker count (or nothing is left to expand).
+    // the worker count (or nothing is left to expand). Counter increments
+    // and node reads performed here are exactly the ones the sequential
+    // traversal performs at that pair; they go to the job's total.
     let target = threads * TASKS_PER_THREAD;
-    let mut expand_scratch = JoinScratch::new();
+    let mut scratch = JoinScratch::new();
     while tasks.len() < target {
         let mut pick: Option<(usize, u16)> = None;
         for (i, t) in tasks.iter().enumerate() {
@@ -361,67 +204,44 @@ fn run_jobs(jobs: &[JobSpec<'_>], threads: usize) -> TprResult<Vec<(Vec<JoinPair
             }
         }
         let Some((i, _)) = pick else { break };
-        let sub = expand_task(
-            jobs,
-            &tasks[i],
-            &mut base[tasks[i].job],
-            &mut expand_scratch,
-        )?;
+        let job = tasks[i].job;
+        let (out, counters) = &mut results[job];
+        let mut spill = SpillSink::new();
+        traverse(&tasks[i], &mut scratch, out, counters, Some(&mut spill))?;
+        debug_assert!(
+            out.is_empty(),
+            "only equal-level leaf pairs emit, and those never expand"
+        );
+        let sub = spill
+            .into_iter()
+            .map(|(na, nb, win)| Task { job, na, nb, win });
         tasks.splice(i..=i, sub);
     }
 
-    // Execute: workers pull task indices from a shared cursor and run the
-    // unmodified sequential kernel per task.
-    type Slot = Option<TprResult<(Vec<JoinPair>, JoinCounters)>>;
-    let worker_count = threads.min(tasks.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Slot> = (0..tasks.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..worker_count)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    // One scratch pool per worker, reused across tasks.
-                    let mut scratch = JoinScratch::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        local.push((i, run_task(jobs, task, &mut scratch)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            let local = handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (i, r) in local {
-                slots[i] = Some(r);
-            }
-        }
+    // Execute: workers pull task indices from the shared cursor and run
+    // the unmodified sequential kernel per task, one scratch pool each.
+    let done = fan_out_with(tasks.len(), threads, JoinScratch::new, |scratch, i| {
+        let (mut out, mut counters) = (Vec::new(), JoinCounters::new());
+        traverse(&tasks[i], scratch, &mut out, &mut counters, None).map(|()| (out, counters))
     });
 
     // Merge in task order: concatenation reproduces the depth-first
     // emission order of the sequential traversal exactly. Errors, if any,
     // surface at the earliest failing task — deterministically.
-    for (task, slot) in tasks.iter().zip(slots) {
-        let (pairs, counters) = slot.expect("every task index below the cursor is executed")?;
+    for (task, result) in tasks.iter().zip(done) {
+        let (pairs, counters) = result?;
         let (out, total) = &mut results[task.job];
         out.extend(pairs);
         *total = total.merged(counters);
-    }
-    for (base, (_, total)) in base.into_iter().zip(results.iter_mut()) {
-        *total = total.merged(base);
     }
     Ok(results)
 }
 
 /// Fans `count` independent tasks out over at most `threads` workers
-/// sharing one atomic-cursor worklist (the same work-stealing discipline
-/// as the join frontier above), and returns the results in task order —
-/// so callers observe output identical to the sequential
-/// `(0..count).map(run).collect()` no matter how the work interleaved.
+/// sharing one atomic-cursor worklist (the join frontier above runs on
+/// it too), and returns the results in task order — so callers observe
+/// output identical to the sequential `(0..count).map(run).collect()`
+/// no matter how the work interleaved.
 ///
 /// The calling thread is one of the workers: only `threads - 1` helpers
 /// are spawned, and a fan-out of cheap tasks is usually drained by the
@@ -435,18 +255,34 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    fan_out_with(count, threads, || (), |(), i| run(i))
+}
+
+/// [`fan_out_tasks`] with per-worker state: every worker builds one `S`
+/// with `init` and hands it to each task it runs.
+fn fan_out_with<S, R>(
+    count: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R>
+where
+    R: Send,
+{
     if threads <= 1 || count <= 1 {
-        return (0..count).map(run).collect();
+        let mut state = init();
+        return (0..count).map(|i| run(&mut state, i)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let work = || {
+        let mut state = init();
         let mut local = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 break;
             }
-            local.push((i, run(i)));
+            local.push((i, run(&mut state, i)));
         }
         local
     };
@@ -472,12 +308,13 @@ where
 mod tests {
     use std::sync::Arc;
 
-    use cij_geom::{MovingRect, Rect};
+    use cij_geom::{MovingRect, Rect, INFINITE_TIME};
     use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
     use cij_tpr::{ObjectId, TreeConfig};
 
     use super::*;
     use crate::improved::techniques;
+    use crate::naive::{naive_join, tc_join};
 
     /// Two trees of `n` objects each, streams moving toward each other.
     fn build_trees(n: u64) -> (TprTree, TprTree) {
@@ -534,11 +371,15 @@ mod tests {
         let (ta, tb) = build_trees(300);
         let (seq_n, seq_nc) = naive_join(&ta, &tb, 0.0).expect("seq naive");
         let (seq_t, seq_tc) = tc_join(&ta, &tb, 0.0, 60.0).expect("seq tc");
-        for threads in [2, 4, 8] {
-            let (par_n, par_nc) = parallel_naive_join(&ta, &tb, 0.0, threads).expect("par naive");
+        for threads in [2, 3, 8] {
+            let (par_n, par_nc) =
+                parallel_improved_join(&ta, &tb, 0.0, INFINITE_TIME, techniques::NONE, threads)
+                    .expect("par naive");
             assert_eq!(seq_n, par_n);
             assert_eq!(seq_nc, par_nc);
-            let (par_t, par_tc) = parallel_tc_join(&ta, &tb, 0.0, 60.0, threads).expect("par tc");
+            let (par_t, par_tc) =
+                parallel_improved_join(&ta, &tb, 0.0, 60.0, techniques::NONE, threads)
+                    .expect("par tc");
             assert_eq!(seq_t, par_t);
             assert_eq!(seq_tc, par_tc);
         }

@@ -1,23 +1,24 @@
 //! Reusable per-traversal scratch buffers for the join kernels.
 //!
-//! The improved kernel visits one node pair per recursion step and needs
-//! several short-lived buffers at each depth: the IC-filtered entry index
-//! lists, the two plane-sweep arrays, and the candidate staging vector.
+//! The synchronous traversal visits one node pair per recursion step and
+//! needs several short-lived buffers at each depth: the IC-filtered entry
+//! index lists, the two plane-sweep arrays, the candidate staging vector,
+//! and the lanes the child nodes are read into.
 //! Allocating them per visit (the seed behaviour) puts `malloc`/`free` on
 //! the hottest loop of the system; [`JoinScratch`] instead keeps one
 //! [`Frame`] of buffers per recursion depth and hands them out with
 //! [`std::mem::take`], so a warm traversal allocates nothing.
 
 use crate::sweep::SweepSoa;
-use cij_geom::{Rect, TimeInterval};
+use cij_geom::{MovingRect, Rect, TimeInterval};
 use cij_tpr::EntryLanes;
 
 /// One recursion depth's worth of buffers. All vectors are cleared, not
 /// shrunk, between visits.
 #[derive(Debug, Default)]
 pub(crate) struct Frame {
-    /// IC-surviving entry positions in node `a` (indices into
-    /// `node.entries`).
+    /// IC-surviving entry positions in node `a` (indices into its
+    /// lanes).
     pub sa: Vec<u32>,
     /// IC-surviving entry positions in node `b`.
     pub sb: Vec<u32>,
@@ -27,10 +28,15 @@ pub(crate) struct Frame {
     pub sweep_b: SweepSoa,
     /// Candidate pairs `(pos in sa, pos in sb, overlap interval)`.
     pub cands: Vec<(u32, u32, TimeInterval)>,
-    /// Leaf lanes for side `a` (zero-copy leaf fast path).
+    /// The node being read at this depth: the `a`-side child a
+    /// synchronous traversal is about to descend into (internal or
+    /// leaf), or the node a batched probe visits.
     pub lanes_a: EntryLanes,
-    /// Leaf lanes for side `b`.
+    /// The `b`-side child of a synchronous traversal.
     pub lanes_b: EntryLanes,
+    /// Side `b`'s selected rectangles, contiguous, for the nested-loop
+    /// comparison of a synchronous traversal without plane sweep.
+    pub rects: Vec<MovingRect>,
     /// Swept regions of the probes live at a node (batched probe).
     pub boxes: Vec<Rect>,
 }

@@ -22,8 +22,7 @@ use crate::counters::JoinCounters;
 /// The static rectangle swept by a moving rectangle over `[t_s, t_e]`:
 /// the sweep bounds `lb`/`ub` above, taken in both dimensions at once.
 /// Two rectangles whose swept regions are disjoint never meet inside the
-/// window — the reject box of [`probe_batch`](crate::probe_batch) and the
-/// replication key of [`partition_join`](crate::partition_join).
+/// window — the reject box of [`probe_batch`](crate::probe_batch).
 #[must_use]
 pub fn swept_region(mbr: &MovingRect, t_s: Time, t_e: Time) -> Rect {
     let (r0, r1) = (mbr.at(t_s), mbr.at(t_e));

@@ -466,3 +466,70 @@ fn tp_best_first_expands_no_more_node_pairs() {
         dfs.counters.node_pairs
     );
 }
+
+/// NaiveJoin, TC-Join and ImprovedJoin-without-techniques are one
+/// traversal (Fig. 2; §IV-B only changes the window): same pairs in the
+/// same order, same counters, same logical *and* physical reads, behind
+/// a pool that thrashes (8 frames) and one that holds everything (512).
+/// Written against the separate naive kernel the commit after it
+/// deleted; the unbounded window, which `improved_join` refused then, is
+/// pinned by the numbers that kernel produced.
+#[test]
+fn naive_tc_and_techniques_none_are_one_traversal() {
+    // (|A|, |B|) → tree heights 4×4, 4×2, 2×4, 1×3 (one entry), 0×3
+    // (empty).
+    const CASES: [(usize, usize); 5] = [(600, 600), (1000, 30), (30, 1000), (1, 300), (0, 300)];
+    // Per case and pool capacity (8, then 512), `naive_join(t_c = 0)`:
+    // [pairs, node_pairs, entry_comparisons, logical_reads, physical_reads].
+    const NAIVE: [[[u64; 5]; 2]; 5] = [
+        [
+            [1233, 7781, 365_522, 15_562, 7988],
+            [1233, 7781, 365_522, 15_562, 205],
+        ],
+        [[84, 431, 30_430, 840, 163], [84, 431, 30_430, 840, 163]],
+        [[106, 454, 30_453, 884, 423], [106, 454, 30_453, 884, 172]],
+        [[0, 34, 247, 35, 35], [0, 34, 247, 35, 35]],
+        [[0; 5]; 2],
+    ];
+    let mut rng = StdRng::seed_from_u64(13);
+    for (case, &(n_a, n_b)) in CASES.iter().enumerate() {
+        let a = random_dataset(&mut rng, n_a, 0, 3.0);
+        let b = random_dataset(&mut rng, n_b, 10_000, 3.0);
+        for (slot, capacity) in [8, 512].into_iter().enumerate() {
+            let pool = BufferPool::new(
+                Arc::new(InMemoryStore::new()),
+                BufferPoolConfig::with_capacity(capacity),
+            );
+            let ta = build_tree(&a, &pool, 0.0);
+            let tb = build_tree(&b, &pool, 0.0);
+            // Every run starts from a cold pool, so physical reads are
+            // the traversal's own.
+            let cold = |run: &dyn Fn() -> (Vec<JoinPair>, cij_join::JoinCounters)| {
+                pool.clear().unwrap();
+                let before = pool.stats().snapshot();
+                let (pairs, counters) = run();
+                (pairs, counters, pool.stats().snapshot() - before)
+            };
+            for t_e in [60.0, 1e9] {
+                let tc = cold(&|| tc_join(&ta, &tb, 0.0, t_e).unwrap());
+                let none = cold(&|| improved_join(&ta, &tb, 0.0, t_e, techniques::NONE).unwrap());
+                assert_eq!(tc, none, "case {case}, {capacity} frames, t_e {t_e}");
+            }
+            let (pairs, counters, io) = cold(&|| naive_join(&ta, &tb, 0.0).unwrap());
+            assert_eq!(counters.ic_pruned, 0);
+            assert_eq!(counters.pairs_emitted, pairs.len() as u64);
+            assert_eq!(io.physical_writes + io.logical_writes, 0);
+            assert_eq!(
+                [
+                    pairs.len() as u64,
+                    counters.node_pairs,
+                    counters.entry_comparisons,
+                    io.logical_reads,
+                    io.physical_reads,
+                ],
+                NAIVE[case][slot],
+                "case {case}, {capacity} frames, window ∞"
+            );
+        }
+    }
+}

@@ -1,11 +1,10 @@
 //! Allocation regression test for the join hot path.
 //!
 //! A counting global allocator wraps the system allocator; after a
-//! warm-up call, a steady-state [`improved_join_into`] allocates only the
-//! entry vector of each *internal* node it reads: leaves go straight into
-//! the lanes of the reused [`JoinScratch`] frames, every other traversal
-//! temporary lives in those frames too, and the output vector retains
-//! its capacity.
+//! warm-up call, a steady-state [`improved_join_into`] allocates nothing:
+//! every node, internal or leaf, goes straight into the lanes of the
+//! reused [`JoinScratch`] frames, every other traversal temporary lives
+//! in those frames too, and the output vector retains its capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,8 +62,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Two trees of height 2 (a root over leaves): the only internal node a
-/// join reads on each side is the root.
+/// Two trees of height 2 (a root over leaves): a join reads an internal
+/// node and many leaves on each side.
 fn build_trees(n: u64) -> (TprTree, TprTree) {
     let pool = BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::default());
     let mut ta = TprTree::new(pool.clone(), TreeConfig::default());
@@ -93,12 +92,8 @@ fn build_trees(n: u64) -> (TprTree, TprTree) {
     (ta, tb)
 }
 
-/// Allocations a warm join over [`build_trees`] may make: the two roots'
-/// entry vectors (it was four while nodes were also wrapped in an `Arc`).
-const ROOT_NODES: u64 = 2;
-
 #[test]
-fn warm_improved_join_allocates_only_the_root_nodes() {
+fn warm_improved_join_allocates_nothing() {
     let (ta, tb) = build_trees(500);
     let mut scratch = JoinScratch::new();
     let mut out = Vec::new();
@@ -118,8 +113,8 @@ fn warm_improved_join_allocates_only_the_root_nodes() {
         let after = allocations();
         assert_eq!(
             after - before,
-            ROOT_NODES,
-            "steady-state improved_join_into allocated beyond the roots (round {round})"
+            0,
+            "steady-state improved_join_into allocated (round {round})"
         );
         assert_eq!(counters, warm, "counters changed between identical runs");
         assert_eq!(out, warm_pairs, "pairs changed between identical runs");
@@ -127,7 +122,7 @@ fn warm_improved_join_allocates_only_the_root_nodes() {
 }
 
 #[test]
-fn every_technique_combination_allocates_only_the_root_nodes_when_warm() {
+fn every_technique_combination_allocates_nothing_when_warm() {
     let (ta, tb) = build_trees(300);
     for tech in [
         techniques::NONE,
@@ -145,8 +140,8 @@ fn every_technique_combination_allocates_only_the_root_nodes_when_warm() {
         let after = allocations();
         assert_eq!(
             after - before,
-            ROOT_NODES,
-            "technique set {tech:?} allocated beyond the roots"
+            0,
+            "technique set {tech:?} allocated when warm"
         );
     }
 }

@@ -288,8 +288,10 @@ fn thrashing_pool_with_two_threads_matches_brute_force() {
         "no cross-shard migrations exercised"
     );
 
+    // `<=`, not `==`: `BufferPool::free` lowers residency, and whether the
+    // last free of the run lands after the last fault is a thread race.
     let io = pool.stats().snapshot();
-    assert_eq!(pool.resident(), FRAMES);
+    assert!(pool.resident() <= FRAMES);
     assert!(
         io.physical_reads > 20 * FRAMES as u64 && io.physical_writes > 20 * FRAMES as u64,
         "the pool was meant to thrash: {io:?}"
