@@ -7,8 +7,9 @@
 //!
 //! Subcommands: `table1`, `validate`, `fig7` … `fig22`, `all`.
 //! (`fig16`–`fig22` are this repo's own extension experiments; `fig22`
-//! is the parallel initial-join scaling driver; there is no `fig18` —
-//! the PBSM partition join it measured was removed.)
+//! is the parallel initial-join scaling driver; there is no `fig18` or
+//! `fig19` — the PBSM partition join and the Bˣ-tree substrate they
+//! measured were removed, DESIGN.md §5.)
 //!
 //! `--scale small` (default) runs the sweep at one tenth of the paper's
 //! dataset sizes so the whole suite finishes in minutes; `--scale paper`
@@ -67,7 +68,6 @@ fn main() {
         "fig15" => fig15(scale),
         "fig16" => fig16(scale),
         "fig17" => fig17(scale),
-        "fig19" => fig19(scale),
         "fig20" => fig20(scale),
         "fig21" => fig21(scale),
         "fig22" => fig22(scale),
@@ -84,7 +84,6 @@ fn main() {
             fig15,
             fig16,
             fig17,
-            fig19,
             fig20,
             fig21,
             fig22,
@@ -657,134 +656,6 @@ fn fig17(scale: Scale) -> TprResult<()> {
                 io_now.to_string(),
                 io_later.to_string(),
                 fmt_duration(time_later),
-            ],
-        ));
-    }
-    t.print();
-    Ok(())
-}
-
-/// Fig. 19 (ours) — substrate comparison: TPR-tree vs Bˣ-tree (the index
-/// §IV-C's bucketing idea comes from). The classic trade-off: the Bˣ
-/// pays far less per update (B⁺-tree insert/delete vs R-tree
-/// delete+reinsert) but more per query (enlargement produces false
-/// candidates the TPR-tree never visits).
-fn fig19(scale: Scale) -> TprResult<()> {
-    use cij_bx::{BxConfig, BxTree};
-    use cij_tpr::TprTree;
-    use std::time::Instant;
-
-    let params = default_params(scale);
-    let t_m = params.maximum_update_interval;
-    let (a, _) = generate_pair(&params, 0.0);
-    let mut t = Table::new(
-        format!(
-            "Fig. 19 — index substrate: TPR-tree vs Bx-tree ({} objects)",
-            Scale::size_label(params.dataset_size)
-        ),
-        "substrate",
-        &[
-            "build",
-            "1000 updates",
-            "upd I/O/op",
-            "100 window queries",
-            "qry I/O/op",
-        ],
-    );
-
-    // Workload: build, then 1000 update cycles, then 100 window queries.
-    let updates: Vec<usize> = (0..1000).map(|i| (i * 7) % a.len()).collect();
-    let windows: Vec<cij_geom::Rect> = (0..100)
-        .map(|i| {
-            let x = (i * 97 % 900) as f64;
-            let y = (i * 61 % 900) as f64;
-            cij_geom::Rect::new([x, y], [x + 60.0, y + 60.0])
-        })
-        .collect();
-
-    // TPR-tree.
-    {
-        let pool = fresh_pool();
-        let stats = pool.stats();
-        let t0 = Instant::now();
-        let mut tree = TprTree::new(pool.clone(), cij_bench::runner::tree_config(&params));
-        for o in &a {
-            tree.insert(o.id, o.mbr, 0.0)?;
-        }
-        let build = t0.elapsed();
-        let before = stats.snapshot();
-        let t0 = Instant::now();
-        for &i in &updates {
-            let o = &a[i];
-            tree.update(o.id, &o.mbr, o.mbr.rebase(1.0), 1.0)?;
-            tree.update(o.id, &o.mbr.rebase(1.0), o.mbr, 1.0)?;
-        }
-        let upd_time = t0.elapsed();
-        let upd_io = (stats.snapshot() - before).physical_total() as f64 / 2000.0;
-        let before = stats.snapshot();
-        let t0 = Instant::now();
-        let mut found = 0usize;
-        for w in &windows {
-            found += tree.range_at(w, 30.0)?.len();
-        }
-        let qry_time = t0.elapsed();
-        let qry_io = (stats.snapshot() - before).physical_total() as f64 / 100.0;
-        let _ = found;
-        t.push(Row::new(
-            "TPR-tree",
-            vec![
-                fmt_duration(build),
-                fmt_duration(upd_time),
-                format!("{upd_io:.1}"),
-                fmt_duration(qry_time),
-                format!("{qry_io:.1}"),
-            ],
-        ));
-    }
-
-    // Bx-tree.
-    {
-        let pool = fresh_pool();
-        let stats = pool.stats();
-        let config = BxConfig {
-            t_m,
-            space: params.space,
-            max_speed: params.max_speed,
-            max_extent: params.object_side(),
-            ..BxConfig::default()
-        };
-        let t0 = Instant::now();
-        let mut bx = BxTree::new(pool.clone(), config);
-        for o in &a {
-            bx.insert(o.id, o.mbr, 0.0)?;
-        }
-        let build = t0.elapsed();
-        let before = stats.snapshot();
-        let t0 = Instant::now();
-        for &i in &updates {
-            let o = &a[i];
-            bx.update(o.id, &o.mbr, 0.0, o.mbr.rebase(1.0), 1.0)?;
-            bx.update(o.id, &o.mbr.rebase(1.0), 1.0, o.mbr, 1.0)?;
-        }
-        let upd_time = t0.elapsed();
-        let upd_io = (stats.snapshot() - before).physical_total() as f64 / 2000.0;
-        let before = stats.snapshot();
-        let t0 = Instant::now();
-        let mut found = 0usize;
-        for w in &windows {
-            found += bx.range_at(w, 30.0)?.len();
-        }
-        let qry_time = t0.elapsed();
-        let qry_io = (stats.snapshot() - before).physical_total() as f64 / 100.0;
-        let _ = found;
-        t.push(Row::new(
-            "Bx-tree",
-            vec![
-                fmt_duration(build),
-                fmt_duration(upd_time),
-                format!("{upd_io:.1}"),
-                fmt_duration(qry_time),
-                format!("{qry_io:.1}"),
             ],
         ));
     }

@@ -1,10 +1,10 @@
 //! The one update-driven engine and its index pairs.
 //!
 //! Theorems 1 and 2 bound the *window* of a join run and say nothing
-//! about which index answers it, so NaiveJoin, TC-Join, MTB-Join and the
-//! Bˣ extension are one maintenance protocol — re-register the object in
-//! its own index, drop its pairs, probe the other side over a window, add
-//! the hits to the [`ResultBuffer`] — written once in [`BufferedEngine`].
+//! about which index answers it, so NaiveJoin, TC-Join and MTB-Join are
+//! one maintenance protocol — re-register the object in its own index,
+//! drop its pairs, probe the other side over a window, add the hits to
+//! the [`ResultBuffer`] — written once in [`BufferedEngine`].
 //! Everything engine-specific (index, window, probe kernel, what moves
 //! [`JoinCounters`]) lives in an [`IndexPair`]:
 //!
@@ -13,13 +13,14 @@
 //! | [`NaiveEngine`] | [`NaivePair`] = [`TprPair<false>`] | 2 TPR-trees | `∞` | `intersect_window` per probe |
 //! | [`TcEngine`] | [`TcPair`] = [`TprPair<true>`] | 2 TPR-trees | `now + T_M` | [`probe_batch`] |
 //! | [`MtbEngine`] | [`MtbPair`] | 2 [`MtbTree`]s | `min(t_eb, now) + T_M` per bucket | [`probe_batch`] per bucket |
-//! | [`BxEngine`] | [`BxPair`] | 2 Bˣ-trees | `now + T_M` | `intersect_window` per probe |
+//!
+//! Every pair is backed by TPR-trees (the proximity pair of `cij-simjoin`
+//! included): the paper runs all of §VI on that one substrate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Deref;
 
-use cij_bx::{BxConfig, BxTree};
-use cij_geom::{MovingRect, Time, TimeInterval, INFINITE_TIME};
+use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{
     parallel_improved_join, parallel_improved_multi_join, probe_batch, techniques, JoinCounters,
     JoinJob, JoinPair, JoinScratch, ProbeHit,
@@ -106,9 +107,8 @@ pub trait IndexPair: Sized {
     ) {
     }
 
-    /// Page-format counters summed over both indexes; `None` when they
-    /// are not TPR-trees.
-    fn page_format_stats(&self) -> Option<CacheSnapshot>;
+    /// Page-format counters summed over both indexes.
+    fn page_format_stats(&self) -> CacheSnapshot;
 
     /// Mirrors totals the pair keeps itself into the registry.
     fn publish_extra(&self, _registry: &MetricsRegistry) {}
@@ -183,7 +183,7 @@ impl TickProbes {
 /// a dirty list that consumers recheck against engine state.
 ///
 /// The engine dereferences to its pair, which is where the
-/// pair-specific accessors live (`engine.mtb_a()`, `engine.bx_a()`, …).
+/// pair-specific accessors live (`engine.mtb_a()`, …).
 pub struct BufferedEngine<I> {
     pool: BufferPool,
     index: I,
@@ -203,8 +203,6 @@ pub type TcEngine = BufferedEngine<TcPair>;
 /// per-bucket time constraints (Theorem 2), improvement techniques on
 /// tree-vs-tree joins.
 pub type MtbEngine = BufferedEngine<MtbPair>;
-/// TC processing on the Bˣ-tree substrate (extension experiment).
-pub type BxEngine = BufferedEngine<BxPair>;
 
 impl<I: IndexPair> BufferedEngine<I> {
     /// Builds the engine: both sets registered at `now`, all of A first.
@@ -383,7 +381,7 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
     }
 
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        self.index.page_format_stats()
+        Some(self.index.page_format_stats())
     }
 
     fn metrics_registry(&self) -> MetricsRegistry {
@@ -399,20 +397,6 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 // ----------------------------------------------------------------------
 // Index pairs
 // ----------------------------------------------------------------------
-
-/// One root-to-leaf `window` query per probe — the probe kernel of the
-/// pairs without a batched descent.
-fn probe_each(
-    probes: &[MovingRect],
-    hits: &mut Vec<ProbeHit>,
-    window: impl Fn(&MovingRect) -> TprResult<Vec<(ObjectId, TimeInterval)>>,
-) -> TprResult<()> {
-    for (p, mbr) in probes.iter().enumerate() {
-        let found = window(mbr)?;
-        hits.extend(found.into_iter().map(|(id, iv)| (p as u32, id, iv)));
-    }
-    Ok(())
-}
 
 /// Two TPR-trees. The const parameter picks the paper's algorithm on
 /// them at compile time:
@@ -504,15 +488,17 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
             // "Join the object with the other dataset (still using the
             // naive algorithm) from the current timestamp to the infinite
             // timestamp."
-            probe_each(probes, hits, |mbr| {
-                other.intersect_window(mbr, now, INFINITE_TIME)
-            })
+            for (p, mbr) in probes.iter().enumerate() {
+                let found = other.intersect_window(mbr, now, INFINITE_TIME)?;
+                hits.extend(found.into_iter().map(|(id, iv)| (p as u32, id, iv)));
+            }
+            Ok(())
         }
     }
 
-    fn page_format_stats(&self) -> Option<CacheSnapshot> {
+    fn page_format_stats(&self) -> CacheSnapshot {
         let [a, b] = &self.trees;
-        Some(a.page_format_stats().merged(&b.page_format_stats()))
+        a.page_format_stats().merged(&b.page_format_stats())
     }
 }
 
@@ -646,116 +632,8 @@ impl IndexPair for MtbPair {
             .probe_batch(probes, now, window, scratch, counters, hits)
     }
 
-    fn page_format_stats(&self) -> Option<CacheSnapshot> {
+    fn page_format_stats(&self) -> CacheSnapshot {
         let [a, b] = &self.trees;
-        Some(a.page_format_stats().merged(&b.page_format_stats()))
-    }
-}
-
-/// TC processing on [`BxTree`]s instead of TPR-trees (extension): cheap
-/// B⁺-tree re-registration, velocity-enlarged Z-range scans over
-/// `[now, now + T_M]` as probes. The Bˣ-tree has no hierarchical
-/// tree-to-tree join, so the initial join is one probe per A object —
-/// exactly the trade-off worth measuring against [`MtbEngine`]. Only the
-/// initial join moves [`JoinCounters`] (`pairs_emitted`).
-///
-/// The [`BxConfig`] parameterizes the query enlargement and must bound
-/// the workload (it does for `cij-workload` streams).
-pub struct BxPair {
-    t_m: Time,
-    trees: [BxTree; 2],
-    /// Current registrations of the A side, in id order: the initial
-    /// join probes B once per A object, and the order of those probes
-    /// decides which pages a small pool still holds.
-    reg_a: BTreeMap<ObjectId, MovingRect>,
-}
-
-impl BxPair {
-    /// The A-side index (diagnostics).
-    #[must_use]
-    pub fn bx_a(&self) -> &BxTree {
-        &self.trees[0]
-    }
-}
-
-impl IndexPair for BxPair {
-    type Config = (EngineConfig, BxConfig);
-    const NAME: &'static str = "Bx-TC-Join";
-
-    fn engine_config(config: &Self::Config) -> &EngineConfig {
-        &config.0
-    }
-
-    fn empty(pool: &BufferPool, config: &Self::Config, _obs: &MetricsRegistry) -> Self {
-        Self {
-            t_m: config.0.t_m,
-            trees: [(); 2].map(|()| BxTree::new(pool.clone(), config.1)),
-            reg_a: BTreeMap::new(),
-        }
-    }
-
-    /// Files the object under `registered_at`: Bˣ partitions are keyed
-    /// by registration timestamp, and the next producer update still
-    /// carries it as `last_update`.
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        _now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].insert(id, mbr, registered_at)?;
-        if set == SetTag::A {
-            self.reg_a.insert(id, mbr);
-        }
-        Ok(())
-    }
-
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        _now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].remove(id, old_mbr, last_update)?;
-        if set == SetTag::A {
-            self.reg_a.remove(&id);
-        }
-        Ok(())
-    }
-
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let mut pairs = Vec::new();
-        for (&a, mbr) in &self.reg_a {
-            let found = self.trees[1].intersect_window(mbr, now, now + self.t_m)?;
-            pairs.extend(found.into_iter().map(|(b, iv)| JoinPair::new(a, b, iv)));
-        }
-        let counters = JoinCounters {
-            pairs_emitted: pairs.len() as u64,
-            ..JoinCounters::new()
-        };
-        Ok((pairs, counters))
-    }
-
-    fn probe(
-        &self,
-        side_of_probes: SetTag,
-        probes: &[MovingRect],
-        now: Time,
-        _scratch: &mut JoinScratch,
-        _counters: &mut JoinCounters,
-        hits: &mut Vec<ProbeHit>,
-    ) -> TprResult<()> {
-        let other = &self.trees[1 - side(side_of_probes)];
-        probe_each(probes, hits, |mbr| {
-            other.intersect_window(mbr, now, now + self.t_m)
-        })
-    }
-
-    fn page_format_stats(&self) -> Option<CacheSnapshot> {
-        None
+        a.page_format_stats().merged(&b.page_format_stats())
     }
 }

@@ -229,10 +229,10 @@ pub trait ContinuousJoinEngine {
     /// *without* a fresh trajectory update, so unlike
     /// [`insert_object`](Self::insert_object) (where `mbr.t_ref == now`)
     /// the registration must keep the object's original update time:
-    /// engines that key removal by update time (MTB buckets, Bˣ
-    /// partitions) file the object under `registered_at`, so the *next*
-    /// producer update — which still carries the old `last_update` —
-    /// finds it exactly where the unsharded engine would. Probe windows
+    /// engines that key removal by update time (MTB buckets) file the
+    /// object under `registered_at`, so the *next* producer update —
+    /// which still carries the old `last_update` — finds it exactly
+    /// where the unsharded engine would. Probe windows
     /// may use `now` (they end at or after the windows the original
     /// registration used, and every window is exact inside its span, so
     /// observable answers are unchanged — the invariant the rebalance
@@ -291,7 +291,7 @@ pub trait ContinuousJoinEngine {
 
     /// Aggregate page-format counters (node pages read through the
     /// zero-copy view) across the engine's TPR-trees; `None` for engines
-    /// whose indexes are not TPR-trees (Bˣ).
+    /// that hold no tree of their own (the distributed coordinator).
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         None
     }
@@ -312,23 +312,64 @@ pub trait ContinuousJoinEngine {
     fn publish_metrics(&self) {}
 }
 
+/// One operation a router (shard coordinator, dist coordinator) projects
+/// onto an inner engine; also the op of the dist wire protocol.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EngineOp {
+    /// A same-shard trajectory update.
+    Apply(ObjectUpdate),
+    /// The insert half of a cross-shard migration (or a routed insert).
+    Insert {
+        /// Side the object joins.
+        set: SetTag,
+        /// The object.
+        id: ObjectId,
+        /// Its new trajectory.
+        mbr: MovingRect,
+    },
+    /// The delete half of a migration (or an object retirement).
+    Remove {
+        /// Side the object leaves.
+        set: SetTag,
+        /// The object.
+        id: ObjectId,
+        /// The trajectory currently registered for it.
+        old_mbr: MovingRect,
+        /// When that trajectory was registered.
+        last_update: Time,
+    },
+}
+
+impl EngineOp {
+    /// Applies this one op to `engine` at `now`.
+    pub fn apply(&self, engine: &mut dyn ContinuousJoinEngine, now: Time) -> TprResult<()> {
+        match self {
+            Self::Apply(u) => engine.apply_update(u, now),
+            Self::Insert { set, id, mbr } => engine.insert_object(*set, *id, *mbr, now),
+            Self::Remove {
+                set,
+                id,
+                old_mbr,
+                last_update,
+            } => engine.remove_object(*set, *id, old_mbr, *last_update, now),
+        }
+    }
+}
+
 /// Applies one engine's op list of a tick in order, handing every maximal
 /// run of consecutive trajectory updates to
 /// [`apply_batch`](ContinuousJoinEngine::apply_batch) as one batch, so an
 /// engine behind a router (shard coordinator, dist worker) shares probe
-/// traversals exactly like a directly driven one. `as_update` picks the
-/// updates out of the caller's op type; every other op goes through
-/// `apply_other`, between the runs it separates.
-pub fn apply_op_runs<T>(
+/// traversals exactly like a directly driven one. Every other op is
+/// applied on its own, between the runs it separates.
+pub fn apply_op_runs(
     engine: &mut dyn ContinuousJoinEngine,
-    ops: &[T],
+    ops: &[EngineOp],
     now: Time,
-    as_update: impl Fn(&T) -> Option<&ObjectUpdate>,
-    mut apply_other: impl FnMut(&mut dyn ContinuousJoinEngine, &T) -> TprResult<()>,
 ) -> TprResult<()> {
     let mut run: Vec<ObjectUpdate> = Vec::new();
     for op in ops {
-        if let Some(u) = as_update(op) {
+        if let EngineOp::Apply(u) = op {
             run.push(*u);
             continue;
         }
@@ -336,7 +377,7 @@ pub fn apply_op_runs<T>(
             engine.apply_batch(&run, now)?;
             run.clear();
         }
-        apply_other(engine, op)?;
+        op.apply(engine, now)?;
     }
     if !run.is_empty() {
         engine.apply_batch(&run, now)?;

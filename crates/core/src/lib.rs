@@ -20,7 +20,6 @@
 //!   time-bucket TPR-trees ([`MtbTree`]), per-bucket windows
 //!   `[t_c, t_eb + T_M]`, improvement techniques on the initial join —
 //!   the paper's full proposal.
-//! * [`BxEngine`] — extension: TC processing on Bˣ-trees.
 //!
 //! [`EtpEngine`] — §III — is the extended time-parameterized join
 //! competitor: no interval buffer, cheap per run, but re-run at every
@@ -42,12 +41,12 @@ pub mod sim;
 pub mod window;
 
 pub use buffered::{
-    BufferedEngine, BxEngine, BxPair, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair,
-    TcEngine, TcPair, TprPair,
+    BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine, TcPair,
+    TprPair,
 };
 pub use engine::{
     apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineConfigBuilder,
-    EtpEngine,
+    EngineOp, EtpEngine,
 };
 pub use mtb::MtbTree;
 pub use result::{PairKey, PairStatus, ResultBuffer};

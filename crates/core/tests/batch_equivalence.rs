@@ -1,7 +1,7 @@
 //! The two-phase maintenance tick (`BufferedEngine::apply_batch`: every
 //! index mutation first, then one probe of the whole batch per side)
 //! against the per-update loop it replaced, for every index pair in
-//! `cij-core`: MTB, TC, Naive (window `∞`) and Bˣ.
+//! `cij-core`: MTB, TC and Naive (window `∞`).
 //!
 //! The loop lives on here as the reference, built from public parts that
 //! do not touch the engine or the batched kernel: per update, delete +
@@ -19,10 +19,9 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use cij_bx::{BxConfig, BxTree};
 use cij_core::{
-    BxEngine, ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, NaiveEngine, PairKey,
-    PairStatus, ResultBuffer, TcEngine,
+    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, NaiveEngine, PairKey, PairStatus,
+    ResultBuffer, TcEngine,
 };
 use cij_geom::{MovingRect, Rect, Time, TimeInterval, INFINITE_TIME};
 use cij_join::{improved_join, naive_join, techniques, JoinPair};
@@ -31,7 +30,7 @@ use cij_tpr::{ObjectId, TprTree, TreeConfig};
 use cij_workload::{generate_pair, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream};
 
 /// Every index pair of `cij-core`, by the name the harness builds it under.
-const KINDS: [&str; 4] = ["mtb", "tc", "naive", "bx"];
+const KINDS: [&str; 3] = ["mtb", "tc", "naive"];
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -41,12 +40,10 @@ fn pool() -> BufferPool {
 }
 
 /// The two indexes of the reference loop.
-#[allow(clippy::large_enum_variant)] // one value per test run
 enum Indexes {
     /// `"tc"` (probe window `now + T_M`) and `"naive"` (`∞`).
     Tpr(TprTree, TprTree),
     Mtb(MtbTree, MtbTree),
-    Bx(BxTree, BxTree),
 }
 
 /// The pre-batching maintenance protocol, one update at a time.
@@ -54,18 +51,12 @@ struct LoopReference {
     indexes: Indexes,
     buffer: ResultBuffer,
     t_m: Time,
-    /// Length of a TPR / Bˣ probe window: `T_M`, or `∞` for `"naive"`.
+    /// Length of a TPR probe window: `T_M`, or `∞` for `"naive"`.
     window: Time,
 }
 
 impl LoopReference {
-    fn new(
-        kind: &str,
-        config: &EngineConfig,
-        bx: BxConfig,
-        a: &[MovingObject],
-        b: &[MovingObject],
-    ) -> Self {
+    fn new(kind: &str, config: &EngineConfig, a: &[MovingObject], b: &[MovingObject]) -> Self {
         let pool = pool();
         let indexes = match kind {
             "tc" | "naive" => {
@@ -78,17 +69,6 @@ impl LoopReference {
                     tb.insert(o.id, o.mbr, 0.0).unwrap();
                 }
                 Indexes::Tpr(ta, tb)
-            }
-            "bx" => {
-                let mut xa = BxTree::new(pool.clone(), bx);
-                let mut xb = BxTree::new(pool, bx);
-                for o in a {
-                    xa.insert(o.id, o.mbr, 0.0).unwrap();
-                }
-                for o in b {
-                    xb.insert(o.id, o.mbr, 0.0).unwrap();
-                }
-                Indexes::Bx(xa, xb)
             }
             "mtb" => {
                 let m = config.buckets_per_tm;
@@ -122,13 +102,6 @@ impl LoopReference {
                 ma.buckets().next().expect("one bucket").1,
                 mb.buckets().next().expect("one bucket").1,
             ),
-            Indexes::Bx(_, xb) => a
-                .iter()
-                .flat_map(|o| {
-                    let found = xb.intersect_window(&o.mbr, 0.0, t_m).unwrap();
-                    found.into_iter().map(|(b, iv)| JoinPair::new(o.id, b, iv))
-                })
-                .collect(),
         };
         let mut this = Self {
             indexes,
@@ -152,17 +125,6 @@ impl LoopReference {
                     SetTag::B => (tb, &*ta),
                 };
                 own.update(u.id, &u.old_mbr, u.new_mbr, now).unwrap();
-                other
-                    .intersect_window(&u.new_mbr, now, now + window)
-                    .unwrap()
-            }
-            Indexes::Bx(xa, xb) => {
-                let (own, other) = match u.set {
-                    SetTag::A => (xa, &*xb),
-                    SetTag::B => (xb, &*xa),
-                };
-                own.update(u.id, &u.old_mbr, u.last_update, u.new_mbr, now)
-                    .unwrap();
                 other
                     .intersect_window(&u.new_mbr, now, now + window)
                     .unwrap()
@@ -201,7 +163,6 @@ impl LoopReference {
 fn build_engine(
     kind: &str,
     config: EngineConfig,
-    bx: BxConfig,
     a: &[MovingObject],
     b: &[MovingObject],
 ) -> Box<dyn ContinuousJoinEngine> {
@@ -209,7 +170,6 @@ fn build_engine(
         "tc" => Box::new(TcEngine::new(pool(), config, a, b, 0.0).unwrap()),
         "mtb" => Box::new(MtbEngine::new(pool(), config, a, b, 0.0).unwrap()),
         "naive" => Box::new(NaiveEngine::new(pool(), config, a, b, 0.0).unwrap()),
-        "bx" => Box::new(BxEngine::new(pool(), (config, bx), a, b, 0.0).unwrap()),
         other => panic!("unknown engine kind {other}"),
     };
     engine.enable_delta_tracking();
@@ -237,19 +197,11 @@ struct Twins {
 }
 
 impl Twins {
-    /// `bx` must bound the workload's speeds and extents; only the
-    /// `"bx"` kind reads it.
-    fn new(
-        kind: &str,
-        config: EngineConfig,
-        bx: BxConfig,
-        a: &[MovingObject],
-        b: &[MovingObject],
-    ) -> Self {
+    fn new(kind: &str, config: EngineConfig, a: &[MovingObject], b: &[MovingObject]) -> Self {
         let mut twins = Self {
             tag: format!("{kind} threads={}", config.threads),
-            batch: build_engine(kind, config, bx, a, b),
-            reference: LoopReference::new(kind, &config, bx, a, b),
+            batch: build_engine(kind, config, a, b),
+            reference: LoopReference::new(kind, &config, a, b),
             seen: BTreeSet::new(),
             t_m: config.t_m,
         };
@@ -328,16 +280,9 @@ fn random_streams_match_the_loop_every_tick() {
                     .t_m(params.maximum_update_interval)
                     .threads(threads)
                     .build();
-                let bx = BxConfig {
-                    t_m: params.maximum_update_interval,
-                    space: params.space,
-                    max_speed: params.max_speed,
-                    max_extent: params.object_side(),
-                    ..BxConfig::default()
-                };
                 let (a, b) = generate_pair(&params, 0.0);
                 let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
-                let mut twins = Twins::new(kind, config, bx, &a, &b);
+                let mut twins = Twins::new(kind, config, &a, &b);
                 let mut batched_pairs = 0;
                 for tick in 1..=35u32 {
                     let now = Time::from(tick);
@@ -418,15 +363,7 @@ fn run_script(script: impl Fn(&mut World) -> Vec<(Time, Vec<ObjectUpdate>)>) {
                 .threads(threads)
                 .tree(TreeConfig::with_capacity(4))
                 .build();
-            // The scripts keep every square inside [0, 200) at speeds ≤ 0.5.
-            let bx = BxConfig {
-                t_m: 60.0,
-                space: 200.0,
-                max_speed: 1.0,
-                max_extent: SIDE,
-                ..BxConfig::default()
-            };
-            let mut twins = Twins::new(kind, config, bx, &a, &b);
+            let mut twins = Twins::new(kind, config, &a, &b);
             assert_eq!(twins.batch.result_at(0.0).len(), 10, "A_i–B_i live at 0");
             for (now, updates) in script(&mut world) {
                 twins.tick(&updates, now);

@@ -330,57 +330,6 @@ fn sim_driver_collects_metrics() {
 }
 
 #[test]
-fn bx_engine_matches_oracle() {
-    // TC processing is index-agnostic: the same protocol on the Bx-tree
-    // substrate must track the oracle too.
-    let params = small_params(Distribution::Uniform, 120);
-    let (a, b) = generate_pair(&params, 0.0);
-    let bx_config = cij_bx::BxConfig {
-        t_m: params.maximum_update_interval,
-        space: params.space,
-        max_speed: params.max_speed,
-        max_extent: params.object_side(),
-        ..Default::default()
-    };
-    let mut e =
-        cij_core::BxEngine::new(pool(), (EngineConfig::default(), bx_config), &a, &b, 0.0).unwrap();
-    run_with_oracle(&mut e, &params, 130).unwrap();
-    e.bx_a().validate().unwrap();
-}
-
-#[test]
-fn bx_initial_join_io_is_reproducible() {
-    // The Bˣ initial join is one probe of B per A object; behind a pool
-    // smaller than the index, the order of those probes decides which
-    // pages are still resident. It must not depend on a hash seed.
-    let params = Params {
-        dataset_size: 2_500,
-        ..Params::default()
-    };
-    let (a, b) = generate_pair(&params, 0.0);
-    let bx_config = cij_bx::BxConfig {
-        t_m: params.maximum_update_interval,
-        space: params.space,
-        max_speed: params.max_speed,
-        max_extent: params.object_side(),
-        ..Default::default()
-    };
-    let initial_join_io = || {
-        let pool = BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(50),
-        );
-        let config = (EngineConfig::default(), bx_config);
-        let mut e = cij_core::BxEngine::new(pool, config, &a, &b, 0.0).unwrap();
-        e.run_initial_join(0.0).unwrap();
-        e.pool().stats().snapshot()
-    };
-    let first = initial_join_io();
-    assert!(first.physical_reads > 50, "the pool must thrash: {first:?}");
-    assert_eq!(first, initial_join_io());
-}
-
-#[test]
 fn gc_keeps_answers_correct_and_memory_bounded() {
     // Pruning per tick must not change any answer, and the interval
     // count must stay bounded over a long run (no history accumulation).

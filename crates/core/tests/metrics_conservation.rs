@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use cij_core::{
-    BxEngine, ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, TcEngine,
-};
+use cij_core::{ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, TcEngine};
 use cij_geom::Time;
 use cij_obs::validate_prometheus;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
@@ -38,7 +36,7 @@ fn params(seed: u64) -> Params {
     }
 }
 
-const ENGINES: [&str; 5] = ["naive", "tc", "etp", "mtb", "bx"];
+const ENGINES: [&str; 4] = ["naive", "tc", "etp", "mtb"];
 
 fn build(kind: &str, config: EngineConfig, p: &Params) -> Box<dyn ContinuousJoinEngine> {
     let (a, b) = generate_pair(p, 0.0);
@@ -48,16 +46,6 @@ fn build(kind: &str, config: EngineConfig, p: &Params) -> Box<dyn ContinuousJoin
         "tc" => Box::new(TcEngine::new(pool, config, &a, &b, 0.0).expect("tc")),
         "etp" => Box::new(EtpEngine::new(pool, config, &a, &b, 0.0).expect("etp")),
         "mtb" => Box::new(MtbEngine::new(pool, config, &a, &b, 0.0).expect("mtb")),
-        "bx" => {
-            let bx = cij_bx::BxConfig {
-                t_m: p.maximum_update_interval,
-                space: p.space,
-                max_speed: p.max_speed,
-                max_extent: p.object_side(),
-                ..Default::default()
-            };
-            Box::new(BxEngine::new(pool, (config, bx), &a, &b, 0.0).expect("bx"))
-        }
         other => panic!("unknown engine kind {other}"),
     }
 }
@@ -104,17 +92,18 @@ fn snapshot_totals_match_legacy_stats_bit_exactly() {
                 assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
             }
 
-            // Page-format totals (bx has no TPR trees): every node read
-            // went through the zero-copy view.
-            if let Some(page) = engine.page_format_snapshot() {
-                assert_eq!(
-                    snap.counter("storage.page.zero_copy_reads"),
-                    Some(page.zero_copy_reads),
-                    "{tag}: storage.page.zero_copy_reads drifted"
-                );
-                assert!(page.zero_copy_reads > 0, "{tag}: no node was read");
-                assert_eq!(page.decode_fallbacks, 0, "{tag}");
-            }
+            // Page-format totals: every node read went through the
+            // zero-copy view.
+            let page = engine
+                .page_format_snapshot()
+                .expect("every engine here owns TPR-trees");
+            assert_eq!(
+                snap.counter("storage.page.zero_copy_reads"),
+                Some(page.zero_copy_reads),
+                "{tag}: storage.page.zero_copy_reads drifted"
+            );
+            assert!(page.zero_copy_reads > 0, "{tag}: no node was read");
+            assert_eq!(page.decode_fallbacks, 0, "{tag}");
 
             // Buffer-pool I/O: registered live views over the same atomics.
             let io = engine.pool().stats().snapshot();

@@ -535,7 +535,7 @@ impl DistCoordinator {
             let req = Request::Immediate {
                 seq: self.seq,
                 now,
-                op: op.clone(),
+                op,
             };
             self.send_expect_ack(idx, req)?;
         }

@@ -20,7 +20,7 @@
 //! consumed; the worker prunes its outbox up to it.
 
 use cij_core::{PairKey, PairStatus};
-use cij_geom::{MovingRect, Time, TimeInterval};
+use cij_geom::{Time, TimeInterval};
 use cij_join::JoinCounters;
 use cij_storage::codec::{ByteReader, ByteWriter};
 use cij_stream::wire::{
@@ -29,7 +29,7 @@ use cij_stream::wire::{
 };
 use cij_stream::WireError;
 use cij_tpr::ObjectId;
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_workload::MovingObject;
 
 const REQ_HELLO: u8 = 0x10;
 const REQ_INIT: u8 = 0x11;
@@ -60,9 +60,7 @@ const OP_REMOVE: u8 = 2;
 /// Which engine a worker should build at [`Request::Init`].
 ///
 /// ETP is excluded by construction (it predicts no intervals, so it
-/// cannot feed bit-identical delta streams), and Bˣ is excluded for now
-/// because its query-enlargement parameters are not shipped over the
-/// wire yet.
+/// cannot feed bit-identical delta streams).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// NaiveJoin (§II-C).
@@ -102,33 +100,9 @@ impl EngineKind {
     }
 }
 
-/// One operation projected onto a worker's shard-pair engine — the wire
-/// mirror of the shard coordinator's internal op kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardOp {
-    /// A same-shard trajectory update.
-    Apply(ObjectUpdate),
-    /// The insert half of a cross-shard migration (or a routed insert).
-    Insert {
-        /// Side the object joins.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// Its new trajectory.
-        mbr: MovingRect,
-    },
-    /// The delete half of a migration (or an object retirement).
-    Remove {
-        /// Side the object leaves.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// The trajectory currently registered for it.
-        old_mbr: MovingRect,
-        /// When that trajectory was registered.
-        last_update: Time,
-    },
-}
+/// One operation projected onto a worker's shard-pair engine: the
+/// routers' [`cij_core::EngineOp`], carried over the wire as is.
+pub use cij_core::EngineOp as ShardOp;
 
 fn put_op(w: &mut ByteWriter, op: &ShardOp) {
     match op {
@@ -662,7 +636,9 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cij_geom::MovingRect;
     use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
+    use cij_workload::{ObjectUpdate, SetTag};
 
     fn mrect(seed: f64) -> MovingRect {
         MovingRect {

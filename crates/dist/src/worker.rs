@@ -254,7 +254,7 @@ impl ShardWorker {
                 },
             },
             Request::Immediate { now, op, .. } => match self.engine.as_mut() {
-                Some(e) => match Self::apply_op(e.as_mut(), op, *now) {
+                Some(e) => match op.apply(e.as_mut(), *now) {
                     Ok(()) => Response::Ack { seq },
                     Err(e) => Response::Fail {
                         message: e.to_string(),
@@ -278,31 +278,9 @@ impl ShardWorker {
         ops: &[ShardOp],
     ) -> TprResult<Option<Vec<cij_core::PairKey>>> {
         engine.advance_time(now)?;
-        apply_op_runs(
-            engine,
-            ops,
-            now,
-            |op| match op {
-                ShardOp::Apply(u) => Some(u),
-                _ => None,
-            },
-            |engine, op| Self::apply_op(engine, op, now),
-        )?;
+        apply_op_runs(engine, ops, now)?;
         engine.gc(now);
         Ok(engine.take_result_changes())
-    }
-
-    fn apply_op(engine: &mut dyn ContinuousJoinEngine, op: &ShardOp, now: Time) -> TprResult<()> {
-        match op {
-            ShardOp::Apply(u) => engine.apply_update(u, now),
-            ShardOp::Insert { set, id, mbr } => engine.insert_object(*set, *id, *mbr, now),
-            ShardOp::Remove {
-                set,
-                id,
-                old_mbr,
-                last_update,
-            } => engine.remove_object(*set, *id, old_mbr, *last_update, now),
-        }
     }
 }
 

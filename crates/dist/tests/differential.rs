@@ -15,6 +15,7 @@ use cij_core::{EngineConfig, MtbEngine};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
 use cij_geom::{MovingRect, Rect, Time};
+use cij_obs::validate_prometheus;
 use cij_shard::{
     HashPolicy, PartitionPolicy, ShardCoordinator, SpatialGridPolicy, VelocityBandPolicy,
 };
@@ -270,6 +271,7 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
         assert_eq!(rig.hosts[victim].restarts(), 1, "{label}: no restart");
 
         let snap = rig.dist.metrics_snapshot();
+        validate_prometheus(&snap.to_prometheus()).unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(
             snap.counter("dist.rpc.errors").unwrap_or(0) >= 1,
             "{label}: the kill should surface as a channel error"

@@ -58,4 +58,4 @@ pub use parallel::{fan_out_tasks, parallel_improved_join, parallel_improved_mult
 pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
 pub use sweep::{ps_intersection_soa, swept_region, SweepSoa};
-pub use tp::{tp_join, tp_join_best_first, tp_object_probe, TpAnswer, TpProbe};
+pub use tp::{tp_join, tp_object_probe, TpAnswer, TpProbe};

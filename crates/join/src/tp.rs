@@ -195,126 +195,6 @@ fn visit(
     Ok(())
 }
 
-/// Best-first `TP-Join`: identical answer to [`tp_join`], different
-/// traversal order.
-///
-/// The paper notes the traversal may be "depth-first (or best-first)".
-/// Best-first expands node pairs in ascending first-contact time, so the
-/// globally earliest events are found early and the influence-time bound
-/// tightens as fast as possible — fewer node pairs expanded at the cost
-/// of a priority queue. Currently-intersecting pairs sort at `t_c`
-/// (they must always be expanded to enumerate the current result).
-pub fn tp_join_best_first(tree_a: &TprTree, tree_b: &TprTree, t_c: Time) -> TprResult<TpAnswer> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// `f64` ordered for the heap; finite values only (∞ pairs are
-    /// dropped before queueing).
-    #[derive(PartialEq)]
-    struct Key(f64);
-    impl Eq for Key {}
-    impl PartialOrd for Key {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Key {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.partial_cmp(&other.0).expect("finite keys")
-        }
-    }
-
-    let mut state = TpState {
-        current: Vec::new(),
-        expiry: INFINITE_TIME,
-        events: Vec::new(),
-        counters: JoinCounters::new(),
-    };
-    let (Some(ra), Some(rb)) = (tree_a.root_page(), tree_b.root_page()) else {
-        return Ok(TpAnswer {
-            current: state.current,
-            expiry: state.expiry,
-            events: state.events,
-            counters: state.counters,
-        });
-    };
-
-    // Heap of node pairs keyed by their first-contact time.
-    let mut heap: BinaryHeap<Reverse<(Key, cij_storage::PageId, cij_storage::PageId)>> =
-        BinaryHeap::new();
-    heap.push(Reverse((Key(t_c), ra, rb)));
-
-    while let Some(Reverse((Key(bound), pa, pb))) = heap.pop() {
-        // A pair whose first contact is beyond the current expiry cannot
-        // contain the next event, nor current pairs (contact > t_c).
-        if bound > state.expiry + EVENT_TIE_EPS && bound > t_c {
-            continue;
-        }
-        let na = tree_a.read_node(pa)?;
-        let nb = tree_b.read_node(pb)?;
-        state.counters.node_pairs += 1;
-
-        // Height alignment: push the deeper side's children.
-        if na.level != nb.level {
-            let (deeper_tree, deeper, other_mbr, same_is_a) = if na.level > nb.level {
-                (tree_a, &na, nb.bounding_mbr(), true)
-            } else {
-                (tree_b, &nb, na.bounding_mbr(), false)
-            };
-            let Some(other_mbr) = other_mbr else { continue };
-            for e in &deeper.entries {
-                state.counters.entry_comparisons += 1;
-                let fc = first_contact(&e.mbr, &other_mbr, t_c);
-                if fc.is_finite() {
-                    let _ = deeper_tree;
-                    let (qa, qb) = if same_is_a {
-                        (e.child.page(), pb)
-                    } else {
-                        (pa, e.child.page())
-                    };
-                    heap.push(Reverse((Key(fc), qa, qb)));
-                }
-            }
-            continue;
-        }
-
-        if na.is_leaf() {
-            for ea in &na.entries {
-                for eb in &nb.entries {
-                    state.counters.entry_comparisons += 1;
-                    let a = ea.child.object();
-                    let b = eb.child.object();
-                    if ea.mbr.intersects_at(&eb.mbr, t_c) {
-                        state.counters.pairs_emitted += 1;
-                        state.current.push((a, b));
-                    }
-                    state.offer_event((a, b), ea.mbr.influence_time(&eb.mbr, t_c));
-                }
-            }
-            continue;
-        }
-        for ea in &na.entries {
-            for eb in &nb.entries {
-                state.counters.entry_comparisons += 1;
-                let fc = first_contact(&ea.mbr, &eb.mbr, t_c);
-                if fc.is_finite() && (fc <= state.expiry + EVENT_TIE_EPS || fc <= t_c) {
-                    heap.push(Reverse((Key(fc), ea.child.page(), eb.child.page())));
-                }
-            }
-        }
-    }
-
-    // Best-first expansion may visit leaves in any order; normalize the
-    // current-pair order to the DFS convention for comparability.
-    state.current.sort_unstable();
-    Ok(TpAnswer {
-        current: state.current,
-        expiry: state.expiry,
-        events: state.events,
-        counters: state.counters,
-    })
-}
-
 /// Single-object TP probe: the current partners of `target` in `tree`,
 /// plus the earliest time `target`'s intersection status with *any*
 /// object of the tree changes (and with whom).

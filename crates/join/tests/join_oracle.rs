@@ -418,55 +418,6 @@ fn fig3_running_example() {
     );
 }
 
-#[test]
-fn tp_best_first_matches_dfs() {
-    use cij_join::tp_join_best_first;
-    let mut rng = StdRng::seed_from_u64(11);
-    for round in 0..8 {
-        let a = random_dataset(&mut rng, 120, 0, 3.0);
-        let b = random_dataset(&mut rng, 120, 10_000, 3.0);
-        let pool = shared_pool();
-        let ta = build_tree(&a, &pool, 0.0);
-        let tb = build_tree(&b, &pool, 0.0);
-        let dfs = tp_join(&ta, &tb, 0.0).unwrap();
-        let bf = tp_join_best_first(&ta, &tb, 0.0).unwrap();
-        let mut dfs_cur = dfs.current.clone();
-        dfs_cur.sort_unstable();
-        assert_eq!(dfs_cur, bf.current, "round {round}: current pairs diverged");
-        match (dfs.expiry.is_finite(), bf.expiry.is_finite()) {
-            (true, true) => {
-                assert!((dfs.expiry - bf.expiry).abs() < 1e-7, "round {round}");
-                let d: HashSet<_> = dfs.events.iter().copied().collect();
-                let f: HashSet<_> = bf.events.iter().copied().collect();
-                assert_eq!(d, f, "round {round}: event sets diverged");
-            }
-            (false, false) => {}
-            _ => panic!("round {round}: one variant found an event, the other did not"),
-        }
-    }
-}
-
-#[test]
-fn tp_best_first_expands_no_more_node_pairs() {
-    use cij_join::tp_join_best_first;
-    let mut rng = StdRng::seed_from_u64(12);
-    let a = random_dataset(&mut rng, 800, 0, 2.0);
-    let b = random_dataset(&mut rng, 800, 10_000, 2.0);
-    let pool = shared_pool();
-    let ta = build_tree(&a, &pool, 0.0);
-    let tb = build_tree(&b, &pool, 0.0);
-    let dfs = tp_join(&ta, &tb, 0.0).unwrap();
-    let bf = tp_join_best_first(&ta, &tb, 0.0).unwrap();
-    // Best-first tightens the bound at least as fast as DFS on average;
-    // allow slack (orders can differ) but it must not blow up.
-    assert!(
-        bf.counters.node_pairs <= dfs.counters.node_pairs * 2,
-        "best-first expanded {} vs DFS {}",
-        bf.counters.node_pairs,
-        dfs.counters.node_pairs
-    );
-}
-
 /// NaiveJoin, TC-Join and ImprovedJoin-without-techniques are one
 /// traversal (Fig. 2; §IV-B only changes the window): same pairs in the
 /// same order, same counters, same logical *and* physical reads, behind

@@ -102,9 +102,10 @@ impl MetricsSnapshot {
 /// (`# …`), blank, or a `name[{labels}] value` sample with a legal
 /// metric name and a parseable value. Returns the number of samples.
 ///
-/// This is the checker the CI metrics smoke step and the bench binaries
-/// run over their own output — a regression in the encoder fails fast
-/// instead of producing an exposition a real scraper would reject.
+/// This is the checker the metrics-conservation tests of every layer
+/// run over their own registry's output — a regression in the encoder
+/// fails fast instead of producing an exposition a real scraper would
+/// reject.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(name: &str) -> bool {
         !name.is_empty()

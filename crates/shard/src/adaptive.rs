@@ -1,8 +1,8 @@
 //! The adaptive partition controller: telemetry in, policies out.
 //!
-//! Fixed equal-width bands collapse on skew — the seed BENCH_shard run
-//! put 646 of 1000 A-objects in band 0 at K=4, so one engine owned the
-//! workload and the sharded run lost wall-clock to the single engine
+//! Fixed equal-width bands collapse on skew — the first sharding bench
+//! run put 646 of 1000 A-objects in band 0 at K=4, so one engine owned
+//! the workload and the sharded run lost wall-clock to the single engine
 //! while "winning" on logical reads. *Speed Partitioning for Indexing
 //! Moving Objects* and *Boosting Moving Object Indexing through
 //! Velocity Partitioning* (PAPERS.md) both conclude boundaries must

@@ -68,11 +68,11 @@
 //!    membership, everything via
 //!    [`restore_object`](ContinuousJoinEngine::restore_object) with the
 //!    object's **original registration time**. That last part is the
-//!    load-bearing bit: MTB buckets and Bˣ partitions key removal by
-//!    update time, so the next producer update (which still carries the
-//!    old `last_update`) must find the object filed where it would have
-//!    been without the rebalance — and the recomputed probe windows end
-//!    at-or-after the original ones, so per-tick results are unchanged.
+//!    load-bearing bit: MTB buckets key removal by update time, so the
+//!    next producer update (which still carries the old `last_update`)
+//!    must find the object filed where it would have been without the
+//!    rebalance — and the recomputed probe windows end at-or-after the
+//!    original ones, so per-tick results are unchanged.
 //!
 //! Update-driven `migrations` and policy-driven `rebalance.moved`
 //! objects are counted separately; both conserve populations.
@@ -81,7 +81,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use cij_core::{
-    apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus,
+    apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineOp, PairKey,
+    PairStatus,
 };
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters};
@@ -123,23 +124,6 @@ pub type SharedShardEngineFactory = Arc<
         + Send
         + Sync,
 >;
-
-/// One operation projected onto a shard-pair engine.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Apply(ObjectUpdate),
-    Insert {
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-    },
-    Remove {
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: MovingRect,
-        last_update: Time,
-    },
-}
 
 /// One re-registration in a rebalance's restore phase.
 #[derive(Debug, Clone, Copy)]
@@ -609,19 +593,19 @@ impl ShardCoordinator {
 
     /// Projects one update onto per-slot operations, updating the
     /// router's placement (and the adaptive sketch) as a side effect.
-    fn route_ops(&mut self, update: &ObjectUpdate, ops: &mut [Vec<Op>], now: Time) {
+    fn route_ops(&mut self, update: &ObjectUpdate, ops: &mut [Vec<EngineOp>], now: Time) {
         if let Some(ctl) = self.adaptive.as_mut() {
             ctl.observe(&update.new_mbr);
         }
         match self.router.route(update, now) {
             RouteDecision::Stay(shard) => {
                 for &slot in self.fan(update.set, shard) {
-                    ops[slot].push(Op::Apply(*update));
+                    ops[slot].push(EngineOp::Apply(*update));
                 }
             }
             RouteDecision::Migrate { from, to } => {
                 for &slot in self.fan(update.set, from) {
-                    ops[slot].push(Op::Remove {
+                    ops[slot].push(EngineOp::Remove {
                         set: update.set,
                         id: update.id,
                         old_mbr: update.old_mbr,
@@ -629,7 +613,7 @@ impl ShardCoordinator {
                     });
                 }
                 for &slot in self.fan(update.set, to) {
-                    ops[slot].push(Op::Insert {
+                    ops[slot].push(EngineOp::Insert {
                         set: update.set,
                         id: update.id,
                         mbr: update.new_mbr,
@@ -651,32 +635,14 @@ impl ShardCoordinator {
 
     /// Executes per-slot op lists: fans slots with work out over the
     /// coordinator's threads, surfaces the first error in slot order.
-    fn execute_ops(&self, ops: &[Vec<Op>], now: Time) -> TprResult<()> {
+    fn execute_ops(&self, ops: &[Vec<EngineOp>], now: Time) -> TprResult<()> {
         let results = fan_out_tasks(self.slots.len(), self.threads, |i| {
             let slot_ops = &ops[i];
             if slot_ops.is_empty() {
                 return Ok(());
             }
             let mut engine = self.slots[i].engine.lock();
-            apply_op_runs(
-                &mut **engine,
-                slot_ops,
-                now,
-                |op| match op {
-                    Op::Apply(u) => Some(u),
-                    _ => None,
-                },
-                |engine, op| match *op {
-                    Op::Apply(ref u) => engine.apply_update(u, now),
-                    Op::Insert { set, id, mbr } => engine.insert_object(set, id, mbr, now),
-                    Op::Remove {
-                        set,
-                        id,
-                        ref old_mbr,
-                        last_update,
-                    } => engine.remove_object(set, id, old_mbr, last_update, now),
-                },
-            )
+            apply_op_runs(&mut **engine, slot_ops, now)
         });
         results.into_iter().collect()
     }
@@ -715,7 +681,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
         if updates.is_empty() {
             return Ok(());
         }
-        let mut ops: Vec<Vec<Op>> = vec![Vec::new(); self.slots.len()];
+        let mut ops: Vec<Vec<EngineOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
             self.route_ops(u, &mut ops, now);
         }

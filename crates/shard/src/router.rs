@@ -16,8 +16,8 @@
 //! re-evaluates a new policy against every live trajectory and hands
 //! the coordinator the exact batch of moves, each carrying the original
 //! registration time so engines that key removal on update time (MTB
-//! buckets, Bˣ partitions) can re-file the object where the *next*
-//! producer update will look for it.
+//! buckets) can re-file the object where the *next* producer update will
+//! look for it.
 
 use std::collections::HashMap;
 use std::sync::Arc;

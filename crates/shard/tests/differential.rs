@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cij_core::{BxEngine, ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
+use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{
     HashPolicy, PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, SpatialBoundsPolicy,
@@ -52,27 +52,18 @@ enum Kind {
     Naive,
     Tc,
     Mtb,
-    Bx,
 }
 
 /// One engine builder serves both roles: called directly it builds the
 /// single-engine oracle; handed to the coordinator it builds shard-pair
 /// engines — including fresh ones mid-run during a rebalance.
-fn make_factory(kind: Kind, params: &Params) -> SharedShardEngineFactory {
-    let bx = cij_bx::BxConfig {
-        t_m: params.maximum_update_interval,
-        space: params.space,
-        max_speed: params.max_speed,
-        max_extent: params.object_side(),
-        ..Default::default()
-    };
+fn make_factory(kind: Kind) -> SharedShardEngineFactory {
     Arc::new(move |pool, cfg, a, b, now| {
         Ok(match kind {
             Kind::Naive => Box::new(NaiveEngine::new(pool, *cfg, a, b, now)?)
                 as Box<dyn ContinuousJoinEngine + Send>,
             Kind::Tc => Box::new(TcEngine::new(pool, *cfg, a, b, now)?),
             Kind::Mtb => Box::new(MtbEngine::new(pool, *cfg, a, b, now)?),
-            Kind::Bx => Box::new(BxEngine::new(pool, (*cfg, bx), a, b, now)?),
         })
     })
 }
@@ -93,7 +84,7 @@ fn run_lockstep_rebalancing(
 ) -> ShardCoordinator {
     let (a, b) = generate_pair(params, 0.0);
     let config = engine_config(params);
-    let factory = make_factory(kind, params);
+    let factory = make_factory(kind);
     let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
     let sharded_config = EngineConfig { threads, ..config };
     let mut coord = ShardCoordinator::with_factory(
@@ -261,7 +252,7 @@ fn thrashing_pool_with_two_threads_matches_brute_force() {
         &a,
         &b,
         0.0,
-        make_factory(Kind::Mtb, &params),
+        make_factory(Kind::Mtb),
     )
     .expect("coordinator");
     assert_eq!(coord.engine_count(), 16);
@@ -458,28 +449,6 @@ fn tc_and_naive_rebalance_match_oracle() {
     }
 }
 
-/// The Bˣ engine keys removals by (id, mbr, last-update) partition —
-/// the restore path must re-file relocated objects under their original
-/// registration so later producer updates still find them.
-#[test]
-fn bx_engine_rebalance_matches_oracle() {
-    let params = skew_params(52);
-    let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
-        (10, Arc::new(VelocityBoundsPolicy::new(vec![0.5, 1.2, 2.2]))),
-        (22, Arc::new(VelocityBoundsPolicy::new(vec![1.0]))),
-    ];
-    let coord = run_lockstep_rebalancing(
-        Kind::Bx,
-        Arc::new(VelocityBandPolicy::new(2, params.max_speed)),
-        &schedule,
-        &params,
-        4,
-        32,
-    );
-    assert_eq!(coord.rebalances(), 2);
-    assert!(coord.rebalance_moved() > 0);
-}
-
 /// A hand-built update that flips an object between the extreme speed
 /// bands must migrate it and keep the answers identical — the surgical
 /// version of the migration property the lockstep runs hit statistically.
@@ -489,7 +458,7 @@ fn forced_migration_preserves_results_and_placement() {
     let (a, b) = generate_pair(&params, 0.0);
     let config = engine_config(&params);
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let factory = make_factory(Kind::Mtb, &params);
+    let factory = make_factory(Kind::Mtb);
     let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
     let mut coord =
         ShardCoordinator::with_factory(pool(), config, policy.clone(), &a, &b, 0.0, factory)
@@ -544,7 +513,7 @@ fn interleaved_apply_remove_insert_apply_matches_oracle() {
     let (a, b) = generate_pair(&params, 0.0);
     let config = engine_config(&params);
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let factory = make_factory(Kind::Mtb, &params);
+    let factory = make_factory(Kind::Mtb);
     let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
     let mut coord =
         ShardCoordinator::with_factory(pool(), config, policy.clone(), &a, &b, 0.0, factory)

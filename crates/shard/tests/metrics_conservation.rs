@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::Time;
+use cij_obs::validate_prometheus;
 use cij_shard::{HashPolicy, ShardCoordinator};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
@@ -224,6 +225,9 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     run(&mut coord, 21, 30);
 
     let snap = coord.report().metrics.expect("metrics-on snapshot");
+    // The exposition of the rebalanced coordinator — per-pair and
+    // per-shard names of both topologies included — parses cleanly.
+    validate_prometheus(&snap.to_prometheus()).expect("exposition");
     assert_eq!(snap.counter("shard.rebalances"), Some(2));
     assert_eq!(
         snap.counter("shard.rebalance.moved_objects"),

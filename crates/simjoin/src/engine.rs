@@ -262,7 +262,7 @@ impl IndexPair for ProximityPair {
         self.count(seen, hits.len());
     }
 
-    fn page_format_stats(&self) -> Option<CacheSnapshot> {
+    fn page_format_stats(&self) -> CacheSnapshot {
         self.filter.page_format_stats()
     }
 

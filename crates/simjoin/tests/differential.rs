@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
 use cij_geom::{MovingRect, Time};
+use cij_obs::validate_prometheus;
 use cij_shard::{HashPolicy, PartitionPolicy, ShardCoordinator};
 use cij_simjoin::{
     proximity_shard_factory, BruteProximityEngine, ProximityConfig, ProximityJoinEngine,
@@ -190,7 +191,7 @@ fn refine_pass_actually_rejects_candidates() {
     let params = small_params(504);
     let (a, b) = generate_pair(&params, 0.0);
     let schedule = scheduled_updates(&params, &a, &b, TICKS);
-    let config = ProximityConfig::new(EngineConfig::default(), 1.0);
+    let config = ProximityConfig::new(EngineConfig::builder().metrics(true).build(), 1.0);
     let mut engine = ProximityJoinEngine::new(pool(), config, &a, &b, 0.0).unwrap();
     drive(&mut engine, &schedule);
     assert!(engine.candidates() > 0, "no candidates generated");
@@ -198,6 +199,23 @@ fn refine_pass_actually_rejects_candidates() {
         engine.refine_rejects() > 0,
         "refine never rejected — inflation is not over-approximating"
     );
+
+    // What the obs pipeline scrapes is what the engine counted, in a
+    // well-formed exposition.
+    engine.publish_metrics();
+    let snap = engine.metrics_registry().snapshot();
+    assert_eq!(
+        (
+            snap.counter("simjoin.candidates"),
+            snap.counter("simjoin.refine_rejects")
+        ),
+        (Some(engine.candidates()), Some(engine.refine_rejects())),
+        "registry diverged from engine accessors"
+    );
+    assert!(snap
+        .histogram("simjoin.refine_ns")
+        .is_some_and(|h| h.count > 0));
+    validate_prometheus(&snap.to_prometheus()).expect("exposition");
 }
 
 #[test]

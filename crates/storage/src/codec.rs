@@ -1,173 +1,22 @@
-//! Bounds-checked little-endian page codec.
+//! Bounds-checked little-endian record codec.
 //!
-//! Tree nodes serialize into 4 KB pages through [`PageWriter`] and come
-//! back through [`PageReader`]. Both are plain cursors over the page
-//! bytes; every access is bounds-checked and surfaces
-//! [`StorageError::PageOverflow`] instead of panicking, so a corrupt page
-//! turns into an error the index layer can report.
+//! Variable-length records — the [`wal`](crate::wal) frames, the stream
+//! subsystem's journal payloads and wire frames, the dist protocol —
+//! are written through the growable [`ByteWriter`] and read back through
+//! the bounds-checked [`ByteReader`]. The reader is a plain cursor over
+//! the record bytes; every access is bounds-checked and surfaces
+//! [`StorageError::PageOverflow`] instead of panicking, so a truncated or
+//! corrupt record turns into an error the caller can report.
 //!
-//! Variable-length records (the [`wal`](crate::wal) frames, the stream
-//! subsystem's journal payloads) use the growable [`ByteWriter`] /
-//! bounds-checked [`ByteReader`] pair instead — the same little-endian
-//! wire format without the fixed page size.
+//! Tree nodes do not pass through here: they are laid out and read in
+//! place by the zero-copy page format of `cij-tpr`.
 
-use crate::{StorageError, StorageResult, PAGE_SIZE};
-
-/// Sequential little-endian writer over a page buffer.
-pub struct PageWriter<'a> {
-    buf: &'a mut [u8; PAGE_SIZE],
-    pos: usize,
-}
-
-impl<'a> PageWriter<'a> {
-    /// Starts writing at offset 0.
-    pub fn new(buf: &'a mut [u8; PAGE_SIZE]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Current offset.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes remaining in the page.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        PAGE_SIZE - self.pos
-    }
-
-    fn claim(&mut self, n: usize) -> StorageResult<&mut [u8]> {
-        // `checked_add`: a hostile `n` near `usize::MAX` would wrap the
-        // naive `pos + n` in release builds and bypass the bounds check.
-        let end = match self.pos.checked_add(n) {
-            Some(end) if end <= PAGE_SIZE => end,
-            _ => {
-                return Err(StorageError::PageOverflow {
-                    offset: self.pos,
-                    requested: n,
-                });
-            }
-        };
-        let slice = &mut self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Writes a `u8`.
-    pub fn put_u8(&mut self, v: u8) -> StorageResult<()> {
-        self.claim(1)?[0] = v;
-        Ok(())
-    }
-
-    /// Writes a `u16` (little-endian).
-    pub fn put_u16(&mut self, v: u16) -> StorageResult<()> {
-        self.claim(2)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Writes a `u32` (little-endian).
-    pub fn put_u32(&mut self, v: u32) -> StorageResult<()> {
-        self.claim(4)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Writes a `u64` (little-endian).
-    pub fn put_u64(&mut self, v: u64) -> StorageResult<()> {
-        self.claim(8)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Writes an `f64` (IEEE-754 bits, little-endian).
-    pub fn put_f64(&mut self, v: f64) -> StorageResult<()> {
-        self.claim(8)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Writes raw bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) -> StorageResult<()> {
-        self.claim(bytes.len())?.copy_from_slice(bytes);
-        Ok(())
-    }
-}
-
-/// Sequential little-endian reader over a page buffer.
-pub struct PageReader<'a> {
-    buf: &'a [u8; PAGE_SIZE],
-    pos: usize,
-}
-
-impl<'a> PageReader<'a> {
-    /// Starts reading at offset 0.
-    pub fn new(buf: &'a [u8; PAGE_SIZE]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Current offset.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn take(&mut self, n: usize) -> StorageResult<&[u8]> {
-        // `checked_add`: see `PageWriter::claim` — `pos + n` must not wrap.
-        let end = match self.pos.checked_add(n) {
-            Some(end) if end <= PAGE_SIZE => end,
-            _ => {
-                return Err(StorageError::PageOverflow {
-                    offset: self.pos,
-                    requested: n,
-                });
-            }
-        };
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> StorageResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> StorageResult<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads an `f64`.
-    pub fn get_f64(&mut self) -> StorageResult<f64> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> StorageResult<&[u8]> {
-        self.take(n)
-    }
-}
+use crate::{StorageError, StorageResult};
 
 /// Growable little-endian writer for variable-length records.
 ///
-/// Unlike [`PageWriter`] it never overflows — the buffer grows on
-/// demand — so every `put_*` is infallible.
+/// It never overflows — the buffer grows on demand — so every `put_*`
+/// is infallible.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -267,7 +116,8 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
-        // `checked_add`: see `PageWriter::claim` — `pos + n` must not wrap.
+        // `checked_add`: a hostile `n` near `usize::MAX` would wrap the
+        // naive `pos + n` in release builds and bypass the bounds check.
         let end = match self.pos.checked_add(n) {
             Some(end) if end <= self.buf.len() => end,
             _ => {
@@ -327,101 +177,48 @@ mod tests {
 
     #[test]
     fn roundtrip_all_types() {
-        let mut page = crate::zeroed_page();
-        {
-            let mut w = PageWriter::new(&mut page);
-            w.put_u8(0xFE).unwrap();
-            w.put_u16(0xBEEF).unwrap();
-            w.put_u32(0xDEAD_BEEF).unwrap();
-            w.put_u64(0x0123_4567_89AB_CDEF).unwrap();
-            w.put_f64(-1234.5678e9).unwrap();
-            w.put_f64(f64::INFINITY).unwrap();
-            w.put_bytes(b"hello").unwrap();
-            assert_eq!(w.position(), 1 + 2 + 4 + 8 + 8 + 8 + 5);
-        }
-        let mut r = PageReader::new(&page);
+        let mut w = ByteWriter::new();
+        w.put_u8(0xFE);
+        w.put_u16(0xBEEF);
+        w.put_u32(0xDEAD_BEEF);
+        w.put_u64(0x0123_4567_89AB_CDEF);
+        w.put_f64(-1234.5678e9);
+        w.put_f64(f64::INFINITY);
+        w.put_f64(f64::NEG_INFINITY);
+        w.put_bytes(b"hello");
+        assert_eq!(w.len(), 1 + 2 + 4 + 8 + 8 + 8 + 8 + 5);
+        let bytes = w.into_bytes();
+
+        let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xFE);
         assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_f64().unwrap(), -1234.5678e9);
         assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
+        assert_eq!(r.get_f64().unwrap(), f64::NEG_INFINITY);
         assert_eq!(r.get_bytes(5).unwrap(), b"hello");
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn nan_roundtrips_bitwise() {
-        let mut page = crate::zeroed_page();
-        PageWriter::new(&mut page).put_f64(f64::NAN).unwrap();
-        assert!(PageReader::new(&page).get_f64().unwrap().is_nan());
-    }
-
-    #[test]
-    fn write_overflow_is_an_error() {
-        let mut page = crate::zeroed_page();
-        let mut w = PageWriter::new(&mut page);
-        w.put_bytes(&vec![0u8; PAGE_SIZE - 4]).unwrap();
-        assert_eq!(w.remaining(), 4);
-        assert!(w.put_u32(1).is_ok());
-        assert_eq!(
-            w.put_u8(1),
-            Err(StorageError::PageOverflow {
-                offset: PAGE_SIZE,
-                requested: 1
-            })
-        );
-    }
-
-    #[test]
-    fn read_overflow_is_an_error() {
-        let page = crate::zeroed_page();
-        let mut r = PageReader::new(&page);
-        r.get_bytes(PAGE_SIZE).unwrap();
-        assert!(r.get_u8().is_err());
-    }
-
-    #[test]
-    fn partial_write_does_not_advance() {
-        let mut page = crate::zeroed_page();
-        let mut w = PageWriter::new(&mut page);
-        w.put_bytes(&vec![0u8; PAGE_SIZE - 2]).unwrap();
-        let pos = w.position();
-        assert!(w.put_u32(7).is_err());
-        assert_eq!(w.position(), pos, "failed write must not consume space");
-        assert!(w.put_u16(7).is_ok());
+        // A payload NaN, not the canonical one: the bits must survive.
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let mut w = ByteWriter::new();
+        w.put_f64(nan);
+        let bytes = w.into_bytes();
+        let back = ByteReader::new(&bytes).get_f64().unwrap();
+        assert!(back.is_nan());
+        assert_eq!(back.to_bits(), nan.to_bits());
     }
 
     /// Regression: `pos + n` used to be computed unchecked, so a length
     /// near `usize::MAX` wrapped in release builds and sailed past the
-    /// bounds check straight into a slice panic (or worse). All three
-    /// cursors must reject it as a clean `PageOverflow` and stay usable.
+    /// bounds check straight into a slice panic (or worse). The reader
+    /// must reject it as a clean `PageOverflow` and stay usable.
     #[test]
     fn huge_length_does_not_wrap_bounds_check() {
-        let mut page = crate::zeroed_page();
-        let mut w = PageWriter::new(&mut page);
-        w.put_u32(7).unwrap();
-        assert_eq!(
-            w.claim(usize::MAX).unwrap_err(),
-            StorageError::PageOverflow {
-                offset: 4,
-                requested: usize::MAX
-            }
-        );
-        assert_eq!(w.position(), 4, "failed write must not consume space");
-        assert!(w.put_u32(8).is_ok());
-
-        let mut r = PageReader::new(&page);
-        r.get_u32().unwrap();
-        assert_eq!(
-            r.get_bytes(usize::MAX),
-            Err(StorageError::PageOverflow {
-                offset: 4,
-                requested: usize::MAX
-            })
-        );
-        assert_eq!(r.position(), 4, "failed read must not advance");
-        assert_eq!(r.get_u32().unwrap(), 8);
-
         let bytes = [1u8, 2, 3, 4];
         let mut br = ByteReader::new(&bytes);
         br.get_u16().unwrap();
@@ -432,30 +229,8 @@ mod tests {
                 requested: usize::MAX
             })
         );
-        assert_eq!(br.position(), 2);
+        assert_eq!(br.position(), 2, "failed read must not advance");
         assert!(br.get_u16().is_ok());
-    }
-
-    #[test]
-    fn byte_cursor_roundtrip() {
-        let mut w = ByteWriter::new();
-        w.put_u8(0xFE);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_f64(f64::NEG_INFINITY);
-        w.put_bytes(b"stream");
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 1 + 2 + 4 + 8 + 8 + 6);
-
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 0xFE);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_f64().unwrap(), f64::NEG_INFINITY);
-        assert_eq!(r.get_bytes(6).unwrap(), b"stream");
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

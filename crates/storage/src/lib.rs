@@ -18,7 +18,7 @@
 //! * [`CacheStats`] — the page-format counter a tree keeps beside the
 //!   pool's I/O counters (node pages read through the zero-copy view).
 //! * [`codec`] — bounds-checked little-endian cursors used to serialize
-//!   tree nodes into pages and variable-length journal records.
+//!   variable-length journal and wire records.
 //! * [`wal`] — a length+CRC framed write-ahead log with torn-tail
 //!   recovery, the durability substrate of the `cij-stream` service.
 

@@ -1,11 +1,11 @@
 //! Property tests: the buffer pool must behave exactly like a reference
-//! model (hash map contents + ideal LRU), and the page codec must
+//! model (hash map contents + ideal LRU), and the record codec must
 //! round-trip arbitrary field sequences.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use cij_storage::codec::{PageReader, PageWriter};
+use cij_storage::codec::{ByteReader, ByteWriter};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore, StorageError};
 use proptest::prelude::*;
 
@@ -37,31 +37,23 @@ fn arb_field() -> impl Strategy<Value = Field> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any sequence of fields that fits in a page reads back identically.
+    /// Any sequence of fields reads back identically.
     #[test]
     fn codec_roundtrip(fields in proptest::collection::vec(arb_field(), 0..40)) {
-        let mut page = cij_storage::zeroed_page();
-        let mut written = Vec::new();
-        {
-            let mut w = PageWriter::new(&mut page);
-            for f in &fields {
-                let ok = match f {
-                    Field::U8(v) => w.put_u8(*v).is_ok(),
-                    Field::U16(v) => w.put_u16(*v).is_ok(),
-                    Field::U32(v) => w.put_u32(*v).is_ok(),
-                    Field::U64(v) => w.put_u64(*v).is_ok(),
-                    Field::F64(v) => w.put_f64(*v).is_ok(),
-                    Field::Bytes(v) => w.put_bytes(v).is_ok(),
-                };
-                if ok {
-                    written.push(f.clone());
-                } else {
-                    break; // page full; everything before must read back
-                }
+        let mut w = ByteWriter::new();
+        for f in &fields {
+            match f {
+                Field::U8(v) => w.put_u8(*v),
+                Field::U16(v) => w.put_u16(*v),
+                Field::U32(v) => w.put_u32(*v),
+                Field::U64(v) => w.put_u64(*v),
+                Field::F64(v) => w.put_f64(*v),
+                Field::Bytes(v) => w.put_bytes(v),
             }
         }
-        let mut r = PageReader::new(&page);
-        for f in &written {
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        for f in &fields {
             match f {
                 Field::U8(v) => prop_assert_eq!(r.get_u8().unwrap(), *v),
                 Field::U16(v) => prop_assert_eq!(r.get_u16().unwrap(), *v),
@@ -74,6 +66,9 @@ proptest! {
                 Field::Bytes(v) => prop_assert_eq!(r.get_bytes(v.len()).unwrap(), &v[..]),
             }
         }
+        // Nothing left over, and reading past the record is an error.
+        prop_assert_eq!(r.remaining(), 0);
+        prop_assert!(r.get_u8().is_err());
     }
 }
 

@@ -17,7 +17,7 @@ pub enum ResultDelta {
         pair: PairKey,
         /// The predicted intersection interval the pair was admitted
         /// under. For engines that keep interval predictions
-        /// (Naive/TC/MTB/Bx) this is the buffer interval containing the
+        /// (Naive/TC/MTB) this is the buffer interval containing the
         /// extraction tick; for snapshot-diffed engines (ETP) it is
         /// `[t, ∞)`, meaning "active from `t` until a later
         /// [`PairRemoved`](Self::PairRemoved)". The event stream itself

@@ -25,7 +25,7 @@
 //!   tail records included.
 //!
 //! The delta extraction is genuinely incremental for the
-//! interval-predicting engines (Naive/TC/MTB/Bx): it consumes the
+//! interval-predicting engines (Naive/TC/MTB): it consumes the
 //! [`ResultBuffer`](cij_core::ResultBuffer) changelog plus a
 //! time-ordered expiry heap, so per-tick work scales with the number of
 //! *changed* pairs — the streaming payoff of the paper's bounded valid

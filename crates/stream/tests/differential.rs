@@ -20,8 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cij_core::{
-    BxEngine, ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, PairKey,
-    TcEngine,
+    ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, PairKey, TcEngine,
 };
 use cij_geom::Time;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
@@ -38,7 +37,6 @@ enum EngineKind {
     Tc,
     Etp,
     Mtb,
-    Bx,
 }
 
 fn small_params(seed: u64) -> Params {
@@ -61,7 +59,6 @@ fn pool() -> BufferPool {
 
 fn build_engine(
     kind: EngineKind,
-    params: &Params,
     config: &EngineConfig,
     set_a: &[MovingObject],
     set_b: &[MovingObject],
@@ -72,22 +69,6 @@ fn build_engine(
         EngineKind::Tc => Box::new(TcEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Etp => Box::new(EtpEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Mtb => Box::new(MtbEngine::new(pool(), *config, set_a, set_b, start)?),
-        EngineKind::Bx => {
-            let bx_config = cij_bx::BxConfig {
-                t_m: params.maximum_update_interval,
-                space: params.space,
-                max_speed: params.max_speed,
-                max_extent: params.object_side(),
-                ..Default::default()
-            };
-            Box::new(BxEngine::new(
-                pool(),
-                (*config, bx_config),
-                set_a,
-                set_b,
-                start,
-            )?)
-        }
     })
 }
 
@@ -138,7 +119,6 @@ fn sorted(set: &HashSet<PairKey>) -> Vec<PairKey> {
 fn run_and_check(
     kind: EngineKind,
     threads: usize,
-    params: &Params,
     set_a: &[MovingObject],
     set_b: &[MovingObject],
     schedule: &[(Time, Vec<ObjectUpdate>)],
@@ -153,7 +133,7 @@ fn run_and_check(
                    b: &[MovingObject],
                    start: Time|
      -> TprResult<Box<dyn ContinuousJoinEngine>> {
-        build_engine(kind, params, cfg, a, b, start)
+        build_engine(kind, cfg, a, b, start)
     };
     let mut svc = StreamService::new(config, set_a, set_b, 0.0, &factory).unwrap();
     let sub = svc.subscribe(SubscriptionFilter::All).unwrap();
@@ -209,8 +189,8 @@ fn differential_for(kind: EngineKind, seed: u64) {
     let params = small_params(seed);
     let (a, b) = generate_pair(&params, 0.0);
     let schedule = scheduled_updates(&params, &a, &b, 65);
-    let stream_seq = run_and_check(kind, 1, &params, &a, &b, &schedule);
-    let stream_par = run_and_check(kind, 4, &params, &a, &b, &schedule);
+    let stream_seq = run_and_check(kind, 1, &a, &b, &schedule);
+    let stream_par = run_and_check(kind, 4, &a, &b, &schedule);
     assert_eq!(
         stream_seq, stream_par,
         "{kind:?}: delta stream differs between threads=1 and threads=4"
@@ -235,11 +215,6 @@ fn etp_delta_replay_matches_snapshots_across_threads() {
 #[test]
 fn mtb_delta_replay_matches_snapshots_across_threads() {
     differential_for(EngineKind::Mtb, 304);
-}
-
-#[test]
-fn bx_delta_replay_matches_snapshots_across_threads() {
-    differential_for(EngineKind::Bx, 305);
 }
 
 // ----------------------------------------------------------------------
@@ -276,7 +251,7 @@ fn wal_truncated_mid_record_recovers_last_durable_batch_without_dup_or_loss() {
                    sb: &[MovingObject],
                    start: Time|
      -> TprResult<Box<dyn ContinuousJoinEngine>> {
-        build_engine(EngineKind::Mtb, &params, cfg, sa, sb, start)
+        build_engine(EngineKind::Mtb, cfg, sa, sb, start)
     };
     let config = StreamConfig::builder()
         .batch_capacity(1 << 16)
@@ -401,7 +376,7 @@ fn recovery_of_a_clean_log_replays_everything() {
                    sb: &[MovingObject],
                    start: Time|
      -> TprResult<Box<dyn ContinuousJoinEngine>> {
-        build_engine(EngineKind::Tc, &params, cfg, sa, sb, start)
+        build_engine(EngineKind::Tc, cfg, sa, sb, start)
     };
     let config = StreamConfig::builder().wal_path(wal.0.clone()).build();
 

@@ -22,6 +22,7 @@ mod common;
 
 use cij_core::EngineConfig;
 use cij_geom::Time;
+use cij_obs::validate_prometheus;
 use cij_stream::{
     IngestOutcome, OutboxItem, ShedPolicy, StreamConfig, StreamService, SubscriptionFilter,
 };
@@ -125,8 +126,11 @@ proptest! {
             );
         }
         prop_assert_eq!(oracle.shed_dropped_stale(), 0);
-        let applied = shed
-            .metrics_snapshot()
+        let snap = shed.metrics_snapshot();
+        // Shed counters and latency histograms reach a well-formed
+        // exposition.
+        prop_assert_eq!(validate_prometheus(&snap.to_prometheus()).err(), None);
+        let applied = snap
             .histogram("stream.ingest.latency_ns")
             .map_or(0, |h| h.count);
         prop_assert_eq!(

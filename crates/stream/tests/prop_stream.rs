@@ -12,8 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cij_core::{
-    BxEngine, ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, PairKey,
-    TcEngine,
+    ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, PairKey, TcEngine,
 };
 use cij_geom::Time;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
@@ -58,7 +57,6 @@ enum EngineKind {
     Tc,
     Etp,
     Mtb,
-    Bx,
 }
 
 fn arb_kind() -> impl Strategy<Value = EngineKind> {
@@ -67,13 +65,11 @@ fn arb_kind() -> impl Strategy<Value = EngineKind> {
         Just(EngineKind::Tc),
         Just(EngineKind::Etp),
         Just(EngineKind::Mtb),
-        Just(EngineKind::Bx),
     ]
 }
 
 fn build_engine(
     kind: EngineKind,
-    params: &Params,
     config: &EngineConfig,
     set_a: &[MovingObject],
     set_b: &[MovingObject],
@@ -84,22 +80,6 @@ fn build_engine(
         EngineKind::Tc => Box::new(TcEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Etp => Box::new(EtpEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Mtb => Box::new(MtbEngine::new(pool(), *config, set_a, set_b, start)?),
-        EngineKind::Bx => {
-            let bx_config = cij_bx::BxConfig {
-                t_m: params.maximum_update_interval,
-                space: params.space,
-                max_speed: params.max_speed,
-                max_extent: params.object_side(),
-                ..Default::default()
-            };
-            Box::new(BxEngine::new(
-                pool(),
-                (*config, bx_config),
-                set_a,
-                set_b,
-                start,
-            )?)
-        }
     })
 }
 
@@ -160,7 +140,7 @@ proptest! {
                        sb: &[MovingObject],
                        start: Time|
          -> TprResult<Box<dyn ContinuousJoinEngine>> {
-            build_engine(kind, &params, cfg, sa, sb, start)
+            build_engine(kind, cfg, sa, sb, start)
         };
         let config = StreamConfig::builder().batch_capacity(1 << 16).build();
         let mut svc = StreamService::new(config, &a, &b, 0.0, &factory).unwrap();
@@ -214,7 +194,7 @@ proptest! {
                        sb: &[MovingObject],
                        start: Time|
          -> TprResult<Box<dyn ContinuousJoinEngine>> {
-            build_engine(kind, &params, cfg, sa, sb, start)
+            build_engine(kind, cfg, sa, sb, start)
         };
         let wal = TempWal::new(params.seed ^ cut);
         let config = StreamConfig::builder()

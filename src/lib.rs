@@ -15,7 +15,6 @@
 //! | [`tpr`] | `cij-tpr` | the TPR/TPR*-tree |
 //! | [`join`] | `cij-join` | NaiveJoin, TP-Join, TC-Join, ImprovedJoin |
 //! | [`core`] | `cij-core` | continuous engines, MTB-tree, window queries |
-//! | [`bx`] | `cij-bx` | the Bˣ-tree (the index the MTB bucketing derives from) |
 //! | [`workload`] | `cij-workload` | the paper's synthetic workloads |
 //! | [`stream`] | `cij-stream` | update ingestion, result-delta subscriptions, WAL recovery |
 //! | [`shard`] | `cij-shard` | partitioned multi-engine coordinator with cross-shard join routing |
@@ -55,7 +54,6 @@
 
 #![deny(missing_docs)]
 
-pub use cij_bx as bx;
 pub use cij_core as core;
 pub use cij_dist as dist;
 pub use cij_geom as geom;

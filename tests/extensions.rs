@@ -1,10 +1,9 @@
-//! Workspace integration tests for the extension systems: the Bˣ
-//! substrate, window/kNN monitors and the interval-NN machinery working
-//! together through the facade, on one shared simulated disk.
+//! Workspace integration tests for the extension systems: window/kNN
+//! monitors and the interval-NN machinery working together through the
+//! facade, on one shared simulated disk.
 
 use std::sync::Arc;
 
-use cij::bx::{BxConfig, BxTree};
 use cij::core::knn::ContinuousKnn;
 use cij::core::window::{ContinuousWindowQueries, QueryId};
 use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
@@ -15,8 +14,8 @@ use cij::workload::{generate_pair, Params, SetTag, UpdateStream};
 
 #[test]
 fn one_disk_many_structures() {
-    // A TPR-tree, a Bx-tree, a window monitor and a kNN monitor all
-    // share one buffer pool and track the same fleet consistently.
+    // A TPR-tree, a window monitor and a kNN monitor all share one
+    // buffer pool and track the same fleet consistently.
     let params = Params {
         dataset_size: 300,
         space: 400.0,
@@ -36,19 +35,8 @@ fn one_disk_many_structures() {
             ..TreeConfig::default()
         },
     );
-    let mut bx = BxTree::new(
-        pool.clone(),
-        BxConfig {
-            t_m: params.maximum_update_interval,
-            space: params.space,
-            max_speed: params.max_speed,
-            max_extent: params.object_side(),
-            ..BxConfig::default()
-        },
-    );
     for o in &fleet {
         tpr.insert(o.id, o.mbr, 0.0).unwrap();
-        bx.insert(o.id, o.mbr, 0.0).unwrap();
     }
 
     let mut windows = ContinuousWindowQueries::new(params.maximum_update_interval);
@@ -64,21 +52,15 @@ fn one_disk_many_structures() {
         let now = f64::from(tick);
         for u in stream.tick(now) {
             tpr.update(u.id, &u.old_mbr, u.new_mbr, now).unwrap();
-            bx.update(u.id, &u.old_mbr, u.last_update, u.new_mbr, now)
-                .unwrap();
             windows.apply_update(u.id, &u.new_mbr, now);
             knn.apply_update(u.id, &u.old_mbr, &u.new_mbr, now);
         }
         knn.refresh(&tpr, now).unwrap();
 
-        // Cross-structure agreement: TPR and Bx answer the same window
-        // query identically.
+        // The window monitor agrees with the direct query.
         let w = Rect::new([100.0, 100.0], [250.0, 250.0]);
         let mut via_tpr = tpr.range_at(&w, now).unwrap();
         via_tpr.sort();
-        assert_eq!(via_tpr, bx.range_at(&w, now).unwrap(), "t={now}");
-
-        // The window monitor agrees with the direct query.
         assert_eq!(
             windows.result_at(QueryId(0), now),
             via_tpr,
@@ -105,7 +87,6 @@ fn one_disk_many_structures() {
         );
     }
     tpr.validate(80.0).unwrap();
-    bx.validate().unwrap();
 }
 
 #[test]
