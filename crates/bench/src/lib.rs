@@ -12,10 +12,8 @@
 
 #![deny(unsafe_code)]
 
-pub mod histogram;
 pub mod report;
 pub mod runner;
 
-pub use histogram::LatencyHistogram;
 pub use report::{Row, Table};
 pub use runner::{build_pair_trees, fresh_pool, measure, EngineKind, MaintenanceCost, Scale};

@@ -410,6 +410,14 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 ///   Theorem 1's window `[now, now + T_M]` — the result for an object
 ///   only needs to be valid until its own next update, at most `T_M`
 ///   away.
+///
+/// **The `T_M` contract of [`TcPair`].** A pair stays exact while at
+/// least one endpoint re-registered within `T_M`: that endpoint's probe
+/// covered `[t_u, t_u + T_M]` against the other side's tree, whose
+/// entries bound their objects at every future instant however old they
+/// are. A side that never updates is therefore allowed — which is how
+/// §V's continuous window queries run on this engine unchanged: the
+/// windows are set B, registered once (see the crate docs).
 pub struct TprPair<const TIME_CONSTRAINED: bool> {
     config: EngineConfig,
     trees: [TprTree; 2],
@@ -505,6 +513,16 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
 /// MTB-Join (§IV-C + §IV-D): an [`MtbTree`] per set, objects filed by
 /// the bucket of their last update, every join run against a bucket over
 /// that bucket's own window (Theorem 2).
+///
+/// **The `T_M` contract.** Both sides must re-register within `T_M`.
+/// Theorem 2 ends every probe against a bucket at `t_eb + T_M` because
+/// each of its objects will have moved to a newer bucket by then; one
+/// that stays silent is simply dropped from the answer at `t_eb + T_M`.
+/// With the defaults (`T_M = 60`, bucket length 30), objects registered
+/// at `t = 0` and never again vanish from every pair at `t = 90`, where
+/// [`TcEngine`] on the same input stays exact. So §V's "index the
+/// objects by an MTB-tree" refinement for window queries needs the
+/// windows to re-register like any object (every 45 ticks, say).
 pub struct MtbPair {
     config: EngineConfig,
     trees: [MtbTree; 2],

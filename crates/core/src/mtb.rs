@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use cij_geom::{MovingRect, Time, TimeInterval};
+use cij_geom::{MovingRect, Time};
 use cij_join::{probe_batch, JoinCounters, JoinScratch, ProbeHit};
 use cij_storage::BufferPool;
 use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
@@ -25,6 +25,7 @@ use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 /// use std::sync::Arc;
 /// use cij_core::MtbTree;
 /// use cij_geom::{MovingRect, Rect};
+/// use cij_join::{JoinCounters, JoinScratch};
 /// use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 /// use cij_tpr::{ObjectId, TreeConfig};
 ///
@@ -41,11 +42,20 @@ use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 ///
 /// // A maintenance probe at t = 40 uses per-bucket windows
 /// // [40, t_eb + T_M]: tighter for the older bucket (Theorem 2).
-/// let probe = still(100.2, 40.0);
-/// let found = mtb.join_object(&probe, 40.0, |t_eb| t_eb + t_m)?;
+/// let probes = [still(100.2, 40.0)];
+/// let mut found = Vec::new();
+/// mtb.probe_batch(
+///     &probes,
+///     40.0,
+///     |t_eb| t_eb + t_m,
+///     &mut JoinScratch::new(),
+///     &mut JoinCounters::new(),
+///     &mut found,
+/// )?;
 /// assert_eq!(found.len(), 1);
-/// assert_eq!(found[0].0, ObjectId(1));
-/// assert!(found[0].1.end <= 90.0, "old bucket's window ends at 30 + 60");
+/// let (probe, partner, interval) = found[0];
+/// assert_eq!((probe, partner), (0, ObjectId(1)));
+/// assert!(interval.end <= 90.0, "old bucket's window ends at 30 + 60");
 /// # Ok::<(), cij_tpr::TprError>(())
 /// ```
 pub struct MtbTree {
@@ -204,25 +214,6 @@ impl MtbTree {
         Ok(())
     }
 
-    /// [`probe_batch`](Self::probe_batch) for a single `target`.
-    pub fn join_object(
-        &self,
-        target: &MovingRect,
-        now: Time,
-        window_for: impl Fn(Time) -> Time,
-    ) -> TprResult<Vec<(ObjectId, TimeInterval)>> {
-        let mut hits = Vec::new();
-        self.probe_batch(
-            std::slice::from_ref(target),
-            now,
-            window_for,
-            &mut JoinScratch::new(),
-            &mut JoinCounters::new(),
-            &mut hits,
-        )?;
-        Ok(hits.into_iter().map(|(_, oid, iv)| (oid, iv)).collect())
-    }
-
     /// Validates every bucket tree and the aggregate count.
     pub fn validate(&self, now: Time) -> TprResult<()> {
         let mut total = 0;
@@ -255,6 +246,22 @@ mod tests {
 
     fn mbr(x: f64, t: Time) -> MovingRect {
         MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [1.0, 0.0], t)
+    }
+
+    /// One probe through [`MtbTree::probe_batch`] with the engine's
+    /// `t_eb + T_M` windows.
+    fn probe_one(m: &MtbTree, probe: MovingRect, now: Time, t_m: Time) -> Vec<ProbeHit> {
+        let mut hits = Vec::new();
+        m.probe_batch(
+            &[probe],
+            now,
+            |t_eb| t_eb + t_m,
+            &mut JoinScratch::new(),
+            &mut JoinCounters::new(),
+            &mut hits,
+        )
+        .unwrap();
+        hits
     }
 
     #[test]
@@ -325,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn join_object_unions_buckets_with_tight_windows() {
+    fn probe_batch_unions_buckets_with_tight_windows() {
         let mut m = MtbTree::new(pool(), TreeConfig::default(), 60.0);
         // Two static-ish objects in different buckets, both near x=100.
         let o1 = MovingRect::rigid(Rect::new([100.0, 0.0], [101.0, 1.0]), [0.0, 0.0], 0.0);
@@ -335,14 +342,13 @@ mod tests {
 
         // Probe overlapping both.
         let probe = MovingRect::rigid(Rect::new([100.5, 0.0], [101.5, 1.0]), [0.0, 0.0], 40.0);
-        let t_m = 60.0;
-        let got = m.join_object(&probe, 40.0, |t_eb| t_eb + t_m).unwrap();
-        let ids: Vec<_> = got.iter().map(|(o, _)| *o).collect();
+        let got = probe_one(&m, probe, 40.0, 60.0);
+        let ids: Vec<_> = got.iter().map(|&(_, o, _)| o).collect();
         assert!(ids.contains(&ObjectId(1)));
         assert!(ids.contains(&ObjectId(2)));
         // Windows differ by bucket: o1 lives in bucket [0,30) → window end
         // 90; o2 in [30,60) → 120.
-        for (oid, iv) in got {
+        for (_, oid, iv) in got {
             let bound = if oid == ObjectId(1) { 90.0 } else { 120.0 };
             assert!(iv.end <= bound + 1e-9, "{oid}: {iv:?} beyond {bound}");
         }
@@ -353,8 +359,7 @@ mod tests {
         let mut m = MtbTree::new(pool(), TreeConfig::default(), 60.0);
         m.insert(ObjectId(1), mbr(0.0, 0.0), 0.0, 0.0).unwrap();
         // now = 95 > bucket_end(0) + T_M = 90: nothing can be valid.
-        let probe = mbr(0.0, 95.0);
-        let got = m.join_object(&probe, 95.0, |t_eb| t_eb + 60.0).unwrap();
+        let got = probe_one(&m, mbr(0.0, 95.0), 95.0, 60.0);
         assert!(
             got.is_empty(),
             "window entirely in the past must be skipped"

@@ -1,18 +1,13 @@
-//! Distance between moving rectangles (and points) over time intervals.
+//! Distance between moving rectangles over time intervals.
 //!
 //! The squared distance between two moving rectangles is, per dimension,
 //! the square of a *gap* function `max(0, loA−hiB, loB−hiA)(t)` — the
 //! maximum of two linear functions and zero, hence piecewise linear,
 //! non-negative and convex. Summing squared convex non-negative
 //! functions keeps convexity, so `dist²(t)` is a **convex piecewise
-//! quadratic**: its minimum over a window is found exactly by splitting
-//! at the (at most four) gap breakpoints and minimizing each quadratic
-//! piece in closed form, and its maximum sits at a window endpoint.
-//!
-//! These are the pruning bounds of interval nearest-neighbor search
-//! (§V's "kNN candidates for a time interval" discussion): a subtree
-//! whose minimal distance over the window exceeds some candidate's
-//! *maximal* distance can never supply a nearest neighbor.
+//! quadratic**: split a window at the gap breakpoints and every piece
+//! is one quadratic, so `dist²(t) ≤ ε²` is solved in closed form per
+//! piece — the refine step of the ε-threshold similarity join.
 
 use crate::{MovingRect, Time, TimeInterval, DIMS};
 
@@ -99,100 +94,14 @@ impl MovingRect {
             .sum()
     }
 
-    /// Exact minimum of the squared distance over `[t0, t1]`.
-    ///
-    /// Returns `(min_dist_sq, t_min)` with one witness time attaining
-    /// the minimum. Zero as soon as the rectangles touch anywhere in the
-    /// window.
-    #[must_use]
-    pub fn min_dist_sq_interval(&self, other: &Self, t0: Time, t1: Time) -> (f64, Time) {
-        debug_assert!(t1 >= t0);
-        // Fast path: if they intersect in the window, distance is 0.
-        if let Some(iv) = self.intersect_interval(other, t0, t1) {
-            return (0.0, iv.start);
-        }
-        let mut cuts = Vec::with_capacity(3 * DIMS + 2);
-        cuts.push(t0);
-        breakpoints(self, other, t0, t1, &mut cuts);
-        cuts.push(t1);
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite cuts"));
-
-        let lines: Vec<(Linear, Linear)> = (0..DIMS).map(|d| gap_lines(self, other, d)).collect();
-
-        let mut best = f64::INFINITY;
-        let mut best_t = t0;
-        let consider = |t: f64, best: &mut f64, best_t: &mut f64| {
-            let v: f64 = lines
-                .iter()
-                .map(|&(l1, l2)| {
-                    let g = gap_at(l1, l2, t);
-                    g * g
-                })
-                .sum();
-            if v < *best {
-                *best = v;
-                *best_t = t;
-            }
-        };
-        for w in cuts.windows(2) {
-            let (s, e) = (w[0], w[1]);
-            consider(s, &mut best, &mut best_t);
-            consider(e, &mut best, &mut best_t);
-            if e <= s {
-                continue;
-            }
-            // Within (s, e) every gap is a single linear piece
-            // `g_d(t) = c_d + m_d·t` (possibly the zero piece); the sum
-            // of squares is a quadratic with vertex at
-            // t* = −Σ c_d·m_d / Σ m_d².
-            let mid = (s + e) / 2.0;
-            let mut sum_cm = 0.0;
-            let mut sum_mm = 0.0;
-            for &(l1, l2) in &lines {
-                // Identify the active piece at the segment midpoint.
-                let (g1, g2) = (l1.at(mid), l2.at(mid));
-                let active = if g1 <= 0.0 && g2 <= 0.0 {
-                    None
-                } else if g1 >= g2 {
-                    Some(l1)
-                } else {
-                    Some(l2)
-                };
-                if let Some(l) = active {
-                    sum_cm += l.b * l.v;
-                    sum_mm += l.v * l.v;
-                }
-            }
-            if sum_mm > 0.0 {
-                let t_star = -sum_cm / sum_mm;
-                if t_star > s && t_star < e {
-                    consider(t_star, &mut best, &mut best_t);
-                }
-            }
-        }
-        (best, best_t)
-    }
-
-    /// Exact maximum of the squared distance over `[t0, t1]`.
-    ///
-    /// `dist²(t)` is convex, so the maximum sits at an endpoint.
-    #[must_use]
-    pub fn max_dist_sq_interval(&self, other: &Self, t0: Time, t1: Time) -> f64 {
-        debug_assert!(t1 >= t0);
-        self.dist_sq_at(other, t0).max(self.dist_sq_at(other, t1))
-    }
-
     /// The quadratic `[a, b, c]` (`dist²(t) = a·t² + b·t + c`) valid on
     /// the smooth piece of the squared-distance function containing
     /// `t_probe`.
     ///
-    /// The piece boundaries are the gap breakpoints (see
-    /// [`min_dist_sq_interval`](Self::min_dist_sq_interval)); callers
-    /// that have already split time at those breakpoints probe at a
-    /// segment midpoint to get the exact quadratic for the whole
-    /// segment. Used by the interval-NN envelope computation.
-    #[must_use]
-    pub fn dist_sq_quad_piece(&self, other: &Self, t_probe: Time) -> [f64; 3] {
+    /// The piece boundaries are the gap breakpoints; a caller that has
+    /// already split time at those probes at a segment midpoint to get
+    /// the exact quadratic for the whole segment.
+    fn dist_sq_quad_piece(&self, other: &Self, t_probe: Time) -> [f64; 3] {
         let mut qa = 0.0;
         let mut qb = 0.0;
         let mut qc = 0.0;
@@ -214,12 +123,6 @@ impl MovingRect {
             }
         }
         [qa, qb, qc]
-    }
-
-    /// Every time in `(t0, t1)` where the squared-distance function's
-    /// smooth piece may change, appended to `out` (unsorted).
-    pub fn dist_sq_breakpoints(&self, other: &Self, t0: Time, t1: Time, out: &mut Vec<f64>) {
-        breakpoints(self, other, t0, t1, out);
     }
 
     /// The sub-interval of `[t0, t1]` during which `dist²(t) ≤ eps_sq`,
@@ -294,28 +197,6 @@ impl MovingRect {
         }
         TimeInterval::new(entry?, exit)
     }
-
-    /// Squared distance from a static point at instant `t`.
-    #[must_use]
-    pub fn dist_sq_to_point_at(&self, q: [f64; DIMS], t: Time) -> f64 {
-        self.at(t).min_dist_sq(q)
-    }
-
-    /// Exact minimum squared distance from a static point over
-    /// `[t0, t1]` (with witness time).
-    #[must_use]
-    pub fn min_dist_sq_to_point_interval(&self, q: [f64; DIMS], t0: Time, t1: Time) -> (f64, Time) {
-        let point = MovingRect::stationary(crate::Rect::point(q), t0);
-        self.min_dist_sq_interval(&point, t0, t1)
-    }
-
-    /// Exact maximum squared distance from a static point over
-    /// `[t0, t1]` (convex ⇒ endpoint).
-    #[must_use]
-    pub fn max_dist_sq_to_point_interval(&self, q: [f64; DIMS], t0: Time, t1: Time) -> f64 {
-        self.dist_sq_to_point_at(q, t0)
-            .max(self.dist_sq_to_point_at(q, t1))
-    }
 }
 
 #[cfg(test)]
@@ -337,65 +218,6 @@ mod tests {
         // Intersecting rects: zero.
         let d = rect(0.5, 0.5, 1.0, 0.0, 0.0);
         assert_eq!(a.dist_sq_at(&d, 0.0), 0.0);
-    }
-
-    #[test]
-    fn min_over_interval_flyby() {
-        // b passes a at constant y-offset 3: min distance = 3 at closest
-        // approach in x.
-        let a = rect(0.0, 0.0, 1.0, 0.0, 0.0);
-        let b = rect(10.0, 4.0, 1.0, -1.0, 0.0); // y gap = 3 always
-        let (d2, t) = a.min_dist_sq_interval(&b, 0.0, 30.0);
-        assert!((d2 - 9.0).abs() < 1e-9, "min dist² {d2}");
-        // Closest approach while x-overlap: b.lo ≤ 1 and b.hi ≥ 0:
-        // t ∈ [9, 11]; witness inside.
-        assert!((9.0..=11.0).contains(&t), "witness {t}");
-    }
-
-    #[test]
-    fn min_is_zero_on_contact() {
-        let a = rect(0.0, 0.0, 1.0, 0.0, 0.0);
-        let b = rect(10.0, 0.0, 1.0, -1.0, 0.0);
-        let (d2, t) = a.min_dist_sq_interval(&b, 0.0, 30.0);
-        assert_eq!(d2, 0.0);
-        assert!((t - 9.0).abs() < 1e-9, "first contact at 9, got {t}");
-    }
-
-    #[test]
-    fn min_clipped_by_window() {
-        // Contact would be at t=9; a window ending earlier sees the
-        // shrinking positive gap at its end.
-        let a = rect(0.0, 0.0, 1.0, 0.0, 0.0);
-        let b = rect(10.0, 0.0, 1.0, -1.0, 0.0);
-        let (d2, t) = a.min_dist_sq_interval(&b, 0.0, 5.0);
-        // At t=5: b.lo = 5, gap = 4 ⇒ 16.
-        assert!((d2 - 16.0).abs() < 1e-9, "got {d2}");
-        assert_eq!(t, 5.0);
-    }
-
-    #[test]
-    fn diagonal_closest_approach_is_interior() {
-        // Two points crossing diagonally: closest approach strictly
-        // inside the window, quadratic vertex case.
-        let a = MovingRect::rigid(Rect::point([0.0, 0.0]), [1.0, 0.0], 0.0);
-        let b = MovingRect::rigid(Rect::point([10.0, 5.0]), [-1.0, 0.0], 0.0);
-        // x gap closes at t=5, y gap constant 5 ⇒ min dist² = 25 at t=5.
-        let (d2, t) = a.min_dist_sq_interval(&b, 0.0, 20.0);
-        assert!((d2 - 25.0).abs() < 1e-9);
-        assert!((4.9..=5.1).contains(&t));
-    }
-
-    #[test]
-    fn max_is_at_endpoint() {
-        let a = rect(0.0, 0.0, 1.0, 0.0, 0.0);
-        let b = rect(10.0, 0.0, 1.0, -1.0, 0.0);
-        // Distance shrinks monotonically until contact: max at t0.
-        let m = a.max_dist_sq_interval(&b, 0.0, 5.0);
-        assert!((m - 81.0).abs() < 1e-9, "gap 9 at t=0, got {m}");
-        // Receding: max at t1.
-        let c = rect(2.0, 0.0, 1.0, 1.0, 0.0);
-        let m = a.max_dist_sq_interval(&c, 0.0, 10.0);
-        assert!((m - 121.0).abs() < 1e-9, "gap 11 at t=10, got {m}");
     }
 
     #[test]
@@ -423,8 +245,7 @@ mod tests {
         assert!(iv.start <= iv.end);
         // Tangency happens while the rects overlap in x: t ∈ [9, 11].
         assert!((9.0..=11.0).contains(&iv.start), "{iv:?}");
-        let (min_d2, _) = a.min_dist_sq_interval(&b, 0.0, 30.0);
-        assert!((min_d2 - 9.0).abs() < 1e-9);
+        assert!((a.dist_sq_at(&b, iv.start) - 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -489,18 +310,5 @@ mod tests {
                 .expect("within ⇒ inflated intersection");
             assert!(cand.start <= iv.start + 1e-9 && iv.end <= cand.end + 1e-9);
         }
-    }
-
-    #[test]
-    fn point_variants_agree_with_rect_machinery() {
-        let m = rect(3.0, 4.0, 2.0, -1.0, 0.5);
-        let q = [0.0, 0.0];
-        for t in [0.0, 2.0, 7.5] {
-            let via_rect = m.dist_sq_to_point_at(q, t);
-            let p = MovingRect::stationary(Rect::point(q), 0.0);
-            assert!((via_rect - m.dist_sq_at(&p, t)).abs() < 1e-9);
-        }
-        let (d2, t) = m.min_dist_sq_to_point_interval(q, 0.0, 10.0);
-        assert!(d2 >= 0.0 && (0.0..=10.0).contains(&t));
     }
 }

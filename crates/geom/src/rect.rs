@@ -148,24 +148,6 @@ impl Rect {
     pub fn contains_point(&self, p: [f64; DIMS]) -> bool {
         (0..DIMS).all(|d| self.lo[d] <= p[d] && p[d] <= self.hi[d])
     }
-
-    /// Squared minimum distance from point `p` to this rectangle
-    /// (0 when `p` is inside) — the `MINDIST` of kNN tree searches.
-    #[inline]
-    pub fn min_dist_sq(&self, p: [f64; DIMS]) -> f64 {
-        let mut acc = 0.0;
-        for ((&coord, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
-            let gap = if coord < lo {
-                lo - coord
-            } else if coord > hi {
-                coord - hi
-            } else {
-                0.0
-            };
-            acc += gap * gap;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -242,28 +224,5 @@ mod tests {
         assert!(outer.contains_rect(&outer));
         assert!(outer.contains_point([0.0, 10.0]));
         assert!(!outer.contains_point([-0.1, 5.0]));
-    }
-}
-
-#[cfg(test)]
-mod mindist_tests {
-    use super::*;
-
-    #[test]
-    fn min_dist_inside_is_zero() {
-        let r = Rect::new([0.0, 0.0], [10.0, 10.0]);
-        assert_eq!(r.min_dist_sq([5.0, 5.0]), 0.0);
-        assert_eq!(r.min_dist_sq([0.0, 10.0]), 0.0);
-    }
-
-    #[test]
-    fn min_dist_axis_and_corner() {
-        let r = Rect::new([0.0, 0.0], [10.0, 10.0]);
-        // Straight out in x.
-        assert_eq!(r.min_dist_sq([13.0, 5.0]), 9.0);
-        // Corner: 3-4-5 triangle.
-        assert_eq!(r.min_dist_sq([13.0, 14.0]), 25.0);
-        // Below in y.
-        assert_eq!(r.min_dist_sq([5.0, -2.0]), 4.0);
     }
 }

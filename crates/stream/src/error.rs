@@ -20,8 +20,9 @@ pub enum StreamError {
     /// to recover from.
     MissingWalPath,
     /// The configuration violates its invariants (see
-    /// [`StreamConfig::is_valid`](crate::StreamConfig::is_valid)); the
-    /// message names the offending constraint.
+    /// [`StreamConfig::is_valid`](crate::StreamConfig::is_valid)), or the
+    /// genesis sets repeat an `ObjectId`; the message names the offending
+    /// constraint or id.
     InvalidConfig(String),
     /// The write-ahead log's durable prefix is not a valid journal: no
     /// genesis record, a non-genesis first record, a duplicate genesis,

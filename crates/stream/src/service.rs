@@ -170,7 +170,8 @@ impl StreamService {
     ///
     /// # Errors
     /// [`StreamError::InvalidConfig`] when `config` violates its
-    /// watermark invariant (see [`StreamConfig::is_valid`]);
+    /// watermark invariant (see [`StreamConfig::is_valid`]) or an
+    /// `ObjectId` appears twice across `set_a ∪ set_b`;
     /// [`StreamError::Engine`]/[`StreamError::Storage`] when engine
     /// construction or the journal fails.
     pub fn new(
@@ -185,6 +186,7 @@ impl StreamService {
                 "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
             )));
         }
+        let (tracks, sets) = Self::genesis_maps(set_a, set_b)?;
         let mut engine = build_engine(&config.engine, set_a, set_b, start)?;
         engine.enable_delta_tracking();
         engine.run_initial_join(start)?;
@@ -205,17 +207,6 @@ impl StreamService {
             }
             None => None,
         };
-
-        let mut tracks = HashMap::with_capacity(set_a.len() + set_b.len());
-        let mut sets = HashMap::with_capacity(set_a.len() + set_b.len());
-        for o in set_a {
-            tracks.insert(o.id, o.mbr);
-            sets.insert(o.id, SetTag::A);
-        }
-        for o in set_b {
-            tracks.insert(o.id, o.mbr);
-            sets.insert(o.id, SetTag::B);
-        }
 
         Ok(Self {
             queue: IngestQueue::with_policy(
@@ -289,22 +280,12 @@ impl StreamService {
             ));
         };
 
+        let (mut tracks, mut sets) = Self::genesis_maps(&set_a, &set_b)?;
         let mut engine = build_engine(&config.engine, &set_a, &set_b, start)?;
         engine.enable_delta_tracking();
         engine.run_initial_join(start)?;
         let obs = ServiceMetrics::new(engine.metrics_registry());
         wal.stats().register_in(&obs.registry, "stream.wal");
-
-        let mut tracks = HashMap::with_capacity(set_a.len() + set_b.len());
-        let mut sets = HashMap::with_capacity(set_a.len() + set_b.len());
-        for o in &set_a {
-            tracks.insert(o.id, o.mbr);
-            sets.insert(o.id, SetTag::A);
-        }
-        for o in &set_b {
-            tracks.insert(o.id, o.mbr);
-            sets.insert(o.id, SetTag::B);
-        }
 
         let mut extractor = DeltaExtractor::new();
         let mut registry = SubscriptionRegistry::new(config.outbox_capacity);
@@ -411,6 +392,32 @@ impl StreamService {
             obs,
         };
         Ok((service, report))
+    }
+
+    /// The per-object maps of a fresh service: each genesis object's
+    /// trajectory and side. Every later update is routed by `ObjectId`
+    /// alone, so an id that appears twice across `set_a ∪ set_b` (say a
+    /// window on side B sharing an id with a fleet object on side A)
+    /// would be overwritten here and misrouted later — it is refused.
+    fn genesis_maps(
+        set_a: &[MovingObject],
+        set_b: &[MovingObject],
+    ) -> StreamResult<(HashMap<ObjectId, MovingRect>, HashMap<ObjectId, SetTag>)> {
+        let mut tracks = HashMap::with_capacity(set_a.len() + set_b.len());
+        let mut sets = HashMap::with_capacity(set_a.len() + set_b.len());
+        for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
+            for o in objects {
+                tracks.insert(o.id, o.mbr);
+                if let Some(first) = sets.insert(o.id, set) {
+                    return Err(StreamError::InvalidConfig(format!(
+                        "object ids must be unique across both sets, but {:?} appears \
+                         twice (first on side {first:?}, again on side {set:?})",
+                        o.id
+                    )));
+                }
+            }
+        }
+        Ok((tracks, sets))
     }
 
     /// Decodes one journal payload, folding the wire layer's typed

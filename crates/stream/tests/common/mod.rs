@@ -1,8 +1,9 @@
-//! Shared helpers for the load-shedding integration tests.
+//! Shared helpers for the stream integration tests.
 
 #![allow(dead_code)] // each test crate uses a different subset
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
@@ -10,6 +11,24 @@ use cij_geom::{MovingRect, Rect, Time};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, Params, SetTag};
+
+/// A WAL path in the system temp dir, removed on drop.
+pub struct TempWal(pub PathBuf);
+
+impl TempWal {
+    pub fn new(tag: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("cij-stream-{tag}-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        Self(path)
+    }
+}
+
+impl Drop for TempWal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
 
 /// MTB engine factory over a fresh in-memory pool.
 pub fn mtb_factory() -> impl Fn(

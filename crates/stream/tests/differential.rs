@@ -16,7 +16,6 @@
 //! no duplicated or lost deltas across the crash boundary.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cij_core::{
@@ -30,6 +29,9 @@ use cij_stream::{
 };
 use cij_tpr::TprResult;
 use cij_workload::{generate_pair, Distribution, MovingObject, ObjectUpdate, Params, UpdateStream};
+
+mod common;
+use common::TempWal;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineKind {
@@ -220,24 +222,6 @@ fn mtb_delta_replay_matches_snapshots_across_threads() {
 // ----------------------------------------------------------------------
 // Kill-and-recover: WAL truncated mid-record.
 // ----------------------------------------------------------------------
-
-/// A WAL path in the system temp dir, removed on drop.
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(tag: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("cij-stream-{tag}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 #[test]
 fn wal_truncated_mid_record_recovers_last_durable_batch_without_dup_or_loss() {

@@ -11,10 +11,16 @@ use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::Time;
+use cij_storage::codec::ByteWriter;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
-use cij_stream::{IngestOutcome, StreamConfig, StreamError, StreamService, SubscriptionFilter};
+use cij_stream::{
+    wire, IngestOutcome, StreamConfig, StreamError, StreamService, SubscriptionFilter,
+};
 use cij_tpr::TprResult;
 use cij_workload::{generate_pair, Distribution, MovingObject, Params, UpdateStream};
+
+mod common;
+use common::TempWal;
 
 fn params(seed: u64) -> Params {
     Params {
@@ -38,24 +44,6 @@ fn factory(
         BufferPoolConfig::with_capacity(256),
     );
     Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, start)?))
-}
-
-/// A WAL path in the system temp dir, removed on drop.
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(tag: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("cij-recovery-{tag}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
 }
 
 fn config_with(path: Option<PathBuf>) -> StreamConfig {
@@ -172,6 +160,38 @@ fn recover_duplicate_genesis_is_corrupt() {
             assert!(msg.contains("duplicate"), "unhelpful message: {msg}");
         }
         other => panic!("expected CorruptJournal, got {other:?}"),
+    }
+}
+
+#[test]
+fn recover_rejects_a_genesis_that_repeats_an_object_id() {
+    // `new` refuses such a genesis, so the journal is spliced by hand:
+    // header + record tag from a real genesis, body re-encoded with the
+    // first B object carrying the first A object's id.
+    let source = TempWal::new("dup-id-src");
+    let records = durable_records(&source, 505);
+    let (a, mut b) = generate_pair(&params(505), 0.0);
+    b[0].id = a[0].id;
+    let mut body = ByteWriter::new();
+    body.put_f64(0.0);
+    wire::put_objects(&mut body, &a);
+    wire::put_objects(&mut body, &b);
+    let mut genesis = records[0][..3].to_vec();
+    genesis.extend(body.into_bytes());
+
+    let wal = TempWal::new("dup-id");
+    write_journal(&wal.0, &[genesis]);
+    let Err(err) = StreamService::recover(config_with(Some(wal.0.clone())), &factory) else {
+        panic!("recovery must fail");
+    };
+    match err {
+        StreamError::InvalidConfig(msg) => {
+            assert!(
+                msg.contains(&format!("{:?}", a[0].id)),
+                "id not named: {msg}"
+            );
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
     }
 }
 

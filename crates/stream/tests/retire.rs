@@ -10,7 +10,6 @@
 //! survives WAL recovery.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
@@ -21,6 +20,9 @@ use cij_stream::{
 };
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+
+mod common;
+use common::TempWal;
 
 fn factory(
     cfg: &EngineConfig,
@@ -58,23 +60,6 @@ fn nudge(id: u64, x: f64, old: &MovingRect, last_update: Time) -> ObjectUpdate {
         old_mbr: *old,
         last_update,
         new_mbr: MovingRect::stationary(Rect::new([x + 0.1, 0.0], [x + 1.1, 1.0]), 0.0),
-    }
-}
-
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(tag: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("cij-retire-{tag}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
     }
 }
 

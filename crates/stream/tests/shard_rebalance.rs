@@ -9,7 +9,6 @@
 //! because the trigger is a pure function of the update stream.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
@@ -19,6 +18,9 @@ use cij_shard::{AdaptiveConfig, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{OutboxItem, StreamConfig, StreamService, SubscriptionFilter};
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
+
+mod common;
+use common::TempWal;
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -165,23 +167,6 @@ fn adaptive_rebalance_preserves_delta_stream_and_replay() {
         snap.counter("shard.rebalance.moved_objects").unwrap_or(0) > 0,
         "rebalance moved no objects"
     );
-}
-
-/// A WAL path in the system temp dir, removed on drop.
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("cij-shard-{tag}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
 }
 
 /// Adaptive triggers are a pure function of the update stream (the

@@ -28,11 +28,9 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-mod bulk;
 mod config;
 mod entry;
 mod error;
-mod nn_interval;
 mod node;
 mod tree;
 mod view;
@@ -40,7 +38,6 @@ mod view;
 pub use config::TreeConfig;
 pub use entry::{ChildRef, Entry, ObjectId};
 pub use error::{TprError, TprResult};
-pub use nn_interval::NnSlice;
 pub use node::Node;
 pub use tree::{TprTree, TreeStats};
 pub use view::{EntryLanes, NodeView, SOA_HEADER_BYTES, SOA_MAGIC, SOA_SLOTS, SOA_VERSION};

@@ -178,15 +178,6 @@ impl TprTree {
         self.format_stats.snapshot()
     }
 
-    /// Installs a bulk-loaded subtree as the tree's root (bulk loader
-    /// support; the pages are already written).
-    pub(crate) fn adopt_packed_root(&mut self, root: PageId, height: u32, len: usize) {
-        debug_assert!(self.root.is_none(), "adopting a root into a non-empty tree");
-        self.root = Some(root);
-        self.height = height;
-        self.len = len;
-    }
-
     // ------------------------------------------------------------------
     // Insert
     // ------------------------------------------------------------------
@@ -701,33 +692,6 @@ impl TprTree {
         Ok(out)
     }
 
-    /// Like [`range_at`](Self::range_at) but returns the stored
-    /// trajectories alongside the ids — for consumers that maintain
-    /// their own working copies (e.g. kNN candidate sets).
-    pub fn range_entries_at(
-        &self,
-        window: &Rect,
-        t: Time,
-    ) -> TprResult<Vec<(ObjectId, MovingRect)>> {
-        let mut out = Vec::new();
-        let Some(root) = self.root else {
-            return Ok(out);
-        };
-        let mut stack = vec![root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            for e in &node.entries {
-                if e.mbr.at(t).intersects(window) {
-                    match e.child {
-                        ChildRef::Object(oid) => out.push((oid, e.mbr)),
-                        ChildRef::Page(p) => stack.push(p),
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Objects whose trajectory intersects the moving rectangle `target`
     /// at some instant within `[t_s, t_e]`, with the intersection
     /// sub-interval. This is the single-object join used for maintenance
@@ -751,70 +715,6 @@ impl TprTree {
                     match e.child {
                         ChildRef::Object(oid) => out.push((oid, iv)),
                         ChildRef::Page(p) => stack.push(p),
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The `k` objects nearest to point `q` at instant `t` (timeslice
-    /// kNN), as `(oid, squared distance)` sorted nearest-first.
-    ///
-    /// Best-first search on `MINDIST` between `q` and node regions
-    /// frozen at `t` — the TPR-tree kNN of Benetis et al. restricted to
-    /// one timestamp, which is the §V building block for TC-processed
-    /// continuous kNN monitoring.
-    pub fn knn_at(&self, q: [f64; 2], k: usize, t: Time) -> TprResult<Vec<(ObjectId, f64)>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct D(f64);
-        impl Eq for D {}
-        impl PartialOrd for D {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for D {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.partial_cmp(&other.0).expect("finite distances")
-            }
-        }
-
-        let mut out: Vec<(ObjectId, f64)> = Vec::with_capacity(k);
-        if k == 0 {
-            return Ok(out);
-        }
-        let Some(root) = self.root else {
-            return Ok(out);
-        };
-        // Min-heap over (MINDIST, node); objects tracked in a result
-        // list kept sorted (k is small).
-        let mut heap: BinaryHeap<Reverse<(D, PageId)>> = BinaryHeap::new();
-        heap.push(Reverse((D(0.0), root)));
-        while let Some(Reverse((D(bound), page))) = heap.pop() {
-            if out.len() == k && bound >= out[k - 1].1 {
-                break; // no unexplored node can beat the k-th distance
-            }
-            let node = self.read_node(page)?;
-            for e in &node.entries {
-                let dist = e.mbr.at(t).min_dist_sq(q);
-                match e.child {
-                    ChildRef::Object(oid) => {
-                        if out.len() < k {
-                            out.push((oid, dist));
-                            out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-                        } else if dist < out[k - 1].1 {
-                            out[k - 1] = (oid, dist);
-                            out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-                        }
-                    }
-                    ChildRef::Page(p) => {
-                        if out.len() < k || dist < out[k - 1].1 {
-                            heap.push(Reverse((D(dist), p)));
-                        }
                     }
                 }
             }

@@ -128,47 +128,6 @@ proptest! {
         expect.sort();
         prop_assert_eq!(got, expect);
     }
-
-    /// Bulk loading is equivalent to insertion loading for any input.
-    #[test]
-    fn bulk_load_equivalent_to_inserts(
-        n in 1usize..400,
-        seed in any::<u64>(),
-    ) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let objs: Vec<(ObjectId, MovingRect)> = (0..n)
-            .map(|i| {
-                let x = rng.gen_range(0.0..990.0);
-                let y = rng.gen_range(0.0..990.0);
-                (
-                    ObjectId(i as u64),
-                    MovingRect::rigid(
-                        Rect::new([x, y], [x + 1.0, y + 1.0]),
-                        [rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)],
-                        0.0,
-                    ),
-                )
-            })
-            .collect();
-        let pool =
-            BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::with_capacity(128));
-        let bulk = TprTree::bulk_load(pool, TreeConfig::default(), &objs, 0.0).unwrap();
-        prop_assert_eq!(bulk.len(), n);
-        bulk.validate(0.0).unwrap();
-
-        let w = Rect::new([200.0, 200.0], [600.0, 600.0]);
-        let mut got = bulk.range_at(&w, 30.0).unwrap();
-        let mut expect: Vec<ObjectId> = objs
-            .iter()
-            .filter(|(_, m)| m.at(30.0).intersects(&w))
-            .map(|(o, _)| *o)
-            .collect();
-        got.sort();
-        expect.sort();
-        prop_assert_eq!(got, expect);
-    }
 }
 
 // ----------------------------------------------------------------------

@@ -377,60 +377,6 @@ fn highly_skewed_velocities() {
 }
 
 #[test]
-fn knn_matches_brute_force() {
-    let mut rng = StdRng::seed_from_u64(21);
-    let mut tree = make_tree(16);
-    let shadow = fill(&mut tree, &mut rng, 700, 0.0);
-
-    for t in [0.0, 25.0, 59.0] {
-        for _ in 0..15 {
-            let q = [rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)];
-            for k in [1usize, 5, 20] {
-                let got = tree.knn_at(q, k, t).unwrap();
-                let mut expect: Vec<(ObjectId, f64)> = shadow
-                    .iter()
-                    .map(|(o, m)| (*o, m.at(t).min_dist_sq(q)))
-                    .collect();
-                expect.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-                expect.truncate(k);
-                assert_eq!(got.len(), k);
-                // Distances must match exactly (ids may tie-swap).
-                for (g, e) in got.iter().zip(&expect) {
-                    assert!(
-                        (g.1 - e.1).abs() < 1e-9,
-                        "k={k} t={t}: dist {} vs {}",
-                        g.1,
-                        e.1
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn knn_edge_cases() {
-    let mut tree = make_tree(8);
-    assert!(
-        tree.knn_at([0.0, 0.0], 3, 0.0).unwrap().is_empty(),
-        "empty tree"
-    );
-    let mbr = MovingRect::rigid(Rect::new([5.0, 5.0], [6.0, 6.0]), [1.0, 0.0], 0.0);
-    tree.insert(ObjectId(1), mbr, 0.0).unwrap();
-    assert!(tree.knn_at([0.0, 0.0], 0, 0.0).unwrap().is_empty(), "k = 0");
-    // k greater than population returns everything.
-    let got = tree.knn_at([0.0, 0.0], 10, 0.0).unwrap();
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0].0, ObjectId(1));
-    // Query point inside the object: distance 0.
-    let got = tree.knn_at([5.5, 5.5], 1, 0.0).unwrap();
-    assert_eq!(got[0].1, 0.0);
-    // The object moves; at t=10 it is at x in [15,16].
-    let got = tree.knn_at([0.0, 5.5], 1, 10.0).unwrap();
-    assert!((got[0].1 - 225.0).abs() < 1e-9, "dist {}", got[0].1);
-}
-
-#[test]
 fn tree_on_real_file_store() {
     // End-to-end disk residency: the whole tree lives in an actual file.
     use cij_storage::FileStore;

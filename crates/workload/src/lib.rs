@@ -21,7 +21,6 @@
 
 mod dataset;
 mod params;
-pub mod trace;
 mod updates;
 
 pub use dataset::{

@@ -14,7 +14,7 @@
 //! | [`storage`] | `cij-storage` | 4 KB pages, LRU buffer pool, I/O stats |
 //! | [`tpr`] | `cij-tpr` | the TPR/TPR*-tree |
 //! | [`join`] | `cij-join` | NaiveJoin, TP-Join, TC-Join, ImprovedJoin |
-//! | [`core`] | `cij-core` | continuous engines, MTB-tree, window queries |
+//! | [`core`] | `cij-core` | continuous engines (a window query is a `TcEngine` whose set B is the windows), MTB-tree |
 //! | [`workload`] | `cij-workload` | the paper's synthetic workloads |
 //! | [`stream`] | `cij-stream` | update ingestion, result-delta subscriptions, WAL recovery |
 //! | [`shard`] | `cij-shard` | partitioned multi-engine coordinator with cross-shard join routing |
