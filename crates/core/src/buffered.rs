@@ -17,7 +17,6 @@
 //! Every pair is backed by TPR-trees (the proximity pair of `cij-simjoin`
 //! included): the paper runs all of §VI on that one substrate.
 
-use std::collections::HashMap;
 use std::ops::Deref;
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
@@ -27,7 +26,7 @@ use cij_join::{
 };
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
-use cij_tpr::{ObjectId, TprResult, TprTree};
+use cij_tpr::{IdMap, ObjectId, TprResult, TprTree};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
@@ -130,7 +129,7 @@ struct TickProbes {
     ids: [Vec<ObjectId>; 2],
     pos: [Vec<u32>; 2],
     /// Per side: id → index into the three vectors above.
-    slot: [HashMap<ObjectId, usize>; 2],
+    slot: [IdMap<ObjectId, usize>; 2],
     scratch: JoinScratch,
     hits: Vec<ProbeHit>,
 }

@@ -251,9 +251,16 @@ pub trait ContinuousJoinEngine {
         self.insert_object(set, id, mbr, now)
     }
 
-    /// Garbage-collects answer state that can never be reported again
-    /// (intervals entirely before `now`). Engines with interval buffers
-    /// override this; the simulation driver calls it once per tick.
+    /// Advances the answer's sweep line to `now`: intervals that ended
+    /// before `now` can never be reported again and are dropped, and
+    /// every pair with an interval that *started* since the previous call
+    /// joins the changelog (see
+    /// [`ResultBuffer::prune_before`](crate::ResultBuffer::prune_before)).
+    /// Call it once per tick, after the tick's updates and **before**
+    /// [`take_result_changes`](Self::take_result_changes) for that tick —
+    /// a pair that becomes active with no update in between is reported
+    /// through this call and nothing else. Engines with interval buffers
+    /// override it.
     fn gc(&mut self, _now: Time) {}
 
     /// The pairs reported as intersecting at `t`. Valid for the current
@@ -273,10 +280,14 @@ pub trait ContinuousJoinEngine {
     /// this a no-op and keep returning `None` below.
     fn enable_delta_tracking(&mut self) {}
 
-    /// Drains the pairs whose predicted intersection intervals changed
-    /// since the previous call (sorted). `None` means the engine does
-    /// not track changes — the delta layer then falls back to diffing
-    /// [`result_at`](Self::result_at) snapshots.
+    /// Drains the pairs whose predicted intersection intervals changed,
+    /// or one of whose intervals [`gc`](Self::gc) saw start, since the
+    /// previous call (sorted). It is a dirty list: rechecking each pair
+    /// with [`pair_status_at`](Self::pair_status_at) at the tick `gc` was
+    /// last called with yields every membership change of the answer.
+    /// `None` means the engine does not track changes — the delta layer
+    /// then falls back to diffing [`result_at`](Self::result_at)
+    /// snapshots.
     fn take_result_changes(&mut self) -> Option<Vec<PairKey>> {
         None
     }

@@ -1,15 +1,20 @@
 //! Delta extraction: turning engine state changes into
 //! [`ResultDelta`] events without recomputing snapshots.
 //!
-//! After each applied batch the extractor asks the engine for the pairs
-//! whose predicted intervals changed
+//! The extractor keeps one thing: the set of pairs it has reported. After
+//! each applied batch, and the engine's
+//! [`gc`](cij_core::ContinuousJoinEngine::gc) for the tick, it drains the
+//! engine's changelog
 //! ([`take_result_changes`](cij_core::ContinuousJoinEngine::take_result_changes))
-//! and rechecks exactly those — plus the pairs whose previously-known
-//! interval boundary has passed, which it tracks in a time-ordered
-//! event heap. Work per tick is therefore proportional to the number
-//! of changed pairs, not the result size; this is precisely what the
-//! paper's bounded valid-intervals (Theorems 1–2) buy: every admitted
-//! pair carries the interval that schedules its own expiry.
+//! and asks [`pair_status_at`](cij_core::ContinuousJoinEngine::pair_status_at)
+//! about exactly those pairs. The changelog names every pair an update
+//! touched *and* every pair whose predicted interval began or ran out as
+//! the engine's sweep line moved to the tick (the result buffer files
+//! each interval's endpoints when it stores it), so time passing needs no
+//! bookkeeping here. Work per tick is proportional to the number of
+//! changed pairs, not the result size; this is precisely what the paper's
+//! bounded valid-intervals (Theorems 1–2) buy: every admitted pair
+//! carries the interval that announces its own expiry.
 //!
 //! Engines that do not maintain interval predictions (ETP) report no
 //! changelog; for them the extractor falls back to diffing
@@ -29,65 +34,21 @@
 //! in `tests/shard_rebalance.rs` pin the resulting delta stream
 //! bit-identical to the single-engine stream across re-partitions.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 
 use cij_core::{ContinuousJoinEngine, PairKey};
 use cij_geom::{Time, TimeInterval};
+use cij_tpr::IdMap;
 
 use crate::event::ResultDelta;
-
-/// Total-ordered time for the event heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdTime(Time);
-
-impl Eq for OrdTime {}
-
-impl PartialOrd for OrdTime {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Why a pair is scheduled for a recheck.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// A future interval starts at the event time — due once the clock
-    /// reaches it (`t ≥ start`).
-    Activation,
-    /// The reported interval ends at the event time — due once the
-    /// clock passes it (`t > end`; the end instant itself is still
-    /// active under closed-interval semantics).
-    Expiry,
-}
-
-/// One scheduled recheck. The full derive order (time, kind, pair,
-/// generation) keeps heap pops deterministic when times tie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    time: OrdTime,
-    kind: EventKind,
-    pair: PairKey,
-    generation: u64,
-}
 
 /// Incremental delta extractor over one engine.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaExtractor {
     /// Pairs currently reported to subscribers, with the interval they
-    /// were admitted under.
-    reported: HashMap<PairKey, TimeInterval>,
-    /// Outstanding scheduled recheck per pair: an event is live iff its
-    /// generation matches this entry. Absent entry = no live event.
-    live: HashMap<PairKey, u64>,
-    next_generation: u64,
-    events: BinaryHeap<Reverse<Event>>,
+    /// were last seen active under.
+    reported: IdMap<PairKey, TimeInterval>,
     last_tick: Option<Time>,
 }
 
@@ -107,7 +68,8 @@ impl DeltaExtractor {
 
     /// Extracts the deltas at tick `t`: removals first, then additions,
     /// each sorted by pair. `t` must be strictly greater than the
-    /// previous extraction tick.
+    /// previous extraction tick, and the engine's
+    /// [`gc(t)`](ContinuousJoinEngine::gc) must have run.
     pub(crate) fn extract(
         &mut self,
         engine: &mut dyn ContinuousJoinEngine,
@@ -124,25 +86,23 @@ impl DeltaExtractor {
 
         match engine.take_result_changes() {
             Some(dirty) => {
-                // 1. Pairs the engine touched since the last extraction
-                //    (already deduplicated and sorted).
                 for pair in dirty {
-                    self.recheck(engine, pair, t, &mut adds, &mut removes);
-                }
-                // 2. Pairs whose known interval boundary has passed.
-                //    Rechecking bumps the generation, so any further
-                //    queued events for the same pair pop as stale.
-                while let Some(&Reverse(top)) = self.events.peek() {
-                    let due = match top.kind {
-                        EventKind::Activation => top.time.0 <= t,
-                        EventKind::Expiry => top.time.0 < t,
-                    };
-                    if !due {
-                        break;
-                    }
-                    self.events.pop();
-                    if self.live.get(&top.pair) == Some(&top.generation) {
-                        self.recheck(engine, top.pair, t, &mut adds, &mut removes);
+                    match (
+                        engine.pair_status_at(pair, t).active,
+                        self.reported.entry(pair),
+                    ) {
+                        (Some(valid), Entry::Vacant(slot)) => {
+                            slot.insert(valid);
+                            adds.push((pair, valid));
+                        }
+                        (Some(valid), Entry::Occupied(mut slot)) => {
+                            slot.insert(valid);
+                        }
+                        (None, Entry::Occupied(slot)) => {
+                            slot.remove();
+                            removes.push(pair);
+                        }
+                        (None, Entry::Vacant(_)) => {}
                     }
                 }
             }
@@ -164,57 +124,6 @@ impl DeltaExtractor {
         out
     }
 
-    /// Re-evaluates one pair against the engine at tick `t`, emitting
-    /// membership changes and (re)scheduling its next boundary event.
-    fn recheck(
-        &mut self,
-        engine: &dyn ContinuousJoinEngine,
-        pair: PairKey,
-        t: Time,
-        adds: &mut Vec<(PairKey, TimeInterval)>,
-        removes: &mut Vec<PairKey>,
-    ) {
-        let status = engine.pair_status_at(pair, t);
-        let was_reported = self.reported.contains_key(&pair);
-        match status.active {
-            Some(iv) => {
-                if !was_reported {
-                    adds.push((pair, iv));
-                }
-                self.reported.insert(pair, iv);
-                // The pair's own expiry wakes us to re-emit or remove;
-                // any later interval is discovered at that recheck.
-                self.schedule(EventKind::Expiry, iv.end, pair);
-            }
-            None => {
-                if was_reported {
-                    self.reported.remove(&pair);
-                    removes.push(pair);
-                }
-                match status.next_start {
-                    Some(start) => self.schedule(EventKind::Activation, start, pair),
-                    None => {
-                        // Nothing outstanding: retire the pair so the
-                        // live map does not grow with dead history.
-                        self.live.remove(&pair);
-                    }
-                }
-            }
-        }
-    }
-
-    fn schedule(&mut self, kind: EventKind, time: Time, pair: PairKey) {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.live.insert(pair, generation);
-        self.events.push(Reverse(Event {
-            time: OrdTime(time),
-            kind,
-            pair,
-            generation,
-        }));
-    }
-
     /// Fallback for engines without a changelog: diff full snapshots.
     /// Additions are admitted under `[t, ∞)` (see
     /// [`ResultDelta::PairAdded`]).
@@ -231,7 +140,7 @@ impl DeltaExtractor {
             self.reported.remove(&pair);
         }
         for pair in now {
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.reported.entry(pair) {
+            if let Entry::Vacant(slot) = self.reported.entry(pair) {
                 let valid = TimeInterval::from(t);
                 slot.insert(valid);
                 adds.push((pair, valid));

@@ -24,6 +24,10 @@ pub enum StreamError {
     /// genesis sets repeat an `ObjectId`; the message names the offending
     /// constraint or id.
     InvalidConfig(String),
+    /// [`StreamService::subscribe`](crate::StreamService::subscribe) was
+    /// given a filter it cannot register — a window with a NaN, infinite
+    /// or inverted bound; the message names it.
+    InvalidFilter(String),
     /// The write-ahead log's durable prefix is not a valid journal: no
     /// genesis record, a non-genesis first record, a duplicate genesis,
     /// or a record that fails to decode. (A torn *tail* is not this —
@@ -43,6 +47,7 @@ impl std::fmt::Display for StreamError {
                 write!(f, "recovery requires a wal_path in the stream config")
             }
             Self::InvalidConfig(msg) => write!(f, "invalid stream config: {msg}"),
+            Self::InvalidFilter(msg) => write!(f, "invalid subscription filter: {msg}"),
             Self::CorruptJournal(msg) => write!(f, "corrupt WAL journal: {msg}"),
             Self::Storage(e) => write!(f, "storage error: {e}"),
             Self::Engine(e) => write!(f, "engine error: {e}"),

@@ -26,11 +26,15 @@
 //!
 //! The delta extraction is genuinely incremental for the
 //! interval-predicting engines (Naive/TC/MTB): it consumes the
-//! [`ResultBuffer`](cij_core::ResultBuffer) changelog plus a
-//! time-ordered expiry heap, so per-tick work scales with the number of
-//! *changed* pairs — the streaming payoff of the paper's bounded valid
+//! [`ResultBuffer`](cij_core::ResultBuffer) changelog — which the
+//! buffer's endpoint sweep extends to the pairs whose interval began or
+//! ran out since the last tick — so per-tick work scales with the number
+//! of *changed* pairs, the streaming payoff of the paper's bounded valid
 //! intervals (Theorems 1–2). ETP, which predicts no intervals, is
-//! served by a snapshot-diff fallback behind the same contract.
+//! served by a snapshot-diff fallback behind the same contract. Fan-out
+//! is index-driven as well: a delta looks its subscribers up (by object
+//! id, by window position, by who holds the pair) instead of being shown
+//! to each of them.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

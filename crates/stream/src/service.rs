@@ -11,13 +11,11 @@
 //! durable prefix and lands on exactly the state the pre-crash service
 //! had after its last completed batch.
 
-use std::collections::HashMap;
-
 use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
 use cij_geom::{MovingRect, Time};
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
-use cij_tpr::{ObjectId, TprResult};
+use cij_tpr::{IdMap, ObjectId, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::config::StreamConfig;
@@ -65,11 +63,11 @@ pub struct StreamService {
     registry: SubscriptionRegistry,
     /// Currently registered trajectory per object — the state the
     /// window filters evaluate against.
-    tracks: HashMap<ObjectId, MovingRect>,
+    tracks: IdMap<ObjectId, MovingRect>,
     /// Which side each live object belongs to — what
     /// [`retire_object`](Self::retire_object) needs to address the
     /// engine's `remove_object`.
-    sets: HashMap<ObjectId, SetTag>,
+    sets: IdMap<ObjectId, SetTag>,
     wal: Option<Wal>,
     /// The genesis tick: the apply tick of every object that has never
     /// been updated since construction.
@@ -291,7 +289,7 @@ impl StreamService {
         let mut registry = SubscriptionRegistry::new(config.outbox_capacity);
         let mut now = start;
         let mut batches_replayed = 0usize;
-        let mut applied_stamps: HashMap<cij_tpr::ObjectId, Time> = HashMap::new();
+        let mut applied_stamps: IdMap<ObjectId, Time> = IdMap::default();
         {
             let _span = obs.registry.span("phase.wal_replay");
             for payload in records {
@@ -402,9 +400,11 @@ impl StreamService {
     fn genesis_maps(
         set_a: &[MovingObject],
         set_b: &[MovingObject],
-    ) -> StreamResult<(HashMap<ObjectId, MovingRect>, HashMap<ObjectId, SetTag>)> {
-        let mut tracks = HashMap::with_capacity(set_a.len() + set_b.len());
-        let mut sets = HashMap::with_capacity(set_a.len() + set_b.len());
+    ) -> StreamResult<(IdMap<ObjectId, MovingRect>, IdMap<ObjectId, SetTag>)> {
+        let mut tracks = IdMap::default();
+        let mut sets = IdMap::default();
+        tracks.reserve(set_a.len() + set_b.len());
+        sets.reserve(set_a.len() + set_b.len());
         for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
             for o in objects {
                 tracks.insert(o.id, o.mbr);
@@ -488,10 +488,7 @@ impl StreamService {
             let applied = std::time::Instant::now();
             let updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
             self.record_ingest_observations(at, &queued, applied);
-            self.journal(&WalRecord::Batch {
-                at,
-                updates: updates.clone(),
-            })?;
+            self.journal(|| WalRecord::encode_batch(at, &updates))?;
             let deltas = Self::apply_batch(
                 self.engine.as_mut(),
                 &mut self.extractor,
@@ -570,8 +567,8 @@ impl StreamService {
     fn apply_batch(
         engine: &mut dyn ContinuousJoinEngine,
         extractor: &mut DeltaExtractor,
-        tracks: &mut HashMap<ObjectId, MovingRect>,
-        sets: &mut HashMap<ObjectId, SetTag>,
+        tracks: &mut IdMap<ObjectId, MovingRect>,
+        sets: &mut IdMap<ObjectId, SetTag>,
         at: Time,
         updates: &[ObjectUpdate],
     ) -> TprResult<Vec<crate::event::ResultDelta>> {
@@ -594,8 +591,8 @@ impl StreamService {
     /// and WAL replay — the same property `apply_batch` keeps.
     fn apply_retire(
         engine: &mut dyn ContinuousJoinEngine,
-        tracks: &mut HashMap<ObjectId, MovingRect>,
-        sets: &mut HashMap<ObjectId, SetTag>,
+        tracks: &mut IdMap<ObjectId, MovingRect>,
+        sets: &mut IdMap<ObjectId, SetTag>,
         set: SetTag,
         id: ObjectId,
         last_update: Time,
@@ -626,9 +623,11 @@ impl StreamService {
         out.extend(stamped);
     }
 
-    fn journal(&mut self, record: &WalRecord) -> StreamResult<()> {
+    /// Appends one record to the journal and syncs it. Without a journal
+    /// the record is never built.
+    fn journal(&mut self, payload: impl FnOnce() -> Vec<u8>) -> StreamResult<()> {
         if let Some(wal) = &mut self.wal {
-            wal.append(&record.encode())?;
+            wal.append(&payload())?;
             wal.sync()?;
         }
         Ok(())
@@ -663,11 +662,8 @@ impl StreamService {
         }
         let set = self.sets[&id];
         let last_update = self.queue.applied_tick(id).unwrap_or(self.start);
-        self.journal(&WalRecord::Retire {
-            at: self.now,
-            set,
-            id,
-        })?;
+        let at = self.now;
+        self.journal(|| WalRecord::Retire { at, set, id }.encode())?;
         Self::apply_retire(
             self.engine.as_mut(),
             &mut self.tracks,
@@ -698,10 +694,16 @@ impl StreamService {
     /// replay from genesis.
     ///
     /// # Errors
-    /// [`StreamError::Storage`] when journaling the subscription fails.
+    /// [`StreamError::InvalidFilter`] for a window with a NaN, infinite or
+    /// inverted bound; [`StreamError::Storage`] when journaling the
+    /// subscription fails — in both cases nothing was registered.
     pub fn subscribe(&mut self, filter: SubscriptionFilter) -> StreamResult<SubscriberId> {
-        let id = self.registry.subscribe(filter);
-        self.journal(&WalRecord::Subscribe { id, filter })?;
+        filter.check().map_err(StreamError::InvalidFilter)?;
+        // Journal first, apply after, like a batch: a subscriber the log
+        // never heard of must not exist in memory either.
+        let id = self.registry.next_id();
+        self.journal(|| WalRecord::Subscribe { id, filter }.encode())?;
+        self.registry.insert_with_id(id, filter);
         let current = self.extractor.current();
         self.registry
             .reseed(id, 0, self.now, &current, &self.tracks, false);
@@ -711,13 +713,14 @@ impl StreamService {
     /// Removes a subscriber. Returns whether it existed.
     ///
     /// # Errors
-    /// [`StreamError::Storage`] when journaling the removal fails.
+    /// [`StreamError::Storage`] when journaling the removal fails; the
+    /// subscriber then stays registered.
     pub fn unsubscribe(&mut self, id: SubscriberId) -> StreamResult<bool> {
-        let existed = self.registry.unsubscribe(id);
-        if existed {
-            self.journal(&WalRecord::Unsubscribe { id })?;
+        if self.registry.filter(id).is_none() {
+            return Ok(false);
         }
-        Ok(existed)
+        self.journal(|| WalRecord::Unsubscribe { id }.encode())?;
+        Ok(self.registry.unsubscribe(id))
     }
 
     /// Drains a subscriber's outbox (leading with a
@@ -826,5 +829,91 @@ impl StreamService {
     pub fn metrics_snapshot(&self) -> cij_obs::MetricsSnapshot {
         self.engine.publish_metrics();
         self.obs.registry.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use cij_core::MtbEngine;
+    use cij_geom::Rect;
+    use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
+    use cij_workload::{generate_pair, Params};
+
+    use super::*;
+
+    fn service() -> StreamService {
+        let params = Params {
+            dataset_size: 20,
+            ..Params::default()
+        };
+        let (a, b) = generate_pair(&params, 0.0);
+        let factory = |cfg: &EngineConfig, a: &[MovingObject], b: &[MovingObject], start: Time| {
+            let store = Arc::new(InMemoryStore::new());
+            let pool = BufferPool::new(store, BufferPoolConfig::with_capacity(64));
+            let engine = MtbEngine::new(pool, *cfg, a, b, start)?;
+            Ok(Box::new(engine) as Box<dyn ContinuousJoinEngine>)
+        };
+        StreamService::new(StreamConfig::builder().build(), &a, &b, 0.0, &factory).expect("service")
+    }
+
+    #[test]
+    fn subscribe_refuses_a_window_the_index_cannot_order() {
+        let mut svc = service();
+        for (lo, hi) in [
+            ([5.0, 0.0], [1.0, 9.0]),
+            ([0.0, f64::NAN], [9.0, 9.0]),
+            ([0.0, 0.0], [f64::INFINITY, 9.0]),
+        ] {
+            let filter = SubscriptionFilter::Window(Rect { lo, hi });
+            match svc.subscribe(filter) {
+                Err(StreamError::InvalidFilter(msg)) => assert!(msg.contains("window"), "{msg}"),
+                other => panic!("lo={lo:?} hi={hi:?}: {other:?}"),
+            }
+        }
+        assert_eq!(svc.subscriber_count(), 0);
+        // The refusals consumed no ids and left the service usable.
+        let ok = SubscriptionFilter::Window(Rect::new([0.0, 0.0], [9.0, 9.0]));
+        assert_eq!(svc.subscribe(ok).expect("finite window"), SubscriberId(0));
+    }
+
+    /// A journal whose every append fails: memory must not get ahead of
+    /// (subscribe) or fall behind (unsubscribe) what the log holds.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_journal_write_changes_nothing_in_memory() {
+        let mut svc = service();
+        let kept = svc
+            .subscribe(SubscriptionFilter::All)
+            .expect("no journal yet");
+        svc.wal = Some(Wal::create(std::path::Path::new("/dev/full")).expect("open /dev/full"));
+
+        let refused = svc.subscribe(SubscriptionFilter::All);
+        assert!(
+            matches!(refused, Err(StreamError::Storage(_))),
+            "{refused:?}"
+        );
+        assert_eq!(
+            svc.subscriber_count(),
+            1,
+            "a subscriber nobody was told about"
+        );
+
+        let refused = svc.unsubscribe(kept);
+        assert!(
+            matches!(refused, Err(StreamError::Storage(_))),
+            "{refused:?}"
+        );
+        assert_eq!(svc.subscriber_filter(kept), Some(SubscriptionFilter::All));
+
+        // With the journal gone the same calls go through, and the id the
+        // failed subscribe would have taken is the next one handed out.
+        svc.wal = None;
+        assert_eq!(
+            svc.subscribe(SubscriptionFilter::All).unwrap(),
+            SubscriberId(1)
+        );
+        assert!(svc.unsubscribe(kept).unwrap());
     }
 }

@@ -268,7 +268,26 @@ pub fn get_update(r: &mut ByteReader<'_>) -> StorageResult<ObjectUpdate> {
     })
 }
 
+/// Tag and body of a [`WalRecord::Batch`].
+fn put_batch(w: &mut ByteWriter, at: Time, updates: &[ObjectUpdate]) {
+    w.put_u8(TAG_BATCH);
+    w.put_f64(at);
+    w.put_u32(updates.len() as u32);
+    for u in updates {
+        put_update(w, u);
+    }
+}
+
 impl WalRecord {
+    /// The payload of a [`Batch`](Self::Batch) record, from a borrowed
+    /// batch: the per-tick journal write needs no owned record.
+    pub(crate) fn encode_batch(at: Time, updates: &[ObjectUpdate]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_header(&mut w);
+        put_batch(&mut w, at, updates);
+        w.into_bytes()
+    }
+
     /// Serializes the record into a WAL payload (protocol header
     /// included).
     pub(crate) fn encode(&self) -> Vec<u8> {
@@ -285,14 +304,7 @@ impl WalRecord {
                 put_objects(&mut w, set_a);
                 put_objects(&mut w, set_b);
             }
-            Self::Batch { at, updates } => {
-                w.put_u8(TAG_BATCH);
-                w.put_f64(*at);
-                w.put_u32(updates.len() as u32);
-                for u in updates {
-                    put_update(&mut w, u);
-                }
-            }
+            Self::Batch { at, updates } => put_batch(&mut w, *at, updates),
             Self::Subscribe { id, filter } => {
                 w.put_u8(TAG_SUBSCRIBE);
                 w.put_u64(id.0);
@@ -363,7 +375,10 @@ impl WalRecord {
                             lo[d] = r.get_f64()?;
                             hi[d] = r.get_f64()?;
                         }
-                        SubscriptionFilter::Window(Rect::new(lo, hi))
+                        // Not `Rect::new`: it only debug-asserts its order.
+                        let filter = SubscriptionFilter::Window(Rect { lo, hi });
+                        filter.check().map_err(WireError::Corrupt)?;
+                        filter
                     }
                     other => {
                         return Err(WireError::Corrupt(format!(
@@ -505,6 +520,35 @@ mod tests {
             WalRecord::decode(&bytes),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn hostile_subscription_window_is_corrupt_not_a_panic() {
+        // The journal is bytes from disk: a window that is inverted, NaN
+        // or unbounded must come back as a typed error (`Rect::new` would
+        // debug-panic on the first two, the window index sorts the rest).
+        let hostile = [
+            ([5.0, 0.0], [1.0, 9.0]),
+            ([0.0, 0.0], [9.0, f64::NAN]),
+            ([f64::NAN, 0.0], [9.0, 9.0]),
+            ([f64::NEG_INFINITY, 0.0], [9.0, 9.0]),
+        ];
+        for (lo, hi) in hostile {
+            let record = WalRecord::Subscribe {
+                id: SubscriberId(3),
+                filter: SubscriptionFilter::Window(Rect { lo, hi }),
+            };
+            match WalRecord::decode(&record.encode()) {
+                Err(WireError::Corrupt(msg)) => assert!(msg.contains("window"), "{msg}"),
+                other => panic!("lo={lo:?} hi={hi:?} decoded to {other:?}"),
+            }
+        }
+        // A degenerate (zero-extent) window is legal.
+        let point = WalRecord::Subscribe {
+            id: SubscriberId(3),
+            filter: SubscriptionFilter::Window(Rect::point([2.0, 2.0])),
+        };
+        assert_eq!(WalRecord::decode(&point.encode()).unwrap(), point);
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod tree;
 mod view;
 
 pub use config::TreeConfig;
-pub use entry::{ChildRef, Entry, ObjectId};
+pub use entry::{ChildRef, Entry, IdBuildHasher, IdHasher, IdMap, IdSet, ObjectId};
 pub use error::{TprError, TprResult};
 pub use node::Node;
 pub use tree::{TprTree, TreeStats};
