@@ -1,5 +1,6 @@
 //! The distributed coordinator: the shard coordinator's row/column
-//! topology, with each shard-pair engine living behind a transport.
+//! topology (one [`JoinPlan`], one [`ShardRouter`] projecting updates
+//! onto it), with each shard-pair engine living behind a transport.
 //!
 //! # Bit-identical merged streams
 //!
@@ -32,15 +33,14 @@
 //! does not fork — the crate's differential tests kill workers mid-run
 //! and compare streams byte for byte.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cij_core::{publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
-use cij_obs::MetricsRegistry;
-use cij_shard::{PartitionPolicy, RouteDecision, ShardRouter};
+use cij_obs::{Counter, Histogram, MetricsRegistry};
+use cij_shard::{JoinPlan, PartitionPolicy, ShardRouter};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
@@ -88,20 +88,12 @@ impl Default for DistConfig {
 }
 
 /// The joinable shard pairs of `policy`, in the canonical slot order —
-/// row-major over `(shard_a, shard_b)`. Deployments must hand
-/// [`DistCoordinator::new`] one connector per entry, in this order.
+/// the [`JoinPlan`]'s, row-major over `(shard_a, shard_b)`. Deployments
+/// must hand [`DistCoordinator::new`] one connector per entry, in this
+/// order.
 #[must_use]
 pub fn joinable_pairs(policy: &dyn PartitionPolicy) -> Vec<(usize, usize)> {
-    let k = policy.shard_count();
-    let mut pairs = Vec::new();
-    for i in 0..k {
-        for j in 0..k {
-            if policy.joinable(i, j) {
-                pairs.push((i, j));
-            }
-        }
-    }
-    pairs
+    JoinPlan::new(policy).pairs().to_vec()
 }
 
 struct WorkerLink {
@@ -115,8 +107,10 @@ struct WorkerLink {
     /// Highest sequence number whose response was consumed.
     acked_seq: u64,
     ever_connected: bool,
-    shard_a: usize,
-    shard_b: usize,
+    /// `dist.worker.{slot}.rtt_us` / `.ack_lag`, resolved once so the
+    /// per-RPC path formats no name and takes no registry lock.
+    rtt_us: Histogram,
+    ack_lag: Histogram,
 }
 
 impl WorkerLink {
@@ -130,16 +124,11 @@ impl WorkerLink {
 /// runs — including as a `StreamService` factory product.
 pub struct DistCoordinator {
     config: DistConfig,
-    policy: Arc<dyn PartitionPolicy>,
     router: ShardRouter,
+    /// The slot layout of the router's policy.
+    plan: JoinPlan,
+    /// One worker per slot of `plan`.
     slots: Vec<Mutex<WorkerLink>>,
-    /// (shard_a, shard_b) → slot index for joinable pairs.
-    slot_of: HashMap<(usize, usize), usize>,
-    /// Slot indices of row i (A-shard i) / column j (B-shard j).
-    rows: Vec<Vec<usize>>,
-    cols: Vec<Vec<usize>>,
-    population_a: Vec<usize>,
-    population_b: Vec<usize>,
     /// Global mutating-request sequence; per-worker subsequences are
     /// strictly increasing (with gaps).
     seq: u64,
@@ -156,6 +145,10 @@ pub struct DistCoordinator {
     /// Local dummy pool: worker I/O is not visible here.
     pool: BufferPool,
     obs: MetricsRegistry,
+    /// `dist.rpc.{calls, errors, dropped_reads}`, resolved once.
+    rpc_calls: Counter,
+    rpc_errors: Counter,
+    dropped_reads: Counter,
 }
 
 impl DistCoordinator {
@@ -176,57 +169,43 @@ impl DistCoordinator {
         set_b: &[MovingObject],
         now: Time,
     ) -> DistResult<Self> {
-        let k = policy.shard_count();
-        let pairs = joinable_pairs(&*policy);
-        if connectors.len() != pairs.len() {
+        let plan = JoinPlan::new(&*policy);
+        if connectors.len() != plan.pairs().len() {
             return Err(DistError::Config(format!(
-                "policy {} (K={k}) has {} joinable shard pairs but {} connectors were supplied",
+                "policy {} (K={}) has {} joinable shard pairs but {} connectors were supplied",
                 policy.name(),
-                pairs.len(),
+                plan.shard_count(),
+                plan.pairs().len(),
                 connectors.len()
             )));
         }
 
-        let mut router = ShardRouter::new(policy.clone());
-        let mut parts_a: Vec<Vec<MovingObject>> = vec![Vec::new(); k];
-        let mut parts_b: Vec<Vec<MovingObject>> = vec![Vec::new(); k];
-        for o in set_a {
-            parts_a[router.place(o.id, SetTag::A, &o.mbr, now)].push(*o);
-        }
-        for o in set_b {
-            parts_b[router.place(o.id, SetTag::B, &o.mbr, now)].push(*o);
-        }
-
-        let mut slot_of = HashMap::new();
-        let mut rows = vec![Vec::new(); k];
-        let mut cols = vec![Vec::new(); k];
-        let mut slots = Vec::new();
-        for (idx, (connector, &(i, j))) in connectors.into_iter().zip(&pairs).enumerate() {
-            slot_of.insert((i, j), idx);
-            rows[i].push(idx);
-            cols[j].push(idx);
-            slots.push(Mutex::new(WorkerLink {
-                connector,
-                transport: None,
-                history: Vec::new(),
-                acked_seq: 0,
-                ever_connected: false,
-                shard_a: i,
-                shard_b: j,
-            }));
-        }
+        let mut router = ShardRouter::new(policy);
+        let parts_a = router.place_set(SetTag::A, set_a, now);
+        let parts_b = router.place_set(SetTag::B, set_b, now);
 
         let obs = MetricsRegistry::enabled_if(config.metrics);
+        let slots = connectors
+            .into_iter()
+            .enumerate()
+            .map(|(idx, connector)| {
+                Mutex::new(WorkerLink {
+                    connector,
+                    transport: None,
+                    history: Vec::new(),
+                    acked_seq: 0,
+                    ever_connected: false,
+                    rtt_us: obs.histogram(&format!("dist.worker.{idx}.rtt_us")),
+                    ack_lag: obs.histogram(&format!("dist.worker.{idx}.ack_lag")),
+                })
+            })
+            .collect();
+
         let mut coordinator = Self {
             config,
-            policy,
             router,
+            plan,
             slots,
-            slot_of,
-            rows,
-            cols,
-            population_a: parts_a.iter().map(Vec::len).collect(),
-            population_b: parts_b.iter().map(Vec::len).collect(),
             seq: 0,
             nonce: 0,
             pending: Vec::new(),
@@ -237,10 +216,13 @@ impl DistCoordinator {
                 Arc::new(InMemoryStore::new()),
                 BufferPoolConfig::with_capacity(8),
             ),
+            rpc_calls: obs.counter("dist.rpc.calls"),
+            rpc_errors: obs.counter("dist.rpc.errors"),
+            dropped_reads: obs.counter("dist.rpc.dropped_reads"),
             obs,
         };
 
-        for (idx, &(i, j)) in pairs.iter().enumerate() {
+        for (idx, &(i, j)) in coordinator.plan.pairs().iter().enumerate() {
             coordinator.seq += 1;
             let req = Request::Init {
                 seq: coordinator.seq,
@@ -259,7 +241,7 @@ impl DistCoordinator {
     /// Shards per object set.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.policy.shard_count()
+        self.plan.shard_count()
     }
 
     /// Workers in the join plan (one per joinable shard pair).
@@ -277,13 +259,7 @@ impl DistCoordinator {
     /// The shard pair each worker slot serves, in slot order.
     #[must_use]
     pub fn worker_pairs(&self) -> Vec<(usize, usize)> {
-        self.slots
-            .iter()
-            .map(|s| {
-                let link = s.lock();
-                (link.shard_a, link.shard_b)
-            })
-            .collect()
+        self.plan.pairs().to_vec()
     }
 
     /// Pings every worker, reconnecting (and resyncing) any whose
@@ -344,13 +320,11 @@ impl DistCoordinator {
             if link.transport.is_none() {
                 self.connect_link(idx, link, &mut attempts)?;
             }
-            self.obs.counter("dist.rpc.calls").inc();
+            self.rpc_calls.inc();
             let t0 = Instant::now();
             match link.transport.as_mut().expect("connected above").call(req) {
                 Ok(resp) => {
-                    self.obs
-                        .histogram(&format!("dist.worker.{idx}.rtt_us"))
-                        .record(t0.elapsed().as_micros() as u64);
+                    link.rtt_us.record(t0.elapsed().as_micros() as u64);
                     if let Response::Fail { message } = resp {
                         // Deterministic worker-side failure: retrying
                         // would reproduce it.
@@ -359,7 +333,7 @@ impl DistCoordinator {
                     return Ok(resp);
                 }
                 Err(DistError::Io(_) | DistError::Protocol(_)) => {
-                    self.obs.counter("dist.rpc.errors").inc();
+                    self.rpc_errors.inc();
                     link.transport = None;
                     // Loop: `connect_link` enforces the attempt budget.
                 }
@@ -477,60 +451,16 @@ impl DistCoordinator {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Routing (the shard coordinator's topology, op-list flavoured)
-    // ------------------------------------------------------------------
-
-    /// The slot indices an update of (`set`, shard) must reach.
-    fn fan(&self, set: SetTag, shard: usize) -> &[usize] {
-        match set {
-            SetTag::A => &self.rows[shard],
-            SetTag::B => &self.cols[shard],
-        }
-    }
-
-    /// Projects one update onto per-slot op lists, updating the
-    /// router's placement as a side effect.
-    fn route_ops(&mut self, update: &ObjectUpdate, ops: &mut [Vec<ShardOp>], now: Time) {
-        match self.router.route(update, now) {
-            RouteDecision::Stay(shard) => {
-                for &slot in self.fan(update.set, shard) {
-                    ops[slot].push(ShardOp::Apply(*update));
-                }
-            }
-            RouteDecision::Migrate { from, to } => {
-                for &slot in self.fan(update.set, from) {
-                    ops[slot].push(ShardOp::Remove {
-                        set: update.set,
-                        id: update.id,
-                        old_mbr: update.old_mbr,
-                        last_update: update.last_update,
-                    });
-                }
-                for &slot in self.fan(update.set, to) {
-                    ops[slot].push(ShardOp::Insert {
-                        set: update.set,
-                        id: update.id,
-                        mbr: update.new_mbr,
-                    });
-                }
-                match update.set {
-                    SetTag::A => {
-                        self.population_a[from] -= 1;
-                        self.population_a[to] += 1;
-                    }
-                    SetTag::B => {
-                        self.population_b[from] -= 1;
-                        self.population_b[to] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sends an [`Request::Immediate`] op to every slot in the fan.
-    fn send_immediate(&mut self, fan: Vec<usize>, op: ShardOp, now: Time) -> TprResult<()> {
-        for idx in fan {
+    /// Sends an [`Request::Immediate`] op to every slot an object of
+    /// (`set`, `shard`) lives in.
+    fn send_immediate(
+        &mut self,
+        set: SetTag,
+        shard: usize,
+        op: ShardOp,
+        now: Time,
+    ) -> TprResult<()> {
+        for &idx in self.plan.fan(set, shard) {
             self.seq += 1;
             let req = Request::Immediate {
                 seq: self.seq,
@@ -570,16 +500,14 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.take_deferred()?;
         let mut ops: Vec<Vec<ShardOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
-            self.route_ops(u, &mut ops, now);
+            self.router.project(u, now, &self.plan, &mut ops);
         }
         for (idx, slot_ops) in ops.into_iter().enumerate() {
             self.seq += 1;
             let seq = self.seq;
             let mut link = self.slots[idx].lock();
             let ack_through = link.acked_seq;
-            self.obs
-                .histogram(&format!("dist.worker.{idx}.ack_lag"))
-                .record(seq - ack_through);
+            link.ack_lag.record(seq - ack_through);
             let req = Request::Step {
                 seq,
                 now,
@@ -614,12 +542,7 @@ impl ContinuousJoinEngine for DistCoordinator {
     ) -> TprResult<()> {
         self.take_deferred()?;
         let shard = self.router.place(id, set, &mbr, now);
-        match set {
-            SetTag::A => self.population_a[shard] += 1,
-            SetTag::B => self.population_b[shard] += 1,
-        }
-        let fan = self.fan(set, shard).to_vec();
-        self.send_immediate(fan, ShardOp::Insert { set, id, mbr }, now)
+        self.send_immediate(set, shard, ShardOp::Insert { set, id, mbr }, now)
     }
 
     fn remove_object(
@@ -631,17 +554,12 @@ impl ContinuousJoinEngine for DistCoordinator {
         now: Time,
     ) -> TprResult<()> {
         self.take_deferred()?;
-        let Some(record) = self.router.remove(id) else {
+        let Some(record) = self.router.remove(set, id) else {
             return Err(TprError::ObjectNotFound(id));
         };
-        let shard = record.shard;
-        match set {
-            SetTag::A => self.population_a[shard] -= 1,
-            SetTag::B => self.population_b[shard] -= 1,
-        }
-        let fan = self.fan(set, shard).to_vec();
         self.send_immediate(
-            fan,
+            set,
+            record.shard,
             ShardOp::Remove {
                 set,
                 id,
@@ -665,7 +583,7 @@ impl ContinuousJoinEngine for DistCoordinator {
                 // The trait's snapshot read is infallible: an
                 // unreachable worker degrades the snapshot (flagged by
                 // the counter) instead of panicking.
-                _ => self.obs.counter("dist.rpc.dropped_reads").inc(),
+                _ => self.dropped_reads.inc(),
             }
         }
         out.sort_unstable();
@@ -685,7 +603,7 @@ impl ContinuousJoinEngine for DistCoordinator {
             let mut link = slot.lock();
             match self.call_link(idx, &mut link, &Request::Counters) {
                 Ok(Response::CountersAck(c)) => total = total.merged(c),
-                _ => self.obs.counter("dist.rpc.dropped_reads").inc(),
+                _ => self.dropped_reads.inc(),
             }
         }
         total
@@ -722,20 +640,14 @@ impl ContinuousJoinEngine for DistCoordinator {
     }
 
     fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        let (Some(sa), Some(sb)) = (self.router.shard_of(pair.0), self.router.shard_of(pair.1))
-        else {
-            return PairStatus::default();
-        };
-        let Some(&idx) = self.slot_of.get(&(sa, sb)) else {
-            // Pruned by the join plan: the policy guarantees the pair
-            // can never be active at an observable time.
+        let Some(idx) = self.router.slot_of_pair(pair, &self.plan) else {
             return PairStatus::default();
         };
         let mut link = self.slots[idx].lock();
         match self.call_link(idx, &mut link, &Request::PairStatusAt { pair, t }) {
             Ok(Response::Status(status)) => status,
             _ => {
-                self.obs.counter("dist.rpc.dropped_reads").inc();
+                self.dropped_reads.inc();
                 PairStatus::default()
             }
         }
@@ -765,13 +677,12 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.obs
             .gauge("dist.history_requests")
             .set(history_total as i64);
-        for (shard, (&a, &b)) in self.population_a.iter().zip(&self.population_b).enumerate() {
-            self.obs
-                .gauge(&format!("dist.population.a.{shard}"))
-                .set(a as i64);
-            self.obs
-                .gauge(&format!("dist.population.b.{shard}"))
-                .set(b as i64);
+        for (side, set) in [("a", SetTag::A), ("b", SetTag::B)] {
+            for (shard, &n) in self.router.population(set).iter().enumerate() {
+                self.obs
+                    .gauge(&format!("dist.population.{side}.{shard}"))
+                    .set(n as i64);
+            }
         }
     }
 }

@@ -17,13 +17,31 @@ use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKin
 use cij_geom::{MovingRect, Rect, Time};
 use cij_obs::validate_prometheus;
 use cij_shard::{
-    HashPolicy, PartitionPolicy, ShardCoordinator, SpatialGridPolicy, VelocityBandPolicy,
+    JoinPlan, PartitionPolicy, ShardCoordinator, SpatialGridPolicy, VelocityBandPolicy,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriberId, SubscriptionFilter};
+use cij_tpr::ObjectId;
 use cij_workload::{
     generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
 };
+
+/// Trajectory-independent placement by id modulo `K` — the one
+/// behaviour no band policy can produce, kept as a test-local policy
+/// since no deployment shards this way.
+struct HashPolicy(usize);
+
+impl PartitionPolicy for HashPolicy {
+    fn name(&self) -> &'static str {
+        "hash"
+    }
+    fn shard_count(&self) -> usize {
+        self.0
+    }
+    fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
+        (id.0 % self.0 as u64) as usize
+    }
+}
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -123,14 +141,16 @@ impl Rig {
         let oracle_policy = policy.clone();
         let mut oracle =
             StreamService::new(stream_config.clone(), &a, &b, 0.0, &|cfg, a, b, now| {
-                Ok(Box::new(ShardCoordinator::new(
+                Ok(Box::new(ShardCoordinator::with_factory(
                     pool(),
                     *cfg,
                     oracle_policy.clone(),
                     a,
                     b,
                     now,
-                    &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+                    Arc::new(|pool, cfg, a, b, now| {
+                        Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))
+                    }),
                 )?))
             })
             .expect("oracle service");
@@ -222,6 +242,79 @@ impl Rig {
     }
 }
 
+/// Deployments hand [`DistCoordinator::new`] one connector per
+/// [`joinable_pairs`] entry, in that order: it must be the [`JoinPlan`]'s
+/// slot order — row-major over the joinable pairs — and the order the
+/// coordinator reports its workers in, for a full plan and a pruned one.
+#[test]
+fn connector_order_is_the_join_plan_order() {
+    let p = grid_params(59);
+    let full: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(3, p.max_speed));
+    let pruned: Arc<dyn PartitionPolicy> = Arc::new(SpatialGridPolicy::for_horizon(
+        4,
+        p.space,
+        p.max_speed,
+        p.maximum_update_interval,
+        p.object_side(),
+    ));
+    for (policy, engines) in [(full, 9), (pruned, 10)] {
+        let k = policy.shard_count();
+        let row_major: Vec<(usize, usize)> = (0..k)
+            .flat_map(|i| (0..k).map(move |j| (i, j)))
+            .filter(|&(i, j)| policy.joinable(i, j))
+            .collect();
+        assert_eq!(row_major.len(), engines);
+        assert_eq!(JoinPlan::new(&*policy).pairs(), row_major);
+        assert_eq!(joinable_pairs(&*policy), row_major);
+
+        let (a, b) = generate_pair(&p, 0.0);
+        let connectors: Vec<Box<dyn Connector>> = row_major
+            .iter()
+            .map(|_| Box::new(LoopbackHost::ephemeral().connector()) as Box<dyn Connector>)
+            .collect();
+        let dist = DistCoordinator::new(DistConfig::default(), policy, connectors, &a, &b, 0.0)
+            .expect("dist coordinator");
+        assert_eq!(dist.worker_pairs(), row_major);
+    }
+}
+
+/// As in-process: a removal naming the wrong set is `ObjectNotFound`
+/// before any worker hears of it, and the right one still goes through.
+#[test]
+fn remove_object_under_the_wrong_set_is_refused() {
+    use cij_core::ContinuousJoinEngine;
+
+    let p = skew_params(58);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let (a, b) = generate_pair(&p, 0.0);
+    let connectors: Vec<Box<dyn Connector>> = joinable_pairs(&*policy)
+        .iter()
+        .map(|_| Box::new(LoopbackHost::ephemeral().connector()) as Box<dyn Connector>)
+        .collect();
+    let config = DistConfig {
+        metrics: true,
+        ..DistConfig::default()
+    };
+    let mut dist =
+        DistCoordinator::new(config, policy, connectors, &a, &b, 0.0).expect("dist coordinator");
+    dist.run_initial_join(0.0).expect("initial join");
+    let calls = |dist: &DistCoordinator| {
+        let snap = dist.metrics_registry().snapshot();
+        snap.counter("dist.rpc.calls").expect("rpc counter")
+    };
+
+    let victim = b[0];
+    let before = calls(&dist);
+    let err = dist
+        .remove_object(SetTag::A, victim.id, &victim.mbr, 0.0, 1.0)
+        .expect_err("a B object removed as A");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
+    assert_eq!(calls(&dist), before, "a refused removal reached a worker");
+    dist.remove_object(SetTag::B, victim.id, &victim.mbr, 0.0, 1.0)
+        .expect("the right set");
+    assert!(calls(&dist) > before);
+}
+
 #[test]
 fn loopback_stream_bit_identical_across_policies_and_k() {
     let cases: Vec<(&str, usize, Params, Arc<dyn PartitionPolicy>)> = {
@@ -232,7 +325,7 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
                 "hash",
                 k,
                 p,
-                Arc::new(HashPolicy::new(k)) as Arc<dyn PartitionPolicy>,
+                Arc::new(HashPolicy(k)) as Arc<dyn PartitionPolicy>,
             ));
             let p = skew_params(70 + k as u64);
             let policy = Arc::new(VelocityBandPolicy::new(k, p.max_speed));
@@ -285,6 +378,23 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
             0,
             "{label}: a WAL-intact restart must not need a history resync"
         );
+        // The per-worker handles resolved at construction publish under
+        // the per-worker names: one ack-lag sample per `Step`, one RTT
+        // per answered RPC.
+        let mut answered = 0;
+        for idx in 0..workers {
+            let samples = |metric: &str| {
+                let name = format!("dist.worker.{idx}.{metric}");
+                let histogram = snap.histogram(&name);
+                histogram
+                    .unwrap_or_else(|| panic!("{label}: no {name}"))
+                    .count
+            };
+            assert_eq!(samples("ack_lag"), 20, "{label}: one Step per tick");
+            assert!(samples("rtt_us") > 20, "{label}: Init, Start, Steps, reads");
+            answered += samples("rtt_us");
+        }
+        assert!(snap.counter("dist.rpc.calls").unwrap_or(0) >= answered);
     }
 }
 
@@ -392,7 +502,7 @@ fn wal_loss_forces_full_history_resync() {
 #[test]
 fn gap_markers_match_under_tiny_outboxes() {
     let params = skew_params(91);
-    let policy = Arc::new(HashPolicy::new(2));
+    let policy = Arc::new(HashPolicy(2));
     // A 3-item outbox polled every 5 ticks overflows on both sides in
     // exactly the same places, so even the loss markers are identical.
     let mut rig = Rig::new(policy, &params, "gaps", 3);

@@ -107,14 +107,14 @@ fn future_interval_activates_and_expires_without_an_update() {
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, 3.0));
     let shard_policy = policy.clone();
     runs_on("ShardCoordinator", &|cfg, a, b, now| {
-        Ok(Box::new(ShardCoordinator::new(
+        Ok(Box::new(ShardCoordinator::with_factory(
             pool(),
             *cfg,
             shard_policy.clone(),
             a,
             b,
             now,
-            &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+            Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
         )?))
     });
 

@@ -134,14 +134,14 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
 
     let oracle_policy = policy.clone();
     let mut oracle = StreamService::new(stream_config.clone(), &a, &b, 0.0, &|cfg, a, b, now| {
-        Ok(Box::new(ShardCoordinator::new(
+        Ok(Box::new(ShardCoordinator::with_factory(
             pool(),
             *cfg,
             oracle_policy.clone(),
             a,
             b,
             now,
-            &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+            Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
         )?))
     })
     .expect("oracle service");

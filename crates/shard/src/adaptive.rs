@@ -14,22 +14,18 @@
 //! The controller is a small deterministic state machine owned by the
 //! [`ShardCoordinator`](crate::ShardCoordinator):
 //!
-//! * **Observe** — every routed trajectory feeds its partition-axis
-//!   value (worst-corner speed, or x-center for the spatial axis) into
-//!   a [`QuantileSketch`]. Feeding happens in the coordinator's
-//!   *sequential* routing phase, so the sketch contents are independent
-//!   of the fan-out thread count.
+//! * **Observe** — every routed trajectory feeds its worst-corner
+//!   speed into a [`QuantileSketch`] over `[0, max_speed]`. Feeding
+//!   happens in the coordinator's *sequential* routing phase, so the
+//!   sketch contents are independent of the fan-out thread count.
 //! * **Decide** — once per applied batch the coordinator asks
 //!   [`decide`](AdaptiveController::decide). A re-partition is proposed
 //!   when the population imbalance (max/mean over combined per-shard
-//!   populations) exceeds the threshold, or when the population drifted
-//!   far enough from `target_shard_population` that the shard count
-//!   itself should change (split/merge). The proposal is a
-//!   [`VelocityBoundsPolicy`] / [`SpatialBoundsPolicy`] whose edges
-//!   minimize the sketch's churn-aware cost
-//!   ([`QuantileSketch::partition`]): a quadratic balance term plus
-//!   [`churn_penalty`](AdaptiveConfig::churn_penalty) times the mass
-//!   living next to each edge. On smooth distributions this is the
+//!   populations) exceeds the threshold. The proposal is a
+//!   [`VelocityBandPolicy`] built from the edges that minimize the
+//!   sketch's churn-aware cost ([`QuantileSketch::partition`]): a
+//!   quadratic balance term plus `CHURN_PENALTY` times the mass living
+//!   next to each edge. On smooth distributions this is the
 //!   equal-weight split; on clustered ones (VelocitySkew) the edges
 //!   snap into inter-cluster gaps, because an edge inside a cluster is
 //!   paid for on every re-steer that crosses it (a cross-shard
@@ -39,8 +35,7 @@
 //!   the parts between them are empty — and an empty shard still owns
 //!   a full row and column of pair engines — so the controller merges
 //!   empty parts away and the proposal's shard count drops to the
-//!   observed cluster count (never below
-//!   [`min_k`](AdaptiveConfig::min_k)).
+//!   observed cluster count (never below two).
 //! * **Decay** — after the coordinator commits a rebalance it calls
 //!   [`note_rebalanced`](AdaptiveController::note_rebalanced): the
 //!   sketch halves (newer observations dominate the next decision) and
@@ -56,88 +51,41 @@ use std::sync::Arc;
 use cij_geom::{MovingRect, Time};
 use cij_obs::QuantileSketch;
 
-use crate::policy::{
-    worst_corner_speed, PartitionPolicy, SpatialBoundsPolicy, VelocityBoundsPolicy,
-};
+use crate::policy::{worst_corner_speed, PartitionPolicy, VelocityBandPolicy};
 
-/// Which distribution the controller partitions on.
-#[derive(Debug, Clone, Copy)]
-pub enum AdaptiveAxis {
-    /// Band on velocity magnitude (worst-corner speed); the sketch
-    /// spans `[0, max_speed]`.
-    Velocity {
-        /// The workload's top speed (sketch range upper bound; faster
-        /// observations clamp).
-        max_speed: f64,
-    },
-    /// Strip on x-center; the sketch spans `[0, space]`. Emitted
-    /// policies prune shard pairs farther than `reach` apart — `reach`
-    /// must dominate `2·max_speed·T_M + 2·extent` exactly as for
-    /// [`SpatialGridPolicy`](crate::SpatialGridPolicy).
-    Space {
-        /// The workload's space extent.
-        space: f64,
-        /// The join-plan pruning reach.
-        reach: f64,
-    },
-}
+/// Weight of the migration-churn term in the boundary objective (see
+/// [`QuantileSketch::partition`]): each candidate edge is charged this
+/// multiple of the mass share in its two flanking sketch buckets.
+const CHURN_PENALTY: f64 = 24.0;
+/// Sketch resolution (buckets over `[0, max_speed]`).
+const SKETCH_BUCKETS: usize = 256;
 
 /// Tuning for the adaptive controller. Build with
-/// [`AdaptiveConfig::velocity`] / [`AdaptiveConfig::spatial`] and
-/// override fields as needed.
+/// [`AdaptiveConfig::velocity`] and override fields as needed.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
-    /// The partition axis (and sketch range).
-    pub axis: AdaptiveAxis,
+    /// The workload's top speed (sketch range upper bound; faster
+    /// observations clamp).
+    pub max_speed: f64,
     /// Re-partition when `max(pop) / mean(pop)` exceeds this (combined
     /// A+B population per shard). Must be ≥ 1.
     pub imbalance_threshold: f64,
     /// Minimum time between re-partitions, in simulation time units.
     pub cooldown: Time,
-    /// When set, the controller also re-partitions to keep shards near
-    /// this population: the proposed shard count is
-    /// `ceil(total / target)` clamped into `[min_k, max_k]` — the
-    /// split/merge path.
-    pub target_shard_population: Option<usize>,
-    /// Smallest shard count a split/merge may propose.
-    pub min_k: usize,
-    /// Largest shard count a split/merge may propose.
-    pub max_k: usize,
     /// Observations the sketch must hold before any decision fires.
     pub min_weight: u64,
-    /// Weight of the migration-churn term in the boundary objective
-    /// (see [`QuantileSketch::partition`]): each candidate edge is
-    /// charged this multiple of the mass share in its two flanking
-    /// sketch buckets. `0` reduces to pure population balance.
-    pub churn_penalty: f64,
-    /// Sketch resolution (buckets over the axis range).
-    pub sketch_buckets: usize,
 }
 
 impl AdaptiveConfig {
-    /// Velocity-axis defaults: threshold 2, cooldown 10 time units,
-    /// fixed shard count, 256-bucket sketch warm after 64 observations.
+    /// Defaults: threshold 2, cooldown 10 time units, sketch warm after
+    /// 64 observations.
     #[must_use]
     pub fn velocity(max_speed: f64) -> Self {
         Self {
-            axis: AdaptiveAxis::Velocity { max_speed },
+            max_speed,
             imbalance_threshold: 2.0,
             cooldown: 10.0,
-            target_shard_population: None,
-            min_k: 2,
-            max_k: 8,
             min_weight: 64,
-            sketch_buckets: 256,
-            churn_penalty: 24.0,
-        }
-    }
-
-    /// Spatial-axis defaults (same knobs as [`Self::velocity`]).
-    #[must_use]
-    pub fn spatial(space: f64, reach: f64) -> Self {
-        Self {
-            axis: AdaptiveAxis::Space { space, reach },
-            ..Self::velocity(1.0)
         }
     }
 }
@@ -161,40 +109,19 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// A fresh controller. Panics if the config is inconsistent
-    /// (`min_k > max_k`, `min_k == 0`, threshold < 1, or a
-    /// non-positive axis range).
+    /// (threshold < 1 or a non-positive `max_speed`).
     #[must_use]
     pub fn new(cfg: AdaptiveConfig) -> Self {
-        assert!(cfg.min_k >= 1 && cfg.min_k <= cfg.max_k, "bad k range");
         assert!(
             cfg.imbalance_threshold >= 1.0,
             "threshold below 1 always fires"
         );
-        let hi = match cfg.axis {
-            AdaptiveAxis::Velocity { max_speed } => max_speed,
-            AdaptiveAxis::Space { space, .. } => space,
-        };
-        assert!(hi > 0.0, "axis range must be positive");
+        assert!(cfg.max_speed > 0.0, "max_speed must be positive");
         Self {
-            sketch: QuantileSketch::new(0.0, hi, cfg.sketch_buckets.max(1)),
+            sketch: QuantileSketch::new(0.0, cfg.max_speed, SKETCH_BUCKETS),
             cfg,
             last_action: None,
             last_edges: None,
-        }
-    }
-
-    /// The configuration the controller runs under.
-    #[must_use]
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
-    }
-
-    /// The value of the partition axis for a trajectory.
-    #[must_use]
-    pub fn axis_value(&self, mbr: &MovingRect) -> f64 {
-        match self.cfg.axis {
-            AdaptiveAxis::Velocity { .. } => worst_corner_speed(mbr),
-            AdaptiveAxis::Space { .. } => (mbr.lo[0] + mbr.hi[0]) / 2.0,
         }
     }
 
@@ -202,13 +129,7 @@ impl AdaptiveController {
     /// a sequential phase — determinism of the sketch is what makes
     /// rebalance decisions replay-identical.
     pub fn observe(&mut self, mbr: &MovingRect) {
-        self.sketch.observe(self.axis_value(mbr));
-    }
-
-    /// Decayed observation weight currently in the sketch.
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        self.sketch.weight()
+        self.sketch.observe(worst_corner_speed(mbr));
     }
 
     /// Asks whether the coordinator should re-partition now, given the
@@ -228,33 +149,19 @@ impl AdaptiveController {
         }
         let max = *populations.iter().max().expect("k > 0") as f64;
         let mean = total as f64 / k as f64;
-        let imbalance = max / mean;
-
-        let desired_k = match self.cfg.target_shard_population {
-            Some(target) if target > 0 => {
-                total.div_ceil(target).clamp(self.cfg.min_k, self.cfg.max_k)
-            }
-            _ => k,
-        };
-        if imbalance <= self.cfg.imbalance_threshold && desired_k == k {
+        if max / mean <= self.cfg.imbalance_threshold {
             return None;
         }
 
-        let edges = self
-            .sketch
-            .partition(desired_k, self.cfg.churn_penalty.max(0.0));
-        if edges.len() + 1 != desired_k {
+        let edges = self.sketch.partition(k, CHURN_PENALTY);
+        if edges.len() + 1 != k {
             return None; // sketch emptied by decay: stand pat
         }
         let edges = self.merge_empty_parts(edges);
         // Skip (but open the cooldown window) when the proposal is the
         // one already in force — an imbalance the axis cannot express
         // would otherwise re-trigger every batch.
-        let span = match self.cfg.axis {
-            AdaptiveAxis::Velocity { max_speed } => max_speed,
-            AdaptiveAxis::Space { space, .. } => space,
-        };
-        let eps = span * 1e-9;
+        let eps = self.cfg.max_speed * 1e-9;
         if let Some(prev) = &self.last_edges {
             if prev.len() == edges.len()
                 && prev.iter().zip(&edges).all(|(a, b)| (a - b).abs() <= eps)
@@ -265,28 +172,21 @@ impl AdaptiveController {
         }
         self.last_edges = Some(edges.clone());
         self.last_action = Some(now);
-        Some(match self.cfg.axis {
-            AdaptiveAxis::Velocity { .. } => Arc::new(VelocityBoundsPolicy::new(edges)),
-            AdaptiveAxis::Space { reach, .. } => Arc::new(SpatialBoundsPolicy::new(edges, reach)),
-        })
+        Some(Arc::new(VelocityBandPolicy::from_edges(edges)))
     }
 
     /// Drops edges that bound (near-)empty parts, merging each empty
-    /// part into its left neighbor, as long as at least `min_k` shards
+    /// part into its left neighbor, as long as at least two shards
     /// remain; otherwise the original edges stand. An empty shard is
     /// not free — it still owns a full row and column of shard-pair
     /// engines in the fan-out, and every update replicates into that
     /// row or column — so when the churn-aware edges reveal that the
-    /// distribution has fewer clusters than `desired_k` (several edges
+    /// distribution has fewer clusters than shards (several edges
     /// landing in the same inter-cluster gap), the controller shrinks
     /// the shard count to the cluster count instead of shipping dead
-    /// shards. This is the telemetry-driven merge path that needs no
-    /// `target_shard_population`.
+    /// shards.
     fn merge_empty_parts(&self, edges: Vec<f64>) -> Vec<f64> {
         let total = self.sketch.weight();
-        if total == 0 {
-            return edges;
-        }
         // A part carrying under ~1%/k of the decayed mass is sketch
         // noise, not a cluster worth a dedicated shard.
         let eps = (total as f64 * 0.01 / (edges.len() + 1) as f64).max(1.0);
@@ -307,10 +207,10 @@ impl AdaptiveController {
         if self.sketch.mass_between(prev, f64::INFINITY) as f64 <= eps {
             merged.pop(); // empty trailing part folds leftward
         }
-        if !merged.is_empty() && merged.len() + 1 >= self.cfg.min_k {
-            merged
-        } else {
+        if merged.is_empty() {
             edges
+        } else {
+            merged
         }
     }
 
@@ -364,7 +264,7 @@ mod tests {
         // fast, with the single surviving edge in the gap where no
         // re-steer ever crosses it.
         assert_eq!(policy.shard_count(), 2);
-        assert_eq!(policy.name(), "velocity-bounds");
+        assert_eq!(policy.name(), "velocity-band");
         let dyn_any: Arc<dyn PartitionPolicy> = policy;
         for v in [0.05, 0.6, 0.89] {
             assert_eq!(
@@ -398,36 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn target_population_drives_split_and_merge() {
-        let mut cfg = AdaptiveConfig::velocity(3.0);
-        cfg.target_shard_population = Some(250);
-        cfg.min_weight = 10;
-        let mut c = AdaptiveController::new(cfg);
-        // Several passes so each sketch bucket holds > 1 observation
-        // and the post-rebalance halving keeps the distribution (a
-        // single-pass sketch of all-1 counts halves to empty — live
-        // runs re-feed it from every routed update).
-        for _ in 0..4 {
-            for i in 0..100 {
-                c.observe(&rigid(0.0, 3.0 * (i as f64 / 100.0)));
-            }
-        }
-        // 1000 objects over K=2, target 250 → split to 4.
-        let p = c.decide(0.0, &[500, 500]).expect("split");
-        assert_eq!(p.shard_count(), 4);
-        c.note_rebalanced(0.0);
-        // 400 objects over K=4, target 250 → merge to 2 (after cooldown).
-        let p = c.decide(20.0, &[100, 100, 100, 100]).expect("merge");
-        assert_eq!(p.shard_count(), 2);
-    }
-
-    #[test]
     fn min_weight_gates_decisions() {
         let mut c = AdaptiveController::new(AdaptiveConfig::velocity(3.0));
         for _ in 0..10 {
             c.observe(&rigid(0.0, 1.0));
         }
-        assert!(c.weight() < 64);
         assert!(c.decide(5.0, &[900, 10, 10, 10]).is_none());
     }
 }

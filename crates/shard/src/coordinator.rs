@@ -4,7 +4,8 @@
 //! # Topology
 //!
 //! A [`PartitionPolicy`] splits each object set into `K` shards. For
-//! every *joinable* shard pair `(i, j)` the coordinator builds one full
+//! every *joinable* shard pair `(i, j)` — one slot of the policy's
+//! [`JoinPlan`] — the coordinator builds one full
 //! [`ContinuousJoinEngine`] over (A-shard `i`, B-shard `j`) — so an
 //! A-object of shard `i` is indexed by every engine in row `i`, and a
 //! B-object of shard `j` by every engine in column `j`. Each engine owns
@@ -30,13 +31,12 @@
 //!
 //! # Updates, migration, batches
 //!
-//! A same-shard update is applied (as a plain `apply_update`) to every
-//! engine of the object's row/column. A partition-crossing update
-//! becomes `remove_object` from the old row/column plus `insert_object`
-//! into the new one — one logical update, exact mirror halves of
-//! `apply_update`. [`apply_batch`](ContinuousJoinEngine::apply_batch)
-//! projects the tick's update sequence onto each engine (preserving
-//! order) and fans the per-engine op lists out over
+//! What an update means for each engine — a plain `apply_update` on
+//! the object's row/column, or the remove + insert halves of a
+//! migration — is [`ShardRouter::project`]'s business.
+//! [`apply_batch`](ContinuousJoinEngine::apply_batch) projects the
+//! tick's update sequence onto each engine (preserving order) and fans
+//! the per-engine op lists out over
 //! [`cij_join::fan_out_tasks`] — engines are state-disjoint, so the
 //! projection is exactly what each engine would have seen sequentially.
 //!
@@ -55,10 +55,10 @@
 //!    row/column under the *old* topology. Afterwards slot `(i, j)`
 //!    holds exactly the objects whose old and new shards both equal
 //!    `i` / `j` — the stayers — so surviving slots can be reused.
-//! 3. **Rebuild** — the new join plan is laid out. A pair `(i, j)`
-//!    joinable in both plans keeps its engine (stayers and their result
-//!    intervals intact); other engines are built *empty* by the stored
-//!    factory. Dropped engines drain their pending delta changelogs
+//! 3. **Rebuild** — the new policy's [`JoinPlan`] is laid out. A pair
+//!    `(i, j)` joinable in both plans keeps its engine (stayers and
+//!    their result intervals intact); other engines are built *empty*
+//!    by the factory. Dropped engines drain their pending delta changelogs
 //!    into the coordinator before they go — the delta extractor
 //!    rechecks those pairs by membership, so dirt referring to
 //!    re-homed pairs is harmless, and pairs pruned by the new join
@@ -77,7 +77,6 @@
 //! Update-driven `migrations` and policy-driven `rebalance.moved`
 //! objects are counted separately; both conserve populations.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use cij_core::{
@@ -93,26 +92,16 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 use parking_lot::Mutex;
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
+use crate::plan::JoinPlan;
 use crate::policy::PartitionPolicy;
 use crate::report::{PairReport, ShardReport};
-use crate::router::{RebalanceMove, RouteDecision, ShardRouter};
+use crate::router::{ObjectRecord, RebalanceMove, ShardRouter};
 
 /// Builds one shard-pair engine over the given subsets. The coordinator
 /// passes a clone of its shared pool and a `threads = 1` configuration
-/// (parallelism lives across engines, not inside them).
-pub type ShardEngineFactory<'a> = dyn Fn(
-        BufferPool,
-        &EngineConfig,
-        &[MovingObject],
-        &[MovingObject],
-        Time,
-    ) -> TprResult<Box<dyn ContinuousJoinEngine + Send>>
-    + 'a;
-
-/// An owned, shareable engine factory the coordinator can keep for the
-/// lifetime of the run — required for online re-partitioning, which
-/// must build fresh shard-pair engines long after construction. Same
-/// contract as [`ShardEngineFactory`].
+/// (parallelism lives across engines, not inside them), and keeps the
+/// factory for the lifetime of the run: online re-partitioning builds
+/// fresh shard-pair engines long after construction.
 pub type SharedShardEngineFactory = Arc<
     dyn Fn(
             BufferPool,
@@ -125,52 +114,23 @@ pub type SharedShardEngineFactory = Arc<
         + Sync,
 >;
 
-/// One re-registration in a rebalance's restore phase.
-#[derive(Debug, Clone, Copy)]
-struct RestoreOp {
-    set: SetTag,
-    id: ObjectId,
-    mbr: MovingRect,
-    registered_at: Time,
-}
-
-struct PairSlot {
-    shard_a: usize,
-    shard_b: usize,
-    engine: Mutex<Box<dyn ContinuousJoinEngine + Send>>,
-}
-
-/// Names already published to the registry, so a topology change can
-/// zero out gauges/counters of shards and pairs that no longer exist
-/// (snapshots stay an honest view of the *current* topology).
-#[derive(Default)]
-struct PublishedTopology {
-    shards: usize,
-    pairs: HashSet<(usize, usize)>,
-}
+type PairSlot = Mutex<Box<dyn ContinuousJoinEngine + Send>>;
 
 /// A `ContinuousJoinEngine` made of shard-pair engines (see the module
 /// docs). Drop-in wherever a single engine runs: `run_simulation`, the
 /// stream service's engine factory, the bench harness.
 pub struct ShardCoordinator {
-    policy: Arc<dyn PartitionPolicy>,
     pool: BufferPool,
     threads: usize,
     /// The per-engine configuration (threads = 1, metrics off) — kept
     /// so re-partitioning can build engines identical to construction.
     inner: EngineConfig,
+    /// The slot layout of the router's current policy.
+    plan: JoinPlan,
+    /// One engine per slot of `plan`.
     slots: Vec<PairSlot>,
-    /// (shard_a, shard_b) → index into `slots` for joinable pairs.
-    slot_of: HashMap<(usize, usize), usize>,
-    /// Slot indices of row i (A-shard i) / column j (B-shard j).
-    rows: Vec<Vec<usize>>,
-    cols: Vec<Vec<usize>>,
     router: ShardRouter,
-    population_a: Vec<usize>,
-    population_b: Vec<usize>,
-    /// Stored factory enabling online re-partitioning (`None` under the
-    /// borrowed-factory constructor — rebalancing then errors).
-    factory: Option<SharedShardEngineFactory>,
+    factory: SharedShardEngineFactory,
     /// Whether `enable_delta_tracking` was called — engines built
     /// mid-run must match the live slots' tracking state.
     delta_tracking: bool,
@@ -179,12 +139,10 @@ pub struct ShardCoordinator {
     pending_changes: Vec<PairKey>,
     adaptive: Option<AdaptiveController>,
     rebalances: u64,
-    rebalance_moved: u64,
     /// The coordinator's registry (disabled unless `config.metrics`).
     /// Inner engines run with metrics off — the coordinator owns the
     /// sharded run's telemetry, publishing per-slot counters itself.
     obs: MetricsRegistry,
-    published: Mutex<PublishedTopology>,
 }
 
 impl ShardCoordinator {
@@ -192,30 +150,21 @@ impl ShardCoordinator {
     /// joinable shard pair via `factory` (each on a clone of `pool`),
     /// and readies the router. `config.threads` sets the coordinator's
     /// fan-out width; inner engines always run their own traversals
-    /// sequentially.
-    ///
-    /// The factory is borrowed for construction only, so the resulting
-    /// coordinator cannot re-partition online — use
-    /// [`with_factory`](Self::with_factory) for that.
-    pub fn new(
+    /// sequentially. The factory is kept: it builds the fresh engines
+    /// of every later [`rebalance_to`](Self::rebalance_to).
+    pub fn with_factory(
         pool: BufferPool,
         config: EngineConfig,
         policy: Arc<dyn PartitionPolicy>,
         set_a: &[MovingObject],
         set_b: &[MovingObject],
         now: Time,
-        factory: &ShardEngineFactory<'_>,
+        factory: SharedShardEngineFactory,
     ) -> TprResult<Self> {
-        let k = policy.shard_count();
-        let mut router = ShardRouter::new(policy.clone());
-        let mut parts_a: Vec<Vec<MovingObject>> = vec![Vec::new(); k];
-        let mut parts_b: Vec<Vec<MovingObject>> = vec![Vec::new(); k];
-        for o in set_a {
-            parts_a[router.place(o.id, SetTag::A, &o.mbr, now)].push(*o);
-        }
-        for o in set_b {
-            parts_b[router.place(o.id, SetTag::B, &o.mbr, now)].push(*o);
-        }
+        let plan = JoinPlan::new(&*policy);
+        let mut router = ShardRouter::new(policy);
+        let parts_a = router.place_set(SetTag::A, set_a, now);
+        let parts_b = router.place_set(SetTag::B, set_b, now);
 
         let obs = MetricsRegistry::enabled_if(config.metrics);
         pool.stats().register_in(&obs, "storage.pool");
@@ -228,78 +177,34 @@ impl ShardCoordinator {
             metrics: false,
             ..config
         };
-        let mut slots = Vec::new();
-        let mut slot_of = HashMap::new();
-        let mut rows = vec![Vec::new(); k];
-        let mut cols = vec![Vec::new(); k];
-        for i in 0..k {
-            for j in 0..k {
-                if !policy.joinable(i, j) {
-                    continue;
-                }
-                let engine = factory(pool.clone(), &inner, &parts_a[i], &parts_b[j], now)?;
-                let idx = slots.len();
-                slots.push(PairSlot {
-                    shard_a: i,
-                    shard_b: j,
-                    engine: Mutex::new(engine),
-                });
-                slot_of.insert((i, j), idx);
-                rows[i].push(idx);
-                cols[j].push(idx);
-            }
-        }
+        let slots = plan
+            .pairs()
+            .iter()
+            .map(|&(i, j)| {
+                factory(pool.clone(), &inner, &parts_a[i], &parts_b[j], now).map(Mutex::new)
+            })
+            .collect::<TprResult<Vec<_>>>()?;
 
         Ok(Self {
-            policy,
             pool,
             threads: config.threads.max(1),
             inner,
+            plan,
             slots,
-            slot_of,
-            rows,
-            cols,
             router,
-            population_a: parts_a.iter().map(Vec::len).collect(),
-            population_b: parts_b.iter().map(Vec::len).collect(),
-            factory: None,
+            factory,
             delta_tracking: false,
             pending_changes: Vec::new(),
             adaptive: None,
             rebalances: 0,
-            rebalance_moved: 0,
             obs,
-            published: Mutex::new(PublishedTopology::default()),
         })
-    }
-
-    /// Like [`new`](Self::new), but stores the (shared, owned) factory
-    /// so the coordinator can build engines mid-run — the constructor
-    /// for anything that re-partitions:
-    /// [`rebalance_to`](Self::rebalance_to) and
-    /// [`enable_adaptive`](Self::enable_adaptive).
-    pub fn with_factory(
-        pool: BufferPool,
-        config: EngineConfig,
-        policy: Arc<dyn PartitionPolicy>,
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        now: Time,
-        factory: SharedShardEngineFactory,
-    ) -> TprResult<Self> {
-        let borrowed =
-            |p: BufferPool, c: &EngineConfig, a: &[MovingObject], b: &[MovingObject], t: Time| {
-                factory(p, c, a, b, t)
-            };
-        let mut this = Self::new(pool, config, policy, set_a, set_b, now, &borrowed)?;
-        this.factory = Some(factory);
-        Ok(this)
     }
 
     /// Shards per object set.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.policy.shard_count()
+        self.plan.shard_count()
     }
 
     /// Shard-pair engines in the join plan.
@@ -323,7 +228,7 @@ impl ShardCoordinator {
     /// Objects relocated by re-partitioning so far (policy-driven).
     #[must_use]
     pub fn rebalance_moved(&self) -> u64 {
-        self.rebalance_moved
+        self.router.rebalanced()
     }
 
     /// The shard currently holding `id`.
@@ -337,16 +242,8 @@ impl ShardCoordinator {
     /// coordinator re-partitions whenever the controller proposes a
     /// better policy (see [`AdaptiveController`]). The sketch is seeded
     /// from the current live population so the first decision is
-    /// informed. Errors unless the coordinator was built
-    /// [`with_factory`](Self::with_factory).
+    /// informed.
     pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> TprResult<()> {
-        if self.factory.is_none() {
-            return Err(TprError::Unsupported {
-                what: "adaptive sharding requires ShardCoordinator::with_factory \
-                       (a stored engine factory for online re-partitioning)"
-                    .to_string(),
-            });
-        }
         let mut ctl = AdaptiveController::new(cfg);
         for (_, rec) in self.router.records() {
             ctl.observe(&rec.mbr);
@@ -357,164 +254,118 @@ impl ShardCoordinator {
 
     /// Re-partitions the live join under `new_policy` at time `now`
     /// (see the module docs for the four-phase protocol) and returns
-    /// how many objects moved. Errors unless the coordinator was built
-    /// [`with_factory`](Self::with_factory).
+    /// how many objects moved.
     pub fn rebalance_to(
         &mut self,
         new_policy: Arc<dyn PartitionPolicy>,
         now: Time,
     ) -> TprResult<usize> {
-        let factory = self.factory.clone().ok_or_else(|| TprError::Unsupported {
-            what: "online re-partitioning requires ShardCoordinator::with_factory \
-                   (a stored engine factory)"
-                .to_string(),
-        })?;
+        // Phase 1 (diff): who moves, sorted by id. The router is on the
+        // new policy from here; `self.plan` stays the old layout.
+        let moves = self.router.repartition(new_policy);
 
-        // Phase 1 (diff): who moves, sorted by id.
-        let moves = self.router.repartition(new_policy.clone());
-
-        // Phase 2 (evict): remove movers from their old row/column,
-        // under the old topology. Slot (i, j) then holds exactly its
-        // stayers.
+        // Phase 2 (evict): remove movers from their old row/column under
+        // the old topology; slot (i, j) then holds exactly its stayers.
+        // These lists and phase 4's borrow: K copies per mover show in RSS.
         let mut evictions: Vec<Vec<&RebalanceMove>> = vec![Vec::new(); self.slots.len()];
         for m in &moves {
-            for &slot in self.fan(m.set, m.from) {
+            for &slot in self.plan.fan(m.record.set, m.from) {
                 evictions[slot].push(m);
             }
         }
-        let results = fan_out_tasks(self.slots.len(), self.threads, |i| {
-            if evictions[i].is_empty() {
-                return Ok(());
-            }
-            let mut engine = self.slots[i].engine.lock();
-            for m in &evictions[i] {
-                engine.remove_object(m.set, m.id, &m.mbr, m.last_update, now)?;
+        self.for_each_slot(|i, engine| {
+            for &&RebalanceMove { id, record, .. } in &evictions[i] {
+                engine.remove_object(record.set, id, &record.mbr, record.last_update, now)?;
             }
             Ok(())
-        });
-        results.into_iter().collect::<TprResult<()>>()?;
+        })?;
         drop(evictions);
 
-        // Phase 3 (rebuild): lay out the new join plan, reusing the
+        // Phase 3 (rebuild): move to the new join plan, reusing the
         // engine of any pair joinable in both plans; build the rest
         // empty. Dropped engines give up their pending delta dirt.
-        let new_k = new_policy.shard_count();
+        let new_plan = JoinPlan::new(&**self.router.policy());
+        let old_plan = std::mem::replace(&mut self.plan, new_plan);
         let mut old_slots: Vec<Option<PairSlot>> = std::mem::take(&mut self.slots)
             .into_iter()
             .map(Some)
             .collect();
-        let old_slot_of = std::mem::take(&mut self.slot_of);
-        let mut slots = Vec::new();
-        let mut slot_of = HashMap::new();
-        let mut rows = vec![Vec::new(); new_k];
-        let mut cols = vec![Vec::new(); new_k];
-        let mut fresh = HashSet::new();
-        for (i, row) in rows.iter_mut().enumerate() {
-            for (j, col) in cols.iter_mut().enumerate() {
-                if !new_policy.joinable(i, j) {
-                    continue;
-                }
-                let idx = slots.len();
-                let reused = old_slot_of.get(&(i, j)).and_then(|&s| old_slots[s].take());
-                match reused {
-                    Some(slot) => slots.push(slot),
-                    None => {
-                        let mut engine = factory(self.pool.clone(), &self.inner, &[], &[], now)?;
-                        if self.delta_tracking {
-                            engine.enable_delta_tracking();
-                        }
-                        slots.push(PairSlot {
-                            shard_a: i,
-                            shard_b: j,
-                            engine: Mutex::new(engine),
-                        });
-                        fresh.insert(idx);
+        let mut fresh = Vec::new();
+        for (idx, &(i, j)) in self.plan.pairs().iter().enumerate() {
+            let reused = old_plan.slot_of(i, j).and_then(|s| old_slots[s].take());
+            self.slots.push(match reused {
+                Some(slot) => slot,
+                None => {
+                    let mut engine = (self.factory)(self.pool.clone(), &self.inner, &[], &[], now)?;
+                    if self.delta_tracking {
+                        engine.enable_delta_tracking();
                     }
+                    fresh.push(idx);
+                    Mutex::new(engine)
                 }
-                slot_of.insert((i, j), idx);
-                row.push(idx);
-                col.push(idx);
-            }
+            });
         }
         for slot in old_slots.into_iter().flatten() {
-            if let Some(changes) = slot.engine.lock().take_result_changes() {
+            if let Some(changes) = slot.lock().take_result_changes() {
                 self.pending_changes.extend(changes);
             }
         }
-        self.slots = slots;
-        self.slot_of = slot_of;
-        self.rows = rows;
-        self.cols = cols;
-        self.policy = new_policy;
 
         // Phase 4 (restore): movers into reused slots of their new
-        // row/column; fresh slots get their full current membership —
-        // both with the original registration time, id-sorted, via
-        // restore_object (incremental probes; no initial join).
-        let mut restores: Vec<Vec<RestoreOp>> = vec![Vec::new(); self.slots.len()];
+        // row/column; fresh slots get their full current membership
+        // (A's, then B's) — both with the original registration time,
+        // id-sorted, via restore_object (incremental probes; no initial
+        // join).
+        let mut restores: Vec<Vec<(ObjectId, &ObjectRecord)>> = vec![Vec::new(); self.slots.len()];
         for m in &moves {
-            for &slot in self.fan(m.set, m.to) {
+            for &slot in self.plan.fan(m.record.set, m.record.shard) {
                 if !fresh.contains(&slot) {
-                    restores[slot].push(RestoreOp {
-                        set: m.set,
-                        id: m.id,
-                        mbr: m.mbr,
-                        registered_at: m.last_update,
-                    });
+                    restores[slot].push((m.id, &m.record));
                 }
             }
         }
         if !fresh.is_empty() {
-            let mut members_a: Vec<Vec<RestoreOp>> = vec![Vec::new(); new_k];
-            let mut members_b: Vec<Vec<RestoreOp>> = vec![Vec::new(); new_k];
-            for (id, rec) in self.router.records() {
-                let op = RestoreOp {
-                    set: rec.set,
-                    id,
-                    mbr: rec.mbr,
-                    registered_at: rec.last_update,
-                };
-                match rec.set {
-                    SetTag::A => members_a[rec.shard].push(op),
-                    SetTag::B => members_b[rec.shard].push(op),
-                }
-            }
-            for side in members_a.iter_mut().chain(members_b.iter_mut()) {
-                side.sort_unstable_by_key(|op| op.id);
-            }
+            let mut live: Vec<_> = self.router.records().collect();
+            live.sort_unstable_by_key(|&(id, r)| (r.set == SetTag::B, id));
             for &slot in &fresh {
-                let (i, j) = (self.slots[slot].shard_a, self.slots[slot].shard_b);
-                restores[slot].extend_from_slice(&members_a[i]);
-                restores[slot].extend_from_slice(&members_b[j]);
+                let members = live
+                    .iter()
+                    .filter(|(_, r)| self.plan.fan(r.set, r.shard).contains(&slot));
+                restores[slot].extend(members);
             }
         }
-        let results = fan_out_tasks(self.slots.len(), self.threads, |i| {
-            if restores[i].is_empty() {
-                return Ok(());
-            }
-            let mut engine = self.slots[i].engine.lock();
-            for r in &restores[i] {
-                engine.restore_object(r.set, r.id, r.mbr, r.registered_at, now)?;
+        self.for_each_slot(|i, engine| {
+            for (id, rec) in &restores[i] {
+                engine.restore_object(rec.set, *id, rec.mbr, rec.last_update, now)?;
             }
             Ok(())
-        });
-        results.into_iter().collect::<TprResult<()>>()?;
+        })?;
 
-        self.population_a = vec![0; new_k];
-        self.population_b = vec![0; new_k];
-        for (_, rec) in self.router.records() {
-            match rec.set {
-                SetTag::A => self.population_a[rec.shard] += 1,
-                SetTag::B => self.population_b[rec.shard] += 1,
-            }
-        }
         self.rebalances += 1;
-        self.rebalance_moved += moves.len() as u64;
         if self.obs.is_enabled() {
             self.obs.counter("shard.rebalances").store(self.rebalances);
             self.obs
                 .counter("shard.rebalance.moved_objects")
-                .store(self.rebalance_moved);
+                .store(self.router.rebalanced());
+            // Zero the names of shards and pairs the old plan had and
+            // this one has not, so a snapshot only attributes load to
+            // the topology that exists.
+            for shard in self.plan.shard_count()..old_plan.shard_count() {
+                for side in ["a", "b"] {
+                    self.obs
+                        .gauge(&format!("shard.population.{side}.{shard}"))
+                        .set(0);
+                }
+            }
+            for &(i, j) in old_plan.pairs() {
+                if self.plan.slot_of(i, j).is_none() {
+                    for metric in ["node_pairs", "pairs_emitted"] {
+                        self.obs
+                            .counter(&format!("shard.pair.{i}_{j}.{metric}"))
+                            .store(0);
+                    }
+                }
+            }
         }
         Ok(moves.len())
     }
@@ -524,19 +375,14 @@ impl ShardCoordinator {
     /// the sequential path after every batch, so decisions depend only
     /// on the update stream.
     fn maybe_rebalance(&mut self, now: Time) -> TprResult<()> {
-        let proposal = match self.adaptive.as_mut() {
-            None => return Ok(()),
-            Some(ctl) => {
-                let pops: Vec<usize> = self
-                    .population_a
-                    .iter()
-                    .zip(&self.population_b)
-                    .map(|(a, b)| a + b)
-                    .collect();
-                ctl.decide(now, &pops)
-            }
+        let Some(ctl) = self.adaptive.as_mut() else {
+            return Ok(());
         };
-        if let Some(policy) = proposal {
+        let pops: Vec<usize> = (self.router.population(SetTag::A).iter())
+            .zip(self.router.population(SetTag::B))
+            .map(|(a, b)| a + b)
+            .collect();
+        if let Some(policy) = ctl.decide(now, &pops) {
             self.rebalance_to(policy, now)?;
             if let Some(ctl) = self.adaptive.as_mut() {
                 ctl.note_rebalanced(now);
@@ -556,105 +402,31 @@ impl ShardCoordinator {
             self.publish_metrics();
             self.obs.snapshot()
         });
-        ShardReport {
-            policy: self.policy.name(),
-            k: self.policy.shard_count(),
-            threads: self.threads,
-            migrations: self.router.migrations(),
-            rebalances: self.rebalances,
-            rebalance_moved: self.rebalance_moved,
-            population_a: self.population_a.clone(),
-            population_b: self.population_b.clone(),
-            pairs: self
-                .slots
-                .iter()
-                .map(|s| {
-                    let engine = s.engine.lock();
-                    PairReport {
-                        shard_a: s.shard_a,
-                        shard_b: s.shard_b,
-                        counters: engine.counters(),
-                    }
-                })
-                .collect(),
-            io: self.pool.stats().snapshot(),
+        let pairs = (self.plan.pairs().iter().zip(&self.slots))
+            .map(|(&(shard_a, shard_b), slot)| PairReport {
+                shard_a,
+                shard_b,
+                counters: slot.lock().counters(),
+            })
+            .collect();
+        ShardReport::new(
+            &self.router,
+            self.threads,
+            self.rebalances,
+            pairs,
+            self.pool.stats().snapshot(),
             metrics,
-        }
+        )
     }
 
-    /// The slot indices an update of (`set`, shard) must reach: the
-    /// whole row for A-objects, the whole column for B-objects.
-    fn fan(&self, set: SetTag, shard: usize) -> &[usize] {
-        match set {
-            SetTag::A => &self.rows[shard],
-            SetTag::B => &self.cols[shard],
-        }
-    }
-
-    /// Projects one update onto per-slot operations, updating the
-    /// router's placement (and the adaptive sketch) as a side effect.
-    fn route_ops(&mut self, update: &ObjectUpdate, ops: &mut [Vec<EngineOp>], now: Time) {
-        if let Some(ctl) = self.adaptive.as_mut() {
-            ctl.observe(&update.new_mbr);
-        }
-        match self.router.route(update, now) {
-            RouteDecision::Stay(shard) => {
-                for &slot in self.fan(update.set, shard) {
-                    ops[slot].push(EngineOp::Apply(*update));
-                }
-            }
-            RouteDecision::Migrate { from, to } => {
-                for &slot in self.fan(update.set, from) {
-                    ops[slot].push(EngineOp::Remove {
-                        set: update.set,
-                        id: update.id,
-                        old_mbr: update.old_mbr,
-                        last_update: update.last_update,
-                    });
-                }
-                for &slot in self.fan(update.set, to) {
-                    ops[slot].push(EngineOp::Insert {
-                        set: update.set,
-                        id: update.id,
-                        mbr: update.new_mbr,
-                    });
-                }
-                match update.set {
-                    SetTag::A => {
-                        self.population_a[from] -= 1;
-                        self.population_a[to] += 1;
-                    }
-                    SetTag::B => {
-                        self.population_b[from] -= 1;
-                        self.population_b[to] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes per-slot op lists: fans slots with work out over the
-    /// coordinator's threads, surfaces the first error in slot order.
-    fn execute_ops(&self, ops: &[Vec<EngineOp>], now: Time) -> TprResult<()> {
-        let results = fan_out_tasks(self.slots.len(), self.threads, |i| {
-            let slot_ops = &ops[i];
-            if slot_ops.is_empty() {
-                return Ok(());
-            }
-            let mut engine = self.slots[i].engine.lock();
-            apply_op_runs(&mut **engine, slot_ops, now)
-        });
-        results.into_iter().collect()
-    }
-
-    /// Runs `f` against every engine in parallel, surfacing the first
-    /// error in slot order.
-    fn for_each_engine(
+    /// Runs `f(slot, engine)` for every slot, fanned out over the
+    /// coordinator's threads, surfacing the first error in slot order.
+    fn for_each_slot(
         &self,
-        f: impl Fn(&mut (dyn ContinuousJoinEngine + Send)) -> TprResult<()> + Sync,
+        f: impl Fn(usize, &mut (dyn ContinuousJoinEngine + Send)) -> TprResult<()> + Sync,
     ) -> TprResult<()> {
         let results = fan_out_tasks(self.slots.len(), self.threads, |i| {
-            f(&mut **self.slots[i].engine.lock())
+            f(i, &mut **self.slots[i].lock())
         });
         results.into_iter().collect()
     }
@@ -666,11 +438,11 @@ impl ContinuousJoinEngine for ShardCoordinator {
     }
 
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        self.for_each_engine(|e| e.run_initial_join(now))
+        self.for_each_slot(|_, e| e.run_initial_join(now))
     }
 
     fn advance_time(&mut self, now: Time) -> TprResult<()> {
-        self.for_each_engine(|e| e.advance_time(now))
+        self.for_each_slot(|_, e| e.advance_time(now))
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
@@ -683,9 +455,12 @@ impl ContinuousJoinEngine for ShardCoordinator {
         }
         let mut ops: Vec<Vec<EngineOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
-            self.route_ops(u, &mut ops, now);
+            if let Some(ctl) = self.adaptive.as_mut() {
+                ctl.observe(&u.new_mbr);
+            }
+            self.router.project(u, now, &self.plan, &mut ops);
         }
-        self.execute_ops(&ops, now)?;
+        self.for_each_slot(|i, engine| apply_op_runs(engine, &ops[i], now))?;
         self.maybe_rebalance(now)
     }
 
@@ -700,15 +475,8 @@ impl ContinuousJoinEngine for ShardCoordinator {
             ctl.observe(&mbr);
         }
         let shard = self.router.place(id, set, &mbr, now);
-        match set {
-            SetTag::A => self.population_a[shard] += 1,
-            SetTag::B => self.population_b[shard] += 1,
-        }
-        for &slot in self.fan(set, shard) {
-            self.slots[slot]
-                .engine
-                .lock()
-                .insert_object(set, id, mbr, now)?;
+        for &slot in self.plan.fan(set, shard) {
+            self.slots[slot].lock().insert_object(set, id, mbr, now)?;
         }
         Ok(())
     }
@@ -721,17 +489,11 @@ impl ContinuousJoinEngine for ShardCoordinator {
         last_update: Time,
         now: Time,
     ) -> TprResult<()> {
-        let Some(record) = self.router.remove(id) else {
+        let Some(record) = self.router.remove(set, id) else {
             return Err(TprError::ObjectNotFound(id));
         };
-        let shard = record.shard;
-        match set {
-            SetTag::A => self.population_a[shard] -= 1,
-            SetTag::B => self.population_b[shard] -= 1,
-        }
-        for &slot in self.fan(set, shard) {
+        for &slot in self.plan.fan(set, record.shard) {
             self.slots[slot]
-                .engine
                 .lock()
                 .remove_object(set, id, old_mbr, last_update, now)?;
         }
@@ -740,14 +502,14 @@ impl ContinuousJoinEngine for ShardCoordinator {
 
     fn gc(&mut self, now: Time) {
         for slot in &self.slots {
-            slot.engine.lock().gc(now);
+            slot.lock().gc(now);
         }
     }
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         let mut out = Vec::new();
         for slot in &self.slots {
-            out.extend(slot.engine.lock().result_at(t));
+            out.extend(slot.lock().result_at(t));
         }
         // Each pair lives in exactly one engine, so the dedup is a
         // no-op in correct runs — kept so the merged answer is
@@ -763,21 +525,21 @@ impl ContinuousJoinEngine for ShardCoordinator {
 
     fn counters(&self) -> JoinCounters {
         self.slots.iter().fold(JoinCounters::new(), |acc, s| {
-            acc.merged(s.engine.lock().counters())
+            acc.merged(s.lock().counters())
         })
     }
 
     fn enable_delta_tracking(&mut self) {
         self.delta_tracking = true;
         for slot in &self.slots {
-            slot.engine.lock().enable_delta_tracking();
+            slot.lock().enable_delta_tracking();
         }
     }
 
     fn take_result_changes(&mut self) -> Option<Vec<PairKey>> {
         let mut out = Vec::new();
         for slot in &self.slots {
-            out.extend(slot.engine.lock().take_result_changes()?);
+            out.extend(slot.lock().take_result_changes()?);
         }
         // Dirt inherited from engines a rebalance dropped: the consumer
         // rechecks by membership, so stale references are harmless and
@@ -789,21 +551,15 @@ impl ContinuousJoinEngine for ShardCoordinator {
     }
 
     fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        let (Some(sa), Some(sb)) = (self.router.shard_of(pair.0), self.router.shard_of(pair.1))
-        else {
-            return PairStatus::default();
-        };
-        match self.slot_of.get(&(sa, sb)) {
-            Some(&slot) => self.slots[slot].engine.lock().pair_status_at(pair, t),
-            // Pruned by the join plan: the policy guarantees the pair
-            // can never be active at an observable time.
+        match self.router.slot_of_pair(pair, &self.plan) {
+            Some(slot) => self.slots[slot].lock().pair_status_at(pair, t),
             None => PairStatus::default(),
         }
     }
 
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
         self.slots.iter().fold(None, |acc, s| {
-            match (acc, s.engine.lock().page_format_snapshot()) {
+            match (acc, s.lock().page_format_snapshot()) {
                 (Some(x), Some(y)) => Some(x.merged(&y)),
                 (x, None) => x,
                 (None, y) => y,
@@ -826,22 +582,18 @@ impl ContinuousJoinEngine for ShardCoordinator {
         self.obs.counter("shard.rebalances").store(self.rebalances);
         self.obs
             .counter("shard.rebalance.moved_objects")
-            .store(self.rebalance_moved);
+            .store(self.router.rebalanced());
         self.obs.gauge("shard.engines").set(self.slots.len() as i64);
-        let k = self.population_a.len();
-        for (shard, (&a, &b)) in self.population_a.iter().zip(&self.population_b).enumerate() {
-            self.obs
-                .gauge(&format!("shard.population.a.{shard}"))
-                .set(a as i64);
-            self.obs
-                .gauge(&format!("shard.population.b.{shard}"))
-                .set(b as i64);
+        for (side, set) in [("a", SetTag::A), ("b", SetTag::B)] {
+            for (shard, &n) in self.router.population(set).iter().enumerate() {
+                self.obs
+                    .gauge(&format!("shard.population.{side}.{shard}"))
+                    .set(n as i64);
+            }
         }
-        let current: HashSet<(usize, usize)> =
-            self.slots.iter().map(|s| (s.shard_a, s.shard_b)).collect();
-        for s in &self.slots {
-            let c = s.engine.lock().counters();
-            let prefix = format!("shard.pair.{}_{}", s.shard_a, s.shard_b);
+        for (&(i, j), slot) in self.plan.pairs().iter().zip(&self.slots) {
+            let c = slot.lock().counters();
+            let prefix = format!("shard.pair.{i}_{j}");
             self.obs
                 .counter(&format!("{prefix}.node_pairs"))
                 .store(c.node_pairs);
@@ -849,26 +601,5 @@ impl ContinuousJoinEngine for ShardCoordinator {
                 .counter(&format!("{prefix}.pairs_emitted"))
                 .store(c.pairs_emitted);
         }
-        // Zero out names from topologies a rebalance retired, so the
-        // snapshot only attributes load to shards/pairs that exist.
-        let mut published = self.published.lock();
-        for shard in k..published.shards {
-            self.obs
-                .gauge(&format!("shard.population.a.{shard}"))
-                .set(0);
-            self.obs
-                .gauge(&format!("shard.population.b.{shard}"))
-                .set(0);
-        }
-        for &(i, j) in published.pairs.difference(&current) {
-            self.obs
-                .counter(&format!("shard.pair.{i}_{j}.node_pairs"))
-                .store(0);
-            self.obs
-                .counter(&format!("shard.pair.{i}_{j}.pairs_emitted"))
-                .store(0);
-        }
-        published.shards = k;
-        published.pairs = current;
     }
 }

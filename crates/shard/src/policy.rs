@@ -31,9 +31,10 @@
 //! boundary-exact values going to the upper side), never by re-deriving
 //! the edge arithmetically per call: `(speed / max_speed * k).floor()`
 //! can round a boundary-exact speed to either side depending on how
-//! `max_speed / k` rounds, which would disagree with an adaptive
-//! bounds policy carrying the numerically identical edges (the same
-//! exact-tie class of bug the simjoin inflation padding fixed).
+//! `max_speed / k` rounds, which would disagree with a policy the
+//! adaptive controller built `from_edges` carrying the numerically
+//! identical values (the same exact-tie class of bug the simjoin
+//! inflation padding fixed).
 
 use cij_geom::MovingRect;
 use cij_tpr::ObjectId;
@@ -85,60 +86,39 @@ fn band_of(edges: &[f64], value: f64) -> usize {
     edges.partition_point(|&e| e <= value)
 }
 
-/// Trajectory-independent placement by object id — the neutral baseline:
-/// shards get a uniform random mix of velocities, so per-shard trees are
-/// as loose as the unsharded one. Never migrates (ids do not change).
-#[derive(Debug, Clone, Copy)]
-pub struct HashPolicy {
-    k: usize,
+/// The precondition `band_of` needs of explicit edges.
+fn assert_ascending(edges: &[f64]) {
+    assert!(edges.iter().all(|e| e.is_finite()), "edges must be finite");
+    assert!(
+        edges.windows(2).all(|w| w[0] <= w[1]),
+        "edges must be ascending"
+    );
 }
 
-impl HashPolicy {
-    /// A hash policy over `k ≥ 1` shards.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "shard count must be at least 1");
-        Self { k }
-    }
-}
-
-impl PartitionPolicy for HashPolicy {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn shard_count(&self) -> usize {
-        self.k
-    }
-
-    fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
-        // Fibonacci multiplicative hash: spreads the dense sequential ids
-        // of both sets (A at 0.., B at 2^32..) uniformly.
-        let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % self.k
-    }
-}
-
-/// Placement by velocity magnitude into `K` equal-width speed bands
-/// over `[0, max_speed]`. Slow objects share trees whose velocity
-/// rectangles stay tight; the fast minority pays its own expansion.
-/// Objects migrate when a trajectory update crosses a band boundary.
+/// Placement by velocity magnitude into speed bands. Slow objects share
+/// trees whose velocity rectangles stay tight; the fast minority pays
+/// its own expansion. Objects migrate when a trajectory update crosses
+/// a band boundary.
 ///
-/// Band edges are precomputed at construction and classified by direct
-/// comparison (see the module docs); speeds at or above `max_speed`
-/// clamp into the top band because only `k - 1` interior edges exist.
+/// [`new`](Self::new) makes `K` equal-width bands over `[0, max_speed]`;
+/// [`from_edges`](Self::from_edges) takes explicit edges — the adaptive
+/// controller's observed speed quantiles, so each band holds an equal
+/// share of the population, not of the speed range. Either way the
+/// edges are stored and compared directly (see the module docs): equal
+/// edges place every object identically, and speeds at or above the top
+/// edge take the top band.
 #[derive(Debug, Clone)]
 pub struct VelocityBandPolicy {
     k: usize,
-    max_speed: f64,
-    /// Ascending interior edges: `edges[i] = max_speed · (i+1) / k`,
-    /// the lower edge of band `i + 1`. Empty when `max_speed == 0`
-    /// (degenerate: everyone in band 0).
+    /// Ascending interior edges: `edges[i]` is the lower edge of band
+    /// `i + 1`. Empty for `new(k, 0.0)` (degenerate: everyone in band 0
+    /// of `k`).
     edges: Vec<f64>,
 }
 
 impl VelocityBandPolicy {
-    /// `k ≥ 1` equal-width speed bands over `[0, max_speed]`.
+    /// `k ≥ 1` equal-width speed bands over `[0, max_speed]`, split at
+    /// `max_speed · (i+1) / k`.
     #[must_use]
     pub fn new(k: usize, max_speed: f64) -> Self {
         assert!(k >= 1, "shard count must be at least 1");
@@ -148,30 +128,28 @@ impl VelocityBandPolicy {
         } else {
             Vec::new()
         };
+        Self { k, edges }
+    }
+
+    /// `edges.len() + 1` bands split at the given ascending interior
+    /// edges.
+    ///
+    /// # Panics
+    /// If any edge is non-finite or the sequence is not non-decreasing.
+    #[must_use]
+    pub fn from_edges(edges: Vec<f64>) -> Self {
+        assert_ascending(&edges);
         Self {
-            k,
-            max_speed,
+            k: edges.len() + 1,
             edges,
         }
     }
 
-    /// The band of a given speed.
-    #[must_use]
-    pub fn band_of_speed(&self, speed: f64) -> usize {
-        band_of(&self.edges, speed)
-    }
-
-    /// The precomputed interior band edges (ascending, `k - 1` values —
-    /// the exact floats placement compares against).
+    /// The interior band edges (ascending — the exact floats placement
+    /// compares against).
     #[must_use]
     pub fn boundaries(&self) -> &[f64] {
         &self.edges
-    }
-
-    /// The `max_speed` the equal-width edges were derived from.
-    #[must_use]
-    pub fn max_speed(&self) -> f64 {
-        self.max_speed
     }
 }
 
@@ -185,65 +163,18 @@ impl PartitionPolicy for VelocityBandPolicy {
     }
 
     fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
-        self.band_of_speed(worst_corner_speed(mbr))
-    }
-}
-
-/// Velocity banding over *explicit* edges — the shape the adaptive
-/// controller emits: edges are observed speed quantiles, so each band
-/// holds an equal share of the population instead of an equal share of
-/// the speed range. Classification is the same direct comparison as
-/// [`VelocityBandPolicy`]; a policy built from numerically identical
-/// edges places every object identically.
-#[derive(Debug, Clone)]
-pub struct VelocityBoundsPolicy {
-    edges: Vec<f64>,
-}
-
-impl VelocityBoundsPolicy {
-    /// A policy over `edges.len() + 1` bands split at the given
-    /// ascending interior edges.
-    ///
-    /// # Panics
-    /// If any edge is non-finite or the sequence is not non-decreasing.
-    #[must_use]
-    pub fn new(edges: Vec<f64>) -> Self {
-        assert!(
-            edges.iter().all(|e| e.is_finite()),
-            "band edges must be finite"
-        );
-        assert!(
-            edges.windows(2).all(|w| w[0] <= w[1]),
-            "band edges must be ascending"
-        );
-        Self { edges }
-    }
-
-    /// The interior band edges.
-    #[must_use]
-    pub fn boundaries(&self) -> &[f64] {
-        &self.edges
-    }
-}
-
-impl PartitionPolicy for VelocityBoundsPolicy {
-    fn name(&self) -> &'static str {
-        "velocity-bounds"
-    }
-
-    fn shard_count(&self) -> usize {
-        self.edges.len() + 1
-    }
-
-    fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
         band_of(&self.edges, worst_corner_speed(mbr))
     }
 }
 
-/// Placement by position: `K` equal x-strips of the space. Strips (not a
-/// 2-D grid) because with small `K` every 2-D cell touches every other
-/// once expanded by the drift reach, while strips separate at `K ≥ 3` —
-/// so the join plan actually prunes.
+/// Placement by position: x-strips of the space. Strips (not a 2-D
+/// grid) because with small `K` every 2-D cell touches every other once
+/// expanded by the drift reach, while strips separate at `K ≥ 3` — so
+/// the join plan actually prunes. The strips are `K` equal ones over
+/// `[0, space]` ([`new`](Self::new), [`for_horizon`](Self::for_horizon))
+/// or split at explicit edges ([`from_edges`](Self::from_edges): dense
+/// regions get narrow strips); pruning always measures the actual strip
+/// gaps.
 ///
 /// Pruning soundness: a result pair observed at tick `t` was derived
 /// from trajectories registered at most `T_M` before `t` (every object
@@ -256,30 +187,22 @@ impl PartitionPolicy for VelocityBoundsPolicy {
 /// one more extent of slack on top of that bound.
 #[derive(Debug, Clone)]
 pub struct SpatialGridPolicy {
-    k: usize,
-    space: f64,
     reach: f64,
-    /// Ascending interior strip edges `space · (i+1) / k` — strip `i`
-    /// ends at `edges[i]`.
+    /// Ascending interior strip edges — strip `i` ends at `edges[i]`.
     edges: Vec<f64>,
 }
 
 impl SpatialGridPolicy {
-    /// `k ≥ 1` strips over `[0, space]`, pruning shard pairs whose
-    /// strips are farther than `reach` apart. `reach` must dominate the
-    /// drift argument above — prefer [`Self::for_horizon`].
+    /// `k ≥ 1` equal strips over `[0, space]` (split at
+    /// `space · (i+1) / k`), pruning shard pairs whose strips are
+    /// farther than `reach` apart. `reach` must dominate the drift
+    /// argument above — prefer [`Self::for_horizon`].
     #[must_use]
     pub fn new(k: usize, space: f64, reach: f64) -> Self {
         assert!(k >= 1, "shard count must be at least 1");
         assert!(space > 0.0, "space must be positive");
-        assert!(reach >= 0.0, "reach must be non-negative");
         let edges = (1..k).map(|i| space * i as f64 / k as f64).collect();
-        Self {
-            k,
-            space,
-            reach,
-            edges,
-        }
+        Self::from_edges(edges, reach)
     }
 
     /// Strips with the safe reach `2·max_speed·t_m + 2·extent` for a
@@ -288,6 +211,19 @@ impl SpatialGridPolicy {
     #[must_use]
     pub fn for_horizon(k: usize, space: f64, max_speed: f64, t_m: f64, extent: f64) -> Self {
         Self::new(k, space, 2.0 * max_speed * t_m + 2.0 * extent)
+    }
+
+    /// `edges.len() + 1` strips split at the given ascending interior
+    /// edges, pruning pairs whose strips are farther than `reach` apart.
+    ///
+    /// # Panics
+    /// If any edge is non-finite, the sequence is not non-decreasing,
+    /// or `reach` is negative.
+    #[must_use]
+    pub fn from_edges(edges: Vec<f64>, reach: f64) -> Self {
+        assert_ascending(&edges);
+        assert!(reach >= 0.0, "reach must be non-negative");
+        Self { reach, edges }
     }
 
     /// The interior strip edges.
@@ -309,93 +245,21 @@ impl PartitionPolicy for SpatialGridPolicy {
     }
 
     fn shard_count(&self) -> usize {
-        self.k
-    }
-
-    fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
-        let cx = (mbr.lo[0] + mbr.hi[0]) / 2.0;
-        band_of(&self.edges, cx.clamp(0.0, self.space))
-    }
-
-    fn joinable(&self, shard_a: usize, shard_b: usize) -> bool {
-        strip_gap(&self.edges, shard_a, shard_b) <= self.reach
-    }
-}
-
-/// The gap between the x-intervals of strips `a` and `b` under the
-/// given interior edges (0 for the same or adjacent strips): strip `j`
-/// starts at `edges[j-1]` and strip `i` ends at `edges[i]`.
-fn strip_gap(edges: &[f64], a: usize, b: usize) -> f64 {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    if hi - lo <= 1 {
-        return 0.0;
-    }
-    edges[hi - 1] - edges[lo]
-}
-
-/// Spatial strips over *explicit* edges — the adaptive controller's
-/// spatial shape: edges are observed x-center quantiles, so dense
-/// regions get narrow strips. Keeps [`SpatialGridPolicy`]'s reach-based
-/// join-plan pruning, computed from the actual (uneven) strip gaps, so
-/// the drift soundness argument carries over verbatim: `reach` must
-/// still dominate `2·max_speed·T_M + 2·extent`.
-#[derive(Debug, Clone)]
-pub struct SpatialBoundsPolicy {
-    edges: Vec<f64>,
-    reach: f64,
-}
-
-impl SpatialBoundsPolicy {
-    /// A policy over `edges.len() + 1` strips split at the given
-    /// ascending interior edges, pruning pairs whose strips are farther
-    /// than `reach` apart.
-    ///
-    /// # Panics
-    /// If any edge is non-finite, the sequence is not non-decreasing,
-    /// or `reach` is negative.
-    #[must_use]
-    pub fn new(edges: Vec<f64>, reach: f64) -> Self {
-        assert!(
-            edges.iter().all(|e| e.is_finite()),
-            "strip edges must be finite"
-        );
-        assert!(
-            edges.windows(2).all(|w| w[0] <= w[1]),
-            "strip edges must be ascending"
-        );
-        assert!(reach >= 0.0, "reach must be non-negative");
-        Self { edges, reach }
-    }
-
-    /// The interior strip edges.
-    #[must_use]
-    pub fn boundaries(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// The pruning reach.
-    #[must_use]
-    pub fn reach(&self) -> f64 {
-        self.reach
-    }
-}
-
-impl PartitionPolicy for SpatialBoundsPolicy {
-    fn name(&self) -> &'static str {
-        "spatial-bounds"
-    }
-
-    fn shard_count(&self) -> usize {
         self.edges.len() + 1
     }
 
     fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
-        let cx = (mbr.lo[0] + mbr.hi[0]) / 2.0;
-        band_of(&self.edges, cx)
+        // Centers outside the space need no clamp: below every edge is
+        // strip 0, at or above every edge is the last strip.
+        band_of(&self.edges, (mbr.lo[0] + mbr.hi[0]) / 2.0)
     }
 
+    /// The gap between the x-intervals of the two strips (0 for the same
+    /// or adjacent strips: strip `j` starts at `edges[j-1]`, strip `i`
+    /// ends at `edges[i]`) must be within reach.
     fn joinable(&self, shard_a: usize, shard_b: usize) -> bool {
-        strip_gap(&self.edges, shard_a, shard_b) <= self.reach
+        let (lo, hi) = (shard_a.min(shard_b), shard_a.max(shard_b));
+        hi - lo <= 1 || self.edges[hi - 1] - self.edges[lo] <= self.reach
     }
 }
 
@@ -407,22 +271,6 @@ mod tests {
 
     fn rect_at(x: f64, v: [f64; 2]) -> MovingRect {
         MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), v, 0.0)
-    }
-
-    #[test]
-    fn hash_is_stable_and_in_range() {
-        let p = HashPolicy::new(4);
-        for raw in [0u64, 1, 17, 1 << 32, (1 << 32) + 3] {
-            let s = p.shard_of(ObjectId(raw), &rect_at(0.0, [0.0, 0.0]));
-            assert!(s < 4);
-            assert_eq!(s, p.shard_of(ObjectId(raw), &rect_at(500.0, [3.0, 0.0])));
-        }
-        // All shards populated over a dense id range.
-        let mut seen = [false; 4];
-        for raw in 0..64u64 {
-            seen[p.shard_of(ObjectId(raw), &rect_at(0.0, [0.0, 0.0]))] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "hash leaves a shard empty");
     }
 
     #[test]
@@ -471,24 +319,24 @@ mod tests {
         for (k, max_speed) in [(3usize, 0.3f64), (4, 4.0), (7, 1.1), (5, 3.0)] {
             let p = VelocityBandPolicy::new(k, max_speed);
             for (i, &edge) in p.boundaries().iter().enumerate() {
+                let mbr = rect_at(0.0, [edge, 0.0]);
                 assert_eq!(
-                    p.band_of_speed(edge),
+                    p.shard_of(ObjectId(9), &mbr),
                     i + 1,
                     "k={k} max={max_speed}: edge {i} must go up"
                 );
-                // And an equivalent explicit-bounds policy agrees on the
-                // exact edge floats — the invariant a rebalance between
-                // the two shapes depends on.
-                let q = VelocityBoundsPolicy::new(p.boundaries().to_vec());
-                let mbr = rect_at(0.0, [edge, 0.0]);
+                // And the policy rebuilt from those explicit edges agrees
+                // on the exact edge floats — the invariant a rebalance
+                // between the two shapes depends on.
+                let q = VelocityBandPolicy::from_edges(p.boundaries().to_vec());
                 assert_eq!(q.shard_of(ObjectId(9), &mbr), p.shard_of(ObjectId(9), &mbr));
             }
         }
     }
 
     #[test]
-    fn velocity_bounds_places_and_prunes_nothing() {
-        let p = VelocityBoundsPolicy::new(vec![0.5, 2.0]);
+    fn velocity_from_edges_places_and_prunes_nothing() {
+        let p = VelocityBandPolicy::from_edges(vec![0.5, 2.0]);
         assert_eq!(p.shard_count(), 3);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [0.4, 0.0])), 0);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [0.5, 0.0])), 1);
@@ -522,10 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn spatial_bounds_uneven_strips_gap_by_actual_edges() {
+    fn spatial_from_edges_uneven_strips_gap_by_actual_edges() {
         // Strips: [..,10), [10,20), [20,500), [500,..) — the wide strip
         // 2 keeps strips 1 and 3 adjacent-but-far.
-        let p = SpatialBoundsPolicy::new(vec![10.0, 20.0, 500.0], 30.0);
+        let p = SpatialGridPolicy::from_edges(vec![10.0, 20.0, 500.0], 30.0);
         assert_eq!(p.shard_count(), 4);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(4.0, [0.0, 0.0])), 0);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(21.0, [0.0, 0.0])), 2);

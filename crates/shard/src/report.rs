@@ -6,6 +6,9 @@
 use cij_join::JoinCounters;
 use cij_obs::MetricsSnapshot;
 use cij_storage::IoSnapshot;
+use cij_workload::SetTag;
+
+use crate::router::ShardRouter;
 
 /// Diagnostics of one shard-pair engine.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +51,31 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
+    /// The report of a coordinator: everything derived from placement
+    /// is read off its `router`, the rest is the coordinator's own.
+    pub(crate) fn new(
+        router: &ShardRouter,
+        threads: usize,
+        rebalances: u64,
+        pairs: Vec<PairReport>,
+        io: IoSnapshot,
+        metrics: Option<MetricsSnapshot>,
+    ) -> Self {
+        Self {
+            policy: router.policy().name(),
+            k: router.policy().shard_count(),
+            threads,
+            migrations: router.migrations(),
+            rebalances,
+            rebalance_moved: router.rebalanced(),
+            population_a: router.population(SetTag::A).to_vec(),
+            population_b: router.population(SetTag::B).to_vec(),
+            pairs,
+            io,
+            metrics,
+        }
+    }
+
     /// Number of shard-pair engines in the join plan (≤ K², strictly
     /// less when the policy prunes pairs).
     #[must_use]

@@ -13,11 +13,30 @@ use std::sync::Arc;
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{
-    HashPolicy, PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, SpatialBoundsPolicy,
-    SpatialGridPolicy, VelocityBandPolicy, VelocityBoundsPolicy,
+    PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, SpatialGridPolicy,
+    VelocityBandPolicy,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
+use cij_tpr::ObjectId;
 use cij_workload::{generate_pair, Distribution, ObjectUpdate, Params, SetTag, UpdateStream};
+
+/// Trajectory-independent placement by id modulo `K` — the one
+/// behaviour no band policy can produce (`migrations() == 0` whatever
+/// the objects do, movers of a rebalance decided by ids alone), kept as
+/// a test-local policy since no deployment shards this way.
+struct HashPolicy(usize);
+
+impl PartitionPolicy for HashPolicy {
+    fn name(&self) -> &'static str {
+        "hash"
+    }
+    fn shard_count(&self) -> usize {
+        self.0
+    }
+    fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
+        (id.0 % self.0 as u64) as usize
+    }
+}
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -190,7 +209,7 @@ fn hash_matches_oracle_across_k_and_threads() {
     let params = skew_params(42);
     for k in [1usize, 2, 4] {
         for threads in [1usize, 4] {
-            let policy = Arc::new(HashPolicy::new(k));
+            let policy = Arc::new(HashPolicy(k));
             let coord = run_lockstep(Kind::Mtb, policy, &params, threads, 40);
             assert_eq!(coord.engine_count(), k * k);
             // Id-hash placement never moves an object.
@@ -300,7 +319,7 @@ fn tc_engine_sharded_matches_oracle() {
         30,
     );
     assert!(coord.migrations() > 0);
-    run_lockstep(Kind::Tc, Arc::new(HashPolicy::new(2)), &params, 1, 30);
+    run_lockstep(Kind::Tc, Arc::new(HashPolicy(2)), &params, 1, 30);
 }
 
 #[test]
@@ -326,11 +345,14 @@ fn velocity_rebalance_shift_split_merge_matches_oracle() {
     for threads in [1usize, 4] {
         let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
             // K=2 boundary shift: 1.5 (equal-width) → 0.9.
-            (10, Arc::new(VelocityBoundsPolicy::new(vec![0.9]))),
+            (10, Arc::new(VelocityBandPolicy::from_edges(vec![0.9]))),
             // Split: K=2 → K=4 at skew-aware edges.
-            (20, Arc::new(VelocityBoundsPolicy::new(vec![0.5, 1.5, 2.4]))),
+            (
+                20,
+                Arc::new(VelocityBandPolicy::from_edges(vec![0.5, 1.5, 2.4])),
+            ),
             // Merge: K=4 → K=2.
-            (30, Arc::new(VelocityBoundsPolicy::new(vec![1.2]))),
+            (30, Arc::new(VelocityBandPolicy::from_edges(vec![1.2]))),
         ];
         let coord = run_lockstep_rebalancing(
             Kind::Mtb,
@@ -355,13 +377,11 @@ fn velocity_rebalance_shift_split_merge_matches_oracle() {
 fn hash_rebalance_split_merge_matches_oracle() {
     let params = skew_params(49);
     for threads in [1usize, 4] {
-        let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
-            (12, Arc::new(HashPolicy::new(4))),
-            (24, Arc::new(HashPolicy::new(2))),
-        ];
+        let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> =
+            vec![(12, Arc::new(HashPolicy(4))), (24, Arc::new(HashPolicy(2)))];
         let coord = run_lockstep_rebalancing(
             Kind::Mtb,
-            Arc::new(HashPolicy::new(2)),
+            Arc::new(HashPolicy(2)),
             &schedule,
             &params,
             threads,
@@ -392,7 +412,10 @@ fn spatial_rebalance_with_pruned_plans_matches_oracle() {
     for threads in [1usize, 4] {
         let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
             // K=2 uneven boundary shift: 150 → 120.
-            (12, Arc::new(SpatialBoundsPolicy::new(vec![120.0], reach))),
+            (
+                12,
+                Arc::new(SpatialGridPolicy::from_edges(vec![120.0], reach)),
+            ),
             // Split to the pruned equal-width K=4 plan.
             (
                 24,
@@ -405,7 +428,10 @@ fn spatial_rebalance_with_pruned_plans_matches_oracle() {
                 )),
             ),
             // Merge back to an uneven K=2.
-            (34, Arc::new(SpatialBoundsPolicy::new(vec![160.0], reach))),
+            (
+                34,
+                Arc::new(SpatialGridPolicy::from_edges(vec![160.0], reach)),
+            ),
         ];
         let coord = run_lockstep_rebalancing(
             Kind::Mtb,
@@ -433,8 +459,11 @@ fn spatial_rebalance_with_pruned_plans_matches_oracle() {
 fn tc_and_naive_rebalance_match_oracle() {
     let params = skew_params(51);
     let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
-        (8, Arc::new(VelocityBoundsPolicy::new(vec![0.6, 1.5, 2.5]))),
-        (16, Arc::new(VelocityBoundsPolicy::new(vec![1.5]))),
+        (
+            8,
+            Arc::new(VelocityBandPolicy::from_edges(vec![0.6, 1.5, 2.5])),
+        ),
+        (16, Arc::new(VelocityBandPolicy::from_edges(vec![1.5]))),
     ];
     for (kind, threads) in [(Kind::Tc, 4), (Kind::Naive, 1)] {
         let coord = run_lockstep_rebalancing(
@@ -499,6 +528,46 @@ fn forced_migration_preserves_results_and_placement() {
         last_update = now;
     }
     assert_eq!(coord.migrations() - migrations_before, 6);
+}
+
+/// The population side of a removal is the router's record of the
+/// object, not the caller's word: naming the wrong set is refused as
+/// `ObjectNotFound` and touches nothing, where it used to decrement the
+/// other set's shard.
+#[test]
+fn remove_object_under_the_wrong_set_is_refused() {
+    let params = skew_params(52);
+    let (a, b) = generate_pair(&params, 0.0);
+    let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
+    let mut coord = ShardCoordinator::with_factory(
+        pool(),
+        engine_config(&params),
+        policy,
+        &a,
+        &b,
+        0.0,
+        make_factory(Kind::Mtb),
+    )
+    .expect("coordinator");
+    coord.run_initial_join(0.0).expect("initial join");
+    let before = coord.report();
+
+    let victim = a[0];
+    let err = coord
+        .remove_object(SetTag::B, victim.id, &victim.mbr, 0.0, 1.0)
+        .expect_err("an A object removed as B");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
+    let after = coord.report();
+    assert_eq!(after.population_a, before.population_a);
+    assert_eq!(after.population_b, before.population_b);
+
+    coord
+        .remove_object(SetTag::A, victim.id, &victim.mbr, 0.0, 1.0)
+        .expect("the right set");
+    let after = coord.report();
+    assert_eq!(after.population_a.iter().sum::<usize>(), a.len() - 1);
+    assert_eq!(after.population_b, before.population_b);
+    assert_eq!(coord.shard_of(victim.id), None);
 }
 
 /// The ping-pong above, doubled and batched: two objects swap between
@@ -625,14 +694,14 @@ fn stream_deltas_match_single_engine_and_conserve_counts() {
     let mut sharded = StreamService::new(stream_config, &a, &b, 0.0, &|cfg, a, b, now| {
         let policy = Arc::new(VelocityBandPolicy::new(4, 3.0));
         let sharded_cfg = EngineConfig { threads: 4, ..*cfg };
-        Ok(Box::new(ShardCoordinator::new(
+        Ok(Box::new(ShardCoordinator::with_factory(
             pool(),
             sharded_cfg,
             policy,
             a,
             b,
             now,
-            &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+            Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
         )?))
     })
     .expect("sharded service");

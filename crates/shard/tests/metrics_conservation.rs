@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::Time;
 use cij_obs::validate_prometheus;
-use cij_shard::{HashPolicy, ShardCoordinator};
+use cij_shard::{ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
 
@@ -41,14 +41,16 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             ..EngineConfig::default()
         };
         let (a, b) = generate_pair(&p, 0.0);
-        let mut coord = ShardCoordinator::new(
+        let mut coord = ShardCoordinator::with_factory(
             pool,
             config,
-            Arc::new(HashPolicy::new(k)),
+            Arc::new(VelocityBandPolicy::new(k, p.max_speed)),
             &a,
             &b,
             0.0,
-            &|pool, cfg, sa, sb, now| Ok(Box::new(MtbEngine::new(pool, *cfg, sa, sb, now)?)),
+            Arc::new(|pool, cfg, sa, sb, now| {
+                Ok(Box::new(MtbEngine::new(pool, *cfg, sa, sb, now)?))
+            }),
         )
         .expect("coordinator");
         coord.run_initial_join(0.0).expect("initial join");
@@ -178,7 +180,7 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     let mut coord = ShardCoordinator::with_factory(
         pool,
         config,
-        Arc::new(HashPolicy::new(2)),
+        Arc::new(VelocityBandPolicy::new(2, p.max_speed)),
         &a,
         &b,
         0.0,
@@ -200,7 +202,10 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
 
     run(&mut coord, 1, 10);
     let moved_split = coord
-        .rebalance_to(Arc::new(HashPolicy::new(4)), Time::from(10u32))
+        .rebalance_to(
+            Arc::new(VelocityBandPolicy::new(4, p.max_speed)),
+            Time::from(10u32),
+        )
         .expect("split");
     run(&mut coord, 11, 20);
 
@@ -220,7 +225,10 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     assert_eq!(total_b, b.len() as i64);
 
     let moved_merge = coord
-        .rebalance_to(Arc::new(HashPolicy::new(2)), Time::from(20u32))
+        .rebalance_to(
+            Arc::new(VelocityBandPolicy::new(2, p.max_speed)),
+            Time::from(20u32),
+        )
         .expect("merge");
     run(&mut coord, 21, 30);
 
@@ -264,14 +272,14 @@ fn metrics_off_coordinator_reports_no_snapshot() {
         ..EngineConfig::default()
     };
     let (a, b) = generate_pair(&p, 0.0);
-    let mut coord = ShardCoordinator::new(
+    let mut coord = ShardCoordinator::with_factory(
         pool,
         config,
-        Arc::new(HashPolicy::new(2)),
+        Arc::new(VelocityBandPolicy::new(2, p.max_speed)),
         &a,
         &b,
         0.0,
-        &|pool, cfg, sa, sb, now| Ok(Box::new(MtbEngine::new(pool, *cfg, sa, sb, now)?)),
+        Arc::new(|pool, cfg, sa, sb, now| Ok(Box::new(MtbEngine::new(pool, *cfg, sa, sb, now)?))),
     )
     .expect("coordinator");
     coord.run_initial_join(0.0).expect("initial join");

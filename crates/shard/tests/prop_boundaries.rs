@@ -13,10 +13,11 @@
 
 use std::sync::Arc;
 
+use cij_core::EngineOp;
 use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{
-    worst_corner_speed, PartitionPolicy, RouteDecision, ShardRouter, SpatialBoundsPolicy,
-    SpatialGridPolicy, VelocityBandPolicy, VelocityBoundsPolicy,
+    worst_corner_speed, JoinPlan, PartitionPolicy, ShardRouter, SpatialGridPolicy,
+    VelocityBandPolicy,
 };
 use cij_tpr::ObjectId;
 use cij_workload::{ObjectUpdate, SetTag};
@@ -45,13 +46,49 @@ fn mbr_at_x(cx: f64) -> MovingRect {
     )
 }
 
+/// What [`ShardRouter::project`] made of one A-side update, read back
+/// off the op lists: `(shard, shard)` for a stay (plain `Apply`s on one
+/// row), `(from, to)` for a migration (`Remove`s on one row, `Insert`s
+/// on another), each op on all `k` slots of its row (bands prune none).
+fn routed(
+    router: &mut ShardRouter,
+    plan: &JoinPlan,
+    update: &ObjectUpdate,
+    now: Time,
+) -> (usize, usize) {
+    let k = plan.shard_count();
+    let mut ops = vec![Vec::new(); plan.pairs().len()];
+    router.project(update, now, plan, &mut ops);
+    let rows_of = |want: fn(&EngineOp) -> bool| -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..ops.len())
+            .filter(|&s| ops[s].iter().any(want))
+            .map(|s| plan.pairs()[s].0)
+            .collect();
+        rows.dedup();
+        rows
+    };
+    let applied = rows_of(|op| matches!(op, EngineOp::Apply(_)));
+    let removed = rows_of(|op| matches!(op, EngineOp::Remove { .. }));
+    let inserted = rows_of(|op| matches!(op, EngineOp::Insert { .. }));
+    assert_eq!(
+        ops.iter().map(Vec::len).sum::<usize>(),
+        k * (applied.len() + removed.len() + inserted.len())
+    );
+    match (&applied[..], &removed[..], &inserted[..]) {
+        ([shard], [], []) => (*shard, *shard),
+        ([], [from], [to]) => (*from, *to),
+        other => panic!("an update must be one stay or one migration, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Boundary-exact speeds always take the upper band, the
-    /// equal-width policy and the explicit-edges policy built from its
-    /// own boundaries agree on *every* probe (edges, nudges to either
-    /// side, and random speeds), and off-edge probes straddle the edge.
+    /// equal-width policy and the one rebuilt `from_edges` of its own
+    /// boundaries agree on *every* probe (edges, nudges to either side,
+    /// and random speeds) and on `joinable`, and off-edge probes
+    /// straddle the edge.
     #[test]
     fn velocity_boundary_ties_are_deterministic(
         k in 2usize..8,
@@ -59,8 +96,9 @@ proptest! {
         extra in 0.0f64..1.0,
     ) {
         let band = VelocityBandPolicy::new(k, max_speed);
-        let bounds = VelocityBoundsPolicy::new(band.boundaries().to_vec());
+        let bounds = VelocityBandPolicy::from_edges(band.boundaries().to_vec());
         prop_assert_eq!(band.shard_count(), bounds.shard_count());
+        prop_assert_eq!(JoinPlan::new(&band).pairs(), JoinPlan::new(&bounds).pairs());
 
         let id = ObjectId(7);
         for (i, &edge) in band.boundaries().iter().enumerate() {
@@ -80,11 +118,10 @@ proptest! {
         prop_assert_eq!(band.shard_of(id, &probe), bounds.shard_of(id, &probe));
     }
 
-    /// Routing an update whose new trajectory sits exactly on a
-    /// boundary is a [`RouteDecision::Stay`] when the object is already
-    /// in the upper band, and a migration *to* the upper band when it
-    /// is not — never a self-migration, never a disagreement with
-    /// `shard_of`.
+    /// Projecting an update whose new trajectory sits exactly on a
+    /// boundary is a stay when the object is already in the upper band,
+    /// and a migration *to* the upper band when it is not — never a
+    /// self-migration, never a disagreement with `shard_of`.
     #[test]
     fn router_never_self_migrates_on_boundary_speeds(
         k in 2usize..8,
@@ -92,6 +129,7 @@ proptest! {
     ) {
         let policy = VelocityBandPolicy::new(k, max_speed);
         let edges: Vec<f64> = policy.boundaries().to_vec();
+        let plan = JoinPlan::new(&policy);
         let mut router = ShardRouter::new(Arc::new(policy));
         for (i, &edge) in edges.iter().enumerate() {
             let id = ObjectId(i as u64);
@@ -106,7 +144,7 @@ proptest! {
                 last_update: 0.0,
                 new_mbr: slow,
             };
-            prop_assert_eq!(router.route(&noop, 1.0), RouteDecision::Stay(from));
+            prop_assert_eq!(routed(&mut router, &plan, &noop, 1.0), (from, from));
 
             // Accelerate to exactly the edge: lands in band i+1.
             let exact = mbr_with_speed(edge);
@@ -117,18 +155,12 @@ proptest! {
                 last_update: 1.0,
                 new_mbr: exact,
             };
-            match router.route(&update, 2.0) {
-                RouteDecision::Migrate { from: f, to } => {
-                    prop_assert_eq!(f, from);
-                    prop_assert_eq!(to, i + 1);
-                    prop_assert_ne!(f, to, "self-migration on a boundary tie");
-                }
-                RouteDecision::Stay(shard) => {
-                    // Only legitimate when the slow speed already banded
-                    // to i+1 (possible for the lowest edges at tiny k).
-                    prop_assert_eq!(shard, i + 1);
-                }
-            }
+            // A stay — `(i+1, i+1)` — is only legitimate when the slow
+            // speed already banded to i+1 (possible for the lowest edges
+            // at tiny k); `routed` rejects a self-migration outright.
+            let migrations = router.migrations();
+            prop_assert_eq!(routed(&mut router, &plan, &update, 2.0), (from, i + 1));
+            prop_assert_eq!(router.migrations() - migrations, u64::from(from != i + 1));
             prop_assert_eq!(router.shard_of(id), Some(i + 1));
             // And staying exactly on the edge keeps the placement put.
             let hold = ObjectUpdate {
@@ -138,21 +170,24 @@ proptest! {
                 last_update: 2.0,
                 new_mbr: exact,
             };
-            prop_assert_eq!(router.route(&hold, 3.0), RouteDecision::Stay(i + 1));
+            prop_assert_eq!(routed(&mut router, &plan, &hold, 3.0), (i + 1, i + 1));
         }
     }
 
     /// The same tie discipline on the spatial axis: centers exactly on
     /// a strip edge go to the upper strip under both the equal-width
-    /// grid and the explicit-edges policy built from its boundaries,
-    /// and `repartition` between the two moves nothing.
+    /// grid and the policy rebuilt `from_edges` of its boundaries, the
+    /// two prune the same pairs whatever the reach, and `repartition`
+    /// between the two moves nothing.
     #[test]
     fn spatial_boundary_ties_are_deterministic(
         k in 2usize..8,
         space in 50.0f64..500.0,
+        reach_share in 0.0f64..1.0,
     ) {
-        let grid = SpatialGridPolicy::new(k, space, space);
-        let bounds = SpatialBoundsPolicy::new(grid.boundaries().to_vec(), grid.reach());
+        let grid = SpatialGridPolicy::new(k, space, space * reach_share);
+        let bounds = SpatialGridPolicy::from_edges(grid.boundaries().to_vec(), grid.reach());
+        prop_assert_eq!(JoinPlan::new(&grid).pairs(), JoinPlan::new(&bounds).pairs());
         let id = ObjectId(3);
         for (i, &edge) in grid.boundaries().iter().enumerate() {
             let exact = mbr_at_x(edge);

@@ -56,8 +56,8 @@ pub fn proximity_stream_factory(
 /// A shard-coordinator engine factory for the proximity join: the
 /// coordinator hands each shard its pool slice and this builds the
 /// shard-local proximity engine with threshold `epsilon`.
-// The signature must spell out `cij_shard::ShardEngineFactory`'s shape
-// (without depending on cij-shard), which trips the complexity lint.
+// The signature must spell out `cij_shard::SharedShardEngineFactory`'s
+// shape (without depending on cij-shard), which trips the complexity lint.
 #[allow(clippy::type_complexity)]
 pub fn proximity_shard_factory(
     epsilon: f64,

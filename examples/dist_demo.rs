@@ -83,14 +83,14 @@ fn main() -> TprResult<()> {
         Arc::new(InMemoryStore::new()),
         BufferPoolConfig::with_capacity(4096),
     );
-    let mut oracle = ShardCoordinator::new(
+    let mut oracle = ShardCoordinator::with_factory(
         pool,
         engine_cfg,
         policy,
         &set_a,
         &set_b,
         0.0,
-        &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+        Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
     )?;
 
     dist.enable_delta_tracking();

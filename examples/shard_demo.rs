@@ -37,14 +37,14 @@ fn main() -> TprResult<()> {
     };
 
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let mut coordinator = ShardCoordinator::new(
+    let mut coordinator = ShardCoordinator::with_factory(
         pool,
         config,
         policy,
         &set_a,
         &set_b,
         0.0,
-        &|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?)),
+        Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
     )?;
     println!(
         "{} over {} velocity bands: {} shard-pair engines",
