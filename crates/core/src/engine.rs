@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 
-use cij_geom::{MovingRect, Time, INFINITE_TIME};
+use cij_geom::{in_range, MovingRect, Time, INFINITE_TIME};
 use cij_join::{tp_join, tp_object_probe, JoinCounters, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
@@ -352,6 +352,28 @@ pub enum EngineOp {
 }
 
 impl EngineOp {
+    /// Whether the op's trajectories are
+    /// [sound from](MovingRect::is_sound_from) `now` and its timestamps
+    /// [in range](in_range) — what the engines assume of an op and assert
+    /// on, so an op decoded from a socket or a journal is held against it
+    /// first.
+    #[must_use]
+    pub fn is_sound_at(&self, now: Time) -> bool {
+        match self {
+            Self::Apply(u) => {
+                in_range(u.last_update)
+                    && u.old_mbr.is_sound_from(now)
+                    && u.new_mbr.is_sound_from(now)
+            }
+            Self::Insert { mbr, .. } => mbr.is_sound_from(now),
+            Self::Remove {
+                old_mbr,
+                last_update,
+                ..
+            } => in_range(*last_update) && old_mbr.is_sound_from(now),
+        }
+    }
+
     /// Applies this one op to `engine` at `now`.
     pub fn apply(&self, engine: &mut dyn ContinuousJoinEngine, now: Time) -> TprResult<()> {
         match self {

@@ -103,7 +103,7 @@ impl MtbTree {
     /// End of bucket `idx` — the `t_eb` of the per-bucket window bound.
     #[must_use]
     pub fn bucket_end(&self, idx: i64) -> Time {
-        (idx + 1) as f64 * self.bucket_len
+        (idx as f64 + 1.0) * self.bucket_len
     }
 
     /// Number of indexed objects.

@@ -36,7 +36,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cij_core::{publish_engine_totals, ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
+use cij_core::{
+    publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineOp, PairKey, PairStatus,
+};
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
 use cij_obs::{Counter, Histogram, MetricsRegistry};
@@ -47,7 +49,7 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 use parking_lot::Mutex;
 
 use crate::error::{DistError, DistResult};
-use crate::protocol::{EngineKind, Request, Response, ShardOp};
+use crate::protocol::{EngineKind, Request, Response};
 use crate::transport::{Connector, Transport};
 
 /// Deployment parameters: what the workers build and how hard the
@@ -457,7 +459,7 @@ impl DistCoordinator {
         &mut self,
         set: SetTag,
         shard: usize,
-        op: ShardOp,
+        op: EngineOp,
         now: Time,
     ) -> TprResult<()> {
         for &idx in self.plan.fan(set, shard) {
@@ -498,7 +500,7 @@ impl ContinuousJoinEngine for DistCoordinator {
     /// [`take_result_changes`](ContinuousJoinEngine::take_result_changes).
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
         self.take_deferred()?;
-        let mut ops: Vec<Vec<ShardOp>> = vec![Vec::new(); self.slots.len()];
+        let mut ops: Vec<Vec<EngineOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
             self.router.project(u, now, &self.plan, &mut ops);
         }
@@ -542,7 +544,7 @@ impl ContinuousJoinEngine for DistCoordinator {
     ) -> TprResult<()> {
         self.take_deferred()?;
         let shard = self.router.place(id, set, &mbr, now);
-        self.send_immediate(set, shard, ShardOp::Insert { set, id, mbr }, now)
+        self.send_immediate(set, shard, EngineOp::Insert { set, id, mbr }, now)
     }
 
     fn remove_object(
@@ -560,7 +562,7 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.send_immediate(
             set,
             record.shard,
-            ShardOp::Remove {
+            EngineOp::Remove {
                 set,
                 id,
                 old_mbr: *old_mbr,

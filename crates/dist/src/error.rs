@@ -1,5 +1,6 @@
 //! Error taxonomy of the distributed deployment.
 
+use cij_storage::frame::{FrameError, MAX_FRAME_LEN};
 use cij_stream::WireError;
 use cij_tpr::TprError;
 
@@ -17,6 +18,14 @@ pub enum DistError {
     Protocol(WireError),
     /// The transport failed mid-call (socket error, torn frame).
     Io(std::io::Error),
+    /// A message was not sent because its encoding exceeds the frame
+    /// limit the receiver enforces. Deterministic — the same message
+    /// fails the same way — so it is not retried.
+    FrameTooLarge {
+        /// The encoded message's length (the limit is
+        /// [`MAX_FRAME_LEN`]).
+        len: usize,
+    },
     /// The worker could not be reached within the configured reconnect
     /// budget.
     WorkerUnavailable {
@@ -44,6 +53,10 @@ impl std::fmt::Display for DistError {
             Self::Config(msg) => write!(f, "deployment configuration error: {msg}"),
             Self::Protocol(e) => write!(f, "protocol error: {e}"),
             Self::Io(e) => write!(f, "transport I/O error: {e}"),
+            Self::FrameTooLarge { len } => write!(
+                f,
+                "message of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit and was not sent"
+            ),
             Self::WorkerUnavailable { slot, attempts } => {
                 write!(f, "worker {slot} unavailable after {attempts} attempts")
             }
@@ -74,6 +87,16 @@ impl From<WireError> for DistError {
 impl From<std::io::Error> for DistError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
+    }
+}
+
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => Self::Io(e),
+            FrameError::TooLarge { len } => Self::FrameTooLarge { len },
+            FrameError::Corrupt(msg) => Self::Protocol(WireError::Corrupt(msg)),
+        }
     }
 }
 

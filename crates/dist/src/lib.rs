@@ -43,6 +43,6 @@ mod worker;
 
 pub use coordinator::{joinable_pairs, DistConfig, DistCoordinator};
 pub use error::{DistError, DistResult};
-pub use protocol::{EngineKind, Request, Response, ShardOp};
+pub use protocol::{EngineKind, Request, Response};
 pub use transport::{Connector, Transport};
 pub use worker::{build_engine, ShardWorker};

@@ -1,11 +1,6 @@
-//! The TCP transport: protocol payloads in length+CRC32 frames.
-//!
-//! Frame layout (mirroring the WAL's record framing, via the same
-//! [`crc32`]):
-//!
-//! ```text
-//! [len: u32 LE][crc32(payload): u32 LE][payload]
-//! ```
+//! The TCP transport: protocol payloads in [`cij_storage::frame`]s —
+//! the length + CRC32 framing (and size limit) the WAL uses, through the
+//! same two functions.
 //!
 //! The payload is a [`Request`]/[`Response`] encoding, which itself
 //! opens with the protocol magic and version — so a peer from a foreign
@@ -15,60 +10,17 @@
 //! coordinator is a worker's only client, and a reconnect simply shows
 //! up as the next accepted connection.
 
-use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cij_storage::wal::crc32;
-use cij_stream::WireError;
+use cij_storage::frame::{read_frame, write_frame, FrameError};
 use parking_lot::Mutex;
 
 use crate::error::{DistError, DistResult};
 use crate::protocol::{Request, Response};
 use crate::transport::{Connector, Transport};
 use crate::worker::ShardWorker;
-
-/// Frames larger than this are rejected as corrupt before allocation.
-pub const MAX_FRAME_LEN: usize = 1 << 24; // 16 MiB
-
-/// Writes one frame.
-///
-/// # Errors
-/// Propagates the writer's I/O errors.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Reads one frame and verifies its checksum.
-///
-/// # Errors
-/// [`DistError::Io`] on socket errors (including EOF mid-frame);
-/// [`DistError::Protocol`] on an oversized length or checksum mismatch.
-pub fn read_frame(r: &mut impl Read) -> DistResult<Vec<u8>> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(DistError::Protocol(WireError::Corrupt(format!(
-            "frame of {len} bytes exceeds MAX_FRAME_LEN"
-        ))));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(DistError::Protocol(WireError::Corrupt(
-            "frame checksum mismatch".into(),
-        )));
-    }
-    Ok(payload)
-}
 
 /// Dials a worker's TCP endpoint. The address lives behind a shared
 /// handle so a supervisor (or test) can [`retarget`](Self::retarget)
@@ -140,62 +92,34 @@ pub fn serve(listener: &TcpListener, worker: &mut ShardWorker) -> DistResult<()>
         let (mut stream, _peer) = listener.accept().map_err(DistError::from)?;
         stream.set_nodelay(true).map_err(DistError::from)?;
         loop {
-            let payload = match read_frame(&mut stream) {
-                Ok(p) => p,
+            let decoded = match read_frame(&mut stream) {
+                Ok(payload) => Request::decode(&payload).map_err(|e| format!("bad request: {e}")),
                 // Peer gone (EOF, reset): await the next connection.
-                Err(DistError::Io(_)) => break,
-                Err(e) => {
-                    let fail = Response::Fail {
-                        message: format!("bad frame: {e}"),
-                    };
-                    let _ = write_frame(&mut stream, &fail.encode());
+                Err(FrameError::Io(_)) => break,
+                Err(e) => Err(format!("bad frame: {e}")),
+            };
+            let req = match decoded {
+                Ok(req) => req,
+                Err(message) => {
+                    let _ = write_frame(&mut stream, &Response::Fail { message }.encode());
                     break;
                 }
             };
-            let req = match Request::decode(&payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    let fail = Response::Fail {
-                        message: format!("bad request: {e}"),
-                    };
-                    let _ = write_frame(&mut stream, &fail.encode());
-                    break;
+            let sent = match write_frame(&mut stream, &worker.handle(&req).encode()) {
+                // An answer over the frame limit can never be sent: say
+                // so, or the coordinator would redial and ask again.
+                Err(e @ FrameError::TooLarge { .. }) => {
+                    let message = format!("response not sent: {e}");
+                    write_frame(&mut stream, &Response::Fail { message }.encode())
                 }
+                sent => sent,
             };
-            let shutdown = matches!(req, Request::Shutdown);
-            let resp = worker.handle(&req);
-            if write_frame(&mut stream, &resp.encode()).is_err() {
+            if sent.is_err() {
                 break;
             }
-            if shutdown {
+            if matches!(req, Request::Shutdown) {
                 return Ok(());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frames_round_trip_and_reject_corruption() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello frames").unwrap();
-        let payload = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(payload, b"hello frames");
-
-        // Flip a payload byte: checksum mismatch.
-        let mut torn = buf.clone();
-        let last = torn.len() - 1;
-        torn[last] ^= 0xFF;
-        assert!(matches!(
-            read_frame(&mut &torn[..]),
-            Err(DistError::Protocol(WireError::Corrupt(_)))
-        ));
-
-        // Truncate mid-payload: I/O error (torn stream).
-        let short = &buf[..buf.len() - 3];
-        assert!(matches!(read_frame(&mut &short[..]), Err(DistError::Io(_))));
     }
 }

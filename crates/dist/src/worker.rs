@@ -17,19 +17,25 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cij_core::{
-    apply_op_runs, ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine,
+    apply_op_runs, ContinuousJoinEngine, EngineConfig, EngineOp, MtbEngine, NaiveEngine, PairKey,
+    TcEngine,
 };
-use cij_geom::Time;
+use cij_geom::{in_range, Time};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
-use cij_tpr::TprResult;
+use cij_tpr::{TprError, TprResult};
 use cij_workload::MovingObject;
 
 use crate::error::{DistError, DistResult};
-use crate::protocol::{EngineKind, Request, Response, ShardOp};
+use crate::protocol::{EngineKind, Request, Response};
 
 /// Builds a worker's engine from the parameters shipped in
 /// [`Request::Init`]. Each worker owns a private in-memory page store —
 /// the distributed deployment's point is that workers share *nothing*.
+///
+/// # Errors
+/// [`TprError::Unsupported`] for parameters no engine can be built from
+/// (they arrive from the wire or the journal, and the MTB-tree asserts on
+/// them); the engine constructors' own errors otherwise.
 pub fn build_engine(
     kind: EngineKind,
     t_m: Time,
@@ -38,6 +44,14 @@ pub fn build_engine(
     set_b: &[MovingObject],
     start: Time,
 ) -> TprResult<Box<dyn ContinuousJoinEngine + Send>> {
+    if !(start.is_finite() && t_m.is_finite() && t_m > 0.0 && buckets_per_tm >= 1) {
+        return Err(TprError::Unsupported {
+            what: format!(
+                "engine parameters start={start}, t_m={t_m}, buckets_per_tm={buckets_per_tm}: \
+                 need a finite start, a finite t_m > 0 and at least one bucket per t_m"
+            ),
+        });
+    }
     let pool = BufferPool::new(
         Arc::new(InMemoryStore::new()),
         BufferPoolConfig::with_capacity(1024),
@@ -51,6 +65,29 @@ pub fn build_engine(
         EngineKind::Tc => Box::new(TcEngine::new(pool, config, set_a, set_b, start)?),
         EngineKind::Mtb => Box::new(MtbEngine::new(pool, config, set_a, set_b, start)?),
     })
+}
+
+/// Whether `req`'s times and trajectories can be handed to an engine. The
+/// engines assume what a well-behaved coordinator sends and assert on it;
+/// a socket or a journal promises nothing.
+fn is_sound(req: &Request) -> bool {
+    match req {
+        Request::Init {
+            set_a,
+            set_b,
+            start,
+            ..
+        } => set_a
+            .iter()
+            .chain(set_b)
+            .all(|o| o.mbr.is_sound_from(*start)),
+        Request::Start { now, .. } => in_range(*now),
+        Request::Step { now, ops, .. } => {
+            in_range(*now) && ops.iter().all(|op| op.is_sound_at(*now))
+        }
+        Request::Immediate { now, op, .. } => op.is_sound_at(*now),
+        _ => true,
+    }
 }
 
 /// One worker: engine, WAL, outbox (see the module docs).
@@ -93,14 +130,7 @@ impl ShardWorker {
     /// fails to decode (version mismatch included).
     pub fn open(wal_path: &Path) -> DistResult<Self> {
         let (wal, recovery) = Wal::open(wal_path).map_err(DistError::from)?;
-        let mut worker = Self {
-            engine: None,
-            wal: None, // journaling disabled during replay
-            last_applied: 0,
-            outbox: BTreeMap::new(),
-            applied: 0,
-            recovered: 0,
-        };
+        let mut worker = Self::ephemeral(); // no journaling during replay
         for record in &recovery.records {
             let req = Request::decode(record)?;
             worker.handle(&req);
@@ -161,7 +191,7 @@ impl ShardWorker {
                 if let Request::Step { ack_through, .. } = req {
                     // Everything at or below `ack_through` was consumed
                     // by the coordinator; it will never be re-asked.
-                    self.outbox = self.outbox.split_off(&(ack_through + 1));
+                    self.outbox = self.outbox.split_off(&ack_through.saturating_add(1));
                 }
                 resp
             }
@@ -194,7 +224,7 @@ impl ShardWorker {
             Request::Ping { nonce } => Response::Pong { nonce: *nonce },
             Request::Shutdown => Response::Bye,
             _ => Response::Fail {
-                message: format!("request {req:?} reached the read-only path"),
+                message: format!("{} reached the read-only path", req.kind()),
             },
         }
     }
@@ -204,7 +234,15 @@ impl ShardWorker {
     /// application is deterministic, so a replay or resend reproduces
     /// the same failure instead of silently diverging.
     fn apply(&mut self, req: &Request, seq: u64) -> Response {
-        match req {
+        if !is_sound(req) {
+            let message = format!(
+                "{} with an out-of-range time or an unsound trajectory",
+                req.kind()
+            );
+            return Response::Fail { message };
+        }
+        let ack = Response::Ack { seq };
+        let outcome = match req {
             Request::Init {
                 engine,
                 t_m,
@@ -213,60 +251,41 @@ impl ShardWorker {
                 set_b,
                 start,
                 ..
-            } => match build_engine(*engine, *t_m, *buckets_per_tm, set_a, set_b, *start) {
-                Ok(e) => {
-                    self.engine = Some(e);
-                    Response::Ack { seq }
-                }
-                Err(e) => Response::Fail {
-                    message: e.to_string(),
-                },
-            },
-            Request::Track { .. } => match self.engine.as_mut() {
-                Some(e) => {
-                    e.enable_delta_tracking();
-                    Response::Ack { seq }
-                }
-                None => Response::Fail {
-                    message: "track before init".into(),
-                },
-            },
-            Request::Start { now, .. } => match self.engine.as_mut() {
-                Some(e) => match e.run_initial_join(*now) {
-                    Ok(()) => Response::Ack { seq },
-                    Err(e) => Response::Fail {
-                        message: e.to_string(),
-                    },
-                },
-                None => Response::Fail {
-                    message: "start before init".into(),
-                },
-            },
-            Request::Step { now, ops, .. } => match self.engine.as_mut() {
-                Some(e) => match Self::step(e.as_mut(), *now, ops) {
-                    Ok(changes) => Response::StepAck { seq, changes },
-                    Err(e) => Response::Fail {
-                        message: e.to_string(),
-                    },
-                },
-                None => Response::Fail {
-                    message: "step before init".into(),
-                },
-            },
-            Request::Immediate { now, op, .. } => match self.engine.as_mut() {
-                Some(e) => match op.apply(e.as_mut(), *now) {
-                    Ok(()) => Response::Ack { seq },
-                    Err(e) => Response::Fail {
-                        message: e.to_string(),
-                    },
-                },
-                None => Response::Fail {
-                    message: "immediate op before init".into(),
-                },
-            },
-            _ => Response::Fail {
-                message: format!("request {req:?} reached the mutating path"),
-            },
+            } => build_engine(*engine, *t_m, *buckets_per_tm, set_a, set_b, *start)
+                .map(|built| {
+                    self.engine = Some(built);
+                    ack
+                })
+                .map_err(|e| e.to_string()),
+            Request::Track { .. } => self.on_engine(req, |e| {
+                e.enable_delta_tracking();
+                Ok(ack)
+            }),
+            Request::Start { now, .. } => {
+                self.on_engine(req, |e| e.run_initial_join(*now).map(|()| ack))
+            }
+            Request::Step { now, ops, .. } => self.on_engine(req, |e| {
+                Self::step(e, *now, ops).map(|changes| Response::StepAck { seq, changes })
+            }),
+            Request::Immediate { now, op, .. } => {
+                self.on_engine(req, |e| op.apply(e, *now).map(|()| ack))
+            }
+            _ => Err(format!("{} reached the mutating path", req.kind())),
+        };
+        outcome.unwrap_or_else(|message| Response::Fail { message })
+    }
+
+    /// Runs `op` on the engine; the error (rendered, for
+    /// [`Response::Fail`]) is `op`'s, or that `req` came before any
+    /// [`Request::Init`] built one.
+    fn on_engine(
+        &mut self,
+        req: &Request,
+        op: impl FnOnce(&mut dyn ContinuousJoinEngine) -> TprResult<Response>,
+    ) -> Result<Response, String> {
+        match self.engine.as_mut() {
+            Some(engine) => op(engine.as_mut()).map_err(|e| e.to_string()),
+            None => Err(format!("{} before Init", req.kind())),
         }
     }
 
@@ -275,8 +294,8 @@ impl ShardWorker {
     fn step(
         engine: &mut dyn ContinuousJoinEngine,
         now: Time,
-        ops: &[ShardOp],
-    ) -> TprResult<Option<Vec<cij_core::PairKey>>> {
+        ops: &[EngineOp],
+    ) -> TprResult<Option<Vec<PairKey>>> {
         engine.advance_time(now)?;
         apply_op_runs(engine, ops, now)?;
         engine.gc(now);
@@ -289,7 +308,6 @@ mod tests {
     use super::*;
     use cij_geom::{MovingRect, Rect};
     use cij_tpr::ObjectId;
-    use cij_workload::SetTag;
 
     fn obj(id: u64, x: f64) -> MovingObject {
         MovingObject {
@@ -357,42 +375,6 @@ mod tests {
             ack_through: 3,
         });
         assert_eq!(worker.outbox_len(), 1, "only the unacked step remains");
-    }
-
-    #[test]
-    fn restart_replays_the_wal_and_keeps_cached_responses_identical() {
-        let path = std::env::temp_dir().join(format!("cij-dist-worker-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let mut worker = ShardWorker::open(&path).expect("fresh worker");
-        worker.handle(&init(1));
-        worker.handle(&Request::Track { seq: 2 });
-        worker.handle(&Request::Start { seq: 3, now: 0.0 });
-        let step = Request::Step {
-            seq: 4,
-            now: 1.0,
-            ops: vec![ShardOp::Apply(cij_workload::ObjectUpdate {
-                id: ObjectId(1),
-                set: SetTag::A,
-                old_mbr: obj(1, 0.0).mbr,
-                last_update: 0.0,
-                new_mbr: MovingRect::stationary(Rect::new([0.1, 0.0], [1.1, 1.0]), 0.0),
-            })],
-            ack_through: 0,
-        };
-        let live_ack = worker.handle(&step);
-        let live_result = worker.handle(&Request::ResultAt { t: 1.0 });
-        drop(worker);
-
-        let mut reborn = ShardWorker::open(&path).expect("recovered worker");
-        assert_eq!(reborn.recovered(), 4);
-        assert_eq!(reborn.last_applied(), 4);
-        // The resent step is answered from the rebuilt outbox,
-        // byte-identically to the pre-crash ack.
-        assert_eq!(reborn.handle(&step), live_ack);
-        assert_eq!(reborn.handle(&Request::ResultAt { t: 1.0 }), live_result);
-
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod moving;
 pub mod rect;
 
 pub use interval::{TimeInterval, INFINITE_TIME};
-pub use moving::MovingRect;
+pub use moving::{in_range, MovingRect};
 pub use rect::Rect;
 
 /// Timestamps and durations. The paper's driver advances integer ticks but

@@ -11,6 +11,15 @@
 use crate::interval::{solve_linear_leq, TimeInterval, INFINITE_TIME};
 use crate::{Rect, Time, DIMS};
 
+/// Whether `x` — a coordinate, a speed or a time from outside the program
+/// — is a number and no larger than 2⁵³ in magnitude, where an `f64` stops
+/// resolving unit steps. The indexes multiply several of these (extent ×
+/// speed × time); bounding the operands keeps the products finite.
+#[must_use]
+pub fn in_range(x: f64) -> bool {
+    x.abs() <= 9_007_199_254_740_992.0
+}
+
 /// A time-parameterized rectangle: `lo(t) = lo + vlo·(t − t_ref)`,
 /// `hi(t) = hi + vhi·(t − t_ref)` per dimension.
 ///
@@ -73,6 +82,25 @@ impl MovingRect {
     #[inline]
     pub fn stationary(rect: Rect, t_ref: Time) -> Self {
         Self::rigid(rect, [0.0; DIMS], t_ref)
+    }
+
+    /// Whether this is a trajectory an index can hold from `now` on: every
+    /// component [in range](in_range), bounds ordered and staying ordered
+    /// (`lo ≤ hi`, `vlo ≤ vhi` per dimension) and `t_ref ≤ now`. The
+    /// constructors only debug-assert part of this; a trajectory that
+    /// arrives as bytes (a socket, a journal) is held against it before it
+    /// reaches a tree.
+    #[must_use]
+    pub fn is_sound_from(&self, now: Time) -> bool {
+        let ordered = (0..DIMS).all(|d| self.lo[d] <= self.hi[d] && self.vlo[d] <= self.vhi[d]);
+        let bounds = self
+            .lo
+            .iter()
+            .chain(&self.hi)
+            .chain(&self.vlo)
+            .chain(&self.vhi);
+        let in_range = bounds.chain([&self.t_ref, &now]).all(|&x| in_range(x));
+        ordered && in_range && self.t_ref <= now
     }
 
     /// The rectangle frozen at timestamp `t`.

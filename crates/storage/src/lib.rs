@@ -19,7 +19,9 @@
 //!   pool's I/O counters (node pages read through the zero-copy view).
 //! * [`codec`] — bounds-checked little-endian cursors used to serialize
 //!   variable-length journal and wire records.
-//! * [`wal`] — a length+CRC framed write-ahead log with torn-tail
+//! * [`frame`] — the one `[len][crc32][payload]` frame (and its size
+//!   limit) both the log and the `cij-dist` TCP transport write and read.
+//! * [`wal`] — a write-ahead log of those frames with torn-tail
 //!   recovery, the durability substrate of the `cij-stream` service.
 
 #![deny(missing_docs)]
@@ -28,6 +30,7 @@
 pub mod codec;
 mod error;
 mod file_store;
+pub mod frame;
 mod pool;
 mod stats;
 mod store;

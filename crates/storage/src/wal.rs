@@ -1,69 +1,27 @@
-//! Write-ahead log: length+CRC framed records in a single append-only
-//! file.
+//! Write-ahead log: an append-only file of [`frame`](crate::frame)s.
 //!
 //! The stream subsystem journals every ingested update batch here
 //! *before* applying it to the engine, so a crash can lose at most the
-//! batch whose frame never finished reaching the disk. Each record is
-//! framed as
+//! batch whose frame never finished reaching the disk.
 //!
-//! ```text
-//! [len: u32 LE][crc32(payload): u32 LE][payload: len bytes]
-//! ```
-//!
-//! Recovery ([`Wal::open`]) scans frames from the start and stops at the
-//! first incomplete or CRC-mismatching frame — the classic torn-tail
-//! rule — then truncates the file back to the durable prefix so new
-//! appends never interleave with garbage. Everything before the tear is
-//! returned to the caller for replay.
+//! Recovery ([`Wal::open`]) reads frames from the start and stops at the
+//! first incomplete, oversized or CRC-mismatching one — the classic
+//! torn-tail rule — then truncates the file back to the durable prefix so
+//! new appends never interleave with garbage. Everything before the tear
+//! is returned to the caller for replay.
 //!
 //! Payload contents are opaque bytes; callers encode them with
 //! [`codec::ByteWriter`](crate::codec::ByteWriter).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
 use cij_obs::{CounterCell, MetricsRegistry};
 
+use crate::frame::{read_frame, write_frame, FRAME_HEADER};
 use crate::{StorageError, StorageResult};
-
-/// Upper bound on a single record's payload. A length field above this
-/// is treated as corruption rather than honoured with a huge allocation.
-pub const MAX_RECORD_LEN: usize = 1 << 24; // 16 MiB
-
-const FRAME_HEADER: usize = 8; // len + crc
-
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 checksum of `bytes` (IEEE polynomial, as in zlib/PNG).
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// What [`Wal::open`] found in an existing log file.
 #[derive(Debug)]
@@ -169,30 +127,19 @@ impl Wal {
         file.read_to_end(&mut bytes).map_err(io_err)?;
 
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        let mut tail_corrupt = false;
-        while bytes.len() - pos >= FRAME_HEADER {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if len > MAX_RECORD_LEN || bytes.len() - pos - FRAME_HEADER < len {
-                tail_corrupt = true;
+        let mut rest = &bytes[..];
+        let mut durable = 0usize;
+        while !rest.is_empty() {
+            let Ok(payload) = read_frame(&mut rest) else {
                 break;
-            }
-            let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-            if crc32(payload) != crc {
-                tail_corrupt = true;
-                break;
-            }
-            records.push(payload.to_vec());
-            pos += FRAME_HEADER + len;
+            };
+            records.push(payload);
+            durable = bytes.len() - rest.len();
         }
-        // Trailing bytes shorter than a header are also a torn tail.
-        if !tail_corrupt && pos < bytes.len() {
-            tail_corrupt = true;
-        }
+        let tail_corrupt = durable < bytes.len();
 
-        let durable_len = pos as u64;
-        if durable_len < bytes.len() as u64 {
+        let durable_len = durable as u64;
+        if tail_corrupt {
             file.set_len(durable_len).map_err(io_err)?;
         }
         file.seek(SeekFrom::Start(durable_len)).map_err(io_err)?;
@@ -214,18 +161,8 @@ impl Wal {
     /// The record is durable (up to OS buffering; see [`Wal::sync`])
     /// once this returns.
     pub fn append(&mut self, payload: &[u8]) -> StorageResult<u64> {
-        if payload.len() > MAX_RECORD_LEN {
-            return Err(StorageError::Corrupt(format!(
-                "WAL record of {} bytes exceeds MAX_RECORD_LEN",
-                payload.len()
-            )));
-        }
-        let len = u32::try_from(payload.len()).expect("bounded by MAX_RECORD_LEN");
-        self.file.write_all(&len.to_le_bytes()).map_err(io_err)?;
-        self.file
-            .write_all(&crc32(payload).to_le_bytes())
-            .map_err(io_err)?;
-        self.file.write_all(payload).map_err(io_err)?;
+        write_frame(&mut self.file, payload)
+            .map_err(|e| StorageError::Corrupt(format!("WAL append: {e}")))?;
         self.len += (FRAME_HEADER + payload.len()) as u64;
         self.stats.appends.inc();
         self.stats
@@ -278,13 +215,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
         }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -267,15 +267,18 @@ impl StreamService {
         let genesis = records
             .next()
             .ok_or_else(|| StreamError::CorruptJournal("no durable genesis record".into()))?;
-        let WalRecord::Genesis {
-            start,
-            set_a,
-            set_b,
-        } = Self::decode_journal(genesis)?
-        else {
-            return Err(StreamError::CorruptJournal(
-                "first record is not a genesis".into(),
-            ));
+        let (start, set_a, set_b) = match Self::decode_journal(genesis)? {
+            WalRecord::Genesis {
+                start,
+                set_a,
+                set_b,
+            } => (start, set_a, set_b),
+            other => {
+                return Err(StreamError::CorruptJournal(format!(
+                    "first record is a {}, not a genesis",
+                    other.kind()
+                )))
+            }
         };
 
         let (mut tracks, mut sets) = Self::genesis_maps(&set_a, &set_b)?;
@@ -308,7 +311,7 @@ impl StreamService {
                             at,
                             &updates,
                         )?;
-                        for u in &updates {
+                        for u in updates.iter() {
                             applied_stamps.insert(u.id, at);
                         }
                         now = at;
@@ -420,14 +423,22 @@ impl StreamService {
         Ok((tracks, sets))
     }
 
-    /// Decodes one journal payload, folding the wire layer's typed
-    /// errors (bad magic, version mismatch, corrupt body) into
+    /// Decodes one journal payload for replay, folding the wire layer's
+    /// typed errors (bad magic, version mismatch, corrupt body) and a
+    /// record no engine can be handed ([`WalRecord::is_sound`]) into
     /// [`StreamError::CorruptJournal`] so callers see one typed "bad
-    /// journal" condition. The wire error's own message — which names
-    /// the exact mismatch — is preserved inside it.
-    fn decode_journal(payload: &[u8]) -> StreamResult<WalRecord> {
-        WalRecord::decode(payload)
-            .map_err(|e| StreamError::CorruptJournal(format!("undecodable record: {e}")))
+    /// journal" condition. The cause's own message — which names the
+    /// exact mismatch — is preserved inside it.
+    fn decode_journal(payload: &[u8]) -> StreamResult<WalRecord<'static>> {
+        let record = WalRecord::decode(payload)
+            .map_err(|e| StreamError::CorruptJournal(format!("undecodable record: {e}")))?;
+        if !record.is_sound() {
+            return Err(StreamError::CorruptJournal(format!(
+                "{} record with an out-of-range time or an unsound trajectory",
+                record.kind()
+            )));
+        }
+        Ok(record)
     }
 
     /// Offers one update for tick `at`. The caller must handle the

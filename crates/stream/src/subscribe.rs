@@ -329,7 +329,7 @@ impl SubscriptionRegistry {
 
     /// Re-registers a subscriber under a known id (WAL replay).
     pub(crate) fn insert_with_id(&mut self, id: SubscriberId, filter: SubscriptionFilter) {
-        self.next_id = self.next_id.max(id.0 + 1);
+        self.next_id = self.next_id.max(id.0.saturating_add(1));
         self.unsubscribe(id);
         self.index = None;
         self.subscribers.insert(

@@ -127,3 +127,28 @@ impl ChainedGen {
         self.states.insert(u.id, (u.new_mbr, at));
     }
 }
+
+#[path = "../../../storage/tests/common/bytes.rs"]
+mod bytes;
+#[allow(unused_imports)] // each test crate uses a different subset
+pub use bytes::*;
+
+/// The journal file `golden_bytes.rs`'s scripted life left under the first `PROTOCOL_VERSION` 1
+/// build: seven framed records.
+pub const GOLDEN_JOURNAL: &str = "\
+    53010000d8a223b0c10101000000000000000002000000010000000000000000000000000000000000000000\
+    00f03f000000000000000000000000000000000000000000000000000000000000f03f000000000000000000\
+    0000000000000000000000000000000300000000000000000000000000244000000000000026400000000000\
+    00000000000000000000000000000000000000000000000000f03f0000000000000000000000000000000000\
+    00000000000000020000000200000000000000000000000000e03f000000000000f83f000000000000000000\
+    000000000000000000000000000000000000000000f03f000000000000000000000000000000000000000000\
+    0000000400000000000000000000000000344000000000000035400000000000000000000000000000000000\
+    00000000000000000000000000f03f0000000000000000000000000000000000000000000000000c000000d3\
+    366d9ac1010300000000000000000014000000b6c527dbc1010301000000000000000102000000000000002c\
+    000000eb8b6219c1010302000000000000000200000000000000000000000000001440000000000000f0bf00\
+    000000000004400b000000f0782475c101040100000000000000b0000000109d3e68c10102000000000000f0\
+    3f01000000030000000000000001000000000000244000000000000026400000000000000000000000000000\
+    00000000000000000000000000000000f03f0000000000000000000000000000000000000000000000000000\
+    00000000000000000000008033400000000000803440000000000000d03f000000000000d03f000000000000\
+    0000000000000000f03f00000000000000000000000000000000000000000000f03f140000004a0b49ccc101\
+    05000000000000f03f010100000000000000";

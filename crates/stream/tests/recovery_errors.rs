@@ -13,9 +13,8 @@ use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::Time;
 use cij_storage::codec::ByteWriter;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
-use cij_stream::{
-    wire, IngestOutcome, StreamConfig, StreamError, StreamService, SubscriptionFilter,
-};
+use cij_stream::wire::Wire;
+use cij_stream::{IngestOutcome, StreamConfig, StreamError, StreamService, SubscriptionFilter};
 use cij_tpr::TprResult;
 use cij_workload::{generate_pair, Distribution, MovingObject, Params, UpdateStream};
 
@@ -174,8 +173,8 @@ fn recover_rejects_a_genesis_that_repeats_an_object_id() {
     b[0].id = a[0].id;
     let mut body = ByteWriter::new();
     body.put_f64(0.0);
-    wire::put_objects(&mut body, &a);
-    wire::put_objects(&mut body, &b);
+    a.put(&mut body);
+    b.put(&mut body);
     let mut genesis = records[0][..3].to_vec();
     genesis.extend(body.into_bytes());
 
