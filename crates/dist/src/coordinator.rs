@@ -20,6 +20,21 @@
 //! - `pair_status_at` routes to the one worker owning the pair's shard
 //!   pair, mirroring the shard coordinator's lookup.
 //!
+//! # Concurrent rounds
+//!
+//! Workers are state-disjoint, so every round that addresses all of
+//! them — `new`'s `Init`s, `Track`, `Start`, each tick's `Step`s,
+//! `result_at`, `counters` and `heartbeat` — goes through one helper
+//! that fans the slots out over [`cij_join::fan_out_tasks`], the shard
+//! coordinator's worklist, with the machine's available parallelism as
+//! the width: a tick costs the slowest worker, not the sum. Everything
+//! that orders a worker's journal — sequence numbers, `ack_through`,
+//! the ack-lag sample, heartbeat nonces — is assigned in slot order
+//! *before* the fan-out, and answers are merged in slot order after it,
+//! so journals and the merged stream are those of a serial coordinator.
+//! A failed round reports the first error in slot order, and every slot
+//! that acked still records its request (see *Fault handling*).
+//!
 //! # Fault handling
 //!
 //! Every RPC runs under a reconnect loop with bounded exponential
@@ -33,6 +48,7 @@
 //! does not fork — the crate's differential tests kill workers mid-run
 //! and compare streams byte for byte.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +56,7 @@ use cij_core::{
     publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineOp, PairKey, PairStatus,
 };
 use cij_geom::{MovingRect, Time};
-use cij_join::JoinCounters;
+use cij_join::{fan_out_tasks, JoinCounters};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
 use cij_shard::{JoinPlan, PartitionPolicy, ShardRouter};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
@@ -119,6 +135,26 @@ impl WorkerLink {
     fn newest_seq(&self) -> u64 {
         self.history.last().and_then(Request::seq).unwrap_or(0)
     }
+
+    /// Records an acknowledged mutating request: it is now part of the
+    /// worker's durable past, and of the history that replays it.
+    fn record_ack(&mut self, req: Request) {
+        if let Some(seq) = req.seq() {
+            self.acked_seq = self.acked_seq.max(seq);
+        }
+        self.history.push(req);
+    }
+}
+
+/// `Ok` iff the answer is an [`Response::Ack`].
+fn expect_ack(resp: DistResult<Response>) -> DistResult<()> {
+    match resp? {
+        Response::Ack { .. } => Ok(()),
+        other => Err(DistError::UnexpectedResponse {
+            expected: "Ack",
+            got: other.kind(),
+        }),
+    }
 }
 
 /// A [`ContinuousJoinEngine`] whose shard-pair engines live in worker
@@ -131,6 +167,9 @@ pub struct DistCoordinator {
     plan: JoinPlan,
     /// One worker per slot of `plan`.
     slots: Vec<Mutex<WorkerLink>>,
+    /// Fan-out width of every round: the machine's available
+    /// parallelism, read once (`fan_out_tasks` caps it at the slots).
+    threads: usize,
     /// Global mutating-request sequence; per-worker subsequences are
     /// strictly increasing (with gaps).
     seq: u64,
@@ -208,6 +247,7 @@ impl DistCoordinator {
             router,
             plan,
             slots,
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             seq: 0,
             nonce: 0,
             pending: Vec::new(),
@@ -224,19 +264,18 @@ impl DistCoordinator {
             obs,
         };
 
-        for (idx, &(i, j)) in coordinator.plan.pairs().iter().enumerate() {
-            coordinator.seq += 1;
-            let req = Request::Init {
-                seq: coordinator.seq,
+        let inits = (coordinator.round_seqs().zip(coordinator.plan.pairs()))
+            .map(|(seq, &(i, j))| Request::Init {
+                seq,
                 engine: coordinator.config.engine,
                 t_m: coordinator.config.t_m,
                 buckets_per_tm: coordinator.config.buckets_per_tm,
                 set_a: parts_a[i].clone(),
                 set_b: parts_b[j].clone(),
                 start: now,
-            };
-            coordinator.send_expect_ack(idx, req)?;
-        }
+            })
+            .collect();
+        coordinator.ack_round(inits)?;
         Ok(coordinator)
     }
 
@@ -272,27 +311,23 @@ impl DistCoordinator {
     /// # Errors
     /// The first unreachable or misbehaving worker, in slot order.
     pub fn heartbeat(&mut self) -> DistResult<()> {
-        for idx in 0..self.slots.len() {
-            self.nonce += 1;
-            let nonce = self.nonce;
-            let mut link = self.slots[idx].lock();
-            let resp = self.call_link(idx, &mut link, &Request::Ping { nonce })?;
-            match resp {
-                Response::Pong { nonce: echoed } if echoed == nonce => {}
-                Response::Pong { .. } => {
-                    return Err(DistError::Worker(format!(
-                        "worker {idx} echoed a stale heartbeat nonce"
-                    )))
-                }
-                other => {
-                    return Err(DistError::UnexpectedResponse {
-                        expected: "Pong",
-                        got: other.kind(),
-                    })
-                }
+        // Nonces are drawn in slot order before the round.
+        let base = self.nonce;
+        self.nonce += self.slots.len() as u64;
+        let pongs = self.for_each_link(|idx, link| {
+            let nonce = base + idx as u64 + 1;
+            match self.call_link(idx, link, &Request::Ping { nonce })? {
+                Response::Pong { nonce: echoed } if echoed == nonce => Ok(()),
+                Response::Pong { .. } => Err(DistError::Worker(format!(
+                    "worker {idx} echoed a stale heartbeat nonce"
+                ))),
+                other => Err(DistError::UnexpectedResponse {
+                    expected: "Pong",
+                    got: other.kind(),
+                }),
             }
-        }
-        Ok(())
+        });
+        pongs.into_iter().collect()
     }
 
     /// Sends every worker a [`Request::Shutdown`] on a best-effort
@@ -429,21 +464,50 @@ impl DistCoordinator {
     fn send_mutating(&self, idx: usize, req: Request) -> DistResult<Response> {
         let mut link = self.slots[idx].lock();
         let resp = self.call_link(idx, &mut link, &req)?;
-        if let Some(seq) = req.seq() {
-            link.acked_seq = link.acked_seq.max(seq);
-        }
-        link.history.push(req);
+        link.record_ack(req);
         Ok(resp)
     }
 
-    fn send_expect_ack(&self, idx: usize, req: Request) -> DistResult<()> {
-        match self.send_mutating(idx, req)? {
-            Response::Ack { .. } => Ok(()),
-            other => Err(DistError::UnexpectedResponse {
-                expected: "Ack",
-                got: other.kind(),
-            }),
+    /// Draws one sequence number per slot, in slot order: a round's
+    /// requests are numbered before it fans out, so every worker's
+    /// journal is the one a serial coordinator would have written.
+    fn round_seqs(&mut self) -> std::ops::RangeInclusive<u64> {
+        let first = self.seq + 1;
+        self.seq += self.slots.len() as u64;
+        first..=self.seq
+    }
+
+    /// Runs `f(slot, link)` for every worker slot, fanned out over the
+    /// coordinator's threads — the counterpart of the shard
+    /// coordinator's `for_each_slot` — and returns the results in slot
+    /// order.
+    fn for_each_link<R: Send>(&self, f: impl Fn(usize, &mut WorkerLink) -> R + Sync) -> Vec<R> {
+        fan_out_tasks(self.slots.len(), self.threads, |idx| {
+            f(idx, &mut self.slots[idx].lock())
+        })
+    }
+
+    /// Sends `reqs[slot]` — one mutating request per slot, numbered in
+    /// slot order by the caller — to every worker in one round, and
+    /// returns the answers in slot order. As in [`send_mutating`], an
+    /// acknowledged request joins its slot's history even when another
+    /// slot failed, so replay stays exactly each worker's durable past.
+    ///
+    /// [`send_mutating`]: Self::send_mutating
+    fn send_round(&self, reqs: Vec<Request>) -> Vec<DistResult<Response>> {
+        let answers = self.for_each_link(|idx, link| self.call_link(idx, link, &reqs[idx]));
+        for ((slot, req), answer) in self.slots.iter().zip(reqs).zip(&answers) {
+            if answer.is_ok() {
+                slot.lock().record_ack(req);
+            }
         }
+        answers
+    }
+
+    /// [`send_round`](Self::send_round) for requests answered by a plain
+    /// [`Response::Ack`]; the first failure in slot order.
+    fn ack_round(&self, reqs: Vec<Request>) -> DistResult<()> {
+        self.send_round(reqs).into_iter().try_for_each(expect_ack)
     }
 
     fn take_deferred(&mut self) -> TprResult<()> {
@@ -469,7 +533,7 @@ impl DistCoordinator {
                 now,
                 op,
             };
-            self.send_expect_ack(idx, req)?;
+            expect_ack(self.send_mutating(idx, req))?;
         }
         Ok(())
     }
@@ -482,11 +546,11 @@ impl ContinuousJoinEngine for DistCoordinator {
 
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
         self.take_deferred()?;
-        for idx in 0..self.slots.len() {
-            self.seq += 1;
-            self.send_expect_ack(idx, Request::Start { seq: self.seq, now })?;
-        }
-        Ok(())
+        let starts = self
+            .round_seqs()
+            .map(|seq| Request::Start { seq, now })
+            .collect();
+        Ok(self.ack_round(starts)?)
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
@@ -496,43 +560,48 @@ impl ContinuousJoinEngine for DistCoordinator {
     /// One tick: routes the batch onto per-worker op lists and sends
     /// every worker — empty lists included — its [`Request::Step`], so
     /// each remote engine sees exactly the advance/apply/gc cadence of
-    /// the in-process run. Harvested result changes queue locally until
-    /// [`take_result_changes`](ContinuousJoinEngine::take_result_changes).
+    /// the in-process run. Harvested result changes queue locally, in
+    /// slot order, until
+    /// [`take_result_changes`](ContinuousJoinEngine::take_result_changes)
+    /// — those of every slot that acked, even when another slot failed.
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
         self.take_deferred()?;
         let mut ops: Vec<Vec<EngineOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
             self.router.project(u, now, &self.plan, &mut ops);
         }
-        for (idx, slot_ops) in ops.into_iter().enumerate() {
-            self.seq += 1;
-            let seq = self.seq;
-            let mut link = self.slots[idx].lock();
-            let ack_through = link.acked_seq;
-            link.ack_lag.record(seq - ack_through);
-            let req = Request::Step {
-                seq,
-                now,
-                ops: slot_ops,
-                ack_through,
-            };
-            let resp = self.call_link(idx, &mut link, &req)?;
-            let Response::StepAck { changes, .. } = resp else {
-                return Err(DistError::UnexpectedResponse {
-                    expected: "StepAck",
-                    got: resp.kind(),
+        // `ack_through` and the ack-lag sample, like the sequence
+        // numbers, are fixed in slot order before the round.
+        let steps = (self.round_seqs().zip(ops).zip(&self.slots))
+            .map(|((seq, ops), slot)| {
+                let link = slot.lock();
+                link.ack_lag.record(seq - link.acked_seq);
+                Request::Step {
+                    seq,
+                    now,
+                    ops,
+                    ack_through: link.acked_seq,
                 }
-                .into());
-            };
-            link.acked_seq = seq;
-            link.history.push(req);
-            drop(link);
+            })
+            .collect();
+        let mut first_err = None;
+        for answer in self.send_round(steps) {
+            let changes = answer.and_then(|resp| match resp {
+                Response::StepAck { changes, .. } => Ok(changes),
+                other => Err(DistError::UnexpectedResponse {
+                    expected: "StepAck",
+                    got: other.kind(),
+                }),
+            });
             match changes {
-                Some(mut c) => self.pending.append(&mut c),
-                None => self.pending_none = true,
+                Ok(Some(mut c)) => self.pending.append(&mut c),
+                Ok(None) => self.pending_none = true,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        Ok(())
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 
     fn insert_object(
@@ -578,9 +647,10 @@ impl ContinuousJoinEngine for DistCoordinator {
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         let mut out = Vec::new();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let mut link = slot.lock();
-            match self.call_link(idx, &mut link, &Request::ResultAt { t }) {
+        let answers =
+            self.for_each_link(|idx, link| self.call_link(idx, link, &Request::ResultAt { t }));
+        for answer in answers {
+            match answer {
                 Ok(Response::Pairs(mut pairs)) => out.append(&mut pairs),
                 // The trait's snapshot read is infallible: an
                 // unreachable worker degrades the snapshot (flagged by
@@ -601,9 +671,9 @@ impl ContinuousJoinEngine for DistCoordinator {
 
     fn counters(&self) -> JoinCounters {
         let mut total = JoinCounters::new();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let mut link = slot.lock();
-            match self.call_link(idx, &mut link, &Request::Counters) {
+        let answers = self.for_each_link(|idx, link| self.call_link(idx, link, &Request::Counters));
+        for answer in answers {
+            match answer {
                 Ok(Response::CountersAck(c)) => total = total.merged(c),
                 _ => self.dropped_reads.inc(),
             }
@@ -613,16 +683,15 @@ impl ContinuousJoinEngine for DistCoordinator {
 
     fn enable_delta_tracking(&mut self) {
         self.deltas_enabled = true;
-        for idx in 0..self.slots.len() {
-            self.seq += 1;
-            let req = Request::Track { seq: self.seq };
-            if let Err(e) = self.send_expect_ack(idx, req) {
-                // The trait method is infallible; park the error for
-                // the next fallible call (in practice the
-                // `run_initial_join` that immediately follows).
-                self.deferred = Some(e);
-                return;
-            }
+        let tracks = self
+            .round_seqs()
+            .map(|seq| Request::Track { seq })
+            .collect();
+        // The trait method is infallible; park the error for the next
+        // fallible call (in practice the `run_initial_join` that
+        // immediately follows).
+        if let Err(e) = self.ack_round(tracks) {
+            self.deferred = Some(e);
         }
     }
 

@@ -13,8 +13,10 @@
 //! - a [`DistCoordinator`] routes object updates through the same
 //!   [`PartitionPolicy`](cij_shard::PartitionPolicy)/row-column fan-out
 //!   as the in-process shard coordinator, drives every worker in
-//!   lockstep with one [`Step`](protocol::Request::Step) per tick, and
-//!   merges the workers' drained result changes — implementing
+//!   lockstep with one [`Step`](protocol::Request::Step) per tick — the
+//!   workers of a round called concurrently, over the shard
+//!   coordinator's fan-out — and merges the workers' drained result
+//!   changes in slot order — implementing
 //!   `ContinuousJoinEngine` itself, so it wraps in the same
 //!   `StreamService` as any local engine;
 //! - the [`Transport`] seam is pluggable: an in-process [`loopback`]
