@@ -568,7 +568,7 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.take_deferred()?;
         let mut ops: Vec<Vec<EngineOp>> = vec![Vec::new(); self.slots.len()];
         for u in updates {
-            self.router.project(u, now, &self.plan, &mut ops);
+            self.router.project(u, now, &self.plan, &mut ops)?;
         }
         // `ack_through` and the ack-lag sample, like the sequence
         // numbers, are fixed in slot order before the round.
@@ -616,12 +616,14 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.send_immediate(set, shard, EngineOp::Insert { set, id, mbr }, now)
     }
 
+    /// Deletes by the router's record; the caller's `old_mbr` and
+    /// `last_update` are not read.
     fn remove_object(
         &mut self,
         set: SetTag,
         id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
+        _: &MovingRect,
+        _: Time,
         now: Time,
     ) -> TprResult<()> {
         self.take_deferred()?;
@@ -634,8 +636,8 @@ impl ContinuousJoinEngine for DistCoordinator {
             EngineOp::Remove {
                 set,
                 id,
-                old_mbr: *old_mbr,
-                last_update,
+                old_mbr: record.mbr,
+                last_update: record.last_update,
             },
             now,
         )

@@ -315,6 +315,85 @@ fn remove_object_under_the_wrong_set_is_refused() {
     assert!(calls(&dist) > before);
 }
 
+/// As in-process: the router's records are the only delete keys. A
+/// caller whose migrating updates and removal carry stale `old_mbr` /
+/// `last_update` — the genesis registration, long replaced — gets
+/// exactly the honest caller's answers from the workers.
+#[test]
+fn stale_delete_keys_get_the_honest_answer() {
+    use cij_core::ContinuousJoinEngine;
+
+    let p = skew_params(57);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let (a, b) = generate_pair(&p, 0.0);
+    let coordinator = || {
+        let connectors: Vec<Box<dyn Connector>> = joinable_pairs(&*policy)
+            .iter()
+            .map(|_| Box::new(LoopbackHost::ephemeral().connector()) as Box<dyn Connector>)
+            .collect();
+        let config = DistConfig {
+            engine: EngineKind::Mtb,
+            t_m: p.maximum_update_interval,
+            ..DistConfig::default()
+        };
+        let mut dist = DistCoordinator::new(config, policy.clone(), connectors, &a, &b, 0.0)
+            .expect("dist coordinator");
+        dist.run_initial_join(0.0).expect("initial join");
+        dist
+    };
+    let (mut honest, mut stale) = (coordinator(), coordinator());
+    let movers = [a[0], a[1]];
+    let mut tracked: Vec<(MovingRect, Time)> = movers.iter().map(|o| (o.mbr, 0.0)).collect();
+    let (slow, fast) = (0.05 * p.max_speed, 0.95 * p.max_speed);
+    // Four ticks apart, so the stale `last_update` soon names an MTB
+    // bucket (T_M / 2 = 10 ticks wide) the object has left.
+    for tick in 1..=5u32 {
+        let now = Time::from(4 * tick);
+        let speeds = if tick % 2 == 1 {
+            [fast, slow]
+        } else {
+            [slow, fast]
+        };
+        let mut batch = Vec::new();
+        let mut stale_batch = Vec::new();
+        for (slot, speed) in speeds.into_iter().enumerate() {
+            let (old_mbr, last_update) = tracked[slot];
+            let here = old_mbr.at(now);
+            let new_mbr = MovingRect::rigid(Rect::new(here.lo, here.hi), [speed, 0.0], now);
+            tracked[slot] = (new_mbr, now);
+            let u = ObjectUpdate {
+                id: movers[slot].id,
+                set: SetTag::A,
+                old_mbr,
+                last_update,
+                new_mbr,
+            };
+            batch.push(u);
+            stale_batch.push(ObjectUpdate {
+                old_mbr: movers[slot].mbr,
+                last_update: 0.0,
+                ..u
+            });
+        }
+        honest.apply_batch(&batch, now).expect("honest batch");
+        stale.apply_batch(&stale_batch, now).expect("stale batch");
+        assert_eq!(stale.result_at(now), honest.result_at(now), "t={now}");
+    }
+    assert!(honest.migrations() >= 8, "the movers must trade bands");
+    assert_eq!(stale.migrations(), honest.migrations());
+
+    let (now, gone) = (20.0, movers[0]);
+    let (mbr, last_update) = tracked[0];
+    honest
+        .remove_object(SetTag::A, gone.id, &mbr, last_update, now)
+        .expect("honest removal");
+    stale
+        .remove_object(SetTag::A, gone.id, &gone.mbr, 0.0, now)
+        .expect("stale removal");
+    assert_eq!(stale.result_at(now), honest.result_at(now));
+    assert!(honest.result_at(now).iter().all(|p| p.0 != gone.id));
+}
+
 #[test]
 fn loopback_stream_bit_identical_across_policies_and_k() {
     let cases: Vec<(&str, usize, Params, Arc<dyn PartitionPolicy>)> = {

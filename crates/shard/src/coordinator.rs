@@ -33,7 +33,10 @@
 //!
 //! What an update means for each engine — a plain `apply_update` on
 //! the object's row/column, or the remove + insert halves of a
-//! migration — is [`ShardRouter::project`]'s business.
+//! migration — is [`ShardRouter::project`]'s business, and so are its
+//! delete keys: the router addresses every delete by the object's
+//! record, as [`remove_object`](ContinuousJoinEngine::remove_object)
+//! does here, never by what the caller passed.
 //! [`apply_batch`](ContinuousJoinEngine::apply_batch) projects the
 //! tick's update sequence onto each engine (preserving order) and fans
 //! the per-engine op lists out over
@@ -68,11 +71,11 @@
 //!    membership, everything via
 //!    [`restore_object`](ContinuousJoinEngine::restore_object) with the
 //!    object's **original registration time**. That last part is the
-//!    load-bearing bit: MTB buckets key removal by update time, so the
-//!    next producer update (which still carries the old `last_update`)
-//!    must find the object filed where it would have been without the
-//!    rebalance — and the recomputed probe windows end at-or-after the
-//!    original ones, so per-tick results are unchanged.
+//!    load-bearing bit: MTB buckets key removal by update time, and the
+//!    router keys the object's next delete by the record's registration
+//!    time, so the object must be filed where it would have been without
+//!    the rebalance — and the recomputed probe windows end at-or-after
+//!    the original ones, so per-tick results are unchanged.
 //!
 //! Update-driven `migrations` and policy-driven `rebalance.moved`
 //! objects are counted separately; both conserve populations.
@@ -458,7 +461,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
             if let Some(ctl) = self.adaptive.as_mut() {
                 ctl.observe(&u.new_mbr);
             }
-            self.router.project(u, now, &self.plan, &mut ops);
+            self.router.project(u, now, &self.plan, &mut ops)?;
         }
         self.for_each_slot(|i, engine| apply_op_runs(engine, &ops[i], now))?;
         self.maybe_rebalance(now)
@@ -481,12 +484,14 @@ impl ContinuousJoinEngine for ShardCoordinator {
         Ok(())
     }
 
+    /// Deletes by the router's record; the caller's `old_mbr` and
+    /// `last_update` are not read.
     fn remove_object(
         &mut self,
         set: SetTag,
         id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
+        _: &MovingRect,
+        _: Time,
         now: Time,
     ) -> TprResult<()> {
         let Some(record) = self.router.remove(set, id) else {
@@ -495,7 +500,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
         for &slot in self.plan.fan(set, record.shard) {
             self.slots[slot]
                 .lock()
-                .remove_object(set, id, old_mbr, last_update, now)?;
+                .remove_object(set, id, &record.mbr, record.last_update, now)?;
         }
         Ok(())
     }

@@ -19,13 +19,18 @@
 //! against every live trajectory and hands the coordinator the exact
 //! batch of moves, each carrying the original registration time so
 //! engines that key removal on update time (MTB buckets) can re-file
-//! the object where the *next* producer update will look for it.
+//! the object where its next delete will look for it.
+//!
+//! The record is also the only source of an update's delete keys:
+//! [`project`](ShardRouter::project) addresses every `Remove` and
+//! `Apply` by the record it replaces, never by the `old_mbr` /
+//! `last_update` / `set` the caller put in the update.
 
 use std::sync::Arc;
 
 use cij_core::{EngineOp, PairKey};
 use cij_geom::{MovingRect, Time};
-use cij_tpr::{IdMap, ObjectId};
+use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::plan::JoinPlan;
@@ -108,28 +113,19 @@ impl ShardRouter {
         &self.population[side(set)]
     }
 
-    /// Records `id` as living in `shard` and returns the record it
-    /// replaces, keeping the populations in step.
-    fn insert(
-        &mut self,
-        id: ObjectId,
-        set: SetTag,
-        shard: usize,
-        mbr: &MovingRect,
-        now: Time,
-    ) -> Option<ObjectRecord> {
+    /// Records `id` as living in `shard`, keeping the populations in
+    /// step.
+    fn insert(&mut self, id: ObjectId, set: SetTag, shard: usize, mbr: &MovingRect, now: Time) {
         let record = ObjectRecord {
             set,
             shard,
             mbr: *mbr,
             last_update: now,
         };
-        let prev = self.records.insert(id, record);
-        if let Some(old) = prev {
+        if let Some(old) = self.records.insert(id, record) {
             self.population[side(old.set)][old.shard] -= 1;
         }
         self.population[side(set)][shard] += 1;
-        prev
     }
 
     /// Places a new object registered at `now` and returns its shard.
@@ -178,43 +174,57 @@ impl ShardRouter {
 
     /// Routes `update` (applied at `now`) and appends what it means for
     /// each engine to the per-slot op lists of `plan`, the plan of the
-    /// current policy: an object that stays in its shard (or is unknown,
-    /// and placed fresh) gets an [`EngineOp::Apply`] on every slot of
-    /// its row/column; one the new trajectory carried across a partition
-    /// boundary — a migration — an [`EngineOp::Remove`] on the old
-    /// shard's fan and an [`EngineOp::Insert`] on the new one's, exact
-    /// mirror halves of `apply_update`.
+    /// current policy: an object that stays in its shard gets an
+    /// [`EngineOp::Apply`] on every slot of its row/column; one the new
+    /// trajectory carried across a partition boundary — a migration — an
+    /// [`EngineOp::Remove`] on the old shard's fan and an
+    /// [`EngineOp::Insert`] on the new one's, exact mirror halves of
+    /// `apply_update`. Every delete is keyed by the object's record: of
+    /// `update` only `id` and `new_mbr` are read.
+    ///
+    /// # Errors
+    /// [`TprError::ObjectNotFound`], with nothing routed, when the router
+    /// has not placed `update.id`.
     pub fn project(
         &mut self,
         update: &ObjectUpdate,
         now: Time,
         plan: &JoinPlan,
         ops: &mut [Vec<EngineOp>],
-    ) {
-        let ObjectUpdate { set, id, .. } = *update;
-        let to = self.policy.shard_of(id, &update.new_mbr);
-        match self.insert(id, set, to, &update.new_mbr, now) {
-            Some(prev) if prev.shard != to => {
-                self.migrations += 1;
-                for &slot in plan.fan(set, prev.shard) {
-                    ops[slot].push(EngineOp::Remove {
-                        set,
-                        id,
-                        old_mbr: update.old_mbr,
-                        last_update: update.last_update,
-                    });
-                }
-                for &slot in plan.fan(set, to) {
-                    let mbr = update.new_mbr;
-                    ops[slot].push(EngineOp::Insert { set, id, mbr });
-                }
+    ) -> TprResult<()> {
+        let id = update.id;
+        let Some(&prev) = self.records.get(&id) else {
+            return Err(TprError::ObjectNotFound(id));
+        };
+        let (set, mbr) = (prev.set, update.new_mbr);
+        let to = self.policy.shard_of(id, &mbr);
+        self.insert(id, set, to, &mbr, now);
+        if prev.shard != to {
+            self.migrations += 1;
+            for &slot in plan.fan(set, prev.shard) {
+                ops[slot].push(EngineOp::Remove {
+                    set,
+                    id,
+                    old_mbr: prev.mbr,
+                    last_update: prev.last_update,
+                });
             }
-            _ => {
-                for &slot in plan.fan(set, to) {
-                    ops[slot].push(EngineOp::Apply(*update));
-                }
+            for &slot in plan.fan(set, to) {
+                ops[slot].push(EngineOp::Insert { set, id, mbr });
+            }
+        } else {
+            let apply = ObjectUpdate {
+                id,
+                set,
+                old_mbr: prev.mbr,
+                last_update: prev.last_update,
+                new_mbr: mbr,
+            };
+            for &slot in plan.fan(set, to) {
+                ops[slot].push(EngineOp::Apply(apply));
             }
         }
+        Ok(())
     }
 
     /// Forgets object `id` of `set`, returning the record that held it.
@@ -292,8 +302,9 @@ mod tests {
 
     /// `project` spells a routed update as engine ops — `Apply` on the
     /// whole fan of a stayer, `Remove` on the old fan + `Insert` on the
-    /// new one for a crosser (rows for A, columns for B) — and keeps
-    /// records, populations and the migration count in step.
+    /// new one for a crosser (rows for A, columns for B) — keyed by the
+    /// record, whatever the update claims, and keeps records,
+    /// populations and the migration count in step.
     #[test]
     fn stays_and_migrations_fan_over_the_plan() {
         let policy = Arc::new(VelocityBandPolicy::new(2, 4.0));
@@ -304,19 +315,22 @@ mod tests {
         assert_eq!(r.shard_of(id), Some(0));
         let project = |r: &mut ShardRouter, update: ObjectUpdate, now| {
             let mut ops = vec![Vec::new(); plan.pairs().len()];
-            r.project(&update, now, &plan, &mut ops);
-            ops
+            r.project(&update, now, &plan, &mut ops).map(|()| ops)
         };
-        let b = |id, old, new| ObjectUpdate {
-            set: SetTag::B,
-            ..update(id, old, new)
+        // The caller's delete keys are wrong on purpose: side A, a
+        // trajectory never registered, a tick never applied.
+        let b = |id, new| ObjectUpdate {
+            last_update: 9.0,
+            ..update(id, [7.0, 7.0], new)
         };
         // Slots are (0,0) (0,1) (1,0) (1,1); B-shard 0 is column 0.
         // Same band: stay — but the record tracks the new trajectory
         // and registration time.
-        let ops = project(&mut r, b(id, [0.5, 0.0], [0.9, 0.0]), 3.0);
+        let ops = project(&mut r, b(id, [0.9, 0.0]), 3.0).unwrap();
         for slot in [0, 2] {
-            assert!(matches!(ops[slot][..], [EngineOp::Apply(u)] if u.id == id));
+            assert!(matches!(ops[slot][..], [EngineOp::Apply(u)]
+                if u.id == id && u.set == SetTag::B && u.old_mbr == rect([0.5, 0.0])
+                    && u.last_update == 0.0 && u.new_mbr == rect([0.9, 0.0])));
         }
         assert!(ops[1].is_empty() && ops[3].is_empty());
         assert_eq!(r.migrations(), 0);
@@ -324,29 +338,36 @@ mod tests {
         assert_eq!(rec.last_update, 3.0);
         assert_eq!(rec.mbr.vlo, [0.9, 0.0]);
         // Band 0 → band 1: migrate.
-        let ops = project(&mut r, b(id, [0.9, 0.0], [3.9, 0.0]), 5.0);
+        let ops = project(&mut r, b(id, [3.9, 0.0]), 5.0).unwrap();
         for slot in [0, 2] {
-            assert!(matches!(ops[slot][..], [EngineOp::Remove { id: gone, .. }] if gone == id));
+            assert!(
+                matches!(ops[slot][..], [EngineOp::Remove { id: gone, set, old_mbr, last_update }]
+                if gone == id && set == SetTag::B && old_mbr == rect([0.9, 0.0])
+                    && last_update == 3.0)
+            );
         }
         for slot in [1, 3] {
             assert!(matches!(ops[slot][..], [EngineOp::Insert { id: new, .. }] if new == id));
         }
         assert_eq!(r.migrations(), 1);
         assert_eq!(r.shard_of(id), Some(1));
-        // Unknown object: placed fresh, no migration counted.
-        let ops = project(&mut r, update(ObjectId(99), [0.1, 0.0], [0.1, 0.0]), 5.0);
-        assert!(matches!(ops[0][..], [EngineOp::Apply(_)]) && ops[2].is_empty());
+        // Unknown object: refused, nothing routed or placed.
+        let unknown = project(&mut r, update(ObjectId(99), [0.1, 0.0], [0.1, 0.0]), 5.0);
+        assert!(matches!(
+            unknown,
+            Err(TprError::ObjectNotFound(ObjectId(99)))
+        ));
         assert_eq!(r.migrations(), 1);
-        assert_eq!(r.population(SetTag::A), [1, 0]);
+        assert_eq!(r.population(SetTag::A), [0, 0]);
         assert_eq!(r.population(SetTag::B), [0, 1]);
         // The caller's set must agree with the placement: a mismatch
         // forgets nothing and touches no population.
         assert!(r.remove(SetTag::A, id).is_none());
-        assert_eq!(r.records().count(), 2);
+        assert_eq!(r.records().count(), 1);
         let gone = r.remove(SetTag::B, id).unwrap();
         assert_eq!(gone.shard, 1);
         assert_eq!(gone.last_update, 5.0);
-        assert_eq!(r.records().count(), 1);
+        assert_eq!(r.records().count(), 0);
         assert_eq!(r.population(SetTag::B), [0, 0]);
     }
 

@@ -570,6 +570,94 @@ fn remove_object_under_the_wrong_set_is_refused() {
     assert_eq!(coord.shard_of(victim.id), None);
 }
 
+/// The router's records are the only delete keys. A caller whose
+/// updates and removal all carry stale `old_mbr` / `last_update` — the
+/// genesis registration, long replaced — gets exactly the honest
+/// caller's answers, through a migration every tick, a same-band
+/// re-registration and a removal.
+#[test]
+fn stale_delete_keys_get_the_honest_answer() {
+    let params = skew_params(49);
+    let (a, b) = generate_pair(&params, 0.0);
+    let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
+    let coordinator = || {
+        let mut coord = ShardCoordinator::with_factory(
+            pool(),
+            engine_config(&params),
+            policy.clone(),
+            &a,
+            &b,
+            0.0,
+            make_factory(Kind::Mtb),
+        )
+        .expect("coordinator");
+        coord.run_initial_join(0.0).expect("initial join");
+        coord
+    };
+    let (mut honest, mut stale) = (coordinator(), coordinator());
+    let resident = *a[2..]
+        .iter()
+        .find(|o| honest.shard_of(o.id) == Some(0))
+        .expect("a band-0 resident");
+    let objects = [a[0], a[1], resident];
+    let mut tracked: Vec<(MovingRect, Time)> = objects.iter().map(|o| (o.mbr, 0.0)).collect();
+    let (slow, fast) = (0.05 * params.max_speed, 0.95 * params.max_speed);
+    // Four ticks apart, so the stale `last_update` soon names an MTB
+    // bucket (T_M / 2 = 10 ticks wide) the object has left.
+    for tick in 1..=5u32 {
+        let now = Time::from(4 * tick);
+        let (first, second) = if tick % 2 == 1 {
+            (fast, slow)
+        } else {
+            (slow, fast)
+        };
+        let mut batch = Vec::new();
+        for (slot, speed) in [(0, Some(first)), (1, Some(second)), (2, None)] {
+            let (old_mbr, last_update) = tracked[slot];
+            let here = old_mbr.at(now);
+            let velocity = speed.map_or(old_mbr.vlo, |s| [s, 0.0]);
+            let new_mbr = MovingRect::rigid(Rect::new(here.lo, here.hi), velocity, now);
+            tracked[slot] = (new_mbr, now);
+            let id = objects[slot].id;
+            batch.push(ObjectUpdate {
+                id,
+                set: SetTag::A,
+                old_mbr,
+                last_update,
+                new_mbr,
+            });
+        }
+        let stale_batch: Vec<ObjectUpdate> = (batch.iter().zip(&objects))
+            .map(|(u, genesis)| ObjectUpdate {
+                old_mbr: genesis.mbr,
+                last_update: 0.0,
+                ..*u
+            })
+            .collect();
+        honest.advance_time(now).expect("advance");
+        stale.advance_time(now).expect("advance");
+        honest.apply_batch(&batch, now).expect("honest batch");
+        stale.apply_batch(&stale_batch, now).expect("stale batch");
+        assert_eq!(stale.result_at(now), honest.result_at(now), "t={now}");
+        assert_eq!(stale.shard_of(a[0].id), honest.shard_of(a[0].id));
+    }
+    assert!(honest.migrations() >= 8, "the movers must trade bands");
+    assert_eq!(stale.migrations(), honest.migrations());
+
+    let now = 20.0;
+    let (mbr, last_update) = tracked[0];
+    let gone = objects[0];
+    honest
+        .remove_object(SetTag::A, gone.id, &mbr, last_update, now)
+        .expect("honest removal");
+    stale
+        .remove_object(SetTag::A, gone.id, &gone.mbr, 0.0, now)
+        .expect("stale removal");
+    assert_eq!(stale.result_at(now), honest.result_at(now));
+    assert!(honest.result_at(now).iter().all(|p| p.0 != gone.id));
+    assert_eq!(stale.shard_of(gone.id), None);
+}
+
 /// The ping-pong above, doubled and batched: two objects swap between
 /// the extreme bands in one tick, bracketed by two same-band updates, so
 /// the engines of band 0's row receive `Apply, Remove, Insert, Apply` in

@@ -58,7 +58,9 @@ fn routed(
 ) -> (usize, usize) {
     let k = plan.shard_count();
     let mut ops = vec![Vec::new(); plan.pairs().len()];
-    router.project(update, now, plan, &mut ops);
+    router
+        .project(update, now, plan, &mut ops)
+        .expect("a placed object");
     let rows_of = |want: fn(&EngineOp) -> bool| -> Vec<usize> {
         let mut rows: Vec<usize> = (0..ops.len())
             .filter(|&s| ops[s].iter().any(want))

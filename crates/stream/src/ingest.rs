@@ -12,11 +12,18 @@
 //!
 //! What happens *at* saturation is pluggable: a [`ShedPolicy`] can
 //! widen the coalescing window under pressure (`CoalesceHarder`) or
-//! supersede an object's stale pending update instead of refusing the
+//! replace an object's stale pending update instead of refusing the
 //! fresh one (`DropStalePerObject`) — see the policy docs for the
 //! `T_M` soundness argument. Every queued update carries its wall-clock
 //! enqueue instant and the tick the producer originally asked for, so
 //! the service can report per-update ingest latency and freshness lag.
+//!
+//! The queue holds updates, not objects: its only per-object state is
+//! the tick of each object's latest pending update. An update's delete
+//! keys (`set`, `old_mbr`, `last_update`) are not read here — the
+//! service fills them from its registration table when the batch
+//! drains, so a late, re-timed or replaced update still deletes exactly
+//! what the engine holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -62,8 +69,8 @@ impl Ord for TickKey {
 /// One queued update plus its ingestion provenance.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedUpdate {
-    /// The update to apply (possibly a supersede-merge under
-    /// [`ShedPolicy::DropStalePerObject`]).
+    /// The update to apply (possibly the replacement of a superseded
+    /// one under [`ShedPolicy::DropStalePerObject`]).
     pub update: ObjectUpdate,
     /// The tick the producer originally submitted for — differs from
     /// the batch tick only when a policy re-timed the update
@@ -88,18 +95,6 @@ pub struct IngestQueue {
     /// Tick of the latest pending update per object — the supersede
     /// index [`ShedPolicy::DropStalePerObject`] resolves against.
     latest_pending: HashMap<ObjectId, TickKey>,
-    /// The tick each object's most recent accepted update applies (or
-    /// applied) at. The engines bucket an object's index entry by its
-    /// *apply* time and locate it for deletion via the next update's
-    /// `last_update` field — so whenever the queue re-times an apply
-    /// (`CoalesceHarder` quantization) or a producer submits late
-    /// (retrying after backpressure), the producer's notion of "when I
-    /// last updated" diverges from where the entry actually lives.
-    /// [`submit`](Self::submit) translates `last_update` through this
-    /// map so the delete always hits the right bucket. Entries persist
-    /// across drains (the next update may come `T_M` later) and are
-    /// absent for objects still at their genesis insertion.
-    applied_stamp: HashMap<ObjectId, Time>,
     shed_dropped_stale: u64,
     shed_coalesced: u64,
 }
@@ -140,47 +135,15 @@ impl IngestQueue {
             drained_through: now,
             policy,
             latest_pending: HashMap::new(),
-            applied_stamp: HashMap::new(),
             shed_dropped_stale: 0,
             shed_coalesced: 0,
         }
-    }
-
-    /// Restores one object's apply-tick stamp — used by WAL recovery to
-    /// rebuild the [`applied_stamp`](Self::applied_stamp) translation
-    /// map from the replayed batches.
-    pub(crate) fn note_applied(&mut self, id: ObjectId, at: Time) {
-        self.applied_stamp.insert(id, at);
-    }
-
-    /// Forgets a retired object's apply-tick stamp. This is what keeps
-    /// the translation map bounded by the *live* population instead of
-    /// every object that ever existed: entries persist across drains by
-    /// design (the next update may come `T_M` later), so deletion is
-    /// the only event that may prune them.
-    pub fn note_removed(&mut self, id: ObjectId) {
-        self.applied_stamp.remove(&id);
-    }
-
-    /// The tick the object's most recent accepted update applies (or
-    /// applied) at — `None` for objects still at their genesis
-    /// insertion (or already retired).
-    #[must_use]
-    pub fn applied_tick(&self, id: ObjectId) -> Option<Time> {
-        self.applied_stamp.get(&id).copied()
     }
 
     /// Whether the object has a queued-but-unapplied update.
     #[must_use]
     pub fn has_pending(&self, id: ObjectId) -> bool {
         self.latest_pending.contains_key(&id)
-    }
-
-    /// Size of the per-object apply-tick translation map (the
-    /// `stream.ingest.translation_entries` gauge).
-    #[must_use]
-    pub fn translation_len(&self) -> usize {
-        self.applied_stamp.len()
     }
 
     /// The tick a submission for `at` actually enqueues at: under
@@ -193,10 +156,10 @@ impl IngestQueue {
     /// (its predecessor was quantized past `at` while this submission
     /// arrives with the pressure gone), the tick is raised to the
     /// pending one's: batches drain in tick order, so enqueuing the
-    /// successor earlier would apply it before its predecessor and
-    /// break the per-object `old_mbr` delete-chain. Appending to the
-    /// predecessor's batch preserves FIFO within the batch and hence
-    /// per-object order end to end.
+    /// successor earlier would apply it before its predecessor, and the
+    /// older trajectory would be the one left registered. Appending to
+    /// the predecessor's batch preserves FIFO within the batch, so the
+    /// newest trajectory is always the one applied last.
     fn effective_tick(&self, id: ObjectId, at: Time) -> Time {
         let ShedPolicy::CoalesceHarder { window } = self.policy else {
             return at;
@@ -214,18 +177,9 @@ impl IngestQueue {
     }
 
     /// Offers one update for tick `at`.
-    pub fn submit(&mut self, mut update: ObjectUpdate, at: Time) -> IngestOutcome {
+    pub fn submit(&mut self, update: ObjectUpdate, at: Time) -> IngestOutcome {
         if at <= self.drained_through {
             return IngestOutcome::Stale;
-        }
-        // Translate the producer's `last_update` to the tick the
-        // object's previous update actually applies at (they diverge
-        // when that apply was re-timed or submitted late) — the engines
-        // use the field to locate the existing index entry's bucket.
-        // A supersede-merge below overrides this with the superseded
-        // update's (already translated) stamp.
-        if let Some(&stamp) = self.applied_stamp.get(&update.id) {
-            update.last_update = stamp;
         }
         let tick = self.effective_tick(update.id, at);
         if !self.accepting || self.pending >= self.capacity {
@@ -239,12 +193,12 @@ impl IngestQueue {
         IngestOutcome::Accepted
     }
 
-    /// Supersedes the object's latest pending update with `update` at
-    /// tick `tick` — the `DropStalePerObject` shed path. The merged
-    /// update inherits the superseded one's `old_mbr`/`last_update`, so
-    /// applying it still deletes exactly what the index holds (the
-    /// pending update was never applied). Pending count is unchanged
-    /// (one out, one in), so the watermark state cannot flip here.
+    /// Replaces the object's latest pending update with `update` at tick
+    /// `tick` — the `DropStalePerObject` shed path. The pending update
+    /// was never applied, so dropping it leaves nothing behind in the
+    /// engine; the replacement's delete keys are filled at drain time
+    /// like any other update's. Pending count is unchanged (one out, one
+    /// in), so the watermark state cannot flip here.
     ///
     /// Returns `false` (caller refuses as `QueueFull`) when the object
     /// has no pending update, or its pending update sits at a *later*
@@ -264,18 +218,13 @@ impl IngestQueue {
             .iter()
             .rposition(|q| q.update.id == update.id)
             .expect("supersede index tracks batch membership");
-        let superseded = batch.remove(pos);
+        batch.remove(pos);
         if batch.is_empty() {
             self.batches.remove(&pending_tick);
         }
         self.pending -= 1;
         self.shed_dropped_stale += 1;
-        let merged = ObjectUpdate {
-            old_mbr: superseded.update.old_mbr,
-            last_update: superseded.update.last_update,
-            ..update
-        };
-        self.enqueue(merged, tick, submitted_for);
+        self.enqueue(update, tick, submitted_for);
         true
     }
 
@@ -295,9 +244,6 @@ impl IngestQueue {
         if tick >= slot.0 {
             *slot = key;
         }
-        // The enqueued update will apply at `tick`; the object's next
-        // update must name that tick to find the entry it replaces.
-        self.applied_stamp.insert(update.id, tick);
         self.pending += 1;
         if self.pending >= self.high_watermark {
             self.accepting = false;
@@ -400,15 +346,11 @@ mod tests {
         }
     }
 
-    /// An update whose old/new trajectories are distinguishable, for
-    /// supersede-merge assertions.
-    fn chained_update(id: u64, old_x: f64, new_x: f64, last_update: Time) -> ObjectUpdate {
+    /// An update for `id` onto a trajectory told apart by its `x`.
+    fn moved_to(id: u64, x: f64) -> ObjectUpdate {
         ObjectUpdate {
-            id: ObjectId(id),
-            set: SetTag::A,
-            old_mbr: MovingRect::stationary(Rect::new([old_x, 0.0], [old_x + 1.0, 1.0]), 0.0),
-            last_update,
-            new_mbr: MovingRect::stationary(Rect::new([new_x, 0.0], [new_x + 1.0, 1.0]), 0.0),
+            new_mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
+            ..update(id)
         }
     }
 
@@ -605,7 +547,7 @@ mod tests {
         // submission gets quantized.
         assert_eq!(q.submit(update(8), 1.2), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(9), 1.3), IngestOutcome::Accepted);
-        let u1 = chained_update(1, 0.0, 10.0, 0.0);
+        let u1 = moved_to(1, 10.0);
         assert_eq!(q.submit(u1, 1.5), IngestOutcome::Accepted);
         assert_eq!(q.shed_coalesced(), 1, "u1 re-timed from 1.5 to 4.0");
         // Draining the fillers drops pending back below the low
@@ -615,7 +557,7 @@ mod tests {
         // A successor for object 1 at 2.5 would naively batch at 2.5,
         // BEFORE its predecessor at 4.0 — the clamp must pull it up to
         // the predecessor's tick so apply order matches submit order.
-        let u2 = chained_update(1, 10.0, 20.0, 1.5);
+        let u2 = moved_to(1, 20.0);
         assert_eq!(q.submit(u2, 2.5), IngestOutcome::Accepted);
         assert_eq!(q.shed_coalesced(), 2, "u2 re-timed by the clamp");
         let drained = q.drain_through(4.0);
@@ -623,40 +565,12 @@ mod tests {
         let (tick, batch) = &drained[0];
         assert_eq!(*tick, 4.0);
         assert_eq!(batch.len(), 2);
-        // Predecessor first, successor second; provenance preserved.
-        assert_eq!(batch[0].update.last_update, 0.0);
+        // Predecessor first, successor second — the newest trajectory
+        // is applied last; provenance preserved, the update untouched.
+        assert_eq!(batch[0].update, u1);
         assert_eq!(batch[0].submitted_for, 1.5);
-        // The successor's `last_update` was translated from the
-        // producer's 1.5 to the predecessor's *effective* apply tick:
-        // the engines bucket entries by apply time, so the delete must
-        // be pointed at 4.0, where u1's entry actually lives.
-        assert_eq!(batch[1].update.last_update, 4.0);
+        assert_eq!(batch[1].update, u2);
         assert_eq!(batch[1].submitted_for, 2.5);
-    }
-
-    #[test]
-    fn late_resubmission_is_translated_to_the_actual_apply_tick() {
-        // Producer-side retry after backpressure: u1 for object 1 is
-        // accepted at tick 2.0 (applying at 2.0). The producer's next
-        // update was generated believing "I last updated at 2.0" — but
-        // if u1 itself had been delayed (submitted late at 5.0 after a
-        // refusal), the successor's stamp must follow the apply tick.
-        let mut q = IngestQueue::new(100, 80, 40, 0.0);
-        // u1 generated for tick 2.0 but only submitted (retried) at 5.0.
-        let u1 = chained_update(1, 0.0, 10.0, 0.0);
-        assert_eq!(q.submit(u1, 5.0), IngestOutcome::Accepted);
-        // The successor carries the producer's stamp (2.0, when it
-        // *generated* u1) — translated to 5.0, where u1's entry lives.
-        let u2 = chained_update(1, 10.0, 20.0, 2.0);
-        assert_eq!(q.submit(u2, 6.0), IngestOutcome::Accepted);
-        let drained = q.drain_through(6.0);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[1].1[0].update.last_update, 5.0);
-        // The map persists across drains: a third update long after
-        // both applied still resolves against tick 6.0.
-        let u3 = chained_update(1, 20.0, 30.0, 3.0);
-        assert_eq!(q.submit(u3, 50.0), IngestOutcome::Accepted);
-        assert_eq!(q.drain_through(50.0)[0].1[0].update.last_update, 6.0);
     }
 
     #[test]
@@ -730,40 +644,23 @@ mod tests {
     }
 
     #[test]
-    fn drop_stale_supersedes_latest_pending_and_chains_old_mbr() {
+    fn drop_stale_replaces_the_latest_pending_update() {
         let mut q = IngestQueue::with_policy(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
-        // Chain for object 1: A(0)→B at tick 1, then B→C at tick 2.
-        assert_eq!(
-            q.submit(chained_update(1, 0.0, 10.0, 0.0), 1.0),
-            IngestOutcome::Accepted
-        );
-        assert_eq!(
-            q.submit(chained_update(2, 50.0, 60.0, 0.0), 1.0),
-            IngestOutcome::Accepted
-        );
+        // Object 1 moves to x = 10 at tick 1, then to x = 20 at tick 2.
+        assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
+        assert_eq!(q.submit(moved_to(2, 60.0), 1.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting(), "high watermark reached");
         // Closed — but object 1 has a pending update, so the fresh one
-        // supersedes it instead of being refused.
-        assert_eq!(
-            q.submit(chained_update(1, 10.0, 20.0, 1.0), 2.0),
-            IngestOutcome::Accepted
-        );
+        // replaces it instead of being refused.
+        let fresh = moved_to(1, 20.0);
+        assert_eq!(q.submit(fresh, 2.0), IngestOutcome::Accepted);
         assert_eq!(q.shed_dropped_stale(), 1);
         assert_eq!(q.len(), 2, "supersede keeps pending count unchanged");
         // Object 3 has nothing pending: refused.
-        assert_eq!(
-            q.submit(chained_update(3, 0.0, 1.0, 0.0), 2.0),
-            IngestOutcome::QueueFull
-        );
+        assert_eq!(q.submit(moved_to(3, 1.0), 2.0), IngestOutcome::QueueFull);
         let drained = drained_updates(q.drain_through(2.0));
-        let all: Vec<ObjectUpdate> = drained.into_iter().flat_map(|(_, b)| b).collect();
-        assert_eq!(all.len(), 2);
-        let merged = all.iter().find(|u| u.id == ObjectId(1)).unwrap();
-        // The merged update deletes what the index holds (A, from the
-        // superseded update) and inserts the newest trajectory (C).
-        assert_eq!(merged.old_mbr.at(0.0).lo[0], 0.0);
-        assert_eq!(merged.last_update, 0.0);
-        assert_eq!(merged.new_mbr.at(0.0).lo[0], 20.0);
+        assert_eq!(drained.len(), 2);
+        assert_eq!(drained[1], (2.0, vec![fresh]), "a plain replacement");
         assert!(q.is_empty());
         assert!(q.latest_pending.is_empty(), "supersede index fully drained");
     }
@@ -781,29 +678,16 @@ mod tests {
     }
 
     #[test]
-    fn drop_stale_chains_across_multiple_pendings() {
-        // Object 1 pending at ticks 1 (A→B) and 2 (B→C); the supersede
-        // at tick 3 (C→D) must merge with the *latest* pending (tick 2),
-        // leaving the tick-1 update untouched: the applied sequence is
-        // then A→B at 1, B→D at 3 — the delete-chain stays intact.
+    fn drop_stale_replaces_only_the_latest_of_several_pendings() {
+        // Object 1 pending at ticks 1 (to x = 10) and 2 (to x = 20); the
+        // submission at tick 3 (to x = 30) replaces the *latest* pending
+        // (tick 2) and leaves the tick-1 update untouched.
         let mut q = IngestQueue::with_policy(3, 3, 0, 0.0, ShedPolicy::DropStalePerObject);
-        assert_eq!(
-            q.submit(chained_update(1, 0.0, 10.0, 0.0), 1.0),
-            IngestOutcome::Accepted
-        );
-        assert_eq!(
-            q.submit(chained_update(1, 10.0, 20.0, 1.0), 2.0),
-            IngestOutcome::Accepted
-        );
-        assert_eq!(
-            q.submit(chained_update(9, 0.0, 1.0, 0.0), 1.0),
-            IngestOutcome::Accepted
-        );
+        assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
+        assert_eq!(q.submit(moved_to(1, 20.0), 2.0), IngestOutcome::Accepted);
+        assert_eq!(q.submit(moved_to(9, 1.0), 1.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting(), "at hard capacity");
-        assert_eq!(
-            q.submit(chained_update(1, 20.0, 30.0, 2.0), 3.0),
-            IngestOutcome::Accepted
-        );
+        assert_eq!(q.submit(moved_to(1, 30.0), 3.0), IngestOutcome::Accepted);
         let drained = drained_updates(q.drain_through(3.0));
         let ones: Vec<&ObjectUpdate> = drained
             .iter()
@@ -811,9 +695,8 @@ mod tests {
             .filter(|u| u.id == ObjectId(1))
             .collect();
         assert_eq!(ones.len(), 2);
-        assert_eq!(ones[0].old_mbr.at(0.0).lo[0], 0.0); // A→B untouched
-        assert_eq!(ones[1].old_mbr.at(0.0).lo[0], 10.0); // B→D merged
-        assert_eq!(ones[1].new_mbr.at(0.0).lo[0], 30.0);
+        assert_eq!(ones[0].new_mbr.at(0.0).lo[0], 10.0); // tick 1 untouched
+        assert_eq!(ones[1].new_mbr.at(0.0).lo[0], 30.0); // the replacement
     }
 
     impl IngestQueue {

@@ -10,12 +10,18 @@
 //! WAL replay in [`recover`](StreamService::recover) reapplies the
 //! durable prefix and lands on exactly the state the pre-crash service
 //! had after its last completed batch.
+//!
+//! The service files every live object in one registration table: its
+//! side, the trajectory the engine indexes and the tick it was
+//! registered. Those are the delete keys of the object's next update,
+//! so the service fills them in itself — a producer sends the new
+//! trajectory, and nothing else it sends is trusted.
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
 use cij_geom::{MovingRect, Time};
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
-use cij_tpr::{IdMap, ObjectId, TprResult};
+use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::config::StreamConfig;
@@ -54,6 +60,19 @@ pub struct RecoveryReport {
     pub subscribers: usize,
 }
 
+/// What the service knows about one live object: the engine's index
+/// entry for it, addressed the way the engines delete it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Registration {
+    pub(crate) set: SetTag,
+    /// The trajectory the engine indexes (what window filters read).
+    pub(crate) mbr: MovingRect,
+    /// The tick that trajectory was applied at — where MTB buckets file
+    /// it, which under re-timing or late submission is not the tick the
+    /// producer generated it for.
+    pub(crate) registered_at: Time,
+}
+
 /// Event-driven streaming wrapper around one [`ContinuousJoinEngine`].
 pub struct StreamService {
     config: StreamConfig,
@@ -61,17 +80,10 @@ pub struct StreamService {
     extractor: DeltaExtractor,
     queue: IngestQueue,
     registry: SubscriptionRegistry,
-    /// Currently registered trajectory per object — the state the
-    /// window filters evaluate against.
-    tracks: IdMap<ObjectId, MovingRect>,
-    /// Which side each live object belongs to — what
-    /// [`retire_object`](Self::retire_object) needs to address the
-    /// engine's `remove_object`.
-    sets: IdMap<ObjectId, SetTag>,
+    /// The registration table, written only by `apply_batch` and
+    /// `apply_retire`.
+    objects: IdMap<ObjectId, Registration>,
     wal: Option<Wal>,
-    /// The genesis tick: the apply tick of every object that has never
-    /// been updated since construction.
-    start: Time,
     now: Time,
     /// Whether a `DegradeToResync` degraded window is open: per-delta
     /// delivery is suppressed (with exact gap accounting) until the
@@ -104,9 +116,6 @@ struct ServiceMetrics {
     degrade_engaged: Counter,
     /// Subscribers force-resynced at degraded-window close.
     degrade_resyncs: Counter,
-    /// Live size of the ingest queue's per-object apply-tick
-    /// translation map (pruned by [`StreamService::retire_object`]).
-    translation_entries: Gauge,
     /// Objects retired via [`StreamService::retire_object`].
     objects_retired: Counter,
     /// Wall-clock nanoseconds from acceptance to application, one
@@ -136,7 +145,6 @@ impl ServiceMetrics {
             shed_coalesced: registry.counter("stream.shed.coalesced"),
             degrade_engaged: registry.counter("stream.degrade.engaged"),
             degrade_resyncs: registry.counter("stream.degrade.resyncs"),
-            translation_entries: registry.gauge("stream.ingest.translation_entries"),
             objects_retired: registry.counter("stream.objects.retired"),
             ingest_latency: registry.histogram("stream.ingest.latency_ns"),
             freshness_lag: registry.histogram("stream.freshness.lag_milliticks"),
@@ -184,7 +192,7 @@ impl StreamService {
                 "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
             )));
         }
-        let (tracks, sets) = Self::genesis_maps(set_a, set_b)?;
+        let objects = Self::genesis_table(set_a, set_b, start)?;
         let mut engine = build_engine(&config.engine, set_a, set_b, start)?;
         engine.enable_delta_tracking();
         engine.run_initial_join(start)?;
@@ -218,10 +226,8 @@ impl StreamService {
             config,
             engine,
             extractor: DeltaExtractor::new(),
-            tracks,
-            sets,
+            objects,
             wal,
-            start,
             now: start,
             degraded: false,
             obs,
@@ -281,7 +287,7 @@ impl StreamService {
             }
         };
 
-        let (mut tracks, mut sets) = Self::genesis_maps(&set_a, &set_b)?;
+        let mut objects = Self::genesis_table(&set_a, &set_b, start)?;
         let mut engine = build_engine(&config.engine, &set_a, &set_b, start)?;
         engine.enable_delta_tracking();
         engine.run_initial_join(start)?;
@@ -292,7 +298,6 @@ impl StreamService {
         let mut registry = SubscriptionRegistry::new(config.outbox_capacity);
         let mut now = start;
         let mut batches_replayed = 0usize;
-        let mut applied_stamps: IdMap<ObjectId, Time> = IdMap::default();
         {
             let _span = obs.registry.span("phase.wal_replay");
             for payload in records {
@@ -303,17 +308,19 @@ impl StreamService {
                         ));
                     }
                     WalRecord::Batch { at, updates } => {
+                        let mut updates = updates.into_owned();
+                        Self::fill_delete_keys(&objects, at, &mut updates).map_err(|id| {
+                            StreamError::CorruptJournal(format!(
+                                "batch at {at} updates unknown object {id:?}"
+                            ))
+                        })?;
                         Self::apply_batch(
                             engine.as_mut(),
                             &mut extractor,
-                            &mut tracks,
-                            &mut sets,
+                            &mut objects,
                             at,
                             &updates,
                         )?;
-                        for u in updates.iter() {
-                            applied_stamps.insert(u.id, at);
-                        }
                         now = at;
                         batches_replayed += 1;
                     }
@@ -321,26 +328,13 @@ impl StreamService {
                     WalRecord::Unsubscribe { id } => {
                         registry.unsubscribe(id);
                     }
-                    WalRecord::Retire { at, set, id } => {
-                        if !tracks.contains_key(&id) {
+                    WalRecord::Retire { at, id, .. } => {
+                        if !objects.contains_key(&id) {
                             return Err(StreamError::CorruptJournal(format!(
                                 "retire record for unknown object {id:?}"
                             )));
                         }
-                        // Same `last_update` derivation as the live
-                        // path: the object's last applied tick, or the
-                        // genesis tick if it was never updated.
-                        let last_update = applied_stamps.get(&id).copied().unwrap_or(start);
-                        Self::apply_retire(
-                            engine.as_mut(),
-                            &mut tracks,
-                            &mut sets,
-                            set,
-                            id,
-                            last_update,
-                            at,
-                        )?;
-                        applied_stamps.remove(&id);
+                        Self::apply_retire(engine.as_mut(), &mut objects, id, at)?;
                     }
                 }
             }
@@ -354,7 +348,7 @@ impl StreamService {
         // bound, the true loss is unknowable) and a catch-up snapshot.
         let current = extractor.current();
         for id in registry.ids() {
-            registry.reseed(id, 1, now, &current, &tracks, false);
+            registry.reseed(id, 1, now, &current, &objects, false);
         }
         obs.subscriber_dropped.store(registry.total_dropped());
 
@@ -364,30 +358,20 @@ impl StreamService {
             tail_truncated: recovery.tail_corrupt,
             subscribers: registry.len(),
         };
-        let mut queue = IngestQueue::with_policy(
-            config.batch_capacity,
-            config.high_watermark,
-            config.low_watermark,
-            now,
-            config.shed_policy,
-        );
-        // Restore the `last_update` → apply-tick translation map, so
-        // post-recovery submissions still locate the index buckets the
-        // replayed batches actually populated.
-        for (id, at) in applied_stamps {
-            queue.note_applied(id, at);
-        }
-        obs.translation_entries.set(queue.translation_len() as i64);
         let service = Self {
-            queue,
+            queue: IngestQueue::with_policy(
+                config.batch_capacity,
+                config.high_watermark,
+                config.low_watermark,
+                now,
+                config.shed_policy,
+            ),
             registry,
             config,
             engine,
             extractor,
-            tracks,
-            sets,
+            objects,
             wal: Some(wal),
-            start,
             now,
             degraded: false,
             obs,
@@ -395,32 +379,35 @@ impl StreamService {
         Ok((service, report))
     }
 
-    /// The per-object maps of a fresh service: each genesis object's
-    /// trajectory and side. Every later update is routed by `ObjectId`
+    /// The registration table of a fresh service: every genesis object,
+    /// registered at `start`. Every later update is routed by `ObjectId`
     /// alone, so an id that appears twice across `set_a ∪ set_b` (say a
     /// window on side B sharing an id with a fleet object on side A)
     /// would be overwritten here and misrouted later — it is refused.
-    fn genesis_maps(
+    fn genesis_table(
         set_a: &[MovingObject],
         set_b: &[MovingObject],
-    ) -> StreamResult<(IdMap<ObjectId, MovingRect>, IdMap<ObjectId, SetTag>)> {
-        let mut tracks = IdMap::default();
-        let mut sets = IdMap::default();
-        tracks.reserve(set_a.len() + set_b.len());
-        sets.reserve(set_a.len() + set_b.len());
-        for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
-            for o in objects {
-                tracks.insert(o.id, o.mbr);
-                if let Some(first) = sets.insert(o.id, set) {
+        start: Time,
+    ) -> StreamResult<IdMap<ObjectId, Registration>> {
+        let mut objects = IdMap::default();
+        objects.reserve(set_a.len() + set_b.len());
+        for (set, genesis) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
+            for o in genesis {
+                let registration = Registration {
+                    set,
+                    mbr: o.mbr,
+                    registered_at: start,
+                };
+                if let Some(first) = objects.insert(o.id, registration) {
                     return Err(StreamError::InvalidConfig(format!(
                         "object ids must be unique across both sets, but {:?} appears \
-                         twice (first on side {first:?}, again on side {set:?})",
-                        o.id
+                         twice (first on side {:?}, again on side {set:?})",
+                        o.id, first.set
                     )));
                 }
             }
         }
-        Ok((tracks, sets))
+        Ok(objects)
     }
 
     /// Decodes one journal payload for replay, folding the wire layer's
@@ -458,9 +445,6 @@ impl StreamService {
             .store(self.queue.shed_dropped_stale());
         self.obs.shed_coalesced.store(self.queue.shed_coalesced());
         self.obs
-            .translation_entries
-            .set(self.queue.translation_len() as i64);
-        self.obs
             .record_backpressure_flip(was_accepting, self.queue.is_accepting());
         if was_accepting
             && !self.queue.is_accepting()
@@ -486,7 +470,10 @@ impl StreamService {
     /// Calls with `t` at or before the current clock are no-ops.
     ///
     /// # Errors
-    /// [`StreamError::Engine`] when the wrapped engine fails;
+    /// [`StreamError::Engine`] when the wrapped engine fails, or with
+    /// [`TprError::ObjectNotFound`] — before anything of the batch is
+    /// journaled or applied — when a due update names an object the
+    /// service does not hold (never registered, or retired);
     /// [`StreamError::Storage`] when journaling fails.
     pub fn advance_to(&mut self, t: Time) -> StreamResult<Vec<StampedDelta>> {
         if t <= self.now {
@@ -497,14 +484,15 @@ impl StreamService {
         let mut last_extracted = self.now;
         for (at, queued) in self.queue.drain_through(t) {
             let applied = std::time::Instant::now();
-            let updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
+            let mut updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
             self.record_ingest_observations(at, &queued, applied);
+            Self::fill_delete_keys(&self.objects, at, &mut updates)
+                .map_err(TprError::ObjectNotFound)?;
             self.journal(|| WalRecord::encode_batch(at, &updates))?;
             let deltas = Self::apply_batch(
                 self.engine.as_mut(),
                 &mut self.extractor,
-                &mut self.tracks,
-                &mut self.sets,
+                &mut self.objects,
                 at,
                 &updates,
             )?;
@@ -518,8 +506,7 @@ impl StreamService {
             let deltas = Self::apply_batch(
                 self.engine.as_mut(),
                 &mut self.extractor,
-                &mut self.tracks,
-                &mut self.sets,
+                &mut self.objects,
                 t,
                 &[],
             )?;
@@ -538,7 +525,7 @@ impl StreamService {
             let ids = self.registry.ids();
             for id in &ids {
                 self.registry
-                    .reseed(*id, 0, t, &current, &self.tracks, true);
+                    .reseed(*id, 0, t, &current, &self.objects, true);
             }
             self.obs.degrade_resyncs.add(ids.len() as u64);
             self.obs
@@ -572,14 +559,42 @@ impl StreamService {
         }
     }
 
-    /// One batch through the engine: advance, apply, gc, extract.
+    /// Overwrites each update's delete keys — `set`, `old_mbr`,
+    /// `last_update` — with the registration it replaces, in batch order:
+    /// an object's second update in one batch replaces what its first one
+    /// registers at `at`. Fails with the first id the table does not
+    /// hold, before anything is written.
+    fn fill_delete_keys(
+        objects: &IdMap<ObjectId, Registration>,
+        at: Time,
+        updates: &mut [ObjectUpdate],
+    ) -> Result<(), ObjectId> {
+        let mut in_batch: IdMap<ObjectId, Registration> = IdMap::default();
+        for u in updates.iter_mut() {
+            let Some(&prev) = in_batch.get(&u.id).or_else(|| objects.get(&u.id)) else {
+                return Err(u.id);
+            };
+            u.set = prev.set;
+            u.old_mbr = prev.mbr;
+            u.last_update = prev.registered_at;
+            let next = Registration {
+                mbr: u.new_mbr,
+                registered_at: at,
+                ..prev
+            };
+            in_batch.insert(u.id, next);
+        }
+        Ok(())
+    }
+
+    /// One batch through the engine and the registration table: advance,
+    /// apply, gc, extract. The updates' delete keys are already filled.
     /// Shared verbatim between live operation and WAL replay — the
     /// property the recovery guarantee rests on.
     fn apply_batch(
         engine: &mut dyn ContinuousJoinEngine,
         extractor: &mut DeltaExtractor,
-        tracks: &mut IdMap<ObjectId, MovingRect>,
-        sets: &mut IdMap<ObjectId, SetTag>,
+        objects: &mut IdMap<ObjectId, Registration>,
         at: Time,
         updates: &[ObjectUpdate],
     ) -> TprResult<Vec<crate::event::ResultDelta>> {
@@ -590,29 +605,32 @@ impl StreamService {
         // live ingestion share one code path regardless of engine shape.
         engine.apply_batch(updates, at)?;
         for u in updates {
-            tracks.insert(u.id, u.new_mbr);
-            sets.insert(u.id, u.set);
+            let registration = Registration {
+                set: u.set,
+                mbr: u.new_mbr,
+                registered_at: at,
+            };
+            objects.insert(u.id, registration);
         }
         engine.gc(at);
         Ok(extractor.extract(engine, at))
     }
 
-    /// One retirement through the engine and the service's object maps.
-    /// Shared verbatim between [`retire_object`](Self::retire_object)
-    /// and WAL replay — the same property `apply_batch` keeps.
+    /// One retirement through the engine and the registration table,
+    /// deleting by the object's registration. Shared verbatim between
+    /// [`retire_object`](Self::retire_object) and WAL replay — the same
+    /// property `apply_batch` keeps.
     fn apply_retire(
         engine: &mut dyn ContinuousJoinEngine,
-        tracks: &mut IdMap<ObjectId, MovingRect>,
-        sets: &mut IdMap<ObjectId, SetTag>,
-        set: SetTag,
+        objects: &mut IdMap<ObjectId, Registration>,
         id: ObjectId,
-        last_update: Time,
         at: Time,
     ) -> TprResult<()> {
-        let mbr = tracks[&id];
-        engine.remove_object(set, id, &mbr, last_update, at)?;
-        tracks.remove(&id);
-        sets.remove(&id);
+        let Some(r) = objects.get(&id) else {
+            return Err(TprError::ObjectNotFound(id));
+        };
+        engine.remove_object(r.set, id, &r.mbr, r.registered_at, at)?;
+        objects.remove(&id);
         Ok(())
     }
 
@@ -627,7 +645,8 @@ impl StreamService {
             .map(|delta| StampedDelta { at, delta })
             .collect();
         self.obs.deltas_emitted.add(stamped.len() as u64);
-        self.registry.deliver(&stamped, &self.tracks, self.degraded);
+        self.registry
+            .deliver(&stamped, &self.objects, self.degraded);
         self.obs
             .subscriber_dropped
             .store(self.registry.total_dropped());
@@ -647,15 +666,13 @@ impl StreamService {
     /// Retires an object: removes it from the engine's indexes (its
     /// pairs surface as `PairRemoved` deltas on the next
     /// [`advance_to`](Self::advance_to)), journals the retirement, and
-    /// prunes the object's track, set tag, and ingest-queue apply-tick
-    /// translation entry — the pruning that keeps the translation map
-    /// bounded by the live population. Returns `false` for objects the
-    /// service does not hold.
+    /// drops its registration — which keeps the table bounded by the
+    /// live population. Returns `false` for objects the service does not
+    /// hold.
     ///
     /// Retirement is refused while the object has a queued-but-unapplied
-    /// update: its translation stamp then points at a future batch whose
-    /// index entry does not exist yet, so the engine-side delete would
-    /// miss. Drain the queue past the pending tick first.
+    /// update: that update would then name an object the service no
+    /// longer holds. Drain the queue past the pending tick first.
     ///
     /// # Errors
     /// [`StreamError::InvalidConfig`] when an update for the object is
@@ -663,40 +680,19 @@ impl StreamService {
     /// remove the object (e.g. an engine without routed single-object
     /// deletes); [`StreamError::Storage`] when journaling fails.
     pub fn retire_object(&mut self, id: ObjectId) -> StreamResult<bool> {
-        if !self.tracks.contains_key(&id) {
+        let Some(r) = self.objects.get(&id) else {
             return Ok(false);
-        }
+        };
         if self.queue.has_pending(id) {
             return Err(StreamError::InvalidConfig(format!(
                 "cannot retire {id:?}: an update for it is still queued"
             )));
         }
-        let set = self.sets[&id];
-        let last_update = self.queue.applied_tick(id).unwrap_or(self.start);
-        let at = self.now;
+        let (at, set) = (self.now, r.set);
         self.journal(|| WalRecord::Retire { at, set, id }.encode())?;
-        Self::apply_retire(
-            self.engine.as_mut(),
-            &mut self.tracks,
-            &mut self.sets,
-            set,
-            id,
-            last_update,
-            self.now,
-        )?;
-        self.queue.note_removed(id);
-        self.obs
-            .translation_entries
-            .set(self.queue.translation_len() as i64);
+        Self::apply_retire(self.engine.as_mut(), &mut self.objects, id, at)?;
         self.obs.objects_retired.inc();
         Ok(true)
-    }
-
-    /// Size of the ingest queue's per-object apply-tick translation map
-    /// (mirrored by the `stream.ingest.translation_entries` gauge).
-    #[must_use]
-    pub fn translation_entries(&self) -> usize {
-        self.queue.translation_len()
     }
 
     /// Registers a subscriber. Its outbox starts with a catch-up
@@ -717,7 +713,7 @@ impl StreamService {
         self.registry.insert_with_id(id, filter);
         let current = self.extractor.current();
         self.registry
-            .reseed(id, 0, self.now, &current, &self.tracks, false);
+            .reseed(id, 0, self.now, &current, &self.objects, false);
         Ok(id)
     }
 
@@ -747,7 +743,7 @@ impl StreamService {
     pub fn resync(&mut self, id: SubscriberId) -> bool {
         let current = self.extractor.current();
         self.registry
-            .reseed(id, 0, self.now, &current, &self.tracks, false)
+            .reseed(id, 0, self.now, &current, &self.objects, false)
     }
 
     /// The engine's reported pairs at instant `t` (valid for `t` at or

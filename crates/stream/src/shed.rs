@@ -4,12 +4,12 @@
 //! The paper's maximum-update-interval contract (`T_M`, §II) is what
 //! makes shedding sound at all: an object's index entry is fully
 //! determined by its **latest** applied update — the engines delete the
-//! previously registered trajectory (`old_mbr`) and insert the new one,
-//! so any pending-but-unapplied intermediate update contributes nothing
-//! to the post-tick result set as long as the delete-chain stays
-//! intact. [`ShedPolicy::DropStalePerObject`] exploits exactly that:
-//! superseding a pending update chains its `old_mbr`/`last_update` into
-//! the replacement, so the merged update still deletes what the index
+//! registered trajectory and insert the new one, so a pending-but-
+//! unapplied intermediate update contributes nothing to the post-tick
+//! result set. [`ShedPolicy::DropStalePerObject`] exploits exactly that:
+//! it replaces a pending update outright. The delete keys are not the
+//! queue's concern — the service fills them from its registration table
+//! when the batch drains, so the replacement deletes what the engine
 //! actually holds (see DESIGN.md §8 for the full soundness argument).
 //!
 //! The other two policies trade different currencies:
@@ -46,11 +46,10 @@ pub enum ShedPolicy {
     },
     /// When a submission would be refused (queue closed or at hard
     /// capacity), keep only the newest pending update per object: the
-    /// arriving update *supersedes* the object's latest pending one,
-    /// inheriting its `old_mbr`/`last_update` so the index delete-chain
-    /// stays intact. Sound under `T_M`: the post-tick result set is
-    /// bit-identical to applying every update (the lockstep tests prove
-    /// it). Objects with no pending update still see `QueueFull`.
+    /// arriving update *replaces* the object's latest pending one. Sound
+    /// under `T_M`: the post-tick result set is bit-identical to applying
+    /// every update (the lockstep tests prove it). Objects with no
+    /// pending update still see `QueueFull`.
     DropStalePerObject,
     /// Queue admission behaves like [`None`](ShedPolicy::None), but
     /// while backpressure is engaged the service suspends per-delta

@@ -31,6 +31,7 @@ use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_tpr::{IdMap, ObjectId};
 
 use crate::event::{OutboxItem, ResultDelta, StampedDelta};
+use crate::service::Registration;
 
 /// Identifier of a registered subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,15 +71,15 @@ impl SubscriptionFilter {
     }
 
     /// Whether an addition of `pair` at tick `at` passes this filter.
-    /// `tracks` resolves an object's currently registered trajectory.
-    fn admits(&self, pair: PairKey, at: Time, tracks: &IdMap<ObjectId, MovingRect>) -> bool {
+    /// `objects` resolves an object's currently registered trajectory.
+    fn admits(&self, pair: PairKey, at: Time, objects: &IdMap<ObjectId, Registration>) -> bool {
         match self {
             Self::All => true,
             Self::Object(id) => pair.0 == *id || pair.1 == *id,
             Self::Window(window) => [pair.0, pair.1].iter().any(|oid| {
-                tracks
+                objects
                     .get(oid)
-                    .is_some_and(|mbr| window_sees(window, mbr, at))
+                    .is_some_and(|r| window_sees(window, &r.mbr, at))
             }),
         }
     }
@@ -217,7 +218,7 @@ impl MatchIndex {
         &self,
         pair: PairKey,
         at: Time,
-        tracks: &IdMap<ObjectId, MovingRect>,
+        objects: &IdMap<ObjectId, Registration>,
         out: &mut Vec<SubscriberId>,
     ) {
         out.clear();
@@ -229,7 +230,7 @@ impl MatchIndex {
             if self.windows.levels.is_empty() {
                 continue;
             }
-            if let Some(mbr) = tracks.get(&oid) {
+            if let Some(Registration { mbr, .. }) = objects.get(&oid) {
                 self.windows
                     .for_each_meeting(&probe_rect(mbr, at), &mut |window, id| {
                         if window_sees(window, mbr, at) {
@@ -386,7 +387,7 @@ impl SubscriptionRegistry {
     pub(crate) fn deliver(
         &mut self,
         deltas: &[StampedDelta],
-        tracks: &IdMap<ObjectId, MovingRect>,
+        objects: &IdMap<ObjectId, Registration>,
         suppress: bool,
     ) {
         let Self {
@@ -416,7 +417,7 @@ impl SubscriptionRegistry {
         for item in deltas {
             match item.delta {
                 ResultDelta::PairAdded { pair, .. } => {
-                    index.admitting(pair, item.at, tracks, admitting);
+                    index.admitting(pair, item.at, objects, admitting);
                     if admitting.is_empty() {
                         continue;
                     }
@@ -470,7 +471,7 @@ impl SubscriptionRegistry {
         lost: u64,
         at: Time,
         current: &[(PairKey, cij_geom::TimeInterval)],
-        tracks: &IdMap<ObjectId, MovingRect>,
+        objects: &IdMap<ObjectId, Registration>,
         charge_cleared: bool,
     ) -> bool {
         let capacity = self.outbox_capacity;
@@ -487,7 +488,7 @@ impl SubscriptionRegistry {
         self.total_dropped += cleared + lost;
         Self::release_holdings(&mut self.holders, id, std::mem::take(&mut state.holding));
         for &(pair, valid) in current {
-            if !state.filter.admits(pair, at, tracks) {
+            if !state.filter.admits(pair, at, objects) {
                 continue;
             }
             let held = self.holders.entry(pair).or_default();
@@ -528,6 +529,7 @@ impl SubscriptionRegistry {
 mod tests {
     use super::*;
     use cij_geom::TimeInterval;
+    use cij_workload::SetTag;
 
     fn pair(a: u64, b: u64) -> PairKey {
         (ObjectId(a), ObjectId(b))
@@ -550,12 +552,21 @@ mod tests {
         }
     }
 
-    fn tracks(entries: &[(u64, f64, f64)]) -> IdMap<ObjectId, MovingRect> {
+    /// A registration on `mbr` (only the trajectory matters to filters).
+    fn registered(mbr: MovingRect) -> Registration {
+        Registration {
+            set: SetTag::A,
+            mbr,
+            registered_at: 0.0,
+        }
+    }
+
+    fn tracks(entries: &[(u64, f64, f64)]) -> IdMap<ObjectId, Registration> {
         entries
             .iter()
             .map(|&(id, x, y)| {
                 let mbr = MovingRect::stationary(Rect::new([x, y], [x + 1.0, y + 1.0]), 0.0);
-                (ObjectId(id), mbr)
+                (ObjectId(id), registered(mbr))
             })
             .collect()
     }
@@ -706,7 +717,7 @@ mod tests {
         fn deliver(
             &mut self,
             deltas: &[StampedDelta],
-            tracks: &IdMap<ObjectId, MovingRect>,
+            tracks: &IdMap<ObjectId, Registration>,
             suppress: bool,
         ) {
             for state in self.subscribers.values_mut() {
@@ -768,7 +779,7 @@ mod tests {
             lost: u64,
             at: Time,
             current: &[(PairKey, TimeInterval)],
-            tracks: &IdMap<ObjectId, MovingRect>,
+            tracks: &IdMap<ObjectId, Registration>,
             charge_cleared: bool,
         ) -> bool {
             let Some(state) = self.subscribers.get_mut(&id) else {
@@ -864,9 +875,9 @@ mod tests {
             let capacity = 2 + (seed % 5) as usize;
             let mut reg = SubscriptionRegistry::new(capacity);
             let mut scan = ScanRegistry::new(capacity);
-            let mut tracks: IdMap<ObjectId, MovingRect> = IdMap::default();
+            let mut tracks: IdMap<ObjectId, Registration> = IdMap::default();
             for id in (0..20u64).chain(100..120) {
-                tracks.insert(ObjectId(id), trajectory(&mut rng, 0.0));
+                tracks.insert(ObjectId(id), registered(trajectory(&mut rng, 0.0)));
             }
             let mut live: Vec<SubscriberId> = Vec::new();
             let mut now = 0.0;
@@ -928,7 +939,7 @@ mod tests {
                         for _ in 0..4 {
                             let side = 100 * rng.gen_range(0..2u64);
                             let id = ObjectId(side + rng.gen_range(0..20u64));
-                            tracks.insert(id, trajectory(&mut rng, now));
+                            tracks.insert(id, registered(trajectory(&mut rng, now)));
                         }
                         if rng.gen_bool(0.2) {
                             tracks.remove(&ObjectId(rng.gen_range(0..20u64)));
@@ -982,15 +993,13 @@ mod tests {
             [3.0 + 1e-12, 0.0],
             [5.0, 9.0],
         )));
-        let mut t: IdMap<ObjectId, MovingRect> = IdMap::default();
+        let mut t: IdMap<ObjectId, Registration> = IdMap::default();
         // Object 1 stands at [2, 3]; object 2 started at [0, 1] and
         // reaches [2, 3] at t = 4.
-        t.insert(
-            ObjectId(1),
-            MovingRect::stationary(Rect::new([2.0, 2.0], [3.0, 3.0]), 0.0),
-        );
+        let standing = MovingRect::stationary(Rect::new([2.0, 2.0], [3.0, 3.0]), 0.0);
+        t.insert(ObjectId(1), registered(standing));
         let moving = MovingRect::rigid(Rect::new([0.0, 2.0], [1.0, 3.0]), [0.5, 0.0], 0.0);
-        t.insert(ObjectId(2), moving);
+        t.insert(ObjectId(2), registered(moving));
         reg.deliver(&[add(4.0, 1, 100), add(4.0, 2, 101)], &t, false);
         assert_eq!(
             reg.poll(touching).unwrap(),

@@ -528,8 +528,9 @@ wire_enum! {
             /// The removed id.
             id: SubscriberId,
         },
-        /// An object retirement: the object leaves the engine, its tracks
-        /// and its ingest translation entry are pruned.
+        /// An object retirement: the object leaves the engine and the
+        /// service's registration table. Replay deletes by the table's
+        /// registration; `set` repeats what the table held.
         0x05 => Retire {
             /// The service clock at retirement.
             at: Time,

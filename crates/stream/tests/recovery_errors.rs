@@ -15,8 +15,10 @@ use cij_storage::codec::ByteWriter;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
 use cij_stream::wire::Wire;
 use cij_stream::{IngestOutcome, StreamConfig, StreamError, StreamService, SubscriptionFilter};
-use cij_tpr::TprResult;
-use cij_workload::{generate_pair, Distribution, MovingObject, Params, UpdateStream};
+use cij_tpr::{ObjectId, TprError, TprResult};
+use cij_workload::{
+    generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
+};
 
 mod common;
 use common::TempWal;
@@ -261,4 +263,87 @@ fn recovery_metrics_agree_with_the_report() {
         snap.counter("stream.wal.appends").is_some(),
         "recovered WAL stats must be registered"
     );
+}
+
+/// An update for `id` onto `object`'s trajectory; the delete keys are
+/// whatever the service's registration table says.
+fn update_onto(id: ObjectId, object: &MovingObject) -> ObjectUpdate {
+    ObjectUpdate {
+        id,
+        set: SetTag::A,
+        old_mbr: object.mbr,
+        last_update: 0.0,
+        new_mbr: object.mbr,
+    }
+}
+
+/// An update naming an object the service does not hold — never
+/// registered, or retired — fails `advance_to` with a typed error before
+/// its batch is journaled, and the service carries on.
+#[test]
+fn advance_with_an_update_for_an_unknown_object_is_a_typed_error() {
+    let wal = TempWal::new("unknown-live");
+    let (a, b) = generate_pair(&params(506), 0.0);
+    let config = config_with(Some(wal.0.clone()));
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    svc.advance_to(1.0).expect("advance");
+    assert!(svc.retire_object(a[0].id).expect("retire"));
+    for (tick, id) in [(2.0, ObjectId(9_999)), (3.0, a[0].id)] {
+        assert_eq!(
+            svc.submit(update_onto(id, &a[1]), tick),
+            IngestOutcome::Accepted
+        );
+        match svc.advance_to(tick) {
+            Err(StreamError::Engine(TprError::ObjectNotFound(got))) => assert_eq!(got, id),
+            other => panic!("{id:?}: expected ObjectNotFound, got {other:?}"),
+        }
+    }
+    let live = a[1].id;
+    assert_eq!(
+        svc.submit(update_onto(live, &a[2]), 4.0),
+        IngestOutcome::Accepted
+    );
+    svc.advance_to(4.0).expect("a live object still updates");
+    drop(svc);
+
+    let (_, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(report.batches_replayed, 1, "a refused batch was journaled");
+}
+
+/// Replay keys every batch by the registration table too: a journaled
+/// batch naming an object the journal never registered, or one it
+/// retired, is a corrupt journal — not a panic.
+#[test]
+fn recover_batch_for_an_unknown_object_is_corrupt() {
+    let source = TempWal::new("unknown-src");
+    let (a, b) = generate_pair(&params(507), 0.0);
+    let mut svc = StreamService::new(config_with(Some(source.0.clone())), &a, &b, 0.0, &factory)
+        .expect("service");
+    svc.advance_to(1.0).expect("advance");
+    assert!(svc.retire_object(a[0].id).expect("retire"));
+    drop(svc);
+    let (_, recovery) = Wal::open(&source.0).expect("reopen journal");
+    assert_eq!(recovery.records.len(), 2, "genesis and retirement");
+
+    // The live object is the control: the spliced batch itself is sound.
+    for (id, known) in [(a[1].id, true), (ObjectId(9_999), false), (a[0].id, false)] {
+        let mut body = ByteWriter::new();
+        body.put_f64(2.0);
+        vec![update_onto(id, &a[2])].put(&mut body);
+        let mut batch = recovery.records[0][..2].to_vec();
+        batch.push(0x02);
+        batch.extend(body.into_bytes());
+        let wal = TempWal::new("unknown");
+        write_journal(&wal.0, &[recovery.records.clone(), vec![batch]].concat());
+
+        let recovered = StreamService::recover(config_with(Some(wal.0.clone())), &factory);
+        match (known, recovered) {
+            (true, Ok((_, report))) => assert_eq!(report.batches_replayed, 1),
+            (false, Err(StreamError::CorruptJournal(msg))) => {
+                assert!(msg.contains(&format!("{id:?}")), "id not named: {msg}");
+            }
+            (_, Err(err)) => panic!("{id:?}: got {err:?}"),
+            (_, Ok(_)) => panic!("{id:?}: replayed a batch for an unknown object"),
+        }
+    }
 }

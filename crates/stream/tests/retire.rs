@@ -1,13 +1,12 @@
-//! Object retirement and the bounded ingest translation map.
+//! Object retirement and the registration table.
 //!
-//! PR 6 made the ingest queue's per-object apply-tick translation map
-//! *persistent* — entries must outlive drains because the next update
-//! for an object may come a full `T_M` later. The cost was a map that
-//! only ever grew: an object deleted upstream kept its stamp forever.
-//! [`StreamService::retire_object`] is the pruning path; these tests
-//! pin that it bounds the map (gauge included), removes the object's
-//! pairs from the live answer, refuses unsound retirements, and
-//! survives WAL recovery.
+//! [`StreamService::retire_object`] removes an object from the engine
+//! and from the service's registration table, deleting by the table's
+//! registration. These tests pin that it removes the object's pairs
+//! from the live answer, refuses unsound retirements, keeps the table
+//! to exactly the live population under churn, and survives WAL
+//! recovery — including recovery of registrations whose apply tick a
+//! `CoalesceHarder` queue moved away from the producer's tick.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +15,8 @@ use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{
-    IngestOutcome, OutboxItem, StreamConfig, StreamError, StreamService, SubscriptionFilter,
+    IngestOutcome, OutboxItem, ShedPolicy, StreamConfig, StreamError, StreamService,
+    SubscriptionFilter,
 };
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
@@ -56,7 +56,7 @@ fn sets() -> (Vec<MovingObject>, Vec<MovingObject>) {
 fn nudge(id: u64, x: f64, old: &MovingRect, last_update: Time) -> ObjectUpdate {
     ObjectUpdate {
         id: ObjectId(id),
-        set: SetTag::A,
+        set: if id < 100 { SetTag::A } else { SetTag::B },
         old_mbr: *old,
         last_update,
         new_mbr: MovingRect::stationary(Rect::new([x + 0.1, 0.0], [x + 1.1, 1.0]), 0.0),
@@ -64,7 +64,7 @@ fn nudge(id: u64, x: f64, old: &MovingRect, last_update: Time) -> ObjectUpdate {
 }
 
 #[test]
-fn retire_prunes_translation_map_and_live_pairs() {
+fn retire_removes_the_object_and_its_pairs() {
     let (a, b) = sets();
     let config = StreamConfig::builder()
         .engine(EngineConfig::builder().metrics(true).build())
@@ -73,20 +73,16 @@ fn retire_prunes_translation_map_and_live_pairs() {
     let sub = svc.subscribe(SubscriptionFilter::All).expect("subscribe");
     svc.advance_to(1.0).expect("advance");
     let _ = svc.poll(sub); // drain the initial adds
-    assert_eq!(svc.translation_entries(), 0, "no updates applied yet");
 
-    // One update per A-object: every one earns a translation entry.
     for (i, o) in a.iter().enumerate() {
         let u = nudge(o.id.0, (i + 1) as f64 * 10.0, &o.mbr, 0.0);
         assert_eq!(svc.submit(u, 2.0), IngestOutcome::Accepted);
     }
     svc.advance_to(2.0).expect("advance");
     let _ = svc.poll(sub);
-    assert_eq!(svc.translation_entries(), 4);
 
-    // Retiring an updated object prunes its entry and its pairs.
+    // Retiring an updated object removes it from its tick-2 bucket.
     assert!(svc.retire_object(ObjectId(1)).expect("retire"));
-    assert_eq!(svc.translation_entries(), 3);
     let deltas = svc.advance_to(3.0).expect("advance");
     assert!(
         deltas
@@ -120,12 +116,7 @@ fn retire_prunes_translation_map_and_live_pairs() {
     assert!(!svc.retire_object(ObjectId(999)).expect("unknown"));
     assert!(!svc.retire_object(ObjectId(1)).expect("already retired"));
 
-    // The gauge mirrors the map.
     let snap = svc.metrics_snapshot();
-    assert_eq!(
-        snap.gauge("stream.ingest.translation_entries"),
-        Some(svc.translation_entries() as i64)
-    );
     assert_eq!(snap.counter("stream.objects.retired"), Some(2));
 }
 
@@ -136,8 +127,8 @@ fn retire_refuses_while_an_update_is_pending() {
     svc.advance_to(1.0).expect("advance");
     let u = nudge(2, 20.0, &a[1].mbr, 0.0);
     assert_eq!(svc.submit(u, 2.0), IngestOutcome::Accepted);
-    // The pending update's stamp points at tick 2.0, where no index
-    // entry exists yet — retirement now would delete the wrong bucket.
+    // Retiring now would leave the pending update naming an object the
+    // service no longer holds.
     let err = svc.retire_object(ObjectId(2)).expect_err("must refuse");
     assert!(matches!(err, StreamError::InvalidConfig(_)), "got {err:?}");
     // Draining the queue makes the same retirement legal.
@@ -145,42 +136,49 @@ fn retire_refuses_while_an_update_is_pending() {
     assert!(svc.retire_object(ObjectId(2)).expect("retire"));
 }
 
-/// The unbounded-growth regression: rounds of update-then-retire churn
-/// must leave the translation map bounded by the *live updated*
-/// population — never the cumulative count of objects ever touched.
+/// Rounds of update-then-retire churn leave the registration table
+/// holding exactly the live objects: every retired id is gone for good,
+/// every live one — updated or still at genesis — is still registered.
 #[test]
-fn translation_map_stays_bounded_under_retirement_churn() {
+fn the_table_holds_exactly_the_live_population_under_retirement_churn() {
     let (a, b) = sets();
     let mut svc = StreamService::new(StreamConfig::default(), &a, &b, 0.0, &factory).expect("svc");
     svc.advance_to(1.0).expect("advance");
 
-    let mut current: HashMap<u64, (MovingRect, Time)> =
-        a.iter().map(|o| (o.id.0, (o.mbr, 0.0))).collect();
     let mut live: Vec<u64> = a.iter().map(|o| o.id.0).collect();
+    let mut retired = Vec::new();
     let mut tick = 1.0;
-    let mut high_water = 0usize;
     while live.len() > 1 {
         // Update every live A-object...
         tick += 1.0;
         for (i, id) in live.iter().enumerate() {
-            let (mbr, last) = current[id];
-            let u = nudge(*id, (i + 1) as f64 * 10.0, &mbr, last);
+            let u = nudge(*id, (i + 1) as f64 * 10.0, &a[i].mbr, 0.0);
             assert_eq!(svc.submit(u, tick), IngestOutcome::Accepted);
-            current.insert(*id, (u.new_mbr, tick));
         }
         svc.advance_to(tick).expect("advance");
-        high_water = high_water.max(svc.translation_entries());
-        // ...then retire one. The map must track the live count exactly.
+        // ...then retire one: it, and every earlier one, is gone.
         let gone = live.pop().expect("nonempty");
         assert!(svc.retire_object(ObjectId(gone)).expect("retire"));
-        assert_eq!(
-            svc.translation_entries(),
-            live.len(),
-            "translation map diverged from the live updated population"
-        );
+        retired.push(gone);
+        for &id in &retired {
+            assert!(
+                !svc.retire_object(ObjectId(id)).expect("retired"),
+                "{id} still registered after its retirement"
+            );
+        }
     }
-    assert_eq!(high_water, 4, "all four objects were stamped at the peak");
-    assert_eq!(svc.translation_entries(), 1);
+    // Exactly the live ones are still held, and retiring them empties
+    // the answer.
+    let rest: Vec<u64> = live
+        .iter()
+        .copied()
+        .chain(b.iter().map(|o| o.id.0))
+        .collect();
+    for id in rest {
+        assert!(svc.retire_object(ObjectId(id)).expect("live"), "{id} lost");
+    }
+    svc.advance_to(tick + 1.0).expect("advance");
+    assert!(svc.result_at(tick + 1.0).is_empty());
 }
 
 #[test]
@@ -199,15 +197,12 @@ fn retirement_survives_wal_recovery() {
     assert!(svc.retire_object(ObjectId(103)).expect("retire genesis"));
     svc.advance_to(3.0).expect("advance");
     let expected_pairs = svc.result_at(3.0);
-    let expected_translation = svc.translation_entries();
     drop(svc);
 
     let (recovered, report) = StreamService::recover(config, &factory).expect("recover");
     assert!(!report.tail_truncated);
     assert_eq!(recovered.result_at(3.0), expected_pairs);
-    assert_eq!(recovered.translation_entries(), expected_translation);
-    // Retired objects stay retired across the crash: translation entry,
-    // track, and set tag are all gone.
+    // Retired objects stay retired across the crash.
     assert!(!recovered
         .result_at(3.0)
         .iter()
@@ -217,4 +212,92 @@ fn retirement_survives_wal_recovery() {
         !recovered.retire_object(ObjectId(1)).expect("gone"),
         "object 1 resurrected by recovery"
     );
+}
+
+/// A producer that keys every update by its *own* clock: `last_update`
+/// is the tick it last submitted for — not the tick a `CoalesceHarder`
+/// queue actually applied the update at.
+struct Producer {
+    state: HashMap<u64, (MovingRect, Time)>,
+}
+
+impl Producer {
+    fn update(&mut self, id: u64, tick: Time) -> ObjectUpdate {
+        let (old, last) = self.state[&id];
+        let x = (id % 100) as f64 * 10.0 + tick * 0.01;
+        let u = nudge(id, x, &old, last);
+        self.state.insert(id, (u.new_mbr, tick));
+        u
+    }
+}
+
+/// Churn through a `CoalesceHarder` queue — updates re-timed onto a
+/// 4-tick grid, retirements in between — then a crash. MTB buckets are
+/// 4 ticks wide here (`T_M` = 8), so a re-timed update is filed in a
+/// later bucket than the producer's tick names: the recovered service
+/// must hold the registrations at their *apply* ticks, or its next
+/// deletes miss. Driven on with the same inputs it equals the service
+/// that never crashed, pair for pair, tick by tick.
+#[test]
+fn recovery_after_churn_and_coalescing_equals_the_uncrashed_service() {
+    let (a, b) = sets();
+    let (crashing_wal, steady_wal) = (TempWal::new("churn-crash"), TempWal::new("churn-steady"));
+    let config = |wal: &TempWal| {
+        StreamConfig::builder()
+            .engine(EngineConfig {
+                t_m: 8.0,
+                ..EngineConfig::default()
+            })
+            .batch_capacity(64)
+            .high_watermark(48)
+            .low_watermark(1)
+            .shed_policy(ShedPolicy::CoalesceHarder { window: 4.0 })
+            .wal_path(wal.0.clone())
+            .build()
+    };
+    let new = |wal| StreamService::new(config(wal), &a, &b, 0.0, &factory).expect("service");
+    let mut steady = new(&steady_wal);
+    let mut crashing = Some(new(&crashing_wal));
+    let genesis = a.iter().chain(&b);
+    let mut producer = Producer {
+        state: genesis.map(|o| (o.id.0, (o.mbr, 0.0))).collect(),
+    };
+    // A-objects first; the B-objects are updated every tick, never retired.
+    let mut live: Vec<u64> = a.iter().chain(&b).map(|o| o.id.0).collect();
+    let mut coalesced = 0;
+    for tick in 1..=28 {
+        let tick = f64::from(tick);
+        if tick == 13.0 {
+            // Everything submitted so far sits in a drained batch.
+            let svc = crashing.take().expect("live service");
+            assert_eq!(svc.queue_len(), 0);
+            drop(svc);
+            let (svc, _) =
+                StreamService::recover(config(&crashing_wal), &factory).expect("recover");
+            crashing = Some(svc);
+        }
+        let svc = crashing.as_mut().expect("live service");
+        for &id in &live {
+            let u = producer.update(id, tick);
+            assert_eq!(steady.submit(u, tick), IngestOutcome::Accepted);
+            assert_eq!(svc.submit(u, tick), IngestOutcome::Accepted);
+        }
+        let expected = steady.advance_to(tick).expect("steady advance");
+        let got = svc.advance_to(tick).expect("recovered advance");
+        assert_eq!(got, expected, "tick {tick}: delta stream");
+        assert_eq!(svc.result_at(tick), steady.result_at(tick), "tick {tick}");
+        coalesced = steady.shed_coalesced();
+        if tick % 4.0 == 0.0 && live[1] < 100 && (tick as u64 / 4) % 2 == 1 {
+            let gone = ObjectId(live.remove(0));
+            assert!(steady.retire_object(gone).expect("steady retire"));
+            assert!(svc.retire_object(gone).expect("recovered retire"));
+        }
+    }
+    assert!(coalesced > 0, "the queue never re-timed anything");
+    assert_eq!(
+        live.len(),
+        1 + b.len(),
+        "the churn retired all but one A-object"
+    );
+    assert!(!steady.result_at(28.0).is_empty());
 }

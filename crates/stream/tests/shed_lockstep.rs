@@ -7,9 +7,9 @@
 //!   the delta stream of the policy-less oracle — the policy machinery
 //!   is observable only under pressure.
 //! * **`DropStalePerObject` ⇒ post-tick equality.** Under saturation,
-//!   superseding a pending update with a newer one for the same object
-//!   is sound under the paper's `T_M` discipline: the merged update
-//!   chains the superseded one's `old_mbr`/`last_update`, so the index
+//!   replacing a pending update with a newer one for the same object
+//!   is sound under the paper's `T_M` discipline: the service keys the
+//!   replacement's delete by its registration table, so the index
 //!   delete hits exactly what the tree holds, and by the end of the
 //!   tick both services have registered the same final trajectory.
 //!   Intermediate deltas may differ (the oracle briefly reports pairs
@@ -22,6 +22,10 @@
 //! wave 2 re-updates half of wave 1's objects — admissible only through
 //! supersession, which the test asserts happened every single time.
 //!
+//! A lying producer — every update's delete keys wrong — gets the
+//! honest producer's answer under every policy and over MTB, TC and a
+//! sharded engine: the service derives the delete keys itself.
+//!
 //! A final test pins the backpressure flip counters end to end through
 //! cij-obs: a degenerate `high == 1, low == 0` queue must engage and
 //! release exactly once per tick, no more (re-entry flapping is bounded
@@ -30,13 +34,18 @@
 mod common;
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use cij_core::{EngineConfig, PairKey};
-use cij_geom::Time;
+use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, PairKey, TcEngine};
+use cij_geom::{MovingRect, Rect, Time};
+use cij_join::brute::brute_pairs_at;
+use cij_shard::{ShardCoordinator, VelocityBandPolicy};
+use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{
     IngestOutcome, ResultDelta, ShedPolicy, StampedDelta, StreamConfig, StreamService,
 };
-use cij_workload::{generate_pair, Params, UpdateStream};
+use cij_tpr::TprResult;
+use cij_workload::{generate_pair, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream};
 
 use common::{mtb_factory, ChainedGen};
 
@@ -273,6 +282,139 @@ fn drop_stale_delta_stream_replays_to_snapshots_under_saturation() {
         assert_eq!(got, shed.result_at(now), "replay diverges at t={now}");
     }
     assert!(shed.shed_dropped_stale() > 0, "saturation never triggered");
+}
+
+// ----------------------------------------------------------------------
+// Delete keys: a lying producer gets the honest producer's answer.
+// ----------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    Mtb,
+    Tc,
+    /// A K = 2 velocity-band `ShardCoordinator` over MTB engines.
+    Sharded,
+}
+
+fn backend_service(
+    backend: Backend,
+    policy: ShedPolicy,
+    params: &Params,
+    a: &[MovingObject],
+    b: &[MovingObject],
+) -> StreamService {
+    let config = StreamConfig::builder()
+        .batch_capacity(WAVE * 2)
+        .high_watermark(WAVE)
+        .low_watermark(WAVE / 2)
+        .outbox_capacity(1 << 16)
+        .shed_policy(policy)
+        .build();
+    let max_speed = params.max_speed;
+    let factory = move |cfg: &EngineConfig,
+                        a: &[MovingObject],
+                        b: &[MovingObject],
+                        start: Time|
+          -> TprResult<Box<dyn ContinuousJoinEngine>> {
+        let pool = BufferPool::new(
+            Arc::new(InMemoryStore::new()),
+            BufferPoolConfig::with_capacity(256),
+        );
+        Ok(match backend {
+            Backend::Mtb => Box::new(MtbEngine::new(pool, *cfg, a, b, start)?),
+            Backend::Tc => Box::new(TcEngine::new(pool, *cfg, a, b, start)?),
+            Backend::Sharded => Box::new(ShardCoordinator::with_factory(
+                pool,
+                *cfg,
+                Arc::new(VelocityBandPolicy::new(2, max_speed)),
+                a,
+                b,
+                start,
+                Arc::new(|pool, cfg, a, b, t| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, t)?))),
+            )?),
+        })
+    };
+    StreamService::new(config, a, b, 0.0, &factory).unwrap()
+}
+
+/// `u` with every delete key wrong: the other side's tag, a trajectory
+/// the object never had, and a tick it was never updated at.
+fn lie(u: ObjectUpdate) -> ObjectUpdate {
+    let nowhere = Rect::new([-500.0, -500.0], [-499.0, -499.0]);
+    ObjectUpdate {
+        set: match u.set {
+            SetTag::A => SetTag::B,
+            SetTag::B => SetTag::A,
+        },
+        old_mbr: MovingRect::stationary(nowhere, u.last_update + 3.25),
+        last_update: u.last_update + 3.25,
+        ..u
+    }
+}
+
+/// Drives an honest and a lying producer's services in lockstep over
+/// the saturating two-wave schedule: both must accept the same updates,
+/// emit the same delta stream and report the same answer, and whenever
+/// the queues are drained that answer is the brute-force join of the
+/// committed trajectories.
+fn run_honest_and_lying(backend: Backend, policy: ShedPolicy) {
+    let params = small_params(614);
+    let (a, b) = generate_pair(&params, 0.0);
+    let mut honest = backend_service(backend, policy, &params, &a, &b);
+    let mut lying = backend_service(backend, policy, &params, &a, &b);
+    let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
+    let ctx = format!("{backend:?} under {policy:?}");
+    let (mut refused, mut oracle_checks) = (0, 0);
+    for tick in 1..=TICKS {
+        let now = Time::from(tick);
+        let base = (tick as usize * WAVE * 2) % gen.len();
+        let waves = (0..WAVE).map(|k| (base + k, u64::from(tick), now - 0.5));
+        let wave2 = (0..SUPERSEDE).map(|k| (base + k * 2, u64::from(tick) ^ 0xDEAD_BEEF, now));
+        for (index, salt, at) in waves.chain(wave2) {
+            let u = gen.candidate(index, salt, at);
+            let outcome = honest.submit(u, at);
+            assert_eq!(lying.submit(lie(u), at), outcome, "{ctx}: admission");
+            match outcome {
+                IngestOutcome::Accepted => gen.commit(&u, at),
+                _ => refused += 1,
+            }
+        }
+        let expected = honest.advance_to(now).unwrap();
+        let got = lying
+            .advance_to(now)
+            .unwrap_or_else(|e| panic!("{ctx}: lying producer at t={now}: {e}"));
+        assert_eq!(got, expected, "{ctx}: delta stream at t={now}");
+        let answer = honest.result_at(now);
+        assert_eq!(lying.result_at(now), answer, "{ctx}: result at t={now}");
+        if honest.queue_len() == 0 {
+            let (set_a, set_b) = (gen.trajectories(SetTag::A), gen.trajectories(SetTag::B));
+            assert_eq!(answer, brute_pairs_at(&set_a, &set_b, now), "{ctx}: oracle");
+            oracle_checks += 1;
+        }
+    }
+    assert!(
+        oracle_checks >= TICKS / 2,
+        "{ctx}: oracle checked {oracle_checks} times"
+    );
+    if policy == ShedPolicy::DropStalePerObject {
+        assert!(honest.shed_dropped_stale() > 0, "{ctx}: nothing replaced");
+    } else {
+        assert!(refused > 0, "{ctx}: the queue never saturated");
+    }
+}
+
+#[test]
+fn a_lying_producer_gets_the_honest_answer() {
+    for backend in [Backend::Mtb, Backend::Tc, Backend::Sharded] {
+        for policy in [
+            ShedPolicy::None,
+            ShedPolicy::CoalesceHarder { window: 2.0 },
+            ShedPolicy::DropStalePerObject,
+            ShedPolicy::DegradeToResync,
+        ] {
+            run_honest_and_lying(backend, policy);
+        }
+    }
 }
 
 // ----------------------------------------------------------------------

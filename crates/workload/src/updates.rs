@@ -32,15 +32,24 @@ pub enum SetTag {
 /// One object update, carrying everything an engine needs to apply it:
 /// the old trajectory (for the index delete) and the time of the previous
 /// update (for MTB-tree bucket location).
+///
+/// `set`, `old_mbr` and `last_update` are the *delete keys* of the entry
+/// the update replaces. A bare engine driven directly reads them from the
+/// update, as the paper's own driver does. The routing layers do not:
+/// `StreamService` and the shard router keep one registration per live
+/// object and overwrite the keys from it, so behind them only `id` and
+/// `new_mbr` come from the producer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectUpdate {
     /// The updated object.
     pub id: ObjectId,
-    /// Its set.
+    /// Its set (a delete key).
     pub set: SetTag,
-    /// Trajectory registered before this update.
+    /// Trajectory registered before this update (a delete key).
     pub old_mbr: MovingRect,
-    /// Timestamp of the previous update (== `old_mbr.t_ref`).
+    /// When that trajectory was registered — the tick the previous update
+    /// was applied (a delete key; == `old_mbr.t_ref` for this crate's
+    /// generator).
     pub last_update: Time,
     /// New trajectory (reference time = now).
     pub new_mbr: MovingRect,
