@@ -12,8 +12,8 @@
 //!
 //! The router keeps a full [`ObjectRecord`] per object — set, shard,
 //! current trajectory, and the time the trajectory was *registered*
-//! (the tick the update was applied, which under the stream service's
-//! coalescing can differ from the trajectory's own reference time).
+//! (the tick the update was applied, which for an update submitted late
+//! can differ from the trajectory's own reference time).
 //! That record is what makes online re-partitioning possible:
 //! [`repartition`](ShardRouter::repartition) re-evaluates a new policy
 //! against every live trajectory and hands the coordinator the exact
@@ -46,8 +46,8 @@ pub struct ObjectRecord {
     /// The trajectory the engines currently index.
     pub mbr: MovingRect,
     /// When that trajectory was registered — the tick the last update
-    /// was *applied* (not the trajectory's `t_ref`; the stream layer
-    /// may apply a coalesced update later than it was captured).
+    /// was *applied* (not the trajectory's `t_ref`; a producer may
+    /// submit an update later than it was captured).
     pub last_update: Time,
 }
 

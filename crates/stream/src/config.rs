@@ -37,8 +37,7 @@ pub struct StreamConfig {
     /// is applied, enabling [`recover`](crate::StreamService::recover).
     pub wal_path: Option<PathBuf>,
     /// What saturation does beyond flipping the accepting flag
-    /// (default [`ShedPolicy::None`] — behavior bit-identical to a
-    /// policy-less service).
+    /// (default [`ShedPolicy::None`]: plain backpressure).
     pub shed_policy: ShedPolicy,
 }
 
@@ -72,15 +71,13 @@ impl StreamConfig {
     }
 
     /// Checks the invariant `low ≤ high ≤ capacity` (and nonzero
-    /// capacities) that the backpressure hysteresis relies on, plus the
-    /// shed policy's own parameter validity.
+    /// capacities) that the backpressure hysteresis relies on.
     #[must_use]
     pub fn is_valid(&self) -> bool {
         self.batch_capacity > 0
             && self.outbox_capacity > 0
             && self.low_watermark <= self.high_watermark
             && self.high_watermark <= self.batch_capacity
-            && self.shed_policy.is_valid()
     }
 }
 
@@ -197,14 +194,6 @@ mod tests {
         let config = StreamConfig::builder().batch_capacity(1000).build();
         assert_eq!(config.high_watermark, 750);
         assert_eq!(config.low_watermark, 500);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid stream config")]
-    fn degenerate_coalesce_window_panics() {
-        let _ = StreamConfig::builder()
-            .shed_policy(ShedPolicy::CoalesceHarder { window: 0.0 })
-            .build();
     }
 
     #[test]

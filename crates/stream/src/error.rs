@@ -28,6 +28,12 @@ pub enum StreamError {
     /// given a filter it cannot register — a window with a NaN, infinite
     /// or inverted bound; the message names it.
     InvalidFilter(String),
+    /// [`StreamService::advance_to`](crate::StreamService::advance_to)
+    /// drained an update no engine can be handed — a NaN or infinite
+    /// component, an unordered bound, or a reference time past its tick;
+    /// the message names the object. Nothing of its batch was journaled
+    /// or applied.
+    InvalidUpdate(String),
     /// The write-ahead log's durable prefix is not a valid journal: no
     /// genesis record, a non-genesis first record, a duplicate genesis,
     /// or a record that fails to decode. (A torn *tail* is not this —
@@ -48,6 +54,7 @@ impl std::fmt::Display for StreamError {
             }
             Self::InvalidConfig(msg) => write!(f, "invalid stream config: {msg}"),
             Self::InvalidFilter(msg) => write!(f, "invalid subscription filter: {msg}"),
+            Self::InvalidUpdate(msg) => write!(f, "invalid update: {msg}"),
             Self::CorruptJournal(msg) => write!(f, "corrupt WAL journal: {msg}"),
             Self::Storage(e) => write!(f, "storage error: {e}"),
             Self::Engine(e) => write!(f, "engine error: {e}"),

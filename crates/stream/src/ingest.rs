@@ -10,20 +10,19 @@
 //! saturated service refuses work in long stretches instead of
 //! flapping per event.
 //!
-//! What happens *at* saturation is pluggable: a [`ShedPolicy`] can
-//! widen the coalescing window under pressure (`CoalesceHarder`) or
-//! replace an object's stale pending update instead of refusing the
-//! fresh one (`DropStalePerObject`) — see the policy docs for the
-//! `T_M` soundness argument. Every queued update carries its wall-clock
-//! enqueue instant and the tick the producer originally asked for, so
-//! the service can report per-update ingest latency and freshness lag.
+//! A submission always enqueues at its own tick. At saturation,
+//! [`ShedPolicy::DropStalePerObject`] replaces an object's stale pending
+//! update instead of refusing the fresh one — see the policy docs for
+//! the `T_M` soundness argument. Every queued update carries its
+//! wall-clock enqueue instant, so the service can report per-update
+//! ingest latency.
 //!
 //! The queue holds updates, not objects: its only per-object state is
 //! the tick of each object's latest pending update. An update's delete
 //! keys (`set`, `old_mbr`, `last_update`) are not read here — the
 //! service fills them from its registration table when the batch
-//! drains, so a late, re-timed or replaced update still deletes exactly
-//! what the engine holds.
+//! drains, so a late or replaced update still deletes exactly what the
+//! engine holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -66,24 +65,19 @@ impl Ord for TickKey {
     }
 }
 
-/// One queued update plus its ingestion provenance.
+/// One queued update plus its acceptance instant.
 #[derive(Debug, Clone, Copy)]
-pub struct QueuedUpdate {
+pub(crate) struct QueuedUpdate {
     /// The update to apply (possibly the replacement of a superseded
     /// one under [`ShedPolicy::DropStalePerObject`]).
-    pub update: ObjectUpdate,
-    /// The tick the producer originally submitted for — differs from
-    /// the batch tick only when a policy re-timed the update
-    /// (`CoalesceHarder` quantization); the difference is the
-    /// freshness lag the service reports.
-    pub submitted_for: Time,
+    pub(crate) update: ObjectUpdate,
     /// Wall-clock instant of acceptance, for ingest-latency histograms.
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
 }
 
 /// Bounded, tick-coalescing ingestion queue.
 #[derive(Debug)]
-pub struct IngestQueue {
+pub(crate) struct IngestQueue {
     batches: BTreeMap<TickKey, Vec<QueuedUpdate>>,
     pending: usize,
     capacity: usize,
@@ -96,29 +90,15 @@ pub struct IngestQueue {
     /// index [`ShedPolicy::DropStalePerObject`] resolves against.
     latest_pending: HashMap<ObjectId, TickKey>,
     shed_dropped_stale: u64,
-    shed_coalesced: u64,
 }
 
 impl IngestQueue {
-    /// Creates a queue with no shedding policy. Invariants
+    /// Creates a queue whose stale frontier is `now`. Invariants
     /// (`low ≤ high ≤ capacity`, nonzero capacity) are the caller's
     /// responsibility —
     /// [`StreamConfig::builder`](crate::StreamConfig::builder) enforces
     /// them.
-    #[must_use]
-    pub fn new(capacity: usize, high_watermark: usize, low_watermark: usize, now: Time) -> Self {
-        Self::with_policy(
-            capacity,
-            high_watermark,
-            low_watermark,
-            now,
-            ShedPolicy::None,
-        )
-    }
-
-    /// Creates a queue with an explicit [`ShedPolicy`].
-    #[must_use]
-    pub fn with_policy(
+    pub(crate) fn new(
         capacity: usize,
         high_watermark: usize,
         low_watermark: usize,
@@ -136,60 +116,26 @@ impl IngestQueue {
             policy,
             latest_pending: HashMap::new(),
             shed_dropped_stale: 0,
-            shed_coalesced: 0,
         }
     }
 
     /// Whether the object has a queued-but-unapplied update.
-    #[must_use]
-    pub fn has_pending(&self, id: ObjectId) -> bool {
+    pub(crate) fn has_pending(&self, id: ObjectId) -> bool {
         self.latest_pending.contains_key(&id)
     }
 
-    /// The tick a submission for `at` actually enqueues at: under
-    /// [`ShedPolicy::CoalesceHarder`] with the queue in the pressure
-    /// zone (pending ≥ low watermark), ticks are quantized **up** to
-    /// the policy's window so more submissions coalesce per batch.
-    /// Always ≥ `at`, so the stale frontier is never violated.
-    ///
-    /// When the object already has a pending update at a *later* tick
-    /// (its predecessor was quantized past `at` while this submission
-    /// arrives with the pressure gone), the tick is raised to the
-    /// pending one's: batches drain in tick order, so enqueuing the
-    /// successor earlier would apply it before its predecessor, and the
-    /// older trajectory would be the one left registered. Appending to
-    /// the predecessor's batch preserves FIFO within the batch, so the
-    /// newest trajectory is always the one applied last.
-    fn effective_tick(&self, id: ObjectId, at: Time) -> Time {
-        let ShedPolicy::CoalesceHarder { window } = self.policy else {
-            return at;
-        };
-        let mut tick = at;
-        if self.pending >= self.low_watermark {
-            tick = ((at / window).ceil() * window).max(at);
-        }
-        if let Some(p) = self.latest_pending.get(&id) {
-            if p.0 > tick {
-                tick = p.0;
-            }
-        }
-        tick
-    }
-
     /// Offers one update for tick `at`.
-    pub fn submit(&mut self, update: ObjectUpdate, at: Time) -> IngestOutcome {
+    pub(crate) fn submit(&mut self, update: ObjectUpdate, at: Time) -> IngestOutcome {
         if at <= self.drained_through {
             return IngestOutcome::Stale;
         }
-        let tick = self.effective_tick(update.id, at);
         if !self.accepting || self.pending >= self.capacity {
-            if self.policy == ShedPolicy::DropStalePerObject && self.try_supersede(update, tick, at)
-            {
+            if self.policy == ShedPolicy::DropStalePerObject && self.try_supersede(update, at) {
                 return IngestOutcome::Accepted;
             }
             return IngestOutcome::QueueFull;
         }
-        self.enqueue(update, tick, at);
+        self.enqueue(update, at);
         IngestOutcome::Accepted
     }
 
@@ -203,7 +149,7 @@ impl IngestQueue {
     /// Returns `false` (caller refuses as `QueueFull`) when the object
     /// has no pending update, or its pending update sits at a *later*
     /// tick than this submission (the pending one is newer).
-    fn try_supersede(&mut self, update: ObjectUpdate, tick: Time, submitted_for: Time) -> bool {
+    fn try_supersede(&mut self, update: ObjectUpdate, tick: Time) -> bool {
         let Some(&pending_tick) = self.latest_pending.get(&update.id) else {
             return false;
         };
@@ -224,20 +170,14 @@ impl IngestQueue {
         }
         self.pending -= 1;
         self.shed_dropped_stale += 1;
-        self.enqueue(update, tick, submitted_for);
+        self.enqueue(update, tick);
         true
     }
 
-    fn enqueue(&mut self, update: ObjectUpdate, tick: Time, submitted_for: Time) {
-        if tick > submitted_for {
-            // Only CoalesceHarder re-times ticks; count it on actual
-            // acceptance so refused submissions never inflate the stat.
-            self.shed_coalesced += 1;
-        }
+    fn enqueue(&mut self, update: ObjectUpdate, tick: Time) {
         let key = TickKey(tick);
         self.batches.entry(key).or_default().push(QueuedUpdate {
             update,
-            submitted_for,
             enqueued: Instant::now(),
         });
         let slot = self.latest_pending.entry(update.id).or_insert(key);
@@ -253,7 +193,7 @@ impl IngestQueue {
     /// Removes and returns every batch with tick ≤ `t`, in tick order.
     /// Later submissions for the drained ticks are refused as
     /// [`Stale`](IngestOutcome::Stale).
-    pub fn drain_through(&mut self, t: Time) -> Vec<(Time, Vec<QueuedUpdate>)> {
+    pub(crate) fn drain_through(&mut self, t: Time) -> Vec<(Time, Vec<QueuedUpdate>)> {
         let mut out = Vec::new();
         while let Some(entry) = self.batches.first_entry() {
             if entry.key().0 > t {
@@ -278,54 +218,19 @@ impl IngestQueue {
     }
 
     /// Pending (queued, unapplied) updates across all ticks.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending
     }
 
-    /// Whether nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
     /// Whether the queue currently accepts submissions.
-    #[must_use]
-    pub fn is_accepting(&self) -> bool {
+    pub(crate) fn is_accepting(&self) -> bool {
         self.accepting
-    }
-
-    /// Number of distinct ticks with queued updates.
-    #[must_use]
-    pub fn pending_ticks(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// The latest tick already drained (submissions at or before it are
-    /// stale).
-    #[must_use]
-    pub fn drained_through(&self) -> Time {
-        self.drained_through
-    }
-
-    /// The queue's shedding policy.
-    #[must_use]
-    pub fn policy(&self) -> ShedPolicy {
-        self.policy
     }
 
     /// Pending updates superseded-and-dropped by
     /// [`ShedPolicy::DropStalePerObject`] (cumulative).
-    #[must_use]
-    pub fn shed_dropped_stale(&self) -> u64 {
+    pub(crate) fn shed_dropped_stale(&self) -> u64 {
         self.shed_dropped_stale
-    }
-
-    /// Submissions re-timed onto the coarser grid by
-    /// [`ShedPolicy::CoalesceHarder`] (cumulative).
-    #[must_use]
-    pub fn shed_coalesced(&self) -> u64 {
-        self.shed_coalesced
     }
 }
 
@@ -363,11 +268,11 @@ mod tests {
 
     #[test]
     fn coalesces_per_tick_in_order() {
-        let mut q = IngestQueue::new(100, 80, 40, 0.0);
+        let mut q = IngestQueue::new(100, 80, 40, 0.0, ShedPolicy::None);
         assert_eq!(q.submit(update(1), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(3), 2.0), IngestOutcome::Accepted);
-        assert_eq!(q.pending_ticks(), 2);
+        assert_eq!(q.batches.len(), 2);
         let drained = drained_updates(q.drain_through(2.0));
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].0, 1.0);
@@ -376,12 +281,12 @@ mod tests {
         assert_eq!(drained[1].1.len(), 2);
         // Batch order preserves submission order within the tick.
         assert_eq!(drained[1].1[0].id, ObjectId(1));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn drain_only_takes_due_ticks() {
-        let mut q = IngestQueue::new(100, 80, 40, 0.0);
+        let mut q = IngestQueue::new(100, 80, 40, 0.0, ShedPolicy::None);
         q.submit(update(1), 1.0);
         q.submit(update(2), 5.0);
         let drained = q.drain_through(3.0);
@@ -392,7 +297,7 @@ mod tests {
 
     #[test]
     fn watermark_hysteresis() {
-        let mut q = IngestQueue::new(10, 4, 2, 0.0);
+        let mut q = IngestQueue::new(10, 4, 2, 0.0, ShedPolicy::None);
         for i in 0..4 {
             assert_eq!(q.submit(update(i), 1.0), IngestOutcome::Accepted);
         }
@@ -415,7 +320,7 @@ mod tests {
 
     #[test]
     fn hard_capacity_refuses_even_when_accepting() {
-        let mut q = IngestQueue::new(3, 3, 0, 0.0);
+        let mut q = IngestQueue::new(3, 3, 0, 0.0, ShedPolicy::None);
         for i in 0..3 {
             assert_eq!(q.submit(update(i), 1.0), IngestOutcome::Accepted);
         }
@@ -424,7 +329,7 @@ mod tests {
 
     #[test]
     fn stale_ticks_are_refused() {
-        let mut q = IngestQueue::new(10, 8, 4, 5.0);
+        let mut q = IngestQueue::new(10, 8, 4, 5.0, ShedPolicy::None);
         assert_eq!(q.submit(update(1), 5.0), IngestOutcome::Stale);
         assert_eq!(q.submit(update(1), 4.0), IngestOutcome::Stale);
         assert_eq!(q.submit(update(1), 6.0), IngestOutcome::Accepted);
@@ -445,7 +350,7 @@ mod tests {
         // low == high == 4: the queue closes at 4 pending and re-opens
         // on the very next drain call even if nothing was removed
         // (pending 4 ≤ low 4). Degenerate hysteresis is defined, not UB.
-        let mut q = IngestQueue::new(10, 4, 4, 0.0);
+        let mut q = IngestQueue::new(10, 4, 4, 0.0, ShedPolicy::None);
         for i in 0..4 {
             assert_eq!(q.submit(update(i), 2.0), IngestOutcome::Accepted);
         }
@@ -468,7 +373,7 @@ mod tests {
         // submission was just refused cannot blindly resubmit for the
         // same tick after the queue reopens — staleness wins over
         // acceptance.
-        let mut q = IngestQueue::new(10, 3, 1, 0.0);
+        let mut q = IngestQueue::new(10, 3, 1, 0.0, ShedPolicy::None);
         for i in 0..3 {
             assert_eq!(q.submit(update(i), 3.0), IngestOutcome::Accepted);
         }
@@ -489,7 +394,7 @@ mod tests {
         // queue and every drain re-opens it: maximal flapping. Pin the
         // exact flip sequence (the service-level test pins the cij-obs
         // flip counters for the same pattern).
-        let mut q = IngestQueue::new(4, 1, 1, 0.0);
+        let mut q = IngestQueue::new(4, 1, 1, 0.0, ShedPolicy::None);
         let mut flips = 0u32;
         let mut was = q.is_accepting();
         for tick in 1..=6 {
@@ -510,76 +415,13 @@ mod tests {
         assert_eq!(flips, 12, "one engage + one release per tick");
     }
 
-    // ------------------------------------------------------------------
-    // Shed policies
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn coalesce_harder_quantizes_only_under_pressure() {
-        let mut q =
-            IngestQueue::with_policy(100, 80, 2, 0.0, ShedPolicy::CoalesceHarder { window: 4.0 });
-        // Below the low watermark: ticks pass through untouched.
-        assert_eq!(q.submit(update(1), 1.5), IngestOutcome::Accepted);
-        assert_eq!(q.submit(update(2), 2.5), IngestOutcome::Accepted);
-        assert_eq!(q.pending_ticks(), 2);
-        assert_eq!(q.shed_coalesced(), 0);
-        // At/above low: quantized up to the next multiple of 4.
-        assert_eq!(q.submit(update(3), 2.6), IngestOutcome::Accepted);
-        assert_eq!(q.submit(update(4), 3.1), IngestOutcome::Accepted);
-        assert_eq!(q.submit(update(5), 4.0), IngestOutcome::Accepted); // exact multiple: no re-time
-        assert_eq!(q.shed_coalesced(), 2);
-        let drained = q.drain_through(4.0);
-        // 1.5, 2.5, and one coalesced batch at 4.0 (2.6, 3.1, 4.0).
-        assert_eq!(drained.len(), 3);
-        let last = &drained[2];
-        assert_eq!(last.0, 4.0);
-        assert_eq!(last.1.len(), 3);
-        // Provenance: the re-timed updates remember their original tick.
-        assert_eq!(last.1[0].submitted_for, 2.6);
-        assert_eq!(last.1[2].submitted_for, 4.0);
-    }
-
-    #[test]
-    fn coalesce_harder_never_reorders_within_an_object() {
-        let mut q =
-            IngestQueue::with_policy(100, 80, 2, 0.0, ShedPolicy::CoalesceHarder { window: 4.0 });
-        // Two fillers push pending to the low watermark so the next
-        // submission gets quantized.
-        assert_eq!(q.submit(update(8), 1.2), IngestOutcome::Accepted);
-        assert_eq!(q.submit(update(9), 1.3), IngestOutcome::Accepted);
-        let u1 = moved_to(1, 10.0);
-        assert_eq!(q.submit(u1, 1.5), IngestOutcome::Accepted);
-        assert_eq!(q.shed_coalesced(), 1, "u1 re-timed from 1.5 to 4.0");
-        // Draining the fillers drops pending back below the low
-        // watermark — quantization is off again, but object 1 still has
-        // a pending update parked at tick 4.0.
-        assert_eq!(q.drain_through(2.0).len(), 2);
-        // A successor for object 1 at 2.5 would naively batch at 2.5,
-        // BEFORE its predecessor at 4.0 — the clamp must pull it up to
-        // the predecessor's tick so apply order matches submit order.
-        let u2 = moved_to(1, 20.0);
-        assert_eq!(q.submit(u2, 2.5), IngestOutcome::Accepted);
-        assert_eq!(q.shed_coalesced(), 2, "u2 re-timed by the clamp");
-        let drained = q.drain_through(4.0);
-        assert_eq!(drained.len(), 1, "both land in the tick-4.0 batch");
-        let (tick, batch) = &drained[0];
-        assert_eq!(*tick, 4.0);
-        assert_eq!(batch.len(), 2);
-        // Predecessor first, successor second — the newest trajectory
-        // is applied last; provenance preserved, the update untouched.
-        assert_eq!(batch[0].update, u1);
-        assert_eq!(batch[0].submitted_for, 1.5);
-        assert_eq!(batch[1].update, u2);
-        assert_eq!(batch[1].submitted_for, 2.5);
-    }
-
     #[test]
     fn equal_watermarks_collapse_hysteresis_to_a_threshold() {
         // low == high: the hysteresis band is empty, so ANY drain call
         // reopens the queue — even one that removed nothing — and the
         // next accepted submission closes it again. The flap rate
         // degrades to the submit/drain cadence, exactly as documented.
-        let mut q = IngestQueue::new(10, 3, 3, 0.0);
+        let mut q = IngestQueue::new(10, 3, 3, 0.0, ShedPolicy::None);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 1.5), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(3), 2.0), IngestOutcome::Accepted);
@@ -600,7 +442,7 @@ mod tests {
         // and releases backpressure. Afterwards the frontier must win:
         // a submission at (or before) the drained tick is Stale, never
         // Accepted, even though the queue just reopened.
-        let mut q = IngestQueue::new(4, 2, 1, 0.0);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::None);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 2.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting());
@@ -618,7 +460,7 @@ mod tests {
         // be re-entered, not even by superseding), then supersession
         // admissibility (pending tick ≤ submission tick), then
         // QueueFull.
-        let mut q = IngestQueue::with_policy(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.drain_through(2.0).len(), 2);
@@ -645,7 +487,7 @@ mod tests {
 
     #[test]
     fn drop_stale_replaces_the_latest_pending_update() {
-        let mut q = IngestQueue::with_policy(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
         // Object 1 moves to x = 10 at tick 1, then to x = 20 at tick 2.
         assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(2, 60.0), 1.0), IngestOutcome::Accepted);
@@ -661,13 +503,13 @@ mod tests {
         let drained = drained_updates(q.drain_through(2.0));
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[1], (2.0, vec![fresh]), "a plain replacement");
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert!(q.latest_pending.is_empty(), "supersede index fully drained");
     }
 
     #[test]
     fn drop_stale_refuses_when_pending_is_newer() {
-        let mut q = IngestQueue::with_policy(2, 2, 0, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(2, 2, 0, 0.0, ShedPolicy::DropStalePerObject);
         assert_eq!(q.submit(update(1), 5.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 5.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting());
@@ -682,7 +524,7 @@ mod tests {
         // Object 1 pending at ticks 1 (to x = 10) and 2 (to x = 20); the
         // submission at tick 3 (to x = 30) replaces the *latest* pending
         // (tick 2) and leaves the tick-1 update untouched.
-        let mut q = IngestQueue::with_policy(3, 3, 0, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(3, 3, 0, 0.0, ShedPolicy::DropStalePerObject);
         assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(1, 20.0), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(9, 1.0), 1.0), IngestOutcome::Accepted);
@@ -705,7 +547,7 @@ mod tests {
         /// closing rule, which is what the hysteresis tests rely on).
         fn submit_unchecked_for_test(&mut self, at: Time, n: usize) {
             for i in 0..n {
-                self.enqueue(update(1000 + i as u64), at, at);
+                self.enqueue(update(1000 + i as u64), at);
             }
         }
     }

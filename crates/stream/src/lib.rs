@@ -52,7 +52,7 @@ pub mod wire;
 pub use config::{StreamConfig, StreamConfigBuilder};
 pub use error::{StreamError, StreamResult};
 pub use event::{OutboxItem, ResultDelta, StampedDelta};
-pub use ingest::{IngestOutcome, IngestQueue, QueuedUpdate};
+pub use ingest::IngestOutcome;
 pub use service::{EngineFactory, RecoveryReport, StreamService};
 pub use shed::ShedPolicy;
 pub use subscribe::{SubscriberId, SubscriptionFilter};

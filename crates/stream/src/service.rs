@@ -17,7 +17,7 @@
 //! so the service fills them in itself — a producer sends the new
 //! trajectory, and nothing else it sends is trusted.
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
+use cij_core::{ContinuousJoinEngine, EngineConfig, EngineOp, PairKey};
 use cij_geom::{MovingRect, Time};
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
@@ -29,7 +29,6 @@ use crate::delta::DeltaExtractor;
 use crate::error::{StreamError, StreamResult};
 use crate::event::{OutboxItem, StampedDelta};
 use crate::ingest::{IngestOutcome, IngestQueue, QueuedUpdate};
-use crate::shed::ShedPolicy;
 use crate::subscribe::{SubscriberId, SubscriptionFilter, SubscriptionRegistry};
 use crate::wire::WalRecord;
 
@@ -68,8 +67,8 @@ pub(crate) struct Registration {
     /// The trajectory the engine indexes (what window filters read).
     pub(crate) mbr: MovingRect,
     /// The tick that trajectory was applied at — where MTB buckets file
-    /// it, which under re-timing or late submission is not the tick the
-    /// producer generated it for.
+    /// it, which for a late submission is not the tick the producer
+    /// generated it for.
     pub(crate) registered_at: Time,
 }
 
@@ -85,10 +84,6 @@ pub struct StreamService {
     objects: IdMap<ObjectId, Registration>,
     wal: Option<Wal>,
     now: Time,
-    /// Whether a `DegradeToResync` degraded window is open: per-delta
-    /// delivery is suppressed (with exact gap accounting) until the
-    /// queue reopens, at which point every subscriber is resynced.
-    degraded: bool,
     /// Observability handles, shared with the engine's registry (all
     /// no-ops when `config.engine.metrics` is off).
     obs: ServiceMetrics,
@@ -110,21 +105,11 @@ struct ServiceMetrics {
     /// Pending updates superseded by `DropStalePerObject` (live mirror
     /// of the queue's counter).
     shed_dropped_stale: Counter,
-    /// Submissions re-timed onto the coarser grid by `CoalesceHarder`.
-    shed_coalesced: Counter,
-    /// `DegradeToResync` degraded windows opened.
-    degrade_engaged: Counter,
-    /// Subscribers force-resynced at degraded-window close.
-    degrade_resyncs: Counter,
     /// Objects retired via [`StreamService::retire_object`].
     objects_retired: Counter,
     /// Wall-clock nanoseconds from acceptance to application, one
     /// observation per applied update.
     ingest_latency: Histogram,
-    /// Simulation-time lag (milliticks: `(batch tick − submitted tick)
-    /// × 1000`) per applied update — nonzero only when a policy
-    /// re-timed the update.
-    freshness_lag: Histogram,
     /// Queue depth observed at each submission (the distribution behind
     /// the `stream.queue.depth` point gauge).
     queue_depth_hist: Histogram,
@@ -142,12 +127,8 @@ impl ServiceMetrics {
             deltas_emitted: registry.counter("stream.deltas_emitted"),
             subscriber_dropped: registry.counter("stream.subscribers.dropped_deltas"),
             shed_dropped_stale: registry.counter("stream.shed.dropped_stale"),
-            shed_coalesced: registry.counter("stream.shed.coalesced"),
-            degrade_engaged: registry.counter("stream.degrade.engaged"),
-            degrade_resyncs: registry.counter("stream.degrade.resyncs"),
             objects_retired: registry.counter("stream.objects.retired"),
             ingest_latency: registry.histogram("stream.ingest.latency_ns"),
-            freshness_lag: registry.histogram("stream.freshness.lag_milliticks"),
             queue_depth_hist: registry.histogram("stream.ingest.queue_depth"),
             registry,
         }
@@ -187,51 +168,20 @@ impl StreamService {
         start: Time,
         build_engine: EngineFactory<'_>,
     ) -> StreamResult<Self> {
-        if !config.is_valid() {
-            return Err(StreamError::InvalidConfig(format!(
-                "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
-            )));
-        }
-        let objects = Self::genesis_table(set_a, set_b, start)?;
-        let mut engine = build_engine(&config.engine, set_a, set_b, start)?;
-        engine.enable_delta_tracking();
-        engine.run_initial_join(start)?;
-        let obs = ServiceMetrics::new(engine.metrics_registry());
-
-        let wal = match &config.wal_path {
-            Some(path) => {
-                let mut wal = Wal::create(path)?;
-                wal.stats().register_in(&obs.registry, "stream.wal");
-                let genesis = WalRecord::Genesis {
+        Self::check(&config)?;
+        let mut service = Self::from_genesis(config, set_a, set_b, start, build_engine)?;
+        if let Some(path) = &service.config.wal_path {
+            service.attach_wal(Wal::create(path)?);
+            service.journal(|| {
+                WalRecord::Genesis {
                     start,
                     set_a: set_a.to_vec(),
                     set_b: set_b.to_vec(),
-                };
-                wal.append(&genesis.encode())?;
-                wal.sync()?;
-                Some(wal)
-            }
-            None => None,
-        };
-
-        Ok(Self {
-            queue: IngestQueue::with_policy(
-                config.batch_capacity,
-                config.high_watermark,
-                config.low_watermark,
-                start,
-                config.shed_policy,
-            ),
-            registry: SubscriptionRegistry::new(config.outbox_capacity),
-            config,
-            engine,
-            extractor: DeltaExtractor::new(),
-            objects,
-            wal,
-            now: start,
-            degraded: false,
-            obs,
-        })
+                }
+                .encode()
+            })?;
+        }
+        Ok(service)
     }
 
     /// Rebuilds a service from its write-ahead log after a crash.
@@ -258,11 +208,7 @@ impl StreamService {
         config: StreamConfig,
         build_engine: EngineFactory<'_>,
     ) -> StreamResult<(Self, RecoveryReport)> {
-        if !config.is_valid() {
-            return Err(StreamError::InvalidConfig(format!(
-                "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
-            )));
-        }
+        Self::check(&config)?;
         let path = config
             .wal_path
             .as_ref()
@@ -286,20 +232,12 @@ impl StreamService {
                 )))
             }
         };
+        let mut service = Self::from_genesis(config, &set_a, &set_b, start, build_engine)?;
+        service.attach_wal(wal);
 
-        let mut objects = Self::genesis_table(&set_a, &set_b, start)?;
-        let mut engine = build_engine(&config.engine, &set_a, &set_b, start)?;
-        engine.enable_delta_tracking();
-        engine.run_initial_join(start)?;
-        let obs = ServiceMetrics::new(engine.metrics_registry());
-        wal.stats().register_in(&obs.registry, "stream.wal");
-
-        let mut extractor = DeltaExtractor::new();
-        let mut registry = SubscriptionRegistry::new(config.outbox_capacity);
-        let mut now = start;
         let mut batches_replayed = 0usize;
         {
-            let _span = obs.registry.span("phase.wal_replay");
+            let _span = service.obs.registry.span("phase.wal_replay");
             for payload in records {
                 match Self::decode_journal(payload)? {
                     WalRecord::Genesis { .. } => {
@@ -309,74 +247,114 @@ impl StreamService {
                     }
                     WalRecord::Batch { at, updates } => {
                         let mut updates = updates.into_owned();
-                        Self::fill_delete_keys(&objects, at, &mut updates).map_err(|id| {
-                            StreamError::CorruptJournal(format!(
-                                "batch at {at} updates unknown object {id:?}"
-                            ))
-                        })?;
-                        Self::apply_batch(
-                            engine.as_mut(),
-                            &mut extractor,
-                            &mut objects,
-                            at,
-                            &updates,
+                        Self::fill_delete_keys(&service.objects, at, &mut updates).map_err(
+                            |id| {
+                                StreamError::CorruptJournal(format!(
+                                    "batch at {at} updates unknown object {id:?}"
+                                ))
+                            },
                         )?;
-                        now = at;
+                        service.apply_batch(at, &updates)?;
+                        // The queue's stale frontier follows the replayed clock.
+                        service.queue.drain_through(at);
+                        service.now = at;
                         batches_replayed += 1;
                     }
-                    WalRecord::Subscribe { id, filter } => registry.insert_with_id(id, filter),
+                    WalRecord::Subscribe { id, filter } => {
+                        service.registry.insert_with_id(id, filter)
+                    }
                     WalRecord::Unsubscribe { id } => {
-                        registry.unsubscribe(id);
+                        service.registry.unsubscribe(id);
                     }
                     WalRecord::Retire { at, id, .. } => {
-                        if !objects.contains_key(&id) {
+                        if !service.objects.contains_key(&id) {
                             return Err(StreamError::CorruptJournal(format!(
                                 "retire record for unknown object {id:?}"
                             )));
                         }
-                        Self::apply_retire(engine.as_mut(), &mut objects, id, at)?;
+                        service.apply_retire(id, at)?;
                     }
                 }
             }
         }
-        obs.registry
+        service
+            .obs
+            .registry
             .counter("stream.recovery.batches_replayed")
             .store(batches_replayed as u64);
 
         // Undelivered outboxes died with the crashed process: every
         // restored subscriber gets a gap marker (count 1 — a lower
         // bound, the true loss is unknowable) and a catch-up snapshot.
-        let current = extractor.current();
-        for id in registry.ids() {
-            registry.reseed(id, 1, now, &current, &objects, false);
+        let current = service.extractor.current();
+        for id in service.registry.ids() {
+            service
+                .registry
+                .reseed(id, 1, service.now, &current, &service.objects);
         }
-        obs.subscriber_dropped.store(registry.total_dropped());
+        service
+            .obs
+            .subscriber_dropped
+            .store(service.registry.total_dropped());
 
         let report = RecoveryReport {
             batches_replayed,
-            last_tick: now,
+            last_tick: service.now,
             tail_truncated: recovery.tail_corrupt,
-            subscribers: registry.len(),
+            subscribers: service.registry.len(),
         };
-        let service = Self {
-            queue: IngestQueue::with_policy(
+        Ok((service, report))
+    }
+
+    /// Refuses a configuration whose backpressure invariant fails.
+    fn check(config: &StreamConfig) -> StreamResult<()> {
+        if config.is_valid() {
+            return Ok(());
+        }
+        Err(StreamError::InvalidConfig(format!(
+            "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
+        )))
+    }
+
+    /// The service at `start`, before anything is journaled: the
+    /// registration table and the engine built from the genesis sets,
+    /// the initial join run, no journal and no subscribers. Both
+    /// [`new`](Self::new) and [`recover`](Self::recover) start here.
+    fn from_genesis(
+        config: StreamConfig,
+        set_a: &[MovingObject],
+        set_b: &[MovingObject],
+        start: Time,
+        build_engine: EngineFactory<'_>,
+    ) -> StreamResult<Self> {
+        let objects = Self::genesis_table(set_a, set_b, start)?;
+        let mut engine = build_engine(&config.engine, set_a, set_b, start)?;
+        engine.enable_delta_tracking();
+        engine.run_initial_join(start)?;
+        Ok(Self {
+            obs: ServiceMetrics::new(engine.metrics_registry()),
+            queue: IngestQueue::new(
                 config.batch_capacity,
                 config.high_watermark,
                 config.low_watermark,
-                now,
+                start,
                 config.shed_policy,
             ),
-            registry,
+            registry: SubscriptionRegistry::new(config.outbox_capacity),
             config,
             engine,
-            extractor,
+            extractor: DeltaExtractor::new(),
             objects,
-            wal: Some(wal),
-            now,
-            degraded: false,
-            obs,
-        };
-        Ok((service, report))
+            wal: None,
+            now: start,
+        })
+    }
+
+    /// Journals every later record to `wal`, whose counters join the
+    /// service's metrics.
+    fn attach_wal(&mut self, wal: Wal) {
+        wal.stats().register_in(&self.obs.registry, "stream.wal");
+        self.wal = Some(wal);
     }
 
     /// The registration table of a fresh service: every genesis object,
@@ -443,20 +421,8 @@ impl StreamService {
         self.obs
             .shed_dropped_stale
             .store(self.queue.shed_dropped_stale());
-        self.obs.shed_coalesced.store(self.queue.shed_coalesced());
         self.obs
             .record_backpressure_flip(was_accepting, self.queue.is_accepting());
-        if was_accepting
-            && !self.queue.is_accepting()
-            && self.config.shed_policy == ShedPolicy::DegradeToResync
-            && !self.degraded
-        {
-            // Saturation under DegradeToResync opens a degraded window:
-            // per-delta delivery is suppressed (exactly counted) until
-            // the queue reopens in `advance_to`.
-            self.degraded = true;
-            self.obs.degrade_engaged.inc();
-        }
         outcome
     }
 
@@ -470,11 +436,14 @@ impl StreamService {
     /// Calls with `t` at or before the current clock are no-ops.
     ///
     /// # Errors
-    /// [`StreamError::Engine`] when the wrapped engine fails, or with
-    /// [`TprError::ObjectNotFound`] — before anything of the batch is
-    /// journaled or applied — when a due update names an object the
-    /// service does not hold (never registered, or retired);
-    /// [`StreamError::Storage`] when journaling fails.
+    /// Before anything of the batch is journaled or applied:
+    /// [`StreamError::Engine`] with [`TprError::ObjectNotFound`] when a
+    /// due update names an object the service does not hold (never
+    /// registered, or retired), and [`StreamError::InvalidUpdate`] when a
+    /// due update is one recovery would refuse to replay — a NaN or
+    /// infinite component, an unordered bound or a reference time past
+    /// its tick. Afterwards: [`StreamError::Storage`] when journaling
+    /// fails, [`StreamError::Engine`] when the wrapped engine fails.
     pub fn advance_to(&mut self, t: Time) -> StreamResult<Vec<StampedDelta>> {
         if t <= self.now {
             return Ok(Vec::new());
@@ -485,17 +454,23 @@ impl StreamService {
         for (at, queued) in self.queue.drain_through(t) {
             let applied = std::time::Instant::now();
             let mut updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
-            self.record_ingest_observations(at, &queued, applied);
+            self.record_ingest_observations(&queued, applied);
             Self::fill_delete_keys(&self.objects, at, &mut updates)
                 .map_err(TprError::ObjectNotFound)?;
+            // The predicate recovery holds every journaled batch against
+            // (`WalRecord::is_sound`): what fails it here would make the
+            // journal unrecoverable from this batch on.
+            if let Some(u) = updates
+                .iter()
+                .find(|u| !EngineOp::Apply(**u).is_sound_at(at))
+            {
+                return Err(StreamError::InvalidUpdate(format!(
+                    "update of {:?} at {at} has an out-of-range time or an unsound trajectory",
+                    u.id
+                )));
+            }
             self.journal(|| WalRecord::encode_batch(at, &updates))?;
-            let deltas = Self::apply_batch(
-                self.engine.as_mut(),
-                &mut self.extractor,
-                &mut self.objects,
-                at,
-                &updates,
-            )?;
+            let deltas = self.apply_batch(at, &updates)?;
             self.obs.batches_applied.inc();
             self.emit(at, deltas, &mut out);
             last_extracted = at;
@@ -503,48 +478,19 @@ impl StreamService {
         if last_extracted < t {
             // No batch exactly at `t`: still extract, so expiries and
             // activations due by `t` reach subscribers on time.
-            let deltas = Self::apply_batch(
-                self.engine.as_mut(),
-                &mut self.extractor,
-                &mut self.objects,
-                t,
-                &[],
-            )?;
+            let deltas = self.apply_batch(t, &[])?;
             self.emit(t, deltas, &mut out);
         }
         self.now = t;
         self.obs.queue_depth.set(self.queue.len() as i64);
         self.obs
             .record_backpressure_flip(was_accepting, self.queue.is_accepting());
-        if self.degraded && self.queue.is_accepting() {
-            // Degraded window closes with the queue reopening: every
-            // subscriber is rebuilt from a catch-up snapshot; their gap
-            // counters already hold the exact suppressed count (plus
-            // any undelivered outbox items charged by the reseed).
-            let current = self.extractor.current();
-            let ids = self.registry.ids();
-            for id in &ids {
-                self.registry
-                    .reseed(*id, 0, t, &current, &self.objects, true);
-            }
-            self.obs.degrade_resyncs.add(ids.len() as u64);
-            self.obs
-                .subscriber_dropped
-                .store(self.registry.total_dropped());
-            self.degraded = false;
-        }
         Ok(out)
     }
 
-    /// Per-update ingest observations for one drained batch: wall-clock
-    /// acceptance→application latency and (when a policy re-timed the
-    /// update) simulation-time freshness lag.
-    fn record_ingest_observations(
-        &self,
-        at: Time,
-        queued: &[QueuedUpdate],
-        applied: std::time::Instant,
-    ) {
+    /// Per-update wall-clock acceptance→application latency for one
+    /// drained batch.
+    fn record_ingest_observations(&self, queued: &[QueuedUpdate], applied: std::time::Instant) {
         if !self.obs.registry.is_enabled() {
             return;
         }
@@ -554,8 +500,6 @@ impl StreamService {
                 .as_nanos()
                 .min(u128::from(u64::MAX)) as u64;
             self.obs.ingest_latency.record(nanos);
-            let lag = ((at - q.submitted_for) * 1000.0).max(0.0) as u64;
-            self.obs.freshness_lag.record(lag);
         }
     }
 
@@ -592,12 +536,11 @@ impl StreamService {
     /// Shared verbatim between live operation and WAL replay — the
     /// property the recovery guarantee rests on.
     fn apply_batch(
-        engine: &mut dyn ContinuousJoinEngine,
-        extractor: &mut DeltaExtractor,
-        objects: &mut IdMap<ObjectId, Registration>,
+        &mut self,
         at: Time,
         updates: &[ObjectUpdate],
     ) -> TprResult<Vec<crate::event::ResultDelta>> {
+        let engine = self.engine.as_mut();
         engine.advance_time(at)?;
         // One engine call per tick batch: plain engines run the default
         // sequential loop, the shard coordinator fans the batch out over
@@ -610,27 +553,23 @@ impl StreamService {
                 mbr: u.new_mbr,
                 registered_at: at,
             };
-            objects.insert(u.id, registration);
+            self.objects.insert(u.id, registration);
         }
         engine.gc(at);
-        Ok(extractor.extract(engine, at))
+        Ok(self.extractor.extract(engine, at))
     }
 
     /// One retirement through the engine and the registration table,
     /// deleting by the object's registration. Shared verbatim between
     /// [`retire_object`](Self::retire_object) and WAL replay — the same
     /// property `apply_batch` keeps.
-    fn apply_retire(
-        engine: &mut dyn ContinuousJoinEngine,
-        objects: &mut IdMap<ObjectId, Registration>,
-        id: ObjectId,
-        at: Time,
-    ) -> TprResult<()> {
-        let Some(r) = objects.get(&id) else {
+    fn apply_retire(&mut self, id: ObjectId, at: Time) -> TprResult<()> {
+        let Some(r) = self.objects.get(&id) else {
             return Err(TprError::ObjectNotFound(id));
         };
-        engine.remove_object(r.set, id, &r.mbr, r.registered_at, at)?;
-        objects.remove(&id);
+        self.engine
+            .remove_object(r.set, id, &r.mbr, r.registered_at, at)?;
+        self.objects.remove(&id);
         Ok(())
     }
 
@@ -645,8 +584,7 @@ impl StreamService {
             .map(|delta| StampedDelta { at, delta })
             .collect();
         self.obs.deltas_emitted.add(stamped.len() as u64);
-        self.registry
-            .deliver(&stamped, &self.objects, self.degraded);
+        self.registry.deliver(&stamped, &self.objects);
         self.obs
             .subscriber_dropped
             .store(self.registry.total_dropped());
@@ -690,7 +628,7 @@ impl StreamService {
         }
         let (at, set) = (self.now, r.set);
         self.journal(|| WalRecord::Retire { at, set, id }.encode())?;
-        Self::apply_retire(self.engine.as_mut(), &mut self.objects, id, at)?;
+        self.apply_retire(id, at)?;
         self.obs.objects_retired.inc();
         Ok(true)
     }
@@ -713,7 +651,7 @@ impl StreamService {
         self.registry.insert_with_id(id, filter);
         let current = self.extractor.current();
         self.registry
-            .reseed(id, 0, self.now, &current, &self.objects, false);
+            .reseed(id, 0, self.now, &current, &self.objects);
         Ok(id)
     }
 
@@ -743,7 +681,7 @@ impl StreamService {
     pub fn resync(&mut self, id: SubscriberId) -> bool {
         let current = self.extractor.current();
         self.registry
-            .reseed(id, 0, self.now, &current, &self.objects, false)
+            .reseed(id, 0, self.now, &current, &self.objects)
     }
 
     /// The engine's reported pairs at instant `t` (valid for `t` at or
@@ -778,25 +716,12 @@ impl StreamService {
         self.queue.is_accepting()
     }
 
-    /// Whether a [`ShedPolicy::DegradeToResync`] degraded window is
-    /// currently open (always `false` under other policies).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Pending updates superseded by
-    /// [`ShedPolicy::DropStalePerObject`] so far (cumulative).
+    /// [`ShedPolicy::DropStalePerObject`](crate::ShedPolicy::DropStalePerObject)
+    /// so far (cumulative).
     #[must_use]
     pub fn shed_dropped_stale(&self) -> u64 {
         self.queue.shed_dropped_stale()
-    }
-
-    /// Submissions re-timed by [`ShedPolicy::CoalesceHarder`] so far
-    /// (cumulative).
-    #[must_use]
-    pub fn shed_coalesced(&self) -> u64 {
-        self.queue.shed_coalesced()
     }
 
     /// Number of registered subscribers.

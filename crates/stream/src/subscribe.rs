@@ -259,19 +259,12 @@ struct SubscriberState {
 
 impl SubscriberState {
     /// Hands over one wanted delivery: into the outbox, evicting the
-    /// oldest item of a full one, or — with `suppress` — straight into
-    /// the gap counter.
-    fn hand(&mut self, item: StampedDelta, suppress: bool, capacity: usize, lost: &mut u64) {
-        let evicts = self.outbox.len() >= capacity;
-        if suppress || evicts {
+    /// oldest item of a full one.
+    fn hand(&mut self, item: StampedDelta, capacity: usize, lost: &mut u64) {
+        if self.outbox.len() >= capacity {
+            self.outbox.pop_front();
             self.dropped += 1;
             *lost += 1;
-        }
-        if suppress {
-            return;
-        }
-        if evicts {
-            self.outbox.pop_front();
         }
         self.outbox.push_back(item);
     }
@@ -378,17 +371,10 @@ impl SubscriptionRegistry {
     /// delta by delta: an addition to the subscribers the match index
     /// finds admitting it and not yet holding the pair, a removal to the
     /// pair's holders.
-    ///
-    /// With `suppress` set (the service's `DegradeToResync` degraded
-    /// window), filters and holders are evaluated exactly as in normal
-    /// delivery, but instead of entering the outbox each wanted delivery
-    /// is counted into the subscriber's gap counter — so the `Gap` a
-    /// subscriber later sees is **exact**, not a lower bound.
     pub(crate) fn deliver(
         &mut self,
         deltas: &[StampedDelta],
         objects: &IdMap<ObjectId, Registration>,
-        suppress: bool,
     ) {
         let Self {
             subscribers,
@@ -412,7 +398,7 @@ impl SubscriptionRegistry {
             } else {
                 state.holding -= 1;
             }
-            state.hand(*item, suppress, *outbox_capacity, total_dropped);
+            state.hand(*item, *outbox_capacity, total_dropped);
         };
         for item in deltas {
             match item.delta {
@@ -458,13 +444,9 @@ impl SubscriptionRegistry {
     /// resync), and seeds filtered `PairAdded`s for the currently
     /// reported pairs. Returns whether the subscriber exists.
     ///
-    /// `charge_cleared` additionally counts every undelivered outbox
-    /// item discarded by the clear into the gap counter — the
-    /// degrade-resync path uses it so gap accounting stays exact even
-    /// for subscribers that had not polled before degradation; crash
-    /// recovery passes `false` (those outboxes died with the process
-    /// and are covered by the explicit `lost` lower bound), as does a
-    /// voluntary resync (the subscriber itself asked for the clear).
+    /// The cleared outbox items are not counted as lost: after a crash
+    /// they died with the process and `lost` stands for them; on a
+    /// voluntary resync the subscriber itself asked for the clear.
     pub(crate) fn reseed(
         &mut self,
         id: SubscriberId,
@@ -472,20 +454,14 @@ impl SubscriptionRegistry {
         at: Time,
         current: &[(PairKey, cij_geom::TimeInterval)],
         objects: &IdMap<ObjectId, Registration>,
-        charge_cleared: bool,
     ) -> bool {
         let capacity = self.outbox_capacity;
         let Some(state) = self.subscribers.get_mut(&id) else {
             return false;
         };
-        let cleared = if charge_cleared {
-            state.outbox.len() as u64
-        } else {
-            0
-        };
         state.outbox.clear();
-        state.dropped += cleared + lost;
-        self.total_dropped += cleared + lost;
+        state.dropped += lost;
+        self.total_dropped += lost;
         Self::release_holdings(&mut self.holders, id, std::mem::take(&mut state.holding));
         for &(pair, valid) in current {
             if !state.filter.admits(pair, at, objects) {
@@ -497,7 +473,7 @@ impl SubscriptionRegistry {
                 state.holding += 1;
                 let delta = ResultDelta::PairAdded { pair, valid };
                 let seed = StampedDelta { at, delta };
-                state.hand(seed, false, capacity, &mut self.total_dropped);
+                state.hand(seed, capacity, &mut self.total_dropped);
             }
         }
         true
@@ -576,11 +552,7 @@ mod tests {
         let mut reg = SubscriptionRegistry::new(16);
         let s = reg.subscribe(SubscriptionFilter::Object(ObjectId(7)));
         let t = tracks(&[]);
-        reg.deliver(
-            &[add(1.0, 7, 100), add(1.0, 8, 100), add(1.0, 3, 7)],
-            &t,
-            false,
-        );
+        reg.deliver(&[add(1.0, 7, 100), add(1.0, 8, 100), add(1.0, 3, 7)], &t);
         let items = reg.poll(s).unwrap();
         assert_eq!(items.len(), 2);
         assert_eq!(items[0], OutboxItem::Delta(add(1.0, 7, 100)));
@@ -598,7 +570,7 @@ mod tests {
         )));
         // Object 1 inside the window, objects 2 and 3 far away.
         let t = tracks(&[(1, 5.0, 5.0), (2, 100.0, 100.0), (3, 200.0, 200.0)]);
-        reg.deliver(&[add(1.0, 1, 2), add(1.0, 2, 3)], &t, false);
+        reg.deliver(&[add(1.0, 1, 2), add(1.0, 2, 3)], &t);
         let items = reg.poll(s).unwrap();
         assert_eq!(items, vec![OutboxItem::Delta(add(1.0, 1, 2))]);
     }
@@ -611,15 +583,15 @@ mod tests {
             [10.0, 10.0],
         )));
         let inside = tracks(&[(1, 5.0, 5.0), (2, 5.0, 5.0)]);
-        reg.deliver(&[add(1.0, 1, 2)], &inside, false);
+        reg.deliver(&[add(1.0, 1, 2)], &inside);
         // Both objects have left the window by the time the pair ends.
         let outside = tracks(&[(1, 500.0, 500.0), (2, 500.0, 500.0)]);
-        reg.deliver(&[remove(9.0, 1, 2)], &outside, false);
+        reg.deliver(&[remove(9.0, 1, 2)], &outside);
         let items = reg.poll(s).unwrap();
         assert_eq!(items.len(), 2);
         assert_eq!(items[1], OutboxItem::Delta(remove(9.0, 1, 2)));
         // A removal of a never-delivered pair is filtered out entirely.
-        reg.deliver(&[remove(10.0, 3, 4)], &outside, false);
+        reg.deliver(&[remove(10.0, 3, 4)], &outside);
         assert!(reg.poll(s).unwrap().is_empty());
     }
 
@@ -629,7 +601,7 @@ mod tests {
         let s = reg.subscribe(SubscriptionFilter::All);
         let t = tracks(&[]);
         for i in 0..5 {
-            reg.deliver(&[add(i as f64, i, 100 + i)], &t, false);
+            reg.deliver(&[add(i as f64, i, 100 + i)], &t);
         }
         let items = reg.poll(s).unwrap();
         assert_eq!(items[0], OutboxItem::Gap { dropped: 2 });
@@ -644,16 +616,16 @@ mod tests {
         let mut reg = SubscriptionRegistry::new(16);
         let s = reg.subscribe(SubscriptionFilter::All);
         let t = tracks(&[]);
-        reg.deliver(&[add(1.0, 1, 2), add(1.0, 3, 4)], &t, false);
+        reg.deliver(&[add(1.0, 1, 2), add(1.0, 3, 4)], &t);
         let current = vec![(pair(5, 6), TimeInterval::from(2.0))];
-        assert!(reg.reseed(s, 7, 2.0, &current, &t, false));
+        assert!(reg.reseed(s, 7, 2.0, &current, &t));
         let items = reg.poll(s).unwrap();
         assert_eq!(items[0], OutboxItem::Gap { dropped: 7 });
         assert_eq!(items.len(), 2);
         assert!(
             matches!(items[1], OutboxItem::Delta(d) if d.delta.pair() == pair(5, 6) && d.delta.is_add())
         );
-        assert!(!reg.reseed(SubscriberId(99), 0, 2.0, &current, &t, false));
+        assert!(!reg.reseed(SubscriberId(99), 0, 2.0, &current, &t));
     }
 
     #[test]
@@ -714,12 +686,7 @@ mod tests {
             self.subscribers.remove(&id).is_some()
         }
 
-        fn deliver(
-            &mut self,
-            deltas: &[StampedDelta],
-            tracks: &IdMap<ObjectId, Registration>,
-            suppress: bool,
-        ) {
+        fn deliver(&mut self, deltas: &[StampedDelta], tracks: &IdMap<ObjectId, Registration>) {
             for state in self.subscribers.values_mut() {
                 for item in deltas {
                     let wanted = match item.delta {
@@ -729,13 +696,7 @@ mod tests {
                         }
                         ResultDelta::PairRemoved { pair } => state.delivered.remove(&pair),
                     };
-                    if !wanted {
-                        continue;
-                    }
-                    if suppress {
-                        state.dropped += 1;
-                        self.total_dropped += 1;
-                    } else {
+                    if wanted {
                         Self::push_bounded(
                             state,
                             *item,
@@ -780,16 +741,10 @@ mod tests {
             at: Time,
             current: &[(PairKey, TimeInterval)],
             tracks: &IdMap<ObjectId, Registration>,
-            charge_cleared: bool,
         ) -> bool {
             let Some(state) = self.subscribers.get_mut(&id) else {
                 return false;
             };
-            if charge_cleared {
-                let cleared = state.outbox.len() as u64;
-                state.dropped += cleared;
-                self.total_dropped += cleared;
-            }
             state.outbox.clear();
             state.delivered.clear();
             state.dropped += lost;
@@ -895,9 +850,8 @@ mod tests {
                                 }
                             })
                             .collect();
-                        let suppress = rng.gen_bool(0.1);
-                        reg.deliver(&batch, &tracks, suppress);
-                        scan.deliver(&batch, &tracks, suppress);
+                        reg.deliver(&batch, &tracks);
+                        scan.deliver(&batch, &tracks);
                     }
                     7 | 8 if live.len() < 40 => {
                         let id = reg.next_id();
@@ -913,21 +867,15 @@ mod tests {
                         assert!(scan.unsubscribe(id), "{tag}");
                     }
                     10 if !live.is_empty() => {
-                        // `resync`, a degrade-close or a recovery reseed,
-                        // over a snapshot that may repeat a pair.
+                        // `resync` or a recovery reseed, over a snapshot
+                        // that may repeat a pair.
                         let id = live[rng.gen_range(0..live.len())];
                         let current: Vec<(PairKey, TimeInterval)> = (0..rng.gen_range(0..30u32))
                             .map(|_| (pair(&mut rng), TimeInterval::from(now)))
                             .collect();
-                        let (lost, charge) = (rng.gen_range(0..3u64), rng.gen_bool(0.5));
-                        assert!(
-                            reg.reseed(id, lost, now, &current, &tracks, charge),
-                            "{tag}"
-                        );
-                        assert!(
-                            scan.reseed(id, lost, now, &current, &tracks, charge),
-                            "{tag}"
-                        );
+                        let lost = rng.gen_range(0..3u64);
+                        assert!(reg.reseed(id, lost, now, &current, &tracks), "{tag}");
+                        assert!(scan.reseed(id, lost, now, &current, &tracks), "{tag}");
                     }
                     11 if !live.is_empty() => {
                         let id = live[rng.gen_range(0..live.len())];
@@ -1000,7 +948,7 @@ mod tests {
         t.insert(ObjectId(1), registered(standing));
         let moving = MovingRect::rigid(Rect::new([0.0, 2.0], [1.0, 3.0]), [0.5, 0.0], 0.0);
         t.insert(ObjectId(2), registered(moving));
-        reg.deliver(&[add(4.0, 1, 100), add(4.0, 2, 101)], &t, false);
+        reg.deliver(&[add(4.0, 1, 100), add(4.0, 2, 101)], &t);
         assert_eq!(
             reg.poll(touching).unwrap(),
             vec![

@@ -1,31 +1,23 @@
-//! Property tests for the load-shedding policies: random arrival
-//! schedules and random queue geometries, instead of the fixed two-wave
-//! driver of `shed_lockstep.rs`.
+//! Property test for load shedding: random arrival schedules and random
+//! queue geometries, instead of the fixed two-wave driver of
+//! `shed_lockstep.rs`.
 //!
-//! * **`DropStalePerObject`** — for any schedule, the post-tick result
-//!   set equals a policy-less oracle fed exactly the accepted
-//!   submissions, and the conservation ledger balances:
-//!   `accepted == applied + shed_dropped_stale` once the queue drains.
-//! * **`DegradeToResync`** — the `Gap` markers an `All` subscriber
-//!   observes are *exact*: a degraded window spans exactly one
-//!   `advance_to` call (the drain that empties the queue also closes
-//!   the window), so each `Gap.dropped` must equal that call's emitted
-//!   delta count, and the cij-obs gap/engage/resync counters must agree
-//!   with the markers to the last unit.
+//! For any schedule under `DropStalePerObject`, the post-tick result set
+//! equals a policy-less oracle fed exactly the accepted submissions, and
+//! the conservation ledger balances: `accepted == applied +
+//! shed_dropped_stale` once the queue drains.
 //!
-//! Both tests use [`common::ChainedGen`]'s candidate/commit protocol:
-//! a refused candidate is dropped with the object's update chain
-//! intact, so the oracle and the shed service always see per-object
-//! chains the engine can apply.
+//! The test uses [`common::ChainedGen`]'s candidate/commit protocol: a
+//! refused candidate is dropped with the object's update chain intact,
+//! so the oracle and the shed service always see per-object chains the
+//! engine can apply.
 
 mod common;
 
 use cij_core::EngineConfig;
 use cij_geom::Time;
 use cij_obs::validate_prometheus;
-use cij_stream::{
-    IngestOutcome, OutboxItem, ShedPolicy, StreamConfig, StreamService, SubscriptionFilter,
-};
+use cij_stream::{IngestOutcome, ShedPolicy, StreamConfig, StreamService};
 use cij_workload::{generate_pair, Params};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -137,79 +129,6 @@ proptest! {
             accepted,
             applied + shed.shed_dropped_stale(),
             "conservation: accepted != applied + shed"
-        );
-    }
-
-    /// Random schedules under `DegradeToResync`: every `Gap` marker the
-    /// `All` subscriber sees carries *exactly* the delta count of the
-    /// one degraded `advance_to` call it stands for, and the cij-obs
-    /// counters (`degrade.engaged`, `degrade.resyncs`,
-    /// `subscribers.dropped_deltas`) agree with the markers.
-    #[test]
-    fn degrade_gap_counters_are_exact_for_random_schedules(
-        schedule in arb_schedule(),
-        geometry in arb_geometry(),
-        seed in any::<u64>(),
-    ) {
-        let (capacity, high, low) = geometry;
-        let params = small_params(seed);
-        let (a, b) = generate_pair(&params, 0.0);
-        let mut svc = service(ShedPolicy::DegradeToResync, capacity, high, low, &a, &b);
-        let sub = svc.subscribe(SubscriptionFilter::All).unwrap();
-        svc.poll(sub); // drain the initial catch-up snapshot
-        let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
-        let mut expected_gaps: Vec<u64> = Vec::new();
-        let mut observed_gaps: Vec<u64> = Vec::new();
-        for (t, wave) in schedule.iter().enumerate() {
-            let now = Time::from(t as u32 + 1);
-            for (j, &raw) in wave.iter().enumerate() {
-                let at = now - 0.9 + 0.9 * (j as f64 + 1.0) / (wave.len() as f64 + 1.0);
-                let u = gen.candidate(raw, (t * 31 + j) as u64, at);
-                if svc.submit(u, at) == IngestOutcome::Accepted {
-                    gen.commit(&u, at);
-                }
-            }
-            let was_degraded = svc.is_degraded();
-            let deltas = svc.advance_to(now).unwrap();
-            // The drain empties the queue, so the window that opened
-            // this tick must close within this very advance call.
-            prop_assert!(!svc.is_degraded(), "window must close with the drain");
-            let items = svc.poll(sub).unwrap();
-            if was_degraded {
-                expected_gaps.push(deltas.len() as u64);
-                // A Gap marker leads the outbox iff deliveries were
-                // actually suppressed; a degraded window with zero
-                // emitted deltas leaves no marker (and owes none).
-                let gap = match items.first() {
-                    Some(OutboxItem::Gap { dropped }) => *dropped,
-                    _ => 0,
-                };
-                observed_gaps.push(gap);
-                // After the Gap, the reseed snapshot: one PairAdded per
-                // currently reported pair.
-                let lead = usize::from(gap > 0);
-                prop_assert_eq!(
-                    items.len() - lead,
-                    svc.result_at(now).len(),
-                    "reseed snapshot size mismatch at t={}", now
-                );
-            } else {
-                prop_assert!(
-                    !items.iter().any(|i| matches!(i, OutboxItem::Gap { .. })),
-                    "spurious Gap outside a degraded window at t={}", now
-                );
-                prop_assert_eq!(items.len(), deltas.len());
-            }
-        }
-        prop_assert_eq!(&observed_gaps, &expected_gaps, "Gap sizes must be exact");
-        let snap = svc.metrics_snapshot();
-        let windows = expected_gaps.len() as u64;
-        prop_assert_eq!(snap.counter("stream.degrade.engaged"), Some(windows));
-        prop_assert_eq!(snap.counter("stream.degrade.resyncs"), Some(windows));
-        prop_assert_eq!(
-            snap.counter("stream.subscribers.dropped_deltas"),
-            Some(expected_gaps.iter().sum::<u64>()),
-            "gap ledger must match the cij-obs counter"
         );
     }
 }

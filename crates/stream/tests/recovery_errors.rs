@@ -347,3 +347,45 @@ fn recover_batch_for_an_unknown_object_is_corrupt() {
         }
     }
 }
+
+/// An update no engine can be handed — here a NaN velocity — fails
+/// `advance_to` with a typed error before its batch is journaled: one
+/// unsound submission cannot make the journal unrecoverable. Recovery
+/// lands on the service as it was before the refusal.
+#[test]
+fn advance_with_an_unsound_update_is_refused_before_the_journal() {
+    let wal = TempWal::new("unsound-live");
+    let p = params(508);
+    let (a, b) = generate_pair(&p, 0.0);
+    let config = config_with(Some(wal.0.clone()));
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    let mut stream = UpdateStream::new(&p, &a, &b, 0.0);
+    for tick in 1..=3u32 {
+        let now = Time::from(tick);
+        for u in stream.tick(now) {
+            assert_eq!(svc.submit(u, now), IngestOutcome::Accepted);
+        }
+        svc.advance_to(now).expect("advance");
+    }
+    let before = svc.result_at(3.0);
+    assert!(!before.is_empty(), "vacuous: no pairs");
+
+    let mut unsound = update_onto(a[0].id, &a[0]);
+    unsound.new_mbr.vhi[0] = f64::NAN;
+    assert_eq!(svc.submit(unsound, 4.0), IngestOutcome::Accepted);
+    match svc.advance_to(4.0) {
+        Err(StreamError::InvalidUpdate(msg)) => {
+            assert!(
+                msg.contains(&format!("{:?}", a[0].id)),
+                "id not named: {msg}"
+            );
+        }
+        other => panic!("expected InvalidUpdate, got {other:?}"),
+    }
+    assert_eq!(svc.now(), 3.0, "the refused batch moved the clock");
+    drop(svc);
+
+    let (recovered, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(report.last_tick, 3.0);
+    assert_eq!(recovered.result_at(3.0), before);
+}

@@ -6,17 +6,18 @@
 //! from the live answer, refuses unsound retirements, keeps the table
 //! to exactly the live population under churn, and survives WAL
 //! recovery — including recovery of registrations whose apply tick a
-//! `CoalesceHarder` queue moved away from the producer's tick.
+//! late submission moved away from the producer's tick. Two updates of
+//! one object in one batch delete in submission order.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::{MovingRect, Rect, Time};
+use cij_join::brute::brute_pairs_at;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{
-    IngestOutcome, OutboxItem, ShedPolicy, StreamConfig, StreamError, StreamService,
-    SubscriptionFilter,
+    IngestOutcome, OutboxItem, StreamConfig, StreamError, StreamService, SubscriptionFilter,
 };
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
@@ -214,9 +215,80 @@ fn retirement_survives_wal_recovery() {
     );
 }
 
-/// A producer that keys every update by its *own* clock: `last_update`
-/// is the tick it last submitted for — not the tick a `CoalesceHarder`
-/// queue actually applied the update at.
+/// The brute-force answer over each object's latest trajectory.
+fn brute(tracks: &HashMap<u64, MovingRect>, t: Time) -> Vec<(ObjectId, ObjectId)> {
+    let side = |a: bool| -> Vec<(ObjectId, MovingRect)> {
+        let mut set: Vec<_> = tracks
+            .iter()
+            .filter(|(id, _)| (**id < 100) == a)
+            .map(|(id, mbr)| (ObjectId(*id), *mbr))
+            .collect();
+        set.sort_by_key(|(id, _)| *id);
+        set
+    };
+    brute_pairs_at(&side(true), &side(false), t)
+}
+
+/// Two submissions for one object at one tick share a batch: the object
+/// leaves its partner, then comes back. The second update must delete
+/// what the first one registers at that tick — not what the table held
+/// before the batch — or the engine misses it. Every object updates
+/// every tick and MTB buckets are 4 ticks wide (`T_M` = 8), so at ticks
+/// 4 and 8 the table's pre-batch entry sits in the bucket before the
+/// one the first update filed the object in. Through a journal: the
+/// live answer is the brute-force join every tick, and the recovered
+/// service equals the live one and drives on from it.
+#[test]
+fn two_updates_of_one_object_in_one_batch_apply_in_order() {
+    let wal = TempWal::new("same-tick");
+    let (a, b) = sets();
+    let config = StreamConfig::builder()
+        .engine(EngineConfig {
+            t_m: 8.0,
+            ..EngineConfig::default()
+        })
+        .wal_path(wal.0.clone())
+        .build();
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    let mut tracks: HashMap<u64, MovingRect> =
+        a.iter().chain(&b).map(|o| (o.id.0, o.mbr)).collect();
+    let step = |svc: &mut StreamService, tracks: &mut HashMap<u64, MovingRect>, t: Time| {
+        let twice = 1 + (t as u64) % 4;
+        let mut ids: Vec<u64> = tracks.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let back = nudge(id, (id % 100) as f64 * 10.0 + t * 0.01, &tracks[&id], 0.0);
+            let away = nudge(id, 300.0, &tracks[&id], 0.0);
+            let updates = if id == twice {
+                vec![away, back]
+            } else {
+                vec![back]
+            };
+            for u in updates {
+                assert_eq!(svc.submit(u, t), IngestOutcome::Accepted);
+            }
+            tracks.insert(id, back.new_mbr);
+        }
+        svc.advance_to(t).expect("advance");
+        assert_eq!(svc.result_at(t), brute(tracks, t), "t = {t}");
+    };
+    for tick in 1..=8 {
+        step(&mut svc, &mut tracks, f64::from(tick));
+    }
+    let expected = svc.result_at(8.0);
+    assert_eq!(expected.len(), 4, "every pair back together");
+    drop(svc);
+
+    let (mut recovered, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(report.batches_replayed, 8);
+    assert_eq!(recovered.result_at(8.0), expected);
+    step(&mut recovered, &mut tracks, 9.0);
+}
+
+/// A producer that keys every update by its *own* clock: the new
+/// trajectory's `t_ref` and the `last_update` key are the ticks it
+/// generated this and the previous update for — not the ticks the
+/// service applied them at.
 struct Producer {
     state: HashMap<u64, (MovingRect, Time)>,
 }
@@ -225,21 +297,26 @@ impl Producer {
     fn update(&mut self, id: u64, tick: Time) -> ObjectUpdate {
         let (old, last) = self.state[&id];
         let x = (id % 100) as f64 * 10.0 + tick * 0.01;
-        let u = nudge(id, x, &old, last);
+        let mut u = nudge(id, x, &old, last);
+        // Stamped with the producer's tick, which a late submission
+        // applies after.
+        u.new_mbr.t_ref = tick;
         self.state.insert(id, (u.new_mbr, tick));
         u
     }
 }
 
-/// Churn through a `CoalesceHarder` queue — updates re-timed onto a
-/// 4-tick grid, retirements in between — then a crash. MTB buckets are
-/// 4 ticks wide here (`T_M` = 8), so a re-timed update is filed in a
-/// later bucket than the producer's tick names: the recovered service
-/// must hold the registrations at their *apply* ticks, or its next
-/// deletes miss. Driven on with the same inputs it equals the service
-/// that never crashed, pair for pair, tick by tick.
+/// Churn with late submissions — retirements in between — then a crash.
+/// The even-id objects' updates generated at a tick ≡ 2 (mod 4) are held
+/// back and submitted two ticks later, and those objects generate
+/// nothing in between. MTB buckets are 4 ticks wide here (`T_M` = 8),
+/// so each late update is filed in a later bucket than the producer's
+/// tick names, and the crash at tick 13 comes right after such a batch:
+/// the recovered service must hold the registrations at their *apply*
+/// ticks, or its next deletes miss. Driven on with the same inputs it
+/// equals the service that never crashed, pair for pair, tick by tick.
 #[test]
-fn recovery_after_churn_and_coalescing_equals_the_uncrashed_service() {
+fn recovery_after_churn_and_late_submissions_equals_the_uncrashed_service() {
     let (a, b) = sets();
     let (crashing_wal, steady_wal) = (TempWal::new("churn-crash"), TempWal::new("churn-steady"));
     let config = |wal: &TempWal| {
@@ -248,10 +325,6 @@ fn recovery_after_churn_and_coalescing_equals_the_uncrashed_service() {
                 t_m: 8.0,
                 ..EngineConfig::default()
             })
-            .batch_capacity(64)
-            .high_watermark(48)
-            .low_watermark(1)
-            .shed_policy(ShedPolicy::CoalesceHarder { window: 4.0 })
             .wal_path(wal.0.clone())
             .build()
     };
@@ -264,10 +337,10 @@ fn recovery_after_churn_and_coalescing_equals_the_uncrashed_service() {
     };
     // A-objects first; the B-objects are updated every tick, never retired.
     let mut live: Vec<u64> = a.iter().chain(&b).map(|o| o.id.0).collect();
-    let mut coalesced = 0;
-    for tick in 1..=28 {
-        let tick = f64::from(tick);
-        if tick == 13.0 {
+    let mut held: Vec<ObjectUpdate> = Vec::new();
+    for tick in 1..=28u32 {
+        let t = f64::from(tick);
+        if tick == 13 {
             // Everything submitted so far sits in a drained batch.
             let svc = crashing.take().expect("live service");
             assert_eq!(svc.queue_len(), 0);
@@ -277,23 +350,33 @@ fn recovery_after_churn_and_coalescing_equals_the_uncrashed_service() {
             crashing = Some(svc);
         }
         let svc = crashing.as_mut().expect("live service");
+        let mut due = if tick % 4 == 0 {
+            std::mem::take(&mut held)
+        } else {
+            Vec::new()
+        };
         for &id in &live {
-            let u = producer.update(id, tick);
-            assert_eq!(steady.submit(u, tick), IngestOutcome::Accepted);
-            assert_eq!(svc.submit(u, tick), IngestOutcome::Accepted);
+            match (id % 2 == 0, tick % 4) {
+                (true, 2) => held.push(producer.update(id, t)),
+                (true, 3 | 0) => {}
+                _ => due.push(producer.update(id, t)),
+            }
         }
-        let expected = steady.advance_to(tick).expect("steady advance");
-        let got = svc.advance_to(tick).expect("recovered advance");
+        for u in due {
+            assert_eq!(steady.submit(u, t), IngestOutcome::Accepted);
+            assert_eq!(svc.submit(u, t), IngestOutcome::Accepted);
+        }
+        let expected = steady.advance_to(t).expect("steady advance");
+        let got = svc.advance_to(t).expect("recovered advance");
         assert_eq!(got, expected, "tick {tick}: delta stream");
-        assert_eq!(svc.result_at(tick), steady.result_at(tick), "tick {tick}");
-        coalesced = steady.shed_coalesced();
-        if tick % 4.0 == 0.0 && live[1] < 100 && (tick as u64 / 4) % 2 == 1 {
+        assert_eq!(svc.result_at(t), steady.result_at(t), "tick {tick}");
+        if tick % 4 == 0 && live[1] < 100 && (tick / 4) % 2 == 1 {
             let gone = ObjectId(live.remove(0));
             assert!(steady.retire_object(gone).expect("steady retire"));
             assert!(svc.retire_object(gone).expect("recovered retire"));
         }
     }
-    assert!(coalesced > 0, "the queue never re-timed anything");
+    assert!(held.is_empty());
     assert_eq!(
         live.len(),
         1 + b.len(),

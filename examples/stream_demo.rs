@@ -2,15 +2,22 @@
 //! backpressure, result-delta subscriptions with filters, WAL
 //! crash recovery, and the unified metrics snapshot.
 //!
+//! The demo checks itself and exits non-zero on a mismatch: the
+//! all-pairs subscriber's replayed deltas must equal `result_at` at the
+//! last tick, and so must the service recovered from the journal.
+//!
 //! Run with `cargo run --release --example stream_demo`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use cij::core::PairKey;
 use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij::geom::Rect;
 use cij::storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij::stream::{
-    IngestOutcome, OutboxItem, ResultDelta, StreamConfig, StreamService, SubscriptionFilter,
+    IngestOutcome, OutboxItem, ResultDelta, StreamConfig, StreamService, SubscriberId,
+    SubscriptionFilter,
 };
 use cij::tpr::TprResult;
 use cij::workload::{generate_pair, MovingObject, Params, UpdateStream};
@@ -58,8 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         [60.0, 60.0],
     )))?;
 
+    // The all-pairs subscriber polls every tick and replays its
+    // deliveries; its 256-item outbox never overflows at this rate.
+    let mut replayed = BTreeSet::new();
     let mut stream = UpdateStream::new(&params, &set_a, &set_b, 0.0);
     let mut accepted = 0u64;
+    let last_tick = 30.0;
     for tick in 1..=30 {
         let now = f64::from(tick);
         for update in stream.tick(now) {
@@ -71,6 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let deltas = service.advance_to(now)?;
+        replay(&mut service, all, &mut replayed);
         let adds = deltas.iter().filter(|d| d.delta.is_add()).count();
         if tick % 10 == 0 {
             println!(
@@ -82,20 +94,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{accepted} updates ingested over 30 ticks");
 
-    for (name, id) in [("all-pairs", all), ("corner-window", corner)] {
-        let items = service.poll(id).expect("known subscriber");
-        let (mut added, mut removed, mut gaps) = (0u64, 0u64, 0u64);
-        for item in items {
-            match item {
-                OutboxItem::Delta(d) => match d.delta {
-                    ResultDelta::PairAdded { .. } => added += 1,
-                    ResultDelta::PairRemoved { .. } => removed += 1,
-                },
-                OutboxItem::Gap { dropped } => gaps += dropped,
-            }
+    let expected = service.result_at(last_tick);
+    let replayed: Vec<PairKey> = replayed.into_iter().collect();
+    assert_eq!(
+        replayed, expected,
+        "the all-pairs subscriber's replay diverged from result_at"
+    );
+    println!(
+        "subscriber     all-pairs: replay ≡ result_at ({} pairs)",
+        expected.len()
+    );
+
+    let items = service.poll(corner).expect("known subscriber");
+    let (mut added, mut removed, mut gaps) = (0u64, 0u64, 0u64);
+    for item in items {
+        match item {
+            OutboxItem::Delta(d) => match d.delta {
+                ResultDelta::PairAdded { .. } => added += 1,
+                ResultDelta::PairRemoved { .. } => removed += 1,
+            },
+            OutboxItem::Gap { dropped } => gaps += dropped,
         }
-        println!("subscriber {name:>13}: +{added} -{removed} (gap: {gaps} dropped)");
     }
+    println!("subscriber corner-window: +{added} -{removed} (gap: {gaps} dropped)");
 
     // The unified observability view: one snapshot spanning the engine
     // (join counters, pool I/O), the WAL, and the service's own queue
@@ -111,12 +132,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "recovered to t={} ({} batches replayed, {} subscribers, torn tail: {})",
         report.last_tick, report.batches_replayed, report.subscribers, report.tail_truncated
     );
-    println!(
-        "recovered answer at t={}: {} pairs",
-        report.last_tick,
-        recovered.result_at(report.last_tick).len()
-    );
-
     let _ = std::fs::remove_file(&wal_path);
+    assert_eq!(
+        recovered.result_at(last_tick),
+        expected,
+        "the recovered service diverged from the one that crashed"
+    );
+    println!(
+        "recovered answer at t={last_tick}: {} pairs ≡ pre-crash",
+        expected.len()
+    );
     Ok(())
+}
+
+/// Polls `id` and applies its deliveries to `replayed`: an addition of a
+/// held pair, a removal of an absent one or a gap fails the demo.
+fn replay(service: &mut StreamService, id: SubscriberId, replayed: &mut BTreeSet<PairKey>) {
+    for item in service.poll(id).expect("known subscriber") {
+        match item {
+            OutboxItem::Delta(d) => match d.delta {
+                ResultDelta::PairAdded { pair, .. } => assert!(replayed.insert(pair), "{d:?}"),
+                ResultDelta::PairRemoved { pair } => assert!(replayed.remove(&pair), "{d:?}"),
+            },
+            OutboxItem::Gap { dropped } => panic!("{dropped} deliveries lost"),
+        }
+    }
 }
