@@ -105,13 +105,13 @@ impl Default for DistConfig {
     }
 }
 
-/// The joinable shard pairs of `policy`, in the canonical slot order —
-/// the [`JoinPlan`]'s, row-major over `(shard_a, shard_b)`. Deployments
+/// The shard pairs of `policy` — all K², in the canonical slot order of
+/// the [`JoinPlan`], row-major over `(shard_a, shard_b)`. Deployments
 /// must hand [`DistCoordinator::new`] one connector per entry, in this
 /// order.
 #[must_use]
 pub fn joinable_pairs(policy: &dyn PartitionPolicy) -> Vec<(usize, usize)> {
-    JoinPlan::new(policy).pairs().to_vec()
+    JoinPlan::new(policy).pairs().collect()
 }
 
 struct WorkerLink {
@@ -194,7 +194,7 @@ pub struct DistCoordinator {
 
 impl DistCoordinator {
     /// Partitions both sets under `policy` and initialises one worker
-    /// per joinable shard pair over `connectors` (one per
+    /// per shard pair over `connectors` (one per
     /// [`joinable_pairs`] entry, same order). Workers receive their
     /// subsets via [`Request::Init`]; delta tracking and the initial
     /// join follow through the usual engine-trait calls.
@@ -211,12 +211,12 @@ impl DistCoordinator {
         now: Time,
     ) -> DistResult<Self> {
         let plan = JoinPlan::new(&*policy);
-        if connectors.len() != plan.pairs().len() {
+        if connectors.len() != plan.slot_count() {
             return Err(DistError::Config(format!(
-                "policy {} (K={}) has {} joinable shard pairs but {} connectors were supplied",
+                "policy {} (K={}) has {} shard pairs but {} connectors were supplied",
                 policy.name(),
                 plan.shard_count(),
-                plan.pairs().len(),
+                plan.slot_count(),
                 connectors.len()
             )));
         }
@@ -265,7 +265,7 @@ impl DistCoordinator {
         };
 
         let inits = (coordinator.round_seqs().zip(coordinator.plan.pairs()))
-            .map(|(seq, &(i, j))| Request::Init {
+            .map(|(seq, (i, j))| Request::Init {
                 seq,
                 engine: coordinator.config.engine,
                 t_m: coordinator.config.t_m,
@@ -285,7 +285,7 @@ impl DistCoordinator {
         self.plan.shard_count()
     }
 
-    /// Workers in the join plan (one per joinable shard pair).
+    /// Workers in the join plan (one per shard pair: K²).
     #[must_use]
     pub fn worker_count(&self) -> usize {
         self.slots.len()
@@ -300,7 +300,7 @@ impl DistCoordinator {
     /// The shard pair each worker slot serves, in slot order.
     #[must_use]
     pub fn worker_pairs(&self) -> Vec<(usize, usize)> {
-        self.plan.pairs().to_vec()
+        self.plan.pairs().collect()
     }
 
     /// Pings every worker, reconnecting (and resyncing) any whose
@@ -526,7 +526,7 @@ impl DistCoordinator {
         op: EngineOp,
         now: Time,
     ) -> TprResult<()> {
-        for &idx in self.plan.fan(set, shard) {
+        for idx in self.plan.fan(set, shard) {
             self.seq += 1;
             let req = Request::Immediate {
                 seq: self.seq,

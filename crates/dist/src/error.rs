@@ -10,8 +10,8 @@ pub type DistResult<T> = Result<T, DistError>;
 /// Why a coordinator↔worker interaction failed.
 #[derive(Debug)]
 pub enum DistError {
-    /// The deployment was mis-specified (e.g. the connector count does
-    /// not match the policy's joinable shard pairs).
+    /// The deployment was mis-specified (e.g. the connector count is
+    /// not the policy's K² shard pairs).
     Config(String),
     /// The peer's bytes were rejected before interpretation (bad magic,
     /// version mismatch, corrupt frame or payload).

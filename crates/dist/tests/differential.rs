@@ -16,9 +16,7 @@ use cij_dist::loopback::LoopbackHost;
 use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_obs::validate_prometheus;
-use cij_shard::{
-    JoinPlan, PartitionPolicy, ShardCoordinator, SpatialGridPolicy, VelocityBandPolicy,
-};
+use cij_shard::{JoinPlan, PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriberId, SubscriptionFilter};
 use cij_tpr::ObjectId;
@@ -64,16 +62,6 @@ fn skew_params(seed: u64) -> Params {
     }
 }
 
-/// Slow movers over a wider space so the K = 4 strip plan prunes pairs.
-fn grid_params(seed: u64) -> Params {
-    Params {
-        max_speed: 1.0,
-        space: 300.0,
-        dataset_size: 150,
-        ..skew_params(seed)
-    }
-}
-
 fn engine_config(params: &Params) -> EngineConfig {
     EngineConfig {
         t_m: params.maximum_update_interval,
@@ -98,7 +86,7 @@ impl Drop for TempWal {
     }
 }
 
-/// One durable loopback host per joinable shard pair of `policy`.
+/// One durable loopback host per shard pair of `policy`.
 fn durable_hosts(
     policy: &dyn PartitionPolicy,
     tag: &str,
@@ -244,27 +232,21 @@ impl Rig {
 
 /// Deployments hand [`DistCoordinator::new`] one connector per
 /// [`joinable_pairs`] entry, in that order: it must be the [`JoinPlan`]'s
-/// slot order — row-major over the joinable pairs — and the order the
-/// coordinator reports its workers in, for a full plan and a pruned one.
+/// slot order — row-major over all K² pairs — and the order the
+/// coordinator reports its workers in.
 #[test]
 fn connector_order_is_the_join_plan_order() {
-    let p = grid_params(59);
-    let full: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(3, p.max_speed));
-    let pruned: Arc<dyn PartitionPolicy> = Arc::new(SpatialGridPolicy::for_horizon(
-        4,
-        p.space,
-        p.max_speed,
-        p.maximum_update_interval,
-        p.object_side(),
-    ));
-    for (policy, engines) in [(full, 9), (pruned, 10)] {
+    let p = skew_params(59);
+    let bands: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(3, p.max_speed));
+    let hash: Arc<dyn PartitionPolicy> = Arc::new(HashPolicy(2));
+    for policy in [bands, hash] {
         let k = policy.shard_count();
-        let row_major: Vec<(usize, usize)> = (0..k)
-            .flat_map(|i| (0..k).map(move |j| (i, j)))
-            .filter(|&(i, j)| policy.joinable(i, j))
-            .collect();
-        assert_eq!(row_major.len(), engines);
-        assert_eq!(JoinPlan::new(&*policy).pairs(), row_major);
+        let row_major: Vec<(usize, usize)> =
+            (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).collect();
+        assert_eq!(
+            JoinPlan::new(&*policy).pairs().collect::<Vec<_>>(),
+            row_major
+        );
         assert_eq!(joinable_pairs(&*policy), row_major);
 
         let (a, b) = generate_pair(&p, 0.0);
@@ -409,22 +391,13 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
             let p = skew_params(70 + k as u64);
             let policy = Arc::new(VelocityBandPolicy::new(k, p.max_speed));
             v.push(("velocity", k, p, policy));
-            let p = grid_params(80 + k as u64);
-            let policy = Arc::new(SpatialGridPolicy::for_horizon(
-                k,
-                p.space,
-                p.max_speed,
-                p.maximum_update_interval,
-                p.object_side(),
-            ));
-            v.push(("grid", k, p, policy));
         }
         v
     };
 
     for (name, k, params, policy) in cases {
         let label = format!("{name}-k{k}");
-        let workers = joinable_pairs(&*policy).len();
+        let workers = k * k;
         let mut rig = Rig::new(policy, &params, &label, 1024);
         assert_eq!(rig.hosts.len(), workers);
 

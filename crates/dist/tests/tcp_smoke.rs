@@ -1,8 +1,11 @@
-//! Multi-process smoke: two real `shard_worker` processes over TCP,
-//! one killed (SIGKILL) mid-run and respawned on a fresh port from its
-//! surviving WAL. The merged stream must stay bit-identical to the
-//! in-process shard coordinator throughout, and the coordinator's
-//! metrics must show the reconnect happened without a history resync.
+//! Multi-process smoke: a K = 2 velocity-band plan on four real
+//! `shard_worker` processes over TCP (one per shard pair), one killed
+//! (SIGKILL) mid-run and respawned on a fresh port from its surviving
+//! WAL. Objects cross the band edge, so migrations travel over TCP too.
+//! The merged stream must stay bit-identical to the in-process shard
+//! coordinator throughout and equal the brute-force answer at the last
+//! tick, and the coordinator's metrics must show the reconnect happened
+//! without a history resync.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -13,36 +16,12 @@ use std::time::Duration;
 use cij_core::{EngineConfig, MtbEngine};
 use cij_dist::tcp::TcpConnector;
 use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
-use cij_geom::{MovingRect, Time};
-use cij_shard::{PartitionPolicy, ShardCoordinator};
+use cij_geom::Time;
+use cij_join::brute::brute_pairs_at;
+use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriptionFilter};
-use cij_tpr::ObjectId;
-use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
-
-/// Id-hash placement whose join plan keeps only the diagonal, so K = 2
-/// needs exactly two workers. Pruning off-diagonal pairs is *unsound*
-/// for the join itself — but both sides of the differential use the
-/// same plan, so parity still pins the transport and recovery paths.
-struct DiagonalPolicy;
-
-impl PartitionPolicy for DiagonalPolicy {
-    fn name(&self) -> &'static str {
-        "diagonal"
-    }
-
-    fn shard_count(&self) -> usize {
-        2
-    }
-
-    fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
-        (id.0 % 2) as usize
-    }
-
-    fn joinable(&self, shard_a: usize, shard_b: usize) -> bool {
-        shard_a == shard_b
-    }
-}
+use cij_workload::{generate_pair, Params, SetTag, UpdateStream};
 
 /// One spawned worker process, killed on drop so a failing test does
 /// not leak children.
@@ -112,10 +91,11 @@ fn pool() -> BufferPool {
 }
 
 #[test]
-fn two_processes_survive_a_kill_with_bit_identical_streams() {
+fn four_processes_survive_a_kill_with_bit_identical_streams() {
+    // Uniform speeds over [0, max_speed]: the K = 2 edge at half speed
+    // is crossed by re-steers all the time.
     let params = Params {
         dataset_size: 80,
-        distribution: Distribution::VelocitySkew,
         seed: 92,
         space: 200.0,
         object_size_pct: 1.0,
@@ -126,8 +106,11 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
         t_m: params.maximum_update_interval,
         ..EngineConfig::default()
     };
-    let policy: Arc<dyn PartitionPolicy> = Arc::new(DiagonalPolicy);
-    assert_eq!(joinable_pairs(&*policy), vec![(0, 0), (1, 1)]);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
+    assert_eq!(
+        joinable_pairs(&*policy),
+        vec![(0, 0), (0, 1), (1, 0), (1, 1)]
+    );
 
     let (a, b) = generate_pair(&params, 0.0);
     let stream_config = StreamConfig::builder().engine(engine_cfg).build();
@@ -146,7 +129,7 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
     })
     .expect("oracle service");
 
-    let wals: Vec<TempWal> = (0..2).map(TempWal::new).collect();
+    let wals: Vec<TempWal> = (0..4).map(TempWal::new).collect();
     let mut procs: Vec<WorkerProc> = wals.iter().map(|w| WorkerProc::spawn(&w.0)).collect();
     let connectors: Vec<TcpConnector> = procs
         .iter()
@@ -219,6 +202,17 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
 
     run(&mut oracle, &mut dist, &mut workload, 7, 14);
 
+    // The plan is the full K×K grid, so the merged answer is the join
+    // itself, not only the oracle coordinator's.
+    let last = Time::from(14u32);
+    let expect = brute_pairs_at(
+        &workload.snapshot(SetTag::A),
+        &workload.snapshot(SetTag::B),
+        last,
+    );
+    assert!(!expect.is_empty(), "the run must have intersecting pairs");
+    assert_eq!(dist.result_at(last), expect, "≠ brute force at t={last}");
+
     let snap = dist.metrics_snapshot();
     assert!(
         snap.counter("dist.reconnects").unwrap_or(0) >= 1,
@@ -230,4 +224,8 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
         "a WAL-intact restart must not need a history resync"
     );
     assert!(snap.counter("dist.rpc.calls").unwrap_or(0) > 0);
+    assert!(
+        snap.counter("dist.migrations").unwrap_or(0) > 0,
+        "no migration crossed TCP"
+    );
 }

@@ -8,14 +8,11 @@
 //! answer of a single [`TcEngine`], and each window's members are
 //! `TprTree::range_at` on an independent tree of the fleet.
 //!
-//! A spatial policy is deliberately *not* in the matrix.
-//! `SpatialGridPolicy` prunes strip pairs farther apart than `reach`,
-//! and that argument bounds every object's extent by `reach`'s `extent`
-//! term and its drift by `max_speed · T_M` since it last registered. A
-//! window breaks both: it may be wider than any strip (the static
-//! region here spans 300 units), and — never re-registering — the
-//! patrol window drifts without bound from the strip that placed it.
-//! Velocity bands prune nothing, so they carry no such precondition.
+//! Every plan is the dense K×K grid: each A-shard meets each B-shard, so
+//! a window's answer needs no bound on its extent or on its drift since
+//! it registered. A window may be wider than anything else in the fleet
+//! (the static region here spans 300 units), and the patrol window never
+//! re-registers.
 
 use std::sync::Arc;
 

@@ -1,11 +1,11 @@
-//! The shard coordinator: K×K (or fewer) shard-pair engines behind the
+//! The shard coordinator: K×K shard-pair engines behind the
 //! single-engine protocol.
 //!
 //! # Topology
 //!
 //! A [`PartitionPolicy`] splits each object set into `K` shards. For
-//! every *joinable* shard pair `(i, j)` — one slot of the policy's
-//! [`JoinPlan`] — the coordinator builds one full
+//! every shard pair `(i, j)` — one slot of the dense [`JoinPlan`] — the
+//! coordinator builds one full
 //! [`ContinuousJoinEngine`] over (A-shard `i`, B-shard `j`) — so an
 //! A-object of shard `i` is indexed by every engine in row `i`, and a
 //! B-object of shard `j` by every engine in column `j`. Each engine owns
@@ -59,13 +59,12 @@
 //!    holds exactly the objects whose old and new shards both equal
 //!    `i` / `j` — the stayers — so surviving slots can be reused.
 //! 3. **Rebuild** — the new policy's [`JoinPlan`] is laid out. A pair
-//!    `(i, j)` joinable in both plans keeps its engine (stayers and
-//!    their result intervals intact); other engines are built *empty*
-//!    by the factory. Dropped engines drain their pending delta changelogs
-//!    into the coordinator before they go — the delta extractor
-//!    rechecks those pairs by membership, so dirt referring to
-//!    re-homed pairs is harmless, and pairs pruned by the new join
-//!    plan recheck as inactive exactly when their intervals say so.
+//!    `(i, j)` in both plans (both shards below both K's) keeps its
+//!    engine (stayers and their result intervals intact); the engines a
+//!    split adds are built *empty* by the factory. The engines a merge
+//!    drops drain their pending delta changelogs into the coordinator
+//!    before they go — the delta extractor rechecks those pairs by
+//!    membership, so dirt referring to re-homed pairs is harmless.
 //! 4. **Restore** — movers are re-registered into their new row/column
 //!    (reused slots), and fresh slots get their *full* current
 //!    membership, everything via
@@ -150,7 +149,7 @@ pub struct ShardCoordinator {
 
 impl ShardCoordinator {
     /// Partitions both sets under `policy`, builds one engine per
-    /// joinable shard pair via `factory` (each on a clone of `pool`),
+    /// shard pair via `factory` (each on a clone of `pool`),
     /// and readies the router. `config.threads` sets the coordinator's
     /// fan-out width; inner engines always run their own traversals
     /// sequentially. The factory is kept: it builds the fresh engines
@@ -182,8 +181,7 @@ impl ShardCoordinator {
         };
         let slots = plan
             .pairs()
-            .iter()
-            .map(|&(i, j)| {
+            .map(|(i, j)| {
                 factory(pool.clone(), &inner, &parts_a[i], &parts_b[j], now).map(Mutex::new)
             })
             .collect::<TprResult<Vec<_>>>()?;
@@ -210,7 +208,7 @@ impl ShardCoordinator {
         self.plan.shard_count()
     }
 
-    /// Shard-pair engines in the join plan.
+    /// Shard-pair engines in the join plan: K².
     #[must_use]
     pub fn engine_count(&self) -> usize {
         self.slots.len()
@@ -272,7 +270,7 @@ impl ShardCoordinator {
         // These lists and phase 4's borrow: K copies per mover show in RSS.
         let mut evictions: Vec<Vec<&RebalanceMove>> = vec![Vec::new(); self.slots.len()];
         for m in &moves {
-            for &slot in self.plan.fan(m.record.set, m.from) {
+            for slot in self.plan.fan(m.record.set, m.from) {
                 evictions[slot].push(m);
             }
         }
@@ -285,8 +283,8 @@ impl ShardCoordinator {
         drop(evictions);
 
         // Phase 3 (rebuild): move to the new join plan, reusing the
-        // engine of any pair joinable in both plans; build the rest
-        // empty. Dropped engines give up their pending delta dirt.
+        // engine of any pair in both plans; build the rest empty.
+        // Dropped engines give up their pending delta dirt.
         let new_plan = JoinPlan::new(&**self.router.policy());
         let old_plan = std::mem::replace(&mut self.plan, new_plan);
         let mut old_slots: Vec<Option<PairSlot>> = std::mem::take(&mut self.slots)
@@ -294,7 +292,7 @@ impl ShardCoordinator {
             .map(Some)
             .collect();
         let mut fresh = Vec::new();
-        for (idx, &(i, j)) in self.plan.pairs().iter().enumerate() {
+        for (idx, (i, j)) in self.plan.pairs().enumerate() {
             let reused = old_plan.slot_of(i, j).and_then(|s| old_slots[s].take());
             self.slots.push(match reused {
                 Some(slot) => slot,
@@ -321,7 +319,7 @@ impl ShardCoordinator {
         // join).
         let mut restores: Vec<Vec<(ObjectId, &ObjectRecord)>> = vec![Vec::new(); self.slots.len()];
         for m in &moves {
-            for &slot in self.plan.fan(m.record.set, m.record.shard) {
+            for slot in self.plan.fan(m.record.set, m.record.shard) {
                 if !fresh.contains(&slot) {
                     restores[slot].push((m.id, &m.record));
                 }
@@ -333,7 +331,7 @@ impl ShardCoordinator {
             for &slot in &fresh {
                 let members = live
                     .iter()
-                    .filter(|(_, r)| self.plan.fan(r.set, r.shard).contains(&slot));
+                    .filter(|(_, r)| self.plan.fan(r.set, r.shard).any(|s| s == slot));
                 restores[slot].extend(members);
             }
         }
@@ -360,7 +358,7 @@ impl ShardCoordinator {
                         .set(0);
                 }
             }
-            for &(i, j) in old_plan.pairs() {
+            for (i, j) in old_plan.pairs() {
                 if self.plan.slot_of(i, j).is_none() {
                     for metric in ["node_pairs", "pairs_emitted"] {
                         self.obs
@@ -405,8 +403,8 @@ impl ShardCoordinator {
             self.publish_metrics();
             self.obs.snapshot()
         });
-        let pairs = (self.plan.pairs().iter().zip(&self.slots))
-            .map(|(&(shard_a, shard_b), slot)| PairReport {
+        let pairs = (self.plan.pairs().zip(&self.slots))
+            .map(|((shard_a, shard_b), slot)| PairReport {
                 shard_a,
                 shard_b,
                 counters: slot.lock().counters(),
@@ -478,7 +476,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
             ctl.observe(&mbr);
         }
         let shard = self.router.place(id, set, &mbr, now);
-        for &slot in self.plan.fan(set, shard) {
+        for slot in self.plan.fan(set, shard) {
             self.slots[slot].lock().insert_object(set, id, mbr, now)?;
         }
         Ok(())
@@ -497,7 +495,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
         let Some(record) = self.router.remove(set, id) else {
             return Err(TprError::ObjectNotFound(id));
         };
-        for &slot in self.plan.fan(set, record.shard) {
+        for slot in self.plan.fan(set, record.shard) {
             self.slots[slot]
                 .lock()
                 .remove_object(set, id, &record.mbr, record.last_update, now)?;
@@ -547,8 +545,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
             out.extend(slot.lock().take_result_changes()?);
         }
         // Dirt inherited from engines a rebalance dropped: the consumer
-        // rechecks by membership, so stale references are harmless and
-        // pruned pairs resolve to their true (inactive) status.
+        // rechecks by membership, so stale references are harmless.
         out.append(&mut self.pending_changes);
         out.sort_unstable();
         out.dedup();
@@ -596,7 +593,7 @@ impl ContinuousJoinEngine for ShardCoordinator {
                     .set(n as i64);
             }
         }
-        for (&(i, j), slot) in self.plan.pairs().iter().zip(&self.slots) {
+        for ((i, j), slot) in self.plan.pairs().zip(&self.slots) {
             let c = slot.lock().counters();
             let prefix = format!("shard.pair.{i}_{j}");
             self.obs

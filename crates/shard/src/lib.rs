@@ -3,12 +3,12 @@
 //! The repo's engines each index *all* objects in one TPR-tree pair, so
 //! a handful of fast movers forces aggressive MBR expansion on every
 //! probe and one engine owns the whole update stream. This crate splits
-//! each object set across `K` shards under a pluggable
-//! [`PartitionPolicy`] — velocity-magnitude bands (arXiv:1205.6697) or
-//! spatial strips — runs one full
-//! [`ContinuousJoinEngine`](cij_core::ContinuousJoinEngine) per
-//! joinable shard pair (the slots of the policy's [`JoinPlan`]), and
-//! hides the whole arrangement behind the single-engine trait:
+//! each object set across `K` shards under a [`PartitionPolicy`] —
+//! velocity-magnitude bands ([`VelocityBandPolicy`], arXiv:1205.6697) —
+//! runs one full
+//! [`ContinuousJoinEngine`](cij_core::ContinuousJoinEngine) per shard
+//! pair (the K² slots of the dense [`JoinPlan`]), and hides the whole
+//! arrangement behind the single-engine trait:
 //! [`ShardCoordinator`] slots into `run_simulation`, the `cij-stream`
 //! service, and the bench harness unchanged.
 //!
@@ -73,6 +73,6 @@ pub mod router;
 pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use coordinator::{ShardCoordinator, SharedShardEngineFactory};
 pub use plan::JoinPlan;
-pub use policy::{worst_corner_speed, PartitionPolicy, SpatialGridPolicy, VelocityBandPolicy};
+pub use policy::{worst_corner_speed, PartitionPolicy, VelocityBandPolicy};
 pub use report::{PairReport, ShardReport};
 pub use router::{ObjectRecord, RebalanceMove, ShardRouter};

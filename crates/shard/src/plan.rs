@@ -1,83 +1,65 @@
-//! The join plan: which shard pairs get an engine, and which engines an
-//! object of a given shard lives in.
+//! The join plan: which engine watches which shard pair, and which
+//! engines an object of a given shard lives in.
 //!
 //! Both coordinators (in-process and distributed) keep one slot per
-//! *joinable* pair, row-major over `(shard_a, shard_b)`, and read that
-//! layout three ways: the slot of a pair, of a row (A-shard `i`), of a
-//! column (B-shard `j`). [`JoinPlan::new`] is the one place it is built.
+//! shard pair — the dense K×K grid, row-major over `(shard_a, shard_b)`
+//! — and read that layout three ways: the slot of a pair
+//! (`i·K + j`), of a row (A-shard `i`: slots `i·K .. i·K + K`), of a
+//! column (B-shard `j`: every K-th slot from `j`). Everything is computed
+//! from K; [`JoinPlan::new`] is the one place a plan is made.
 
 use cij_workload::SetTag;
 
 use crate::policy::PartitionPolicy;
 
-/// The K×K (or sparser) slot layout of a [`PartitionPolicy`].
-#[derive(Debug)]
+/// The dense K×K slot layout of a [`PartitionPolicy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// Joinable pairs in slot order: row-major over `(shard_a, shard_b)`.
-    pairs: Vec<(usize, usize)>,
-    /// Dense `shard_a · k + shard_b` → slot; `None` for pruned pairs.
-    slot_of: Vec<Option<usize>>,
-    /// Slots of row `i` (A-shard `i`) / column `j` (B-shard `j`).
-    rows: Vec<Vec<usize>>,
-    cols: Vec<Vec<usize>>,
+    k: usize,
 }
 
 impl JoinPlan {
-    /// Lays out one slot per joinable shard pair of `policy`.
+    /// Lays out one slot per shard pair of `policy`.
     #[must_use]
     pub fn new(policy: &dyn PartitionPolicy) -> Self {
-        let k = policy.shard_count();
-        let mut plan = Self {
-            pairs: Vec::new(),
-            slot_of: vec![None; k * k],
-            rows: vec![Vec::new(); k],
-            cols: vec![Vec::new(); k],
-        };
-        for i in 0..k {
-            for j in 0..k {
-                if policy.joinable(i, j) {
-                    let slot = plan.pairs.len();
-                    plan.pairs.push((i, j));
-                    plan.slot_of[i * k + j] = Some(slot);
-                    plan.rows[i].push(slot);
-                    plan.cols[j].push(slot);
-                }
-            }
+        Self {
+            k: policy.shard_count(),
         }
-        plan
     }
 
     /// Shards per object set.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.rows.len()
+        self.k
     }
 
-    /// The joinable pairs in slot order — the order deployments hand
-    /// worker connectors over in.
+    /// Slots in the plan: K².
     #[must_use]
-    pub fn pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
+    pub fn slot_count(&self) -> usize {
+        self.k * self.k
     }
 
-    /// The slot serving `(shard_a, shard_b)`; `None` when the policy
-    /// pruned the pair or either shard is outside this plan.
+    /// The shard pair of every slot, in slot order — the order
+    /// deployments hand worker connectors over in.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (usize, usize)> {
+        let k = self.k;
+        (0..k * k).map(move |slot| (slot / k, slot % k))
+    }
+
+    /// The slot serving `(shard_a, shard_b)`; `None` when either shard
+    /// is outside this plan.
     #[must_use]
     pub fn slot_of(&self, shard_a: usize, shard_b: usize) -> Option<usize> {
-        let k = self.shard_count();
-        if shard_a >= k || shard_b >= k {
-            return None;
-        }
-        self.slot_of[shard_a * k + shard_b]
+        (shard_a < self.k && shard_b < self.k).then(|| shard_a * self.k + shard_b)
     }
 
     /// The slots an object of (`set`, `shard`) lives in: the whole row
     /// for A-objects, the whole column for B-objects.
-    #[must_use]
-    pub fn fan(&self, set: SetTag, shard: usize) -> &[usize] {
+    pub fn fan(&self, set: SetTag, shard: usize) -> impl ExactSizeIterator<Item = usize> {
+        let k = self.k;
         match set {
-            SetTag::A => &self.rows[shard],
-            SetTag::B => &self.cols[shard],
+            SetTag::A => (shard * k..(shard + 1) * k).step_by(1),
+            SetTag::B => (shard..k * k).step_by(k),
         }
     }
 }
@@ -85,37 +67,30 @@ impl JoinPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{SpatialGridPolicy, VelocityBandPolicy};
+    use crate::policy::VelocityBandPolicy;
 
-    /// Slot order is row-major over the joinable pairs, and the three
-    /// views agree with it — for a full plan and a pruned one.
+    /// Slot order is row-major over all K² pairs, and the three views
+    /// agree with it.
     #[test]
-    fn slots_are_row_major_over_joinable_pairs() {
-        let full = VelocityBandPolicy::new(3, 3.0);
-        let pruned = SpatialGridPolicy::new(4, 2000.0, 22.0);
-        for policy in [&full as &dyn PartitionPolicy, &pruned] {
-            let plan = JoinPlan::new(policy);
-            let k = policy.shard_count();
+    fn slots_are_row_major_over_every_pair() {
+        for k in 1..=4 {
+            let plan = JoinPlan::new(&VelocityBandPolicy::new(k, 3.0));
             assert_eq!(plan.shard_count(), k);
-            let mut expect = Vec::new();
-            for i in 0..k {
-                for j in 0..k {
-                    if policy.joinable(i, j) {
-                        assert_eq!(plan.slot_of(i, j), Some(expect.len()));
-                        expect.push((i, j));
-                    } else {
-                        assert_eq!(plan.slot_of(i, j), None);
-                    }
-                }
+            assert_eq!(plan.slot_count(), k * k);
+            let row_major: Vec<(usize, usize)> =
+                (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).collect();
+            assert_eq!(plan.pairs().collect::<Vec<_>>(), row_major);
+            for (slot, &(i, j)) in row_major.iter().enumerate() {
+                assert_eq!(plan.slot_of(i, j), Some(slot));
+                assert!(plan.fan(SetTag::A, i).any(|s| s == slot));
+                assert!(plan.fan(SetTag::B, j).any(|s| s == slot));
             }
-            assert_eq!(plan.pairs(), expect);
-            for (slot, &(i, j)) in expect.iter().enumerate() {
-                assert!(plan.fan(SetTag::A, i).contains(&slot));
-                assert!(plan.fan(SetTag::B, j).contains(&slot));
+            for shard in 0..k {
+                assert_eq!(plan.fan(SetTag::A, shard).len(), k);
+                assert_eq!(plan.fan(SetTag::B, shard).len(), k);
             }
             assert_eq!(plan.slot_of(k, 0), None, "a shard outside the plan");
+            assert_eq!(plan.slot_of(0, k), None, "a shard outside the plan");
         }
-        assert_eq!(JoinPlan::new(&full).pairs().len(), 9);
-        assert_eq!(JoinPlan::new(&pruned).pairs().len(), 10);
     }
 }

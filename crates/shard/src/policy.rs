@@ -1,17 +1,13 @@
-//! Partition policies: how objects map to shards and which shard pairs
-//! can ever produce a result.
+//! Partition policies: how objects map to shards.
 //!
-//! A policy answers two questions the coordinator asks:
-//!
-//! 1. [`shard_of`](PartitionPolicy::shard_of) — which of the `K` shards
-//!    owns an object, given its current trajectory. Placement may depend
-//!    on the trajectory (velocity bands, spatial strips), so an update
-//!    can *migrate* an object; the [`ShardRouter`](crate::ShardRouter)
-//!    turns that into a delete-from-old + insert-into-new pair.
-//! 2. [`joinable`](PartitionPolicy::joinable) — whether shard pair
-//!    `(i, j)` can ever contribute a result pair at an observable time.
-//!    The coordinator only builds engines for joinable pairs (the
-//!    cross-shard join plan).
+//! A policy answers one question the coordinator asks:
+//! [`shard_of`](PartitionPolicy::shard_of) — which of the `K` shards owns
+//! an object, given its current trajectory. Placement may depend on the
+//! trajectory (velocity bands do), so an update can *migrate* an object;
+//! the [`ShardRouter`](crate::ShardRouter) turns that into a
+//! delete-from-old + insert-into-new pair. Which shard pairs get an
+//! engine is not the policy's business: every plan is the dense K×K grid
+//! ([`JoinPlan`](crate::JoinPlan)), so every A-shard meets every B-shard.
 //!
 //! Velocity bands follow "Boosting Moving Object Indexing through
 //! Velocity Partitioning" (arXiv:1205.6697): grouping objects by speed
@@ -25,7 +21,7 @@
 //! `shard_of` on every update and during re-partitioning, and recovery
 //! replays it — a value sitting exactly on a partition boundary must
 //! land in the same shard every single time, under every equivalent
-//! formulation of the boundaries. Every policy here therefore stores
+//! formulation of the boundaries. [`VelocityBandPolicy`] therefore stores
 //! its boundaries as **explicit precomputed values** and classifies by
 //! direct comparison (`partition_point` over ascending edges, with
 //! boundary-exact values going to the upper side), never by re-deriving
@@ -39,7 +35,7 @@
 use cij_geom::MovingRect;
 use cij_tpr::ObjectId;
 
-/// Maps objects to shards and prunes the shard-pair join plan.
+/// Maps objects to shards.
 ///
 /// Implementations must be pure functions of their configuration and the
 /// arguments (the coordinator calls them from multiple threads and
@@ -54,15 +50,6 @@ pub trait PartitionPolicy: Send + Sync {
     /// The shard owning an object with trajectory `mbr`. Must be
     /// `< shard_count()`.
     fn shard_of(&self, id: ObjectId, mbr: &MovingRect) -> usize;
-
-    /// Whether A-shard `shard_a` and B-shard `shard_b` can ever produce
-    /// an observable result pair. The default keeps every pair — always
-    /// sound. Policies that prune must guarantee objects of non-joinable
-    /// shards cannot intersect at any time the answer is read (see
-    /// [`SpatialGridPolicy`] for the drift argument).
-    fn joinable(&self, _shard_a: usize, _shard_b: usize) -> bool {
-        true
-    }
 }
 
 /// The speed key every velocity policy bands on: the faster of the two
@@ -77,22 +64,6 @@ pub fn worst_corner_speed(mbr: &MovingRect) -> f64 {
     let lo = (mbr.vlo[0].powi(2) + mbr.vlo[1].powi(2)).sqrt();
     let hi = (mbr.vhi[0].powi(2) + mbr.vhi[1].powi(2)).sqrt();
     lo.max(hi)
-}
-
-/// Classifies `value` against ascending band edges: the number of edges
-/// `≤ value`, so a value exactly on an edge deterministically takes the
-/// upper band. One comparison discipline shared by every banded policy.
-fn band_of(edges: &[f64], value: f64) -> usize {
-    edges.partition_point(|&e| e <= value)
-}
-
-/// The precondition `band_of` needs of explicit edges.
-fn assert_ascending(edges: &[f64]) {
-    assert!(edges.iter().all(|e| e.is_finite()), "edges must be finite");
-    assert!(
-        edges.windows(2).all(|w| w[0] <= w[1]),
-        "edges must be ascending"
-    );
 }
 
 /// Placement by velocity magnitude into speed bands. Slow objects share
@@ -138,7 +109,11 @@ impl VelocityBandPolicy {
     /// If any edge is non-finite or the sequence is not non-decreasing.
     #[must_use]
     pub fn from_edges(edges: Vec<f64>) -> Self {
-        assert_ascending(&edges);
+        assert!(edges.iter().all(|e| e.is_finite()), "edges must be finite");
+        assert!(
+            edges.windows(2).all(|w| w[0] <= w[1]),
+            "edges must be ascending"
+        );
         Self {
             k: edges.len() + 1,
             edges,
@@ -162,104 +137,11 @@ impl PartitionPolicy for VelocityBandPolicy {
         self.k
     }
 
+    /// The number of edges `≤` the worst-corner speed, so a speed
+    /// exactly on an edge deterministically takes the upper band.
     fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
-        band_of(&self.edges, worst_corner_speed(mbr))
-    }
-}
-
-/// Placement by position: x-strips of the space. Strips (not a 2-D
-/// grid) because with small `K` every 2-D cell touches every other once
-/// expanded by the drift reach, while strips separate at `K ≥ 3` — so
-/// the join plan actually prunes. The strips are `K` equal ones over
-/// `[0, space]` ([`new`](Self::new), [`for_horizon`](Self::for_horizon))
-/// or split at explicit edges ([`from_edges`](Self::from_edges): dense
-/// regions get narrow strips); pruning always measures the actual strip
-/// gaps.
-///
-/// Pruning soundness: a result pair observed at tick `t` was derived
-/// from trajectories registered at most `T_M` before `t` (every object
-/// re-registers within `T_M`, and each re-registration re-derives its
-/// pairs). Each object's x-center therefore drifted at most
-/// `max_speed · T_M` from the strip that placed it, and overlapping
-/// rectangles put the two centers within one object extent of each
-/// other. Two strips farther apart than `2·max_speed·T_M + extent` can
-/// never meet those conditions; [`SpatialGridPolicy::for_horizon`] adds
-/// one more extent of slack on top of that bound.
-#[derive(Debug, Clone)]
-pub struct SpatialGridPolicy {
-    reach: f64,
-    /// Ascending interior strip edges — strip `i` ends at `edges[i]`.
-    edges: Vec<f64>,
-}
-
-impl SpatialGridPolicy {
-    /// `k ≥ 1` equal strips over `[0, space]` (split at
-    /// `space · (i+1) / k`), pruning shard pairs whose strips are
-    /// farther than `reach` apart. `reach` must dominate the drift
-    /// argument above — prefer [`Self::for_horizon`].
-    #[must_use]
-    pub fn new(k: usize, space: f64, reach: f64) -> Self {
-        assert!(k >= 1, "shard count must be at least 1");
-        assert!(space > 0.0, "space must be positive");
-        let edges = (1..k).map(|i| space * i as f64 / k as f64).collect();
-        Self::from_edges(edges, reach)
-    }
-
-    /// Strips with the safe reach `2·max_speed·t_m + 2·extent` for a
-    /// workload whose objects re-register within `t_m`, move at most
-    /// `max_speed`, and have sides at most `extent`.
-    #[must_use]
-    pub fn for_horizon(k: usize, space: f64, max_speed: f64, t_m: f64, extent: f64) -> Self {
-        Self::new(k, space, 2.0 * max_speed * t_m + 2.0 * extent)
-    }
-
-    /// `edges.len() + 1` strips split at the given ascending interior
-    /// edges, pruning pairs whose strips are farther than `reach` apart.
-    ///
-    /// # Panics
-    /// If any edge is non-finite, the sequence is not non-decreasing,
-    /// or `reach` is negative.
-    #[must_use]
-    pub fn from_edges(edges: Vec<f64>, reach: f64) -> Self {
-        assert_ascending(&edges);
-        assert!(reach >= 0.0, "reach must be non-negative");
-        Self { reach, edges }
-    }
-
-    /// The interior strip edges.
-    #[must_use]
-    pub fn boundaries(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// The pruning reach.
-    #[must_use]
-    pub fn reach(&self) -> f64 {
-        self.reach
-    }
-}
-
-impl PartitionPolicy for SpatialGridPolicy {
-    fn name(&self) -> &'static str {
-        "spatial-grid"
-    }
-
-    fn shard_count(&self) -> usize {
-        self.edges.len() + 1
-    }
-
-    fn shard_of(&self, _id: ObjectId, mbr: &MovingRect) -> usize {
-        // Centers outside the space need no clamp: below every edge is
-        // strip 0, at or above every edge is the last strip.
-        band_of(&self.edges, (mbr.lo[0] + mbr.hi[0]) / 2.0)
-    }
-
-    /// The gap between the x-intervals of the two strips (0 for the same
-    /// or adjacent strips: strip `j` starts at `edges[j-1]`, strip `i`
-    /// ends at `edges[i]`) must be within reach.
-    fn joinable(&self, shard_a: usize, shard_b: usize) -> bool {
-        let (lo, hi) = (shard_a.min(shard_b), shard_a.max(shard_b));
-        hi - lo <= 1 || self.edges[hi - 1] - self.edges[lo] <= self.reach
+        let speed = worst_corner_speed(mbr);
+        self.edges.partition_point(|&e| e <= speed)
     }
 }
 
@@ -335,55 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn velocity_from_edges_places_and_prunes_nothing() {
+    fn velocity_from_edges_places_by_its_edges() {
         let p = VelocityBandPolicy::from_edges(vec![0.5, 2.0]);
         assert_eq!(p.shard_count(), 3);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [0.4, 0.0])), 0);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [0.5, 0.0])), 1);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [1.9, 0.0])), 1);
         assert_eq!(p.shard_of(ObjectId(1), &rect_at(0.0, [2.0, 0.0])), 2);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(p.joinable(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn spatial_strips_place_by_center_and_prune_far_pairs() {
-        let p = SpatialGridPolicy::new(4, 2000.0, 22.0);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(10.0, [0.0, 0.0])), 0);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(700.0, [0.0, 0.0])), 1);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(1999.0, [0.0, 0.0])), 3);
-        // Adjacent strips joinable, strips two apart pruned.
-        assert!(p.joinable(0, 0));
-        assert!(p.joinable(0, 1) && p.joinable(1, 0));
-        assert!(!p.joinable(0, 2));
-        assert!(!p.joinable(3, 0));
-        // A huge reach keeps every pair.
-        let all = SpatialGridPolicy::new(4, 2000.0, 5000.0);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!(all.joinable(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn spatial_from_edges_uneven_strips_gap_by_actual_edges() {
-        // Strips: [..,10), [10,20), [20,500), [500,..) — the wide strip
-        // 2 keeps strips 1 and 3 adjacent-but-far.
-        let p = SpatialGridPolicy::from_edges(vec![10.0, 20.0, 500.0], 30.0);
-        assert_eq!(p.shard_count(), 4);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(4.0, [0.0, 0.0])), 0);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(21.0, [0.0, 0.0])), 2);
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(999.0, [0.0, 0.0])), 3);
-        // Exact edge goes to the upper strip (center of rect at
-        // x=9.5..10.5 is exactly 10).
-        assert_eq!(p.shard_of(ObjectId(1), &rect_at(9.5, [0.0, 0.0])), 1);
-        // Gaps: (0,2) = 20-10 = 10 ≤ 30 joinable; (0,3) = 500-10 pruned;
-        // (1,3) = 500-20 pruned; adjacency always joinable.
-        assert!(p.joinable(0, 1) && p.joinable(0, 2) && p.joinable(2, 3));
-        assert!(!p.joinable(0, 3) && !p.joinable(3, 1));
     }
 }

@@ -76,8 +76,7 @@ impl ShardReport {
         }
     }
 
-    /// Number of shard-pair engines in the join plan (≤ K², strictly
-    /// less when the policy prunes pairs).
+    /// Number of shard-pair engines in the join plan: K².
     #[must_use]
     pub fn engine_count(&self) -> usize {
         self.pairs.len()

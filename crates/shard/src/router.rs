@@ -156,9 +156,8 @@ impl ShardRouter {
         self.records.get(&id).map(|r| r.shard)
     }
 
-    /// The slot of `plan` watching the pair `(a, b)`. `None` when an
-    /// object is unplaced, or when the policy pruned their shard pair —
-    /// it guarantees the pair can never be active at an observable time.
+    /// The slot of `plan` watching the pair `(a, b)`; `None` when an
+    /// object is unplaced.
     #[must_use]
     pub fn slot_of_pair(&self, (a, b): PairKey, plan: &JoinPlan) -> Option<usize> {
         plan.slot_of(self.shard_of(a)?, self.shard_of(b)?)
@@ -201,7 +200,7 @@ impl ShardRouter {
         self.insert(id, set, to, &mbr, now);
         if prev.shard != to {
             self.migrations += 1;
-            for &slot in plan.fan(set, prev.shard) {
+            for slot in plan.fan(set, prev.shard) {
                 ops[slot].push(EngineOp::Remove {
                     set,
                     id,
@@ -209,7 +208,7 @@ impl ShardRouter {
                     last_update: prev.last_update,
                 });
             }
-            for &slot in plan.fan(set, to) {
+            for slot in plan.fan(set, to) {
                 ops[slot].push(EngineOp::Insert { set, id, mbr });
             }
         } else {
@@ -220,7 +219,7 @@ impl ShardRouter {
                 last_update: prev.last_update,
                 new_mbr: mbr,
             };
-            for &slot in plan.fan(set, to) {
+            for slot in plan.fan(set, to) {
                 ops[slot].push(EngineOp::Apply(apply));
             }
         }
@@ -314,7 +313,7 @@ mod tests {
         assert_eq!(r.place(id, SetTag::B, &rect([0.5, 0.0]), 0.0), 0);
         assert_eq!(r.shard_of(id), Some(0));
         let project = |r: &mut ShardRouter, update: ObjectUpdate, now| {
-            let mut ops = vec![Vec::new(); plan.pairs().len()];
+            let mut ops = vec![Vec::new(); plan.slot_count()];
             r.project(&update, now, &plan, &mut ops).map(|()| ops)
         };
         // The caller's delete keys are wrong on purpose: side A, a

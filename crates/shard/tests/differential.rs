@@ -2,8 +2,8 @@
 //! observationally identical to the single engine it decomposes —
 //! `result_at` every tick, and the stream-service delta sequence — for
 //! every partition policy × K ∈ {1, 2, 4} × coordinator threads ∈
-//! {1, 4}, including runs with forced cross-shard migrations, plans
-//! with pruned shard pairs, and **forced mid-run re-partitions**
+//! {1, 4}, including runs with forced cross-shard migrations and
+//! **forced mid-run re-partitions**
 //! (boundary shifts, shard splits, shard merges via
 //! [`ShardCoordinator::rebalance_to`]).
 
@@ -12,10 +12,7 @@ use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
 use cij_geom::{MovingRect, Rect, Time};
-use cij_shard::{
-    PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, SpatialGridPolicy,
-    VelocityBandPolicy,
-};
+use cij_shard::{PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::ObjectId;
 use cij_workload::{generate_pair, Distribution, ObjectUpdate, Params, SetTag, UpdateStream};
@@ -219,36 +216,6 @@ fn hash_matches_oracle_across_k_and_threads() {
 }
 
 #[test]
-fn spatial_grid_matches_oracle_across_k_and_threads() {
-    // Slow movers over a wider space so the strip plan actually prunes:
-    // reach = 2·max_speed·T_M + 2·side = 46 < strip width 75 at K = 4.
-    let params = Params {
-        max_speed: 1.0,
-        space: 300.0,
-        dataset_size: 150,
-        ..skew_params(43)
-    };
-    let side = params.object_side();
-    for k in [1usize, 2, 4] {
-        for threads in [1usize, 4] {
-            let policy = Arc::new(SpatialGridPolicy::for_horizon(
-                k,
-                params.space,
-                params.max_speed,
-                params.maximum_update_interval,
-                side,
-            ));
-            let coord = run_lockstep(Kind::Mtb, policy, &params, threads, 40);
-            if k == 4 {
-                // Strips ≥ 2 apart are out of reach: 16 − 6 pruned = 10.
-                assert_eq!(coord.engine_count(), 10, "expected a pruned plan");
-                assert!(coord.migrations() > 0, "objects cross strips");
-            }
-        }
-    }
-}
-
-#[test]
 fn thrashing_pool_with_two_threads_matches_brute_force() {
     // Every other case here runs a pool that holds the whole index. This
     // one gives 16 shard-pair engines on two threads 8 frames to share,
@@ -391,65 +358,6 @@ fn hash_rebalance_split_merge_matches_oracle() {
         assert!(coord.rebalance_moved() > 0);
         // Rebalance moves must not be misattributed to update routing.
         assert_eq!(coord.migrations(), 0);
-    }
-}
-
-/// Forced re-partitions under the spatial axis, with join-plan pruning
-/// in play: an uneven boundary shift at K = 2, a split to the pruned
-/// K = 4 strip plan (10 of 16 pairs), and a merge back to K = 2 —
-/// engines are created *and* dropped by joinability changes, not just
-/// by shard-count changes.
-#[test]
-fn spatial_rebalance_with_pruned_plans_matches_oracle() {
-    let params = Params {
-        max_speed: 1.0,
-        space: 300.0,
-        dataset_size: 150,
-        ..skew_params(50)
-    };
-    let side = params.object_side();
-    let reach = 2.0 * params.max_speed * params.maximum_update_interval + 2.0 * side;
-    for threads in [1usize, 4] {
-        let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> = vec![
-            // K=2 uneven boundary shift: 150 → 120.
-            (
-                12,
-                Arc::new(SpatialGridPolicy::from_edges(vec![120.0], reach)),
-            ),
-            // Split to the pruned equal-width K=4 plan.
-            (
-                24,
-                Arc::new(SpatialGridPolicy::for_horizon(
-                    4,
-                    params.space,
-                    params.max_speed,
-                    params.maximum_update_interval,
-                    side,
-                )),
-            ),
-            // Merge back to an uneven K=2.
-            (
-                34,
-                Arc::new(SpatialGridPolicy::from_edges(vec![160.0], reach)),
-            ),
-        ];
-        let coord = run_lockstep_rebalancing(
-            Kind::Mtb,
-            Arc::new(SpatialGridPolicy::for_horizon(
-                2,
-                params.space,
-                params.max_speed,
-                params.maximum_update_interval,
-                side,
-            )),
-            &schedule,
-            &params,
-            threads,
-            40,
-        );
-        assert_eq!(coord.rebalances(), 3);
-        assert!(coord.rebalance_moved() > 0);
-        assert_eq!(coord.shard_count(), 2);
     }
 }
 

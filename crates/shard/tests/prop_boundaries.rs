@@ -7,18 +7,15 @@
 //! depending on who classifies it. The fix stores explicit precomputed
 //! edges and compares against them directly, with the tie rule
 //! "boundary-exact goes to the upper band" everywhere. These properties
-//! drive speeds and positions *exactly onto every edge* (plus nudges to
-//! either side) across random `k`/`max_speed`/`space` draws and assert
-//! that placement and migration stay consistent.
+//! drive speeds *exactly onto every edge* (plus nudges to either side)
+//! across random `k`/`max_speed` draws and assert that placement,
+//! migration and re-partitioning stay consistent.
 
 use std::sync::Arc;
 
 use cij_core::EngineOp;
 use cij_geom::{MovingRect, Rect, Time};
-use cij_shard::{
-    worst_corner_speed, JoinPlan, PartitionPolicy, ShardRouter, SpatialGridPolicy,
-    VelocityBandPolicy,
-};
+use cij_shard::{worst_corner_speed, JoinPlan, PartitionPolicy, ShardRouter, VelocityBandPolicy};
 use cij_tpr::ObjectId;
 use cij_workload::{ObjectUpdate, SetTag};
 use proptest::prelude::*;
@@ -33,23 +30,10 @@ fn mbr_with_speed(speed: f64) -> MovingRect {
     )
 }
 
-/// A stationary point rect whose x-center is exactly `cx`: with
-/// `lo = hi = cx`, the policy's `(lo + hi) / 2` reconstruction is
-/// `2·cx / 2 = cx` bit-for-bit, so the probe really sits on the edge.
-/// (A square with `cx ± 0.5` corners can re-round the center off the
-/// edge.)
-fn mbr_at_x(cx: f64) -> MovingRect {
-    MovingRect::rigid(
-        Rect::new([cx, 20.0], [cx, 21.0]),
-        [0.0, 0.0],
-        Time::from(0u32),
-    )
-}
-
 /// What [`ShardRouter::project`] made of one A-side update, read back
 /// off the op lists: `(shard, shard)` for a stay (plain `Apply`s on one
 /// row), `(from, to)` for a migration (`Remove`s on one row, `Insert`s
-/// on another), each op on all `k` slots of its row (bands prune none).
+/// on another), each op on all `k` slots of its row.
 fn routed(
     router: &mut ShardRouter,
     plan: &JoinPlan,
@@ -57,14 +41,15 @@ fn routed(
     now: Time,
 ) -> (usize, usize) {
     let k = plan.shard_count();
-    let mut ops = vec![Vec::new(); plan.pairs().len()];
+    let pairs: Vec<(usize, usize)> = plan.pairs().collect();
+    let mut ops = vec![Vec::new(); plan.slot_count()];
     router
         .project(update, now, plan, &mut ops)
         .expect("a placed object");
     let rows_of = |want: fn(&EngineOp) -> bool| -> Vec<usize> {
         let mut rows: Vec<usize> = (0..ops.len())
             .filter(|&s| ops[s].iter().any(want))
-            .map(|s| plan.pairs()[s].0)
+            .map(|s| pairs[s].0)
             .collect();
         rows.dedup();
         rows
@@ -89,8 +74,8 @@ proptest! {
     /// Boundary-exact speeds always take the upper band, the
     /// equal-width policy and the one rebuilt `from_edges` of its own
     /// boundaries agree on *every* probe (edges, nudges to either side,
-    /// and random speeds) and on `joinable`, and off-edge probes
-    /// straddle the edge.
+    /// and random speeds) and on the plan, off-edge probes straddle the
+    /// edge, and `repartition` between the two moves nothing.
     #[test]
     fn velocity_boundary_ties_are_deterministic(
         k in 2usize..8,
@@ -100,7 +85,7 @@ proptest! {
         let band = VelocityBandPolicy::new(k, max_speed);
         let bounds = VelocityBandPolicy::from_edges(band.boundaries().to_vec());
         prop_assert_eq!(band.shard_count(), bounds.shard_count());
-        prop_assert_eq!(JoinPlan::new(&band).pairs(), JoinPlan::new(&bounds).pairs());
+        prop_assert_eq!(JoinPlan::new(&band), JoinPlan::new(&bounds));
 
         let id = ObjectId(7);
         for (i, &edge) in band.boundaries().iter().enumerate() {
@@ -118,6 +103,15 @@ proptest! {
         }
         let probe = mbr_with_speed(extra * max_speed);
         prop_assert_eq!(band.shard_of(id, &probe), bounds.shard_of(id, &probe));
+
+        // Equal edges ⇒ equal placement ⇒ an empty rebalance diff, even
+        // with every object parked exactly on an edge.
+        let mut router = ShardRouter::new(Arc::new(band.clone()));
+        for (n, &edge) in band.boundaries().iter().enumerate() {
+            router.place(ObjectId(n as u64), SetTag::B, &mbr_with_speed(edge), 0.0);
+        }
+        let moves = router.repartition(Arc::new(bounds));
+        prop_assert!(moves.is_empty(), "identical edges relocated {} objects", moves.len());
     }
 
     /// Projecting an update whose new trajectory sits exactly on a
@@ -174,39 +168,5 @@ proptest! {
             };
             prop_assert_eq!(routed(&mut router, &plan, &hold, 3.0), (i + 1, i + 1));
         }
-    }
-
-    /// The same tie discipline on the spatial axis: centers exactly on
-    /// a strip edge go to the upper strip under both the equal-width
-    /// grid and the policy rebuilt `from_edges` of its boundaries, the
-    /// two prune the same pairs whatever the reach, and `repartition`
-    /// between the two moves nothing.
-    #[test]
-    fn spatial_boundary_ties_are_deterministic(
-        k in 2usize..8,
-        space in 50.0f64..500.0,
-        reach_share in 0.0f64..1.0,
-    ) {
-        let grid = SpatialGridPolicy::new(k, space, space * reach_share);
-        let bounds = SpatialGridPolicy::from_edges(grid.boundaries().to_vec(), grid.reach());
-        prop_assert_eq!(JoinPlan::new(&grid).pairs(), JoinPlan::new(&bounds).pairs());
-        let id = ObjectId(3);
-        for (i, &edge) in grid.boundaries().iter().enumerate() {
-            let exact = mbr_at_x(edge);
-            prop_assert_eq!(grid.shard_of(id, &exact), i + 1);
-            prop_assert_eq!(bounds.shard_of(id, &exact), i + 1);
-            let below = mbr_at_x(edge - edge * 1e-12);
-            prop_assert_eq!(grid.shard_of(id, &below), i);
-            prop_assert_eq!(bounds.shard_of(id, &below), i);
-        }
-
-        // Equal edges ⇒ equal placement ⇒ an empty rebalance diff, even
-        // with every object parked exactly on an edge.
-        let mut router = ShardRouter::new(Arc::new(grid.clone()));
-        for (n, &edge) in grid.boundaries().iter().enumerate() {
-            router.place(ObjectId(n as u64), SetTag::B, &mbr_at_x(edge), 0.0);
-        }
-        let moves = router.repartition(Arc::new(bounds));
-        prop_assert!(moves.is_empty(), "identical edges relocated {} objects", moves.len());
     }
 }

@@ -1,10 +1,14 @@
 //! Concurrency stress for the buffer pool: 8 threads × 10 000 mixed
-//! read/write operations over 64 pages, twice. Behind an **8-frame**
-//! pool nearly every access evicts a page some other thread is about to
-//! use — readers, writers and evictors overlap on the same frames all the
-//! time. Behind a **40-frame** pool most accesses are lock-free hits that
-//! race the evictions in between, so frames are retargeted under readers
-//! that have already looked them up.
+//! read/write operations over 64 pages, three times. Behind an
+//! **8-frame** pool nearly every access evicts a page some other thread
+//! is about to use — readers, writers and evictors overlap on the same
+//! frames all the time. Behind a **40-frame** pool most accesses are
+//! lock-free hits that race the evictions in between, so frames are
+//! retargeted under readers that have already looked them up. Behind a
+//! **1-frame** pool every miss evicts the one resident page, which pins
+//! the invariant eviction relies on — a full pool always has a resident
+//! frame on file — under every interleaving of a miss with the hits that
+//! re-stamp that frame.
 //!
 //! Every page image carries a version (its total write count), one
 //! write-count slot per thread, and a body filled from the version, so a
@@ -123,6 +127,15 @@ fn hits_racing_evictions_keep_pages_whole_writes_durable_and_counters_exact() {
     assert!(
         hits > misses && misses > (THREADS * OPS_PER_THREAD / 8) as u64,
         "meant to mix hits and evictions ({hits} hits, {misses} misses)"
+    );
+}
+
+#[test]
+fn single_frame_pool_evicts_on_every_miss_and_keeps_pages_whole() {
+    let (hits, misses) = stress(1);
+    assert!(
+        misses > 16 * hits,
+        "nearly every access was meant to miss ({hits} hits, {misses} misses)"
     );
 }
 

@@ -2,15 +2,21 @@
 //! MTB-Join engine per shard pair, cross-shard migration routing, a
 //! merged result-delta changelog, and the aggregated counter/I-O report.
 //!
+//! The demo checks itself and exits non-zero on a mismatch: at every
+//! tick the merged answer must equal the brute-force intersection set,
+//! and the changelog must name every pair that joined or left it.
+//!
 //! Run with `cargo run --release --example shard_demo`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
+use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine, PairKey};
+use cij::join::brute::brute_pairs_at;
 use cij::shard::{ShardCoordinator, VelocityBandPolicy};
 use cij::storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij::tpr::TprResult;
-use cij::workload::{generate_pair, Distribution, Params, UpdateStream};
+use cij::workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
 
 fn main() -> TprResult<()> {
     // The skewed-velocity workload: 20% of objects near top speed, the
@@ -55,40 +61,56 @@ fn main() -> TprResult<()> {
 
     // The coordinator merges every shard-pair engine's ResultBuffer
     // deltas into one globally deduplicated changelog — the same feed
-    // the cij-stream subscription path consumes.
+    // the cij-stream subscription path consumes. It is a *dirty list*:
+    // every pair whose membership may have changed, which the consumer
+    // rechecks.
     coordinator.enable_delta_tracking();
     coordinator.run_initial_join(0.0)?;
+    let mut stream = UpdateStream::new(&params, &set_a, &set_b, 0.0);
+    let mut previous = checked_answer(&coordinator, &stream, 0.0);
     println!(
         "t=   0: initial join reports {} intersecting pairs",
-        coordinator.result_at(0.0).len()
+        previous.len()
     );
 
-    let mut stream = UpdateStream::new(&params, &set_a, &set_b, 0.0);
-    let (mut added, mut removed) = (0u64, 0u64);
+    let (mut added, mut removed) = (0usize, 0usize);
     for tick in 1..=30u32 {
         let now = f64::from(tick);
         let updates = stream.tick(now);
         coordinator.advance_time(now)?;
         coordinator.apply_batch(&updates, now)?;
         coordinator.gc(now);
-        let changed = coordinator
+        let dirty: BTreeSet<PairKey> = coordinator
             .take_result_changes()
-            .expect("delta tracking is on");
-        let live: std::collections::HashSet<_> = coordinator.result_at(now).into_iter().collect();
-        let adds = changed.iter().filter(|p| live.contains(*p)).count() as u64;
+            .expect("delta tracking is on")
+            .into_iter()
+            .collect();
+        let live = checked_answer(&coordinator, &stream, now);
+        // True adds and removals: the difference of successive answers.
+        let adds = live.difference(&previous).count();
+        let removes = previous.difference(&live).count();
+        if let Some(missed) = live
+            .symmetric_difference(&previous)
+            .find(|p| !dirty.contains(p))
+        {
+            eprintln!("MISMATCH at t={now}: {missed:?} changed but is not in the changelog");
+            std::process::exit(1);
+        }
         added += adds;
-        removed += changed.len() as u64 - adds;
+        removed += removes;
         if tick % 10 == 0 {
             println!(
-                "t={now:>4}: {:>3} pairs live, merged changelog +{adds} -{} this tick, \
-                 {} migrations so far",
+                "t={now:>4}: {:>3} pairs live, +{adds} -{removes} this tick \
+                 ({} dirty pairs in the changelog), {} migrations so far",
                 live.len(),
-                changed.len() as u64 - adds,
+                dirty.len(),
                 coordinator.migrations(),
             );
         }
+        previous = live;
     }
-    println!("changelog over 30 ticks: +{added} -{removed} merged deltas");
+    println!("answer over 30 ticks: +{added} -{removed} pairs");
+    println!("merged answer ≡ brute-force oracle at every tick through t=30");
 
     // The aggregated diagnostics: per-pair counters, shard populations,
     // and the shared pool's I/O.
@@ -107,4 +129,28 @@ fn main() -> TprResult<()> {
         print!("{}", metrics.to_prometheus());
     }
     Ok(())
+}
+
+/// The coordinator's answer at `now`, or exit 1 when it is not the
+/// brute-force intersection set of the stream's current trajectories.
+fn checked_answer(
+    coordinator: &ShardCoordinator,
+    stream: &UpdateStream,
+    now: f64,
+) -> BTreeSet<PairKey> {
+    let answer = coordinator.result_at(now);
+    let expect = brute_pairs_at(
+        &stream.snapshot(SetTag::A),
+        &stream.snapshot(SetTag::B),
+        now,
+    );
+    if answer != expect {
+        eprintln!(
+            "MISMATCH at t={now}: coordinator reports {} pairs, brute force {}",
+            answer.len(),
+            expect.len()
+        );
+        std::process::exit(1);
+    }
+    answer.into_iter().collect()
 }
