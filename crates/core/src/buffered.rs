@@ -21,12 +21,12 @@ use std::ops::Deref;
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{
-    parallel_improved_join, parallel_improved_multi_join, probe_batch, techniques, JoinCounters,
-    JoinJob, JoinPair, JoinScratch, ProbeHit,
+    parallel_improved_multi_join, probe_batch, techniques, JoinCounters, JoinJob, JoinPair,
+    JoinScratch, ProbeHit, Techniques,
 };
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
-use cij_tpr::{IdMap, ObjectId, TprResult, TprTree};
+use cij_tpr::{IdMap, ObjectId, TprError, TprResult, TprTree};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
@@ -75,9 +75,39 @@ pub trait IndexPair: Sized {
         now: Time,
     ) -> TprResult<()>;
 
+    /// Phase 1 of update `u` at `now`: moves `u.id` from its registered
+    /// trajectory to `u.new_mbr`, and returns the side the object lives
+    /// on. The default trusts the update: it removes by `u`'s delete keys
+    /// and inserts on `u.set`. A pair that keeps its own registrations
+    /// (the shard crate's partitioned pair) takes the side and the delete
+    /// keys from them instead.
+    fn reregister(&mut self, u: &ObjectUpdate, now: Time) -> TprResult<SetTag> {
+        self.remove(u.set, u.id, &u.old_mbr, u.last_update, now)?;
+        self.insert(u.set, u.id, u.new_mbr, now, now)?;
+        Ok(u.set)
+    }
+
     /// The set-vs-set join at `now`: every answer pair, in the order it
     /// enters the result buffer, and the traversal work it took.
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)>;
+
+    /// The set-vs-set join between `a`'s A-side index and `b`'s B-side
+    /// index at `now`, as tree-vs-tree jobs appended to `jobs`, and the
+    /// improvement techniques they run with. A pair's own initial join is
+    /// this hook with `a` = `b` ([`self_join`]); a partitioned pair calls
+    /// it for every (A-partition, B-partition) and runs all the jobs in
+    /// one worklist. The default refuses: the answer of a pair that
+    /// refines its hits is not a plain tree join.
+    fn join_jobs<'t>(
+        _a: &'t Self,
+        _b: &'t Self,
+        _now: Time,
+        _jobs: &mut Vec<JoinJob<'t>>,
+    ) -> TprResult<Techniques> {
+        Err(TprError::Unsupported {
+            what: format!("tree-job initial join on {}", Self::NAME),
+        })
+    }
 
     /// Joins `probes` — trajectories of side `side`, all registered at
     /// `now` — against the index of the other side, appending one hit
@@ -113,6 +143,25 @@ pub trait IndexPair: Sized {
     fn publish_extra(&self, _registry: &MetricsRegistry) {}
 }
 
+/// A pair's initial join: its [`IndexPair::join_jobs`] against itself,
+/// all jobs on one shared worklist of `threads` workers
+/// ([`parallel_improved_multi_join`]), answers and counters concatenated
+/// in job order.
+pub fn self_join<P: IndexPair>(
+    pair: &P,
+    now: Time,
+    threads: usize,
+) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+    let mut jobs = Vec::new();
+    let tech = P::join_jobs(pair, pair, now, &mut jobs)?;
+    let mut all = (Vec::new(), JoinCounters::new());
+    for (pairs, counters) in parallel_improved_multi_join(&jobs, tech, threads)? {
+        all.0.extend(pairs);
+        all.1 = all.1.merged(counters);
+    }
+    Ok(all)
+}
+
 /// Position of a side in two-element per-side arrays.
 fn side(set: SetTag) -> usize {
     match set {
@@ -130,6 +179,8 @@ struct TickProbes {
     pos: [Vec<u32>; 2],
     /// Per side: id → index into the three vectors above.
     slot: [IdMap<ObjectId, usize>; 2],
+    /// Phase 1's side of each applied update, in batch order.
+    sides: Vec<SetTag>,
     scratch: JoinScratch,
     hits: Vec<ProbeHit>,
 }
@@ -241,6 +292,7 @@ impl<I: IndexPair> BufferedEngine<I> {
             slot,
             scratch,
             hits,
+            ..
         } = &mut self.probes;
         for set in [SetTag::A, SetTag::B] {
             let (s, o) = (side(set), 1 - side(set));
@@ -263,6 +315,16 @@ impl<I: IndexPair> BufferedEngine<I> {
             }
         }
         Ok(())
+    }
+}
+
+impl<I> BufferedEngine<I> {
+    /// Mutable access to the pair, for changes that leave every answer as
+    /// it is — moving an object between the partitions of a partitioned
+    /// pair, say. A registration added or dropped here bypasses the
+    /// result buffer.
+    pub fn index_mut(&mut self) -> &mut I {
+        &mut self.index
     }
 }
 
@@ -297,20 +359,22 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         // has probed for the updates before it, so they are fully applied
         // — the state the per-update loop stops in.
         let mut outcome = Ok(());
-        let mut applied = 0;
+        let mut sides = std::mem::take(&mut self.probes.sides);
+        sides.clear();
         for u in updates {
-            outcome = self
-                .index
-                .remove(u.set, u.id, &u.old_mbr, u.last_update, now)
-                .and_then(|()| self.index.insert(u.set, u.id, u.new_mbr, now, now));
-            if outcome.is_err() {
-                break;
+            match self.index.reregister(u, now) {
+                Ok(set) => sides.push(set),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
             self.buffer.remove_object(u.id);
-            applied += 1;
         }
+        let applied = updates.iter().zip(&sides);
         self.probes
-            .load(updates[..applied].iter().map(|u| (u.set, u.id, u.new_mbr)));
+            .load(applied.map(|(u, &set)| (set, u.id, u.new_mbr)));
+        self.probes.sides = sides;
         self.join_probes(now)?;
         outcome
     }
@@ -469,13 +533,28 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
     }
 
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let ([a, b], config) = (&self.trees, &self.config);
+        self_join(self, now, self.config.threads)
+    }
+
+    fn join_jobs<'t>(
+        a: &'t Self,
+        b: &'t Self,
+        now: Time,
+        jobs: &mut Vec<JoinJob<'t>>,
+    ) -> TprResult<Techniques> {
+        let config = &a.config;
         let (t_e, tech) = if TIME_CONSTRAINED {
             (now + config.t_m, config.techniques)
         } else {
             (INFINITE_TIME, techniques::NONE)
         };
-        parallel_improved_join(a, b, now, t_e, tech, config.threads)
+        jobs.push(JoinJob {
+            tree_a: &a.trees[0],
+            tree_b: &b.trees[1],
+            t_s: now,
+            t_e,
+        });
+        Ok(tech)
     }
 
     fn probe(
@@ -592,19 +671,32 @@ impl IndexPair for MtbPair {
         self.trees[side(set)].remove(id, old_mbr, last_update, now)
     }
 
+    /// All bucket pairs share one traversal worklist, so even a single
+    /// large pair (the initial-join case: one bucket per side) fans out
+    /// across every worker. `threads == 1` runs the jobs sequentially in
+    /// order — the exact pre-parallel code path.
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        // Tree-vs-tree improved joins between every bucket pair, each
-        // with the window min(t_eb_a, t_eb_b, now) + T_M — Theorem 2
-        // applied to both sides, with the extra observation that a
-        // bucket's latest update can never lie in the future (`lut ≤
-        // now`), which tightens the current bucket's bound to the
-        // paper's own initial-join window `[now, now + T_M]`. Right
-        // after construction both MTBs hold a single bucket — exactly
-        // the paper's "initial join on two single TPR-trees".
-        let t_m = self.config.t_m;
-        let mut jobs = Vec::new();
-        for (eb_a, tree_a) in self.trees[0].buckets() {
-            for (eb_b, tree_b) in self.trees[1].buckets() {
+        self_join(self, now, self.config.threads)
+    }
+
+    /// Tree-vs-tree improved joins between every bucket pair, each with
+    /// the window min(t_eb_a, t_eb_b, now) + T_M — Theorem 2 applied to
+    /// both sides, with the extra observation that a bucket's latest
+    /// update can never lie in the future (`lut ≤ now`), which tightens
+    /// the current bucket's bound to the paper's own initial-join window
+    /// `[now, now + T_M]`. Right after construction both MTBs hold a
+    /// single bucket — exactly the paper's "initial join on two single
+    /// TPR-trees". Buckets sit on a global time grid, so the windows are
+    /// the same whichever pair `a` and `b` the buckets come from.
+    fn join_jobs<'t>(
+        a: &'t Self,
+        b: &'t Self,
+        now: Time,
+        jobs: &mut Vec<JoinJob<'t>>,
+    ) -> TprResult<Techniques> {
+        let t_m = a.config.t_m;
+        for (eb_a, tree_a) in a.trees[0].buckets() {
+            for (eb_b, tree_b) in b.trees[1].buckets() {
                 let window_end = eb_a.min(eb_b).min(now) + t_m;
                 if window_end <= now {
                     continue;
@@ -617,18 +709,7 @@ impl IndexPair for MtbPair {
                 });
             }
         }
-        // All bucket pairs share one traversal worklist, so even a single
-        // large pair (the initial-join case: one bucket per side) fans
-        // out across every worker. `threads == 1` runs the jobs
-        // sequentially in order — the exact pre-parallel code path.
-        let results =
-            parallel_improved_multi_join(&jobs, self.config.techniques, self.config.threads)?;
-        let mut all = (Vec::new(), JoinCounters::new());
-        for (pairs, counters) in results {
-            all.0.extend(pairs);
-            all.1 = all.1.merged(counters);
-        }
-        Ok(all)
+        Ok(a.config.techniques)
     }
 
     /// Per-bucket windows `[now, min(t_eb, now) + T_M]`: §IV-C plus the

@@ -175,9 +175,9 @@ pub trait ContinuousJoinEngine {
     /// would leave. The default is that loop.
     /// [`BufferedEngine`](crate::BufferedEngine) runs the tick in two
     /// phases instead — every index mutation first, then one probe of the
-    /// whole batch per side — and the shard coordinator and the dist
-    /// worker hand each inner engine its consecutive updates as one batch
-    /// ([`apply_op_runs`]), so every stack shares the traversals.
+    /// whole batch per side — and the dist worker hands its engine
+    /// consecutive updates as one batch ([`apply_op_runs`]), so every
+    /// stack shares the traversals.
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
         for u in updates {
             self.apply_update(u, now)?;
@@ -189,10 +189,11 @@ pub trait ContinuousJoinEngine {
     /// must be `now`) and joins it against the other side, adding the
     /// discovered pairs to the answer. Together with
     /// [`remove_object`](Self::remove_object) this is exactly one half
-    /// of [`apply_update`](Self::apply_update), split so a shard router
-    /// can migrate an object across engines as delete-here + insert-there
-    /// within a single logical update. Engines without an interval
-    /// result buffer (ETP) return [`cij_tpr::TprError::Unsupported`].
+    /// of [`apply_update`](Self::apply_update), split so a router (the
+    /// dist coordinator's) can migrate an object across engines as
+    /// delete-here + insert-there within a single logical update. Engines
+    /// without an interval result buffer (ETP) return
+    /// [`cij_tpr::TprError::Unsupported`].
     fn insert_object(
         &mut self,
         _set: SetTag,
@@ -224,19 +225,18 @@ pub trait ContinuousJoinEngine {
 
     /// Re-registers an object that is *already live in the system* —
     /// last updated at `registered_at ≤ now` — into this engine at
-    /// `now`, and joins it against the other side. The shard
-    /// coordinator's re-partition path moves objects between engines
-    /// *without* a fresh trajectory update, so unlike
+    /// `now`, and joins it against the other side: an engine rebuilt
+    /// from a registration table gets its objects back *without* a fresh
+    /// trajectory update, so unlike
     /// [`insert_object`](Self::insert_object) (where `mbr.t_ref == now`)
     /// the registration must keep the object's original update time:
     /// engines that key removal by update time (MTB buckets) file the
     /// object under `registered_at`, so the *next* producer update —
     /// which still carries the old `last_update` — finds it exactly
-    /// where the unsharded engine would. Probe windows
-    /// may use `now` (they end at or after the windows the original
-    /// registration used, and every window is exact inside its span, so
-    /// observable answers are unchanged — the invariant the rebalance
-    /// differential suite pins).
+    /// where the original engine would. Probe windows may use `now`
+    /// (they end at or after the windows the original registration used,
+    /// and every window is exact inside its span, so observable answers
+    /// are unchanged).
     ///
     /// The default delegates to `insert_object`, which is correct for
     /// engines that locate objects purely by trajectory.
@@ -323,8 +323,8 @@ pub trait ContinuousJoinEngine {
     fn publish_metrics(&self) {}
 }
 
-/// One operation a router (shard coordinator, dist coordinator) projects
-/// onto an inner engine; also the op of the dist wire protocol.
+/// One operation a router (the dist coordinator's) projects onto an inner
+/// engine; also the op of the dist wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineOp {
     /// A same-shard trajectory update.
@@ -392,8 +392,8 @@ impl EngineOp {
 /// Applies one engine's op list of a tick in order, handing every maximal
 /// run of consecutive trajectory updates to
 /// [`apply_batch`](ContinuousJoinEngine::apply_batch) as one batch, so an
-/// engine behind a router (shard coordinator, dist worker) shares probe
-/// traversals exactly like a directly driven one. Every other op is
+/// engine behind a router (a dist worker) shares probe traversals
+/// exactly like a directly driven one. Every other op is
 /// applied on its own, between the runs it separates.
 pub fn apply_op_runs(
     engine: &mut dyn ContinuousJoinEngine,
@@ -420,8 +420,7 @@ pub fn apply_op_runs(
 
 /// Mirrors an engine's [`JoinCounters`] and page-format totals into
 /// `registry` (the shared body of every `publish_metrics` impl; public so
-/// engine wrappers — e.g. the shard coordinator — can reuse it for their
-/// aggregated totals).
+/// engine wrappers can reuse it for their aggregated totals).
 pub fn publish_engine_totals(
     registry: &MetricsRegistry,
     counters: JoinCounters,

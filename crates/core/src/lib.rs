@@ -90,8 +90,8 @@ mod result;
 pub mod sim;
 
 pub use buffered::{
-    BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine, TcPair,
-    TprPair,
+    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine,
+    TcPair, TprPair,
 };
 pub use engine::{
     apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineConfigBuilder,

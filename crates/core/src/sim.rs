@@ -99,8 +99,8 @@ pub fn run_simulation<E: ContinuousJoinEngine + ?Sized>(
             let _span = obs.span("phase.maintenance_tick");
             engine.advance_time(now)?;
             // One batch per tick: engines default to the sequential
-            // per-update loop; composite engines (the shard coordinator)
-            // fan the batch out across shards with identical results.
+            // per-update loop; buffered engines (the shard coordinator
+            // included) run it in two phases with identical results.
             engine.apply_batch(&updates, now)?;
         }
         if measured {

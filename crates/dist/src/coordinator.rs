@@ -1,6 +1,6 @@
-//! The distributed coordinator: the shard coordinator's row/column
-//! topology (one [`JoinPlan`], one [`ShardRouter`] projecting updates
-//! onto it), with each shard-pair engine living behind a transport.
+//! The distributed coordinator: a K×K grid of shard-pair engines (one
+//! [`JoinPlan`], one [`ShardRouter`] projecting updates onto it), each
+//! engine living behind a transport.
 //!
 //! # Bit-identical merged streams
 //!
@@ -18,15 +18,15 @@
 //!   bundle, so result-buffer changes stay queued until the next tick's
 //!   drain, exactly as in-process;
 //! - `pair_status_at` routes to the one worker owning the pair's shard
-//!   pair, mirroring the shard coordinator's lookup.
+//!   pair.
 //!
 //! # Concurrent rounds
 //!
 //! Workers are state-disjoint, so every round that addresses all of
 //! them — `new`'s `Init`s, `Track`, `Start`, each tick's `Step`s,
 //! `result_at`, `counters` and `heartbeat` — goes through one helper
-//! that fans the slots out over [`cij_join::fan_out_tasks`], the shard
-//! coordinator's worklist, with the machine's available parallelism as
+//! that fans the slots out over [`cij_join::fan_out_tasks`], the join
+//! kernels' worklist, with the machine's available parallelism as
 //! the width: a tick costs the slowest worker, not the sum. Everything
 //! that orders a worker's journal — sequence numbers, `ack_through`,
 //! the ack-lag sample, heartbeat nonces — is assigned in slot order

@@ -1,21 +1,22 @@
 //! `cij-dist` — coordinator/worker distributed deployment of the
 //! sharded continuous intersection join.
 //!
-//! `cij-shard` showed that the paper's join splits cleanly into K×K
-//! state-disjoint shard-pair engines whose merged answer equals the
-//! single engine's. This crate moves those engines out of process:
+//! The paper's join splits cleanly into K×K state-disjoint shard-pair
+//! engines (one per A-shard × B-shard of `cij-shard`'s partitions)
+//! whose merged answer equals the single engine's. This crate runs
+//! those engines out of process:
 //!
 //! - a [`ShardWorker`] owns one shard-pair [`ContinuousJoinEngine`](cij_core::ContinuousJoinEngine),
 //!   journals every mutating request to its own WAL *before* applying
 //!   it, and keeps a response outbox keyed by sequence number — so it
 //!   applies each request exactly once under at-least-once delivery and
 //!   rebuilds both engine and outbox on restart;
-//! - a [`DistCoordinator`] routes object updates through the same
-//!   [`PartitionPolicy`](cij_shard::PartitionPolicy)/row-column fan-out
-//!   as the in-process shard coordinator, drives every worker in
-//!   lockstep with one [`Step`](protocol::Request::Step) per tick — the
-//!   workers of a round called concurrently, over the shard
-//!   coordinator's fan-out — and merges the workers' drained result
+//! - a [`DistCoordinator`] routes object updates through a
+//!   [`PartitionPolicy`](cij_shard::PartitionPolicy) and the shard
+//!   router's row/column fan-out, drives every worker in lockstep with
+//!   one [`Step`](protocol::Request::Step) per tick — the workers of a
+//!   round called concurrently, over [`cij_join::fan_out_tasks`] — and
+//!   merges the workers' drained result
 //!   changes in slot order — implementing
 //!   `ContinuousJoinEngine` itself, so it wraps in the same
 //!   `StreamService` as any local engine;

@@ -1,22 +1,23 @@
 //! §V through the partitioned stacks: a continuous window query is a
 //! join whose set B is the windows, registered once and never touched
-//! again — so it must survive being split into shard-pair engines
-//! exactly like any other join. Pinned here, every tick for more than
-//! 3·`T_M`: a `TcEngine`-backed [`ShardCoordinator`] under velocity
-//! bands (K = 2 and 4, each through one forced `rebalance_to`) and a
+//! again — so it must survive being split into partitions exactly like
+//! any other join. Pinned here, every tick for more than 3·`T_M`: a
+//! [`ShardCoordinator`] over `TcPair` partitions under velocity bands
+//! (K = 2 and 4, each through one forced `rebalance_to`) and a
 //! [`DistCoordinator`] of `EngineKind::Tc` loopback workers give the
 //! answer of a single [`TcEngine`], and each window's members are
 //! `TprTree::range_at` on an independent tree of the fleet.
 //!
-//! Every plan is the dense K×K grid: each A-shard meets each B-shard, so
-//! a window's answer needs no bound on its extent or on its drift since
-//! it registered. A window may be wider than anything else in the fleet
+//! Each A-shard meets each B-shard (every probe visits every partition of
+//! the other side, and every dist plan is the dense K×K grid), so a
+//! window's answer needs no bound on its extent or on its drift since it
+//! registered. A window may be wider than anything else in the fleet
 //! (the static region here spans 300 units), and the patrol window never
 //! re-registers.
 
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, TcEngine};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, TcEngine, TcPair};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
 use cij_geom::{MovingRect, Rect, Time};
@@ -140,23 +141,20 @@ fn sharded_tc_windows_match_single_engine_and_range_at_across_a_rebalance() {
     let params = fleet_params();
     // K = 2: shift the one edge; K = 4: merge to three uneven bands,
     // which also re-homes the patrol window (speed 4.0, clamped into the
-    // top band: column 3 → column 2) under its original registration
+    // top band: B-partition 3 → 2) under its original registration
     // time. The static windows (speed 0) stay in column 0 throughout.
     for (k, edges) in [(2usize, vec![0.9]), (4, vec![0.4, 2.2])] {
         let tag = format!("ShardCoordinator K={k}");
         run_windows(
             &tag,
             |fleet, regions| {
-                ShardCoordinator::with_factory(
+                ShardCoordinator::<TcPair>::new(
                     pool(),
                     engine_config(&params),
                     Arc::new(VelocityBandPolicy::new(k, params.max_speed)),
                     fleet,
                     regions,
                     0.0,
-                    Arc::new(|pool, cfg, a, b, now| {
-                        Ok(Box::new(TcEngine::new(pool, *cfg, a, b, now)?))
-                    }),
                 )
                 .expect("coordinator")
             },

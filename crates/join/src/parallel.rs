@@ -248,8 +248,8 @@ pub fn parallel_improved_multi_join(
 /// caller before a helper has even started.
 ///
 /// `threads <= 1` (or a single task) runs the exact sequential path.
-/// This is the fan-out primitive the shard coordinator uses to drive
-/// independent shard-pair engines.
+/// This is the fan-out primitive the distributed coordinator uses to
+/// drive its independent workers.
 pub fn fan_out_tasks<R, F>(count: usize, threads: usize, run: F) -> Vec<R>
 where
     R: Send,

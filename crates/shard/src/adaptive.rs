@@ -7,9 +7,9 @@
 //! Moving Objects* and *Boosting Moving Object Indexing through
 //! Velocity Partitioning* (PAPERS.md) both conclude boundaries must
 //! come from the observed distribution, not the domain: equal-**weight**
-//! bands make every shard-pair engine carry the same population, which
-//! is simultaneously the balance condition for the parallel fan-out and
-//! the condition that keeps each per-shard velocity rectangle tight.
+//! bands give every partition the same population, which keeps each
+//! per-shard velocity rectangle tight without letting one partition's
+//! tree grow deep.
 //!
 //! The controller is a small deterministic state machine owned by the
 //! [`ShardCoordinator`](crate::ShardCoordinator):
@@ -29,13 +29,14 @@
 //!   equal-weight split; on clustered ones (VelocitySkew) the edges
 //!   snap into inter-cluster gaps, because an edge inside a cluster is
 //!   paid for on every re-steer that crosses it (a cross-shard
-//!   migration costs roughly one extra delete+insert across the
-//!   object's whole engine fan), while a bounded population imbalance
-//!   only costs tree depth. When several edges land in the same gap,
-//!   the parts between them are empty — and an empty shard still owns
-//!   a full row and column of pair engines — so the controller merges
-//!   empty parts away and the proposal's shard count drops to the
-//!   observed cluster count (never below two).
+//!   migration moves the object between two partitions' trees, and
+//!   every migration lands in the newest bucket of a partition that may
+//!   not have one yet), while a bounded population imbalance only costs
+//!   tree depth. When several edges land in the same gap, the parts
+//!   between them are empty; an empty partition is one more index every
+//!   probe visits, so the controller merges empty parts away and the
+//!   proposal's shard count drops to the observed cluster count (never
+//!   below two).
 //! * **Decay** — after the coordinator commits a rebalance it calls
 //!   [`note_rebalanced`](AdaptiveController::note_rebalanced): the
 //!   sketch halves (newer observations dominate the next decision) and
@@ -177,14 +178,11 @@ impl AdaptiveController {
 
     /// Drops edges that bound (near-)empty parts, merging each empty
     /// part into its left neighbor, as long as at least two shards
-    /// remain; otherwise the original edges stand. An empty shard is
-    /// not free — it still owns a full row and column of shard-pair
-    /// engines in the fan-out, and every update replicates into that
-    /// row or column — so when the churn-aware edges reveal that the
-    /// distribution has fewer clusters than shards (several edges
-    /// landing in the same inter-cluster gap), the controller shrinks
-    /// the shard count to the cluster count instead of shipping dead
-    /// shards.
+    /// remain; otherwise the original edges stand. When the churn-aware
+    /// edges reveal that the distribution has fewer clusters than shards
+    /// (several edges landing in the same inter-cluster gap), the
+    /// controller shrinks the shard count to the cluster count instead
+    /// of keeping partitions nothing lives in.
     fn merge_empty_parts(&self, edges: Vec<f64>) -> Vec<f64> {
         let total = self.sketch.weight();
         // A part carrying under ~1%/k of the decayed mass is sketch

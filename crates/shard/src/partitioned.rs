@@ -1,0 +1,258 @@
+//! One index per object: K inner index pairs behind one [`IndexPair`].
+//!
+//! A [`PartitionedPair`] holds one inner pair per shard of its
+//! [`PartitionPolicy`] and files every object in exactly one of them:
+//! A-shard *i* on partition *i*'s A side, B-shard *j* on partition *j*'s
+//! B side. Under a [`BufferedEngine`](cij_core::BufferedEngine) it is the
+//! whole shard layer: one result buffer, one maintenance protocol, and
+//! each object indexed once — velocity partitioning on a single node, as
+//! *Speed Partitioning for Indexing Moving Objects* and *Boosting Moving
+//! Object Indexing through Velocity Partitioning* run it.
+//!
+//! # Why the partitions answer exactly what one pair answers
+//!
+//! A probe of side A meets every B-object in some partition's B index,
+//! so probing all K partitions in turn finds every partner the single
+//! index would. The window of each hit is the single pair's too: MTB
+//! buckets sit on a global time grid (`bucket_of(t) = ⌊t / bucket_len⌋`),
+//! so an object's bucket, and the Theorem-2 window `min(t_eb, now) + T_M`
+//! of every probe against it, do not depend on which partition holds it.
+//! Theorem 2 needs only "every object of this bucket re-registers by
+//! `t_eb + T_M`", which holds for any split of the objects. The initial
+//! join is the same argument for K² cross-partition tree joins.
+//!
+//! # Routing
+//!
+//! The pair owns the [`ShardRouter`]: placement, populations, migration
+//! counts and every delete key. An update that keeps its shard is a
+//! remove and an insert in one partition; one that crosses a boundary (a
+//! migration) is a remove from partition *i* and an insert into *j*, in
+//! the same phase-1 step. Of an update only `id` and `new_mbr` are read.
+//!
+//! # Re-partitioning
+//!
+//! [`repartition`](PartitionedPair::repartition) moves each object whose
+//! shard changes to its new partition and keeps its registration time,
+//! so it lands in the bucket it left. No probe runs and no answer moves:
+//! every buffered interval was computed under a window that the move
+//! leaves as it was.
+
+use std::sync::Arc;
+
+use cij_core::{self_join, EngineConfig, IndexPair};
+use cij_geom::{MovingRect, Time};
+use cij_join::{JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
+use cij_obs::MetricsRegistry;
+use cij_storage::{BufferPool, CacheSnapshot};
+use cij_tpr::{ObjectId, TprError, TprResult};
+use cij_workload::{ObjectUpdate, SetTag};
+
+use crate::policy::PartitionPolicy;
+use crate::router::ShardRouter;
+
+/// What a [`PartitionedPair`] is built from.
+#[derive(Clone)]
+pub struct PartitionedConfig<C> {
+    /// The configuration of every partition.
+    pub inner: C,
+    /// Where each object is filed.
+    pub policy: Arc<dyn PartitionPolicy>,
+}
+
+/// K index pairs, one per shard, each object in exactly one (see the
+/// module docs).
+pub struct PartitionedPair<P: IndexPair> {
+    pool: BufferPool,
+    config: P::Config,
+    obs: MetricsRegistry,
+    router: ShardRouter,
+    parts: Vec<P>,
+    rebalances: u64,
+}
+
+impl<P: IndexPair> PartitionedPair<P>
+where
+    P::Config: Clone,
+{
+    /// The router: placements, populations, migration tallies.
+    #[must_use]
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// The partitions, in shard order.
+    #[must_use]
+    pub fn partitions(&self) -> &[P] {
+        &self.parts
+    }
+
+    /// Re-partitions committed so far.
+    #[must_use]
+    pub fn rebalances(&self) -> u64 {
+        self.rebalances
+    }
+
+    /// Re-partitions every live object under `policy` at `now` and
+    /// returns how many moved. Each mover is removed from its old
+    /// partition and inserted into its new one at its original
+    /// registration time; a split adds empty partitions first and a merge
+    /// drops the partitions it emptied. No probe runs, so no answer and
+    /// no [`JoinCounters`] move (see the module docs).
+    pub fn repartition(&mut self, policy: Arc<dyn PartitionPolicy>, now: Time) -> TprResult<usize> {
+        let old_k = self.parts.len();
+        let moves = self.router.repartition(policy);
+        let k = self.router.policy().shard_count();
+        while self.parts.len() < k {
+            let part = P::empty(&self.pool, &self.config, &self.obs);
+            self.parts.push(part);
+        }
+        for m in &moves {
+            let r = &m.record;
+            self.parts[m.from].remove(r.set, m.id, &r.mbr, r.last_update, now)?;
+            self.parts[r.shard].insert(r.set, m.id, r.mbr, r.last_update, now)?;
+        }
+        self.parts.truncate(k);
+        self.rebalances += 1;
+        // A snapshot attributes load only to the shards that exist, and
+        // sees the rebalance without waiting for the next publish.
+        if self.obs.is_enabled() {
+            for shard in k..old_k {
+                for side in ["a", "b"] {
+                    self.obs
+                        .gauge(&format!("shard.population.{side}.{shard}"))
+                        .set(0);
+                }
+            }
+            self.publish_extra(&self.obs);
+        }
+        Ok(moves.len())
+    }
+}
+
+impl<P: IndexPair> IndexPair for PartitionedPair<P>
+where
+    P::Config: Clone,
+{
+    type Config = PartitionedConfig<P::Config>;
+    const NAME: &'static str = P::NAME;
+
+    fn engine_config(config: &Self::Config) -> &EngineConfig {
+        P::engine_config(&config.inner)
+    }
+
+    fn empty(pool: &BufferPool, config: &Self::Config, obs: &MetricsRegistry) -> Self {
+        let k = config.policy.shard_count();
+        Self {
+            pool: pool.clone(),
+            config: config.inner.clone(),
+            obs: obs.clone(),
+            router: ShardRouter::new(Arc::clone(&config.policy)),
+            parts: (0..k).map(|_| P::empty(pool, &config.inner, obs)).collect(),
+            rebalances: 0,
+        }
+    }
+
+    fn insert(
+        &mut self,
+        set: SetTag,
+        id: ObjectId,
+        mbr: MovingRect,
+        registered_at: Time,
+        now: Time,
+    ) -> TprResult<()> {
+        let shard = self.router.place(id, set, &mbr, registered_at);
+        self.parts[shard].insert(set, id, mbr, registered_at, now)
+    }
+
+    /// Deletes by the router's record; the caller's `old_mbr` and
+    /// `last_update` are not read, and an id placed on the other side is
+    /// refused as not found.
+    fn remove(
+        &mut self,
+        set: SetTag,
+        id: ObjectId,
+        _: &MovingRect,
+        _: Time,
+        now: Time,
+    ) -> TprResult<()> {
+        let r = self
+            .router
+            .remove(set, id)
+            .ok_or(TprError::ObjectNotFound(id))?;
+        self.parts[r.shard].remove(set, id, &r.mbr, r.last_update, now)
+    }
+
+    fn reregister(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<SetTag> {
+        let (id, mbr) = (update.id, update.new_mbr);
+        let (prev, to) = self.router.route(id, &mbr, now)?;
+        self.parts[prev.shard].remove(prev.set, id, &prev.mbr, prev.last_update, now)?;
+        self.parts[to].insert(prev.set, id, mbr, now, now)?;
+        Ok(prev.set)
+    }
+
+    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+        self_join(self, now, P::engine_config(&self.config).threads)
+    }
+
+    /// Every (A-partition of `a`, B-partition of `b`) in row-major order;
+    /// at K = 1 exactly the inner pair's jobs.
+    fn join_jobs<'t>(
+        a: &'t Self,
+        b: &'t Self,
+        now: Time,
+        jobs: &mut Vec<JoinJob<'t>>,
+    ) -> TprResult<Techniques> {
+        let mut tech = Err(TprError::Unsupported {
+            what: "a join of zero partitions".to_string(),
+        });
+        for part_a in &a.parts {
+            for part_b in &b.parts {
+                tech = Ok(P::join_jobs(part_a, part_b, now, jobs)?);
+            }
+        }
+        tech
+    }
+
+    /// Every partition's probe in shard order, hits appended as found.
+    fn probe(
+        &self,
+        side: SetTag,
+        probes: &[MovingRect],
+        now: Time,
+        scratch: &mut JoinScratch,
+        counters: &mut JoinCounters,
+        hits: &mut Vec<ProbeHit>,
+    ) -> TprResult<()> {
+        for part in &self.parts {
+            part.probe(side, probes, now, scratch, counters, hits)?;
+        }
+        Ok(())
+    }
+
+    fn page_format_stats(&self) -> CacheSnapshot {
+        (self.parts.iter())
+            .map(IndexPair::page_format_stats)
+            .reduce(|acc, s| acc.merged(&s))
+            .unwrap_or_default()
+    }
+
+    fn publish_extra(&self, registry: &MetricsRegistry) {
+        if !registry.is_enabled() {
+            return;
+        }
+        let r = &self.router;
+        registry.counter("shard.migrations").store(r.migrations());
+        registry.counter("shard.rebalances").store(self.rebalances);
+        registry
+            .counter("shard.rebalance.moved_objects")
+            .store(r.rebalanced());
+        registry.gauge("shard.engines").set(self.parts.len() as i64);
+        for (side, set) in [("a", SetTag::A), ("b", SetTag::B)] {
+            for (shard, &n) in r.population(set).iter().enumerate() {
+                registry
+                    .gauge(&format!("shard.population.{side}.{shard}"))
+                    .set(n as i64);
+            }
+        }
+    }
+}

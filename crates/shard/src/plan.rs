@@ -1,9 +1,9 @@
 //! The join plan: which engine watches which shard pair, and which
 //! engines an object of a given shard lives in.
 //!
-//! Both coordinators (in-process and distributed) keep one slot per
-//! shard pair — the dense K×K grid, row-major over `(shard_a, shard_b)`
-//! — and read that layout three ways: the slot of a pair
+//! The distributed coordinator keeps one worker slot per shard pair —
+//! the dense K×K grid, row-major over `(shard_a, shard_b)` — and reads
+//! that layout three ways: the slot of a pair
 //! (`i·K + j`), of a row (A-shard `i`: slots `i·K .. i·K + K`), of a
 //! column (B-shard `j`: every K-th slot from `j`). Everything is computed
 //! from K; [`JoinPlan::new`] is the one place a plan is made.

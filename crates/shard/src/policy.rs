@@ -5,9 +5,9 @@
 //! an object, given its current trajectory. Placement may depend on the
 //! trajectory (velocity bands do), so an update can *migrate* an object;
 //! the [`ShardRouter`](crate::ShardRouter) turns that into a
-//! delete-from-old + insert-into-new pair. Which shard pairs get an
-//! engine is not the policy's business: every plan is the dense K×K grid
-//! ([`JoinPlan`](crate::JoinPlan)), so every A-shard meets every B-shard.
+//! delete-from-old + insert-into-new pair. Which shards meet is not the
+//! policy's business: every probe visits every partition of the other
+//! side, so every A-shard meets every B-shard.
 //!
 //! Velocity bands follow "Boosting Moving Object Indexing through
 //! Velocity Partitioning" (arXiv:1205.6697): grouping objects by speed

@@ -1,7 +1,6 @@
-//! Aggregated diagnostics for a sharded run: per-pair traversal
-//! counters, merged totals, shard populations, and the shared pool's I/O
-//! snapshot — one report in the shape the bench harness and the
-//! `shard_demo` example print.
+//! Aggregated diagnostics for a sharded run: traversal counters, shard
+//! populations, and the shared pool's I/O snapshot — one report in the
+//! shape the bench harness and the `shard_demo` example print.
 
 use cij_join::JoinCounters;
 use cij_obs::MetricsSnapshot;
@@ -10,17 +9,6 @@ use cij_workload::SetTag;
 
 use crate::router::ShardRouter;
 
-/// Diagnostics of one shard-pair engine.
-#[derive(Debug, Clone, Copy)]
-pub struct PairReport {
-    /// A-side shard index.
-    pub shard_a: usize,
-    /// B-side shard index.
-    pub shard_b: usize,
-    /// The engine's accumulated traversal counters.
-    pub counters: JoinCounters,
-}
-
 /// Aggregated state of a [`ShardCoordinator`](crate::ShardCoordinator).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
@@ -28,7 +16,7 @@ pub struct ShardReport {
     pub policy: &'static str,
     /// Shards per object set.
     pub k: usize,
-    /// Coordinator fan-out width.
+    /// Width of the initial join.
     pub threads: usize,
     /// Cross-shard migrations routed so far (update-driven).
     pub migrations: u64,
@@ -41,12 +29,12 @@ pub struct ShardReport {
     pub population_a: Vec<usize>,
     /// B-side objects per shard.
     pub population_b: Vec<usize>,
-    /// One entry per shard-pair engine, in (shard_a, shard_b) order.
-    pub pairs: Vec<PairReport>,
+    /// The engine's accumulated traversal counters.
+    pub counters: JoinCounters,
     /// Cumulative I/O of the shared buffer pool.
     pub io: IoSnapshot,
-    /// Published snapshot of the coordinator's metrics registry —
-    /// `None` when metrics are disabled in the engine config.
+    /// Published snapshot of the engine's metrics registry — `None` when
+    /// metrics are disabled in the engine config.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -57,7 +45,7 @@ impl ShardReport {
         router: &ShardRouter,
         threads: usize,
         rebalances: u64,
-        pairs: Vec<PairReport>,
+        counters: JoinCounters,
         io: IoSnapshot,
         metrics: Option<MetricsSnapshot>,
     ) -> Self {
@@ -70,24 +58,16 @@ impl ShardReport {
             rebalance_moved: router.rebalanced(),
             population_a: router.population(SetTag::A).to_vec(),
             population_b: router.population(SetTag::B).to_vec(),
-            pairs,
+            counters,
             io,
             metrics,
         }
     }
 
-    /// Number of shard-pair engines in the join plan: K².
+    /// Index pairs in the coordinator: one per shard.
     #[must_use]
     pub fn engine_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Traversal counters summed over every shard-pair engine.
-    #[must_use]
-    pub fn total_counters(&self) -> JoinCounters {
-        self.pairs
-            .iter()
-            .fold(JoinCounters::new(), |acc, p| acc.merged(p.counters))
+        self.k
     }
 }
 
@@ -109,18 +89,11 @@ impl std::fmt::Display for ShardReport {
             "population A={:?} B={:?}",
             self.population_a, self.population_b
         )?;
-        for p in &self.pairs {
-            writeln!(
-                f,
-                "  pair ({}, {}): node_pairs={} emitted={}",
-                p.shard_a, p.shard_b, p.counters.node_pairs, p.counters.pairs_emitted
-            )?;
-        }
-        let totals = self.total_counters();
+        let c = &self.counters;
         writeln!(
             f,
             "totals: node_pairs={} comparisons={} emitted={}",
-            totals.node_pairs, totals.entry_comparisons, totals.pairs_emitted
+            c.node_pairs, c.entry_comparisons, c.pairs_emitted
         )?;
         write!(
             f,

@@ -2,13 +2,16 @@
 //!
 //! The router owns the object → shard placement map and everything
 //! derived from it: the per-set per-shard populations, the migration
-//! and rebalance tallies, and [`project`](ShardRouter::project) — the
-//! one body that turns an update into per-slot [`EngineOp`]s of a
-//! [`JoinPlan`]. Engines never see any of it: the router asks the
-//! policy where the object *belongs* now, compares with where it *was*,
-//! and turns a disagreement into a migration (delete from every engine
-//! of the old shard's row/column, insert into the new one's) inside the
-//! same logical update.
+//! and rebalance tallies, and [`route`](ShardRouter::route) — the one
+//! body that re-files an update. Indexes never see any of it: the router
+//! asks the policy where the object *belongs* now, compares with where it
+//! *was*, and turns a disagreement into a migration inside the same
+//! logical update. The partitioned pair spells that as a remove from the
+//! old partition and an insert into the new one;
+//! [`project`](ShardRouter::project) spells it as per-slot
+//! [`EngineOp`]s of the dist coordinator's [`JoinPlan`] (delete from
+//! every engine of the old shard's row/column, insert into the new
+//! one's).
 //!
 //! The router keeps a full [`ObjectRecord`] per object — set, shard,
 //! current trajectory, and the time the trajectory was *registered*
@@ -16,14 +19,14 @@
 //! can differ from the trajectory's own reference time).
 //! That record is what makes online re-partitioning possible:
 //! [`repartition`](ShardRouter::repartition) re-evaluates a new policy
-//! against every live trajectory and hands the coordinator the exact
-//! batch of moves, each carrying the original registration time so
-//! engines that key removal on update time (MTB buckets) can re-file
-//! the object where its next delete will look for it.
+//! against every live trajectory and hands the partitioned pair the
+//! exact batch of moves, each carrying the original registration time so
+//! indexes that key removal on update time (MTB buckets) can re-file the
+//! object where its next delete will look for it.
 //!
 //! The record is also the only source of an update's delete keys:
-//! [`project`](ShardRouter::project) addresses every `Remove` and
-//! `Apply` by the record it replaces, never by the `old_mbr` /
+//! [`route`](ShardRouter::route) hands back the record it replaces, and
+//! every remove is addressed by it, never by the `old_mbr` /
 //! `last_update` / `set` the caller put in the update.
 
 use std::sync::Arc;
@@ -60,8 +63,7 @@ pub struct RebalanceMove {
     pub from: usize,
     /// The object's record under the new policy: `shard` is where it
     /// goes; `mbr` and `last_update` are what must be removed from
-    /// `from` and restored there — restores must preserve the
-    /// registration time.
+    /// `from` and inserted there, at the original registration time.
     pub record: ObjectRecord,
 }
 
@@ -136,7 +138,7 @@ impl ShardRouter {
     }
 
     /// Places every object of one initial set and returns the set split
-    /// by shard — what a coordinator builds its row/column engines from.
+    /// by shard — what the dist coordinator builds its workers from.
     pub fn place_set(
         &mut self,
         set: SetTag,
@@ -165,8 +167,8 @@ impl ShardRouter {
 
     /// All live records, in no particular order: nothing may depend on
     /// the iteration order of this map — every consumer that needs
-    /// determinism ([`repartition`](Self::repartition), the rebalance
-    /// restore lists) sorts what it extracts by id.
+    /// determinism ([`repartition`](Self::repartition)) sorts what it
+    /// extracts by id.
     pub fn records(&self) -> impl Iterator<Item = (ObjectId, &ObjectRecord)> {
         self.records.iter().map(|(&id, r)| (id, r))
     }
@@ -191,15 +193,10 @@ impl ShardRouter {
         plan: &JoinPlan,
         ops: &mut [Vec<EngineOp>],
     ) -> TprResult<()> {
-        let id = update.id;
-        let Some(&prev) = self.records.get(&id) else {
-            return Err(TprError::ObjectNotFound(id));
-        };
-        let (set, mbr) = (prev.set, update.new_mbr);
-        let to = self.policy.shard_of(id, &mbr);
-        self.insert(id, set, to, &mbr, now);
+        let (id, mbr) = (update.id, update.new_mbr);
+        let (prev, to) = self.route(id, &mbr, now)?;
+        let set = prev.set;
         if prev.shard != to {
-            self.migrations += 1;
             for slot in plan.fan(set, prev.shard) {
                 ops[slot].push(EngineOp::Remove {
                     set,
@@ -226,6 +223,32 @@ impl ShardRouter {
         Ok(())
     }
 
+    /// Re-files object `id` under its new trajectory `mbr`, registered at
+    /// `now`, and returns the record that held it and its new shard; a
+    /// shard change counts as a migration. This is the routing half of
+    /// every update — [`project`](Self::project) spells it as engine ops,
+    /// the partitioned pair as one remove and one insert.
+    ///
+    /// # Errors
+    /// [`TprError::ObjectNotFound`], with nothing changed, when the router
+    /// has not placed `id`.
+    pub fn route(
+        &mut self,
+        id: ObjectId,
+        mbr: &MovingRect,
+        now: Time,
+    ) -> TprResult<(ObjectRecord, usize)> {
+        let Some(&prev) = self.records.get(&id) else {
+            return Err(TprError::ObjectNotFound(id));
+        };
+        let to = self.policy.shard_of(id, mbr);
+        self.insert(id, prev.set, to, mbr, now);
+        if prev.shard != to {
+            self.migrations += 1;
+        }
+        Ok((prev, to))
+    }
+
     /// Forgets object `id` of `set`, returning the record that held it.
     /// `None` — and nothing forgotten — when the id is unknown or was
     /// placed under the other set.
@@ -240,9 +263,9 @@ impl ShardRouter {
 
     /// Re-partitions every live object under `new_policy`: swaps the
     /// policy in, updates placements and populations, and returns the
-    /// objects whose shard changed — sorted by id so the coordinator's
-    /// batched rebalance is deterministic regardless of hash-map
-    /// iteration order. Moves are counted in
+    /// objects whose shard changed — sorted by id so the batched
+    /// rebalance is deterministic regardless of hash-map iteration
+    /// order. Moves are counted in
     /// [`rebalanced`](Self::rebalanced), *not* in
     /// [`migrations`](Self::migrations): update-driven and
     /// policy-driven relocations are separate phenomena in the reports.

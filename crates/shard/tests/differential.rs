@@ -5,14 +5,19 @@
 //! {1, 4}, including runs with forced cross-shard migrations and
 //! **forced mid-run re-partitions**
 //! (boundary shifts, shard splits, shard merges via
-//! [`ShardCoordinator::rebalance_to`]).
+//! [`ShardCoordinator::rebalance_to`]). Each index pair the engines run
+//! on (MTB, TC, Naive) is sharded through `ShardCoordinator::<P>::new`
+//! and checked against `BufferedEngine<P>`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, NaiveEngine, TcEngine};
+use cij_core::{
+    BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbEngine, MtbPair, NaivePair,
+    TcPair,
+};
 use cij_geom::{MovingRect, Rect, Time};
-use cij_shard::{PartitionPolicy, ShardCoordinator, SharedShardEngineFactory, VelocityBandPolicy};
+use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::ObjectId;
 use cij_workload::{generate_pair, Distribution, ObjectUpdate, Params, SetTag, UpdateStream};
@@ -63,25 +68,14 @@ fn engine_config(params: &Params) -> EngineConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Kind {
-    Naive,
-    Tc,
-    Mtb,
-}
-
-/// One engine builder serves both roles: called directly it builds the
-/// single-engine oracle; handed to the coordinator it builds shard-pair
-/// engines — including fresh ones mid-run during a rebalance.
-fn make_factory(kind: Kind) -> SharedShardEngineFactory {
-    Arc::new(move |pool, cfg, a, b, now| {
-        Ok(match kind {
-            Kind::Naive => Box::new(NaiveEngine::new(pool, *cfg, a, b, now)?)
-                as Box<dyn ContinuousJoinEngine + Send>,
-            Kind::Tc => Box::new(TcEngine::new(pool, *cfg, a, b, now)?),
-            Kind::Mtb => Box::new(MtbEngine::new(pool, *cfg, a, b, now)?),
-        })
-    })
+/// The coordinator over `P` partitions of `(a, b)` at t = 0.
+fn sharded<P: IndexPair<Config = EngineConfig>>(
+    config: EngineConfig,
+    policy: Arc<dyn PartitionPolicy>,
+    a: &[cij_workload::MovingObject],
+    b: &[cij_workload::MovingObject],
+) -> ShardCoordinator<P> {
+    ShardCoordinator::<P>::new(pool(), config, policy, a, b, 0.0).expect("coordinator")
 }
 
 /// Runs coordinator and single-engine oracle in lockstep over the same
@@ -90,29 +84,18 @@ fn make_factory(kind: Kind) -> SharedShardEngineFactory {
 /// including the rebalance ticks themselves — and counter/population
 /// conservation at the end. Returns the coordinator for further
 /// assertions.
-fn run_lockstep_rebalancing(
-    kind: Kind,
+fn run_lockstep_rebalancing<P: IndexPair<Config = EngineConfig>>(
     initial: Arc<dyn PartitionPolicy>,
     schedule: &[(u32, Arc<dyn PartitionPolicy>)],
     params: &Params,
     threads: usize,
     ticks: u32,
-) -> ShardCoordinator {
+) -> ShardCoordinator<P> {
     let (a, b) = generate_pair(params, 0.0);
     let config = engine_config(params);
-    let factory = make_factory(kind);
-    let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
+    let mut oracle = BufferedEngine::<P>::new(pool(), config, &a, &b, 0.0).expect("oracle");
     let sharded_config = EngineConfig { threads, ..config };
-    let mut coord = ShardCoordinator::with_factory(
-        pool(),
-        sharded_config,
-        initial.clone(),
-        &a,
-        &b,
-        0.0,
-        factory,
-    )
-    .expect("coordinator");
+    let mut coord = sharded::<P>(sharded_config, initial.clone(), &a, &b);
 
     let mut stream = UpdateStream::new(params, &a, &b, 0.0);
     oracle.run_initial_join(0.0).expect("oracle initial");
@@ -169,14 +152,13 @@ fn run_lockstep_rebalancing(
 }
 
 /// Lockstep without re-partitions — the fixed-policy contract.
-fn run_lockstep(
-    kind: Kind,
+fn run_lockstep<P: IndexPair<Config = EngineConfig>>(
     policy: Arc<dyn PartitionPolicy>,
     params: &Params,
     threads: usize,
     ticks: u32,
-) -> ShardCoordinator {
-    run_lockstep_rebalancing(kind, policy, &[], params, threads, ticks)
+) -> ShardCoordinator<P> {
+    run_lockstep_rebalancing::<P>(policy, &[], params, threads, ticks)
 }
 
 #[test]
@@ -185,8 +167,8 @@ fn velocity_bands_match_oracle_across_k_and_threads() {
     for k in [1usize, 2, 4] {
         for threads in [1usize, 4] {
             let policy = Arc::new(VelocityBandPolicy::new(k, params.max_speed));
-            let coord = run_lockstep(Kind::Mtb, policy, &params, threads, 40);
-            assert_eq!(coord.engine_count(), k * k);
+            let coord = run_lockstep::<MtbPair>(policy, &params, threads, 40);
+            assert_eq!(coord.engine_count(), k);
             if k == 4 {
                 // Both skew classes straddle a K=4 band boundary (0.25
                 // and 0.75 of max speed), so voluntary re-steers migrate
@@ -207,8 +189,8 @@ fn hash_matches_oracle_across_k_and_threads() {
     for k in [1usize, 2, 4] {
         for threads in [1usize, 4] {
             let policy = Arc::new(HashPolicy(k));
-            let coord = run_lockstep(Kind::Mtb, policy, &params, threads, 40);
-            assert_eq!(coord.engine_count(), k * k);
+            let coord = run_lockstep::<MtbPair>(policy, &params, threads, 40);
+            assert_eq!(coord.engine_count(), k);
             // Id-hash placement never moves an object.
             assert_eq!(coord.migrations(), 0);
         }
@@ -218,8 +200,8 @@ fn hash_matches_oracle_across_k_and_threads() {
 #[test]
 fn thrashing_pool_with_two_threads_matches_brute_force() {
     // Every other case here runs a pool that holds the whole index. This
-    // one gives 16 shard-pair engines on two threads 8 frames to share,
-    // so each engine's pages are evicted from under it by its neighbour.
+    // one gives four partitions and a two-thread initial join 8 frames to
+    // share, so each partition's pages are evicted by its neighbours'.
     const FRAMES: usize = 8;
     let params = skew_params(47);
     let (a, b) = generate_pair(&params, 0.0);
@@ -231,17 +213,16 @@ fn thrashing_pool_with_two_threads_matches_brute_force() {
         threads: 2,
         ..engine_config(&params)
     };
-    let mut coord = ShardCoordinator::with_factory(
+    let mut coord = ShardCoordinator::<MtbPair>::new(
         pool.clone(),
         config,
         Arc::new(VelocityBandPolicy::new(4, params.max_speed)),
         &a,
         &b,
         0.0,
-        make_factory(Kind::Mtb),
     )
     .expect("coordinator");
-    assert_eq!(coord.engine_count(), 16);
+    assert_eq!(coord.engine_count(), 4);
 
     let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
     coord.run_initial_join(0.0).expect("initial join");
@@ -278,22 +259,20 @@ fn thrashing_pool_with_two_threads_matches_brute_force() {
 #[test]
 fn tc_engine_sharded_matches_oracle() {
     let params = skew_params(44);
-    let coord = run_lockstep(
-        Kind::Tc,
+    let coord = run_lockstep::<TcPair>(
         Arc::new(VelocityBandPolicy::new(4, params.max_speed)),
         &params,
         4,
         30,
     );
     assert!(coord.migrations() > 0);
-    run_lockstep(Kind::Tc, Arc::new(HashPolicy(2)), &params, 1, 30);
+    run_lockstep::<TcPair>(Arc::new(HashPolicy(2)), &params, 1, 30);
 }
 
 #[test]
 fn naive_engine_sharded_matches_oracle() {
     let params = skew_params(45);
-    run_lockstep(
-        Kind::Naive,
+    run_lockstep::<NaivePair>(
         Arc::new(VelocityBandPolicy::new(2, params.max_speed)),
         &params,
         4,
@@ -302,10 +281,9 @@ fn naive_engine_sharded_matches_oracle() {
 }
 
 /// Forced re-partitions under the velocity axis: a boundary shift at
-/// K = 2, a split to K = 4 (fresh engines for every new row/column),
-/// and a merge back to K = 2 (engines dropped, fresh ones fully
-/// re-populated) — each × threads {1, 4}, all bit-identical to the
-/// oracle every tick.
+/// K = 2, a split to K = 4 (empty partitions added, then filled by the
+/// movers), and a merge back to K = 2 (emptied partitions dropped) —
+/// each × threads {1, 4}, all bit-identical to the oracle every tick.
 #[test]
 fn velocity_rebalance_shift_split_merge_matches_oracle() {
     let params = skew_params(48);
@@ -321,8 +299,7 @@ fn velocity_rebalance_shift_split_merge_matches_oracle() {
             // Merge: K=4 → K=2.
             (30, Arc::new(VelocityBandPolicy::from_edges(vec![1.2]))),
         ];
-        let coord = run_lockstep_rebalancing(
-            Kind::Mtb,
+        let coord = run_lockstep_rebalancing::<MtbPair>(
             Arc::new(VelocityBandPolicy::new(2, params.max_speed)),
             &schedule,
             &params,
@@ -332,22 +309,21 @@ fn velocity_rebalance_shift_split_merge_matches_oracle() {
         assert_eq!(coord.rebalances(), 3);
         assert!(coord.rebalance_moved() > 0, "no object ever relocated");
         assert_eq!(coord.shard_count(), 2);
-        assert_eq!(coord.engine_count(), 4);
+        assert_eq!(coord.engine_count(), 2);
     }
 }
 
 /// Forced re-partitions under id-hash placement: K=2 → K=4 → K=2.
 /// Hash shards are trajectory-independent, so the movers are exactly
 /// the ids whose hash changes modulus — a pure split/merge stress of
-/// the evict/rebuild/restore machinery.
+/// the move-only rebalance.
 #[test]
 fn hash_rebalance_split_merge_matches_oracle() {
     let params = skew_params(49);
     for threads in [1usize, 4] {
         let schedule: Vec<(u32, Arc<dyn PartitionPolicy>)> =
             vec![(12, Arc::new(HashPolicy(4))), (24, Arc::new(HashPolicy(2)))];
-        let coord = run_lockstep_rebalancing(
-            Kind::Mtb,
+        let coord = run_lockstep_rebalancing::<MtbPair>(
             Arc::new(HashPolicy(2)),
             &schedule,
             &params,
@@ -361,8 +337,8 @@ fn hash_rebalance_split_merge_matches_oracle() {
     }
 }
 
-/// The engines with *default* `restore_object` (trajectory-keyed
-/// removal: Naive, TC) survive split + merge too.
+/// The pairs with trajectory-keyed removal (Naive, TC) survive split +
+/// merge too.
 #[test]
 fn tc_and_naive_rebalance_match_oracle() {
     let params = skew_params(51);
@@ -373,17 +349,11 @@ fn tc_and_naive_rebalance_match_oracle() {
         ),
         (16, Arc::new(VelocityBandPolicy::from_edges(vec![1.5]))),
     ];
-    for (kind, threads) in [(Kind::Tc, 4), (Kind::Naive, 1)] {
-        let coord = run_lockstep_rebalancing(
-            kind,
-            Arc::new(VelocityBandPolicy::new(2, params.max_speed)),
-            &schedule,
-            &params,
-            threads,
-            24,
-        );
-        assert_eq!(coord.rebalances(), 2);
-    }
+    let initial = || Arc::new(VelocityBandPolicy::new(2, params.max_speed));
+    let tc = run_lockstep_rebalancing::<TcPair>(initial(), &schedule, &params, 4, 24);
+    assert_eq!(tc.rebalances(), 2);
+    let naive = run_lockstep_rebalancing::<NaivePair>(initial(), &schedule, &params, 1, 24);
+    assert_eq!(naive.rebalances(), 2);
 }
 
 /// A hand-built update that flips an object between the extreme speed
@@ -395,11 +365,8 @@ fn forced_migration_preserves_results_and_placement() {
     let (a, b) = generate_pair(&params, 0.0);
     let config = engine_config(&params);
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let factory = make_factory(Kind::Mtb);
-    let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
-    let mut coord =
-        ShardCoordinator::with_factory(pool(), config, policy.clone(), &a, &b, 0.0, factory)
-            .expect("coordinator");
+    let mut oracle = MtbEngine::new(pool(), config, &a, &b, 0.0).expect("oracle");
+    let mut coord = sharded::<MtbPair>(config, policy.clone(), &a, &b);
     oracle.run_initial_join(0.0).expect("oracle initial");
     coord.run_initial_join(0.0).expect("sharded initial");
 
@@ -447,16 +414,7 @@ fn remove_object_under_the_wrong_set_is_refused() {
     let params = skew_params(52);
     let (a, b) = generate_pair(&params, 0.0);
     let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
-    let mut coord = ShardCoordinator::with_factory(
-        pool(),
-        engine_config(&params),
-        policy,
-        &a,
-        &b,
-        0.0,
-        make_factory(Kind::Mtb),
-    )
-    .expect("coordinator");
+    let mut coord = sharded::<MtbPair>(engine_config(&params), policy, &a, &b);
     coord.run_initial_join(0.0).expect("initial join");
     let before = coord.report();
 
@@ -489,16 +447,7 @@ fn stale_delete_keys_get_the_honest_answer() {
     let (a, b) = generate_pair(&params, 0.0);
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
     let coordinator = || {
-        let mut coord = ShardCoordinator::with_factory(
-            pool(),
-            engine_config(&params),
-            policy.clone(),
-            &a,
-            &b,
-            0.0,
-            make_factory(Kind::Mtb),
-        )
-        .expect("coordinator");
+        let mut coord = sharded::<MtbPair>(engine_config(&params), policy.clone(), &a, &b);
         coord.run_initial_join(0.0).expect("initial join");
         coord
     };
@@ -568,9 +517,8 @@ fn stale_delete_keys_get_the_honest_answer() {
 
 /// The ping-pong above, doubled and batched: two objects swap between
 /// the extreme bands in one tick, bracketed by two same-band updates, so
-/// the engines of band 0's row receive `Apply, Remove, Insert, Apply` in
-/// one op list. The coordinator hands each run of consecutive `Apply`s
-/// to the engine as one batch; the split around the migration halves
+/// band 0's partition sees a re-registration, a departure, an arrival
+/// and a re-registration in one phase 1. The migrations inside the batch
 /// must leave answers, placement and change lists exactly the oracle's.
 #[test]
 fn interleaved_apply_remove_insert_apply_matches_oracle() {
@@ -578,11 +526,8 @@ fn interleaved_apply_remove_insert_apply_matches_oracle() {
     let (a, b) = generate_pair(&params, 0.0);
     let config = engine_config(&params);
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let factory = make_factory(Kind::Mtb);
-    let mut oracle = factory(pool(), &config, &a, &b, 0.0).expect("oracle");
-    let mut coord =
-        ShardCoordinator::with_factory(pool(), config, policy.clone(), &a, &b, 0.0, factory)
-            .expect("coordinator");
+    let mut oracle = MtbEngine::new(pool(), config, &a, &b, 0.0).expect("oracle");
+    let mut coord = sharded::<MtbPair>(config, policy.clone(), &a, &b);
     oracle.enable_delta_tracking();
     coord.enable_delta_tracking();
     oracle.run_initial_join(0.0).expect("oracle initial");

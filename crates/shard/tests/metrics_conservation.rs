@@ -1,9 +1,9 @@
 //! Shard-axis counter conservation: the coordinator's unified
 //! [`MetricsSnapshot`] (carried on [`ShardReport::metrics`]) must agree
-//! bit-exactly with the legacy report fields — aggregated traversal
-//! counters, merged page-format totals, shared-pool I/O, migrations, and
-//! the per-pair / per-shard breakdowns — at K = 1, 2 and 4. The
-//! per-engine × thread axis of the same guarantee lives in
+//! bit-exactly with the report fields — the engine's traversal totals,
+//! merged page-format totals, shared-pool I/O, migrations, and the
+//! per-shard populations — at K = 1, 2 and 4. The per-engine × thread
+//! axis of the same guarantee lives in
 //! `crates/core/tests/metrics_conservation.rs`.
 
 use std::sync::Arc;
@@ -11,6 +11,7 @@ use std::sync::Arc;
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij_geom::Time;
 use cij_obs::validate_prometheus;
+use cij_obs::MetricsSnapshot;
 use cij_shard::{ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
@@ -70,8 +71,9 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             .clone()
             .unwrap_or_else(|| panic!("{tag}: metrics-on coordinator must snapshot"));
 
-        // Aggregated traversal counters.
-        let totals = report.total_counters();
+        // The one engine's traversal totals.
+        let totals = report.counters;
+        assert_eq!(totals, coord.counters(), "{tag}: report totals drifted");
         for (name, legacy) in [
             ("join.node_pairs", totals.node_pairs),
             ("join.entry_comparisons", totals.entry_comparisons),
@@ -81,7 +83,7 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
         }
 
-        // Page-format totals merged over every shard-pair engine.
+        // Page-format totals merged over every partition.
         let page = coord
             .page_format_snapshot()
             .unwrap_or_else(|| panic!("{tag}: TPR engines must report page-format totals"));
@@ -133,23 +135,9 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             );
         }
 
-        // Per-pair breakdown: one counter pair per shard-pair engine.
-        for pr in &report.pairs {
-            let prefix = format!("shard.pair.{}_{}", pr.shard_a, pr.shard_b);
-            assert_eq!(
-                snap.counter(&format!("{prefix}.node_pairs")),
-                Some(pr.counters.node_pairs),
-                "{tag}: {prefix}.node_pairs drifted"
-            );
-            assert_eq!(
-                snap.counter(&format!("{prefix}.pairs_emitted")),
-                Some(pr.counters.pairs_emitted),
-                "{tag}: {prefix}.pairs_emitted drifted"
-            );
-        }
+        assert_eq!(report.engine_count(), k, "{tag}: one index pair per shard");
+        assert_no_pair_family(&snap, &tag);
 
-        // The coordinator owns telemetry: no double counting from inner
-        // engines (their registries are disabled).
         assert!(
             !coord.metrics_registry().snapshot().is_empty(),
             "{tag}: coordinator registry empty"
@@ -157,11 +145,23 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
     }
 }
 
+/// One engine, one set of totals: no per-engine-pair family
+/// (`shard.pair.{i}_{j}.*`) is published.
+fn assert_no_pair_family(snap: &MetricsSnapshot, tag: &str) {
+    let names = (snap.counters.iter().map(|(n, _)| n))
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n));
+    for name in names {
+        assert!(!name.starts_with("shard.pair."), "{tag}: {name} published");
+    }
+}
+
 /// Re-partitioning must keep the metrics view conserved: rebalance
 /// counters track the coordinator's own tallies, population gauges sum
-/// to the datasets under the *new* K, and names from the retired
-/// topology (higher shard indices, dropped pairs) read zero rather than
-/// lingering at their last pre-rebalance values.
+/// to the datasets under the *new* K, names from the retired shards read
+/// zero rather than lingering at their last pre-rebalance values, and
+/// the traversal totals move only with the updates, never with a
+/// rebalance.
 #[test]
 fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     let p = params(13);
@@ -201,12 +201,21 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     };
 
     run(&mut coord, 1, 10);
+    let before = coord.report().metrics.expect("metrics-on snapshot");
     let moved_split = coord
         .rebalance_to(
             Arc::new(VelocityBandPolicy::new(4, p.max_speed)),
             Time::from(10u32),
         )
         .expect("split");
+    let after = coord.report().metrics.expect("metrics-on snapshot");
+    for name in [
+        "join.node_pairs",
+        "join.entry_comparisons",
+        "join.pairs_emitted",
+    ] {
+        assert_eq!(after.counter(name), before.counter(name), "{name} moved");
+    }
     run(&mut coord, 11, 20);
 
     let snap = coord.report().metrics.expect("metrics-on snapshot");
@@ -233,8 +242,8 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     run(&mut coord, 21, 30);
 
     let snap = coord.report().metrics.expect("metrics-on snapshot");
-    // The exposition of the rebalanced coordinator — per-pair and
-    // per-shard names of both topologies included — parses cleanly.
+    // The exposition of the rebalanced coordinator — per-shard names of
+    // both topologies included — parses cleanly.
     validate_prometheus(&snap.to_prometheus()).expect("exposition");
     assert_eq!(snap.counter("shard.rebalances"), Some(2));
     assert_eq!(
@@ -249,15 +258,8 @@ fn rebalance_keeps_metrics_conserved_and_zeroes_stale_names() {
     }
     assert_eq!(pop(&snap, 'a', 0) + pop(&snap, 'a', 1), a.len() as i64);
     assert_eq!(pop(&snap, 'b', 0) + pop(&snap, 'b', 1), b.len() as i64);
-    assert_eq!(snap.gauge("shard.engines"), Some(4));
-    // Retired pair counters (any index touching shard 2 or 3) read zero.
-    for (i, j) in [(0usize, 2usize), (2, 0), (3, 3), (1, 2)] {
-        for metric in ["node_pairs", "pairs_emitted"] {
-            if let Some(v) = snap.counter(&format!("shard.pair.{i}_{j}.{metric}")) {
-                assert_eq!(v, 0, "stale pair ({i},{j}) {metric} lingered");
-            }
-        }
-    }
+    assert_eq!(snap.gauge("shard.engines"), Some(2));
+    assert_no_pair_family(&snap, "after split and merge");
 }
 
 #[test]

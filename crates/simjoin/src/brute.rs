@@ -22,8 +22,8 @@ use crate::ProximityConfig;
 /// Implements the full [`ContinuousJoinEngine`] protocol (including
 /// routed insert/remove and delta tracking) so it can stand in for
 /// [`ProximityJoinEngine`](crate::ProximityJoinEngine) anywhere — behind
-/// the stream service, under the shard router — while computing the
-/// answer by exhaustive refinement.
+/// the stream service, say — while computing the answer by exhaustive
+/// refinement.
 pub struct BruteProximityEngine {
     t_m: Time,
     eps_sq: f64,

@@ -49,9 +49,9 @@ impl ProximityConfig {
 /// time sub-interval during which `dist(a, b) ≤ ε` holds.
 ///
 /// Results land in the standard `ResultBuffer` of [`BufferedEngine`], so
-/// the two-phase tick, delta extraction, stream subscriptions, WAL
-/// recovery and sharding compose unchanged; everything specific to the
-/// query class is in [`ProximityPair`], which the engine dereferences to
+/// the two-phase tick, delta extraction, stream subscriptions and WAL
+/// recovery compose unchanged; everything specific to the query class is
+/// in [`ProximityPair`], which the engine dereferences to
 /// (`engine.candidates()`, `engine.refine_rejects()`, `engine.epsilon()`).
 pub type ProximityJoinEngine = BufferedEngine<ProximityPair>;
 

@@ -1,5 +1,5 @@
-//! Engine factories that plug the proximity join into the stream service
-//! and the shard coordinator.
+//! The engine factory that plugs the proximity join into the stream
+//! service.
 
 use std::sync::Arc;
 
@@ -50,32 +50,5 @@ pub fn proximity_stream_factory(
             now,
         )?;
         Ok(Box::new(engine) as Box<dyn ContinuousJoinEngine>)
-    }
-}
-
-/// A shard-coordinator engine factory for the proximity join: the
-/// coordinator hands each shard its pool slice and this builds the
-/// shard-local proximity engine with threshold `epsilon`.
-// The signature must spell out `cij_shard::SharedShardEngineFactory`'s
-// shape (without depending on cij-shard), which trips the complexity lint.
-#[allow(clippy::type_complexity)]
-pub fn proximity_shard_factory(
-    epsilon: f64,
-) -> impl Fn(
-    BufferPool,
-    &EngineConfig,
-    &[MovingObject],
-    &[MovingObject],
-    Time,
-) -> TprResult<Box<dyn ContinuousJoinEngine + Send>> {
-    move |pool, config, set_a, set_b, now| {
-        let engine = ProximityJoinEngine::new(
-            pool,
-            ProximityConfig::new(*config, epsilon),
-            set_a,
-            set_b,
-            now,
-        )?;
-        Ok(Box::new(engine) as Box<dyn ContinuousJoinEngine + Send>)
     }
 }

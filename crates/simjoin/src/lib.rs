@@ -20,9 +20,10 @@
 //!
 //! Because refined intervals land in the standard `cij-core`
 //! `ResultBuffer`, everything downstream — delta extraction, stream
-//! subscriptions, WAL recovery, shard routing, metrics — works on the
-//! proximity join without modification; see
-//! [`proximity_stream_factory`] and [`proximity_shard_factory`].
+//! subscriptions, WAL recovery, metrics — works on the proximity join
+//! without modification; see [`proximity_stream_factory`]. (Sharding it
+//! needs a partitioned pair that refines per partition, which the shard
+//! crate's partitioned pair does not do.)
 //!
 //! Correctness is pinned by [`BruteProximityEngine`], an exhaustive
 //! oracle that calls the *same* refine primitive over the *same* window,
@@ -38,4 +39,4 @@ mod factory;
 
 pub use brute::BruteProximityEngine;
 pub use engine::{ProximityConfig, ProximityJoinEngine, ProximityPair};
-pub use factory::{proximity_shard_factory, proximity_stream_factory};
+pub use factory::proximity_stream_factory;

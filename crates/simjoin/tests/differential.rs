@@ -13,22 +13,14 @@
 //! (the two-phase tick: every index mutation, then one filter probe and
 //! one refine pass per side) while the oracle keeps applying update by
 //! update.
-//!
-//! A final test routes the same workload through the shard coordinator
-//! (proximity engines behind `proximity_shard_factory`) and pins it to
-//! the unsharded engine.
 
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
 use cij_geom::{MovingRect, Time};
 use cij_obs::validate_prometheus;
-use cij_shard::{PartitionPolicy, ShardCoordinator};
-use cij_simjoin::{
-    proximity_shard_factory, BruteProximityEngine, ProximityConfig, ProximityJoinEngine,
-};
+use cij_simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-use cij_tpr::ObjectId;
 use cij_workload::{
     generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
 };
@@ -43,23 +35,6 @@ fn small_params(seed: u64) -> Params {
         space: 200.0,
         object_size_pct: 1.0,
         ..Params::default()
-    }
-}
-
-/// Trajectory-independent placement by id modulo `K` — the one
-/// behaviour no band policy can produce, kept as a test-local policy
-/// since no deployment shards this way.
-struct HashPolicy(usize);
-
-impl PartitionPolicy for HashPolicy {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-    fn shard_count(&self) -> usize {
-        self.0
-    }
-    fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
-        (id.0 % self.0 as u64) as usize
     }
 }
 
@@ -313,31 +288,4 @@ fn batched_ticks_match_oracle() {
             "eps={eps}: the pair re-registered in place must stay reported"
         );
     }
-}
-
-#[test]
-fn sharded_proximity_matches_unsharded() {
-    let eps = 2.5;
-    let params = small_params(505);
-    let (a, b) = generate_pair(&params, 0.0);
-    let schedule = scheduled_updates(&params, &a, &b, TICKS);
-
-    let config = ProximityConfig::new(EngineConfig::default(), eps);
-    let mut reference = ProximityJoinEngine::new(pool(), config, &a, &b, 0.0).unwrap();
-    let expect = drive(&mut reference, &schedule);
-
-    let policy = Arc::new(HashPolicy(3)) as Arc<dyn PartitionPolicy>;
-    let factory = proximity_shard_factory(eps);
-    let mut sharded = ShardCoordinator::with_factory(
-        pool(),
-        EngineConfig::default(),
-        policy,
-        &a,
-        &b,
-        0.0,
-        Arc::new(factory),
-    )
-    .unwrap();
-    let got = drive(&mut sharded, &schedule);
-    assert_snapshots_match(&got, &expect, "sharded(k=3)");
 }

@@ -24,14 +24,11 @@
 //! The changelog is a *dirty list*, not an event stream: every recheck
 //! resolves pair membership from the engine's current state, so
 //! spurious entries are harmless and only missing ones would be a bug.
-//! That is what makes online shard re-partitioning (the `cij-shard`
-//! coordinator's `rebalance_to`) transparent here — a rebalance drains
-//! the changelogs of dropped
-//! shard-pair engines into the coordinator's own changelog, so every
-//! pair whose owning engine changed gets rechecked against the *new*
-//! topology, and pairs pruned out of the join plan read as inactive
-//! exactly when their predicted intervals say so. The rebalance tests
-//! in `tests/shard_rebalance.rs` pin the resulting delta stream
+//! Online shard re-partitioning (the `cij-shard` coordinator's
+//! `rebalance_to`) is transparent here for a simpler reason: it only
+//! moves objects between the partitions behind one result buffer, so it
+//! changes no interval and dirties no pair. The rebalance tests in
+//! `tests/shard_rebalance.rs` pin the resulting delta stream
 //! bit-identical to the single-engine stream across re-partitions.
 
 use std::collections::hash_map::Entry;

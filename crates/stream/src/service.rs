@@ -543,9 +543,10 @@ impl StreamService {
         let engine = self.engine.as_mut();
         engine.advance_time(at)?;
         // One engine call per tick batch: plain engines run the default
-        // sequential loop, the shard coordinator fans the batch out over
-        // shard pairs (identical results either way) — so WAL replay and
-        // live ingestion share one code path regardless of engine shape.
+        // sequential loop, buffered engines two phases, the dist
+        // coordinator one step per worker (identical results every way) —
+        // so WAL replay and live ingestion share one code path regardless
+        // of engine shape.
         engine.apply_batch(updates, at)?;
         for u in updates {
             let registration = Registration {

@@ -1,17 +1,19 @@
 //! Tour of the `cij-shard` coordinator: four velocity-band shards, one
-//! MTB-Join engine per shard pair, cross-shard migration routing, a
-//! merged result-delta changelog, and the aggregated counter/I-O report.
+//! MTB index pair per shard with every object filed in exactly one of
+//! them, cross-shard migration routing, a move-only rebalance, the
+//! result-delta changelog, and the aggregated counter/I-O report.
 //!
 //! The demo checks itself and exits non-zero on a mismatch: at every
-//! tick the merged answer must equal the brute-force intersection set,
-//! and the changelog must name every pair that joined or left it.
+//! tick the answer must equal the brute-force intersection set, the
+//! changelog must name every pair that joined or left it, and the
+//! rebalance must leave the answer and the traversal counters alone.
 //!
 //! Run with `cargo run --release --example shard_demo`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine, PairKey};
+use cij::core::{ContinuousJoinEngine, EngineConfig, MtbPair, PairKey};
 use cij::join::brute::brute_pairs_at;
 use cij::shard::{ShardCoordinator, VelocityBandPolicy};
 use cij::storage::{BufferPool, BufferPoolConfig, InMemoryStore};
@@ -43,27 +45,19 @@ fn main() -> TprResult<()> {
     };
 
     let policy = Arc::new(VelocityBandPolicy::new(4, params.max_speed));
-    let mut coordinator = ShardCoordinator::with_factory(
-        pool,
-        config,
-        policy,
-        &set_a,
-        &set_b,
-        0.0,
-        Arc::new(|pool, cfg, a, b, now| Ok(Box::new(MtbEngine::new(pool, *cfg, a, b, now)?))),
-    )?;
+    let mut coordinator =
+        ShardCoordinator::<MtbPair>::new(pool, config, policy, &set_a, &set_b, 0.0)?;
     println!(
-        "{} over {} velocity bands: {} shard-pair engines",
+        "{} over {} velocity bands: {} MTB index pairs",
         coordinator.name(),
         coordinator.shard_count(),
         coordinator.engine_count(),
     );
 
-    // The coordinator merges every shard-pair engine's ResultBuffer
-    // deltas into one globally deduplicated changelog — the same feed
-    // the cij-stream subscription path consumes. It is a *dirty list*:
-    // every pair whose membership may have changed, which the consumer
-    // rechecks.
+    // One ResultBuffer behind all partitions, and its changelog — the
+    // same feed the cij-stream subscription path consumes. It is a
+    // *dirty list*: every pair whose membership may have changed, which
+    // the consumer rechecks.
     coordinator.enable_delta_tracking();
     coordinator.run_initial_join(0.0)?;
     let mut stream = UpdateStream::new(&params, &set_a, &set_b, 0.0);
@@ -98,6 +92,25 @@ fn main() -> TprResult<()> {
         }
         added += adds;
         removed += removes;
+        if tick == 15 {
+            // Re-partition mid-run into three bands: the slow cluster
+            // halved, the fast one on its own. Objects only move between
+            // partitions; no probe runs.
+            let counters = coordinator.counters();
+            let edges = vec![0.15 * params.max_speed, 0.5 * params.max_speed];
+            let moved =
+                coordinator.rebalance_to(Arc::new(VelocityBandPolicy::from_edges(edges)), now)?;
+            if coordinator.counters() != counters
+                || checked_answer(&coordinator, &stream, now) != live
+            {
+                eprintln!("MISMATCH at t={now}: the rebalance moved the answer or probed");
+                std::process::exit(1);
+            }
+            println!(
+                "t={now:>4}: rebalanced to {} bands, {moved} objects moved, answer unchanged",
+                coordinator.shard_count()
+            );
+        }
         if tick % 10 == 0 {
             println!(
                 "t={now:>4}: {:>3} pairs live, +{adds} -{removes} this tick \
@@ -110,16 +123,16 @@ fn main() -> TprResult<()> {
         previous = live;
     }
     println!("answer over 30 ticks: +{added} -{removed} pairs");
-    println!("merged answer ≡ brute-force oracle at every tick through t=30");
+    println!("answer ≡ brute-force oracle at every tick through t=30");
 
-    // The aggregated diagnostics: per-pair counters, shard populations,
+    // The aggregated diagnostics: traversal totals, shard populations,
     // and the shared pool's I/O.
     let report = coordinator.report();
     println!("\n{report}");
 
-    // The unified metrics view of the same run — per-pair traversal
-    // counters, per-shard population gauges, migrations, and the shared
-    // pool's live I/O counters — in Prometheus text exposition.
+    // The unified metrics view of the same run — traversal totals,
+    // per-shard population gauges, migrations, and the shared pool's live
+    // I/O counters — in Prometheus text exposition.
     if let Some(metrics) = &report.metrics {
         println!(
             "\nmetrics snapshot ({} counters, {} gauges):",
