@@ -36,10 +36,12 @@ use crate::result::{PairKey, PairStatus, ResultBuffer};
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
 /// joins between them. An implementation decides which index holds the
 /// objects, the time window of every join run and the kernel that
-/// answers it; the engine owns the protocol around those calls.
-pub trait IndexPair: Sized {
+/// answers it; the engine owns the protocol around those calls. Probes
+/// only read the pair, so a pair is `Sync`: a partitioned one probes its
+/// partitions from several threads at once.
+pub trait IndexPair: Sized + Sync {
     /// What [`empty`](Self::empty) is configured from.
-    type Config;
+    type Config: Sync;
 
     /// Algorithm name as used in the paper's figures.
     const NAME: &'static str;
@@ -122,6 +124,32 @@ pub trait IndexPair: Sized {
         hits: &mut Vec<ProbeHit>,
     ) -> TprResult<()>;
 
+    /// Phase 2 of a tick, both sides in one call: `probes[0]` (side A)
+    /// and `probes[1]` (side B), each joined against the other side's
+    /// index, hits appended to `hits[0]` and `hits[1]`. The default is one
+    /// [`probe`](Self::probe) per side that has probes. A pair whose
+    /// joins can run together overrides it — the shard crate's
+    /// partitions on a fan-out, a remote partition in one round trip —
+    /// and keeps the default's hits and counters.
+    fn probe_sides(
+        &self,
+        probes: [&[MovingRect]; 2],
+        now: Time,
+        scratch: &mut JoinScratch,
+        counters: &mut JoinCounters,
+        hits: &mut [Vec<ProbeHit>; 2],
+    ) -> TprResult<()> {
+        for (set, (probes, hits)) in [SetTag::A, SetTag::B]
+            .into_iter()
+            .zip(probes.iter().zip(hits))
+        {
+            if !probes.is_empty() {
+                self.probe(set, probes, now, scratch, counters, hits)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Turns the [`probe`](Self::probe) hits the engine is about to
     /// buffer into answers, for pairs whose index only *filters*
     /// (rewrite an interval in place, or drop the hit). Hits superseded
@@ -182,7 +210,8 @@ struct TickProbes {
     /// Phase 1's side of each applied update, in batch order.
     sides: Vec<SetTag>,
     scratch: JoinScratch,
-    hits: Vec<ProbeHit>,
+    /// Per side: the hits of its probes.
+    hits: [Vec<ProbeHit>; 2],
 }
 
 impl TickProbes {
@@ -219,8 +248,8 @@ impl TickProbes {
 /// order** — so the indexes end up as the very pages the per-update loop
 /// would have written — drops the updated objects' pairs, and keeps one
 /// probe per updated id. Phase 2 joins the probes of each side against
-/// the other side's index in one [`IndexPair::probe`] call and adds the
-/// hits to the buffer.
+/// the other side's index in one [`IndexPair::probe_sides`] call and adds
+/// the hits to the buffer.
 ///
 /// Three rules make the buffer equal to the loop's, bit for bit:
 /// mutation order is kept (above); an id updated twice probes only with
@@ -294,14 +323,21 @@ impl<I: IndexPair> BufferedEngine<I> {
             hits,
             ..
         } = &mut self.probes;
+        if mbrs.iter().all(Vec::is_empty) {
+            return Ok(());
+        }
+        for side_hits in hits.iter_mut() {
+            side_hits.clear();
+        }
+        let [probes_a, probes_b] = &*mbrs;
+        self.index
+            .probe_sides([probes_a, probes_b], now, scratch, &mut self.counters, hits)?;
         for set in [SetTag::A, SetTag::B] {
             let (s, o) = (side(set), 1 - side(set));
             if mbrs[s].is_empty() {
                 continue;
             }
-            hits.clear();
-            self.index
-                .probe(set, &mbrs[s], now, scratch, &mut self.counters, hits)?;
+            let hits = &mut hits[s];
             hits.retain(|&(p, partner, _)| {
                 let partner_is_later = slot[o]
                     .get(&partner)

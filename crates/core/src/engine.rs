@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 
-use cij_geom::{in_range, MovingRect, Time, INFINITE_TIME};
+use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{tp_join, tp_object_probe, JoinCounters, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
@@ -175,9 +175,7 @@ pub trait ContinuousJoinEngine {
     /// would leave. The default is that loop.
     /// [`BufferedEngine`](crate::BufferedEngine) runs the tick in two
     /// phases instead — every index mutation first, then one probe of the
-    /// whole batch per side — and the dist worker hands its engine
-    /// consecutive updates as one batch ([`apply_op_runs`]), so every
-    /// stack shares the traversals.
+    /// whole batch per side — so every stack shares the traversals.
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
         for u in updates {
             self.apply_update(u, now)?;
@@ -189,9 +187,8 @@ pub trait ContinuousJoinEngine {
     /// must be `now`) and joins it against the other side, adding the
     /// discovered pairs to the answer. Together with
     /// [`remove_object`](Self::remove_object) this is exactly one half
-    /// of [`apply_update`](Self::apply_update), split so a router (the
-    /// dist coordinator's) can migrate an object across engines as
-    /// delete-here + insert-there within a single logical update. Engines
+    /// of [`apply_update`](Self::apply_update); the stream service
+    /// retires objects through the other half. Engines
     /// without an interval result buffer (ETP) return
     /// [`cij_tpr::TprError::Unsupported`].
     fn insert_object(
@@ -208,8 +205,8 @@ pub trait ContinuousJoinEngine {
 
     /// Deregisters object `id` from side `set` (located via its current
     /// trajectory `old_mbr` registered at `last_update`) and drops every
-    /// result pair involving it. The other half of a routed migration —
-    /// see [`insert_object`](Self::insert_object).
+    /// result pair involving it. The other half of
+    /// [`insert_object`](Self::insert_object).
     fn remove_object(
         &mut self,
         _set: SetTag,
@@ -323,105 +320,9 @@ pub trait ContinuousJoinEngine {
     fn publish_metrics(&self) {}
 }
 
-/// One operation a router (the dist coordinator's) projects onto an inner
-/// engine; also the op of the dist wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineOp {
-    /// A same-shard trajectory update.
-    Apply(ObjectUpdate),
-    /// The insert half of a cross-shard migration (or a routed insert).
-    Insert {
-        /// Side the object joins.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// Its new trajectory.
-        mbr: MovingRect,
-    },
-    /// The delete half of a migration (or an object retirement).
-    Remove {
-        /// Side the object leaves.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// The trajectory currently registered for it.
-        old_mbr: MovingRect,
-        /// When that trajectory was registered.
-        last_update: Time,
-    },
-}
-
-impl EngineOp {
-    /// Whether the op's trajectories are
-    /// [sound from](MovingRect::is_sound_from) `now` and its timestamps
-    /// [in range](in_range) — what the engines assume of an op and assert
-    /// on, so an op decoded from a socket or a journal is held against it
-    /// first.
-    #[must_use]
-    pub fn is_sound_at(&self, now: Time) -> bool {
-        match self {
-            Self::Apply(u) => {
-                in_range(u.last_update)
-                    && u.old_mbr.is_sound_from(now)
-                    && u.new_mbr.is_sound_from(now)
-            }
-            Self::Insert { mbr, .. } => mbr.is_sound_from(now),
-            Self::Remove {
-                old_mbr,
-                last_update,
-                ..
-            } => in_range(*last_update) && old_mbr.is_sound_from(now),
-        }
-    }
-
-    /// Applies this one op to `engine` at `now`.
-    pub fn apply(&self, engine: &mut dyn ContinuousJoinEngine, now: Time) -> TprResult<()> {
-        match self {
-            Self::Apply(u) => engine.apply_update(u, now),
-            Self::Insert { set, id, mbr } => engine.insert_object(*set, *id, *mbr, now),
-            Self::Remove {
-                set,
-                id,
-                old_mbr,
-                last_update,
-            } => engine.remove_object(*set, *id, old_mbr, *last_update, now),
-        }
-    }
-}
-
-/// Applies one engine's op list of a tick in order, handing every maximal
-/// run of consecutive trajectory updates to
-/// [`apply_batch`](ContinuousJoinEngine::apply_batch) as one batch, so an
-/// engine behind a router (a dist worker) shares probe traversals
-/// exactly like a directly driven one. Every other op is
-/// applied on its own, between the runs it separates.
-pub fn apply_op_runs(
-    engine: &mut dyn ContinuousJoinEngine,
-    ops: &[EngineOp],
-    now: Time,
-) -> TprResult<()> {
-    let mut run: Vec<ObjectUpdate> = Vec::new();
-    for op in ops {
-        if let EngineOp::Apply(u) = op {
-            run.push(*u);
-            continue;
-        }
-        if !run.is_empty() {
-            engine.apply_batch(&run, now)?;
-            run.clear();
-        }
-        op.apply(engine, now)?;
-    }
-    if !run.is_empty() {
-        engine.apply_batch(&run, now)?;
-    }
-    Ok(())
-}
-
 /// Mirrors an engine's [`JoinCounters`] and page-format totals into
-/// `registry` (the shared body of every `publish_metrics` impl; public so
-/// engine wrappers can reuse it for their aggregated totals).
-pub fn publish_engine_totals(
+/// `registry` (the shared body of every `publish_metrics` impl).
+pub(crate) fn publish_engine_totals(
     registry: &MetricsRegistry,
     counters: JoinCounters,
     page_format: Option<CacheSnapshot>,

@@ -93,10 +93,7 @@ pub use buffered::{
     self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine,
     TcPair, TprPair,
 };
-pub use engine::{
-    apply_op_runs, publish_engine_totals, ContinuousJoinEngine, EngineConfig, EngineConfigBuilder,
-    EngineOp, EtpEngine,
-};
+pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;
 pub use result::{PairKey, PairStatus, ResultBuffer};
 pub use sim::{run_simulation, SimMetrics};

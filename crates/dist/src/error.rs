@@ -11,7 +11,7 @@ pub type DistResult<T> = Result<T, DistError>;
 #[derive(Debug)]
 pub enum DistError {
     /// The deployment was mis-specified (e.g. the connector count is
-    /// not the policy's K² shard pairs).
+    /// not the policy's K shards).
     Config(String),
     /// The peer's bytes were rejected before interpretation (bad magic,
     /// version mismatch, corrupt frame or payload).
@@ -29,12 +29,12 @@ pub enum DistError {
     /// The worker could not be reached within the configured reconnect
     /// budget.
     WorkerUnavailable {
-        /// Slot index of the unreachable worker.
+        /// Shard index of the unreachable worker.
         slot: usize,
         /// Connection attempts spent before giving up.
         attempts: u32,
     },
-    /// The worker reached its engine but the engine refused the
+    /// The worker reached its index pair but the pair refused the
     /// operation (the worker ships the rendered [`TprError`] back).
     Worker(String),
     /// The peer answered with a response of the wrong kind — a protocol
@@ -60,7 +60,7 @@ impl std::fmt::Display for DistError {
             Self::WorkerUnavailable { slot, attempts } => {
                 write!(f, "worker {slot} unavailable after {attempts} attempts")
             }
-            Self::Worker(msg) => write!(f, "worker-side engine error: {msg}"),
+            Self::Worker(msg) => write!(f, "worker-side index error: {msg}"),
             Self::UnexpectedResponse { expected, got } => {
                 write!(f, "expected {expected} response, got {got}")
             }

@@ -1,37 +1,40 @@
 //! `cij-dist` — coordinator/worker distributed deployment of the
-//! sharded continuous intersection join.
+//! partitioned continuous intersection join.
 //!
-//! The paper's join splits cleanly into K×K state-disjoint shard-pair
-//! engines (one per A-shard × B-shard of `cij-shard`'s partitions)
-//! whose merged answer equals the single engine's. This crate runs
-//! those engines out of process:
+//! The shard crate files every object in exactly one of K partitions and
+//! runs one buffered engine over them. This crate moves the partitions
+//! out of process, one worker per partition, and keeps the engine — its
+//! router, its result buffer, its maintenance protocol — on the
+//! coordinator:
 //!
-//! - a [`ShardWorker`] owns one shard-pair [`ContinuousJoinEngine`](cij_core::ContinuousJoinEngine),
+//! - a [`ShardWorker`] owns one partition's index pair (TC or MTB),
 //!   journals every mutating request to its own WAL *before* applying
 //!   it, and keeps a response outbox keyed by sequence number — so it
 //!   applies each request exactly once under at-least-once delivery and
-//!   rebuilds both engine and outbox on restart;
-//! - a [`DistCoordinator`] routes object updates through a
-//!   [`PartitionPolicy`](cij_shard::PartitionPolicy) and the shard
-//!   router's row/column fan-out, drives every worker in lockstep with
-//!   one [`Step`](protocol::Request::Step) per tick — the workers of a
-//!   round called concurrently, over [`cij_join::fan_out_tasks`] — and
-//!   merges the workers' drained result
-//!   changes in slot order — implementing
-//!   `ContinuousJoinEngine` itself, so it wraps in the same
-//!   `StreamService` as any local engine;
+//!   rebuilds both index and outbox on restart;
+//! - a [`RemotePair`] is a worker behind the `IndexPair` seam: it queues
+//!   the index mutations the coordinator's phase 1 routes to it and runs
+//!   phase 2 as one journaled [`Step`](protocol::Request::Step) — those
+//!   mutations plus both sides' probes — answered by hits and traversal
+//!   counters;
+//! - a [`DistCoordinator`] is the shard coordinator over K remote
+//!   pairs: every round goes to all workers at once, over
+//!   [`cij_join::fan_out_tasks`], and every read (`result_at`,
+//!   `pair_status_at`, `counters`, the change list) is answered from the
+//!   coordinator's one result buffer with no RPC. It implements
+//!   `ContinuousJoinEngine`, so it wraps in the same `StreamService` as
+//!   any local engine;
 //! - the [`Transport`] seam is pluggable: an in-process [`loopback`]
 //!   with deterministic kill/restart fault injection for the
 //!   differential suite, and a length+CRC32-framed [`tcp`] transport
 //!   (plus the `shard_worker` binary) for real multi-process runs.
 //!
-//! The headline property, pinned by the crate's differential tests: the
-//! merged delta stream a `StreamService` emits over a
-//! `DistCoordinator` is **bit-identical** to the one it emits over a
-//! single-process `ShardCoordinator` with the same policy — including
-//! runs where a worker is killed mid-stream and recovers from its WAL,
-//! and runs where the worker's WAL is lost and the coordinator resyncs
-//! it by replaying its retained request history.
+//! Pinned by the crate's differential tests: the delta stream a
+//! `StreamService` emits over a `DistCoordinator` is the one it emits
+//! over a single-process `ShardCoordinator` with the same policy —
+//! including runs where a worker is killed mid-stream and recovers from
+//! its WAL, and runs where the worker's WAL is lost and the coordinator
+//! resyncs it by replaying its retained request history.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -40,12 +43,14 @@ mod coordinator;
 mod error;
 pub mod loopback;
 pub mod protocol;
+mod remote;
 pub mod tcp;
 mod transport;
 mod worker;
 
 pub use coordinator::{joinable_pairs, DistConfig, DistCoordinator};
 pub use error::{DistError, DistResult};
-pub use protocol::{EngineKind, Request, Response};
+pub use protocol::{EngineKind, IndexOp, Request, Response};
+pub use remote::{RemoteConfig, RemotePair};
 pub use transport::{Connector, Transport};
-pub use worker::{build_engine, ShardWorker};
+pub use worker::ShardWorker;

@@ -69,7 +69,7 @@ impl LoopbackHost {
         }))
     }
 
-    /// Crashes the worker process: in-memory engine, outbox and
+    /// Crashes the worker process: in-memory index, outbox and
     /// sequence state are gone; the WAL (if any) survives.
     pub fn kill(&self) {
         let mut inner = self.inner.lock();

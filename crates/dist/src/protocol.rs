@@ -10,39 +10,36 @@
 //! # Exactly-once application over at-least-once delivery
 //!
 //! Mutating requests carry a coordinator-assigned sequence number,
-//! strictly increasing per worker (the coordinator draws them from one
-//! global counter, so a worker sees gaps — only the order matters). A
-//! worker journals each mutating request to its WAL *before* applying
-//! it and remembers the response in an outbox keyed by sequence number.
+//! strictly increasing per worker (each worker's link counts its own,
+//! and a number is never reused, acknowledged or not). A worker journals
+//! each mutating request to its WAL *before* applying it and remembers
+//! the response in an outbox keyed by sequence number.
 //! A request with `seq ≤ last_applied` is **not** re-applied — the
 //! cached response is returned — so the coordinator may resend freely
 //! after a reconnect. [`Request::Step`] piggybacks `ack_through`, the
 //! highest sequence number whose response the coordinator has safely
 //! consumed; the worker prunes its outbox up to it.
 
-use cij_core::{EngineOp, PairKey, PairStatus};
-use cij_geom::Time;
-use cij_join::JoinCounters;
+use cij_geom::{in_range, MovingRect, Time};
+use cij_join::{JoinCounters, ProbeHit};
 use cij_stream::wire_enum;
-use cij_workload::MovingObject;
+use cij_tpr::ObjectId;
+use cij_workload::SetTag;
 
-/// Which engine a worker should build at [`Request::Init`].
+/// Which index pair a worker builds at [`Request::Init`].
 ///
 /// ETP is excluded by construction (it predicts no intervals, so it
 /// cannot feed bit-identical delta streams).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// NaiveJoin (§II-C).
-    Naive,
-    /// Time-constrained processing (§IV).
+    /// Time-constrained processing on TPR-trees (§IV-B).
     Tc,
-    /// TC + MTB-trees (§V) — the paper's headline engine.
+    /// TC + MTB-trees (§IV-C) — the paper's headline engine.
     Mtb,
 }
 
 wire_enum! {
     impl Wire for EngineKind, "engine kind" {
-        1 => Naive,
         2 => Tc,
         3 => Mtb,
     }
@@ -53,10 +50,76 @@ impl EngineKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::Naive => "NaiveJoin",
             Self::Tc => "TC",
             Self::Mtb => "TC+MTB",
         }
+    }
+}
+
+/// One mutation of a worker's index pair, in the order the coordinator's
+/// phase 1 made it: the arguments of one
+/// [`IndexPair::insert`](cij_core::IndexPair::insert) or
+/// [`IndexPair::remove`](cij_core::IndexPair::remove) call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum IndexOp {
+    /// Registers an object.
+    Insert {
+        /// Side the object joins.
+        set: SetTag,
+        /// The object.
+        id: ObjectId,
+        /// Its trajectory.
+        mbr: MovingRect,
+        /// When the trajectory was registered (the MTB bucket it is filed
+        /// under).
+        registered_at: Time,
+        /// When the insert ran.
+        now: Time,
+    },
+    /// Deregisters an object.
+    Remove {
+        /// Side the object leaves.
+        set: SetTag,
+        /// The object.
+        id: ObjectId,
+        /// The trajectory registered for it.
+        old_mbr: MovingRect,
+        /// When that trajectory was registered.
+        last_update: Time,
+        /// When the remove ran.
+        now: Time,
+    },
+}
+
+wire_enum! {
+    impl Wire for IndexOp, "index op" {
+        1 => Insert { set: SetTag, id: ObjectId, mbr: MovingRect, registered_at: Time, now: Time },
+        2 => Remove { set: SetTag, id: ObjectId, old_mbr: MovingRect, last_update: Time, now: Time },
+    }
+}
+
+impl IndexOp {
+    /// Whether the op's times are [in range](in_range) and its
+    /// trajectory [sound from](MovingRect::is_sound_from) the time it ran
+    /// — what the indexes assume and assert on, so an op decoded from a
+    /// socket or a journal is held against it first.
+    #[must_use]
+    pub fn is_sound(&self) -> bool {
+        let (mbr, at, now) = match self {
+            Self::Insert {
+                mbr,
+                registered_at,
+                now,
+                ..
+            } => (mbr, registered_at, now),
+            Self::Remove {
+                old_mbr,
+                last_update,
+                now,
+                ..
+            } => (old_mbr, last_update, now),
+        };
+        in_range(*at) && in_range(*now) && mbr.is_sound_from(*now)
     }
 }
 
@@ -67,39 +130,23 @@ wire_enum! {
         /// Connection handshake; the worker answers with its high-water
         /// sequence number so the coordinator knows what to replay.
         0x10 => Hello,
-        /// Builds the worker's engine over its shard-pair subsets.
+        /// Builds the worker's index pair and registers its partition's
+        /// initial objects.
         0x11 => Init {
             /// Sequence number (see the module docs).
             seq: u64,
-            /// Engine to build.
+            /// Index pair to build.
             engine: EngineKind,
             /// Maximum update interval `T_M`.
             t_m: Time,
             /// MTB bucket granularity.
             buckets_per_tm: u32,
-            /// The worker's A-side subset.
-            set_a: Vec<MovingObject>,
-            /// The worker's B-side subset.
-            set_b: Vec<MovingObject>,
-            /// Engine start time.
-            start: Time,
+            /// The partition's initial registrations, in order.
+            ops: Vec<IndexOp>,
         },
-        /// Turns on result-change tracking.
-        0x12 => Track {
-            /// Sequence number.
-            seq: u64,
-        },
-        /// Runs the initial join at `now` (phase 1 of §II-A).
-        0x13 => Start {
-            /// Sequence number.
-            seq: u64,
-            /// Initial-join time.
-            now: Time,
-        },
-        /// One tick: advance the clock, apply the projected ops in order,
-        /// garbage-collect, and drain the engine's result changes into the
-        /// ack. Sent every tick — empty `ops` included — so the worker's
-        /// engine sees exactly the single-process call cadence.
+        /// One phase-2 round: apply the queued mutations in order, then
+        /// join each side's probes against the other side's index over
+        /// the pair's window at `now`.
         0x14 => Step {
             /// Sequence number.
             seq: u64,
@@ -107,35 +154,13 @@ wire_enum! {
             now: Time,
             /// Outbox entries up to this sequence number may be pruned.
             ack_through: u64,
-            /// The ops projected onto this worker, in application order.
-            ops: Vec<EngineOp>,
+            /// The partition's mutations since the last round, in order.
+            ops: Vec<IndexOp>,
+            /// Side A's probes (trajectories registered at `now`).
+            probes_a: Vec<MovingRect>,
+            /// Side B's probes.
+            probes_b: Vec<MovingRect>,
         },
-        /// Applies one op *without* the tick bundle (no advance, no gc, no
-        /// change drain) — the wire mirror of a direct
-        /// `insert_object`/`remove_object` trait call, whose result-buffer
-        /// changes must stay queued until the next tick's drain.
-        0x15 => Immediate {
-            /// Sequence number.
-            seq: u64,
-            /// The operation time.
-            now: Time,
-            /// The operation.
-            op: EngineOp,
-        },
-        /// Reads one pair's activity at `t`.
-        0x16 => PairStatusAt {
-            /// The pair, oriented (A-object, B-object).
-            pair: PairKey,
-            /// The queried instant.
-            t: Time,
-        },
-        /// Reads the worker's full answer at `t`.
-        0x17 => ResultAt {
-            /// The queried instant.
-            t: Time,
-        },
-        /// Reads the worker's accumulated traversal counters.
-        0x18 => Counters,
         /// Liveness probe; echoed back in [`Response::Pong`].
         0x19 => Ping {
             /// Echo payload.
@@ -152,11 +177,7 @@ impl Request {
     #[must_use]
     pub fn seq(&self) -> Option<u64> {
         match self {
-            Self::Init { seq, .. }
-            | Self::Track { seq }
-            | Self::Start { seq, .. }
-            | Self::Step { seq, .. }
-            | Self::Immediate { seq, .. } => Some(*seq),
+            Self::Init { seq, .. } | Self::Step { seq, .. } => Some(*seq),
             _ => None,
         }
     }
@@ -171,25 +192,22 @@ wire_enum! {
             /// Highest sequence number the worker has applied (0 = fresh).
             last_applied: u64,
         },
-        /// A mutating request (other than a step) was applied.
+        /// An `Init` was applied.
         0x31 => Ack {
             /// The applied request's sequence number.
             seq: u64,
         },
-        /// A tick was applied; carries the drained result changes.
+        /// A round was applied; carries its hits and traversal work.
         0x32 => StepAck {
             /// The step's sequence number.
             seq: u64,
-            /// The engine's drained result changes (sorted), or `None` if
-            /// the engine does not track changes.
-            changes: Option<Vec<PairKey>>,
+            /// Hits of side A's probes: (probe index, B-object, interval).
+            hits_a: Vec<ProbeHit>,
+            /// Hits of side B's probes: (probe index, A-object, interval).
+            hits_b: Vec<ProbeHit>,
+            /// The probes' traversal counters.
+            counters: JoinCounters,
         },
-        /// A pair's activity.
-        0x33 => Status(status: PairStatus),
-        /// A full answer snapshot (sorted).
-        0x34 => Pairs(pairs: Vec<PairKey>),
-        /// Accumulated traversal counters.
-        0x35 => CountersAck(counters: JoinCounters),
         /// Liveness echo.
         0x36 => Pong {
             /// The pinged nonce.
@@ -197,8 +215,8 @@ wire_enum! {
         },
         /// Shutdown acknowledged; the worker exits after sending this.
         0x37 => Bye,
-        /// The worker reached its engine but the operation failed (the
-        /// rendered engine error). Deterministic — resending will fail the
+        /// The worker reached its index pair but the operation failed
+        /// (the rendered error). Deterministic — resending will fail the
         /// same way — so the coordinator must not retry.
         0x38 => Fail {
             /// The rendered error.

@@ -1,98 +1,149 @@
-//! The shard worker: one shard-pair engine, a request WAL, and a
+//! The shard worker: one partition's index pair, a request WAL, and a
 //! response outbox, behind any [`Transport`](crate::Transport).
 //!
 //! A worker is a deterministic request-application machine. Mutating
 //! requests ([`Request::seq`] = `Some`) are journaled to the worker's
-//! WAL *before* they touch the engine; restart recovery replays the
+//! WAL *before* they touch the index; restart recovery replays the
 //! durable prefix through the very same dispatch path, rebuilding the
-//! engine **and** the outbox — so a restarted worker answers a resent
+//! index **and** the outbox — so a restarted worker answers a resent
 //! request with byte-identical content, which is what keeps the
-//! coordinator's merged delta stream bit-identical across worker
-//! crashes. A request whose sequence number was already applied is
-//! answered from the outbox without re-execution (exactly-once apply
-//! over at-least-once delivery).
+//! coordinator's answer bit-identical across worker crashes. A request
+//! whose sequence number was already applied is answered from the outbox
+//! without re-execution (exactly-once apply over at-least-once delivery).
+//!
+//! The worker holds no answer: the coordinator's one result buffer does.
+//! A [`Request::Step`] is phase 2 of a tick for this partition — its
+//! queued mutations, then both sides' probes against the indexes — and
+//! the hits go back in the [`Response::StepAck`].
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use cij_core::{
-    apply_op_runs, ContinuousJoinEngine, EngineConfig, EngineOp, MtbEngine, NaiveEngine, PairKey,
-    TcEngine,
-};
-use cij_geom::{in_range, Time};
+use cij_core::{EngineConfig, IndexPair, MtbPair, TcPair};
+use cij_geom::{in_range, MovingRect, Time};
+use cij_join::{JoinCounters, JoinScratch};
+use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
-use cij_tpr::{TprError, TprResult};
-use cij_workload::MovingObject;
+use cij_tpr::TprResult;
 
 use crate::error::{DistError, DistResult};
-use crate::protocol::{EngineKind, Request, Response};
+use crate::protocol::{EngineKind, IndexOp, Request, Response};
 
-/// Builds a worker's engine from the parameters shipped in
-/// [`Request::Init`]. Each worker owns a private in-memory page store —
-/// the distributed deployment's point is that workers share *nothing*.
-///
-/// # Errors
-/// [`TprError::Unsupported`] for parameters no engine can be built from
-/// (they arrive from the wire or the journal, and the MTB-tree asserts on
-/// them); the engine constructors' own errors otherwise.
-pub fn build_engine(
-    kind: EngineKind,
-    t_m: Time,
-    buckets_per_tm: u32,
-    set_a: &[MovingObject],
-    set_b: &[MovingObject],
-    start: Time,
-) -> TprResult<Box<dyn ContinuousJoinEngine + Send>> {
-    if !(start.is_finite() && t_m.is_finite() && t_m > 0.0 && buckets_per_tm >= 1) {
-        return Err(TprError::Unsupported {
-            what: format!(
-                "engine parameters start={start}, t_m={t_m}, buckets_per_tm={buckets_per_tm}: \
-                 need a finite start, a finite t_m > 0 and at least one bucket per t_m"
-            ),
-        });
-    }
-    let pool = BufferPool::new(
-        Arc::new(InMemoryStore::new()),
-        BufferPoolConfig::with_capacity(1024),
-    );
-    let config = EngineConfig::builder()
-        .t_m(t_m)
-        .buckets_per_tm(buckets_per_tm)
-        .build();
-    Ok(match kind {
-        EngineKind::Naive => Box::new(NaiveEngine::new(pool, config, set_a, set_b, start)?),
-        EngineKind::Tc => Box::new(TcEngine::new(pool, config, set_a, set_b, start)?),
-        EngineKind::Mtb => Box::new(MtbEngine::new(pool, config, set_a, set_b, start)?),
-    })
+/// The index pair a worker holds: the one [`Request::Init`] named.
+enum WorkerPair {
+    Tc(TcPair),
+    Mtb(MtbPair),
 }
 
-/// Whether `req`'s times and trajectories can be handed to an engine. The
-/// engines assume what a well-behaved coordinator sends and assert on it;
-/// a socket or a journal promises nothing.
+impl WorkerPair {
+    /// Builds `kind` over a private in-memory page store — the
+    /// distributed deployment's point is that workers share *nothing*.
+    /// `None` for parameters no index can be built from (they arrive from
+    /// the wire or the journal, and the MTB-tree asserts on them).
+    fn build(kind: EngineKind, t_m: Time, buckets_per_tm: u32) -> Option<Self> {
+        if !(t_m.is_finite() && t_m > 0.0 && buckets_per_tm >= 1) {
+            return None;
+        }
+        let pool = BufferPool::new(
+            Arc::new(InMemoryStore::new()),
+            BufferPoolConfig::with_capacity(1024),
+        );
+        let config = EngineConfig::builder()
+            .t_m(t_m)
+            .buckets_per_tm(buckets_per_tm)
+            .build();
+        let obs = MetricsRegistry::disabled();
+        Some(match kind {
+            EngineKind::Tc => Self::Tc(TcPair::empty(&pool, &config, &obs)),
+            EngineKind::Mtb => Self::Mtb(MtbPair::empty(&pool, &config, &obs)),
+        })
+    }
+
+    /// Applies `ops` in order, then — when `probes` is `Some` — joins
+    /// both sides' probes at `now` into a [`Response::StepAck`].
+    fn run(
+        &mut self,
+        seq: u64,
+        ops: &[IndexOp],
+        probes: Option<([&[MovingRect]; 2], Time)>,
+        scratch: &mut JoinScratch,
+    ) -> TprResult<Response> {
+        match self {
+            Self::Tc(pair) => Self::run_on(pair, seq, ops, probes, scratch),
+            Self::Mtb(pair) => Self::run_on(pair, seq, ops, probes, scratch),
+        }
+    }
+
+    fn run_on<P: IndexPair>(
+        pair: &mut P,
+        seq: u64,
+        ops: &[IndexOp],
+        probes: Option<([&[MovingRect]; 2], Time)>,
+        scratch: &mut JoinScratch,
+    ) -> TprResult<Response> {
+        for op in ops {
+            match *op {
+                IndexOp::Insert {
+                    set,
+                    id,
+                    mbr,
+                    registered_at,
+                    now,
+                } => pair.insert(set, id, mbr, registered_at, now)?,
+                IndexOp::Remove {
+                    set,
+                    id,
+                    old_mbr,
+                    last_update,
+                    now,
+                } => pair.remove(set, id, &old_mbr, last_update, now)?,
+            }
+        }
+        let Some((probes, now)) = probes else {
+            return Ok(Response::Ack { seq });
+        };
+        let mut counters = JoinCounters::new();
+        let mut hits = [Vec::new(), Vec::new()];
+        pair.probe_sides(probes, now, scratch, &mut counters, &mut hits)?;
+        let [hits_a, hits_b] = hits;
+        Ok(Response::StepAck {
+            seq,
+            hits_a,
+            hits_b,
+            counters,
+        })
+    }
+}
+
+/// Whether `req`'s times and trajectories can be handed to an index.
+/// The indexes assume what a well-behaved coordinator sends and assert on
+/// it; a socket or a journal promises nothing.
 fn is_sound(req: &Request) -> bool {
     match req {
-        Request::Init {
-            set_a,
-            set_b,
-            start,
+        Request::Init { ops, .. } => ops.iter().all(IndexOp::is_sound),
+        Request::Step {
+            now,
+            ops,
+            probes_a,
+            probes_b,
             ..
-        } => set_a
-            .iter()
-            .chain(set_b)
-            .all(|o| o.mbr.is_sound_from(*start)),
-        Request::Start { now, .. } => in_range(*now),
-        Request::Step { now, ops, .. } => {
-            in_range(*now) && ops.iter().all(|op| op.is_sound_at(*now))
+        } => {
+            in_range(*now)
+                && ops.iter().all(IndexOp::is_sound)
+                && probes_a
+                    .iter()
+                    .chain(probes_b)
+                    .all(|p| p.is_sound_from(*now))
         }
-        Request::Immediate { now, op, .. } => op.is_sound_at(*now),
         _ => true,
     }
 }
 
-/// One worker: engine, WAL, outbox (see the module docs).
+/// One worker: index pair, WAL, outbox (see the module docs).
 pub struct ShardWorker {
-    engine: Option<Box<dyn ContinuousJoinEngine + Send>>,
+    pair: Option<WorkerPair>,
+    scratch: JoinScratch,
     wal: Option<Wal>,
     last_applied: u64,
     outbox: BTreeMap<u64, Response>,
@@ -109,7 +160,8 @@ impl ShardWorker {
     #[must_use]
     pub fn ephemeral() -> Self {
         Self {
-            engine: None,
+            pair: None,
+            scratch: JoinScratch::new(),
             wal: None,
             last_applied: 0,
             outbox: BTreeMap::new(),
@@ -121,7 +173,7 @@ impl ShardWorker {
     /// Opens (or creates) a durable worker at `wal_path`. If the WAL
     /// already holds records — the worker is restarting after a crash —
     /// the durable prefix is replayed through the normal dispatch path,
-    /// rebuilding engine, outbox and high-water sequence number. A torn
+    /// rebuilding index pair, outbox and high-water sequence number. A torn
     /// tail record is dropped (it was never acknowledged; the
     /// coordinator resends it).
     ///
@@ -166,7 +218,7 @@ impl ShardWorker {
 
     /// Dispatches one request. Never panics and never returns transport
     /// errors — every failure is a [`Response::Fail`] so the peer can
-    /// tell engine trouble from connection trouble.
+    /// tell index trouble from connection trouble.
     pub fn handle(&mut self, req: &Request) -> Response {
         match req.seq() {
             None => self.handle_readonly(req),
@@ -203,24 +255,6 @@ impl ShardWorker {
             Request::Hello => Response::HelloAck {
                 last_applied: self.last_applied,
             },
-            Request::PairStatusAt { pair, t } => Response::Status(
-                self.engine
-                    .as_ref()
-                    .map(|e| e.pair_status_at(*pair, *t))
-                    .unwrap_or_default(),
-            ),
-            Request::ResultAt { t } => Response::Pairs(
-                self.engine
-                    .as_ref()
-                    .map(|e| e.result_at(*t))
-                    .unwrap_or_default(),
-            ),
-            Request::Counters => Response::CountersAck(
-                self.engine
-                    .as_ref()
-                    .map(|e| e.counters())
-                    .unwrap_or_default(),
-            ),
             Request::Ping { nonce } => Response::Pong { nonce: *nonce },
             Request::Shutdown => Response::Bye,
             _ => Response::Fail {
@@ -229,7 +263,7 @@ impl ShardWorker {
         }
     }
 
-    /// Applies one journaled request. Engine errors become
+    /// Applies one journaled request. Index errors become
     /// [`Response::Fail`] and are still recorded in the outbox — the
     /// application is deterministic, so a replay or resend reproduces
     /// the same failure instead of silently diverging.
@@ -241,65 +275,41 @@ impl ShardWorker {
             );
             return Response::Fail { message };
         }
-        let ack = Response::Ack { seq };
         let outcome = match req {
             Request::Init {
                 engine,
                 t_m,
                 buckets_per_tm,
-                set_a,
-                set_b,
-                start,
+                ops,
                 ..
-            } => build_engine(*engine, *t_m, *buckets_per_tm, set_a, set_b, *start)
-                .map(|built| {
-                    self.engine = Some(built);
-                    ack
-                })
-                .map_err(|e| e.to_string()),
-            Request::Track { .. } => self.on_engine(req, |e| {
-                e.enable_delta_tracking();
-                Ok(ack)
-            }),
-            Request::Start { now, .. } => {
-                self.on_engine(req, |e| e.run_initial_join(*now).map(|()| ack))
-            }
-            Request::Step { now, ops, .. } => self.on_engine(req, |e| {
-                Self::step(e, *now, ops).map(|changes| Response::StepAck { seq, changes })
-            }),
-            Request::Immediate { now, op, .. } => {
-                self.on_engine(req, |e| op.apply(e, *now).map(|()| ack))
-            }
+            } => match WorkerPair::build(*engine, *t_m, *buckets_per_tm) {
+                Some(pair) => {
+                    let pair = self.pair.insert(pair);
+                    pair.run(seq, ops, None, &mut self.scratch)
+                        .map_err(|e| e.to_string())
+                }
+                None => Err(format!(
+                    "index parameters t_m={t_m}, buckets_per_tm={buckets_per_tm}: \
+                     need a finite t_m > 0 and at least one bucket per t_m"
+                )),
+            },
+            Request::Step {
+                now,
+                ops,
+                probes_a,
+                probes_b,
+                ..
+            } => match self.pair.as_mut() {
+                Some(pair) => {
+                    let probes = Some(([&probes_a[..], &probes_b[..]], *now));
+                    pair.run(seq, ops, probes, &mut self.scratch)
+                        .map_err(|e| e.to_string())
+                }
+                None => Err(format!("{} before Init", req.kind())),
+            },
             _ => Err(format!("{} reached the mutating path", req.kind())),
         };
         outcome.unwrap_or_else(|message| Response::Fail { message })
-    }
-
-    /// Runs `op` on the engine; the error (rendered, for
-    /// [`Response::Fail`]) is `op`'s, or that `req` came before any
-    /// [`Request::Init`] built one.
-    fn on_engine(
-        &mut self,
-        req: &Request,
-        op: impl FnOnce(&mut dyn ContinuousJoinEngine) -> TprResult<Response>,
-    ) -> Result<Response, String> {
-        match self.engine.as_mut() {
-            Some(engine) => op(engine.as_mut()).map_err(|e| e.to_string()),
-            None => Err(format!("{} before Init", req.kind())),
-        }
-    }
-
-    /// One tick, in exactly the single-process service order: advance
-    /// the clock, apply the ops, garbage-collect, drain the changes.
-    fn step(
-        engine: &mut dyn ContinuousJoinEngine,
-        now: Time,
-        ops: &[EngineOp],
-    ) -> TprResult<Option<Vec<PairKey>>> {
-        engine.advance_time(now)?;
-        apply_op_runs(engine, ops, now)?;
-        engine.gc(now);
-        Ok(engine.take_result_changes())
     }
 }
 
@@ -308,11 +318,15 @@ mod tests {
     use super::*;
     use cij_geom::{MovingRect, Rect};
     use cij_tpr::ObjectId;
+    use cij_workload::SetTag;
 
-    fn obj(id: u64, x: f64) -> MovingObject {
-        MovingObject {
+    fn insert(set: SetTag, id: u64, x: f64) -> IndexOp {
+        IndexOp::Insert {
+            set,
             id: ObjectId(id),
             mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
+            registered_at: 0.0,
+            now: 0.0,
         }
     }
 
@@ -322,9 +336,22 @@ mod tests {
             engine: EngineKind::Mtb,
             t_m: 20.0,
             buckets_per_tm: 4,
-            set_a: vec![obj(1, 0.0)],
-            set_b: vec![obj(2, 0.5)],
-            start: 0.0,
+            ops: vec![insert(SetTag::A, 1, 0.0), insert(SetTag::B, 2, 0.5)],
+        }
+    }
+
+    /// The round that joins A-object 1 against the B side.
+    fn step(seq: u64, ack_through: u64) -> Request {
+        let IndexOp::Insert { mbr, .. } = insert(SetTag::A, 1, 0.0) else {
+            unreachable!()
+        };
+        Request::Step {
+            seq,
+            now: 0.0,
+            ack_through,
+            ops: vec![],
+            probes_a: vec![mbr],
+            probes_b: vec![],
         }
     }
 
@@ -332,48 +359,32 @@ mod tests {
     fn duplicate_sequence_numbers_are_served_from_the_outbox() {
         let mut worker = ShardWorker::ephemeral();
         assert_eq!(worker.handle(&init(1)), Response::Ack { seq: 1 });
-        assert_eq!(
-            worker.handle(&Request::Track { seq: 2 }),
-            Response::Ack { seq: 2 }
-        );
-        assert_eq!(
-            worker.handle(&Request::Start { seq: 3, now: 0.0 }),
-            Response::Ack { seq: 3 }
-        );
-        let step = Request::Step {
-            seq: 4,
-            now: 1.0,
-            ops: vec![],
-            ack_through: 0,
-        };
-        let first = worker.handle(&step);
+        let first = worker.handle(&step(2, 1));
         let Response::StepAck {
-            seq: 4,
-            changes: Some(changes),
+            seq: 2,
+            hits_a,
+            hits_b,
+            ..
         } = &first
         else {
             panic!("unexpected {first:?}");
         };
-        assert_eq!(changes.len(), 1, "the initial join found (1, 2)");
+        assert_eq!(hits_a.len(), 1, "probe 0 meets B-object 2");
+        assert_eq!(hits_a[0].1, ObjectId(2));
+        assert!(hits_b.is_empty());
         // Resending the same step must not re-apply it.
-        assert_eq!(worker.handle(&step), first);
-        assert_eq!(worker.applied(), 4);
-        assert_eq!(worker.last_applied(), 4);
+        assert_eq!(worker.handle(&step(2, 1)), first);
+        assert_eq!(worker.applied(), 2);
+        assert_eq!(worker.last_applied(), 2);
     }
 
     #[test]
     fn ack_through_prunes_the_outbox() {
         let mut worker = ShardWorker::ephemeral();
         worker.handle(&init(1));
-        worker.handle(&Request::Track { seq: 2 });
-        worker.handle(&Request::Start { seq: 3, now: 0.0 });
-        assert_eq!(worker.outbox_len(), 3);
-        worker.handle(&Request::Step {
-            seq: 4,
-            now: 1.0,
-            ops: vec![],
-            ack_through: 3,
-        });
+        worker.handle(&step(2, 0));
+        assert_eq!(worker.outbox_len(), 2);
+        worker.handle(&step(3, 2));
         assert_eq!(worker.outbox_len(), 1, "only the unacked step remains");
     }
 

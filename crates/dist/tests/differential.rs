@@ -9,14 +9,17 @@
 //! by replaying its retained request history.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cij_core::{EngineConfig, MtbEngine};
 use cij_dist::loopback::LoopbackHost;
-use cij_dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
+use cij_dist::{
+    joinable_pairs, Connector, DistConfig, DistCoordinator, DistResult, EngineKind, IndexOp,
+    Request, Response, Transport,
+};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_obs::validate_prometheus;
-use cij_shard::{JoinPlan, PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
+use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriberId, SubscriptionFilter};
 use cij_tpr::ObjectId;
@@ -39,6 +42,70 @@ impl PartitionPolicy for HashPolicy {
     fn shard_of(&self, id: ObjectId, _mbr: &MovingRect) -> usize {
         (id.0 % self.0 as u64) as usize
     }
+}
+
+/// Every request one worker was sent.
+type Sent = Arc<Mutex<Vec<Request>>>;
+
+/// A loopback connector that keeps every request its worker was sent.
+struct Recorder {
+    inner: Box<dyn Connector>,
+    sent: Sent,
+}
+
+impl Recorder {
+    /// `k` ephemeral workers behind recorders, and what each was sent.
+    fn deployment(k: usize) -> (Vec<Box<dyn Connector>>, Vec<Sent>) {
+        let sent: Vec<Sent> = (0..k).map(|_| Arc::default()).collect();
+        let connectors = (sent.iter())
+            .map(|sent| {
+                Box::new(Self {
+                    inner: Box::new(LoopbackHost::ephemeral().connector()),
+                    sent: Arc::clone(sent),
+                }) as Box<dyn Connector>
+            })
+            .collect();
+        (connectors, sent)
+    }
+}
+
+struct RecordingTransport {
+    inner: Box<dyn Transport>,
+    sent: Sent,
+}
+
+impl Connector for Recorder {
+    fn connect(&self) -> DistResult<Box<dyn Transport>> {
+        Ok(Box::new(RecordingTransport {
+            inner: self.inner.connect()?,
+            sent: Arc::clone(&self.sent),
+        }))
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+impl Transport for RecordingTransport {
+    fn call(&mut self, req: &Request) -> DistResult<Response> {
+        self.sent.lock().expect("recorder").push(req.clone());
+        self.inner.call(req)
+    }
+}
+
+/// The ids of every object `req` removes.
+fn removed_ids(req: &Request) -> Vec<ObjectId> {
+    let ops = match req {
+        Request::Init { ops, .. } | Request::Step { ops, .. } => &ops[..],
+        _ => &[],
+    };
+    (ops.iter())
+        .filter_map(|op| match *op {
+            IndexOp::Remove { id, .. } => Some(id),
+            IndexOp::Insert { .. } => None,
+        })
+        .collect()
 }
 
 fn pool() -> BufferPool {
@@ -86,7 +153,7 @@ impl Drop for TempWal {
     }
 }
 
-/// One durable loopback host per shard pair of `policy`.
+/// One durable loopback host per shard of `policy`.
 fn durable_hosts(
     policy: &dyn PartitionPolicy,
     tag: &str,
@@ -111,6 +178,8 @@ struct Rig {
     workload: UpdateStream,
     hosts: Vec<Arc<LoopbackHost>>,
     _wals: Vec<TempWal>,
+    /// Ticks that carried updates: each is one `Step` per worker.
+    busy_ticks: u64,
 }
 
 impl Rig {
@@ -180,6 +249,7 @@ impl Rig {
             workload,
             hosts,
             _wals: wals,
+            busy_ticks: 0,
         }
     }
 
@@ -204,6 +274,7 @@ impl Rig {
             self.oracle.submit(*u, now);
             self.dist.submit(*u, now);
         }
+        self.busy_ticks += u64::from(!updates.is_empty());
         let d_oracle = self.oracle.advance_to(now).expect("oracle advance");
         let d_dist = self.dist.advance_to(now).expect("dist advance");
         assert_eq!(
@@ -231,37 +302,55 @@ impl Rig {
 }
 
 /// Deployments hand [`DistCoordinator::new`] one connector per
-/// [`joinable_pairs`] entry, in that order: it must be the [`JoinPlan`]'s
-/// slot order — row-major over all K² pairs — and the order the
-/// coordinator reports its workers in.
+/// [`joinable_pairs`] entry, in that order: one worker per shard, in
+/// shard order — worker `i`'s `Init` registers exactly the objects the
+/// policy files in shard `i`, each object on one worker.
 #[test]
-fn connector_order_is_the_join_plan_order() {
+fn workers_are_the_partitions_in_shard_order() {
     let p = skew_params(59);
     let bands: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(3, p.max_speed));
     let hash: Arc<dyn PartitionPolicy> = Arc::new(HashPolicy(2));
     for policy in [bands, hash] {
         let k = policy.shard_count();
-        let row_major: Vec<(usize, usize)> =
-            (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).collect();
-        assert_eq!(
-            JoinPlan::new(&*policy).pairs().collect::<Vec<_>>(),
-            row_major
-        );
-        assert_eq!(joinable_pairs(&*policy), row_major);
+        let diagonal: Vec<(usize, usize)> = (0..k).map(|i| (i, i)).collect();
+        assert_eq!(joinable_pairs(&*policy), diagonal);
 
         let (a, b) = generate_pair(&p, 0.0);
-        let connectors: Vec<Box<dyn Connector>> = row_major
-            .iter()
-            .map(|_| Box::new(LoopbackHost::ephemeral().connector()) as Box<dyn Connector>)
-            .collect();
-        let dist = DistCoordinator::new(DistConfig::default(), policy, connectors, &a, &b, 0.0)
-            .expect("dist coordinator");
-        assert_eq!(dist.worker_pairs(), row_major);
+        let (connectors, sent) = Recorder::deployment(k);
+        let dist = DistCoordinator::new(
+            DistConfig::default(),
+            Arc::clone(&policy),
+            connectors,
+            &a,
+            &b,
+            0.0,
+        )
+        .expect("dist coordinator");
+        assert_eq!(dist.worker_count(), k);
+        assert_eq!(dist.shard_count(), k);
+        let mut registered = 0;
+        for (shard, sent) in sent.iter().enumerate() {
+            let sent = sent.lock().expect("recorder");
+            let journaled: Vec<&Request> = sent.iter().filter(|r| r.seq().is_some()).collect();
+            let [Request::Init { ops, .. }] = journaled[..] else {
+                panic!("worker {shard} was sent {sent:?}");
+            };
+            for op in ops {
+                let IndexOp::Insert { id, mbr, .. } = *op else {
+                    panic!("worker {shard}'s Init removes {op:?}");
+                };
+                assert_eq!(policy.shard_of(id, &mbr), shard, "{} {id:?}", policy.name());
+            }
+            registered += ops.len();
+        }
+        assert_eq!(registered, a.len() + b.len(), "each object on one worker");
     }
 }
 
 /// As in-process: a removal naming the wrong set is `ObjectNotFound`
-/// before any worker hears of it, and the right one still goes through.
+/// before any worker hears of it, and the right one still goes through —
+/// as a `Remove` in the next round of the object's worker, and nowhere
+/// else.
 #[test]
 fn remove_object_under_the_wrong_set_is_refused() {
     use cij_core::ContinuousJoinEngine;
@@ -269,16 +358,13 @@ fn remove_object_under_the_wrong_set_is_refused() {
     let p = skew_params(58);
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
     let (a, b) = generate_pair(&p, 0.0);
-    let connectors: Vec<Box<dyn Connector>> = joinable_pairs(&*policy)
-        .iter()
-        .map(|_| Box::new(LoopbackHost::ephemeral().connector()) as Box<dyn Connector>)
-        .collect();
+    let (connectors, sent) = Recorder::deployment(2);
     let config = DistConfig {
         metrics: true,
         ..DistConfig::default()
     };
-    let mut dist =
-        DistCoordinator::new(config, policy, connectors, &a, &b, 0.0).expect("dist coordinator");
+    let mut dist = DistCoordinator::new(config, Arc::clone(&policy), connectors, &a, &b, 0.0)
+        .expect("dist coordinator");
     dist.run_initial_join(0.0).expect("initial join");
     let calls = |dist: &DistCoordinator| {
         let snap = dist.metrics_registry().snapshot();
@@ -291,10 +377,32 @@ fn remove_object_under_the_wrong_set_is_refused() {
         .remove_object(SetTag::A, victim.id, &victim.mbr, 0.0, 1.0)
         .expect_err("a B object removed as A");
     assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
-    assert_eq!(calls(&dist), before, "a refused removal reached a worker");
     dist.remove_object(SetTag::B, victim.id, &victim.mbr, 0.0, 1.0)
         .expect("the right set");
-    assert!(calls(&dist) > before);
+    assert_eq!(calls(&dist), before, "a removal waits for the next round");
+    assert!(dist.result_at(1.0).iter().all(|p| p.1 != victim.id));
+
+    let mover = a[0];
+    let here = mover.mbr.at(1.0);
+    let update = ObjectUpdate {
+        id: mover.id,
+        set: SetTag::A,
+        old_mbr: mover.mbr,
+        last_update: 0.0,
+        new_mbr: MovingRect::rigid(Rect::new(here.lo, here.hi), mover.mbr.vlo, 1.0),
+    };
+    dist.apply_batch(&[update], 1.0).expect("tick");
+    let home = policy.shard_of(victim.id, &victim.mbr);
+    for (shard, sent) in sent.iter().enumerate() {
+        let sent = sent.lock().expect("recorder");
+        let removed: Vec<ObjectId> = sent.iter().flat_map(removed_ids).collect();
+        let victims = removed.iter().filter(|&&id| id == victim.id).count();
+        assert_eq!(
+            victims,
+            usize::from(shard == home),
+            "worker {shard}: {removed:?}"
+        );
+    }
 }
 
 /// As in-process: the router's records are the only delete keys. A
@@ -397,7 +505,7 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
 
     for (name, k, params, policy) in cases {
         let label = format!("{name}-k{k}");
-        let workers = k * k;
+        let workers = k;
         let mut rig = Rig::new(policy, &params, &label, 1024);
         assert_eq!(rig.hosts.len(), workers);
 
@@ -431,8 +539,11 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
             "{label}: a WAL-intact restart must not need a history resync"
         );
         // The per-worker handles resolved at construction publish under
-        // the per-worker names: one ack-lag sample per `Step`, one RTT
-        // per answered RPC.
+        // the per-worker names: one ack-lag sample per `Step` — the
+        // initial join's round, then one per tick that carried updates —
+        // and one RTT per answered RPC: those and the `Init`.
+        let rounds = 1 + rig.busy_ticks;
+        assert!(rig.busy_ticks > 10, "{label}: the workload idled");
         let mut answered = 0;
         for idx in 0..workers {
             let samples = |metric: &str| {
@@ -442,19 +553,24 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
                     .unwrap_or_else(|| panic!("{label}: no {name}"))
                     .count
             };
-            assert_eq!(samples("ack_lag"), 20, "{label}: one Step per tick");
-            assert!(samples("rtt_us") > 20, "{label}: Init, Start, Steps, reads");
+            assert_eq!(
+                samples("ack_lag"),
+                rounds,
+                "{label}: one Step per busy tick"
+            );
+            assert_eq!(samples("rtt_us"), 1 + rounds, "{label}: Init and Steps");
             answered += samples("rtt_us");
         }
         assert!(snap.counter("dist.rpc.calls").unwrap_or(0) >= answered);
     }
 }
 
-/// Worker-side run grouping: a tick in which two objects trade speed
-/// bands between two same-band updates puts `Apply, Remove, Insert,
-/// Apply` into one worker's `Step`. The worker batches the `Apply` runs
-/// on either side of the migration halves; a third, unsharded service
-/// checks that neither coordinator drifts from the plain engine.
+/// A tick in which two objects trade speed bands between two same-band
+/// updates: band 0's worker gets a stayer's remove and insert, a
+/// migrant's remove (or insert) and the other stayer's pair in one
+/// `Step`, band 1's worker the other migrant's halves, and the probes of
+/// all four go to both. A third, unsharded service checks that neither
+/// coordinator drifts from the plain engine.
 #[test]
 fn interleaved_apply_remove_insert_apply_stays_bit_identical() {
     let params = skew_params(92);

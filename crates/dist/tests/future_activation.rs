@@ -4,8 +4,9 @@
 //! `PairAdded` at the first tick on or after 15.5 and `PairRemoved` at the
 //! first tick past 23.5 — carried solely by the engine's `gc` moving the
 //! result buffer's sweep line across the interval's endpoints, through
-//! `take_result_changes` on a plain engine, the merged changelogs of a
-//! `ShardCoordinator`, and the `StepAck`s of a loopback `DistCoordinator`.
+//! `take_result_changes` on a plain engine, on a `ShardCoordinator`, and
+//! on a loopback `DistCoordinator`, whose workers hear nothing after the
+//! initial join's round: its one result buffer is the coordinator's.
 
 use std::sync::Arc;
 

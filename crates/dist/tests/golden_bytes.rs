@@ -1,20 +1,19 @@
 //! The protocol's bytes, pinned. Every [`Request`] and [`Response`]
 //! shape is held against the exact encoding the first `PROTOCOL_VERSION
-//! 1` build produced, in both directions, and a worker journal written by
+//! 2` build produced, in both directions, and a worker journal written by
 //! that build must still replay — a refactor of the codec that only
 //! round-trips against itself would pass neither.
 
-use cij_core::{EngineOp, PairStatus};
-use cij_dist::{EngineKind, Request, Response, ShardWorker};
+use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect, TimeInterval};
 use cij_join::JoinCounters;
 use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use cij_tpr::ObjectId;
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_workload::SetTag;
 
 mod common;
 use common::{
-    hex, unhex, GOLDEN_ANSWERS, GOLDEN_JOURNAL, GOLDEN_REQUESTS, GOLDEN_RESPONSES, GOLDEN_RESULT,
+    hex, unhex, GOLDEN_ANSWERS, GOLDEN_JOURNAL, GOLDEN_REPROBE, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
 };
 
 fn mrect(seed: f64) -> MovingRect {
@@ -35,62 +34,45 @@ fn sample_requests() -> Vec<Request> {
             engine: EngineKind::Mtb,
             t_m: 20.0,
             buckets_per_tm: 4,
-            set_a: vec![MovingObject {
+            ops: vec![IndexOp::Insert {
+                set: SetTag::A,
                 id: ObjectId(1),
                 mbr: mrect(1.0),
+                registered_at: 0.0,
+                now: 0.0,
             }],
-            set_b: vec![],
-            start: 0.0,
         },
-        Request::Track { seq: 2 },
-        Request::Start { seq: 3, now: 0.0 },
         Request::Step {
-            seq: 4,
+            seq: 2,
             now: 1.0,
+            ack_through: 1,
             ops: vec![
-                EngineOp::Apply(ObjectUpdate {
-                    id: ObjectId(7),
-                    set: SetTag::B,
-                    old_mbr: mrect(2.0),
-                    last_update: 0.5,
-                    new_mbr: mrect(3.0),
-                }),
-                EngineOp::Insert {
-                    set: SetTag::A,
-                    id: ObjectId(8),
-                    mbr: mrect(4.0),
-                },
-                EngineOp::Remove {
+                IndexOp::Remove {
                     set: SetTag::B,
                     id: ObjectId(9),
                     old_mbr: mrect(5.0),
                     last_update: 0.25,
+                    now: 1.0,
+                },
+                IndexOp::Insert {
+                    set: SetTag::B,
+                    id: ObjectId(9),
+                    mbr: mrect(4.0),
+                    registered_at: 1.0,
+                    now: 1.0,
                 },
             ],
-            ack_through: 3,
+            probes_a: vec![mrect(2.0)],
+            probes_b: vec![mrect(4.0)],
         },
         Request::Step {
-            seq: 5,
+            seq: 3,
             now: 2.0,
+            ack_through: 2,
             ops: vec![],
-            ack_through: 4,
+            probes_a: vec![],
+            probes_b: vec![mrect(3.0)],
         },
-        Request::Immediate {
-            seq: 6,
-            now: 2.0,
-            op: EngineOp::Remove {
-                set: SetTag::A,
-                id: ObjectId(1),
-                old_mbr: mrect(1.0),
-                last_update: 0.0,
-            },
-        },
-        Request::PairStatusAt {
-            pair: (ObjectId(1), ObjectId(7)),
-            t: 2.5,
-        },
-        Request::ResultAt { t: 3.0 },
-        Request::Counters,
         Request::Ping { nonce: 42 },
         Request::Shutdown,
     ]
@@ -99,30 +81,27 @@ fn sample_requests() -> Vec<Request> {
 fn sample_responses() -> Vec<Response> {
     vec![
         Response::HelloAck { last_applied: 17 },
-        Response::Ack { seq: 3 },
+        Response::Ack { seq: 1 },
         Response::StepAck {
-            seq: 4,
-            changes: Some(vec![(ObjectId(1), ObjectId(7)), (ObjectId(8), ObjectId(9))]),
+            seq: 2,
+            hits_a: vec![(0, ObjectId(7), TimeInterval::new_unchecked(1.0, 3.5))],
+            hits_b: vec![
+                (0, ObjectId(1), TimeInterval::new_unchecked(1.0, 1.0)),
+                (0, ObjectId(8), TimeInterval::new_unchecked(2.0, 21.0)),
+            ],
+            counters: JoinCounters {
+                node_pairs: 1,
+                entry_comparisons: 2,
+                ic_pruned: 3,
+                pairs_emitted: 4,
+            },
         },
         Response::StepAck {
-            seq: 5,
-            changes: None,
+            seq: 3,
+            hits_a: vec![],
+            hits_b: vec![],
+            counters: JoinCounters::default(),
         },
-        Response::Status(PairStatus {
-            active: Some(TimeInterval {
-                start: 1.0,
-                end: f64::INFINITY,
-            }),
-            next_start: Some(9.0),
-        }),
-        Response::Status(PairStatus::default()),
-        Response::Pairs(vec![(ObjectId(1), ObjectId(7))]),
-        Response::CountersAck(JoinCounters {
-            node_pairs: 1,
-            entry_comparisons: 2,
-            ic_pruned: 3,
-            pairs_emitted: 4,
-        }),
         Response::Pong { nonce: 42 },
         Response::Bye,
         Response::Fail {
@@ -154,10 +133,7 @@ fn every_message_encodes_to_and_decodes_from_its_golden_bytes() {
 #[test]
 fn seq_is_defined_exactly_for_mutating_requests() {
     let seqs: Vec<Option<u64>> = sample_requests().iter().map(Request::seq).collect();
-    let mutating = [1, 2, 3, 4, 5, 6].map(Some);
-    assert_eq!(seqs[0], None);
-    assert_eq!(seqs[1..7], mutating);
-    assert!(seqs[7..].iter().all(Option::is_none));
+    assert_eq!(seqs, [None, Some(1), Some(2), Some(3), None, None]);
 }
 
 #[test]
@@ -165,53 +141,64 @@ fn kind_names_every_response_variant() {
     let kinds: Vec<&str> = sample_responses().iter().map(Response::kind).collect();
     assert_eq!(
         kinds,
-        [
-            "HelloAck",
-            "Ack",
-            "StepAck",
-            "StepAck",
-            "Status",
-            "Status",
-            "Pairs",
-            "CountersAck",
-            "Pong",
-            "Bye",
-            "Fail"
-        ]
+        ["HelloAck", "Ack", "StepAck", "StepAck", "Pong", "Bye", "Fail"]
     );
 }
 
-fn obj(id: u64, x: f64) -> MovingObject {
-    MovingObject {
-        id: ObjectId(id),
-        mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
-    }
+fn stationary(x: f64) -> MovingRect {
+    MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0)
 }
 
+/// An `Init` over A-object 1 and B-object 2, then the initial-join round
+/// (A-object 1 probes), then a round that moves A-object 1; no answer is
+/// acknowledged, so the outbox keeps all three.
 fn journaled_life() -> Vec<Request> {
+    let insert = |set, id, x| IndexOp::Insert {
+        set,
+        id: ObjectId(id),
+        mbr: stationary(x),
+        registered_at: 0.0,
+        now: 0.0,
+    };
+    let moved = MovingRect::stationary(Rect::new([0.1, 0.0], [1.1, 1.0]), 1.0);
     vec![
         Request::Init {
             seq: 1,
             engine: EngineKind::Mtb,
             t_m: 20.0,
             buckets_per_tm: 4,
-            set_a: vec![obj(1, 0.0)],
-            set_b: vec![obj(2, 0.5)],
-            start: 0.0,
+            ops: vec![insert(SetTag::A, 1, 0.0), insert(SetTag::B, 2, 0.5)],
         },
-        Request::Track { seq: 2 },
-        Request::Start { seq: 3, now: 0.0 },
         Request::Step {
-            seq: 4,
-            now: 1.0,
-            ops: vec![EngineOp::Apply(ObjectUpdate {
-                id: ObjectId(1),
-                set: SetTag::A,
-                old_mbr: obj(1, 0.0).mbr,
-                last_update: 0.0,
-                new_mbr: MovingRect::stationary(Rect::new([0.1, 0.0], [1.1, 1.0]), 0.0),
-            })],
+            seq: 2,
+            now: 0.0,
             ack_through: 0,
+            ops: vec![],
+            probes_a: vec![stationary(0.0)],
+            probes_b: vec![],
+        },
+        Request::Step {
+            seq: 3,
+            now: 1.0,
+            ack_through: 0,
+            ops: vec![
+                IndexOp::Remove {
+                    set: SetTag::A,
+                    id: ObjectId(1),
+                    old_mbr: stationary(0.0),
+                    last_update: 0.0,
+                    now: 1.0,
+                },
+                IndexOp::Insert {
+                    set: SetTag::A,
+                    id: ObjectId(1),
+                    mbr: moved,
+                    registered_at: 1.0,
+                    now: 1.0,
+                },
+            ],
+            probes_a: vec![moved],
+            probes_b: vec![],
         },
     ]
 }
@@ -240,15 +227,25 @@ fn a_worker_replays_the_golden_journal() {
     let path = temp_wal("golden-replay");
     std::fs::write(&path, unhex(GOLDEN_JOURNAL)).expect("write image");
     let mut reborn = ShardWorker::open(&path).expect("recovered worker");
-    assert_eq!(reborn.recovered(), 4);
-    assert_eq!(reborn.last_applied(), 4);
+    assert_eq!(reborn.recovered(), 3);
+    assert_eq!(reborn.last_applied(), 3);
     // Resent requests are answered from the rebuilt outbox, and the
-    // rebuilt engine holds the journaled answer.
+    // rebuilt index answers the journaled round's probe again.
     for (req, golden) in journaled_life().iter().zip(GOLDEN_ANSWERS) {
         assert_eq!(hex(&reborn.handle(req).encode()), golden, "{req:?}");
     }
-    let result = reborn.handle(&Request::ResultAt { t: 1.0 });
-    assert_eq!(hex(&result.encode()), GOLDEN_RESULT);
+    let Request::Step { probes_a, .. } = &journaled_life()[2] else {
+        unreachable!()
+    };
+    let again = Request::Step {
+        seq: 4,
+        now: 1.0,
+        ack_through: 3,
+        ops: vec![],
+        probes_a: probes_a.clone(),
+        probes_b: vec![],
+    };
+    assert_eq!(hex(&reborn.handle(&again).encode()), GOLDEN_REPROBE);
     drop(reborn);
     let _ = std::fs::remove_file(&path);
 }

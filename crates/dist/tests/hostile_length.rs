@@ -64,7 +64,7 @@ const MODEST: usize = 1 << 20;
 #[test]
 fn a_step_claiming_four_billion_ops_is_refused_before_allocating() {
     // header, tag 0x14, seq 1, now 1.0, ack_through 0, count 0xFFFFFFFF.
-    let payload = unhex("c10114 0100000000000000 000000000000f03f 0000000000000000 ffffffff");
+    let payload = unhex("c10214 0100000000000000 000000000000f03f 0000000000000000 ffffffff");
     assert_eq!(payload.len(), 31);
     let (decoded, largest) = largest_request(|| Request::decode(&payload));
     match decoded {
@@ -79,11 +79,11 @@ fn a_journal_batch_claiming_four_billion_updates_is_refused_before_allocating() 
     // The pinned stream journal's genesis, then: header, tag 0x02, at 1.0,
     // count 0xFFFFFFFF.
     let genesis = unhex(
-        "c1010100000000000000000100000001000000000000000000000000000000000000000000f03f\
+        "c1020100000000000000000100000001000000000000000000000000000000000000000000f03f\
          000000000000000000000000000000000000000000000000000000000000f03f00000000000000\
          000000000000000000000000000000000000000000",
     );
-    let batch = unhex("c10102 000000000000f03f ffffffff");
+    let batch = unhex("c10202 000000000000f03f ffffffff");
     assert_eq!(batch.len(), 15);
     let path = std::env::temp_dir().join(format!("cij-hostile-len-{}.wal", std::process::id()));
     let mut image = Vec::new();

@@ -1,5 +1,5 @@
-//! Multi-process smoke: a K = 2 velocity-band plan on four real
-//! `shard_worker` processes over TCP (one per shard pair), one killed
+//! Multi-process smoke: K = 2 velocity bands on two real `shard_worker`
+//! processes over TCP (one per partition), one killed
 //! (SIGKILL) mid-run and respawned on a fresh port from its surviving
 //! WAL. Objects cross the band edge, so migrations travel over TCP too.
 //! The merged stream must stay bit-identical to the in-process shard
@@ -91,7 +91,7 @@ fn pool() -> BufferPool {
 }
 
 #[test]
-fn four_processes_survive_a_kill_with_bit_identical_streams() {
+fn two_processes_survive_a_kill_with_bit_identical_streams() {
     // Uniform speeds over [0, max_speed]: the K = 2 edge at half speed
     // is crossed by re-steers all the time.
     let params = Params {
@@ -107,10 +107,7 @@ fn four_processes_survive_a_kill_with_bit_identical_streams() {
         ..EngineConfig::default()
     };
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
-    assert_eq!(
-        joinable_pairs(&*policy),
-        vec![(0, 0), (0, 1), (1, 0), (1, 1)]
-    );
+    assert_eq!(joinable_pairs(&*policy).len(), 2, "one worker per band");
 
     let (a, b) = generate_pair(&params, 0.0);
     let stream_config = StreamConfig::builder().engine(engine_cfg).build();
@@ -129,7 +126,7 @@ fn four_processes_survive_a_kill_with_bit_identical_streams() {
     })
     .expect("oracle service");
 
-    let wals: Vec<TempWal> = (0..4).map(TempWal::new).collect();
+    let wals: Vec<TempWal> = (0..2).map(TempWal::new).collect();
     let mut procs: Vec<WorkerProc> = wals.iter().map(|w| WorkerProc::spawn(&w.0)).collect();
     let connectors: Vec<TcpConnector> = procs
         .iter()
@@ -202,7 +199,7 @@ fn four_processes_survive_a_kill_with_bit_identical_streams() {
 
     run(&mut oracle, &mut dist, &mut workload, 7, 14);
 
-    // The plan is the full K×K grid, so the merged answer is the join
+    // Every probe meets every partition, so the answer is the join
     // itself, not only the oracle coordinator's.
     let last = Time::from(14u32);
     let expect = brute_pairs_at(

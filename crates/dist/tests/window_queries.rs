@@ -9,8 +9,8 @@
 //! `TprTree::range_at` on an independent tree of the fleet.
 //!
 //! Each A-shard meets each B-shard (every probe visits every partition of
-//! the other side, and every dist plan is the dense K×K grid), so a
-//! window's answer needs no bound on its extent or on its drift since it
+//! the other side, in process and on every worker alike), so a window's
+//! answer needs no bound on its extent or on its drift since it
 //! registered. A window may be wider than anything else in the fleet
 //! (the static region here spans 300 units), and the patrol window never
 //! re-registers.

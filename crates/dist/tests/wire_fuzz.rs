@@ -6,10 +6,10 @@
 //! which documents that it never panics. Nothing here may panic or size
 //! an allocation by a field of the input; seeded, so a failure replays.
 
-use cij_core::EngineOp;
-use cij_dist::{Request, Response, ShardWorker};
+use cij_dist::{IndexOp, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect};
 use cij_storage::frame::write_frame;
+use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use cij_tpr::ObjectId;
 use cij_workload::SetTag;
 
@@ -23,19 +23,27 @@ use common::{
 /// come on top); a tenth of that where every input costs a worker.
 const MUTATIONS: usize = 10_000;
 
-/// The decoded request under sequence number 4 — the next one a worker
-/// that replayed `Init`, `Track`, `Start` applies instead of answering
-/// from its outbox.
+/// The decoded request under sequence number 3 — the next one a worker
+/// that replayed `Init` and the initial-join round applies instead of
+/// answering from its outbox.
 fn resequenced(mut req: Request) -> Request {
-    match &mut req {
-        Request::Init { seq, .. }
-        | Request::Track { seq }
-        | Request::Start { seq, .. }
-        | Request::Step { seq, .. }
-        | Request::Immediate { seq, .. } => *seq = 4,
-        _ => {}
+    if let Request::Init { seq, .. } | Request::Step { seq, .. } = &mut req {
+        *seq = 3;
     }
     req
+}
+
+/// A round after everything else: one probe per side at `t = 2`.
+fn later_round(seq: u64) -> Request {
+    let probe = MovingRect::rigid(Rect::new([0.0, 0.0], [2.0, 1.0]), [0.5, 0.0], 2.0);
+    Request::Step {
+        seq,
+        now: 2.0,
+        ack_through: seq - 1,
+        ops: Vec::new(),
+        probes_a: vec![probe],
+        probes_b: vec![probe],
+    }
 }
 
 #[test]
@@ -50,15 +58,21 @@ fn request_decode_survives_hostile_bytes() {
         let again = req.encode();
         let back = Request::decode(&again).expect("a decoded request re-encodes decodably");
         assert_eq!(back.encode(), again);
-        // A worker without an engine: hostile `Init`s build (or refuse
-        // to build) one, everything else meets "before Init".
+        // A worker without an index pair: hostile `Init`s build (or
+        // refuse to build) one, everything else meets "before Init".
         ShardWorker::ephemeral().handle(&req);
     };
     for (i, golden) in GOLDEN_REQUESTS.iter().enumerate() {
         hostile_variants(&unhex(golden), 0xD157 + i as u64, MUTATIONS, &mut feed);
     }
-    random_strings(0xD1FF, 2_000, 64, &[0xC1, 0x01], &mut feed);
-    assert!(fed > 12 * MUTATIONS, "fed {fed}");
+    random_strings(
+        0xD1FF,
+        2_000,
+        64,
+        &[PROTOCOL_MAGIC, PROTOCOL_VERSION],
+        &mut feed,
+    );
+    assert!(fed > 6 * MUTATIONS, "fed {fed}");
     assert!(
         decoded > MUTATIONS,
         "only {decoded} of {fed} inputs decoded"
@@ -84,19 +98,25 @@ fn response_decode_survives_hostile_bytes() {
     for (i, golden) in GOLDEN_RESPONSES.iter().enumerate() {
         hostile_variants(&unhex(golden), 0x4E59 + i as u64, MUTATIONS, &mut feed);
     }
-    random_strings(0x4EFF, 2_000, 64, &[0xC1, 0x01], &mut feed);
-    assert!(fed > 11 * MUTATIONS, "fed {fed}");
+    random_strings(
+        0x4EFF,
+        2_000,
+        64,
+        &[PROTOCOL_MAGIC, PROTOCOL_VERSION],
+        &mut feed,
+    );
+    assert!(fed > 7 * MUTATIONS, "fed {fed}");
     assert!(
         decoded > MUTATIONS,
         "only {decoded} of {fed} inputs decoded"
     );
 }
 
-/// The pinned journal's records: `Init`, `Track`, `Start`, and a `Step`
-/// that moves A-object 1.
+/// The pinned journal's records: `Init`, the initial-join round, and a
+/// round that moves A-object 1.
 fn journal_records() -> Vec<Vec<u8>> {
     let records = unframe(&unhex(GOLDEN_JOURNAL));
-    assert_eq!(records.len(), 4);
+    assert_eq!(records.len(), 3);
     records
 }
 
@@ -105,32 +125,49 @@ fn a_running_worker_survives_hostile_requests() {
     let records = journal_records();
     let primed_worker = || {
         let mut worker = ShardWorker::ephemeral();
-        for record in &records[..3] {
+        for record in &records[..2] {
             let req = Request::decode(record).expect("golden record");
-            assert!(matches!(worker.handle(&req), Response::Ack { .. }));
+            assert!(!matches!(worker.handle(&req), Response::Fail { .. }));
         }
         worker
     };
-    // The ops the journal lacks: a routed insert and a routed delete.
-    let immediate = |op| Request::Immediate {
-        seq: 4,
+    // The rounds the journal lacks: a B-side insert probing both sides,
+    // and a B-side delete.
+    let round = |ops, probes_b| Request::Step {
+        seq: 3,
         now: 1.0,
-        op,
+        ack_through: 2,
+        ops,
+        probes_a: vec![MovingRect::stationary(
+            Rect::new([0.0, 0.0], [1.0, 1.0]),
+            1.0,
+        )],
+        probes_b,
     };
+    let fresh = MovingRect::rigid(Rect::new([0.2, 0.2], [0.8, 0.8]), [0.5, -0.5], 1.0);
     let seeds = [
-        records[3].clone(),
-        immediate(EngineOp::Insert {
-            set: SetTag::B,
-            id: ObjectId(5),
-            mbr: MovingRect::rigid(Rect::new([0.2, 0.2], [0.8, 0.8]), [0.5, -0.5], 1.0),
-        })
+        records[2].clone(),
+        round(
+            vec![IndexOp::Insert {
+                set: SetTag::B,
+                id: ObjectId(5),
+                mbr: fresh,
+                registered_at: 1.0,
+                now: 1.0,
+            }],
+            vec![fresh],
+        )
         .encode(),
-        immediate(EngineOp::Remove {
-            set: SetTag::B,
-            id: ObjectId(2),
-            old_mbr: MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
-            last_update: 0.0,
-        })
+        round(
+            vec![IndexOp::Remove {
+                set: SetTag::B,
+                id: ObjectId(2),
+                old_mbr: MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
+                last_update: 0.0,
+                now: 1.0,
+            }],
+            vec![],
+        )
         .encode(),
     ];
 
@@ -139,7 +176,7 @@ fn a_running_worker_survives_hostile_requests() {
         let unmutated = Request::decode(seed).expect("seed");
         let resp = primed_worker().handle(&unmutated);
         assert!(
-            !matches!(resp, Response::Fail { .. }),
+            matches!(resp, Response::StepAck { .. }),
             "{unmutated:?} -> {resp:?}"
         );
         hostile_variants(seed, 0x90B + i as u64, MUTATIONS / 5, |bytes| {
@@ -151,14 +188,9 @@ fn a_running_worker_survives_hostile_requests() {
                 Response::Fail { .. } => refused += 1,
                 _ => applied += 1,
             }
-            // Whatever it swallowed, the worker still ticks and answers.
-            worker.handle(&Request::Step {
-                seq: 5,
-                now: 2.0,
-                ack_through: 4,
-                ops: Vec::new(),
-            });
-            worker.handle(&Request::ResultAt { t: 2.0 });
+            // Whatever it swallowed, the worker still probes and answers.
+            worker.handle(&later_round(4));
+            worker.handle(&Request::Ping { nonce: 4 });
         });
     }
     assert!(applied > 1_000, "only {applied} hostile requests applied");
@@ -182,8 +214,8 @@ fn a_journal_with_a_hostile_record_replays_without_a_panic() {
             // replayed, whatever it asks for.
             if let Ok(mut worker) = ShardWorker::open(&path) {
                 replayed += 1;
-                assert_eq!(worker.recovered(), 4);
-                worker.handle(&Request::ResultAt { t: 1.0 });
+                assert_eq!(worker.recovered(), 3);
+                worker.handle(&later_round(4));
             }
         });
     }

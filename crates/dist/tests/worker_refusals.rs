@@ -1,32 +1,47 @@
 //! What a [`ShardWorker`] refuses instead of panicking. The worker
 //! documents that it never panics, and everything it is handed arrived as
-//! bytes — from a socket, or from its own journal on restart — so engine
-//! parameters and kinematics an engine would assert on come back as
-//! [`Response::Fail`], live and on replay alike.
+//! bytes — from a socket, or from its own journal on restart — so index
+//! parameters, kinematics and probes an index would assert on come back
+//! as [`Response::Fail`], live and on replay alike.
 
-use cij_core::EngineOp;
-use cij_dist::{EngineKind, Request, Response, ShardWorker};
+use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect};
 use cij_storage::frame::write_frame;
 use cij_tpr::ObjectId;
-use cij_workload::{MovingObject, SetTag};
+use cij_workload::SetTag;
 
-fn obj(id: u64, x: f64) -> MovingObject {
-    MovingObject {
+fn insert(set: SetTag, id: u64, x: f64, now: f64) -> IndexOp {
+    IndexOp::Insert {
+        set,
         id: ObjectId(id),
         mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
+        registered_at: 0.0,
+        now,
     }
 }
 
+/// An `Init` over A-object 1 and B-object 2, inserted at `start`.
 fn init(seq: u64, t_m: f64, buckets_per_tm: u32, start: f64) -> Request {
     Request::Init {
         seq,
         engine: EngineKind::Mtb,
         t_m,
         buckets_per_tm,
-        set_a: vec![obj(1, 0.0)],
-        set_b: vec![obj(2, 0.5)],
-        start,
+        ops: vec![
+            insert(SetTag::A, 1, 0.0, start),
+            insert(SetTag::B, 2, 0.5, start),
+        ],
+    }
+}
+
+fn step(seq: u64, now: f64, ops: Vec<IndexOp>, probes_a: Vec<MovingRect>) -> Request {
+    Request::Step {
+        seq,
+        now,
+        ack_through: 0,
+        ops,
+        probes_a,
+        probes_b: Vec::new(),
     }
 }
 
@@ -38,7 +53,7 @@ fn refused(resp: &Response) -> &str {
 }
 
 #[test]
-fn init_parameters_no_engine_can_be_built_from_are_refused() {
+fn init_parameters_no_index_can_be_built_from_are_refused() {
     let hostile = [
         (init(1, 20.0, 0, 0.0), "buckets_per_tm=0"),
         (init(1, 0.0, 4, 0.0), "t_m=0"),
@@ -75,19 +90,18 @@ fn a_journal_holding_a_refused_init_replays() {
     assert_eq!(worker.recovered(), 2);
     assert_eq!(worker.last_applied(), 2);
     assert!(refused(&worker.handle(&bad)).contains("buckets_per_tm=0"));
-    assert_eq!(
-        worker.handle(&Request::Track { seq: 3 }),
-        Response::Ack { seq: 3 }
-    );
+    assert!(matches!(
+        worker.handle(&step(3, 0.0, vec![], vec![])),
+        Response::StepAck { seq: 3, .. }
+    ));
 }
 
 #[test]
-fn kinematics_an_engine_would_assert_on_are_refused() {
+fn kinematics_an_index_would_assert_on_are_refused() {
     let primed = || {
         let mut worker = ShardWorker::ephemeral();
         worker.handle(&init(1, 20.0, 4, 0.0));
-        worker.handle(&Request::Track { seq: 2 });
-        worker.handle(&Request::Start { seq: 3, now: 0.0 });
+        worker.handle(&step(2, 0.0, vec![], vec![]));
         worker
     };
     let sound = MovingRect::rigid(Rect::new([3.0, 0.0], [4.0, 1.0]), [1.0, 0.0], 1.0);
@@ -118,57 +132,67 @@ fn kinematics_an_engine_would_assert_on_are_refused() {
         },
     ];
     for mbr in hostile {
-        let op = EngineOp::Insert {
+        let op = IndexOp::Insert {
             set: SetTag::A,
             id: ObjectId(9),
             mbr,
-        };
-        let step = Request::Step {
-            seq: 4,
+            registered_at: 1.0,
             now: 1.0,
-            ack_through: 0,
-            ops: vec![op],
         };
+        let inserted = step(3, 1.0, vec![op], vec![]);
         assert!(
-            refused(&primed().handle(&step)).contains("trajectory"),
+            refused(&primed().handle(&inserted)).contains("trajectory"),
             "{mbr:?}"
         );
-        let immediate = Request::Immediate {
-            seq: 4,
-            now: 1.0,
-            op,
-        };
+        // The same trajectory as a probe: refused, not handed to a tree.
+        let probed = step(3, 1.0, vec![], vec![mbr]);
         assert!(
-            refused(&primed().handle(&immediate)).contains("trajectory"),
-            "{mbr:?}"
+            refused(&primed().handle(&probed)).contains("trajectory"),
+            "probe {mbr:?}"
         );
     }
     for now in [f64::NAN, f64::INFINITY, 1e300] {
-        let step = Request::Step {
-            seq: 4,
-            now,
-            ack_through: 0,
-            ops: Vec::new(),
+        refused(&primed().handle(&step(3, now, Vec::new(), Vec::new())));
+        let late = IndexOp::Remove {
+            set: SetTag::B,
+            id: ObjectId(2),
+            old_mbr: MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
+            last_update: now,
+            now: 1.0,
         };
-        refused(&primed().handle(&step));
-        refused(&primed().handle(&Request::Start { seq: 4, now }));
+        refused(&primed().handle(&step(3, 1.0, vec![late], Vec::new())));
     }
+    // A NaN probe is a `Fail`, and the worker goes on serving.
+    let nan = MovingRect {
+        lo: [f64::NAN, 0.0],
+        ..sound
+    };
+    let mut worker = primed();
+    assert!(refused(&worker.handle(&step(3, 1.0, vec![], vec![nan]))).contains("unsound"));
+    assert!(matches!(
+        worker.handle(&step(4, 1.0, vec![], vec![sound])),
+        Response::StepAck { seq: 4, .. }
+    ));
     // The sound trajectory itself is applied.
-    let op = EngineOp::Insert {
+    let op = IndexOp::Insert {
         set: SetTag::A,
         id: ObjectId(9),
         mbr: sound,
+        registered_at: 1.0,
+        now: 1.0,
     };
-    let step = Request::Step {
-        seq: 4,
+    let round = Request::Step {
+        seq: 3,
         now: 1.0,
         ack_through: u64::MAX, // "everything": must not overflow the prune
         ops: vec![op],
+        probes_a: vec![sound],
+        probes_b: Vec::new(),
     };
     let mut worker = primed();
     assert!(matches!(
-        worker.handle(&step),
-        Response::StepAck { seq: 4, .. }
+        worker.handle(&round),
+        Response::StepAck { seq: 3, .. }
     ));
     assert_eq!(worker.outbox_len(), 0);
 }

@@ -11,11 +11,11 @@
 //! [`ResultBuffer`](cij_core::ResultBuffer), one change list and one set
 //! of [`JoinCounters`]. A tick's phase 1 routes every update in batch order
 //! (a migration is a remove from one partition and an insert into
-//! another); phase 2 probes each side against all K partitions of the
-//! other. The module docs of [`crate::partitioned`] argue why the answer
-//! is the single engine's, bit for bit — the property the differential
-//! harness pins across policies × K × threads, including across
-//! re-partitions.
+//! another); phase 2 probes both sides against all K partitions, the
+//! partitions fanned out over the configuration's `threads`. The module
+//! docs of [`crate::partitioned`] argue why the answer is the single
+//! engine's, bit for bit — the property the differential harness pins
+//! across policies × K × threads, including across re-partitions.
 //!
 //! # Online re-partitioning
 //!
@@ -113,7 +113,8 @@ where
     /// Partitions both sets under `policy` into K pairs built from
     /// `config`, all reading through `pool`. The engine knobs' `threads`
     /// is the width of the initial join, which runs all K² partition
-    /// pairs on one worklist.
+    /// pairs on one worklist, and of every tick's phase 2, which probes
+    /// the K partitions on a fan-out.
     pub fn new(
         pool: BufferPool,
         config: P::Config,

@@ -30,9 +30,8 @@
 //! those rebalances when the population imbalance crosses a threshold —
 //! the differential suite pins the answer across re-partition events too.
 //!
-//! The distributed coordinator of `cij-dist` still deploys one engine per
-//! shard pair: it reads the [`JoinPlan`] grid and
-//! [`ShardRouter::project`]'s per-slot engine ops.
+//! The distributed coordinator of `cij-dist` is the same engine over
+//! remote partitions: one worker process per shard.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -66,7 +65,6 @@
 pub mod adaptive;
 pub mod coordinator;
 pub mod partitioned;
-pub mod plan;
 pub mod policy;
 pub mod report;
 pub mod router;
@@ -74,7 +72,6 @@ pub mod router;
 pub use adaptive::{AdaptiveConfig, AdaptiveController};
 pub use coordinator::{ShardCoordinator, SharedShardEngineFactory};
 pub use partitioned::{PartitionedConfig, PartitionedPair};
-pub use plan::JoinPlan;
 pub use policy::{worst_corner_speed, PartitionPolicy, VelocityBandPolicy};
 pub use report::ShardReport;
 pub use router::{ObjectRecord, RebalanceMove, ShardRouter};

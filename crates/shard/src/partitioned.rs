@@ -21,6 +21,20 @@
 //! `t_eb + T_M`", which holds for any split of the objects. The initial
 //! join is the same argument for K² cross-partition tree joins.
 //!
+//! # Phase 2 on a fan-out
+//!
+//! A tick's probes of both sides go to every partition at once
+//! ([`IndexPair::probe_sides`]), the partitions fanned out over
+//! [`fan_out_tasks`] at the configuration's `threads`. Each partition
+//! answers into scratch of its own, kept across ticks, and the answers are
+//! merged per side in partition order — the order one thread probing
+//! partition after partition appends them — so hits, [`JoinCounters`] and
+//! the change list are the same at any width. Partitions whose trees live
+//! elsewhere (`cij-dist`'s remote pair, one worker process each) join the
+//! same way: the fan-out is then one round trip per worker, all in flight
+//! together, and their initial join is one such round of every A object
+//! (they cannot run a tree-vs-tree job across processes).
+//!
 //! # Routing
 //!
 //! The pair owns the [`ShardRouter`]: placement, populations, migration
@@ -37,11 +51,11 @@
 //! every buffered interval was computed under a window that the move
 //! leaves as it was.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use cij_core::{self_join, EngineConfig, IndexPair};
 use cij_geom::{MovingRect, Time};
-use cij_join::{JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
+use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult};
@@ -67,7 +81,26 @@ pub struct PartitionedPair<P: IndexPair> {
     obs: MetricsRegistry,
     router: ShardRouter,
     parts: Vec<P>,
+    /// One per partition: what its phase-2 probes answered last.
+    rounds: Vec<Mutex<PartRound>>,
     rebalances: u64,
+}
+
+/// One partition's share of a phase-2 round, kept across ticks so the
+/// fan-out allocates nothing once warm.
+#[derive(Default)]
+struct PartRound {
+    scratch: JoinScratch,
+    counters: JoinCounters,
+    hits: [Vec<ProbeHit>; 2],
+}
+
+impl PartRound {
+    /// A round that panicked left nothing another round relies on: each
+    /// one resets its counters and hits before it probes.
+    fn lock(round: &Mutex<Self>) -> std::sync::MutexGuard<'_, Self> {
+        round.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<P: IndexPair> PartitionedPair<P>
@@ -105,6 +138,7 @@ where
         while self.parts.len() < k {
             let part = P::empty(&self.pool, &self.config, &self.obs);
             self.parts.push(part);
+            self.rounds.push(Mutex::default());
         }
         for m in &moves {
             let r = &m.record;
@@ -112,6 +146,7 @@ where
             self.parts[r.shard].insert(r.set, m.id, r.mbr, r.last_update, now)?;
         }
         self.parts.truncate(k);
+        self.rounds.truncate(k);
         self.rebalances += 1;
         // A snapshot attributes load only to the shards that exist, and
         // sees the rebalance without waiting for the next publish.
@@ -126,6 +161,26 @@ where
             self.publish_extra(&self.obs);
         }
         Ok(moves.len())
+    }
+
+    /// The initial join as one phase-2 round: every A object, in id order,
+    /// probes every partition's B side.
+    fn probe_join(&self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+        let mut side_a: Vec<(ObjectId, MovingRect)> = (self.router.records())
+            .filter(|(_, r)| r.set == SetTag::A)
+            .map(|(id, r)| (id, r.mbr))
+            .collect();
+        side_a.sort_unstable_by_key(|&(id, _)| id);
+        let probes: Vec<MovingRect> = side_a.iter().map(|&(_, mbr)| mbr).collect();
+        let mut counters = JoinCounters::new();
+        let mut hits = [Vec::new(), Vec::new()];
+        let scratch = &mut JoinScratch::new();
+        self.probe_sides([&probes, &[]], now, scratch, &mut counters, &mut hits)?;
+        let [hits_a, _] = hits;
+        let pairs = (hits_a.into_iter())
+            .map(|(p, b, interval)| JoinPair::new(side_a[p as usize].0, b, interval))
+            .collect();
+        Ok((pairs, counters))
     }
 }
 
@@ -148,6 +203,7 @@ where
             obs: obs.clone(),
             router: ShardRouter::new(Arc::clone(&config.policy)),
             parts: (0..k).map(|_| P::empty(pool, &config.inner, obs)).collect(),
+            rounds: (0..k).map(|_| Mutex::default()).collect(),
             rebalances: 0,
         }
     }
@@ -190,8 +246,14 @@ where
         Ok(prev.set)
     }
 
+    /// The K² cross-partition tree jobs on one worklist; partitions that
+    /// cannot run tree jobs (remote ones) join by one probe round
+    /// instead (see the module docs).
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        self_join(self, now, P::engine_config(&self.config).threads)
+        match self_join(self, now, P::engine_config(&self.config).threads) {
+            Err(TprError::Unsupported { .. }) => self.probe_join(now),
+            joined => joined,
+        }
     }
 
     /// Every (A-partition of `a`, B-partition of `b`) in row-major order;
@@ -229,6 +291,41 @@ where
         Ok(())
     }
 
+    /// Every partition's [`probe_sides`](IndexPair::probe_sides) on the
+    /// fan-out, merged per side in shard order (see the module docs); the
+    /// first error in shard order.
+    fn probe_sides(
+        &self,
+        probes: [&[MovingRect]; 2],
+        now: Time,
+        _: &mut JoinScratch,
+        counters: &mut JoinCounters,
+        hits: &mut [Vec<ProbeHit>; 2],
+    ) -> TprResult<()> {
+        let threads = P::engine_config(&self.config).threads;
+        let (parts, rounds) = (&self.parts, &self.rounds);
+        let answered = fan_out_tasks(parts.len(), threads, |i| {
+            let round = &mut *PartRound::lock(&rounds[i]);
+            round.counters = JoinCounters::new();
+            round.hits.iter_mut().for_each(Vec::clear);
+            let PartRound {
+                scratch,
+                counters,
+                hits,
+            } = round;
+            parts[i].probe_sides(probes, now, scratch, counters, hits)
+        });
+        for (round, answer) in rounds.iter().zip(answered) {
+            answer?;
+            let round = PartRound::lock(round);
+            *counters = counters.merged(round.counters);
+            for (all, part) in hits.iter_mut().zip(&round.hits) {
+                all.extend_from_slice(part);
+            }
+        }
+        Ok(())
+    }
+
     fn page_format_stats(&self) -> CacheSnapshot {
         (self.parts.iter())
             .map(IndexPair::page_format_stats)
@@ -247,6 +344,9 @@ where
             .counter("shard.rebalance.moved_objects")
             .store(r.rebalanced());
         registry.gauge("shard.engines").set(self.parts.len() as i64);
+        for part in &self.parts {
+            part.publish_extra(registry);
+        }
         for (side, set) in [("a", SetTag::A), ("b", SetTag::B)] {
             for (shard, &n) in r.population(set).iter().enumerate() {
                 registry

@@ -7,11 +7,7 @@
 //! asks the policy where the object *belongs* now, compares with where it
 //! *was*, and turns a disagreement into a migration inside the same
 //! logical update. The partitioned pair spells that as a remove from the
-//! old partition and an insert into the new one;
-//! [`project`](ShardRouter::project) spells it as per-slot
-//! [`EngineOp`]s of the dist coordinator's [`JoinPlan`] (delete from
-//! every engine of the old shard's row/column, insert into the new
-//! one's).
+//! old partition and an insert into the new one.
 //!
 //! The router keeps a full [`ObjectRecord`] per object — set, shard,
 //! current trajectory, and the time the trajectory was *registered*
@@ -31,12 +27,10 @@
 
 use std::sync::Arc;
 
-use cij_core::{EngineOp, PairKey};
 use cij_geom::{MovingRect, Time};
 use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_workload::SetTag;
 
-use crate::plan::JoinPlan;
 use crate::policy::PartitionPolicy;
 
 /// Everything the router knows about one live object.
@@ -137,32 +131,10 @@ impl ShardRouter {
         shard
     }
 
-    /// Places every object of one initial set and returns the set split
-    /// by shard — what the dist coordinator builds its workers from.
-    pub fn place_set(
-        &mut self,
-        set: SetTag,
-        objects: &[MovingObject],
-        now: Time,
-    ) -> Vec<Vec<MovingObject>> {
-        let mut parts = vec![Vec::new(); self.policy.shard_count()];
-        for o in objects {
-            parts[self.place(o.id, set, &o.mbr, now)].push(*o);
-        }
-        parts
-    }
-
     /// The shard currently holding `id`, if the router has placed it.
     #[must_use]
     pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
         self.records.get(&id).map(|r| r.shard)
-    }
-
-    /// The slot of `plan` watching the pair `(a, b)`; `None` when an
-    /// object is unplaced.
-    #[must_use]
-    pub fn slot_of_pair(&self, (a, b): PairKey, plan: &JoinPlan) -> Option<usize> {
-        plan.slot_of(self.shard_of(a)?, self.shard_of(b)?)
     }
 
     /// All live records, in no particular order: nothing may depend on
@@ -173,61 +145,11 @@ impl ShardRouter {
         self.records.iter().map(|(&id, r)| (id, r))
     }
 
-    /// Routes `update` (applied at `now`) and appends what it means for
-    /// each engine to the per-slot op lists of `plan`, the plan of the
-    /// current policy: an object that stays in its shard gets an
-    /// [`EngineOp::Apply`] on every slot of its row/column; one the new
-    /// trajectory carried across a partition boundary — a migration — an
-    /// [`EngineOp::Remove`] on the old shard's fan and an
-    /// [`EngineOp::Insert`] on the new one's, exact mirror halves of
-    /// `apply_update`. Every delete is keyed by the object's record: of
-    /// `update` only `id` and `new_mbr` are read.
-    ///
-    /// # Errors
-    /// [`TprError::ObjectNotFound`], with nothing routed, when the router
-    /// has not placed `update.id`.
-    pub fn project(
-        &mut self,
-        update: &ObjectUpdate,
-        now: Time,
-        plan: &JoinPlan,
-        ops: &mut [Vec<EngineOp>],
-    ) -> TprResult<()> {
-        let (id, mbr) = (update.id, update.new_mbr);
-        let (prev, to) = self.route(id, &mbr, now)?;
-        let set = prev.set;
-        if prev.shard != to {
-            for slot in plan.fan(set, prev.shard) {
-                ops[slot].push(EngineOp::Remove {
-                    set,
-                    id,
-                    old_mbr: prev.mbr,
-                    last_update: prev.last_update,
-                });
-            }
-            for slot in plan.fan(set, to) {
-                ops[slot].push(EngineOp::Insert { set, id, mbr });
-            }
-        } else {
-            let apply = ObjectUpdate {
-                id,
-                set,
-                old_mbr: prev.mbr,
-                last_update: prev.last_update,
-                new_mbr: mbr,
-            };
-            for slot in plan.fan(set, to) {
-                ops[slot].push(EngineOp::Apply(apply));
-            }
-        }
-        Ok(())
-    }
-
     /// Re-files object `id` under its new trajectory `mbr`, registered at
     /// `now`, and returns the record that held it and its new shard; a
     /// shard change counts as a migration. This is the routing half of
-    /// every update — [`project`](Self::project) spells it as engine ops,
-    /// the partitioned pair as one remove and one insert.
+    /// every update; the partitioned pair spells it as one remove and one
+    /// insert.
     ///
     /// # Errors
     /// [`TprError::ObjectNotFound`], with nothing changed, when the router
@@ -312,69 +234,32 @@ mod tests {
         MovingRect::rigid(Rect::new([0.0, 0.0], [1.0, 1.0]), v, 0.0)
     }
 
-    fn update(id: ObjectId, old: [f64; 2], new: [f64; 2]) -> ObjectUpdate {
-        ObjectUpdate {
-            set: SetTag::A,
-            id,
-            old_mbr: rect(old),
-            new_mbr: rect(new),
-            last_update: 0.0,
-        }
-    }
-
-    /// `project` spells a routed update as engine ops — `Apply` on the
-    /// whole fan of a stayer, `Remove` on the old fan + `Insert` on the
-    /// new one for a crosser (rows for A, columns for B) — keyed by the
-    /// record, whatever the update claims, and keeps records,
-    /// populations and the migration count in step.
+    /// `route` hands back the record an update replaces — the delete keys
+    /// of its remove, whatever the caller believes — and its new shard,
+    /// and keeps records, populations and the migration count in step.
     #[test]
-    fn stays_and_migrations_fan_over_the_plan() {
-        let policy = Arc::new(VelocityBandPolicy::new(2, 4.0));
-        let plan = JoinPlan::new(&*policy);
-        let mut r = ShardRouter::new(policy);
+    fn stays_and_migrations_route_by_the_record() {
+        let mut r = ShardRouter::new(Arc::new(VelocityBandPolicy::new(2, 4.0)));
         let id = ObjectId(7);
         assert_eq!(r.place(id, SetTag::B, &rect([0.5, 0.0]), 0.0), 0);
         assert_eq!(r.shard_of(id), Some(0));
-        let project = |r: &mut ShardRouter, update: ObjectUpdate, now| {
-            let mut ops = vec![Vec::new(); plan.slot_count()];
-            r.project(&update, now, &plan, &mut ops).map(|()| ops)
-        };
-        // The caller's delete keys are wrong on purpose: side A, a
-        // trajectory never registered, a tick never applied.
-        let b = |id, new| ObjectUpdate {
-            last_update: 9.0,
-            ..update(id, [7.0, 7.0], new)
-        };
-        // Slots are (0,0) (0,1) (1,0) (1,1); B-shard 0 is column 0.
         // Same band: stay — but the record tracks the new trajectory
         // and registration time.
-        let ops = project(&mut r, b(id, [0.9, 0.0]), 3.0).unwrap();
-        for slot in [0, 2] {
-            assert!(matches!(ops[slot][..], [EngineOp::Apply(u)]
-                if u.id == id && u.set == SetTag::B && u.old_mbr == rect([0.5, 0.0])
-                    && u.last_update == 0.0 && u.new_mbr == rect([0.9, 0.0])));
-        }
-        assert!(ops[1].is_empty() && ops[3].is_empty());
+        let (prev, to) = r.route(id, &rect([0.9, 0.0]), 3.0).unwrap();
+        assert_eq!((prev.set, prev.shard, to), (SetTag::B, 0, 0));
+        assert_eq!((prev.mbr, prev.last_update), (rect([0.5, 0.0]), 0.0));
         assert_eq!(r.migrations(), 0);
         let (_, rec) = r.records().find(|&(live, _)| live == id).unwrap();
         assert_eq!(rec.last_update, 3.0);
         assert_eq!(rec.mbr.vlo, [0.9, 0.0]);
-        // Band 0 → band 1: migrate.
-        let ops = project(&mut r, b(id, [3.9, 0.0]), 5.0).unwrap();
-        for slot in [0, 2] {
-            assert!(
-                matches!(ops[slot][..], [EngineOp::Remove { id: gone, set, old_mbr, last_update }]
-                if gone == id && set == SetTag::B && old_mbr == rect([0.9, 0.0])
-                    && last_update == 3.0)
-            );
-        }
-        for slot in [1, 3] {
-            assert!(matches!(ops[slot][..], [EngineOp::Insert { id: new, .. }] if new == id));
-        }
+        // Band 0 → band 1: migrate, removing what the stay registered.
+        let (prev, to) = r.route(id, &rect([3.9, 0.0]), 5.0).unwrap();
+        assert_eq!((prev.shard, to), (0, 1));
+        assert_eq!((prev.mbr, prev.last_update), (rect([0.9, 0.0]), 3.0));
         assert_eq!(r.migrations(), 1);
         assert_eq!(r.shard_of(id), Some(1));
         // Unknown object: refused, nothing routed or placed.
-        let unknown = project(&mut r, update(ObjectId(99), [0.1, 0.0], [0.1, 0.0]), 5.0);
+        let unknown = r.route(ObjectId(99), &rect([0.1, 0.0]), 5.0);
         assert!(matches!(
             unknown,
             Err(TprError::ObjectNotFound(ObjectId(99)))

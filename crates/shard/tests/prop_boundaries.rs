@@ -13,11 +13,10 @@
 
 use std::sync::Arc;
 
-use cij_core::EngineOp;
 use cij_geom::{MovingRect, Rect, Time};
-use cij_shard::{worst_corner_speed, JoinPlan, PartitionPolicy, ShardRouter, VelocityBandPolicy};
+use cij_shard::{worst_corner_speed, PartitionPolicy, ShardRouter, VelocityBandPolicy};
 use cij_tpr::ObjectId;
-use cij_workload::{ObjectUpdate, SetTag};
+use cij_workload::SetTag;
 use proptest::prelude::*;
 
 /// A unit square moving at exactly `speed` along x: its worst corner
@@ -30,42 +29,12 @@ fn mbr_with_speed(speed: f64) -> MovingRect {
     )
 }
 
-/// What [`ShardRouter::project`] made of one A-side update, read back
-/// off the op lists: `(shard, shard)` for a stay (plain `Apply`s on one
-/// row), `(from, to)` for a migration (`Remove`s on one row, `Insert`s
-/// on another), each op on all `k` slots of its row.
-fn routed(
-    router: &mut ShardRouter,
-    plan: &JoinPlan,
-    update: &ObjectUpdate,
-    now: Time,
-) -> (usize, usize) {
-    let k = plan.shard_count();
-    let pairs: Vec<(usize, usize)> = plan.pairs().collect();
-    let mut ops = vec![Vec::new(); plan.slot_count()];
-    router
-        .project(update, now, plan, &mut ops)
-        .expect("a placed object");
-    let rows_of = |want: fn(&EngineOp) -> bool| -> Vec<usize> {
-        let mut rows: Vec<usize> = (0..ops.len())
-            .filter(|&s| ops[s].iter().any(want))
-            .map(|s| pairs[s].0)
-            .collect();
-        rows.dedup();
-        rows
-    };
-    let applied = rows_of(|op| matches!(op, EngineOp::Apply(_)));
-    let removed = rows_of(|op| matches!(op, EngineOp::Remove { .. }));
-    let inserted = rows_of(|op| matches!(op, EngineOp::Insert { .. }));
-    assert_eq!(
-        ops.iter().map(Vec::len).sum::<usize>(),
-        k * (applied.len() + removed.len() + inserted.len())
-    );
-    match (&applied[..], &removed[..], &inserted[..]) {
-        ([shard], [], []) => (*shard, *shard),
-        ([], [from], [to]) => (*from, *to),
-        other => panic!("an update must be one stay or one migration, got {other:?}"),
-    }
+/// What [`ShardRouter::route`] made of one A-side update: `(from, to)`,
+/// the two equal for a stay, and the record it replaced on side A.
+fn routed(router: &mut ShardRouter, id: ObjectId, mbr: &MovingRect, now: Time) -> (usize, usize) {
+    let (prev, to) = router.route(id, mbr, now).expect("a placed object");
+    assert_eq!(prev.set, SetTag::A);
+    (prev.shard, to)
 }
 
 proptest! {
@@ -74,7 +43,7 @@ proptest! {
     /// Boundary-exact speeds always take the upper band, the
     /// equal-width policy and the one rebuilt `from_edges` of its own
     /// boundaries agree on *every* probe (edges, nudges to either side,
-    /// and random speeds) and on the plan, off-edge probes straddle the
+    /// and random speeds) and on the shard count, off-edge probes straddle the
     /// edge, and `repartition` between the two moves nothing.
     #[test]
     fn velocity_boundary_ties_are_deterministic(
@@ -85,7 +54,6 @@ proptest! {
         let band = VelocityBandPolicy::new(k, max_speed);
         let bounds = VelocityBandPolicy::from_edges(band.boundaries().to_vec());
         prop_assert_eq!(band.shard_count(), bounds.shard_count());
-        prop_assert_eq!(JoinPlan::new(&band), JoinPlan::new(&bounds));
 
         let id = ObjectId(7);
         for (i, &edge) in band.boundaries().iter().enumerate() {
@@ -114,7 +82,7 @@ proptest! {
         prop_assert!(moves.is_empty(), "identical edges relocated {} objects", moves.len());
     }
 
-    /// Projecting an update whose new trajectory sits exactly on a
+    /// Routing an update whose new trajectory sits exactly on a
     /// boundary is a stay when the object is already in the upper band,
     /// and a migration *to* the upper band when it is not — never a
     /// self-migration, never a disagreement with `shard_of`.
@@ -125,7 +93,6 @@ proptest! {
     ) {
         let policy = VelocityBandPolicy::new(k, max_speed);
         let edges: Vec<f64> = policy.boundaries().to_vec();
-        let plan = JoinPlan::new(&policy);
         let mut router = ShardRouter::new(Arc::new(policy));
         for (i, &edge) in edges.iter().enumerate() {
             let id = ObjectId(i as u64);
@@ -133,40 +100,20 @@ proptest! {
             let from = router.place(id, SetTag::A, &slow, 0.0);
             // Re-announce the same trajectory: exact boundary or not,
             // re-routing what is already placed must be a Stay.
-            let noop = ObjectUpdate {
-                id,
-                set: SetTag::A,
-                old_mbr: slow,
-                last_update: 0.0,
-                new_mbr: slow,
-            };
-            prop_assert_eq!(routed(&mut router, &plan, &noop, 1.0), (from, from));
+            prop_assert_eq!(routed(&mut router, id, &slow, 1.0), (from, from));
 
             // Accelerate to exactly the edge: lands in band i+1.
             let exact = mbr_with_speed(edge);
-            let update = ObjectUpdate {
-                id,
-                set: SetTag::A,
-                old_mbr: slow,
-                last_update: 1.0,
-                new_mbr: exact,
-            };
             // A stay — `(i+1, i+1)` — is only legitimate when the slow
             // speed already banded to i+1 (possible for the lowest edges
-            // at tiny k); `routed` rejects a self-migration outright.
+            // at tiny k); a migration is counted exactly when the two
+            // shards differ.
             let migrations = router.migrations();
-            prop_assert_eq!(routed(&mut router, &plan, &update, 2.0), (from, i + 1));
+            prop_assert_eq!(routed(&mut router, id, &exact, 2.0), (from, i + 1));
             prop_assert_eq!(router.migrations() - migrations, u64::from(from != i + 1));
             prop_assert_eq!(router.shard_of(id), Some(i + 1));
             // And staying exactly on the edge keeps the placement put.
-            let hold = ObjectUpdate {
-                id,
-                set: SetTag::A,
-                old_mbr: exact,
-                last_update: 2.0,
-                new_mbr: exact,
-            };
-            prop_assert_eq!(routed(&mut router, &plan, &hold, 3.0), (i + 1, i + 1));
+            prop_assert_eq!(routed(&mut router, id, &exact, 3.0), (i + 1, i + 1));
         }
     }
 }

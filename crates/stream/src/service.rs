@@ -17,7 +17,7 @@
 //! so the service fills them in itself — a producer sends the new
 //! trajectory, and nothing else it sends is trusted.
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, EngineOp, PairKey};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
 use cij_geom::{MovingRect, Time};
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
@@ -460,10 +460,7 @@ impl StreamService {
             // The predicate recovery holds every journaled batch against
             // (`WalRecord::is_sound`): what fails it here would make the
             // journal unrecoverable from this batch on.
-            if let Some(u) = updates
-                .iter()
-                .find(|u| !EngineOp::Apply(**u).is_sound_at(at))
-            {
+            if let Some(u) = updates.iter().find(|u| !u.is_sound_at(at)) {
                 return Err(StreamError::InvalidUpdate(format!(
                     "update of {:?} at {at} has an out-of-range time or an unsound trajectory",
                     u.id

@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 
-use cij_core::{EngineOp, PairStatus};
+use cij_core::PairStatus;
 use cij_geom::{in_range, MovingRect, Rect, Time, TimeInterval, DIMS};
 use cij_join::JoinCounters;
 pub use cij_storage::codec::{ByteReader, ByteWriter};
@@ -30,7 +30,7 @@ pub const PROTOCOL_MAGIC: u8 = 0xC1;
 /// Current protocol version, bumped on any incompatible layout change.
 /// Peers (and recovery) refuse payloads from other versions outright —
 /// there is no cross-version negotiation.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Why a wire payload was rejected. The magic/version variants are the
 /// fail-fast path cross-process peers rely on: they fire on the first
@@ -212,6 +212,20 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     #[inline]
     fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
     }
 }
 
@@ -478,14 +492,6 @@ wire_enum! {
 }
 
 wire_enum! {
-    impl Wire for EngineOp, "op" {
-        0 => Apply(update: ObjectUpdate),
-        1 => Insert { set: SetTag, id: ObjectId, mbr: MovingRect },
-        2 => Remove { set: SetTag, id: ObjectId, old_mbr: MovingRect, last_update: Time },
-    }
-}
-
-wire_enum! {
     impl Wire for SubscriptionFilter, "subscription filter", check SubscriptionFilter::check {
         0 => All,
         1 => Object(id: ObjectId),
@@ -557,7 +563,7 @@ impl WalRecord<'_> {
                 .chain(set_b)
                 .all(|o| o.mbr.is_sound_from(*start)),
             Self::Batch { at, updates } => {
-                in_range(*at) && updates.iter().all(|u| EngineOp::Apply(*u).is_sound_at(*at))
+                in_range(*at) && updates.iter().all(|u| u.is_sound_at(*at))
             }
             Self::Retire { at, .. } => in_range(*at),
             Self::Subscribe { .. } | Self::Unsubscribe { .. } => true,
@@ -590,10 +596,10 @@ mod tests {
     }
 
     /// The records of `all_record_kinds_round_trip`, as the first
-    /// `PROTOCOL_VERSION` 1 build encoded them.
+    /// `PROTOCOL_VERSION` 2 build encoded them.
     const GOLDEN: [&str; 8] = [
         "\
-            c101010000000000000c40010000000100000000000000000000000000f03f000000000000084000\
+            c102010000000000000c40010000000100000000000000000000000000f03f000000000000084000\
             0000000000f0bf000000000000f0bf00000000000000400000000000001040000000000000e03f00\
             0000000000e83f000000000000244002000000020000000000000000000000000000400000000000\
             00104000000000000000c000000000000000c0000000000000084000000000000014400000000000\
@@ -601,19 +607,19 @@ mod tests {
             00144000000000000008c000000000000008c0000000000000104000000000000018400000000000\
             00e03f000000000000e83f0000000000003e40",
         "\
-            c101020000000000001c400100000009000000000000000200000000000010400000000000001840\
+            c102020000000000001c400100000009000000000000000200000000000010400000000000001840\
             00000000000010c000000000000010c000000000000014400000000000001c40000000000000e03f\
             000000000000e83f0000000000004440000000000000004000000000000014400000000000001c40\
             00000000000014c000000000000014c000000000000018400000000000002040000000000000e03f\
             000000000000e83f0000000000004940",
-        "c10102000000000000204000000000",
-        "c101030b0000000000000000",
-        "c101030c00000000000000014d00000000000000",
+        "c10202000000000000204000000000",
+        "c102030b0000000000000000",
+        "c102030c00000000000000014d00000000000000",
         "\
-            c101030d000000000000000200000000000000000000000000002440000000000000f03f00000000\
+            c102030d000000000000000200000000000000000000000000002440000000000000f03f00000000\
             00002640",
-        "c101040c00000000000000",
-        "c101050000000000002340010400000000000000",
+        "c102040c00000000000000",
+        "c102050000000000002340010400000000000000",
     ];
 
     fn unhex(text: &str) -> Vec<u8> {

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use cij_geom::{MovingRect, Rect, Time};
+use cij_geom::{in_range, MovingRect, Rect, Time};
 use cij_tpr::ObjectId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +53,19 @@ pub struct ObjectUpdate {
     pub last_update: Time,
     /// New trajectory (reference time = now).
     pub new_mbr: MovingRect,
+}
+
+impl ObjectUpdate {
+    /// Whether both trajectories are [sound from](MovingRect::is_sound_from)
+    /// `now` and `last_update` is [in range](in_range) — what the indexes
+    /// assume of an update and assert on, so an update decoded from a
+    /// journal is held against it first.
+    #[must_use]
+    pub fn is_sound_at(&self, now: Time) -> bool {
+        in_range(self.last_update)
+            && self.old_mbr.is_sound_from(now)
+            && self.new_mbr.is_sound_from(now)
+    }
 }
 
 struct ObjectState {

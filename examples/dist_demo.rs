@@ -1,8 +1,8 @@
-//! Tour of the `cij-dist` coordinator/worker deployment: four WAL-backed
-//! loopback workers under a velocity-band plan, a worker killed
-//! mid-stream and restarted from its journal, a second worker losing its
-//! WAL outright and being resynced from the coordinator's request
-//! history — with the merged delta stream asserted bit-identical to the
+//! Tour of the `cij-dist` coordinator/worker deployment: two WAL-backed
+//! loopback workers, one partition of the velocity bands each, a worker
+//! killed mid-stream and restarted from its journal, the other losing
+//! its WAL outright and being resynced from the coordinator's request
+//! history — with the delta stream asserted bit-identical to the
 //! in-process shard coordinator at every tick.
 //!
 //! Run with `cargo run --release --example dist_demo`.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use cij::core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
 use cij::dist::loopback::LoopbackHost;
-use cij::dist::{joinable_pairs, Connector, DistConfig, DistCoordinator, EngineKind};
+use cij::dist::{Connector, DistConfig, DistCoordinator, EngineKind};
 use cij::shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij::storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij::tpr::TprResult;
@@ -33,12 +33,11 @@ fn main() -> TprResult<()> {
         ..EngineConfig::default()
     };
 
-    // K = 2 velocity bands → a 2×2 join plan → four workers, each a
+    // K = 2 velocity bands → two partitions → two workers, each a
     // simulated machine with its own write-ahead log.
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
-    let plan = joinable_pairs(&*policy);
     let wal_dir = std::env::temp_dir();
-    let wal_paths: Vec<_> = (0..plan.len())
+    let wal_paths: Vec<_> = (0..policy.shard_count())
         .map(|i| wal_dir.join(format!("cij-dist-demo-{i}-{}.wal", std::process::id())))
         .collect();
     for p in &wal_paths {
@@ -69,16 +68,15 @@ fn main() -> TprResult<()> {
     )
     .map_err(cij::tpr::TprError::from)?;
     println!(
-        "{} over {} velocity bands: {} workers serving shard pairs {:?}",
+        "{} over {} velocity bands: {} workers, one partition each (worker i holds band i)",
         dist.name(),
         dist.shard_count(),
         dist.worker_count(),
-        dist.worker_pairs(),
     );
 
     // The in-process coordinator is the oracle: same policy, same
-    // engines, no transport. The demo asserts the distributed run never
-    // deviates from it.
+    // partitions, no transport. The demo asserts the distributed run
+    // never deviates from it.
     let pool = BufferPool::new(
         Arc::new(InMemoryStore::new()),
         BufferPoolConfig::with_capacity(4096),
@@ -121,30 +119,30 @@ fn main() -> TprResult<()> {
     for t in 1..=6u32 {
         deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
     }
-    println!("t=1..6   healthy: {deltas} merged deltas, all bit-identical to in-process");
+    println!("t=1..6   healthy: {deltas} deltas, all bit-identical to in-process");
 
     // ---- Fault 1: crash a worker process; its WAL survives. --------
     hosts[1].kill();
-    println!("t=7      KILL worker 1 (engine, outbox and sequence state gone; WAL intact)");
+    println!("t=7      KILL worker 1 (index, outbox and sequence state gone; WAL intact)");
     let mut deltas = 0usize;
     for t in 7..=12u32 {
         deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
     }
     println!(
-        "t=7..12  recovered: {deltas} merged deltas, still bit-identical \
+        "t=7..12  recovered: {deltas} deltas, still bit-identical \
          (worker 1 restarts={}, journal replayed on open)",
         hosts[1].restarts()
     );
 
     // ---- Fault 2: lose a whole machine, WAL included. --------------
-    hosts[2].kill_and_lose_wal();
-    println!("t=13     KILL worker 2 *and* its WAL (total machine loss)");
+    hosts[0].kill_and_lose_wal();
+    println!("t=13     KILL worker 0 *and* its WAL (total machine loss)");
     let mut deltas = 0usize;
     for t in 13..=18u32 {
         deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
     }
     println!(
-        "t=13..18 resynced: {deltas} merged deltas, still bit-identical \
+        "t=13..18 resynced: {deltas} deltas, still bit-identical \
          (coordinator replayed its retained history into the blank worker)"
     );
 
