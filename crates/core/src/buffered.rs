@@ -46,6 +46,11 @@ pub trait IndexPair: Sized + Sync {
     /// Algorithm name as used in the paper's figures.
     const NAME: &'static str;
 
+    /// Whether [`join_jobs`](Self::join_jobs) can reach this pair's
+    /// trees. A pair whose trees live in another process says no; a
+    /// partitioned pair of such pairs joins initially by a probe round.
+    const TREE_JOBS: bool = true;
+
     /// The shared engine knobs inside `config`.
     fn engine_config(config: &Self::Config) -> &EngineConfig;
 

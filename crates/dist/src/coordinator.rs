@@ -99,8 +99,6 @@ pub fn joinable_pairs(policy: &dyn PartitionPolicy) -> Vec<(usize, usize)> {
 /// including as a `StreamService` factory product.
 pub struct DistCoordinator {
     shard: ShardCoordinator<RemotePair>,
-    /// Width of the heartbeat round (the partitions' own fan-out width).
-    threads: usize,
 }
 
 impl DistCoordinator {
@@ -138,10 +136,10 @@ impl DistCoordinator {
         let shard = ShardCoordinator::<RemotePair>::new(pool, remote, policy, set_a, set_b, now)
             .map_err(|e| DistError::Config(e.to_string()))?;
         let parts = shard.partitions();
-        fan_out_tasks(parts.len(), threads, |i| parts[i].init())
+        fan_out_tasks(parts.len(), shard.threads(), |i| parts[i].init())
             .into_iter()
             .collect::<DistResult<()>>()?;
-        Ok(Self { shard, threads })
+        Ok(Self { shard })
     }
 
     /// Shards per object set.
@@ -170,7 +168,7 @@ impl DistCoordinator {
     /// The first unreachable or misbehaving worker, in shard order.
     pub fn heartbeat(&mut self) -> DistResult<()> {
         let parts = self.shard.partitions();
-        fan_out_tasks(parts.len(), self.threads, |i| parts[i].heartbeat())
+        fan_out_tasks(parts.len(), self.shard.threads(), |i| parts[i].heartbeat())
             .into_iter()
             .collect()
     }

@@ -315,6 +315,7 @@ impl RemotePair {
 impl IndexPair for RemotePair {
     type Config = RemoteConfig;
     const NAME: &'static str = "Remote";
+    const TREE_JOBS: bool = false;
 
     fn engine_config(config: &RemoteConfig) -> &EngineConfig {
         &config.engine

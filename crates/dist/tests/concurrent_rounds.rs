@@ -13,11 +13,11 @@ use cij_dist::{
     joinable_pairs, Connector, DistConfig, DistCoordinator, DistError, DistResult, EngineKind,
     Request, Response, Transport,
 };
-use cij_geom::Time;
+use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriptionFilter};
-use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
+use cij_workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
 
 /// How long a `Step` waits for a second caller before giving up.
 const COMPANY_WAIT: Duration = Duration::from_secs(2);
@@ -242,7 +242,7 @@ fn step_rounds_overlap_and_the_stream_stays_bit_identical() {
 /// slot's `WorkerUnavailable`, yet every worker that acked its `Step`
 /// recorded it: the acked-seq gauges advance, and a healthy worker that
 /// then loses everything is rebuilt from its history to the sequence
-/// number it had reached.
+/// number and the index it had.
 #[test]
 fn a_failed_round_keeps_every_acked_history_exact() {
     let p = params(102);
@@ -315,10 +315,48 @@ fn a_failed_round_keeps_every_acked_history_exact() {
     let snap = dist.metrics_registry().snapshot();
     assert_eq!(snap.counter("dist.resyncs").unwrap_or(0), 0);
 
+    // What the victim's index answers before it is lost: a probe-only
+    // Step, dialled past the coordinator, of the failed tick's
+    // trajectories and a still rectangle over the whole space, which
+    // meets every object the partition holds. The lost WAL takes this
+    // Step with it.
+    let victim = 0;
+    let everything =
+        MovingRect::stationary(Rect::new([-p.space; DIMS], [2.0 * p.space; DIMS]), now);
+    let probes = |set| {
+        let mut mbrs: Vec<MovingRect> = (updates.iter())
+            .filter(|u| u.set == set)
+            .map(|u| u.new_mbr)
+            .collect();
+        mbrs.push(everything);
+        mbrs
+    };
+    let probe_step = Request::Step {
+        seq: after[victim] as u64 + 1,
+        now,
+        ack_through: 0,
+        ops: Vec::new(),
+        probes_a: probes(SetTag::A),
+        probes_b: probes(SetTag::B),
+    };
+    let answer = |host: &Arc<LoopbackHost>| {
+        let mut channel = host.connector().connect().expect("dial the victim");
+        let ack = channel.call(&probe_step).expect("probe-only step");
+        assert!(matches!(ack, Response::StepAck { .. }), "got {ack:?}");
+        ack
+    };
+    let held = answer(&deployment.hosts[victim]);
+    let Response::StepAck { hits_a, hits_b, .. } = &held else {
+        unreachable!()
+    };
+    assert!(
+        !(hits_a.is_empty() && hits_b.is_empty()),
+        "the probes meet nothing: the comparison below would be vacuous"
+    );
+
     // A healthy worker loses its machine; the heartbeat rebuilds it from
     // the history, failed round's Step included: the Init and every
     // round it acked.
-    let victim = 0;
     deployment.hosts[victim].kill_and_lose_wal();
     dist.heartbeat().expect("the victim is rebuilt");
     let snap = dist.metrics_registry().snapshot();
@@ -337,5 +375,10 @@ fn a_failed_round_keeps_every_acked_history_exact() {
             last_applied: after[victim] as u64
         },
         "the rebuilt worker stopped short of its history"
+    );
+    assert_eq!(
+        answer(&deployment.hosts[victim]),
+        held,
+        "the rebuilt index answers other hits or did other work"
     );
 }

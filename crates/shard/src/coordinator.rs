@@ -153,6 +153,13 @@ where
         self.engine.partitions()
     }
 
+    /// The width the partitions fan out at: the configuration's
+    /// `threads`, at least 1.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Cross-shard migrations routed so far (update-driven).
     #[must_use]
     pub fn migrations(&self) -> u64 {

@@ -173,11 +173,10 @@ where
         side_a.sort_unstable_by_key(|&(id, _)| id);
         let probes: Vec<MovingRect> = side_a.iter().map(|&(_, mbr)| mbr).collect();
         let mut counters = JoinCounters::new();
-        let mut hits = [Vec::new(), Vec::new()];
+        let mut hits = Vec::new();
         let scratch = &mut JoinScratch::new();
-        self.probe_sides([&probes, &[]], now, scratch, &mut counters, &mut hits)?;
-        let [hits_a, _] = hits;
-        let pairs = (hits_a.into_iter())
+        self.probe(SetTag::A, &probes, now, scratch, &mut counters, &mut hits)?;
+        let pairs = (hits.into_iter())
             .map(|(p, b, interval)| JoinPair::new(side_a[p as usize].0, b, interval))
             .collect();
         Ok((pairs, counters))
@@ -190,6 +189,7 @@ where
 {
     type Config = PartitionedConfig<P::Config>;
     const NAME: &'static str = P::NAME;
+    const TREE_JOBS: bool = P::TREE_JOBS;
 
     fn engine_config(config: &Self::Config) -> &EngineConfig {
         P::engine_config(&config.inner)
@@ -246,13 +246,14 @@ where
         Ok(prev.set)
     }
 
-    /// The K² cross-partition tree jobs on one worklist; partitions that
-    /// cannot run tree jobs (remote ones) join by one probe round
-    /// instead (see the module docs).
+    /// The K² cross-partition tree jobs on one worklist; partitions whose
+    /// trees are out of reach ([`IndexPair::TREE_JOBS`] false, remote
+    /// ones) join by one probe round instead (see the module docs).
     fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        match self_join(self, now, P::engine_config(&self.config).threads) {
-            Err(TprError::Unsupported { .. }) => self.probe_join(now),
-            joined => joined,
+        if P::TREE_JOBS {
+            self_join(self, now, P::engine_config(&self.config).threads)
+        } else {
+            self.probe_join(now)
         }
     }
 
@@ -275,7 +276,8 @@ where
         tech
     }
 
-    /// Every partition's probe in shard order, hits appended as found.
+    /// One side's round of [`probe_sides`](IndexPair::probe_sides), the
+    /// other side's probes empty.
     fn probe(
         &self,
         side: SetTag,
@@ -285,9 +287,13 @@ where
         counters: &mut JoinCounters,
         hits: &mut Vec<ProbeHit>,
     ) -> TprResult<()> {
-        for part in &self.parts {
-            part.probe(side, probes, now, scratch, counters, hits)?;
-        }
+        let mut sides = [Vec::new(), Vec::new()];
+        let (at, sent) = match side {
+            SetTag::A => (0, [probes, &[]]),
+            SetTag::B => (1, [&[], probes]),
+        };
+        self.probe_sides(sent, now, scratch, counters, &mut sides)?;
+        hits.append(&mut sides[at]);
         Ok(())
     }
 
