@@ -27,14 +27,16 @@
 //!    id, the bytes and the dirty flag. **The caller's closure runs under
 //!    the frame latch alone** — shared, so two readers of one page decode
 //!    it concurrently; a miss fills the frame under the exclusive latch
-//!    and downgrades it before the closure runs. An evictor holds the
-//!    residency lock and waits on the victim's latch until its readers
-//!    are done.
+//!    and downgrades it before the closure runs. A writer's closure
+//!    ([`BufferPool::write_with`]) runs under the exclusive latch. An
+//!    evictor holds the residency lock and waits on the victim's latch
+//!    until its readers are done.
 //! 4. **The store.**
 //!
-//! A closure passed to [`BufferPool::read`] therefore **must not call
-//! back into the pool**: it holds a frame latch, and an evictor behind it
-//! can wait on that latch while the closure waits on the evictor.
+//! A closure passed to [`BufferPool::read`] or [`BufferPool::write_with`]
+//! therefore **must not call back into the pool**: it holds a frame
+//! latch, and an evictor behind it can wait on that latch while the
+//! closure waits on the evictor.
 //!
 //! # Recency without a list
 //!
@@ -543,6 +545,24 @@ impl BufferPool {
     /// Counts one logical write. No physical read is needed because
     /// `data` overwrites the whole page.
     pub fn write(&self, id: PageId, data: &[u8; PAGE_SIZE]) -> StorageResult<()> {
+        self.write_with(id, |page| page.copy_from_slice(data))
+    }
+
+    /// Writes a page through the buffer by letting `fill` produce its
+    /// bytes in place — in the resident frame, or in a newly taken one
+    /// (a blind write: the old bytes are not read). Accounting is
+    /// [`write`](Self::write)'s: one logical write, the frame marked
+    /// dirty.
+    ///
+    /// `fill` runs under the frame's exclusive latch. It **must overwrite
+    /// the whole page** — a taken frame still holds the bytes of the page
+    /// it held before — and must not call back into this pool (see the
+    /// module docs).
+    pub fn write_with(
+        &self,
+        id: PageId,
+        fill: impl FnOnce(&mut [u8; PAGE_SIZE]),
+    ) -> StorageResult<()> {
         self.store.stats().record_logical_write();
         let inner = &*self.inner;
         let mut frame = match inner.latch(id, RwLock::write) {
@@ -559,7 +579,7 @@ impl BufferPool {
                 }
             }
         };
-        frame.page_mut().copy_from_slice(data);
+        fill(frame.page_mut());
         frame.dirty = true;
         Ok(())
     }

@@ -288,3 +288,43 @@ proptest! {
         }
     }
 }
+
+/// `write_with` on a page that is not resident, in a full pool: a blind
+/// write. It counts one logical write and reads nothing from the disk;
+/// the least recently used page, dirty, is written back first.
+#[test]
+fn write_with_into_a_full_pool_is_a_blind_write() {
+    let log: Arc<Mutex<Vec<DiskOp>>> = Arc::default();
+    let store = Arc::new(SpyStore {
+        inner: InMemoryStore::new(),
+        spy: {
+            let log = log.clone();
+            move |is_write, id: PageId| log.lock().unwrap().push((is_write, id.0))
+        },
+    });
+    let pool = BufferPool::new(store.clone(), BufferPoolConfig::with_capacity(2));
+    let (a, b, c) = (pool.allocate(), pool.allocate(), pool.allocate());
+    pool.write_with(a, |p| p.fill(0xAA)).unwrap();
+    pool.write_with(b, |p| p.fill(0xBB)).unwrap();
+    assert!(log.lock().unwrap().is_empty(), "two frames, no disk access");
+
+    let before = pool.stats().snapshot();
+    pool.write_with(c, |p| p.fill(0xCC)).unwrap();
+    let delta = pool.stats().snapshot() - before;
+    assert_eq!(delta.logical_writes, 1);
+    assert_eq!(delta.logical_reads, 0);
+    assert_eq!(delta.physical_reads, 0, "the new bytes are not read first");
+    assert_eq!(delta.physical_writes, 1, "the dirty victim is written back");
+    assert_eq!(*log.lock().unwrap(), vec![(true, a.0)]);
+    assert_eq!(pool.resident(), 2);
+
+    // The victim reached the disk whole, and the frame it left holds the
+    // new page, overwritten whole.
+    let mut raw = cij_storage::zeroed_page();
+    store.inner.read(a, &mut raw).unwrap();
+    assert!(raw.iter().all(|&byte| byte == 0xAA));
+    assert_eq!(
+        pool.read(c, |p| p.iter().all(|&byte| byte == 0xCC)),
+        Ok(true)
+    );
+}

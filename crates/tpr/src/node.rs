@@ -5,15 +5,20 @@
 //! pages. Nodes serialize into one 4 KB page each.
 //!
 //! There is one on-page layout, the v2 structure-of-arrays layout of
-//! [`crate::view`]: [`Node::to_page`] writes it, and every read goes
-//! through [`NodeView`](crate::NodeView) — [`Node::from_page`] is
-//! `NodeView::parse` + `to_node`.
+//! [`crate::view`]: [`Node::encode_into`] writes it (the tree encodes
+//! straight into the latched pool frame; [`Node::to_page`] is a zeroed
+//! buffer + `encode_into`), and every read goes through
+//! [`NodeView`](crate::NodeView) — [`Node::from_page`] is
+//! `NodeView::parse` + `to_node`, and `to_node` is
+//! [`NodeView::decode_into`] on a fresh node.
 
 use cij_geom::{MovingRect, Time};
 use cij_storage::{PageBuf, StorageError, StorageResult, PAGE_SIZE};
 
 use crate::entry::{ChildRef, Entry};
-use crate::view::{NodeView, SOA_HEADER_BYTES, SOA_LANE_BYTES, SOA_MAGIC, SOA_SLOTS, SOA_VERSION};
+use crate::view::{
+    NodeView, SOA_HEADER_BYTES, SOA_LANES, SOA_LANE_BYTES, SOA_MAGIC, SOA_SLOTS, SOA_VERSION,
+};
 
 /// A deserialized tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +74,26 @@ impl Node {
 
     /// Serializes into a fresh page buffer in the v2 SoA layout.
     pub fn to_page(&self) -> StorageResult<PageBuf> {
+        let mut page = cij_storage::zeroed_page();
+        self.encode_into(&mut page)?;
+        Ok(page)
+    }
+
+    /// Serializes into `page` in the v2 SoA layout, overwriting every
+    /// byte: the header, the used lane slots, and zeros in the header
+    /// padding, the unused slots and the tail — so whatever `page` held
+    /// before, it ends up equal to [`to_page`](Self::to_page)'s buffer.
+    ///
+    /// A node with more entries than a page holds is refused with
+    /// `Corrupt` before `page` is touched.
+    pub fn encode_into(&self, page: &mut [u8; PAGE_SIZE]) -> StorageResult<()> {
+        self.check_fits()?;
+        self.encode_fitting(page);
+        Ok(())
+    }
+
+    /// `Corrupt` unless the entries fit one page.
+    pub(crate) fn check_fits(&self) -> StorageResult<()> {
         if self.entries.len() > Self::max_capacity() {
             return Err(StorageError::Corrupt(format!(
                 "entry count {} exceeds physical capacity {}",
@@ -76,36 +101,38 @@ impl Node {
                 Self::max_capacity()
             )));
         }
-        let mut page = cij_storage::zeroed_page();
-        page[0..2].copy_from_slice(&SOA_MAGIC.to_le_bytes());
-        page[2] = SOA_VERSION;
-        page[3] = self.level;
-        let count = u16::try_from(self.entries.len())
-            .map_err(|_| StorageError::Corrupt("entry count > u16".into()))?;
-        page[4..6].copy_from_slice(&count.to_le_bytes());
+        Ok(())
+    }
+
+    /// [`encode_into`](Self::encode_into) for a node that passed
+    /// [`check_fits`](Self::check_fits).
+    pub(crate) fn encode_fitting(&self, page: &mut [u8; PAGE_SIZE]) {
+        debug_assert!(self.entries.len() <= Self::max_capacity());
+        let count = self.entries.len() as u16;
+        let [m0, m1] = SOA_MAGIC.to_le_bytes();
+        let [c0, c1] = count.to_le_bytes();
+        page[..SOA_HEADER_BYTES].copy_from_slice(&[m0, m1, SOA_VERSION, self.level, c0, c1, 0, 0]);
         // Lane-major writes: one sequential pass per field.
-        let mut off = SOA_HEADER_BYTES;
-        let mut lane = |page: &mut PageBuf, f: &mut dyn FnMut(&Entry) -> u64| {
-            for (i, e) in self.entries.iter().enumerate() {
-                let at = off + i * 8;
-                page[at..at + 8].copy_from_slice(&f(e).to_le_bytes());
-            }
-            off += SOA_LANE_BYTES;
+        let lane = |k: usize| {
+            let at = SOA_HEADER_BYTES + k * SOA_LANE_BYTES;
+            at..at + SOA_LANE_BYTES
         };
-        lane(&mut page, &mut |e| e.mbr.lo[0].to_bits());
-        lane(&mut page, &mut |e| e.mbr.lo[1].to_bits());
-        lane(&mut page, &mut |e| e.mbr.hi[0].to_bits());
-        lane(&mut page, &mut |e| e.mbr.hi[1].to_bits());
-        lane(&mut page, &mut |e| e.mbr.vlo[0].to_bits());
-        lane(&mut page, &mut |e| e.mbr.vlo[1].to_bits());
-        lane(&mut page, &mut |e| e.mbr.vhi[0].to_bits());
-        lane(&mut page, &mut |e| e.mbr.vhi[1].to_bits());
-        lane(&mut page, &mut |e| e.mbr.t_ref.to_bits());
-        lane(&mut page, &mut |e| match e.child {
+        let entries = &self.entries[..];
+        put_lane(&mut page[lane(0)], entries, |e| e.mbr.lo[0].to_bits());
+        put_lane(&mut page[lane(1)], entries, |e| e.mbr.lo[1].to_bits());
+        put_lane(&mut page[lane(2)], entries, |e| e.mbr.hi[0].to_bits());
+        put_lane(&mut page[lane(3)], entries, |e| e.mbr.hi[1].to_bits());
+        put_lane(&mut page[lane(4)], entries, |e| e.mbr.vlo[0].to_bits());
+        put_lane(&mut page[lane(5)], entries, |e| e.mbr.vlo[1].to_bits());
+        put_lane(&mut page[lane(6)], entries, |e| e.mbr.vhi[0].to_bits());
+        put_lane(&mut page[lane(7)], entries, |e| e.mbr.vhi[1].to_bits());
+        put_lane(&mut page[lane(8)], entries, |e| e.mbr.t_ref.to_bits());
+        put_lane(&mut page[lane(9)], entries, |e| match e.child {
             ChildRef::Object(oid) => oid.0,
             ChildRef::Page(pid) => u64::from(pid.0),
         });
-        Ok(page)
+        // The slack after the last lane.
+        page[lane(SOA_LANES).start..].fill(0);
     }
 
     /// Deserializes from a page buffer (see [`NodeView::parse`] for what
@@ -113,6 +140,17 @@ impl Node {
     pub fn from_page(page: &[u8; PAGE_SIZE]) -> StorageResult<Self> {
         Ok(NodeView::parse(page)?.to_node())
     }
+}
+
+/// Writes one field of every entry into its lane, and zeros into the
+/// lane's unused slots.
+#[inline(always)]
+fn put_lane(lane: &mut [u8], entries: &[Entry], field: impl Fn(&Entry) -> u64) {
+    let (used, unused) = lane.split_at_mut(entries.len() * 8);
+    for (slot, e) in used.chunks_exact_mut(8).zip(entries) {
+        slot.copy_from_slice(&field(e).to_le_bytes());
+    }
+    unused.fill(0);
 }
 
 #[cfg(test)]
@@ -196,8 +234,17 @@ mod tests {
 
     #[test]
     fn overfull_node_refuses_to_serialize() {
-        let node = sample_node(0, Node::max_capacity() + 1);
-        assert!(matches!(node.to_page(), Err(StorageError::Corrupt(_))));
+        for level in [0, 1] {
+            let node = sample_node(level, Node::max_capacity() + 1);
+            assert!(matches!(node.to_page(), Err(StorageError::Corrupt(_))));
+            // Refused before the frame is touched.
+            let mut frame = [0xA5u8; PAGE_SIZE];
+            assert!(matches!(
+                node.encode_into(&mut frame),
+                Err(StorageError::Corrupt(_))
+            ));
+            assert!(frame.iter().all(|&b| b == 0xA5), "refused, yet wrote");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * **active tightening** — every write-back recomputes the parent
 //!   entry's bound from the child's current entries, rebased to `now`.
 
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
 
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
 use cij_storage::{BufferPool, CacheSnapshot, CacheStats, PageId, StorageResult};
@@ -62,6 +62,10 @@ pub struct TprTree {
     len: usize,
     /// Node pages read through the zero-copy view (`storage.page.*`).
     format_stats: CacheStats,
+    /// Working memory of insert and delete, kept between operations so
+    /// that a warm mutation allocates nothing. Boxed: engines hold trees
+    /// by value, and the buffers are only touched by mutations.
+    scratch: Box<Scratch>,
 }
 
 /// Aggregate statistics returned by [`TprTree::stats`].
@@ -85,6 +89,31 @@ struct PathStep {
     child_idx: usize,
 }
 
+/// The buffers a mutation works in. Each is bounded by what one
+/// operation holds at once — a root-to-leaf path, the nodes of a split,
+/// the groups waiting to be reinserted — so nothing here grows with the
+/// workload.
+#[derive(Default)]
+struct Scratch {
+    /// Nodes a mutation has finished with, kept for their entry buffers.
+    spare: Vec<Node>,
+    /// The path of the running descent. One is live at a time: a path is
+    /// used up before a reinsertion starts the next.
+    path: Vec<PathStep>,
+    /// Groups of entries waiting to be reinserted at their node's level —
+    /// the victims of a forced reinsert, the orphans of a dissolved node —
+    /// kept as a stack: each pass replays, in order, the groups it pushed.
+    reinsert: Vec<Node>,
+    /// `split_node`'s candidate ordering.
+    sorted: Vec<Entry>,
+    /// `evict_for_reinsert`'s (squared distance, index) list.
+    scored: Vec<(f64, usize)>,
+}
+
+/// The levels that have had their forced reinsert in the running
+/// top-level operation (R* rule: one per level).
+type Reinserted = [bool; 1 << u8::BITS];
+
 impl TprTree {
     /// Creates an empty tree whose nodes live in `pool`.
     ///
@@ -100,6 +129,7 @@ impl TprTree {
             height: 0,
             len: 0,
             format_stats: CacheStats::new(),
+            scratch: Box::default(),
         }
     }
 
@@ -166,10 +196,31 @@ impl TprTree {
         Ok(out)
     }
 
+    /// The one node write path: the capacity is checked first, then the
+    /// node is encoded straight into the latched pool frame.
     fn write_node(&self, page: PageId, node: &Node) -> TprResult<()> {
-        let buf = node.to_page()?;
-        self.pool.write(page, &buf)?;
+        node.check_fits()?;
+        self.pool
+            .write_with(page, |frame| node.encode_fitting(frame))?;
         Ok(())
+    }
+
+    /// A node at `level` with no entries: a spare one, or a new one sized
+    /// for the most a mutation puts in a node (a full node plus the entry
+    /// that overflows it).
+    fn take_node(&mut self, level: u8) -> Node {
+        let mut node = self.scratch.spare.pop().unwrap_or_else(|| Node {
+            level,
+            entries: Vec::with_capacity(self.config.capacity + 1),
+        });
+        node.level = level;
+        node
+    }
+
+    /// Keeps a node the mutation has finished with for its entry buffer.
+    fn recycle(&mut self, mut node: Node) {
+        node.entries.clear();
+        self.scratch.spare.push(node);
     }
 
     /// Page-format counters: node pages read through the zero-copy view.
@@ -186,32 +237,34 @@ impl TprTree {
     /// timestamp (insertions always happen at the present; `mbr.t_ref`
     /// is typically `now`).
     pub fn insert(&mut self, oid: ObjectId, mbr: MovingRect, now: Time) -> TprResult<()> {
+        // Groups a failed operation left behind are not replayed.
+        self.scratch.reinsert.clear();
         let entry = Entry::object(oid, mbr);
-        let mut reinserted_levels = HashSet::new();
-        self.insert_entry(entry, 0, now, &mut reinserted_levels)?;
+        self.insert_entry(entry, 0, now, &mut [false; 1 << u8::BITS])?;
         self.len += 1;
         Ok(())
     }
 
     /// Inserts `entry` into a node at `target_level`, growing the tree as
-    /// needed. `reinserted_levels` limits forced reinserts to one per
-    /// level per top-level operation (R* rule).
+    /// needed. `reinserted` limits forced reinserts to one per level per
+    /// top-level operation (R* rule).
     fn insert_entry(
         &mut self,
         entry: Entry,
         target_level: u8,
         now: Time,
-        reinserted_levels: &mut HashSet<u8>,
+        reinserted: &mut Reinserted,
     ) -> TprResult<()> {
         let Some(root) = self.root else {
             // First entry: the root is born as a node at the target level
             // (target_level > 0 cannot happen on an empty tree — orphan
             // reinserts only occur on non-empty trees).
             debug_assert_eq!(target_level, 0, "orphan reinsert into empty tree");
-            let mut node = Node::new(target_level);
+            let mut node = self.take_node(target_level);
             node.entries.push(entry);
             let page = self.pool.allocate();
             self.write_node(page, &node)?;
+            self.recycle(node);
             self.root = Some(page);
             self.height = u32::from(target_level) + 1;
             return Ok(());
@@ -223,22 +276,25 @@ impl TprTree {
             .node
             .entries
             .push(entry);
-        self.resolve_overflow(path, now, reinserted_levels)
+        self.resolve_overflow(path, now, reinserted)
     }
 
     /// Descends from `root` to a node at `target_level`, minimizing the
-    /// enlargement integral at every step.
+    /// enlargement integral at every step. The path comes in the tree's
+    /// retained path buffer; whoever uses it up hands it back.
     fn choose_path(
-        &self,
+        &mut self,
         root: PageId,
         mbr: &MovingRect,
         target_level: u8,
         now: Time,
     ) -> TprResult<Vec<PathStep>> {
-        let mut path = Vec::with_capacity(self.height as usize);
+        let mut path = std::mem::take(&mut self.scratch.path);
+        debug_assert!(path.is_empty());
         let mut page = root;
         loop {
-            let node = self.read_node(page)?;
+            let mut node = self.take_node(0);
+            self.read_view(page, |view| view.decode_into(&mut node))?;
             if node.level == target_level {
                 path.push(PathStep {
                     page,
@@ -279,13 +335,13 @@ impl TprTree {
             let (enl, area) = if self.config.integral_metrics {
                 // Integrate from the later of `now` and the entry's
                 // reference time — bounds are undefined before their
-                // reference.
+                // reference. The enlargement is `enlargement_integral`'s
+                // difference, with the entry's own area integral taken
+                // once.
                 let t0 = now.max(e.mbr.t_ref);
                 let t1 = h_end.max(t0);
-                (
-                    e.mbr.enlargement_integral(mbr, t0, t1),
-                    e.mbr.area_integral(t0, t1),
-                )
+                let area = e.mbr.area_integral(t0, t1);
+                (e.mbr.union_moving(mbr).area_integral(t0, t1) - area, area)
             } else {
                 let t = now.max(e.mbr.t_ref);
                 let here = e.mbr.at(t);
@@ -302,15 +358,16 @@ impl TprTree {
     }
 
     /// Walks the path bottom-up handling overflows (forced reinsert or
-    /// split) and tightening parent bounds.
+    /// split) and tightening parent bounds, then replays the entries the
+    /// forced reinserts evicted.
     fn resolve_overflow(
         &mut self,
         mut path: Vec<PathStep>,
         now: Time,
-        reinserted_levels: &mut HashSet<u8>,
+        reinserted: &mut Reinserted,
     ) -> TprResult<()> {
-        // Entries evicted by forced reinserts: (entry, target node level).
-        let mut pending_reinserts: Vec<(Entry, u8)> = Vec::new();
+        // The groups this pass evicts go on the reinsert stack above `base`.
+        let base = self.scratch.reinsert.len();
         // The sibling entry produced by a split at the level below, to be
         // added to the current node.
         let mut carry: Option<Entry> = None;
@@ -323,41 +380,49 @@ impl TprTree {
             if step.node.entries.len() <= self.config.capacity {
                 self.write_node(step.page, &step.node)?;
                 self.tighten_parent(&mut path, &step.node, now)?;
+                self.recycle(step.node);
                 continue;
             }
 
             let level = step.node.level;
             let is_root = path.is_empty();
-            if self.config.forced_reinsert && !is_root && !reinserted_levels.contains(&level) {
+            if self.config.forced_reinsert && !is_root && !reinserted[usize::from(level)] {
                 // Forced reinsert: evict the entries farthest from the
                 // node center over the horizon, keep the node, and replay
                 // them as fresh insertions afterwards.
-                reinserted_levels.insert(level);
-                let evicted = self.evict_for_reinsert(&mut step.node, now);
+                reinserted[usize::from(level)] = true;
+                let mut evicted = self.take_node(level);
+                self.evict_for_reinsert(&mut step.node, &mut evicted.entries, now);
                 self.write_node(step.page, &step.node)?;
                 self.tighten_parent(&mut path, &step.node, now)?;
-                pending_reinserts.extend(evicted.into_iter().map(|e| (e, level)));
+                self.recycle(step.node);
+                self.scratch.reinsert.push(evicted);
                 continue;
             }
 
-            // Split.
-            let (left, right) = self.split_node(step.node, now);
+            // Split: the node keeps the first group, a new page the second.
+            let mut right = self.take_node(level);
+            self.split_node(&mut step.node, &mut right, now);
             let right_page = self.pool.allocate();
-            self.write_node(step.page, &left)?;
+            self.write_node(step.page, &step.node)?;
             self.write_node(right_page, &right)?;
-            let left_mbr = left
+            let left_mbr = step
+                .node
                 .bounding_mbr_at(now)
                 .expect("split halves are non-empty");
             let right_mbr = right
                 .bounding_mbr_at(now)
                 .expect("split halves are non-empty");
+            self.recycle(step.node);
+            self.recycle(right);
 
             if is_root {
-                let mut new_root = Node::new(level + 1);
+                let mut new_root = self.take_node(level + 1);
                 new_root.entries.push(Entry::node(step.page, left_mbr));
                 new_root.entries.push(Entry::node(right_page, right_mbr));
                 let root_page = self.pool.allocate();
                 self.write_node(root_page, &new_root)?;
+                self.recycle(new_root);
                 self.root = Some(root_page);
                 self.height += 1;
             } else {
@@ -366,10 +431,34 @@ impl TprTree {
                 carry = Some(Entry::node(right_page, right_mbr));
             }
         }
+        self.scratch.path = path;
 
         // Replay evicted entries now that the tree is consistent.
-        for (entry, level) in pending_reinserts {
-            self.insert_entry(entry, level, now, reinserted_levels)?;
+        self.replay_reinserts(base, now, reinserted)
+    }
+
+    /// Reinserts the groups above `base` on the reinsert stack, in order,
+    /// each entry into a node at its group's level; then recycles them.
+    /// A reinsertion that overflows pushes and replays its own groups
+    /// above these before it returns.
+    fn replay_reinserts(
+        &mut self,
+        base: usize,
+        now: Time,
+        reinserted: &mut Reinserted,
+    ) -> TprResult<()> {
+        let end = self.scratch.reinsert.len();
+        for group in base..end {
+            let level = self.scratch.reinsert[group].level;
+            for i in 0..self.scratch.reinsert[group].entries.len() {
+                let entry = self.scratch.reinsert[group].entries[i];
+                self.insert_entry(entry, level, now, reinserted)?;
+            }
+        }
+        debug_assert_eq!(self.scratch.reinsert.len(), end);
+        while self.scratch.reinsert.len() > base {
+            let group = self.scratch.reinsert.pop().expect("a group above base");
+            self.recycle(group);
         }
         Ok(())
     }
@@ -389,9 +478,10 @@ impl TprTree {
         Ok(())
     }
 
-    /// Removes the `reinsert_count` entries whose centers stray farthest
-    /// from the node's center over the horizon (sampled at `now + H/2`).
-    fn evict_for_reinsert(&self, node: &mut Node, now: Time) -> Vec<Entry> {
+    /// Moves the `reinsert_count` entries whose centers stray farthest
+    /// from the node's center over the horizon (sampled at `now + H/2`)
+    /// into `evicted`, nearest of them first.
+    fn evict_for_reinsert(&mut self, node: &mut Node, evicted: &mut Vec<Entry>, now: Time) {
         let t_mid = if self.config.integral_metrics {
             now + self.config.horizon / 2.0
         } else {
@@ -400,29 +490,23 @@ impl TprTree {
         let center_of = |m: &MovingRect| m.at(t_mid).center();
         let node_mbr = node.bounding_mbr().expect("overflowing node is non-empty");
         let c = center_of(&node_mbr);
-        let mut scored: Vec<(f64, usize)> = node
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let ec = center_of(&e.mbr);
-                let dx = ec[0] - c[0];
-                let dy = ec[1] - c[1];
-                (dx * dx + dy * dy, i)
-            })
-            .collect();
+        let scored = &mut self.scratch.scored;
+        scored.clear();
+        scored.extend(node.entries.iter().enumerate().map(|(i, e)| {
+            let ec = center_of(&e.mbr);
+            let dx = ec[0] - c[0];
+            let dy = ec[1] - c[1];
+            (dx * dx + dy * dy, i)
+        }));
         // Farthest first.
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite distances"));
         let k = self
             .config
             .reinsert_count()
             .min(node.entries.len().saturating_sub(1));
-        let mut evict_idx: Vec<usize> = scored[..k].iter().map(|&(_, i)| i).collect();
-        evict_idx.sort_unstable_by(|a, b| b.cmp(a)); // remove back-to-front
-        let mut evicted: Vec<Entry> = evict_idx
-            .into_iter()
-            .map(|i| node.entries.swap_remove(i))
-            .collect();
+        let victims = &mut scored[..k];
+        victims.sort_unstable_by_key(|&(_, i)| Reverse(i)); // remove back-to-front
+        evicted.extend(victims.iter().map(|&(_, i)| node.entries.swap_remove(i)));
         // R* reinserts in *close-first* order: nearest evicted first.
         evicted.sort_by(|a, b| {
             let da = {
@@ -435,14 +519,13 @@ impl TprTree {
             };
             da.partial_cmp(&db).expect("finite distances")
         });
-        evicted
     }
 
     /// R*-style split on integral metrics: axis by minimal margin-integral
     /// sum, distribution by minimal overlap integral (ties: total area
-    /// integral).
-    fn split_node(&self, node: Node, now: Time) -> (Node, Node) {
-        let level = node.level;
+    /// integral). `node` keeps the first group; `right`, empty, receives
+    /// the second.
+    fn split_node(&mut self, node: &mut Node, right: &mut Node, now: Time) {
         let min = self.config.min_entries();
         let n = node.entries.len();
         debug_assert!(n > self.config.capacity);
@@ -455,23 +538,15 @@ impl TprTree {
             it.fold(first, |acc, e| acc.union_moving(&e.mbr))
         };
 
-        let mut best: Option<(f64, f64, usize, Vec<Entry>)> = None; // (overlap, area, split_at, sorted)
+        // (overlap, area, axis, by_upper, split_at) of the best
+        // distribution so far.
+        let mut best: Option<(f64, f64, usize, bool, usize)> = None;
+        let sorted = &mut self.scratch.sorted;
         for axis in 0..cij_geom::DIMS {
             for by_upper in [false, true] {
-                let mut sorted = node.entries.clone();
-                sorted.sort_by(|a, b| {
-                    let ka = if by_upper {
-                        a.mbr.hi_at(axis, now)
-                    } else {
-                        a.mbr.lo_at(axis, now)
-                    };
-                    let kb = if by_upper {
-                        b.mbr.hi_at(axis, now)
-                    } else {
-                        b.mbr.lo_at(axis, now)
-                    };
-                    ka.partial_cmp(&kb).expect("finite coordinates")
-                });
+                sorted.clear();
+                sorted.extend_from_slice(&node.entries);
+                sorted.sort_by(split_order(axis, by_upper, now));
                 // Margin sum decides the axis in R*; folding it into one
                 // pass with the distribution choice (margin as a third
                 // tie-break) keeps quality while halving the scans.
@@ -489,22 +564,22 @@ impl TprTree {
                         let (r1, r2) = (g1.at(s0), g2.at(s0));
                         (r1.overlap_area(&r2), r1.area() + r2.area())
                     };
-                    let better = match &best {
+                    let better = match best {
                         None => true,
-                        Some((bo, ba, _, _)) => overlap < *bo || (overlap == *bo && area < *ba),
+                        Some((bo, ba, ..)) => overlap < bo || (overlap == bo && area < ba),
                     };
                     if better {
-                        best = Some((overlap, area, split_at, sorted.clone()));
+                        best = Some((overlap, area, axis, by_upper, split_at));
                     }
                 }
             }
         }
-        let (_, _, split_at, sorted) = best.expect("at least one distribution considered");
-        let mut left = Node::new(level);
-        let mut right = Node::new(level);
-        left.entries = sorted[..split_at].to_vec();
-        right.entries = sorted[split_at..].to_vec();
-        (left, right)
+        let (_, _, axis, by_upper, split_at) = best.expect("at least one distribution considered");
+        // The same stable sort of the same entries gives the order the
+        // best distribution was scored in.
+        node.entries.sort_by(split_order(axis, by_upper, now));
+        right.level = node.level;
+        right.entries.extend(node.entries.drain(split_at..));
     }
 
     // ------------------------------------------------------------------
@@ -518,8 +593,11 @@ impl TprTree {
         let Some(root) = self.root else {
             return Err(TprError::ObjectNotFound(oid));
         };
-        let mut path: Vec<PathStep> = Vec::new();
+        // Groups a failed operation left behind are not replayed.
+        self.scratch.reinsert.clear();
+        let mut path = std::mem::take(&mut self.scratch.path);
         if !self.find_leaf(root, oid, mbr, now, &mut path)? {
+            self.scratch.path = path;
             return Err(TprError::ObjectNotFound(oid));
         }
 
@@ -534,45 +612,37 @@ impl TprTree {
         leaf.node.entries.remove(pos);
         self.len -= 1;
 
-        // Condense: dissolve under-full nodes, collecting orphans.
-        let mut orphans: Vec<(Entry, u8)> = Vec::new();
+        // Condense: dissolve under-full nodes; the entries of each become
+        // a group to reinsert at its level.
         while let Some(step) = path.pop() {
             let is_root = path.is_empty();
             if !is_root && step.node.entries.len() < self.config.min_entries() {
                 // Dissolve this node: orphan its entries, drop it from its
                 // parent.
-                let level = step.node.level;
-                orphans.extend(step.node.entries.into_iter().map(|e| (e, level)));
                 self.pool.free(step.page)?;
                 let parent = path.last_mut().expect("non-root has a parent");
                 parent.node.entries.remove(parent.child_idx);
                 // Removing shifts sibling indices; the parent's own
                 // child_idx (into *its* parent) is unaffected.
+                self.scratch.reinsert.push(step.node);
                 continue;
             }
             self.write_node(step.page, &step.node)?;
             if let Some(parent) = path.last_mut() {
-                if step.node.entries.is_empty() {
-                    // Empty root-adjacent node can only be the root itself;
-                    // guarded by is_root above.
-                    unreachable!("non-root empty node should have been dissolved");
-                }
+                // Non-root nodes this small were dissolved above.
                 let mbr = step
                     .node
                     .bounding_mbr_at(now)
                     .expect("non-empty node has a bound");
                 parent.node.entries[parent.child_idx].mbr = mbr;
             }
+            self.recycle(step.node);
         }
+        self.scratch.path = path;
 
-        // Reinsert orphans (node entries keep their level; leaf-level
-        // object entries go back to level 0).
-        let mut reinserted_levels = HashSet::new();
-        for (entry, level) in orphans {
-            // The dissolved node lived at `level`; its entries must land
-            // in a node at the same level again.
-            self.insert_entry(entry, level, now, &mut reinserted_levels)?;
-        }
+        // Reinsert orphans: the dissolved node lived at its group's level,
+        // so its entries must land in a node at that level again.
+        self.replay_reinserts(0, now, &mut [false; 1 << u8::BITS])?;
 
         self.shrink_root()?;
         Ok(())
@@ -594,27 +664,35 @@ impl TprTree {
     /// DFS for the leaf containing `oid`; fills `path` root→leaf on
     /// success. Children are pruned by rectangle intersection at `now`
     /// (a parent bounds its child at every `t` not earlier than both
-    /// reference times, and `now` is never earlier than any write).
+    /// reference times, and `now` is never earlier than any write). A
+    /// leaf is searched on its page view and decoded only if it holds
+    /// `oid`.
     fn find_leaf(
-        &self,
+        &mut self,
         page: PageId,
         oid: ObjectId,
         mbr: &MovingRect,
         now: Time,
         path: &mut Vec<PathStep>,
     ) -> TprResult<bool> {
-        let node = self.read_node(page)?;
-        if node.is_leaf() {
-            let found = node
-                .entries
-                .iter()
-                .any(|e| e.child == ChildRef::Object(oid));
+        let mut node = self.take_node(0);
+        let (leaf, found) = self.read_view(page, |view| {
+            let leaf = view.is_leaf();
+            let found = leaf && (0..view.len()).any(|i| view.child_raw(i) == oid.0);
+            if found || !leaf {
+                view.decode_into(&mut node);
+            }
+            (leaf, found)
+        })?;
+        if leaf {
             if found {
                 path.push(PathStep {
                     page,
                     node,
                     child_idx: usize::MAX,
                 });
+            } else {
+                self.recycle(node);
             }
             return Ok(found);
         }
@@ -637,26 +715,34 @@ impl TprTree {
                 }
             }
         }
-        path.pop();
+        let step = path.pop().expect("pushed above");
+        self.recycle(step.node);
         Ok(false)
     }
 
     /// Collapses trivial roots: a non-leaf root with a single child makes
-    /// the child the new root; an empty leaf root empties the tree.
+    /// the child the new root; an empty leaf root empties the tree. Reads
+    /// only the root's header and first child off its page view.
     fn shrink_root(&mut self) -> TprResult<()> {
         loop {
             let Some(root) = self.root else { return Ok(()) };
-            let node = self.read_node(root)?;
-            if node.is_leaf() {
-                if node.entries.is_empty() {
+            let (leaf, len, first) = self.read_view(root, |view| {
+                (
+                    view.is_leaf(),
+                    view.len(),
+                    (!view.is_empty()).then(|| view.child(0)),
+                )
+            })?;
+            if leaf {
+                if len == 0 {
                     self.pool.free(root)?;
                     self.root = None;
                     self.height = 0;
                 }
                 return Ok(());
             }
-            if node.entries.len() == 1 {
-                let child = node.entries[0].child.page();
+            if len == 1 {
+                let child = first.expect("one entry").page();
                 self.pool.free(root)?;
                 self.root = Some(child);
                 self.height -= 1;
@@ -861,5 +947,60 @@ impl TprTree {
             }
         }
         Ok(())
+    }
+}
+
+/// The order `split_node` sorts a candidate distribution in: by each
+/// entry's lower (or upper) bound on `axis` at `now`.
+fn split_order(axis: usize, by_upper: bool, now: Time) -> impl Fn(&Entry, &Entry) -> Ordering {
+    let key = move |e: &Entry| {
+        if by_upper {
+            e.mbr.hi_at(axis, now)
+        } else {
+            e.mbr.lo_at(axis, now)
+        }
+    };
+    move |a, b| key(a).partial_cmp(&key(b)).expect("finite coordinates")
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use cij_storage::{BufferPoolConfig, InMemoryStore, StorageError};
+
+    use super::*;
+
+    #[test]
+    fn an_over_capacity_node_is_refused_before_the_pool_sees_it() {
+        let pool = BufferPool::new(
+            Arc::new(InMemoryStore::new()),
+            BufferPoolConfig::with_capacity(4),
+        );
+        let mut tree = TprTree::new(pool.clone(), TreeConfig::default());
+        let mbr = MovingRect::rigid(Rect::new([0.0, 0.0], [1.0, 1.0]), [1.0, 0.0], 0.0);
+        tree.insert(ObjectId(7), mbr, 0.0).unwrap();
+        let root = tree.root_page().unwrap();
+        let before = pool.read(root, |p| *p).unwrap();
+        let writes = pool.stats().snapshot().logical_writes;
+
+        let mut node = Node::new(0);
+        node.entries = (0..=Node::max_capacity() as u64)
+            .map(|i| Entry::object(ObjectId(i), mbr))
+            .collect();
+        assert!(matches!(
+            tree.write_node(root, &node),
+            Err(TprError::Storage(StorageError::Corrupt(_)))
+        ));
+        assert_eq!(pool.stats().snapshot().logical_writes, writes);
+        assert!(
+            pool.read(root, |p| *p == before).unwrap(),
+            "page bytes moved"
+        );
+        assert_eq!(
+            tree.range_at(&Rect::new([0.0, 0.0], [2.0, 2.0]), 0.0)
+                .unwrap(),
+            vec![ObjectId(7)]
+        );
     }
 }

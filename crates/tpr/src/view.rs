@@ -290,16 +290,25 @@ impl<'a> NodeView<'a> {
         Some(it.fold(first, |acc, m| acc.union_moving(&m)))
     }
 
-    /// Decodes the whole view into an owned [`Node`] (lane-order bulk
-    /// decode; validation already happened in [`NodeView::parse`]).
+    /// Decodes the whole view into a fresh [`Node`] (see
+    /// [`decode_into`](Self::decode_into)).
     #[must_use]
     pub fn to_node(&self) -> Node {
-        let mut node = Node::new(self.level);
-        node.entries.reserve_exact(self.len);
-        for i in 0..self.len {
-            node.entries.push(self.entry(i));
-        }
+        let mut node = Node {
+            level: self.level,
+            entries: Vec::with_capacity(self.len),
+        };
+        self.decode_into(&mut node);
         node
+    }
+
+    /// Decodes the whole view into `node`, replacing its level and
+    /// entries and keeping the capacity of its entry buffer. Validation
+    /// already happened in [`NodeView::parse`].
+    pub fn decode_into(&self, node: &mut Node) {
+        node.level = self.level;
+        node.entries.clear();
+        node.entries.extend((0..self.len).map(|i| self.entry(i)));
     }
 }
 

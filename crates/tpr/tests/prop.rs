@@ -255,6 +255,17 @@ proptest! {
         assert_entries_bit_equal(&view.to_node(), &decoded);
     }
 
+    /// Encoding in place writes every byte: on a frame that still holds
+    /// another page's bytes (`0xA5` everywhere) `encode_into` leaves
+    /// exactly the buffer `to_page` builds from zeros.
+    #[test]
+    fn encode_into_a_dirty_frame_equals_to_page(node in arb_node()) {
+        let mut frame = [0xA5u8; PAGE_SIZE];
+        node.encode_into(&mut frame).unwrap();
+        let page = node.to_page().unwrap();
+        prop_assert!(frame == *page, "encode_into left bytes of the old frame");
+    }
+
     /// Arbitrary 4 KiB buffers: a typed `Corrupt` error or a view that
     /// can be read end to end.
     #[test]
