@@ -1,4 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation (§VI).
+//! This binary is all of `cij-bench`; performance of the stack as
+//! deployed is measured by the ledger, `benchmark/`.
 //!
 //! ```text
 //! cargo run --release -p cij-bench --bin figures -- all
@@ -13,19 +15,27 @@
 //!
 //! `--scale small` (default) runs the sweep at one tenth of the paper's
 //! dataset sizes so the whole suite finishes in minutes; `--scale paper`
-//! uses Table I sizes verbatim. Costs are reported as physical disk I/Os
-//! (hardware-independent) and wall-clock response time.
+//! uses Table I sizes verbatim. Both produce the same *shapes* (who wins,
+//! by what factor), the claims the reproduction checks. Costs are
+//! reported as physical disk I/Os (hardware-independent) and wall-clock
+//! response time.
+
+#![deny(unsafe_code)]
+
+mod report;
+mod runner;
 
 use std::time::Duration;
 
-use cij_bench::report::{fmt_duration, Row, Table};
-use cij_bench::runner::{
-    build_pair_trees, engine_config, fresh_pool, maintenance_cost, measure, EngineKind, Scale,
-};
 use cij_core::MtbEngine;
 use cij_join::{improved_join, naive_join, tc_join, techniques, tp_join, Techniques};
 use cij_tpr::TprResult;
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
+
+use crate::report::{fmt_duration, Row, Table};
+use crate::runner::{
+    build_pair_trees, engine_config, fresh_pool, maintenance_cost, measure, EngineKind, Scale,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -170,10 +180,10 @@ fn fig7(scale: Scale) -> TprResult<()> {
         &["Non-TC time", "TC time", "ratio"],
     );
     for size in scale.size_sweep() {
-        let params = scale.adjust(Params {
+        let params = Params {
             dataset_size: size,
             ..Params::default()
-        });
+        };
         let t_m = params.maximum_update_interval;
         let pool = fresh_pool();
         let (ta, tb, _, _) = build_pair_trees(&params, &pool)?;
@@ -290,10 +300,10 @@ fn fig9(scale: Scale) -> TprResult<()> {
         &["NaiveJoin", "ETP-Join", "MTB-Join"],
     );
     for size in scale.size_sweep() {
-        let params = scale.adjust(Params {
+        let params = Params {
             dataset_size: size,
             ..Params::default()
-        });
+        };
         let (cells, _) = initial_join_row(&params, true)?;
         io_t.push(Row::new(
             Scale::size_label(size),
@@ -391,12 +401,10 @@ fn fig12(scale: Scale) -> TprResult<()> {
         "Fig. 12 — initial join vs object size: response time",
         "object size %",
         &[0.05, 0.1, 0.2, 0.4, 0.8],
-        |p| {
-            scale.adjust(Params {
-                dataset_size: scale.default_size(),
-                object_size_pct: *p,
-                ..Params::default()
-            })
+        |p| Params {
+            dataset_size: scale.default_size(),
+            object_size_pct: *p,
+            ..Params::default()
         },
     )
 }
@@ -455,11 +463,9 @@ fn fig13(scale: Scale) -> TprResult<()> {
         "Fig. 13 — maintenance cost per update vs dataset size (measured after T_M)",
         "size",
         &scale.size_sweep(),
-        |s| {
-            scale.adjust(Params {
-                dataset_size: *s,
-                ..Params::default()
-            })
+        |s| Params {
+            dataset_size: *s,
+            ..Params::default()
         },
     )
 }
@@ -503,12 +509,10 @@ fn fig14(scale: Scale) -> TprResult<()> {
         "Fig. 14d — maintenance cost vs object size",
         "object size %",
         &[0.05, 0.1, 0.4, 0.8],
-        |p| {
-            scale.adjust(Params {
-                dataset_size: scale.default_size(),
-                object_size_pct: *p,
-                ..Params::default()
-            })
+        |p| Params {
+            dataset_size: scale.default_size(),
+            object_size_pct: *p,
+            ..Params::default()
         },
     )
 }
@@ -558,7 +562,7 @@ fn fig16(scale: Scale) -> TprResult<()> {
     let mut t = Table::new(
         format!(
             "Fig. 16 — storage backend comparison ({} objects, TC initial join)",
-            cij_bench::runner::Scale::size_label(params.dataset_size)
+            Scale::size_label(params.dataset_size)
         ),
         "backend",
         &["build time", "join I/O", "join time"],
@@ -680,11 +684,11 @@ fn fig20(scale: Scale) -> TprResult<()> {
         ],
     );
     for dist in [Distribution::Uniform, Distribution::Highway] {
-        let params = scale.adjust(Params {
+        let params = Params {
             dataset_size: scale.default_size(),
             distribution: dist,
             ..Params::default()
-        });
+        };
         let t_m = params.maximum_update_interval;
         let pool = fresh_pool();
         let (ta, tb, _, _) = build_pair_trees(&params, &pool)?;
@@ -807,10 +811,10 @@ fn fig22(scale: Scale) -> TprResult<()> {
     // 1 -> 2-thread speedup of the last (largest) size.
     let mut one_to_two = 1.0;
     for size in scale.size_sweep() {
-        let params = scale.adjust(Params {
+        let params = Params {
             dataset_size: size,
             ..Params::default()
-        });
+        };
         let t_m = params.maximum_update_interval;
         // Both trees resident: ~size/20 leaf pages per tree plus
         // internals, doubled for slack.

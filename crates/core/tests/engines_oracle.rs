@@ -10,7 +10,7 @@ use cij_geom::Time;
 use cij_join::brute;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::TprResult;
-use cij_workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
+use cij_workload::{generate_pair, Distribution, ObjectUpdate, Params, SetTag, UpdateStream};
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -184,6 +184,66 @@ fn all_engines_agree_with_each_other() {
         assert_eq!(r_naive, etp.result_at(now), "naive vs etp at t={now}");
         assert_eq!(r_naive, mtb.result_at(now), "naive vs mtb at t={now}");
     }
+}
+
+#[test]
+fn restored_object_keeps_its_registration_time() {
+    // An object taken out and put back with `restore_object` is filed
+    // under its original `registered_at`, which here lies more than one
+    // bucket span (T_M / 2) before `now`: for 2·T_M more ticks the answer
+    // is the oracle's and an untouched engine's, and the object's next
+    // update, which still carries the old `last_update`, finds it.
+    fn step(engines: [&mut MtbEngine; 2], updates: &[ObjectUpdate], now: Time) {
+        for e in engines {
+            e.advance_time(now).unwrap();
+            for u in updates {
+                e.apply_update(u, now).unwrap();
+            }
+        }
+    }
+    let params = small_params(Distribution::Uniform, 140);
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = EngineConfig::default();
+    let mut touched = MtbEngine::new(pool(), config, &a, &b, 0.0).unwrap();
+    let mut untouched = MtbEngine::new(pool(), config, &a, &b, 0.0).unwrap();
+    let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+    touched.run_initial_join(0.0).unwrap();
+    untouched.run_initial_join(0.0).unwrap();
+    let restore_at = 45u32;
+    for tick in 1..=restore_at {
+        let now = Time::from(tick);
+        step([&mut touched, &mut untouched], &stream.tick(now), now);
+    }
+
+    let now = Time::from(restore_at);
+    let bucket_span = config.t_m / f64::from(config.buckets_per_tm);
+    let answer = touched.result_at(now);
+    let (id, mbr) = stream
+        .snapshot(SetTag::A)
+        .into_iter()
+        .find(|(id, mbr)| now - mbr.t_ref > bucket_span && answer.iter().any(|p| p.0 == *id))
+        .expect("an answer object registered over a bucket span ago");
+    touched
+        .remove_object(SetTag::A, id, &mbr, mbr.t_ref, now)
+        .unwrap();
+    assert!(touched.result_at(now).len() < answer.len());
+    touched
+        .restore_object(SetTag::A, id, mbr, mbr.t_ref, now)
+        .unwrap();
+    compare(&touched, &stream, now);
+
+    let mut next_update = false;
+    for tick in restore_at + 1..=restore_at + 2 * 60 {
+        let now = Time::from(tick);
+        let updates = stream.tick(now);
+        next_update |= updates
+            .iter()
+            .any(|u| u.id == id && u.last_update == mbr.t_ref);
+        step([&mut touched, &mut untouched], &updates, now);
+        compare(&touched, &stream, now);
+        assert_eq!(touched.result_at(now), untouched.result_at(now), "t={now}");
+    }
+    assert!(next_update, "the restored object was updated again");
 }
 
 // ----------------------------------------------------------------------

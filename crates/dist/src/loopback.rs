@@ -17,9 +17,9 @@
 //! minus the socket.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use cij_storage::sync;
 
 use crate::error::{DistError, DistResult};
 use crate::protocol::{Request, Response};
@@ -72,14 +72,14 @@ impl LoopbackHost {
     /// Crashes the worker process: in-memory index, outbox and
     /// sequence state are gone; the WAL (if any) survives.
     pub fn kill(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         inner.worker = None;
         inner.kills += 1;
     }
 
     /// Loses the whole machine: the worker *and* its WAL.
     pub fn kill_and_lose_wal(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         inner.worker = None;
         inner.kills += 1;
         if let Some(path) = &inner.wal_path {
@@ -90,13 +90,13 @@ impl LoopbackHost {
     /// Kills performed so far.
     #[must_use]
     pub fn kills(&self) -> u64 {
-        self.inner.lock().kills
+        sync::lock(&self.inner).kills
     }
 
     /// Supervisor restarts performed so far.
     #[must_use]
     pub fn restarts(&self) -> u64 {
-        self.inner.lock().restarts
+        sync::lock(&self.inner).restarts
     }
 
     /// A connector dialing this host.
@@ -115,7 +115,7 @@ pub struct LoopbackConnector {
 
 impl Connector for LoopbackConnector {
     fn connect(&self) -> DistResult<Box<dyn Transport>> {
-        let mut inner = self.host.inner.lock();
+        let mut inner = sync::lock(&self.host.inner);
         if inner.worker.is_none() {
             // The supervisor restarts the process: durable workers
             // replay their WAL, ephemeral ones come back blank.
@@ -132,7 +132,7 @@ impl Connector for LoopbackConnector {
     }
 
     fn describe(&self) -> String {
-        match &self.host.inner.lock().wal_path {
+        match &sync::lock(&self.host.inner).wal_path {
             Some(path) => format!("loopback({})", path.display()),
             None => "loopback(ephemeral)".into(),
         }
@@ -152,7 +152,7 @@ impl Transport for LoopbackTransport {
         // socket would.
         let encoded = req.encode();
         let decoded = Request::decode(&encoded)?;
-        let mut inner = self.host.inner.lock();
+        let mut inner = sync::lock(&self.host.inner);
         let Some(worker) = inner.worker.as_mut() else {
             return Err(DistError::Io(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,

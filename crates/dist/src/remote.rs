@@ -23,17 +23,16 @@
 //! fork — the crate's differential tests kill workers mid-run and compare
 //! streams byte for byte.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cij_core::{EngineConfig, IndexPair};
 use cij_geom::{MovingRect, Time};
 use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
-use cij_storage::{BufferPool, CacheSnapshot};
+use cij_storage::{sync, BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::SetTag;
-use parking_lot::Mutex;
 
 use crate::coordinator::DistConfig;
 use crate::error::{DistError, DistResult};
@@ -257,7 +256,7 @@ impl RemotePair {
     /// Builds the worker's index pair over the partition's initial
     /// objects — the inserts queued since [`empty`](IndexPair::empty).
     pub(crate) fn init(&self) -> DistResult<()> {
-        let mut link = self.link.lock();
+        let mut link = sync::lock(&self.link);
         let dist = Arc::clone(&link.dist);
         let req = Request::Init {
             seq: link.next_seq(),
@@ -278,7 +277,7 @@ impl RemotePair {
     /// Pings the worker, reconnecting (and resyncing) it if its channel
     /// died.
     pub(crate) fn heartbeat(&self) -> DistResult<()> {
-        let mut link = self.link.lock();
+        let mut link = sync::lock(&self.link);
         link.nonce += 1;
         let nonce = link.nonce;
         match link.call(&Request::Ping { nonce })? {
@@ -296,7 +295,7 @@ impl RemotePair {
 
     /// Asks the worker process to exit, best effort.
     pub(crate) fn shutdown(&self) {
-        let mut link = self.link.lock();
+        let mut link = sync::lock(&self.link);
         let mut transport = match link.transport.take() {
             Some(t) => Some(t),
             None => link.connector.as_ref().and_then(|c| c.connect().ok()),
@@ -308,7 +307,7 @@ impl RemotePair {
 
     /// Requests retained for replay.
     pub(crate) fn history_len(&self) -> usize {
-        self.link.lock().history.len()
+        sync::lock(&self.link).history.len()
     }
 }
 
@@ -324,7 +323,7 @@ impl IndexPair for RemotePair {
     /// Takes the next connector of `config`: partition `i` is the `i`-th
     /// pair built. Nothing is sent until the coordinator's `Init` round.
     fn empty(_: &BufferPool, config: &RemoteConfig, obs: &MetricsRegistry) -> Self {
-        let mut handout = config.connectors.lock();
+        let mut handout = sync::lock(&config.connectors);
         let slot = handout.next;
         handout.next += 1;
         let obs = LinkMetrics {
@@ -362,7 +361,7 @@ impl IndexPair for RemotePair {
         registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
-        self.link.get_mut().queued.push(IndexOp::Insert {
+        sync::get_mut(&mut self.link).queued.push(IndexOp::Insert {
             set,
             id,
             mbr,
@@ -380,7 +379,7 @@ impl IndexPair for RemotePair {
         last_update: Time,
         now: Time,
     ) -> TprResult<()> {
-        self.link.get_mut().queued.push(IndexOp::Remove {
+        sync::get_mut(&mut self.link).queued.push(IndexOp::Remove {
             set,
             id,
             old_mbr: *old_mbr,
@@ -424,7 +423,7 @@ impl IndexPair for RemotePair {
         counters: &mut JoinCounters,
         hits: &mut [Vec<ProbeHit>; 2],
     ) -> TprResult<()> {
-        let mut link = self.link.lock();
+        let mut link = sync::lock(&self.link);
         let seq = link.next_seq();
         link.obs.ack_lag.record(seq - link.acked_seq);
         let req = Request::Step {
@@ -470,7 +469,7 @@ impl IndexPair for RemotePair {
     }
 
     fn publish_extra(&self, registry: &MetricsRegistry) {
-        let link = self.link.lock();
+        let link = sync::lock(&self.link);
         registry
             .gauge(&format!("dist.worker.{}.acked_seq", link.slot))
             .set(link.acked_seq as i64);

@@ -11,11 +11,11 @@
 //! up as the next accepted connection.
 
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cij_storage::frame::{read_frame, write_frame, FrameError};
-use parking_lot::Mutex;
+use cij_storage::sync;
 
 use crate::error::{DistError, DistResult};
 use crate::protocol::{Request, Response};
@@ -47,13 +47,13 @@ impl TcpConnector {
     /// Points the connector at a new endpoint (the next dial uses it;
     /// established transports are unaffected).
     pub fn retarget(&self, addr: impl Into<String>) {
-        *self.addr.lock() = addr.into();
+        *sync::lock(&self.addr) = addr.into();
     }
 }
 
 impl Connector for TcpConnector {
     fn connect(&self) -> DistResult<Box<dyn Transport>> {
-        let addr = self.addr.lock().clone();
+        let addr = sync::lock(&self.addr).clone();
         let stream = TcpStream::connect(&addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.timeout))?;
@@ -62,7 +62,7 @@ impl Connector for TcpConnector {
     }
 
     fn describe(&self) -> String {
-        format!("tcp({})", self.addr.lock())
+        format!("tcp({})", sync::lock(&self.addr))
     }
 }
 

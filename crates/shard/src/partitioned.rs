@@ -51,13 +51,13 @@
 //! every buffered interval was computed under a window that the move
 //! leaves as it was.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use cij_core::{self_join, EngineConfig, IndexPair};
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
 use cij_obs::MetricsRegistry;
-use cij_storage::{BufferPool, CacheSnapshot};
+use cij_storage::{sync, BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::{ObjectUpdate, SetTag};
 
@@ -93,14 +93,6 @@ struct PartRound {
     scratch: JoinScratch,
     counters: JoinCounters,
     hits: [Vec<ProbeHit>; 2],
-}
-
-impl PartRound {
-    /// A round that panicked left nothing another round relies on: each
-    /// one resets its counters and hits before it probes.
-    fn lock(round: &Mutex<Self>) -> std::sync::MutexGuard<'_, Self> {
-        round.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<P: IndexPair> PartitionedPair<P>
@@ -311,7 +303,9 @@ where
         let threads = P::engine_config(&self.config).threads;
         let (parts, rounds) = (&self.parts, &self.rounds);
         let answered = fan_out_tasks(parts.len(), threads, |i| {
-            let round = &mut *PartRound::lock(&rounds[i]);
+            // A round that panicked left nothing this one relies on: it
+            // resets its counters and hits before it probes.
+            let round = &mut *sync::lock(&rounds[i]);
             round.counters = JoinCounters::new();
             round.hits.iter_mut().for_each(Vec::clear);
             let PartRound {
@@ -323,7 +317,7 @@ where
         });
         for (round, answer) in rounds.iter().zip(answered) {
             answer?;
-            let round = PartRound::lock(round);
+            let round = sync::lock(round);
             *counters = counters.merged(round.counters);
             for (all, part) in hits.iter_mut().zip(&round.hits) {
                 all.extend_from_slice(part);

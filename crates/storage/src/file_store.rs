@@ -11,11 +11,9 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use crate::{IoStats, PageId, PageStore, StorageError, StorageResult, PAGE_SIZE};
+use crate::{sync, IoStats, PageId, PageStore, StorageError, StorageResult, PAGE_SIZE};
 
 /// A [`PageStore`] persisting pages to a single file.
 pub struct FileStore {
@@ -56,7 +54,7 @@ impl FileStore {
     /// Flushes file contents to the OS (used by tests and shutdown
     /// paths; the simulation itself measures page I/O, not fsyncs).
     pub fn sync(&self) -> StorageResult<()> {
-        self.inner.lock().file.sync_data().map_err(io_err)
+        sync::lock(&self.inner).file.sync_data().map_err(io_err)
     }
 }
 
@@ -66,7 +64,7 @@ fn io_err(e: std::io::Error) -> StorageError {
 
 impl PageStore for FileStore {
     fn allocate(&self) -> PageId {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         self.stats.record_alloc();
         if let Some(idx) = inner.free_list.pop() {
             inner.live[idx as usize] = true;
@@ -90,7 +88,7 @@ impl PageStore for FileStore {
     }
 
     fn free(&self, id: PageId) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         let slot = inner
             .live
             .get_mut(id.0 as usize)
@@ -105,7 +103,7 @@ impl PageStore for FileStore {
     }
 
     fn read(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         if !inner.live.get(id.0 as usize).copied().unwrap_or(false) {
             return Err(StorageError::PageNotFound(id));
         }
@@ -119,7 +117,7 @@ impl PageStore for FileStore {
     }
 
     fn write(&self, id: PageId, data: &[u8; PAGE_SIZE]) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         if !inner.live.get(id.0 as usize).copied().unwrap_or(false) {
             return Err(StorageError::PageNotFound(id));
         }
@@ -133,7 +131,7 @@ impl PageStore for FileStore {
     }
 
     fn live_pages(&self) -> usize {
-        self.inner.lock().live.iter().filter(|&&l| l).count()
+        sync::lock(&self.inner).live.iter().filter(|&&l| l).count()
     }
 
     fn stats(&self) -> &Arc<IoStats> {

@@ -23,6 +23,7 @@
 //!   limit) both the log and the `cij-dist` TCP transport write and read.
 //! * [`wal`] — a write-ahead log of those frames with torn-tail
 //!   recovery, the durability substrate of the `cij-stream` service.
+//! * [`sync`] — poison-transparent `std::sync` locking.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -34,6 +35,7 @@ pub mod frame;
 mod pool;
 mod stats;
 mod store;
+pub mod sync;
 pub mod wal;
 
 pub use error::{StorageError, StorageResult};

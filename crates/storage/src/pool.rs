@@ -69,11 +69,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
-
-use crate::{IoStats, PageBuf, PageId, PageStore, StorageResult, DEFAULT_POOL_PAGES, PAGE_SIZE};
+use crate::{
+    sync, IoStats, PageBuf, PageId, PageStore, StorageResult, DEFAULT_POOL_PAGES, PAGE_SIZE,
+};
 
 /// Buffer pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -331,7 +331,7 @@ impl Inner {
     }
 
     /// The frame holding `id`, if resident, latched through `lock`
-    /// ([`RwLock::read`] or [`RwLock::write`]) and its recency refreshed.
+    /// ([`sync::read`] or [`sync::write`]) and its recency refreshed.
     /// Takes no lock but the latch.
     fn latch<'a, G: Deref<Target = FrameData>>(
         &'a self,
@@ -357,12 +357,12 @@ impl Inner {
         store: &dyn PageStore,
     ) -> StorageResult<(usize, RwLockWriteGuard<'_, FrameData>)> {
         if let Some(idx) = residency.free.pop() {
-            return Ok((idx, self.frames[idx].latch.write()));
+            return Ok((idx, sync::write(&self.frames[idx].latch)));
         }
         if residency.used < self.frames.len() {
             let idx = residency.used;
             residency.used += 1;
-            let mut frame = self.frames[idx].latch.write();
+            let mut frame = sync::write(&self.frames[idx].latch);
             frame.data = Some(crate::zeroed_page());
             return Ok((idx, frame));
         }
@@ -376,7 +376,7 @@ impl Inner {
             // until now stamps late.
             let stamp = &self.frames[idx].stamp;
             if stamp.load(Ordering::Relaxed) == key {
-                let frame = self.frames[idx].latch.write();
+                let frame = sync::write(&self.frames[idx].latch);
                 if stamp.load(Ordering::Relaxed) == key {
                     break (key, idx, frame);
                 }
@@ -412,7 +412,7 @@ impl Inner {
     /// Writes every dirty frame back; pages stay resident and clean.
     fn write_back(&self, residency: &Residency, store: &dyn PageStore) -> StorageResult<()> {
         for frame in &self.frames[..residency.used] {
-            let mut frame = frame.latch.write();
+            let mut frame = sync::write(&frame.latch);
             if frame.dirty {
                 store.write(frame.id, frame.page())?;
                 frame.dirty = false;
@@ -494,9 +494,9 @@ impl BufferPool {
     /// Frees a page, dropping any buffered copy without writing it back.
     pub fn free(&self, id: PageId) -> StorageResult<()> {
         let inner = &*self.inner;
-        let mut residency = inner.residency.lock();
+        let mut residency = sync::lock(&inner.residency);
         if let Some((slot, idx)) = inner.directory.locate(id) {
-            let mut frame = inner.frames[idx].latch.write();
+            let mut frame = sync::write(&inner.frames[idx].latch);
             frame.id = PageId::INVALID;
             frame.dirty = false;
             drop(frame);
@@ -517,14 +517,14 @@ impl BufferPool {
     pub fn read<R>(&self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> StorageResult<R> {
         self.store.stats().record_logical_read();
         let inner = &*self.inner;
-        if let Some(frame) = inner.latch(id, RwLock::read) {
+        if let Some(frame) = inner.latch(id, sync::read) {
             return Ok(f(frame.page()));
         }
 
-        let mut residency = inner.residency.lock();
+        let mut residency = sync::lock(&inner.residency);
         // Under the lock the directory is exact: the page may have been
         // faulted in since, or hidden from the lock-free look by a move.
-        if let Some(frame) = inner.latch(id, RwLock::read) {
+        if let Some(frame) = inner.latch(id, sync::read) {
             drop(residency);
             return Ok(f(frame.page()));
         }
@@ -565,11 +565,11 @@ impl BufferPool {
     ) -> StorageResult<()> {
         self.store.stats().record_logical_write();
         let inner = &*self.inner;
-        let mut frame = match inner.latch(id, RwLock::write) {
+        let mut frame = match inner.latch(id, sync::write) {
             Some(frame) => frame,
             None => {
-                let mut residency = inner.residency.lock();
-                match inner.latch(id, RwLock::write) {
+                let mut residency = sync::lock(&inner.residency);
+                match inner.latch(id, sync::write) {
                     Some(frame) => frame,
                     None => {
                         let (idx, mut frame) = inner.take_frame(&mut residency, &*self.store)?;
@@ -588,7 +588,7 @@ impl BufferPool {
     /// resident and clean). Residency does not change, so hits on other
     /// pages proceed alongside.
     pub fn flush(&self) -> StorageResult<()> {
-        let residency = self.inner.residency.lock();
+        let residency = sync::lock(&self.inner.residency);
         self.inner.write_back(&residency, &*self.store)
     }
 
@@ -597,10 +597,10 @@ impl BufferPool {
     /// measurements.
     pub fn clear(&self) -> StorageResult<()> {
         let inner = &*self.inner;
-        let mut residency = inner.residency.lock();
+        let mut residency = sync::lock(&inner.residency);
         inner.write_back(&residency, &*self.store)?;
         for frame in &inner.frames[..residency.used] {
-            frame.latch.write().id = PageId::INVALID;
+            sync::write(&frame.latch).id = PageId::INVALID;
         }
         inner.directory.clear();
         residency.order.clear();
@@ -611,7 +611,7 @@ impl BufferPool {
     /// Number of currently resident pages.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.inner.residency.lock().order.len
+        sync::lock(&self.inner.residency).order.len
     }
 }
 

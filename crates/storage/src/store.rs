@@ -1,11 +1,9 @@
 //! The simulated disk: a flat page space with allocation and physical I/O
 //! accounting.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use crate::{IoStats, PageBuf, PageId, StorageError, StorageResult, PAGE_SIZE};
+use crate::{sync, IoStats, PageBuf, PageId, StorageError, StorageResult, PAGE_SIZE};
 
 /// Abstraction over the physical page device.
 ///
@@ -77,7 +75,7 @@ impl Default for InMemoryStore {
 
 impl PageStore for InMemoryStore {
     fn allocate(&self) -> PageId {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         self.stats.record_alloc();
         if let Some(idx) = inner.free_list.pop() {
             inner.pages[idx as usize] = Some(crate::zeroed_page());
@@ -89,7 +87,7 @@ impl PageStore for InMemoryStore {
     }
 
     fn free(&self, id: PageId) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         let slot = inner
             .pages
             .get_mut(id.0 as usize)
@@ -103,7 +101,7 @@ impl PageStore for InMemoryStore {
     }
 
     fn read(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> StorageResult<()> {
-        let inner = self.inner.lock();
+        let inner = sync::lock(&self.inner);
         let page = inner
             .pages
             .get(id.0 as usize)
@@ -115,7 +113,7 @@ impl PageStore for InMemoryStore {
     }
 
     fn write(&self, id: PageId, data: &[u8; PAGE_SIZE]) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         let page = inner
             .pages
             .get_mut(id.0 as usize)
@@ -127,7 +125,7 @@ impl PageStore for InMemoryStore {
     }
 
     fn live_pages(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = sync::lock(&self.inner);
         inner.pages.iter().filter(|p| p.is_some()).count()
     }
 

@@ -29,11 +29,12 @@
 //!    physical reads), and logical writes equal the writes issued.
 
 use std::cell::Cell;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore, PAGE_SIZE};
-use parking_lot::Mutex;
+use cij_storage::{
+    sync, BufferPool, BufferPoolConfig, InMemoryStore, PageId, PageStore, PAGE_SIZE,
+};
 
 mod common;
 use common::SpyStore;
@@ -191,7 +192,7 @@ fn stress(capacity: usize) -> (u64, u64) {
                         let p = (rng.next() % PAGES as u64) as usize;
                         if rng.next().is_multiple_of(4) {
                             // Write op: latched read-modify-write.
-                            let _latch = latches[p].lock();
+                            let _latch = sync::lock(&latches[p]);
                             let mut image = read(p, &mut tally);
                             let mine = word(&image, t) + 1;
                             set_word(&mut image, t, mine);
