@@ -33,6 +33,10 @@ use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineC
 use crate::mtb::MtbTree;
 use crate::result::{PairKey, PairStatus, ResultBuffer};
 
+/// One object as an index holds it: side, id, trajectory and the time
+/// the trajectory was registered.
+pub type Registration = (SetTag, ObjectId, MovingRect, Time);
+
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
 /// joins between them. An implementation decides which index holds the
 /// objects, the time window of every join run and the kernel that
@@ -153,6 +157,17 @@ pub trait IndexPair: Sized + Sync {
             }
         }
         Ok(())
+    }
+
+    /// Rebuilds the index of a pair that lost it, and says whether it
+    /// had. A pair whose trees live in a worker process loses them when
+    /// the worker restarts blank; its [`probe_sides`](Self::probe_sides)
+    /// then fails, and the caller hands it `objects` — every object it
+    /// holds, sorted by side and id — to file each at its registration
+    /// time, then probes it once more. The default: an in-process index
+    /// is never lost.
+    fn reseed(&self, _objects: &[Registration], _now: Time) -> TprResult<bool> {
+        Ok(false)
     }
 
     /// Turns the [`probe`](Self::probe) hits the engine is about to

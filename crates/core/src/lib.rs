@@ -90,8 +90,8 @@ mod result;
 pub mod sim;
 
 pub use buffered::{
-    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine,
-    TcPair, TprPair,
+    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, Registration,
+    TcEngine, TcPair, TprPair,
 };
 pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;

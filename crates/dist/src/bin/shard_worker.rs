@@ -1,82 +1,46 @@
-//! The shard-worker process: one WAL-backed [`ShardWorker`] served over
-//! TCP until a `Shutdown` request arrives.
+//! The shard-worker process: one [`ShardWorker`] served over TCP until a
+//! `Shutdown` request arrives.
 //!
 //! ```text
-//! shard_worker [--listen ADDR] [--wal PATH]
+//! shard_worker [--listen ADDR]
 //! ```
 //!
 //! `--listen` defaults to `127.0.0.1:0` (an OS-assigned port). The
 //! bound address is announced on stdout as `LISTENING <addr>` so a
-//! supervisor — or the multi-process smoke test — can scrape it.
-//! Without `--wal` the worker is ephemeral: a crash loses everything
-//! and the coordinator resyncs it from scratch.
+//! supervisor — or the multi-process smoke test — can scrape it. The
+//! worker keeps nothing on disk: a restarted worker comes back blank and
+//! the coordinator re-seeds it from its router records.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
 
 use cij_dist::{tcp, ShardWorker};
 
-struct Options {
-    listen: String,
-    wal: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        listen: "127.0.0.1:0".to_string(),
-        wal: None,
-    };
+fn parse_args() -> Result<String, String> {
+    let mut listen = "127.0.0.1:0".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => {
-                options.listen = args.next().ok_or("--listen needs an address")?;
-            }
-            "--wal" => {
-                options.wal = Some(PathBuf::from(args.next().ok_or("--wal needs a path")?));
-            }
-            "--help" | "-h" => {
-                return Err("usage: shard_worker [--listen ADDR] [--wal PATH]".into())
-            }
+            "--listen" => listen = args.next().ok_or("--listen needs an address")?,
+            "--help" | "-h" => return Err("usage: shard_worker [--listen ADDR]".into()),
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    Ok(options)
+    Ok(listen)
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(o) => o,
+    let listen = match parse_args() {
+        Ok(l) => l,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
 
-    let mut worker = match &options.wal {
-        Some(path) => match ShardWorker::open(path) {
-            Ok(w) => {
-                if w.recovered() > 0 {
-                    eprintln!(
-                        "recovered {} journaled requests (seq {})",
-                        w.recovered(),
-                        w.last_applied()
-                    );
-                }
-                w
-            }
-            Err(e) => {
-                eprintln!("cannot open WAL {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        },
-        None => ShardWorker::ephemeral(),
-    };
-
-    let listener = match TcpListener::bind(&options.listen) {
+    let listener = match TcpListener::bind(&listen) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("cannot bind {}: {e}", options.listen);
+            eprintln!("cannot bind {listen}: {e}");
             std::process::exit(1);
         }
     };
@@ -93,7 +57,7 @@ fn main() {
         }
     }
 
-    if let Err(e) = tcp::serve(&listener, &mut worker) {
+    if let Err(e) = tcp::serve(&listener, &mut ShardWorker::ephemeral()) {
         eprintln!("serve loop failed: {e}");
         std::process::exit(1);
     }

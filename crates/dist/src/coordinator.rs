@@ -21,7 +21,7 @@
 //! read from the coordinator's buffer with no RPC, and a `StreamService`
 //! over a `DistCoordinator` emits the delta stream it emits over a
 //! `ShardCoordinator` with the same policy — the crate's differential
-//! tests pin it, through worker kills and WAL loss. The one exception is
+//! tests pin it, through worker kills and re-seeds. The one exception is
 //! the initial join: a worker cannot join its trees against another
 //! worker's, so it is one probe round of every A object against every
 //! partition's B side, where the in-process pair runs tree-vs-tree jobs.
@@ -104,8 +104,10 @@ pub struct DistCoordinator {
 impl DistCoordinator {
     /// Partitions both sets under `policy` and builds each worker's index
     /// pair over its partition with one [`Init`](crate::Request::Init)
-    /// per worker — `connectors[i]` serves shard `i`. Delta tracking and
-    /// the initial join follow through the usual engine-trait calls.
+    /// per worker — `connectors[i]` serves shard `i` — the seed that
+    /// re-seeds a lost worker later. A worker still serving an earlier
+    /// coordinator is re-seeded the same way. Delta tracking and the
+    /// initial join follow through the usual engine-trait calls.
     ///
     /// # Errors
     /// [`DistError::Config`] on a connector-count mismatch; connection
@@ -136,9 +138,11 @@ impl DistCoordinator {
         let shard = ShardCoordinator::<RemotePair>::new(pool, remote, policy, set_a, set_b, now)
             .map_err(|e| DistError::Config(e.to_string()))?;
         let parts = shard.partitions();
-        fan_out_tasks(parts.len(), shard.threads(), |i| parts[i].init())
-            .into_iter()
-            .collect::<DistResult<()>>()?;
+        fan_out_tasks(parts.len(), shard.threads(), |i| {
+            parts[i].seed(&shard.registrations(i), now)
+        })
+        .into_iter()
+        .collect::<DistResult<()>>()?;
         Ok(Self { shard })
     }
 
@@ -160,9 +164,10 @@ impl DistCoordinator {
         self.shard.migrations()
     }
 
-    /// Pings every worker, reconnecting (and resyncing) any whose
-    /// channel died. A worker that cannot be revived within the backoff
-    /// budget surfaces as [`DistError::WorkerUnavailable`].
+    /// Pings every worker, reconnecting any whose channel died; a worker
+    /// found lost is re-seeded at its next round. A worker that cannot be
+    /// revived within the backoff budget surfaces as
+    /// [`DistError::WorkerUnavailable`].
     ///
     /// # Errors
     /// The first unreachable or misbehaving worker, in shard order.
@@ -264,9 +269,5 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.shard.publish_metrics();
         obs.counter("dist.migrations").store(self.migrations());
         obs.gauge("dist.workers").set(self.worker_count() as i64);
-        let history: usize = (self.shard.partitions().iter())
-            .map(RemotePair::history_len)
-            .sum();
-        obs.gauge("dist.history_requests").set(history as i64);
     }
 }

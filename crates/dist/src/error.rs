@@ -34,6 +34,13 @@ pub enum DistError {
         /// Connection attempts spent before giving up.
         attempts: u32,
     },
+    /// The worker no longer holds the index its link built: it restarted
+    /// blank, or it serves an earlier coordinator. Nothing mutating is
+    /// sent to it until it is re-seeded.
+    WorkerLost {
+        /// Shard index of the lost worker.
+        slot: usize,
+    },
     /// The worker reached its index pair but the pair refused the
     /// operation (the worker ships the rendered [`TprError`] back).
     Worker(String),
@@ -60,6 +67,7 @@ impl std::fmt::Display for DistError {
             Self::WorkerUnavailable { slot, attempts } => {
                 write!(f, "worker {slot} unavailable after {attempts} attempts")
             }
+            Self::WorkerLost { slot } => write!(f, "worker {slot} lost its index"),
             Self::Worker(msg) => write!(f, "worker-side index error: {msg}"),
             Self::UnexpectedResponse { expected, got } => {
                 write!(f, "expected {expected} response, got {got}")

@@ -7,16 +7,16 @@
 //! router, its result buffer, its maintenance protocol — on the
 //! coordinator:
 //!
-//! - a [`ShardWorker`] owns one partition's index pair (TC or MTB),
-//!   journals every mutating request to its own WAL *before* applying
-//!   it, and keeps a response outbox keyed by sequence number — so it
-//!   applies each request exactly once under at-least-once delivery and
-//!   rebuilds both index and outbox on restart;
+//! - a [`ShardWorker`] owns one partition's index pair (TC or MTB) and a
+//!   response outbox keyed by sequence number, so it applies each request
+//!   exactly once under at-least-once delivery. It holds soft state: a
+//!   restarted worker comes back blank;
 //! - a [`RemotePair`] is a worker behind the `IndexPair` seam: it queues
 //!   the index mutations the coordinator's phase 1 routes to it and runs
-//!   phase 2 as one journaled [`Step`](protocol::Request::Step) — those
-//!   mutations plus both sides' probes — answered by hits and traversal
-//!   counters;
+//!   phase 2 as one [`Step`](protocol::Request::Step) — those mutations
+//!   plus both sides' probes — answered by hits and traversal counters.
+//!   A worker it finds lost is re-seeded from the router's records with
+//!   the [`Init`](protocol::Request::Init) construction sends;
 //! - a [`DistCoordinator`] is the shard coordinator over K remote
 //!   pairs: every round goes to all workers at once, over
 //!   [`cij_join::fan_out_tasks`], and every read (`result_at`,
@@ -32,9 +32,8 @@
 //! Pinned by the crate's differential tests: the delta stream a
 //! `StreamService` emits over a `DistCoordinator` is the one it emits
 //! over a single-process `ShardCoordinator` with the same policy —
-//! including runs where a worker is killed mid-stream and recovers from
-//! its WAL, and runs where the worker's WAL is lost and the coordinator
-//! resyncs it by replaying its retained request history.
+//! including runs where a worker is killed mid-stream, or mid-round, and
+//! re-seeded, and a coordinator rebuilt over workers that are still up.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -2,14 +2,11 @@
 //! with crash/restart control for deterministic fault-injection tests.
 //!
 //! A [`LoopbackHost`] plays the role of one worker *machine*: it owns
-//! the worker state and its (optional) WAL path, and exposes
-//! [`kill`](LoopbackHost::kill) — drop the in-memory state, keep the
-//! WAL, like a process crash — and
-//! [`kill_and_lose_wal`](LoopbackHost::kill_and_lose_wal) — drop both,
-//! like losing the machine. Its connector acts as the supervisor:
-//! dialing a killed host restarts the worker, recovering from the WAL
-//! when one survives and reporting zero progress otherwise (which makes
-//! the coordinator replay history from scratch).
+//! the worker state and exposes [`kill`](LoopbackHost::kill) — drop the
+//! index, the outbox and the sequence state, like a process crash. Its
+//! connector acts as the supervisor: dialing a killed host restarts a
+//! blank worker, which reports zero progress, so the coordinator re-seeds
+//! it from its router records.
 //!
 //! Messages still pass through the full protocol codec — every request
 //! and response is encoded and decoded exactly as on the wire — so the
@@ -28,7 +25,6 @@ use crate::worker::ShardWorker;
 
 struct HostInner {
     worker: Option<ShardWorker>,
-    wal_path: Option<PathBuf>,
     kills: u64,
     restarts: u64,
 }
@@ -39,52 +35,35 @@ pub struct LoopbackHost {
 }
 
 impl LoopbackHost {
-    /// A host whose worker keeps no WAL: any kill loses everything.
+    /// A host running a blank worker.
     #[must_use]
     pub fn ephemeral() -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(HostInner {
                 worker: Some(ShardWorker::ephemeral()),
-                wal_path: None,
                 kills: 0,
                 restarts: 0,
             }),
         })
     }
 
-    /// A host whose worker journals to `wal_path` and recovers from it
-    /// on restart.
+    /// An [`ephemeral`](Self::ephemeral) host. A stopgap for callers
+    /// written against journaling workers (the ledger's
+    /// `benchmark/src/stacks.rs`): workers keep no journal, so
+    /// `_wal_path` is never created.
     ///
     /// # Errors
-    /// [`DistError`] when the WAL cannot be opened.
-    pub fn durable(wal_path: PathBuf) -> DistResult<Arc<Self>> {
-        let worker = ShardWorker::open(&wal_path)?;
-        Ok(Arc::new(Self {
-            inner: Mutex::new(HostInner {
-                worker: Some(worker),
-                wal_path: Some(wal_path),
-                kills: 0,
-                restarts: 0,
-            }),
-        }))
+    /// None: the `Result` is the old signature's.
+    pub fn durable(_wal_path: PathBuf) -> DistResult<Arc<Self>> {
+        Ok(Self::ephemeral())
     }
 
-    /// Crashes the worker process: in-memory index, outbox and
-    /// sequence state are gone; the WAL (if any) survives.
+    /// Crashes the worker process: index, outbox and sequence state are
+    /// gone.
     pub fn kill(&self) {
         let mut inner = sync::lock(&self.inner);
         inner.worker = None;
         inner.kills += 1;
-    }
-
-    /// Loses the whole machine: the worker *and* its WAL.
-    pub fn kill_and_lose_wal(&self) {
-        let mut inner = sync::lock(&self.inner);
-        inner.worker = None;
-        inner.kills += 1;
-        if let Some(path) = &inner.wal_path {
-            let _ = std::fs::remove_file(path);
-        }
     }
 
     /// Kills performed so far.
@@ -117,12 +96,8 @@ impl Connector for LoopbackConnector {
     fn connect(&self) -> DistResult<Box<dyn Transport>> {
         let mut inner = sync::lock(&self.host.inner);
         if inner.worker.is_none() {
-            // The supervisor restarts the process: durable workers
-            // replay their WAL, ephemeral ones come back blank.
-            inner.worker = Some(match &inner.wal_path {
-                Some(path) => ShardWorker::open(path)?,
-                None => ShardWorker::ephemeral(),
-            });
+            // The supervisor restarts the process, blank.
+            inner.worker = Some(ShardWorker::ephemeral());
             inner.restarts += 1;
         }
         drop(inner);
@@ -132,10 +107,7 @@ impl Connector for LoopbackConnector {
     }
 
     fn describe(&self) -> String {
-        match &sync::lock(&self.host.inner).wal_path {
-            Some(path) => format!("loopback({})", path.display()),
-            None => "loopback(ephemeral)".into(),
-        }
+        "loopback".into()
     }
 }
 

@@ -11,12 +11,13 @@
 //!
 //! Mutating requests carry a coordinator-assigned sequence number,
 //! strictly increasing per worker (each worker's link counts its own,
-//! and a number is never reused, acknowledged or not). A worker journals
-//! each mutating request to its WAL *before* applying it and remembers
-//! the response in an outbox keyed by sequence number.
-//! A request with `seq ≤ last_applied` is **not** re-applied — the
-//! cached response is returned — so the coordinator may resend freely
-//! after a reconnect. [`Request::Step`] piggybacks `ack_through`, the
+//! and a number is never reused, acknowledged or not). A worker
+//! remembers each response in an in-memory outbox keyed by sequence
+//! number. A request with `seq ≤ last_applied` is **not** re-applied —
+//! the cached response is returned — so the coordinator may resend
+//! freely after a reconnect to a worker that stayed up. A worker that
+//! restarted reports `last_applied = 0` in its [`Response::HelloAck`] and
+//! is re-seeded with an [`Request::Init`] instead. [`Request::Step`] piggybacks `ack_through`, the
 //! highest sequence number whose response the coordinator has safely
 //! consumed; the worker prunes its outbox up to it.
 
@@ -102,7 +103,7 @@ impl IndexOp {
     /// Whether the op's times are [in range](in_range) and its
     /// trajectory [sound from](MovingRect::is_sound_from) the time it ran
     /// — what the indexes assume and assert on, so an op decoded from a
-    /// socket or a journal is held against it first.
+    /// socket is held against it first.
     #[must_use]
     pub fn is_sound(&self) -> bool {
         let (mbr, at, now) = match self {
@@ -128,10 +129,11 @@ wire_enum! {
     #[derive(Debug, Clone, PartialEq)]
     pub enum Request, "request" {
         /// Connection handshake; the worker answers with its high-water
-        /// sequence number so the coordinator knows what to replay.
+        /// sequence number so the coordinator knows whether it still
+        /// holds what it was sent.
         0x10 => Hello,
         /// Builds the worker's index pair and registers its partition's
-        /// initial objects.
+        /// objects: at construction, and to re-seed a lost worker.
         0x11 => Init {
             /// Sequence number (see the module docs).
             seq: u64,
@@ -141,7 +143,7 @@ wire_enum! {
             t_m: Time,
             /// MTB bucket granularity.
             buckets_per_tm: u32,
-            /// The partition's initial registrations, in order.
+            /// The partition's registrations, sorted by side and id.
             ops: Vec<IndexOp>,
         },
         /// One phase-2 round: apply the queued mutations in order, then
@@ -173,7 +175,7 @@ wire_enum! {
 
 impl Request {
     /// The request's sequence number — `Some` exactly for the mutating
-    /// requests that are journaled, deduplicated and replayed.
+    /// requests that are numbered and deduplicated.
     #[must_use]
     pub fn seq(&self) -> Option<u64> {
         match self {
@@ -187,7 +189,7 @@ wire_enum! {
     /// A worker→coordinator message.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Response, "response" {
-        /// Handshake answer: the worker's durable progress.
+        /// Handshake answer: the worker's progress.
         0x30 => HelloAck {
             /// Highest sequence number the worker has applied (0 = fresh).
             last_applied: u64,

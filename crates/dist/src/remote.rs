@@ -6,27 +6,36 @@
 //! worker. Phase 1 stays on the coordinator: the partitioned pair's
 //! router picks the partition and derives every delete key, and the
 //! remote pair only queues the resulting [`IndexOp`]s. Phase 2 is one
-//! journaled [`Request::Step`] per tick — the queued mutations plus both
+//! [`Request::Step`] per tick — the queued mutations plus both
 //! sides' probes — answered by the worker's hits and [`JoinCounters`].
 //! The answer itself never leaves the coordinator's result buffer.
 //!
 //! # Fault handling
 //!
-//! Every RPC runs under a reconnect loop with bounded exponential
-//! backoff: a dead channel is redialed via the partition's
-//! [`Connector`], the handshake's [`Response::HelloAck`] reveals the
-//! worker's durable progress, and the link replays its retained request
-//! history past that point. A worker that restarted from its WAL replays
-//! nothing; a worker that lost everything (outbox included) is rebuilt
-//! from the full history. Either way the resent in-flight request is
-//! answered from the worker's (rebuilt) outbox, so the answer does not
-//! fork — the crate's differential tests kill workers mid-run and compare
-//! streams byte for byte.
+//! A worker holds soft state: the router records of the coordinator's
+//! partitioned pair hold everything it indexes, so a worker that lost
+//! its index is rebuilt from them, never from a log. Every RPC runs under
+//! a reconnect loop with bounded exponential backoff: a dead channel is
+//! redialed via the partition's [`Connector`], and the handshake's
+//! [`Response::HelloAck`] says whether the worker still holds what this
+//! link sent it.
+//!
+//! - A worker that is alive but lost its connection reports a sequence
+//!   number between the last acknowledged and the last sent. It answers
+//!   the resent request from its sequence-keyed outbox, so delivery
+//!   stays exactly-once.
+//! - A worker that reports less than the link acknowledged restarted
+//!   blank. One that reports more than the link ever sent serves an
+//!   earlier coordinator, and the link numbers on above it. Either is
+//!   *lost*: its next round fails before anything is sent, and the
+//!   partitioned pair [re-seeds](IndexPair::reseed) it with the
+//!   partition's records — the [`Request::Init`] construction sends,
+//!   built by the same function — and probes it once more.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cij_core::{EngineConfig, IndexPair};
+use cij_core::{EngineConfig, IndexPair, Registration};
 use cij_geom::{MovingRect, Time};
 use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
@@ -79,8 +88,8 @@ impl RemoteConfig {
     }
 }
 
-/// One worker's channel, the mutations queued for it and its replay
-/// state.
+/// One worker's channel, the mutations queued for it and its sequence
+/// numbers.
 struct WorkerLink {
     slot: usize,
     /// Mutations since the last round, in phase-1 order.
@@ -89,15 +98,13 @@ struct WorkerLink {
     /// `None` for a partition no connector was supplied for.
     connector: Option<Box<dyn Connector>>,
     transport: Option<Box<dyn Transport>>,
-    /// Every acknowledged mutating request, in sequence order — the
-    /// recovery source for a worker that lost its WAL. Retained for the
-    /// deployment's lifetime (`dist.history_requests` tracks the total).
-    history: Vec<Request>,
     /// The last sequence number drawn; none is ever drawn twice.
     seq: u64,
-    /// Highest sequence number whose response was consumed: the newest
-    /// request in `history`.
+    /// Highest sequence number whose response was consumed.
     acked_seq: u64,
+    /// The worker no longer holds what this link sent it (see the module
+    /// docs): it is sent nothing mutating but a seed.
+    lost: bool,
     nonce: u64,
     ever_connected: bool,
     obs: LinkMetrics,
@@ -109,8 +116,8 @@ struct LinkMetrics {
     calls: Counter,
     errors: Counter,
     reconnects: Counter,
-    resyncs: Counter,
-    replayed: Counter,
+    reseeds: Counter,
+    reseed_objects: Counter,
     rtt_us: Histogram,
     ack_lag: Histogram,
 }
@@ -121,13 +128,16 @@ impl WorkerLink {
         self.seq
     }
 
-    /// One RPC, with reconnect-and-resync on channel failure, under the
-    /// bounded backoff budget.
+    /// One RPC, with reconnect on channel failure, under the bounded
+    /// backoff budget. A mutating request is not sent to a lost worker.
     fn call(&mut self, req: &Request) -> DistResult<Response> {
         let mut attempts: u32 = 0;
         loop {
             if self.transport.is_none() {
                 self.connect(&mut attempts)?;
+            }
+            if self.lost && req.seq().is_some() {
+                return Err(DistError::WorkerLost { slot: self.slot });
             }
             self.obs.calls.inc();
             let t0 = Instant::now();
@@ -151,9 +161,8 @@ impl WorkerLink {
         }
     }
 
-    /// Dials the worker until connected or out of budget. On success the
-    /// worker has been handshaken and resynced: its applied history
-    /// reaches at least the newest acknowledged request.
+    /// Dials the worker until connected or out of budget, and applies the
+    /// handshake rule of the module docs.
     fn connect(&mut self, attempts: &mut u32) -> DistResult<()> {
         loop {
             let unavailable = DistError::WorkerUnavailable {
@@ -192,58 +201,13 @@ impl WorkerLink {
             } else {
                 self.ever_connected = true;
             }
-
-            if last_applied < self.acked_seq {
-                // The worker is behind our history — it restarted with
-                // a stale (or empty) WAL. Replay what it is missing;
-                // sequence-number dedup makes over-replay harmless.
-                self.obs.resyncs.inc();
-                let mut replayed = 0u64;
-                let mut channel_ok = true;
-                for past in &self.history {
-                    let seq = past.seq().expect("history holds mutating requests");
-                    if seq <= last_applied {
-                        continue;
-                    }
-                    match transport.call(past) {
-                        Ok(Response::Fail { message }) => return Err(DistError::Worker(message)),
-                        Ok(_) => replayed += 1,
-                        Err(_) => {
-                            channel_ok = false;
-                            break;
-                        }
-                    }
-                }
-                self.obs.replayed.add(replayed);
-                if !channel_ok {
-                    continue;
-                }
+            if last_applied < self.acked_seq || last_applied > self.seq {
+                self.lost = true;
+                self.seq = self.seq.max(last_applied);
             }
             self.transport = Some(transport);
             return Ok(());
         }
-    }
-
-    /// Sends one mutating request and returns the worker's response. The
-    /// request joins the history only once acknowledged: an in-flight
-    /// request is retried by `call` itself, so the replay history must
-    /// cover exactly the requests *before* it — a worker that applied
-    /// the in-flight request but lost the response dedups the retry from
-    /// its outbox either way. A `Step` is kept without its probes: a
-    /// replay rebuilds the worker's indexes, and nobody reads a replayed
-    /// answer.
-    fn send(&mut self, mut req: Request) -> DistResult<Response> {
-        let resp = self.call(&req)?;
-        self.acked_seq = req.seq().unwrap_or(self.acked_seq);
-        if let Request::Step {
-            probes_a, probes_b, ..
-        } = &mut req
-        {
-            *probes_a = Vec::new();
-            *probes_b = Vec::new();
-        }
-        self.history.push(req);
-        Ok(resp)
     }
 }
 
@@ -253,20 +217,50 @@ pub struct RemotePair {
 }
 
 impl RemotePair {
-    /// Builds the worker's index pair over the partition's initial
-    /// objects — the inserts queued since [`empty`](IndexPair::empty).
-    pub(crate) fn init(&self) -> DistResult<()> {
-        let mut link = sync::lock(&self.link);
-        let dist = Arc::clone(&link.dist);
+    /// Builds the worker's index pair over `objects`, each filed at its
+    /// registration time, with one [`Request::Init`]: the construction
+    /// seed and the re-seed of a lost worker alike. The queued mutations
+    /// are dropped: `objects` already holds their outcome.
+    pub(crate) fn seed(&self, objects: &[Registration], now: Time) -> DistResult<()> {
+        let link = &mut *sync::lock(&self.link);
+        if link.transport.is_none() {
+            // The handshake may renumber the link: draw the seed's
+            // number after it.
+            link.connect(&mut 0)?;
+        }
+        if link.lost {
+            link.obs.reseeds.inc();
+            link.obs.reseed_objects.add(objects.len() as u64);
+            link.lost = false;
+        }
+        link.queued.clear();
+        let ops = (objects.iter())
+            .map(|&(set, id, mbr, registered_at)| IndexOp::Insert {
+                set,
+                id,
+                mbr,
+                registered_at,
+                now,
+            })
+            .collect();
+        let seq = link.next_seq();
+        let dist = &link.dist;
         let req = Request::Init {
-            seq: link.next_seq(),
+            seq,
             engine: dist.engine,
             t_m: dist.t_m,
             buckets_per_tm: dist.buckets_per_tm,
-            ops: std::mem::take(&mut link.queued),
+            ops,
         };
-        match link.send(req)? {
-            Response::Ack { .. } => Ok(()),
+        let answer = link.call(&req);
+        // A seed that was not acknowledged leaves the worker's state
+        // unknown: the next round seeds it again.
+        link.lost = answer.is_err();
+        match answer? {
+            Response::Ack { .. } => {
+                link.acked_seq = seq;
+                Ok(())
+            }
             other => Err(DistError::UnexpectedResponse {
                 expected: "Ack",
                 got: other.kind(),
@@ -274,8 +268,8 @@ impl RemotePair {
         }
     }
 
-    /// Pings the worker, reconnecting (and resyncing) it if its channel
-    /// died.
+    /// Pings the worker, reconnecting it if its channel died. A worker
+    /// found lost is re-seeded at its next round.
     pub(crate) fn heartbeat(&self) -> DistResult<()> {
         let mut link = sync::lock(&self.link);
         link.nonce += 1;
@@ -304,11 +298,6 @@ impl RemotePair {
             let _ = t.call(&Request::Shutdown);
         }
     }
-
-    /// Requests retained for replay.
-    pub(crate) fn history_len(&self) -> usize {
-        sync::lock(&self.link).history.len()
-    }
 }
 
 impl IndexPair for RemotePair {
@@ -321,7 +310,7 @@ impl IndexPair for RemotePair {
     }
 
     /// Takes the next connector of `config`: partition `i` is the `i`-th
-    /// pair built. Nothing is sent until the coordinator's `Init` round.
+    /// pair built. Nothing is sent until the coordinator seeds it.
     fn empty(_: &BufferPool, config: &RemoteConfig, obs: &MetricsRegistry) -> Self {
         let mut handout = sync::lock(&config.connectors);
         let slot = handout.next;
@@ -330,8 +319,8 @@ impl IndexPair for RemotePair {
             calls: obs.counter("dist.rpc.calls"),
             errors: obs.counter("dist.rpc.errors"),
             reconnects: obs.counter("dist.reconnects"),
-            resyncs: obs.counter("dist.resyncs"),
-            replayed: obs.counter("dist.replayed_requests"),
+            reseeds: obs.counter("dist.reseeds"),
+            reseed_objects: obs.counter("dist.reseed_objects"),
             rtt_us: obs.histogram(&format!("dist.worker.{slot}.rtt_us")),
             ack_lag: obs.histogram(&format!("dist.worker.{slot}.ack_lag")),
         };
@@ -341,9 +330,9 @@ impl IndexPair for RemotePair {
             dist: Arc::clone(&config.dist),
             connector: handout.connectors.next(),
             transport: None,
-            history: Vec::new(),
             seq: 0,
             acked_seq: 0,
+            lost: false,
             nonce: 0,
             ever_connected: false,
             obs,
@@ -425,7 +414,7 @@ impl IndexPair for RemotePair {
     ) -> TprResult<()> {
         let mut link = sync::lock(&self.link);
         let seq = link.next_seq();
-        link.obs.ack_lag.record(seq - link.acked_seq);
+        let lag = seq - link.acked_seq;
         let req = Request::Step {
             seq,
             now,
@@ -434,7 +423,10 @@ impl IndexPair for RemotePair {
             probes_a: probes[0].to_vec(),
             probes_b: probes[1].to_vec(),
         };
-        match link.send(req)? {
+        let resp = link.call(&req)?;
+        link.acked_seq = seq;
+        link.obs.ack_lag.record(lag);
+        match resp {
             Response::StepAck {
                 hits_a,
                 hits_b,
@@ -461,6 +453,16 @@ impl IndexPair for RemotePair {
             }
             .into()),
         }
+    }
+
+    /// Re-seeds a worker its link found lost from `objects`, and says
+    /// whether it was.
+    fn reseed(&self, objects: &[Registration], now: Time) -> TprResult<bool> {
+        if !sync::lock(&self.link).lost {
+            return Ok(false);
+        }
+        self.seed(objects, now)?;
+        Ok(true)
     }
 
     /// Worker I/O happens in the worker process.

@@ -1,15 +1,15 @@
-//! The shard worker: one partition's index pair, a request WAL, and a
-//! response outbox, behind any [`Transport`](crate::Transport).
+//! The shard worker: one partition's index pair and a response outbox,
+//! behind any [`Transport`](crate::Transport).
 //!
-//! A worker is a deterministic request-application machine. Mutating
-//! requests ([`Request::seq`] = `Some`) are journaled to the worker's
-//! WAL *before* they touch the index; restart recovery replays the
-//! durable prefix through the very same dispatch path, rebuilding the
-//! index **and** the outbox — so a restarted worker answers a resent
-//! request with byte-identical content, which is what keeps the
-//! coordinator's answer bit-identical across worker crashes. A request
-//! whose sequence number was already applied is answered from the outbox
-//! without re-execution (exactly-once apply over at-least-once delivery).
+//! A worker is a deterministic request-application machine, and it
+//! holds soft state: nothing it keeps is durable, because the
+//! coordinator's router records hold everything it indexes. A worker
+//! that restarts comes back blank, reports sequence number 0, and the
+//! coordinator re-seeds it with an [`Init`](Request::Init) of its
+//! partition. A mutating request ([`Request::seq`] = `Some`) whose
+//! sequence number was already applied is answered from the outbox
+//! without re-execution — exactly-once apply over at-least-once delivery
+//! to a worker that stayed up.
 //!
 //! The worker holds no answer: the coordinator's one result buffer does.
 //! A [`Request::Step`] is phase 2 of a tick for this partition — its
@@ -17,17 +17,15 @@
 //! the hits go back in the [`Response::StepAck`].
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 
 use cij_core::{EngineConfig, IndexPair, MtbPair, TcPair};
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, JoinScratch};
 use cij_obs::MetricsRegistry;
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
+use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::TprResult;
 
-use crate::error::{DistError, DistResult};
 use crate::protocol::{EngineKind, IndexOp, Request, Response};
 
 /// The index pair a worker holds: the one [`Request::Init`] named.
@@ -40,7 +38,7 @@ impl WorkerPair {
     /// Builds `kind` over a private in-memory page store — the
     /// distributed deployment's point is that workers share *nothing*.
     /// `None` for parameters no index can be built from (they arrive from
-    /// the wire or the journal, and the MTB-tree asserts on them).
+    /// the wire, and the MTB-tree asserts on them).
     fn build(kind: EngineKind, t_m: Time, buckets_per_tm: u32) -> Option<Self> {
         if !(t_m.is_finite() && t_m > 0.0 && buckets_per_tm >= 1) {
             return None;
@@ -118,7 +116,7 @@ impl WorkerPair {
 
 /// Whether `req`'s times and trajectories can be handed to an index.
 /// The indexes assume what a well-behaved coordinator sends and assert on
-/// it; a socket or a journal promises nothing.
+/// it; a socket promises nothing.
 fn is_sound(req: &Request) -> bool {
     match req {
         Request::Init { ops, .. } => ops.iter().all(IndexOp::is_sound),
@@ -140,56 +138,28 @@ fn is_sound(req: &Request) -> bool {
     }
 }
 
-/// One worker: index pair, WAL, outbox (see the module docs).
+/// One worker: index pair and outbox (see the module docs).
 pub struct ShardWorker {
     pair: Option<WorkerPair>,
     scratch: JoinScratch,
-    wal: Option<Wal>,
     last_applied: u64,
     outbox: BTreeMap<u64, Response>,
-    /// Mutating requests applied since construction (replayed records
-    /// included) — exported to observers, not used for control flow.
+    /// Mutating requests applied since construction — exported to
+    /// observers, not used for control flow.
     applied: u64,
-    /// Records replayed from the WAL at construction.
-    recovered: u64,
 }
 
 impl ShardWorker {
-    /// A worker with no durability: a crash loses everything and the
-    /// coordinator must resync it from scratch.
+    /// A blank worker: no index pair until an `Init` builds one.
     #[must_use]
     pub fn ephemeral() -> Self {
         Self {
             pair: None,
             scratch: JoinScratch::new(),
-            wal: None,
             last_applied: 0,
             outbox: BTreeMap::new(),
             applied: 0,
-            recovered: 0,
         }
-    }
-
-    /// Opens (or creates) a durable worker at `wal_path`. If the WAL
-    /// already holds records — the worker is restarting after a crash —
-    /// the durable prefix is replayed through the normal dispatch path,
-    /// rebuilding index pair, outbox and high-water sequence number. A torn
-    /// tail record is dropped (it was never acknowledged; the
-    /// coordinator resends it).
-    ///
-    /// # Errors
-    /// [`DistError`] when the WAL cannot be opened or a durable record
-    /// fails to decode (version mismatch included).
-    pub fn open(wal_path: &Path) -> DistResult<Self> {
-        let (wal, recovery) = Wal::open(wal_path).map_err(DistError::from)?;
-        let mut worker = Self::ephemeral(); // no journaling during replay
-        for record in &recovery.records {
-            let req = Request::decode(record)?;
-            worker.handle(&req);
-            worker.recovered += 1;
-        }
-        worker.wal = Some(wal);
-        Ok(worker)
     }
 
     /// Highest applied sequence number (0 = fresh).
@@ -202,12 +172,6 @@ impl ShardWorker {
     #[must_use]
     pub fn applied(&self) -> u64 {
         self.applied
-    }
-
-    /// Records replayed from the WAL at construction.
-    #[must_use]
-    pub fn recovered(&self) -> u64 {
-        self.recovered
     }
 
     /// Cached responses awaiting coordinator acknowledgement.
@@ -227,14 +191,6 @@ impl ShardWorker {
                     return self.outbox.get(&seq).cloned().unwrap_or(Response::Fail {
                         message: format!("sequence {seq} already applied and its response pruned"),
                     });
-                }
-                if let Some(wal) = &mut self.wal {
-                    let journal = wal.append(&req.encode()).and_then(|_| wal.sync());
-                    if let Err(e) = journal {
-                        return Response::Fail {
-                            message: format!("journal write failed: {e}"),
-                        };
-                    }
                 }
                 let resp = self.apply(req, seq);
                 self.last_applied = seq;
@@ -263,10 +219,10 @@ impl ShardWorker {
         }
     }
 
-    /// Applies one journaled request. Index errors become
+    /// Applies one mutating request. Index errors become
     /// [`Response::Fail`] and are still recorded in the outbox — the
-    /// application is deterministic, so a replay or resend reproduces
-    /// the same failure instead of silently diverging.
+    /// application is deterministic, so a resend reproduces the same
+    /// failure instead of silently diverging.
     fn apply(&mut self, req: &Request, seq: u64) -> Response {
         if !is_sound(req) {
             let message = format!(
@@ -389,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_that_lost_its_wal_reports_zero_progress() {
+    fn a_restarted_worker_reports_zero_progress() {
         let mut worker = ShardWorker::ephemeral();
         worker.handle(&init(1));
         let fresh = ShardWorker::ephemeral();

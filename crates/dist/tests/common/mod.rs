@@ -1,8 +1,13 @@
 //! Shared by the dist golden-bytes and fuzz suites: the pinned encodings,
-//! and the byte helpers of the storage suites (one copy for the whole
-//! wire stack).
+//! a worker's pinned life, and the byte helpers of the storage suites
+//! (one copy for the whole wire stack).
 
 #![allow(dead_code)] // each test crate uses a different subset
+
+use cij_dist::{EngineKind, IndexOp, Request};
+use cij_geom::{MovingRect, Rect};
+use cij_tpr::ObjectId;
+use cij_workload::SetTag;
 
 #[path = "../../../storage/tests/common/bytes.rs"]
 mod bytes;
@@ -50,9 +55,7 @@ pub const GOLDEN_RESPONSES: [&str; 7] = [
     "c10238130000006f626a656374206e6f7420666f756e643a2039",
 ];
 
-/// What that build's worker answered to `golden_bytes.rs`'s
-/// `journaled_life()` — an `Init` over two stationary objects, the
-/// initial-join round and a round that moves one of them — in order.
+/// What that build's worker answered to [`worker_life`], in order.
 pub const GOLDEN_ANSWERS: [&str; 3] = [
     "c102310100000000000000",
     "\
@@ -63,26 +66,65 @@ pub const GOLDEN_ANSWERS: [&str; 3] = [
         0000000100000000000000010000000000000000000000000000000100000000000000",
 ];
 
-/// … and the journal file it left behind: three framed requests.
-pub const GOLDEN_JOURNAL: &str = "\
-    e00000003c4560c9c10211010000000000000003000000000000344004000000020000000101010000000000\
-    00000000000000000000000000000000f03f0000000000000000000000000000000000000000000000000000\
-    00000000f03f0000000000000000000000000000000000000000000000000000000000000000000000000000\
-    000001020200000000000000000000000000e03f000000000000f83f00000000000000000000000000000000\
-    0000000000000000000000000000f03f00000000000000000000000000000000000000000000000000000000\
-    0000000000000000000000006f0000006d412f0dc10214020000000000000000000000000000000000000000\
-    00000000000000010000000000000000000000000000000000f03f0000000000000000000000000000000000\
-    00000000000000000000000000f03f0000000000000000000000000000000000000000000000000000000033\
-    010000ecc76d6cc102140300000000000000000000000000f03f000000000000000002000000020101000000\
-    000000000000000000000000000000000000f03f000000000000000000000000000000000000000000000000\
-    000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000\
-    0000f03f010101000000000000009a9999999999b93f9a9999999999f13f0000000000000000000000000000\
-    00000000000000000000000000000000f03f00000000000000000000000000000000000000000000f03f0000\
-    00000000f03f000000000000f03f010000009a9999999999b93f9a9999999999f13f00000000000000000000\
-    0000000000000000000000000000000000000000f03f00000000000000000000000000000000000000000000\
-    f03f00000000";
-
 /// Its answer to the last round's probe, sent again after that life.
 pub const GOLDEN_REPROBE: &str = "\
     c10232040000000000000001000000000000000200000000000000000000000000f03f000000000000354000\
     0000000100000000000000010000000000000000000000000000000100000000000000";
+
+fn stationary(x: f64) -> MovingRect {
+    MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0)
+}
+
+/// An `Init` over A-object 1 and B-object 2, then the initial-join round
+/// (A-object 1 probes), then a round that moves A-object 1; no answer is
+/// acknowledged, so the outbox keeps all three.
+pub fn worker_life() -> Vec<Request> {
+    let insert = |set, id, x| IndexOp::Insert {
+        set,
+        id: ObjectId(id),
+        mbr: stationary(x),
+        registered_at: 0.0,
+        now: 0.0,
+    };
+    let moved = MovingRect::stationary(Rect::new([0.1, 0.0], [1.1, 1.0]), 1.0);
+    vec![
+        Request::Init {
+            seq: 1,
+            engine: EngineKind::Mtb,
+            t_m: 20.0,
+            buckets_per_tm: 4,
+            ops: vec![insert(SetTag::A, 1, 0.0), insert(SetTag::B, 2, 0.5)],
+        },
+        Request::Step {
+            seq: 2,
+            now: 0.0,
+            ack_through: 0,
+            ops: vec![],
+            probes_a: vec![stationary(0.0)],
+            probes_b: vec![],
+        },
+        Request::Step {
+            seq: 3,
+            now: 1.0,
+            ack_through: 0,
+            ops: vec![
+                IndexOp::Remove {
+                    set: SetTag::A,
+                    id: ObjectId(1),
+                    old_mbr: stationary(0.0),
+                    last_update: 0.0,
+                    now: 1.0,
+                },
+                IndexOp::Insert {
+                    set: SetTag::A,
+                    id: ObjectId(1),
+                    mbr: moved,
+                    registered_at: 1.0,
+                    now: 1.0,
+                },
+            ],
+            probes_a: vec![moved],
+            probes_b: vec![],
+        },
+    ]
+}

@@ -1,22 +1,23 @@
 //! The coordinator's per-worker rounds run concurrently: a tick's `Step`s
 //! are in flight on several workers at once, the merged stream is still
 //! bit-identical to the in-process shard coordinator's, and a round in
-//! which one worker fails keeps every other worker's history exact.
+//! which one worker fails keeps every other worker's rounds exact.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cij_core::{ContinuousJoinEngine, MtbEngine};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{
     joinable_pairs, Connector, DistConfig, DistCoordinator, DistError, DistResult, EngineKind,
-    Request, Response, Transport,
+    Request, Response, ShardWorker, Transport,
 };
 use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriptionFilter};
+use cij_tpr::ObjectId;
 use cij_workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
 
 /// How long a `Step` waits for a second caller before giving up.
@@ -33,12 +34,16 @@ struct Probe {
     waited: AtomicBool,
 }
 
-/// A loopback connector that counts in-flight `Step`s and, while its
-/// `refuse` flag is set, neither dials nor answers.
+/// The last `Init` one worker was sent.
+type LastInit = Arc<Mutex<Option<Request>>>;
+
+/// A loopback connector that counts in-flight `Step`s, keeps the last
+/// `Init` and, while its `refuse` flag is set, neither dials nor answers.
 struct Wrapped {
     inner: Box<dyn Connector>,
     probe: Arc<Probe>,
     refuse: Arc<AtomicBool>,
+    last_init: LastInit,
 }
 
 impl Connector for Wrapped {
@@ -50,6 +55,7 @@ impl Connector for Wrapped {
             inner: self.inner.connect()?,
             probe: Arc::clone(&self.probe),
             refuse: Arc::clone(&self.refuse),
+            last_init: Arc::clone(&self.last_init),
         }))
     }
 
@@ -62,12 +68,16 @@ struct WrappedTransport {
     inner: Box<dyn Transport>,
     probe: Arc<Probe>,
     refuse: Arc<AtomicBool>,
+    last_init: LastInit,
 }
 
 impl Transport for WrappedTransport {
     fn call(&mut self, req: &Request) -> DistResult<Response> {
         if self.refuse.load(Ordering::SeqCst) {
             return Err(refused());
+        }
+        if matches!(req, Request::Init { .. }) {
+            *self.last_init.lock().expect("last init") = Some(req.clone());
         }
         if !matches!(req, Request::Step { .. }) {
             return self.inner.call(req);
@@ -118,6 +128,7 @@ fn params(seed: u64) -> Params {
 struct Deployment {
     hosts: Vec<Arc<LoopbackHost>>,
     refuse: Vec<Arc<AtomicBool>>,
+    last_init: Vec<LastInit>,
     probe: Arc<Probe>,
 }
 
@@ -132,17 +143,19 @@ impl Deployment {
         Self {
             hosts: (0..workers).map(|_| LoopbackHost::ephemeral()).collect(),
             refuse: (0..workers).map(|_| Arc::default()).collect(),
+            last_init: (0..workers).map(|_| Arc::default()).collect(),
             probe,
         }
     }
 
     fn connectors(&self) -> Vec<Box<dyn Connector>> {
-        (self.hosts.iter().zip(&self.refuse))
-            .map(|(host, refuse)| {
+        (self.hosts.iter().zip(&self.refuse).zip(&self.last_init))
+            .map(|((host, refuse), last_init)| {
                 Box::new(Wrapped {
                     inner: Box::new(host.connector()),
                     probe: Arc::clone(&self.probe),
                     refuse: Arc::clone(refuse),
+                    last_init: Arc::clone(last_init),
                 }) as Box<dyn Connector>
             })
             .collect()
@@ -240,11 +253,12 @@ fn step_rounds_overlap_and_the_stream_stays_bit_identical() {
 
 /// A round in which one worker cannot be reached fails with *that*
 /// slot's `WorkerUnavailable`, yet every worker that acked its `Step`
-/// recorded it: the acked-seq gauges advance, and a healthy worker that
-/// then loses everything is rebuilt from its history to the sequence
-/// number and the index it had.
+/// recorded it: the acked-seq gauges advance. A healthy worker that then
+/// loses everything is re-seeded from the router's records at the next
+/// round: its index meets what it met before the loss, and does the work
+/// an in-process worker seeded with the same `Init` does.
 #[test]
-fn a_failed_round_keeps_every_acked_history_exact() {
+fn a_failed_round_keeps_every_acked_round_exact() {
     let p = params(102);
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(4, p.max_speed));
     let deployment = Deployment::new(&*policy);
@@ -253,8 +267,15 @@ fn a_failed_round_keeps_every_acked_history_exact() {
     let (a, b) = generate_pair(&p, 0.0);
     let config = dist_config(&p);
     let attempts = config.connect_attempts;
-    let mut dist = DistCoordinator::new(config, policy, deployment.connectors(), &a, &b, 0.0)
-        .expect("dist coordinator");
+    let mut dist = DistCoordinator::new(
+        config,
+        Arc::clone(&policy),
+        deployment.connectors(),
+        &a,
+        &b,
+        0.0,
+    )
+    .expect("dist coordinator");
     dist.enable_delta_tracking();
     dist.run_initial_join(0.0).expect("initial join");
 
@@ -306,20 +327,21 @@ fn a_failed_round_keeps_every_acked_history_exact() {
         assert_eq!(after[slot], want, "slot {slot}");
     }
 
-    // Back online: the dark slots reconnect and need no resync — their
-    // history ends where their journal does.
+    // Back online: the dark slots reconnect, and were never lost.
     for &slot in &failing {
         deployment.refuse[slot].store(false, Ordering::SeqCst);
     }
     dist.heartbeat().expect("every worker reachable again");
-    let snap = dist.metrics_registry().snapshot();
-    assert_eq!(snap.counter("dist.resyncs").unwrap_or(0), 0);
+    let reseeds = |dist: &DistCoordinator| {
+        let snap = dist.metrics_registry().snapshot();
+        (snap.counter("dist.reseeds")).zip(snap.counter("dist.reseed_objects"))
+    };
+    assert_eq!(reseeds(&dist), Some((0, 0)));
 
     // What the victim's index answers before it is lost: a probe-only
     // Step, dialled past the coordinator, of the failed tick's
     // trajectories and a still rectangle over the whole space, which
-    // meets every object the partition holds. The lost WAL takes this
-    // Step with it.
+    // meets every object the partition holds.
     let victim = 0;
     let everything =
         MovingRect::stationary(Rect::new([-p.space; DIMS], [2.0 * p.space; DIMS]), now);
@@ -331,54 +353,75 @@ fn a_failed_round_keeps_every_acked_history_exact() {
         mbrs.push(everything);
         mbrs
     };
-    let probe_step = Request::Step {
-        seq: after[victim] as u64 + 1,
+    let probe_step = |seq: i64| Request::Step {
+        seq: seq as u64 + 1,
         now,
         ack_through: 0,
         ops: Vec::new(),
         probes_a: probes(SetTag::A),
         probes_b: probes(SetTag::B),
     };
-    let answer = |host: &Arc<LoopbackHost>| {
+    let answer = |host: &Arc<LoopbackHost>, step: &Request| {
         let mut channel = host.connector().connect().expect("dial the victim");
-        let ack = channel.call(&probe_step).expect("probe-only step");
+        let ack = channel.call(step).expect("probe-only step");
         assert!(matches!(ack, Response::StepAck { .. }), "got {ack:?}");
         ack
     };
-    let held = answer(&deployment.hosts[victim]);
-    let Response::StepAck { hits_a, hits_b, .. } = &held else {
-        unreachable!()
+    let sorted_hits = |ack: &Response| {
+        let Response::StepAck { hits_a, hits_b, .. } = ack else {
+            unreachable!()
+        };
+        let mut hits = [hits_a.clone(), hits_b.clone()];
+        for side in &mut hits {
+            side.sort_by_key(|&(probe, partner, _)| (probe, partner));
+        }
+        hits
     };
+    let held = sorted_hits(&answer(
+        &deployment.hosts[victim],
+        &probe_step(after[victim]),
+    ));
     assert!(
-        !(hits_a.is_empty() && hits_b.is_empty()),
+        !(held[0].is_empty() && held[1].is_empty()),
         "the probes meet nothing: the comparison below would be vacuous"
     );
 
-    // A healthy worker loses its machine; the heartbeat rebuilds it from
-    // the history, failed round's Step included: the Init and every
-    // round it acked.
-    deployment.hosts[victim].kill_and_lose_wal();
-    dist.heartbeat().expect("the victim is rebuilt");
-    let snap = dist.metrics_registry().snapshot();
-    assert_eq!(snap.counter("dist.resyncs"), Some(1));
+    // A healthy worker loses its machine. The heartbeat finds it lost;
+    // the next round — an object filed on another worker — re-seeds it
+    // from the router's records and probes it again.
+    deployment.hosts[victim].kill();
+    dist.heartbeat().expect("the victim is reachable");
+    assert_eq!(reseeds(&dist), Some((0, 0)), "a heartbeat seeds nothing");
+    let here = Rect::new([0.0; DIMS], [1.0; DIMS]);
+    let newcomer = MovingRect::rigid(here, [0.9 * p.max_speed, 0.0], now);
+    let id = ObjectId(1 << 40);
+    assert_ne!(policy.shard_of(id, &newcomer), victim);
+    dist.insert_object(SetTag::A, id, newcomer, now)
+        .expect("a round that re-seeds the victim");
+    let seed = (deployment.last_init[victim]
+        .lock()
+        .expect("last init")
+        .clone())
+    .expect("the victim's re-seed");
+    let Request::Init { ops, .. } = &seed else {
+        unreachable!()
+    };
+    assert_eq!(reseeds(&dist), Some((1, ops.len() as u64)));
+
+    // Its hits are the pre-loss hits; its work is that of a blank
+    // in-process worker handed the same seed.
+    let step = probe_step(acked(&dist)[victim]);
+    let rebuilt = answer(&deployment.hosts[victim], &step);
     assert_eq!(
-        snap.counter("dist.replayed_requests"),
-        Some(after[victim] as u64)
-    );
-    let mut channel = deployment.hosts[victim]
-        .connector()
-        .connect()
-        .expect("dial the rebuilt worker");
-    assert_eq!(
-        channel.call(&Request::Hello).expect("handshake"),
-        Response::HelloAck {
-            last_applied: after[victim] as u64
-        },
-        "the rebuilt worker stopped short of its history"
-    );
-    assert_eq!(
-        answer(&deployment.hosts[victim]),
+        sorted_hits(&rebuilt),
         held,
-        "the rebuilt index answers other hits or did other work"
+        "the rebuilt index meets other objects"
+    );
+    let mut twin = ShardWorker::ephemeral();
+    assert!(matches!(twin.handle(&seed), Response::Ack { .. }));
+    assert_eq!(
+        twin.handle(&step),
+        rebuilt,
+        "the re-seeded index did other work"
     );
 }

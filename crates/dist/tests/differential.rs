@@ -4,11 +4,9 @@
 //! with the same policy — per-tick `advance_to` delta vectors, polled
 //! subscriber outboxes (`Gap` markers included), and `result_at`
 //! snapshots — for every partition policy × K ∈ {2, 4}, including runs
-//! where a worker is killed mid-stream and restarts from its WAL, and
-//! runs where the worker's WAL is lost and the coordinator resyncs it
-//! by replaying its retained request history.
+//! where a worker is killed mid-stream, restarts blank and is re-seeded
+//! from the coordinator's router records.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use cij_core::{EngineConfig, MtbEngine};
@@ -136,38 +134,6 @@ fn engine_config(params: &Params) -> EngineConfig {
     }
 }
 
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(tag: &str, idx: usize) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("cij-dist-{tag}-{idx}-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-/// One durable loopback host per shard of `policy`.
-fn durable_hosts(
-    policy: &dyn PartitionPolicy,
-    tag: &str,
-) -> (Vec<Arc<LoopbackHost>>, Vec<TempWal>) {
-    let mut hosts = Vec::new();
-    let mut wals = Vec::new();
-    for (idx, _) in joinable_pairs(policy).into_iter().enumerate() {
-        let wal = TempWal::new(tag, idx);
-        hosts.push(LoopbackHost::durable(wal.0.clone()).expect("durable host"));
-        wals.push(wal);
-    }
-    (hosts, wals)
-}
-
 /// The two services under comparison plus the shared workload, with the
 /// loopback hosts exposed for fault injection.
 struct Rig {
@@ -177,18 +143,12 @@ struct Rig {
     sub_dist: SubscriberId,
     workload: UpdateStream,
     hosts: Vec<Arc<LoopbackHost>>,
-    _wals: Vec<TempWal>,
     /// Ticks that carried updates: each is one `Step` per worker.
     busy_ticks: u64,
 }
 
 impl Rig {
-    fn new(
-        policy: Arc<dyn PartitionPolicy>,
-        params: &Params,
-        tag: &str,
-        outbox_capacity: usize,
-    ) -> Self {
+    fn new(policy: Arc<dyn PartitionPolicy>, params: &Params, outbox_capacity: usize) -> Self {
         let (a, b) = generate_pair(params, 0.0);
         let stream_config = StreamConfig::builder()
             .engine(engine_config(params))
@@ -212,7 +172,9 @@ impl Rig {
             })
             .expect("oracle service");
 
-        let (hosts, wals) = durable_hosts(&*policy, tag);
+        let hosts: Vec<Arc<LoopbackHost>> = (joinable_pairs(&*policy).iter())
+            .map(|_| LoopbackHost::ephemeral())
+            .collect();
         let dist_policy = policy.clone();
         let dist_hosts = hosts.clone();
         let mut dist = StreamService::new(stream_config, &a, &b, 0.0, &|cfg, a, b, now| {
@@ -248,7 +210,6 @@ impl Rig {
             sub_dist,
             workload,
             hosts,
-            _wals: wals,
             busy_ticks: 0,
         }
     }
@@ -506,15 +467,14 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
     for (name, k, params, policy) in cases {
         let label = format!("{name}-k{k}");
         let workers = k;
-        let mut rig = Rig::new(policy, &params, &label, 1024);
+        let mut rig = Rig::new(policy, &params, 1024);
         assert_eq!(rig.hosts.len(), workers);
 
         // First half: healthy run.
         rig.run_ticks(1, 10, 1, &label);
 
-        // Crash one worker process mid-stream. Its WAL survives, so the
-        // supervisor restart replays the journal and the coordinator
-        // resyncs nothing.
+        // Crash one worker process mid-stream. The supervisor restarts it
+        // blank, and the coordinator re-seeds it at the next round.
         let victim = workers / 2;
         rig.hosts[victim].kill();
 
@@ -534,14 +494,19 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
             "{label}: expected a reconnect after the kill"
         );
         assert_eq!(
-            snap.counter("dist.resyncs").unwrap_or(0),
-            0,
-            "{label}: a WAL-intact restart must not need a history resync"
+            snap.counter("dist.reseeds"),
+            Some(1),
+            "{label}: the restarted worker is re-seeded once"
+        );
+        assert!(
+            snap.counter("dist.reseed_objects").unwrap_or(0) > 0,
+            "{label}: the re-seed carries the partition"
         );
         // The per-worker handles resolved at construction publish under
-        // the per-worker names: one ack-lag sample per `Step` — the
-        // initial join's round, then one per tick that carried updates —
-        // and one RTT per answered RPC: those and the `Init`.
+        // the per-worker names: one ack-lag sample per answered `Step` —
+        // the initial join's round, then one per tick that carried
+        // updates — and one RTT per answered RPC: those and the `Init`,
+        // and the victim's re-seed `Init`.
         let rounds = 1 + rig.busy_ticks;
         assert!(rig.busy_ticks > 10, "{label}: the workload idled");
         let mut answered = 0;
@@ -558,7 +523,12 @@ fn loopback_stream_bit_identical_across_policies_and_k() {
                 rounds,
                 "{label}: one Step per busy tick"
             );
-            assert_eq!(samples("rtt_us"), 1 + rounds, "{label}: Init and Steps");
+            let inits = 1 + u64::from(idx == victim);
+            assert_eq!(
+                samples("rtt_us"),
+                inits + rounds,
+                "{label}: Inits and Steps"
+            );
             answered += samples("rtt_us");
         }
         assert!(snap.counter("dist.rpc.calls").unwrap_or(0) >= answered);
@@ -576,7 +546,7 @@ fn interleaved_apply_remove_insert_apply_stays_bit_identical() {
     let params = skew_params(92);
     let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
     let (a, b) = generate_pair(&params, 0.0);
-    let mut rig = Rig::new(policy.clone(), &params, "interleave", 1024);
+    let mut rig = Rig::new(policy.clone(), &params, 1024);
     let plain_config = StreamConfig::builder()
         .engine(engine_config(&params))
         .build();
@@ -640,40 +610,12 @@ fn interleaved_apply_remove_insert_apply_stays_bit_identical() {
 }
 
 #[test]
-fn wal_loss_forces_full_history_resync() {
-    let params = skew_params(90);
-    let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
-    let mut rig = Rig::new(policy, &params, "walloss", 1024);
-
-    rig.run_ticks(1, 8, 1, "walloss");
-
-    // Lose a whole machine: worker, outbox and WAL. The restarted
-    // worker reports zero durable progress, so the coordinator must
-    // replay its entire retained history for that slot.
-    rig.hosts[1].kill_and_lose_wal();
-
-    rig.run_ticks(9, 20, 1, "walloss");
-    assert_eq!(rig.hosts[1].restarts(), 1);
-
-    let snap = rig.dist.metrics_snapshot();
-    assert!(
-        snap.counter("dist.resyncs").unwrap_or(0) >= 1,
-        "losing the WAL must trigger a history resync"
-    );
-    assert!(
-        snap.counter("dist.replayed_requests").unwrap_or(0) > 0,
-        "the resync must actually replay requests"
-    );
-    assert!(snap.counter("dist.reconnects").unwrap_or(0) >= 1);
-}
-
-#[test]
 fn gap_markers_match_under_tiny_outboxes() {
     let params = skew_params(91);
     let policy = Arc::new(HashPolicy(2));
     // A 3-item outbox polled every 5 ticks overflows on both sides in
     // exactly the same places, so even the loss markers are identical.
-    let mut rig = Rig::new(policy, &params, "gaps", 3);
+    let mut rig = Rig::new(policy, &params, 3);
     let gaps = rig.run_ticks(1, 25, 5, "gaps");
     assert!(gaps > 0, "run never overflowed an outbox: gaps unexercised");
 }

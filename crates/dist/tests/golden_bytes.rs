@@ -1,11 +1,11 @@
 //! The protocol's bytes, pinned. Every [`Request`] and [`Response`]
 //! shape is held against the exact encoding the first `PROTOCOL_VERSION
-//! 2` build produced, in both directions, and a worker journal written by
-//! that build must still replay — a refactor of the codec that only
-//! round-trips against itself would pass neither.
+//! 2` build produced, in both directions, and a worker must still answer
+//! that build's requests with that build's bytes — a refactor of the
+//! codec that only round-trips against itself would pass neither.
 
 use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
-use cij_geom::{MovingRect, Rect, TimeInterval};
+use cij_geom::{MovingRect, TimeInterval};
 use cij_join::JoinCounters;
 use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use cij_tpr::ObjectId;
@@ -13,7 +13,7 @@ use cij_workload::SetTag;
 
 mod common;
 use common::{
-    hex, unhex, GOLDEN_ANSWERS, GOLDEN_JOURNAL, GOLDEN_REPROBE, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
+    hex, unhex, worker_life, GOLDEN_ANSWERS, GOLDEN_REPROBE, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
 };
 
 fn mrect(seed: f64) -> MovingRect {
@@ -145,96 +145,19 @@ fn kind_names_every_response_variant() {
     );
 }
 
-fn stationary(x: f64) -> MovingRect {
-    MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0)
-}
-
-/// An `Init` over A-object 1 and B-object 2, then the initial-join round
-/// (A-object 1 probes), then a round that moves A-object 1; no answer is
-/// acknowledged, so the outbox keeps all three.
-fn journaled_life() -> Vec<Request> {
-    let insert = |set, id, x| IndexOp::Insert {
-        set,
-        id: ObjectId(id),
-        mbr: stationary(x),
-        registered_at: 0.0,
-        now: 0.0,
-    };
-    let moved = MovingRect::stationary(Rect::new([0.1, 0.0], [1.1, 1.0]), 1.0);
-    vec![
-        Request::Init {
-            seq: 1,
-            engine: EngineKind::Mtb,
-            t_m: 20.0,
-            buckets_per_tm: 4,
-            ops: vec![insert(SetTag::A, 1, 0.0), insert(SetTag::B, 2, 0.5)],
-        },
-        Request::Step {
-            seq: 2,
-            now: 0.0,
-            ack_through: 0,
-            ops: vec![],
-            probes_a: vec![stationary(0.0)],
-            probes_b: vec![],
-        },
-        Request::Step {
-            seq: 3,
-            now: 1.0,
-            ack_through: 0,
-            ops: vec![
-                IndexOp::Remove {
-                    set: SetTag::A,
-                    id: ObjectId(1),
-                    old_mbr: stationary(0.0),
-                    last_update: 0.0,
-                    now: 1.0,
-                },
-                IndexOp::Insert {
-                    set: SetTag::A,
-                    id: ObjectId(1),
-                    mbr: moved,
-                    registered_at: 1.0,
-                    now: 1.0,
-                },
-            ],
-            probes_a: vec![moved],
-            probes_b: vec![],
-        },
-    ]
-}
-
-fn temp_wal(tag: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("cij-dist-{tag}-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
 #[test]
-fn a_worker_writes_the_golden_journal() {
-    let path = temp_wal("golden-write");
-    let mut worker = ShardWorker::open(&path).expect("fresh worker");
-    for (req, golden) in journaled_life().iter().zip(GOLDEN_ANSWERS) {
+fn a_worker_answers_with_the_golden_bytes() {
+    let mut worker = ShardWorker::ephemeral();
+    let life = worker_life();
+    for (req, golden) in life.iter().zip(GOLDEN_ANSWERS) {
         assert_eq!(hex(&worker.handle(req).encode()), golden, "{req:?}");
     }
-    drop(worker);
-    let written = std::fs::read(&path).expect("journal");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(hex(&written), hex(&unhex(GOLDEN_JOURNAL)));
-}
-
-#[test]
-fn a_worker_replays_the_golden_journal() {
-    let path = temp_wal("golden-replay");
-    std::fs::write(&path, unhex(GOLDEN_JOURNAL)).expect("write image");
-    let mut reborn = ShardWorker::open(&path).expect("recovered worker");
-    assert_eq!(reborn.recovered(), 3);
-    assert_eq!(reborn.last_applied(), 3);
-    // Resent requests are answered from the rebuilt outbox, and the
-    // rebuilt index answers the journaled round's probe again.
-    for (req, golden) in journaled_life().iter().zip(GOLDEN_ANSWERS) {
-        assert_eq!(hex(&reborn.handle(req).encode()), golden, "{req:?}");
+    // Resent requests are answered from the outbox, and the index
+    // answers the last round's probe again.
+    for (req, golden) in life.iter().zip(GOLDEN_ANSWERS) {
+        assert_eq!(hex(&worker.handle(req).encode()), golden, "{req:?}");
     }
-    let Request::Step { probes_a, .. } = &journaled_life()[2] else {
+    let Request::Step { probes_a, .. } = &life[2] else {
         unreachable!()
     };
     let again = Request::Step {
@@ -245,7 +168,5 @@ fn a_worker_replays_the_golden_journal() {
         probes_a: probes_a.clone(),
         probes_b: vec![],
     };
-    assert_eq!(hex(&reborn.handle(&again).encode()), GOLDEN_REPROBE);
-    drop(reborn);
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(hex(&worker.handle(&again).encode()), GOLDEN_REPROBE);
 }

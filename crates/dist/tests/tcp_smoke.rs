@@ -1,14 +1,12 @@
 //! Multi-process smoke: K = 2 velocity bands on two real `shard_worker`
-//! processes over TCP (one per partition), one killed
-//! (SIGKILL) mid-run and respawned on a fresh port from its surviving
-//! WAL. Objects cross the band edge, so migrations travel over TCP too.
-//! The merged stream must stay bit-identical to the in-process shard
-//! coordinator throughout and equal the brute-force answer at the last
-//! tick, and the coordinator's metrics must show the reconnect happened
-//! without a history resync.
+//! processes over TCP (one per partition), one killed (SIGKILL) mid-run
+//! and respawned blank on a fresh port. Objects cross the band edge, so
+//! migrations travel over TCP too. The merged stream must stay
+//! bit-identical to the in-process shard coordinator throughout and equal
+//! the brute-force answer at the last tick, and the coordinator's metrics
+//! must show the reconnect and the one re-seed of the respawned worker.
 
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,10 +29,9 @@ struct WorkerProc {
 }
 
 impl WorkerProc {
-    fn spawn(wal: &Path) -> Self {
+    fn spawn() -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_shard_worker"))
-            .args(["--listen", "127.0.0.1:0", "--wal"])
-            .arg(wal)
+            .args(["--listen", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -61,25 +58,6 @@ impl WorkerProc {
 impl Drop for WorkerProc {
     fn drop(&mut self) {
         self.kill();
-    }
-}
-
-struct TempWal(PathBuf);
-
-impl TempWal {
-    fn new(idx: usize) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "cij-dist-tcp-smoke-{idx}-{}.wal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempWal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
     }
 }
 
@@ -126,8 +104,7 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
     })
     .expect("oracle service");
 
-    let wals: Vec<TempWal> = (0..2).map(TempWal::new).collect();
-    let mut procs: Vec<WorkerProc> = wals.iter().map(|w| WorkerProc::spawn(&w.0)).collect();
+    let mut procs: Vec<WorkerProc> = (0..2).map(|_| WorkerProc::spawn()).collect();
     let connectors: Vec<TcpConnector> = procs
         .iter()
         .map(|p| TcpConnector::new(p.addr.clone(), Duration::from_secs(10)))
@@ -191,10 +168,11 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
 
     run(&mut oracle, &mut dist, &mut workload, 1, 6);
 
-    // SIGKILL worker 1 mid-run and respawn it from its WAL on a fresh
-    // port; the retargeted connector is the supervisor's only repair.
+    // SIGKILL worker 1 mid-run and respawn it blank on a fresh port; the
+    // retargeted connector is the supervisor's only repair, the re-seed
+    // the coordinator's.
     procs[1].kill();
-    procs[1] = WorkerProc::spawn(&wals[1].0);
+    procs[1] = WorkerProc::spawn();
     connectors[1].retarget(procs[1].addr.clone());
 
     run(&mut oracle, &mut dist, &mut workload, 7, 14);
@@ -216,9 +194,9 @@ fn two_processes_survive_a_kill_with_bit_identical_streams() {
         "the kill should force at least one reconnect"
     );
     assert_eq!(
-        snap.counter("dist.resyncs").unwrap_or(0),
-        0,
-        "a WAL-intact restart must not need a history resync"
+        snap.counter("dist.reseeds"),
+        Some(1),
+        "the respawned worker is re-seeded once"
     );
     assert!(snap.counter("dist.rpc.calls").unwrap_or(0) > 0);
     assert!(

@@ -1,12 +1,10 @@
 //! What a [`ShardWorker`] refuses instead of panicking. The worker
 //! documents that it never panics, and everything it is handed arrived as
-//! bytes — from a socket, or from its own journal on restart — so index
-//! parameters, kinematics and probes an index would assert on come back
-//! as [`Response::Fail`], live and on replay alike.
+//! bytes from a socket, so index parameters, kinematics and probes an
+//! index would assert on come back as [`Response::Fail`].
 
 use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect};
-use cij_storage::frame::write_frame;
 use cij_tpr::ObjectId;
 use cij_workload::SetTag;
 
@@ -74,26 +72,6 @@ fn init_parameters_no_index_can_be_built_from_are_refused() {
             Response::Ack { seq: 2 }
         );
     }
-}
-
-#[test]
-fn a_journal_holding_a_refused_init_replays() {
-    let path = std::env::temp_dir().join(format!("cij-dist-bad-init-{}.wal", std::process::id()));
-    let bad = init(1, 20.0, 0, 0.0);
-    let mut image = Vec::new();
-    write_frame(&mut image, &bad.encode()).expect("frame");
-    write_frame(&mut image, &init(2, 20.0, 4, 0.0).encode()).expect("frame");
-    std::fs::write(&path, &image).expect("write journal");
-
-    let mut worker = ShardWorker::open(&path).expect("the worker comes back");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(worker.recovered(), 2);
-    assert_eq!(worker.last_applied(), 2);
-    assert!(refused(&worker.handle(&bad)).contains("buckets_per_tm=0"));
-    assert!(matches!(
-        worker.handle(&step(3, 0.0, vec![], vec![])),
-        Response::StepAck { seq: 3, .. }
-    ));
 }
 
 #[test]

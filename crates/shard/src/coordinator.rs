@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 use cij_core::{
     BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, PairStatus,
+    Registration,
 };
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
@@ -151,6 +152,13 @@ where
     #[must_use]
     pub fn partitions(&self) -> &[P] {
         self.engine.partitions()
+    }
+
+    /// What partition `shard` holds, sorted by side and id (see
+    /// [`PartitionedPair::registrations`]).
+    #[must_use]
+    pub fn registrations(&self, shard: usize) -> Vec<Registration> {
+        self.engine.registrations(shard)
     }
 
     /// The width the partitions fan out at: the configuration's

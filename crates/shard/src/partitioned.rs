@@ -53,7 +53,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cij_core::{self_join, EngineConfig, IndexPair};
+use cij_core::{self_join, EngineConfig, IndexPair, Registration};
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
 use cij_obs::MetricsRegistry;
@@ -153,6 +153,18 @@ where
             self.publish_extra(&self.obs);
         }
         Ok(moves.len())
+    }
+
+    /// What partition `shard` holds, sorted by side and id, as
+    /// [`IndexPair::reseed`] takes it.
+    #[must_use]
+    pub fn registrations(&self, shard: usize) -> Vec<Registration> {
+        let mut objects: Vec<_> = (self.router.records())
+            .filter(|(_, r)| r.shard == shard)
+            .map(|(id, r)| (r.set, id, r.mbr, r.last_update))
+            .collect();
+        objects.sort_unstable_by_key(|&(set, id, ..)| (set == SetTag::B, id));
+        objects
     }
 
     /// The initial join as one phase-2 round: every A object, in id order,
@@ -290,8 +302,11 @@ where
     }
 
     /// Every partition's [`probe_sides`](IndexPair::probe_sides) on the
-    /// fan-out, merged per side in shard order (see the module docs); the
-    /// first error in shard order.
+    /// fan-out, merged per side in shard order (see the module docs). A
+    /// partition that failed because it lost its index is
+    /// [re-seeded](IndexPair::reseed) from the router's records, which
+    /// already hold this round's mutations, and probed once more; the
+    /// first other error, or second failure, in shard order.
     fn probe_sides(
         &self,
         probes: [&[MovingRect]; 2],
@@ -302,7 +317,7 @@ where
     ) -> TprResult<()> {
         let threads = P::engine_config(&self.config).threads;
         let (parts, rounds) = (&self.parts, &self.rounds);
-        let answered = fan_out_tasks(parts.len(), threads, |i| {
+        let probe = |i: usize| {
             // A round that panicked left nothing this one relies on: it
             // resets its counters and hits before it probes.
             let round = &mut *sync::lock(&rounds[i]);
@@ -314,9 +329,15 @@ where
                 hits,
             } = round;
             parts[i].probe_sides(probes, now, scratch, counters, hits)
-        });
-        for (round, answer) in rounds.iter().zip(answered) {
-            answer?;
+        };
+        let answered = fan_out_tasks(parts.len(), threads, probe);
+        for (i, (round, answer)) in rounds.iter().zip(answered).enumerate() {
+            if let Err(e) = answer {
+                if !parts[i].reseed(&self.registrations(i), now)? {
+                    return Err(e);
+                }
+                probe(i)?;
+            }
             let round = sync::lock(round);
             *counters = counters.merged(round.counters);
             for (all, part) in hits.iter_mut().zip(&round.hits) {

@@ -1,8 +1,7 @@
-//! Tour of the `cij-dist` coordinator/worker deployment: two WAL-backed
-//! loopback workers, one partition of the velocity bands each, a worker
-//! killed mid-stream and restarted from its journal, the other losing
-//! its WAL outright and being resynced from the coordinator's request
-//! history — with the delta stream asserted bit-identical to the
+//! Tour of the `cij-dist` coordinator/worker deployment: two loopback
+//! workers holding soft state, one partition of the velocity bands each,
+//! each killed mid-stream in turn and re-seeded from the coordinator's
+//! router records — with the delta stream asserted bit-identical to the
 //! in-process shard coordinator at every tick.
 //!
 //! Run with `cargo run --release --example dist_demo`.
@@ -34,18 +33,10 @@ fn main() -> TprResult<()> {
     };
 
     // K = 2 velocity bands → two partitions → two workers, each a
-    // simulated machine with its own write-ahead log.
+    // simulated machine that keeps nothing on disk.
     let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
-    let wal_dir = std::env::temp_dir();
-    let wal_paths: Vec<_> = (0..policy.shard_count())
-        .map(|i| wal_dir.join(format!("cij-dist-demo-{i}-{}.wal", std::process::id())))
-        .collect();
-    for p in &wal_paths {
-        let _ = std::fs::remove_file(p);
-    }
-    let hosts: Vec<Arc<LoopbackHost>> = wal_paths
-        .iter()
-        .map(|p| LoopbackHost::durable(p.clone()).expect("open worker WAL"))
+    let hosts: Vec<Arc<LoopbackHost>> = (0..policy.shard_count())
+        .map(|_| LoopbackHost::ephemeral())
         .collect();
     let connectors: Vec<Box<dyn Connector>> = hosts
         .iter()
@@ -121,30 +112,22 @@ fn main() -> TprResult<()> {
     }
     println!("t=1..6   healthy: {deltas} deltas, all bit-identical to in-process");
 
-    // ---- Fault 1: crash a worker process; its WAL survives. --------
-    hosts[1].kill();
-    println!("t=7      KILL worker 1 (index, outbox and sequence state gone; WAL intact)");
-    let mut deltas = 0usize;
-    for t in 7..=12u32 {
-        deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
+    // ---- Kill each worker in turn: it comes back blank. -----------
+    for (victim, ticks) in [(1, 7..=12u32), (0, 13..=18)] {
+        let first = ticks.start();
+        hosts[victim].kill();
+        println!("t={first:<6} KILL worker {victim} (index, outbox and sequence state gone)");
+        let mut deltas = 0usize;
+        for t in ticks.clone() {
+            deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
+        }
+        println!(
+            "{:<9}re-seeded: {deltas} deltas, still bit-identical \
+             (worker {victim} restarts={}, rebuilt from the router's records)",
+            format!("t={first}..{}", ticks.end()),
+            hosts[victim].restarts()
+        );
     }
-    println!(
-        "t=7..12  recovered: {deltas} deltas, still bit-identical \
-         (worker 1 restarts={}, journal replayed on open)",
-        hosts[1].restarts()
-    );
-
-    // ---- Fault 2: lose a whole machine, WAL included. --------------
-    hosts[0].kill_and_lose_wal();
-    println!("t=13     KILL worker 0 *and* its WAL (total machine loss)");
-    let mut deltas = 0usize;
-    for t in 13..=18u32 {
-        deltas += tick(&mut dist, &mut oracle, &mut stream, f64::from(t))?;
-    }
-    println!(
-        "t=13..18 resynced: {deltas} deltas, still bit-identical \
-         (coordinator replayed its retained history into the blank worker)"
-    );
 
     dist.heartbeat().map_err(cij::tpr::TprError::from)?;
     println!("heartbeat: all {} workers answering", dist.worker_count());
@@ -153,17 +136,19 @@ fn main() -> TprResult<()> {
     let snap = dist.metrics_registry().snapshot();
     let counter = |n: &str| snap.counter(n).unwrap_or(0);
     println!(
-        "metrics: rpc_calls={} rpc_errors={} reconnects={} resyncs={} replayed_requests={}",
+        "metrics: rpc_calls={} rpc_errors={} reconnects={} reseeds={} reseed_objects={}",
         counter("dist.rpc.calls"),
         counter("dist.rpc.errors"),
         counter("dist.reconnects"),
-        counter("dist.resyncs"),
-        counter("dist.replayed_requests"),
+        counter("dist.reseeds"),
+        counter("dist.reseed_objects"),
+    );
+    assert_eq!(
+        counter("dist.reseeds"),
+        2,
+        "each killed worker re-seeded once"
     );
 
     dist.shutdown_workers();
-    for p in &wal_paths {
-        let _ = std::fs::remove_file(p);
-    }
     Ok(())
 }
