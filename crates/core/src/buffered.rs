@@ -31,16 +31,15 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
 use crate::mtb::MtbTree;
+use crate::registrations::{genesis_registrations, Registration, Registrations};
 use crate::result::{PairKey, PairStatus, ResultBuffer};
-
-/// One object as an index holds it: side, id, trajectory and the time
-/// the trajectory was registered.
-pub type Registration = (SetTag, ObjectId, MovingRect, Time);
 
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
 /// joins between them. An implementation decides which index holds the
 /// objects, the time window of every join run and the kernel that
-/// answers it; the engine owns the protocol around those calls. Probes
+/// answers it; the engine owns the protocol around those calls and the
+/// [`Registrations`] table, from which it derives every delete and which
+/// it hands to the hooks that read other objects' registrations. Probes
 /// only read the pair, so a pair is `Sync`: a partitioned one probes its
 /// partitions from several threads at once.
 pub trait IndexPair: Sized + Sync {
@@ -74,33 +73,33 @@ pub trait IndexPair: Sized + Sync {
         now: Time,
     ) -> TprResult<()>;
 
-    /// Deregisters `id` from side `set`, located by its registered
-    /// trajectory `old_mbr` and the time `last_update` of that
-    /// registration.
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()>;
+    /// Deregisters `id`, filed under `registration`.
+    fn remove(&mut self, id: ObjectId, registration: &Registration, now: Time) -> TprResult<()>;
 
-    /// Phase 1 of update `u` at `now`: moves `u.id` from its registered
-    /// trajectory to `u.new_mbr`, and returns the side the object lives
-    /// on. The default trusts the update: it removes by `u`'s delete keys
-    /// and inserts on `u.set`. A pair that keeps its own registrations
-    /// (the shard crate's partitioned pair) takes the side and the delete
-    /// keys from them instead.
-    fn reregister(&mut self, u: &ObjectUpdate, now: Time) -> TprResult<SetTag> {
-        self.remove(u.set, u.id, &u.old_mbr, u.last_update, now)?;
-        self.insert(u.set, u.id, u.new_mbr, now, now)?;
-        Ok(u.set)
+    /// Phase 1 of an update at `now`: moves `id` from `prev` to the
+    /// trajectory `mbr`, registered at `now` on the same side. The
+    /// default is a [`remove`](Self::remove) and an
+    /// [`insert`](Self::insert); the shard crate's partitioned pair
+    /// overrides it to count a move between partitions.
+    fn reregister(
+        &mut self,
+        id: ObjectId,
+        prev: &Registration,
+        mbr: MovingRect,
+        now: Time,
+    ) -> TprResult<()> {
+        self.remove(id, prev, now)?;
+        self.insert(prev.set, id, mbr, now, now)
     }
 
-    /// The set-vs-set join at `now`: every answer pair, in the order it
-    /// enters the result buffer, and the traversal work it took.
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)>;
+    /// The set-vs-set join at `now` over the objects of `registrations`:
+    /// every answer pair, in the order it enters the result buffer, and
+    /// the traversal work it took.
+    fn initial_join(
+        &mut self,
+        registrations: &Registrations,
+        now: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)>;
 
     /// The set-vs-set join between `a`'s A-side index and `b`'s B-side
     /// index at `now`, as tree-vs-tree jobs appended to `jobs`, and the
@@ -122,16 +121,23 @@ pub trait IndexPair: Sized + Sync {
 
     /// Joins `probes` — trajectories of side `side`, all registered at
     /// `now` — against the index of the other side, appending one hit
-    /// per (probe, partner) that meets inside the pair's window.
+    /// per (probe, partner) that meets inside the pair's window. The
+    /// default refuses: a pair that probes only in rounds of both sides
+    /// (the shard crate's partitions, a remote partition) overrides
+    /// [`probe_sides`](Self::probe_sides) instead.
     fn probe(
         &self,
-        side: SetTag,
-        probes: &[MovingRect],
-        now: Time,
-        scratch: &mut JoinScratch,
-        counters: &mut JoinCounters,
-        hits: &mut Vec<ProbeHit>,
-    ) -> TprResult<()>;
+        _side: SetTag,
+        _probes: &[MovingRect],
+        _now: Time,
+        _scratch: &mut JoinScratch,
+        _counters: &mut JoinCounters,
+        _hits: &mut Vec<ProbeHit>,
+    ) -> TprResult<()> {
+        Err(TprError::Unsupported {
+            what: format!("a one-side probe on {}", Self::NAME),
+        })
+    }
 
     /// Phase 2 of a tick, both sides in one call: `probes[0]` (side A)
     /// and `probes[1]` (side B), each joined against the other side's
@@ -139,9 +145,11 @@ pub trait IndexPair: Sized + Sync {
     /// [`probe`](Self::probe) per side that has probes. A pair whose
     /// joins can run together overrides it — the shard crate's
     /// partitions on a fan-out, a remote partition in one round trip —
-    /// and keeps the default's hits and counters.
+    /// and keeps the default's hits and counters; `registrations` is what
+    /// it [re-seeds](Self::reseed) a lost partition from.
     fn probe_sides(
         &self,
+        _registrations: &Registrations,
         probes: [&[MovingRect]; 2],
         now: Time,
         scratch: &mut JoinScratch,
@@ -161,22 +169,25 @@ pub trait IndexPair: Sized + Sync {
 
     /// Rebuilds the index of a pair that lost it, and says whether it
     /// had. A pair whose trees live in a worker process loses them when
-    /// the worker restarts blank; its [`probe_sides`](Self::probe_sides)
-    /// then fails, and the caller hands it `objects` — every object it
-    /// holds, sorted by side and id — to file each at its registration
+    /// the worker restarts blank or misses a round; its
+    /// [`probe_sides`](Self::probe_sides) then fails, and the caller hands
+    /// it `objects` — every object it holds, sorted by side and id
+    /// ([`sorted_registrations`](crate::sorted_registrations)) — to file each at its registration
     /// time, then probes it once more. The default: an in-process index
     /// is never lost.
-    fn reseed(&self, _objects: &[Registration], _now: Time) -> TprResult<bool> {
+    fn reseed(&self, _objects: &[(ObjectId, Registration)], _now: Time) -> TprResult<bool> {
         Ok(false)
     }
 
     /// Turns the [`probe`](Self::probe) hits the engine is about to
     /// buffer into answers, for pairs whose index only *filters*
-    /// (rewrite an interval in place, or drop the hit). Hits superseded
-    /// inside the tick never get here. The default keeps every hit:
-    /// an intersection index answers exactly.
+    /// (rewrite an interval in place, or drop the hit); a partner's
+    /// trajectory is its entry in `registrations`. Hits superseded inside
+    /// the tick never get here. The default keeps every hit: an
+    /// intersection index answers exactly.
     fn refine(
         &mut self,
+        _registrations: &Registrations,
         _side: SetTag,
         _probes: &[MovingRect],
         _now: Time,
@@ -260,14 +271,17 @@ impl TickProbes {
     }
 }
 
-/// The update-driven continuous join: an [`IndexPair`], the answer in a
-/// [`ResultBuffer`], and the maintenance protocol between them.
+/// The update-driven continuous join: an [`IndexPair`], the
+/// [`Registrations`] of its objects, the answer in a [`ResultBuffer`], and
+/// the maintenance protocol between them.
 ///
 /// A tick ([`apply_batch`](ContinuousJoinEngine::apply_batch)) runs in
-/// two phases. Phase 1 applies every index delete + insert **in batch
-/// order** — so the indexes end up as the very pages the per-update loop
-/// would have written — drops the updated objects' pairs, and keeps one
-/// probe per updated id. Phase 2 joins the probes of each side against
+/// two phases. Phase 1 looks up each update's registration, removes the
+/// object by it and re-registers it at `now`, **in batch order** — so the
+/// indexes end up as the very pages the per-update loop would have
+/// written — drops the updated objects' pairs, and keeps one probe per
+/// updated id. Of an update only `id` and `new_mbr` are read: its side and
+/// delete keys are the table's. Phase 2 joins the probes of each side against
 /// the other side's index in one [`IndexPair::probe_sides`] call and adds
 /// the hits to the buffer.
 ///
@@ -286,6 +300,7 @@ impl TickProbes {
 pub struct BufferedEngine<I> {
     pool: BufferPool,
     index: I,
+    registrations: Registrations,
     buffer: ResultBuffer,
     counters: JoinCounters,
     probes: TickProbes,
@@ -304,7 +319,8 @@ pub type TcEngine = BufferedEngine<TcPair>;
 pub type MtbEngine = BufferedEngine<MtbPair>;
 
 impl<I: IndexPair> BufferedEngine<I> {
-    /// Builds the engine: both sets registered at `now`, all of A first.
+    /// Builds the engine: both sets registered at `now`, all of A first;
+    /// an id that appears twice is refused ([`TprError::DuplicateObject`]).
     pub fn new(
         pool: BufferPool,
         config: I::Config,
@@ -314,6 +330,7 @@ impl<I: IndexPair> BufferedEngine<I> {
     ) -> TprResult<Self> {
         let obs = MetricsRegistry::enabled_if(I::engine_config(&config).metrics);
         pool.stats().register_in(&obs, "storage.pool");
+        let registrations = genesis_registrations(set_a, set_b, now)?;
         let mut index = I::empty(&pool, &config, &obs);
         for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
             for o in objects {
@@ -323,6 +340,7 @@ impl<I: IndexPair> BufferedEngine<I> {
         Ok(Self {
             pool,
             index,
+            registrations,
             buffer: ResultBuffer::new(),
             counters: JoinCounters::new(),
             probes: TickProbes::default(),
@@ -350,8 +368,8 @@ impl<I: IndexPair> BufferedEngine<I> {
             side_hits.clear();
         }
         let [probes_a, probes_b] = &*mbrs;
-        self.index
-            .probe_sides([probes_a, probes_b], now, scratch, &mut self.counters, hits)?;
+        let (table, counters) = (&self.registrations, &mut self.counters);
+        (self.index).probe_sides(table, [probes_a, probes_b], now, scratch, counters, hits)?;
         for set in [SetTag::A, SetTag::B] {
             let (s, o) = (side(set), 1 - side(set));
             if mbrs[s].is_empty() {
@@ -364,7 +382,7 @@ impl<I: IndexPair> BufferedEngine<I> {
                     .is_some_and(|&q| pos[o][q] > pos[s][p as usize]);
                 !partner_is_later
             });
-            self.index.refine(set, &mbrs[s], now, hits);
+            self.index.refine(table, set, &mbrs[s], now, hits);
             for &(p, partner, iv) in hits.iter() {
                 let (a, b) = orient(set, ids[s][p as usize], partner);
                 self.buffer.add(a, b, iv);
@@ -375,12 +393,12 @@ impl<I: IndexPair> BufferedEngine<I> {
 }
 
 impl<I> BufferedEngine<I> {
-    /// Mutable access to the pair, for changes that leave every answer as
-    /// it is — moving an object between the partitions of a partitioned
-    /// pair, say. A registration added or dropped here bypasses the
-    /// result buffer.
-    pub fn index_mut(&mut self) -> &mut I {
-        &mut self.index
+    /// Mutable access to the pair, with the table of what it files, for
+    /// changes that leave every registration and every answer as they
+    /// are — moving an object between the partitions of a partitioned
+    /// pair, say.
+    pub fn index_mut(&mut self) -> (&mut I, &Registrations) {
+        (&mut self.index, &self.registrations)
     }
 }
 
@@ -398,7 +416,7 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
     }
 
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let (pairs, counters) = self.index.initial_join(now)?;
+        let (pairs, counters) = self.index.initial_join(&self.registrations, now)?;
         self.counters = self.counters.merged(counters);
         for p in pairs {
             self.buffer.add(p.a, p.b, p.interval);
@@ -418,13 +436,18 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         let mut sides = std::mem::take(&mut self.probes.sides);
         sides.clear();
         for u in updates {
-            match self.index.reregister(u, now) {
-                Ok(set) => sides.push(set),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
+            let Some(registration) = self.registrations.get_mut(&u.id) else {
+                outcome = Err(TprError::ObjectNotFound(u.id));
+                break;
+            };
+            let prev = *registration;
+            if let Err(e) = self.index.reregister(u.id, &prev, u.new_mbr, now) {
+                outcome = Err(e);
+                break;
             }
+            registration.mbr = u.new_mbr;
+            registration.registered_at = now;
+            sides.push(prev.set);
             self.buffer.remove_object(u.id);
         }
         let applied = updates.iter().zip(&sides);
@@ -445,15 +468,10 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         self.restore_object(set, id, mbr, now, now)
     }
 
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.index.remove(set, id, old_mbr, last_update, now)?;
+    fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {
+        let prev = *(self.registrations.get(&id)).ok_or(TprError::ObjectNotFound(id))?;
+        self.index.remove(id, &prev, now)?;
+        self.registrations.remove(&id);
         self.buffer.remove_object(id);
         Ok(())
     }
@@ -466,7 +484,16 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
+        if self.registrations.contains_key(&id) {
+            return Err(TprError::DuplicateObject(id));
+        }
         self.index.insert(set, id, mbr, registered_at, now)?;
+        let registration = Registration {
+            set,
+            mbr,
+            registered_at,
+        };
+        self.registrations.insert(id, registration);
         self.probes.load(std::iter::once((set, id, mbr)));
         self.join_probes(now)
     }
@@ -477,6 +504,10 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         self.buffer.active_at(t)
+    }
+
+    fn registrations(&self) -> &Registrations {
+        &self.registrations
     }
 
     fn pool(&self) -> &BufferPool {
@@ -577,18 +608,15 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
         self.trees[side(set)].insert(id, mbr, now)
     }
 
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        _last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].delete(id, old_mbr, now)
+    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
+        self.trees[side(r.set)].delete(id, &r.mbr, now)
     }
 
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+    fn initial_join(
+        &mut self,
+        _: &Registrations,
+        now: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
         self_join(self, now, self.config.threads)
     }
 
@@ -701,10 +729,10 @@ impl IndexPair for MtbPair {
 
     /// Files the object in the bucket of `registered_at`. MTB buckets
     /// live on a global grid, so a restored object lands in the bucket
-    /// the unsharded engine holds it in — its next producer update
-    /// (still stamped with the old `last_update`) removes it from
-    /// exactly that bucket, and every Theorem-2 per-bucket window it
-    /// participates in keeps the oracle's `t_eb`.
+    /// the unsharded engine holds it in — its next update removes it,
+    /// by the same registration time, from exactly that bucket, and
+    /// every Theorem-2 per-bucket window it participates in keeps the
+    /// oracle's `t_eb`.
     fn insert(
         &mut self,
         set: SetTag,
@@ -716,22 +744,19 @@ impl IndexPair for MtbPair {
         self.trees[side(set)].insert(id, mbr, registered_at, now)
     }
 
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].remove(id, old_mbr, last_update, now)
+    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
+        self.trees[side(r.set)].remove(id, &r.mbr, r.registered_at, now)
     }
 
     /// All bucket pairs share one traversal worklist, so even a single
     /// large pair (the initial-join case: one bucket per side) fans out
     /// across every worker. `threads == 1` runs the jobs sequentially in
     /// order — the exact pre-parallel code path.
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+    fn initial_join(
+        &mut self,
+        _: &Registrations,
+        now: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
         self_join(self, now, self.config.threads)
     }
 

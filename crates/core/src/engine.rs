@@ -23,9 +23,10 @@ use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{tp_join, tp_object_probe, JoinCounters, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
-use cij_tpr::{ObjectId, TprResult, TprTree, TreeConfig};
+use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
+use crate::registrations::{genesis_registrations, Registrations};
 use crate::result::{PairKey, PairStatus};
 
 /// Shared engine configuration.
@@ -167,7 +168,11 @@ pub trait ContinuousJoinEngine {
     }
 
     /// Applies one object update at time `now`: re-registers the object
-    /// in the index and refreshes the answer (phase 2 of §II-A).
+    /// in the index and refreshes the answer (phase 2 of §II-A). Only its
+    /// `id` and `new_mbr` are read: the side and delete keys are the
+    /// engine's [`registrations`](Self::registrations), and an id they do
+    /// not hold fails with [`TprError::ObjectNotFound`] before anything
+    /// changes.
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()>;
 
     /// Applies one tick's updates, all stamped `now`; the answer
@@ -185,7 +190,8 @@ pub trait ContinuousJoinEngine {
 
     /// Registers a brand-new object on side `set` at `now` (`mbr.t_ref`
     /// must be `now`) and joins it against the other side, adding the
-    /// discovered pairs to the answer. Together with
+    /// discovered pairs to the answer. An id already registered is
+    /// refused with [`TprError::DuplicateObject`]. Together with
     /// [`remove_object`](Self::remove_object) this is exactly one half
     /// of [`apply_update`](Self::apply_update); the stream service
     /// retires objects through the other half. Engines
@@ -198,24 +204,18 @@ pub trait ContinuousJoinEngine {
         _mbr: MovingRect,
         _now: Time,
     ) -> TprResult<()> {
-        Err(cij_tpr::TprError::Unsupported {
+        Err(TprError::Unsupported {
             what: format!("routed insert_object on {}", self.name()),
         })
     }
 
-    /// Deregisters object `id` from side `set` (located via its current
-    /// trajectory `old_mbr` registered at `last_update`) and drops every
-    /// result pair involving it. The other half of
-    /// [`insert_object`](Self::insert_object).
-    fn remove_object(
-        &mut self,
-        _set: SetTag,
-        _id: ObjectId,
-        _old_mbr: &MovingRect,
-        _last_update: Time,
-        _now: Time,
-    ) -> TprResult<()> {
-        Err(cij_tpr::TprError::Unsupported {
+    /// Deregisters object `id` at `now`, located by its
+    /// [registration](Self::registrations), and drops every result pair
+    /// involving it. The other half of
+    /// [`insert_object`](Self::insert_object). An id the engine does not
+    /// hold fails with [`TprError::ObjectNotFound`].
+    fn remove_object(&mut self, _id: ObjectId, _now: Time) -> TprResult<()> {
+        Err(TprError::Unsupported {
             what: format!("routed remove_object on {}", self.name()),
         })
     }
@@ -228,9 +228,8 @@ pub trait ContinuousJoinEngine {
     /// [`insert_object`](Self::insert_object) (where `mbr.t_ref == now`)
     /// the registration must keep the object's original update time:
     /// engines that key removal by update time (MTB buckets) file the
-    /// object under `registered_at`, so the *next* producer update —
-    /// which still carries the old `last_update` — finds it exactly
-    /// where the original engine would. Probe windows may use `now`
+    /// object under `registered_at`, so its *next* update finds it
+    /// exactly where the original engine would. Probe windows may use `now`
     /// (they end at or after the windows the original registration used,
     /// and every window is exact inside its span, so observable answers
     /// are unchanged).
@@ -263,6 +262,12 @@ pub trait ContinuousJoinEngine {
     /// The pairs reported as intersecting at `t`. Valid for the current
     /// time (after `advance_time(t)`); sorted.
     fn result_at(&self, t: Time) -> Vec<PairKey>;
+
+    /// Every live object's side, indexed trajectory and registration
+    /// time: the one table the engine derives its deletes from, and which
+    /// the layers above read (the stream's journal, retirements and
+    /// window filters).
+    fn registrations(&self) -> &Registrations;
 
     /// The buffer pool the engine's indexes read through (for I/O
     /// accounting).
@@ -383,6 +388,7 @@ pub struct EtpEngine {
     pool: BufferPool,
     tree_a: TprTree,
     tree_b: TprTree,
+    registrations: Registrations,
     current: HashSet<PairKey>,
     expiry: Time,
     counters: JoinCounters,
@@ -393,7 +399,8 @@ pub struct EtpEngine {
 }
 
 impl EtpEngine {
-    /// Builds the engine and its two TPR-trees.
+    /// Builds the engine and its two TPR-trees; an id that appears twice
+    /// across both sets is refused ([`TprError::DuplicateObject`]).
     pub fn new(
         pool: BufferPool,
         config: EngineConfig,
@@ -403,12 +410,14 @@ impl EtpEngine {
     ) -> TprResult<Self> {
         let obs = MetricsRegistry::enabled_if(config.metrics);
         pool.stats().register_in(&obs, "storage.pool");
+        let registrations = genesis_registrations(set_a, set_b, now)?;
         let tree_a = build_tree(&pool, config.tree, set_a, now)?;
         let tree_b = build_tree(&pool, config.tree, set_b, now)?;
         Ok(Self {
             pool,
             tree_a,
             tree_b,
+            registrations,
             current: HashSet::new(),
             expiry: INFINITE_TIME,
             counters: JoinCounters::new(),
@@ -452,19 +461,23 @@ impl ContinuousJoinEngine for EtpEngine {
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        let (own, other) = match update.set {
+        let id = update.id;
+        let registration = (self.registrations.get_mut(&id)).ok_or(TprError::ObjectNotFound(id))?;
+        let set = registration.set;
+        let (own, other) = match set {
             SetTag::A => (&mut self.tree_a, &self.tree_b),
             SetTag::B => (&mut self.tree_b, &self.tree_a),
         };
-        own.update(update.id, &update.old_mbr, update.new_mbr, now)?;
-        self.current
-            .retain(|&(a, b)| a != update.id && b != update.id);
+        own.update(id, &registration.mbr, update.new_mbr, now)?;
+        registration.mbr = update.new_mbr;
+        registration.registered_at = now;
+        self.current.retain(|&(a, b)| a != id && b != id);
         // One traversal of the other tree: the object's current partners
         // and its influence time (§III).
         let probe = tp_object_probe(other, &update.new_mbr, now)?;
         self.counters = self.counters.merged(probe.counters);
         for partner in probe.current {
-            self.current.insert(orient(update.set, update.id, partner));
+            self.current.insert(orient(set, id, partner));
         }
         if probe.influence < self.expiry {
             self.expiry = probe.influence;
@@ -476,6 +489,10 @@ impl ContinuousJoinEngine for EtpEngine {
         let mut out: Vec<PairKey> = self.current.iter().copied().collect();
         out.sort_unstable();
         out
+    }
+
+    fn registrations(&self) -> &Registrations {
+        &self.registrations
     }
 
     fn pool(&self) -> &BufferPool {

@@ -86,14 +86,16 @@
 mod buffered;
 mod engine;
 mod mtb;
+mod registrations;
 mod result;
 pub mod sim;
 
 pub use buffered::{
-    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, Registration,
-    TcEngine, TcPair, TprPair,
+    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine,
+    TcPair, TprPair,
 };
 pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;
+pub use registrations::{genesis_registrations, sorted_registrations, Registration, Registrations};
 pub use result::{PairKey, PairStatus, ResultBuffer};
 pub use sim::{run_simulation, SimMetrics};

@@ -57,7 +57,7 @@ fn run_with_oracle<E: ContinuousJoinEngine>(
     Ok(())
 }
 
-fn compare<E: ContinuousJoinEngine>(engine: &E, stream: &UpdateStream, now: Time) {
+fn compare<E: ContinuousJoinEngine + ?Sized>(engine: &E, stream: &UpdateStream, now: Time) {
     let snap_a = stream.snapshot(SetTag::A);
     let snap_b = stream.snapshot(SetTag::B);
     let expect = brute::brute_pairs_at(&snap_a, &snap_b, now);
@@ -192,7 +192,7 @@ fn restored_object_keeps_its_registration_time() {
     // under its original `registered_at`, which here lies more than one
     // bucket span (T_M / 2) before `now`: for 2·T_M more ticks the answer
     // is the oracle's and an untouched engine's, and the object's next
-    // update, which still carries the old `last_update`, finds it.
+    // update finds it where the engine's registration says it is.
     fn step(engines: [&mut MtbEngine; 2], updates: &[ObjectUpdate], now: Time) {
         for e in engines {
             e.advance_time(now).unwrap();
@@ -223,9 +223,7 @@ fn restored_object_keeps_its_registration_time() {
         .into_iter()
         .find(|(id, mbr)| now - mbr.t_ref > bucket_span && answer.iter().any(|p| p.0 == *id))
         .expect("an answer object registered over a bucket span ago");
-    touched
-        .remove_object(SetTag::A, id, &mbr, mbr.t_ref, now)
-        .unwrap();
+    touched.remove_object(id, now).unwrap();
     assert!(touched.result_at(now).len() < answer.len());
     touched
         .restore_object(SetTag::A, id, mbr, mbr.t_ref, now)
@@ -244,6 +242,71 @@ fn restored_object_keeps_its_registration_time() {
         assert_eq!(touched.result_at(now), untouched.result_at(now), "t={now}");
     }
     assert!(next_update, "the restored object was updated again");
+}
+
+/// Every delete key an update carries is wrong — `set` flipped, `old_mbr`
+/// far from the registered trajectory, `last_update` in another MTB
+/// bucket — and it does not matter: each engine derives its deletes from
+/// its own registrations, so every tick equals both the honest run and
+/// the oracle.
+#[test]
+fn wrong_delete_keys_get_the_oracle_answer() {
+    let params = small_params(Distribution::Uniform, 150);
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = EngineConfig::default();
+    let bucket_span = config.t_m / f64::from(config.buckets_per_tm);
+    let engines = || -> Vec<Box<dyn ContinuousJoinEngine>> {
+        vec![
+            Box::new(NaiveEngine::new(pool(), config, &a, &b, 0.0).unwrap()),
+            Box::new(TcEngine::new(pool(), config, &a, &b, 0.0).unwrap()),
+            Box::new(EtpEngine::new(pool(), config, &a, &b, 0.0).unwrap()),
+            Box::new(MtbEngine::new(pool(), config, &a, &b, 0.0).unwrap()),
+        ]
+    };
+    let (mut honest, mut misled) = (engines(), engines());
+    let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+    for e in honest.iter_mut().chain(&mut misled) {
+        e.run_initial_join(0.0).unwrap();
+    }
+    let mut lies = 0;
+    for tick in 1..=130u32 {
+        let now = Time::from(tick);
+        let updates = stream.tick(now);
+        let wrong: Vec<ObjectUpdate> = (updates.iter())
+            .map(|u| {
+                let mut old_mbr = u.old_mbr;
+                for d in 0..2 {
+                    old_mbr.lo[d] += 10.0 * params.space;
+                    old_mbr.hi[d] += 10.0 * params.space;
+                }
+                let set = match u.set {
+                    SetTag::A => SetTag::B,
+                    SetTag::B => SetTag::A,
+                };
+                let last_update = u.last_update + bucket_span;
+                ObjectUpdate {
+                    set,
+                    old_mbr,
+                    last_update,
+                    ..*u
+                }
+            })
+            .collect();
+        lies += wrong.len();
+        for (runs, updates) in [(&mut honest, &updates), (&mut misled, &wrong)] {
+            for e in runs.iter_mut() {
+                e.advance_time(now).unwrap();
+                for u in updates {
+                    e.apply_update(u, now).unwrap();
+                }
+            }
+        }
+        for (h, m) in honest.iter().zip(&misled) {
+            assert_eq!(m.result_at(now), h.result_at(now), "{} t={now}", m.name());
+            compare(m.as_ref(), &stream, now);
+        }
+    }
+    assert!(lies > 0);
 }
 
 // ----------------------------------------------------------------------

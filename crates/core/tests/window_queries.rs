@@ -316,16 +316,12 @@ fn windows_are_independent_and_retirement_empties_only_its_own() {
 
     // Object 2 retires.
     let gone = &objects[1];
-    engine
-        .remove_object(SetTag::A, gone.id, &gone.mbr, 0.0, 0.0)
-        .unwrap();
+    engine.remove_object(gone.id, 0.0).unwrap();
     assert!(members(&engine, q1, 0.0).is_empty());
     assert_eq!(members(&engine, q0, 0.0), ids(&[1]));
 
     // A window retires the same way: its pairs go, the other's stay.
-    engine
-        .remove_object(SetTag::B, q0, &regions[0].mbr, 0.0, 0.0)
-        .unwrap();
+    engine.remove_object(q0, 0.0).unwrap();
     assert!(engine.result_at(0.0).is_empty());
 }
 

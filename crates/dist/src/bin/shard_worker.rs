@@ -9,7 +9,7 @@
 //! bound address is announced on stdout as `LISTENING <addr>` so a
 //! supervisor — or the multi-process smoke test — can scrape it. The
 //! worker keeps nothing on disk: a restarted worker comes back blank and
-//! the coordinator re-seeds it from its router records.
+//! the coordinator re-seeds it from its engine's registration table.
 
 use std::net::TcpListener;
 

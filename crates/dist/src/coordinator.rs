@@ -3,8 +3,8 @@
 //!
 //! [`DistCoordinator`] is a [`ShardCoordinator`] whose K partitions are
 //! [`RemotePair`]s, one worker process each: the same
-//! `BufferedEngine<PartitionedPair<_>>`, one router, one result buffer.
-//! Phase 1 of a tick routes every update on the coordinator and queues
+//! `BufferedEngine<PartitionedPair<_>>`, one registration table, one
+//! result buffer. Phase 1 of a tick routes every update on the coordinator and queues
 //! the index mutations per partition; phase 2 is one
 //! [`Step`](crate::Request::Step) per worker, the workers of a round
 //! called concurrently over [`cij_join::fan_out_tasks`] with the
@@ -31,7 +31,7 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus, Registrations};
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters};
 use cij_obs::MetricsRegistry;
@@ -139,7 +139,7 @@ impl DistCoordinator {
             .map_err(|e| DistError::Config(e.to_string()))?;
         let parts = shard.partitions();
         fan_out_tasks(parts.len(), shard.threads(), |i| {
-            parts[i].seed(&shard.registrations(i), now)
+            parts[i].seed(&shard.shard_registrations(i), now)
         })
         .into_iter()
         .collect::<DistResult<()>>()?;
@@ -215,18 +215,9 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.shard.insert_object(set, id, mbr, now)
     }
 
-    /// Deletes by the router's record; the caller's `old_mbr` and
-    /// `last_update` are not read. The worker hears of it with the next
-    /// round.
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.shard.remove_object(set, id, old_mbr, last_update, now)
+    /// The worker hears of it with the next round.
+    fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {
+        self.shard.remove_object(id, now)
     }
 
     fn gc(&mut self, now: Time) {
@@ -235,6 +226,10 @@ impl ContinuousJoinEngine for DistCoordinator {
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         self.shard.result_at(t)
+    }
+
+    fn registrations(&self) -> &Registrations {
+        self.shard.registrations()
     }
 
     fn pool(&self) -> &BufferPool {

@@ -15,7 +15,7 @@
 //!   the index mutations the coordinator's phase 1 routes to it and runs
 //!   phase 2 as one [`Step`](protocol::Request::Step) — those mutations
 //!   plus both sides' probes — answered by hits and traversal counters.
-//!   A worker it finds lost is re-seeded from the router's records with
+//!   A worker it finds lost is re-seeded from the engine's registrations with
 //!   the [`Init`](protocol::Request::Init) construction sends;
 //! - a [`DistCoordinator`] is the shard coordinator over K remote
 //!   pairs: every round goes to all workers at once, over

@@ -6,7 +6,7 @@
 //! index, the outbox and the sequence state, like a process crash. Its
 //! connector acts as the supervisor: dialing a killed host restarts a
 //! blank worker, which reports zero progress, so the coordinator re-seeds
-//! it from its router records.
+//! it from its engine's registration table.
 //!
 //! Messages still pass through the full protocol codec — every request
 //! and response is encoded and decoded exactly as on the wire — so the

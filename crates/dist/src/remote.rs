@@ -3,18 +3,19 @@
 //!
 //! A [`RemotePair`] is what the shard crate's partitioned pair holds in
 //! place of an in-process index pair when the partition lives in a
-//! worker. Phase 1 stays on the coordinator: the partitioned pair's
-//! router picks the partition and derives every delete key, and the
-//! remote pair only queues the resulting [`IndexOp`]s. Phase 2 is one
+//! worker. Phase 1 stays on the coordinator: the engine's registration
+//! table holds every delete key, the partitioned pair's router picks the
+//! partition, and the remote pair only queues the resulting
+//! [`IndexOp`]s. Phase 2 is one
 //! [`Request::Step`] per tick — the queued mutations plus both
 //! sides' probes — answered by the worker's hits and [`JoinCounters`].
 //! The answer itself never leaves the coordinator's result buffer.
 //!
 //! # Fault handling
 //!
-//! A worker holds soft state: the router records of the coordinator's
-//! partitioned pair hold everything it indexes, so a worker that lost
-//! its index is rebuilt from them, never from a log. Every RPC runs under
+//! A worker holds soft state: the coordinator engine's registration
+//! table holds everything it indexes, so a worker that lost its index is
+//! rebuilt from it, never from a log. Every RPC runs under
 //! a reconnect loop with bounded exponential backoff: a dead channel is
 //! redialed via the partition's [`Connector`], and the handshake's
 //! [`Response::HelloAck`] says whether the worker still holds what this
@@ -29,13 +30,16 @@
 //!   earlier coordinator, and the link numbers on above it. Either is
 //!   *lost*: its next round fails before anything is sent, and the
 //!   partitioned pair [re-seeds](IndexPair::reseed) it with the
-//!   partition's records — the [`Request::Init`] construction sends,
-//!   built by the same function — and probes it once more.
+//!   partition's registrations — the [`Request::Init`] construction
+//!   sends, built by the same function — and probes it once more.
+//! - A worker whose `Step` goes unanswered within the reconnect budget
+//!   may or may not have applied that round's mutations, so it is lost
+//!   too, and re-seeded the same way once it answers again.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cij_core::{EngineConfig, IndexPair, Registration};
+use cij_core::{EngineConfig, IndexPair, Registration, Registrations};
 use cij_geom::{MovingRect, Time};
 use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
@@ -221,7 +225,7 @@ impl RemotePair {
     /// registration time, with one [`Request::Init`]: the construction
     /// seed and the re-seed of a lost worker alike. The queued mutations
     /// are dropped: `objects` already holds their outcome.
-    pub(crate) fn seed(&self, objects: &[Registration], now: Time) -> DistResult<()> {
+    pub(crate) fn seed(&self, objects: &[(ObjectId, Registration)], now: Time) -> DistResult<()> {
         let link = &mut *sync::lock(&self.link);
         if link.transport.is_none() {
             // The handshake may renumber the link: draw the seed's
@@ -235,11 +239,11 @@ impl RemotePair {
         }
         link.queued.clear();
         let ops = (objects.iter())
-            .map(|&(set, id, mbr, registered_at)| IndexOp::Insert {
-                set,
+            .map(|&(id, r)| IndexOp::Insert {
+                set: r.set,
                 id,
-                mbr,
-                registered_at,
+                mbr: r.mbr,
+                registered_at: r.registered_at,
                 now,
             })
             .collect();
@@ -360,19 +364,12 @@ impl IndexPair for RemotePair {
         Ok(())
     }
 
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
+    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
         sync::get_mut(&mut self.link).queued.push(IndexOp::Remove {
-            set,
+            set: r.set,
             id,
-            old_mbr: *old_mbr,
-            last_update,
+            old_mbr: r.mbr,
+            last_update: r.registered_at,
             now,
         });
         Ok(())
@@ -380,32 +377,23 @@ impl IndexPair for RemotePair {
 
     /// A remote partition's trees are in its worker: its partitioned pair
     /// joins it by a probe round.
-    fn initial_join(&mut self, _: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+    fn initial_join(
+        &mut self,
+        _: &Registrations,
+        _: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
         Err(TprError::Unsupported {
             what: format!("a tree-job initial join on {}", Self::NAME),
         })
     }
 
-    /// A remote partition probes only in rounds, both sides at once
-    /// ([`probe_sides`](IndexPair::probe_sides)).
-    fn probe(
-        &self,
-        _: SetTag,
-        _: &[MovingRect],
-        _: Time,
-        _: &mut JoinScratch,
-        _: &mut JoinCounters,
-        _: &mut Vec<ProbeHit>,
-    ) -> TprResult<()> {
-        Err(TprError::Unsupported {
-            what: format!("a one-side probe on {}", Self::NAME),
-        })
-    }
-
     /// The round: one [`Request::Step`] carrying the queued mutations and
-    /// both sides' probes.
+    /// both sides' probes. A `Step` that fails leaves the worker's state
+    /// unknown — its mutations are not queued again — so the link is
+    /// lost and the worker re-seeded before it probes again.
     fn probe_sides(
         &self,
+        _: &Registrations,
         probes: [&[MovingRect]; 2],
         now: Time,
         _: &mut JoinScratch,
@@ -423,7 +411,7 @@ impl IndexPair for RemotePair {
             probes_a: probes[0].to_vec(),
             probes_b: probes[1].to_vec(),
         };
-        let resp = link.call(&req)?;
+        let resp = link.call(&req).inspect_err(|_| link.lost = true)?;
         link.acked_seq = seq;
         link.obs.ack_lag.record(lag);
         match resp {
@@ -457,7 +445,7 @@ impl IndexPair for RemotePair {
 
     /// Re-seeds a worker its link found lost from `objects`, and says
     /// whether it was.
-    fn reseed(&self, objects: &[Registration], now: Time) -> TprResult<bool> {
+    fn reseed(&self, objects: &[(ObjectId, Registration)], now: Time) -> TprResult<bool> {
         if !sync::lock(&self.link).lost {
             return Ok(false);
         }

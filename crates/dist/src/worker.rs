@@ -2,8 +2,8 @@
 //! behind any [`Transport`](crate::Transport).
 //!
 //! A worker is a deterministic request-application machine, and it
-//! holds soft state: nothing it keeps is durable, because the
-//! coordinator's router records hold everything it indexes. A worker
+//! holds soft state: nothing it keeps is durable, because the registration
+//! table of the coordinator's engine holds everything it indexes. A worker
 //! that restarts comes back blank, reports sequence number 0, and the
 //! coordinator re-seeds it with an [`Init`](Request::Init) of its
 //! partition. A mutating request ([`Request::seq`] = `Some`) whose
@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cij_core::{EngineConfig, IndexPair, MtbPair, TcPair};
+use cij_core::{EngineConfig, IndexPair, MtbPair, Registration, Registrations, TcPair};
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, JoinScratch};
 use cij_obs::MetricsRegistry;
@@ -95,7 +95,14 @@ impl WorkerPair {
                     old_mbr,
                     last_update,
                     now,
-                } => pair.remove(set, id, &old_mbr, last_update, now)?,
+                } => {
+                    let registration = Registration {
+                        set,
+                        mbr: old_mbr,
+                        registered_at: last_update,
+                    };
+                    pair.remove(id, &registration, now)?;
+                }
             }
         }
         let Some((probes, now)) = probes else {
@@ -103,7 +110,9 @@ impl WorkerPair {
         };
         let mut counters = JoinCounters::new();
         let mut hits = [Vec::new(), Vec::new()];
-        pair.probe_sides(probes, now, scratch, &mut counters, &mut hits)?;
+        // No engine around the pair, so no table: nothing to re-seed.
+        let none = &Registrations::default();
+        pair.probe_sides(none, probes, now, scratch, &mut counters, &mut hits)?;
         let [hits_a, hits_b] = hits;
         Ok(Response::StepAck {
             seq,

@@ -1,17 +1,19 @@
 //! The coordinator's per-worker rounds run concurrently: a tick's `Step`s
 //! are in flight on several workers at once, the merged stream is still
 //! bit-identical to the in-process shard coordinator's, and a round in
-//! which one worker fails keeps every other worker's rounds exact.
+//! which one worker fails keeps every other worker's rounds exact — and
+//! re-seeds the failed worker once it answers again.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cij_core::{ContinuousJoinEngine, MtbEngine};
+use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, MtbPair};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{
     joinable_pairs, Connector, DistConfig, DistCoordinator, DistError, DistResult, EngineKind,
-    Request, Response, ShardWorker, Transport,
+    IndexOp, Request, Response, ShardWorker, Transport,
 };
 use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
@@ -254,9 +256,10 @@ fn step_rounds_overlap_and_the_stream_stays_bit_identical() {
 /// A round in which one worker cannot be reached fails with *that*
 /// slot's `WorkerUnavailable`, yet every worker that acked its `Step`
 /// recorded it: the acked-seq gauges advance. A healthy worker that then
-/// loses everything is re-seeded from the router's records at the next
-/// round: its index meets what it met before the loss, and does the work
-/// an in-process worker seeded with the same `Init` does.
+/// loses everything is re-seeded from the engine's registrations at the
+/// next round — together with the two that missed the failed round's
+/// `Step` — and its index meets what it met before the loss, and does
+/// the work an in-process worker seeded with the same `Init` does.
 #[test]
 fn a_failed_round_keeps_every_acked_round_exact() {
     let p = params(102);
@@ -327,7 +330,8 @@ fn a_failed_round_keeps_every_acked_round_exact() {
         assert_eq!(after[slot], want, "slot {slot}");
     }
 
-    // Back online: the dark slots reconnect, and were never lost.
+    // Back online: the dark slots reconnect. They missed the failed
+    // round's mutations, so they are lost, but a heartbeat seeds nothing.
     for &slot in &failing {
         deployment.refuse[slot].store(false, Ordering::SeqCst);
     }
@@ -388,7 +392,8 @@ fn a_failed_round_keeps_every_acked_round_exact() {
 
     // A healthy worker loses its machine. The heartbeat finds it lost;
     // the next round — an object filed on another worker — re-seeds it
-    // from the router's records and probes it again.
+    // and the two dark slots from the engine's registrations and probes
+    // them again.
     deployment.hosts[victim].kill();
     dist.heartbeat().expect("the victim is reachable");
     assert_eq!(reseeds(&dist), Some((0, 0)), "a heartbeat seeds nothing");
@@ -398,15 +403,21 @@ fn a_failed_round_keeps_every_acked_round_exact() {
     assert_ne!(policy.shard_of(id, &newcomer), victim);
     dist.insert_object(SetTag::A, id, newcomer, now)
         .expect("a round that re-seeds the victim");
-    let seed = (deployment.last_init[victim]
-        .lock()
-        .expect("last init")
-        .clone())
-    .expect("the victim's re-seed");
-    let Request::Init { ops, .. } = &seed else {
-        unreachable!()
+    let last_init = |slot: usize| {
+        let init = deployment.last_init[slot]
+            .lock()
+            .expect("last init")
+            .clone();
+        init.expect("a re-seed")
     };
-    assert_eq!(reseeds(&dist), Some((1, ops.len() as u64)));
+    let seeded = |slot: usize| match last_init(slot) {
+        Request::Init { ops, .. } => ops.len() as u64,
+        other => unreachable!("{other:?}"),
+    };
+    let seed = last_init(victim);
+    let reseeded = [victim, failing[0], failing[1]];
+    let objects = reseeded.iter().map(|&slot| seeded(slot)).sum();
+    assert_eq!(reseeds(&dist), Some((3, objects)));
 
     // Its hits are the pre-loss hits; its work is that of a blank
     // in-process worker handed the same seed.
@@ -424,4 +435,107 @@ fn a_failed_round_keeps_every_acked_round_exact() {
         rebuilt,
         "the re-seeded index did other work"
     );
+}
+
+/// A worker that stays up but misses one busy round's `Step` — it
+/// neither dials nor answers for that round — lacks that round's
+/// mutations when it comes back. The failed `Step` marks it lost, so the
+/// next round re-seeds it, with one `Init` of exactly its shard's
+/// population, and no later round fails with `ObjectNotFound`. Once every
+/// object updated in the failed round has updated again, the answer is
+/// the in-process shard coordinator's.
+#[test]
+fn a_worker_that_missed_a_step_is_reseeded_at_the_next_round() {
+    let p = params(103);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let deployment = Deployment::new(&*policy);
+    let (a, b) = generate_pair(&p, 0.0);
+    let mut dist = DistCoordinator::new(
+        dist_config(&p),
+        Arc::clone(&policy),
+        deployment.connectors(),
+        &a,
+        &b,
+        0.0,
+    )
+    .expect("dist coordinator");
+    let pool = BufferPool::new(
+        Arc::new(InMemoryStore::new()),
+        BufferPoolConfig::with_capacity(256),
+    );
+    let engine = EngineConfig {
+        t_m: p.maximum_update_interval,
+        ..EngineConfig::default()
+    };
+    let mut local =
+        ShardCoordinator::<MtbPair>::new(pool, engine, Arc::clone(&policy), &a, &b, 0.0)
+            .expect("in-process coordinator");
+    dist.run_initial_join(0.0).expect("initial join");
+    local.run_initial_join(0.0).expect("initial join");
+    let reseeds = |dist: &DistCoordinator| {
+        let snap = dist.metrics_registry().snapshot();
+        (snap.counter("dist.reseeds")).zip(snap.counter("dist.reseed_objects"))
+    };
+
+    let mut workload = UpdateStream::new(&p, &a, &b, 0.0);
+    let (dark, failed_tick) = (1usize, 4u32);
+    let mut pending: HashSet<ObjectId> = HashSet::new();
+    let mut exact_ticks = 0;
+    for tick in 1..=failed_tick + 2 * p.maximum_update_interval as u32 {
+        let now = Time::from(tick);
+        let updates = workload.tick(now);
+        local.apply_batch(&updates, now).expect("in-process tick");
+        if tick == failed_tick {
+            assert!(!updates.is_empty(), "the failed round must be busy");
+            deployment.refuse[dark].store(true, Ordering::SeqCst);
+            let err = dist
+                .apply_batch(&updates, now)
+                .expect_err("the worker is dark");
+            let expected = DistError::WorkerUnavailable {
+                slot: dark,
+                attempts: dist_config(&p).connect_attempts,
+            };
+            assert!(err.to_string().contains(&expected.to_string()), "{err}");
+            deployment.refuse[dark].store(false, Ordering::SeqCst);
+            pending = updates.iter().map(|u| u.id).collect();
+            continue;
+        }
+        dist.apply_batch(&updates, now)
+            .unwrap_or_else(|e| panic!("t={now}: {e}"));
+        if tick == failed_tick + 1 {
+            // The round after the failure re-seeded the dark worker, and
+            // only it, with its shard's registrations as of this round.
+            let Some(Request::Init { ops, .. }) = deployment.last_init[dark]
+                .lock()
+                .expect("last init")
+                .clone()
+            else {
+                panic!("no Init was sent");
+            };
+            let expected: Vec<IndexOp> = (local.shard_registrations(dark).into_iter())
+                .map(|(id, r)| IndexOp::Insert {
+                    set: r.set,
+                    id,
+                    mbr: r.mbr,
+                    registered_at: r.registered_at,
+                    now,
+                })
+                .collect();
+            let report = local.report();
+            let population = report.population_a[dark] + report.population_b[dark];
+            assert_eq!(ops.len(), population);
+            assert_eq!(ops, expected, "the re-seed is not the shard's population");
+            assert_eq!(reseeds(&dist), Some((1, population as u64)));
+        }
+        for u in &updates {
+            pending.remove(&u.id);
+        }
+        if pending.is_empty() {
+            assert_eq!(dist.result_at(now), local.result_at(now), "t={now}");
+            exact_ticks += 1;
+        }
+    }
+    assert!(pending.is_empty(), "an object never updated again");
+    assert!(exact_ticks > 0);
+    assert_eq!(reseeds(&dist).map(|(n, _)| n), Some(1));
 }

@@ -5,7 +5,7 @@
 //! subscriber outboxes (`Gap` markers included), and `result_at`
 //! snapshots — for every partition policy × K ∈ {2, 4}, including runs
 //! where a worker is killed mid-stream, restarts blank and is re-seeded
-//! from the coordinator's router records.
+//! from the coordinator engine's registration table.
 
 use std::sync::{Arc, Mutex};
 
@@ -308,12 +308,12 @@ fn workers_are_the_partitions_in_shard_order() {
     }
 }
 
-/// As in-process: a removal naming the wrong set is `ObjectNotFound`
-/// before any worker hears of it, and the right one still goes through —
-/// as a `Remove` in the next round of the object's worker, and nowhere
-/// else.
+/// As in-process: a removal of an id the engine does not hold is
+/// `ObjectNotFound` before any worker hears of it, and a live object's
+/// removal goes through — as a `Remove` in the next round of the
+/// object's worker, and nowhere else.
 #[test]
-fn remove_object_under_the_wrong_set_is_refused() {
+fn remove_object_of_an_unknown_id_is_refused() {
     use cij_core::ContinuousJoinEngine;
 
     let p = skew_params(58);
@@ -334,13 +334,17 @@ fn remove_object_under_the_wrong_set_is_refused() {
 
     let victim = b[0];
     let before = calls(&dist);
+    let unknown = ObjectId(1 << 40);
     let err = dist
-        .remove_object(SetTag::A, victim.id, &victim.mbr, 0.0, 1.0)
-        .expect_err("a B object removed as A");
-    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
-    dist.remove_object(SetTag::B, victim.id, &victim.mbr, 0.0, 1.0)
-        .expect("the right set");
+        .remove_object(unknown, 1.0)
+        .expect_err("an id never registered");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == unknown));
+    dist.remove_object(victim.id, 1.0).expect("a live object");
     assert_eq!(calls(&dist), before, "a removal waits for the next round");
+    let err = dist
+        .remove_object(victim.id, 1.0)
+        .expect_err("removed twice");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
     assert!(dist.result_at(1.0).iter().all(|p| p.1 != victim.id));
 
     let mover = a[0];
@@ -366,10 +370,10 @@ fn remove_object_under_the_wrong_set_is_refused() {
     }
 }
 
-/// As in-process: the router's records are the only delete keys. A
-/// caller whose migrating updates and removal carry stale `old_mbr` /
-/// `last_update` — the genesis registration, long replaced — gets
-/// exactly the honest caller's answers from the workers.
+/// As in-process: the engine's registrations are the only delete keys. A
+/// caller whose migrating updates carry stale `old_mbr` / `last_update`
+/// — the genesis registration, long replaced — gets exactly the honest
+/// caller's answers from the workers, and so does a removal by id.
 #[test]
 fn stale_delete_keys_get_the_honest_answer() {
     use cij_core::ContinuousJoinEngine;
@@ -434,13 +438,8 @@ fn stale_delete_keys_get_the_honest_answer() {
     assert_eq!(stale.migrations(), honest.migrations());
 
     let (now, gone) = (20.0, movers[0]);
-    let (mbr, last_update) = tracked[0];
-    honest
-        .remove_object(SetTag::A, gone.id, &mbr, last_update, now)
-        .expect("honest removal");
-    stale
-        .remove_object(SetTag::A, gone.id, &gone.mbr, 0.0, now)
-        .expect("stale removal");
+    honest.remove_object(gone.id, now).expect("honest removal");
+    stale.remove_object(gone.id, now).expect("stale removal");
     assert_eq!(stale.result_at(now), honest.result_at(now));
     assert!(honest.result_at(now).iter().all(|p| p.0 != gone.id));
 }

@@ -1,5 +1,5 @@
-//! Workers hold soft state, and the coordinator's router records are the
-//! only recovery source. A coordinator rebuilt over workers that are
+//! Workers hold soft state, and the coordinator engine's registration
+//! table is the only recovery source. A coordinator rebuilt over workers that are
 //! still up re-seeds them; a worker killed after 100 or after 1 000 ticks
 //! is re-seeded with one `Init` of exactly its partition's population;
 //! and a worker lost in the middle of a round is re-seeded and sent that

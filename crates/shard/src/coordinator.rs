@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use cij_core::{
     BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, PairStatus,
-    Registration,
+    Registration, Registrations,
 };
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
@@ -155,10 +155,10 @@ where
     }
 
     /// What partition `shard` holds, sorted by side and id (see
-    /// [`PartitionedPair::registrations`]).
+    /// [`PartitionedPair::shard_registrations`]).
     #[must_use]
-    pub fn registrations(&self, shard: usize) -> Vec<Registration> {
-        self.engine.registrations(shard)
+    pub fn shard_registrations(&self, shard: usize) -> Vec<(ObjectId, Registration)> {
+        (self.engine).shard_registrations(self.engine.registrations(), shard)
     }
 
     /// The width the partitions fan out at: the configuration's
@@ -186,10 +186,17 @@ where
         self.engine.router().rebalanced()
     }
 
-    /// The shard currently holding `id`.
+    /// The shard currently holding `id`: the policy's shard of its
+    /// registered trajectory.
     #[must_use]
     pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
-        self.engine.router().shard_of(id)
+        let registration = self.engine.registrations().get(&id)?;
+        Some(
+            self.engine
+                .router()
+                .policy()
+                .shard_of(id, &registration.mbr),
+        )
     }
 
     /// Arms the adaptive partition controller: observed trajectories
@@ -197,11 +204,11 @@ where
     /// coordinator re-partitions whenever the controller proposes a
     /// better policy (see [`AdaptiveController`]). The sketch is seeded
     /// from the current live population so the first decision is
-    /// informed.
+    /// informed (it is a histogram: the order is immaterial).
     pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> TprResult<()> {
         let mut ctl = AdaptiveController::new(cfg);
-        for (_, rec) in self.engine.router().records() {
-            ctl.observe(&rec.mbr);
+        for r in self.engine.registrations().values() {
+            ctl.observe(&r.mbr);
         }
         self.adaptive = Some(ctl);
         Ok(())
@@ -215,7 +222,8 @@ where
         new_policy: Arc<dyn PartitionPolicy>,
         now: Time,
     ) -> TprResult<usize> {
-        self.engine.index_mut().repartition(new_policy, now)
+        let (pair, registrations) = self.engine.index_mut();
+        pair.repartition(registrations, new_policy, now)
     }
 
     /// Asks the adaptive controller (when armed) whether the batch just
@@ -304,18 +312,8 @@ where
         self.engine.insert_object(set, id, mbr, now)
     }
 
-    /// Deletes by the router's record; the caller's `old_mbr` and
-    /// `last_update` are not read.
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.engine
-            .remove_object(set, id, old_mbr, last_update, now)
+    fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {
+        self.engine.remove_object(id, now)
     }
 
     fn gc(&mut self, now: Time) {
@@ -324,6 +322,10 @@ where
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         self.engine.result_at(t)
+    }
+
+    fn registrations(&self) -> &Registrations {
+        self.engine.registrations()
     }
 
     fn pool(&self) -> &BufferPool {

@@ -11,9 +11,10 @@
 //! it slots into `run_simulation`, the `cij-stream` service, and the bench
 //! harness unchanged.
 //!
-//! The pair routes updates through a [`ShardRouter`] that owns
-//! object → shard placement and everything derived from it (the
-//! per-shard populations, the migration tallies, every delete key); a
+//! The pair routes updates through a [`ShardRouter`]: an object's shard
+//! is the policy's shard of the trajectory the engine's registration
+//! table holds for it, and the router keeps only the policy, the
+//! per-shard populations and the migration tallies. A
 //! trajectory update that crosses a partition boundary becomes a
 //! migration (remove from the old partition, insert into the new one)
 //! inside a single logical update. The answer is pinned bit-identical to
@@ -74,4 +75,4 @@ pub use coordinator::{ShardCoordinator, SharedShardEngineFactory};
 pub use partitioned::{PartitionedConfig, PartitionedPair};
 pub use policy::{worst_corner_speed, PartitionPolicy, VelocityBandPolicy};
 pub use report::ShardReport;
-pub use router::{ObjectRecord, RebalanceMove, ShardRouter};
+pub use router::{RebalanceMove, ShardRouter};

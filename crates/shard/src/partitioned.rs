@@ -37,11 +37,13 @@
 //!
 //! # Routing
 //!
-//! The pair owns the [`ShardRouter`]: placement, populations, migration
-//! counts and every delete key. An update that keeps its shard is a
-//! remove and an insert in one partition; one that crosses a boundary (a
-//! migration) is a remove from partition *i* and an insert into *j*, in
-//! the same phase-1 step. Of an update only `id` and `new_mbr` are read.
+//! The pair owns the [`ShardRouter`]: the policy, populations and
+//! migration counts. It keeps no per-object state: every delete is
+//! addressed by the engine's [`Registrations`] entry, and the partition
+//! that holds an object is the policy's shard of that entry's trajectory.
+//! An update that keeps its shard is a remove and an insert in one
+//! partition; one that crosses a boundary (a migration) is a remove from
+//! partition *i* and an insert into *j*, in the same phase-1 step.
 //!
 //! # Re-partitioning
 //!
@@ -53,13 +55,15 @@
 
 use std::sync::{Arc, Mutex};
 
-use cij_core::{self_join, EngineConfig, IndexPair, Registration};
+use cij_core::{
+    self_join, sorted_registrations, EngineConfig, IndexPair, Registration, Registrations,
+};
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{sync, BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult};
-use cij_workload::{ObjectUpdate, SetTag};
+use cij_workload::SetTag;
 
 use crate::policy::PartitionPolicy;
 use crate::router::ShardRouter;
@@ -117,15 +121,21 @@ where
         self.rebalances
     }
 
-    /// Re-partitions every live object under `policy` at `now` and
+    /// Re-partitions every object of `registrations` — the engine's
+    /// table of what this pair files — under `policy` at `now` and
     /// returns how many moved. Each mover is removed from its old
     /// partition and inserted into its new one at its original
     /// registration time; a split adds empty partitions first and a merge
     /// drops the partitions it emptied. No probe runs, so no answer and
     /// no [`JoinCounters`] move (see the module docs).
-    pub fn repartition(&mut self, policy: Arc<dyn PartitionPolicy>, now: Time) -> TprResult<usize> {
+    pub fn repartition(
+        &mut self,
+        registrations: &Registrations,
+        policy: Arc<dyn PartitionPolicy>,
+        now: Time,
+    ) -> TprResult<usize> {
         let old_k = self.parts.len();
-        let moves = self.router.repartition(policy);
+        let moves = self.router.repartition(policy, registrations);
         let k = self.router.policy().shard_count();
         while self.parts.len() < k {
             let part = P::empty(&self.pool, &self.config, &self.obs);
@@ -133,9 +143,9 @@ where
             self.rounds.push(Mutex::default());
         }
         for m in &moves {
-            let r = &m.record;
-            self.parts[m.from].remove(r.set, m.id, &r.mbr, r.last_update, now)?;
-            self.parts[r.shard].insert(r.set, m.id, r.mbr, r.last_update, now)?;
+            let r = &m.registration;
+            self.parts[m.from].remove(m.id, r, now)?;
+            self.parts[m.to].insert(r.set, m.id, r.mbr, r.registered_at, now)?;
         }
         self.parts.truncate(k);
         self.rounds.truncate(k);
@@ -155,32 +165,35 @@ where
         Ok(moves.len())
     }
 
-    /// What partition `shard` holds, sorted by side and id, as
-    /// [`IndexPair::reseed`] takes it.
+    /// The objects of `registrations` that partition `shard` holds,
+    /// sorted by side and id, as [`IndexPair::reseed`] takes them.
     #[must_use]
-    pub fn registrations(&self, shard: usize) -> Vec<Registration> {
-        let mut objects: Vec<_> = (self.router.records())
-            .filter(|(_, r)| r.shard == shard)
-            .map(|(id, r)| (r.set, id, r.mbr, r.last_update))
-            .collect();
-        objects.sort_unstable_by_key(|&(set, id, ..)| (set == SetTag::B, id));
-        objects
+    pub fn shard_registrations(
+        &self,
+        registrations: &Registrations,
+        shard: usize,
+    ) -> Vec<(ObjectId, Registration)> {
+        sorted_registrations(registrations, |id, r| {
+            self.router.policy().shard_of(id, &r.mbr) == shard
+        })
     }
 
     /// The initial join as one phase-2 round: every A object, in id order,
     /// probes every partition's B side.
-    fn probe_join(&self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let mut side_a: Vec<(ObjectId, MovingRect)> = (self.router.records())
-            .filter(|(_, r)| r.set == SetTag::A)
-            .map(|(id, r)| (id, r.mbr))
-            .collect();
-        side_a.sort_unstable_by_key(|&(id, _)| id);
-        let probes: Vec<MovingRect> = side_a.iter().map(|&(_, mbr)| mbr).collect();
+    fn probe_join(
+        &self,
+        registrations: &Registrations,
+        now: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+        let side_a = sorted_registrations(registrations, |_, r| r.set == SetTag::A);
+        let probes: Vec<MovingRect> = side_a.iter().map(|(_, r)| r.mbr).collect();
         let mut counters = JoinCounters::new();
-        let mut hits = Vec::new();
+        let mut hits = [Vec::new(), Vec::new()];
         let scratch = &mut JoinScratch::new();
-        self.probe(SetTag::A, &probes, now, scratch, &mut counters, &mut hits)?;
-        let pairs = (hits.into_iter())
+        let sent = [&probes[..], &[]];
+        self.probe_sides(registrations, sent, now, scratch, &mut counters, &mut hits)?;
+        let [hits_a, _] = hits;
+        let pairs = (hits_a.into_iter())
             .map(|(p, b, interval)| JoinPair::new(side_a[p as usize].0, b, interval))
             .collect();
         Ok((pairs, counters))
@@ -220,44 +233,40 @@ where
         registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
-        let shard = self.router.place(id, set, &mbr, registered_at);
+        let shard = self.router.place(id, set, &mbr);
         self.parts[shard].insert(set, id, mbr, registered_at, now)
     }
 
-    /// Deletes by the router's record; the caller's `old_mbr` and
-    /// `last_update` are not read, and an id placed on the other side is
-    /// refused as not found.
-    fn remove(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        _: &MovingRect,
-        _: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let r = self
-            .router
-            .remove(set, id)
-            .ok_or(TprError::ObjectNotFound(id))?;
-        self.parts[r.shard].remove(set, id, &r.mbr, r.last_update, now)
+    /// Deletes from the partition `registration` derives to.
+    fn remove(&mut self, id: ObjectId, registration: &Registration, now: Time) -> TprResult<()> {
+        let shard = self.router.remove(id, registration);
+        self.parts[shard].remove(id, registration, now)
     }
 
-    fn reregister(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<SetTag> {
-        let (id, mbr) = (update.id, update.new_mbr);
-        let (prev, to) = self.router.route(id, &mbr, now)?;
-        self.parts[prev.shard].remove(prev.set, id, &prev.mbr, prev.last_update, now)?;
-        self.parts[to].insert(prev.set, id, mbr, now, now)?;
-        Ok(prev.set)
+    fn reregister(
+        &mut self,
+        id: ObjectId,
+        prev: &Registration,
+        mbr: MovingRect,
+        now: Time,
+    ) -> TprResult<()> {
+        let (from, to) = self.router.route(id, prev, &mbr);
+        self.parts[from].remove(id, prev, now)?;
+        self.parts[to].insert(prev.set, id, mbr, now, now)
     }
 
     /// The K² cross-partition tree jobs on one worklist; partitions whose
     /// trees are out of reach ([`IndexPair::TREE_JOBS`] false, remote
     /// ones) join by one probe round instead (see the module docs).
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+    fn initial_join(
+        &mut self,
+        registrations: &Registrations,
+        now: Time,
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
         if P::TREE_JOBS {
             self_join(self, now, P::engine_config(&self.config).threads)
         } else {
-            self.probe_join(now)
+            self.probe_join(registrations, now)
         }
     }
 
@@ -280,35 +289,15 @@ where
         tech
     }
 
-    /// One side's round of [`probe_sides`](IndexPair::probe_sides), the
-    /// other side's probes empty.
-    fn probe(
-        &self,
-        side: SetTag,
-        probes: &[MovingRect],
-        now: Time,
-        scratch: &mut JoinScratch,
-        counters: &mut JoinCounters,
-        hits: &mut Vec<ProbeHit>,
-    ) -> TprResult<()> {
-        let mut sides = [Vec::new(), Vec::new()];
-        let (at, sent) = match side {
-            SetTag::A => (0, [probes, &[]]),
-            SetTag::B => (1, [&[], probes]),
-        };
-        self.probe_sides(sent, now, scratch, counters, &mut sides)?;
-        hits.append(&mut sides[at]);
-        Ok(())
-    }
-
     /// Every partition's [`probe_sides`](IndexPair::probe_sides) on the
     /// fan-out, merged per side in shard order (see the module docs). A
     /// partition that failed because it lost its index is
-    /// [re-seeded](IndexPair::reseed) from the router's records, which
+    /// [re-seeded](IndexPair::reseed) from `registrations`, which
     /// already hold this round's mutations, and probed once more; the
     /// first other error, or second failure, in shard order.
     fn probe_sides(
         &self,
+        registrations: &Registrations,
         probes: [&[MovingRect]; 2],
         now: Time,
         _: &mut JoinScratch,
@@ -328,12 +317,12 @@ where
                 counters,
                 hits,
             } = round;
-            parts[i].probe_sides(probes, now, scratch, counters, hits)
+            parts[i].probe_sides(registrations, probes, now, scratch, counters, hits)
         };
         let answered = fan_out_tasks(parts.len(), threads, probe);
         for (i, (round, answer)) in rounds.iter().zip(answered).enumerate() {
             if let Err(e) = answer {
-                if !parts[i].reseed(&self.registrations(i), now)? {
+                if !parts[i].reseed(&self.shard_registrations(registrations, i), now)? {
                     return Err(e);
                 }
                 probe(i)?;

@@ -405,12 +405,12 @@ fn forced_migration_preserves_results_and_placement() {
     assert_eq!(coord.migrations() - migrations_before, 6);
 }
 
-/// The population side of a removal is the router's record of the
-/// object, not the caller's word: naming the wrong set is refused as
-/// `ObjectNotFound` and touches nothing, where it used to decrement the
-/// other set's shard.
+/// The population side of a removal is the engine's registration of
+/// the object: an id it does not hold is refused as `ObjectNotFound`
+/// and touches no population, and a live object's removal decrements
+/// exactly its own set's shard.
 #[test]
-fn remove_object_under_the_wrong_set_is_refused() {
+fn remove_object_of_an_unknown_id_is_refused() {
     let params = skew_params(52);
     let (a, b) = generate_pair(&params, 0.0);
     let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
@@ -418,29 +418,32 @@ fn remove_object_under_the_wrong_set_is_refused() {
     coord.run_initial_join(0.0).expect("initial join");
     let before = coord.report();
 
-    let victim = a[0];
+    let unknown = ObjectId(1 << 40);
     let err = coord
-        .remove_object(SetTag::B, victim.id, &victim.mbr, 0.0, 1.0)
-        .expect_err("an A object removed as B");
-    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
+        .remove_object(unknown, 1.0)
+        .expect_err("an id never registered");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == unknown));
     let after = coord.report();
     assert_eq!(after.population_a, before.population_a);
     assert_eq!(after.population_b, before.population_b);
 
-    coord
-        .remove_object(SetTag::A, victim.id, &victim.mbr, 0.0, 1.0)
-        .expect("the right set");
+    let victim = a[0];
+    coord.remove_object(victim.id, 1.0).expect("a live object");
+    let err = coord
+        .remove_object(victim.id, 1.0)
+        .expect_err("removed twice");
+    assert!(matches!(err, cij_tpr::TprError::ObjectNotFound(id) if id == victim.id));
     let after = coord.report();
     assert_eq!(after.population_a.iter().sum::<usize>(), a.len() - 1);
     assert_eq!(after.population_b, before.population_b);
     assert_eq!(coord.shard_of(victim.id), None);
 }
 
-/// The router's records are the only delete keys. A caller whose
-/// updates and removal all carry stale `old_mbr` / `last_update` — the
-/// genesis registration, long replaced — gets exactly the honest
-/// caller's answers, through a migration every tick, a same-band
-/// re-registration and a removal.
+/// The engine's registrations are the only delete keys. A caller whose
+/// updates all carry stale `old_mbr` / `last_update` — the genesis
+/// registration, long replaced — gets exactly the honest caller's
+/// answers, through a migration every tick, a same-band re-registration
+/// and a removal by id.
 #[test]
 fn stale_delete_keys_get_the_honest_answer() {
     let params = skew_params(49);
@@ -502,14 +505,9 @@ fn stale_delete_keys_get_the_honest_answer() {
     assert_eq!(stale.migrations(), honest.migrations());
 
     let now = 20.0;
-    let (mbr, last_update) = tracked[0];
     let gone = objects[0];
-    honest
-        .remove_object(SetTag::A, gone.id, &mbr, last_update, now)
-        .expect("honest removal");
-    stale
-        .remove_object(SetTag::A, gone.id, &gone.mbr, 0.0, now)
-        .expect("stale removal");
+    honest.remove_object(gone.id, now).expect("honest removal");
+    stale.remove_object(gone.id, now).expect("stale removal");
     assert_eq!(stale.result_at(now), honest.result_at(now));
     assert!(honest.result_at(now).iter().all(|p| p.0 != gone.id));
     assert_eq!(stale.shard_of(gone.id), None);

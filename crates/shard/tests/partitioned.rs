@@ -8,6 +8,9 @@
 //!   after it still match brute force.
 //! * Every object is indexed once: the partitions' index lengths sum to
 //!   the live object count.
+//! * Placement is derived: each partition holds exactly the objects whose
+//!   registration the policy sends there, and the router's populations
+//!   count them, through updates, removals, inserts and rebalances.
 
 use std::sync::Arc;
 
@@ -18,7 +21,7 @@ use cij_shard::{
     PartitionPolicy, PartitionedConfig, PartitionedPair, ShardCoordinator, VelocityBandPolicy,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-use cij_tpr::TprError;
+use cij_tpr::{ObjectId, TprError};
 use cij_workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
 use proptest::prelude::*;
 
@@ -219,14 +222,121 @@ fn partition_lengths_sum_to_the_live_set() {
     let at = 21.0;
     let current = stream.snapshot(SetTag::A);
     let (_, mbr) = current.iter().find(|(id, _)| *id == gone.id).unwrap();
-    coord
-        .remove_object(SetTag::A, gone.id, mbr, 0.0, at)
-        .unwrap();
+    coord.remove_object(gone.id, at).unwrap();
     assert_eq!(indexed(&coord), a.len() + b.len() - 1);
     coord
         .insert_object(SetTag::A, gone.id, mbr.rebase(at), at)
         .unwrap();
     assert_eq!(indexed(&coord), a.len() + b.len());
+}
+
+/// After every step of a seeded schedule — migrating updates,
+/// `remove_object`, `insert_object` and forced splits, merges and
+/// boundary shifts — each shard's population on each side equals the
+/// number of registrations that derive to that shard and the length of
+/// that partition's index on that side.
+#[test]
+fn placement_is_derived_and_populations_never_drift() {
+    fn check(coord: &ShardCoordinator, step: &str) {
+        let report = coord.report();
+        let k = coord.shard_count();
+        let mut derived = [vec![0usize; k], vec![0usize; k]];
+        for (&id, r) in coord.registrations() {
+            let shard = coord.shard_of(id).expect("a registered object has a shard");
+            derived[usize::from(r.set == SetTag::B)][shard] += 1;
+        }
+        for (shard, part) in coord.partitions().iter().enumerate() {
+            let a = (
+                report.population_a[shard],
+                derived[0][shard],
+                part.mtb_a().len(),
+            );
+            let b = (
+                report.population_b[shard],
+                derived[1][shard],
+                part.mtb_b().len(),
+            );
+            assert!(
+                a.0 == a.1 && a.1 == a.2,
+                "{step}: shard {shard} side A {a:?}"
+            );
+            assert!(
+                b.0 == b.1 && b.1 == b.2,
+                "{step}: shard {shard} side B {b:?}"
+            );
+        }
+        assert_eq!(report.population_a.len(), k, "{step}");
+        assert_eq!(indexed(coord), coord.registrations().len(), "{step}");
+    }
+    // splitmix64: a seeded schedule with no dependency.
+    let mut state = 0x5eed_u64;
+    let mut next = move |n: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+
+    let params = skew_params(55);
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = EngineConfig {
+        t_m: params.maximum_update_interval,
+        ..EngineConfig::default()
+    };
+    let policy = Arc::new(VelocityBandPolicy::new(2, params.max_speed));
+    let mut coord = ShardCoordinator::new(pool(256), config, policy, &a, &b, 0.0).unwrap();
+    coord.run_initial_join(0.0).unwrap();
+    check(&coord, "genesis");
+
+    let rebalances: [(u32, Vec<f64>); 4] = [
+        (10, vec![0.6]),           // shift
+        (20, vec![0.5, 1.5, 2.4]), // split to K = 4
+        (30, vec![1.2]),           // merge to K = 2
+        (40, vec![0.3, 0.9]),      // split to K = 3
+    ];
+    let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+    let mut retired: Vec<(SetTag, ObjectId)> = Vec::new();
+    let (mut removals, mut inserts) = (0, 0);
+    for tick in 1..=50u32 {
+        let now = Time::from(tick);
+        let updates: Vec<_> = (stream.tick(now).into_iter())
+            .filter(|u| !retired.iter().any(|&(_, id)| id == u.id))
+            .collect();
+        coord.apply_batch(&updates, now).unwrap();
+        check(&coord, &format!("t={now} updates"));
+
+        if next(2) == 0 {
+            let mut live: Vec<(ObjectId, SetTag)> = (coord.registrations().iter())
+                .map(|(&id, r)| (id, r.set))
+                .collect();
+            live.sort_unstable_by_key(|&(id, _)| id);
+            let (id, set) = live[next(live.len())];
+            coord.remove_object(id, now).unwrap();
+            retired.push((set, id));
+            removals += 1;
+            check(&coord, &format!("t={now} remove {id:?}"));
+        }
+        if !retired.is_empty() && next(3) == 0 {
+            let (set, id) = retired.swap_remove(next(retired.len()));
+            let snapshot = stream.snapshot(set);
+            let (_, mbr) = snapshot.iter().find(|(o, _)| *o == id).unwrap();
+            coord.insert_object(set, id, mbr.rebase(now), now).unwrap();
+            inserts += 1;
+            check(&coord, &format!("t={now} insert {id:?}"));
+        }
+        if let Some((_, edges)) = rebalances.iter().find(|(t, _)| *t == tick) {
+            let policy = Arc::new(VelocityBandPolicy::from_edges(edges.clone()));
+            assert!(coord.rebalance_to(policy, now).unwrap() > 0, "t={now}");
+            check(&coord, &format!("t={now} rebalance to {edges:?}"));
+        }
+    }
+    assert!(
+        removals > 5 && inserts > 3,
+        "{removals} removals, {inserts} inserts"
+    );
+    assert!(coord.migrations() > 0, "no update crossed a band");
+    assert_eq!(coord.rebalances(), 4);
 }
 
 /// `with_factory` keeps its signature for MTB callers and refuses any

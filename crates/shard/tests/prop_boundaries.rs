@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use cij_core::{Registration, Registrations};
 use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{worst_corner_speed, PartitionPolicy, ShardRouter, VelocityBandPolicy};
 use cij_tpr::ObjectId;
@@ -29,12 +30,24 @@ fn mbr_with_speed(speed: f64) -> MovingRect {
     )
 }
 
-/// What [`ShardRouter::route`] made of one A-side update: `(from, to)`,
-/// the two equal for a stay, and the record it replaced on side A.
-fn routed(router: &mut ShardRouter, id: ObjectId, mbr: &MovingRect, now: Time) -> (usize, usize) {
-    let (prev, to) = router.route(id, mbr, now).expect("a placed object");
-    assert_eq!(prev.set, SetTag::A);
-    (prev.shard, to)
+/// An A-side registration on `mbr`.
+fn registered(mbr: &MovingRect) -> Registration {
+    Registration {
+        set: SetTag::A,
+        mbr: *mbr,
+        registered_at: 0.0,
+    }
+}
+
+/// What [`ShardRouter::route`] made of one A-side update from `prev` to
+/// `mbr`: `(from, to)`, the two equal for a stay.
+fn routed(
+    router: &mut ShardRouter,
+    id: ObjectId,
+    prev: &MovingRect,
+    mbr: &MovingRect,
+) -> (usize, usize) {
+    router.route(id, &registered(prev), mbr)
 }
 
 proptest! {
@@ -75,10 +88,13 @@ proptest! {
         // Equal edges ⇒ equal placement ⇒ an empty rebalance diff, even
         // with every object parked exactly on an edge.
         let mut router = ShardRouter::new(Arc::new(band.clone()));
+        let mut table = Registrations::default();
         for (n, &edge) in band.boundaries().iter().enumerate() {
-            router.place(ObjectId(n as u64), SetTag::B, &mbr_with_speed(edge), 0.0);
+            let (id, mbr) = (ObjectId(n as u64), mbr_with_speed(edge));
+            router.place(id, SetTag::B, &mbr);
+            table.insert(id, Registration { set: SetTag::B, ..registered(&mbr) });
         }
-        let moves = router.repartition(Arc::new(bounds));
+        let moves = router.repartition(Arc::new(bounds), &table);
         prop_assert!(moves.is_empty(), "identical edges relocated {} objects", moves.len());
     }
 
@@ -97,10 +113,10 @@ proptest! {
         for (i, &edge) in edges.iter().enumerate() {
             let id = ObjectId(i as u64);
             let slow = mbr_with_speed(edge * 0.5);
-            let from = router.place(id, SetTag::A, &slow, 0.0);
+            let from = router.place(id, SetTag::A, &slow);
             // Re-announce the same trajectory: exact boundary or not,
             // re-routing what is already placed must be a Stay.
-            prop_assert_eq!(routed(&mut router, id, &slow, 1.0), (from, from));
+            prop_assert_eq!(routed(&mut router, id, &slow, &slow), (from, from));
 
             // Accelerate to exactly the edge: lands in band i+1.
             let exact = mbr_with_speed(edge);
@@ -109,11 +125,11 @@ proptest! {
             // at tiny k); a migration is counted exactly when the two
             // shards differ.
             let migrations = router.migrations();
-            prop_assert_eq!(routed(&mut router, id, &exact, 2.0), (from, i + 1));
+            prop_assert_eq!(routed(&mut router, id, &slow, &exact), (from, i + 1));
             prop_assert_eq!(router.migrations() - migrations, u64::from(from != i + 1));
-            prop_assert_eq!(router.shard_of(id), Some(i + 1));
+            prop_assert_eq!(router.policy().shard_of(id, &exact), i + 1);
             // And staying exactly on the edge keeps the placement put.
-            prop_assert_eq!(routed(&mut router, id, &exact, 3.0), (i + 1, i + 1));
+            prop_assert_eq!(routed(&mut router, id, &exact, &exact), (i + 1, i + 1));
         }
     }
 }

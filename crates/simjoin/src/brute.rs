@@ -5,14 +5,16 @@
 //! answers are bit-identical floats — the differential suites assert
 //! exact equality, not tolerance bands.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, PairKey, PairStatus, ResultBuffer};
+use cij_core::{
+    genesis_registrations, ContinuousJoinEngine, PairKey, PairStatus, Registration, Registrations,
+    ResultBuffer,
+};
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-use cij_tpr::{ObjectId, TprResult};
+use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::ProximityConfig;
@@ -23,23 +25,28 @@ use crate::ProximityConfig;
 /// routed insert/remove and delta tracking) so it can stand in for
 /// [`ProximityJoinEngine`](crate::ProximityJoinEngine) anywhere — behind
 /// the stream service, say — while computing the answer by exhaustive
-/// refinement.
+/// refinement over its [`Registrations`].
 pub struct BruteProximityEngine {
     t_m: Time,
     eps_sq: f64,
     /// Unused placeholder so `pool()` has something to return; the
     /// oracle performs no page I/O.
     pool: BufferPool,
-    reg_a: HashMap<ObjectId, MovingRect>,
-    reg_b: HashMap<ObjectId, MovingRect>,
+    registrations: Registrations,
     buffer: ResultBuffer,
     counters: JoinCounters,
 }
 
 impl BruteProximityEngine {
-    /// Builds the oracle over the same inputs the real engine takes.
+    /// Builds the oracle over the same inputs the real engine takes, each
+    /// object registered at its trajectory's reference time.
     /// `config.engine` contributes only `T_M`; trees, techniques and
     /// threads are irrelevant to exhaustive refinement.
+    ///
+    /// # Panics
+    ///
+    /// If `epsilon` is negative or not finite, or an id appears twice
+    /// across `set_a ∪ set_b`.
     #[must_use]
     pub fn new(config: ProximityConfig, set_a: &[MovingObject], set_b: &[MovingObject]) -> Self {
         let eps = config.epsilon;
@@ -47,26 +54,36 @@ impl BruteProximityEngine {
             eps.is_finite() && eps >= 0.0,
             "epsilon must be finite and non-negative, got {eps}"
         );
+        let mut registrations = genesis_registrations(set_a, set_b, 0.0)
+            .expect("object ids must be unique across both sets");
+        for r in registrations.values_mut() {
+            r.registered_at = r.mbr.t_ref;
+        }
         Self {
             t_m: config.engine.t_m,
             eps_sq: eps * eps,
             pool: BufferPool::new(Arc::new(InMemoryStore::new()), BufferPoolConfig::default()),
-            reg_a: set_a.iter().map(|o| (o.id, o.mbr)).collect(),
-            reg_b: set_b.iter().map(|o| (o.id, o.mbr)).collect(),
+            registrations,
             buffer: ResultBuffer::new(),
             counters: JoinCounters::new(),
         }
+    }
+
+    /// The registered trajectory of `id`.
+    fn mbr(&self, id: ObjectId) -> &MovingRect {
+        &self
+            .registrations
+            .get(&id)
+            .expect("a registered object")
+            .mbr
     }
 
     /// Refines one pair over `[now, now + T_M]` — byte-for-byte the call
     /// the real engine makes for its candidates.
     fn refine(&mut self, a: ObjectId, b: ObjectId, now: Time) {
         self.counters.entry_comparisons += 1;
-        let iv = {
-            let ra = &self.reg_a[&a];
-            let rb = &self.reg_b[&b];
-            ra.within_dist_sq_interval(rb, self.eps_sq, now, now + self.t_m)
-        };
+        let iv =
+            (self.mbr(a)).within_dist_sq_interval(self.mbr(b), self.eps_sq, now, now + self.t_m);
         if let Some(iv) = iv {
             self.counters.pairs_emitted += 1;
             self.buffer.add(a, b, iv);
@@ -75,10 +92,10 @@ impl BruteProximityEngine {
 
     /// Refines `id` (on side `set`) against every registered partner.
     fn refine_against_all(&mut self, set: SetTag, id: ObjectId, now: Time) {
-        let partners: Vec<ObjectId> = match set {
-            SetTag::A => self.reg_b.keys().copied().collect(),
-            SetTag::B => self.reg_a.keys().copied().collect(),
-        };
+        let partners: Vec<ObjectId> = (self.registrations.iter())
+            .filter(|(_, r)| r.set != set)
+            .map(|(&p, _)| p)
+            .collect();
         for p in partners {
             match set {
                 SetTag::A => self.refine(id, p, now),
@@ -94,24 +111,23 @@ impl ContinuousJoinEngine for BruteProximityEngine {
     }
 
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let ids: Vec<ObjectId> = self.reg_a.keys().copied().collect();
-        for a in ids {
-            let partners: Vec<ObjectId> = self.reg_b.keys().copied().collect();
-            for b in partners {
-                self.refine(a, b, now);
-            }
+        let side_a: Vec<ObjectId> = (self.registrations.iter())
+            .filter(|(_, r)| r.set == SetTag::A)
+            .map(|(&a, _)| a)
+            .collect();
+        for a in side_a {
+            self.refine_against_all(SetTag::A, a, now);
         }
         Ok(())
     }
 
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
-        match update.set {
-            SetTag::A => self.reg_a.insert(update.id, update.new_mbr),
-            SetTag::B => self.reg_b.insert(update.id, update.new_mbr),
-        };
-        self.buffer.remove_object(update.id);
-        self.refine_against_all(update.set, update.id, now);
-        Ok(())
+        let id = update.id;
+        let set = (self.registrations.get(&id))
+            .ok_or(TprError::ObjectNotFound(id))?
+            .set;
+        self.remove_object(id, now)?;
+        self.insert_object(set, id, update.new_mbr, now)
     }
 
     fn insert_object(
@@ -121,26 +137,21 @@ impl ContinuousJoinEngine for BruteProximityEngine {
         mbr: MovingRect,
         now: Time,
     ) -> TprResult<()> {
-        match set {
-            SetTag::A => self.reg_a.insert(id, mbr),
-            SetTag::B => self.reg_b.insert(id, mbr),
+        if self.registrations.contains_key(&id) {
+            return Err(TprError::DuplicateObject(id));
+        }
+        let registration = Registration {
+            set,
+            mbr,
+            registered_at: now,
         };
+        self.registrations.insert(id, registration);
         self.refine_against_all(set, id, now);
         Ok(())
     }
 
-    fn remove_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        _old_mbr: &MovingRect,
-        _last_update: Time,
-        _now: Time,
-    ) -> TprResult<()> {
-        match set {
-            SetTag::A => self.reg_a.remove(&id),
-            SetTag::B => self.reg_b.remove(&id),
-        };
+    fn remove_object(&mut self, id: ObjectId, _now: Time) -> TprResult<()> {
+        (self.registrations.remove(&id)).ok_or(TprError::ObjectNotFound(id))?;
         self.buffer.remove_object(id);
         Ok(())
     }
@@ -151,6 +162,10 @@ impl ContinuousJoinEngine for BruteProximityEngine {
 
     fn result_at(&self, t: Time) -> Vec<PairKey> {
         self.buffer.active_at(t)
+    }
+
+    fn registrations(&self) -> &Registrations {
+        &self.registrations
     }
 
     fn pool(&self) -> &BufferPool {

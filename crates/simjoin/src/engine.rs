@@ -1,10 +1,10 @@
 //! The proximity join: TC-processed intersection candidates via
 //! Minkowski inflation, exact distance-interval refine — an
-//! [`IndexPair`] under `cij-core`'s one buffered engine.
+//! [`IndexPair`] under `cij-core`'s one buffered engine, whose
+//! registration table holds the original (uninflated) trajectories the
+//! refine reads.
 
-use std::collections::HashMap;
-
-use cij_core::{BufferedEngine, EngineConfig, IndexPair, TcPair};
+use cij_core::{BufferedEngine, EngineConfig, IndexPair, Registration, Registrations, TcPair};
 use cij_geom::{MovingRect, Time, TimeInterval, DIMS};
 use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
 use cij_obs::{Histogram, MetricsRegistry};
@@ -70,7 +70,9 @@ pub type ProximityJoinEngine = BufferedEngine<ProximityPair>;
 /// over the **full** maintenance window `[now, now + T_M]` (not the
 /// candidate's overlap interval — so the refined answer is a pure
 /// function of the pair and the window, which is what makes the engine
-/// bit-identical to the brute-force oracle).
+/// bit-identical to the brute-force oracle). A partner's trajectory is
+/// its entry in the engine's [`Registrations`], which the engine hands
+/// the refine: the pair keeps no table of its own.
 pub struct ProximityPair {
     /// The candidate filter: TC-Join over the original A trajectories
     /// and the ε-inflated B trajectories.
@@ -78,9 +80,6 @@ pub struct ProximityPair {
     t_m: Time,
     eps: f64,
     eps_sq: f64,
-    /// Original (uninflated) registrations, the refine inputs.
-    reg_a: HashMap<ObjectId, MovingRect>,
-    reg_b: HashMap<ObjectId, MovingRect>,
     candidates: u64,
     refine_rejects: u64,
     /// Wall time of each refine pass (`simjoin.refine_ns`).
@@ -111,6 +110,15 @@ impl ProximityPair {
         ra.within_dist_sq_interval(rb, self.eps_sq, now, now + self.t_m)
     }
 
+    /// The registered (uninflated) trajectory of an object the filter
+    /// returned — every one is registered.
+    fn original(registrations: &Registrations, id: ObjectId) -> &MovingRect {
+        let registration = registrations.get(&id);
+        &registration
+            .expect("the filter returns registered objects")
+            .mbr
+    }
+
     /// The trajectory the filter stores and probes with for `mbr`.
     /// Deterministic, so the delete path reproduces the inserted
     /// rectangle bit-for-bit.
@@ -118,13 +126,6 @@ impl ProximityPair {
         match set {
             SetTag::A => *mbr,
             SetTag::B => inflate_padded(mbr, self.eps),
-        }
-    }
-
-    fn registrations(&mut self, set: SetTag) -> &mut HashMap<ObjectId, MovingRect> {
-        match set {
-            SetTag::A => &mut self.reg_a,
-            SetTag::B => &mut self.reg_b,
         }
     }
 
@@ -176,8 +177,6 @@ impl IndexPair for ProximityPair {
             t_m: config.engine.t_m,
             eps,
             eps_sq: eps * eps,
-            reg_a: HashMap::new(),
-            reg_b: HashMap::new(),
             candidates: 0,
             refine_rejects: 0,
             refine_ns: obs.histogram("simjoin.refine_ns"),
@@ -193,31 +192,28 @@ impl IndexPair for ProximityPair {
         now: Time,
     ) -> TprResult<()> {
         let stored = self.filtered(set, &mbr);
-        self.filter.insert(set, id, stored, registered_at, now)?;
-        self.registrations(set).insert(id, mbr);
-        Ok(())
+        self.filter.insert(set, id, stored, registered_at, now)
     }
 
-    fn remove(
+    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
+        let stored = Registration {
+            mbr: self.filtered(r.set, &r.mbr),
+            ..*r
+        };
+        self.filter.remove(id, &stored, now)
+    }
+
+    fn initial_join(
         &mut self,
-        set: SetTag,
-        id: ObjectId,
-        old_mbr: &MovingRect,
-        last_update: Time,
+        registrations: &Registrations,
         now: Time,
-    ) -> TprResult<()> {
-        let stored = self.filtered(set, old_mbr);
-        self.filter.remove(set, id, &stored, last_update, now)?;
-        self.registrations(set).remove(&id);
-        Ok(())
-    }
-
-    fn initial_join(&mut self, now: Time) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let (mut pairs, counters) = self.filter.initial_join(now)?;
+    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
+        let (mut pairs, counters) = self.filter.initial_join(registrations, now)?;
         let _span = self.refine_ns.start_span();
         let seen = pairs.len();
+        let original = |id| Self::original(registrations, id);
         pairs.retain_mut(|p| {
-            let exact = self.exact(&self.reg_a[&p.a], &self.reg_b[&p.b], now);
+            let exact = self.exact(original(p.a), original(p.b), now);
             exact.map(|iv| p.interval = iv).is_some()
         });
         self.count(seen, pairs.len());
@@ -247,15 +243,23 @@ impl IndexPair for ProximityPair {
     }
 
     /// The exact pass: a probe is its object's fresh registration, the
-    /// partner's comes from the registration map of the other side.
-    fn refine(&mut self, side: SetTag, probes: &[MovingRect], now: Time, hits: &mut Vec<ProbeHit>) {
+    /// partner's is its entry in the engine's table.
+    fn refine(
+        &mut self,
+        registrations: &Registrations,
+        side: SetTag,
+        probes: &[MovingRect],
+        now: Time,
+        hits: &mut Vec<ProbeHit>,
+    ) {
         let _span = self.refine_ns.start_span();
         let seen = hits.len();
         hits.retain_mut(|(p, partner, iv)| {
             let probe = &probes[*p as usize];
+            let partner = Self::original(registrations, *partner);
             let exact = match side {
-                SetTag::A => self.exact(probe, &self.reg_b[partner], now),
-                SetTag::B => self.exact(&self.reg_a[partner], probe, now),
+                SetTag::A => self.exact(probe, partner, now),
+                SetTag::B => self.exact(partner, probe, now),
             };
             exact.map(|refined| *iv = refined).is_some()
         });

@@ -289,3 +289,47 @@ fn batched_ticks_match_oracle() {
         );
     }
 }
+
+/// Updates whose delete keys are all wrong — `set` flipped, `old_mbr` far
+/// from the registered trajectory, `last_update` a bucket away — give the
+/// engine, batched or not, and the oracle exactly the honest answers:
+/// both derive every delete and every side from their registrations.
+#[test]
+fn wrong_delete_keys_get_the_oracle_answer() {
+    let eps = 3.0;
+    let params = small_params(908);
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = ProximityConfig::new(EngineConfig::default(), eps);
+    let schedule = scheduled_updates(&params, &a, &b, TICKS);
+    let wrong: Vec<(Time, Vec<ObjectUpdate>)> = (schedule.iter())
+        .map(|(now, updates)| {
+            let lie = |u: &ObjectUpdate| {
+                let mut old_mbr = u.old_mbr;
+                for d in 0..2 {
+                    old_mbr.lo[d] -= 10.0 * params.space;
+                    old_mbr.hi[d] -= 10.0 * params.space;
+                }
+                let set = match u.set {
+                    SetTag::A => SetTag::B,
+                    SetTag::B => SetTag::A,
+                };
+                ObjectUpdate {
+                    set,
+                    old_mbr,
+                    last_update: u.last_update + config.engine.t_m,
+                    ..*u
+                }
+            };
+            (*now, updates.iter().map(lie).collect())
+        })
+        .collect();
+
+    let expect = drive(&mut BruteProximityEngine::new(config, &a, &b), &schedule);
+    let misled = drive(&mut BruteProximityEngine::new(config, &a, &b), &wrong);
+    assert_snapshots_match(&misled, &expect, "misled oracle");
+    for batched in [false, true] {
+        let mut engine = ProximityJoinEngine::new(pool(), config, &a, &b, 0.0).unwrap();
+        let got = drive_ticks(&mut engine, &wrong, batched);
+        assert_snapshots_match(&got, &expect, &format!("misled engine, batched={batched}"));
+    }
+}

@@ -142,8 +142,8 @@ impl IngestQueue {
     /// Replaces the object's latest pending update with `update` at tick
     /// `tick` — the `DropStalePerObject` shed path. The pending update
     /// was never applied, so dropping it leaves nothing behind in the
-    /// engine; the replacement's delete keys are filled at drain time
-    /// like any other update's. Pending count is unchanged (one out, one
+    /// engine; the replacement's delete keys are the engine's, like any
+    /// other update's. Pending count is unchanged (one out, one
     /// in), so the watermark state cannot flip here.
     ///
     /// Returns `false` (caller refuses as `QueueFull`) when the object

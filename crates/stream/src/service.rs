@@ -11,18 +11,21 @@
 //! durable prefix and lands on exactly the state the pre-crash service
 //! had after its last completed batch.
 //!
-//! The service files every live object in one registration table: its
-//! side, the trajectory the engine indexes and the tick it was
-//! registered. Those are the delete keys of the object's next update,
-//! so the service fills them in itself — a producer sends the new
-//! trajectory, and nothing else it sends is trusted.
+//! The service keeps no per-object state of its own: it reads the
+//! engine's [`Registrations`] table — every live object's side, the
+//! trajectory the engine indexes and the tick it was registered. A
+//! producer sends the new trajectory, and nothing else it sends is
+//! trusted: the engine derives every delete from its table, and the
+//! service fills the same delete keys into each journaled update, whose
+//! layout still carries them. Retirements, window filters and resync
+//! snapshots read the table too.
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
-use cij_geom::{MovingRect, Time};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, Registration, Registrations};
+use cij_geom::Time;
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
 use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_workload::{MovingObject, ObjectUpdate};
 
 use crate::config::StreamConfig;
 use crate::delta::DeltaExtractor;
@@ -59,19 +62,6 @@ pub struct RecoveryReport {
     pub subscribers: usize,
 }
 
-/// What the service knows about one live object: the engine's index
-/// entry for it, addressed the way the engines delete it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Registration {
-    pub(crate) set: SetTag,
-    /// The trajectory the engine indexes (what window filters read).
-    pub(crate) mbr: MovingRect,
-    /// The tick that trajectory was applied at — where MTB buckets file
-    /// it, which for a late submission is not the tick the producer
-    /// generated it for.
-    pub(crate) registered_at: Time,
-}
-
 /// Event-driven streaming wrapper around one [`ContinuousJoinEngine`].
 pub struct StreamService {
     config: StreamConfig,
@@ -79,9 +69,6 @@ pub struct StreamService {
     extractor: DeltaExtractor,
     queue: IngestQueue,
     registry: SubscriptionRegistry,
-    /// The registration table, written only by `apply_batch` and
-    /// `apply_retire`.
-    objects: IdMap<ObjectId, Registration>,
     wal: Option<Wal>,
     now: Time,
     /// Observability handles, shared with the engine's registry (all
@@ -247,13 +234,12 @@ impl StreamService {
                     }
                     WalRecord::Batch { at, updates } => {
                         let mut updates = updates.into_owned();
-                        Self::fill_delete_keys(&service.objects, at, &mut updates).map_err(
-                            |id| {
-                                StreamError::CorruptJournal(format!(
-                                    "batch at {at} updates unknown object {id:?}"
-                                ))
-                            },
-                        )?;
+                        let registrations = service.engine.registrations();
+                        Self::fill_delete_keys(registrations, at, &mut updates).map_err(|id| {
+                            StreamError::CorruptJournal(format!(
+                                "batch at {at} updates unknown object {id:?}"
+                            ))
+                        })?;
                         service.apply_batch(at, &updates)?;
                         // The queue's stale frontier follows the replayed clock.
                         service.queue.drain_through(at);
@@ -267,7 +253,7 @@ impl StreamService {
                         service.registry.unsubscribe(id);
                     }
                     WalRecord::Retire { at, id, .. } => {
-                        if !service.objects.contains_key(&id) {
+                        if !service.engine.registrations().contains_key(&id) {
                             return Err(StreamError::CorruptJournal(format!(
                                 "retire record for unknown object {id:?}"
                             )));
@@ -287,10 +273,9 @@ impl StreamService {
         // restored subscriber gets a gap marker (count 1 — a lower
         // bound, the true loss is unknowable) and a catch-up snapshot.
         let current = service.extractor.current();
+        let registrations = service.engine.registrations();
         for id in service.registry.ids() {
-            service
-                .registry
-                .reseed(id, 1, service.now, &current, &service.objects);
+            (service.registry).reseed(id, 1, service.now, &current, registrations);
         }
         service
             .obs
@@ -316,10 +301,14 @@ impl StreamService {
         )))
     }
 
-    /// The service at `start`, before anything is journaled: the
-    /// registration table and the engine built from the genesis sets,
-    /// the initial join run, no journal and no subscribers. Both
-    /// [`new`](Self::new) and [`recover`](Self::recover) start here.
+    /// The service at `start`, before anything is journaled: the engine
+    /// built from the genesis sets, the initial join run, no journal and
+    /// no subscribers. Both [`new`](Self::new) and
+    /// [`recover`](Self::recover) start here. Every later update is
+    /// routed by `ObjectId` alone, so an id that appears twice across
+    /// `set_a ∪ set_b` (say a window on side B sharing an id with a fleet
+    /// object on side A) — which the engine refuses to register — is
+    /// refused as a configuration error.
     fn from_genesis(
         config: StreamConfig,
         set_a: &[MovingObject],
@@ -327,8 +316,13 @@ impl StreamService {
         start: Time,
         build_engine: EngineFactory<'_>,
     ) -> StreamResult<Self> {
-        let objects = Self::genesis_table(set_a, set_b, start)?;
-        let mut engine = build_engine(&config.engine, set_a, set_b, start)?;
+        let mut engine =
+            build_engine(&config.engine, set_a, set_b, start).map_err(|e| match e {
+                TprError::DuplicateObject(id) => StreamError::InvalidConfig(format!(
+                    "object ids must be unique across both sets, but {id:?} appears twice"
+                )),
+                e => StreamError::Engine(e),
+            })?;
         engine.enable_delta_tracking();
         engine.run_initial_join(start)?;
         Ok(Self {
@@ -344,7 +338,6 @@ impl StreamService {
             config,
             engine,
             extractor: DeltaExtractor::new(),
-            objects,
             wal: None,
             now: start,
         })
@@ -355,37 +348,6 @@ impl StreamService {
     fn attach_wal(&mut self, wal: Wal) {
         wal.stats().register_in(&self.obs.registry, "stream.wal");
         self.wal = Some(wal);
-    }
-
-    /// The registration table of a fresh service: every genesis object,
-    /// registered at `start`. Every later update is routed by `ObjectId`
-    /// alone, so an id that appears twice across `set_a ∪ set_b` (say a
-    /// window on side B sharing an id with a fleet object on side A)
-    /// would be overwritten here and misrouted later — it is refused.
-    fn genesis_table(
-        set_a: &[MovingObject],
-        set_b: &[MovingObject],
-        start: Time,
-    ) -> StreamResult<IdMap<ObjectId, Registration>> {
-        let mut objects = IdMap::default();
-        objects.reserve(set_a.len() + set_b.len());
-        for (set, genesis) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
-            for o in genesis {
-                let registration = Registration {
-                    set,
-                    mbr: o.mbr,
-                    registered_at: start,
-                };
-                if let Some(first) = objects.insert(o.id, registration) {
-                    return Err(StreamError::InvalidConfig(format!(
-                        "object ids must be unique across both sets, but {:?} appears \
-                         twice (first on side {:?}, again on side {set:?})",
-                        o.id, first.set
-                    )));
-                }
-            }
-        }
-        Ok(objects)
     }
 
     /// Decodes one journal payload for replay, folding the wire layer's
@@ -438,7 +400,7 @@ impl StreamService {
     /// # Errors
     /// Before anything of the batch is journaled or applied:
     /// [`StreamError::Engine`] with [`TprError::ObjectNotFound`] when a
-    /// due update names an object the service does not hold (never
+    /// due update names an object the engine does not hold (never
     /// registered, or retired), and [`StreamError::InvalidUpdate`] when a
     /// due update is one recovery would refuse to replay — a NaN or
     /// infinite component, an unordered bound or a reference time past
@@ -455,7 +417,7 @@ impl StreamService {
             let applied = std::time::Instant::now();
             let mut updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
             self.record_ingest_observations(&queued, applied);
-            Self::fill_delete_keys(&self.objects, at, &mut updates)
+            Self::fill_delete_keys(self.engine.registrations(), at, &mut updates)
                 .map_err(TprError::ObjectNotFound)?;
             // The predicate recovery holds every journaled batch against
             // (`WalRecord::is_sound`): what fails it here would make the
@@ -501,18 +463,18 @@ impl StreamService {
     }
 
     /// Overwrites each update's delete keys — `set`, `old_mbr`,
-    /// `last_update` — with the registration it replaces, in batch order:
-    /// an object's second update in one batch replaces what its first one
-    /// registers at `at`. Fails with the first id the table does not
-    /// hold, before anything is written.
+    /// `last_update` — with the registration it replaces, in batch order,
+    /// for the journal: an object's second update in one batch replaces
+    /// what its first one registers at `at`. Fails with the first id the
+    /// engine does not hold, before anything is written.
     fn fill_delete_keys(
-        objects: &IdMap<ObjectId, Registration>,
+        registrations: &Registrations,
         at: Time,
         updates: &mut [ObjectUpdate],
     ) -> Result<(), ObjectId> {
         let mut in_batch: IdMap<ObjectId, Registration> = IdMap::default();
         for u in updates.iter_mut() {
-            let Some(&prev) = in_batch.get(&u.id).or_else(|| objects.get(&u.id)) else {
+            let Some(&prev) = in_batch.get(&u.id).or_else(|| registrations.get(&u.id)) else {
                 return Err(u.id);
             };
             u.set = prev.set;
@@ -528,10 +490,9 @@ impl StreamService {
         Ok(())
     }
 
-    /// One batch through the engine and the registration table: advance,
-    /// apply, gc, extract. The updates' delete keys are already filled.
-    /// Shared verbatim between live operation and WAL replay — the
-    /// property the recovery guarantee rests on.
+    /// One batch through the engine: advance, apply, gc, extract. Shared
+    /// verbatim between live operation and WAL replay — the property the
+    /// recovery guarantee rests on.
     fn apply_batch(
         &mut self,
         at: Time,
@@ -545,30 +506,16 @@ impl StreamService {
         // so WAL replay and live ingestion share one code path regardless
         // of engine shape.
         engine.apply_batch(updates, at)?;
-        for u in updates {
-            let registration = Registration {
-                set: u.set,
-                mbr: u.new_mbr,
-                registered_at: at,
-            };
-            self.objects.insert(u.id, registration);
-        }
         engine.gc(at);
         Ok(self.extractor.extract(engine, at))
     }
 
-    /// One retirement through the engine and the registration table,
-    /// deleting by the object's registration. Shared verbatim between
+    /// One retirement through the engine, which deletes by the object's
+    /// registration. Shared verbatim between
     /// [`retire_object`](Self::retire_object) and WAL replay — the same
     /// property `apply_batch` keeps.
     fn apply_retire(&mut self, id: ObjectId, at: Time) -> TprResult<()> {
-        let Some(r) = self.objects.get(&id) else {
-            return Err(TprError::ObjectNotFound(id));
-        };
-        self.engine
-            .remove_object(r.set, id, &r.mbr, r.registered_at, at)?;
-        self.objects.remove(&id);
-        Ok(())
+        self.engine.remove_object(id, at)
     }
 
     fn emit(
@@ -582,7 +529,7 @@ impl StreamService {
             .map(|delta| StampedDelta { at, delta })
             .collect();
         self.obs.deltas_emitted.add(stamped.len() as u64);
-        self.registry.deliver(&stamped, &self.objects);
+        self.registry.deliver(&stamped, self.engine.registrations());
         self.obs
             .subscriber_dropped
             .store(self.registry.total_dropped());
@@ -602,9 +549,9 @@ impl StreamService {
     /// Retires an object: removes it from the engine's indexes (its
     /// pairs surface as `PairRemoved` deltas on the next
     /// [`advance_to`](Self::advance_to)), journals the retirement, and
-    /// drops its registration — which keeps the table bounded by the
-    /// live population. Returns `false` for objects the service does not
-    /// hold.
+    /// the engine drops its registration — which keeps the table bounded
+    /// by the live population. Returns `false` for objects the engine does
+    /// not hold.
     ///
     /// Retirement is refused while the object has a queued-but-unapplied
     /// update: that update would then name an object the service no
@@ -616,7 +563,7 @@ impl StreamService {
     /// remove the object (e.g. an engine without routed single-object
     /// deletes); [`StreamError::Storage`] when journaling fails.
     pub fn retire_object(&mut self, id: ObjectId) -> StreamResult<bool> {
-        let Some(r) = self.objects.get(&id) else {
+        let Some(r) = self.engine.registrations().get(&id) else {
             return Ok(false);
         };
         if self.queue.has_pending(id) {
@@ -648,8 +595,7 @@ impl StreamService {
         self.journal(|| WalRecord::Subscribe { id, filter }.encode())?;
         self.registry.insert_with_id(id, filter);
         let current = self.extractor.current();
-        self.registry
-            .reseed(id, 0, self.now, &current, &self.objects);
+        (self.registry).reseed(id, 0, self.now, &current, self.engine.registrations());
         Ok(id)
     }
 
@@ -678,8 +624,7 @@ impl StreamService {
     /// reported pairs. Returns whether the subscriber exists.
     pub fn resync(&mut self, id: SubscriberId) -> bool {
         let current = self.extractor.current();
-        self.registry
-            .reseed(id, 0, self.now, &current, &self.objects)
+        (self.registry).reseed(id, 0, self.now, &current, self.engine.registrations())
     }
 
     /// The engine's reported pairs at instant `t` (valid for `t` at or

@@ -8,8 +8,8 @@
 //! unapplied intermediate update contributes nothing to the post-tick
 //! result set. [`ShedPolicy::DropStalePerObject`] exploits exactly that:
 //! it replaces a pending update outright. The delete keys are not the
-//! queue's concern — the service fills them from its registration table
-//! when the batch drains, so the replacement deletes what the engine
+//! queue's concern — the engine derives them from its registration table
+//! when the batch is applied, so the replacement deletes what the engine
 //! actually holds (see DESIGN.md §8 for the full soundness argument).
 
 /// What the service sheds when the ingest queue saturates.

@@ -26,12 +26,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cij_core::PairKey;
+use cij_core::{PairKey, Registration, Registrations};
 use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_tpr::{IdMap, ObjectId};
 
 use crate::event::{OutboxItem, ResultDelta, StampedDelta};
-use crate::service::Registration;
 
 /// Identifier of a registered subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,7 +71,7 @@ impl SubscriptionFilter {
 
     /// Whether an addition of `pair` at tick `at` passes this filter.
     /// `objects` resolves an object's currently registered trajectory.
-    fn admits(&self, pair: PairKey, at: Time, objects: &IdMap<ObjectId, Registration>) -> bool {
+    fn admits(&self, pair: PairKey, at: Time, objects: &Registrations) -> bool {
         match self {
             Self::All => true,
             Self::Object(id) => pair.0 == *id || pair.1 == *id,
@@ -218,7 +217,7 @@ impl MatchIndex {
         &self,
         pair: PairKey,
         at: Time,
-        objects: &IdMap<ObjectId, Registration>,
+        objects: &Registrations,
         out: &mut Vec<SubscriberId>,
     ) {
         out.clear();
@@ -371,11 +370,7 @@ impl SubscriptionRegistry {
     /// delta by delta: an addition to the subscribers the match index
     /// finds admitting it and not yet holding the pair, a removal to the
     /// pair's holders.
-    pub(crate) fn deliver(
-        &mut self,
-        deltas: &[StampedDelta],
-        objects: &IdMap<ObjectId, Registration>,
-    ) {
+    pub(crate) fn deliver(&mut self, deltas: &[StampedDelta], objects: &Registrations) {
         let Self {
             subscribers,
             index,
@@ -453,7 +448,7 @@ impl SubscriptionRegistry {
         lost: u64,
         at: Time,
         current: &[(PairKey, cij_geom::TimeInterval)],
-        objects: &IdMap<ObjectId, Registration>,
+        objects: &Registrations,
     ) -> bool {
         let capacity = self.outbox_capacity;
         let Some(state) = self.subscribers.get_mut(&id) else {
@@ -537,7 +532,7 @@ mod tests {
         }
     }
 
-    fn tracks(entries: &[(u64, f64, f64)]) -> IdMap<ObjectId, Registration> {
+    fn tracks(entries: &[(u64, f64, f64)]) -> Registrations {
         entries
             .iter()
             .map(|&(id, x, y)| {
@@ -686,7 +681,7 @@ mod tests {
             self.subscribers.remove(&id).is_some()
         }
 
-        fn deliver(&mut self, deltas: &[StampedDelta], tracks: &IdMap<ObjectId, Registration>) {
+        fn deliver(&mut self, deltas: &[StampedDelta], tracks: &Registrations) {
             for state in self.subscribers.values_mut() {
                 for item in deltas {
                     let wanted = match item.delta {
@@ -740,7 +735,7 @@ mod tests {
             lost: u64,
             at: Time,
             current: &[(PairKey, TimeInterval)],
-            tracks: &IdMap<ObjectId, Registration>,
+            tracks: &Registrations,
         ) -> bool {
             let Some(state) = self.subscribers.get_mut(&id) else {
                 return false;
@@ -830,7 +825,7 @@ mod tests {
             let capacity = 2 + (seed % 5) as usize;
             let mut reg = SubscriptionRegistry::new(capacity);
             let mut scan = ScanRegistry::new(capacity);
-            let mut tracks: IdMap<ObjectId, Registration> = IdMap::default();
+            let mut tracks = Registrations::default();
             for id in (0..20u64).chain(100..120) {
                 tracks.insert(ObjectId(id), registered(trajectory(&mut rng, 0.0)));
             }
@@ -941,7 +936,7 @@ mod tests {
             [3.0 + 1e-12, 0.0],
             [5.0, 9.0],
         )));
-        let mut t: IdMap<ObjectId, Registration> = IdMap::default();
+        let mut t = Registrations::default();
         // Object 1 stands at [2, 3]; object 2 started at [0, 1] and
         // reaches [2, 3] at t = 4.
         let standing = MovingRect::stationary(Rect::new([2.0, 2.0], [3.0, 3.0]), 0.0);

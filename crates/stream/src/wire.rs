@@ -534,8 +534,8 @@ wire_enum! {
             /// The removed id.
             id: SubscriberId,
         },
-        /// An object retirement: the object leaves the engine and the
-        /// service's registration table. Replay deletes by the table's
+        /// An object retirement: the object leaves the engine and its
+        /// registration table. Replay deletes by the engine's
         /// registration; `set` repeats what the table held.
         0x05 => Retire {
             /// The service clock at retirement.

@@ -12,6 +12,9 @@ pub enum TprError {
     /// A delete targeted an object the tree does not contain (or whose
     /// registered rectangle no longer matches any leaf region searched).
     ObjectNotFound(ObjectId),
+    /// An insert named an object that is already registered: ids are
+    /// unique across both object sets.
+    DuplicateObject(ObjectId),
     /// A page decoded into something that is not a valid node.
     CorruptNode {
         /// Human-readable description of the inconsistency.
@@ -31,6 +34,7 @@ impl std::fmt::Display for TprError {
         match self {
             Self::Storage(e) => write!(f, "storage error: {e}"),
             Self::ObjectNotFound(oid) => write!(f, "object {oid:?} not found in tree"),
+            Self::DuplicateObject(oid) => write!(f, "object {oid:?} is already registered"),
             Self::CorruptNode { detail } => write!(f, "corrupt node: {detail}"),
             Self::Unsupported { what } => write!(f, "unsupported operation: {what}"),
         }

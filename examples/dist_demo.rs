@@ -1,7 +1,7 @@
 //! Tour of the `cij-dist` coordinator/worker deployment: two loopback
 //! workers holding soft state, one partition of the velocity bands each,
-//! each killed mid-stream in turn and re-seeded from the coordinator's
-//! router records — with the delta stream asserted bit-identical to the
+//! each killed mid-stream in turn and re-seeded from the coordinator
+//! engine's registration table — with the delta stream asserted bit-identical to the
 //! in-process shard coordinator at every tick.
 //!
 //! Run with `cargo run --release --example dist_demo`.
@@ -123,7 +123,7 @@ fn main() -> TprResult<()> {
         }
         println!(
             "{:<9}re-seeded: {deltas} deltas, still bit-identical \
-             (worker {victim} restarts={}, rebuilt from the router's records)",
+             (worker {victim} restarts={}, rebuilt from the engine's registrations)",
             format!("t={first}..{}", ticks.end()),
             hosts[victim].restarts()
         );

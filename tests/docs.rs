@@ -1,0 +1,177 @@
+//! The docs point at files that exist.
+//!
+//! * Every backticked path in README.md and DESIGN.md names a file or
+//!   directory of the repository. A path is a token that starts with a
+//!   top-level directory (`crates/`, `tests/`, …); brace alternatives
+//!   (`crates/{shard,dist}/tests/differential.rs`) and `*` globs in the
+//!   last component are expanded, and a `:N` suffix is dropped.
+//! * Every `path:N` reference in README.md, DESIGN.md and ROADMAP.md
+//!   whose path starts at the repository root (a top-level directory or
+//!   file) names a line inside that file.
+
+use std::fs;
+use std::path::PathBuf;
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The top-level directories and files of the repository, build output
+/// and hidden entries left out.
+fn top_level() -> (Vec<String>, Vec<String>) {
+    let (mut dirs, mut files) = (Vec::new(), Vec::new());
+    for entry in fs::read_dir(root()).expect("repository root") {
+        let entry = entry.expect("directory entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with('.') || name == "target" {
+            continue;
+        }
+        if entry.path().is_dir() {
+            dirs.push(name);
+        } else {
+            files.push(name);
+        }
+    }
+    (dirs, files)
+}
+
+fn read(doc: &str) -> String {
+    fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"))
+}
+
+/// `a{b,c}d{e,f}` → `abde`, `abdf`, `acde`, `acdf`.
+fn expand_braces(token: &str) -> Vec<String> {
+    let (Some(open), Some(close)) = (token.find('{'), token.find('}')) else {
+        return vec![token.to_string()];
+    };
+    let (head, tail) = (&token[..open], &token[close + 1..]);
+    (token[open + 1..close].split(','))
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+/// Whether `name` matches `pattern`, in which `*` stands for any run.
+fn glob_match(pattern: &str, name: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == name,
+        Some((head, tail)) => name.strip_prefix(head).is_some_and(|rest| {
+            (0..=rest.len()).any(|i| rest.is_char_boundary(i) && glob_match(tail, &rest[i..]))
+        }),
+    }
+}
+
+/// Whether `path` (relative to the root, `*` allowed in its last
+/// component) names something that exists.
+fn exists(path: &str) -> bool {
+    let path = path.trim_end_matches('/');
+    if !path.contains('*') {
+        return root().join(path).exists();
+    }
+    let (dir, pattern) = path.rsplit_once('/').unwrap_or(("", path));
+    fs::read_dir(root().join(dir)).is_ok_and(|entries| {
+        entries
+            .filter_map(Result::ok)
+            .any(|e| glob_match(pattern, &e.file_name().to_string_lossy()))
+    })
+}
+
+#[test]
+fn backticked_paths_exist() {
+    let (dirs, _) = top_level();
+    let mut missing = Vec::new();
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = read(doc);
+        for (n, line) in text.lines().enumerate() {
+            for token in line.split('`').skip(1).step_by(2) {
+                let path = token.split(':').next().unwrap_or(token);
+                if !dirs.iter().any(|d| path.starts_with(&format!("{d}/"))) {
+                    continue;
+                }
+                for candidate in expand_braces(path) {
+                    if !exists(&candidate) {
+                        missing.push(format!("{doc}:{}: `{token}`", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// The `path:N` tokens of `text`: `N` parsed, the path as written.
+fn line_refs(text: &str) -> Vec<(String, usize)> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let mut refs = Vec::new();
+    for (at, _) in text.match_indices(':') {
+        let path_start = text[..at]
+            .char_indices()
+            .rev()
+            .take_while(|&(_, c)| is_path(c))
+            .last()
+            .map_or(at, |(i, _)| i);
+        let path = &text[path_start..at];
+        let digits: String = text[at + 1..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        if path.contains('.') && !digits.is_empty() {
+            refs.push((path.to_string(), digits.parse().expect("digits")));
+        }
+    }
+    refs
+}
+
+#[test]
+fn line_references_point_inside_their_file() {
+    let (dirs, files) = top_level();
+    let from_root = |path: &str| {
+        files.iter().any(|f| f == path) || dirs.iter().any(|d| path.starts_with(&format!("{d}/")))
+    };
+    let mut broken = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "ROADMAP.md"] {
+        for (path, line) in line_refs(&read(doc)) {
+            if !from_root(&path) {
+                continue;
+            }
+            let lines = fs::read_to_string(root().join(&path))
+                .map(|text| text.lines().count())
+                .unwrap_or(0);
+            if line == 0 || line > lines {
+                broken.push(format!("{doc}: {path}:{line} ({lines} lines)"));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "references past their file:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn the_scanners_see_what_they_scan() {
+    assert_eq!(
+        expand_braces("crates/{shard,dist}/tests/{a,b}.rs"),
+        [
+            "crates/shard/tests/a.rs",
+            "crates/shard/tests/b.rs",
+            "crates/dist/tests/a.rs",
+            "crates/dist/tests/b.rs"
+        ]
+    );
+    assert!(glob_match("*_fuzz.rs", "wire_fuzz.rs"));
+    assert!(!glob_match("*_fuzz.rs", "wire_fuzz.rs.orig"));
+    assert!(exists("crates/stream/tests/*_fuzz.rs"));
+    assert!(!exists("crates/stream/tests/*_nowhere.rs"));
+    assert_eq!(
+        line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
+        [
+            ("DESIGN.md".to_string(), 458),
+            ("crates/core/src/engine.rs".to_string(), 12)
+        ]
+    );
+}
