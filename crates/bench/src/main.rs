@@ -9,9 +9,10 @@
 //!
 //! Subcommands: `table1`, `validate`, `fig7` … `fig22`, `all`.
 //! (`fig16`–`fig22` are this repo's own extension experiments; `fig22`
-//! is the parallel initial-join scaling driver; there is no `fig18` or
-//! `fig19` — the PBSM partition join and the Bˣ-tree substrate they
-//! measured were removed, DESIGN.md §5.)
+//! is the parallel initial-join scaling driver; there is no `fig17`,
+//! `fig18` or `fig19` — the TPR-tree heuristic switches, the PBSM
+//! partition join and the Bˣ-tree substrate they measured were removed,
+//! DESIGN.md §5.)
 //!
 //! `--scale small` (default) runs the sweep at one tenth of the paper's
 //! dataset sizes so the whole suite finishes in minutes; `--scale paper`
@@ -77,7 +78,6 @@ fn main() {
         "fig14" => fig14(scale),
         "fig15" => fig15(scale),
         "fig16" => fig16(scale),
-        "fig17" => fig17(scale),
         "fig20" => fig20(scale),
         "fig21" => fig21(scale),
         "fig22" => fig22(scale),
@@ -93,7 +93,6 @@ fn main() {
             fig14,
             fig15,
             fig16,
-            fig17,
             fig20,
             fig21,
             fig22,
@@ -601,67 +600,6 @@ fn fig16(scale: Scale) -> TprResult<()> {
             vec![fmt_duration(build), io.to_string(), fmt_duration(time)],
         ));
         let _ = std::fs::remove_file(&path);
-    }
-    t.print();
-    Ok(())
-}
-
-/// Fig. 17 (ours) — TPR-tree heuristic ablation: integral-over-horizon
-/// metrics (the TPR/TPR* innovation) and R* forced reinserts, toggled
-/// independently. Quality metric: cost of the default TC initial join
-/// plus per-update maintenance on the resulting trees.
-fn fig17(scale: Scale) -> TprResult<()> {
-    use cij_tpr::{TprTree, TreeConfig};
-
-    let params = default_params(scale);
-    let t_m = params.maximum_update_interval;
-    let mut t = Table::new(
-        format!(
-            "Fig. 17 — TPR-tree heuristic ablation ({} objects)",
-            Scale::size_label(params.dataset_size)
-        ),
-        "tree heuristics",
-        &["join I/O @t=0", "join I/O @t=T_M/2", "join time @t=T_M/2"],
-    );
-    let combos: [(&str, bool, bool); 4] = [
-        ("integral + reinsert (TPR*)", true, true),
-        ("integral, no reinsert", true, false),
-        ("instantaneous + reinsert (R*)", false, true),
-        ("instantaneous, no reinsert", false, false),
-    ];
-    for (name, integral, reinsert) in combos {
-        let pool = fresh_pool();
-        let config = TreeConfig {
-            capacity: params.node_capacity,
-            horizon: t_m,
-            integral_metrics: integral,
-            forced_reinsert: reinsert,
-            ..TreeConfig::default()
-        };
-        let (a, b) = generate_pair(&params, 0.0);
-        let mut ta = TprTree::new(pool.clone(), config);
-        for o in &a {
-            ta.insert(o.id, o.mbr, 0.0)?;
-        }
-        let mut tb = TprTree::new(pool.clone(), config);
-        for o in &b {
-            tb.insert(o.id, o.mbr, 0.0)?;
-        }
-        // Join at build time and again halfway through the horizon —
-        // motion-blind trees age badly, which is the point of the
-        // integral metrics.
-        let (_, io_now, _) = measure(&pool, || improved_join(&ta, &tb, 0.0, t_m, techniques::ALL))?;
-        let ((_, _), io_later, time_later) = measure(&pool, || {
-            improved_join(&ta, &tb, t_m / 2.0, 3.0 * t_m / 2.0, techniques::ALL)
-        })?;
-        t.push(Row::new(
-            name,
-            vec![
-                io_now.to_string(),
-                io_later.to_string(),
-                fmt_duration(time_later),
-            ],
-        ));
     }
     t.print();
     Ok(())

@@ -80,7 +80,6 @@ pub fn tree_config(params: &Params) -> TreeConfig {
     TreeConfig {
         capacity: params.node_capacity,
         horizon: params.maximum_update_interval,
-        ..TreeConfig::default()
     }
 }
 

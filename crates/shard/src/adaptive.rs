@@ -20,8 +20,12 @@
 //!   sketch contents are independent of the fan-out thread count.
 //! * **Decide** — once per applied batch the coordinator asks
 //!   [`decide`](AdaptiveController::decide). A re-partition is proposed
-//!   when the population imbalance (max/mean over combined per-shard
-//!   populations) exceeds the threshold. The proposal is a
+//!   when the sketch holds at least `MIN_WEIGHT` observations, the
+//!   last re-partition is at least `COOLDOWN` time units old, and the
+//!   population imbalance (max/mean over combined per-shard
+//!   populations) exceeds `IMBALANCE_THRESHOLD`. These are constants,
+//!   not settings; [`AdaptiveConfig`] holds only the sketch's speed
+//!   range. The proposal is a
 //!   [`VelocityBandPolicy`] built from the edges that minimize the
 //!   sketch's churn-aware cost ([`QuantileSketch::partition`]): a
 //!   quadratic balance term plus `CHURN_PENALTY` times the mass living
@@ -60,34 +64,30 @@ use crate::policy::{worst_corner_speed, PartitionPolicy, VelocityBandPolicy};
 const CHURN_PENALTY: f64 = 24.0;
 /// Sketch resolution (buckets over `[0, max_speed]`).
 const SKETCH_BUCKETS: usize = 256;
+/// Re-partition when `max(pop) / mean(pop)` exceeds this (combined A+B
+/// population per shard).
+const IMBALANCE_THRESHOLD: f64 = 2.0;
+/// Minimum time between re-partitions, in simulation time units.
+const COOLDOWN: Time = 10.0;
+/// Observations the sketch must hold before any decision fires.
+const MIN_WEIGHT: u64 = 64;
 
-/// Tuning for the adaptive controller. Build with
-/// [`AdaptiveConfig::velocity`] and override fields as needed.
+/// The adaptive controller's one setting: the speed range its sketch
+/// covers. Its tuning — re-partition above a max/mean population ratio
+/// of 2, at most once per 10 time units, once the sketch holds 64
+/// observations — is fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
     /// The workload's top speed (sketch range upper bound; faster
     /// observations clamp).
     pub max_speed: f64,
-    /// Re-partition when `max(pop) / mean(pop)` exceeds this (combined
-    /// A+B population per shard). Must be ≥ 1.
-    pub imbalance_threshold: f64,
-    /// Minimum time between re-partitions, in simulation time units.
-    pub cooldown: Time,
-    /// Observations the sketch must hold before any decision fires.
-    pub min_weight: u64,
 }
 
 impl AdaptiveConfig {
-    /// Defaults: threshold 2, cooldown 10 time units, sketch warm after
-    /// 64 observations.
+    /// A controller over speeds in `[0, max_speed]`.
     #[must_use]
     pub fn velocity(max_speed: f64) -> Self {
-        Self {
-            max_speed,
-            imbalance_threshold: 2.0,
-            cooldown: 10.0,
-            min_weight: 64,
-        }
+        Self { max_speed }
     }
 }
 
@@ -109,14 +109,9 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// A fresh controller. Panics if the config is inconsistent
-    /// (threshold < 1 or a non-positive `max_speed`).
+    /// A fresh controller. Panics on a non-positive `max_speed`.
     #[must_use]
     pub fn new(cfg: AdaptiveConfig) -> Self {
-        assert!(
-            cfg.imbalance_threshold >= 1.0,
-            "threshold below 1 always fires"
-        );
         assert!(cfg.max_speed > 0.0, "max_speed must be positive");
         Self {
             sketch: QuantileSketch::new(0.0, cfg.max_speed, SKETCH_BUCKETS),
@@ -140,17 +135,17 @@ impl AdaptiveController {
     pub fn decide(&mut self, now: Time, populations: &[usize]) -> Option<Arc<dyn PartitionPolicy>> {
         let k = populations.len();
         let total: usize = populations.iter().sum();
-        if k == 0 || total == 0 || self.sketch.weight() < self.cfg.min_weight {
+        if k == 0 || total == 0 || self.sketch.weight() < MIN_WEIGHT {
             return None;
         }
         if let Some(t) = self.last_action {
-            if now - t < self.cfg.cooldown {
+            if now - t < COOLDOWN {
                 return None;
             }
         }
         let max = *populations.iter().max().expect("k > 0") as f64;
         let mean = total as f64 / k as f64;
-        if max / mean <= self.cfg.imbalance_threshold {
+        if max / mean <= IMBALANCE_THRESHOLD {
             return None;
         }
 

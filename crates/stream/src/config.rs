@@ -1,5 +1,10 @@
 //! Service configuration: the stream/batch knobs with documented
 //! defaults and a round-trippable builder.
+//!
+//! Saturation has one behaviour and no knobs of its own: the queue
+//! closes at 3/4 of [`batch_capacity`](StreamConfig::batch_capacity),
+//! re-opens at 1/2 of it, and while closed a submission replaces its
+//! object's pending update (see [`ShedPolicy`]).
 
 use std::path::PathBuf;
 
@@ -18,16 +23,14 @@ pub struct StreamConfig {
     /// Join-engine configuration (default [`EngineConfig::default`]).
     pub engine: EngineConfig,
     /// Hard bound on queued-but-unapplied updates across all pending
-    /// ticks (default 4096). Submissions beyond it are refused with
+    /// ticks (default 4096). The queue stops accepting at its high
+    /// watermark, 3/4 of this, and resumes once a drain brings it down
+    /// to its low watermark, 1/2 of it — the hysteresis that keeps a
+    /// saturated producer from flapping.
+    /// While closed, a submission for an object with a pending update
+    /// replaces that update; any other is refused with
     /// [`QueueFull`](crate::IngestOutcome::QueueFull).
     pub batch_capacity: usize,
-    /// Once the queue reaches this many pending updates the service
-    /// stops accepting (default 3/4 of `batch_capacity`).
-    pub high_watermark: usize,
-    /// Acceptance resumes when a drain brings the queue back to at most
-    /// this many pending updates (default 1/2 of `batch_capacity`) —
-    /// the hysteresis that keeps a saturated producer from flapping.
-    pub low_watermark: usize,
     /// Bound on each subscriber's outbox (default 1024). Overflow drops
     /// the oldest deliveries and surfaces a
     /// [`Gap`](crate::OutboxItem::Gap) marker.
@@ -36,9 +39,6 @@ pub struct StreamConfig {
     /// durability; `Some(path)` journals every ingested batch before it
     /// is applied, enabling [`recover`](crate::StreamService::recover).
     pub wal_path: Option<PathBuf>,
-    /// What saturation does beyond flipping the accepting flag
-    /// (default [`ShedPolicy::None`]: plain backpressure).
-    pub shed_policy: ShedPolicy,
 }
 
 impl Default for StreamConfig {
@@ -46,11 +46,8 @@ impl Default for StreamConfig {
         Self {
             engine: EngineConfig::default(),
             batch_capacity: 4096,
-            high_watermark: 3072,
-            low_watermark: 2048,
             outbox_capacity: 1024,
             wal_path: None,
-            shed_policy: ShedPolicy::None,
         }
     }
 }
@@ -70,14 +67,22 @@ impl StreamConfig {
         StreamConfigBuilder { config: self }
     }
 
-    /// Checks the invariant `low ≤ high ≤ capacity` (and nonzero
-    /// capacities) that the backpressure hysteresis relies on.
+    /// Checks that both capacities are nonzero.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        self.batch_capacity > 0
-            && self.outbox_capacity > 0
-            && self.low_watermark <= self.high_watermark
-            && self.high_watermark <= self.batch_capacity
+        self.batch_capacity > 0 && self.outbox_capacity > 0
+    }
+
+    /// Pending updates at which the queue stops accepting: 3/4 of
+    /// [`batch_capacity`](Self::batch_capacity).
+    pub(crate) fn high_watermark(&self) -> usize {
+        self.batch_capacity * 3 / 4
+    }
+
+    /// Pending updates at or below which a drain re-opens the queue: 1/2
+    /// of [`batch_capacity`](Self::batch_capacity).
+    pub(crate) fn low_watermark(&self) -> usize {
+        self.batch_capacity / 2
     }
 }
 
@@ -95,28 +100,11 @@ impl StreamConfigBuilder {
         self
     }
 
-    /// Queue capacity in pending updates (default 4096). Also rescales
-    /// the watermarks to their default fractions (3/4 and 1/2 of the
-    /// capacity); set them *after* this to override.
+    /// Queue capacity in pending updates (default 4096); the watermarks
+    /// follow it.
     #[must_use]
     pub fn batch_capacity(mut self, capacity: usize) -> Self {
         self.config.batch_capacity = capacity;
-        self.config.high_watermark = capacity * 3 / 4;
-        self.config.low_watermark = capacity / 2;
-        self
-    }
-
-    /// Stop-accepting threshold (default 3/4 of the capacity).
-    #[must_use]
-    pub fn high_watermark(mut self, pending: usize) -> Self {
-        self.config.high_watermark = pending;
-        self
-    }
-
-    /// Resume-accepting threshold (default 1/2 of the capacity).
-    #[must_use]
-    pub fn low_watermark(mut self, pending: usize) -> Self {
-        self.config.low_watermark = pending;
         self
     }
 
@@ -134,24 +122,24 @@ impl StreamConfigBuilder {
         self
     }
 
-    /// Saturation shedding policy (default [`ShedPolicy::None`]).
+    /// Does nothing: saturation always replaces an object's pending
+    /// update, and [`ShedPolicy`] has no other value. Kept only until
+    /// the benchmark stops naming it.
     #[must_use]
-    pub fn shed_policy(mut self, policy: ShedPolicy) -> Self {
-        self.config.shed_policy = policy;
+    pub fn shed_policy(self, _policy: ShedPolicy) -> Self {
         self
     }
 
     /// Finishes the configuration.
     ///
     /// # Panics
-    /// Panics when the watermark invariant `low ≤ high ≤ capacity` is
-    /// violated or a capacity is zero — misconfigured backpressure is a
+    /// Panics when a capacity is zero — misconfigured backpressure is a
     /// programming error, not a runtime condition.
     #[must_use]
     pub fn build(self) -> StreamConfig {
         assert!(
             self.config.is_valid(),
-            "invalid stream config: need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {:?}",
+            "invalid stream config: need nonzero queue and outbox capacities, got {:?}",
             self.config
         );
         self.config
@@ -173,37 +161,29 @@ mod tests {
         let config = StreamConfig::builder()
             .engine(cij_core::EngineConfig::builder().threads(4).build())
             .batch_capacity(100)
-            .high_watermark(80)
-            .low_watermark(20)
             .outbox_capacity(7)
             .wal_path("/tmp/cij.wal")
-            .shed_policy(ShedPolicy::DropStalePerObject)
             .build();
         assert_eq!(config.engine.threads, 4);
         assert_eq!(config.batch_capacity, 100);
-        assert_eq!(config.high_watermark, 80);
-        assert_eq!(config.low_watermark, 20);
         assert_eq!(config.outbox_capacity, 7);
         assert_eq!(config.wal_path.as_deref(), Some("/tmp/cij.wal".as_ref()));
-        assert_eq!(config.shed_policy, ShedPolicy::DropStalePerObject);
         assert_eq!(config.clone().to_builder().build(), config);
     }
 
     #[test]
-    fn capacity_rescales_watermarks() {
+    fn watermarks_follow_capacity() {
         let config = StreamConfig::builder().batch_capacity(1000).build();
-        assert_eq!(config.high_watermark, 750);
-        assert_eq!(config.low_watermark, 500);
+        assert_eq!(config.high_watermark(), 750);
+        assert_eq!(config.low_watermark(), 500);
+        let default = StreamConfig::default();
+        assert_eq!(default.high_watermark(), 3072);
+        assert_eq!(default.low_watermark(), 2048);
     }
 
     #[test]
     #[should_panic(expected = "invalid stream config")]
-    fn inverted_watermarks_panic() {
-        let _ = StreamConfig::builder()
-            .high_watermark(10)
-            .low_watermark(20)
-            .batch_capacity(100)
-            .high_watermark(200)
-            .build();
+    fn zero_capacity_panics() {
+        let _ = StreamConfig::builder().batch_capacity(0).build();
     }
 }

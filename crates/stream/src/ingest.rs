@@ -10,12 +10,16 @@
 //! saturated service refuses work in long stretches instead of
 //! flapping per event.
 //!
-//! A submission always enqueues at its own tick. At saturation,
-//! [`ShedPolicy::DropStalePerObject`] replaces an object's stale pending
-//! update instead of refusing the fresh one — see the policy docs for
-//! the `T_M` soundness argument. Every queued update carries its
-//! wall-clock enqueue instant, so the service can report per-update
-//! ingest latency.
+//! A submission always enqueues at its own tick. While the queue is
+//! closed, a submission for an object with a pending update replaces
+//! that update instead of being refused — see
+//! [`ShedPolicy`](crate::ShedPolicy) for the `T_M` soundness argument.
+//! Every queued update carries its wall-clock enqueue instant, so the
+//! service can report per-update ingest latency.
+//!
+//! The service drains one due batch at a time
+//! ([`IngestQueue::pop_due`]): a batch it refuses is lost on its own,
+//! and the batches after it stay queued.
 //!
 //! The queue holds updates, not objects: its only per-object state is
 //! the tick of each object's latest pending update. An update's delete
@@ -30,8 +34,6 @@ use std::time::Instant;
 use cij_geom::Time;
 use cij_tpr::ObjectId;
 use cij_workload::ObjectUpdate;
-
-use crate::shed::ShedPolicy;
 
 /// Result of offering one update to the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +71,7 @@ impl Ord for TickKey {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedUpdate {
     /// The update to apply (possibly the replacement of a superseded
-    /// one under [`ShedPolicy::DropStalePerObject`]).
+    /// one).
     pub(crate) update: ObjectUpdate,
     /// Wall-clock instant of acceptance, for ingest-latency histograms.
     pub(crate) enqueued: Instant,
@@ -85,9 +87,8 @@ pub(crate) struct IngestQueue {
     low_watermark: usize,
     accepting: bool,
     drained_through: Time,
-    policy: ShedPolicy,
     /// Tick of the latest pending update per object — the supersede
-    /// index [`ShedPolicy::DropStalePerObject`] resolves against.
+    /// index a closed queue resolves against.
     latest_pending: HashMap<ObjectId, TickKey>,
     shed_dropped_stale: u64,
 }
@@ -95,15 +96,14 @@ pub(crate) struct IngestQueue {
 impl IngestQueue {
     /// Creates a queue whose stale frontier is `now`. Invariants
     /// (`low ≤ high ≤ capacity`, nonzero capacity) are the caller's
-    /// responsibility —
-    /// [`StreamConfig::builder`](crate::StreamConfig::builder) enforces
-    /// them.
+    /// responsibility — the service derives both watermarks from a
+    /// nonzero [`batch_capacity`](crate::StreamConfig::batch_capacity),
+    /// which keeps them.
     pub(crate) fn new(
         capacity: usize,
         high_watermark: usize,
         low_watermark: usize,
         now: Time,
-        policy: ShedPolicy,
     ) -> Self {
         Self {
             batches: BTreeMap::new(),
@@ -113,7 +113,6 @@ impl IngestQueue {
             low_watermark,
             accepting: true,
             drained_through: now,
-            policy,
             latest_pending: HashMap::new(),
             shed_dropped_stale: 0,
         }
@@ -130,7 +129,7 @@ impl IngestQueue {
             return IngestOutcome::Stale;
         }
         if !self.accepting || self.pending >= self.capacity {
-            if self.policy == ShedPolicy::DropStalePerObject && self.try_supersede(update, at) {
+            if self.try_supersede(update, at) {
                 return IngestOutcome::Accepted;
             }
             return IngestOutcome::QueueFull;
@@ -140,7 +139,7 @@ impl IngestQueue {
     }
 
     /// Replaces the object's latest pending update with `update` at tick
-    /// `tick` — the `DropStalePerObject` shed path. The pending update
+    /// `tick` — the shed path of a closed queue. The pending update
     /// was never applied, so dropping it leaves nothing behind in the
     /// engine; the replacement's delete keys are the engine's, like any
     /// other update's. Pending count is unchanged (one out, one
@@ -190,31 +189,34 @@ impl IngestQueue {
         }
     }
 
-    /// Removes and returns every batch with tick ≤ `t`, in tick order.
-    /// Later submissions for the drained ticks are refused as
-    /// [`Stale`](IngestOutcome::Stale).
-    pub(crate) fn drain_through(&mut self, t: Time) -> Vec<(Time, Vec<QueuedUpdate>)> {
-        let mut out = Vec::new();
-        while let Some(entry) = self.batches.first_entry() {
-            if entry.key().0 > t {
-                break;
+    /// Removes and returns the earliest batch with tick ≤ `t`, or `None`
+    /// when no batch is due. Later submissions for its tick or earlier
+    /// are refused as [`Stale`](IngestOutcome::Stale); the batches after
+    /// it stay queued.
+    pub(crate) fn pop_due(&mut self, t: Time) -> Option<(Time, Vec<QueuedUpdate>)> {
+        let entry = self.batches.first_entry().filter(|e| e.key().0 <= t)?;
+        let (key, updates) = entry.remove_entry();
+        self.pending -= updates.len();
+        for q in &updates {
+            if self.latest_pending.get(&q.update.id) == Some(&key) {
+                self.latest_pending.remove(&q.update.id);
             }
-            let (key, updates) = entry.remove_entry();
-            self.pending -= updates.len();
-            for q in &updates {
-                if self.latest_pending.get(&q.update.id) == Some(&key) {
-                    self.latest_pending.remove(&q.update.id);
-                }
-            }
-            out.push((key.0, updates));
         }
+        self.close_through(key.0);
+        Some((key.0, updates))
+    }
+
+    /// Refuses later submissions for ticks ≤ `t` as
+    /// [`Stale`](IngestOutcome::Stale), and re-opens the queue once it
+    /// is down to its low watermark. Batches due by `t` are the caller's
+    /// to [`pop_due`](Self::pop_due) first.
+    pub(crate) fn close_through(&mut self, t: Time) {
         if t > self.drained_through {
             self.drained_through = t;
         }
         if !self.accepting && self.pending <= self.low_watermark {
             self.accepting = true;
         }
-        out
     }
 
     /// Pending (queued, unapplied) updates across all ticks.
@@ -227,8 +229,8 @@ impl IngestQueue {
         self.accepting
     }
 
-    /// Pending updates superseded-and-dropped by
-    /// [`ShedPolicy::DropStalePerObject`] (cumulative).
+    /// Pending updates superseded-and-dropped by a closed queue
+    /// (cumulative).
     pub(crate) fn shed_dropped_stale(&self) -> u64 {
         self.shed_dropped_stale
     }
@@ -268,7 +270,7 @@ mod tests {
 
     #[test]
     fn coalesces_per_tick_in_order() {
-        let mut q = IngestQueue::new(100, 80, 40, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(100, 80, 40, 0.0);
         assert_eq!(q.submit(update(1), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(3), 2.0), IngestOutcome::Accepted);
@@ -286,7 +288,7 @@ mod tests {
 
     #[test]
     fn drain_only_takes_due_ticks() {
-        let mut q = IngestQueue::new(100, 80, 40, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(100, 80, 40, 0.0);
         q.submit(update(1), 1.0);
         q.submit(update(2), 5.0);
         let drained = q.drain_through(3.0);
@@ -297,7 +299,7 @@ mod tests {
 
     #[test]
     fn watermark_hysteresis() {
-        let mut q = IngestQueue::new(10, 4, 2, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(10, 4, 2, 0.0);
         for i in 0..4 {
             assert_eq!(q.submit(update(i), 1.0), IngestOutcome::Accepted);
         }
@@ -320,7 +322,7 @@ mod tests {
 
     #[test]
     fn hard_capacity_refuses_even_when_accepting() {
-        let mut q = IngestQueue::new(3, 3, 0, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(3, 3, 0, 0.0);
         for i in 0..3 {
             assert_eq!(q.submit(update(i), 1.0), IngestOutcome::Accepted);
         }
@@ -329,7 +331,7 @@ mod tests {
 
     #[test]
     fn stale_ticks_are_refused() {
-        let mut q = IngestQueue::new(10, 8, 4, 5.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(10, 8, 4, 5.0);
         assert_eq!(q.submit(update(1), 5.0), IngestOutcome::Stale);
         assert_eq!(q.submit(update(1), 4.0), IngestOutcome::Stale);
         assert_eq!(q.submit(update(1), 6.0), IngestOutcome::Accepted);
@@ -350,7 +352,7 @@ mod tests {
         // low == high == 4: the queue closes at 4 pending and re-opens
         // on the very next drain call even if nothing was removed
         // (pending 4 ≤ low 4). Degenerate hysteresis is defined, not UB.
-        let mut q = IngestQueue::new(10, 4, 4, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(10, 4, 4, 0.0);
         for i in 0..4 {
             assert_eq!(q.submit(update(i), 2.0), IngestOutcome::Accepted);
         }
@@ -373,7 +375,7 @@ mod tests {
         // submission was just refused cannot blindly resubmit for the
         // same tick after the queue reopens — staleness wins over
         // acceptance.
-        let mut q = IngestQueue::new(10, 3, 1, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(10, 3, 1, 0.0);
         for i in 0..3 {
             assert_eq!(q.submit(update(i), 3.0), IngestOutcome::Accepted);
         }
@@ -394,7 +396,7 @@ mod tests {
         // queue and every drain re-opens it: maximal flapping. Pin the
         // exact flip sequence (the service-level test pins the cij-obs
         // flip counters for the same pattern).
-        let mut q = IngestQueue::new(4, 1, 1, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(4, 1, 1, 0.0);
         let mut flips = 0u32;
         let mut was = q.is_accepting();
         for tick in 1..=6 {
@@ -421,7 +423,7 @@ mod tests {
         // reopens the queue — even one that removed nothing — and the
         // next accepted submission closes it again. The flap rate
         // degrades to the submit/drain cadence, exactly as documented.
-        let mut q = IngestQueue::new(10, 3, 3, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(10, 3, 3, 0.0);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 1.5), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(3), 2.0), IngestOutcome::Accepted);
@@ -442,7 +444,7 @@ mod tests {
         // and releases backpressure. Afterwards the frontier must win:
         // a submission at (or before) the drained tick is Stale, never
         // Accepted, even though the queue just reopened.
-        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::None);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 2.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting());
@@ -460,7 +462,7 @@ mod tests {
         // be re-entered, not even by superseding), then supersession
         // admissibility (pending tick ≤ submission tick), then
         // QueueFull.
-        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0);
         assert_eq!(q.submit(update(1), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.drain_through(2.0).len(), 2);
@@ -487,7 +489,7 @@ mod tests {
 
     #[test]
     fn drop_stale_replaces_the_latest_pending_update() {
-        let mut q = IngestQueue::new(4, 2, 1, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(4, 2, 1, 0.0);
         // Object 1 moves to x = 10 at tick 1, then to x = 20 at tick 2.
         assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(2, 60.0), 1.0), IngestOutcome::Accepted);
@@ -509,7 +511,7 @@ mod tests {
 
     #[test]
     fn drop_stale_refuses_when_pending_is_newer() {
-        let mut q = IngestQueue::new(2, 2, 0, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(2, 2, 0, 0.0);
         assert_eq!(q.submit(update(1), 5.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(update(2), 5.0), IngestOutcome::Accepted);
         assert!(!q.is_accepting());
@@ -524,7 +526,7 @@ mod tests {
         // Object 1 pending at ticks 1 (to x = 10) and 2 (to x = 20); the
         // submission at tick 3 (to x = 30) replaces the *latest* pending
         // (tick 2) and leaves the tick-1 update untouched.
-        let mut q = IngestQueue::new(3, 3, 0, 0.0, ShedPolicy::DropStalePerObject);
+        let mut q = IngestQueue::new(3, 3, 0, 0.0);
         assert_eq!(q.submit(moved_to(1, 10.0), 1.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(1, 20.0), 2.0), IngestOutcome::Accepted);
         assert_eq!(q.submit(moved_to(9, 1.0), 1.0), IngestOutcome::Accepted);
@@ -542,6 +544,15 @@ mod tests {
     }
 
     impl IngestQueue {
+        /// Pops every batch with tick ≤ `t`, in tick order, then closes
+        /// through `t` — what one `advance_to` does when every batch is
+        /// applied.
+        fn drain_through(&mut self, t: Time) -> Vec<(Time, Vec<QueuedUpdate>)> {
+            let out = std::iter::from_fn(|| self.pop_due(t)).collect();
+            self.close_through(t);
+            out
+        }
+
         /// Test helper: force-enqueue `n` updates at `at`, bypassing
         /// the admission gate (`enqueue` still applies the high-water
         /// closing rule, which is what the hysteresis tests rely on).

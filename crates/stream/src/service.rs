@@ -89,8 +89,8 @@ struct ServiceMetrics {
     batches_applied: Counter,
     deltas_emitted: Counter,
     subscriber_dropped: Counter,
-    /// Pending updates superseded by `DropStalePerObject` (live mirror
-    /// of the queue's counter).
+    /// Pending updates superseded while the queue was closed (live
+    /// mirror of the queue's counter).
     shed_dropped_stale: Counter,
     /// Objects retired via [`StreamService::retire_object`].
     objects_retired: Counter,
@@ -143,8 +143,8 @@ impl StreamService {
     /// empty set like any other replay.
     ///
     /// # Errors
-    /// [`StreamError::InvalidConfig`] when `config` violates its
-    /// watermark invariant (see [`StreamConfig::is_valid`]) or an
+    /// [`StreamError::InvalidConfig`] when a capacity in `config` is zero
+    /// (see [`StreamConfig::is_valid`]) or an
     /// `ObjectId` appears twice across `set_a ∪ set_b`;
     /// [`StreamError::Engine`]/[`StreamError::Storage`] when engine
     /// construction or the journal fails.
@@ -242,7 +242,7 @@ impl StreamService {
                         })?;
                         service.apply_batch(at, &updates)?;
                         // The queue's stale frontier follows the replayed clock.
-                        service.queue.drain_through(at);
+                        service.queue.close_through(at);
                         service.now = at;
                         batches_replayed += 1;
                     }
@@ -291,13 +291,13 @@ impl StreamService {
         Ok((service, report))
     }
 
-    /// Refuses a configuration whose backpressure invariant fails.
+    /// Refuses a configuration with a zero capacity.
     fn check(config: &StreamConfig) -> StreamResult<()> {
         if config.is_valid() {
             return Ok(());
         }
         Err(StreamError::InvalidConfig(format!(
-            "need 0 < low ≤ high ≤ capacity and a nonzero outbox, got {config:?}"
+            "need nonzero queue and outbox capacities, got {config:?}"
         )))
     }
 
@@ -329,10 +329,9 @@ impl StreamService {
             obs: ServiceMetrics::new(engine.metrics_registry()),
             queue: IngestQueue::new(
                 config.batch_capacity,
-                config.high_watermark,
-                config.low_watermark,
+                config.high_watermark(),
+                config.low_watermark(),
                 start,
-                config.shed_policy,
             ),
             registry: SubscriptionRegistry::new(config.outbox_capacity),
             config,
@@ -389,16 +388,20 @@ impl StreamService {
     }
 
     /// Advances the service clock to `t`: drains every queued batch
-    /// with tick ≤ `t` (journal → apply → extract → deliver, in tick
-    /// order), then runs a final extraction at `t` itself so that
-    /// interval expiries between the last batch and `t` are reported.
-    /// Returns the full delta stream of this call in emission order —
-    /// the same stamped deltas the subscribers receive (pre-filter).
+    /// with tick ≤ `t` one at a time (journal → apply → extract →
+    /// deliver, in tick order), then runs a final extraction at `t`
+    /// itself so that interval expiries between the last batch and `t`
+    /// are reported. Returns the full delta stream of this call in
+    /// emission order — the same stamped deltas the subscribers receive
+    /// (pre-filter).
     ///
     /// Calls with `t` at or before the current clock are no-ops.
     ///
     /// # Errors
-    /// Before anything of the batch is journaled or applied:
+    /// A refused batch is discarded, unjournaled; the clock stays at the
+    /// last batch applied, and the batches after the refused one stay
+    /// queued for the next call. Before anything of the batch is
+    /// journaled or applied:
     /// [`StreamError::Engine`] with [`TprError::ObjectNotFound`] when a
     /// due update names an object the engine does not hold (never
     /// registered, or retired), and [`StreamError::InvalidUpdate`] when a
@@ -413,7 +416,7 @@ impl StreamService {
         let was_accepting = self.queue.is_accepting();
         let mut out = Vec::new();
         let mut last_extracted = self.now;
-        for (at, queued) in self.queue.drain_through(t) {
+        while let Some((at, queued)) = self.queue.pop_due(t) {
             let applied = std::time::Instant::now();
             let mut updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
             self.record_ingest_observations(&queued, applied);
@@ -432,8 +435,10 @@ impl StreamService {
             let deltas = self.apply_batch(at, &updates)?;
             self.obs.batches_applied.inc();
             self.emit(at, deltas, &mut out);
+            self.now = at;
             last_extracted = at;
         }
+        self.queue.close_through(t);
         if last_extracted < t {
             // No batch exactly at `t`: still extract, so expiries and
             // activations due by `t` reach subscribers on time.
@@ -659,9 +664,8 @@ impl StreamService {
         self.queue.is_accepting()
     }
 
-    /// Pending updates superseded by
-    /// [`ShedPolicy::DropStalePerObject`](crate::ShedPolicy::DropStalePerObject)
-    /// so far (cumulative).
+    /// Pending updates superseded while the queue was closed, so far
+    /// (cumulative; see [`ShedPolicy`](crate::ShedPolicy)).
     #[must_use]
     pub fn shed_dropped_stale(&self) -> u64 {
         self.queue.shed_dropped_stale()

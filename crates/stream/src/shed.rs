@@ -6,37 +6,26 @@
 //! determined by its **latest** applied update — the engines delete the
 //! registered trajectory and insert the new one, so a pending-but-
 //! unapplied intermediate update contributes nothing to the post-tick
-//! result set. [`ShedPolicy::DropStalePerObject`] exploits exactly that:
-//! it replaces a pending update outright. The delete keys are not the
-//! queue's concern — the engine derives them from its registration table
-//! when the batch is applied, so the replacement deletes what the engine
-//! actually holds (see DESIGN.md §8 for the full soundness argument).
+//! result set. So while the queue is closed, a submission for an object
+//! with a pending update replaces that update outright; the delete keys
+//! are not the queue's concern — the engine derives them from its
+//! registration table when the batch is applied, so the replacement
+//! deletes what the engine actually holds (see DESIGN.md §8 for the full
+//! soundness argument). This is the queue's only saturation behaviour;
+//! [`ShedPolicy`] names it and selects nothing.
 
-/// What the service sheds when the ingest queue saturates.
-///
-/// `None` is plain backpressure: the watermark hysteresis flips the
-/// accepting flag and saturated producers see
-/// [`QueueFull`](crate::IngestOutcome::QueueFull), nothing else.
+/// The saturation behaviour of the ingest queue — the only one there
+/// is. Kept as a one-variant enum, with
+/// [`StreamConfigBuilder::shed_policy`](crate::StreamConfigBuilder::shed_policy)
+/// a no-op, only until the benchmark stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedPolicy {
-    /// No shedding: refuse with `QueueFull` while closed (default).
-    #[default]
-    None,
     /// When a submission would be refused (queue closed or at hard
     /// capacity), keep only the newest pending update per object: the
     /// arriving update *replaces* the object's latest pending one. Sound
     /// under `T_M`: the post-tick result set is bit-identical to applying
     /// every update (the lockstep tests prove it). Objects with no
     /// pending update still see `QueueFull`.
+    #[default]
     DropStalePerObject,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_none() {
-        assert_eq!(ShedPolicy::default(), ShedPolicy::None);
-    }
 }

@@ -2,10 +2,10 @@
 //! queue geometries, instead of the fixed two-wave driver of
 //! `shed_lockstep.rs`.
 //!
-//! For any schedule under `DropStalePerObject`, the post-tick result set
-//! equals a policy-less oracle fed exactly the accepted submissions, and
-//! the conservation ledger balances: `accepted == applied +
-//! shed_dropped_stale` once the queue drains.
+//! For any schedule through a small queue, the post-tick result set
+//! equals an oracle whose queue never closes, fed exactly the accepted
+//! submissions, and the conservation ledger balances: `accepted ==
+//! applied + shed_dropped_stale` once the queue drains.
 //!
 //! The test uses [`common::ChainedGen`]'s candidate/commit protocol: a
 //! refused candidate is dropped with the object's update chain intact,
@@ -17,7 +17,7 @@ mod common;
 use cij_core::EngineConfig;
 use cij_geom::Time;
 use cij_obs::validate_prometheus;
-use cij_stream::{IngestOutcome, ShedPolicy, StreamConfig, StreamService};
+use cij_stream::{IngestOutcome, StreamConfig, StreamService};
 use cij_workload::{generate_pair, Params};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -35,20 +35,14 @@ fn small_params(seed: u64) -> Params {
 }
 
 fn service(
-    policy: ShedPolicy,
     capacity: usize,
-    high: usize,
-    low: usize,
     a: &[cij_workload::MovingObject],
     b: &[cij_workload::MovingObject],
 ) -> StreamService {
     let config = StreamConfig::builder()
         .engine(EngineConfig::builder().threads(1).metrics(true).build())
         .batch_capacity(capacity)
-        .high_watermark(high)
-        .low_watermark(low)
         .outbox_capacity(1 << 16)
-        .shed_policy(policy)
         .build();
     let factory = mtb_factory();
     StreamService::new(config, a, b, 0.0, &factory).unwrap()
@@ -60,30 +54,29 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Vec<usize>>> {
     vec(vec(0usize..1000, 0..30), 6..12)
 }
 
-/// Queue geometry: capacity with the conventional 3/4 high and 1/2 low
-/// watermarks, small enough that dense waves saturate it.
-fn arb_geometry() -> impl Strategy<Value = (usize, usize, usize)> {
-    (8usize..36).prop_map(|cap| (cap, (cap * 3 / 4).max(1), cap / 2))
+/// Queue capacity (the watermarks follow at 3/4 and 1/2 of it), small
+/// enough that dense waves saturate it.
+fn arb_capacity() -> impl Strategy<Value = usize> {
+    8usize..36
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random schedules under `DropStalePerObject`: after every tick's
-    /// drain the shed service's result set is bit-identical to an
-    /// unbounded oracle fed exactly the accepted submissions, and the
-    /// ledger `accepted == applied + shed` balances.
+    /// Random schedules through a small queue: after every tick's drain
+    /// the shed service's result set is bit-identical to an unbounded
+    /// oracle fed exactly the accepted submissions, and the ledger
+    /// `accepted == applied + shed` balances.
     #[test]
     fn drop_stale_post_tick_equality_holds_for_random_schedules(
         schedule in arb_schedule(),
-        geometry in arb_geometry(),
+        capacity in arb_capacity(),
         seed in any::<u64>(),
     ) {
-        let (capacity, high, low) = geometry;
         let params = small_params(seed);
         let (a, b) = generate_pair(&params, 0.0);
-        let mut oracle = service(ShedPolicy::None, 1 << 16, 1 << 15, 1 << 14, &a, &b);
-        let mut shed = service(ShedPolicy::DropStalePerObject, capacity, high, low, &a, &b);
+        let mut oracle = service(1 << 16, &a, &b);
+        let mut shed = service(capacity, &a, &b);
         let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
         let mut accepted = 0u64;
         for (t, wave) in schedule.iter().enumerate() {

@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
-use cij_geom::Time;
+use cij_geom::{MovingRect, Time};
+use cij_join::brute::brute_pairs_at;
 use cij_storage::codec::ByteWriter;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
 use cij_stream::wire::Wire;
@@ -308,6 +309,59 @@ fn advance_with_an_update_for_an_unknown_object_is_a_typed_error() {
 
     let (_, report) = StreamService::recover(config, &factory).expect("recover");
     assert_eq!(report.batches_replayed, 1, "a refused batch was journaled");
+}
+
+/// A refused batch is lost on its own: the due batches after it stay
+/// queued, and the next `advance_to` applies them.
+#[test]
+fn a_refused_batch_keeps_the_later_batches_queued() {
+    let wal = TempWal::new("refused-keeps-later");
+    let (a, b) = generate_pair(&params(509), 0.0);
+    let config = config_with(Some(wal.0.clone()));
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    svc.advance_to(1.0).expect("advance");
+    let unknown = ObjectId(9_999);
+    assert_eq!(
+        svc.submit(update_onto(unknown, &a[1]), 2.0),
+        IngestOutcome::Accepted
+    );
+    let live = a[1].id;
+    assert_eq!(
+        svc.submit(update_onto(live, &a[2]), 3.0),
+        IngestOutcome::Accepted
+    );
+    match svc.advance_to(3.0) {
+        Err(StreamError::Engine(TprError::ObjectNotFound(got))) => assert_eq!(got, unknown),
+        other => panic!("expected ObjectNotFound, got {other:?}"),
+    }
+    assert_eq!(svc.now(), 1.0, "the refused batch moved the clock");
+    assert_eq!(svc.queue_len(), 1, "the tick-3 batch was dropped with it");
+    assert_eq!(
+        svc.submit(update_onto(unknown, &a[1]), 2.0),
+        IngestOutcome::Stale,
+        "the refused tick is behind the stale frontier"
+    );
+    svc.advance_to(3.0).expect("the tick-3 batch applies");
+    assert_eq!(svc.queue_len(), 0);
+    assert_eq!(svc.now(), 3.0);
+    let trajectories = |objects: &[MovingObject]| -> Vec<(ObjectId, MovingRect)> {
+        (objects.iter())
+            .map(|o| (o.id, if o.id == live { a[2].mbr } else { o.mbr }))
+            .collect()
+    };
+    assert_eq!(
+        svc.result_at(3.0),
+        brute_pairs_at(&trajectories(&a), &trajectories(&b), 3.0),
+        "the tick-3 update was not applied"
+    );
+    drop(svc);
+
+    let (_, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(
+        report.batches_replayed, 1,
+        "only the tick-3 batch is journaled"
+    );
+    assert_eq!(report.last_tick, 3.0);
 }
 
 /// Replay keys every batch by the registration table too: a journaled

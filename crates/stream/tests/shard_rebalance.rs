@@ -45,18 +45,6 @@ fn skew_params(seed: u64) -> Params {
     }
 }
 
-/// An aggressive controller for short test runs: low trigger threshold,
-/// short cooldown, and a minimum weight the genesis seeding already
-/// satisfies, so the first imbalanced batch can re-partition.
-fn eager_adaptive(max_speed: f64) -> AdaptiveConfig {
-    AdaptiveConfig {
-        imbalance_threshold: 1.2,
-        cooldown: 5.0,
-        min_weight: 50,
-        ..AdaptiveConfig::velocity(max_speed)
-    }
-}
-
 /// Builds an adaptive sharded coordinator for the service, exporting
 /// its metrics registry through `registry` so the test can prove
 /// rebalances actually happened inside the closure.
@@ -82,7 +70,7 @@ fn adaptive_engine(
         now,
         Arc::new(|pool, cfg, sa, sb, t| Ok(Box::new(MtbEngine::new(pool, *cfg, sa, sb, t)?))),
     )?;
-    coord.enable_adaptive(eager_adaptive(max_speed))?;
+    coord.enable_adaptive(AdaptiveConfig::velocity(max_speed))?;
     *registry.lock().unwrap() = Some(coord.metrics_registry());
     Ok(Box::new(coord))
 }

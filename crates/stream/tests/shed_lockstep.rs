@@ -1,33 +1,34 @@
-//! Lockstep differential tests for the load-shedding policies.
+//! Lockstep differential tests for load shedding.
 //!
 //! The shedding contract has two halves:
 //!
-//! * **Shedding disabled ⇒ bit-identical.** A service configured with
-//!   `DropStalePerObject` but never pushed into saturation emits exactly
-//!   the delta stream of the policy-less oracle — the policy machinery
-//!   is observable only under pressure.
-//! * **`DropStalePerObject` ⇒ post-tick equality.** Under saturation,
-//!   replacing a pending update with a newer one for the same object
-//!   is sound under the paper's `T_M` discipline: the service keys the
-//!   replacement's delete by its registration table, so the index
-//!   delete hits exactly what the tree holds, and by the end of the
-//!   tick both services have registered the same final trajectory.
-//!   Intermediate deltas may differ (the oracle briefly reports pairs
-//!   involving the superseded position); the post-tick result set may
-//!   not. Pinned here at threads {1, 4}, with the delta stream
-//!   additionally bit-identical across thread counts.
+//! * **No saturation ⇒ nothing shed.** A service whose queue never
+//!   closes supersedes nothing, and its delta stream is bit-identical
+//!   across thread counts — shedding is observable only under pressure.
+//! * **Saturation ⇒ post-tick equality.** Under saturation, replacing a
+//!   pending update with a newer one for the same object is sound under
+//!   the paper's `T_M` discipline: the service keys the replacement's
+//!   delete by its registration table, so the index delete hits exactly
+//!   what the tree holds, and by the end of the tick both services have
+//!   registered the same final trajectory. Intermediate deltas may
+//!   differ (the oracle briefly reports pairs involving the superseded
+//!   position); the post-tick result set may not. Pinned here at
+//!   threads {1, 4}, with the delta stream additionally bit-identical
+//!   across thread counts.
 //!
 //! The saturation driver is deterministic by construction: wave 1 fills
 //! the shed service's queue exactly to its high watermark (closing it),
 //! wave 2 re-updates half of wave 1's objects — admissible only through
-//! supersession, which the test asserts happened every single time.
+//! supersession, which the test asserts happened every single time. A
+//! service on the default configuration sheds the same way at its own
+//! high watermark.
 //!
 //! A lying producer — every update's delete keys wrong — gets the
-//! honest producer's answer under both policies and over MTB, TC and a
+//! honest producer's answer under saturation and over MTB, TC and a
 //! sharded engine: the service derives the delete keys itself.
 //!
 //! A final test pins the backpressure flip counters end to end through
-//! cij-obs: a degenerate `high == 1, low == 0` queue must engage and
+//! cij-obs: a degenerate `high == low == 1` queue must engage and
 //! release exactly once per tick, no more (re-entry flapping is bounded
 //! by the per-tick cadence, not amplified by it).
 
@@ -41,9 +42,7 @@ use cij_geom::{MovingRect, Rect, Time};
 use cij_join::brute::brute_pairs_at;
 use cij_shard::{ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-use cij_stream::{
-    IngestOutcome, ResultDelta, ShedPolicy, StampedDelta, StreamConfig, StreamService,
-};
+use cij_stream::{IngestOutcome, ResultDelta, StampedDelta, StreamConfig, StreamService};
 use cij_tpr::TprResult;
 use cij_workload::{generate_pair, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream};
 
@@ -51,6 +50,11 @@ use common::{mtb_factory, ChainedGen};
 
 /// First-wave updates per tick — also the shed queue's high watermark.
 const WAVE: usize = 30;
+/// The shed queue's capacity: its high watermark, 3/4 of it, is `WAVE`.
+const SHED_CAPACITY: usize = WAVE * 4 / 3;
+/// A capacity no schedule here comes near: the oracle's queue never
+/// closes.
+const UNBOUNDED: usize = 1 << 16;
 /// Second-wave (superseding) updates per tick.
 const SUPERSEDE: usize = 15;
 const TICKS: u32 = 40;
@@ -66,10 +70,7 @@ fn small_params(seed: u64) -> Params {
 }
 
 fn service(
-    policy: ShedPolicy,
     capacity: usize,
-    high: usize,
-    low: usize,
     threads: usize,
     a: &[cij_workload::MovingObject],
     b: &[cij_workload::MovingObject],
@@ -82,23 +83,20 @@ fn service(
                 .build(),
         )
         .batch_capacity(capacity)
-        .high_watermark(high)
-        .low_watermark(low)
         .outbox_capacity(1 << 16)
-        .shed_policy(policy)
         .build();
     let factory = mtb_factory();
     StreamService::new(config, a, b, 0.0, &factory).unwrap()
 }
 
 // ----------------------------------------------------------------------
-// Half 1: no saturation ⇒ shedding is bit-identical to the oracle.
+// Half 1: no saturation ⇒ nothing is shed.
 // ----------------------------------------------------------------------
 
-fn run_unsaturated(policy: ShedPolicy, threads: usize) -> Vec<StampedDelta> {
+fn run_unsaturated(threads: usize) -> Vec<StampedDelta> {
     let params = small_params(610);
     let (a, b) = generate_pair(&params, 0.0);
-    let mut svc = service(policy, 1 << 16, 1 << 15, 1 << 14, threads, &a, &b);
+    let mut svc = service(UNBOUNDED, threads, &a, &b);
     let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
     let mut out = Vec::new();
     for tick in 1..=TICKS {
@@ -108,47 +106,32 @@ fn run_unsaturated(policy: ShedPolicy, threads: usize) -> Vec<StampedDelta> {
         }
         out.extend(svc.advance_to(now).unwrap());
     }
-    assert_eq!(
-        svc.shed_dropped_stale(),
-        0,
-        "{policy:?}: unsaturated run shed"
-    );
+    assert_eq!(svc.shed_dropped_stale(), 0, "unsaturated run shed");
     assert!(!out.is_empty(), "vacuous run");
     out
 }
 
 #[test]
-fn policies_are_bit_identical_to_oracle_without_saturation() {
-    for threads in [1usize, 4] {
-        let oracle = run_unsaturated(ShedPolicy::None, threads);
-        let stream = run_unsaturated(ShedPolicy::DropStalePerObject, threads);
-        assert_eq!(
-            oracle, stream,
-            "DropStalePerObject diverged from the oracle below saturation (threads {threads})"
-        );
-    }
+fn unsaturated_runs_shed_nothing_at_any_thread_count() {
+    assert_eq!(
+        run_unsaturated(1),
+        run_unsaturated(4),
+        "unsaturated delta stream differs between threads=1 and threads=4"
+    );
 }
 
 // ----------------------------------------------------------------------
-// Half 2: saturated DropStalePerObject ⇒ post-tick result equality.
+// Half 2: saturation ⇒ post-tick result equality.
 // ----------------------------------------------------------------------
 
-/// Drives the oracle (unbounded, no policy) and the shed service (queue
-/// closed by wave 1) over an identical two-wave schedule; returns the
-/// shed service's delta stream and the per-tick result sets.
+/// Drives the oracle (a queue that never closes) and the shed service
+/// (queue closed by wave 1) over an identical two-wave schedule; returns
+/// the shed service's delta stream and the per-tick result sets.
 fn run_saturated_lockstep(threads: usize, seed: u64) -> (Vec<StampedDelta>, Vec<Vec<PairKey>>) {
     let params = small_params(seed);
     let (a, b) = generate_pair(&params, 0.0);
-    let mut oracle = service(ShedPolicy::None, 1 << 16, 1 << 15, 1 << 14, threads, &a, &b);
-    let mut shed = service(
-        ShedPolicy::DropStalePerObject,
-        WAVE * 2,
-        WAVE,
-        WAVE / 2,
-        threads,
-        &a,
-        &b,
-    );
+    let mut oracle = service(UNBOUNDED, threads, &a, &b);
+    let mut shed = service(SHED_CAPACITY, threads, &a, &b);
     let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
     let mut shed_stream = Vec::new();
     let mut results = Vec::new();
@@ -228,15 +211,7 @@ fn drop_stale_post_tick_results_match_oracle_at_threads_1_and_4() {
 fn drop_stale_delta_stream_replays_to_snapshots_under_saturation() {
     let params = small_params(612);
     let (a, b) = generate_pair(&params, 0.0);
-    let mut shed = service(
-        ShedPolicy::DropStalePerObject,
-        WAVE * 2,
-        WAVE,
-        WAVE / 2,
-        1,
-        &a,
-        &b,
-    );
+    let mut shed = service(SHED_CAPACITY, 1, &a, &b);
     let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
     let mut replayed: HashSet<PairKey> = HashSet::new();
     for tick in 1..=TICKS {
@@ -273,6 +248,66 @@ fn drop_stale_delta_stream_replays_to_snapshots_under_saturation() {
     assert!(shed.shed_dropped_stale() > 0, "saturation never triggered");
 }
 
+/// Saturation has one behaviour, with no setting to choose it: a service
+/// on the default configuration closes its queue at 3/4 of
+/// `batch_capacity`, and then admits a second update for an object with
+/// one pending by replacing it. Once drained, its answer is that of a
+/// service whose queue never closed.
+#[test]
+fn the_default_service_sheds_at_its_high_watermark() {
+    let params = Params {
+        dataset_size: 192,
+        space: 400.0,
+        object_size_pct: 1.0,
+        seed: 615,
+        ..Params::default()
+    };
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = StreamConfig::default();
+    let high = config.batch_capacity * 3 / 4;
+    let factory = mtb_factory();
+    let mut shed = StreamService::new(config, &a, &b, 0.0, &factory).unwrap();
+    let mut oracle = service(UNBOUNDED, 1, &a, &b);
+    let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
+    let population = gen.len();
+    assert_eq!(high % population, 0, "whole rounds fill the queue");
+    // Every object once per tick, until `high` updates are pending.
+    let rounds = high / population;
+    for k in 0..high {
+        assert!(shed.is_accepting(), "closed below the high watermark");
+        let at = Time::from((k / population + 1) as u32);
+        let u = gen.candidate(k, k as u64, at);
+        gen.commit(&u, at);
+        assert_eq!(shed.submit(u, at), IngestOutcome::Accepted);
+        assert_eq!(oracle.submit(u, at), IngestOutcome::Accepted);
+    }
+    assert!(
+        !shed.is_accepting(),
+        "the high watermark must close the queue"
+    );
+    assert_eq!(shed.queue_len(), high);
+
+    let last = Time::from(rounds as u32);
+    let u = gen.candidate(0, 0xDEAD_BEEF, last);
+    gen.commit(&u, last);
+    assert_eq!(
+        shed.submit(u, last),
+        IngestOutcome::Accepted,
+        "a closed queue must replace the object's pending update"
+    );
+    assert_eq!(shed.shed_dropped_stale(), 1);
+    assert_eq!(shed.queue_len(), high, "a replacement keeps the count");
+    assert_eq!(oracle.submit(u, last), IngestOutcome::Accepted);
+
+    shed.advance_to(last).unwrap();
+    oracle.advance_to(last).unwrap();
+    assert_eq!(shed.queue_len(), 0);
+    assert!(shed.is_accepting(), "a full drain must reopen the queue");
+    let answer = oracle.result_at(last);
+    assert!(!answer.is_empty(), "vacuous: no pairs");
+    assert_eq!(shed.result_at(last), answer);
+}
+
 // ----------------------------------------------------------------------
 // Delete keys: a lying producer gets the honest producer's answer.
 // ----------------------------------------------------------------------
@@ -287,17 +322,13 @@ enum Backend {
 
 fn backend_service(
     backend: Backend,
-    policy: ShedPolicy,
     params: &Params,
     a: &[MovingObject],
     b: &[MovingObject],
 ) -> StreamService {
     let config = StreamConfig::builder()
-        .batch_capacity(WAVE * 2)
-        .high_watermark(WAVE)
-        .low_watermark(WAVE / 2)
+        .batch_capacity(SHED_CAPACITY)
         .outbox_capacity(1 << 16)
-        .shed_policy(policy)
         .build();
     let max_speed = params.max_speed;
     let factory = move |cfg: &EngineConfig,
@@ -346,14 +377,14 @@ fn lie(u: ObjectUpdate) -> ObjectUpdate {
 /// emit the same delta stream and report the same answer, and whenever
 /// the queues are drained that answer is the brute-force join of the
 /// committed trajectories.
-fn run_honest_and_lying(backend: Backend, policy: ShedPolicy) {
+fn run_honest_and_lying(backend: Backend) {
     let params = small_params(614);
     let (a, b) = generate_pair(&params, 0.0);
-    let mut honest = backend_service(backend, policy, &params, &a, &b);
-    let mut lying = backend_service(backend, policy, &params, &a, &b);
+    let mut honest = backend_service(backend, &params, &a, &b);
+    let mut lying = backend_service(backend, &params, &a, &b);
     let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
-    let ctx = format!("{backend:?} under {policy:?}");
-    let (mut refused, mut oracle_checks) = (0, 0);
+    let ctx = format!("{backend:?}");
+    let mut oracle_checks = 0;
     for tick in 1..=TICKS {
         let now = Time::from(tick);
         let base = (tick as usize * WAVE * 2) % gen.len();
@@ -363,9 +394,8 @@ fn run_honest_and_lying(backend: Backend, policy: ShedPolicy) {
             let u = gen.candidate(index, salt, at);
             let outcome = honest.submit(u, at);
             assert_eq!(lying.submit(lie(u), at), outcome, "{ctx}: admission");
-            match outcome {
-                IngestOutcome::Accepted => gen.commit(&u, at),
-                _ => refused += 1,
+            if outcome == IngestOutcome::Accepted {
+                gen.commit(&u, at);
             }
         }
         let expected = honest.advance_to(now).unwrap();
@@ -385,19 +415,13 @@ fn run_honest_and_lying(backend: Backend, policy: ShedPolicy) {
         oracle_checks >= TICKS / 2,
         "{ctx}: oracle checked {oracle_checks} times"
     );
-    if policy == ShedPolicy::DropStalePerObject {
-        assert!(honest.shed_dropped_stale() > 0, "{ctx}: nothing replaced");
-    } else {
-        assert!(refused > 0, "{ctx}: the queue never saturated");
-    }
+    assert!(honest.shed_dropped_stale() > 0, "{ctx}: nothing replaced");
 }
 
 #[test]
 fn a_lying_producer_gets_the_honest_answer() {
     for backend in [Backend::Mtb, Backend::Tc, Backend::Sharded] {
-        for policy in [ShedPolicy::None, ShedPolicy::DropStalePerObject] {
-            run_honest_and_lying(backend, policy);
-        }
+        run_honest_and_lying(backend);
     }
 }
 
@@ -405,17 +429,17 @@ fn a_lying_producer_gets_the_honest_answer() {
 // Backpressure flip counters, pinned end to end through cij-obs.
 // ----------------------------------------------------------------------
 
-/// Degenerate watermarks (`high == 1`, `low == 0`): every tick's single
-/// update closes the queue and every drain reopens it. The cij-obs flip
-/// counters must read exactly one engage and one release per tick —
-/// hysteresis makes the flap rate track the tick cadence, not the
-/// submission count.
+/// Degenerate watermarks (capacity 2, so `high == low == 1`): every
+/// tick's single update closes the queue and every drain reopens it. The
+/// cij-obs flip counters must read exactly one engage and one release
+/// per tick — hysteresis makes the flap rate track the tick cadence, not
+/// the submission count.
 #[test]
 fn degenerate_watermarks_pin_backpressure_flip_counters() {
     const FLAPS: u32 = 12;
     let params = small_params(613);
     let (a, b) = generate_pair(&params, 0.0);
-    let mut svc = service(ShedPolicy::None, 4, 1, 0, 1, &a, &b);
+    let mut svc = service(2, 1, &a, &b);
     let mut gen = ChainedGen::new(&params, &a, &b, 0.0);
     for tick in 1..=FLAPS {
         let now = Time::from(tick);
@@ -424,11 +448,12 @@ fn degenerate_watermarks_pin_backpressure_flip_counters() {
         assert!(svc.is_accepting());
         assert_eq!(svc.submit(u, now), IngestOutcome::Accepted);
         assert!(!svc.is_accepting(), "high == 1 must close on every submit");
-        // A second same-tick submission is refused, not a second flip.
+        // A second same-tick submission, for an object with nothing
+        // pending, is refused, not a second flip.
         let refused = gen.candidate(tick as usize + 50, u64::from(tick), now);
         assert_eq!(svc.submit(refused, now), IngestOutcome::QueueFull);
         svc.advance_to(now).unwrap();
-        assert!(svc.is_accepting(), "drain to low == 0 must reopen");
+        assert!(svc.is_accepting(), "drain to low == 1 must reopen");
     }
     let snap = svc.metrics_snapshot();
     assert_eq!(

@@ -4,8 +4,7 @@
 //! A 10 000-object stream (5 000 per set) runs for 500 ticks at a
 //! steady 250 updates/tick, with every 16th tick bursting to 400
 //! distinct objects — enough to cross the high watermark, engage
-//! backpressure, and exercise `DropStalePerObject` supersession while
-//! the queue is closed. The test pins the stability properties a soak
+//! backpressure, and exercise supersession while the queue is closed. The test pins the stability properties a soak
 //! is for:
 //!
 //! * **No monotonic queue growth** — every drain empties the queue.
@@ -27,8 +26,7 @@ mod common;
 use cij_core::EngineConfig;
 use cij_geom::Time;
 use cij_stream::{
-    IngestOutcome, OutboxItem, ResultDelta, ShedPolicy, StreamConfig, StreamService,
-    SubscriptionFilter,
+    IngestOutcome, OutboxItem, ResultDelta, StreamConfig, StreamService, SubscriptionFilter,
 };
 use cij_workload::{generate_pair, Params};
 
@@ -40,9 +38,9 @@ const STEADY: usize = 250;
 const BURST: usize = 400;
 const BURST_EVERY: u32 = 16;
 const SUPERSEDE_PER_BURST: usize = 50;
+/// Queue capacity; backpressure engages at 3/4 of it (300 pending) and
+/// releases at 1/2 (200).
 const CAPACITY: usize = 400;
-const HIGH: usize = 300;
-const LOW: usize = 150;
 
 #[test]
 #[ignore = "soak test: ~10k objects x 500 ticks, run explicitly"]
@@ -58,10 +56,7 @@ fn soak_sustained_stream_with_periodic_bursts_stays_stable() {
     let config = StreamConfig::builder()
         .engine(EngineConfig::builder().threads(1).metrics(true).build())
         .batch_capacity(CAPACITY)
-        .high_watermark(HIGH)
-        .low_watermark(LOW)
         .outbox_capacity(1 << 16)
-        .shed_policy(ShedPolicy::DropStalePerObject)
         .build();
     let factory = mtb_factory();
     let mut svc = StreamService::new(config, &a, &b, 0.0, &factory).unwrap();

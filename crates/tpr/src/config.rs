@@ -2,6 +2,13 @@
 
 use cij_geom::Time;
 
+/// Minimum entries per non-root node, as a fraction of the capacity
+/// (R*-tree convention: 40 %).
+const MIN_FILL: f64 = 0.4;
+/// Fraction of a node's entries one forced reinsert evicts (R*-tree
+/// convention: 30 %).
+const REINSERT_FRACTION: f64 = 0.3;
+
 /// TPR-tree configuration.
 ///
 /// Defaults match the paper's Table I: node capacity 30, and a horizon
@@ -9,39 +16,22 @@ use cij_geom::Time;
 /// literature sets the horizon to the expected time between index
 /// rebuilds/updates; with TC processing every query window is at most `T_M`
 /// long, so integrating penalties past `t + T_M` would optimize for
-/// queries that never run).
+/// queries that never run). The heuristics are the TPR*-tree's, always
+/// on: integral penalties, R* forced reinsert, 40 % minimum fill and
+/// 30 % reinsert fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum number of entries per node (paper: 30).
     pub capacity: usize,
-    /// Minimum number of entries per node, as a fraction of `capacity`
-    /// (R*-tree convention: 40 %).
-    pub min_fill: f64,
-    /// Fraction of entries removed by a forced reinsert on overflow
-    /// (R*-tree convention: 30 %).
-    pub reinsert_fraction: f64,
     /// Horizon `H` over which integral penalties are evaluated.
     pub horizon: Time,
-    /// R*-style forced reinsert on first overflow per level (default
-    /// on). Off ⇒ overflow always splits — an ablation knob showing the
-    /// R* heuristic's contribution.
-    pub forced_reinsert: bool,
-    /// Evaluate insertion/split penalties as *integrals over the
-    /// horizon* (the TPR/TPR* innovation, default on) instead of
-    /// instantaneous values at the operation time (plain R*-tree
-    /// behaviour, which ignores motion). Ablation knob.
-    pub integral_metrics: bool,
 }
 
 impl Default for TreeConfig {
     fn default() -> Self {
         Self {
             capacity: 30,
-            min_fill: 0.4,
-            reinsert_fraction: 0.3,
             horizon: 60.0,
-            forced_reinsert: true,
-            integral_metrics: true,
         }
     }
 }
@@ -56,43 +46,26 @@ impl TreeConfig {
         }
     }
 
-    /// Configuration with a given horizon, other knobs default.
-    #[must_use]
-    pub fn with_horizon(horizon: Time) -> Self {
-        Self {
-            horizon,
-            ..Self::default()
-        }
-    }
-
     /// Minimum entry count for a non-root node.
     #[must_use]
     pub fn min_entries(&self) -> usize {
-        ((self.capacity as f64 * self.min_fill) as usize).max(2)
+        ((self.capacity as f64 * MIN_FILL) as usize).max(2)
     }
 
     /// Number of entries evicted by one forced reinsert.
     #[must_use]
     pub fn reinsert_count(&self) -> usize {
-        ((self.capacity as f64 * self.reinsert_fraction) as usize).clamp(1, self.capacity / 2)
+        ((self.capacity as f64 * REINSERT_FRACTION) as usize).clamp(1, self.capacity / 2)
     }
 
     /// Validates the knobs; called by the tree constructor.
     ///
     /// # Panics
-    /// Panics on nonsensical configurations (capacity < 4, fractions out
-    /// of range, non-positive horizon) — these are programmer errors, not
-    /// runtime conditions.
+    /// Panics on nonsensical configurations (capacity < 4, capacity
+    /// past what fits in a page, non-positive horizon) — these are
+    /// programmer errors, not runtime conditions.
     pub fn assert_valid(&self) {
         assert!(self.capacity >= 4, "node capacity must be >= 4");
-        assert!(
-            self.min_fill > 0.0 && self.min_fill <= 0.5,
-            "min_fill must be in (0, 0.5]"
-        );
-        assert!(
-            self.reinsert_fraction > 0.0 && self.reinsert_fraction < 0.5,
-            "reinsert_fraction must be in (0, 0.5)"
-        );
         assert!(self.horizon > 0.0, "horizon must be positive");
         assert!(
             crate::node::Node::max_capacity() >= self.capacity,

@@ -7,9 +7,9 @@
 //! * **choose subtree** — minimal enlargement integral, area-integral
 //!   tie-break;
 //! * **overflow** — one forced reinsert per level per operation (the
-//!   `reinsert_fraction` entries whose centers stray farthest from the
-//!   node center over the horizon), then an R*-style split choosing the
-//!   axis by margin integral and the distribution by overlap integral;
+//!   30 % of entries whose centers stray farthest from the node center
+//!   over the horizon), then an R*-style split choosing the axis by
+//!   margin integral and the distribution by overlap integral;
 //! * **underflow** — dissolve the node and reinsert the orphaned entries
 //!   at their level (classic `CondenseTree`);
 //! * **active tightening** — every write-back recomputes the parent
@@ -323,31 +323,21 @@ impl TprTree {
     }
 
     /// The TPR/TPR* choose-subtree penalty: minimal enlargement integral
-    /// over the horizon, ties broken by smaller area integral. With
-    /// `integral_metrics` off, plain R* instantaneous penalties at `now`
-    /// (the ablation baseline that ignores motion).
+    /// over the horizon, ties broken by smaller area integral.
     fn pick_child(&self, node: &Node, mbr: &MovingRect, now: Time) -> usize {
         let h_end = now + self.config.horizon;
         let mut best = 0;
         let mut best_enl = f64::INFINITY;
         let mut best_area = f64::INFINITY;
         for (i, e) in node.entries.iter().enumerate() {
-            let (enl, area) = if self.config.integral_metrics {
-                // Integrate from the later of `now` and the entry's
-                // reference time — bounds are undefined before their
-                // reference. The enlargement is `enlargement_integral`'s
-                // difference, with the entry's own area integral taken
-                // once.
-                let t0 = now.max(e.mbr.t_ref);
-                let t1 = h_end.max(t0);
-                let area = e.mbr.area_integral(t0, t1);
-                (e.mbr.union_moving(mbr).area_integral(t0, t1) - area, area)
-            } else {
-                let t = now.max(e.mbr.t_ref);
-                let here = e.mbr.at(t);
-                let grown = here.union(&mbr.at(t));
-                (grown.area() - here.area(), here.area())
-            };
+            // Integrate from the later of `now` and the entry's reference
+            // time — bounds are undefined before their reference. The
+            // enlargement is `enlargement_integral`'s difference, with the
+            // entry's own area integral taken once.
+            let t0 = now.max(e.mbr.t_ref);
+            let t1 = h_end.max(t0);
+            let area = e.mbr.area_integral(t0, t1);
+            let enl = e.mbr.union_moving(mbr).area_integral(t0, t1) - area;
             if enl < best_enl || (enl == best_enl && area < best_area) {
                 best = i;
                 best_enl = enl;
@@ -386,7 +376,7 @@ impl TprTree {
 
             let level = step.node.level;
             let is_root = path.is_empty();
-            if self.config.forced_reinsert && !is_root && !reinserted[usize::from(level)] {
+            if !is_root && !reinserted[usize::from(level)] {
                 // Forced reinsert: evict the entries farthest from the
                 // node center over the horizon, keep the node, and replay
                 // them as fresh insertions afterwards.
@@ -482,11 +472,7 @@ impl TprTree {
     /// from the node's center over the horizon (sampled at `now + H/2`)
     /// into `evicted`, nearest of them first.
     fn evict_for_reinsert(&mut self, node: &mut Node, evicted: &mut Vec<Entry>, now: Time) {
-        let t_mid = if self.config.integral_metrics {
-            now + self.config.horizon / 2.0
-        } else {
-            now
-        };
+        let t_mid = now + self.config.horizon / 2.0;
         let center_of = |m: &MovingRect| m.at(t_mid).center();
         let node_mbr = node.bounding_mbr().expect("overflowing node is non-empty");
         let c = center_of(&node_mbr);
@@ -555,15 +541,8 @@ impl TprTree {
                     let g2 = union_mbr(&sorted[split_at..]);
                     let s0 = t0.max(g1.t_ref).max(g2.t_ref);
                     let s1 = t1.max(s0);
-                    let (overlap, area) = if self.config.integral_metrics {
-                        (
-                            g1.overlap_integral(&g2, s0, s1),
-                            g1.area_integral(s0, s1) + g2.area_integral(s0, s1),
-                        )
-                    } else {
-                        let (r1, r2) = (g1.at(s0), g2.at(s0));
-                        (r1.overlap_area(&r2), r1.area() + r2.area())
-                    };
+                    let overlap = g1.overlap_integral(&g2, s0, s1);
+                    let area = g1.area_integral(s0, s1) + g2.area_integral(s0, s1);
                     let better = match best {
                         None => true,
                         Some((bo, ba, ..)) => overlap < bo || (overlap == bo && area < ba),

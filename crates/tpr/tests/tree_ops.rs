@@ -451,45 +451,3 @@ fn corrupt_page_surfaces_as_error_not_panic() {
         "got {err:?}"
     );
 }
-
-#[test]
-fn heuristic_toggles_never_affect_correctness() {
-    // Ablation knobs change tree *quality*, never query answers.
-    let mut rng = StdRng::seed_from_u64(88);
-    let objs: Vec<(ObjectId, MovingRect)> = (0..500)
-        .map(|i| (ObjectId(i), random_object(&mut rng, 0.0)))
-        .collect();
-    let mut answers: Vec<Vec<ObjectId>> = Vec::new();
-    for integral in [true, false] {
-        for reinsert in [true, false] {
-            let pool = BufferPool::new(
-                Arc::new(InMemoryStore::new()),
-                BufferPoolConfig::with_capacity(128),
-            );
-            let config = TreeConfig {
-                capacity: 10,
-                integral_metrics: integral,
-                forced_reinsert: reinsert,
-                ..TreeConfig::default()
-            };
-            let mut tree = TprTree::new(pool, config);
-            for &(oid, mbr) in &objs {
-                tree.insert(oid, mbr, 0.0).unwrap();
-            }
-            // Mixed updates and deletes too.
-            for &(oid, mbr) in objs.iter().take(100) {
-                let new = random_object(&mut rng, 1.0);
-                tree.update(oid, &mbr, new, 1.0).unwrap();
-                tree.update(oid, &new, mbr.rebase(1.0), 1.0).unwrap();
-            }
-            tree.validate(1.0).unwrap();
-            let w = Rect::new([300.0, 300.0], [700.0, 700.0]);
-            let mut got = tree.range_at(&w, 30.0).unwrap();
-            got.sort();
-            answers.push(got);
-        }
-    }
-    for ans in &answers[1..] {
-        assert_eq!(ans, &answers[0], "a heuristic combo changed query answers");
-    }
-}

@@ -3,11 +3,17 @@
 //! * Every backticked path in README.md and DESIGN.md names a file or
 //!   directory of the repository. A path is a token that starts with a
 //!   top-level directory (`crates/`, `tests/`, …); brace alternatives
-//!   (`crates/{shard,dist}/tests/differential.rs`) and `*` globs in the
-//!   last component are expanded, and a `:N` suffix is dropped.
+//!   (`crates/{shard,dist}/tests/differential.rs`) and `*` globs
+//!   (`crates/*/src`) are expanded, and a `:N` suffix is dropped.
 //! * Every `path:N` reference in README.md, DESIGN.md and ROADMAP.md
 //!   whose path starts at the repository root (a top-level directory or
 //!   file) names a line inside that file.
+//! * Every backticked path in ROADMAP.md — a token with a `/` in it —
+//!   names a file or directory from the repository root, `crates/` or
+//!   `benchmark/` (so `shard/src/adaptive.rs` and `src/stacks.rs`
+//!   resolve), braces and globs expanded as above.
+//! * Every "ROADMAP item N" in README.md and DESIGN.md names an item of
+//!   ROADMAP.md's open list.
 
 use std::fs;
 use std::path::PathBuf;
@@ -60,18 +66,24 @@ fn glob_match(pattern: &str, name: &str) -> bool {
     }
 }
 
-/// Whether `path` (relative to the root, `*` allowed in its last
-/// component) names something that exists.
+/// Whether `path` (relative to the root, `*` allowed in any component)
+/// names something that exists.
 fn exists(path: &str) -> bool {
     let path = path.trim_end_matches('/');
-    if !path.contains('*') {
+    let Some(star) = path.find('*') else {
         return root().join(path).exists();
-    }
-    let (dir, pattern) = path.rsplit_once('/').unwrap_or(("", path));
+    };
+    let dir_end = path[..star].rfind('/').map_or(0, |i| i + 1);
+    let (dir, rest) = (&path[..dir_end], &path[dir_end..]);
+    let (pattern, tail) = rest
+        .split_once('/')
+        .map_or((rest, None), |(p, t)| (p, Some(t)));
     fs::read_dir(root().join(dir)).is_ok_and(|entries| {
-        entries
-            .filter_map(Result::ok)
-            .any(|e| glob_match(pattern, &e.file_name().to_string_lossy()))
+        entries.filter_map(Result::ok).any(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            glob_match(pattern, &name)
+                && tail.is_none_or(|tail| exists(&format!("{dir}{name}/{tail}")))
+        })
     })
 }
 
@@ -99,6 +111,76 @@ fn backticked_paths_exist() {
         missing.is_empty(),
         "paths that do not exist:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The backticked tokens of `text` that look like relative paths: a `/`
+/// in them, no whitespace, and only path characters (a `:N` suffix is
+/// dropped).
+fn backticked_paths(text: &str) -> Vec<String> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-{},*".contains(c);
+    (text.split('`').skip(1).step_by(2))
+        .map(|token| token.split(':').next().unwrap_or(token))
+        .filter(|path| path.contains('/') && !path.starts_with('/') && path.chars().all(is_path))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn roadmap_paths_resolve() {
+    let text = read("ROADMAP.md");
+    let missing: Vec<String> = backticked_paths(&text)
+        .into_iter()
+        .filter(|path| {
+            !expand_braces(path).iter().all(|candidate| {
+                ["", "crates/", "benchmark/"]
+                    .iter()
+                    .any(|base| exists(&format!("{base}{candidate}")))
+            })
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "ROADMAP.md paths that resolve from neither the root, crates/ nor benchmark/:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// The item numbers `text` cites as "ROADMAP item N" (line breaks count
+/// as spaces).
+fn cited_items(text: &str) -> Vec<u32> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    (words.windows(3))
+        .filter(|w| w[0] == "ROADMAP" && w[1] == "item")
+        .filter_map(|w| {
+            let digits: String = w[2].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().ok()
+        })
+        .collect()
+}
+
+/// The numbers of ROADMAP.md's items: the lines `- **N. Title…`.
+fn roadmap_items(text: &str) -> Vec<u32> {
+    (text.lines())
+        .filter_map(|line| line.strip_prefix("- **")?.split_once('.')?.0.parse().ok())
+        .collect()
+}
+
+#[test]
+fn cited_roadmap_items_exist() {
+    let items = roadmap_items(&read("ROADMAP.md"));
+    let mut unknown = Vec::new();
+    for doc in ["README.md", "DESIGN.md"] {
+        for n in cited_items(&read(doc)) {
+            if !items.contains(&n) {
+                unknown.push(format!("{doc}: ROADMAP item {n}"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "items ROADMAP.md does not have:\n{}",
+        unknown.join("\n")
     );
 }
 
@@ -166,7 +248,21 @@ fn the_scanners_see_what_they_scan() {
     assert!(glob_match("*_fuzz.rs", "wire_fuzz.rs"));
     assert!(!glob_match("*_fuzz.rs", "wire_fuzz.rs.orig"));
     assert!(exists("crates/stream/tests/*_fuzz.rs"));
+    assert_eq!(
+        backticked_paths("`shard/src/a.rs:60`, `a / b`, `/abs/`, `x/{y,z}` and `a`"),
+        ["shard/src/a.rs", "x/{y,z}"]
+    );
+    assert_eq!(
+        cited_items("ROADMAP item 12, ROADMAP\nitem 3(b) and item 4"),
+        [12, 3]
+    );
+    assert_eq!(
+        roadmap_items("- **1. One.**\n  - **2. no\n- **19. Two.**"),
+        [1, 19]
+    );
     assert!(!exists("crates/stream/tests/*_nowhere.rs"));
+    assert!(exists("crates/*/src"));
+    assert!(!exists("crates/*/nowhere"));
     assert_eq!(
         line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
         [
