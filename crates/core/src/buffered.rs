@@ -458,16 +458,6 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         outcome
     }
 
-    fn insert_object(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        self.restore_object(set, id, mbr, now, now)
-    }
-
     fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {
         let prev = *(self.registrations.get(&id)).ok_or(TprError::ObjectNotFound(id))?;
         self.index.remove(id, &prev, now)?;

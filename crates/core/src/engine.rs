@@ -188,63 +188,43 @@ pub trait ContinuousJoinEngine {
         Ok(())
     }
 
-    /// Registers a brand-new object on side `set` at `now` (`mbr.t_ref`
-    /// must be `now`) and joins it against the other side, adding the
-    /// discovered pairs to the answer. An id already registered is
-    /// refused with [`TprError::DuplicateObject`]. Together with
-    /// [`remove_object`](Self::remove_object) this is exactly one half
-    /// of [`apply_update`](Self::apply_update); the stream service
-    /// retires objects through the other half. Engines
-    /// without an interval result buffer (ETP) return
-    /// [`cij_tpr::TprError::Unsupported`].
-    fn insert_object(
-        &mut self,
-        _set: SetTag,
-        _id: ObjectId,
-        _mbr: MovingRect,
-        _now: Time,
-    ) -> TprResult<()> {
-        Err(TprError::Unsupported {
-            what: format!("routed insert_object on {}", self.name()),
-        })
-    }
-
     /// Deregisters object `id` at `now`, located by its
     /// [registration](Self::registrations), and drops every result pair
     /// involving it. The other half of
-    /// [`insert_object`](Self::insert_object). An id the engine does not
-    /// hold fails with [`TprError::ObjectNotFound`].
+    /// [`restore_object`](Self::restore_object); the stream service
+    /// retires objects through it. An id the engine does not hold fails
+    /// with [`TprError::ObjectNotFound`]. Engines without an interval
+    /// result buffer (ETP) return [`TprError::Unsupported`].
     fn remove_object(&mut self, _id: ObjectId, _now: Time) -> TprResult<()> {
         Err(TprError::Unsupported {
             what: format!("routed remove_object on {}", self.name()),
         })
     }
 
-    /// Re-registers an object that is *already live in the system* —
-    /// last updated at `registered_at ≤ now` — into this engine at
-    /// `now`, and joins it against the other side: an engine rebuilt
-    /// from a registration table gets its objects back *without* a fresh
-    /// trajectory update, so unlike
-    /// [`insert_object`](Self::insert_object) (where `mbr.t_ref == now`)
-    /// the registration must keep the object's original update time:
-    /// engines that key removal by update time (MTB buckets) file the
-    /// object under `registered_at`, so its *next* update finds it
-    /// exactly where the original engine would. Probe windows may use `now`
+    /// Registers object `id` on side `set`, last updated at
+    /// `registered_at ≤ now`, and joins it against the other side at
+    /// `now`, adding the discovered pairs to the answer: the one routed
+    /// insert. A brand-new object passes `registered_at == now` (and
+    /// `mbr.t_ref == now`); an object put back from a registration table
+    /// passes the time it was registered, so engines that key removal by
+    /// update time (MTB buckets) file it where the original registration
+    /// was and its *next* update finds it there. Probe windows use `now`
     /// (they end at or after the windows the original registration used,
     /// and every window is exact inside its span, so observable answers
-    /// are unchanged).
-    ///
-    /// The default delegates to `insert_object`, which is correct for
-    /// engines that locate objects purely by trajectory.
+    /// are unchanged). An id already registered is refused with
+    /// [`TprError::DuplicateObject`]. Engines without an interval result
+    /// buffer (ETP) return [`TprError::Unsupported`].
     fn restore_object(
         &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
+        _set: SetTag,
+        _id: ObjectId,
+        _mbr: MovingRect,
         _registered_at: Time,
-        now: Time,
+        _now: Time,
     ) -> TprResult<()> {
-        self.insert_object(set, id, mbr, now)
+        Err(TprError::Unsupported {
+            what: format!("routed restore_object on {}", self.name()),
+        })
     }
 
     /// Advances the answer's sweep line to `now`: intervals that ended

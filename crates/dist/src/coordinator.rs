@@ -20,8 +20,8 @@
 //! So `result_at`, `pair_status_at`, `counters` and the change list are
 //! read from the coordinator's buffer with no RPC, and a `StreamService`
 //! over a `DistCoordinator` emits the delta stream it emits over a
-//! `ShardCoordinator` with the same policy — the crate's differential
-//! tests pin it, through worker kills and re-seeds. The one exception is
+//! `ShardCoordinator` with the same policy — the workspace's `conform`
+//! suite pins it, through worker kills and re-seeds. The one exception is
 //! the initial join: a worker cannot join its trees against another
 //! worker's, so it is one probe round of every A object against every
 //! partition's B side, where the in-process pair runs tree-vs-tree jobs.
@@ -205,14 +205,15 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.shard.apply_batch(updates, now)
     }
 
-    fn insert_object(
+    fn restore_object(
         &mut self,
         set: SetTag,
         id: ObjectId,
         mbr: MovingRect,
+        registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
-        self.shard.insert_object(set, id, mbr, now)
+        self.shard.restore_object(set, id, mbr, registered_at, now)
     }
 
     /// The worker hears of it with the next round.

@@ -26,10 +26,10 @@
 //!   any local engine;
 //! - the [`Transport`] seam is pluggable: an in-process [`loopback`]
 //!   with deterministic kill/restart fault injection for the
-//!   differential suite, and a length+CRC32-framed [`tcp`] transport
+//!   `conform` suite, and a length+CRC32-framed [`tcp`] transport
 //!   (plus the `shard_worker` binary) for real multi-process runs.
 //!
-//! Pinned by the crate's differential tests: the delta stream a
+//! Pinned by the workspace's `conform` suite: the delta stream a
 //! `StreamService` emits over a `DistCoordinator` is the one it emits
 //! over a single-process `ShardCoordinator` with the same policy —
 //! including runs where a worker is killed mid-stream, or mid-round, and

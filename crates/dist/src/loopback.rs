@@ -10,7 +10,7 @@
 //!
 //! Messages still pass through the full protocol codec — every request
 //! and response is encoded and decoded exactly as on the wire — so the
-//! loopback differential suite exercises the same byte paths as TCP,
+//! loopback `conform` cases exercise the same byte paths as TCP,
 //! minus the socket.
 
 use std::path::PathBuf;

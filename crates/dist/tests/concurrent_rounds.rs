@@ -401,7 +401,7 @@ fn a_failed_round_keeps_every_acked_round_exact() {
     let newcomer = MovingRect::rigid(here, [0.9 * p.max_speed, 0.0], now);
     let id = ObjectId(1 << 40);
     assert_ne!(policy.shard_of(id, &newcomer), victim);
-    dist.insert_object(SetTag::A, id, newcomer, now)
+    dist.restore_object(SetTag::A, id, newcomer, now, now)
         .expect("a round that re-seeds the victim");
     let last_init = |slot: usize| {
         let init = deployment.last_init[slot]

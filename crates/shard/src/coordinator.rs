@@ -14,7 +14,7 @@
 //! another); phase 2 probes both sides against all K partitions, the
 //! partitions fanned out over the configuration's `threads`. The module
 //! docs of [`crate::partitioned`] argue why the answer is the single
-//! engine's, bit for bit — the property the differential harness pins
+//! engine's, bit for bit — the property the `conform` harness pins
 //! across policies × K × threads, including across re-partitions.
 //!
 //! # Online re-partitioning
@@ -299,17 +299,18 @@ where
         self.maybe_rebalance(now)
     }
 
-    fn insert_object(
+    fn restore_object(
         &mut self,
         set: SetTag,
         id: ObjectId,
         mbr: MovingRect,
+        registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
         if let Some(ctl) = self.adaptive.as_mut() {
             ctl.observe(&mbr);
         }
-        self.engine.insert_object(set, id, mbr, now)
+        self.engine.restore_object(set, id, mbr, registered_at, now)
     }
 
     fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {

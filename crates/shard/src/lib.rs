@@ -18,8 +18,8 @@
 //! trajectory update that crosses a partition boundary becomes a
 //! migration (remove from the old partition, insert into the new one)
 //! inside a single logical update. The answer is pinned bit-identical to
-//! the single-engine oracle by the differential suite in
-//! `tests/differential.rs`.
+//! the single-engine oracle by the workspace's `conform` suite
+//! (`tests/conform.rs` at the repository root).
 //!
 //! Partitions need not stay fixed: the coordinator can
 //! [`rebalance_to`](ShardCoordinator::rebalance_to) a new policy while the
@@ -29,7 +29,7 @@
 //! [`AdaptiveController`] that derives equal-weight boundaries from a
 //! streaming quantile sketch of the observed trajectories and triggers
 //! those rebalances when the population imbalance crosses a threshold —
-//! the differential suite pins the answer across re-partition events too.
+//! the `conform` suite pins the answer across re-partition events too.
 //!
 //! The distributed coordinator of `cij-dist` is the same engine over
 //! remote partitions: one worker process per shard.

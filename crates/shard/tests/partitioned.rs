@@ -225,13 +225,13 @@ fn partition_lengths_sum_to_the_live_set() {
     coord.remove_object(gone.id, at).unwrap();
     assert_eq!(indexed(&coord), a.len() + b.len() - 1);
     coord
-        .insert_object(SetTag::A, gone.id, mbr.rebase(at), at)
+        .restore_object(SetTag::A, gone.id, mbr.rebase(at), at, at)
         .unwrap();
     assert_eq!(indexed(&coord), a.len() + b.len());
 }
 
 /// After every step of a seeded schedule — migrating updates,
-/// `remove_object`, `insert_object` and forced splits, merges and
+/// `remove_object`, `restore_object` and forced splits, merges and
 /// boundary shifts — each shard's population on each side equals the
 /// number of registrations that derive to that shard and the length of
 /// that partition's index on that side.
@@ -321,7 +321,9 @@ fn placement_is_derived_and_populations_never_drift() {
             let (set, id) = retired.swap_remove(next(retired.len()));
             let snapshot = stream.snapshot(set);
             let (_, mbr) = snapshot.iter().find(|(o, _)| *o == id).unwrap();
-            coord.insert_object(set, id, mbr.rebase(now), now).unwrap();
+            coord
+                .restore_object(set, id, mbr.rebase(now), now, now)
+                .unwrap();
             inserts += 1;
             check(&coord, &format!("t={now} insert {id:?}"));
         }

@@ -2,7 +2,7 @@
 //!
 //! No index, no candidates: every A×B pair is refined with the *same*
 //! primitive over the *same* window the real engine uses, so the two
-//! answers are bit-identical floats — the differential suites assert
+//! answers are bit-identical floats — the `conform` suite asserts
 //! exact equality, not tolerance bands.
 
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use crate::ProximityConfig;
 /// O(|A|·|B|) reference implementation of the proximity join.
 ///
 /// Implements the full [`ContinuousJoinEngine`] protocol (including
-/// routed insert/remove and delta tracking) so it can stand in for
+/// routed restore/remove and delta tracking) so it can stand in for
 /// [`ProximityJoinEngine`](crate::ProximityJoinEngine) anywhere — behind
 /// the stream service, say — while computing the answer by exhaustive
 /// refinement over its [`Registrations`].
@@ -127,14 +127,15 @@ impl ContinuousJoinEngine for BruteProximityEngine {
             .ok_or(TprError::ObjectNotFound(id))?
             .set;
         self.remove_object(id, now)?;
-        self.insert_object(set, id, update.new_mbr, now)
+        self.restore_object(set, id, update.new_mbr, now, now)
     }
 
-    fn insert_object(
+    fn restore_object(
         &mut self,
         set: SetTag,
         id: ObjectId,
         mbr: MovingRect,
+        registered_at: Time,
         now: Time,
     ) -> TprResult<()> {
         if self.registrations.contains_key(&id) {
@@ -143,7 +144,7 @@ impl ContinuousJoinEngine for BruteProximityEngine {
         let registration = Registration {
             set,
             mbr,
-            registered_at: now,
+            registered_at,
         };
         self.registrations.insert(id, registration);
         self.refine_against_all(set, id, now);

@@ -7,7 +7,7 @@ use cij_geom::{Time, TimeInterval};
 ///
 /// A subscriber replaying these events against an initially-empty pair
 /// set reconstructs `result_at(t)` exactly at every extraction tick —
-/// the differential tests in this crate pin that property for all four
+/// the workspace's `conform` suite pins that property for all four
 /// engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResultDelta {

@@ -13,7 +13,7 @@
 //!   [`ResultDelta`]s — `PairAdded` with the pair's predicted valid
 //!   interval, `PairRemoved` when it leaves — instead of snapshots.
 //!   Replaying the deltas from the empty set reconstructs `result_at`
-//!   exactly at every tick (the crate's differential tests pin this for
+//!   exactly at every tick (the workspace's `conform` suite pins this for
 //!   all four engines);
 //! - [`StreamService::subscribe`] registers consumers with per-consumer
 //!   [`SubscriptionFilter`]s and bounded outboxes; slow consumers lose

@@ -233,13 +233,16 @@ impl StreamService {
                         ));
                     }
                     WalRecord::Batch { at, updates } => {
-                        let mut updates = updates.into_owned();
+                        // The journaled delete keys are not read: the
+                        // engine derives them from its registrations.
                         let registrations = service.engine.registrations();
-                        Self::fill_delete_keys(registrations, at, &mut updates).map_err(|id| {
-                            StreamError::CorruptJournal(format!(
-                                "batch at {at} updates unknown object {id:?}"
-                            ))
-                        })?;
+                        if let Some(u) = updates.iter().find(|u| !registrations.contains_key(&u.id))
+                        {
+                            return Err(StreamError::CorruptJournal(format!(
+                                "batch at {at} updates unknown object {:?}",
+                                u.id
+                            )));
+                        }
                         service.apply_batch(at, &updates)?;
                         // The queue's stale frontier follows the replayed clock.
                         service.queue.close_through(at);

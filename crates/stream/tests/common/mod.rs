@@ -126,17 +126,6 @@ impl ChainedGen {
     pub fn commit(&mut self, u: &ObjectUpdate, at: Time) {
         self.states.insert(u.id, (u.new_mbr, at));
     }
-
-    /// The committed trajectories of one side, in id order — what the
-    /// brute-force oracle joins once every commit has been applied.
-    pub fn trajectories(&self, set: SetTag) -> Vec<(ObjectId, MovingRect)> {
-        let mut out: Vec<(ObjectId, MovingRect)> = (self.ids.iter())
-            .filter(|&&(_, tag)| tag == set)
-            .map(|&(id, _)| (id, self.states[&id].0))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
 }
 
 #[path = "../../../storage/tests/common/bytes.rs"]

@@ -22,7 +22,7 @@ pub enum TprError {
     },
     /// The operation is not supported by this engine/index combination
     /// (e.g. routed single-object inserts on an engine without a result
-    /// buffer — see `ContinuousJoinEngine::insert_object`).
+    /// buffer — see `ContinuousJoinEngine::restore_object`).
     Unsupported {
         /// What was attempted and by whom.
         what: String,

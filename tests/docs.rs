@@ -14,6 +14,10 @@
 //!   resolve), braces and globs expanded as above.
 //! * Every "ROADMAP item N" in README.md and DESIGN.md names an item of
 //!   ROADMAP.md's open list.
+//! * Every `cargo test … --test NAME` in the verify skill and the CI
+//!   workflow names a test target that exists in the package it selects
+//!   (`-p cij-X` is `crates/X`, no `-p` the root package), so a suite that
+//!   moves fails here instead of leaving a stale command behind.
 
 use std::fs;
 use std::path::PathBuf;
@@ -234,6 +238,82 @@ fn line_references_point_inside_their_file() {
     );
 }
 
+/// The `(package directory, test name)` of every `--test NAME` of every
+/// `cargo test` command in `text`: `-p cij-X` selects `crates/X`,
+/// `--manifest-path DIR/Cargo.toml` selects `DIR`, and a command that
+/// selects neither, the root package (`""`). A command may wrap across
+/// lines; it ends at `--`, a shell operator, a comment, the next `cargo`
+/// or the end of its inline code span.
+fn test_targets(text: &str) -> Vec<(String, String)> {
+    let raw: Vec<&str> = text.split_whitespace().collect();
+    let word = |i: usize| {
+        raw.get(i)
+            .map_or("", |w| w.trim_matches(|c| "`(),;".contains(c)))
+    };
+    let mut targets = Vec::new();
+    let mut i = 0;
+    while i < raw.len() {
+        if (word(i), word(i + 1)) != ("cargo", "test") {
+            i += 1;
+            continue;
+        }
+        let (mut dirs, mut names) = (Vec::new(), Vec::new());
+        let mut last = raw[i + 1].ends_with('`');
+        i += 2;
+        while i < raw.len() && !last {
+            let w = word(i);
+            if ["--", "&&", "||", "|", "cargo"].contains(&w) || raw[i].starts_with(['#', '`']) {
+                break;
+            }
+            let takes_value = ["-p", "--package", "--manifest-path", "--test"].contains(&w);
+            let value = if takes_value { word(i + 1) } else { "" };
+            match w {
+                "-p" | "--package" => {
+                    let dir = value.strip_prefix("cij-").map(|c| format!("crates/{c}"));
+                    dirs.push(dir.unwrap_or_default());
+                }
+                "--manifest-path" => {
+                    let dir = value.trim_end_matches("Cargo.toml").trim_end_matches('/');
+                    dirs.push(dir.to_string());
+                }
+                "--test" => names.push(value.to_string()),
+                _ => {}
+            }
+            i += usize::from(takes_value);
+            last = raw.get(i).is_some_and(|w| w.ends_with('`'));
+            i += 1;
+        }
+        if dirs.is_empty() {
+            dirs.push(String::new());
+        }
+        for dir in &dirs {
+            targets.extend(names.iter().map(|name| (dir.clone(), name.clone())));
+        }
+    }
+    targets
+}
+
+#[test]
+fn cargo_test_targets_exist() {
+    let mut missing = Vec::new();
+    for doc in [".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"] {
+        for (dir, name) in test_targets(&read(doc)) {
+            let tests = Some(dir.as_str())
+                .filter(|d| !d.is_empty())
+                .map_or("tests".into(), |d| format!("{d}/tests"));
+            if !exists(&format!("{tests}/{name}.rs")) && !exists(&format!("{tests}/{name}/main.rs"))
+            {
+                missing.push(format!("{doc}: `--test {name}` in `{tests}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "test targets that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
 #[test]
 fn the_scanners_see_what_they_scan() {
     assert_eq!(
@@ -263,6 +343,21 @@ fn the_scanners_see_what_they_scan() {
     assert!(!exists("crates/stream/tests/*_nowhere.rs"));
     assert!(exists("crates/*/src"));
     assert!(!exists("crates/*/nowhere"));
+    let target = |dir: &str, name: &str| (dir.to_string(), name.to_string());
+    assert_eq!(
+        test_targets(
+            "`cargo test -p cij-dist --test a --test b` -p x && cargo test --test c -- --test d\n\
+             cargo test -q --test e # --test f\n\
+             cargo test --manifest-path benchmark/Cargo.toml --test\ng"
+        ),
+        [
+            target("crates/dist", "a"),
+            target("crates/dist", "b"),
+            target("", "c"),
+            target("", "e"),
+            target("benchmark", "g")
+        ]
+    );
     assert_eq!(
         line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
         [
