@@ -4,7 +4,8 @@
 //! about which index answers it, so NaiveJoin, TC-Join and MTB-Join are
 //! one maintenance protocol — re-register the object in its own index,
 //! drop its pairs, probe the other side over a window, add the hits to
-//! the [`ResultBuffer`] — written once in [`BufferedEngine`].
+//! the [`ResultBuffer`] — written once in [`BufferedEngine`], which
+//! re-registers a whole tick's objects in one batch per index tree.
 //! Everything engine-specific (index, window, probe kernel, what moves
 //! [`JoinCounters`]) lives in an [`IndexPair`]:
 //!
@@ -19,7 +20,7 @@
 
 use std::ops::Deref;
 
-use cij_geom::{MovingRect, Time, INFINITE_TIME};
+use cij_geom::{in_range, MovingRect, Time, INFINITE_TIME};
 use cij_join::{
     parallel_improved_multi_join, probe_batch, techniques, JoinCounters, JoinJob, JoinPair,
     JoinScratch, ProbeHit, Techniques,
@@ -31,7 +32,7 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
 use crate::mtb::MtbTree;
-use crate::registrations::{genesis_registrations, Registration, Registrations};
+use crate::registrations::{genesis_registrations, indexable, Registration, Registrations};
 use crate::result::{PairKey, PairStatus, ResultBuffer};
 
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
@@ -76,20 +77,30 @@ pub trait IndexPair: Sized + Sync {
     /// Deregisters `id`, filed under `registration`.
     fn remove(&mut self, id: ObjectId, registration: &Registration, now: Time) -> TprResult<()>;
 
-    /// Phase 1 of an update at `now`: moves `id` from `prev` to the
-    /// trajectory `mbr`, registered at `now` on the same side. The
-    /// default is a [`remove`](Self::remove) and an
-    /// [`insert`](Self::insert); the shard crate's partitioned pair
-    /// overrides it to count a move between partitions.
-    fn reregister(
+    /// Phase 1 of a tick at `now`, in one call: deregisters every
+    /// `(id, registration)` of `removes`, then files every
+    /// `(id, registration)` of `inserts` (indexes keyed by update time
+    /// under its `registered_at`). An id appears at most once in each;
+    /// one in both is an update. Both are iterators a pair may walk more
+    /// than once — once per tree, say — instead of copying them. The
+    /// default is one [`remove`](Self::remove) per removal and one
+    /// [`insert`](Self::insert) per insertion, in order. Pairs over trees
+    /// override it to hand each tree its share in one
+    /// [`TprTree::apply_batch`]; the shard crate's partitioned pair
+    /// hands each partition its share and counts the moves between them.
+    fn refile(
         &mut self,
-        id: ObjectId,
-        prev: &Registration,
-        mbr: MovingRect,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        self.remove(id, prev, now)?;
-        self.insert(prev.set, id, mbr, now, now)
+        for (id, r) in removes {
+            self.remove(id, &r, now)?;
+        }
+        for (id, r) in inserts {
+            self.insert(r.set, id, r.mbr, r.registered_at, now)?;
+        }
+        Ok(())
     }
 
     /// The set-vs-set join at `now` over the objects of `registrations`:
@@ -276,24 +287,34 @@ impl TickProbes {
 /// the maintenance protocol between them.
 ///
 /// A tick ([`apply_batch`](ContinuousJoinEngine::apply_batch)) runs in
-/// two phases. Phase 1 looks up each update's registration, removes the
-/// object by it and re-registers it at `now`, **in batch order** — so the
-/// indexes end up as the very pages the per-update loop would have
-/// written — drops the updated objects' pairs, and keeps one probe per
-/// updated id. Of an update only `id` and `new_mbr` are read: its side and
-/// delete keys are the table's. Phase 2 joins the probes of each side against
-/// the other side's index in one [`IndexPair::probe_sides`] call and adds
-/// the hits to the buffer.
+/// two phases. Phase 1 first checks the whole tick against the table:
+/// the updates before the first unknown id or unsound trajectory are the
+/// tick (that failure is returned once they are applied). It then hands
+/// the tick to the pair in one [`IndexPair::refile`] call — each updated
+/// id removed once, by its registration, and re-registered once at `now`
+/// with its **last** trajectory — re-registers those ids in the table,
+/// drops their pairs, and keeps one probe per updated id. The pairs
+/// over trees hand each tree its share in one
+/// [`TprTree::apply_batch`], so a node the tick touches is read and
+/// written once per descent, not once per update; the indexed set is
+/// the per-update loop's, the page layout may differ. Of an update only
+/// `id` and `new_mbr` are read: its side and delete keys are the
+/// table's. Phase 2 joins the probes of each side against the other
+/// side's index in one [`IndexPair::probe_sides`] call and adds the hits
+/// to the buffer.
 ///
-/// Three rules make the buffer equal to the loop's, bit for bit:
-/// mutation order is kept (above); an id updated twice probes only with
-/// its **last** trajectory (the loop's earlier pairs were dropped again
-/// by the later update); and a pair whose two endpoints both updated is
-/// taken from the probe of the endpoint **later** in the batch (the loop
-/// dropped the earlier endpoint's finding when the later one updated).
-/// Pairs the loop found and dropped again within the tick never enter
-/// the buffer here, so the change list is a subset of the loop's — it is
-/// a dirty list that consumers recheck against engine state.
+/// Two rules make the buffer equal to the loop's, bit for bit (the
+/// probes find the same partners with the same intervals whatever the
+/// page layout): an id updated twice probes only with its **last**
+/// trajectory (the loop's earlier pairs were dropped again by the later
+/// update); and a pair whose two endpoints both updated is taken from
+/// the probe of the endpoint **later** in the batch (the loop dropped
+/// the earlier endpoint's finding when the later one updated). Pairs the
+/// loop found and dropped again within the tick never enter the buffer
+/// here, so the change list is a subset of the loop's — it is a dirty
+/// list that consumers recheck against engine state. An index error in
+/// phase 1 (a page the store lost, say) is returned at once and leaves
+/// the engine's state unspecified.
 ///
 /// The engine dereferences to its pair, which is where the
 /// pair-specific accessors live (`engine.mtb_a()`, …).
@@ -429,31 +450,54 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
     }
 
     fn apply_batch(&mut self, updates: &[ObjectUpdate], now: Time) -> TprResult<()> {
-        // Phase 1 stops at the first failure and returns it after phase 2
-        // has probed for the updates before it, so they are fully applied
-        // — the state the per-update loop stops in.
+        // Phase 1 checks the tick before it changes anything. The updates
+        // before the first unknown id or unsound trajectory are applied in
+        // full, and that failure is returned after phase 2 has probed for
+        // them — the state the per-update loop stops in.
         let mut outcome = Ok(());
         let mut sides = std::mem::take(&mut self.probes.sides);
         sides.clear();
         for u in updates {
-            let Some(registration) = self.registrations.get_mut(&u.id) else {
+            let Some(registration) = self.registrations.get(&u.id) else {
                 outcome = Err(TprError::ObjectNotFound(u.id));
                 break;
             };
-            let prev = *registration;
-            if let Err(e) = self.index.reregister(u.id, &prev, u.new_mbr, now) {
-                outcome = Err(e);
+            if !u.new_mbr.is_sound_from(now) {
+                outcome = Err(TprError::UnsoundTrajectory(u.id));
                 break;
             }
-            registration.mbr = u.new_mbr;
-            registration.registered_at = now;
-            sides.push(prev.set);
-            self.buffer.remove_object(u.id);
+            sides.push(registration.set);
         }
         let applied = updates.iter().zip(&sides);
         self.probes
             .load(applied.map(|(u, &set)| (set, u.id, u.new_mbr)));
         self.probes.sides = sides;
+        // Each updated id once: removed by its registration, filed with
+        // its last trajectory.
+        let (ids, mbrs, table) = (&self.probes.ids, &self.probes.mbrs, &self.registrations);
+        let moved = [SetTag::A, SetTag::B].into_iter().flat_map(move |set| {
+            let (ids, mbrs) = (&ids[side(set)], &mbrs[side(set)]);
+            ids.iter().zip(mbrs).map(move |(&id, &mbr)| (set, id, mbr))
+        });
+        let removes = moved.clone().map(|(_, id, _)| (id, table[&id]));
+        let filed = move |(set, id, mbr)| {
+            (
+                id,
+                Registration {
+                    set,
+                    mbr,
+                    registered_at: now,
+                },
+            )
+        };
+        let inserts = moved.clone().map(filed);
+        self.index.refile(removes, inserts.clone(), now)?;
+        for (id, registration) in inserts {
+            self.registrations.insert(id, registration);
+        }
+        for u in &updates[..self.probes.sides.len()] {
+            self.buffer.remove_object(u.id);
+        }
         self.join_probes(now)?;
         outcome
     }
@@ -476,6 +520,9 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
     ) -> TprResult<()> {
         if self.registrations.contains_key(&id) {
             return Err(TprError::DuplicateObject(id));
+        }
+        if !(indexable(&mbr, now) && in_range(registered_at) && registered_at <= now) {
+            return Err(TprError::UnsoundTrajectory(id));
         }
         self.index.insert(set, id, mbr, registered_at, now)?;
         let registration = Registration {
@@ -600,6 +647,25 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
 
     fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
         self.trees[side(r.set)].delete(id, &r.mbr, now)
+    }
+
+    /// Each tree's share of the tick in one batch.
+    fn refile(
+        &mut self,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        now: Time,
+    ) -> TprResult<()> {
+        for set in [SetTag::A, SetTag::B] {
+            let of_side =
+                move |(id, r): (ObjectId, Registration)| (r.set == set).then_some((id, r.mbr));
+            let share = (
+                removes.clone().filter_map(of_side),
+                inserts.clone().filter_map(of_side),
+            );
+            self.trees[side(set)].apply_batch(share.0, share.1, now)?;
+        }
+        Ok(())
     }
 
     fn initial_join(
@@ -736,6 +802,27 @@ impl IndexPair for MtbPair {
 
     fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
         self.trees[side(r.set)].remove(id, &r.mbr, r.registered_at, now)
+    }
+
+    /// Each MTB-tree's share of the tick in one call, which hands every
+    /// bucket tree its own share in one batch.
+    fn refile(
+        &mut self,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        now: Time,
+    ) -> TprResult<()> {
+        for set in [SetTag::A, SetTag::B] {
+            let of_side = move |(id, r): (ObjectId, Registration)| {
+                (r.set == set).then_some((id, r.mbr, r.registered_at))
+            };
+            let share = (
+                removes.clone().filter_map(of_side),
+                inserts.clone().filter_map(of_side),
+            );
+            self.trees[side(set)].apply_batch(share.0, share.1, now)?;
+        }
+        Ok(())
     }
 
     /// All bucket pairs share one traversal worklist, so even a single

@@ -170,9 +170,10 @@ pub trait ContinuousJoinEngine {
     /// Applies one object update at time `now`: re-registers the object
     /// in the index and refreshes the answer (phase 2 of §II-A). Only its
     /// `id` and `new_mbr` are read: the side and delete keys are the
-    /// engine's [`registrations`](Self::registrations), and an id they do
-    /// not hold fails with [`TprError::ObjectNotFound`] before anything
-    /// changes.
+    /// engine's [`registrations`](Self::registrations). An id they do not
+    /// hold fails with [`TprError::ObjectNotFound`], and a `new_mbr` not
+    /// [sound](MovingRect::is_sound_from) from `now` with
+    /// [`TprError::UnsoundTrajectory`], before anything changes.
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()>;
 
     /// Applies one tick's updates, all stamped `now`; the answer
@@ -212,7 +213,10 @@ pub trait ContinuousJoinEngine {
     /// (they end at or after the windows the original registration used,
     /// and every window is exact inside its span, so observable answers
     /// are unchanged). An id already registered is refused with
-    /// [`TprError::DuplicateObject`]. Engines without an interval result
+    /// [`TprError::DuplicateObject`], and a trajectory not
+    /// [sound](MovingRect::is_sound_from) from `now` (or from its own
+    /// later reference time) or a `registered_at` after `now` with
+    /// [`TprError::UnsoundTrajectory`]. Engines without an interval result
     /// buffer (ETP) return [`TprError::Unsupported`].
     fn restore_object(
         &mut self,
@@ -443,6 +447,9 @@ impl ContinuousJoinEngine for EtpEngine {
     fn apply_update(&mut self, update: &ObjectUpdate, now: Time) -> TprResult<()> {
         let id = update.id;
         let registration = (self.registrations.get_mut(&id)).ok_or(TprError::ObjectNotFound(id))?;
+        if !update.new_mbr.is_sound_from(now) {
+            return Err(TprError::UnsoundTrajectory(id));
+        }
         let set = registration.set;
         let (own, other) = match set {
             SetTag::A => (&mut self.tree_a, &self.tree_b),

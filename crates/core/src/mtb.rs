@@ -12,6 +12,7 @@
 //! At most `m + 1` buckets are ever live: any object older than `T_M`
 //! must have re-registered into a newer bucket, emptying the old tree.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use cij_geom::{MovingRect, Time};
@@ -181,6 +182,54 @@ impl MtbTree {
         self.len -= 1;
         if tree.is_empty() {
             self.buckets.remove(&idx);
+        }
+        Ok(())
+    }
+
+    /// One tick's share of this MTB-tree at `now`: removes every
+    /// `(oid, trajectory, last update time)` of `removes` from the bucket
+    /// of its last update, and files every `(oid, trajectory, update
+    /// time)` of `inserts` in the bucket of its update time. Each bucket
+    /// tree gets its share in one [`TprTree::apply_batch`], oldest bucket
+    /// first (one pass over the changes per bucket), and a bucket left
+    /// empty is dropped. A removal from a bucket that does not exist
+    /// fails with [`TprError::ObjectNotFound`], as do the tree's own
+    /// misses.
+    pub fn apply_batch(
+        &mut self,
+        removes: impl Iterator<Item = (ObjectId, MovingRect, Time)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, MovingRect, Time)> + Clone,
+        now: Time,
+    ) -> TprResult<()> {
+        let bucket_len = self.bucket_len;
+        let bucket_of = move |t: Time| (t / bucket_len).floor() as i64;
+        let mut touched: Vec<i64> = Vec::new();
+        for (.., at) in removes.clone().chain(inserts.clone()) {
+            let idx = bucket_of(at);
+            if !touched.contains(&idx) {
+                touched.push(idx);
+            }
+        }
+        touched.sort_unstable();
+        for idx in touched {
+            let in_bucket = move |(oid, mbr, at): (ObjectId, MovingRect, Time)| {
+                (bucket_of(at) == idx).then_some((oid, mbr))
+            };
+            let removes = removes.clone().filter_map(in_bucket);
+            let inserts = inserts.clone().filter_map(in_bucket);
+            let tree = match self.buckets.entry(idx) {
+                Entry::Occupied(tree) => tree.into_mut(),
+                Entry::Vacant(slot) => match removes.clone().next() {
+                    Some((oid, _)) => return Err(TprError::ObjectNotFound(oid)),
+                    None => slot.insert(TprTree::new(self.pool.clone(), self.config)),
+                },
+            };
+            let before = tree.len();
+            tree.apply_batch(removes, inserts, now)?;
+            self.len = self.len + tree.len() - before;
+            if tree.is_empty() {
+                self.buckets.remove(&idx);
+            }
         }
         Ok(())
     }

@@ -31,7 +31,10 @@ pub type Registrations = IdMap<ObjectId, Registration>;
 ///
 /// # Errors
 /// [`TprError::DuplicateObject`] naming the first id that appears twice
-/// across `set_a ∪ set_b`.
+/// across `set_a ∪ set_b`, or [`TprError::UnsoundTrajectory`] naming the
+/// first object whose trajectory is not [sound](MovingRect::is_sound_from)
+/// from the later of `now` and its own reference time (a window may
+/// start later).
 pub fn genesis_registrations(
     set_a: &[MovingObject],
     set_b: &[MovingObject],
@@ -41,6 +44,9 @@ pub fn genesis_registrations(
     table.reserve(set_a.len() + set_b.len());
     for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
         for o in objects {
+            if !indexable(&o.mbr, now) {
+                return Err(TprError::UnsoundTrajectory(o.id));
+            }
             let registration = Registration {
                 set,
                 mbr: o.mbr,
@@ -52,6 +58,16 @@ pub fn genesis_registrations(
         }
     }
     Ok(table)
+}
+
+/// Whether an object on `mbr` can be registered at `now` without a
+/// registration time of its own: its trajectory is
+/// [sound](MovingRect::is_sound_from) from the later of `now` and its
+/// reference time. A genesis or restored object may be referenced in
+/// the future (a window that starts later); an update's new trajectory
+/// is registered at `now` and must be sound from `now` itself.
+pub(crate) fn indexable(mbr: &MovingRect, now: Time) -> bool {
+    mbr.is_sound_from(now.max(mbr.t_ref))
 }
 
 /// The objects of `table` that `keep` admits, sorted by side and id: the

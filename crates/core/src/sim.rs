@@ -100,7 +100,7 @@ pub fn run_simulation<E: ContinuousJoinEngine + ?Sized>(
             engine.advance_time(now)?;
             // One batch per tick: engines default to the sequential
             // per-update loop; buffered engines (the shard coordinator
-            // included) run it in two phases with identical results.
+            // included) run it in two phases with identical answers.
             engine.apply_batch(&updates, now)?;
         }
         if measured {

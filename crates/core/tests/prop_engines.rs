@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, TcEngine};
-use cij_geom::Time;
+use cij_geom::{MovingRect, Time};
 use cij_join::{brute, techniques};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::TprError;
@@ -166,5 +166,103 @@ fn etp_engine_single_object_sets() {
             now,
         );
         assert_eq!(engine.result_at(now), expect, "t={now}");
+    }
+}
+
+/// `mbr` made unsound in one of three ways: a NaN velocity, a NaN
+/// position, an infinite velocity.
+fn unsound(mut mbr: MovingRect, case: usize) -> MovingRect {
+    match case {
+        0 => mbr.vlo[0] = f64::NAN,
+        1 => mbr.lo[1] = f64::NAN,
+        _ => mbr.vhi[0] = f64::INFINITY,
+    }
+    mbr
+}
+
+/// An update whose new trajectory no index can hold is refused with a
+/// typed error before the engine changes anything, whichever of the
+/// three ways it is unsound: a NaN velocity (which used to panic a later
+/// forced reinsert's sort), a NaN position (which used to poison its
+/// leaf for every later read) and an infinite velocity (which used to
+/// turn parent bounds NaN and lose other objects). The updates before it
+/// in the tick are applied; the rest, re-sent sound, are too; and the
+/// engine matches the oracle at every tick before and after.
+#[test]
+fn unsound_trajectories_are_refused_before_anything_changes() {
+    let params = Params {
+        dataset_size: 60,
+        space: 150.0,
+        ..Params::default()
+    };
+    let (a, b) = generate_pair(&params, 0.0);
+    for case in 0..3 {
+        for kind in ["mtb", "tc", "etp"] {
+            let config = EngineConfig::default();
+            let mut engine: Box<dyn ContinuousJoinEngine> = match kind {
+                "mtb" => Box::new(MtbEngine::new(pool(16), config, &a, &b, 0.0).unwrap()),
+                "tc" => Box::new(TcEngine::new(pool(16), config, &a, &b, 0.0).unwrap()),
+                _ => Box::new(EtpEngine::new(pool(16), config, &a, &b, 0.0).unwrap()),
+            };
+            let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+            engine.run_initial_join(0.0).unwrap();
+            let mut refused = false;
+            for tick in 1..=90u32 {
+                let now = Time::from(tick);
+                engine.advance_time(now).unwrap();
+                let updates = stream.tick(now);
+                if tick >= 5 && !refused && updates.len() >= 2 {
+                    let k = updates.len() / 2;
+                    let mut sent = updates.clone();
+                    sent[k].new_mbr = unsound(sent[k].new_mbr, case);
+                    let err = engine.apply_batch(&sent, now).unwrap_err();
+                    let id = updates[k].id;
+                    assert_eq!(err, TprError::UnsoundTrajectory(id), "{kind} case {case}");
+                    engine.apply_batch(&updates[k..], now).unwrap();
+                    refused = true;
+                } else {
+                    engine.apply_batch(&updates, now).unwrap();
+                }
+                engine.gc(now);
+                let expect = brute::brute_pairs_at(
+                    &stream.snapshot(SetTag::A),
+                    &stream.snapshot(SetTag::B),
+                    now,
+                );
+                assert_eq!(engine.result_at(now), expect, "{kind} case {case} t={now}");
+            }
+            assert!(refused, "{kind} case {case}: no tick was large enough");
+        }
+    }
+}
+
+/// Genesis objects and restored ones are held to the same rule.
+#[test]
+fn unsound_genesis_and_restored_objects_are_refused() {
+    let params = Params {
+        dataset_size: 10,
+        space: 100.0,
+        ..Params::default()
+    };
+    let (a, b) = generate_pair(&params, 0.0);
+    for case in 0..3 {
+        let (mut bad_a, mut bad_b) = (a.clone(), b.clone());
+        bad_a[3].mbr = unsound(a[3].mbr, case);
+        bad_b[3].mbr = unsound(b[3].mbr, case);
+        let built = MtbEngine::new(pool(16), EngineConfig::default(), &bad_a, &b, 0.0);
+        assert_eq!(built.err(), Some(TprError::UnsoundTrajectory(a[3].id)));
+        let built = EtpEngine::new(pool(16), EngineConfig::default(), &a, &bad_b, 0.0);
+        assert_eq!(built.err(), Some(TprError::UnsoundTrajectory(b[3].id)));
+
+        let mut engine = TcEngine::new(pool(16), EngineConfig::default(), &a, &b, 0.0).unwrap();
+        engine.run_initial_join(0.0).unwrap();
+        let id = a[3].id;
+        engine.remove_object(id, 1.0).unwrap();
+        let mbr = unsound(a[3].mbr, case);
+        let err = engine.restore_object(SetTag::A, id, mbr, 0.0, 1.0);
+        assert_eq!(err, Err(TprError::UnsoundTrajectory(id)));
+        engine
+            .restore_object(SetTag::A, id, a[3].mbr, 0.0, 1.0)
+            .unwrap();
     }
 }

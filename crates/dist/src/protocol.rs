@@ -21,6 +21,7 @@
 //! highest sequence number whose response the coordinator has safely
 //! consumed; the worker prunes its outbox up to it.
 
+use cij_core::Registration;
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, ProbeHit};
 use cij_stream::wire_enum;
@@ -100,6 +101,47 @@ wire_enum! {
 }
 
 impl IndexOp {
+    /// The op's object, the registration it files or removes the object
+    /// by, and when it ran.
+    #[must_use]
+    pub fn filing(&self) -> (ObjectId, Registration, Time) {
+        match *self {
+            Self::Insert {
+                set,
+                id,
+                mbr,
+                registered_at,
+                now,
+            } => (
+                id,
+                Registration {
+                    set,
+                    mbr,
+                    registered_at,
+                },
+                now,
+            ),
+            Self::Remove {
+                set,
+                id,
+                old_mbr,
+                last_update,
+                now,
+            } => {
+                let registered_at = last_update;
+                (
+                    id,
+                    Registration {
+                        set,
+                        mbr: old_mbr,
+                        registered_at,
+                    },
+                    now,
+                )
+            }
+        }
+    }
+
     /// Whether the op's times are [in range](in_range) and its
     /// trajectory [sound from](MovingRect::is_sound_from) the time it ran
     /// — what the indexes assume and assert on, so an op decoded from a

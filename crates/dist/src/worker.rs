@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cij_core::{EngineConfig, IndexPair, MtbPair, Registration, Registrations, TcPair};
+use cij_core::{EngineConfig, IndexPair, MtbPair, Registrations, TcPair};
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, JoinScratch};
 use cij_obs::MetricsRegistry;
@@ -58,8 +58,10 @@ impl WorkerPair {
         })
     }
 
-    /// Applies `ops` in order, then — when `probes` is `Some` — joins
-    /// both sides' probes at `now` into a [`Response::StepAck`].
+    /// Applies `ops`, then — when `probes` is `Some` — joins both sides'
+    /// probes at `now` into a [`Response::StepAck`]. An `Init` (no
+    /// probes) files its objects one at a time, as an engine builds its
+    /// indexes; a `Step` applies its ops as batches (see [`batches`]).
     fn run(
         &mut self,
         seq: u64,
@@ -80,28 +82,25 @@ impl WorkerPair {
         probes: Option<([&[MovingRect]; 2], Time)>,
         scratch: &mut JoinScratch,
     ) -> TprResult<Response> {
-        for op in ops {
-            match *op {
-                IndexOp::Insert {
-                    set,
-                    id,
-                    mbr,
-                    registered_at,
-                    now,
-                } => pair.insert(set, id, mbr, registered_at, now)?,
-                IndexOp::Remove {
-                    set,
-                    id,
-                    old_mbr,
-                    last_update,
-                    now,
-                } => {
-                    let registration = Registration {
-                        set,
-                        mbr: old_mbr,
-                        registered_at: last_update,
-                    };
-                    pair.remove(id, &registration, now)?;
+        if probes.is_some() {
+            for (run, now) in batches(ops) {
+                let of = move |removal: bool| {
+                    let kind = move |op: &&IndexOp| matches!(op, IndexOp::Remove { .. }) == removal;
+                    run.iter().filter(kind).map(|op| {
+                        let (id, registration, _) = op.filing();
+                        (id, registration)
+                    })
+                };
+                pair.refile(of(true), of(false), now)?;
+            }
+        } else {
+            for op in ops {
+                let (id, r, now) = op.filing();
+                match op {
+                    IndexOp::Insert { .. } => {
+                        pair.insert(r.set, id, r.mbr, r.registered_at, now)?
+                    }
+                    IndexOp::Remove { .. } => pair.remove(id, &r, now)?,
                 }
             }
         }
@@ -121,6 +120,29 @@ impl WorkerPair {
             counters,
         })
     }
+}
+
+/// A `Step`'s ops cut into the batches [`IndexPair::refile`] takes:
+/// maximal runs at one `now` in which no removal follows an insertion,
+/// each applied as its removals, then its insertions. Applying the runs
+/// in order leaves the index set the ops applied one by one leave.
+fn batches(ops: &[IndexOp]) -> Vec<(&[IndexOp], Time)> {
+    let mut runs = Vec::new();
+    let (mut start, mut inserted) = (0, false);
+    for (i, op) in ops.iter().enumerate() {
+        let removal = matches!(op, IndexOp::Remove { .. });
+        let at = ops[start].filing().2;
+        // A removal after an insertion would be reordered before it.
+        if i > start && (op.filing().2 != at || (removal && inserted)) {
+            runs.push((&ops[start..i], at));
+            (start, inserted) = (i, false);
+        }
+        inserted |= !removal;
+    }
+    if let Some(first) = ops.get(start) {
+        runs.push((&ops[start..], first.filing().2));
+    }
+    runs
 }
 
 /// Whether `req`'s times and trajectories can be handed to an index.

@@ -9,9 +9,9 @@
 //! B-shard `j` on partition `j`'s B side. One [`BufferedEngine`] runs the
 //! maintenance protocol over it, so there is one
 //! [`ResultBuffer`](cij_core::ResultBuffer), one change list and one set
-//! of [`JoinCounters`]. A tick's phase 1 routes every update in batch order
-//! (a migration is a remove from one partition and an insert into
-//! another); phase 2 probes both sides against all K partitions, the
+//! of [`JoinCounters`]. A tick's phase 1 routes every update and hands
+//! each partition its share in one batch (a migration is a remove from
+//! one partition and an insert into another); phase 2 probes both sides against all K partitions, the
 //! partitions fanned out over the configuration's `threads`. The module
 //! docs of [`crate::partitioned`] argue why the answer is the single
 //! engine's, bit for bit — the property the `conform` harness pins

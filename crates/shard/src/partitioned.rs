@@ -62,11 +62,11 @@ use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
 use cij_obs::MetricsRegistry;
 use cij_storage::{sync, BufferPool, CacheSnapshot};
-use cij_tpr::{ObjectId, TprError, TprResult};
+use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
 use cij_workload::SetTag;
 
 use crate::policy::PartitionPolicy;
-use crate::router::ShardRouter;
+use crate::router::{RebalanceMove, ShardRouter};
 
 /// What a [`PartitionedPair`] is built from.
 #[derive(Clone)]
@@ -142,10 +142,11 @@ where
             self.parts.push(part);
             self.rounds.push(Mutex::default());
         }
-        for m in &moves {
-            let r = &m.registration;
-            self.parts[m.from].remove(m.id, r, now)?;
-            self.parts[m.to].insert(r.set, m.id, r.mbr, r.registered_at, now)?;
+        for (i, part) in self.parts.iter_mut().enumerate() {
+            let leaving = (moves.iter()).filter(move |m| m.from == i);
+            let arriving = (moves.iter()).filter(move |m| m.to == i);
+            let filing = |m: &RebalanceMove| (m.id, m.registration);
+            part.refile(leaving.map(filing), arriving.map(filing), now)?;
         }
         self.parts.truncate(k);
         self.rounds.truncate(k);
@@ -243,16 +244,39 @@ where
         self.parts[shard].remove(id, registration, now)
     }
 
-    fn reregister(
+    /// Hands each partition its share of the batch in one call. An id
+    /// both removed and inserted is an update, and a move between
+    /// partitions counts as a migration ([`ShardRouter::count_move`]).
+    /// Every removal un-counts, and every insertion counts, its object
+    /// where its registration derives to.
+    fn refile(
         &mut self,
-        id: ObjectId,
-        prev: &Registration,
-        mbr: MovingRect,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        let (from, to) = self.router.route(id, prev, &mbr);
-        self.parts[from].remove(id, prev, now)?;
-        self.parts[to].insert(prev.set, id, mbr, now, now)
+        // The partition of every removal and insertion, in order.
+        let mut left: IdMap<ObjectId, u32> = IdMap::default();
+        let mut from = Vec::new();
+        for (id, r) in removes.clone() {
+            let shard = self.router.remove(id, &r) as u32;
+            left.insert(id, shard);
+            from.push(shard);
+        }
+        let mut to = Vec::new();
+        for (id, r) in inserts.clone() {
+            let shard = self.router.place(id, r.set, &r.mbr);
+            if let Some(&was) = left.get(&id) {
+                self.router.count_move(was as usize, shard);
+            }
+            to.push(shard as u32);
+        }
+        for (i, part) in self.parts.iter_mut().enumerate() {
+            let here = move |(change, &shard): (_, &u32)| (shard as usize == i).then_some(change);
+            let removes = removes.clone().zip(&from).filter_map(here);
+            part.refile(removes, inserts.clone().zip(&to).filter_map(here), now)?;
+        }
+        Ok(())
     }
 
     /// The K² cross-partition tree jobs on one worklist; partitions whose

@@ -9,12 +9,13 @@
 //! policy and what is not derivable from one entry: the per-set
 //! per-shard populations and the migration and rebalance tallies.
 //!
-//! [`route`](ShardRouter::route) is the one body that re-files an
-//! update: it derives where the object *was* from its registration and
-//! where it *belongs* now from its new trajectory, and turns a
+//! An update is re-filed in three steps: [`remove`](ShardRouter::remove)
+//! derives where the object *was* from its registration,
+//! [`place`](ShardRouter::place) where it *belongs* now from its new
+//! trajectory, and [`count_move`](ShardRouter::count_move) turns a
 //! disagreement into a migration inside the same logical update. The
 //! partitioned pair spells that as a remove from the old partition and
-//! an insert into the new one.
+//! an insert into the new one, for a whole tick at once.
 //!
 //! [`repartition`](ShardRouter::repartition) re-evaluates a new policy
 //! against every registration and hands the partitioned pair the exact
@@ -103,17 +104,12 @@ impl ShardRouter {
         shard
     }
 
-    /// Re-files object `id` from `prev` to the trajectory `mbr` and
-    /// returns its old and new shard; a shard change counts as a
-    /// migration. This is the routing half of every update; the
-    /// partitioned pair spells it as one remove and one insert.
-    pub fn route(&mut self, id: ObjectId, prev: &Registration, mbr: &MovingRect) -> (usize, usize) {
-        let from = self.remove(id, prev);
-        let to = self.place(id, prev.set, mbr);
+    /// Counts an update that took its object from shard `from` to `to`:
+    /// a migration unless they are the same.
+    pub fn count_move(&mut self, from: usize, to: usize) {
         if from != to {
             self.migrations += 1;
         }
-        (from, to)
     }
 
     /// Re-partitions every object of `registrations` under `new_policy`:
@@ -182,22 +178,27 @@ mod tests {
         }
     }
 
-    /// `route` derives the old shard from the registration an update
-    /// replaces and the new one from its trajectory, and keeps the
-    /// populations and the migration count in step.
+    /// An update's old shard derives from the registration it replaces
+    /// and its new one from its trajectory; the populations and the
+    /// migration count keep in step.
     #[test]
     fn stays_and_migrations_route_by_the_registration() {
         let mut r = ShardRouter::new(Arc::new(VelocityBandPolicy::new(2, 4.0)));
         let id = ObjectId(7);
+        let route = |r: &mut ShardRouter, prev: &Registration, mbr: &MovingRect| {
+            let (from, to) = (r.remove(id, prev), r.place(id, prev.set, mbr));
+            r.count_move(from, to);
+            (from, to)
+        };
         assert_eq!(r.place(id, SetTag::B, &rect([0.5, 0.0])), 0);
         // Same band: stay.
         let prev = registered(SetTag::B, [0.5, 0.0], 0.0);
-        assert_eq!(r.route(id, &prev, &rect([0.9, 0.0])), (0, 0));
+        assert_eq!(route(&mut r, &prev, &rect([0.9, 0.0])), (0, 0));
         assert_eq!(r.migrations(), 0);
         assert_eq!(r.population(SetTag::B), [1, 0]);
         // Band 0 → band 1: migrate.
         let prev = registered(SetTag::B, [0.9, 0.0], 3.0);
-        assert_eq!(r.route(id, &prev, &rect([3.9, 0.0])), (0, 1));
+        assert_eq!(route(&mut r, &prev, &rect([3.9, 0.0])), (0, 1));
         assert_eq!(r.migrations(), 1);
         assert_eq!(r.population(SetTag::A), [0, 0]);
         assert_eq!(r.population(SetTag::B), [0, 1]);

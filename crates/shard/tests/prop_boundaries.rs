@@ -39,15 +39,19 @@ fn registered(mbr: &MovingRect) -> Registration {
     }
 }
 
-/// What [`ShardRouter::route`] made of one A-side update from `prev` to
-/// `mbr`: `(from, to)`, the two equal for a stay.
+/// What the router made of one A-side update from `prev` to `mbr`:
+/// `(from, to)`, the two equal for a stay (a move between them counted
+/// as a migration).
 fn routed(
     router: &mut ShardRouter,
     id: ObjectId,
     prev: &MovingRect,
     mbr: &MovingRect,
 ) -> (usize, usize) {
-    router.route(id, &registered(prev), mbr)
+    let from = router.remove(id, &registered(prev));
+    let to = router.place(id, SetTag::A, mbr);
+    router.count_move(from, to);
+    (from, to)
 }
 
 proptest! {

@@ -123,10 +123,7 @@ impl ProximityPair {
     /// Deterministic, so the delete path reproduces the inserted
     /// rectangle bit-for-bit.
     fn filtered(&self, set: SetTag, mbr: &MovingRect) -> MovingRect {
-        match set {
-            SetTag::A => *mbr,
-            SetTag::B => inflate_padded(mbr, self.eps),
-        }
+        stored_mbr(set, mbr, self.eps)
     }
 
     /// Books one refine pass that kept `kept` of `seen` candidates.
@@ -148,6 +145,15 @@ impl ProximityPair {
 /// exact, so the pad costs only a handful of extra rejected candidates
 /// and never changes the answer. Deterministic, so the delete path
 /// reproduces the inserted rectangle bit-for-bit.
+/// What the filter stores for an object of `set` on `mbr`: the
+/// trajectory itself on side A, inflated by `eps` on side B.
+fn stored_mbr(set: SetTag, mbr: &MovingRect, eps: f64) -> MovingRect {
+    match set {
+        SetTag::A => *mbr,
+        SetTag::B => inflate_padded(mbr, eps),
+    }
+}
+
 fn inflate_padded(r: &MovingRect, eps: f64) -> MovingRect {
     let mut out = r.inflate(eps);
     for d in 0..DIMS {
@@ -201,6 +207,27 @@ impl IndexPair for ProximityPair {
             ..*r
         };
         self.filter.remove(id, &stored, now)
+    }
+
+    /// The filter's own batch, over the trajectories it stores.
+    fn refile(
+        &mut self,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        now: Time,
+    ) -> TprResult<()> {
+        let eps = self.eps;
+        let stored = move |(id, r): (ObjectId, Registration)| {
+            (
+                id,
+                Registration {
+                    mbr: stored_mbr(r.set, &r.mbr, eps),
+                    ..r
+                },
+            )
+        };
+        self.filter
+            .refile(removes.map(stored), inserts.map(stored), now)
     }
 
     fn initial_join(

@@ -15,6 +15,10 @@ pub enum TprError {
     /// An insert named an object that is already registered: ids are
     /// unique across both object sets.
     DuplicateObject(ObjectId),
+    /// A trajectory no index can hold was offered for an object: a NaN or
+    /// infinite coordinate or velocity, an inverted bound, or a reference
+    /// time after the present. Refused before anything changes.
+    UnsoundTrajectory(ObjectId),
     /// A page decoded into something that is not a valid node.
     CorruptNode {
         /// Human-readable description of the inconsistency.
@@ -35,6 +39,9 @@ impl std::fmt::Display for TprError {
             Self::Storage(e) => write!(f, "storage error: {e}"),
             Self::ObjectNotFound(oid) => write!(f, "object {oid:?} not found in tree"),
             Self::DuplicateObject(oid) => write!(f, "object {oid:?} is already registered"),
+            Self::UnsoundTrajectory(oid) => {
+                write!(f, "object {oid:?} was offered an unsound trajectory")
+            }
             Self::CorruptNode { detail } => write!(f, "corrupt node: {detail}"),
             Self::Unsupported { what } => write!(f, "unsupported operation: {what}"),
         }

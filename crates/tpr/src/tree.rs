@@ -15,6 +15,7 @@
 //! * **active tightening** — every write-back recomputes the parent
 //!   entry's bound from the child's current entries, rebased to `now`.
 
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
@@ -62,9 +63,9 @@ pub struct TprTree {
     len: usize,
     /// Node pages read through the zero-copy view (`storage.page.*`).
     format_stats: CacheStats,
-    /// Working memory of insert and delete, kept between operations so
-    /// that a warm mutation allocates nothing. Boxed: engines hold trees
-    /// by value, and the buffers are only touched by mutations.
+    /// Working memory of a mutation: the thread's buffers while one runs
+    /// (see [`THREAD_SCRATCH`]), empty ones otherwise. Boxed, so that
+    /// lending them costs two pointer swaps.
     scratch: Box<Scratch>,
 }
 
@@ -81,38 +82,112 @@ pub struct TreeStats {
     pub objects: usize,
 }
 
-struct PathStep {
+/// A node a mutation holds in memory between its one read and its one
+/// write: its page, its decoded entries, and where its entry sits in
+/// its parent.
+struct Held {
     page: PageId,
     node: Node,
-    /// Index within `node.entries` of the child the path continues into
-    /// (unused for the last step).
-    child_idx: usize,
+    /// Index of the parent in the held list ([`ROOT`] for the root).
+    parent: usize,
+    /// Index of this node's entry within the parent's entries.
+    slot: usize,
 }
 
-/// The buffers a mutation works in. Each is bounded by what one
-/// operation holds at once — a root-to-leaf path, the nodes of a split,
-/// the groups waiting to be reinserted — so nothing here grows with the
-/// workload.
+/// A group of entries waiting to be reinserted into nodes at `level`:
+/// `Scratch::reinsert_entries[start..end]`.
+#[derive(Clone, Copy)]
+struct Group {
+    level: u8,
+    start: usize,
+    end: usize,
+}
+
+/// The `parent` and `slot` of the root.
+const ROOT: usize = usize::MAX;
+
+/// A delete of the running batch.
+struct Victim {
+    oid: ObjectId,
+    /// The registered trajectory at `now`: a subtree whose bound misses
+    /// it cannot hold the object.
+    target: Rect,
+    found: bool,
+}
+
+/// An insert of the running batch.
+#[derive(Clone, Copy)]
+struct Routed {
+    /// The child the node being descended routes the entry to.
+    child: u32,
+    /// Position in the batch: entries bound for one child keep batch
+    /// order.
+    seq: u32,
+    entry: Entry,
+}
+
+/// The buffers a mutation works in. Each is bounded by what one batch
+/// holds at once — the nodes it touches, the nodes of a split, the
+/// groups waiting to be reinserted — so nothing here grows with the
+/// workload beyond the largest batch.
 #[derive(Default)]
 struct Scratch {
     /// Nodes a mutation has finished with, kept for their entry buffers.
     spare: Vec<Node>,
-    /// The path of the running descent. One is live at a time: a path is
-    /// used up before a reinsertion starts the next.
-    path: Vec<PathStep>,
+    /// The nodes the running descent holds: every node on a path to a
+    /// victim (deletes, in pre-order), or the path being descended
+    /// (inserts). One descent is live at a time.
+    held: Vec<Held>,
     /// Groups of entries waiting to be reinserted at their node's level —
     /// the victims of a forced reinsert, the orphans of a dissolved node —
-    /// kept as a stack: each pass replays, in order, the groups it pushed.
-    reinsert: Vec<Node>,
+    /// kept as a stack: each pass replays the groups it pushed.
+    reinsert: Vec<Group>,
+    /// The entries of the groups, each group's a run.
+    reinsert_entries: Vec<Entry>,
+    /// The deletes of the running batch.
+    victims: Vec<Victim>,
+    /// Per held node of the delete descent, the victims its subtree may
+    /// hold, as index runs into `victims` (a stack, one run per level).
+    candidates: Vec<u32>,
+    /// Entry positions of a leaf that hold victims.
+    hits: Vec<usize>,
+    /// The inserts of the running descent.
+    routed: Vec<Routed>,
+    /// The penalty areas of the node routing them.
+    areas: Vec<f64>,
+    /// A split's pieces and their pages.
+    pieces: Vec<Node>,
+    piece_pages: Vec<PageId>,
     /// `split_node`'s candidate ordering.
     sorted: Vec<Entry>,
     /// `evict_for_reinsert`'s (squared distance, index) list.
     scored: Vec<(f64, usize)>,
 }
 
+thread_local! {
+    /// The mutation buffers of the thread, lent to each mutation it runs
+    /// and kept between them, so that a warm mutation allocates nothing.
+    /// They belong to the thread rather than the tree because an engine
+    /// mutates many trees — one per side, time bucket and partition — and
+    /// a tick's batch grows the buffers of each tree it touches: kept per
+    /// tree, they would add up.
+    static THREAD_SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
 /// The levels that have had their forced reinsert in the running
-/// top-level operation (R* rule: one per level).
+/// batch (R* rule: one per level per operation).
 type Reinserted = [bool; 1 << u8::BITS];
+
+/// The state of one delete descent: the victims, the candidate runs
+/// (see [`Scratch::candidates`]) and how many victims are still unfound.
+struct DeleteRun<'v> {
+    victims: &'v mut [Victim],
+    candidates: Vec<u32>,
+    pending: usize,
+}
+
+/// No entries, for the side of a batch that has none.
+const NONE: [(ObjectId, MovingRect); 0] = [];
 
 impl TprTree {
     /// Creates an empty tree whose nodes live in `pool`.
@@ -217,10 +292,13 @@ impl TprTree {
         node
     }
 
-    /// Keeps a node the mutation has finished with for its entry buffer.
+    /// Keeps a node the mutation has finished with for its entry buffer,
+    /// unless a batch grew that past twice what a node needs.
     fn recycle(&mut self, mut node: Node) {
-        node.entries.clear();
-        self.scratch.spare.push(node);
+        if node.entries.capacity() <= 2 * (self.config.capacity + 1) {
+            node.entries.clear();
+            self.scratch.spare.push(node);
+        }
     }
 
     /// Page-format counters: node pages read through the zero-copy view.
@@ -230,113 +308,278 @@ impl TprTree {
     }
 
     // ------------------------------------------------------------------
-    // Insert
+    // Mutation
     // ------------------------------------------------------------------
 
     /// Inserts object `oid` with trajectory `mbr`. `now` is the current
     /// timestamp (insertions always happen at the present; `mbr.t_ref`
-    /// is typically `now`).
+    /// is typically `now`). A batch of one.
     pub fn insert(&mut self, oid: ObjectId, mbr: MovingRect, now: Time) -> TprResult<()> {
-        // Groups a failed operation left behind are not replayed.
+        self.apply_batch(NONE, [(oid, mbr)], now)
+    }
+
+    /// Deletes object `oid`, locating it via its registered trajectory
+    /// `mbr` (the exact `MovingRect` previously inserted). `now` is the
+    /// current timestamp. A batch of one.
+    pub fn delete(&mut self, oid: ObjectId, mbr: &MovingRect, now: Time) -> TprResult<()> {
+        self.apply_batch([(oid, *mbr)], NONE, now)
+    }
+
+    /// Replaces object `oid`'s trajectory: the paper's *update* — delete
+    /// with the old trajectory, insert with the new one. A batch of one
+    /// delete and one insert.
+    pub fn update(
+        &mut self,
+        oid: ObjectId,
+        old_mbr: &MovingRect,
+        new_mbr: MovingRect,
+        now: Time,
+    ) -> TprResult<()> {
+        self.apply_batch([(oid, *old_mbr)], [(oid, new_mbr)], now)
+    }
+
+    /// One tick's share of this tree at `now`, in two synchronized
+    /// descents: every `(oid, registered trajectory)` of `deletes` is
+    /// removed, then every `(oid, trajectory)` of `inserts` is added.
+    ///
+    /// * **Deletes.** One descent reads every node whose bound meets some
+    ///   victim's position at `now` until all victims are found, removes
+    ///   them from their leaves, and writes every node on their paths once
+    ///   as it leaves it, children first, each tightening its parent's
+    ///   entry. A non-root node left under the minimum fill dissolves; its
+    ///   entries are reinserted at its level.
+    /// * **Inserts.** One descent routes every entry at every node it
+    ///   reads with the choose-subtree penalty, against the node as held
+    ///   in memory (a child's bound grows by each entry routed to it),
+    ///   appends the entries to their leaves, and resolves every node it
+    ///   touched once on the way up: written if it fits; relieved by a
+    ///   forced reinsert if that makes it fit and its level has had none
+    ///   in an earlier descent of the batch (R*); split into as many
+    ///   pieces as it needs otherwise, the root growing the tree.
+    ///
+    /// Reinserted entries — the orphans of a dissolved node, the victims
+    /// of a forced reinsert — go back once the tree is consistent: a
+    /// one-entry operation's one at a time, as R* replays them, a larger
+    /// batch's level by level in one descent each. A batch of one is the
+    /// classic operation, page for page and I/O for I/O. A larger batch
+    /// reads and writes each node it touches once per descent instead of
+    /// once per entry, and may lay pages out differently from the same
+    /// changes applied one by one; the indexed set is the same.
+    ///
+    /// An id appears at most once among `deletes`. A victim the tree does
+    /// not hold fails the batch with [`TprError::ObjectNotFound`] (the
+    /// first such in batch order) once the others are deleted, and before
+    /// any insert; a batch of one changes nothing then.
+    pub fn apply_batch(
+        &mut self,
+        deletes: impl IntoIterator<Item = (ObjectId, MovingRect)>,
+        inserts: impl IntoIterator<Item = (ObjectId, MovingRect)>,
+        now: Time,
+    ) -> TprResult<()> {
+        let lent = THREAD_SCRATCH.take();
+        let own = lent.map(|warm| std::mem::replace(&mut self.scratch, warm));
+        let outcome = self.apply_with_scratch(deletes, inserts, now);
+        // The buffers go back to the thread; the first mutation on a
+        // thread leaves its tree fresh ones.
+        let warm = match own {
+            Some(own) => std::mem::replace(&mut self.scratch, own),
+            None => std::mem::take(&mut self.scratch),
+        };
+        THREAD_SCRATCH.set(Some(warm));
+        outcome
+    }
+
+    /// [`apply_batch`](Self::apply_batch) in the buffers of `self.scratch`.
+    fn apply_with_scratch(
+        &mut self,
+        deletes: impl IntoIterator<Item = (ObjectId, MovingRect)>,
+        inserts: impl IntoIterator<Item = (ObjectId, MovingRect)>,
+        now: Time,
+    ) -> TprResult<()> {
+        // What a failed operation left behind is not replayed.
         self.scratch.reinsert.clear();
-        let entry = Entry::object(oid, mbr);
-        self.insert_entry(entry, 0, now, &mut [false; 1 << u8::BITS])?;
-        self.len += 1;
+        self.scratch.reinsert_entries.clear();
+        self.scratch.held.clear();
+        let mut victims = std::mem::take(&mut self.scratch.victims);
+        victims.clear();
+        victims.extend(deletes.into_iter().map(|(oid, mbr)| Victim {
+            oid,
+            target: mbr.at(now),
+            found: false,
+        }));
+        let deleted = if victims.is_empty() {
+            Ok(())
+        } else {
+            self.delete_victims(&mut victims, now)
+        };
+        self.scratch.victims = victims;
+        deleted?;
+
+        let routed = &mut self.scratch.routed;
+        routed.clear();
+        routed.extend(
+            inserts
+                .into_iter()
+                .enumerate()
+                .map(|(seq, (oid, mbr))| Routed {
+                    child: 0,
+                    seq: seq as u32,
+                    entry: Entry::object(oid, mbr),
+                }),
+        );
+        let inserted = routed.len();
+        if inserted > 0 {
+            self.insert_routed(0, now, &mut [false; 1 << u8::BITS])?;
+            self.len += inserted;
+        }
         Ok(())
     }
 
-    /// Inserts `entry` into a node at `target_level`, growing the tree as
-    /// needed. `reinserted` limits forced reinserts to one per level per
-    /// top-level operation (R* rule).
-    fn insert_entry(
+    /// Inserts the entries waiting in the routed buffer into nodes at
+    /// `level` in one descent, then replays the groups its forced
+    /// reinserts evicted. `reinserted` holds the levels that had a forced
+    /// reinsert in an earlier descent of the operation: they split
+    /// instead (R* rule).
+    fn insert_routed(
         &mut self,
-        entry: Entry,
-        target_level: u8,
+        level: u8,
         now: Time,
         reinserted: &mut Reinserted,
     ) -> TprResult<()> {
-        let Some(root) = self.root else {
-            // First entry: the root is born as a node at the target level
-            // (target_level > 0 cannot happen on an empty tree — orphan
-            // reinserts only occur on non-empty trees).
-            debug_assert_eq!(target_level, 0, "orphan reinsert into empty tree");
-            let mut node = self.take_node(target_level);
-            node.entries.push(entry);
-            let page = self.pool.allocate();
-            self.write_node(page, &node)?;
-            self.recycle(node);
-            self.root = Some(page);
-            self.height = u32::from(target_level) + 1;
-            return Ok(());
-        };
-
-        let mut path = self.choose_path(root, &entry.mbr, target_level, now)?;
-        path.last_mut()
-            .expect("choose_path returns at least the root")
-            .node
-            .entries
-            .push(entry);
-        self.resolve_overflow(path, now, reinserted)
-    }
-
-    /// Descends from `root` to a node at `target_level`, minimizing the
-    /// enlargement integral at every step. The path comes in the tree's
-    /// retained path buffer; whoever uses it up hands it back.
-    fn choose_path(
-        &mut self,
-        root: PageId,
-        mbr: &MovingRect,
-        target_level: u8,
-        now: Time,
-    ) -> TprResult<Vec<PathStep>> {
-        let mut path = std::mem::take(&mut self.scratch.path);
-        debug_assert!(path.is_empty());
-        let mut page = root;
-        loop {
-            let mut node = self.take_node(0);
-            self.read_view(page, |view| view.decode_into(&mut node))?;
-            if node.level == target_level {
-                path.push(PathStep {
+        let base = self.scratch.reinsert.len();
+        let mut routed = std::mem::take(&mut self.scratch.routed);
+        let one_entry = routed.len() == 1;
+        let descended = match self.root {
+            Some(root) => self.descend(root, ROOT, &mut routed, level, now, reinserted),
+            None => {
+                // The first entries: the root is born as a node at their
+                // level.
+                let mut node = self.take_node(level);
+                node.entries.extend(routed.iter().map(|r| r.entry));
+                let page = self.pool.allocate();
+                self.root = Some(page);
+                self.height = u32::from(level) + 1;
+                self.scratch.held.push(Held {
                     page,
                     node,
-                    child_idx: usize::MAX,
+                    parent: ROOT,
+                    slot: ROOT,
                 });
-                return Ok(path);
+                self.resolve(now, reinserted)
             }
-            if node.level < target_level || node.is_leaf() {
-                return Err(TprError::CorruptNode {
-                    detail: format!(
-                        "reached level {} searching for level {target_level}",
-                        node.level
-                    ),
-                });
-            }
-            let idx = self.pick_child(&node, mbr, now);
-            let next = node.entries[idx].child.page();
-            path.push(PathStep {
+        };
+        routed.clear();
+        self.scratch.routed = routed;
+        descended?;
+        // The levels this descent relieved by forced reinsert have had
+        // theirs for the operation: a replay that overflows there splits.
+        for group in &self.scratch.reinsert[base..] {
+            reinserted[usize::from(group.level)] = true;
+        }
+        // Replay evicted entries now that the tree is consistent.
+        self.replay_reinserts(base, one_entry, now, reinserted)
+    }
+
+    /// One node of the insert descent: reads `page` — the root, or the
+    /// child at `slot` of the last held node — then appends `routed` if
+    /// the node is at `level`, or routes each entry to a child and
+    /// descends into every child that received some; then resolves the
+    /// node.
+    fn descend(
+        &mut self,
+        page: PageId,
+        slot: usize,
+        routed: &mut [Routed],
+        level: u8,
+        now: Time,
+        reinserted: &mut Reinserted,
+    ) -> TprResult<()> {
+        let mut node = self.take_node(0);
+        self.read_view(page, |view| view.decode_into(&mut node))?;
+        let held = &mut self.scratch.held;
+        let parent = if slot == ROOT { ROOT } else { held.len() - 1 };
+        if node.level == level {
+            node.entries.extend(routed.iter().map(|r| r.entry));
+            held.push(Held {
                 page,
                 node,
-                child_idx: idx,
+                parent,
+                slot,
             });
-            page = next;
+            return self.resolve(now, reinserted);
         }
+        if node.level < level || node.is_leaf() {
+            return Err(TprError::CorruptNode {
+                detail: format!("reached level {} searching for level {level}", node.level),
+            });
+        }
+        let mut areas = std::mem::take(&mut self.scratch.areas);
+        areas.clear();
+        areas.extend(node.entries.iter().map(|e| self.penalty_area(&e.mbr, now)));
+        let last = routed.len() - 1;
+        for (k, r) in routed.iter_mut().enumerate() {
+            let child = self.pick_child(&node, &areas, &r.entry.mbr, now);
+            r.child = child as u32;
+            if k < last {
+                // Later entries see the child's bound grown by this one.
+                let bound = &mut node.entries[child].mbr;
+                *bound = bound.union_moving(&r.entry.mbr);
+                areas[child] = self.penalty_area(bound, now);
+            }
+        }
+        self.scratch.areas = areas;
+        // Children are descended from the last entry to the first. Behind
+        // a pool smaller than the trees, which order misses less is a
+        // matter of the access pattern; on the paper's 50-page pool this
+        // one misses less than entry order (EXPERIMENTS.md, "Tick-batched
+        // index mutation").
+        routed.sort_unstable_by_key(|r| (Reverse(r.child), r.seq));
+        let me = self.scratch.held.len();
+        self.scratch.held.push(Held {
+            page,
+            node,
+            parent,
+            slot,
+        });
+        let mut rest = routed;
+        while let Some(first) = rest.first() {
+            let child = first.child;
+            let run = rest.iter().take_while(|r| r.child == child).count();
+            let (group, tail) = rest.split_at_mut(run);
+            let child_page = self.scratch.held[me].node.entries[child as usize]
+                .child
+                .page();
+            self.descend(child_page, child as usize, group, level, now, reinserted)?;
+            rest = tail;
+        }
+        self.resolve(now, reinserted)
+    }
+
+    /// The interval the choose-subtree penalty integrates entry bound
+    /// `e` over: from the later of `now` and its reference time — bounds
+    /// are undefined before their reference — to the horizon.
+    fn penalty_span(&self, e: &MovingRect, now: Time) -> (Time, Time) {
+        let t0 = now.max(e.t_ref);
+        (t0, (now + self.config.horizon).max(t0))
+    }
+
+    /// The area integral of entry bound `e` over its penalty span.
+    fn penalty_area(&self, e: &MovingRect, now: Time) -> f64 {
+        let (t0, t1) = self.penalty_span(e, now);
+        e.area_integral(t0, t1)
     }
 
     /// The TPR/TPR* choose-subtree penalty: minimal enlargement integral
-    /// over the horizon, ties broken by smaller area integral.
-    fn pick_child(&self, node: &Node, mbr: &MovingRect, now: Time) -> usize {
-        let h_end = now + self.config.horizon;
+    /// over the horizon, ties broken by smaller area integral. `areas`
+    /// holds each entry's own [`penalty_area`](Self::penalty_area), taken
+    /// once per node for all the entries routed through it.
+    fn pick_child(&self, node: &Node, areas: &[f64], mbr: &MovingRect, now: Time) -> usize {
         let mut best = 0;
         let mut best_enl = f64::INFINITY;
         let mut best_area = f64::INFINITY;
-        for (i, e) in node.entries.iter().enumerate() {
-            // Integrate from the later of `now` and the entry's reference
-            // time — bounds are undefined before their reference. The
-            // enlargement is `enlargement_integral`'s difference, with the
-            // entry's own area integral taken once.
-            let t0 = now.max(e.mbr.t_ref);
-            let t1 = h_end.max(t0);
-            let area = e.mbr.area_integral(t0, t1);
+        for (i, (e, &area)) in node.entries.iter().zip(areas).enumerate() {
+            // The enlargement is `enlargement_integral`'s difference.
+            let (t0, t1) = self.penalty_span(&e.mbr, now);
             let enl = e.mbr.union_moving(mbr).area_integral(t0, t1) - area;
             if enl < best_enl || (enl == best_enl && area < best_area) {
                 best = i;
@@ -347,136 +590,211 @@ impl TprTree {
         best
     }
 
-    /// Walks the path bottom-up handling overflows (forced reinsert or
-    /// split) and tightening parent bounds, then replays the entries the
-    /// forced reinserts evicted.
-    fn resolve_overflow(
-        &mut self,
-        mut path: Vec<PathStep>,
-        now: Time,
-        reinserted: &mut Reinserted,
-    ) -> TprResult<()> {
-        // The groups this pass evicts go on the reinsert stack above `base`.
-        let base = self.scratch.reinsert.len();
-        // The sibling entry produced by a split at the level below, to be
-        // added to the current node.
-        let mut carry: Option<Entry> = None;
-
-        while let Some(mut step) = path.pop() {
-            if let Some(sibling_entry) = carry.take() {
-                step.node.entries.push(sibling_entry);
+    /// Resolves the last held node now that its entries are final. It is
+    /// written if it fits. A non-root node whose level has had no forced
+    /// reinsert in an earlier descent of this operation, and which one
+    /// would bring within capacity, evicts its farthest entries for
+    /// replay and is written. Any other overflowing node splits: it keeps the first
+    /// piece, new pages take the rest, and a split root grows the tree.
+    /// The parent's entry is tightened to what was written, and the new
+    /// pieces join the parent (which is resolved after its children).
+    fn resolve(&mut self, now: Time, reinserted: &mut Reinserted) -> TprResult<()> {
+        loop {
+            let Held {
+                page,
+                mut node,
+                parent,
+                slot,
+            } = self.scratch.held.pop().expect("a held node to resolve");
+            let level = node.level;
+            let overflow = node.entries.len().saturating_sub(self.config.capacity);
+            if overflow == 0 {
+                self.write_node(page, &node)?;
+                self.tighten(parent, slot, &node, now)?;
+                self.recycle(node);
+                return Ok(());
             }
 
-            if step.node.entries.len() <= self.config.capacity {
-                self.write_node(step.page, &step.node)?;
-                self.tighten_parent(&mut path, &step.node, now)?;
-                self.recycle(step.node);
-                continue;
-            }
-
-            let level = step.node.level;
-            let is_root = path.is_empty();
-            if !is_root && !reinserted[usize::from(level)] {
+            if parent != ROOT
+                && !reinserted[usize::from(level)]
+                && self.config.reinsert_count() >= overflow
+            {
                 // Forced reinsert: evict the entries farthest from the
                 // node center over the horizon, keep the node, and replay
                 // them as fresh insertions afterwards.
-                reinserted[usize::from(level)] = true;
-                let mut evicted = self.take_node(level);
-                self.evict_for_reinsert(&mut step.node, &mut evicted.entries, now);
-                self.write_node(step.page, &step.node)?;
-                self.tighten_parent(&mut path, &step.node, now)?;
-                self.recycle(step.node);
-                self.scratch.reinsert.push(evicted);
-                continue;
+                let start = self.scratch.reinsert_entries.len();
+                self.evict_for_reinsert(&mut node, now);
+                let end = self.scratch.reinsert_entries.len();
+                self.write_node(page, &node)?;
+                self.tighten(parent, slot, &node, now)?;
+                self.recycle(node);
+                self.scratch.reinsert.push(Group { level, start, end });
+                return Ok(());
             }
 
-            // Split: the node keeps the first group, a new page the second.
-            let mut right = self.take_node(level);
-            self.split_node(&mut step.node, &mut right, now);
-            let right_page = self.pool.allocate();
-            self.write_node(step.page, &step.node)?;
-            self.write_node(right_page, &right)?;
-            let left_mbr = step
-                .node
-                .bounding_mbr_at(now)
-                .expect("split halves are non-empty");
-            let right_mbr = right
-                .bounding_mbr_at(now)
-                .expect("split halves are non-empty");
-            self.recycle(step.node);
-            self.recycle(right);
-
-            if is_root {
-                let mut new_root = self.take_node(level + 1);
-                new_root.entries.push(Entry::node(step.page, left_mbr));
-                new_root.entries.push(Entry::node(right_page, right_mbr));
-                let root_page = self.pool.allocate();
-                self.write_node(root_page, &new_root)?;
-                self.recycle(new_root);
-                self.root = Some(root_page);
-                self.height += 1;
+            // Split: the node keeps the first piece, new pages the rest.
+            let mut pieces = std::mem::take(&mut self.scratch.pieces);
+            let mut pages = std::mem::take(&mut self.scratch.piece_pages);
+            pieces.push(node);
+            self.split_into_pieces(&mut pieces, now);
+            pages.push(page);
+            pages.extend((1..pieces.len()).map(|_| self.pool.allocate()));
+            for (&p, piece) in pages.iter().zip(&pieces) {
+                self.write_node(p, piece)?;
+            }
+            let bound = |piece: &Node| {
+                piece
+                    .bounding_mbr_at(now)
+                    .expect("split pieces are non-empty")
+            };
+            let grown = if parent == ROOT {
+                let mut root = self.take_node(level + 1);
+                let entries = pages.iter().zip(&pieces);
+                root.entries
+                    .extend(entries.map(|(&p, piece)| Entry::node(p, bound(piece))));
+                Some(root)
             } else {
-                let parent = path.last_mut().expect("non-root has a parent");
-                parent.node.entries[parent.child_idx].mbr = left_mbr;
-                carry = Some(Entry::node(right_page, right_mbr));
+                let held = &mut self.scratch.held[parent].node.entries;
+                held[slot].mbr = bound(&pieces[0]);
+                let siblings = pages.iter().zip(&pieces).skip(1);
+                held.extend(siblings.map(|(&p, piece)| Entry::node(p, bound(piece))));
+                None
+            };
+            while let Some(piece) = pieces.pop() {
+                self.recycle(piece);
             }
+            pages.clear();
+            self.scratch.pieces = pieces;
+            self.scratch.piece_pages = pages;
+            let Some(root) = grown else {
+                return Ok(());
+            };
+            // The tree grows by a level; the new root fits, or splits in
+            // turn on the next pass.
+            let root_page = self.pool.allocate();
+            self.root = Some(root_page);
+            self.height += 1;
+            self.scratch.held.push(Held {
+                page: root_page,
+                node: root,
+                parent: ROOT,
+                slot: ROOT,
+            });
         }
-        self.scratch.path = path;
-
-        // Replay evicted entries now that the tree is consistent.
-        self.replay_reinserts(base, now, reinserted)
     }
 
-    /// Reinserts the groups above `base` on the reinsert stack, in order,
-    /// each entry into a node at its group's level; then recycles them.
-    /// A reinsertion that overflows pushes and replays its own groups
-    /// above these before it returns.
-    fn replay_reinserts(
-        &mut self,
-        base: usize,
-        now: Time,
-        reinserted: &mut Reinserted,
-    ) -> TprResult<()> {
-        let end = self.scratch.reinsert.len();
-        for group in base..end {
-            let level = self.scratch.reinsert[group].level;
-            for i in 0..self.scratch.reinsert[group].entries.len() {
-                let entry = self.scratch.reinsert[group].entries[i];
-                self.insert_entry(entry, level, now, reinserted)?;
-            }
-        }
-        debug_assert_eq!(self.scratch.reinsert.len(), end);
-        while self.scratch.reinsert.len() > base {
-            let group = self.scratch.reinsert.pop().expect("a group above base");
-            self.recycle(group);
-        }
-        Ok(())
-    }
-
-    /// Refreshes the parent's bound of the just-written child (active
-    /// tightening). The parent node is only mutated in memory here; it is
-    /// written back when its own turn in `resolve_overflow` comes.
-    fn tighten_parent(&self, path: &mut [PathStep], child: &Node, now: Time) -> TprResult<()> {
-        if let Some(parent) = path.last_mut() {
+    /// Sets the held parent's entry for a just-written child to the
+    /// child's bound at `now` (active tightening).
+    fn tighten(&mut self, parent: usize, slot: usize, child: &Node, now: Time) -> TprResult<()> {
+        if parent != ROOT {
             let mbr = child
                 .bounding_mbr_at(now)
                 .ok_or_else(|| TprError::CorruptNode {
                     detail: "empty non-root child".into(),
                 })?;
-            parent.node.entries[parent.child_idx].mbr = mbr;
+            self.scratch.held[parent].node.entries[slot].mbr = mbr;
+        }
+        Ok(())
+    }
+
+    /// Splits every piece over capacity in two, in place, until none is:
+    /// one split for a node one entry over, more for a batch's overflow.
+    /// A piece more than twice over capacity is split along the order
+    /// the first such split chose: the rest of it is still sorted in that
+    /// order, so each further split stays linear.
+    fn split_into_pieces(&mut self, pieces: &mut Vec<Node>, now: Time) {
+        let cap = self.config.capacity;
+        let mut order = None;
+        let mut i = 0;
+        while i < pieces.len() {
+            let n = pieces[i].entries.len();
+            if n > cap {
+                let mut right = self.take_node(pieces[i].level);
+                let along = order.filter(|_| n > 2 * cap);
+                let chosen = self.split_node(&mut pieces[i], &mut right, now, along);
+                if n > 2 * cap {
+                    order = Some(chosen);
+                }
+                pieces.insert(i + 1, right);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Reinserts the groups above `base` on the reinsert stack, each
+    /// entry into a node at its group's level; then recycles them. The
+    /// groups of a one-entry operation go back one entry at a time, in
+    /// order, as R* replays them. Those of a batch go back level by
+    /// level, highest first, all entries of a level in one descent. A
+    /// reinsertion that overflows pushes and replays its own groups above
+    /// these before it returns.
+    fn replay_reinserts(
+        &mut self,
+        base: usize,
+        one_at_a_time: bool,
+        now: Time,
+        reinserted: &mut Reinserted,
+    ) -> TprResult<()> {
+        let end = self.scratch.reinsert.len();
+        if one_at_a_time {
+            for g in base..end {
+                let Group { level, start, end } = self.scratch.reinsert[g];
+                for i in start..end {
+                    let entry = self.scratch.reinsert_entries[i];
+                    self.scratch.routed.push(Routed {
+                        child: 0,
+                        seq: 0,
+                        entry,
+                    });
+                    self.insert_routed(level, now, reinserted)?;
+                }
+            }
+        } else {
+            let top = (self.scratch.reinsert[base..end].iter())
+                .map(|g| g.level)
+                .max();
+            for level in (0..=top.unwrap_or(0)).rev() {
+                let Scratch {
+                    reinsert,
+                    reinsert_entries,
+                    routed,
+                    ..
+                } = &mut *self.scratch;
+                let entries = (reinsert[base..end].iter())
+                    .filter(|g| g.level == level)
+                    .flat_map(|g| &reinsert_entries[g.start..g.end]);
+                routed.extend(entries.enumerate().map(|(seq, &entry)| Routed {
+                    child: 0,
+                    seq: seq as u32,
+                    entry,
+                }));
+                if !routed.is_empty() {
+                    self.insert_routed(level, now, reinserted)?;
+                }
+            }
+        }
+        debug_assert_eq!(self.scratch.reinsert.len(), end);
+        let groups = self.scratch.reinsert.drain(base..);
+        if let Some(first) = groups.map(|g| g.start).min() {
+            self.scratch.reinsert_entries.truncate(first);
         }
         Ok(())
     }
 
     /// Moves the `reinsert_count` entries whose centers stray farthest
     /// from the node's center over the horizon (sampled at `now + H/2`)
-    /// into `evicted`, nearest of them first.
-    fn evict_for_reinsert(&mut self, node: &mut Node, evicted: &mut Vec<Entry>, now: Time) {
+    /// to the end of the reinsert entries, nearest of them first.
+    fn evict_for_reinsert(&mut self, node: &mut Node, now: Time) {
         let t_mid = now + self.config.horizon / 2.0;
         let center_of = |m: &MovingRect| m.at(t_mid).center();
         let node_mbr = node.bounding_mbr().expect("overflowing node is non-empty");
         let c = center_of(&node_mbr);
-        let scored = &mut self.scratch.scored;
+        let Scratch {
+            scored,
+            reinsert_entries,
+            ..
+        } = &mut *self.scratch;
         scored.clear();
         scored.extend(node.entries.iter().enumerate().map(|(i, e)| {
             let ec = center_of(&e.mbr);
@@ -492,9 +810,10 @@ impl TprTree {
             .min(node.entries.len().saturating_sub(1));
         let victims = &mut scored[..k];
         victims.sort_unstable_by_key(|&(_, i)| Reverse(i)); // remove back-to-front
-        evicted.extend(victims.iter().map(|&(_, i)| node.entries.swap_remove(i)));
+        let from = reinsert_entries.len();
+        reinsert_entries.extend(victims.iter().map(|&(_, i)| node.entries.swap_remove(i)));
         // R* reinserts in *close-first* order: nearest evicted first.
-        evicted.sort_by(|a, b| {
+        reinsert_entries[from..].sort_by(|a, b| {
             let da = {
                 let ec = center_of(&a.mbr);
                 (ec[0] - c[0]).powi(2) + (ec[1] - c[1]).powi(2)
@@ -510,11 +829,36 @@ impl TprTree {
     /// R*-style split on integral metrics: axis by minimal margin-integral
     /// sum, distribution by minimal overlap integral (ties: total area
     /// integral). `node` keeps the first group; `right`, empty, receives
-    /// the second.
-    fn split_node(&mut self, node: &mut Node, right: &mut Node, now: Time) {
+    /// the second. A node one entry over capacity weighs every
+    /// distribution with both groups at least the minimum fill, as R*
+    /// does; a node up to twice over capacity weighs as many, around the
+    /// middle. Past that (a batch's overflow) the second group is peeled
+    /// off the end of the order, at least three quarters full and fitting,
+    /// and the caller splits the first group again while it does not fit.
+    /// `order`, if given, is the one `(axis, by_upper)` order weighed; the
+    /// order chosen is returned.
+    fn split_node(
+        &mut self,
+        node: &mut Node,
+        right: &mut Node,
+        now: Time,
+        order: Option<(usize, bool)>,
+    ) -> (usize, bool) {
         let min = self.config.min_entries();
+        let cap = self.config.capacity;
         let n = node.entries.len();
-        debug_assert!(n > self.config.capacity);
+        debug_assert!(n > cap);
+        // `split_at` is the first group's size. R* weighs the
+        // `cap + 2 - 2·min` distributions of a node one entry over
+        // capacity, both groups at least `min`; a node further over weighs
+        // as many, around the middle while both groups can fit.
+        let count = cap + 2 - 2 * min;
+        let (first, last) = if n > 2 * cap {
+            (n - cap, n - cap * 3 / 4)
+        } else {
+            let first = min.max(n - cap).max((n + 2 - count) / 2);
+            (first, (first + count - 1).min(n - min).min(cap))
+        };
         let t0 = now;
         let t1 = now + self.config.horizon;
 
@@ -530,14 +874,22 @@ impl TprTree {
         let sorted = &mut self.scratch.sorted;
         for axis in 0..cij_geom::DIMS {
             for by_upper in [false, true] {
+                if order.is_some_and(|o| o != (axis, by_upper)) {
+                    continue;
+                }
                 sorted.clear();
                 sorted.extend_from_slice(&node.entries);
                 sorted.sort_by(split_order(axis, by_upper, now));
+                // The first group's bound is the fold `union_mbr`
+                // computes, grown one entry at a time.
+                let mut g1 = union_mbr(&sorted[..first]);
                 // Margin sum decides the axis in R*; folding it into one
                 // pass with the distribution choice (margin as a third
                 // tie-break) keeps quality while halving the scans.
-                for split_at in min..=(n - min) {
-                    let g1 = union_mbr(&sorted[..split_at]);
+                for split_at in first..=last {
+                    if split_at > first {
+                        g1 = g1.union_moving(&sorted[split_at - 1].mbr);
+                    }
                     let g2 = union_mbr(&sorted[split_at..]);
                     let s0 = t0.max(g1.t_ref).max(g2.t_ref);
                     let s1 = t1.max(s0);
@@ -559,144 +911,183 @@ impl TprTree {
         node.entries.sort_by(split_order(axis, by_upper, now));
         right.level = node.level;
         right.entries.extend(node.entries.drain(split_at..));
+        (axis, by_upper)
     }
 
-    // ------------------------------------------------------------------
-    // Delete / update
-    // ------------------------------------------------------------------
-
-    /// Deletes object `oid`, locating it via its registered trajectory
-    /// `mbr` (the exact `MovingRect` previously inserted). `now` is the
-    /// current timestamp.
-    pub fn delete(&mut self, oid: ObjectId, mbr: &MovingRect, now: Time) -> TprResult<()> {
+    /// The delete descent and what follows it: finds and removes every
+    /// victim, condensing each node it touched as the search leaves it,
+    /// then reinserts the orphans of dissolved nodes and collapses
+    /// trivial roots. A victim not found fails the batch with
+    /// [`TprError::ObjectNotFound`] once the others are deleted.
+    fn delete_victims(&mut self, victims: &mut [Victim], now: Time) -> TprResult<()> {
         let Some(root) = self.root else {
-            return Err(TprError::ObjectNotFound(oid));
+            return Err(TprError::ObjectNotFound(victims[0].oid));
         };
-        // Groups a failed operation left behind are not replayed.
-        self.scratch.reinsert.clear();
-        let mut path = std::mem::take(&mut self.scratch.path);
-        if !self.find_leaf(root, oid, mbr, now, &mut path)? {
-            self.scratch.path = path;
-            return Err(TprError::ObjectNotFound(oid));
-        }
-
-        // Remove the entry from the leaf (last path step).
-        let leaf = path.last_mut().expect("find_leaf populated the path");
-        let pos = leaf
-            .node
-            .entries
-            .iter()
-            .position(|e| e.child == ChildRef::Object(oid))
-            .expect("find_leaf verified membership");
-        leaf.node.entries.remove(pos);
-        self.len -= 1;
-
-        // Condense: dissolve under-full nodes; the entries of each become
-        // a group to reinsert at its level.
-        while let Some(step) = path.pop() {
-            let is_root = path.is_empty();
-            if !is_root && step.node.entries.len() < self.config.min_entries() {
-                // Dissolve this node: orphan its entries, drop it from its
-                // parent.
-                self.pool.free(step.page)?;
-                let parent = path.last_mut().expect("non-root has a parent");
-                parent.node.entries.remove(parent.child_idx);
-                // Removing shifts sibling indices; the parent's own
-                // child_idx (into *its* parent) is unaffected.
-                self.scratch.reinsert.push(step.node);
-                continue;
-            }
-            self.write_node(step.page, &step.node)?;
-            if let Some(parent) = path.last_mut() {
-                // Non-root nodes this small were dissolved above.
-                let mbr = step
-                    .node
-                    .bounding_mbr_at(now)
-                    .expect("non-empty node has a bound");
-                parent.node.entries[parent.child_idx].mbr = mbr;
-            }
-            self.recycle(step.node);
-        }
-        self.scratch.path = path;
-
-        // Reinsert orphans: the dissolved node lived at its group's level,
+        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        candidates.clear();
+        candidates.extend(0..victims.len() as u32);
+        let mut run = DeleteRun {
+            victims,
+            candidates,
+            pending: 0,
+        };
+        run.pending = run.victims.len();
+        let all = run.candidates.len();
+        let searched = self.find_victims(root, ROOT, ROOT, &mut run, 0, all, now);
+        self.scratch.candidates = run.candidates;
+        searched?;
+        // Reinsert orphans: a dissolved node lived at its group's level,
         // so its entries must land in a node at that level again.
-        self.replay_reinserts(0, now, &mut [false; 1 << u8::BITS])?;
-
+        let one_victim = run.victims.len() == 1;
+        self.replay_reinserts(0, one_victim, now, &mut [false; 1 << u8::BITS])?;
         self.shrink_root()?;
-        Ok(())
+        match run.victims.iter().find(|v| !v.found) {
+            Some(missing) => Err(TprError::ObjectNotFound(missing.oid)),
+            None => Ok(()),
+        }
     }
 
-    /// Replaces object `oid`'s trajectory: the paper's *update* — delete
-    /// with the old trajectory, insert with the new one.
-    pub fn update(
-        &mut self,
-        oid: ObjectId,
-        old_mbr: &MovingRect,
-        new_mbr: MovingRect,
-        now: Time,
-    ) -> TprResult<()> {
-        self.delete(oid, old_mbr, now)?;
-        self.insert(oid, new_mbr, now)
-    }
-
-    /// DFS for the leaf containing `oid`; fills `path` root→leaf on
-    /// success. Children are pruned by rectangle intersection at `now`
-    /// (a parent bounds its child at every `t` not earlier than both
-    /// reference times, and `now` is never earlier than any write). A
-    /// leaf is searched on its page view and decoded only if it holds
-    /// `oid`.
-    fn find_leaf(
+    /// DFS for the leaves holding the victims named by
+    /// `run.candidates[lo..hi]`, below `page` — the root, or the child at
+    /// `slot` of held node `parent`. Children are pruned by rectangle
+    /// intersection at `now` (a parent bounds its child at every `t` not
+    /// earlier than both reference times, and `now` is never earlier than
+    /// any write), and the search stops once every victim is found. A leaf
+    /// is searched on its page view and decoded only if it holds a victim.
+    /// A node with a victim below is condensed as the search leaves it
+    /// ([`condense_last`](Self::condense_last)); the others are released
+    /// unwritten.
+    #[allow(clippy::too_many_arguments)]
+    fn find_victims(
         &mut self,
         page: PageId,
-        oid: ObjectId,
-        mbr: &MovingRect,
+        parent: usize,
+        slot: usize,
+        run: &mut DeleteRun<'_>,
+        lo: usize,
+        hi: usize,
         now: Time,
-        path: &mut Vec<PathStep>,
-    ) -> TprResult<bool> {
+    ) -> TprResult<()> {
         let mut node = self.take_node(0);
-        let (leaf, found) = self.read_view(page, |view| {
+        let mut hits = std::mem::take(&mut self.scratch.hits);
+        hits.clear();
+        let leaf = self.read_view(page, |view| {
             let leaf = view.is_leaf();
-            let found = leaf && (0..view.len()).any(|i| view.child_raw(i) == oid.0);
-            if found || !leaf {
-                view.decode_into(&mut node);
-            }
-            (leaf, found)
-        })?;
-        if leaf {
-            if found {
-                path.push(PathStep {
-                    page,
-                    node,
-                    child_idx: usize::MAX,
-                });
-            } else {
-                self.recycle(node);
-            }
-            return Ok(found);
-        }
-        // One step per internal node, pushed once: trying the next
-        // candidate child only moves `child_idx`.
-        let target = mbr.at(now);
-        let depth = path.len();
-        path.push(PathStep {
-            page,
-            node,
-            child_idx: usize::MAX,
-        });
-        for i in 0..path[depth].node.entries.len() {
-            let e = &path[depth].node.entries[i];
-            if e.mbr.at(now).intersects(&target) {
-                let child = e.child.page();
-                path[depth].child_idx = i;
-                if self.find_leaf(child, oid, mbr, now, path)? {
-                    return Ok(true);
+            if leaf {
+                for i in 0..view.len() {
+                    let raw = view.child_raw(i);
+                    for &c in &run.candidates[lo..hi] {
+                        let victim = &mut run.victims[c as usize];
+                        if !victim.found && victim.oid.0 == raw {
+                            victim.found = true;
+                            hits.push(i);
+                            break;
+                        }
+                    }
                 }
             }
+            if !leaf || !hits.is_empty() {
+                view.decode_into(&mut node);
+            }
+            leaf
+        });
+        for &i in hits.iter().rev() {
+            node.entries.remove(i);
         }
-        let step = path.pop().expect("pushed above");
-        self.recycle(step.node);
-        Ok(false)
+        let found = hits.len();
+        self.scratch.hits = hits;
+        let leaf = leaf?;
+        if leaf && found == 0 {
+            self.recycle(node);
+            return Ok(());
+        }
+        run.pending -= found;
+        self.len -= found;
+        let me = self.scratch.held.len();
+        self.scratch.held.push(Held {
+            page,
+            node,
+            parent,
+            slot,
+        });
+        if leaf {
+            return self.condense_last(now);
+        }
+        let pending = run.pending;
+        let mut i = 0;
+        while run.pending > 0 && i < self.scratch.held[me].node.entries.len() {
+            let entry = &self.scratch.held[me].node.entries[i];
+            let (bound, child) = (entry.mbr.at(now), entry.child);
+            let start = run.candidates.len();
+            for k in lo..hi {
+                let c = run.candidates[k];
+                let victim = &run.victims[c as usize];
+                if !victim.found && bound.intersects(&victim.target) {
+                    run.candidates.push(c);
+                }
+            }
+            let end = run.candidates.len();
+            let entries = self.scratch.held[me].node.entries.len();
+            if end > start {
+                self.find_victims(child.page(), me, i, run, start, end, now)?;
+            }
+            run.candidates.truncate(start);
+            // A child that dissolved took its entry with it: the next
+            // sibling is at `i` now.
+            if self.scratch.held[me].node.entries.len() == entries {
+                i += 1;
+            }
+        }
+        if run.pending == pending {
+            // No victim below: the node is not touched.
+            let held = self.scratch.held.pop().expect("pushed above");
+            self.recycle(held.node);
+            return Ok(());
+        }
+        self.condense_last(now)
+    }
+
+    /// Condenses the last held node of the delete descent, whose subtree
+    /// has been searched. A non-root node under the minimum fill
+    /// dissolves: its page is freed, its entry leaves the parent, and its
+    /// entries become a group to reinsert at its level. Any other node is
+    /// written and tightens its parent's entry.
+    fn condense_last(&mut self, now: Time) -> TprResult<()> {
+        let Held {
+            page,
+            node,
+            parent,
+            slot,
+        } = self.scratch.held.pop().expect("a held node to condense");
+        let dissolves = if parent == ROOT {
+            // Every child of the root dissolved, which only a batch can
+            // do: the tree is rebuilt from the orphans, highest level
+            // first, so that each group finds a node at its level.
+            !node.is_leaf() && node.entries.is_empty()
+        } else {
+            node.entries.len() < self.config.min_entries()
+        };
+        if !dissolves {
+            self.write_node(page, &node)?;
+            self.tighten(parent, slot, &node, now)?;
+            self.recycle(node);
+            return Ok(());
+        }
+        self.pool.free(page)?;
+        if parent == ROOT {
+            self.root = None;
+            self.height = 0;
+            (self.scratch.reinsert).sort_by_key(|group| Reverse(group.level));
+        } else {
+            self.scratch.held[parent].node.entries.remove(slot);
+            let entries = &mut self.scratch.reinsert_entries;
+            let start = entries.len();
+            entries.extend_from_slice(&node.entries);
+            let (level, end) = (node.level, entries.len());
+            self.scratch.reinsert.push(Group { level, start, end });
+        }
+        self.recycle(node);
+        Ok(())
     }
 
     /// Collapses trivial roots: a non-leaf root with a single child makes

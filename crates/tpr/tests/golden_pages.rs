@@ -1,6 +1,7 @@
 //! Golden pages: a seeded insert / update / delete sequence on a
 //! small-capacity tree, pinned by an FNV-1a digest of every live page's
-//! bytes (in page-id order) and by the pool's I/O counters.
+//! bytes (in page-id order) and by the pool's I/O counters — once one
+//! operation at a time, once in multi-entry batches.
 //!
 //! Any change to how the tree writes nodes — the codec, the pool's write
 //! path, the choice of child, split or reinsert victims — shows up here
@@ -168,6 +169,104 @@ fn mutation_sequence_writes_the_pinned_pages() {
             logical_writes: 20_337,
             allocations: 412,
             frees: 411,
+        },
+        max_height: 5,
+        final_height: 1,
+        final_len: 3,
+    };
+    assert_eq!(got, expected, "pages or counts moved");
+}
+
+/// The same capacity-6, 12-page setup driven through multi-entry
+/// batches ([`TprTree::apply_batch`]): growth by batches of inserts
+/// (a leaf takes several entries at once and splits into as many pieces
+/// as it needs; the root grows), churn by batches mixing updates,
+/// deletes and fresh inserts (forced reinserts, dissolves), and a shrink
+/// by batches of deletes (the root collapses, the last batch empties
+/// nearly every node at once).
+fn run_batched() -> Outcome {
+    let store = Arc::new(InMemoryStore::new());
+    let pool = BufferPool::new(store.clone(), BufferPoolConfig::with_capacity(12));
+    let mut tree = TprTree::new(pool.clone(), TreeConfig::with_capacity(6));
+    let mut rng = Rng(0x0BA7_C4ED);
+    let mut live: Vec<(ObjectId, MovingRect)> = Vec::new();
+    let mut max_height = 0;
+    let mut now = 0.0;
+
+    // Growth: 40 batches of 10 inserts.
+    for batch in 0..40u64 {
+        let fresh: Vec<_> = (0..10)
+            .map(|i| (ObjectId(batch * 10 + i), object(&mut rng, now)))
+            .collect();
+        tree.apply_batch([], fresh.iter().copied(), now).unwrap();
+        live.extend(fresh);
+        max_height = max_height.max(tree.height());
+    }
+    // Churn: each batch updates, deletes and adds distinct objects.
+    let mut next_id = 400u64;
+    for batch in 0..150u64 {
+        now += 0.5;
+        let mut deletes = Vec::new();
+        let mut inserts = Vec::new();
+        let size = 4 + (rng.next() % 12) as usize;
+        for _ in 0..size {
+            let k = (rng.next() % live.len() as u64) as usize;
+            let (oid, old) = live.swap_remove(k);
+            deletes.push((oid, old));
+            if !rng.next().is_multiple_of(4) {
+                // An update: the same id, a new trajectory.
+                inserts.push((oid, object(&mut rng, now)));
+            }
+        }
+        for _ in 0..(batch % 5) {
+            inserts.push((ObjectId(next_id), object(&mut rng, now)));
+            next_id += 1;
+        }
+        tree.apply_batch(deletes, inserts.iter().copied(), now)
+            .unwrap();
+        live.extend(inserts);
+        max_height = max_height.max(tree.height());
+    }
+    tree.validate(now).unwrap();
+    let churned = pages_digest(&pool, &store);
+    // Shrink: batches of 40 deletes, then one that leaves three.
+    now += 1.0;
+    while live.len() > 3 {
+        let size = if live.len() > 80 { 40 } else { live.len() - 3 };
+        let deletes: Vec<_> = (0..size)
+            .map(|_| live.swap_remove((rng.next() % live.len() as u64) as usize))
+            .collect();
+        tree.apply_batch(deletes, [], now).unwrap();
+    }
+    tree.validate(now).unwrap();
+    let shrunk = pages_digest(&pool, &store);
+    Outcome {
+        churned,
+        shrunk,
+        io: pool.stats().snapshot(),
+        max_height,
+        final_height: tree.height(),
+        final_len: tree.len(),
+    }
+}
+
+#[test]
+fn batched_mutation_sequence_writes_the_pinned_pages() {
+    let got = run_batched();
+    // Root growth to height 5, dissolved nodes and a root shrink back to
+    // a single leaf, as in the one-at-a-time sequence.
+    assert_eq!((got.max_height, got.final_height, got.final_len), (5, 1, 3));
+    assert!(got.io.frees > u64::from(got.max_height), "{got:?}");
+    let expected = Outcome {
+        churned: (0x3E6C_D3B3_17D9_F339, 126),
+        shrunk: (0x6FE8_4CFC_4F70_D54D, 1),
+        io: IoSnapshot {
+            physical_reads: 11_269,
+            physical_writes: 9_347,
+            logical_reads: 14_478,
+            logical_writes: 11_801,
+            allocations: 475,
+            frees: 474,
         },
         max_height: 5,
         final_height: 1,

@@ -5,7 +5,9 @@
 //! neither splits a node nor dissolves one allocates nothing: every node
 //! it reads is decoded into a retained entry buffer, its path lives in a
 //! retained vector, and every node it writes is encoded straight into
-//! the latched pool frame.
+//! the latched pool frame. The same holds for a batched tick of many
+//! deletes and inserts: its victims, routes and held nodes live in
+//! retained buffers too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,5 +118,44 @@ fn warm_update_without_split_or_condense_allocates_nothing() {
         }
     }
     assert!(checked > 1_500, "only {checked} plain updates checked");
+    tree.validate(now).unwrap();
+
+    // Batched ticks: 40 deletes and 40 inserts in one `apply_batch`,
+    // their inputs laid out before the count starts.
+    const BATCH: usize = 40;
+    let mut news = [object(&mut rng, now); BATCH];
+    let mut checked = 0;
+    for tick in 0..1_000usize {
+        now += 1.0;
+        // 61 is prime to the population, so the picks are distinct.
+        let first = (rng.unit() * live.len() as f64) as usize;
+        let picks: [usize; BATCH] = std::array::from_fn(|i| (first + 61 * i) % live.len());
+        for new in &mut news {
+            *new = object(&mut rng, now);
+        }
+        let pages = pool.stats().snapshot();
+        let before = allocations();
+        let deletes = picks.iter().map(|&k| (ObjectId(k as u64), live[k]));
+        let inserts = picks
+            .iter()
+            .zip(&news)
+            .map(|(&k, &m)| (ObjectId(k as u64), m));
+        tree.apply_batch(deletes, inserts, now).unwrap();
+        let allocated = allocations() - before;
+        let pages = pool.stats().snapshot() - pages;
+        for (&k, &new) in picks.iter().zip(&news) {
+            live[k] = new;
+        }
+        // The first 400 ticks warm the batch buffers up to the most
+        // nodes, victims and routes a tick holds at once.
+        if tick >= 400 && pages.allocations == 0 && pages.frees == 0 {
+            assert_eq!(
+                allocated, 0,
+                "tick {tick} (no split, no condense) allocated"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 80, "only {checked} plain batched ticks checked");
     tree.validate(now).unwrap();
 }

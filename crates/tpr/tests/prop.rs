@@ -130,6 +130,96 @@ proptest! {
     }
 }
 
+/// A square's `(x, y, side, vx, vy)`.
+type Square = (f64, f64, f64, f64, f64);
+
+/// One change of a batch: an object of a small id space, so that ids
+/// repeat within a batch; `None` deletes it, `Some` (re)files it.
+fn arb_change() -> impl Strategy<Value = (u64, Option<Square>)> {
+    let upsert = (
+        0.0..990.0f64,
+        0.0..990.0f64,
+        0.1..8.0f64,
+        -5.0..5.0f64,
+        -5.0..5.0f64,
+    );
+    (
+        0u64..80,
+        prop_oneof![3 => upsert.prop_map(Some), 2 => Just(None)],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Batches of changes, ids repeated within a batch, go in through
+    /// [`TprTree::apply_batch`] collapsed as an engine collapses a tick:
+    /// each id touched is deleted once by the trajectory it had before
+    /// the batch, and re-inserted once with its last one. After every
+    /// batch the tree validates, holds exactly the model set, and answers
+    /// a range query as brute force does.
+    #[test]
+    fn random_batches_preserve_equivalence(
+        capacity in 4usize..31,
+        batches in proptest::collection::vec(
+            proptest::collection::vec(arb_change(), 0..60),
+            1..12,
+        ),
+        probe in (0.0..900.0f64, 0.0..900.0f64, 0.0..70.0f64),
+    ) {
+        let mut tree = new_tree(capacity);
+        let mut model: HashMap<ObjectId, MovingRect> = HashMap::new();
+        for (step, batch) in batches.iter().enumerate() {
+            let now = step as f64 * 0.5;
+            // Each touched id once, in first-touch order, with its last
+            // state.
+            let mut touched: Vec<(ObjectId, Option<MovingRect>)> = Vec::new();
+            for &(id, change) in batch {
+                let mbr = change.map(|(x, y, side, vx, vy)| {
+                    MovingRect::rigid(Rect::new([x, y], [x + side, y + side]), [vx, vy], now)
+                });
+                match touched.iter_mut().find(|(oid, _)| oid.0 == id) {
+                    Some(last) => last.1 = mbr,
+                    None => touched.push((ObjectId(id), mbr)),
+                }
+            }
+            let deletes: Vec<_> = (touched.iter())
+                .filter_map(|(oid, _)| model.get(oid).map(|&old| (*oid, old)))
+                .collect();
+            let inserts: Vec<_> = (touched.iter())
+                .filter_map(|&(oid, mbr)| mbr.map(|m| (oid, m)))
+                .collect();
+            tree.apply_batch(deletes, inserts, now).unwrap();
+            for &(oid, mbr) in &touched {
+                match mbr {
+                    Some(m) => model.insert(oid, m),
+                    None => model.remove(&oid),
+                };
+            }
+
+            prop_assert_eq!(tree.len(), model.len());
+            tree.validate(now).unwrap();
+            let mut got = tree.iter_objects().unwrap();
+            got.sort_by_key(|&(oid, _)| oid);
+            let mut expect: Vec<_> = model.iter().map(|(&oid, &m)| (oid, m)).collect();
+            expect.sort_by_key(|&(oid, _)| oid);
+            prop_assert_eq!(got, expect, "batch {}", step);
+
+            let (px, py, t_off) = probe;
+            let w = Rect::new([px, py], [px + 120.0, py + 120.0]);
+            let t = now + t_off;
+            let mut got = tree.range_at(&w, t).unwrap();
+            let mut expect: Vec<ObjectId> = (model.iter())
+                .filter(|(_, m)| m.at(t).intersects(&w))
+                .map(|(o, _)| *o)
+                .collect();
+            got.sort();
+            expect.sort();
+            prop_assert_eq!(got, expect, "batch {}", step);
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Page-format properties: the v2 SoA layout and the zero-copy view must
 // describe the same node — bit for bit, even through NaN and infinite

@@ -11,6 +11,12 @@
 //! * the case stream is seeded from the test function's name, so every
 //!   run of a test explores the same deterministic sequence (failures
 //!   always reproduce);
+//! * two environment variables steer a run: `PROPTEST_SEED` (a `u64`,
+//!   decimal or `0x` hex) is mixed into every test's seed, so a run with
+//!   a new value explores new cases, and `PROPTEST_CASES` replaces every
+//!   test's case count. A failing case prints its test, case number and
+//!   seeds; the same `PROPTEST_SEED` (and `PROPTEST_CASES`, if it was
+//!   set) replays it;
 //! * `.proptest-regressions` files are not consulted (regressions worth
 //!   keeping must be promoted to named unit tests).
 
@@ -63,6 +69,85 @@ pub mod test_runner {
         /// Next 64 random bits.
         pub fn next_u64(&mut self) -> u64 {
             self.0.next_u64()
+        }
+    }
+
+    /// A `u64` written in decimal or as `0x` hex.
+    #[must_use]
+    pub fn parse_u64(text: &str) -> Option<u64> {
+        let text = text.trim();
+        match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => text.parse().ok(),
+        }
+    }
+
+    /// The value of the environment variable `name`, parsed by
+    /// [`parse_u64`]; `None` when it is unset.
+    ///
+    /// # Panics
+    /// Panics when it is set to something else: a run asked for a seed
+    /// or case count it cannot have.
+    fn env_u64(name: &str) -> Option<u64> {
+        let text = std::env::var(name).ok()?;
+        let value = parse_u64(&text);
+        Some(value.unwrap_or_else(|| panic!("{name}={text:?} is not a u64")))
+    }
+
+    /// The run's `PROPTEST_SEED`, if set.
+    #[must_use]
+    pub fn run_seed() -> Option<u64> {
+        env_u64("PROPTEST_SEED")
+    }
+
+    /// A test's seed: its name's, with the run seed mixed in when one is
+    /// given (SplitMix64's finalizer, so neighbouring run seeds give
+    /// unrelated streams).
+    #[must_use]
+    pub fn test_seed(name: &str, run_seed: Option<u64>) -> u64 {
+        let named = TestRng::seed_from_name(name);
+        let Some(run) = run_seed else {
+            return named;
+        };
+        let mut z = named ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// How many cases a test runs: `PROPTEST_CASES` if set, else the
+    /// test's configuration.
+    #[must_use]
+    pub fn cases(config: &ProptestConfig) -> u32 {
+        match env_u64("PROPTEST_CASES") {
+            Some(n) => u32::try_from(n).expect("PROPTEST_CASES fits a u32"),
+            None => config.cases,
+        }
+    }
+
+    /// Names the running case while it is alive: a case that panics
+    /// prints how to replay it as it unwinds.
+    pub struct CaseGuard {
+        /// The test.
+        pub name: &'static str,
+        /// The case, counted from 0.
+        pub case: u32,
+        /// The test's seed.
+        pub seed: u64,
+        /// The run's `PROPTEST_SEED`.
+        pub run_seed: Option<u64>,
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let run = self.run_seed.map_or("unset".to_string(), |s| s.to_string());
+                eprintln!(
+                    "proptest: {} failed on case {} (test seed {:#x}, PROPTEST_SEED={run}); \
+                     the same PROPTEST_SEED and PROPTEST_CASES replay it",
+                    self.name, self.case, self.seed
+                );
+            }
         }
     }
 
@@ -345,11 +430,16 @@ macro_rules! __proptest_impl {
             $(#[$attr])*
             fn $name() {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
-                let __seed =
-                    $crate::test_runner::TestRng::seed_from_name(stringify!($name));
+                let __run_seed = $crate::test_runner::run_seed();
+                let __seed = $crate::test_runner::test_seed(stringify!($name), __run_seed);
                 let mut __rng = $crate::test_runner::TestRng::from_seed(__seed);
-                for __case in 0..__config.cases {
-                    let _ = __case;
+                for __case in 0..$crate::test_runner::cases(&__config) {
+                    let _guard = $crate::test_runner::CaseGuard {
+                        name: stringify!($name),
+                        case: __case,
+                        seed: __seed,
+                        run_seed: __run_seed,
+                    };
                     $(
                         let $arg =
                             $crate::strategy::Strategy::generate(&($strat), &mut __rng);
@@ -415,6 +505,21 @@ mod tests {
             prop_assert!(xs.iter().all(|&v| v < 100));
             let _ = raw;
         }
+    }
+
+    #[test]
+    fn seeds_parse_and_mix() {
+        use crate::test_runner::{parse_u64, test_seed, TestRng};
+        assert_eq!(parse_u64("42"), Some(42));
+        assert_eq!(parse_u64(" 0x2A "), Some(42));
+        assert_eq!(parse_u64("forty-two"), None);
+        // No run seed: the name's seed, as every run before the override.
+        assert_eq!(test_seed("t", None), TestRng::seed_from_name("t"));
+        // A run seed moves every test, and neighbouring ones far apart.
+        let (a, b) = (test_seed("t", Some(1)), test_seed("t", Some(2)));
+        assert_ne!(a, TestRng::seed_from_name("t"));
+        assert!((a ^ b).count_ones() > 8, "{a:#x} vs {b:#x}");
+        assert_ne!(test_seed("t", Some(1)), test_seed("u", Some(1)));
     }
 
     #[test]
