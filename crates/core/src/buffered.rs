@@ -7,7 +7,9 @@
 //! the [`ResultBuffer`] — written once in [`BufferedEngine`], which
 //! re-registers a whole tick's objects in one batch per index tree.
 //! Everything engine-specific (index, window, probe kernel, what moves
-//! [`JoinCounters`]) lives in an [`IndexPair`]:
+//! [`JoinCounters`]) lives in an [`IndexPair`], which changes only
+//! through [`IndexPair::refile`] — a tick's phase 1, and each genesis,
+//! retired or restored object as a batch of one:
 //!
 //! | alias | pair | index | window | probe kernel |
 //! |---|---|---|---|---|
@@ -18,9 +20,10 @@
 //! Every pair is backed by TPR-trees (the proximity pair of `cij-simjoin`
 //! included): the paper runs all of §VI on that one substrate.
 
+use std::iter;
 use std::ops::Deref;
 
-use cij_geom::{in_range, MovingRect, Time, INFINITE_TIME};
+use cij_geom::{MovingRect, Time, INFINITE_TIME};
 use cij_join::{
     parallel_improved_multi_join, probe_batch, techniques, JoinCounters, JoinJob, JoinPair,
     JoinScratch, ProbeHit, Techniques,
@@ -32,7 +35,7 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
 use crate::mtb::MtbTree;
-use crate::registrations::{genesis_registrations, indexable, Registration, Registrations};
+use crate::registrations::{genesis_registrations, Registration, Registrations};
 use crate::result::{PairKey, PairStatus, ResultBuffer};
 
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
@@ -40,7 +43,9 @@ use crate::result::{PairKey, PairStatus, ResultBuffer};
 /// objects, the time window of every join run and the kernel that
 /// answers it; the engine owns the protocol around those calls and the
 /// [`Registrations`] table, from which it derives every delete and which
-/// it hands to the hooks that read other objects' registrations. Probes
+/// it hands to the hooks that read other objects' registrations. A pair
+/// changes only through [`refile`](Self::refile), a batch of removals
+/// and insertions; there is no one-object mutation beside it. Probes
 /// only read the pair, so a pair is `Sync`: a partitioned one probes its
 /// partitions from several threads at once.
 pub trait IndexPair: Sized + Sync {
@@ -62,46 +67,24 @@ pub trait IndexPair: Sized + Sync {
     /// registry, for pairs that record metrics of their own.
     fn empty(pool: &BufferPool, config: &Self::Config, obs: &MetricsRegistry) -> Self;
 
-    /// Registers `id` on side `set` at `now`. `registered_at` is the time
-    /// of the object's last update (`== now` unless the object is being
-    /// restored); indexes keyed by update time file it there.
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()>;
-
-    /// Deregisters `id`, filed under `registration`.
-    fn remove(&mut self, id: ObjectId, registration: &Registration, now: Time) -> TprResult<()>;
-
-    /// Phase 1 of a tick at `now`, in one call: deregisters every
+    /// How the pair changes, in one call: deregisters every
     /// `(id, registration)` of `removes`, then files every
     /// `(id, registration)` of `inserts` (indexes keyed by update time
-    /// under its `registered_at`). An id appears at most once in each;
-    /// one in both is an update. Both are iterators a pair may walk more
-    /// than once — once per tree, say — instead of copying them. The
-    /// default is one [`remove`](Self::remove) per removal and one
-    /// [`insert`](Self::insert) per insertion, in order. Pairs over trees
-    /// override it to hand each tree its share in one
-    /// [`TprTree::apply_batch`]; the shard crate's partitioned pair
-    /// hands each partition its share and counts the moves between them.
+    /// under its `registered_at`, which is `now` unless the object is
+    /// being restored). An id appears at most once in each; one in both
+    /// is an update. Both are iterators a pair may walk more than once —
+    /// once per tree, say — instead of copying them. Phase 1 of a tick is
+    /// one call; so are building, retiring and restoring one object, and a
+    /// batch of one is the tree's classic operation page for page. Pairs
+    /// over trees hand each tree its share in one
+    /// [`TprTree::apply_batch`]; the shard crate's partitioned pair hands
+    /// each partition its share and counts the moves between them.
     fn refile(
         &mut self,
         removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
-    ) -> TprResult<()> {
-        for (id, r) in removes {
-            self.remove(id, &r, now)?;
-        }
-        for (id, r) in inserts {
-            self.insert(r.set, id, r.mbr, r.registered_at, now)?;
-        }
-        Ok(())
-    }
+    ) -> TprResult<()>;
 
     /// The set-vs-set join at `now` over the objects of `registrations`:
     /// every answer pair, in the order it enters the result buffer, and
@@ -353,9 +336,17 @@ impl<I: IndexPair> BufferedEngine<I> {
         pool.stats().register_in(&obs, "storage.pool");
         let registrations = genesis_registrations(set_a, set_b, now)?;
         let mut index = I::empty(&pool, &config, &obs);
+        // One object per call, a batch of one: the classic insert, page
+        // for page. The registration is rebuilt rather than looked up in
+        // the table, which costs a cache miss per object.
         for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
             for o in objects {
-                index.insert(set, o.id, o.mbr, now, now)?;
+                let filed = Registration {
+                    set,
+                    mbr: o.mbr,
+                    registered_at: now,
+                };
+                index.refile(iter::empty(), iter::once((o.id, filed)), now)?;
             }
         }
         Ok(Self {
@@ -504,7 +495,8 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 
     fn remove_object(&mut self, id: ObjectId, now: Time) -> TprResult<()> {
         let prev = *(self.registrations.get(&id)).ok_or(TprError::ObjectNotFound(id))?;
-        self.index.remove(id, &prev, now)?;
+        self.index
+            .refile(iter::once((id, prev)), iter::empty(), now)?;
         self.registrations.remove(&id);
         self.buffer.remove_object(id);
         Ok(())
@@ -521,17 +513,17 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         if self.registrations.contains_key(&id) {
             return Err(TprError::DuplicateObject(id));
         }
-        if !(indexable(&mbr, now) && in_range(registered_at) && registered_at <= now) {
-            return Err(TprError::UnsoundTrajectory(id));
-        }
-        self.index.insert(set, id, mbr, registered_at, now)?;
         let registration = Registration {
             set,
             mbr,
             registered_at,
         };
+        if !registration.is_sound_at(now) {
+            return Err(TprError::UnsoundTrajectory(id));
+        }
+        (self.index).refile(iter::empty(), iter::once((id, registration)), now)?;
         self.registrations.insert(id, registration);
-        self.probes.load(std::iter::once((set, id, mbr)));
+        self.probes.load(iter::once((set, id, mbr)));
         self.join_probes(now)
     }
 
@@ -632,21 +624,6 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
             config: *config,
             trees: [(); 2].map(|()| TprTree::new(pool.clone(), config.tree)),
         }
-    }
-
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        _registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].insert(id, mbr, now)
-    }
-
-    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
-        self.trees[side(r.set)].delete(id, &r.mbr, now)
     }
 
     /// Each tree's share of the tick in one batch.
@@ -783,29 +760,14 @@ impl IndexPair for MtbPair {
         }
     }
 
-    /// Files the object in the bucket of `registered_at`. MTB buckets
-    /// live on a global grid, so a restored object lands in the bucket
-    /// the unsharded engine holds it in — its next update removes it,
-    /// by the same registration time, from exactly that bucket, and
-    /// every Theorem-2 per-bucket window it participates in keeps the
-    /// oracle's `t_eb`.
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        self.trees[side(set)].insert(id, mbr, registered_at, now)
-    }
-
-    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
-        self.trees[side(r.set)].remove(id, &r.mbr, r.registered_at, now)
-    }
-
     /// Each MTB-tree's share of the tick in one call, which hands every
-    /// bucket tree its own share in one batch.
+    /// bucket tree its own share in one batch. An object is filed in the
+    /// bucket of its `registered_at` and removed from there. MTB buckets
+    /// live on a global grid, so a restored object lands in the bucket
+    /// the unsharded engine holds it in — its next update removes it, by
+    /// the same registration time, from exactly that bucket, and every
+    /// Theorem-2 per-bucket window it participates in keeps the oracle's
+    /// `t_eb`.
     fn refile(
         &mut self,
         removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,

@@ -23,6 +23,7 @@ use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 /// A group of TPR-trees keyed by time bucket.
 ///
 /// ```
+/// use std::iter;
 /// use std::sync::Arc;
 /// use cij_core::MtbTree;
 /// use cij_geom::{MovingRect, Rect};
@@ -37,8 +38,9 @@ use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 /// // One object registered at t = 0, another at t = 35: different
 /// // buckets (bucket length is T_M / 2 = 30).
 /// let still = |x: f64, t| MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), t);
-/// mtb.insert(ObjectId(1), still(100.0, 0.0), 0.0, 0.0)?;
-/// mtb.insert(ObjectId(2), still(200.0, 35.0), 35.0, 35.0)?;
+/// let file = |id, mbr, t| iter::once((ObjectId(id), mbr, t));
+/// mtb.apply_batch(iter::empty(), file(1, still(100.0, 0.0), 0.0), 0.0)?;
+/// mtb.apply_batch(iter::empty(), file(2, still(200.0, 35.0), 35.0), 35.0)?;
 /// assert_eq!(mtb.bucket_count(), 2);
 ///
 /// // A maintenance probe at t = 40 uses per-bucket windows
@@ -143,49 +145,6 @@ impl MtbTree {
             .unwrap_or_default()
     }
 
-    /// Inserts `oid` whose last update happened at `updated_at`
-    /// (normally `== now`).
-    pub fn insert(
-        &mut self,
-        oid: ObjectId,
-        mbr: MovingRect,
-        updated_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let idx = self.bucket_of(updated_at);
-        let tree = self
-            .buckets
-            .entry(idx)
-            .or_insert_with(|| TprTree::new(self.pool.clone(), self.config));
-        tree.insert(oid, mbr, now)?;
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Removes `oid`, locating it via its previous trajectory and the
-    /// time of its previous update (which names its bucket — the paper
-    /// assumes "the last update timestamp is sent together with the
-    /// update information").
-    pub fn remove(
-        &mut self,
-        oid: ObjectId,
-        old_mbr: &MovingRect,
-        updated_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let idx = self.bucket_of(updated_at);
-        let tree = self
-            .buckets
-            .get_mut(&idx)
-            .ok_or(TprError::ObjectNotFound(oid))?;
-        tree.delete(oid, old_mbr, now)?;
-        self.len -= 1;
-        if tree.is_empty() {
-            self.buckets.remove(&idx);
-        }
-        Ok(())
-    }
-
     /// One tick's share of this MTB-tree at `now`: removes every
     /// `(oid, trajectory, last update time)` of `removes` from the bucket
     /// of its last update, and files every `(oid, trajectory, update
@@ -284,6 +243,7 @@ mod tests {
     use super::*;
     use cij_geom::Rect;
     use cij_storage::{BufferPoolConfig, InMemoryStore};
+    use std::iter;
     use std::sync::Arc;
 
     fn pool() -> BufferPool {
@@ -295,6 +255,16 @@ mod tests {
 
     fn mbr(x: f64, t: Time) -> MovingRect {
         MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [1.0, 0.0], t)
+    }
+
+    /// `oid` on `mbr`, last updated at `at`, as a batch of one.
+    fn one(oid: ObjectId, mbr: MovingRect, at: Time) -> iter::Once<(ObjectId, MovingRect, Time)> {
+        iter::once((oid, mbr, at))
+    }
+
+    /// Files `oid` in the bucket of `at`, at `at`.
+    fn file(m: &mut MtbTree, oid: ObjectId, mbr: MovingRect, at: Time) {
+        m.apply_batch(iter::empty(), one(oid, mbr, at), at).unwrap();
     }
 
     /// One probe through [`MtbTree::probe_batch`] with the engine's
@@ -327,15 +297,16 @@ mod tests {
     #[test]
     fn insert_remove_across_buckets() {
         let mut m = MtbTree::new(pool(), TreeConfig::default(), 60.0);
-        m.insert(ObjectId(1), mbr(0.0, 0.0), 0.0, 0.0).unwrap();
-        m.insert(ObjectId(2), mbr(10.0, 35.0), 35.0, 35.0).unwrap();
+        file(&mut m, ObjectId(1), mbr(0.0, 0.0), 0.0);
+        file(&mut m, ObjectId(2), mbr(10.0, 35.0), 35.0);
         assert_eq!(m.bucket_count(), 2);
         assert_eq!(m.len(), 2);
         m.validate(35.0).unwrap();
 
         // Object 1 updates at t=40: moves bucket 0 → bucket 1.
-        m.remove(ObjectId(1), &mbr(0.0, 0.0), 0.0, 40.0).unwrap();
-        m.insert(ObjectId(1), mbr(5.0, 40.0), 40.0, 40.0).unwrap();
+        let old = one(ObjectId(1), mbr(0.0, 0.0), 0.0);
+        let new = one(ObjectId(1), mbr(5.0, 40.0), 40.0);
+        m.apply_batch(old, new, 40.0).unwrap();
         assert_eq!(m.bucket_count(), 1, "bucket 0 emptied and dropped");
         assert_eq!(m.len(), 2);
         m.validate(40.0).unwrap();
@@ -345,7 +316,7 @@ mod tests {
     fn remove_unknown_bucket_errors() {
         let mut m = MtbTree::new(pool(), TreeConfig::default(), 60.0);
         assert!(matches!(
-            m.remove(ObjectId(1), &mbr(0.0, 0.0), 0.0, 0.0),
+            m.apply_batch(one(ObjectId(1), mbr(0.0, 0.0), 0.0), iter::empty(), 0.0),
             Err(TprError::ObjectNotFound(_))
         ));
     }
@@ -357,16 +328,16 @@ mod tests {
         let mut state: Vec<(ObjectId, MovingRect, Time)> = (0..50)
             .map(|i| (ObjectId(i), mbr(i as f64 * 5.0, 0.0), 0.0))
             .collect();
-        for (oid, m0, t0) in &state {
-            m.insert(*oid, *m0, *t0, *t0).unwrap();
+        for &(oid, m0, t0) in &state {
+            file(&mut m, oid, m0, t0);
         }
         for tick in 1..=240u32 {
             let now = f64::from(tick);
             for (oid, old, t0) in state.iter_mut() {
                 if now - *t0 >= 60.0 {
-                    m.remove(*oid, old, *t0, now).unwrap();
                     let new = mbr((oid.0 as f64 * 7.0) % 900.0, now);
-                    m.insert(*oid, new, now, now).unwrap();
+                    let removal = one(*oid, *old, *t0);
+                    m.apply_batch(removal, one(*oid, new, now), now).unwrap();
                     *old = new;
                     *t0 = now;
                 }
@@ -386,8 +357,8 @@ mod tests {
         // Two static-ish objects in different buckets, both near x=100.
         let o1 = MovingRect::rigid(Rect::new([100.0, 0.0], [101.0, 1.0]), [0.0, 0.0], 0.0);
         let o2 = MovingRect::rigid(Rect::new([100.0, 0.0], [101.0, 1.0]), [0.0, 0.0], 35.0);
-        m.insert(ObjectId(1), o1, 0.0, 0.0).unwrap();
-        m.insert(ObjectId(2), o2, 35.0, 35.0).unwrap();
+        file(&mut m, ObjectId(1), o1, 0.0);
+        file(&mut m, ObjectId(2), o2, 35.0);
 
         // Probe overlapping both.
         let probe = MovingRect::rigid(Rect::new([100.5, 0.0], [101.5, 1.0]), [0.0, 0.0], 40.0);
@@ -406,7 +377,7 @@ mod tests {
     #[test]
     fn stale_bucket_windows_are_skipped() {
         let mut m = MtbTree::new(pool(), TreeConfig::default(), 60.0);
-        m.insert(ObjectId(1), mbr(0.0, 0.0), 0.0, 0.0).unwrap();
+        file(&mut m, ObjectId(1), mbr(0.0, 0.0), 0.0);
         // now = 95 > bucket_end(0) + T_M = 90: nothing can be valid.
         let got = probe_one(&m, mbr(0.0, 95.0), 95.0, 60.0);
         assert!(

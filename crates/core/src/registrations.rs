@@ -5,7 +5,7 @@
 //! the layers above read it through
 //! [`ContinuousJoinEngine::registrations`](crate::ContinuousJoinEngine::registrations).
 
-use cij_geom::{MovingRect, Time};
+use cij_geom::{in_range, MovingRect, Time};
 use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, SetTag};
 
@@ -20,6 +20,18 @@ pub struct Registration {
     /// *applied*, which for a late submission is not the trajectory's
     /// own `t_ref`. MTB buckets file the object under it.
     pub registered_at: Time,
+}
+
+impl Registration {
+    /// Whether an object can be filed on this registration at `now`: its
+    /// trajectory is [indexable](MovingRect::is_sound_from) from `now` (or
+    /// from its own later reference time), and it was registered at an
+    /// [in-range](in_range) time no later than `now`. What a restored
+    /// object is held against.
+    #[must_use]
+    pub fn is_sound_at(&self, now: Time) -> bool {
+        indexable(&self.mbr, now) && in_range(self.registered_at) && self.registered_at <= now
+    }
 }
 
 /// Every live object's [`Registration`], by id (unique across both sets).

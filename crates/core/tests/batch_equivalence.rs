@@ -4,8 +4,8 @@
 //! `cij-core`: MTB, TC and Naive (window `∞`).
 //!
 //! The loop lives on here as the reference, built from public parts that
-//! do not touch the engine or the batched kernel: per update, delete +
-//! insert in the own index, `ResultBuffer::remove_object`, then one
+//! do not touch the engine or the batched probe: per update, delete +
+//! insert in the own index as a batch of one, `ResultBuffer::remove_object`, then one
 //! `intersect_window` per tree of the other side. After every tick the
 //! engine under test must agree with it on
 //!
@@ -17,6 +17,7 @@
 //!   absent from the answer before and after.
 
 use std::collections::{BTreeSet, HashMap};
+use std::iter;
 use std::sync::Arc;
 
 use cij_core::{
@@ -74,11 +75,11 @@ impl LoopReference {
                 let m = config.buckets_per_tm;
                 let mut ma = MtbTree::with_buckets_per_tm(pool.clone(), config.tree, config.t_m, m);
                 let mut mb = MtbTree::with_buckets_per_tm(pool, config.tree, config.t_m, m);
-                for o in a {
-                    ma.insert(o.id, o.mbr, 0.0, 0.0).unwrap();
-                }
-                for o in b {
-                    mb.insert(o.id, o.mbr, 0.0, 0.0).unwrap();
+                for (mtb, objects) in [(&mut ma, a), (&mut mb, b)] {
+                    for o in objects {
+                        let filed = iter::once((o.id, o.mbr, 0.0));
+                        mtb.apply_batch(iter::empty(), filed, 0.0).unwrap();
+                    }
                 }
                 Indexes::Mtb(ma, mb)
             }
@@ -134,8 +135,9 @@ impl LoopReference {
                     SetTag::A => (ma, &*mb),
                     SetTag::B => (mb, &*ma),
                 };
-                own.remove(u.id, &u.old_mbr, u.last_update, now).unwrap();
-                own.insert(u.id, u.new_mbr, now, now).unwrap();
+                let removal = iter::once((u.id, u.old_mbr, u.last_update));
+                let filed = iter::once((u.id, u.new_mbr, now));
+                own.apply_batch(removal, filed, now).unwrap();
                 other
                     .buckets()
                     .map(|(t_eb, tree)| (tree, t_eb.min(now) + t_m))

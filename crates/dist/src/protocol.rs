@@ -59,9 +59,9 @@ impl EngineKind {
 }
 
 /// One mutation of a worker's index pair, in the order the coordinator's
-/// phase 1 made it: the arguments of one
-/// [`IndexPair::insert`](cij_core::IndexPair::insert) or
-/// [`IndexPair::remove`](cij_core::IndexPair::remove) call.
+/// phase 1 made it: one removal or one insertion of an
+/// [`IndexPair::refile`](cij_core::IndexPair::refile) call, with the
+/// `now` it ran at.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IndexOp {
     /// Registers an object.

@@ -45,7 +45,6 @@ use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
 use cij_storage::{sync, BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult};
-use cij_workload::SetTag;
 
 use crate::coordinator::DistConfig;
 use crate::error::{DistError, DistResult};
@@ -346,32 +345,28 @@ impl IndexPair for RemotePair {
         }
     }
 
-    fn insert(
+    /// Queues the removals, then the insertions, for the next round.
+    fn refile(
         &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
+        removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
+        inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        sync::get_mut(&mut self.link).queued.push(IndexOp::Insert {
-            set,
-            id,
-            mbr,
-            registered_at,
-            now,
-        });
-        Ok(())
-    }
-
-    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
-        sync::get_mut(&mut self.link).queued.push(IndexOp::Remove {
+        let queued = &mut sync::get_mut(&mut self.link).queued;
+        queued.extend(removes.map(|(id, r)| IndexOp::Remove {
             set: r.set,
             id,
             old_mbr: r.mbr,
             last_update: r.registered_at,
             now,
-        });
+        }));
+        queued.extend(inserts.map(|(id, r)| IndexOp::Insert {
+            set: r.set,
+            id,
+            mbr: r.mbr,
+            registered_at: r.registered_at,
+            now,
+        }));
         Ok(())
     }
 

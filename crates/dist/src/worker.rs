@@ -14,7 +14,11 @@
 //! The worker holds no answer: the coordinator's one result buffer does.
 //! A [`Request::Step`] is phase 2 of a tick for this partition — its
 //! queued mutations, then both sides' probes against the indexes — and
-//! the hits go back in the [`Response::StepAck`].
+//! the hits go back in the [`Response::StepAck`]. Every op reaches the
+//! index pair through [`IndexPair::refile`], its one mutation: an `Init`
+//! one op per call, the layout an engine's construction makes, and a
+//! `Step` one call per run of ops at one `now` in which no removal
+//! follows an insertion.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,10 +62,11 @@ impl WorkerPair {
         })
     }
 
-    /// Applies `ops`, then — when `probes` is `Some` — joins both sides'
-    /// probes at `now` into a [`Response::StepAck`]. An `Init` (no
-    /// probes) files its objects one at a time, as an engine builds its
-    /// indexes; a `Step` applies its ops as batches (see [`batches`]).
+    /// Applies `ops` through [`IndexPair::refile`], then — when `probes`
+    /// is `Some` — joins both sides' probes at `now` into a
+    /// [`Response::StepAck`]. An `Init` (no probes) refiles its objects
+    /// one at a time, as an engine builds its indexes; a `Step` refiles
+    /// its ops as batches (see [`batches`]).
     fn run(
         &mut self,
         seq: u64,
@@ -82,27 +87,19 @@ impl WorkerPair {
         probes: Option<([&[MovingRect]; 2], Time)>,
         scratch: &mut JoinScratch,
     ) -> TprResult<Response> {
-        if probes.is_some() {
-            for (run, now) in batches(ops) {
-                let of = move |removal: bool| {
-                    let kind = move |op: &&IndexOp| matches!(op, IndexOp::Remove { .. }) == removal;
-                    run.iter().filter(kind).map(|op| {
-                        let (id, registration, _) = op.filing();
-                        (id, registration)
-                    })
-                };
-                pair.refile(of(true), of(false), now)?;
-            }
-        } else {
-            for op in ops {
-                let (id, r, now) = op.filing();
-                match op {
-                    IndexOp::Insert { .. } => {
-                        pair.insert(r.set, id, r.mbr, r.registered_at, now)?
-                    }
-                    IndexOp::Remove { .. } => pair.remove(id, &r, now)?,
-                }
-            }
+        let runs = match probes {
+            Some(_) => batches(ops),
+            None => ops.chunks(1).map(|op| (op, op[0].filing().2)).collect(),
+        };
+        for (run, now) in runs {
+            let of = move |removal: bool| {
+                let kind = move |op: &&IndexOp| matches!(op, IndexOp::Remove { .. }) == removal;
+                run.iter().filter(kind).map(|op| {
+                    let (id, registration, _) = op.filing();
+                    (id, registration)
+                })
+            };
+            pair.refile(of(true), of(false), now)?;
         }
         let Some((probes, now)) = probes else {
             return Ok(Response::Ack { seq });

@@ -142,12 +142,6 @@ where
         self.engine.partitions().len()
     }
 
-    /// Index pairs: one per shard.
-    #[must_use]
-    pub fn engine_count(&self) -> usize {
-        self.shard_count()
-    }
-
     /// The partitions, in shard order.
     #[must_use]
     pub fn partitions(&self) -> &[P] {

@@ -55,7 +55,7 @@
 //! )
 //! .unwrap();
 //! coordinator.run_initial_join(0.0).unwrap();
-//! assert_eq!(coordinator.engine_count(), 4); // one index pair per shard
+//! assert_eq!(coordinator.shard_count(), 4); // one index pair per shard
 //! let indexed: usize = coordinator.partitions().iter().map(|p| p.mtb_a().len() + p.mtb_b().len()).sum();
 //! assert_eq!(indexed, set_a.len() + set_b.len()); // each object once
 //! let _pairs = coordinator.result_at(0.0);

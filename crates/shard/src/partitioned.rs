@@ -226,24 +226,6 @@ where
         }
     }
 
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let shard = self.router.place(id, set, &mbr);
-        self.parts[shard].insert(set, id, mbr, registered_at, now)
-    }
-
-    /// Deletes from the partition `registration` derives to.
-    fn remove(&mut self, id: ObjectId, registration: &Registration, now: Time) -> TprResult<()> {
-        let shard = self.router.remove(id, registration);
-        self.parts[shard].remove(id, registration, now)
-    }
-
     /// Hands each partition its share of the batch in one call. An id
     /// both removed and inserted is an update, and a move between
     /// partitions counts as a migration ([`ShardRouter::count_move`]).
@@ -272,6 +254,10 @@ where
             to.push(shard as u32);
         }
         for (i, part) in self.parts.iter_mut().enumerate() {
+            // A batch of one has a share in one partition.
+            if !from.iter().chain(&to).any(|&shard| shard as usize == i) {
+                continue;
+            }
             let here = move |(change, &shard): (_, &u32)| (shard as usize == i).then_some(change);
             let removes = removes.clone().zip(&from).filter_map(here);
             part.refile(removes, inserts.clone().zip(&to).filter_map(here), now)?;

@@ -25,7 +25,10 @@ use crate::ProximityConfig;
 /// routed restore/remove and delta tracking) so it can stand in for
 /// [`ProximityJoinEngine`](crate::ProximityJoinEngine) anywhere — behind
 /// the stream service, say — while computing the answer by exhaustive
-/// refinement over its [`Registrations`].
+/// refinement over its [`Registrations`]. It refuses what that engine
+/// refuses, the same way and before anything changes: an unknown id, a
+/// duplicate restore, and a trajectory or registration time the engine
+/// could not index ([`TprError::UnsoundTrajectory`]).
 pub struct BruteProximityEngine {
     t_m: Time,
     eps_sq: f64,
@@ -126,6 +129,9 @@ impl ContinuousJoinEngine for BruteProximityEngine {
         let set = (self.registrations.get(&id))
             .ok_or(TprError::ObjectNotFound(id))?
             .set;
+        if !update.new_mbr.is_sound_from(now) {
+            return Err(TprError::UnsoundTrajectory(id));
+        }
         self.remove_object(id, now)?;
         self.restore_object(set, id, update.new_mbr, now, now)
     }
@@ -146,6 +152,9 @@ impl ContinuousJoinEngine for BruteProximityEngine {
             mbr,
             registered_at,
         };
+        if !registration.is_sound_at(now) {
+            return Err(TprError::UnsoundTrajectory(id));
+        }
         self.registrations.insert(id, registration);
         self.refine_against_all(set, id, now);
         Ok(())

@@ -119,17 +119,19 @@ impl ProximityPair {
             .mbr
     }
 
-    /// The trajectory the filter stores and probes with for `mbr`.
-    /// Deterministic, so the delete path reproduces the inserted
-    /// rectangle bit-for-bit.
-    fn filtered(&self, set: SetTag, mbr: &MovingRect) -> MovingRect {
-        stored_mbr(set, mbr, self.eps)
-    }
-
     /// Books one refine pass that kept `kept` of `seen` candidates.
     fn count(&mut self, seen: usize, kept: usize) {
         self.candidates += seen as u64;
         self.refine_rejects += (seen - kept) as u64;
+    }
+}
+
+/// What the filter stores for an object of `set` on `mbr`: the
+/// trajectory itself on side A, inflated by `eps` on side B.
+fn stored_mbr(set: SetTag, mbr: &MovingRect, eps: f64) -> MovingRect {
+    match set {
+        SetTag::A => *mbr,
+        SetTag::B => inflate_padded(mbr, eps),
     }
 }
 
@@ -145,15 +147,6 @@ impl ProximityPair {
 /// exact, so the pad costs only a handful of extra rejected candidates
 /// and never changes the answer. Deterministic, so the delete path
 /// reproduces the inserted rectangle bit-for-bit.
-/// What the filter stores for an object of `set` on `mbr`: the
-/// trajectory itself on side A, inflated by `eps` on side B.
-fn stored_mbr(set: SetTag, mbr: &MovingRect, eps: f64) -> MovingRect {
-    match set {
-        SetTag::A => *mbr,
-        SetTag::B => inflate_padded(mbr, eps),
-    }
-}
-
 fn inflate_padded(r: &MovingRect, eps: f64) -> MovingRect {
     let mut out = r.inflate(eps);
     for d in 0..DIMS {
@@ -187,26 +180,6 @@ impl IndexPair for ProximityPair {
             refine_rejects: 0,
             refine_ns: obs.histogram("simjoin.refine_ns"),
         }
-    }
-
-    fn insert(
-        &mut self,
-        set: SetTag,
-        id: ObjectId,
-        mbr: MovingRect,
-        registered_at: Time,
-        now: Time,
-    ) -> TprResult<()> {
-        let stored = self.filtered(set, &mbr);
-        self.filter.insert(set, id, stored, registered_at, now)
-    }
-
-    fn remove(&mut self, id: ObjectId, r: &Registration, now: Time) -> TprResult<()> {
-        let stored = Registration {
-            mbr: self.filtered(r.set, &r.mbr),
-            ..*r
-        };
-        self.filter.remove(id, &stored, now)
     }
 
     /// The filter's own batch, over the trajectories it stores.
@@ -261,8 +234,10 @@ impl IndexPair for ProximityPair {
                 .filter
                 .probe(side, probes, now, scratch, counters, hits),
             SetTag::B => {
-                let inflated: Vec<MovingRect> =
-                    probes.iter().map(|mbr| self.filtered(side, mbr)).collect();
+                let inflated: Vec<MovingRect> = probes
+                    .iter()
+                    .map(|mbr| inflate_padded(mbr, self.eps))
+                    .collect();
                 self.filter
                     .probe(side, &inflated, now, scratch, counters, hits)
             }

@@ -1,16 +1,18 @@
-//! The refine pass does work. The proximity join's answer against the
-//! brute-force oracle — pair sets and interval floats bit-identical at
-//! every tick, for ε ∈ {0, small, large}, threads {1, 4}, batched or not,
-//! with honest or lying delete keys — is the root package's `conform`
-//! suite (`tests/conform.rs`).
+//! The refine pass does work, and the brute-force oracle refuses what
+//! the proximity join refuses. The proximity join's answer against the
+//! oracle — pair sets and interval floats bit-identical at every tick,
+//! for ε ∈ {0, small, large}, threads {1, 4}, batched or not, with
+//! honest or lying delete keys — is the root package's `conform` suite
+//! (`tests/conform.rs`).
 
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig};
-use cij_geom::Time;
+use cij_geom::{MovingRect, Time};
 use cij_obs::validate_prometheus;
-use cij_simjoin::{ProximityConfig, ProximityJoinEngine};
+use cij_simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
+use cij_tpr::TprError;
 use cij_workload::{generate_pair, Distribution, Params, UpdateStream};
 
 #[test]
@@ -76,4 +78,78 @@ fn refine_pass_actually_rejects_candidates() {
         .histogram("simjoin.refine_ns")
         .is_some_and(|h| h.count > 0));
     validate_prometheus(&snap.to_prometheus()).expect("exposition");
+}
+
+/// The oracle holds updates and restores to the engine's rule: a NaN
+/// velocity, a NaN position and an infinite velocity are refused with
+/// [`TprError::UnsoundTrajectory`] by both, and so is a restore
+/// registered after `now`; neither changes anything, and after a sound
+/// tick the two answers are still equal.
+#[test]
+fn the_oracle_refuses_what_the_engine_refuses() {
+    let params = Params {
+        dataset_size: 40,
+        space: 150.0,
+        ..Params::default()
+    };
+    let (a, b) = generate_pair(&params, 0.0);
+    let config = ProximityConfig::new(EngineConfig::default(), 2.0);
+    let pool = BufferPool::new(
+        Arc::new(InMemoryStore::new()),
+        BufferPoolConfig::with_capacity(64),
+    );
+    let engine = ProximityJoinEngine::new(pool, config, &a, &b, 0.0).unwrap();
+    let oracle = BruteProximityEngine::new(config, &a, &b);
+    let mut engines: [Box<dyn ContinuousJoinEngine>; 2] = [Box::new(engine), Box::new(oracle)];
+    for engine in &mut engines {
+        engine.run_initial_join(0.0).unwrap();
+    }
+    let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
+    let unsound: [fn(&mut MovingRect); 3] = [
+        |m| m.vlo[0] = f64::NAN,
+        |m| m.lo[1] = f64::NAN,
+        |m| m.vhi[0] = f64::INFINITY,
+    ];
+    for tick in 1..=20u32 {
+        let now = Time::from(tick);
+        let updates = stream.tick(now);
+        let before = engines.each_ref().map(|e| e.result_at(now));
+        if let Some(u) = updates.first() {
+            for (case, spoil) in unsound.iter().enumerate() {
+                let mut sent = *u;
+                spoil(&mut sent.new_mbr);
+                for engine in &mut engines {
+                    let err = engine.apply_update(&sent, now);
+                    let tag = format!("{} case {case} t={now}", engine.name());
+                    assert_eq!(err, Err(TprError::UnsoundTrajectory(u.id)), "{tag}");
+                }
+            }
+            let after = engines.each_ref().map(|e| e.result_at(now));
+            assert_eq!(after, before, "t={now}: a refused update changed an answer");
+            // A restore registered in the future.
+            let r = engines[0].registrations()[&u.id];
+            for engine in &mut engines {
+                let tag = format!("{} t={now}", engine.name());
+                engine.remove_object(u.id, now).unwrap();
+                let err = engine.restore_object(r.set, u.id, r.mbr, now + 1.0, now);
+                assert_eq!(err, Err(TprError::UnsoundTrajectory(u.id)), "{tag}");
+                assert!(!engine.registrations().contains_key(&u.id), "{tag}");
+                engine
+                    .restore_object(r.set, u.id, r.mbr, r.registered_at, now)
+                    .unwrap();
+            }
+        }
+        let [engine, oracle] = &engines;
+        assert_eq!(engine.registrations(), oracle.registrations(), "t={now}");
+        assert_eq!(before[0], before[1], "t={now}");
+        for engine in &mut engines {
+            engine.apply_batch(&updates, now).unwrap();
+            engine.gc(now);
+        }
+        assert_eq!(
+            engines[0].result_at(now),
+            engines[1].result_at(now),
+            "t={now}"
+        );
+    }
 }

@@ -48,10 +48,9 @@ fn main() -> TprResult<()> {
     let mut coordinator =
         ShardCoordinator::<MtbPair>::new(pool, config, policy, &set_a, &set_b, 0.0)?;
     println!(
-        "{} over {} velocity bands: {} MTB index pairs",
+        "{} over {} velocity bands: one MTB index pair each",
         coordinator.name(),
         coordinator.shard_count(),
-        coordinator.engine_count(),
     );
 
     // One ResultBuffer behind all partitions, and its changelog — the
