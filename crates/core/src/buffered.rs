@@ -8,8 +8,8 @@
 //! re-registers a whole tick's objects in one batch per index tree.
 //! Everything engine-specific (index, window, probe kernel, what moves
 //! [`JoinCounters`]) lives in an [`IndexPair`], which changes only
-//! through [`IndexPair::refile`] — a tick's phase 1, and each genesis,
-//! retired or restored object as a batch of one:
+//! through [`IndexPair::refile`] — the genesis sets as one batch, a
+//! tick's phase 1, and each retired or restored object as a batch of one:
 //!
 //! | alias | pair | index | window | probe kernel |
 //! |---|---|---|---|---|
@@ -73,9 +73,10 @@ pub trait IndexPair: Sized + Sync {
     /// under its `registered_at`, which is `now` unless the object is
     /// being restored). An id appears at most once in each; one in both
     /// is an update. Both are iterators a pair may walk more than once —
-    /// once per tree, say — instead of copying them. Phase 1 of a tick is
-    /// one call; so are building, retiring and restoring one object, and a
-    /// batch of one is the tree's classic operation page for page. Pairs
+    /// once per tree, say — instead of copying them. Building the pair
+    /// over both genesis sets is one call, phase 1 of a tick is one, and so
+    /// are retiring and restoring one object; a batch of one is the tree's
+    /// classic operation page for page. Pairs
     /// over trees hand each tree its share in one
     /// [`TprTree::apply_batch`]; the shard crate's partitioned pair hands
     /// each partition its share and counts the moves between them.
@@ -323,8 +324,10 @@ pub type TcEngine = BufferedEngine<TcPair>;
 pub type MtbEngine = BufferedEngine<MtbPair>;
 
 impl<I: IndexPair> BufferedEngine<I> {
-    /// Builds the engine: both sets registered at `now`, all of A first;
-    /// an id that appears twice is refused ([`TprError::DuplicateObject`]).
+    /// Builds the engine: both sets registered at `now` and filed in one
+    /// [`IndexPair::refile`], all of A first, which packs each tree
+    /// bottom-up (see [`TprTree::apply_batch`]); an id that appears twice
+    /// is refused ([`TprError::DuplicateObject`]).
     pub fn new(
         pool: BufferPool,
         config: I::Config,
@@ -336,19 +339,21 @@ impl<I: IndexPair> BufferedEngine<I> {
         pool.stats().register_in(&obs, "storage.pool");
         let registrations = genesis_registrations(set_a, set_b, now)?;
         let mut index = I::empty(&pool, &config, &obs);
-        // One object per call, a batch of one: the classic insert, page
-        // for page. The registration is rebuilt rather than looked up in
-        // the table, which costs a cache miss per object.
-        for (set, objects) in [(SetTag::A, set_a), (SetTag::B, set_b)] {
-            for o in objects {
-                let filed = Registration {
+        // Both sets in one batch, all of A first. The registrations are
+        // rebuilt rather than looked up in the table, which costs a cache
+        // miss per object.
+        let sets = [(SetTag::A, set_a), (SetTag::B, set_b)].into_iter();
+        let genesis = sets.flat_map(move |(set, objects)| {
+            objects.iter().map(move |o| {
+                let registration = Registration {
                     set,
                     mbr: o.mbr,
                     registered_at: now,
                 };
-                index.refile(iter::empty(), iter::once((o.id, filed)), now)?;
-            }
-        }
+                (o.id, registration)
+            })
+        });
+        index.refile(iter::empty(), genesis, now)?;
         Ok(Self {
             pool,
             index,

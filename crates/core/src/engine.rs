@@ -344,6 +344,7 @@ pub(crate) fn orient(update_side: SetTag, updated: ObjectId, partner: ObjectId) 
     }
 }
 
+/// A TPR-tree over `objects`, filed at `now` in one batch.
 fn build_tree(
     pool: &BufferPool,
     config: TreeConfig,
@@ -351,9 +352,7 @@ fn build_tree(
     now: Time,
 ) -> TprResult<TprTree> {
     let mut tree = TprTree::new(pool.clone(), config);
-    for o in objects {
-        tree.insert(o.id, o.mbr, now)?;
-    }
+    tree.apply_batch([], objects.iter().map(|o| (o.id, o.mbr)), now)?;
     Ok(tree)
 }
 

@@ -69,6 +69,9 @@ pub struct MtbTree {
     /// `[idx · bucket_len, (idx + 1) · bucket_len)`.
     buckets: BTreeMap<i64, TprTree>,
     len: usize,
+    /// The buckets the running batch touches, kept between batches so a
+    /// warm one allocates nothing.
+    touched: Vec<i64>,
 }
 
 impl MtbTree {
@@ -94,6 +97,7 @@ impl MtbTree {
             bucket_len: t_m / f64::from(m),
             buckets: BTreeMap::new(),
             len: 0,
+            touched: Vec::new(),
         }
     }
 
@@ -162,15 +166,15 @@ impl MtbTree {
     ) -> TprResult<()> {
         let bucket_len = self.bucket_len;
         let bucket_of = move |t: Time| (t / bucket_len).floor() as i64;
-        let mut touched: Vec<i64> = Vec::new();
+        self.touched.clear();
         for (.., at) in removes.clone().chain(inserts.clone()) {
             let idx = bucket_of(at);
-            if !touched.contains(&idx) {
-                touched.push(idx);
+            if !self.touched.contains(&idx) {
+                self.touched.push(idx);
             }
         }
-        touched.sort_unstable();
-        for idx in touched {
+        self.touched.sort_unstable();
+        for &idx in &self.touched {
             let in_bucket = move |(oid, mbr, at): (ObjectId, MovingRect, Time)| {
                 (bucket_of(at) == idx).then_some((oid, mbr))
             };

@@ -15,10 +15,10 @@
 //! A [`Request::Step`] is phase 2 of a tick for this partition — its
 //! queued mutations, then both sides' probes against the indexes — and
 //! the hits go back in the [`Response::StepAck`]. Every op reaches the
-//! index pair through [`IndexPair::refile`], its one mutation: an `Init`
-//! one op per call, the layout an engine's construction makes, and a
-//! `Step` one call per run of ops at one `now` in which no removal
-//! follows an insertion.
+//! index pair through [`IndexPair::refile`], its one mutation, one call
+//! per run of ops at one `now` in which no removal follows an insertion:
+//! a seed's ops share one `now`, so an `Init` is one batch, as an
+//! engine's construction is.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -62,11 +62,9 @@ impl WorkerPair {
         })
     }
 
-    /// Applies `ops` through [`IndexPair::refile`], then — when `probes`
-    /// is `Some` — joins both sides' probes at `now` into a
-    /// [`Response::StepAck`]. An `Init` (no probes) refiles its objects
-    /// one at a time, as an engine builds its indexes; a `Step` refiles
-    /// its ops as batches (see [`batches`]).
+    /// Applies `ops` through [`IndexPair::refile`] as batches (see
+    /// [`batches`]), then — when `probes` is `Some` — joins both sides'
+    /// probes at `now` into a [`Response::StepAck`].
     fn run(
         &mut self,
         seq: u64,
@@ -87,11 +85,7 @@ impl WorkerPair {
         probes: Option<([&[MovingRect]; 2], Time)>,
         scratch: &mut JoinScratch,
     ) -> TprResult<Response> {
-        let runs = match probes {
-            Some(_) => batches(ops),
-            None => ops.chunks(1).map(|op| (op, op[0].filing().2)).collect(),
-        };
-        for (run, now) in runs {
+        for (run, now) in batches(ops) {
             let of = move |removal: bool| {
                 let kind = move |op: &&IndexOp| matches!(op, IndexOp::Remove { .. }) == removal;
                 run.iter().filter(kind).map(|op| {
@@ -119,7 +113,7 @@ impl WorkerPair {
     }
 }
 
-/// A `Step`'s ops cut into the batches [`IndexPair::refile`] takes:
+/// A request's ops cut into the batches [`IndexPair::refile`] takes:
 /// maximal runs at one `now` in which no removal follows an insertion,
 /// each applied as its removals, then its insertions. Applying the runs
 /// in order leaves the index set the ops applied one by one leave.

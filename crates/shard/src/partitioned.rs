@@ -88,6 +88,19 @@ pub struct PartitionedPair<P: IndexPair> {
     /// One per partition: what its phase-2 probes answered last.
     rounds: Vec<Mutex<PartRound>>,
     rebalances: u64,
+    routing: Routing,
+}
+
+/// Where [`refile`](IndexPair::refile) sends each change, kept across
+/// calls so a warm batch allocates nothing.
+#[derive(Default)]
+struct Routing {
+    /// The partition each removed id left.
+    left: IdMap<ObjectId, u32>,
+    /// The partition of every removal, in order.
+    from: Vec<u32>,
+    /// The partition of every insertion, in order.
+    to: Vec<u32>,
 }
 
 /// One partition's share of a phase-2 round, kept across ticks so the
@@ -223,6 +236,7 @@ where
             parts: (0..k).map(|_| P::empty(pool, &config.inner, obs)).collect(),
             rounds: (0..k).map(|_| Mutex::default()).collect(),
             rebalances: 0,
+            routing: Routing::default(),
         }
     }
 
@@ -237,15 +251,15 @@ where
         inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        // The partition of every removal and insertion, in order.
-        let mut left: IdMap<ObjectId, u32> = IdMap::default();
-        let mut from = Vec::new();
+        let Routing { left, from, to } = &mut self.routing;
+        left.clear();
+        from.clear();
+        to.clear();
         for (id, r) in removes.clone() {
             let shard = self.router.remove(id, &r) as u32;
             left.insert(id, shard);
             from.push(shard);
         }
-        let mut to = Vec::new();
         for (id, r) in inserts.clone() {
             let shard = self.router.place(id, r.set, &r.mbr);
             if let Some(&was) = left.get(&id) {
@@ -255,12 +269,12 @@ where
         }
         for (i, part) in self.parts.iter_mut().enumerate() {
             // A batch of one has a share in one partition.
-            if !from.iter().chain(&to).any(|&shard| shard as usize == i) {
+            if !from.iter().chain(&*to).any(|&shard| shard as usize == i) {
                 continue;
             }
             let here = move |(change, &shard): (_, &u32)| (shard as usize == i).then_some(change);
-            let removes = removes.clone().zip(&from).filter_map(here);
-            part.refile(removes, inserts.clone().zip(&to).filter_map(here), now)?;
+            let removes = removes.clone().zip(&*from).filter_map(here);
+            part.refile(removes, inserts.clone().zip(&*to).filter_map(here), now)?;
         }
         Ok(())
     }

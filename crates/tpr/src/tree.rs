@@ -9,7 +9,9 @@
 //! * **overflow** — one forced reinsert per level per operation (the
 //!   30 % of entries whose centers stray farthest from the node center
 //!   over the horizon), then an R*-style split choosing the axis by
-//!   margin integral and the distribution by overlap integral;
+//!   margin integral and the distribution by overlap integral; a node
+//!   a batch took more than twice over capacity is tiled instead
+//!   (Sort-Tile-Recursive);
 //! * **underflow** — dissolve the node and reinsert the orphaned entries
 //!   at their level (classic `CondenseTree`);
 //! * **active tightening** — every write-back recomputes the parent
@@ -126,10 +128,11 @@ struct Routed {
     entry: Entry,
 }
 
-/// The buffers a mutation works in. Each is bounded by what one batch
-/// holds at once — the nodes it touches, the nodes of a split, the
-/// groups waiting to be reinserted — so nothing here grows with the
-/// workload beyond the largest batch.
+/// The buffers a mutation works in. Each holds what one batch holds at
+/// once — the nodes it touches, the nodes of a split, the groups waiting
+/// to be reinserted — and keeps at most [`SCRATCH_KEEP`] items of it
+/// between batches ([`SPARE_KEEP`] spare nodes), so a construction's
+/// batch does not leave the thread its size.
 #[derive(Default)]
 struct Scratch {
     /// Nodes a mutation has finished with, kept for their entry buffers.
@@ -162,6 +165,42 @@ struct Scratch {
     sorted: Vec<Entry>,
     /// `evict_for_reinsert`'s (squared distance, index) list.
     scored: Vec<(f64, usize)>,
+}
+
+/// The most items a scratch buffer keeps between batches: room for a busy
+/// tick's routes, victims or reinserts in one tree, and far below what a
+/// construction's batch holds.
+const SCRATCH_KEEP: usize = 2048;
+
+/// The most spare nodes the scratch keeps between batches: more than the
+/// nodes a tick's batch touches on one tree.
+const SPARE_KEEP: usize = 128;
+
+impl Scratch {
+    /// Releases what a batch grew past [`SCRATCH_KEEP`] and
+    /// [`SPARE_KEEP`]. Every buffer but `spare` is empty between batches
+    /// (a failed batch's leftovers are cleared by the next).
+    fn trim(&mut self) {
+        fn keep<T>(buffer: &mut Vec<T>, most: usize) {
+            if buffer.capacity() > most {
+                buffer.truncate(most);
+                buffer.shrink_to(most);
+            }
+        }
+        keep(&mut self.spare, SPARE_KEEP);
+        keep(&mut self.held, SCRATCH_KEEP);
+        keep(&mut self.reinsert, SCRATCH_KEEP);
+        keep(&mut self.reinsert_entries, SCRATCH_KEEP);
+        keep(&mut self.victims, SCRATCH_KEEP);
+        keep(&mut self.candidates, SCRATCH_KEEP);
+        keep(&mut self.hits, SCRATCH_KEEP);
+        keep(&mut self.routed, SCRATCH_KEEP);
+        keep(&mut self.areas, SCRATCH_KEEP);
+        keep(&mut self.pieces, SCRATCH_KEEP);
+        keep(&mut self.piece_pages, SCRATCH_KEEP);
+        keep(&mut self.sorted, SCRATCH_KEEP);
+        keep(&mut self.scored, SCRATCH_KEEP);
+    }
 }
 
 thread_local! {
@@ -354,8 +393,11 @@ impl TprTree {
     ///   appends the entries to their leaves, and resolves every node it
     ///   touched once on the way up: written if it fits; relieved by a
     ///   forced reinsert if that makes it fit and its level has had none
-    ///   in an earlier descent of the batch (R*); split into as many
-    ///   pieces as it needs otherwise, the root growing the tree.
+    ///   in an earlier descent of the batch (R*); split otherwise, the
+    ///   root growing the tree. A node at most twice over capacity splits
+    ///   in two (R*); one further over is tiled into as many pieces as it
+    ///   needs (STR), so a batch into an empty tree — a construction —
+    ///   packs it bottom-up, level by level.
     ///
     /// Reinserted entries — the orphans of a dissolved node, the victims
     /// of a forced reinsert — go back once the tree is consistent: a
@@ -379,12 +421,13 @@ impl TprTree {
         let lent = THREAD_SCRATCH.take();
         let own = lent.map(|warm| std::mem::replace(&mut self.scratch, warm));
         let outcome = self.apply_with_scratch(deletes, inserts, now);
-        // The buffers go back to the thread; the first mutation on a
-        // thread leaves its tree fresh ones.
-        let warm = match own {
+        // The buffers go back to the thread, trimmed; the first mutation
+        // on a thread leaves its tree fresh ones.
+        let mut warm = match own {
             Some(own) => std::mem::replace(&mut self.scratch, own),
             None => std::mem::take(&mut self.scratch),
         };
+        warm.trim();
         THREAD_SCRATCH.set(Some(warm));
         outcome
     }
@@ -697,29 +740,65 @@ impl TprTree {
         Ok(())
     }
 
-    /// Splits every piece over capacity in two, in place, until none is:
-    /// one split for a node one entry over, more for a batch's overflow.
-    /// A piece more than twice over capacity is split along the order
-    /// the first such split chose: the rest of it is still sorted in that
-    /// order, so each further split stays linear.
+    /// Splits the one node in `pieces`, over capacity, into pieces that
+    /// fit, the node keeping the first. A node at most twice over
+    /// capacity splits in two ([`split_node`](Self::split_node), R*); one
+    /// further over — a batch's overflow, a construction's every level —
+    /// is tiled ([`tile`](Self::tile)).
     fn split_into_pieces(&mut self, pieces: &mut Vec<Node>, now: Time) {
-        let cap = self.config.capacity;
-        let mut order = None;
-        let mut i = 0;
-        while i < pieces.len() {
-            let n = pieces[i].entries.len();
-            if n > cap {
-                let mut right = self.take_node(pieces[i].level);
-                let along = order.filter(|_| n > 2 * cap);
-                let chosen = self.split_node(&mut pieces[i], &mut right, now, along);
-                if n > 2 * cap {
-                    order = Some(chosen);
-                }
-                pieces.insert(i + 1, right);
-            } else {
-                i += 1;
-            }
+        if pieces[0].entries.len() > 2 * self.config.capacity {
+            self.tile(pieces, now);
+        } else {
+            let mut right = self.take_node(pieces[0].level);
+            self.split_node(&mut pieces[0], &mut right, now);
+            pieces.push(right);
         }
+    }
+
+    /// Sort-Tile-Recursive packing (Leutenegger, Lopez & Edgington, ICDE
+    /// 1997) of the one node in `pieces`, more than twice over capacity:
+    /// its `n` entries are cut into `P = ⌈n / (¾·capacity)⌉` pieces of
+    /// `⌊n/P⌋` or `⌈n/P⌉` entries — at most three quarters full, and at
+    /// least the minimum fill since `n > 2·capacity` — laid out as `⌈√P⌉`
+    /// slabs by x-center, each slab cut into its pieces by y-center. An
+    /// entry's position is taken at the later of `now` and its reference
+    /// time. The node keeps the first piece.
+    fn tile(&mut self, pieces: &mut Vec<Node>, now: Time) {
+        let cap = self.config.capacity;
+        let n = pieces[0].entries.len();
+        debug_assert!(n > 2 * cap);
+        let count = n.div_ceil(cap * 3 / 4);
+        let slabs = count.isqrt() + usize::from(count.isqrt().pow(2) < count);
+        // Piece `j` is the entries `start(j)..start(j + 1)` of the tiled
+        // order; slab `s` is its pieces `count·s/slabs ..`.
+        let start = |j: usize| j * n / count;
+        debug_assert!(
+            (n / count >= self.config.min_entries()) && n.div_ceil(count) <= cap,
+            "{n} entries in {count} pieces"
+        );
+        // By center on `axis` (twice the center: the order is the same).
+        let by = |axis: usize| {
+            let key = move |e: &Entry| {
+                let t = now.max(e.mbr.t_ref);
+                e.mbr.lo_at(axis, t) + e.mbr.hi_at(axis, t)
+            };
+            move |a: &Entry, b: &Entry| key(a).total_cmp(&key(b))
+        };
+        let entries = &mut pieces[0].entries;
+        entries.sort_unstable_by(by(0));
+        for s in 0..slabs {
+            let slab = start(count * s / slabs)..start(count * (s + 1) / slabs);
+            entries[slab].sort_unstable_by(by(1));
+        }
+        let level = pieces[0].level;
+        for j in 1..count {
+            let mut piece = self.take_node(level);
+            piece
+                .entries
+                .extend_from_slice(&pieces[0].entries[start(j)..start(j + 1)]);
+            pieces.push(piece);
+        }
+        pieces[0].entries.truncate(start(1));
     }
 
     /// Reinserts the groups above `base` on the reinsert stack, each
@@ -828,37 +907,23 @@ impl TprTree {
 
     /// R*-style split on integral metrics: axis by minimal margin-integral
     /// sum, distribution by minimal overlap integral (ties: total area
-    /// integral). `node` keeps the first group; `right`, empty, receives
-    /// the second. A node one entry over capacity weighs every
-    /// distribution with both groups at least the minimum fill, as R*
-    /// does; a node up to twice over capacity weighs as many, around the
-    /// middle. Past that (a batch's overflow) the second group is peeled
-    /// off the end of the order, at least three quarters full and fitting,
-    /// and the caller splits the first group again while it does not fit.
-    /// `order`, if given, is the one `(axis, by_upper)` order weighed; the
-    /// order chosen is returned.
-    fn split_node(
-        &mut self,
-        node: &mut Node,
-        right: &mut Node,
-        now: Time,
-        order: Option<(usize, bool)>,
-    ) -> (usize, bool) {
+    /// integral). `node`, over capacity but at most twice, keeps the first
+    /// group; `right`, empty, receives the second; both fit. A node one
+    /// entry over capacity weighs every distribution with both groups at
+    /// least the minimum fill, as R* does; a node further over weighs as
+    /// many, around the middle.
+    fn split_node(&mut self, node: &mut Node, right: &mut Node, now: Time) {
         let min = self.config.min_entries();
         let cap = self.config.capacity;
         let n = node.entries.len();
-        debug_assert!(n > cap);
+        debug_assert!(n > cap && n <= 2 * cap);
         // `split_at` is the first group's size. R* weighs the
         // `cap + 2 - 2·min` distributions of a node one entry over
         // capacity, both groups at least `min`; a node further over weighs
         // as many, around the middle while both groups can fit.
         let count = cap + 2 - 2 * min;
-        let (first, last) = if n > 2 * cap {
-            (n - cap, n - cap * 3 / 4)
-        } else {
-            let first = min.max(n - cap).max((n + 2 - count) / 2);
-            (first, (first + count - 1).min(n - min).min(cap))
-        };
+        let first = min.max(n - cap).max((n + 2 - count) / 2);
+        let last = (first + count - 1).min(n - min).min(cap);
         let t0 = now;
         let t1 = now + self.config.horizon;
 
@@ -874,9 +939,6 @@ impl TprTree {
         let sorted = &mut self.scratch.sorted;
         for axis in 0..cij_geom::DIMS {
             for by_upper in [false, true] {
-                if order.is_some_and(|o| o != (axis, by_upper)) {
-                    continue;
-                }
                 sorted.clear();
                 sorted.extend_from_slice(&node.entries);
                 sorted.sort_by(split_order(axis, by_upper, now));
@@ -911,7 +973,6 @@ impl TprTree {
         node.entries.sort_by(split_order(axis, by_upper, now));
         right.level = node.level;
         right.entries.extend(node.entries.drain(split_at..));
-        (axis, by_upper)
     }
 
     /// The delete descent and what follows it: finds and removes every
@@ -1340,6 +1401,107 @@ mod tests {
     use cij_storage::{BufferPoolConfig, InMemoryStore, StorageError};
 
     use super::*;
+
+    /// 10 000 objects, uniform over a 1 000 × 1 000 space, filed at `now`
+    /// in one batch into an empty tree.
+    fn constructed(now: Time) -> TprTree {
+        let pool = BufferPool::new(
+            Arc::new(InMemoryStore::new()),
+            BufferPoolConfig::with_capacity(1024),
+        );
+        let mut tree = TprTree::new(pool, TreeConfig::default());
+        let mut state = 0x0C0F_FEE5_u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let objects: Vec<_> = (0..10_000u64)
+            .map(|i| {
+                let (x, y) = (unit() * 1000.0, unit() * 1000.0);
+                let v = [unit() * 4.0 - 2.0, unit() * 4.0 - 2.0];
+                let mbr = MovingRect::rigid(Rect::new([x, y], [x + 3.0, y + 3.0]), v, now);
+                (ObjectId(i), mbr)
+            })
+            .collect();
+        tree.apply_batch(NONE, objects, now).unwrap();
+        tree
+    }
+
+    #[test]
+    fn a_construction_tiles_its_leaves() {
+        let now = 5.0;
+        let tree = constructed(now);
+        tree.validate(now).unwrap();
+        let (mut leaves, mut margin) = (0u32, 0.0);
+        let mut stack = vec![tree.root_page().unwrap()];
+        while let Some(page) = stack.pop() {
+            let node = tree.read_node(page).unwrap();
+            if node.is_leaf() {
+                leaves += 1;
+                margin += node.bounding_mbr_at(now).unwrap().at(now).margin();
+            } else {
+                stack.extend(node.entries.iter().map(|e| e.child.page()));
+            }
+        }
+        // `L` square tiles of the space have a summed margin of
+        // 2 · 1000 · √L; `L` full-height slabs, 1000 · (L + 1).
+        let square = 2.0 * 1000.0 * f64::from(leaves).sqrt();
+        assert!(
+            margin < 1.5 * square,
+            "{leaves} leaves of summed margin {margin:.0}, square tiles {square:.0}"
+        );
+    }
+
+    #[test]
+    fn a_construction_leaves_the_thread_scratch_bounded() {
+        let tree = constructed(0.0);
+        assert_eq!(tree.len(), 10_000);
+        let scratch = THREAD_SCRATCH
+            .take()
+            .expect("the batch lent its buffers to the thread");
+        let Scratch {
+            spare,
+            held,
+            reinsert,
+            reinsert_entries,
+            victims,
+            candidates,
+            hits,
+            routed,
+            areas,
+            pieces,
+            piece_pages,
+            sorted,
+            scored,
+        } = &*scratch;
+        assert!(
+            spare.capacity() <= SPARE_KEEP,
+            "{} spare nodes",
+            spare.capacity()
+        );
+        let node_buffer = 2 * (tree.config.capacity + 1);
+        assert!(spare.iter().all(|n| n.entries.capacity() <= node_buffer));
+        let capacities = [
+            held.capacity(),
+            reinsert.capacity(),
+            reinsert_entries.capacity(),
+            victims.capacity(),
+            candidates.capacity(),
+            hits.capacity(),
+            routed.capacity(),
+            areas.capacity(),
+            pieces.capacity(),
+            piece_pages.capacity(),
+            sorted.capacity(),
+            scored.capacity(),
+        ];
+        assert!(
+            capacities.iter().all(|&c| c <= SCRATCH_KEEP),
+            "{capacities:?}"
+        );
+    }
 
     #[test]
     fn an_over_capacity_node_is_refused_before_the_pool_sees_it() {

@@ -179,8 +179,9 @@ fn mutation_sequence_writes_the_pinned_pages() {
 
 /// The same capacity-6, 12-page setup driven through multi-entry
 /// batches ([`TprTree::apply_batch`]): growth by batches of inserts
-/// (a leaf takes several entries at once and splits into as many pieces
-/// as it needs; the root grows), churn by batches mixing updates,
+/// (a leaf takes several entries at once and splits in two, or is tiled
+/// into as many pieces as it needs when more than twice over capacity;
+/// the root grows), churn by batches mixing updates,
 /// deletes and fresh inserts (forced reinserts, dissolves), and a shrink
 /// by batches of deletes (the root collapses, the last batch empties
 /// nearly every node at once).
@@ -258,15 +259,15 @@ fn batched_mutation_sequence_writes_the_pinned_pages() {
     assert_eq!((got.max_height, got.final_height, got.final_len), (5, 1, 3));
     assert!(got.io.frees > u64::from(got.max_height), "{got:?}");
     let expected = Outcome {
-        churned: (0x3E6C_D3B3_17D9_F339, 126),
-        shrunk: (0x6FE8_4CFC_4F70_D54D, 1),
+        churned: (0x566C_2164_F47C_F914, 143),
+        shrunk: (0x484F_91AF_1641_8E1A, 1),
         io: IoSnapshot {
-            physical_reads: 11_269,
-            physical_writes: 9_347,
-            logical_reads: 14_478,
-            logical_writes: 11_801,
-            allocations: 475,
-            frees: 474,
+            physical_reads: 11_194,
+            physical_writes: 9_247,
+            logical_reads: 14_477,
+            logical_writes: 11_795,
+            allocations: 477,
+            frees: 476,
         },
         max_height: 5,
         final_height: 1,

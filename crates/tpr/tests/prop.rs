@@ -220,6 +220,85 @@ proptest! {
     }
 }
 
+/// SplitMix64, for inputs too large to draw one value at a time.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn unit(&mut self) -> f64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A square of side up to 8 at `now`, its corner in `[lo, lo + span)²`.
+    fn square(&mut self, lo: f64, span: f64, now: f64) -> MovingRect {
+        let (x, y) = (lo + self.unit() * span, lo + self.unit() * span);
+        let side = 0.1 + self.unit() * 8.0;
+        let v = [self.unit() * 10.0 - 5.0, self.unit() * 10.0 - 5.0];
+        MovingRect::rigid(Rect::new([x, y], [x + side, y + side]), v, now)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One batch of up to 5 000 inserts — a construction when the tree is
+    /// empty, a bulk load into a populated one otherwise, spread over the
+    /// space or crowded into a corner of it — leaves a valid tree: every
+    /// non-root node holds between the minimum fill and the capacity.
+    /// The tree holds exactly the union, and a range query answers as
+    /// brute force does.
+    #[test]
+    fn a_large_insert_batch_leaves_a_valid_tree(
+        capacity in prop_oneof![Just(4usize), Just(6), Just(13), Just(30)],
+        populated in prop_oneof![Just(0usize), 1usize..400],
+        size in 0usize..=5_000,
+        crowded in any::<bool>(),
+        seed in any::<u64>(),
+        probe in (0.0..900.0f64, 0.0..900.0f64, 0.0..70.0f64),
+    ) {
+        let mut tree = new_tree(capacity);
+        let mut rng = SplitMix(seed);
+        let mut model: HashMap<ObjectId, MovingRect> = HashMap::new();
+        let first: Vec<_> = (0..populated as u64)
+            .map(|i| (ObjectId(i), rng.square(0.0, 990.0, 0.0)))
+            .collect();
+        for &(oid, mbr) in &first {
+            tree.insert(oid, mbr, 0.0).unwrap();
+            model.insert(oid, mbr);
+        }
+        let now = 3.0;
+        let (lo, span) = if crowded { (400.0, 20.0) } else { (0.0, 990.0) };
+        let batch: Vec<_> = (0..size as u64)
+            .map(|i| (ObjectId(populated as u64 + i), rng.square(lo, span, now)))
+            .collect();
+        tree.apply_batch([], batch.iter().copied(), now).unwrap();
+        model.extend(batch.iter().copied());
+
+        prop_assert_eq!(tree.len(), model.len());
+        tree.validate(now).unwrap();
+        let mut got = tree.iter_objects().unwrap();
+        got.sort_by_key(|&(oid, _)| oid);
+        let mut expect: Vec<_> = model.iter().map(|(&oid, &m)| (oid, m)).collect();
+        expect.sort_by_key(|&(oid, _)| oid);
+        prop_assert_eq!(got, expect);
+
+        let (px, py, t_off) = probe;
+        let w = Rect::new([px, py], [px + 120.0, py + 120.0]);
+        let t = now + t_off;
+        let mut got = tree.range_at(&w, t).unwrap();
+        let mut expect: Vec<ObjectId> = (model.iter())
+            .filter(|(_, m)| m.at(t).intersects(&w))
+            .map(|(o, _)| *o)
+            .collect();
+        got.sort();
+        expect.sort();
+        prop_assert_eq!(got, expect);
+    }
+}
+
 // ----------------------------------------------------------------------
 // Page-format properties: the v2 SoA layout and the zero-copy view must
 // describe the same node — bit for bit, even through NaN and infinite
