@@ -96,6 +96,8 @@ pub use buffered::{
 };
 pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;
-pub use registrations::{genesis_registrations, sorted_registrations, Registration, Registrations};
+pub use registrations::{
+    genesis_registrations, indexable, sorted_registrations, Registration, Registrations,
+};
 pub use result::{PairKey, PairStatus, ResultBuffer};
 pub use sim::{run_simulation, SimMetrics};

@@ -77,8 +77,10 @@ pub fn genesis_registrations(
 /// [sound](MovingRect::is_sound_from) from the later of `now` and its
 /// reference time. A genesis or restored object may be referenced in
 /// the future (a window that starts later); an update's new trajectory
-/// is registered at `now` and must be sound from `now` itself.
-pub(crate) fn indexable(mbr: &MovingRect, now: Time) -> bool {
+/// is registered at `now` and must be sound from `now` itself. The rule
+/// every reader of a record that files an object holds it against.
+#[must_use]
+pub fn indexable(mbr: &MovingRect, now: Time) -> bool {
     mbr.is_sound_from(now.max(mbr.t_ref))
 }
 

@@ -12,9 +12,10 @@
 //!   exactly once under at-least-once delivery. It holds soft state: a
 //!   restarted worker comes back blank;
 //! - a [`RemotePair`] is a worker behind the `IndexPair` seam: it queues
-//!   the index mutations the coordinator's phase 1 routes to it and runs
-//!   phase 2 as one [`Step`](protocol::Request::Step) — those mutations
-//!   plus both sides' probes — answered by hits and traversal counters.
+//!   the `refile` calls the coordinator's phase 1 makes on its partition
+//!   and runs phase 2 as one [`Step`](protocol::Request::Step) — those
+//!   calls, verbatim, plus both sides' probes — answered by hits and
+//!   traversal counters.
 //!   A worker it finds lost is re-seeded from the engine's registrations with
 //!   the [`Init`](protocol::Request::Init) construction sends;
 //! - a [`DistCoordinator`] is the shard coordinator over K remote
@@ -49,7 +50,7 @@ mod worker;
 
 pub use coordinator::{joinable_pairs, DistConfig, DistCoordinator};
 pub use error::{DistError, DistResult};
-pub use protocol::{EngineKind, IndexOp, Request, Response};
+pub use protocol::{EngineKind, Refile, Request, Response};
 pub use remote::{RemoteConfig, RemotePair};
 pub use transport::{Connector, Transport};
 pub use worker::ShardWorker;

@@ -7,6 +7,12 @@
 //! frame these payloads (the TCP transport in `cij_storage::frame`s; the
 //! loopback transport passes them by reference) but never interpret them.
 //!
+//! The requests carry the seam itself: every mutation is one
+//! [`IndexPair::refile`](cij_core::IndexPair::refile) call of the
+//! coordinator's phase 1 on the partition, verbatim, as a [`Refile`] —
+//! the objects each as an id and its [`Registration`], the delete keys
+//! the engine's table holds.
+//!
 //! # Exactly-once application over at-least-once delivery
 //!
 //! Mutating requests carry a coordinator-assigned sequence number,
@@ -24,9 +30,8 @@
 use cij_core::Registration;
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, ProbeHit};
-use cij_stream::wire_enum;
+use cij_stream::{wire_enum, wire_struct};
 use cij_tpr::ObjectId;
-use cij_workload::SetTag;
 
 /// Which index pair a worker builds at [`Request::Init`].
 ///
@@ -58,111 +63,34 @@ impl EngineKind {
     }
 }
 
-/// One mutation of a worker's index pair, in the order the coordinator's
-/// phase 1 made it: one removal or one insertion of an
-/// [`IndexPair::refile`](cij_core::IndexPair::refile) call, with the
-/// `now` it ran at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IndexOp {
-    /// Registers an object.
-    Insert {
-        /// Side the object joins.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// Its trajectory.
-        mbr: MovingRect,
-        /// When the trajectory was registered (the MTB bucket it is filed
-        /// under).
-        registered_at: Time,
-        /// When the insert ran.
-        now: Time,
-    },
-    /// Deregisters an object.
-    Remove {
-        /// Side the object leaves.
-        set: SetTag,
-        /// The object.
-        id: ObjectId,
-        /// The trajectory registered for it.
-        old_mbr: MovingRect,
-        /// When that trajectory was registered.
-        last_update: Time,
-        /// When the remove ran.
-        now: Time,
-    },
+/// One [`IndexPair::refile`](cij_core::IndexPair::refile) call of the
+/// coordinator's phase 1 on a worker's partition, verbatim: the worker
+/// runs it as the same call, so it applies exactly what the in-process
+/// partition would.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refile {
+    /// When the call ran.
+    pub now: Time,
+    /// The objects removed, each by the registration it was filed under.
+    pub removes: Vec<(ObjectId, Registration)>,
+    /// The objects filed, each under its registration.
+    pub inserts: Vec<(ObjectId, Registration)>,
 }
 
-wire_enum! {
-    impl Wire for IndexOp, "index op" {
-        1 => Insert { set: SetTag, id: ObjectId, mbr: MovingRect, registered_at: Time, now: Time },
-        2 => Remove { set: SetTag, id: ObjectId, old_mbr: MovingRect, last_update: Time, now: Time },
-    }
+wire_struct! {
+    Refile { now: Time, removes: Vec<(ObjectId, Registration)>, inserts: Vec<(ObjectId, Registration)> }
 }
 
-impl IndexOp {
-    /// The op's object, the registration it files or removes the object
-    /// by, and when it ran.
-    #[must_use]
-    pub fn filing(&self) -> (ObjectId, Registration, Time) {
-        match *self {
-            Self::Insert {
-                set,
-                id,
-                mbr,
-                registered_at,
-                now,
-            } => (
-                id,
-                Registration {
-                    set,
-                    mbr,
-                    registered_at,
-                },
-                now,
-            ),
-            Self::Remove {
-                set,
-                id,
-                old_mbr,
-                last_update,
-                now,
-            } => {
-                let registered_at = last_update;
-                (
-                    id,
-                    Registration {
-                        set,
-                        mbr: old_mbr,
-                        registered_at,
-                    },
-                    now,
-                )
-            }
-        }
-    }
-
-    /// Whether the op's times are [in range](in_range) and its
-    /// trajectory [sound from](MovingRect::is_sound_from) the time it ran
-    /// — what the indexes assume and assert on, so an op decoded from a
-    /// socket is held against it first.
+impl Refile {
+    /// Whether its time is [in range](in_range) and every registration
+    /// one the engine files objects under at that time
+    /// ([`Registration::is_sound_at`]) — what the indexes assume and
+    /// assert on, so a call decoded from a socket is held against it
+    /// first.
     #[must_use]
     pub fn is_sound(&self) -> bool {
-        let (mbr, at, now) = match self {
-            Self::Insert {
-                mbr,
-                registered_at,
-                now,
-                ..
-            } => (mbr, registered_at, now),
-            Self::Remove {
-                old_mbr,
-                last_update,
-                now,
-                ..
-            } => (old_mbr, last_update, now),
-        };
-        in_range(*at) && in_range(*now) && mbr.is_sound_from(*now)
+        let mut filed = self.removes.iter().chain(&self.inserts);
+        in_range(self.now) && filed.all(|(_, r)| r.is_sound_at(self.now))
     }
 }
 
@@ -185,8 +113,9 @@ wire_enum! {
             t_m: Time,
             /// MTB bucket granularity.
             buckets_per_tm: u32,
-            /// The partition's registrations, sorted by side and id.
-            ops: Vec<IndexOp>,
+            /// The partition's registrations, sorted by side and id, as
+            /// one call of insertions.
+            seed: Refile,
         },
         /// One phase-2 round: apply the queued mutations in order, then
         /// join each side's probes against the other side's index over
@@ -198,8 +127,9 @@ wire_enum! {
             now: Time,
             /// Outbox entries up to this sequence number may be pruned.
             ack_through: u64,
-            /// The partition's mutations since the last round, in order.
-            ops: Vec<IndexOp>,
+            /// The partition's `refile` calls since the last round, in
+            /// order.
+            ops: Vec<Refile>,
             /// Side A's probes (trajectories registered at `now`).
             probes_a: Vec<MovingRect>,
             /// Side B's probes.

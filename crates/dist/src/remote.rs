@@ -6,9 +6,9 @@
 //! worker. Phase 1 stays on the coordinator: the engine's registration
 //! table holds every delete key, the partitioned pair's router picks the
 //! partition, and the remote pair only queues the resulting
-//! [`IndexOp`]s. Phase 2 is one
-//! [`Request::Step`] per tick — the queued mutations plus both
-//! sides' probes — answered by the worker's hits and [`JoinCounters`].
+//! [`IndexPair::refile`] calls, verbatim, as [`Refile`]s. Phase 2 is one
+//! [`Request::Step`] per tick — the queued calls plus both sides'
+//! probes — answered by the worker's hits and [`JoinCounters`].
 //! The answer itself never leaves the coordinator's result buffer.
 //!
 //! # Fault handling
@@ -48,7 +48,7 @@ use cij_tpr::{ObjectId, TprError, TprResult};
 
 use crate::coordinator::DistConfig;
 use crate::error::{DistError, DistResult};
-use crate::protocol::{IndexOp, Request, Response};
+use crate::protocol::{Refile, Request, Response};
 use crate::transport::{Connector, Transport};
 
 /// What a [`RemotePair`] is built from: the coordinator's engine knobs,
@@ -95,8 +95,8 @@ impl RemoteConfig {
 /// numbers.
 struct WorkerLink {
     slot: usize,
-    /// Mutations since the last round, in phase-1 order.
-    queued: Vec<IndexOp>,
+    /// `refile` calls since the last round, in phase-1 order.
+    queued: Vec<Refile>,
     dist: Arc<DistConfig>,
     /// `None` for a partition no connector was supplied for.
     connector: Option<Box<dyn Connector>>,
@@ -237,15 +237,11 @@ impl RemotePair {
             link.lost = false;
         }
         link.queued.clear();
-        let ops = (objects.iter())
-            .map(|&(id, r)| IndexOp::Insert {
-                set: r.set,
-                id,
-                mbr: r.mbr,
-                registered_at: r.registered_at,
-                now,
-            })
-            .collect();
+        let seed = Refile {
+            now,
+            removes: Vec::new(),
+            inserts: objects.to_vec(),
+        };
         let seq = link.next_seq();
         let dist = &link.dist;
         let req = Request::Init {
@@ -253,7 +249,7 @@ impl RemotePair {
             engine: dist.engine,
             t_m: dist.t_m,
             buckets_per_tm: dist.buckets_per_tm,
-            ops,
+            seed,
         };
         let answer = link.call(&req);
         // A seed that was not acknowledged leaves the worker's state
@@ -345,28 +341,18 @@ impl IndexPair for RemotePair {
         }
     }
 
-    /// Queues the removals, then the insertions, for the next round.
+    /// Queues the call, as it was made, for the next round.
     fn refile(
         &mut self,
         removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        let queued = &mut sync::get_mut(&mut self.link).queued;
-        queued.extend(removes.map(|(id, r)| IndexOp::Remove {
-            set: r.set,
-            id,
-            old_mbr: r.mbr,
-            last_update: r.registered_at,
+        sync::get_mut(&mut self.link).queued.push(Refile {
             now,
-        }));
-        queued.extend(inserts.map(|(id, r)| IndexOp::Insert {
-            set: r.set,
-            id,
-            mbr: r.mbr,
-            registered_at: r.registered_at,
-            now,
-        }));
+            removes: removes.collect(),
+            inserts: inserts.collect(),
+        });
         Ok(())
     }
 
@@ -382,7 +368,7 @@ impl IndexPair for RemotePair {
         })
     }
 
-    /// The round: one [`Request::Step`] carrying the queued mutations and
+    /// The round: one [`Request::Step`] carrying the queued calls and
     /// both sides' probes. A `Step` that fails leaves the worker's state
     /// unknown — its mutations are not queued again — so the link is
     /// lost and the worker re-seeded before it probes again.

@@ -14,23 +14,28 @@
 //! The worker holds no answer: the coordinator's one result buffer does.
 //! A [`Request::Step`] is phase 2 of a tick for this partition — its
 //! queued mutations, then both sides' probes against the indexes — and
-//! the hits go back in the [`Response::StepAck`]. Every op reaches the
-//! index pair through [`IndexPair::refile`], its one mutation, one call
-//! per run of ops at one `now` in which no removal follows an insertion:
-//! a seed's ops share one `now`, so an `Init` is one batch, as an
-//! engine's construction is.
+//! the hits go back in the [`Response::StepAck`]. The mutations are the
+//! coordinator's [`IndexPair::refile`] calls on the partition, verbatim
+//! ([`Refile`]), and each runs here as that one call: the worker applies
+//! exactly what the in-process partition would. An `Init`'s seed is one
+//! call of insertions, as an engine's construction is.
+//!
+//! Everything the worker files is held first against the rule the
+//! engine filed it under ([`Registration::is_sound_at`](cij_core::Registration::is_sound_at)),
+//! and every probe against [`indexable`]: a window that starts later is
+//! filed and probed as in process.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cij_core::{EngineConfig, IndexPair, MtbPair, Registrations, TcPair};
+use cij_core::{indexable, EngineConfig, IndexPair, MtbPair, Registrations, TcPair};
 use cij_geom::{in_range, MovingRect, Time};
 use cij_join::{JoinCounters, JoinScratch};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::TprResult;
 
-use crate::protocol::{EngineKind, IndexOp, Request, Response};
+use crate::protocol::{EngineKind, Refile, Request, Response};
 
 /// The index pair a worker holds: the one [`Request::Init`] named.
 enum WorkerPair {
@@ -62,13 +67,13 @@ impl WorkerPair {
         })
     }
 
-    /// Applies `ops` through [`IndexPair::refile`] as batches (see
-    /// [`batches`]), then — when `probes` is `Some` — joins both sides'
-    /// probes at `now` into a [`Response::StepAck`].
+    /// Runs each of `ops` as one [`IndexPair::refile`] call, then — when
+    /// `probes` is `Some` — joins both sides' probes at `now` into a
+    /// [`Response::StepAck`].
     fn run(
         &mut self,
         seq: u64,
-        ops: &[IndexOp],
+        ops: &[Refile],
         probes: Option<([&[MovingRect]; 2], Time)>,
         scratch: &mut JoinScratch,
     ) -> TprResult<Response> {
@@ -81,19 +86,13 @@ impl WorkerPair {
     fn run_on<P: IndexPair>(
         pair: &mut P,
         seq: u64,
-        ops: &[IndexOp],
+        ops: &[Refile],
         probes: Option<([&[MovingRect]; 2], Time)>,
         scratch: &mut JoinScratch,
     ) -> TprResult<Response> {
-        for (run, now) in batches(ops) {
-            let of = move |removal: bool| {
-                let kind = move |op: &&IndexOp| matches!(op, IndexOp::Remove { .. }) == removal;
-                run.iter().filter(kind).map(|op| {
-                    let (id, registration, _) = op.filing();
-                    (id, registration)
-                })
-            };
-            pair.refile(of(true), of(false), now)?;
+        for op in ops {
+            let (removes, inserts) = (op.removes.iter().copied(), op.inserts.iter().copied());
+            pair.refile(removes, inserts, op.now)?;
         }
         let Some((probes, now)) = probes else {
             return Ok(Response::Ack { seq });
@@ -113,35 +112,12 @@ impl WorkerPair {
     }
 }
 
-/// A request's ops cut into the batches [`IndexPair::refile`] takes:
-/// maximal runs at one `now` in which no removal follows an insertion,
-/// each applied as its removals, then its insertions. Applying the runs
-/// in order leaves the index set the ops applied one by one leave.
-fn batches(ops: &[IndexOp]) -> Vec<(&[IndexOp], Time)> {
-    let mut runs = Vec::new();
-    let (mut start, mut inserted) = (0, false);
-    for (i, op) in ops.iter().enumerate() {
-        let removal = matches!(op, IndexOp::Remove { .. });
-        let at = ops[start].filing().2;
-        // A removal after an insertion would be reordered before it.
-        if i > start && (op.filing().2 != at || (removal && inserted)) {
-            runs.push((&ops[start..i], at));
-            (start, inserted) = (i, false);
-        }
-        inserted |= !removal;
-    }
-    if let Some(first) = ops.get(start) {
-        runs.push((&ops[start..], first.filing().2));
-    }
-    runs
-}
-
 /// Whether `req`'s times and trajectories can be handed to an index.
 /// The indexes assume what a well-behaved coordinator sends and assert on
 /// it; a socket promises nothing.
 fn is_sound(req: &Request) -> bool {
     match req {
-        Request::Init { ops, .. } => ops.iter().all(IndexOp::is_sound),
+        Request::Init { seed, .. } => seed.is_sound(),
         Request::Step {
             now,
             ops,
@@ -150,11 +126,8 @@ fn is_sound(req: &Request) -> bool {
             ..
         } => {
             in_range(*now)
-                && ops.iter().all(IndexOp::is_sound)
-                && probes_a
-                    .iter()
-                    .chain(probes_b)
-                    .all(|p| p.is_sound_from(*now))
+                && ops.iter().all(Refile::is_sound)
+                && (probes_a.iter().chain(probes_b)).all(|p| indexable(p, *now))
         }
         _ => true,
     }
@@ -258,12 +231,13 @@ impl ShardWorker {
                 engine,
                 t_m,
                 buckets_per_tm,
-                ops,
+                seed,
                 ..
             } => match WorkerPair::build(*engine, *t_m, *buckets_per_tm) {
                 Some(pair) => {
                     let pair = self.pair.insert(pair);
-                    pair.run(seq, ops, None, &mut self.scratch)
+                    let seed = std::slice::from_ref(seed);
+                    pair.run(seq, seed, None, &mut self.scratch)
                         .map_err(|e| e.to_string())
                 }
                 None => Err(format!(
@@ -294,18 +268,19 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cij_core::Registration;
     use cij_geom::{MovingRect, Rect};
     use cij_tpr::ObjectId;
     use cij_workload::SetTag;
 
-    fn insert(set: SetTag, id: u64, x: f64) -> IndexOp {
-        IndexOp::Insert {
+    fn filed(set: SetTag, id: u64, x: f64) -> (ObjectId, Registration) {
+        let mbr = MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0);
+        let registration = Registration {
             set,
-            id: ObjectId(id),
-            mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
+            mbr,
             registered_at: 0.0,
-            now: 0.0,
-        }
+        };
+        (ObjectId(id), registration)
     }
 
     fn init(seq: u64) -> Request {
@@ -314,15 +289,17 @@ mod tests {
             engine: EngineKind::Mtb,
             t_m: 20.0,
             buckets_per_tm: 4,
-            ops: vec![insert(SetTag::A, 1, 0.0), insert(SetTag::B, 2, 0.5)],
+            seed: Refile {
+                now: 0.0,
+                removes: vec![],
+                inserts: vec![filed(SetTag::A, 1, 0.0), filed(SetTag::B, 2, 0.5)],
+            },
         }
     }
 
     /// The round that joins A-object 1 against the B side.
     fn step(seq: u64, ack_through: u64) -> Request {
-        let IndexOp::Insert { mbr, .. } = insert(SetTag::A, 1, 0.0) else {
-            unreachable!()
-        };
+        let mbr = filed(SetTag::A, 1, 0.0).1.mbr;
         Request::Step {
             seq,
             now: 0.0,

@@ -13,7 +13,7 @@ use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine, MtbPair};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{
     joinable_pairs, Connector, DistConfig, DistCoordinator, DistError, DistResult, EngineKind,
-    IndexOp, Request, Response, ShardWorker, Transport,
+    Refile, Request, Response, ShardWorker, Transport,
 };
 use cij_geom::{MovingRect, Rect, Time, DIMS};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
@@ -411,7 +411,7 @@ fn a_failed_round_keeps_every_acked_round_exact() {
         init.expect("a re-seed")
     };
     let seeded = |slot: usize| match last_init(slot) {
-        Request::Init { ops, .. } => ops.len() as u64,
+        Request::Init { seed, .. } => seed.inserts.len() as u64,
         other => unreachable!("{other:?}"),
     };
     let seed = last_init(victim);
@@ -505,26 +505,22 @@ fn a_worker_that_missed_a_step_is_reseeded_at_the_next_round() {
         if tick == failed_tick + 1 {
             // The round after the failure re-seeded the dark worker, and
             // only it, with its shard's registrations as of this round.
-            let Some(Request::Init { ops, .. }) = deployment.last_init[dark]
+            let Some(Request::Init { seed, .. }) = deployment.last_init[dark]
                 .lock()
                 .expect("last init")
                 .clone()
             else {
                 panic!("no Init was sent");
             };
-            let expected: Vec<IndexOp> = (local.shard_registrations(dark).into_iter())
-                .map(|(id, r)| IndexOp::Insert {
-                    set: r.set,
-                    id,
-                    mbr: r.mbr,
-                    registered_at: r.registered_at,
-                    now,
-                })
-                .collect();
+            let expected = Refile {
+                now,
+                removes: Vec::new(),
+                inserts: local.shard_registrations(dark),
+            };
             let report = local.report();
             let population = report.population_a[dark] + report.population_b[dark];
-            assert_eq!(ops.len(), population);
-            assert_eq!(ops, expected, "the re-seed is not the shard's population");
+            assert_eq!(seed.inserts.len(), population);
+            assert_eq!(seed, expected, "the re-seed is not the shard's population");
             assert_eq!(reseeds(&dist), Some((1, population as u64)));
         }
         for u in &updates {

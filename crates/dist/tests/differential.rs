@@ -9,14 +9,16 @@ use std::sync::{Arc, Mutex};
 
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{
-    joinable_pairs, Connector, DistConfig, DistCoordinator, DistResult, IndexOp, Request, Response,
+    joinable_pairs, Connector, DistConfig, DistCoordinator, DistResult, Refile, Request, Response,
     Transport,
 };
 use cij_geom::{MovingRect, Rect, Time};
 use cij_obs::validate_prometheus;
 use cij_shard::{PartitionPolicy, VelocityBandPolicy};
 use cij_tpr::ObjectId;
-use cij_workload::{generate_pair, Distribution, ObjectUpdate, Params, SetTag, UpdateStream};
+use cij_workload::{
+    generate_pair, Distribution, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream,
+};
 
 /// Every request one worker was sent.
 type Sent = Arc<Mutex<Vec<Request>>>;
@@ -70,15 +72,13 @@ impl Transport for RecordingTransport {
 
 /// The ids of every object `req` removes.
 fn removed_ids(req: &Request) -> Vec<ObjectId> {
-    let ops = match req {
-        Request::Init { ops, .. } | Request::Step { ops, .. } => &ops[..],
+    let calls = match req {
+        Request::Init { seed, .. } => std::slice::from_ref(seed),
+        Request::Step { ops, .. } => &ops[..],
         _ => &[],
     };
-    (ops.iter())
-        .filter_map(|op| match *op {
-            IndexOp::Remove { id, .. } => Some(id),
-            IndexOp::Insert { .. } => None,
-        })
+    (calls.iter())
+        .flat_map(|call| call.removes.iter().map(|&(id, _)| id))
         .collect()
 }
 
@@ -140,16 +140,15 @@ fn workers_are_the_partitions_in_shard_order() {
         for (shard, sent) in sent.iter().enumerate() {
             let sent = sent.lock().expect("recorder");
             let journaled: Vec<&Request> = sent.iter().filter(|r| r.seq().is_some()).collect();
-            let [Request::Init { ops, .. }] = journaled[..] else {
+            let [Request::Init { seed, .. }] = journaled[..] else {
                 panic!("worker {shard} was sent {sent:?}");
             };
-            for op in ops {
-                let IndexOp::Insert { id, mbr, .. } = *op else {
-                    panic!("worker {shard}'s Init removes {op:?}");
-                };
-                assert_eq!(policy.shard_of(id, &mbr), shard, "{} {id:?}", policy.name());
+            assert!(seed.removes.is_empty(), "worker {shard}'s Init removes");
+            for &(id, r) in &seed.inserts {
+                let home = policy.shard_of(id, &r.mbr);
+                assert_eq!(home, shard, "{} {id:?}", policy.name());
             }
-            registered += ops.len();
+            registered += seed.inserts.len();
         }
         assert_eq!(registered, a.len() + b.len(), "each object on one worker");
     }
@@ -200,6 +199,59 @@ fn a_removal_reaches_only_its_worker_at_the_next_round() {
             "worker {shard}: {removed:?}"
         );
     }
+}
+
+/// A worker is sent the partition's `refile` calls verbatim: two
+/// removals at one `now` are two calls in process, and two `Refile`s, in
+/// order, in the worker's next round — not one batch of its own making.
+#[test]
+fn each_refile_call_reaches_its_worker_verbatim() {
+    use cij_core::ContinuousJoinEngine;
+
+    let p = skew_params(59);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let (a, b) = generate_pair(&p, 0.0);
+    let (connectors, sent) = Recorder::deployment(2);
+    let mut dist = DistCoordinator::new(
+        DistConfig::default(),
+        Arc::clone(&policy),
+        connectors,
+        &a,
+        &b,
+        0.0,
+    )
+    .expect("dist coordinator");
+    dist.run_initial_join(0.0).expect("initial join");
+
+    let home = |o: &MovingObject| policy.shard_of(o.id, &o.mbr);
+    let second = (b[1..].iter())
+        .find(|o| home(o) == home(&b[0]))
+        .expect("two B objects on one worker");
+    let mut calls = Vec::new();
+    for victim in [b[0], *second] {
+        let registration = dist.registrations()[&victim.id];
+        dist.remove_object(victim.id, 1.0).expect("a live object");
+        calls.push(Refile {
+            now: 1.0,
+            removes: vec![(victim.id, registration)],
+            inserts: vec![],
+        });
+    }
+    // A moved A object makes the tick a round.
+    let (mover, here) = (a[0], a[0].mbr.at(1.0));
+    let update = ObjectUpdate {
+        id: mover.id,
+        set: SetTag::A,
+        old_mbr: mover.mbr,
+        last_update: 0.0,
+        new_mbr: MovingRect::rigid(Rect::new(here.lo, here.hi), mover.mbr.vlo, 1.0),
+    };
+    dist.apply_batch(&[update], 1.0).expect("tick");
+    let sent = sent[home(&b[0])].lock().expect("recorder");
+    let Some(Request::Step { ops, .. }) = sent.last() else {
+        panic!("no round was sent: {sent:?}");
+    };
+    assert_eq!(ops[..2], calls, "the removals' calls, as made");
 }
 
 /// A worker killed mid-run restarts blank and is re-seeded once; every

@@ -1,10 +1,10 @@
 //! The protocol's bytes, pinned. Every [`Request`] and [`Response`]
 //! shape is held against the exact encoding the first `PROTOCOL_VERSION
-//! 2` build produced, in both directions, and a worker must still answer
+//! 3` build produced, in both directions, and a worker must still answer
 //! that build's requests with that build's bytes — a refactor of the
 //! codec that only round-trips against itself would pass neither.
 
-use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
+use cij_dist::{EngineKind, Refile, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, TimeInterval};
 use cij_join::JoinCounters;
 use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
@@ -13,7 +13,8 @@ use cij_workload::SetTag;
 
 mod common;
 use common::{
-    hex, unhex, worker_life, GOLDEN_ANSWERS, GOLDEN_REPROBE, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
+    filed, hex, unhex, worker_life, GOLDEN_ANSWERS, GOLDEN_REPROBE, GOLDEN_REQUESTS,
+    GOLDEN_RESPONSES,
 };
 
 fn mrect(seed: f64) -> MovingRect {
@@ -34,32 +35,26 @@ fn sample_requests() -> Vec<Request> {
             engine: EngineKind::Mtb,
             t_m: 20.0,
             buckets_per_tm: 4,
-            ops: vec![IndexOp::Insert {
-                set: SetTag::A,
-                id: ObjectId(1),
-                mbr: mrect(1.0),
-                registered_at: 0.0,
+            seed: Refile {
                 now: 0.0,
-            }],
+                removes: vec![],
+                inserts: vec![filed(SetTag::A, 1, mrect(1.0), 0.0)],
+            },
         },
         Request::Step {
             seq: 2,
             now: 1.0,
             ack_through: 1,
             ops: vec![
-                IndexOp::Remove {
-                    set: SetTag::B,
-                    id: ObjectId(9),
-                    old_mbr: mrect(5.0),
-                    last_update: 0.25,
+                Refile {
                     now: 1.0,
+                    removes: vec![filed(SetTag::B, 9, mrect(5.0), 0.25)],
+                    inserts: vec![filed(SetTag::B, 9, mrect(4.0), 1.0)],
                 },
-                IndexOp::Insert {
-                    set: SetTag::B,
-                    id: ObjectId(9),
-                    mbr: mrect(4.0),
-                    registered_at: 1.0,
+                Refile {
                     now: 1.0,
+                    removes: vec![filed(SetTag::A, 3, mrect(0.5), 0.5)],
+                    inserts: vec![],
                 },
             ],
             probes_a: vec![mrect(2.0)],

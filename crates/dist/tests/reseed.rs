@@ -15,10 +15,11 @@ use cij_dist::{
     Connector, DistConfig, DistCoordinator, DistError, DistResult, EngineKind, Request, Response,
     Transport,
 };
-use cij_geom::Time;
+use cij_geom::{MovingRect, Rect, Time};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{StreamConfig, StreamService, SubscriptionFilter};
+use cij_tpr::ObjectId;
 use cij_workload::{generate_pair, Distribution, MovingObject, Params, SetTag, UpdateStream};
 
 fn params(seed: u64) -> Params {
@@ -388,4 +389,51 @@ fn a_worker_lost_mid_round_is_reseeded_and_probed_again() {
             "{kind:?}: {killed} {seeded} {again}"
         );
     }
+}
+
+/// A window that starts later (§V): a trajectory referenced after the
+/// tick it is filed at, which the engine registers
+/// ([`Registration::is_sound_at`](cij_core::Registration::is_sound_at)).
+fn late_window(t_ref: Time) -> MovingRect {
+    MovingRect::stationary(Rect::new([40.0, 40.0], [160.0, 160.0]), t_ref)
+}
+
+/// A genesis window that starts later seeds its worker as it is filed in
+/// process: the deployment constructs, and answers as the in-process
+/// coordinator does.
+#[test]
+fn a_genesis_window_that_starts_later_is_seeded() {
+    let p = params(115);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let hosts: Vec<Arc<LoopbackHost>> = (0..2).map(|_| LoopbackHost::ephemeral()).collect();
+    let (a, mut b) = generate_pair(&p, 0.0);
+    b[0].mbr = late_window(5.0);
+    let mut workload = UpdateStream::new(&p, &a, &b, 0.0);
+
+    let (mut dist, mut shard) = pair_of(&p, &policy, &hosts, &a, &b, 0.0);
+    lockstep(&mut dist, &mut shard, &mut workload, 1..=8, |_, _| {});
+    assert!(dist.result_at(8.0).iter().any(|&(_, id)| id == b[0].id));
+    assert_eq!(counter(&dist, "dist.reseeds"), 0);
+}
+
+/// A window that starts later, restored mid-run, is filed on its worker
+/// as in process: the restore succeeds, no worker is lost, and the
+/// answers after it are the in-process coordinator's.
+#[test]
+fn a_restored_window_that_starts_later_is_filed() {
+    let p = params(116);
+    let policy: Arc<dyn PartitionPolicy> = Arc::new(VelocityBandPolicy::new(2, p.max_speed));
+    let hosts: Vec<Arc<LoopbackHost>> = (0..2).map(|_| LoopbackHost::ephemeral()).collect();
+    let (a, b) = generate_pair(&p, 0.0);
+    let mut workload = UpdateStream::new(&p, &a, &b, 0.0);
+
+    let (mut dist, mut shard) = pair_of(&p, &policy, &hosts, &a, &b, 0.0);
+    lockstep(&mut dist, &mut shard, &mut workload, 1..=2, |_, _| {});
+    let id = ObjectId(1 << 40);
+    for engine in [&mut dist as &mut dyn ContinuousJoinEngine, &mut shard] {
+        (engine.restore_object(SetTag::B, id, late_window(6.0), 2.0, 2.0)).expect("restore");
+    }
+    lockstep(&mut dist, &mut shard, &mut workload, 3..=10, |_, _| {});
+    assert!(dist.result_at(10.0).iter().any(|&(_, b)| b == id));
+    assert_eq!(counter(&dist, "dist.reseeds"), 0);
 }

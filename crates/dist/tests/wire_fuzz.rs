@@ -6,15 +6,14 @@
 //! which documents that it never panics. Nothing here may panic or size
 //! an allocation by a field of the input; seeded, so a failure replays.
 
-use cij_dist::{IndexOp, Request, Response, ShardWorker};
+use cij_dist::{Refile, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect};
 use cij_stream::{PROTOCOL_MAGIC, PROTOCOL_VERSION};
-use cij_tpr::ObjectId;
 use cij_workload::SetTag;
 
 mod common;
 use common::{
-    hostile_variants, random_strings, unhex, worker_life, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
+    filed, hostile_variants, random_strings, unhex, worker_life, GOLDEN_REQUESTS, GOLDEN_RESPONSES,
 };
 
 /// Mutations per pinned message through the decoders (its truncations
@@ -44,15 +43,27 @@ fn later_round(seq: u64) -> Request {
     }
 }
 
+/// Whether `req` carries a `refile` call that files or removes
+/// something.
+fn refiles(req: &Request) -> bool {
+    let calls = match req {
+        Request::Init { seed, .. } => std::slice::from_ref(seed),
+        Request::Step { ops, .. } => &ops[..],
+        _ => &[],
+    };
+    (calls.iter()).any(|call| !(call.removes.is_empty() && call.inserts.is_empty()))
+}
+
 #[test]
 fn request_decode_survives_hostile_bytes() {
-    let (mut fed, mut decoded) = (0usize, 0usize);
+    let (mut fed, mut decoded, mut filing) = (0usize, 0usize, 0usize);
     let mut feed = |bytes: &[u8]| {
         fed += 1;
         let Ok(req) = Request::decode(bytes) else {
             return;
         };
         decoded += 1;
+        filing += usize::from(refiles(&req));
         let again = req.encode();
         let back = Request::decode(&again).expect("a decoded request re-encodes decodably");
         assert_eq!(back.encode(), again);
@@ -74,6 +85,11 @@ fn request_decode_survives_hostile_bytes() {
     assert!(
         decoded > MUTATIONS,
         "only {decoded} of {fed} inputs decoded"
+    );
+    // The `Refile` decoder: mutated calls, not only empty rounds.
+    assert!(
+        filing > MUTATIONS,
+        "only {filing} decoded calls file anything"
     );
 }
 
@@ -144,23 +160,24 @@ fn a_running_worker_survives_hostile_requests() {
     let seeds = [
         records[2].clone(),
         round(
-            vec![IndexOp::Insert {
-                set: SetTag::B,
-                id: ObjectId(5),
-                mbr: fresh,
-                registered_at: 1.0,
+            vec![Refile {
                 now: 1.0,
+                removes: vec![],
+                inserts: vec![filed(SetTag::B, 5, fresh, 1.0)],
             }],
             vec![fresh],
         )
         .encode(),
         round(
-            vec![IndexOp::Remove {
-                set: SetTag::B,
-                id: ObjectId(2),
-                old_mbr: MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
-                last_update: 0.0,
+            vec![Refile {
                 now: 1.0,
+                removes: vec![filed(
+                    SetTag::B,
+                    2,
+                    MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
+                    0.0,
+                )],
+                inserts: vec![],
             }],
             vec![],
         )

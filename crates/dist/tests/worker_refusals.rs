@@ -3,19 +3,25 @@
 //! bytes from a socket, so index parameters, kinematics and probes an
 //! index would assert on come back as [`Response::Fail`].
 
-use cij_dist::{EngineKind, IndexOp, Request, Response, ShardWorker};
+use cij_core::Registration;
+use cij_dist::{EngineKind, Refile, Request, Response, ShardWorker};
 use cij_geom::{MovingRect, Rect};
 use cij_tpr::ObjectId;
 use cij_workload::SetTag;
 
-fn insert(set: SetTag, id: u64, x: f64, now: f64) -> IndexOp {
-    IndexOp::Insert {
+/// Object `id` of side `set`, filed on `mbr` as registered at
+/// `registered_at`.
+fn filed(set: SetTag, id: u64, mbr: MovingRect, registered_at: f64) -> (ObjectId, Registration) {
+    let registration = Registration {
         set,
-        id: ObjectId(id),
-        mbr: MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0),
-        registered_at: 0.0,
-        now,
-    }
+        mbr,
+        registered_at,
+    };
+    (ObjectId(id), registration)
+}
+
+fn stationary(x: f64) -> MovingRect {
+    MovingRect::stationary(Rect::new([x, 0.0], [x + 1.0, 1.0]), 0.0)
 }
 
 /// An `Init` over A-object 1 and B-object 2, inserted at `start`.
@@ -25,14 +31,27 @@ fn init(seq: u64, t_m: f64, buckets_per_tm: u32, start: f64) -> Request {
         engine: EngineKind::Mtb,
         t_m,
         buckets_per_tm,
-        ops: vec![
-            insert(SetTag::A, 1, 0.0, start),
-            insert(SetTag::B, 2, 0.5, start),
-        ],
+        seed: Refile {
+            now: start,
+            removes: vec![],
+            inserts: vec![
+                filed(SetTag::A, 1, stationary(0.0), 0.0),
+                filed(SetTag::B, 2, stationary(0.5), 0.0),
+            ],
+        },
     }
 }
 
-fn step(seq: u64, now: f64, ops: Vec<IndexOp>, probes_a: Vec<MovingRect>) -> Request {
+/// One `refile` call at `now` that files A-object 9 on `mbr`.
+fn insert(mbr: MovingRect, registered_at: f64, now: f64) -> Refile {
+    Refile {
+        now,
+        removes: vec![],
+        inserts: vec![filed(SetTag::A, 9, mbr, registered_at)],
+    }
+}
+
+fn step(seq: u64, now: f64, ops: Vec<Refile>, probes_a: Vec<MovingRect>) -> Request {
     Request::Step {
         seq,
         now,
@@ -101,23 +120,12 @@ fn kinematics_an_index_would_assert_on_are_refused() {
             ..sound
         },
         MovingRect {
-            t_ref: 5.0,
-            ..sound
-        }, // referenced after the op
-        MovingRect {
             t_ref: f64::NAN,
             ..sound
         },
     ];
     for mbr in hostile {
-        let op = IndexOp::Insert {
-            set: SetTag::A,
-            id: ObjectId(9),
-            mbr,
-            registered_at: 1.0,
-            now: 1.0,
-        };
-        let inserted = step(3, 1.0, vec![op], vec![]);
+        let inserted = step(3, 1.0, vec![insert(mbr, 1.0, 1.0)], vec![]);
         assert!(
             refused(&primed().handle(&inserted)).contains("trajectory"),
             "{mbr:?}"
@@ -131,15 +139,19 @@ fn kinematics_an_index_would_assert_on_are_refused() {
     }
     for now in [f64::NAN, f64::INFINITY, 1e300] {
         refused(&primed().handle(&step(3, now, Vec::new(), Vec::new())));
-        let late = IndexOp::Remove {
-            set: SetTag::B,
-            id: ObjectId(2),
-            old_mbr: MovingRect::stationary(Rect::new([0.5, 0.0], [1.5, 1.0]), 0.0),
-            last_update: now,
+        let late = Refile {
             now: 1.0,
+            removes: vec![filed(SetTag::B, 2, stationary(0.5), now)],
+            inserts: vec![],
         };
         refused(&primed().handle(&step(3, 1.0, vec![late], Vec::new())));
+        // A call whose own time no index can hold.
+        let call = insert(sound, 1.0, now);
+        refused(&primed().handle(&step(3, 1.0, vec![call], Vec::new())));
     }
+    // Registered after the call that files it.
+    let early = insert(sound, 2.0, 1.0);
+    assert!(refused(&primed().handle(&step(3, 1.0, vec![early], vec![]))).contains("trajectory"));
     // A NaN probe is a `Fail`, and the worker goes on serving.
     let nan = MovingRect {
         lo: [f64::NAN, 0.0],
@@ -152,18 +164,11 @@ fn kinematics_an_index_would_assert_on_are_refused() {
         Response::StepAck { seq: 4, .. }
     ));
     // The sound trajectory itself is applied.
-    let op = IndexOp::Insert {
-        set: SetTag::A,
-        id: ObjectId(9),
-        mbr: sound,
-        registered_at: 1.0,
-        now: 1.0,
-    };
     let round = Request::Step {
         seq: 3,
         now: 1.0,
         ack_through: u64::MAX, // "everything": must not overflow the prune
-        ops: vec![op],
+        ops: vec![insert(sound, 1.0, 1.0)],
         probes_a: vec![sound],
         probes_b: Vec::new(),
     };
@@ -173,4 +178,20 @@ fn kinematics_an_index_would_assert_on_are_refused() {
         Response::StepAck { seq: 3, .. }
     ));
     assert_eq!(worker.outbox_len(), 0);
+}
+
+/// A trajectory referenced after the call that files it — a window that
+/// starts later — is what the engine files ([`Registration::is_sound_at`]),
+/// so the worker files and probes it too, and answers as in process.
+#[test]
+fn a_window_that_starts_later_is_filed_and_probed() {
+    let mut worker = ShardWorker::ephemeral();
+    worker.handle(&init(1, 20.0, 4, 0.0));
+    let window = MovingRect::stationary(Rect::new([0.0, 0.0], [1.0, 1.0]), 5.0);
+    let round = step(2, 1.0, vec![insert(window, 1.0, 1.0)], vec![window]);
+    let Response::StepAck { hits_a, .. } = worker.handle(&round) else {
+        panic!("the window was refused");
+    };
+    let met: Vec<u64> = hits_a.iter().map(|&(_, id, _)| id.0).collect();
+    assert_eq!(met, [2], "the window meets B-object 2");
 }

@@ -1,12 +1,11 @@
-//! Exposition encoders: Prometheus text format and JSON.
+//! The exposition encoder: Prometheus text format.
 //!
 //! Metric names in the registry are dotted lowercase paths
 //! (`storage.pool.physical_reads`). The Prometheus encoder maps them to
 //! `cij_storage_pool_physical_reads` (dots → underscores, `cij_`
 //! prefix); histograms are exposed as summaries (p50/p95/p99 quantiles
-//! plus `_sum`/`_count`). The JSON encoder keeps the dotted names
-//! verbatim. Both outputs are deterministic: the snapshot is
-//! name-sorted and the encoders add nothing unordered.
+//! plus `_sum`/`_count`). The output is deterministic: the snapshot is
+//! name-sorted and the encoder adds nothing unordered.
 
 use std::fmt::Write as _;
 
@@ -68,33 +67,6 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{p}_count {}", hist.count);
         }
         out
-    }
-
-    /// Encodes the snapshot as a JSON object with `counters`, `gauges`
-    /// and `histograms` sections (dotted metric names as keys).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn entries<T, F: Fn(&T) -> String>(items: &[(String, T)], fmt: F) -> String {
-            let body: Vec<String> = items
-                .iter()
-                .map(|(name, v)| format!("\"{name}\": {}", fmt(v)))
-                .collect();
-            format!("{{{}}}", body.join(", "))
-        }
-        let counters = entries(&self.counters, u64::to_string);
-        let gauges = entries(&self.gauges, i64::to_string);
-        let histograms = entries(&self.histograms, |h| {
-            format!(
-                "{{\"count\": {}, \"sum\": {}, \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1}}}",
-                h.count,
-                h.sum,
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.mean()
-            )
-        });
-        format!("{{\"counters\": {counters}, \"gauges\": {gauges}, \"histograms\": {histograms}}}")
     }
 }
 

@@ -23,10 +23,10 @@
 //!
 //! The queue holds updates, not objects: its only per-object state is
 //! the tick of each object's latest pending update. An update's delete
-//! keys (`set`, `old_mbr`, `last_update`) are not read here — the
-//! service fills them from its registration table when the batch
-//! drains, so a late or replaced update still deletes exactly what the
-//! engine holds.
+//! keys (`set`, `old_mbr`, `last_update`) are not read here, nor by
+//! anything after — the engine derives them from its registration table
+//! when the batch is applied, so a late or replaced update still deletes
+//! exactly what the engine holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;

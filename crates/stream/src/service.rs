@@ -12,19 +12,19 @@
 //! had after its last completed batch.
 //!
 //! The service keeps no per-object state of its own: it reads the
-//! engine's [`Registrations`] table — every live object's side, the
-//! trajectory the engine indexes and the tick it was registered. A
-//! producer sends the new trajectory, and nothing else it sends is
-//! trusted: the engine derives every delete from its table, and the
-//! service fills the same delete keys into each journaled update, whose
-//! layout still carries them. Retirements, window filters and resync
-//! snapshots read the table too.
+//! engine's [`Registrations`](cij_core::Registrations) table — every
+//! live object's side, the trajectory the engine indexes and the tick it
+//! was registered. A producer sends the new trajectory, and nothing else
+//! it sends is trusted: the engine derives every delete from its table,
+//! so the journal records each update as its object and new trajectory
+//! alone. Retirements, window filters and resync snapshots read the
+//! table too.
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, Registration, Registrations};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
 use cij_geom::Time;
 use cij_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cij_storage::Wal;
-use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
+use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate};
 
 use crate::config::StreamConfig;
@@ -233,16 +233,24 @@ impl StreamService {
                         ));
                     }
                     WalRecord::Batch { at, updates } => {
-                        // The journaled delete keys are not read: the
-                        // engine derives them from its registrations.
+                        // The engine derives every delete key from its
+                        // registrations and reads none of these.
                         let registrations = service.engine.registrations();
-                        if let Some(u) = updates.iter().find(|u| !registrations.contains_key(&u.id))
-                        {
-                            return Err(StreamError::CorruptJournal(format!(
-                                "batch at {at} updates unknown object {:?}",
-                                u.id
-                            )));
-                        }
+                        let updates = (updates.iter())
+                            .map(|o| match registrations.get(&o.id) {
+                                Some(r) => Ok(ObjectUpdate {
+                                    id: o.id,
+                                    set: r.set,
+                                    old_mbr: r.mbr,
+                                    last_update: r.registered_at,
+                                    new_mbr: o.mbr,
+                                }),
+                                None => Err(StreamError::CorruptJournal(format!(
+                                    "batch at {at} updates unknown object {:?}",
+                                    o.id
+                                ))),
+                            })
+                            .collect::<StreamResult<Vec<_>>>()?;
                         service.apply_batch(at, &updates)?;
                         // The queue's stale frontier follows the replayed clock.
                         service.queue.close_through(at);
@@ -358,7 +366,7 @@ impl StreamService {
     /// [`StreamError::CorruptJournal`] so callers see one typed "bad
     /// journal" condition. The cause's own message — which names the
     /// exact mismatch — is preserved inside it.
-    fn decode_journal(payload: &[u8]) -> StreamResult<WalRecord<'static>> {
+    fn decode_journal(payload: &[u8]) -> StreamResult<WalRecord> {
         let record = WalRecord::decode(payload)
             .map_err(|e| StreamError::CorruptJournal(format!("undecodable record: {e}")))?;
         if !record.is_sound() {
@@ -421,20 +429,30 @@ impl StreamService {
         let mut last_extracted = self.now;
         while let Some((at, queued)) = self.queue.pop_due(t) {
             let applied = std::time::Instant::now();
-            let mut updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
+            let updates: Vec<ObjectUpdate> = queued.iter().map(|q| q.update).collect();
             self.record_ingest_observations(&queued, applied);
-            Self::fill_delete_keys(self.engine.registrations(), at, &mut updates)
-                .map_err(TprError::ObjectNotFound)?;
+            let registrations = self.engine.registrations();
+            if let Some(u) = updates.iter().find(|u| !registrations.contains_key(&u.id)) {
+                return Err(TprError::ObjectNotFound(u.id).into());
+            }
             // The predicate recovery holds every journaled batch against
             // (`WalRecord::is_sound`): what fails it here would make the
             // journal unrecoverable from this batch on.
-            if let Some(u) = updates.iter().find(|u| !u.is_sound_at(at)) {
+            if let Some(u) = updates.iter().find(|u| !u.new_mbr.is_sound_from(at)) {
                 return Err(StreamError::InvalidUpdate(format!(
                     "update of {:?} at {at} has an out-of-range time or an unsound trajectory",
                     u.id
                 )));
             }
-            self.journal(|| WalRecord::encode_batch(at, &updates))?;
+            self.journal(|| {
+                let updates = (updates.iter())
+                    .map(|u| MovingObject {
+                        id: u.id,
+                        mbr: u.new_mbr,
+                    })
+                    .collect();
+                WalRecord::Batch { at, updates }.encode()
+            })?;
             let deltas = self.apply_batch(at, &updates)?;
             self.obs.batches_applied.inc();
             self.emit(at, deltas, &mut out);
@@ -468,34 +486,6 @@ impl StreamService {
                 .min(u128::from(u64::MAX)) as u64;
             self.obs.ingest_latency.record(nanos);
         }
-    }
-
-    /// Overwrites each update's delete keys — `set`, `old_mbr`,
-    /// `last_update` — with the registration it replaces, in batch order,
-    /// for the journal: an object's second update in one batch replaces
-    /// what its first one registers at `at`. Fails with the first id the
-    /// engine does not hold, before anything is written.
-    fn fill_delete_keys(
-        registrations: &Registrations,
-        at: Time,
-        updates: &mut [ObjectUpdate],
-    ) -> Result<(), ObjectId> {
-        let mut in_batch: IdMap<ObjectId, Registration> = IdMap::default();
-        for u in updates.iter_mut() {
-            let Some(&prev) = in_batch.get(&u.id).or_else(|| registrations.get(&u.id)) else {
-                return Err(u.id);
-            };
-            u.set = prev.set;
-            u.old_mbr = prev.mbr;
-            u.last_update = prev.registered_at;
-            let next = Registration {
-                mbr: u.new_mbr,
-                registered_at: at,
-                ..prev
-            };
-            in_batch.insert(u.id, next);
-        }
-        Ok(())
     }
 
     /// One batch through the engine: advance, apply, gc, extract. Shared
@@ -571,16 +561,16 @@ impl StreamService {
     /// remove the object (e.g. an engine without routed single-object
     /// deletes); [`StreamError::Storage`] when journaling fails.
     pub fn retire_object(&mut self, id: ObjectId) -> StreamResult<bool> {
-        let Some(r) = self.engine.registrations().get(&id) else {
+        if !self.engine.registrations().contains_key(&id) {
             return Ok(false);
-        };
+        }
         if self.queue.has_pending(id) {
             return Err(StreamError::InvalidConfig(format!(
                 "cannot retire {id:?}: an update for it is still queued"
             )));
         }
-        let (at, set) = (self.now, r.set);
-        self.journal(|| WalRecord::Retire { at, set, id }.encode())?;
+        let at = self.now;
+        self.journal(|| WalRecord::Retire { at, id }.encode())?;
         self.apply_retire(id, at)?;
         self.obs.objects_retired.inc();
         Ok(true)

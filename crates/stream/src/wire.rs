@@ -12,15 +12,13 @@
 //! recovery pass) reading bytes from a different build fails fast with a
 //! typed [`WireError`] instead of misparsing garbage.
 
-use std::borrow::Cow;
-
-use cij_core::PairStatus;
+use cij_core::{indexable, PairStatus, Registration};
 use cij_geom::{in_range, MovingRect, Rect, Time, TimeInterval, DIMS};
 use cij_join::JoinCounters;
 pub use cij_storage::codec::{ByteReader, ByteWriter};
 use cij_storage::StorageError;
 use cij_tpr::ObjectId;
-use cij_workload::{MovingObject, ObjectUpdate, SetTag};
+use cij_workload::{MovingObject, SetTag};
 
 use crate::subscribe::{SubscriberId, SubscriptionFilter};
 
@@ -30,7 +28,7 @@ pub const PROTOCOL_MAGIC: u8 = 0xC1;
 /// Current protocol version, bumped on any incompatible layout change.
 /// Peers (and recovery) refuse payloads from other versions outright —
 /// there is no cross-version negotiation.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Why a wire payload was rejected. The magic/version variants are the
 /// fail-fast path cross-process peers rely on: they fire on the first
@@ -113,7 +111,7 @@ pub fn check_header(payload: &[u8]) -> Result<&[u8], WireError> {
 /// Wraps `message` in the protocol header: the encode half of the one
 /// envelope every message family goes through.
 #[must_use]
-pub fn encode_message<T: Wire + ?Sized>(message: &T) -> Vec<u8> {
+pub fn encode_message<T: Wire>(message: &T) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_header(&mut w);
     message.put(&mut w);
@@ -229,22 +227,14 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-/// A `u32` element count, then the elements. Write-only: a borrowed
-/// slice encodes exactly like the `Vec` it is read back into.
-impl<T: Wire> Wire for [T] {
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
     const MIN_LEN: usize = 4;
     fn put(&self, w: &mut ByteWriter) {
         w.put_u32(u32::try_from(self.len()).expect("a sequence on the wire has a u32 count"));
         for item in self {
             item.put(w);
         }
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    const MIN_LEN: usize = 4;
-    fn put(&self, w: &mut ByteWriter) {
-        self[..].put(w);
     }
     fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let n = r.get_u32()? as usize;
@@ -261,18 +251,6 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::get(r)?);
         }
         Ok(out)
-    }
-}
-
-/// Lets a message own its sequence when decoded and borrow it when
-/// encoded (the per-tick journal write clones no batch).
-impl<T: Wire + Clone> Wire for Cow<'_, [T]> {
-    const MIN_LEN: usize = 4;
-    fn put(&self, w: &mut ByteWriter) {
-        self[..].put(w);
-    }
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(Cow::Owned(Vec::get(r)?))
     }
 }
 
@@ -335,18 +313,21 @@ impl Wire for Rect {
     }
 }
 
-/// A struct whose layout is its fields in the order given.
+/// Derives [`Wire`] for structs defined elsewhere: each one's layout is
+/// the fields named, in the order given (every field, so decoding can
+/// build the struct), written `Name { field: Type, … }`.
+#[macro_export]
 macro_rules! wire_struct {
     ($($name:ident { $($f:tt: $ft:ty),* })*) => {$(
-        impl Wire for $name {
-            const MIN_LEN: usize = 0 $(+ <$ft as Wire>::MIN_LEN)*;
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ft as $crate::wire::Wire>::MIN_LEN)*;
             #[inline]
-            fn put(&self, w: &mut ByteWriter) {
-                $(self.$f.put(w);)*
+            fn put(&self, w: &mut $crate::wire::ByteWriter) {
+                $($crate::wire::Wire::put(&self.$f, w);)*
             }
             #[inline]
-            fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-                Ok(Self { $($f: <$ft as Wire>::get(r)?),* })
+            fn get(r: &mut $crate::wire::ByteReader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(Self { $($f: <$ft as $crate::wire::Wire>::get(r)?),* })
             }
         }
     )*};
@@ -357,7 +338,7 @@ wire_struct! {
     SubscriberId { 0: u64 }
     TimeInterval { start: Time, end: Time }
     MovingObject { id: ObjectId, mbr: MovingRect }
-    ObjectUpdate { id: ObjectId, set: SetTag, old_mbr: MovingRect, last_update: Time, new_mbr: MovingRect }
+    Registration { set: SetTag, mbr: MovingRect, registered_at: Time }
     PairStatus { active: Option<TimeInterval>, next_start: Option<Time> }
     JoinCounters { node_pairs: u64, entry_comparisons: u64, ic_pruned: u64, pairs_emitted: u64 }
 }
@@ -393,7 +374,7 @@ pub const fn min_of(lens: &[usize]) -> usize {
 macro_rules! wire_enum {
     (
         $(#[$em:meta])*
-        $vis:vis enum $name:ident $(<$lt:lifetime>)?, $what:literal $(, check $check:path)? {
+        $vis:vis enum $name:ident, $what:literal $(, check $check:path)? {
             $(
                 $(#[$vm:meta])*
                 $tag:literal => $v:ident
@@ -403,11 +384,11 @@ macro_rules! wire_enum {
         }
     ) => {
         $(#[$em])*
-        $vis enum $name $(<$lt>)? {
+        $vis enum $name {
             $($(#[$vm])* $v $({ $($(#[$fm])* $f: $ft),* })? $(($bt))?),*
         }
 
-        impl $(<$lt>)? $name $(<$lt>)? {
+        impl $name {
             /// The variant's name, for diagnostics.
             #[must_use]
             pub fn kind(&self) -> &'static str {
@@ -435,13 +416,13 @@ macro_rules! wire_enum {
         }
 
         $crate::wire_enum! {
-            impl Wire for $name $(<$lt>)?, $what $(, check $check)? {
+            impl Wire for $name, $what $(, check $check)? {
                 $($tag => $v $({ $($f: $ft),* })? $(($b: $bt))?),*
             }
         }
     };
     (
-        impl Wire for $name:ident $(<$lt:lifetime>)?, $what:literal $(, check $check:path)? {
+        impl Wire for $name:ident, $what:literal $(, check $check:path)? {
             $(
                 $tag:literal => $v:ident
                 $({ $($f:ident: $ft:ty),* $(,)? })?
@@ -449,7 +430,7 @@ macro_rules! wire_enum {
             ),* $(,)?
         }
     ) => {
-        impl $(<$lt>)? $crate::wire::Wire for $name $(<$lt>)? {
+        impl $crate::wire::Wire for $name {
             const MIN_LEN: usize = 1 + $crate::wire::min_of(&[$(
                 0 $($(+ <$ft as $crate::wire::Wire>::MIN_LEN)*)?
                     $(+ <$bt as $crate::wire::Wire>::MIN_LEN)?
@@ -505,7 +486,7 @@ wire_enum! {
     /// every applied update batch, object retirements, and the
     /// subscription control operations.
     #[derive(Debug, Clone, PartialEq)]
-    pub(crate) enum WalRecord<'a>, "WAL record" {
+    pub(crate) enum WalRecord, "WAL record" {
         /// The initial object sets and start time — written once, first.
         0x01 => Genesis {
             /// Service start time.
@@ -515,12 +496,14 @@ wire_enum! {
             /// Initial B-side objects.
             set_b: Vec<MovingObject>,
         },
-        /// One coalesced update batch, journaled before it is applied.
+        /// One coalesced update batch, journaled before it is applied:
+        /// what replay reads of each update, its object and new
+        /// trajectory. The delete keys are the engine's registrations.
         0x02 => Batch {
             /// The batch's tick.
             at: Time,
             /// The updates, in application order.
-            updates: Cow<'a, [ObjectUpdate]>,
+            updates: Vec<MovingObject>,
         },
         /// A subscriber registration.
         0x03 => Subscribe {
@@ -536,48 +519,36 @@ wire_enum! {
         },
         /// An object retirement: the object leaves the engine and its
         /// registration table. Replay deletes by the engine's
-        /// registration; `set` repeats what the table held.
+        /// registration.
         0x05 => Retire {
             /// The service clock at retirement.
             at: Time,
-            /// Which side the object belonged to.
-            set: SetTag,
             /// The retired object.
             id: ObjectId,
         },
     }
 }
 
-impl WalRecord<'_> {
+impl WalRecord {
     /// Whether recovery may replay the record: it hands the record's
-    /// times and trajectories to an engine, which assumes them
-    /// [sound](MovingRect::is_sound_from) and asserts on it.
+    /// times and trajectories to an engine, which assumes them sound and
+    /// asserts on it. Each is held against the rule the engine filed it
+    /// under: a genesis object is [`indexable`] at the start (it may be
+    /// referenced later — a window that starts later), an update's new
+    /// trajectory is [sound from](MovingRect::is_sound_from) its tick.
     pub(crate) fn is_sound(&self) -> bool {
         match self {
             Self::Genesis {
                 start,
                 set_a,
                 set_b,
-            } => set_a
-                .iter()
-                .chain(set_b)
-                .all(|o| o.mbr.is_sound_from(*start)),
+            } => in_range(*start) && (set_a.iter().chain(set_b)).all(|o| indexable(&o.mbr, *start)),
             Self::Batch { at, updates } => {
-                in_range(*at) && updates.iter().all(|u| u.is_sound_at(*at))
+                in_range(*at) && updates.iter().all(|o| o.mbr.is_sound_from(*at))
             }
             Self::Retire { at, .. } => in_range(*at),
             Self::Subscribe { .. } | Self::Unsubscribe { .. } => true,
         }
-    }
-
-    /// The payload of a [`Batch`](Self::Batch) record, from a borrowed
-    /// batch: the per-tick journal write needs no owned record.
-    pub(crate) fn encode_batch(at: Time, updates: &[ObjectUpdate]) -> Vec<u8> {
-        WalRecord::Batch {
-            at,
-            updates: Cow::Borrowed(updates),
-        }
-        .encode()
     }
 }
 
@@ -596,10 +567,10 @@ mod tests {
     }
 
     /// The records of `all_record_kinds_round_trip`, as the first
-    /// `PROTOCOL_VERSION` 2 build encoded them.
+    /// `PROTOCOL_VERSION` 3 build encoded them.
     const GOLDEN: [&str; 8] = [
         "\
-            c102010000000000000c40010000000100000000000000000000000000f03f000000000000084000\
+            c103010000000000000c40010000000100000000000000000000000000f03f000000000000084000\
             0000000000f0bf000000000000f0bf00000000000000400000000000001040000000000000e03f00\
             0000000000e83f000000000000244002000000020000000000000000000000000000400000000000\
             00104000000000000000c000000000000000c0000000000000084000000000000014400000000000\
@@ -607,19 +578,17 @@ mod tests {
             00144000000000000008c000000000000008c0000000000000104000000000000018400000000000\
             00e03f000000000000e83f0000000000003e40",
         "\
-            c102020000000000001c400100000009000000000000000200000000000010400000000000001840\
-            00000000000010c000000000000010c000000000000014400000000000001c40000000000000e03f\
-            000000000000e83f0000000000004440000000000000004000000000000014400000000000001c40\
-            00000000000014c000000000000014c000000000000018400000000000002040000000000000e03f\
-            000000000000e83f0000000000004940",
-        "c10202000000000000204000000000",
-        "c102030b0000000000000000",
-        "c102030c00000000000000014d00000000000000",
+            c103020000000000001c4001000000090000000000000000000000000014400000000000001c4000\
+            000000000014c000000000000014c000000000000018400000000000002040000000000000e03f00\
+            0000000000e83f0000000000004940",
+        "c10302000000000000204000000000",
+        "c103030b0000000000000000",
+        "c103030c00000000000000014d00000000000000",
         "\
-            c102030d000000000000000200000000000000000000000000002440000000000000f03f00000000\
+            c103030d000000000000000200000000000000000000000000002440000000000000f03f00000000\
             00002640",
-        "c102040c00000000000000",
-        "c102050000000000002340010400000000000000",
+        "c103040c00000000000000",
+        "c1030500000000000023400400000000000000",
     ];
 
     fn unhex(text: &str) -> Vec<u8> {
@@ -652,18 +621,14 @@ mod tests {
             },
             WalRecord::Batch {
                 at: 7.0,
-                updates: vec![ObjectUpdate {
+                updates: vec![MovingObject {
                     id: ObjectId(9),
-                    set: SetTag::B,
-                    old_mbr: mrect(4.0),
-                    last_update: 2.0,
-                    new_mbr: mrect(5.0),
-                }]
-                .into(),
+                    mbr: mrect(5.0),
+                }],
             },
             WalRecord::Batch {
                 at: 8.0,
-                updates: Vec::new().into(),
+                updates: Vec::new(),
             },
             WalRecord::Subscribe {
                 id: SubscriberId(11),
@@ -682,7 +647,6 @@ mod tests {
             },
             WalRecord::Retire {
                 at: 9.5,
-                set: SetTag::A,
                 id: ObjectId(4),
             },
         ];
@@ -786,23 +750,5 @@ mod tests {
 
         // check_header returns the body unchanged on a good payload.
         assert_eq!(check_header(&good).unwrap(), &good[2..]);
-    }
-
-    #[test]
-    fn borrowed_batch_encodes_like_the_owned_record() {
-        let updates = vec![ObjectUpdate {
-            id: ObjectId(42),
-            set: SetTag::B,
-            old_mbr: mrect(1.5),
-            last_update: 3.0,
-            new_mbr: mrect(2.5),
-        }];
-        let bytes = WalRecord::encode_batch(6.0, &updates);
-        let owned = WalRecord::Batch {
-            at: 6.0,
-            updates: updates.into(),
-        };
-        assert_eq!(bytes, owned.encode());
-        assert_eq!(WalRecord::decode(&bytes).unwrap(), owned);
     }
 }

@@ -1,6 +1,6 @@
 //! The journal's bytes, pinned. A scripted service life that writes one
 //! record of every kind (every filter shape included) must leave exactly
-//! the journal file the first `PROTOCOL_VERSION` 2 build left, and
+//! the journal file the first `PROTOCOL_VERSION` 3 build left, and
 //! [`StreamService::recover`] must replay that build's file — so a codec
 //! refactor cannot drift the on-disk format while still round-tripping
 //! against itself.

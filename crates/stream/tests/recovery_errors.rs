@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, MtbEngine};
-use cij_geom::{MovingRect, Time};
+use cij_geom::{MovingRect, Rect, Time};
 use cij_join::brute::brute_pairs_at;
 use cij_storage::codec::ByteWriter;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, Wal};
@@ -383,7 +383,7 @@ fn recover_batch_for_an_unknown_object_is_corrupt() {
     for (id, known) in [(a[1].id, true), (ObjectId(9_999), false), (a[0].id, false)] {
         let mut body = ByteWriter::new();
         body.put_f64(2.0);
-        vec![update_onto(id, &a[2])].put(&mut body);
+        vec![MovingObject { id, mbr: a[2].mbr }].put(&mut body);
         let mut batch = recovery.records[0][..2].to_vec();
         batch.push(0x02);
         batch.extend(body.into_bytes());
@@ -442,4 +442,66 @@ fn advance_with_an_unsound_update_is_refused_before_the_journal() {
     let (recovered, report) = StreamService::recover(config, &factory).expect("recover");
     assert_eq!(report.last_tick, 3.0);
     assert_eq!(recovered.result_at(3.0), before);
+}
+
+/// A genesis window that starts later (§V) — referenced after the start
+/// — is what the engine registers, so the journal that records it is
+/// replayed too: recovery lands on the live service's answer, and the
+/// window, never updated, is still in it when its time comes.
+#[test]
+fn a_genesis_window_that_starts_later_recovers() {
+    let wal = TempWal::new("late-window");
+    let p = params(510);
+    let (a, mut b) = generate_pair(&p, 0.0);
+    b[0].mbr = MovingRect::stationary(Rect::new([40.0, 40.0], [160.0, 160.0]), 5.0);
+    let config = config_with(Some(wal.0.clone()));
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    let mut stream = UpdateStream::new(&p, &a, &b, 0.0);
+    for tick in 1..=3u32 {
+        let now = Time::from(tick);
+        for u in stream.tick(now).into_iter().filter(|u| u.id != b[0].id) {
+            assert_eq!(svc.submit(u, now), IngestOutcome::Accepted);
+        }
+        svc.advance_to(now).expect("advance");
+    }
+    let window = |pairs: &[(ObjectId, ObjectId)]| pairs.iter().any(|&(_, id)| id == b[0].id);
+    assert!(
+        window(&svc.result_at(6.0)),
+        "vacuous: the window meets nothing"
+    );
+    let before = (svc.result_at(3.0), svc.result_at(6.0));
+    drop(svc);
+
+    let (recovered, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(report.last_tick, 3.0);
+    assert_eq!((recovered.result_at(3.0), recovered.result_at(6.0)), before);
+}
+
+/// An update of such a window before its start replaces a registration
+/// the engine holds; only the new trajectory is the producer's, and it is
+/// sound from the tick. The batch is applied, journaled and replayed.
+#[test]
+fn a_window_updated_before_its_start_is_applied_and_replayed() {
+    let wal = TempWal::new("late-window-update");
+    let (a, mut b) = generate_pair(&params(511), 0.0);
+    b[0].mbr = MovingRect::stationary(Rect::new([40.0, 40.0], [160.0, 160.0]), 5.0);
+    let config = config_with(Some(wal.0.clone()));
+    let mut svc = StreamService::new(config.clone(), &a, &b, 0.0, &factory).expect("service");
+    svc.advance_to(1.0).expect("advance");
+    let moved = MovingObject {
+        id: b[0].id,
+        mbr: MovingRect::stationary(Rect::new([40.0, 40.0], [150.0, 150.0]), 2.0),
+    };
+    assert_eq!(
+        svc.submit(update_onto(moved.id, &moved), 2.0),
+        IngestOutcome::Accepted
+    );
+    svc.advance_to(2.0)
+        .expect("an update of a registered window");
+    let before = svc.result_at(2.0);
+    drop(svc);
+
+    let (recovered, report) = StreamService::recover(config, &factory).expect("recover");
+    assert_eq!(report.batches_replayed, 1);
+    assert_eq!(recovered.result_at(2.0), before);
 }

@@ -14,11 +14,15 @@ use common::{
     hostile_variants, mtb_factory, random_strings, unframe, unhex, TempWal, GOLDEN_JOURNAL,
 };
 
+/// The pinned journal's `Batch` record.
+const BATCH: usize = 5;
+
 /// Genesis, `Subscribe` × 3 (all, object, window), `Unsubscribe`, `Batch`,
 /// `Retire`.
 fn journal_records() -> Vec<Vec<u8>> {
     let records = unframe(&unhex(GOLDEN_JOURNAL));
     assert_eq!(records.len(), 7);
+    assert_eq!(records[BATCH][2], 0x02, "the batch record's tag");
     records
 }
 
@@ -51,24 +55,33 @@ fn the_untouched_journal_recovers() {
 fn recovery_survives_a_hostile_record() {
     let records = journal_records();
     let wal = TempWal::new("fuzz-record");
-    let (mut recovered, mut refused) = (0usize, 0usize);
+    // Per record: hostile journals recovered, and refused.
+    let mut outcomes = vec![(0usize, 0usize); records.len()];
     for (i, record) in records.iter().enumerate() {
+        let (recovered, refused) = &mut outcomes[i];
         let mut feed = |bytes: &[u8]| {
             let mut spliced: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
             spliced[i] = bytes;
             // Any `Err` is typed: a corrupt record, a genesis the service
             // refuses, an update the engine has no object for.
             match recover(&wal, &spliced) {
-                Ok(()) => recovered += 1,
-                Err(_) => refused += 1,
+                Ok(()) => *recovered += 1,
+                Err(_) => *refused += 1,
             }
         };
         hostile_variants(record, 0x57A + i as u64, 1_000, &mut feed);
         random_strings(0x57B + i as u64, 100, 64, &record[..3], &mut feed);
     }
+    let recovered: usize = outcomes.iter().map(|o| o.0).sum();
+    let refused: usize = outcomes.iter().map(|o| o.1).sum();
     assert!(
         recovered > 500,
         "only {recovered} hostile journals recovered"
     );
     assert!(refused > 4_000, "only {refused} hostile journals refused");
+    // The batch decoder — `(id, trajectory)` per update — both replays
+    // mutated batches and refuses them.
+    let (replayed, refused) = outcomes[BATCH];
+    assert!(replayed > 100, "only {replayed} hostile batches replayed");
+    assert!(refused > 100, "only {refused} hostile batches refused");
 }

@@ -496,9 +496,12 @@ impl TprTree {
             Some(root) => self.descend(root, ROOT, &mut routed, level, now, reinserted),
             None => {
                 // The first entries: the root is born as a node at their
-                // level.
+                // level. It holds them now, so the buffer lets go of its
+                // copy before a construction's batch is tiled.
                 let mut node = self.take_node(level);
                 node.entries.extend(routed.iter().map(|r| r.entry));
+                routed.clear();
+                routed.shrink_to(SCRATCH_KEEP);
                 let page = self.pool.allocate();
                 self.root = Some(page);
                 self.height = u32::from(level) + 1;

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use cij_geom::{in_range, MovingRect, Rect, Time};
+use cij_geom::{MovingRect, Rect, Time};
 use cij_tpr::ObjectId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,11 +34,10 @@ pub enum SetTag {
 /// update (for MTB-tree bucket location).
 ///
 /// `set`, `old_mbr` and `last_update` are the *delete keys* of the entry
-/// the update replaces. A bare engine driven directly reads them from the
-/// update, as the paper's own driver does. The routing layers do not:
-/// `StreamService` and the shard router keep one registration per live
-/// object and overwrite the keys from it, so behind them only `id` and
-/// `new_mbr` come from the producer.
+/// the update replaces, as the paper's own driver carries them. No engine
+/// reads them: each derives every delete from its own registration table,
+/// so only `id` and `new_mbr` are taken from the producer — and only
+/// those two are what `StreamService` journals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectUpdate {
     /// The updated object.
@@ -53,19 +52,6 @@ pub struct ObjectUpdate {
     pub last_update: Time,
     /// New trajectory (reference time = now).
     pub new_mbr: MovingRect,
-}
-
-impl ObjectUpdate {
-    /// Whether both trajectories are [sound from](MovingRect::is_sound_from)
-    /// `now` and `last_update` is [in range](in_range) — what the indexes
-    /// assume of an update and assert on, so an update decoded from a
-    /// journal is held against it first.
-    #[must_use]
-    pub fn is_sound_at(&self, now: Time) -> bool {
-        in_range(self.last_update)
-            && self.old_mbr.is_sound_from(now)
-            && self.new_mbr.is_sound_from(now)
-    }
 }
 
 struct ObjectState {
