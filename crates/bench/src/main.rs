@@ -437,8 +437,8 @@ fn sweep_maintenance<P: Clone + std::fmt::Display>(
         // to warm up; per-update cost is stationary from tick 1). MTB
         // warms through a full T_M first so bucket rotation is in steady
         // state, as in the paper's [T_M, 4·T_M] window.
-        let etp = maintenance_cost(EngineKind::Etp, &params, techniques::ALL, 0.0, 5.0)?;
-        let mtb = maintenance_cost(EngineKind::Mtb, &params, techniques::ALL, t_m, 2.0 * t_m)?;
+        let etp = maintenance_cost(EngineKind::Etp, &params, 0.0, 5.0)?;
+        let mtb = maintenance_cost(EngineKind::Mtb, &params, t_m, 2.0 * t_m)?;
         let speedup =
             etp.time_per_update.as_secs_f64() / mtb.time_per_update.as_secs_f64().max(1e-9);
         t.push(Row::new(
@@ -531,7 +531,7 @@ fn fig15(scale: Scale) -> TprResult<()> {
         let pool = fresh_pool();
         let (a, b) = generate_pair(&params, 0.0);
         let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
-        let config = engine_config(&params, techniques::ALL, m);
+        let config = engine_config(&params, m);
         let mut engine = MtbEngine::new(pool, config, &a, &b, 0.0)?;
         let metrics =
             cij_core::run_simulation(&mut engine, &mut stream, 0.0, 2.0 * t_m, t_m, |_, _| Ok(()))?;
@@ -671,7 +671,7 @@ fn fig21(scale: Scale) -> TprResult<()> {
         &["ticks", "p50", "p95", "p99", "max"],
     );
     for kind in [EngineKind::Tc, EngineKind::Mtb, EngineKind::Etp] {
-        let (mut engine, mut stream, _pool) = kind.build(&params, techniques::ALL)?;
+        let (mut engine, mut stream, _pool) = kind.build(&params)?;
         engine.run_initial_join(0.0)?;
         let mut latencies = Vec::new();
         // ETP is orders slower per tick; bound its tick count.
@@ -833,13 +833,7 @@ fn validate(_scale: Scale) -> TprResult<()> {
         ..Params::default()
     };
     let (a, b) = generate_pair(&params, 0.0);
-    let mut engine = MtbEngine::new(
-        fresh_pool(),
-        engine_config(&params, techniques::ALL, 2),
-        &a,
-        &b,
-        0.0,
-    )?;
+    let mut engine = MtbEngine::new(fresh_pool(), engine_config(&params, 2), &a, &b, 0.0)?;
     let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
     engine.run_initial_join(0.0)?;
     let mut checked = 0usize;

@@ -8,7 +8,6 @@ use cij_core::{
     run_simulation, ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, TcEngine,
 };
 use cij_geom::Time;
-use cij_join::Techniques;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, IoSnapshot};
 use cij_tpr::{TprResult, TprTree, TreeConfig};
 use cij_workload::{generate_pair, MovingObject, Params, UpdateStream};
@@ -85,11 +84,10 @@ pub fn tree_config(params: &Params) -> TreeConfig {
 
 /// Engine configuration derived from workload parameters.
 #[must_use]
-pub fn engine_config(params: &Params, techniques: Techniques, buckets_per_tm: u32) -> EngineConfig {
+pub fn engine_config(params: &Params, buckets_per_tm: u32) -> EngineConfig {
     EngineConfig {
         t_m: params.maximum_update_interval,
         tree: tree_config(params),
-        techniques,
         buckets_per_tm,
         threads: 1,
         ..EngineConfig::default()
@@ -147,9 +145,8 @@ impl EngineKind {
     pub fn build(
         self,
         params: &Params,
-        techniques: Techniques,
     ) -> TprResult<(Box<dyn ContinuousJoinEngine>, UpdateStream, BufferPool)> {
-        let config = engine_config(params, techniques, 2);
+        let config = engine_config(params, 2);
         let pool = fresh_pool();
         let (a, b) = generate_pair(params, 0.0);
         let stream = UpdateStream::new(params, &a, &b, 0.0);
@@ -178,11 +175,10 @@ pub struct MaintenanceCost {
 pub fn maintenance_cost(
     kind: EngineKind,
     params: &Params,
-    techniques: Techniques,
     measure_from: Time,
     end: Time,
 ) -> TprResult<MaintenanceCost> {
-    let (mut engine, mut stream, _pool) = kind.build(params, techniques)?;
+    let (mut engine, mut stream, _pool) = kind.build(params)?;
     let metrics = run_simulation(
         engine.as_mut(),
         &mut stream,
@@ -200,7 +196,6 @@ pub fn maintenance_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cij_join::techniques;
     use cij_workload::SetTag;
 
     fn tiny() -> Params {
@@ -229,7 +224,7 @@ mod tests {
         // Every engine's initial answer is the brute-force one.
         let params = tiny();
         for kind in [EngineKind::Etp, EngineKind::Tc, EngineKind::Mtb] {
-            let (mut engine, stream, _pool) = kind.build(&params, techniques::ALL).unwrap();
+            let (mut engine, stream, _pool) = kind.build(&params).unwrap();
             engine.run_initial_join(0.0).unwrap();
             let mut r0 = engine.result_at(0.0);
             r0.sort_unstable();
@@ -246,7 +241,7 @@ mod tests {
     #[test]
     fn maintenance_cost_collects() {
         let params = tiny();
-        let cost = maintenance_cost(EngineKind::Mtb, &params, techniques::ALL, 10.0, 30.0).unwrap();
+        let cost = maintenance_cost(EngineKind::Mtb, &params, 10.0, 30.0).unwrap();
         assert!(
             cost.time_per_update > Duration::ZERO,
             "the window has updates"

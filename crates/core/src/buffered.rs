@@ -9,7 +9,10 @@
 //! Everything engine-specific (index, window, probe kernel, what moves
 //! [`JoinCounters`]) lives in an [`IndexPair`], which changes only
 //! through [`IndexPair::refile`] — the genesis sets as one batch, a
-//! tick's phase 1, and each retired or restored object as a batch of one:
+//! tick's phase 1, and each retired or restored object as a batch of one —
+//! and is joined only through [`IndexPair::probe_sides`]: a tick's phase
+//! 2, and the initial join, which is phase 2 over all of A in rounds of a
+//! fixed size (§II-A: at construction every object was updated at `now`):
 //!
 //! | alias | pair | index | window | probe kernel |
 //! |---|---|---|---|---|
@@ -24,10 +27,7 @@ use std::iter;
 use std::ops::Deref;
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
-use cij_join::{
-    parallel_improved_multi_join, probe_batch, techniques, JoinCounters, JoinJob, JoinPair,
-    JoinScratch, ProbeHit, Techniques,
-};
+use cij_join::{probe_batch, JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
 use cij_tpr::{IdMap, ObjectId, TprError, TprResult, TprTree};
@@ -39,9 +39,9 @@ use crate::registrations::{genesis_registrations, Registration, Registrations};
 use crate::result::{PairKey, PairStatus, ResultBuffer};
 
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
-/// joins between them. An implementation decides which index holds the
-/// objects, the time window of every join run and the kernel that
-/// answers it; the engine owns the protocol around those calls and the
+/// probes between them. An implementation decides which index holds the
+/// objects, the time window of every probe and the kernel that answers
+/// it; the engine owns the protocol around those calls and the
 /// [`Registrations`] table, from which it derives every delete and which
 /// it hands to the hooks that read other objects' registrations. A pair
 /// changes only through [`refile`](Self::refile), a batch of removals
@@ -54,11 +54,6 @@ pub trait IndexPair: Sized + Sync {
 
     /// Algorithm name as used in the paper's figures.
     const NAME: &'static str;
-
-    /// Whether [`join_jobs`](Self::join_jobs) can reach this pair's
-    /// trees. A pair whose trees live in another process says no; a
-    /// partitioned pair of such pairs joins initially by a probe round.
-    const TREE_JOBS: bool = true;
 
     /// The shared engine knobs inside `config`.
     fn engine_config(config: &Self::Config) -> &EngineConfig;
@@ -87,33 +82,6 @@ pub trait IndexPair: Sized + Sync {
         now: Time,
     ) -> TprResult<()>;
 
-    /// The set-vs-set join at `now` over the objects of `registrations`:
-    /// every answer pair, in the order it enters the result buffer, and
-    /// the traversal work it took.
-    fn initial_join(
-        &mut self,
-        registrations: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)>;
-
-    /// The set-vs-set join between `a`'s A-side index and `b`'s B-side
-    /// index at `now`, as tree-vs-tree jobs appended to `jobs`, and the
-    /// improvement techniques they run with. A pair's own initial join is
-    /// this hook with `a` = `b` ([`self_join`]); a partitioned pair calls
-    /// it for every (A-partition, B-partition) and runs all the jobs in
-    /// one worklist. The default refuses: the answer of a pair that
-    /// refines its hits is not a plain tree join.
-    fn join_jobs<'t>(
-        _a: &'t Self,
-        _b: &'t Self,
-        _now: Time,
-        _jobs: &mut Vec<JoinJob<'t>>,
-    ) -> TprResult<Techniques> {
-        Err(TprError::Unsupported {
-            what: format!("tree-job initial join on {}", Self::NAME),
-        })
-    }
-
     /// Joins `probes` — trajectories of side `side`, all registered at
     /// `now` — against the index of the other side, appending one hit
     /// per (probe, partner) that meets inside the pair's window. The
@@ -134,7 +102,8 @@ pub trait IndexPair: Sized + Sync {
         })
     }
 
-    /// Phase 2 of a tick, both sides in one call: `probes[0]` (side A)
+    /// Phase 2 of a tick, and a round of the initial join (side A
+    /// only), both sides in one call: `probes[0]` (side A)
     /// and `probes[1]` (side B), each joined against the other side's
     /// index, hits appended to `hits[0]` and `hits[1]`. The default is one
     /// [`probe`](Self::probe) per side that has probes. A pair whose
@@ -197,24 +166,11 @@ pub trait IndexPair: Sized + Sync {
     fn publish_extra(&self, _registry: &MetricsRegistry) {}
 }
 
-/// A pair's initial join: its [`IndexPair::join_jobs`] against itself,
-/// all jobs on one shared worklist of `threads` workers
-/// ([`parallel_improved_multi_join`]), answers and counters concatenated
-/// in job order.
-pub fn self_join<P: IndexPair>(
-    pair: &P,
-    now: Time,
-    threads: usize,
-) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    let mut jobs = Vec::new();
-    let tech = P::join_jobs(pair, pair, now, &mut jobs)?;
-    let mut all = (Vec::new(), JoinCounters::new());
-    for (pairs, counters) in parallel_improved_multi_join(&jobs, tech, threads)? {
-        all.0.extend(pairs);
-        all.1 = all.1.merged(counters);
-    }
-    Ok(all)
-}
+/// A-side probes per round of the initial join. The bound keeps small
+/// what a round holds at once — the candidates of every probe in the
+/// scratch, the hits — and a remote partition's `Step` far under the
+/// frame limit, whatever the size of A.
+const INITIAL_ROUND: usize = 2048;
 
 /// Position of a side in two-element per-side arrays.
 fn side(set: SetTag) -> usize {
@@ -224,8 +180,9 @@ fn side(set: SetTag) -> usize {
     }
 }
 
-/// The probes of one maintenance tick: per side, one entry per updated
-/// id — its last trajectory and last position in the batch.
+/// The probes of one maintenance tick, or of one round of the initial
+/// join: per side, one entry per updated id — its last trajectory and
+/// last position in the batch.
 #[derive(Default)]
 struct TickProbes {
     mbrs: [Vec<MovingRect>; 2],
@@ -318,9 +275,8 @@ pub type NaiveEngine = BufferedEngine<NaivePair>;
 /// Time-constrained processing on single TPR-trees (§IV-B, Theorem 1):
 /// every join run is capped at `t_u + T_M`.
 pub type TcEngine = BufferedEngine<TcPair>;
-/// The paper's full proposal (§IV-C + §IV-D): MTB-trees on both sets,
-/// per-bucket time constraints (Theorem 2), improvement techniques on
-/// tree-vs-tree joins.
+/// The paper's full proposal (§IV-C): MTB-trees on both sets, per-bucket
+/// time constraints (Theorem 2).
 pub type MtbEngine = BufferedEngine<MtbPair>;
 
 impl<I: IndexPair> BufferedEngine<I> {
@@ -432,11 +388,21 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         I::NAME
     }
 
+    /// Phase 2 over all of A (§II-A: at construction every object was
+    /// updated at `now`): the A registrations in id order, in rounds of
+    /// a fixed size, each joined against B's index as a tick's probes
+    /// are.
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
-        let (pairs, counters) = self.index.initial_join(&self.registrations, now)?;
-        self.counters = self.counters.merged(counters);
-        for p in pairs {
-            self.buffer.add(p.a, p.b, p.interval);
+        let mut side_a: Vec<ObjectId> = (self.registrations.iter())
+            .filter(|(_, r)| r.set == SetTag::A)
+            .map(|(&id, _)| id)
+            .collect();
+        side_a.sort_unstable();
+        for round in side_a.chunks(INITIAL_ROUND) {
+            let table = &self.registrations;
+            let probes = round.iter().map(|id| (SetTag::A, *id, table[id].mbr));
+            self.probes.load(probes);
+            self.join_probes(now)?;
         }
         Ok(())
     }
@@ -587,9 +553,8 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 ///
 /// * `TprPair<false>` = [`NaivePair`] — NaiveJoin (§II-C): every join
 ///   run to the infinite timestamp. [`probe_batch`] needs a bounded
-///   window, so maintenance is one `intersect_window` per probe, which
-///   leaves [`JoinCounters`] alone (only the initial join counts
-///   traversal work).
+///   window, so every probe, the initial join's included, is one
+///   `intersect_window`, which leaves [`JoinCounters`] alone.
 /// * `TprPair<true>` = [`TcPair`] — TC-Join (§IV-B): every join run over
 ///   Theorem 1's window `[now, now + T_M]` — the result for an object
 ///   only needs to be valid until its own next update, at most `T_M`
@@ -648,35 +613,6 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
             self.trees[side(set)].apply_batch(share.0, share.1, now)?;
         }
         Ok(())
-    }
-
-    fn initial_join(
-        &mut self,
-        _: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        self_join(self, now, self.config.threads)
-    }
-
-    fn join_jobs<'t>(
-        a: &'t Self,
-        b: &'t Self,
-        now: Time,
-        jobs: &mut Vec<JoinJob<'t>>,
-    ) -> TprResult<Techniques> {
-        let config = &a.config;
-        let (t_e, tech) = if TIME_CONSTRAINED {
-            (now + config.t_m, config.techniques)
-        } else {
-            (INFINITE_TIME, techniques::NONE)
-        };
-        jobs.push(JoinJob {
-            tree_a: &a.trees[0],
-            tree_b: &b.trees[1],
-            t_s: now,
-            t_e,
-        });
-        Ok(tech)
     }
 
     fn probe(
@@ -792,54 +728,11 @@ impl IndexPair for MtbPair {
         Ok(())
     }
 
-    /// All bucket pairs share one traversal worklist, so even a single
-    /// large pair (the initial-join case: one bucket per side) fans out
-    /// across every worker. `threads == 1` runs the jobs sequentially in
-    /// order — the exact pre-parallel code path.
-    fn initial_join(
-        &mut self,
-        _: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        self_join(self, now, self.config.threads)
-    }
-
-    /// Tree-vs-tree improved joins between every bucket pair, each with
-    /// the window min(t_eb_a, t_eb_b, now) + T_M — Theorem 2 applied to
-    /// both sides, with the extra observation that a bucket's latest
-    /// update can never lie in the future (`lut ≤ now`), which tightens
-    /// the current bucket's bound to the paper's own initial-join window
-    /// `[now, now + T_M]`. Right after construction both MTBs hold a
-    /// single bucket — exactly the paper's "initial join on two single
-    /// TPR-trees". Buckets sit on a global time grid, so the windows are
-    /// the same whichever pair `a` and `b` the buckets come from.
-    fn join_jobs<'t>(
-        a: &'t Self,
-        b: &'t Self,
-        now: Time,
-        jobs: &mut Vec<JoinJob<'t>>,
-    ) -> TprResult<Techniques> {
-        let t_m = a.config.t_m;
-        for (eb_a, tree_a) in a.trees[0].buckets() {
-            for (eb_b, tree_b) in b.trees[1].buckets() {
-                let window_end = eb_a.min(eb_b).min(now) + t_m;
-                if window_end <= now {
-                    continue;
-                }
-                jobs.push(JoinJob {
-                    tree_a,
-                    tree_b,
-                    t_s: now,
-                    t_e: window_end,
-                });
-            }
-        }
-        Ok(a.config.techniques)
-    }
-
     /// Per-bucket windows `[now, min(t_eb, now) + T_M]`: §IV-C plus the
     /// `lut ≤ now` clamp, which tightens the current bucket from the
-    /// paper's `t_eb + T_M` to Theorem 1's `now + T_M`.
+    /// paper's `t_eb + T_M` to Theorem 1's `now + T_M`. Right after
+    /// construction each MTB-tree holds one bucket, so the initial join
+    /// probes A against B's one tree over `[now, now + T_M]`.
     fn probe(
         &self,
         side_of_probes: SetTag,

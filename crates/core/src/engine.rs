@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 
 use cij_geom::{MovingRect, Time, INFINITE_TIME};
-use cij_join::{tp_join, tp_object_probe, JoinCounters, Techniques};
+use cij_join::{tp_join, tp_object_probe, JoinCounters};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
@@ -41,17 +41,13 @@ pub struct EngineConfig {
     pub t_m: Time,
     /// Index configuration (capacity, horizon, …).
     pub tree: TreeConfig,
-    /// Improvement techniques for tree-vs-tree joins (TC and MTB
-    /// engines; Fig. 7 runs TC with `techniques::NONE`, Fig. 9+ run MTB
-    /// with `techniques::ALL`).
-    pub techniques: Techniques,
     /// MTB buckets per `T_M` (the paper follows the Bˣ-tree: 2).
     pub buckets_per_tm: u32,
-    /// Worker threads for tree-vs-tree join traversals. `1` (the
-    /// default) runs the exact sequential code paths of the paper's
-    /// single-disk testbed; `> 1` fans the traversal worklist out over
-    /// scoped threads, with results guaranteed bit-identical to the
-    /// sequential runs (see `cij_join::parallel_improved_join`).
+    /// How many partitions a partitioned pair (the shard crate's) probes
+    /// at once: its phase-2 fan-out width, with hits, counters and the
+    /// change list the same at any width. `1` (the default) probes them
+    /// in turn; a pair that is not partitioned probes sequentially
+    /// whatever this says.
     pub threads: usize,
     /// Whether the engine records into a `cij-obs` metrics registry
     /// (per-phase spans, I/O and cache counters, traversal totals).
@@ -65,7 +61,6 @@ impl Default for EngineConfig {
         Self {
             t_m: 60.0,
             tree: TreeConfig::default(),
-            techniques: cij_join::techniques::ALL,
             buckets_per_tm: 2,
             threads: 1,
             metrics: false,
@@ -75,7 +70,7 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Starts a builder at the paper's defaults (`T_M = 60`, Table-I
-    /// tree, all techniques, 2 buckets per `T_M`, 1 thread).
+    /// tree, 2 buckets per `T_M`, 1 thread).
     #[must_use]
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
@@ -115,13 +110,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Improvement techniques (default [`cij_join::techniques::ALL`]).
-    #[must_use]
-    pub fn techniques(mut self, techniques: Techniques) -> Self {
-        self.config.techniques = techniques;
-        self
-    }
-
     /// MTB buckets per `T_M` (default 2, the Bˣ-tree convention).
     #[must_use]
     pub fn buckets_per_tm(mut self, buckets: u32) -> Self {
@@ -129,8 +117,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Worker threads for join traversals (default 1 = the paper's
-    /// sequential code path).
+    /// A partitioned pair's phase-2 fan-out width (default 1 = one
+    /// partition after another).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -526,14 +514,12 @@ mod config_tests {
                 capacity: 12,
                 ..TreeConfig::default()
             })
-            .techniques(cij_join::techniques::NONE)
             .buckets_per_tm(4)
             .threads(8)
             .metrics(true)
             .build();
         assert_eq!(config.t_m, 120.0);
         assert_eq!(config.tree.capacity, 12);
-        assert_eq!(config.techniques, cij_join::techniques::NONE);
         assert_eq!(config.buckets_per_tm, 4);
         assert_eq!(config.threads, 8);
         assert!(config.metrics);

@@ -16,10 +16,9 @@
 //!   touches nearly the whole opposing tree.
 //! * [`TcEngine`] — §IV-B Theorem 1: identical structure, every join
 //!   window capped at `t_u + T_M`.
-//! * [`MtbEngine`] — §IV-C Theorem 2 + §IV-D: objects grouped into
+//! * [`MtbEngine`] — §IV-C Theorem 2: objects grouped into
 //!   time-bucket TPR-trees ([`MtbTree`]), per-bucket windows
-//!   `[t_c, t_eb + T_M]`, improvement techniques on the initial join —
-//!   the paper's full proposal.
+//!   `[t_c, t_eb + T_M]` — the paper's full proposal.
 //!
 //! [`EtpEngine`] — §III — is the extended time-parameterized join
 //! competitor: no interval buffer, cheap per run, but re-run at every
@@ -91,8 +90,8 @@ mod result;
 pub mod sim;
 
 pub use buffered::{
-    self_join, BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine,
-    TcPair, TprPair,
+    BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine, TcPair,
+    TprPair,
 };
 pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cij_core::{ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, TcEngine};
 use cij_geom::{MovingRect, Time};
-use cij_join::{brute, techniques};
+use cij_join::brute;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::TprError;
 use cij_workload::{generate_pair, Distribution, Params, SetTag, UpdateStream};
@@ -64,39 +64,6 @@ proptest! {
                 engine.apply_update(&u, now).unwrap();
             }
             if tick % 5 == 0 {
-                let expect = brute::brute_pairs_at(
-                    &stream.snapshot(SetTag::A),
-                    &stream.snapshot(SetTag::B),
-                    now,
-                );
-                prop_assert_eq!(engine.result_at(now), expect, "t={}", now);
-            }
-        }
-    }
-
-    /// TC engine under arbitrary technique combinations tracks the
-    /// oracle too (techniques must never change answers).
-    #[test]
-    fn tc_tracks_oracle_any_techniques(
-        params in arb_params(),
-        tech in prop_oneof![
-            Just(techniques::NONE),
-            Just(techniques::IC),
-            Just(techniques::PS),
-            Just(techniques::ALL)
-        ],
-    ) {
-        let (a, b) = generate_pair(&params, 0.0);
-        let config = EngineConfig { techniques: tech, ..Default::default() };
-        let mut engine = TcEngine::new(pool(32), config, &a, &b, 0.0).unwrap();
-        let mut stream = UpdateStream::new(&params, &a, &b, 0.0);
-        engine.run_initial_join(0.0).unwrap();
-        for tick in 1..=40u32 {
-            let now = Time::from(tick);
-            for u in stream.tick(now) {
-                engine.apply_update(&u, now).unwrap();
-            }
-            if tick % 8 == 0 {
                 let expect = brute::brute_pairs_at(
                     &stream.snapshot(SetTag::A),
                     &stream.snapshot(SetTag::B),

@@ -21,11 +21,13 @@
 //! read from the coordinator's buffer with no RPC, and a `StreamService`
 //! over a `DistCoordinator` emits the delta stream it emits over a
 //! `ShardCoordinator` with the same policy — the workspace's `conform`
-//! suite pins it, through worker kills and re-seeds. The one exception is
-//! the initial join: a worker cannot join its trees against another
-//! worker's, so it is one probe round of every A object against every
-//! partition's B side, where the in-process pair runs tree-vs-tree jobs.
-//! Its answer is expected to be the same; its traversal counters are not.
+//! suite pins it, through worker kills and re-seeds. The initial join is
+//! no exception: every engine runs it as phase 2 over all of A, in rounds
+//! of a bounded number of probes, so here it is one `Step` per worker per
+//! round, each well under the frame limit, and it counts the traversal
+//! work the in-process partitions count. (A worker re-seeded after a loss
+//! packs its trees afresh: from then on the answer and the change list
+//! stay the same, the traversal counters need not.)
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;

@@ -41,10 +41,10 @@ use std::time::Instant;
 
 use cij_core::{EngineConfig, IndexPair, Registration, Registrations};
 use cij_geom::{MovingRect, Time};
-use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
+use cij_join::{JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
 use cij_storage::{sync, BufferPool, CacheSnapshot};
-use cij_tpr::{ObjectId, TprError, TprResult};
+use cij_tpr::{ObjectId, TprResult};
 
 use crate::coordinator::DistConfig;
 use crate::error::{DistError, DistResult};
@@ -302,7 +302,6 @@ impl RemotePair {
 impl IndexPair for RemotePair {
     type Config = RemoteConfig;
     const NAME: &'static str = "Remote";
-    const TREE_JOBS: bool = false;
 
     fn engine_config(config: &RemoteConfig) -> &EngineConfig {
         &config.engine
@@ -354,18 +353,6 @@ impl IndexPair for RemotePair {
             inserts: inserts.collect(),
         });
         Ok(())
-    }
-
-    /// A remote partition's trees are in its worker: its partitioned pair
-    /// joins it by a probe round.
-    fn initial_join(
-        &mut self,
-        _: &Registrations,
-        _: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        Err(TprError::Unsupported {
-            what: format!("a tree-job initial join on {}", Self::NAME),
-        })
     }
 
     /// The round: one [`Request::Step`] carrying the queued calls and

@@ -1,13 +1,12 @@
-//! The two initial joins of one partitioned pair agree. In process, a
-//! `ShardCoordinator` joins its K partitions by K² tree-vs-tree jobs; a
-//! `DistCoordinator` cannot run a job across two workers, so it probes
-//! every A object against every partition's B side in one round. The
-//! improved join narrows its window per node pair and a probe does not,
-//! so nothing proves the two give the same intervals: this pins that
-//! they do — the same `result_at` at every sampled instant and the same
+//! One initial join, in process and across workers. Every engine joins
+//! initially by phase 2 over all of A: rounds of A probes against every
+//! partition's B side, which a `ShardCoordinator` answers from its
+//! in-process partitions and a `DistCoordinator` by one `Step` per
+//! worker. On the same partitions the two give the same answer — the
+//! same `result_at` at every sampled instant and the same
 //! `pair_status_at` (active interval and next start, bit for bit) for
-//! every pair either reports — for both index kinds on the same
-//! partitions.
+//! every pair either reports — and count the same traversal work
+//! (`counters()`), for both index kinds.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -80,8 +79,13 @@ fn same_initial_join<P: IndexPair<Config = EngineConfig>>(
     };
     let mut remote = DistCoordinator::new(dist_config, policy, connectors, &a, &b, 0.0)
         .expect("dist coordinator");
-    local.run_initial_join(0.0).expect("tree jobs");
-    remote.run_initial_join(0.0).expect("probe round");
+    local
+        .run_initial_join(0.0)
+        .expect("in-process initial join");
+    remote
+        .run_initial_join(0.0)
+        .expect("distributed initial join");
+    assert_eq!(remote.counters(), local.counters(), "{label}: counters");
 
     let instants: Vec<Time> = (0..=4 * 22).map(|q| Time::from(q) / 4.0).collect();
     let mut seen: BTreeSet<PairKey> = BTreeSet::new();
@@ -107,7 +111,7 @@ fn same_initial_join<P: IndexPair<Config = EngineConfig>>(
 }
 
 #[test]
-fn probe_round_initial_join_equals_the_tree_jobs() {
+fn shard_and_dist_initial_joins_agree() {
     for k in [1usize, 2, 4] {
         let p = params(40 + k as u64);
         let bands =

@@ -15,16 +15,17 @@
 //!   returning `(current pairs, expiry time, events)`; the building block
 //!   of the `ETP-Join` competitor (assembled in `cij-core`).
 //! * [`probe_batch`] — the maintenance join of §II-A phase 2 for a whole
-//!   tick: a set of updated objects against one tree in a single descent
-//!   that reads every node at most once.
+//!   tick (and for a round of the engines' initial join): a set of
+//!   updated objects against one tree in a single descent that reads
+//!   every node at most once.
 //! * [`brute`] — the `O(|A|·|B|)` oracle every algorithm is tested
 //!   against.
-//! * [`parallel_improved_join`] / [`parallel_improved_multi_join`] —
-//!   the multi-threaded driver for that traversal (any window, any
-//!   technique set): the worklist is split at a top node-pair frontier
-//!   and fanned out over [`fan_out_tasks`]' scoped threads, with outputs
-//!   merged in traversal order so results (and counter totals) are
-//!   bit-identical to the sequential runs.
+//! * [`parallel_improved_join`] — the multi-threaded driver for that
+//!   traversal (any window, any technique set; Fig. 22 measures it): the
+//!   worklist is split at a top node-pair frontier and fanned out over
+//!   [`fan_out_tasks`]' scoped threads, with outputs merged in traversal
+//!   order so results (and counter totals) are bit-identical to the
+//!   sequential runs.
 //!
 //! All algorithms read nodes strictly through the trees' buffer pools, so
 //! their I/O is accounted exactly like the paper's. There is one node
@@ -54,7 +55,7 @@ pub use counters::JoinCounters;
 pub use improved::{improved_join, improved_join_into, techniques, Techniques};
 pub use naive::{naive_join, tc_join};
 pub use pair::{assert_pairs_equal, JoinPair};
-pub use parallel::{fan_out_tasks, parallel_improved_join, parallel_improved_multi_join, JoinJob};
+pub use parallel::{fan_out_tasks, parallel_improved_join};
 pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
 pub use sweep::{ps_intersection_soa, swept_region, SweepSoa};

@@ -43,9 +43,8 @@ pub(crate) type SpillSink = Vec<(EntryLanes, EntryLanes, TimeInterval)>;
 const TASKS_PER_THREAD: usize = 8;
 
 /// A unit of deferred traversal work: a node pair (already read from the
-/// pool), the window to process it under, and the job it belongs to.
+/// pool) and the window to process it under.
 struct Task {
-    job: usize,
     na: EntryLanes,
     nb: EntryLanes,
     win: TimeInterval,
@@ -63,20 +62,6 @@ impl Task {
     fn level_sum(&self) -> u16 {
         self.na.level() as u16 + self.nb.level() as u16
     }
-}
-
-/// One bucket-pair job for [`parallel_improved_multi_join`].
-#[derive(Clone, Copy)]
-pub struct JoinJob<'t> {
-    /// Left join input.
-    pub tree_a: &'t TprTree,
-    /// Right join input.
-    pub tree_b: &'t TprTree,
-    /// Processing-window start.
-    pub t_s: Time,
-    /// Processing-window end; must be finite unless the techniques are
-    /// [`techniques::NONE`](crate::techniques::NONE).
-    pub t_e: Time,
 }
 
 /// Parallel [`improved_join`]: identical output, counters, and logical
@@ -114,61 +99,22 @@ pub fn parallel_improved_join(
     tech: Techniques,
     threads: usize,
 ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-    let job = JoinJob {
-        tree_a,
-        tree_b,
-        t_s,
-        t_e,
-    };
-    let mut results = parallel_improved_multi_join(&[job], tech, threads)?;
-    Ok(results.pop().expect("one job, one result"))
-}
-
-/// Runs several [`improved_join`] jobs (e.g. MTB-Join's bucket pairs)
-/// over one shared worklist of `threads` workers. Per job, the result is
-/// bit-identical to `improved_join` on that job alone; the shared
-/// worklist means a single large bucket pair still fans out across all
-/// workers. `threads <= 1` runs the jobs sequentially in order.
-pub fn parallel_improved_multi_join(
-    jobs: &[JoinJob<'_>],
-    tech: Techniques,
-    threads: usize,
-) -> TprResult<Vec<(Vec<JoinPair>, JoinCounters)>> {
     if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|j| improved_join(j.tree_a, j.tree_b, j.t_s, j.t_e, tech))
-            .collect();
+        return improved_join(tree_a, tree_b, t_s, t_e, tech);
     }
-    for j in jobs {
-        assert_window(tech, j.t_e);
-    }
-
-    let mut results: Vec<(Vec<JoinPair>, JoinCounters)> = jobs
-        .iter()
-        .map(|_| (Vec::new(), JoinCounters::new()))
-        .collect();
-
-    // Seed: one root-pair task per non-empty job, in job order.
-    let mut tasks: Vec<Task> = Vec::new();
-    for (job, spec) in jobs.iter().enumerate() {
-        let (Some(root_a), Some(root_b)) = (spec.tree_a.root_page(), spec.tree_b.root_page())
-        else {
-            continue;
-        };
-        let (mut na, mut nb) = (EntryLanes::new(), EntryLanes::new());
-        spec.tree_a.read_node_lanes(root_a, &mut na)?;
-        spec.tree_b.read_node_lanes(root_b, &mut nb)?;
-        tasks.push(Task {
-            job,
-            na,
-            nb,
-            win: TimeInterval {
-                start: spec.t_s,
-                end: spec.t_e,
-            },
-        });
-    }
+    assert_window(tech, t_e);
+    let (mut out, mut total) = (Vec::new(), JoinCounters::new());
+    let (Some(root_a), Some(root_b)) = (tree_a.root_page(), tree_b.root_page()) else {
+        return Ok((out, total));
+    };
+    let (mut na, mut nb) = (EntryLanes::new(), EntryLanes::new());
+    tree_a.read_node_lanes(root_a, &mut na)?;
+    tree_b.read_node_lanes(root_b, &mut nb)?;
+    let win = TimeInterval {
+        start: t_s,
+        end: t_e,
+    };
+    let mut tasks = vec![Task { na, nb, win }];
 
     // The kernel on one task: to completion into `out`, or — with a spill
     // sink — that node pair alone, its child pairs captured.
@@ -178,8 +124,8 @@ pub fn parallel_improved_multi_join(
                     counters: &mut JoinCounters,
                     spill: Option<&mut SpillSink>| {
         Traversal {
-            tree_a: jobs[task.job].tree_a,
-            tree_b: jobs[task.job].tree_b,
+            tree_a,
+            tree_b,
             tech,
             scratch,
             out,
@@ -193,7 +139,7 @@ pub fn parallel_improved_multi_join(
     // keeping depth-first order, until the frontier is wide enough for
     // the worker count (or nothing is left to expand). Counter increments
     // and node reads performed here are exactly the ones the sequential
-    // traversal performs at that pair; they go to the job's total.
+    // traversal performs at that pair; they go to the total.
     let target = threads * TASKS_PER_THREAD;
     let mut scratch = JoinScratch::new();
     while tasks.len() < target {
@@ -204,17 +150,19 @@ pub fn parallel_improved_multi_join(
             }
         }
         let Some((i, _)) = pick else { break };
-        let job = tasks[i].job;
-        let (out, counters) = &mut results[job];
         let mut spill = SpillSink::new();
-        traverse(&tasks[i], &mut scratch, out, counters, Some(&mut spill))?;
+        traverse(
+            &tasks[i],
+            &mut scratch,
+            &mut out,
+            &mut total,
+            Some(&mut spill),
+        )?;
         debug_assert!(
             out.is_empty(),
             "only equal-level leaf pairs emit, and those never expand"
         );
-        let sub = spill
-            .into_iter()
-            .map(|(na, nb, win)| Task { job, na, nb, win });
+        let sub = spill.into_iter().map(|(na, nb, win)| Task { na, nb, win });
         tasks.splice(i..=i, sub);
     }
 
@@ -228,13 +176,12 @@ pub fn parallel_improved_multi_join(
     // Merge in task order: concatenation reproduces the depth-first
     // emission order of the sequential traversal exactly. Errors, if any,
     // surface at the earliest failing task — deterministically.
-    for (task, result) in tasks.iter().zip(done) {
+    for result in done {
         let (pairs, counters) = result?;
-        let (out, total) = &mut results[task.job];
         out.extend(pairs);
-        *total = total.merged(counters);
+        total = total.merged(counters);
     }
-    Ok(results)
+    Ok((out, total))
 }
 
 /// Fans `count` independent tasks out over at most `threads` workers
@@ -382,40 +329,6 @@ mod tests {
                     .expect("par tc");
             assert_eq!(seq_t, par_t);
             assert_eq!(seq_tc, par_tc);
-        }
-    }
-
-    #[test]
-    fn multi_join_matches_per_job_sequential() {
-        let (ta, tb) = build_trees(250);
-        let (tc, td) = build_trees(120);
-        let jobs = [
-            JoinJob {
-                tree_a: &ta,
-                tree_b: &tb,
-                t_s: 0.0,
-                t_e: 60.0,
-            },
-            JoinJob {
-                tree_a: &tc,
-                tree_b: &td,
-                t_s: 10.0,
-                t_e: 45.0,
-            },
-            JoinJob {
-                tree_a: &ta,
-                tree_b: &td,
-                t_s: 0.0,
-                t_e: 30.0,
-            },
-        ];
-        let seq: Vec<_> = jobs
-            .iter()
-            .map(|j| improved_join(j.tree_a, j.tree_b, j.t_s, j.t_e, techniques::ALL).expect("seq"))
-            .collect();
-        for threads in [2, 4, 8] {
-            let par = parallel_improved_multi_join(&jobs, techniques::ALL, threads).expect("par");
-            assert_eq!(seq, par, "multi-join differs at threads={threads}");
         }
     }
 

@@ -113,9 +113,9 @@ where
 {
     /// Partitions both sets under `policy` into K pairs built from
     /// `config`, all reading through `pool`. The engine knobs' `threads`
-    /// is the width of the initial join, which runs all K² partition
-    /// pairs on one worklist, and of every tick's phase 2, which probes
-    /// the K partitions on a fan-out.
+    /// is the width of phase 2 — every tick's, and each round of the
+    /// initial join's, which is phase 2 over all of A — which probes the
+    /// K partitions on a fan-out.
     pub fn new(
         pool: BufferPool,
         config: P::Config,

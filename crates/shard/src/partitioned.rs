@@ -19,12 +19,13 @@
 //! of every probe against it, do not depend on which partition holds it.
 //! Theorem 2 needs only "every object of this bucket re-registers by
 //! `t_eb + T_M`", which holds for any split of the objects. The initial
-//! join is the same argument for K² cross-partition tree joins.
+//! join is phase 2 over all of A, so the same argument covers it.
 //!
 //! # Phase 2 on a fan-out
 //!
-//! A tick's probes of both sides go to every partition at once
-//! ([`IndexPair::probe_sides`]), the partitions fanned out over
+//! A tick's probes of both sides, and each round of the initial join's A
+//! probes, go to every partition at once ([`IndexPair::probe_sides`]),
+//! the partitions fanned out over
 //! [`fan_out_tasks`] at the configuration's `threads`. Each partition
 //! answers into scratch of its own, kept across ticks, and the answers are
 //! merged per side in partition order — the order one thread probing
@@ -32,8 +33,8 @@
 //! the change list are the same at any width. Partitions whose trees live
 //! elsewhere (`cij-dist`'s remote pair, one worker process each) join the
 //! same way: the fan-out is then one round trip per worker, all in flight
-//! together, and their initial join is one such round of every A object
-//! (they cannot run a tree-vs-tree job across processes).
+//! together, so an in-process and a distributed deployment of the same
+//! partitions do the same work and count the same [`JoinCounters`].
 //!
 //! # Routing
 //!
@@ -55,14 +56,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use cij_core::{
-    self_join, sorted_registrations, EngineConfig, IndexPair, Registration, Registrations,
-};
+use cij_core::{sorted_registrations, EngineConfig, IndexPair, Registration, Registrations};
 use cij_geom::{MovingRect, Time};
-use cij_join::{fan_out_tasks, JoinCounters, JoinJob, JoinPair, JoinScratch, ProbeHit, Techniques};
+use cij_join::{fan_out_tasks, JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::MetricsRegistry;
 use cij_storage::{sync, BufferPool, CacheSnapshot};
-use cij_tpr::{IdMap, ObjectId, TprError, TprResult};
+use cij_tpr::{IdMap, ObjectId, TprResult};
 use cij_workload::SetTag;
 
 use crate::policy::PartitionPolicy;
@@ -191,27 +190,6 @@ where
             self.router.policy().shard_of(id, &r.mbr) == shard
         })
     }
-
-    /// The initial join as one phase-2 round: every A object, in id order,
-    /// probes every partition's B side.
-    fn probe_join(
-        &self,
-        registrations: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let side_a = sorted_registrations(registrations, |_, r| r.set == SetTag::A);
-        let probes: Vec<MovingRect> = side_a.iter().map(|(_, r)| r.mbr).collect();
-        let mut counters = JoinCounters::new();
-        let mut hits = [Vec::new(), Vec::new()];
-        let scratch = &mut JoinScratch::new();
-        let sent = [&probes[..], &[]];
-        self.probe_sides(registrations, sent, now, scratch, &mut counters, &mut hits)?;
-        let [hits_a, _] = hits;
-        let pairs = (hits_a.into_iter())
-            .map(|(p, b, interval)| JoinPair::new(side_a[p as usize].0, b, interval))
-            .collect();
-        Ok((pairs, counters))
-    }
 }
 
 impl<P: IndexPair> IndexPair for PartitionedPair<P>
@@ -220,7 +198,6 @@ where
 {
     type Config = PartitionedConfig<P::Config>;
     const NAME: &'static str = P::NAME;
-    const TREE_JOBS: bool = P::TREE_JOBS;
 
     fn engine_config(config: &Self::Config) -> &EngineConfig {
         P::engine_config(&config.inner)
@@ -277,40 +254,6 @@ where
             part.refile(removes, inserts.clone().zip(&*to).filter_map(here), now)?;
         }
         Ok(())
-    }
-
-    /// The K² cross-partition tree jobs on one worklist; partitions whose
-    /// trees are out of reach ([`IndexPair::TREE_JOBS`] false, remote
-    /// ones) join by one probe round instead (see the module docs).
-    fn initial_join(
-        &mut self,
-        registrations: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        if P::TREE_JOBS {
-            self_join(self, now, P::engine_config(&self.config).threads)
-        } else {
-            self.probe_join(registrations, now)
-        }
-    }
-
-    /// Every (A-partition of `a`, B-partition of `b`) in row-major order;
-    /// at K = 1 exactly the inner pair's jobs.
-    fn join_jobs<'t>(
-        a: &'t Self,
-        b: &'t Self,
-        now: Time,
-        jobs: &mut Vec<JoinJob<'t>>,
-    ) -> TprResult<Techniques> {
-        let mut tech = Err(TprError::Unsupported {
-            what: "a join of zero partitions".to_string(),
-        });
-        for part_a in &a.parts {
-            for part_b in &b.parts {
-                tech = Ok(P::join_jobs(part_a, part_b, now, jobs)?);
-            }
-        }
-        tech
     }
 
     /// Every partition's [`probe_sides`](IndexPair::probe_sides) on the

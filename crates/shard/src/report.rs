@@ -16,7 +16,7 @@ pub struct ShardReport {
     pub policy: &'static str,
     /// Shards per object set.
     pub k: usize,
-    /// Width of the initial join.
+    /// Width of the phase-2 fan-out over the partitions.
     pub threads: usize,
     /// Cross-shard migrations routed so far (update-driven).
     pub migrations: u64,

@@ -43,8 +43,8 @@ pub struct BruteProximityEngine {
 impl BruteProximityEngine {
     /// Builds the oracle over the same inputs the real engine takes, each
     /// object registered at its trajectory's reference time.
-    /// `config.engine` contributes only `T_M`; trees, techniques and
-    /// threads are irrelevant to exhaustive refinement.
+    /// `config.engine` contributes only `T_M`; trees and threads are
+    /// irrelevant to exhaustive refinement.
     ///
     /// # Panics
     ///

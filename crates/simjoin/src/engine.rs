@@ -6,7 +6,7 @@
 
 use cij_core::{BufferedEngine, EngineConfig, IndexPair, Registration, Registrations, TcPair};
 use cij_geom::{MovingRect, Time, TimeInterval, DIMS};
-use cij_join::{JoinCounters, JoinPair, JoinScratch, ProbeHit};
+use cij_join::{JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::{Histogram, MetricsRegistry};
 use cij_storage::{BufferPool, CacheSnapshot};
 use cij_tpr::{ObjectId, TprResult};
@@ -16,8 +16,7 @@ use cij_workload::SetTag;
 /// plus the distance threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProximityConfig {
-    /// The shared engine knobs (`T_M`, tree, techniques, threads,
-    /// metrics). `buckets_per_tm` is unused — candidates come from
+    /// The shared engine knobs (`T_M`, tree, threads, metrics). `buckets_per_tm` is unused — candidates come from
     /// single TPR-trees, as in the TC engine.
     pub engine: EngineConfig,
     /// Distance threshold ε ≥ 0 (Euclidean). Pairs whose minimum
@@ -201,23 +200,6 @@ impl IndexPair for ProximityPair {
         };
         self.filter
             .refile(removes.map(stored), inserts.map(stored), now)
-    }
-
-    fn initial_join(
-        &mut self,
-        registrations: &Registrations,
-        now: Time,
-    ) -> TprResult<(Vec<JoinPair>, JoinCounters)> {
-        let (mut pairs, counters) = self.filter.initial_join(registrations, now)?;
-        let _span = self.refine_ns.start_span();
-        let seen = pairs.len();
-        let original = |id| Self::original(registrations, id);
-        pairs.retain_mut(|p| {
-            let exact = self.exact(original(p.a), original(p.b), now);
-            exact.map(|iv| p.interval = iv).is_some()
-        });
-        self.count(seen, pairs.len());
-        Ok((pairs, counters))
     }
 
     fn probe(
