@@ -7,12 +7,11 @@
 //! cargo run --release -p cij-bench --bin figures -- fig9 --scale paper
 //! ```
 //!
-//! Subcommands: `table1`, `validate`, `fig7` … `fig22`, `all`.
-//! (`fig16`–`fig22` are this repo's own extension experiments; `fig22`
-//! is the parallel initial-join scaling driver; there is no `fig17`,
-//! `fig18` or `fig19` — the TPR-tree heuristic switches, the PBSM
-//! partition join and the Bˣ-tree substrate they measured were removed,
-//! DESIGN.md §5.)
+//! Subcommands: `table1`, `validate`, `fig7` … `fig21`, `all`.
+//! (`fig16`–`fig21` are this repo's own extension experiments; there is
+//! no `fig17`, `fig18` or `fig19` — the TPR-tree heuristic switches, the
+//! PBSM partition join and the Bˣ-tree substrate they measured were
+//! removed, DESIGN.md §5.)
 //!
 //! `--scale small` (default) runs the sweep at one tenth of the paper's
 //! dataset sizes so the whole suite finishes in minutes; `--scale paper`
@@ -80,7 +79,6 @@ fn main() {
         "fig16" => fig16(scale),
         "fig20" => fig20(scale),
         "fig21" => fig21(scale),
-        "fig22" => fig22(scale),
         "all" => [
             table1 as fn(Scale) -> TprResult<()>,
             fig7,
@@ -95,7 +93,6 @@ fn main() {
             fig16,
             fig20,
             fig21,
-            fig22,
         ]
         .iter()
         .try_for_each(|f| f(scale)),
@@ -708,113 +705,6 @@ fn fig21(scale: Scale) -> TprResult<()> {
         ));
     }
     t.print();
-    Ok(())
-}
-
-/// Fig. 22 (ours) — parallel initial-join scaling: the MTB-Join initial
-/// join (ImprovedJoin with all techniques, window `[0, T_M]`) fanned out
-/// over worker threads via `parallel_improved_join`, reading through a
-/// buffer pool sized to hold both trees — the paper's 50-page pool
-/// measures I/O, this figure measures CPU parallelism, so the disk is
-/// taken out of the equation. `1 thread`
-/// runs the exact sequential kernel; every parallel run is checked
-/// bit-identical to it before its time is reported, so the speedup
-/// column never trades correctness for wall-clock. Each cell is the
-/// best of three runs (the usual guard against scheduler noise).
-/// Speedup is bounded by the host's cores: the detected count is
-/// recorded in `FIG22_scaling.json` alongside the timings, and the
-/// measured 1 → 2-thread speedup of the largest size is printed under
-/// the table.
-fn fig22(scale: Scale) -> TprResult<()> {
-    use cij_join::parallel_improved_join;
-    use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    const REPS: usize = 3;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut t = Table::new(
-        format!("Fig. 22 — parallel initial-join scaling (best of 3; host has {cores} core(s))"),
-        "size",
-        &[
-            "1 thread",
-            "2 threads",
-            "4 threads",
-            "8 threads",
-            "speedup @4",
-        ],
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    // 1 -> 2-thread speedup of the last (largest) size.
-    let mut one_to_two = 1.0;
-    for size in scale.size_sweep() {
-        let params = Params {
-            dataset_size: size,
-            ..Params::default()
-        };
-        let t_m = params.maximum_update_interval;
-        // Both trees resident: ~size/20 leaf pages per tree plus
-        // internals, doubled for slack.
-        let frames = (size / 5).max(256);
-        let pool = BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(frames),
-        );
-        let (ta, tb, _, _) = build_pair_trees(&params, &pool)?;
-        let (seq_pairs, seq_counters) = improved_join(&ta, &tb, 0.0, t_m, techniques::ALL)?;
-        let mut best: Vec<Duration> = Vec::with_capacity(THREADS.len());
-        for threads in THREADS {
-            let mut fastest = Duration::MAX;
-            for _ in 0..REPS {
-                let ((pairs, counters), _, time) = measure(&pool, || {
-                    parallel_improved_join(&ta, &tb, 0.0, t_m, techniques::ALL, threads)
-                })?;
-                assert_eq!(
-                    pairs, seq_pairs,
-                    "parallel result diverged at {threads} threads"
-                );
-                assert_eq!(
-                    counters, seq_counters,
-                    "counters diverged at {threads} threads"
-                );
-                fastest = fastest.min(time);
-            }
-            best.push(fastest);
-        }
-        let speedup = best[0].as_secs_f64() / best[2].as_secs_f64().max(f64::EPSILON);
-        let mut cells: Vec<String> = best.iter().map(|d| fmt_duration(*d)).collect();
-        cells.push(format!("{speedup:.2}x"));
-        t.push(Row::new(Scale::size_label(size), cells));
-        let times: Vec<String> = best
-            .iter()
-            .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-            .collect();
-        one_to_two = best[0].as_secs_f64() / best[1].as_secs_f64().max(f64::EPSILON);
-        json_rows.push(format!(
-            "    {{\"size\": {size}, \"threads\": [1, 2, 4, 8], \"best_ms\": [{}], \
-             \"speedup_at_2\": {one_to_two:.3}, \"speedup_at_4\": {speedup:.3}}}",
-            times.join(", ")
-        ));
-    }
-    t.print();
-    println!(
-        "note: 1 -> 2 threads at the largest size: {one_to_two:.2}x measured on this host \
-         ({cores} core(s) detected; the core count is the ceiling)."
-    );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"figure\": \"fig22\",");
-    let _ = writeln!(json, "  \"detected_cores\": {cores},");
-    let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(json, "  \"rows\": [");
-    let _ = writeln!(json, "{}", json_rows.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write("FIG22_scaling.json", &json).map_err(|e| cij_tpr::TprError::Unsupported {
-        what: format!("writing FIG22_scaling.json: {e}"),
-    })?;
-    println!("wrote FIG22_scaling.json (detected_cores={cores})");
     Ok(())
 }
 

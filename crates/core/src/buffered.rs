@@ -1,8 +1,8 @@
 //! The one update-driven engine and its index pairs.
 //!
 //! Theorems 1 and 2 bound the *window* of a join run and say nothing
-//! about which index answers it, so NaiveJoin, TC-Join and MTB-Join are
-//! one maintenance protocol — re-register the object in its own index,
+//! about which index answers it, so TC-Join and MTB-Join are one
+//! maintenance protocol — re-register the object in its own index,
 //! drop its pairs, probe the other side over a window, add the hits to
 //! the [`ResultBuffer`] — written once in [`BufferedEngine`], which
 //! re-registers a whole tick's objects in one batch per index tree.
@@ -16,20 +16,21 @@
 //!
 //! | alias | pair | index | window | probe kernel |
 //! |---|---|---|---|---|
-//! | [`NaiveEngine`] | [`NaivePair`] = [`TprPair<false>`] | 2 TPR-trees | `∞` | `intersect_window` per probe |
-//! | [`TcEngine`] | [`TcPair`] = [`TprPair<true>`] | 2 TPR-trees | `now + T_M` | [`probe_batch`] |
+//! | [`TcEngine`] | [`TcPair`] | 2 TPR-trees | `now + T_M` | [`probe_batch`] |
 //! | [`MtbEngine`] | [`MtbPair`] | 2 [`MtbTree`]s | `min(t_eb, now) + T_M` per bucket | [`probe_batch`] per bucket |
 //!
 //! Every pair is backed by TPR-trees (the proximity pair of `cij-simjoin`
-//! included): the paper runs all of §VI on that one substrate.
+//! included): the paper runs all of §VI on that one substrate. NaiveJoin
+//! (§II-C), whose joins run to the infinite timestamp, is no engine: it
+//! is the `cij_join::naive_join` kernel, which Figs. 7 and 9 measure.
 
 use std::iter;
 use std::ops::Deref;
 
-use cij_geom::{MovingRect, Time, INFINITE_TIME};
+use cij_geom::{MovingRect, Time};
 use cij_join::{probe_batch, JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::MetricsRegistry;
-use cij_storage::{BufferPool, CacheSnapshot};
+use cij_storage::BufferPool;
 use cij_tpr::{IdMap, ObjectId, TprError, TprResult, TprTree};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
@@ -159,9 +160,6 @@ pub trait IndexPair: Sized + Sync {
     ) {
     }
 
-    /// Page-format counters summed over both indexes.
-    fn page_format_stats(&self) -> CacheSnapshot;
-
     /// Mirrors totals the pair keeps itself into the registry.
     fn publish_extra(&self, _registry: &MetricsRegistry) {}
 }
@@ -269,9 +267,6 @@ pub struct BufferedEngine<I> {
     obs: MetricsRegistry,
 }
 
-/// The paper's naive baseline (§II-C): every join run computes pairs to
-/// the infinite timestamp.
-pub type NaiveEngine = BufferedEngine<NaivePair>;
 /// Time-constrained processing on single TPR-trees (§IV-B, Theorem 1):
 /// every join run is capped at `t_u + T_M`.
 pub type TcEngine = BufferedEngine<TcPair>;
@@ -530,16 +525,12 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         self.buffer.status_at(pair.0, pair.1, t)
     }
 
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(self.index.page_format_stats())
-    }
-
     fn metrics_registry(&self) -> MetricsRegistry {
         self.obs.clone()
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
+        publish_engine_totals(&self.obs, self.counters);
         self.index.publish_extra(&self.obs);
     }
 }
@@ -548,42 +539,25 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
 // Index pairs
 // ----------------------------------------------------------------------
 
-/// Two TPR-trees. The const parameter picks the paper's algorithm on
-/// them at compile time:
+/// TC-Join (§IV-B) on two TPR-trees: every join run over Theorem 1's
+/// window `[now, now + T_M]` — the result for an object only needs to be
+/// valid until its own next update, at most `T_M` away.
 ///
-/// * `TprPair<false>` = [`NaivePair`] — NaiveJoin (§II-C): every join
-///   run to the infinite timestamp. [`probe_batch`] needs a bounded
-///   window, so every probe, the initial join's included, is one
-///   `intersect_window`, which leaves [`JoinCounters`] alone.
-/// * `TprPair<true>` = [`TcPair`] — TC-Join (§IV-B): every join run over
-///   Theorem 1's window `[now, now + T_M]` — the result for an object
-///   only needs to be valid until its own next update, at most `T_M`
-///   away.
-///
-/// **The `T_M` contract of [`TcPair`].** A pair stays exact while at
-/// least one endpoint re-registered within `T_M`: that endpoint's probe
-/// covered `[t_u, t_u + T_M]` against the other side's tree, whose
-/// entries bound their objects at every future instant however old they
-/// are. A side that never updates is therefore allowed — which is how
-/// §V's continuous window queries run on this engine unchanged: the
-/// windows are set B, registered once (see the crate docs).
-pub struct TprPair<const TIME_CONSTRAINED: bool> {
+/// **The `T_M` contract.** A pair stays exact while at least one
+/// endpoint re-registered within `T_M`: that endpoint's probe covered
+/// `[t_u, t_u + T_M]` against the other side's tree, whose entries bound
+/// their objects at every future instant however old they are. A side
+/// that never updates is therefore allowed — which is how §V's
+/// continuous window queries run on this engine unchanged: the windows
+/// are set B, registered once (see the crate docs).
+pub struct TcPair {
     config: EngineConfig,
     trees: [TprTree; 2],
 }
 
-/// The index pair of [`NaiveEngine`].
-pub type NaivePair = TprPair<false>;
-/// The index pair of [`TcEngine`].
-pub type TcPair = TprPair<true>;
-
-impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
+impl IndexPair for TcPair {
     type Config = EngineConfig;
-    const NAME: &'static str = if TIME_CONSTRAINED {
-        "TC-Join"
-    } else {
-        "NaiveJoin"
-    };
+    const NAME: &'static str = "TC-Join";
 
     fn engine_config(config: &EngineConfig) -> &EngineConfig {
         config
@@ -625,24 +599,8 @@ impl<const TIME_CONSTRAINED: bool> IndexPair for TprPair<TIME_CONSTRAINED> {
         hits: &mut Vec<ProbeHit>,
     ) -> TprResult<()> {
         let other = &self.trees[1 - side(side_of_probes)];
-        if TIME_CONSTRAINED {
-            let t_e = now + self.config.t_m;
-            probe_batch(other, probes, now, t_e, scratch, counters, hits)
-        } else {
-            // "Join the object with the other dataset (still using the
-            // naive algorithm) from the current timestamp to the infinite
-            // timestamp."
-            for (p, mbr) in probes.iter().enumerate() {
-                let found = other.intersect_window(mbr, now, INFINITE_TIME)?;
-                hits.extend(found.into_iter().map(|(id, iv)| (p as u32, id, iv)));
-            }
-            Ok(())
-        }
-    }
-
-    fn page_format_stats(&self) -> CacheSnapshot {
-        let [a, b] = &self.trees;
-        a.page_format_stats().merged(&b.page_format_stats())
+        let t_e = now + self.config.t_m;
+        probe_batch(other, probes, now, t_e, scratch, counters, hits)
     }
 }
 
@@ -746,10 +704,5 @@ impl IndexPair for MtbPair {
         let window = |t_eb: Time| t_eb.min(now) + t_m;
         self.trees[1 - side(side_of_probes)]
             .probe_batch(probes, now, window, scratch, counters, hits)
-    }
-
-    fn page_format_stats(&self) -> CacheSnapshot {
-        let [a, b] = &self.trees;
-        a.page_format_stats().merged(&b.page_format_stats())
     }
 }

@@ -274,11 +274,17 @@ pub trait ContinuousJoinEngine {
         PairStatus::default()
     }
 
-    /// Aggregate page-format counters (node pages read through the
-    /// zero-copy view) across the engine's TPR-trees; `None` for engines
-    /// that hold no tree of their own (the distributed coordinator).
+    /// Node pages read through the zero-copy view — a stopgap kept only
+    /// because the performance ledger (`benchmark/`) reads its two fields
+    /// to form `storage.zero_copy_share`. Every node read is one logical
+    /// read of [`pool`](Self::pool) (the SoA view is the only page format),
+    /// so it is the pool's logical reads; no engine keeps a count of its
+    /// own, and none overrides this.
     fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        None
+        Some(CacheSnapshot {
+            zero_copy_reads: self.pool().stats().snapshot().logical_reads,
+            decode_fallbacks: 0,
+        })
     }
 
     /// The engine's metrics registry (a cheap handle). Disabled — every
@@ -290,20 +296,16 @@ pub trait ContinuousJoinEngine {
     }
 
     /// Mirrors accumulated totals that live outside registered cells
-    /// (traversal [`JoinCounters`], page-format totals) into the
-    /// registry so a snapshot sees them. Pool I/O counters are live
-    /// registered views and need no publishing. No-op when metrics are
-    /// disabled; called by the harness before reading a snapshot.
+    /// (traversal [`JoinCounters`]) into the registry so a snapshot sees
+    /// them. Pool I/O counters are live registered views and need no
+    /// publishing. No-op when metrics are disabled; called by the harness
+    /// before reading a snapshot.
     fn publish_metrics(&self) {}
 }
 
-/// Mirrors an engine's [`JoinCounters`] and page-format totals into
-/// `registry` (the shared body of every `publish_metrics` impl).
-pub(crate) fn publish_engine_totals(
-    registry: &MetricsRegistry,
-    counters: JoinCounters,
-    page_format: Option<CacheSnapshot>,
-) {
+/// Mirrors an engine's [`JoinCounters`] into `registry` (the shared body
+/// of every `publish_metrics` impl).
+pub(crate) fn publish_engine_totals(registry: &MetricsRegistry, counters: JoinCounters) {
     if !registry.is_enabled() {
         return;
     }
@@ -317,11 +319,6 @@ pub(crate) fn publish_engine_totals(
     registry
         .counter("join.pairs_emitted")
         .store(counters.pairs_emitted);
-    if let Some(p) = page_format {
-        registry
-            .counter("storage.page.zero_copy_reads")
-            .store(p.zero_copy_reads);
-    }
 }
 
 /// Orients an (updated object, partner) pair as (A-object, B-object).
@@ -477,20 +474,12 @@ impl ContinuousJoinEngine for EtpEngine {
         self.counters
     }
 
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        Some(
-            self.tree_a
-                .page_format_stats()
-                .merged(&self.tree_b.page_format_stats()),
-        )
-    }
-
     fn metrics_registry(&self) -> MetricsRegistry {
         self.obs.clone()
     }
 
     fn publish_metrics(&self) {
-        publish_engine_totals(&self.obs, self.counters, self.page_format_snapshot());
+        publish_engine_totals(&self.obs, self.counters);
         if self.obs.is_enabled() {
             self.obs.counter("engine.etp.reruns").store(self.reruns);
         }

@@ -11,11 +11,8 @@
 //! window, buffer the hits) written once over an [`IndexPair`], which
 //! picks the index and the window:
 //!
-//! * [`NaiveEngine`] — §II-C: unconstrained joins to the infinite
-//!   timestamp; answer updates only on object updates, but each one
-//!   touches nearly the whole opposing tree.
-//! * [`TcEngine`] — §IV-B Theorem 1: identical structure, every join
-//!   window capped at `t_u + T_M`.
+//! * [`TcEngine`] — §IV-B Theorem 1: two TPR-trees, every join window
+//!   capped at `t_u + T_M`.
 //! * [`MtbEngine`] — §IV-C Theorem 2: objects grouped into
 //!   time-bucket TPR-trees ([`MtbTree`]), per-bucket windows
 //!   `[t_c, t_eb + T_M]` — the paper's full proposal.
@@ -89,10 +86,7 @@ mod registrations;
 mod result;
 pub mod sim;
 
-pub use buffered::{
-    BufferedEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, TcEngine, TcPair,
-    TprPair,
-};
+pub use buffered::{BufferedEngine, IndexPair, MtbEngine, MtbPair, TcEngine, TcPair};
 pub use engine::{ContinuousJoinEngine, EngineConfig, EngineConfigBuilder, EtpEngine};
 pub use mtb::MtbTree;
 pub use registrations::{

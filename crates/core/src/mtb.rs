@@ -138,17 +138,6 @@ impl MtbTree {
             .map(|(idx, tree)| (self.bucket_end(*idx), tree))
     }
 
-    /// Page-format counters (zero-copy node reads) summed over every
-    /// live bucket tree.
-    #[must_use]
-    pub fn page_format_stats(&self) -> cij_storage::CacheSnapshot {
-        self.buckets
-            .values()
-            .map(|tree| tree.page_format_stats())
-            .reduce(|acc, s| acc.merged(&s))
-            .unwrap_or_default()
-    }
-
     /// One tick's share of this MTB-tree at `now`: removes every
     /// `(oid, trajectory, last update time)` of `removes` from the bucket
     /// of its last update, and files every `(oid, trajectory, update

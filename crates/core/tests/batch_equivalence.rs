@@ -1,7 +1,7 @@
 //! The two-phase maintenance tick (`BufferedEngine::apply_batch`: every
 //! index mutation first, then one probe of the whole batch per side)
 //! against the per-update loop it replaced, for every index pair in
-//! `cij-core`: MTB, TC and Naive (window `∞`).
+//! `cij-core`: MTB and TC.
 //!
 //! The loop lives on here as the reference, built from public parts that
 //! do not touch the engine or the batched probe: per update, delete +
@@ -21,17 +21,17 @@ use std::iter;
 use std::sync::Arc;
 
 use cij_core::{
-    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, NaiveEngine, PairKey, PairStatus,
-    ResultBuffer, TcEngine,
+    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, PairKey, PairStatus, ResultBuffer,
+    TcEngine,
 };
-use cij_geom::{MovingRect, Rect, Time, TimeInterval, INFINITE_TIME};
-use cij_join::{improved_join, naive_join, techniques, JoinPair};
+use cij_geom::{MovingRect, Rect, Time, TimeInterval};
+use cij_join::{improved_join, techniques, JoinPair};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 use cij_workload::{generate_pair, MovingObject, ObjectUpdate, Params, SetTag, UpdateStream};
 
 /// Every index pair of `cij-core`, by the name the harness builds it under.
-const KINDS: [&str; 3] = ["mtb", "tc", "naive"];
+const KINDS: [&str; 2] = ["mtb", "tc"];
 
 fn pool() -> BufferPool {
     BufferPool::new(
@@ -42,7 +42,7 @@ fn pool() -> BufferPool {
 
 /// The two indexes of the reference loop.
 enum Indexes {
-    /// `"tc"` (probe window `now + T_M`) and `"naive"` (`∞`).
+    /// `"tc"`: probe window `now + T_M`.
     Tpr(TprTree, TprTree),
     Mtb(MtbTree, MtbTree),
 }
@@ -52,15 +52,13 @@ struct LoopReference {
     indexes: Indexes,
     buffer: ResultBuffer,
     t_m: Time,
-    /// Length of a TPR probe window: `T_M`, or `∞` for `"naive"`.
-    window: Time,
 }
 
 impl LoopReference {
     fn new(kind: &str, config: &EngineConfig, a: &[MovingObject], b: &[MovingObject]) -> Self {
         let pool = pool();
         let indexes = match kind {
-            "tc" | "naive" => {
+            "tc" => {
                 let mut ta = TprTree::new(pool.clone(), config.tree);
                 let mut tb = TprTree::new(pool, config.tree);
                 for o in a {
@@ -88,14 +86,9 @@ impl LoopReference {
         let mut buffer = ResultBuffer::new();
         buffer.enable_change_tracking();
         let t_m = config.t_m;
-        let window = if kind == "naive" { INFINITE_TIME } else { t_m };
-        // Initial join on `[0, window]`: both sides hold one tree at t = 0.
+        // Initial join on `[0, T_M]`: both sides hold one tree at t = 0.
         let tree_join = |ta: &TprTree, tb: &TprTree| {
-            if kind == "naive" {
-                naive_join(ta, tb, 0.0).unwrap().0
-            } else {
-                improved_join(ta, tb, 0.0, t_m, techniques::ALL).unwrap().0
-            }
+            improved_join(ta, tb, 0.0, t_m, techniques::ALL).unwrap().0
         };
         let pairs: Vec<JoinPair> = match &indexes {
             Indexes::Tpr(ta, tb) => tree_join(ta, tb),
@@ -108,7 +101,6 @@ impl LoopReference {
             indexes,
             buffer,
             t_m,
-            window,
         };
         for p in pairs {
             this.buffer.add(p.a, p.b, p.interval);
@@ -118,7 +110,7 @@ impl LoopReference {
     }
 
     fn apply_update(&mut self, u: &ObjectUpdate, now: Time) {
-        let (t_m, window) = (self.t_m, self.window);
+        let t_m = self.t_m;
         let found: Vec<(ObjectId, TimeInterval)> = match &mut self.indexes {
             Indexes::Tpr(ta, tb) => {
                 let (own, other) = match u.set {
@@ -126,9 +118,7 @@ impl LoopReference {
                     SetTag::B => (tb, &*ta),
                 };
                 own.update(u.id, &u.old_mbr, u.new_mbr, now).unwrap();
-                other
-                    .intersect_window(&u.new_mbr, now, now + window)
-                    .unwrap()
+                other.intersect_window(&u.new_mbr, now, now + t_m).unwrap()
             }
             Indexes::Mtb(ma, mb) => {
                 let (own, other) = match u.set {
@@ -171,7 +161,6 @@ fn build_engine(
     let mut engine: Box<dyn ContinuousJoinEngine> = match kind {
         "tc" => Box::new(TcEngine::new(pool(), config, a, b, 0.0).unwrap()),
         "mtb" => Box::new(MtbEngine::new(pool(), config, a, b, 0.0).unwrap()),
-        "naive" => Box::new(NaiveEngine::new(pool(), config, a, b, 0.0).unwrap()),
         other => panic!("unknown engine kind {other}"),
     };
     engine.enable_delta_tracking();

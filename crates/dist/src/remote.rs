@@ -43,7 +43,7 @@ use cij_core::{EngineConfig, IndexPair, Registration, Registrations};
 use cij_geom::{MovingRect, Time};
 use cij_join::{JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::{Counter, Histogram, MetricsRegistry};
-use cij_storage::{sync, BufferPool, CacheSnapshot};
+use cij_storage::{sync, BufferPool};
 use cij_tpr::{ObjectId, TprResult};
 
 use crate::coordinator::DistConfig;
@@ -419,11 +419,6 @@ impl IndexPair for RemotePair {
         }
         self.seed(objects, now)?;
         Ok(true)
-    }
-
-    /// Worker I/O happens in the worker process.
-    fn page_format_stats(&self) -> CacheSnapshot {
-        CacheSnapshot::default()
     }
 
     fn publish_extra(&self, registry: &MetricsRegistry) {

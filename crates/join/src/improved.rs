@@ -32,7 +32,6 @@ use cij_tpr::{EntryLanes, TprResult, TprTree};
 
 use crate::counters::JoinCounters;
 use crate::pair::JoinPair;
-use crate::parallel::SpillSink;
 use crate::scratch::{Frame, JoinScratch};
 use crate::sweep::ps_intersection_soa;
 
@@ -163,24 +162,22 @@ pub fn improved_join_into(
         .read_node_lanes(root_a, &mut roots.lanes_a)
         .and_then(|()| tree_b.read_node_lanes(root_b, &mut roots.lanes_b))
         .and_then(|()| {
-            Traversal {
+            let win = TimeInterval {
+                start: t_s,
+                end: t_e,
+            };
+            let mut frame = scratch.take_frame(1);
+            let mut traversal = Traversal {
                 tree_a,
                 tree_b,
                 tech,
                 scratch,
                 out,
                 counters: &mut counters,
-                spill: None,
-            }
-            .run(
-                &roots.lanes_a,
-                &roots.lanes_b,
-                TimeInterval {
-                    start: t_s,
-                    end: t_e,
-                },
-                1,
-            )
+            };
+            let result = traversal.join_nodes(&roots.lanes_a, &roots.lanes_b, win, 1, &mut frame);
+            scratch.put_frame(1, frame);
+            result
         });
     scratch.put_frame(0, roots);
     result.map(|()| counters)
@@ -189,7 +186,7 @@ pub fn improved_join_into(
 /// Only the plain traversal runs unbounded (that is `NaiveJoin`): plane
 /// sweep sorts by bounds that exist only over a finite window, and the
 /// intersection check clips to one.
-pub(crate) fn assert_window(tech: Techniques, t_e: Time) {
+fn assert_window(tech: Techniques, t_e: Time) {
     assert!(
         tech == techniques::NONE || t_e.is_finite(),
         "ImprovedJoin requires a time-constrained window"
@@ -198,38 +195,17 @@ pub(crate) fn assert_window(tech: Techniques, t_e: Time) {
 
 /// One synchronous traversal: its constants and the places its results
 /// go. The node pairs themselves are passed down by reference — each
-/// lives in the lanes of the frame one depth above its visit (or in a
-/// parallel task).
-pub(crate) struct Traversal<'t> {
-    pub tree_a: &'t TprTree,
-    pub tree_b: &'t TprTree,
-    pub tech: Techniques,
-    pub scratch: &'t mut JoinScratch,
-    pub out: &'t mut Vec<JoinPair>,
-    pub counters: &'t mut JoinCounters,
-    /// The parallel layer's hook. `Some`: visit one node pair only — every
-    /// child pair the traversal would descend into (nodes already read,
-    /// window already tightened) is captured here instead, in descent
-    /// order. `None`: descend.
-    pub spill: Option<&'t mut SpillSink>,
+/// lives in the lanes of the frame one depth above its visit.
+struct Traversal<'t> {
+    tree_a: &'t TprTree,
+    tree_b: &'t TprTree,
+    tech: Techniques,
+    scratch: &'t mut JoinScratch,
+    out: &'t mut Vec<JoinPair>,
+    counters: &'t mut JoinCounters,
 }
 
 impl Traversal<'_> {
-    /// Visits the pair `(na, nb)` under `win` with the buffers of frame
-    /// `depth`, and everything below it with the deeper frames.
-    pub(crate) fn run(
-        &mut self,
-        na: &EntryLanes,
-        nb: &EntryLanes,
-        win: TimeInterval,
-        depth: usize,
-    ) -> TprResult<()> {
-        let mut frame = self.scratch.take_frame(depth);
-        let result = self.join_nodes(na, nb, win, depth, &mut frame);
-        self.scratch.put_frame(depth, frame);
-        result
-    }
-
     /// The recursive Fig. 2 / Fig. 6 visit of one node pair. `f` is this
     /// depth's frame, taken out of the scratch pool by the caller (so a
     /// node's children share one take): its index lists, sweep arrays and
@@ -444,12 +420,6 @@ impl Traversal<'_> {
         } else {
             win
         };
-        match &mut self.spill {
-            Some(spill) => {
-                spill.push((ca.clone(), cb.clone(), win));
-                Ok(())
-            }
-            None => self.join_nodes(ca, cb, win, depth + 1, below),
-        }
+        self.join_nodes(ca, cb, win, depth + 1, below)
     }
 }

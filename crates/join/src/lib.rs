@@ -20,12 +20,11 @@
 //!   every node at most once.
 //! * [`brute`] — the `O(|A|·|B|)` oracle every algorithm is tested
 //!   against.
-//! * [`parallel_improved_join`] — the multi-threaded driver for that
-//!   traversal (any window, any technique set; Fig. 22 measures it): the
-//!   worklist is split at a top node-pair frontier and fanned out over
-//!   [`fan_out_tasks`]' scoped threads, with outputs merged in traversal
-//!   order so results (and counter totals) are bit-identical to the
-//!   sequential runs.
+//!
+//! Beside them lives [`fan_out_tasks`], the deterministic fan-out of
+//! independent tasks over scoped threads (results in task order) that
+//! the shard crate's partitions and the distributed coordinator's workers
+//! run on. The tree-vs-tree joins themselves run sequentially.
 //!
 //! All algorithms read nodes strictly through the trees' buffer pools, so
 //! their I/O is accounted exactly like the paper's. There is one node
@@ -55,7 +54,7 @@ pub use counters::JoinCounters;
 pub use improved::{improved_join, improved_join_into, techniques, Techniques};
 pub use naive::{naive_join, tc_join};
 pub use pair::{assert_pairs_equal, JoinPair};
-pub use parallel::{fan_out_tasks, parallel_improved_join};
+pub use parallel::fan_out_tasks;
 pub use probe::{probe_batch, ProbeHit};
 pub use scratch::JoinScratch;
 pub use sweep::{ps_intersection_soa, swept_region, SweepSoa};

@@ -3,8 +3,8 @@
 //! A lock-free metrics registry shared by every crate in the workspace:
 //!
 //! * [`CounterCell`] / [`GaugeCell`] / [`HistogramCell`] — the atomic
-//!   recording primitives. `cij-storage`'s `IoStats`/`CacheStats` are
-//!   built *on* these cells, so registering them in a
+//!   recording primitives. `cij-storage`'s `IoStats` is built *on*
+//!   these cells, so registering them in a
 //!   [`MetricsRegistry`] exposes the exact same atomics the legacy
 //!   snapshot structs read — the registry view is bit-exact with the
 //!   legacy counters by construction, not by copying.

@@ -9,8 +9,7 @@ use crate::histogram::{HistogramCell, HistogramSnapshot};
 
 /// A monotonic counter cell: one relaxed atomic `u64`.
 ///
-/// This is the primitive `cij-storage`'s `IoStats`/`CacheStats` are
-/// built from; registering the *same* `Arc<CounterCell>` in a
+/// This is the primitive `cij-storage`'s `IoStats` is built from; registering the *same* `Arc<CounterCell>` in a
 /// [`MetricsRegistry`] makes the registry a live, bit-exact view of the
 /// legacy counters.
 #[derive(Debug, Default)]

@@ -41,7 +41,7 @@ use cij_core::{
 use cij_geom::{MovingRect, Time};
 use cij_join::JoinCounters;
 use cij_obs::MetricsRegistry;
-use cij_storage::{BufferPool, CacheSnapshot};
+use cij_storage::BufferPool;
 use cij_tpr::{ObjectId, TprError, TprResult};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
@@ -341,10 +341,6 @@ where
 
     fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
         self.engine.pair_status_at(pair, t)
-    }
-
-    fn page_format_snapshot(&self) -> Option<CacheSnapshot> {
-        self.engine.page_format_snapshot()
     }
 
     fn metrics_registry(&self) -> MetricsRegistry {

@@ -60,7 +60,7 @@ use cij_core::{sorted_registrations, EngineConfig, IndexPair, Registration, Regi
 use cij_geom::{MovingRect, Time};
 use cij_join::{fan_out_tasks, JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::MetricsRegistry;
-use cij_storage::{sync, BufferPool, CacheSnapshot};
+use cij_storage::{sync, BufferPool};
 use cij_tpr::{IdMap, ObjectId, TprResult};
 use cij_workload::SetTag;
 
@@ -301,13 +301,6 @@ where
             }
         }
         Ok(())
-    }
-
-    fn page_format_stats(&self) -> CacheSnapshot {
-        (self.parts.iter())
-            .map(IndexPair::page_format_stats)
-            .reduce(|acc, s| acc.merged(&s))
-            .unwrap_or_default()
     }
 
     fn publish_extra(&self, registry: &MetricsRegistry) {

@@ -1,7 +1,7 @@
 //! Shard-axis counter conservation: the coordinator's unified
 //! [`MetricsSnapshot`] (carried on [`ShardReport::metrics`]) must agree
 //! bit-exactly with the report fields — the engine's traversal totals,
-//! merged page-format totals, shared-pool I/O, migrations, and the
+//! shared-pool I/O (which the zero-copy read count is), migrations, and the
 //! per-shard populations — at K = 1, 2 and 4. The per-engine × thread
 //! axis of the same guarantee lives in
 //! `crates/core/tests/metrics_conservation.rs`.
@@ -83,16 +83,12 @@ fn shard_report_metrics_match_legacy_fields_bit_exactly() {
             assert_eq!(snap.counter(name), Some(legacy), "{tag}: {name} drifted");
         }
 
-        // Page-format totals merged over every partition.
-        let page = coord
-            .page_format_snapshot()
-            .unwrap_or_else(|| panic!("{tag}: TPR engines must report page-format totals"));
-        assert_eq!(
-            snap.counter("storage.page.zero_copy_reads"),
-            Some(page.zero_copy_reads),
-            "{tag}: storage.page.zero_copy_reads drifted"
-        );
+        // Zero-copy reads: the shared pool's logical reads, every
+        // partition's included; no second count is published.
+        let page = coord.page_format_snapshot().expect("the stopgap");
+        assert_eq!(page.zero_copy_reads, report.io.logical_reads, "{tag}");
         assert!(page.zero_copy_reads > 0, "{tag}: no node was read");
+        assert_eq!(snap.counter("storage.page.zero_copy_reads"), None, "{tag}");
 
         // Shared-pool I/O (live registered views).
         for (name, legacy) in [

@@ -8,7 +8,7 @@ use cij_core::{BufferedEngine, EngineConfig, IndexPair, Registration, Registrati
 use cij_geom::{MovingRect, Time, TimeInterval, DIMS};
 use cij_join::{JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::{Histogram, MetricsRegistry};
-use cij_storage::{BufferPool, CacheSnapshot};
+use cij_storage::BufferPool;
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::SetTag;
 
@@ -248,10 +248,6 @@ impl IndexPair for ProximityPair {
             exact.map(|refined| *iv = refined).is_some()
         });
         self.count(seen, hits.len());
-    }
-
-    fn page_format_stats(&self) -> CacheSnapshot {
-        self.filter.page_format_stats()
     }
 
     fn publish_extra(&self, registry: &MetricsRegistry) {

@@ -15,8 +15,8 @@
 //!   dirty evictions cost a physical write).
 //! * [`IoStats`] — counters with snapshot/delta arithmetic for per-phase
 //!   accounting (initial join vs. maintenance).
-//! * [`CacheStats`] — the page-format counter a tree keeps beside the
-//!   pool's I/O counters (node pages read through the zero-copy view).
+//! * [`CacheSnapshot`] — the zero-copy read count the performance ledger
+//!   reads, which is the pool's logical reads (a stopgap).
 //! * [`codec`] — bounds-checked little-endian cursors used to serialize
 //!   variable-length journal and wire records.
 //! * [`frame`] — the one `[len][crc32][payload]` frame (and its size
@@ -41,7 +41,7 @@ pub mod wal;
 pub use error::{StorageError, StorageResult};
 pub use file_store::FileStore;
 pub use pool::{BufferPool, BufferPoolConfig};
-pub use stats::{CacheSnapshot, CacheStats, IoSnapshot, IoStats};
+pub use stats::{CacheSnapshot, IoSnapshot, IoStats};
 pub use store::{InMemoryStore, PageStore};
 pub use wal::{Wal, WalRecovery, WalStats};
 

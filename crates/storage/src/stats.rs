@@ -6,12 +6,11 @@
 //! phase and subtracts it afterwards to attribute I/O to that phase
 //! (initial join vs. maintenance, per update, per tree, …).
 //!
-//! Since the observability layer landed, both [`IoStats`] and
-//! [`CacheStats`] are built on `cij-obs` [`CounterCell`]s. Calling
-//! [`IoStats::register_in`] shares the *same* atomics into a
-//! [`MetricsRegistry`], so the registry's snapshot is a bit-exact live
-//! view of the legacy counters — not a copy that can drift. The
-//! record/snapshot/reset API is unchanged.
+//! Since the observability layer landed, [`IoStats`] is built on
+//! `cij-obs` [`CounterCell`]s. Calling [`IoStats::register_in`] shares
+//! the *same* atomics into a [`MetricsRegistry`], so the registry's
+//! snapshot is a bit-exact live view of the legacy counters — not a copy
+//! that can drift. The record/snapshot/reset API is unchanged.
 
 use std::sync::Arc;
 
@@ -171,62 +170,19 @@ impl std::ops::Sub for IoSnapshot {
     }
 }
 
-/// Shared, thread-safe page-format counters of one tree: how many node
-/// pages were read through the zero-copy SoA view.
-///
-/// Kept separate from [`IoStats`] because it counts node reads a tree
-/// served, not pool traffic; engines sum the snapshots of their trees
-/// and publish the total (`storage.page.zero_copy_reads`).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    zero_copy_reads: CounterCell,
-}
-
-impl CacheStats {
-    /// Creates zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a page served through the zero-copy SoA view.
-    #[inline]
-    pub fn record_zero_copy_read(&self) {
-        self.zero_copy_reads.inc();
-    }
-
-    /// Captures the current counter values.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            zero_copy_reads: self.zero_copy_reads.get(),
-            decode_fallbacks: 0,
-        }
-    }
-}
-
-/// A point-in-time copy of [`CacheStats`].
+/// Node pages read through the zero-copy SoA view, as
+/// `ContinuousJoinEngine::page_format_snapshot` (`cij-core`) reports
+/// them: a stopgap kept only because the performance ledger
+/// (`benchmark/`) reads both fields to form `storage.zero_copy_share`.
+/// Nothing counts it separately: the SoA view is the only page format,
+/// so every node read is one logical read of the pool ([`IoStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Pages served through the zero-copy SoA view.
+    /// Pages served through the zero-copy SoA view: the pool's logical
+    /// reads.
     pub zero_copy_reads: u64,
-    /// Always 0: the v2 SoA layout is the only one, so no read falls
-    /// back to another decoder. The field is kept only because the
-    /// performance ledger (`benchmark/`) reads it next to
-    /// `zero_copy_reads` to form `storage.zero_copy_share`.
+    /// Always 0: no read falls back to another decoder.
     pub decode_fallbacks: u64,
-}
-
-impl CacheSnapshot {
-    /// Component-wise sum — for aggregating over several trees (e.g.
-    /// MTB-Join's per-bucket trees).
-    #[must_use]
-    pub fn merged(&self, other: &CacheSnapshot) -> CacheSnapshot {
-        CacheSnapshot {
-            zero_copy_reads: self.zero_copy_reads + other.zero_copy_reads,
-            decode_fallbacks: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -299,16 +255,5 @@ mod tests {
         let disabled = MetricsRegistry::disabled();
         io.register_in(&disabled, "storage.pool");
         assert!(disabled.snapshot().is_empty());
-    }
-
-    #[test]
-    fn page_format_counter_records_and_merges() {
-        let s = CacheStats::new();
-        s.record_zero_copy_read();
-        s.record_zero_copy_read();
-        let snap = s.snapshot();
-        assert_eq!(snap.zero_copy_reads, 2);
-        assert_eq!(snap.decode_fallbacks, 0);
-        assert_eq!(snap.merged(&snap).zero_copy_reads, 4);
     }
 }

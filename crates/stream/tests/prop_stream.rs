@@ -11,9 +11,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cij_core::{
-    ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, NaiveEngine, PairKey, TcEngine,
-};
+use cij_core::{ContinuousJoinEngine, EngineConfig, EtpEngine, MtbEngine, PairKey, TcEngine};
 use cij_geom::Time;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_stream::{IngestOutcome, ResultDelta, StreamConfig, StreamService};
@@ -53,7 +51,6 @@ fn arb_params() -> impl Strategy<Value = Params> {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EngineKind {
-    Naive,
     Tc,
     Etp,
     Mtb,
@@ -61,7 +58,6 @@ enum EngineKind {
 
 fn arb_kind() -> impl Strategy<Value = EngineKind> {
     prop_oneof![
-        Just(EngineKind::Naive),
         Just(EngineKind::Tc),
         Just(EngineKind::Etp),
         Just(EngineKind::Mtb),
@@ -76,7 +72,6 @@ fn build_engine(
     start: Time,
 ) -> TprResult<Box<dyn ContinuousJoinEngine>> {
     Ok(match kind {
-        EngineKind::Naive => Box::new(NaiveEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Tc => Box::new(TcEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Etp => Box::new(EtpEngine::new(pool(), *config, set_a, set_b, start)?),
         EngineKind::Mtb => Box::new(MtbEngine::new(pool(), *config, set_a, set_b, start)?),

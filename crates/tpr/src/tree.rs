@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
-use cij_storage::{BufferPool, CacheSnapshot, CacheStats, PageId, StorageResult};
+use cij_storage::{BufferPool, PageId, StorageResult};
 
 use crate::config::TreeConfig;
 use crate::entry::{ChildRef, Entry, ObjectId};
@@ -63,8 +63,6 @@ pub struct TprTree {
     height: u32,
     /// Number of data objects.
     len: usize,
-    /// Node pages read through the zero-copy view (`storage.page.*`).
-    format_stats: CacheStats,
     /// Working memory of a mutation: the thread's buffers while one runs
     /// (see [`THREAD_SCRATCH`]), empty ones otherwise. Boxed, so that
     /// lending them costs two pointer swaps.
@@ -242,7 +240,6 @@ impl TprTree {
             root: None,
             height: 0,
             len: 0,
-            format_stats: CacheStats::new(),
             scratch: Box::default(),
         }
     }
@@ -303,7 +300,6 @@ impl TprTree {
             .pool
             .read(page, |p| -> StorageResult<R> {
                 let view = NodeView::parse(p)?;
-                self.format_stats.record_zero_copy_read();
                 Ok(f(&view))
             })
             .map_err(TprError::from)??;
@@ -338,12 +334,6 @@ impl TprTree {
             node.entries.clear();
             self.scratch.spare.push(node);
         }
-    }
-
-    /// Page-format counters: node pages read through the zero-copy view.
-    #[must_use]
-    pub fn page_format_stats(&self) -> CacheSnapshot {
-        self.format_stats.snapshot()
     }
 
     // ------------------------------------------------------------------

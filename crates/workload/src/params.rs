@@ -51,24 +51,6 @@ impl Params {
         self.space * self.object_size_pct / 100.0
     }
 
-    /// Convenience: default parameters with a different dataset size.
-    #[must_use]
-    pub fn with_size(dataset_size: usize) -> Self {
-        Self {
-            dataset_size,
-            ..Self::default()
-        }
-    }
-
-    /// Convenience: default parameters with a different distribution.
-    #[must_use]
-    pub fn with_distribution(distribution: Distribution) -> Self {
-        Self {
-            distribution,
-            ..Self::default()
-        }
-    }
-
     /// Sanity-checks the parameter combination.
     ///
     /// # Panics

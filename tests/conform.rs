@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use cij::core::{
     genesis_registrations, sorted_registrations, BufferedEngine, ContinuousJoinEngine,
-    EngineConfig, EtpEngine, IndexPair, MtbEngine, MtbPair, NaiveEngine, NaivePair, PairKey,
-    Registration, Registrations, TcEngine, TcPair,
+    EngineConfig, EtpEngine, IndexPair, MtbEngine, MtbPair, PairKey, Registration, Registrations,
+    TcEngine, TcPair,
 };
 use cij::dist::loopback::LoopbackHost;
 use cij::dist::{Connector, DistConfig, DistCoordinator, EngineKind};
@@ -302,7 +302,6 @@ impl PartitionPolicy for HashPolicy {
 
 #[derive(Clone, Copy, Debug)]
 enum Pair {
-    Naive,
     Tc,
     Mtb,
 }
@@ -446,7 +445,6 @@ trait Trees {
     }
 }
 
-impl Trees for NaivePair {}
 impl Trees for TcPair {}
 impl Trees for ProximityPair {}
 
@@ -514,16 +512,12 @@ fn build(
         BufferPoolConfig::with_capacity(spec.frames),
     );
     Ok(match spec.eng {
-        Eng::Plain(Pair::Naive) => Box::new(NaiveEngine::new(pool, config, a, b, now)?),
         Eng::Plain(Pair::Tc) => Box::new(TcEngine::new(pool, config, a, b, now)?),
         Eng::Plain(Pair::Mtb) => Box::new(MtbEngine::new(pool, config, a, b, now)?),
         Eng::Etp => Box::new(EtpEngine::new(pool, config, a, b, now)?),
         Eng::Shard(pair, family, k) => {
             let policy = family.policy(k, max_speed);
             match pair {
-                Pair::Naive => Box::new(ShardCoordinator::<NaivePair>::new(
-                    pool, config, policy, a, b, now,
-                )?),
                 Pair::Tc => Box::new(ShardCoordinator::<TcPair>::new(
                     pool, config, policy, a, b, now,
                 )?),
@@ -1028,14 +1022,11 @@ fn engines_match_brute_force() {
         "engines",
         &schedule,
         &[
-            stack(Plain(Naive)),
-            stack(Plain(Naive)).threads(4).same(0, Same::Counters),
-            stack(Plain(Naive)).lying().same(0, Same::Counters),
             stack(Plain(Tc)),
-            stack(Plain(Tc)).threads(2).lying().same(3, Same::Counters),
+            stack(Plain(Tc)).threads(2).lying().same(0, Same::Counters),
             stack(Plain(Mtb)),
-            stack(Plain(Mtb)).threads(2).lying().same(5, Same::Counters),
-            stack(Plain(Mtb)).threads(8).same(5, Same::Counters),
+            stack(Plain(Mtb)).threads(2).lying().same(2, Same::Counters),
+            stack(Plain(Mtb)).threads(8).same(2, Same::Counters),
             stack(Plain(Mtb)).config(|c| c.buckets_per_tm = 4),
         ],
     );
@@ -1091,13 +1082,11 @@ fn shard_stacks_match_one_engine() {
             stack(Plain(Tc)),
             stack(Shard(Tc, Bands, 4)).threads(4).like(8),
             stack(Shard(Tc, Hash, 2)).lying().like(8),
-            stack(Plain(Naive)),
-            stack(Shard(Naive, Bands, 2)).threads(4).like(11),
             stack(Plain(Mtb)).served(ROOMY),
             stack(Shard(Mtb, Bands, 4))
                 .threads(4)
                 .served(ROOMY)
-                .like(13),
+                .like(11),
         ],
     );
     let bare_shard = |r: &&Run| matches!((r.spec.eng, r.spec.svc), (Shard(..), None));
@@ -1192,14 +1181,12 @@ fn services_replay_their_deltas_through_a_torn_wal() {
         "stream",
         &schedule,
         &[
-            stack(Plain(Naive)).served(ROOMY),
-            stack(Plain(Naive)).threads(4).served(ROOMY).like(0),
             stack(Plain(Tc)).served(ROOMY),
-            stack(Plain(Tc)).threads(4).served(ROOMY).like(2),
+            stack(Plain(Tc)).threads(4).served(ROOMY).like(0),
             stack(Etp).served(ROOMY),
-            stack(Etp).threads(4).served(ROOMY).like(4),
+            stack(Etp).threads(4).served(ROOMY).like(2),
             stack(Plain(Mtb)).served(journaled),
-            stack(Plain(Mtb)).threads(4).served(ROOMY).like(6),
+            stack(Plain(Mtb)).threads(4).served(ROOMY).like(4),
             stack(Plain(Mtb)).served(TINY),
         ],
     );

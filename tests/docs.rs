@@ -18,6 +18,10 @@
 //!   workflow names a test target that exists in the package it selects
 //!   (`-p cij-X` is `crates/X`, no `-p` the root package), so a suite that
 //!   moves fails here instead of leaving a stale command behind.
+//! * Every `figures <subcommand>` in README.md, DESIGN.md and the verify
+//!   skill — inline code that starts `figures`, or a `--bin figures --`
+//!   command — is a match arm of the `figures` binary, so a deleted
+//!   figure takes its mentions with it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -314,6 +318,50 @@ fn cargo_test_targets_exist() {
     );
 }
 
+/// The subcommands `text` runs: the word after `figures` in inline code
+/// that starts with it, and after `--bin figures --` (a placeholder such
+/// as `<subcommand>` or a flag is not one).
+fn figure_subcommands(text: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for token in text.split('`').skip(1).step_by(2) {
+        if let Some(rest) = token.strip_prefix("figures ") {
+            found.extend(rest.split_whitespace().next().map(str::to_string));
+        }
+    }
+    for (at, pattern) in text.match_indices("--bin figures --") {
+        let rest = &text[at + pattern.len()..];
+        found.extend(rest.split_whitespace().next().map(str::to_string));
+    }
+    found.retain(|word| !word.starts_with(['<', '-']));
+    found
+}
+
+/// The match arms of the `figures` binary: its `"name" =>` lines.
+fn figure_arms(main: &str) -> Vec<String> {
+    (main.lines())
+        .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\" =>"))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+#[test]
+fn figure_subcommands_exist() {
+    let arms = figure_arms(&read("crates/bench/src/main.rs"));
+    let mut unknown = Vec::new();
+    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        for name in figure_subcommands(&read(doc)) {
+            if !arms.contains(&name) {
+                unknown.push(format!("{doc}: `figures {name}`"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "subcommands the figures binary does not have:\n{}",
+        unknown.join("\n")
+    );
+}
+
 #[test]
 fn the_scanners_see_what_they_scan() {
     assert_eq!(
@@ -357,6 +405,17 @@ fn the_scanners_see_what_they_scan() {
             target("", "e"),
             target("benchmark", "g")
         ]
+    );
+    assert_eq!(
+        figure_subcommands(
+            "`figures fig7` and `figures all --scale small`, not figures fig8\n\
+             cargo run --bin figures -- validate  # and --bin figures -- <subcommand>"
+        ),
+        ["fig7", "all", "validate"]
+    );
+    assert_eq!(
+        figure_arms("        \"fig7\" => fig7(scale),\n        \"all\" => [\n    x => y"),
+        ["fig7", "all"]
     );
     assert_eq!(
         line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
