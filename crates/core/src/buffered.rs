@@ -27,7 +27,7 @@
 use std::iter;
 use std::ops::Deref;
 
-use cij_geom::{MovingRect, Time};
+use cij_geom::{MovingRect, Time, TimeInterval};
 use cij_join::{probe_batch, JoinCounters, JoinScratch, ProbeHit};
 use cij_obs::MetricsRegistry;
 use cij_storage::BufferPool;
@@ -37,7 +37,7 @@ use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 use crate::engine::{orient, publish_engine_totals, ContinuousJoinEngine, EngineConfig};
 use crate::mtb::MtbTree;
 use crate::registrations::{genesis_registrations, Registration, Registrations};
-use crate::result::{PairKey, PairStatus, ResultBuffer};
+use crate::result::{PairKey, ResultBuffer};
 
 /// The two indexes of a [`BufferedEngine`] — one per object set — and the
 /// probes between them. An implementation decides which index holds the
@@ -521,8 +521,8 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
         self.buffer.take_changes()
     }
 
-    fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.buffer.status_at(pair.0, pair.1, t)
+    fn pair_interval(&self, pair: PairKey) -> Option<TimeInterval> {
+        self.buffer.interval(pair.0, pair.1)
     }
 
     fn metrics_registry(&self) -> MetricsRegistry {

@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 
-use cij_geom::{MovingRect, Time, INFINITE_TIME};
+use cij_geom::{MovingRect, Time, TimeInterval, INFINITE_TIME};
 use cij_join::{tp_join, tp_object_probe, JoinCounters};
 use cij_obs::MetricsRegistry;
 use cij_storage::{BufferPool, CacheSnapshot};
@@ -27,7 +27,7 @@ use cij_tpr::{ObjectId, TprError, TprResult, TprTree, TreeConfig};
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
 
 use crate::registrations::{genesis_registrations, Registrations};
-use crate::result::{PairKey, PairStatus};
+use crate::result::PairKey;
 
 /// Shared engine configuration.
 ///
@@ -254,24 +254,24 @@ pub trait ContinuousJoinEngine {
     /// this a no-op and keep returning `None` below.
     fn enable_delta_tracking(&mut self) {}
 
-    /// Drains the pairs whose predicted intersection intervals changed,
-    /// or one of whose intervals [`gc`](Self::gc) saw start, since the
-    /// previous call (sorted). It is a dirty list: rechecking each pair
-    /// with [`pair_status_at`](Self::pair_status_at) at the tick `gc` was
-    /// last called with yields every membership change of the answer.
-    /// `None` means the engine does not track changes — the delta layer
-    /// then falls back to diffing [`result_at`](Self::result_at)
-    /// snapshots.
+    /// Drains the pairs whose predicted intersection interval was filed
+    /// or dropped, or whose interval [`gc`](Self::gc) saw start, since
+    /// the previous call (sorted). It is a dirty list: rechecking whether
+    /// each pair's [`pair_interval`](Self::pair_interval) contains the
+    /// tick `gc` was last called with yields every membership change of
+    /// the answer. `None` means the engine does not track changes — the
+    /// delta layer then falls back to diffing
+    /// [`result_at`](Self::result_at) snapshots.
     fn take_result_changes(&mut self) -> Option<Vec<PairKey>> {
         None
     }
 
-    /// The activity of one pair at instant `t` (active interval plus
-    /// next future activation). Only meaningful for engines that return
-    /// `Some` from [`take_result_changes`](Self::take_result_changes);
-    /// the default reports "inactive, no future interval".
-    fn pair_status_at(&self, _pair: PairKey, _t: Time) -> PairStatus {
-        PairStatus::default()
+    /// The interval held for one pair, active or still ahead. Only
+    /// meaningful for engines that return `Some` from
+    /// [`take_result_changes`](Self::take_result_changes); the default
+    /// holds none.
+    fn pair_interval(&self, _pair: PairKey) -> Option<TimeInterval> {
+        None
     }
 
     /// Node pages read through the zero-copy view — a stopgap kept only

@@ -92,5 +92,5 @@ pub use mtb::MtbTree;
 pub use registrations::{
     genesis_registrations, indexable, sorted_registrations, Registration, Registrations,
 };
-pub use result::{PairKey, PairStatus, ResultBuffer};
+pub use result::{PairKey, ResultBuffer};
 pub use sim::{run_simulation, SimMetrics};

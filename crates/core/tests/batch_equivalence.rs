@@ -10,19 +10,18 @@
 //! engine under test must agree with it on
 //!
 //! * `result_at(now)`,
-//! * `pair_status_at` — interval bits included — for every pair either
-//!   side ever reported or marked changed,
+//! * `pair_interval` — the held interval, bit for bit — for every pair
+//!   either side ever reported or marked changed,
 //! * the change list: the batch's is a subset of the loop's, and a pair
 //!   only the loop lists (found and dropped again within the tick) is
-//!   absent from the answer before and after.
+//!   held neither before nor after.
 
 use std::collections::{BTreeSet, HashMap};
 use std::iter;
 use std::sync::Arc;
 
 use cij_core::{
-    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, PairKey, PairStatus, ResultBuffer,
-    TcEngine,
+    ContinuousJoinEngine, EngineConfig, MtbEngine, MtbTree, PairKey, ResultBuffer, TcEngine,
 };
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
 use cij_join::{improved_join, techniques, JoinPair};
@@ -146,10 +145,6 @@ impl LoopReference {
             }
         }
     }
-
-    fn status(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.buffer.status_at(pair.0, pair.1, t)
-    }
 }
 
 fn build_engine(
@@ -169,12 +164,9 @@ fn build_engine(
     engine
 }
 
-/// `(a, b, interval bits…)` — statuses compared bit for bit.
-fn status_bits(s: PairStatus) -> (Option<(u64, u64)>, Option<u64>) {
-    (
-        s.active.map(|iv| (iv.start.to_bits(), iv.end.to_bits())),
-        s.next_start.map(f64::to_bits),
-    )
+/// A held interval's bits, so intervals compare bit for bit.
+fn interval_bits(held: Option<TimeInterval>) -> Option<(u64, u64)> {
+    held.map(|iv| (iv.start.to_bits(), iv.end.to_bits()))
 }
 
 /// The engine under test and its reference, advanced in lockstep.
@@ -184,7 +176,6 @@ struct Twins {
     reference: LoopReference,
     /// Every pair either side ever reported or marked changed.
     seen: BTreeSet<PairKey>,
-    t_m: Time,
 }
 
 impl Twins {
@@ -194,7 +185,6 @@ impl Twins {
             batch: build_engine(kind, config, a, b),
             reference: LoopReference::new(kind, &config, a, b),
             seen: BTreeSet::new(),
-            t_m: config.t_m,
         };
         twins.compare_state(0.0);
         twins
@@ -211,9 +201,9 @@ impl Twins {
         let loop_changes = self.reference.buffer.take_changes().expect("tracking on");
         // The engine is still in its pre-tick state, which equals the
         // reference's pre-tick state by the previous tick's comparison.
-        let before: HashMap<PairKey, PairStatus> = loop_changes
+        let before: HashMap<PairKey, Option<TimeInterval>> = loop_changes
             .iter()
-            .map(|&p| (p, self.batch.pair_status_at(p, now)))
+            .map(|&p| (p, self.batch.pair_interval(p)))
             .collect();
 
         self.batch.advance_time(now).unwrap();
@@ -227,9 +217,8 @@ impl Twins {
         }
         let kept: BTreeSet<PairKey> = batch_changes.into_iter().collect();
         for p in listed.difference(&kept) {
-            assert_eq!(before[p], PairStatus::default(), "{tag}: {p:?} before");
-            let after = self.batch.pair_status_at(*p, now);
-            assert_eq!(after, PairStatus::default(), "{tag}: {p:?} after");
+            assert_eq!(before[p], None, "{tag}: {p:?} before");
+            assert_eq!(self.batch.pair_interval(*p), None, "{tag}: {p:?} after");
         }
         self.seen.extend(listed);
         self.compare_state(now);
@@ -241,13 +230,11 @@ impl Twins {
         assert_eq!(got, self.reference.buffer.active_at(now), "{tag}: answer");
         self.seen.extend(got);
         for &p in &self.seen {
-            for t in [now, now + self.t_m / 2.0, now + 2.0 * self.t_m] {
-                assert_eq!(
-                    status_bits(self.batch.pair_status_at(p, t)),
-                    status_bits(self.reference.status(p, t)),
-                    "{tag}: status of {p:?} at {t}"
-                );
-            }
+            assert_eq!(
+                interval_bits(self.batch.pair_interval(p)),
+                interval_bits(self.reference.buffer.interval(p.0, p.1)),
+                "{tag}: interval of {p:?}"
+            );
         }
     }
 }

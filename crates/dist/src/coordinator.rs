@@ -17,7 +17,7 @@
 //! coordinator made them and answers the probes over the windows the
 //! in-process partition would use; the hits are merged per side in shard
 //! order, exactly as the partitioned pair merges in-process partitions.
-//! So `result_at`, `pair_status_at`, `counters` and the change list are
+//! So `result_at`, `pair_interval`, `counters` and the change list are
 //! read from the coordinator's buffer with no RPC, and a `StreamService`
 //! over a `DistCoordinator` emits the delta stream it emits over a
 //! `ShardCoordinator` with the same policy — the workspace's `conform`
@@ -33,8 +33,8 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus, Registrations};
-use cij_geom::{MovingRect, Time};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, Registrations};
+use cij_geom::{MovingRect, Time, TimeInterval};
 use cij_join::{fan_out_tasks, JoinCounters};
 use cij_obs::MetricsRegistry;
 use cij_shard::{PartitionPolicy, ShardCoordinator};
@@ -251,8 +251,8 @@ impl ContinuousJoinEngine for DistCoordinator {
         self.shard.take_result_changes()
     }
 
-    fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.shard.pair_status_at(pair, t)
+    fn pair_interval(&self, pair: PairKey) -> Option<TimeInterval> {
+        self.shard.pair_interval(pair)
     }
 
     fn metrics_registry(&self) -> MetricsRegistry {

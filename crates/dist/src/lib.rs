@@ -21,7 +21,7 @@
 //! - a [`DistCoordinator`] is the shard coordinator over K remote
 //!   pairs: every round goes to all workers at once, over
 //!   [`cij_join::fan_out_tasks`], and every read (`result_at`,
-//!   `pair_status_at`, `counters`, the change list) is answered from the
+//!   `pair_interval`, `counters`, the change list) is answered from the
 //!   coordinator's one result buffer with no RPC. It implements
 //!   `ContinuousJoinEngine`, so it wraps in the same `StreamService` as
 //!   any local engine;

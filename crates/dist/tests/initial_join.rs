@@ -4,9 +4,9 @@
 //! in-process partitions and a `DistCoordinator` by one `Step` per
 //! worker. On the same partitions the two give the same answer — the
 //! same `result_at` at every sampled instant and the same
-//! `pair_status_at` (active interval and next start, bit for bit) for
-//! every pair either reports — and count the same traversal work
-//! (`counters()`), for both index kinds.
+//! `pair_interval` (the held interval, bit for bit) for every pair either
+//! reports — and count the same traversal work (`counters()`), for both
+//! index kinds.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cij_core::{ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, TcPair};
 use cij_dist::loopback::LoopbackHost;
 use cij_dist::{Connector, DistConfig, DistCoordinator, EngineKind};
-use cij_geom::{MovingRect, Time};
+use cij_geom::{MovingRect, Time, TimeInterval};
 use cij_shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::ObjectId;
@@ -99,14 +99,13 @@ fn same_initial_join<P: IndexPair<Config = EngineConfig>>(
         "{label}: only {} pairs ever met",
         seen.len()
     );
+    let bits = |held: Option<TimeInterval>| held.map(|iv| (iv.start.to_bits(), iv.end.to_bits()));
     for &pair in &seen {
-        for &t in &instants {
-            assert_eq!(
-                remote.pair_status_at(pair, t),
-                local.pair_status_at(pair, t),
-                "{label}: pair_status_at({pair:?}, {t})"
-            );
-        }
+        assert_eq!(
+            bits(remote.pair_interval(pair)),
+            bits(local.pair_interval(pair)),
+            "{label}: pair_interval({pair:?})"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! What a tick costs on the wire. Phase 2 is one `Step` per worker on a
 //! tick with updates and nothing on a tick without; every read —
-//! `result_at`, `pair_status_at`, `counters`, `take_result_changes` — and
+//! `result_at`, `pair_interval`, `counters`, `take_result_changes` — and
 //! `gc` is answered from the coordinator's one result buffer with no RPC.
 //! A tapped connector counts what each worker is sent.
 
@@ -147,7 +147,7 @@ fn one_step_per_worker_per_busy_tick_and_no_rpc_for_reads() {
         dist.gc(now);
         let answer = dist.result_at(now);
         for &pair in &answer {
-            assert!(dist.pair_status_at(pair, now).active.is_some());
+            assert!(dist.pair_interval(pair).is_some_and(|iv| iv.contains(now)));
         }
         dist.counters();
         dist.take_result_changes();

@@ -57,16 +57,6 @@ impl TimeInterval {
         }
     }
 
-    /// The full time axis `(-∞, ∞)` — used as the identity for interval
-    /// intersection when accumulating per-dimension constraints.
-    #[inline]
-    pub fn all() -> Self {
-        Self {
-            start: f64::NEG_INFINITY,
-            end: INFINITE_TIME,
-        }
-    }
-
     /// Intersection of two closed intervals; `None` when disjoint.
     #[inline]
     pub fn intersect(&self, other: &Self) -> Option<Self> {
@@ -81,34 +71,10 @@ impl TimeInterval {
         self.start <= t && t <= self.end
     }
 
-    /// Whether `other` is entirely inside `self`.
-    #[inline]
-    pub fn covers(&self, other: &Self) -> bool {
-        self.start <= other.start && other.end <= self.end
-    }
-
-    /// Whether the two intervals share at least one instant.
-    #[inline]
-    pub fn overlaps(&self, other: &Self) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
-    /// Length of the interval (`∞` for unbounded intervals).
-    #[inline]
-    pub fn length(&self) -> Time {
-        self.end - self.start
-    }
-
     /// Whether the upper end is the infinite timestamp.
     #[inline]
     pub fn is_unbounded(&self) -> bool {
         self.end == INFINITE_TIME
-    }
-
-    /// Clamps the interval to `[lo, hi]`; `None` when nothing remains.
-    #[inline]
-    pub fn clamp_to(&self, lo: Time, hi: Time) -> Option<Self> {
-        self.intersect(&Self { start: lo, end: hi })
     }
 }
 
@@ -123,7 +89,10 @@ pub fn solve_linear_leq(c0: f64, c1: f64) -> Option<TimeInterval> {
     if c1 == 0.0 {
         // Constant constraint: either always or never satisfied.
         if c0 <= 0.0 {
-            Some(TimeInterval::all())
+            Some(TimeInterval {
+                start: f64::NEG_INFINITY,
+                end: INFINITE_TIME,
+            })
         } else {
             None
         }
@@ -171,7 +140,6 @@ mod tests {
         let c = a.intersect(&b).unwrap();
         assert_eq!(c.start, 2.0);
         assert_eq!(c.end, 2.0);
-        assert_eq!(c.length(), 0.0);
     }
 
     #[test]
@@ -180,26 +148,6 @@ mod tests {
         assert!(a.is_unbounded());
         assert!(a.contains(1e18));
         assert!(!a.contains(2.9));
-        assert_eq!(a.length(), INFINITE_TIME);
-    }
-
-    #[test]
-    fn covers_and_overlaps() {
-        let outer = TimeInterval::new_unchecked(0.0, 10.0);
-        let inner = TimeInterval::new_unchecked(2.0, 8.0);
-        let side = TimeInterval::new_unchecked(9.0, 12.0);
-        assert!(outer.covers(&inner));
-        assert!(!inner.covers(&outer));
-        assert!(outer.overlaps(&side));
-        assert!(!inner.overlaps(&TimeInterval::new_unchecked(8.5, 9.0)));
-    }
-
-    #[test]
-    fn clamp_to_window() {
-        let a = TimeInterval::from(5.0);
-        let c = a.clamp_to(0.0, 60.0).unwrap();
-        assert_eq!(c, TimeInterval::new_unchecked(5.0, 60.0));
-        assert!(a.clamp_to(0.0, 4.0).is_none());
     }
 
     #[test]

@@ -35,10 +35,10 @@
 use std::sync::Arc;
 
 use cij_core::{
-    BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, PairStatus,
-    Registration, Registrations,
+    BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, Registration,
+    Registrations,
 };
-use cij_geom::{MovingRect, Time};
+use cij_geom::{MovingRect, Time, TimeInterval};
 use cij_join::JoinCounters;
 use cij_obs::MetricsRegistry;
 use cij_storage::BufferPool;
@@ -339,8 +339,8 @@ where
         self.engine.take_result_changes()
     }
 
-    fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.engine.pair_status_at(pair, t)
+    fn pair_interval(&self, pair: PairKey) -> Option<TimeInterval> {
+        self.engine.pair_interval(pair)
     }
 
     fn metrics_registry(&self) -> MetricsRegistry {

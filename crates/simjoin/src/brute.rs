@@ -8,10 +8,9 @@
 use std::sync::Arc;
 
 use cij_core::{
-    genesis_registrations, ContinuousJoinEngine, PairKey, PairStatus, Registration, Registrations,
-    ResultBuffer,
+    genesis_registrations, ContinuousJoinEngine, PairKey, Registration, Registrations, ResultBuffer,
 };
-use cij_geom::{MovingRect, Time};
+use cij_geom::{MovingRect, Time, TimeInterval};
 use cij_join::JoinCounters;
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprError, TprResult};
@@ -194,7 +193,7 @@ impl ContinuousJoinEngine for BruteProximityEngine {
         self.buffer.take_changes()
     }
 
-    fn pair_status_at(&self, pair: PairKey, t: Time) -> PairStatus {
-        self.buffer.status_at(pair.0, pair.1, t)
+    fn pair_interval(&self, pair: PairKey) -> Option<TimeInterval> {
+        self.buffer.interval(pair.0, pair.1)
     }
 }

@@ -28,7 +28,7 @@
 //! Correctness is pinned by [`BruteProximityEngine`], an exhaustive
 //! oracle that calls the *same* refine primitive over the *same* window,
 //! making engine-vs-oracle comparisons bit-identical (the tests use
-//! `assert_eq!` on pair sets, intervals and `PairStatus`, no tolerance).
+//! `assert_eq!` on pair sets and held intervals, no tolerance).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

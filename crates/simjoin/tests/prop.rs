@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey, PairStatus};
-use cij_geom::{MovingRect, Rect, Time};
+use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
+use cij_geom::{MovingRect, Rect, Time, TimeInterval};
 use cij_simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::ObjectId;
@@ -68,7 +68,7 @@ fn arb_updates(n_per_side: usize) -> impl Strategy<Value = Vec<(Time, RawUpdate)
 
 /// Runs the workload three ways — the oracle and one engine update by
 /// update, a second engine with each tick's updates as one `apply_batch`
-/// — and requires bit-identical pair sets and `PairStatus` floats: after
+/// — and requires bit-identical pair sets and held intervals: after
 /// every event for the first two, after every tick for all three.
 ///
 /// The batched engine refines a subset of the per-update engine's
@@ -124,10 +124,11 @@ fn check_differential(
         let got = engine.result_at(t);
         let expect = oracle.result_at(t);
         assert_eq!(&got, &expect, "pair sets diverge at t={t}");
+        let bits =
+            |held: Option<TimeInterval>| held.map(|iv| (iv.start.to_bits(), iv.end.to_bits()));
         for p in got {
-            let gs: PairStatus = engine.pair_status_at(p, t);
-            let es: PairStatus = oracle.pair_status_at(p, t);
-            assert_eq!(gs, es, "status of {p:?} diverges at t={t}");
+            let (gs, es) = (engine.pair_interval(p), oracle.pair_interval(p));
+            assert_eq!(bits(gs), bits(es), "interval of {p:?} diverges at t={t}");
         }
     };
     compare(&engine, &oracle, 0.0);
@@ -226,8 +227,7 @@ proptest! {
             engine.result_at(0.0).contains(&tied),
             "distance-exactly-eps pair dropped (eps={})", eps_tie
         );
-        let status = engine.pair_status_at(tied, 0.0);
-        let iv = status.active.expect("tied pair has an active interval");
+        let iv = engine.pair_interval(tied).expect("tied pair has an interval");
         prop_assert_eq!(iv.start, 0.0);
         prop_assert_eq!(iv.end, EngineConfig::default().t_m);
     }

@@ -6,15 +6,17 @@
 //! [`gc`](cij_core::ContinuousJoinEngine::gc) for the tick, it drains the
 //! engine's changelog
 //! ([`take_result_changes`](cij_core::ContinuousJoinEngine::take_result_changes))
-//! and asks [`pair_status_at`](cij_core::ContinuousJoinEngine::pair_status_at)
-//! about exactly those pairs. The changelog names every pair an update
-//! touched *and* every pair whose predicted interval began or ran out as
-//! the engine's sweep line moved to the tick (the result buffer files
-//! each interval's endpoints when it stores it), so time passing needs no
-//! bookkeeping here. Work per tick is proportional to the number of
-//! changed pairs, not the result size; this is precisely what the paper's
-//! bounded valid-intervals (Theorems 1–2) buy: every admitted pair
-//! carries the interval that announces its own expiry.
+//! and reads the
+//! [`pair_interval`](cij_core::ContinuousJoinEngine::pair_interval) of
+//! exactly those pairs: a pair is reported while its interval contains
+//! the tick. The changelog names every pair an update touched *and* every
+//! pair whose predicted interval began or ran out as the engine's sweep
+//! line moved to the tick (the result buffer files each interval's
+//! endpoints when it stores it), so time passing needs no bookkeeping
+//! here. Work per tick is proportional to the number of changed pairs,
+//! not the result size; this is precisely what the paper's bounded
+//! valid-intervals (Theorems 1–2) buy: every admitted pair carries the
+//! interval that announces its own expiry.
 //!
 //! Engines that do not maintain interval predictions (ETP) report no
 //! changelog; for them the extractor falls back to diffing
@@ -85,7 +87,7 @@ impl DeltaExtractor {
             Some(dirty) => {
                 for pair in dirty {
                     match (
-                        engine.pair_status_at(pair, t).active,
+                        engine.pair_interval(pair).filter(|iv| iv.contains(t)),
                         self.reported.entry(pair),
                     ) {
                         (Some(valid), Entry::Vacant(slot)) => {

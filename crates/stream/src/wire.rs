@@ -12,7 +12,7 @@
 //! recovery pass) reading bytes from a different build fails fast with a
 //! typed [`WireError`] instead of misparsing garbage.
 
-use cij_core::{indexable, PairStatus, Registration};
+use cij_core::{indexable, Registration};
 use cij_geom::{in_range, MovingRect, Rect, Time, TimeInterval, DIMS};
 use cij_join::JoinCounters;
 pub use cij_storage::codec::{ByteReader, ByteWriter};
@@ -339,7 +339,6 @@ wire_struct! {
     TimeInterval { start: Time, end: Time }
     MovingObject { id: ObjectId, mbr: MovingRect }
     Registration { set: SetTag, mbr: MovingRect, registered_at: Time }
-    PairStatus { active: Option<TimeInterval>, next_start: Option<Time> }
     JoinCounters { node_pairs: u64, entry_comparisons: u64, ic_pruned: u64, pairs_emitted: u64 }
 }
 
@@ -369,7 +368,7 @@ pub const fn min_of(lens: &[usize]) -> usize {
 /// and makes it a message: `encode`/`decode` through the protocol
 /// envelope ([`encode_message`]/[`decode_message`](crate::wire::decode_message))
 /// and `kind`, the variant's name. A single-field tuple variant names its
-/// field: `0x33 => Status(status: PairStatus)`.
+/// field: `1 => Object(id: ObjectId)`.
 #[macro_export]
 macro_rules! wire_enum {
     (

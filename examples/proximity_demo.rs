@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show one concrete encounter: the first active pair's exact window.
     let end = f64::from(TICKS);
     if let Some(&pair) = engine.result_at(end).first() {
-        if let Some(iv) = engine.pair_status_at(pair, end).active {
+        if let Some(iv) = engine.pair_interval(pair) {
             println!(
                 "e.g. A:{} and B:{} are within {EPSILON} over [{:.2}, {:.2}]",
                 pair.0, pair.1, iv.start, iv.end

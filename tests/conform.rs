@@ -23,7 +23,7 @@
 //!   a shard stack's populations match the placement its registrations
 //!   derive, and its migrations the tick's updates that cross shards;
 //! * a stack that names a reference reports what the reference reports:
-//!   the same change lists and pair statuses, or the same delta streams
+//!   the same held intervals and change lists, or the same delta streams
 //!   and outbox items (`Gap` markers included), and at `Same::Counters`
 //!   the same traversal counters.
 //!
@@ -42,7 +42,7 @@ use cij::core::{
 };
 use cij::dist::loopback::LoopbackHost;
 use cij::dist::{Connector, DistConfig, DistCoordinator, EngineKind};
-use cij::geom::{MovingRect, Rect, Time};
+use cij::geom::{MovingRect, Rect, Time, TimeInterval};
 use cij::join::brute::brute_pairs_at;
 use cij::shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
 use cij::simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine, ProximityPair};
@@ -366,8 +366,8 @@ const TINY: Svc = Svc {
 /// service always reports the same deltas and outbox items.
 #[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
 enum Same {
-    /// The statuses (stored intervals) of the pairs either reports.
-    Statuses,
+    /// The held intervals of the pairs either reports.
+    Intervals,
     /// And the change lists.
     Changes,
     /// And the traversal counters.
@@ -625,6 +625,11 @@ fn listed(set: &BTreeSet<PairKey>) -> Vec<PairKey> {
     set.iter().copied().collect()
 }
 
+/// A held interval's bits, so intervals compare bit for bit.
+fn bits(held: Option<TimeInterval>) -> Option<(u64, u64)> {
+    held.map(|iv| (iv.start.to_bits(), iv.end.to_bits()))
+}
+
 impl Run {
     fn new(case: &str, i: usize, spec: Spec, schedule: &Schedule) -> Self {
         let lies = if spec.lies { " lying" } else { "" };
@@ -749,7 +754,7 @@ impl Run {
                 }
                 self.changes = e.take_result_changes();
                 for &pair in self.changes.iter().flatten() {
-                    if e.pair_status_at(pair, now).active.is_some() {
+                    if e.pair_interval(pair).is_some_and(|iv| iv.contains(now)) {
                         self.replay.insert(pair);
                     } else {
                         self.replay.remove(&pair);
@@ -806,8 +811,8 @@ impl Run {
                 let answer = e.result_at(now);
                 let changed = [&self.changes, &r.changes].into_iter().flatten().flatten();
                 for &pair in answer.iter().chain(changed) {
-                    let status = e.pair_status_at(pair, now);
-                    assert_eq!(status, f.pair_status_at(pair, now), "{ctx}: {pair:?}");
+                    let (held, expect) = (e.pair_interval(pair), f.pair_interval(pair));
+                    assert_eq!(bits(held), bits(expect), "{ctx}: {pair:?}");
                 }
                 if same >= Same::Changes {
                     assert_eq!(self.changes, r.changes, "{ctx}: change list");
@@ -1254,11 +1259,11 @@ fn proximity_join_matches_its_brute_force_oracle() {
             &schedule,
             &[
                 stack(BruteProximity(eps)),
-                stack(Proximity(eps)).same(0, Same::Statuses),
+                stack(Proximity(eps)).same(0, Same::Intervals),
                 stack(Proximity(eps)).threads(4).same(1, Same::Counters),
                 Spec {
                     batched: false,
-                    ..stack(Proximity(eps)).lying().same(0, Same::Statuses)
+                    ..stack(Proximity(eps)).lying().same(0, Same::Intervals)
                 },
                 stack(BruteProximity(eps)).lying().like(0),
                 stack(Proximity(eps)).served(ROOMY),

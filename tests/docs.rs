@@ -22,6 +22,10 @@
 //!   skill — inline code that starts `figures`, or a `--bin figures --`
 //!   command — is a match arm of the `figures` binary, so a deleted
 //!   figure takes its mentions with it.
+//! * The types DESIGN.md's wire table lists for `wire_struct!` are the
+//!   types the `wire_struct!` invocations of `cij-stream`'s `wire.rs` and
+//!   `cij-dist`'s `protocol.rs` declare, so a wire impl deleted in code
+//!   takes its row entry with it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -362,6 +366,52 @@ fn figure_subcommands_exist() {
     );
 }
 
+/// The types a `|`-table row lists after `wire_struct!`: the backticked
+/// names that start with a capital, up to the end of the cell.
+fn wire_table_structs(design: &str) -> Vec<String> {
+    let row = (design.lines())
+        .find(|line| line.starts_with('|') && line.contains("`wire_struct!`"))
+        .expect("DESIGN.md has a wire table row naming `wire_struct!`");
+    let (_, after) = row.split_once("`wire_struct!`").unwrap();
+    let cell = after.split(" |").next().unwrap_or_default();
+    (cell.split('`').skip(1).step_by(2))
+        .filter(|name| name.starts_with(|c: char| c.is_ascii_uppercase()))
+        .filter(|name| name.chars().all(|c| c.is_ascii_alphanumeric()))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The types the `wire_struct! { … }` blocks of `source` declare: the
+/// first word of every line inside a block.
+fn wire_struct_types(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut inside = false;
+    for line in source.lines() {
+        match line {
+            "wire_struct! {" => inside = true,
+            "}" => inside = false,
+            _ if inside => found.extend(line.split_whitespace().next().map(str::to_string)),
+            _ => {}
+        }
+    }
+    found
+}
+
+#[test]
+fn wire_table_lists_the_wire_structs() {
+    let mut listed = wire_table_structs(&read("DESIGN.md"));
+    let mut declared: Vec<String> = ["crates/stream/src/wire.rs", "crates/dist/src/protocol.rs"]
+        .iter()
+        .flat_map(|file| wire_struct_types(&read(file)))
+        .collect();
+    listed.sort();
+    declared.sort();
+    assert_eq!(
+        listed, declared,
+        "DESIGN.md's wire table and the `wire_struct!` invocations disagree"
+    );
+}
+
 #[test]
 fn the_scanners_see_what_they_scan() {
     assert_eq!(
@@ -416,6 +466,19 @@ fn the_scanners_see_what_they_scan() {
     assert_eq!(
         figure_arms("        \"fig7\" => fig7(scale),\n        \"all\" => [\n    x => y"),
         ["fig7", "all"]
+    );
+    assert_eq!(
+        wire_table_structs(
+            "| fields | `Wire` | by `wire_struct!` the structs (`A`, `Bc2`; `cij-x` \
+             declares `D<T>` and `E`) | `F` |\n| `G` |"
+        ),
+        ["A", "Bc2", "E"]
+    );
+    assert_eq!(
+        wire_struct_types(
+            "/// `wire_struct!` docs\nwire_struct! {\n    A { 0: u64 }\n    B { x: T }\n}\nC {}"
+        ),
+        ["A", "B"]
     );
     assert_eq!(
         line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
