@@ -19,8 +19,8 @@
 //! | [`TcEngine`] | [`TcPair`] | 2 TPR-trees | `now + T_M` | [`probe_batch`] |
 //! | [`MtbEngine`] | [`MtbPair`] | 2 [`MtbTree`]s | `min(t_eb, now) + T_M` per bucket | [`probe_batch`] per bucket |
 //!
-//! Every pair is backed by TPR-trees (the proximity pair of `cij-simjoin`
-//! included): the paper runs all of §VI on that one substrate. NaiveJoin
+//! Every pair is backed by TPR-trees (`cij-simjoin`'s ε-join wraps these
+//! pairs): the paper runs all of §VI on that one substrate. NaiveJoin
 //! (§II-C), whose joins run to the infinite timestamp, is no engine: it
 //! is the `cij_join::naive_join` kernel, which Figs. 7 and 9 measure.
 
@@ -386,7 +386,8 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
     /// Phase 2 over all of A (§II-A: at construction every object was
     /// updated at `now`): the A registrations in id order, in rounds of
     /// a fixed size, each joined against B's index as a tick's probes
-    /// are.
+    /// are. What the rounds grew is released after the last: a tick
+    /// probes far fewer objects.
     fn run_initial_join(&mut self, now: Time) -> TprResult<()> {
         let mut side_a: Vec<ObjectId> = (self.registrations.iter())
             .filter(|(_, r)| r.set == SetTag::A)
@@ -399,6 +400,7 @@ impl<I: IndexPair> ContinuousJoinEngine for BufferedEngine<I> {
             self.probes.load(probes);
             self.join_probes(now)?;
         }
+        self.probes = TickProbes::default();
         Ok(())
     }
 

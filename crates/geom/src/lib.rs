@@ -16,7 +16,7 @@
 //!   one instant).
 //! * [`MovingRect`] — the core type: evaluation at a timestamp, bounding
 //!   unions, the time-interval intersection test of the paper's
-//!   `intersect()` primitive, and the integral metrics (area, margin,
+//!   `intersect()` primitive, and the integral metrics (area and
 //!   overlap integrals over a horizon) that drive TPR/TPR*-tree insertion
 //!   heuristics.
 //!

@@ -281,17 +281,6 @@ impl MovingRect {
         poly(u1) - poly(u0)
     }
 
-    /// `∫_{t0}^{t1} margin(t) dt` where margin is the half-perimeter.
-    pub fn margin_integral(&self, t0: Time, t1: Time) -> f64 {
-        debug_assert!(t1 >= t0);
-        let e = (self.hi[0] - self.lo[0]) + (self.hi[1] - self.lo[1]);
-        let de = (self.vhi[0] - self.vlo[0]) + (self.vhi[1] - self.vlo[1]);
-        let u0 = t0 - self.t_ref;
-        let u1 = t1 - self.t_ref;
-        let poly = |u: f64| e * u + de * u * u / 2.0;
-        poly(u1) - poly(u0)
-    }
-
     /// `∫_{t0}^{t1} overlap_area(self(t), other(t)) dt`, exact.
     ///
     /// The overlap extent in each dimension is
@@ -560,13 +549,6 @@ mod tests {
         // Extents (1 + t) × (1 + t): ∫₀¹ (1+t)² dt = 7/3.
         let m = MovingRect::new([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 0.0);
         assert!((m.area_integral(0.0, 1.0) - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn margin_integral_expanding_rect() {
-        // margin(t) = 2 + 2t; ∫₀² = 4 + 4 = 8.
-        let m = MovingRect::new([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 0.0);
-        assert!((m.margin_integral(0.0, 2.0) - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   view with a Prometheus text-exposition encoder and delta
 //!   arithmetic for per-phase attribution.
 //! * [`QuantileSketch`] — a deterministic fixed-range streaming
-//!   quantile sketch (linear histogram + interpolation), the substrate
-//!   the adaptive shard controller reads partition boundaries from.
+//!   quantile sketch (a linear histogram), the substrate the adaptive
+//!   shard controller reads partition boundaries and band masses from.
 //!
 //! The crate is dependency-free and allocation-free on the record path.
 

@@ -1,15 +1,17 @@
 //! Deterministic streaming quantile sketch.
 //!
-//! The adaptive shard controller needs running quantiles of observed
-//! speeds / positions to pick partition boundaries. Classic sketches
+//! The adaptive shard controller needs the decayed distribution of
+//! observed speeds to pick partition boundaries and to tell whether the
+//! current ones still split the mass. Classic sketches
 //! (GK, KLL, t-digest) are randomized or merge-order sensitive; here
 //! determinism is a hard requirement — the same update stream must
 //! produce the same boundaries on every run and on every WAL replay,
 //! or recovery would rebuild a differently-sharded coordinator. This
 //! sketch is therefore a fixed-range linear histogram: `buckets`
-//! equal-width counters over `[lo, hi]`, values clamped into range,
-//! quantiles read off the cumulative distribution with linear
-//! interpolation inside the hit bucket.
+//! equal-width counters over `[lo, hi]`, values clamped into range;
+//! boundaries are read off the counts ([`partition`](QuantileSketch::partition))
+//! and mass is summed bucket by bucket
+//! ([`mass_between`](QuantileSketch::mass_between)).
 //!
 //! Accuracy is bounded by the bucket width `(hi - lo) / buckets` —
 //! for boundary picking (hundreds of buckets over a workload-bounded
@@ -26,10 +28,6 @@ pub struct QuantileSketch {
     hi: f64,
     counts: Vec<u64>,
     total: u64,
-    /// Exact extremes of the observed values (after clamping), so
-    /// interpolated quantiles never leave the observed range.
-    seen_min: f64,
-    seen_max: f64,
 }
 
 impl QuantileSketch {
@@ -47,8 +45,6 @@ impl QuantileSketch {
             hi,
             counts: vec![0; buckets],
             total: 0,
-            seen_min: f64::INFINITY,
-            seen_max: f64::NEG_INFINITY,
         }
     }
 
@@ -63,8 +59,6 @@ impl QuantileSketch {
         let idx = (((v - self.lo) / width) as usize).min(self.counts.len() - 1);
         self.counts[idx] += 1;
         self.total += 1;
-        self.seen_min = self.seen_min.min(v);
-        self.seen_max = self.seen_max.max(v);
     }
 
     /// Total observations currently weighted in the sketch (halving
@@ -72,61 +66,6 @@ impl QuantileSketch {
     #[must_use]
     pub fn weight(&self) -> u64 {
         self.total
-    }
-
-    /// Whether the sketch has no weight at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The `q`-quantile (`q` clamped into `[0, 1]`) of the decayed
-    /// distribution, or `None` while the sketch is empty. Piecewise
-    /// linear: exact bucket selection from the cumulative counts, then
-    /// linear interpolation inside the bucket, clamped to the observed
-    /// extremes.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
-        let rank = q * self.total as f64;
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cum + c;
-            if rank <= next as f64 {
-                let into = ((rank - cum as f64) / c as f64).clamp(0.0, 1.0);
-                let v = self.lo + (i as f64 + into) * width;
-                return Some(v.clamp(self.seen_min, self.seen_max));
-            }
-            cum = next;
-        }
-        Some(self.seen_max)
-    }
-
-    /// The `k - 1` interior boundaries splitting the distribution into
-    /// `k` equal-weight parts — the adaptive policy's band/strip edges.
-    /// Strictly non-decreasing; empty when `k <= 1` or the sketch is
-    /// empty.
-    #[must_use]
-    pub fn boundaries(&self, k: usize) -> Vec<f64> {
-        if k <= 1 || self.total == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(k - 1);
-        for i in 1..k {
-            let q = i as f64 / k as f64;
-            let b = self.quantile(q).unwrap_or(self.lo);
-            // Monotonicity under interpolation rounding.
-            let b = out.last().map_or(b, |&prev: &f64| b.max(prev));
-            out.push(b);
-        }
-        out
     }
 
     /// The `k - 1` interior boundaries of a **churn-aware** `k`-way
@@ -148,7 +87,7 @@ impl QuantileSketch {
     /// workloads) edges snap into the inter-cluster gaps, trading a
     /// bounded population imbalance for near-zero migration churn.
     /// `churn_penalty = 0` reduces to the best quadratic balance on the
-    /// grid (≈ [`boundaries`](Self::boundaries)).
+    /// grid, near the equal-weight split.
     ///
     /// Returns strictly ascending edge values on bucket boundaries;
     /// empty when `k <= 1`, the sketch is empty, or the grid has fewer
@@ -256,10 +195,6 @@ impl QuantileSketch {
             *c /= 2;
             self.total += *c;
         }
-        if self.total == 0 {
-            self.seen_min = f64::INFINITY;
-            self.seen_max = f64::NEG_INFINITY;
-        }
     }
 }
 
@@ -268,58 +203,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_of_uniform_ramp_are_linear() {
-        let mut s = QuantileSketch::new(0.0, 100.0, 200);
-        for i in 0..1000 {
-            s.observe(i as f64 / 10.0); // 0.0 .. 99.9 uniformly
-        }
-        assert_eq!(s.weight(), 1000);
-        for (q, expect) in [(0.25, 25.0), (0.5, 50.0), (0.75, 75.0)] {
-            let got = s.quantile(q).unwrap();
-            assert!(
-                (got - expect).abs() < 1.0,
-                "q={q}: got {got}, expected ~{expect}"
-            );
-        }
-        let bounds = s.boundaries(4);
-        assert_eq!(bounds.len(), 3);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn skewed_mass_moves_the_median() {
-        // 80% of the mass at the low end, 20% at the top — the median
-        // must sit inside the low cluster, and the 0.8 boundary at the
-        // cluster gap (this is exactly the VelocitySkew shape).
-        let mut s = QuantileSketch::new(0.0, 3.0, 256);
-        for i in 0..800 {
-            s.observe(0.9 * (i as f64 / 800.0)); // [0, 0.9)
-        }
-        for i in 0..200 {
-            s.observe(2.1 + 0.9 * (i as f64 / 200.0)); // [2.1, 3.0)
-        }
-        let med = s.quantile(0.5).unwrap();
-        assert!(med < 0.9, "median {med} must sit in the slow cluster");
-        let b = s.quantile(0.8).unwrap();
-        assert!(
-            (0.85..=2.15).contains(&b),
-            "0.8-quantile {b} must sit at the cluster gap"
-        );
-    }
-
-    #[test]
     fn clamping_nan_and_extremes() {
         let mut s = QuantileSketch::new(0.0, 1.0, 10);
-        assert!(s.is_empty());
-        assert_eq!(s.quantile(0.5), None);
         s.observe(f64::NAN); // ignored
-        assert!(s.is_empty());
-        s.observe(-5.0); // clamps to 0.0
-        s.observe(7.0); // clamps to 1.0
+        assert_eq!(s.weight(), 0);
+        s.observe(-5.0); // clamps to 0.0, the first bucket
+        s.observe(7.0); // clamps to 1.0, the last bucket
         assert_eq!(s.weight(), 2);
-        assert_eq!(s.quantile(0.0), Some(0.0));
-        assert_eq!(s.quantile(1.0), Some(1.0));
-        assert!(s.boundaries(1).is_empty());
+        assert_eq!(s.mass_between(0.0, 0.1), 1);
+        assert_eq!(s.mass_between(0.9, 1.0), 1);
+        assert_eq!(s.mass_between(0.1, 0.9), 0);
+        assert!(s.partition(1, 0.0).is_empty());
     }
 
     #[test]
@@ -328,20 +222,19 @@ mod tests {
         for i in 0..400 {
             s.observe(f64::from(i % 100) / 10.0);
         }
-        let before = s.quantile(0.5).unwrap();
+        let before = (s.mass_between(0.0, 5.0), s.partition(2, 0.0));
+        assert_eq!(before.0, 200);
         s.halve();
         assert_eq!(s.weight(), 200);
-        let after = s.quantile(0.5).unwrap();
-        assert!(
-            (before - after).abs() < 0.2,
-            "shape drifted: {before} vs {after}"
-        );
+        assert_eq!(s.mass_between(0.0, 5.0), 100);
+        assert_eq!(s.partition(2, 0.0), before.1, "shape drifted");
         // Halving to zero empties the sketch cleanly.
         let mut tiny = QuantileSketch::new(0.0, 1.0, 4);
         tiny.observe(0.5);
         tiny.halve();
-        assert!(tiny.is_empty());
-        assert_eq!(tiny.quantile(0.5), None);
+        assert_eq!(tiny.weight(), 0);
+        assert_eq!(tiny.mass_between(0.0, 1.0), 0);
+        assert!(tiny.partition(2, 0.0).is_empty());
     }
 
     #[test]
@@ -405,7 +298,8 @@ mod tests {
         let mut y = QuantileSketch::new(0.0, 3.0, 128);
         feed(&mut x);
         feed(&mut y);
-        assert_eq!(x.boundaries(4), y.boundaries(4));
-        assert_eq!(x.quantile(0.33), y.quantile(0.33));
+        assert_eq!(x.weight(), y.weight());
+        assert_eq!(x.partition(4, 24.0), y.partition(4, 24.0));
+        assert_eq!(x.mass_between(0.4, 1.9), y.mass_between(0.4, 1.9));
     }
 }

@@ -1,8 +1,7 @@
-//! The proximity join: TC-processed intersection candidates via
-//! Minkowski inflation, exact distance-interval refine — an
-//! [`IndexPair`] under `cij-core`'s one buffered engine, whose
-//! registration table holds the original (uninflated) trajectories the
-//! refine reads.
+//! The proximity join: an intersection [`IndexPair`] answering ε-inflated
+//! probes, each hit refined to its exact distance interval — one more
+//! pair under `cij-core`'s one buffered engine, whose registration table
+//! holds the trajectories both the inner pair and the refine read.
 
 use cij_core::{BufferedEngine, EngineConfig, IndexPair, Registration, Registrations, TcPair};
 use cij_geom::{MovingRect, Time, TimeInterval, DIMS};
@@ -12,26 +11,27 @@ use cij_storage::BufferPool;
 use cij_tpr::{ObjectId, TprResult};
 use cij_workload::SetTag;
 
-/// Configuration of a [`ProximityJoinEngine`]: the shared TC-engine knobs
+/// Configuration of a [`Within`] pair: the inner pair's configuration
 /// plus the distance threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProximityConfig {
-    /// The shared engine knobs (`T_M`, tree, threads, metrics). `buckets_per_tm` is unused — candidates come from
-    /// single TPR-trees, as in the TC engine.
-    pub engine: EngineConfig,
+pub struct ProximityConfig<C = EngineConfig> {
+    /// The inner pair's configuration: for [`TcPair`] and `MtbPair` the
+    /// shared engine knobs (`T_M`, tree, threads, metrics, and MTB's
+    /// `buckets_per_tm`).
+    pub engine: C,
     /// Distance threshold ε ≥ 0 (Euclidean). Pairs whose minimum
     /// distance within the valid window is ≤ ε are reported.
     pub epsilon: f64,
 }
 
-impl ProximityConfig {
-    /// Bundles engine knobs with a threshold.
+impl<C> ProximityConfig<C> {
+    /// Bundles the inner pair's configuration with a threshold.
     ///
     /// # Panics
     ///
     /// If `epsilon` is negative or not finite.
     #[must_use]
-    pub fn new(engine: EngineConfig, epsilon: f64) -> Self {
+    pub fn new(engine: C, epsilon: f64) -> Self {
         assert!(
             epsilon.is_finite() && epsilon >= 0.0,
             "epsilon must be finite and non-negative, got {epsilon}"
@@ -41,7 +41,7 @@ impl ProximityConfig {
 }
 
 /// Continuous ε-threshold similarity join over two sets of moving
-/// rectangles.
+/// rectangles, on TPR-trees.
 ///
 /// Maintains every pair `(a, b)` whose minimum Euclidean distance within
 /// the Theorem-1 valid window `[t_u, t_u + T_M]` is ≤ ε, with the exact
@@ -50,21 +50,23 @@ impl ProximityConfig {
 /// Results land in the standard `ResultBuffer` of [`BufferedEngine`], so
 /// the two-phase tick, delta extraction, stream subscriptions and WAL
 /// recovery compose unchanged; everything specific to the query class is
-/// in [`ProximityPair`], which the engine dereferences to
+/// in [`Within`], which the engine dereferences to
 /// (`engine.candidates()`, `engine.refine_rejects()`, `engine.epsilon()`).
-pub type ProximityJoinEngine = BufferedEngine<ProximityPair>;
+pub type ProximityJoinEngine = BufferedEngine<Within<TcPair>>;
 
-/// The filter ∘ refine index pair of the proximity join.
+/// The ε-join over any intersection pair `P`: filter by `P`, refine
+/// exactly.
 ///
 /// # How it reuses the intersection join
 ///
-/// The B-side index stores rectangles **inflated by ε per axis** (the
-/// Minkowski sum with the L∞ ball of radius ε). `dist_L2 ≤ ε` implies
-/// every per-axis gap is ≤ ε, which is exactly `a ∩ inflate(b, ε) ≠ ∅` —
-/// so the stock TPR-tree intersection join over `(A, inflate(B, ε))` —
-/// a [`TcPair`], used as it is — returns a complete candidate superset,
-/// time-constrained precisely as the TC engine's runs are. The refine
-/// pass then evaluates the exact distance condition with
+/// `P` files every registration as it is. Each probe, of either side,
+/// is **inflated by ε per axis** (the Minkowski sum with the L∞ ball of
+/// radius ε) before `P` answers it. `dist_L2 ≤ ε` implies every per-axis
+/// gap is ≤ ε, which is exactly `inflate(a, ε) ∩ b ≠ ∅` — so `P`'s stock
+/// intersection probe returns a complete candidate superset, over the
+/// windows `P` runs its joins on (Theorem 1's for [`TcPair`], Theorem 2's
+/// bucket windows for `MtbPair`). The refine pass then evaluates the
+/// exact distance condition with
 /// [`MovingRect::within_dist_sq_interval`](cij_geom::MovingRect::within_dist_sq_interval)
 /// over the **full** maintenance window `[now, now + T_M]` (not the
 /// candidate's overlap interval — so the refined answer is a pure
@@ -72,10 +74,13 @@ pub type ProximityJoinEngine = BufferedEngine<ProximityPair>;
 /// bit-identical to the brute-force oracle). A partner's trajectory is
 /// its entry in the engine's [`Registrations`], which the engine hands
 /// the refine: the pair keeps no table of its own.
-pub struct ProximityPair {
-    /// The candidate filter: TC-Join over the original A trajectories
-    /// and the ε-inflated B trajectories.
-    filter: TcPair,
+///
+/// Since `P` holds exactly the engine's registrations, a pair that
+/// answers only in rounds of both sides takes the inflated probes as they
+/// are: over the shard crate's `PartitionedPair` the partitions find the
+/// candidates and the refine runs once, outside them.
+pub struct Within<P> {
+    inner: P,
     t_m: Time,
     eps: f64,
     eps_sq: f64,
@@ -85,7 +90,7 @@ pub struct ProximityPair {
     refine_ns: Histogram,
 }
 
-impl ProximityPair {
+impl<P> Within<P> {
     /// The configured threshold ε.
     #[must_use]
     pub fn epsilon(&self) -> f64 {
@@ -104,33 +109,15 @@ impl ProximityPair {
         self.refine_rejects
     }
 
+    /// The intersection pair that finds the candidates.
+    #[must_use]
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
     /// The exact answer for `(ra, rb)` over `[now, now + T_M]`.
     fn exact(&self, ra: &MovingRect, rb: &MovingRect, now: Time) -> Option<TimeInterval> {
         ra.within_dist_sq_interval(rb, self.eps_sq, now, now + self.t_m)
-    }
-
-    /// The registered (uninflated) trajectory of an object the filter
-    /// returned — every one is registered.
-    fn original(registrations: &Registrations, id: ObjectId) -> &MovingRect {
-        let registration = registrations.get(&id);
-        &registration
-            .expect("the filter returns registered objects")
-            .mbr
-    }
-
-    /// Books one refine pass that kept `kept` of `seen` candidates.
-    fn count(&mut self, seen: usize, kept: usize) {
-        self.candidates += seen as u64;
-        self.refine_rejects += (seen - kept) as u64;
-    }
-}
-
-/// What the filter stores for an object of `set` on `mbr`: the
-/// trajectory itself on side A, inflated by `eps` on side B.
-fn stored_mbr(set: SetTag, mbr: &MovingRect, eps: f64) -> MovingRect {
-    match set {
-        SetTag::A => *mbr,
-        SetTag::B => inflate_padded(mbr, eps),
     }
 }
 
@@ -144,8 +131,7 @@ fn stored_mbr(set: SetTag, mbr: &MovingRect, eps: f64) -> MovingRect {
 /// exact refine would accept. Padding each face outward by a few ulps of
 /// its own magnitude restores the superset guarantee; the refine pass is
 /// exact, so the pad costs only a handful of extra rejected candidates
-/// and never changes the answer. Deterministic, so the delete path
-/// reproduces the inserted rectangle bit-for-bit.
+/// and never changes the answer.
 fn inflate_padded(r: &MovingRect, eps: f64) -> MovingRect {
     let mut out = r.inflate(eps);
     for d in 0..DIMS {
@@ -156,23 +142,23 @@ fn inflate_padded(r: &MovingRect, eps: f64) -> MovingRect {
     out
 }
 
-impl IndexPair for ProximityPair {
-    type Config = ProximityConfig;
+impl<P: IndexPair> IndexPair for Within<P> {
+    type Config = ProximityConfig<P::Config>;
     const NAME: &'static str = "Proximity-Join";
 
-    fn engine_config(config: &ProximityConfig) -> &EngineConfig {
-        &config.engine
+    fn engine_config(config: &Self::Config) -> &EngineConfig {
+        P::engine_config(&config.engine)
     }
 
-    fn empty(pool: &BufferPool, config: &ProximityConfig, obs: &MetricsRegistry) -> Self {
+    fn empty(pool: &BufferPool, config: &Self::Config, obs: &MetricsRegistry) -> Self {
         let eps = config.epsilon;
         assert!(
             eps.is_finite() && eps >= 0.0,
             "epsilon must be finite and non-negative, got {eps}"
         );
         Self {
-            filter: TcPair::empty(pool, &config.engine, obs),
-            t_m: config.engine.t_m,
+            inner: P::empty(pool, &config.engine, obs),
+            t_m: Self::engine_config(config).t_m,
             eps,
             eps_sq: eps * eps,
             candidates: 0,
@@ -181,49 +167,36 @@ impl IndexPair for ProximityPair {
         }
     }
 
-    /// The filter's own batch, over the trajectories it stores.
     fn refile(
         &mut self,
         removes: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         inserts: impl Iterator<Item = (ObjectId, Registration)> + Clone,
         now: Time,
     ) -> TprResult<()> {
-        let eps = self.eps;
-        let stored = move |(id, r): (ObjectId, Registration)| {
-            (
-                id,
-                Registration {
-                    mbr: stored_mbr(r.set, &r.mbr, eps),
-                    ..r
-                },
-            )
-        };
-        self.filter
-            .refile(removes.map(stored), inserts.map(stored), now)
+        self.inner.refile(removes, inserts, now)
     }
 
-    fn probe(
+    /// Both sides' probes, inflated, in one call of the inner pair's.
+    fn probe_sides(
         &self,
-        side: SetTag,
-        probes: &[MovingRect],
+        registrations: &Registrations,
+        probes: [&[MovingRect]; 2],
         now: Time,
         scratch: &mut JoinScratch,
         counters: &mut JoinCounters,
-        hits: &mut Vec<ProbeHit>,
+        hits: &mut [Vec<ProbeHit>; 2],
     ) -> TprResult<()> {
-        match side {
-            SetTag::A => self
-                .filter
-                .probe(side, probes, now, scratch, counters, hits),
-            SetTag::B => {
-                let inflated: Vec<MovingRect> = probes
-                    .iter()
-                    .map(|mbr| inflate_padded(mbr, self.eps))
-                    .collect();
-                self.filter
-                    .probe(side, &inflated, now, scratch, counters, hits)
-            }
-        }
+        let inflate = |side: &[MovingRect]| -> Vec<MovingRect> {
+            side.iter()
+                .map(|mbr| inflate_padded(mbr, self.eps))
+                .collect()
+        };
+        let [a, b] = probes.map(inflate);
+        (self.inner).probe_sides(registrations, [&a, &b], now, scratch, counters, hits)
+    }
+
+    fn reseed(&self, objects: &[(ObjectId, Registration)], now: Time) -> TprResult<bool> {
+        self.inner.reseed(objects, now)
     }
 
     /// The exact pass: a probe is its object's fresh registration, the
@@ -240,17 +213,19 @@ impl IndexPair for ProximityPair {
         let seen = hits.len();
         hits.retain_mut(|(p, partner, iv)| {
             let probe = &probes[*p as usize];
-            let partner = Self::original(registrations, *partner);
+            let partner = &registrations[&*partner].mbr;
             let exact = match side {
                 SetTag::A => self.exact(probe, partner, now),
                 SetTag::B => self.exact(partner, probe, now),
             };
             exact.map(|refined| *iv = refined).is_some()
         });
-        self.count(seen, hits.len());
+        self.candidates += seen as u64;
+        self.refine_rejects += (seen - hits.len()) as u64;
     }
 
     fn publish_extra(&self, registry: &MetricsRegistry) {
+        self.inner.publish_extra(registry);
         registry
             .counter("simjoin.candidates")
             .store(self.candidates);

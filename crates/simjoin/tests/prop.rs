@@ -6,12 +6,19 @@
 //! — static pairs whose minimum distance is *exactly* ε (the gap and the
 //! threshold are the same float) — pinning the closed-predicate
 //! convention `dist ≤ ε` through candidate generation *and* refine.
+//!
+//! The random workloads run over both inner pairs. Their ticks (≤ 20)
+//! stay inside the first MTB bucket (30 long at the default `T_M` = 60),
+//! where Theorem 2's window is Theorem 1's, so the MTB kind too must
+//! hold the oracle's intervals bit for bit.
 
 use std::sync::Arc;
 
-use cij_core::{ContinuousJoinEngine, EngineConfig, PairKey};
+use cij_core::{
+    BufferedEngine, ContinuousJoinEngine, EngineConfig, IndexPair, MtbPair, PairKey, TcPair,
+};
 use cij_geom::{MovingRect, Rect, Time, TimeInterval};
-use cij_simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine};
+use cij_simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine, Within};
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::ObjectId;
 use cij_workload::{MovingObject, ObjectUpdate, SetTag};
@@ -75,15 +82,15 @@ fn arb_updates(n_per_side: usize) -> impl Strategy<Value = Vec<(Time, RawUpdate)
 /// candidates (a pair found and dropped again inside a tick is never
 /// refined), so its tallies can only be lower — and are equal when no
 /// tick carries more than one update.
-fn check_differential(
+fn check_differential<P: IndexPair<Config = EngineConfig>>(
     eps: f64,
     set_a: &[MovingObject],
     set_b: &[MovingObject],
     updates: &[(Time, RawUpdate)],
 ) {
     let config = ProximityConfig::new(EngineConfig::default(), eps);
-    let mut engine = ProximityJoinEngine::new(pool(), config, set_a, set_b, 0.0).unwrap();
-    let mut batched = ProximityJoinEngine::new(pool(), config, set_a, set_b, 0.0).unwrap();
+    let build = || BufferedEngine::<Within<P>>::new(pool(), config, set_a, set_b, 0.0).unwrap();
+    let (mut engine, mut batched) = (build(), build());
     let mut oracle = BruteProximityEngine::new(config, set_a, set_b);
     engine.run_initial_join(0.0).unwrap();
     batched.run_initial_join(0.0).unwrap();
@@ -120,7 +127,7 @@ fn check_differential(
         }
     }
 
-    let compare = |engine: &ProximityJoinEngine, oracle: &BruteProximityEngine, t: Time| {
+    let compare = |engine: &BufferedEngine<Within<P>>, oracle: &BruteProximityEngine, t: Time| {
         let got = engine.result_at(t);
         let expect = oracle.result_at(t);
         assert_eq!(&got, &expect, "pair sets diverge at t={t}");
@@ -147,7 +154,7 @@ fn check_differential(
         compare(&batched, &oracle, *now);
     }
 
-    let accepted = |e: &ProximityJoinEngine| e.candidates() - e.refine_rejects();
+    let accepted = |e: &BufferedEngine<Within<P>>| e.candidates() - e.refine_rejects();
     assert!(batched.candidates() <= engine.candidates());
     assert!(accepted(&batched) <= accepted(&engine));
     if ticks.iter().all(|(_, batch)| batch.len() == 1) {
@@ -159,7 +166,8 @@ fn check_differential(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random workload × random ε: engine == oracle at every event.
+    /// Random workload × random ε, over both inner pairs: engine ==
+    /// oracle at every event.
     #[test]
     fn random_eps_differential(
         eps in 0.0f64..40.0,
@@ -169,16 +177,16 @@ proptest! {
     ) {
         let set_a = side(1, mbrs_a);
         let set_b = side(1001, mbrs_b);
-        check_differential(eps, &set_a, &set_b, &updates);
+        check_differential::<TcPair>(eps, &set_a, &set_b, &updates);
+        check_differential::<MtbPair>(eps, &set_a, &set_b, &updates);
     }
 
     /// Forced boundary ties: a static A/B pair whose gap *is* ε
     /// bit-for-bit, plus random bystanders. The tied pair must be
     /// reported (closed predicate), identically by engine and oracle —
     /// also while either endpoint re-registers in place (the tie then
-    /// goes through the maintenance probe of that side: the plain probe
-    /// against inflated B, or the inflated probe against A), several
-    /// times and both in one tick.
+    /// goes through the maintenance probe of that side, inflated, against
+    /// the other side's tree), several times and both in one tick.
     #[test]
     fn boundary_tie_at_exactly_eps_is_reported(
         eps in 0.25f64..8.0,
@@ -216,7 +224,7 @@ proptest! {
             .collect();
         // Stable: the generated order inside a tick is the batch order.
         updates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        check_differential(eps_tie, &set_a, &set_b, &updates);
+        check_differential::<TcPair>(eps_tie, &set_a, &set_b, &updates);
 
         // And explicitly: the tie is in the answer for the whole window.
         let config = ProximityConfig::new(EngineConfig::default(), eps_tie);
@@ -248,7 +256,7 @@ proptest! {
         let set_a = side(1, vec![a_rect]);
         let set_b = side(1001, vec![b_rect]);
 
-        check_differential(eps, &set_a, &set_b, &[]);
+        check_differential::<TcPair>(eps, &set_a, &set_b, &[]);
 
         let config = ProximityConfig::new(EngineConfig::default(), eps);
         let mut engine = ProximityJoinEngine::new(pool(), config, &set_a, &set_b, 0.0).unwrap();

@@ -9,7 +9,7 @@
 //! A TPR-tree is an R*-tree whose node regions carry velocity bounding
 //! rectangles: a node's moving MBR conservatively bounds its children at
 //! every future instant. Quality metrics that the R*-tree evaluates on
-//! static rectangles (area, margin, overlap, center distance) become
+//! static rectangles (area, overlap, center distance) become
 //! *integrals over a horizon* `[t, t + H]`.
 //!
 //! Faithfulness notes (also in `DESIGN.md`):
@@ -17,8 +17,9 @@
 //!   area-integral tie-break — the TPR/TPR* penalty;
 //! * node overflow triggers one R*-style forced reinsert per level per
 //!   insertion (the 30 % entries farthest from the node center over the
-//!   horizon), then an R*-style split evaluated on margin/overlap/area
-//!   integrals;
+//!   horizon), then an R*-style split that keeps, over every axis, sort
+//!   key and cut, the distribution of least overlap integral, ties broken
+//!   by area integral;
 //! * deletion tightens bounds along the path (TPR*'s *active tightening*)
 //!   and dissolves under-full nodes by reinsertion;
 //! * nodes are serialized to 4 KB pages and all accesses go through the

@@ -8,8 +8,9 @@
 //!   tie-break;
 //! * **overflow** — one forced reinsert per level per operation (the
 //!   30 % of entries whose centers stray farthest from the node center
-//!   over the horizon), then an R*-style split choosing the axis by
-//!   margin integral and the distribution by overlap integral; a node
+//!   over the horizon), then a split that tries every axis, both sort
+//!   keys and every admissible cut, and keeps the distribution of least
+//!   overlap integral (ties: least area integral); a node
 //!   a batch took more than twice over capacity is tiled instead
 //!   (Sort-Tile-Recursive);
 //! * **underflow** — dissolve the node and reinsert the orphaned entries
@@ -898,9 +899,10 @@ impl TprTree {
         });
     }
 
-    /// R*-style split on integral metrics: axis by minimal margin-integral
-    /// sum, distribution by minimal overlap integral (ties: total area
-    /// integral). `node`, over capacity but at most twice, keeps the first
+    /// R*-style split on integral metrics: over every axis, both sort
+    /// keys (lower, upper bound) and every admissible cut, the
+    /// distribution of minimal overlap integral (ties: total area
+    /// integral); no margin is computed. `node`, over capacity but at most twice, keeps the first
     /// group; `right`, empty, receives the second; both fit. A node one
     /// entry over capacity weighs every distribution with both groups at
     /// least the minimum fill, as R* does; a node further over weighs as
@@ -936,11 +938,10 @@ impl TprTree {
                 sorted.extend_from_slice(&node.entries);
                 sorted.sort_by(split_order(axis, by_upper, now));
                 // The first group's bound is the fold `union_mbr`
-                // computes, grown one entry at a time.
+                // computes, grown one entry at a time. Axis and
+                // distribution are chosen in one pass: the first strictly
+                // better distribution wins.
                 let mut g1 = union_mbr(&sorted[..first]);
-                // Margin sum decides the axis in R*; folding it into one
-                // pass with the distribution choice (margin as a third
-                // tie-break) keeps quality while halving the scans.
                 for split_at in first..=last {
                     if split_at > first {
                         g1 = g1.union_moving(&sorted[split_at - 1].mbr);

@@ -19,9 +19,11 @@
 //! * the change list (engines) or the delta stream and an all-pairs
 //!   subscriber's outbox (services), replayed, equals `result_at`;
 //! * an engine's `registrations()` equal the schedule's, every tree it
-//!   exposes validates (the MTB pair, each partition of a shard stack),
-//!   a shard stack's populations match the placement its registrations
-//!   derive, and its migrations the tick's updates that cross shards;
+//!   exposes validates (the MTB pair, each partition of a shard stack,
+//!   the inner pair of an ε-join) and together they hold the table's
+//!   objects, each once; a shard stack's populations match the
+//!   placement its registrations derive, and its migrations the tick's
+//!   updates that cross shards;
 //! * a stack that names a reference reports what the reference reports:
 //!   the same held intervals and change lists, or the same delta streams
 //!   and outbox items (`Gap` markers included), and at `Same::Counters`
@@ -44,8 +46,10 @@ use cij::dist::loopback::LoopbackHost;
 use cij::dist::{Connector, DistConfig, DistCoordinator, EngineKind};
 use cij::geom::{MovingRect, Rect, Time, TimeInterval};
 use cij::join::brute::brute_pairs_at;
-use cij::shard::{PartitionPolicy, ShardCoordinator, VelocityBandPolicy};
-use cij::simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine, ProximityPair};
+use cij::shard::{
+    PartitionPolicy, PartitionedConfig, PartitionedPair, ShardCoordinator, VelocityBandPolicy,
+};
+use cij::simjoin::{BruteProximityEngine, ProximityConfig, ProximityJoinEngine, Within};
 use cij::storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij::stream::{
     IngestOutcome, OutboxItem, ResultDelta, StampedDelta, StreamConfig, StreamService,
@@ -335,7 +339,10 @@ enum Eng {
     Shard(Pair, Family, usize),
     /// A `DistCoordinator` over loopback workers, one per shard.
     Dist(Family, usize),
-    Proximity(f64),
+    /// The ε-join over a pair.
+    Proximity(Pair, f64),
+    /// The ε-join over K velocity bands of MTB pairs.
+    BandProximity(usize, f64),
     BruteProximity(f64),
 }
 
@@ -446,7 +453,26 @@ trait Trees {
 }
 
 impl Trees for TcPair {}
-impl Trees for ProximityPair {}
+
+impl<P: Trees> Trees for Within<P> {
+    fn trees(&self, now: Time) -> Option<[usize; 2]> {
+        self.inner().trees(now)
+    }
+}
+
+impl<P: IndexPair + Trees> Trees for PartitionedPair<P>
+where
+    P::Config: Clone,
+{
+    fn trees(&self, now: Time) -> Option<[usize; 2]> {
+        let mut total = [0; 2];
+        for part in self.partitions() {
+            let [a, b] = part.trees(now)?;
+            total = [total[0] + a, total[1] + b];
+        }
+        Some(total)
+    }
+}
 
 impl Trees for MtbPair {
     fn trees(&self, now: Time) -> Option<[usize; 2]> {
@@ -458,8 +484,17 @@ impl Trees for MtbPair {
 }
 
 impl<P: IndexPair + Trees> Stack for BufferedEngine<P> {
+    /// The trees validate and hold the table's objects, each once.
     fn check_structure(&self, now: Time) {
-        (**self).trees(now);
+        if let Some(lens) = (**self).trees(now) {
+            let on = |set| {
+                self.registrations()
+                    .values()
+                    .filter(|r| r.set == set)
+                    .count()
+            };
+            assert_eq!(lens, [on(SetTag::A), on(SetTag::B)]);
+        }
     }
 }
 
@@ -539,9 +574,23 @@ fn build(
             let policy = family.policy(k, max_speed);
             Box::new(DistCoordinator::new(dist, policy, connectors, a, b, now)?)
         }
-        Eng::Proximity(eps) => {
+        Eng::Proximity(pair, eps) => {
             let config = ProximityConfig::new(config, eps);
-            Box::new(ProximityJoinEngine::new(pool, config, a, b, now)?)
+            match pair {
+                Pair::Tc => Box::new(ProximityJoinEngine::new(pool, config, a, b, now)?),
+                Pair::Mtb => Box::new(BufferedEngine::<Within<MtbPair>>::new(
+                    pool, config, a, b, now,
+                )?),
+            }
+        }
+        Eng::BandProximity(k, eps) => {
+            let inner = PartitionedConfig {
+                inner: config,
+                policy: Bands.policy(k, max_speed),
+            };
+            let config = ProximityConfig::new(inner, eps);
+            type Sharded = BufferedEngine<Within<PartitionedPair<MtbPair>>>;
+            Box::new(Sharded::new(pool, config, a, b, now)?)
         }
         Eng::BruteProximity(eps) => Box::new(BruteProximityEngine::new(
             ProximityConfig::new(config, eps),
@@ -1237,15 +1286,26 @@ fn saturated_services_shed_to_the_answer() {
     }
 }
 
+/// The ε-join over every in-process pair against its oracle. Only the
+/// TC stacks hold the oracle's intervals: over MTB, a pair whose contact
+/// starts after its partner's bucket deadline is not held ahead — the
+/// partner's required re-registration finds it.
 #[test]
 fn proximity_join_matches_its_brute_force_oracle() {
-    for (eps, seed) in [(0.0, 511), (2.5, 512), (30.0, 513)] {
+    use Distribution::{Gaussian, Uniform, VelocitySkew};
+    for (eps, distribution, seed) in [
+        (0.0, Uniform, 511),
+        (2.5, Uniform, 512),
+        (30.0, Uniform, 513),
+        (8.0, Gaussian, 514),
+        (2.5, VelocitySkew, 515),
+    ] {
         // A short T_M: a tenth of each set updates per tick, so both
         // endpoints of a pair often share a batch.
         let params = Params {
             dataset_size: 80,
             maximum_update_interval: 10.0,
-            ..small(Distribution::Uniform, seed)
+            ..small(distribution, seed)
         };
         let plan = [
             (15, Event::Reinsert),
@@ -1255,18 +1315,25 @@ fn proximity_join_matches_its_brute_force_oracle() {
         ];
         let schedule = Schedule::new(params, 40, None, &plan);
         conform(
-            &format!("eps{eps}"),
+            &format!("eps{eps} {distribution:?}"),
             &schedule,
             &[
                 stack(BruteProximity(eps)),
-                stack(Proximity(eps)).same(0, Same::Intervals),
-                stack(Proximity(eps)).threads(4).same(1, Same::Counters),
+                stack(Proximity(Tc, eps)).same(0, Same::Intervals),
+                stack(Proximity(Tc, eps)).threads(4).same(1, Same::Counters),
                 Spec {
                     batched: false,
-                    ..stack(Proximity(eps)).lying().same(0, Same::Intervals)
+                    ..stack(Proximity(Tc, eps)).lying().same(0, Same::Intervals)
                 },
                 stack(BruteProximity(eps)).lying().like(0),
-                stack(Proximity(eps)).served(ROOMY),
+                stack(Proximity(Tc, eps)).served(ROOMY),
+                stack(Proximity(Mtb, eps)),
+                stack(Proximity(Mtb, eps)).lying().same(6, Same::Counters),
+                stack(Proximity(Mtb, eps)).served(ROOMY),
+                stack(BandProximity(3, eps)).threads(1),
+                stack(BandProximity(3, eps))
+                    .threads(4)
+                    .same(9, Same::Counters),
             ],
         );
     }

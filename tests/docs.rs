@@ -26,6 +26,9 @@
 //!   types the `wire_struct!` invocations of `cij-stream`'s `wire.rs` and
 //!   `cij-dist`'s `protocol.rs` declare, so a wire impl deleted in code
 //!   takes its row entry with it.
+//! * Every `pub type X = BufferedEngine<Y>;` under `crates/*/src` has a
+//!   row in DESIGN.md's adapter table whose first two cells name `X` and
+//!   `Y`, so an alias that changes its pair changes its row.
 
 use std::fs;
 use std::path::PathBuf;
@@ -412,6 +415,67 @@ fn wire_table_lists_the_wire_structs() {
     );
 }
 
+/// Every `pub type X = BufferedEngine<Y>;` line of `source`, as `(X, Y)`.
+fn engine_aliases(source: &str) -> Vec<(String, String)> {
+    (source.lines())
+        .filter_map(|line| line.strip_prefix("pub type ")?.strip_suffix(">;"))
+        .filter_map(|alias| alias.split_once(" = BufferedEngine<"))
+        .map(|(x, y)| (x.to_string(), y.to_string()))
+        .collect()
+}
+
+/// The rows of the table headed `| alias | pair |`, each as the first
+/// backticked name of its first two cells.
+fn adapter_rows(design: &str) -> Vec<(String, String)> {
+    let first_name = |cell: &str| cell.split('`').nth(1).unwrap_or_default().to_string();
+    (design.lines())
+        .skip_while(|line| !line.starts_with("| alias | pair |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').collect();
+            (first_name(cells[1]), first_name(cells[2]))
+        })
+        .collect()
+}
+
+/// The `.rs` files under `dir`, at any depth.
+fn rust_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(dir).expect("a source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            found.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            found.push(path);
+        }
+    }
+    found
+}
+
+#[test]
+fn engine_aliases_match_the_adapter_table() {
+    let rows = adapter_rows(&read("DESIGN.md"));
+    let mut aliases = Vec::new();
+    for krate in fs::read_dir(root().join("crates")).expect("crates/") {
+        let src = krate.expect("directory entry").path().join("src");
+        for file in rust_files(&src) {
+            aliases.extend(engine_aliases(
+                &fs::read_to_string(file).expect("a source file"),
+            ));
+        }
+    }
+    assert!(
+        aliases.len() >= 3,
+        "the scan missed the aliases: {aliases:?}"
+    );
+    let missing: Vec<_> = aliases.iter().filter(|a| !rows.contains(a)).collect();
+    assert!(
+        missing.is_empty(),
+        "engine aliases without their row in DESIGN.md's adapter table: {missing:?}"
+    );
+}
+
 #[test]
 fn the_scanners_see_what_they_scan() {
     assert_eq!(
@@ -479,6 +543,22 @@ fn the_scanners_see_what_they_scan() {
             "/// `wire_struct!` docs\nwire_struct! {\n    A { 0: u64 }\n    B { x: T }\n}\nC {}"
         ),
         ["A", "B"]
+    );
+    let alias = |x: &str, y: &str| (x.to_string(), y.to_string());
+    assert_eq!(
+        engine_aliases(
+            "/// docs\npub type A = BufferedEngine<P>;\n\
+             pub type B = BufferedEngine<W<Q<R>>>;\npub type C = Other<P>;\n\
+             pub(crate) type D = BufferedEngine<P>;"
+        ),
+        [alias("A", "P"), alias("B", "W<Q<R>>")]
+    );
+    assert_eq!(
+        adapter_rows(
+            "| x |\n| alias | pair | more |\n|---|---|---|\n| `A` (`x`) | `P` | z |\n\
+             | `B` | `W<Q>` in `y` | |\n\n| `C` | `R` |"
+        ),
+        [alias("A", "P"), alias("B", "W<Q>")]
     );
     assert_eq!(
         line_refs("see DESIGN.md:458, `crates/core/src/engine.rs:12` and x:3"),
