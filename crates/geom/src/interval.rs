@@ -78,36 +78,6 @@ impl TimeInterval {
     }
 }
 
-/// Solves the linear inequality `c0 + c1·t ≤ 0` over the whole time axis.
-///
-/// Returns the (closed, possibly unbounded, possibly empty) solution set.
-/// This is the scalar primitive under every moving-rectangle intersection
-/// test: each "lower bound of A stays below upper bound of B in dimension
-/// d" constraint is exactly one such inequality.
-#[inline]
-pub fn solve_linear_leq(c0: f64, c1: f64) -> Option<TimeInterval> {
-    if c1 == 0.0 {
-        // Constant constraint: either always or never satisfied.
-        if c0 <= 0.0 {
-            Some(TimeInterval {
-                start: f64::NEG_INFINITY,
-                end: INFINITE_TIME,
-            })
-        } else {
-            None
-        }
-    } else {
-        let root = -c0 / c1;
-        if c1 > 0.0 {
-            // Satisfied for t <= root.
-            TimeInterval::new(f64::NEG_INFINITY, root)
-        } else {
-            // Satisfied for t >= root.
-            TimeInterval::new(root, INFINITE_TIME)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,31 +118,5 @@ mod tests {
         assert!(a.is_unbounded());
         assert!(a.contains(1e18));
         assert!(!a.contains(2.9));
-    }
-
-    #[test]
-    fn solve_leq_constant() {
-        assert!(solve_linear_leq(-1.0, 0.0).unwrap().contains(1e9));
-        assert!(solve_linear_leq(1.0, 0.0).is_none());
-        // Boundary: 0 <= 0 holds everywhere.
-        assert!(solve_linear_leq(0.0, 0.0).is_some());
-    }
-
-    #[test]
-    fn solve_leq_positive_slope() {
-        // 2 + 1·t <= 0  ⇔  t <= -2
-        let s = solve_linear_leq(2.0, 1.0).unwrap();
-        assert_eq!(s.end, -2.0);
-        assert!(s.contains(-3.0));
-        assert!(!s.contains(-1.0));
-    }
-
-    #[test]
-    fn solve_leq_negative_slope() {
-        // 2 - 1·t <= 0  ⇔  t >= 2
-        let s = solve_linear_leq(2.0, -1.0).unwrap();
-        assert_eq!(s.start, 2.0);
-        assert!(s.is_unbounded());
-        assert!(!s.contains(1.0));
     }
 }

@@ -8,7 +8,7 @@
 //! `vlo <= vhi`, so they expand over time and conservatively bound their
 //! children at every future instant.
 
-use crate::interval::{solve_linear_leq, TimeInterval, INFINITE_TIME};
+use crate::interval::{TimeInterval, INFINITE_TIME};
 use crate::{Rect, Time, DIMS};
 
 /// Whether `x` — a coordinate, a speed or a time from outside the program
@@ -188,32 +188,37 @@ impl MovingRect {
         }
     }
 
+    /// The same trajectory with its bounds anchored at time 0 — the half
+    /// of [`Self::intersect_interval`] that depends on one operand only.
+    #[inline]
+    #[must_use]
+    pub fn anchored(&self) -> AnchoredRect {
+        let mut lo = [0.0; DIMS];
+        let mut hi = [0.0; DIMS];
+        for d in 0..DIMS {
+            lo[d] = self.lo[d] - self.vlo[d] * self.t_ref;
+            hi[d] = self.hi[d] - self.vhi[d] * self.t_ref;
+        }
+        AnchoredRect {
+            lo,
+            hi,
+            vlo: self.vlo,
+            vhi: self.vhi,
+        }
+    }
+
     /// The paper's `intersect(e_A, e_B, t_s, t_e)` primitive: the
     /// sub-interval of `[t_s, t_e]` during which the two moving
     /// rectangles intersect, or `None`.
     ///
-    /// Because every bound is linear, each of the four "lower bound of one
-    /// stays at or below upper bound of the other" constraints solves to a
-    /// half-line; their intersection with the query window is a single
-    /// closed interval. `t_e` may be [`INFINITE_TIME`] (that is exactly
-    /// what `NaiveJoin` passes).
+    /// [`AnchoredRect::intersect_interval`] of the two anchored operands;
+    /// callers that meet one operand many times anchor it once. `t_e` may
+    /// be [`INFINITE_TIME`] (that is exactly what `NaiveJoin` passes) and
+    /// may equal `t_s`.
+    #[inline]
     pub fn intersect_interval(&self, other: &Self, t_s: Time, t_e: Time) -> Option<TimeInterval> {
-        let mut acc = TimeInterval::new(t_s, t_e)?;
-        for d in 0..DIMS {
-            // self.lo_d(t) <= other.hi_d(t)
-            //   (lo_a − vlo_a·ta) − (hi_b − vhi_b·tb) + (vlo_a − vhi_b)·t <= 0
-            let c0 = (self.lo[d] - self.vlo[d] * self.t_ref)
-                - (other.hi[d] - other.vhi[d] * other.t_ref);
-            let c1 = self.vlo[d] - other.vhi[d];
-            acc = acc.intersect(&solve_linear_leq(c0, c1)?)?;
-
-            // other.lo_d(t) <= self.hi_d(t)
-            let c0 = (other.lo[d] - other.vlo[d] * other.t_ref)
-                - (self.hi[d] - self.vhi[d] * self.t_ref);
-            let c1 = other.vlo[d] - self.vhi[d];
-            acc = acc.intersect(&solve_linear_leq(c0, c1)?)?;
-        }
-        Some(acc)
+        self.anchored()
+            .intersect_interval(&other.anchored(), t_s, t_e)
     }
 
     /// Whether the two rectangles intersect at instant `t`.
@@ -406,6 +411,73 @@ impl MovingRect {
     #[inline]
     pub fn speed_sum(&self, d: usize) -> f64 {
         self.vlo[d].abs() + self.vhi[d].abs()
+    }
+}
+
+/// A moving rectangle with every bound anchored at time 0:
+/// `lo(t) = lo + vlo·t`, `hi(t) = hi + vhi·t` per dimension, where `lo`
+/// is [`MovingRect`]'s `lo − vlo·t_ref` (and `hi` likewise).
+///
+/// The reference time is folded into the bounds once
+/// ([`MovingRect::anchored`]), so two anchored rectangles meet in a
+/// handful of subtractions and four divisions — the form the batched
+/// probe keeps for each probe for a whole descent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnchoredRect {
+    /// Lower bounds at time 0.
+    pub lo: [f64; DIMS],
+    /// Upper bounds at time 0.
+    pub hi: [f64; DIMS],
+    /// Velocities of the lower bounds.
+    pub vlo: [f64; DIMS],
+    /// Velocities of the upper bounds.
+    pub vhi: [f64; DIMS],
+}
+
+impl AnchoredRect {
+    /// The sub-interval of `[t_s, t_e]` during which the two rectangles
+    /// intersect, or `None` — the kernel of
+    /// [`MovingRect::intersect_interval`].
+    ///
+    /// Because every bound is linear, each of the four "lower bound of one
+    /// stays at or below upper bound of the other" constraints
+    /// `c0 + c1·t ≤ 0` solves to a half-line `t ≤ −c0/c1` (`c1 > 0`) or
+    /// `t ≥ −c0/c1` (`c1 < 0`), or holds everywhere or nowhere
+    /// (`c1 = 0`). The window is narrowed by every constraint's bound in
+    /// turn — per dimension `self.lo ≤ other.hi`, then `other.lo ≤
+    /// self.hi` — with one `max` on the start and one `min` on the end
+    /// each; an empty constraint or a NaN root clears a flag. Nothing
+    /// branches on the data until the single emptiness test at the end:
+    /// the start only grows and the end only shrinks, so a window that
+    /// empties on the way stays empty. `t_e` may be [`INFINITE_TIME`].
+    #[inline]
+    #[must_use]
+    pub fn intersect_interval(&self, other: &Self, t_s: Time, t_e: Time) -> Option<TimeInterval> {
+        let mut c0 = [0.0; 2 * DIMS];
+        let mut c1 = [0.0; 2 * DIMS];
+        for d in 0..DIMS {
+            c0[2 * d] = self.lo[d] - other.hi[d];
+            c1[2 * d] = self.vlo[d] - other.vhi[d];
+            c0[2 * d + 1] = other.lo[d] - self.hi[d];
+            c1[2 * d + 1] = other.vlo[d] - self.vhi[d];
+        }
+        let mut root = [0.0; 2 * DIMS];
+        for k in 0..2 * DIMS {
+            root[k] = -c0[k] / c1[k];
+        }
+        let mut ok = t_s <= t_e;
+        let (mut start, mut end) = (t_s, t_e);
+        for k in 0..2 * DIMS {
+            // c1 > 0: t ≤ root; c1 < 0: t ≥ root; c1 = 0: everywhere
+            // (c0 ≤ 0) or nowhere. A NaN empties the constraint.
+            let (c0, c1, root) = (c0[k], c1[k], root[k]);
+            ok &= if c1 == 0.0 { c0 <= 0.0 } else { !root.is_nan() };
+            let lower = if c1 < 0.0 { root } else { f64::NEG_INFINITY };
+            let upper = if c1 > 0.0 { root } else { INFINITE_TIME };
+            start = start.max(lower);
+            end = end.min(upper);
+        }
+        (ok & (start <= end)).then_some(TimeInterval { start, end })
     }
 }
 

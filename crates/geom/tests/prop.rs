@@ -1,7 +1,9 @@
 //! Property tests for the geometry kernel: the analytic interval algebra
-//! must agree with brute-force sampling of the rectangles' positions.
+//! must agree with brute-force sampling of the rectangles' positions, and
+//! the branch-free interval kernel with the branchy formulation it
+//! replaced, bit for bit.
 
-use cij_geom::{MovingRect, Rect, TimeInterval, INFINITE_TIME};
+use cij_geom::{MovingRect, Rect, Time, TimeInterval, INFINITE_TIME};
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-7;
@@ -31,6 +33,214 @@ fn arb_expanding() -> impl Strategy<Value = MovingRect> {
             m.t_ref,
         )
     })
+}
+
+/// Reference: the solution set of `c0 + c1·t ≤ 0` over the whole time
+/// axis, `None` when empty.
+fn solve_linear_leq(c0: f64, c1: f64) -> Option<TimeInterval> {
+    if c1 == 0.0 {
+        // Constant constraint: either always or never satisfied.
+        if c0 <= 0.0 {
+            Some(TimeInterval {
+                start: f64::NEG_INFINITY,
+                end: INFINITE_TIME,
+            })
+        } else {
+            None
+        }
+    } else {
+        let root = -c0 / c1;
+        if c1 > 0.0 {
+            // Satisfied for t <= root.
+            TimeInterval::new(f64::NEG_INFINITY, root)
+        } else {
+            // Satisfied for t >= root.
+            TimeInterval::new(root, INFINITE_TIME)
+        }
+    }
+}
+
+/// Reference: `intersect_interval` as a chain of early exits — each of
+/// the four constraints solved on its own and intersected into the window
+/// in turn, `None` as soon as anything is empty. The library's
+/// branch-free kernel must return the same bits.
+fn reference_interval(
+    a: &MovingRect,
+    b: &MovingRect,
+    t_s: Time,
+    t_e: Time,
+) -> Option<TimeInterval> {
+    let mut acc = TimeInterval::new(t_s, t_e)?;
+    for d in 0..2 {
+        // a.lo_d(t) <= b.hi_d(t)
+        //   (lo_a − vlo_a·ta) − (hi_b − vhi_b·tb) + (vlo_a − vhi_b)·t <= 0
+        let c0 = (a.lo[d] - a.vlo[d] * a.t_ref) - (b.hi[d] - b.vhi[d] * b.t_ref);
+        let c1 = a.vlo[d] - b.vhi[d];
+        acc = acc.intersect(&solve_linear_leq(c0, c1)?)?;
+
+        // b.lo_d(t) <= a.hi_d(t)
+        let c0 = (b.lo[d] - b.vlo[d] * b.t_ref) - (a.hi[d] - a.vhi[d] * a.t_ref);
+        let c1 = b.vlo[d] - a.vhi[d];
+        acc = acc.intersect(&solve_linear_leq(c0, c1)?)?;
+    }
+    Some(acc)
+}
+
+/// An interval's bits, for comparisons that tell `-0.0` from `0.0`.
+fn bits(iv: Option<TimeInterval>) -> Option<(u64, u64)> {
+    iv.map(|iv| (iv.start.to_bits(), iv.end.to_bits()))
+}
+
+/// Asserts the kernel equal to the reference, bit for bit.
+fn assert_same_bits(a: &MovingRect, b: &MovingRect, t_s: Time, t_e: Time) {
+    let got = a.intersect_interval(b, t_s, t_e);
+    let want = reference_interval(a, b, t_s, t_e);
+    assert_eq!(
+        bits(got),
+        bits(want),
+        "{a:?} vs {b:?} over [{t_s}, {t_e}]: {got:?} vs reference {want:?}"
+    );
+}
+
+/// Coordinates, speeds and times on a coarse grid, `-0.0` included, so
+/// that two random rectangles often have parallel edges (equal speeds),
+/// touch exactly at a grid instant, or are flat.
+fn grid() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        (-3i32..4).prop_map(f64::from),
+        (-6i32..7).prop_map(|k| f64::from(k) * 0.5),
+    ]
+}
+
+/// A moving rectangle off [`grid`]: a zero extent or spread copies the
+/// lower bound's bits (a flat rectangle, a rigid bound), signed zero
+/// included.
+fn arb_grid_rect() -> impl Strategy<Value = MovingRect> {
+    let step = || prop_oneof![Just(0.0), Just(1.0), Just(2.0)];
+    let t_ref = prop_oneof![Just(0.0), Just(-0.0), Just(1.0), Just(2.0)];
+    (
+        grid(),
+        grid(),
+        step(),
+        step(),
+        grid(),
+        grid(),
+        step(),
+        step(),
+        t_ref,
+    )
+        .prop_map(|(x, y, w, h, vx, vy, gx, gy, t_ref)| {
+            let up = |base: f64, by: f64| if by == 0.0 { base } else { base + by };
+            MovingRect {
+                lo: [x, y],
+                hi: [up(x, w), up(y, h)],
+                vlo: [vx, vy],
+                vhi: [up(vx, gx), up(vy, gy)],
+                t_ref,
+            }
+        })
+}
+
+/// Windows with ties: `t_s == t_e`, grid ends, and an unbounded end.
+fn arb_window() -> impl Strategy<Value = (Time, Time)> {
+    let t_s = prop_oneof![Just(0.0), Just(-0.0), Just(1.0), Just(2.0), Just(3.0)];
+    let len = prop_oneof![Just(0.0), Just(1.0), Just(4.0), Just(INFINITE_TIME)];
+    (t_s, len).prop_map(|(t_s, len)| (t_s, if len == 0.0 { t_s } else { t_s + len }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The branch-free kernel returns the reference's bits on tie-rich
+    /// grid pairs: parallel edges with the gap zero, positive or
+    /// negative, exact touches at the window's ends, flat rectangles,
+    /// signed zeros, `t_s == t_e` and `t_e = ∞`.
+    #[test]
+    fn intersect_interval_bits_match_reference_on_ties(
+        a in arb_grid_rect(),
+        b in arb_grid_rect(),
+        window in arb_window(),
+    ) {
+        let (t_s, t_e) = window;
+        assert_same_bits(&a, &b, t_s, t_e);
+        assert_same_bits(&b, &a, t_s, t_e);
+    }
+
+    /// The same on random pairs, rigid and expanding, over random,
+    /// instantaneous and unbounded windows.
+    #[test]
+    fn intersect_interval_bits_match_reference(
+        a in prop_oneof![arb_rigid(), arb_expanding()],
+        b in prop_oneof![arb_rigid(), arb_expanding()],
+        t_s in 0.0f64..50.0,
+        len in prop_oneof![0.0f64..100.0, Just(0.0), Just(INFINITE_TIME)],
+    ) {
+        assert_same_bits(&a, &b, t_s, t_s + len);
+    }
+}
+
+/// Hand-built ties, each with its expected answer as well as the
+/// reference's bits.
+#[test]
+fn forced_ties_match_the_reference() {
+    let square =
+        |x: f64, vx: f64| MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [vx, 0.0], 0.0);
+    let a = square(0.0, 0.0);
+    let cases = [
+        // Touches at t_s = 0, then moves away: the instant [0, 0].
+        (square(1.0, 1.0), 0.0, 10.0, Some((0.0, 0.0))),
+        // Closes in and touches exactly at t_e = 2.
+        (square(3.0, -1.0), 0.0, 2.0, Some((2.0, 2.0))),
+        // Parallel edges (c1 = 0): touching (c0 = 0), apart (c0 > 0),
+        // overlapping (c0 < 0) — the whole window or nothing.
+        (square(1.0, 0.0), 0.0, 5.0, Some((0.0, 5.0))),
+        (square(1.5, 0.0), 0.0, 5.0, None),
+        (square(0.5, 0.0), 0.0, 5.0, Some((0.0, 5.0))),
+        // Touching at t_s == t_e.
+        (square(3.0, -1.0), 2.0, 2.0, Some((2.0, 2.0))),
+        // Unbounded window: overlapping and never separating.
+        (
+            square(0.5, 0.0),
+            1.0,
+            INFINITE_TIME,
+            Some((1.0, INFINITE_TIME)),
+        ),
+    ];
+    for (b, t_s, t_e, want) in cases {
+        let got = a
+            .intersect_interval(&b, t_s, t_e)
+            .map(|iv| (iv.start, iv.end));
+        assert_eq!(got, want, "{b:?} over [{t_s}, {t_e}]");
+        assert_same_bits(&a, &b, t_s, t_e);
+        assert_same_bits(&b, &a, t_s, t_e);
+    }
+    // A flat rectangle on a signed-zero edge, with signed-zero speeds.
+    let flat = MovingRect {
+        lo: [-0.0, 0.0],
+        hi: [-0.0, 1.0],
+        vlo: [-0.0, 0.0],
+        vhi: [-0.0, -0.0],
+        t_ref: -0.0,
+    };
+    assert!(a.intersect_interval(&flat, -0.0, 0.0).is_some());
+    for (t_s, t_e) in [(-0.0, 0.0), (0.0, -0.0), (0.0, 3.0), (-0.0, INFINITE_TIME)] {
+        assert_same_bits(&a, &flat, t_s, t_e);
+        assert_same_bits(&flat, &a, t_s, t_e);
+    }
+    // A NaN anywhere, in a bound or in the window, meets nothing.
+    let mut nan = square(0.5, 0.0);
+    nan.lo[1] = f64::NAN;
+    assert_eq!(a.intersect_interval(&nan, 0.0, 5.0), None);
+    assert_eq!(a.intersect_interval(&square(0.5, 0.0), f64::NAN, 5.0), None);
+    let mut nan_speed = square(0.5, 1.0);
+    nan_speed.vlo[0] = f64::NAN;
+    assert_eq!(a.intersect_interval(&nan_speed, 0.0, 5.0), None);
+    for b in [nan, nan_speed] {
+        assert_same_bits(&a, &b, 0.0, 5.0);
+        assert_same_bits(&b, &a, 0.0, 5.0);
+    }
 }
 
 proptest! {

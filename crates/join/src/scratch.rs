@@ -7,10 +7,12 @@
 //! Allocating them per visit (the seed behaviour) puts `malloc`/`free` on
 //! the hottest loop of the system; [`JoinScratch`] instead keeps one
 //! [`Frame`] of buffers per recursion depth and hands them out with
-//! [`std::mem::take`], so a warm traversal allocates nothing.
+//! [`std::mem::take`], so a warm traversal allocates nothing. A batched
+//! probe also keeps here what it computes once per call for each probe:
+//! its swept region and its anchored bounds.
 
 use crate::sweep::SweepSoa;
-use cij_geom::{MovingRect, Rect, TimeInterval};
+use cij_geom::{AnchoredRect, MovingRect, Rect, TimeInterval};
 use cij_tpr::EntryLanes;
 
 /// One recursion depth's worth of buffers. All vectors are cleared, not
@@ -37,8 +39,27 @@ pub(crate) struct Frame {
     /// Side `b`'s selected rectangles, contiguous, for the nested-loop
     /// comparison of a synchronous traversal without plane sweep.
     pub rects: Vec<MovingRect>,
-    /// Swept regions of the probes live at a node (batched probe).
+    /// Swept regions of the probes live at a node, one lane per bound
+    /// (batched probe).
+    pub live: BoxLanes,
+    /// The live probes (indices into the probe slice, in `sb` order)
+    /// whose swept regions meet the entry under test (batched probe).
+    pub meets: Vec<u32>,
+}
+
+/// Rectangles in four lanes, `lo[d][j]` / `hi[d][j]` for rectangle `j`.
+#[derive(Debug, Default)]
+pub(crate) struct BoxLanes {
+    pub lo: [Vec<f64>; 2],
+    pub hi: [Vec<f64>; 2],
+}
+
+/// What a batched probe computes once per call for each probe: its
+/// swept region over the window and its anchored bounds.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeAnchors {
     pub boxes: Vec<Rect>,
+    pub anchored: Vec<AnchoredRect>,
 }
 
 /// Depth-indexed pool of buffer frames threaded through a join
@@ -52,6 +73,7 @@ pub(crate) struct Frame {
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     frames: Vec<Frame>,
+    probes: ProbeAnchors,
 }
 
 impl JoinScratch {
@@ -75,6 +97,17 @@ impl JoinScratch {
     /// grown capacity for the next visit at this depth.
     pub(crate) fn put_frame(&mut self, depth: usize, frame: Frame) {
         self.frames[depth] = frame;
+    }
+
+    /// Moves the per-call probe buffers out. Pair with
+    /// [`Self::put_probes`].
+    pub(crate) fn take_probes(&mut self) -> ProbeAnchors {
+        std::mem::take(&mut self.probes)
+    }
+
+    /// Returns the buffers taken with [`Self::take_probes`].
+    pub(crate) fn put_probes(&mut self, probes: ProbeAnchors) {
+        self.probes = probes;
     }
 }
 

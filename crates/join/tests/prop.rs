@@ -49,6 +49,30 @@ fn build(objs: &[(ObjectId, MovingRect)], capacity: usize, pool: &BufferPool) ->
     tree
 }
 
+/// A probe tied to `m` over `[t_s, t_e]`: swept regions that touch exactly
+/// on one side (`kind` 0–2: right, left, top), or contact exactly at `t_s`
+/// (3: touching then separating) or at `t_e` (4: closing in). The probe
+/// spans the other dimension widely, so the tied side decides.
+fn tie(m: &MovingRect, kind: u8, t_s: f64, t_e: f64) -> MovingRect {
+    let region = cij_join::swept_region(m, t_s, t_e);
+    let wide = [-1.0e4, 1.0e4];
+    let still = |lo: [f64; 2], hi: [f64; 2]| MovingRect::stationary(Rect::new(lo, hi), 0.0);
+    match kind {
+        0 => still([region.hi[0], wide[0]], [region.hi[0] + 1.0, wide[1]]),
+        1 => still([region.lo[0] - 1.0, wide[0]], [region.lo[0], wide[1]]),
+        2 => still([wide[0], region.hi[1]], [wide[1], region.hi[1] + 1.0]),
+        _ => {
+            let (t, vx) = if kind == 3 {
+                (t_s, m.vhi[0] + 1.0)
+            } else {
+                (t_e, m.vhi[0] - 1.0)
+            };
+            let x = m.hi_at(0, t);
+            MovingRect::rigid(Rect::new([x, wide[0]], [x + 1.0, wide[1]]), [vx, 0.0], t).rebase(t_s)
+        }
+    }
+}
+
 fn sort_pairs(mut v: Vec<JoinPair>) -> Vec<JoinPair> {
     v.sort_by(|a, b| a.key().partial_cmp(&b.key()).unwrap());
     v
@@ -132,13 +156,14 @@ proptest! {
 
     /// The batched probe equals the union of per-probe
     /// `intersect_window` calls — ids and interval bits — for arbitrary
-    /// probe sets (duplicates, probes far outside the data, an empty
-    /// set), tree shapes and windows.
+    /// probe sets (duplicates, probes far outside the data, forced ties
+    /// with indexed objects, an empty set), tree shapes and windows.
     #[test]
     fn probe_batch_equals_per_probe_windows(
         objs in proptest::collection::vec(arb_object(0), 0..200),
         near in proptest::collection::vec(arb_object(0), 0..40),
         far in proptest::collection::vec((5_000.0..9_000.0f64, -3.0..3.0f64), 0..4),
+        ties in proptest::collection::vec((0usize..1_000, 0u8..5), 0..16),
         capacity in prop_oneof![Just(4usize), Just(10), Just(30)],
         t_s in 0.0..30.0f64,
         len in 0.1..90.0f64,
@@ -157,6 +182,9 @@ proptest! {
         probes.extend(far.iter().map(|&(x, v)| {
             MovingRect::rigid(Rect::new([x, x], [x + 1.0, x + 1.0]), [v, v], 0.0)
         }));
+        if !objs.is_empty() {
+            probes.extend(ties.iter().map(|&(k, kind)| tie(&objs[k % objs.len()].1, kind, t_s, t_e)));
+        }
 
         let mut scratch = JoinScratch::new();
         let mut counters = JoinCounters::new();
